@@ -3,8 +3,8 @@
 // optionally, a paced QPS target) over a corpus of planned DSB queries with a
 // configurable hot-set repeat ratio — the knob that moves the server between
 // cache-hit-heavy steady state and cache-miss-heavy inference load — and
-// reports per-route latency quantiles, error/shed/breaker counts, and the
-// server's own cache statistics as BENCH_load.json.
+// reports per-route latency quantiles, error/shed counts, replica health, and
+// the server's own cache statistics as BENCH_load.json.
 //
 // Two modes:
 //
@@ -84,8 +84,7 @@ func main() {
 		chaosAt        = flag.Float64("chaos-at", 0.25, "fraction of -duration after which the replica fault arms")
 		chaosClear     = flag.Float64("chaos-clear", 0.6, "fraction of -duration after which the replica fault clears (recovery window; 0 = never clears)")
 		expectRecovery = flag.Bool("expect-recovery", false, "fail unless /stats shows at least one replica quarantine AND one recovery (use with -chaos-replica)")
-		brkCooldown    = flag.Duration("breaker-cooldown", 0, "self-hosted breaker cooldown override (0 = serve default; chaos drills want one that fits inside -duration)")
-		quarBackoff    = flag.Duration("quarantine-backoff", 0, "self-hosted quarantine probe backoff override (0 = serve default)")
+		quarBackoff    = flag.Duration("quarantine-backoff", 0, "self-hosted quarantine probe backoff override (0 = serve default; chaos drills want one that fits inside -duration)")
 	)
 	flag.Parse()
 
@@ -151,7 +150,7 @@ func main() {
 			repeat: *repeat, hotSet: *hotSet, swapAt: *swapAt, seed: *seed,
 			chaosReplica: *chaosReplica, chaosRate: *chaosRate,
 			chaosAt: *chaosAt, chaosClear: *chaosClear,
-			breakerCooldown: *brkCooldown, quarantineBackoff: *quarBackoff,
+			quarantineBackoff: *quarBackoff,
 		})
 		if err != nil {
 			log.Fatalf("pythia-load: replicas=%d: %v", replicas, err)
@@ -258,7 +257,6 @@ type loadResult struct {
 	Quarantines   uint64            `json:"replica_quarantines"`
 	Probes        uint64            `json:"replica_probes"`
 	Recoveries    uint64            `json:"replica_recoveries"`
-	BreakerState  string            `json:"breaker_state"`
 	HealthState   string            `json:"health_state"`
 	Generation    uint64            `json:"generation"`
 	Swaps         uint64            `json:"swaps"`
@@ -301,9 +299,8 @@ type pointConfig struct {
 	chaosAt      float64
 	chaosClear   float64
 
-	// breakerCooldown and quarantineBackoff override the serve defaults when
-	// positive — chaos drills need recovery cycles that fit inside -duration.
-	breakerCooldown   time.Duration
+	// quarantineBackoff overrides the serve default when positive — chaos
+	// drills need recovery cycles that fit inside -duration.
 	quarantineBackoff time.Duration
 }
 
@@ -330,7 +327,6 @@ func runPoint(pc pointConfig) (loadResult, error) {
 		srv, err = serve.New(pc.gen.DB(), pc.sys, serve.NewMetrics(nil), serve.Options{
 			Replicas:          pc.replicas,
 			CacheEntries:      pc.cacheEntries,
-			BreakerCooldown:   pc.breakerCooldown,
 			QuarantineBackoff: pc.quarantineBackoff,
 		})
 		if err != nil {
@@ -559,7 +555,7 @@ func postReload(client *http.Client, base, snapPath string) error {
 }
 
 // scrapeStats folds the server's own /stats accounting into the result row:
-// cache hit rate, sheds, timeouts, breaker state, and swap/generation counts.
+// cache hit rate, sheds, timeouts, health state, and swap/generation counts.
 func scrapeStats(client *http.Client, base string, res *loadResult) error {
 	resp, err := client.Get(base + "/stats")
 	if err != nil {
@@ -570,16 +566,15 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 		return fmt.Errorf("stats status %d", resp.StatusCode)
 	}
 	var st struct {
-		Shed         uint64            `json:"requests_shed"`
-		Timeouts     uint64            `json:"inference_timeouts"`
-		Failovers    uint64            `json:"replica_failovers"`
-		Hedges       uint64            `json:"request_hedges"`
-		BreakerState string            `json:"breaker_state"`
-		HealthState  string            `json:"health_state"`
-		Generation   uint64            `json:"generation"`
-		Swaps        uint64            `json:"swaps"`
-		Events       map[string]uint64 `json:"events"`
-		PredCache    *struct {
+		Shed        uint64            `json:"requests_shed"`
+		Timeouts    uint64            `json:"inference_timeouts"`
+		Failovers   uint64            `json:"replica_failovers"`
+		Hedges      uint64            `json:"request_hedges"`
+		HealthState string            `json:"health_state"`
+		Generation  uint64            `json:"generation"`
+		Swaps       uint64            `json:"swaps"`
+		Events      map[string]uint64 `json:"events"`
+		PredCache   *struct {
 			Hits   uint64 `json:"hits"`
 			Misses uint64 `json:"misses"`
 		} `json:"predcache"`
@@ -607,7 +602,6 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 	res.Timeouts = st.Timeouts
 	res.Failovers = st.Failovers
 	res.Hedges = st.Hedges
-	res.BreakerState = st.BreakerState
 	res.HealthState = st.HealthState
 	res.Generation = st.Generation
 	res.Swaps = st.Swaps

@@ -18,9 +18,6 @@
 //	GET  /metrics             Prometheus text exposition
 //	GET  /stats               JSON statistics snapshot
 //
-// The unversioned aliases remain for one release and answer with a
-// Deprecation header.
-//
 // With -replicas N the trained system is cloned into N independent model
 // replicas behind a consistent-hash router (see internal/serve's Pool).
 // With -snapshot the trained system is persisted to (or, when the file
@@ -62,8 +59,6 @@ func main() {
 		reqTimeout    = flag.Duration("request-timeout", 5*time.Second, "per-request inference budget (negative disables)")
 		maxInflight   = flag.Int("max-inflight", 64, "concurrent model requests before load shedding (negative disables)")
 		maxBody       = flag.Int64("max-body", 1<<20, "request body cap in bytes (negative disables)")
-		brkThreshold  = flag.Int("breaker-threshold", 5, "consecutive model errors that trip the circuit breaker (negative disables)")
-		brkCooldown   = flag.Duration("breaker-cooldown", 10*time.Second, "how long the breaker stays open before half-opening")
 		shutdownGrace = flag.Duration("shutdown-grace", 10*time.Second, "drain deadline after SIGINT/SIGTERM")
 		cacheEntries  = flag.Int("cache-entries", 4096, "plan-fingerprint prediction cache capacity (negative disables)")
 		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "how long a cache miss waits to coalesce with concurrent misses (negative disables)")
@@ -72,7 +67,6 @@ func main() {
 		replicas      = flag.Int("replicas", 1, "independent model replicas behind the consistent-hash router")
 		queueDepth    = flag.Int("queue-depth", 32, "per-replica bounded work queue (negative disables)")
 		snapshot      = flag.String("snapshot", "", "model snapshot path: loaded instead of training when it exists, written after training otherwise; SIGHUP and /v1/admin/reload swap from it (empty = off)")
-		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "how long a superseded model generation drains after a swap")
 		quarThreshold = flag.Int("quarantine-threshold", 5, "sliding-window model-path failures that quarantine a replica (negative disables health tracking)")
 		quarBackoff   = flag.Duration("quarantine-backoff", time.Second, "initial probe backoff for a quarantined replica (doubles per failed probe, capped at 16x)")
 		quarProbes    = flag.Int("quarantine-probes", 3, "consecutive probe successes that re-admit a quarantined replica")
@@ -156,8 +150,6 @@ func main() {
 		RequestTimeout:      *reqTimeout,
 		MaxInFlight:         *maxInflight,
 		MaxBodyBytes:        *maxBody,
-		BreakerThreshold:    *brkThreshold,
-		BreakerCooldown:     *brkCooldown,
 		Fault:               inj,
 		CacheEntries:        *cacheEntries,
 		BatchWindow:         *batchWindow,
@@ -166,7 +158,6 @@ func main() {
 		Replicas:            *replicas,
 		QueueDepth:          *queueDepth,
 		SnapshotPath:        *snapshot,
-		DrainTimeout:        *drainTimeout,
 		QuarantineThreshold: *quarThreshold,
 		QuarantineBackoff:   *quarBackoff,
 		QuarantineProbes:    *quarProbes,
@@ -182,10 +173,10 @@ func main() {
 	// protections, fast-path, and topology configuration are visible in its
 	// logs.
 	eff := srv.Options()
-	log.Printf("effective options: request-timeout=%s max-inflight=%d max-body=%d breaker-threshold=%d breaker-cooldown=%s cache-entries=%d batch-window=%s max-batch=%d quantize=%v replicas=%d queue-depth=%d drain-timeout=%s snapshot=%q quarantine-threshold=%d quarantine-backoff=%s quarantine-probes=%d max-failovers=%d hedge-after=%s",
-		eff.RequestTimeout, eff.MaxInFlight, eff.MaxBodyBytes, eff.BreakerThreshold,
-		eff.BreakerCooldown, eff.CacheEntries, eff.BatchWindow, eff.MaxBatch, eff.Quantize,
-		eff.Replicas, eff.QueueDepth, eff.DrainTimeout, eff.SnapshotPath,
+	log.Printf("effective options: request-timeout=%s max-inflight=%d max-body=%d cache-entries=%d batch-window=%s max-batch=%d quantize=%v replicas=%d queue-depth=%d snapshot=%q quarantine-threshold=%d quarantine-backoff=%s quarantine-probes=%d max-failovers=%d hedge-after=%s",
+		eff.RequestTimeout, eff.MaxInFlight, eff.MaxBodyBytes,
+		eff.CacheEntries, eff.BatchWindow, eff.MaxBatch, eff.Quantize,
+		eff.Replicas, eff.QueueDepth, eff.SnapshotPath,
 		eff.QuarantineThreshold, eff.QuarantineBackoff, eff.QuarantineProbes,
 		eff.MaxFailovers, eff.HedgeAfter)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}

@@ -10,7 +10,7 @@ import (
 
 // Lockorder enforces one global mutex-acquisition order per package. The
 // serve tier holds locks across layers — Pool.Swap holds swapMu while
-// warming replicas whose predict path takes health, breaker, and predcache
+// warming replicas whose predict path takes the health and predcache
 // mutexes — and the only thing keeping that deadlock-free is that no path
 // ever acquires those locks in the reverse order. The analyzer makes that
 // prose invariant (DESIGN.md "Replica pool & model swap") mechanical:

@@ -16,7 +16,7 @@
 //     small value struct; Record(Event) passes it on the stack, and Counters
 //     only increments a fixed array. Event-log recorders may allocate
 //     (amortized append) — that is an explicit opt-in.
-//   - Single-writer by default. The replay simulator is single-threaded, so
+//   - One writer by default. The replay simulator is single-threaded, so
 //     Counters is not synchronized; the HTTP serving path uses
 //     AtomicCounters.
 package obs
@@ -125,14 +125,6 @@ const (
 
 	// --- serving tier (internal/serve) ---
 
-	// BreakerOpen: the serving circuit breaker tripped; predictions answer
-	// from the fallback path.
-	BreakerOpen
-	// BreakerHalfOpen: the breaker's cooldown elapsed; trial requests probe
-	// the model path.
-	BreakerHalfOpen
-	// BreakerClosed: a trial request succeeded; the model path is restored.
-	BreakerClosed
 	// PredCacheHit: a prediction request was answered from the plan-
 	// fingerprint cache — zero inference ran.
 	PredCacheHit
@@ -210,9 +202,6 @@ var kindNames = [KindCount]string{
 	WorkloadFallback:      "workload_fallback",
 	PrefetchLimited:       "prefetch_limited",
 	SchedulerScheduled:    "scheduler_scheduled",
-	BreakerOpen:           "breaker_open",
-	BreakerHalfOpen:       "breaker_half_open",
-	BreakerClosed:         "breaker_closed",
 	PredCacheHit:          "predcache_hit",
 	PredCacheMiss:         "predcache_miss",
 	PredCacheEvict:        "predcache_evict",

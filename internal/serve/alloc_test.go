@@ -17,8 +17,8 @@ import (
 //
 // The units mirror one cache-hit request end to end: fingerprint the plan,
 // route it on the ring (with failover successors into a caller-owned
-// scratch slice), check breaker and health admission, hit the prediction
-// cache, and record the health outcome.
+// scratch slice), check health admission, hit the prediction cache, and
+// record the health outcome.
 func TestServeHotPathAllocs(t *testing.T) {
 	rec := &obs.AtomicCounters{}
 
@@ -67,27 +67,13 @@ func TestServeHotPathAllocs(t *testing.T) {
 	t.Run("health-steady-state", func(t *testing.T) {
 		h := newHealth(3, time.Second, 2, rec)
 		if a := testing.AllocsPerRun(1000, func() {
-			h.success()
 			if !h.serving() {
 				t.Fatal("healthy replica not serving")
 			}
+			h.cacheHit()
+			h.success()
 		}); a != 0 {
-			t.Errorf("health success/serving allocates %v/op", a)
-		}
-	})
-
-	t.Run("breaker-steady-state", func(t *testing.T) {
-		b := newBreaker(3, time.Second, rec)
-		if a := testing.AllocsPerRun(1000, func() {
-			if !b.allow() {
-				t.Fatal("closed breaker refused")
-			}
-			b.success()
-			if b.blocked() {
-				t.Fatal("closed breaker blocked")
-			}
-		}); a != 0 {
-			t.Errorf("breaker allow/success/blocked allocates %v/op", a)
+			t.Errorf("health serving/cacheHit/success allocates %v/op", a)
 		}
 	})
 }

@@ -24,11 +24,11 @@ func poolOf(t *testing.T, srv *Server) *Pool {
 	return p
 }
 
-// TestPoolReroutesAroundBlockedReplica pins the satellite contract: with one
-// replica's breaker forced open (inside its cooldown), requests whose plans
-// that replica owns reroute to ring successors — still 200, counted as
-// failovers — and the successor's cache absorbs the shard, so repeats are
-// hits. When the breaker un-blocks, traffic returns to the owner.
+// TestPoolReroutesAroundBlockedReplica: with one replica quarantined (inside
+// its probe backoff), requests whose plans that replica owns reroute to ring
+// successors — still 200, counted as failovers — and the successor's cache
+// absorbs the shard, so repeats are hits. When the backoff elapses, probes go
+// back to the owner, whose still-warm cache answers them and re-admits it.
 func TestPoolReroutesAroundBlockedReplica(t *testing.T) {
 	base, w := testServer(t)
 	m := NewMetrics(nil)
@@ -43,17 +43,17 @@ func TestPoolReroutesAroundBlockedReplica(t *testing.T) {
 	}
 	target := owner[insts[0]]
 
-	// Force the target's breaker open on a fake clock: open inside an
-	// unelapsed cooldown means blocked, so the pool must route around it.
+	// Quarantine the target on a fake clock: inside the unelapsed backoff no
+	// probe is due, so the pool must route around it.
 	p := poolOf(t, srv)
 	ins := p.cur.Load().instances[target]
 	now := time.Unix(0, 0)
-	ins.breaker.now = func() time.Time { return now }
-	for i := 0; i < srv.opts.BreakerThreshold; i++ {
-		ins.breaker.failure()
+	ins.health.now = func() time.Time { return now }
+	for i := 0; i < srv.opts.QuarantineThreshold; i++ {
+		ins.health.failure()
 	}
-	if !ins.breaker.blocked() {
-		t.Fatalf("breaker state %s not blocked after %d failures", ins.breaker.State(), srv.opts.BreakerThreshold)
+	if st := ins.health.State(); st != "quarantined" {
+		t.Fatalf("health %s after %d failures, want quarantined", st, srv.opts.QuarantineThreshold)
 	}
 
 	// Every plan still answers 200; the target's shard lands on successors.
@@ -64,7 +64,7 @@ func TestPoolReroutesAroundBlockedReplica(t *testing.T) {
 			t.Fatalf("instance %d: fallback while 2/3 replicas are healthy: %+v", i, resp)
 		}
 		if resp.Replica == target {
-			t.Fatalf("instance %d: routed to the blocked replica %d", i, target)
+			t.Fatalf("instance %d: routed to the quarantined replica %d", i, target)
 		}
 		rerouted[i] = resp.Replica
 	}
@@ -88,13 +88,19 @@ func TestPoolReroutesAroundBlockedReplica(t *testing.T) {
 		}
 	}
 
-	// Cooldown elapses: the half-open trial goes back to the owner, which
-	// answers from its (still warm) cache and closes the breaker.
-	now = now.Add(srv.opts.BreakerCooldown + time.Second)
-	resp := predictOK(t, srv, w, insts[0])
-	if resp.Replica != target || !resp.Cached {
-		t.Fatalf("after cooldown: replica=%d cached=%v, want cached answer from owner %d",
-			resp.Replica, resp.Cached, target)
+	// Backoff elapses: the probe goes back to the owner, which answers from
+	// its (still warm) cache; a cache hit counts as a probe success, so
+	// QuarantineProbes of them restore it.
+	now = now.Add(srv.opts.QuarantineBackoff)
+	for i := 0; i < srv.opts.QuarantineProbes; i++ {
+		resp := predictOK(t, srv, w, insts[0])
+		if resp.Replica != target || !resp.Cached {
+			t.Fatalf("probe %d: replica=%d cached=%v, want cached answer from owner %d",
+				i, resp.Replica, resp.Cached, target)
+		}
+	}
+	if st := ins.health.State(); st != "healthy" {
+		t.Fatalf("health %s after %d cached probe answers, want healthy", st, srv.opts.QuarantineProbes)
 	}
 }
 
@@ -189,7 +195,6 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 	srv := mustServer(t, base.db, fixtureSys, m, Options{
 		Replicas:            3,
 		CacheEntries:        -1, // every request exercises the model path
-		BreakerThreshold:    -1, // isolate the health machinery from the breaker
 		QuarantineThreshold: 3,
 		QuarantineBackoff:   time.Minute,
 		QuarantineProbes:    2,
@@ -280,6 +285,43 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 	}
 	// Every request in this drill answered 200 (predictInstance fails the
 	// test otherwise): the end-to-end error rate is 0%, within the 1% bound.
+}
+
+// TestProbeReachesQuarantinedOwner: under default options, once a quarantined
+// owner's backoff has elapsed the next request for its shard is the probe —
+// served by the owner's model, not swallowed into a fallback — and
+// QuarantineProbes such answers return it to healthy.
+func TestProbeReachesQuarantinedOwner(t *testing.T) {
+	base, w := testServer(t)
+	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 3, CacheEntries: -1})
+	t.Cleanup(srv.Close)
+
+	target := predictOK(t, srv, w, 0).Replica
+	ins := poolOf(t, srv).cur.Load().instances[target]
+	now := time.Unix(0, 0)
+	ins.health.now = func() time.Time { return now }
+
+	// The owner faults QuarantineThreshold times; successors absorb each one.
+	srv.SetFault(fault.New(fault.Plan{ReplicaRate: 1, ReplicaIndex: target}, 7))
+	for i := 0; i < srv.opts.QuarantineThreshold; i++ {
+		if resp := predictOK(t, srv, w, 0); resp.Fallback || resp.Replica == target {
+			t.Fatalf("fault %d: answered %+v, want a successor's model answer", i, resp)
+		}
+	}
+	if st := ins.health.State(); st != "quarantined" {
+		t.Fatalf("health %s after %d faults, want quarantined", st, srv.opts.QuarantineThreshold)
+	}
+
+	srv.SetFault(nil)
+	now = now.Add(srv.opts.QuarantineBackoff)
+	for i := 0; i < srv.opts.QuarantineProbes; i++ {
+		if resp := predictOK(t, srv, w, 0); resp.Fallback || resp.Replica != target {
+			t.Fatalf("probe %d: answered %+v, want the owner %d's model answer", i, resp, target)
+		}
+	}
+	if st := ins.health.State(); st != "healthy" {
+		t.Fatalf("health %s after %d probe answers, want healthy", st, srv.opts.QuarantineProbes)
+	}
 }
 
 // TestPoolDegradedWhenAllQuarantined: when every candidate replica is
@@ -427,10 +469,10 @@ func TestPoolHedging(t *testing.T) {
 	if m.hedges.Load() == 0 {
 		t.Fatal("no hedges launched with a 1ns hedge delay")
 	}
-	// Losers were canceled, not failed: nothing quarantined, breakers closed.
+	// Losers were canceled, not failed: nothing degraded or quarantined.
 	for _, r := range srv.inf.Status().Replicas {
-		if r.Health != "healthy" || r.Breaker != "closed" {
-			t.Fatalf("replica %d after hedging: health=%s breaker=%s", r.ID, r.Health, r.Breaker)
+		if r.Health != "healthy" {
+			t.Fatalf("replica %d after hedging: health=%s", r.ID, r.Health)
 		}
 	}
 	var stats statsResponse

@@ -114,7 +114,7 @@ func TestCacheHitSkipsInference(t *testing.T) {
 func TestCacheConcurrentIdentity(t *testing.T) {
 	srv, w := fastServer(t, Options{})
 	insts := distinctInstances(t, srv, w, 4)
-	// Single-threaded reference answers.
+	// Reference answers from one goroutine.
 	want := map[int][]pageJSON{}
 	for _, i := range insts {
 		want[i] = predictOK(t, srv, w, i).Pages

@@ -24,10 +24,9 @@ var healthStateNames = [...]string{"healthy", "degraded", "probation", "quaranti
 // tracker is a ring of booleans, not a timestamped log.
 const healthWindow = 16
 
-// health is one replica's self-healing state machine, layered above the
-// circuit breaker. The breaker protects the model path inside a replica (trip
-// on consecutive errors, answer fallback); health governs whether the pool
-// routes to the replica at all:
+// health is one replica's self-healing state machine and the serving tier's
+// only failure ladder: it alone decides whether the pool tries a replica's
+// model path (quarantined is the open state, probation the half-open one).
 //
 //	healthy ──(window failures ≥ ⌈threshold/2⌉)──▶ degraded
 //	degraded ──(window failures ≥ threshold)────▶ quarantined
@@ -42,9 +41,15 @@ const healthWindow = 16
 // that tests recovery. Outcomes recorded while quarantined can only be probe
 // outcomes, because probes are the only traffic admitted.
 //
-// Like the breaker, health never calls time.Now directly: the injected now
-// field lets tests drive backoff expiry by advancing a variable. A zero
-// threshold disables tracking entirely (the replica always reports healthy).
+// The window holds model-path outcomes only (inference success, injected
+// fault, deadline miss, admission shed). A prediction-cache hit says nothing
+// about the model, so it never enters the window: threshold consecutive
+// model-path failures quarantine the replica however many hits are
+// interleaved, and a high hit rate cannot hold a dead model path in service.
+//
+// health never calls time.Now directly: the injected now field lets tests
+// drive backoff expiry by advancing a variable. A zero threshold disables
+// tracking entirely (the replica always reports healthy).
 type health struct {
 	threshold  int           // window failures that quarantine; 0 disables
 	degradeAt  int           // window failures that mark degraded
@@ -114,11 +119,21 @@ func (h *health) resetWindow() {
 	h.windowLen, h.windowNext, h.failures = 0, 0, 0
 }
 
-// success records one healthy model-path outcome (including prediction-cache
-// hits — a replica that answers from cache is serving its shard).
+// success records one healthy model-path outcome (a completed inference).
 //
 //pythia:noalloc
-func (h *health) success() {
+func (h *health) success() { h.succeed(true) }
+
+// cacheHit records a request answered from the prediction cache. It counts
+// only as a probe outcome (quarantined or probation): a probe that happens to
+// hit the cache must not wedge quarantine, but in normal service a hit is no
+// evidence about the model path and leaves the window alone.
+//
+//pythia:noalloc
+func (h *health) cacheHit() { h.succeed(false) }
+
+//pythia:noalloc
+func (h *health) succeed(modelPath bool) {
 	if h == nil || h.threshold <= 0 {
 		return
 	}
@@ -134,7 +149,7 @@ func (h *health) success() {
 		h.probeWins++
 		h.maybeRecover()
 	default:
-		if h.slide(false) < h.degradeAt && h.state == healthDegraded {
+		if modelPath && h.slide(false) < h.degradeAt && h.state == healthDegraded {
 			h.state = healthHealthy
 		}
 	}

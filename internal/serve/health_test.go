@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -190,5 +191,92 @@ func TestHealthDisabled(t *testing.T) {
 	nilH.success()
 	if !nilH.serving() || nilH.allowProbe() || nilH.stateValue() != healthHealthy {
 		t.Fatal("nil tracker not inert")
+	}
+}
+
+// refBreaker is the consecutive-error circuit breaker the health machine
+// replaced, kept as the reference model for the differential test below:
+// threshold consecutive model-path failures open it, a success resets the
+// count, and after cooldown one trial is admitted whose failure re-opens it.
+// Cache hits never reached it.
+type refBreaker struct {
+	threshold, consecutive int
+	cooldown               time.Duration
+	open, halfOpen         bool
+	openedAt               time.Time
+}
+
+// allow reports whether the model path may be tried at now.
+func (b *refBreaker) allow(now time.Time) bool {
+	if b.open && now.Sub(b.openedAt) >= b.cooldown {
+		b.open, b.halfOpen = false, true
+	}
+	return !b.open
+}
+
+func (b *refBreaker) success() { b.consecutive, b.halfOpen = 0, false }
+
+func (b *refBreaker) failure(now time.Time) {
+	b.consecutive++
+	if b.halfOpen || b.consecutive >= b.threshold {
+		b.open, b.halfOpen, b.openedAt = true, false, now
+	}
+}
+
+// TestHealthTripsNoLaterThanBreaker is the differential property behind
+// folding the breaker into the health machine: over seeded random sequences
+// of model-path outcomes with cache hits interleaved, each machine seeing
+// only what its own gate admits, the health machine with QuarantineThreshold
+// = T is quarantined whenever the reference breaker with threshold T is open.
+// The clock stands still while a sequence runs, so neither the cooldown nor
+// the backoff elapses and the property is exactly "trips no later"; it then
+// jumps past both, and a failed trial must leave both machines shut.
+func TestHealthTripsNoLaterThanBreaker(t *testing.T) {
+	const sequences, events = 1000, 200
+	for _, T := range []int{1, 3, 5} {
+		for seed := 0; seed < sequences; seed++ {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			pHit, pFail := rng.Float64(), rng.Float64()
+			h, now, _ := healthHarness(T, time.Second, 3)
+			ref := &refBreaker{threshold: T, cooldown: time.Second}
+			check := func(step int) {
+				t.Helper()
+				if !ref.allow(*now) && h.State() != "quarantined" {
+					t.Fatalf("T=%d seed=%d step %d: reference breaker is open but health is %s", T, seed, step, h.State())
+				}
+			}
+			for step := 0; step < events; step++ {
+				hit, failed := rng.Float64() < pHit, rng.Float64() < pFail
+				// The reference never saw cache hits; health sees whatever the
+				// pool's admission pass would let through.
+				if !hit && ref.allow(*now) {
+					if failed {
+						ref.failure(*now)
+					} else {
+						ref.success()
+					}
+				}
+				if h.serving() || h.allowProbe() {
+					switch {
+					case hit:
+						h.cacheHit()
+					case failed:
+						h.failure()
+					default:
+						h.success()
+					}
+				}
+				check(step)
+			}
+			if ref.open {
+				*now = now.Add(time.Hour)
+				if !ref.allow(*now) || !h.allowProbe() {
+					t.Fatalf("T=%d seed=%d: no trial admitted an hour after tripping", T, seed)
+				}
+				ref.failure(*now)
+				h.failure()
+				check(events)
+			}
+		}
 	}
 }

@@ -14,39 +14,32 @@ import (
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// baseliner is the optional Inferencer extension exposing the serving
-// system's drift-baseline identity. Single and Pool implement it; stubbed
-// test Inferencers need not — /stats then omits the baseline block, exactly
-// like an untrained system.
-type baseliner interface {
-	BaselineID() *corepythia.BaselineID
-}
-
 // Inferencer is the seam between the HTTP surface and the model tier. The
 // Server decodes and plans requests, applies global shedding and timeouts,
 // and renders responses; everything that touches a trained model — matching,
-// caching, batching, the circuit breaker, and inference itself — happens
-// behind this interface. Two production implementations exist: Single (one
-// model instance, the pre-pool deployment shape) and Pool (N independent
-// replicas behind a consistent-hash router). Tests stub it to exercise the
-// HTTP surface without training anything.
+// routing, caching, batching, replica health, and inference itself — happens
+// behind this interface. Pool is the one production implementation (a single
+// replica is a one-node pool); tests stub the interface to exercise the HTTP
+// surface without training anything.
 type Inferencer interface {
 	// Predict answers one decoded, planned query. Sentinel errors map to
 	// HTTP statuses in the Server: ErrSaturated → 503, errModelFault → 500,
 	// context.DeadlineExceeded → 504, context.Canceled → 499.
 	Predict(ctx context.Context, q plan.Query, root *plan.Node) (Prediction, error)
-	// PredictBatch answers many queries concurrently (each routed
-	// independently, so a pool spreads the batch across replicas and each
-	// replica's micro-batcher coalesces what lands together).
-	PredictBatch(ctx context.Context, qs []plan.Query, roots []*plan.Node) ([]Prediction, error)
 	// Explain renders a plan without running inference.
 	Explain(root *plan.Node) Explanation
-	// Workloads returns the trained workloads of the serving view (for a
-	// pool: the routing replica's — all replicas hold identical inventories).
+	// Workloads returns the trained workloads of the serving view (the
+	// routing replica's — all replicas hold identical inventories).
 	Workloads() []*corepythia.Trained
 	// Status reports the replica topology for /stats, /metrics, and
 	// /v1/admin/replicas.
 	Status() InfStatus
+	// BaselineID identifies the drift baseline the serving snapshot carries
+	// (nil when untrained, or the snapshot predates baselines).
+	BaselineID() *corepythia.BaselineID
+	// Feedback folds one /v1/feedback score into the quality window of the
+	// replica that served the prediction.
+	Feedback(replica int, sc quality.Score)
 	// Swap is the zero-downtime model-swap hook: it loads a pythia.System
 	// snapshot (see pythia.System.Save) into a standby generation, warms it
 	// on recently served plans, atomically swings the serving pointer, and
@@ -69,7 +62,7 @@ type Prediction struct {
 	// Cached reports the answer came from the prediction cache with zero
 	// inference.
 	Cached bool
-	// Degraded names why the model path was skipped (e.g. "breaker_open").
+	// Degraded names why the model path was skipped ("no_healthy_replica").
 	Degraded string
 	// Replica is the serving replica's index (-1 when the request never
 	// routed, e.g. a pool-level fallback).
@@ -85,7 +78,7 @@ type Explanation struct {
 	Tokens []string
 }
 
-// explainPlan renders a plan exactly as the pre-pool server did.
+// explainPlan renders a plan's display form and Algorithm 2 tokens.
 func explainPlan(root *plan.Node) Explanation {
 	return Explanation{
 		Plan:   root.Display(),
@@ -122,7 +115,6 @@ type ReplicaStatus struct {
 	Shed           uint64   `json:"shed"`
 	InFlight       int64    `json:"in_flight"`
 	QueueDepth     int      `json:"queue_depth"`
-	Breaker        string   `json:"breaker"`
 	Health         string   `json:"health"`
 	CacheEntries   int      `json:"cache_entries"`
 	CacheCapacity  int      `json:"cache_capacity"`
@@ -145,9 +137,6 @@ type ReplicaStatus struct {
 	// counters when the serving system carries no training baseline).
 	Drift quality.DriftStats `json:"drift"`
 
-	// BreakerValue is the breaker state as a gauge (closed=0, half_open=1,
-	// open=2), for aggregation on /metrics; the name is in Breaker.
-	BreakerValue int `json:"-"`
 	// HealthValue is the health state as a gauge (healthy=0, degraded=1,
 	// probation=2, quarantined=3); the name is in Health.
 	HealthValue int `json:"-"`
@@ -229,7 +218,7 @@ type warmEntry struct {
 // warmer remembers the last warmSetSize distinct plans that reached the
 // model tier. A model swap replays them through the standby generation so it
 // comes up with hot prediction caches instead of serving its first requests
-// cold. It outlives generations: the Single/Pool owns it, instances feed it.
+// cold. It outlives generations: the Pool owns and feeds it.
 type warmer struct {
 	mu      sync.Mutex
 	entries []warmEntry
@@ -241,9 +230,6 @@ func newWarmer() *warmer { return &warmer{seen: make(map[uint64]bool, warmSetSiz
 
 // note records one served plan, ring-evicting the oldest past warmSetSize.
 func (w *warmer) note(fp uint64, q plan.Query, root *plan.Node) {
-	if w == nil {
-		return
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.seen[fp] {
@@ -262,34 +248,9 @@ func (w *warmer) note(fp uint64, q plan.Query, root *plan.Node) {
 
 // snapshot copies the current warm set.
 func (w *warmer) snapshot() []warmEntry {
-	if w == nil {
-		return nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return append([]warmEntry(nil), w.entries...)
-}
-
-// predictAll fans qs across Predict concurrently and returns the first error
-// (all predictions still complete).
-func predictAll(ctx context.Context, inf Inferencer, qs []plan.Query, roots []*plan.Node) ([]Prediction, error) {
-	out := make([]Prediction, len(qs))
-	errs := make([]error, len(qs))
-	var wg sync.WaitGroup
-	for i := range qs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i], errs[i] = inf.Predict(ctx, qs[i], roots[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }
 
 // workloadNames lists a system's trained workload names for status rows.

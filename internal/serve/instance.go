@@ -28,11 +28,11 @@ const qualityWindowSize = 512
 const serveDriftEvalEvery = 64
 
 // instance is one serving replica: an independent trained system with its
-// own prediction cache, micro-batcher, circuit breaker, and bounded work
-// queue. Replicas share nothing but the metrics hub, the fault gate, and the
-// warm set — each holds its own model weights (clones decoded from one
-// snapshot), so inference on different replicas runs truly in parallel
-// instead of serializing on one model's mutex.
+// own prediction cache, micro-batcher, health tracker, and bounded work
+// queue. Replicas share nothing but the metrics hub and the fault gate — each
+// holds its own model weights (clones decoded from one snapshot), so
+// inference on different replicas runs truly in parallel instead of
+// serializing on one model's mutex.
 type instance struct {
 	id   int
 	gen  uint64
@@ -41,7 +41,6 @@ type instance struct {
 
 	metrics *Metrics
 	fgate   *faultGate
-	warm    *warmer
 
 	// cache and batcher are the PR-6 inference fast path, now per replica:
 	// consistent-hash routing sends a plan fingerprint to the same replica
@@ -49,11 +48,10 @@ type instance struct {
 	// N copies of the same entries. Either may be nil when disabled.
 	cache   *predCache
 	batcher *batcher
-	breaker *breaker
 
-	// health is the replica's self-healing state machine (see health.go):
-	// the pool consults it when routing, so a quarantined replica's shard
-	// fails over to ring successors until probes re-admit it.
+	// health is the replica's failure ladder (see health.go): the pool
+	// consults it when routing, so a quarantined replica's shard fails over
+	// to ring successors until probes re-admit it.
 	health *health
 
 	// queue bounds concurrently admitted requests on this replica (nil =
@@ -82,14 +80,13 @@ type instance struct {
 	closeOnce sync.Once
 }
 
-func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, fgate *faultGate, warm *warmer, opts Options) *instance {
+func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, fgate *faultGate, opts Options) *instance {
 	ins := &instance{
 		id: id, gen: gen, sys: sys, opts: opts,
-		metrics: metrics, fgate: fgate, warm: warm,
-		breaker: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, metrics.Events()),
-		health:  newHealth(opts.QuarantineThreshold, opts.QuarantineBackoff, opts.QuarantineProbes, metrics.Events()),
-		qwin:    quality.NewWindow(qualityWindowSize),
-		qmon:    quality.NewMonitor(sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery}),
+		metrics: metrics, fgate: fgate,
+		health: newHealth(opts.QuarantineThreshold, opts.QuarantineBackoff, opts.QuarantineProbes, metrics.Events()),
+		qwin:   quality.NewWindow(qualityWindowSize),
+		qmon:   quality.NewMonitor(sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery}),
 	}
 	if opts.CacheEntries > 0 {
 		ins.cache = newPredCache(opts.CacheEntries, metrics.Events())
@@ -103,15 +100,14 @@ func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, f
 	return ins
 }
 
-// predict runs the full model path for one planned query. routed reports the
-// caller already matched the query once on its routing view (the pool's
-// router); the replica then resolves its own Trained handle quietly with
-// Lookup so one request never records two matching events.
+// predict runs the model path for one planned query the pool has already
+// matched, fingerprinted (fp keys the prediction cache) and admitted past
+// the health gate. The replica resolves its own Trained handle quietly with
+// Lookup, so one request never records two matching events.
 //
-// Stage order is exactly the single-server PR-6 path: bounded-queue
-// admission → workload matching → prediction cache → circuit breaker →
-// fault injection → (batched) inference → cache fill.
-func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node, routed bool) (Prediction, error) {
+// Stage order: bounded-queue admission → prediction cache → fault injection
+// → (batched) inference → cache fill.
+func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node, fp uint64) (Prediction, error) {
 	p := Prediction{Replica: ins.id, Generation: ins.gen}
 	if ins.queue != nil {
 		select {
@@ -130,68 +126,53 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 	defer ins.inflight.Add(-1)
 	defer ins.served.Add(1)
 
-	// Every admitted request feeds the drift monitor — matched or fallback:
-	// a flood of unmatched plans is exactly the shift drift detection exists
-	// to catch.
 	ins.observeDrift(root)
 
-	var tw *corepythia.Trained
-	if routed {
-		tw = ins.sys.Lookup(q)
-	} else {
-		tw = ins.sys.Match(q)
-	}
-
-	// Stage 1: prediction cache. Checked before the breaker and fault hooks —
-	// a hit performs zero inference and cannot fail, so cached plans keep
-	// answering even while the model path is degraded.
-	var fp uint64
-	cacheable := tw != nil && ins.cache != nil
-	if cacheable {
-		fp = fingerprint(tw.Name, tw.Pred.EncodePlan(root))
-		ins.warm.note(fp, q, root)
-		if pages, hit := ins.cache.get(fp); hit {
-			// Cache hits count as health successes: a replica answering its
-			// shard from cache is serving, and counting them keeps a probe
-			// that happens to hit the cache from wedging quarantine.
-			ins.metrics.markCache(true)
-			ins.health.success()
-			p.Workload = tw.Name
-			p.Cached = true
-			p.Pages = pages
-			return p, nil
-		}
-		ins.metrics.markCache(false)
-	}
-
-	if tw != nil && !ins.breaker.allow() {
-		// Breaker open: answer from the fallback path without touching the
-		// model. The client still gets a well-formed (empty) prediction —
-		// prefetching is advisory, so degraded beats unavailable.
-		p.Degraded = "breaker_open"
-		tw = nil
-	}
+	tw := ins.sys.Lookup(q)
 	if tw == nil {
+		// Replicas of one generation decode one snapshot, so the router's
+		// match always resolves here; answer the advisory fallback if not.
 		p.Fallback = true
 		return p, nil
 	}
+	p.Workload = tw.Name
+
+	// A hit performs zero inference and cannot fail, so it is checked before
+	// the fault hook.
+	if pages, hit := ins.cached(fp); hit {
+		ins.health.cacheHit()
+		p.Cached = true
+		p.Pages = pages
+		return p, nil
+	}
 	if ins.fgate.fireModel(ins.id) {
-		ins.breaker.failure()
 		ins.health.failure()
 		return p, errModelFault
 	}
-	p.Workload = tw.Name
 	pages, err := ins.infer(ctx, tw, root)
 	if err != nil {
 		return p, err
 	}
-	if cacheable {
+	if ins.cache != nil {
 		// Only successful inferences populate the cache; faulted or
 		// timed-out requests never do, so the cache cannot serve poison.
 		ins.cache.put(fp, pages)
 	}
 	p.Pages = pages
 	return p, nil
+}
+
+// cached looks fp up in the replica's prediction cache (a miss when caching
+// is off) and stamps the outcome on the span trace. It touches neither the
+// model nor the health tracker, which is what lets the pool keep answering
+// cached plans from a quarantined replica.
+func (ins *instance) cached(fp uint64) ([]storage.PageID, bool) {
+	if ins.cache == nil {
+		return nil, false
+	}
+	pages, hit := ins.cache.get(fp)
+	ins.metrics.markCache(hit)
+	return pages, hit
 }
 
 // infer runs the miss (inference) path. Stage 2 routing: a miss that arrives
@@ -210,7 +191,6 @@ func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *pl
 	}
 	select {
 	case res := <-done:
-		ins.breaker.success()
 		ins.health.success()
 		if rec := ins.metrics.Events(); rec != nil {
 			rec.Record(obs.Event{Kind: obs.InferenceRun})
@@ -225,7 +205,6 @@ func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *pl
 			// (client gone, or a hedge loser) says nothing about the replica
 			// and records neither way.
 			ins.metrics.timeouts.Add(1)
-			ins.breaker.failure()
 			ins.health.failure()
 		}
 		return nil, ctx.Err()
@@ -234,7 +213,10 @@ func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *pl
 
 // observeDrift folds one planned query into the replica's live distribution
 // profile and surfaces any drift-state transition as obs events and span
-// marks. One mutex acquisition when armed; a nil-check when not.
+// marks. Every request feeds a monitor — the serving replica's when matched,
+// the routing replica's when not: a flood of unmatched plans is exactly the
+// shift drift detection exists to catch. One mutex acquisition when armed; a
+// nil-check when not.
 func (ins *instance) observeDrift(root *plan.Node) {
 	if ins.qmon == nil {
 		return
@@ -262,17 +244,15 @@ func (ins *instance) feedback(sc quality.Score) {
 // status reports this replica's row for InfStatus.
 func (ins *instance) status() ReplicaStatus {
 	st := ReplicaStatus{
-		ID:           ins.id,
-		Generation:   ins.gen,
-		Served:       ins.served.Load(),
-		Shed:         ins.shed.Load(),
-		InFlight:     ins.inflight.Load(),
-		QueueDepth:   cap(ins.queue),
-		Breaker:      ins.breaker.State(),
-		BreakerValue: ins.breaker.stateValue(),
-		Health:       ins.health.State(),
-		HealthValue:  ins.health.stateValue(),
-		Workloads:    workloadNames(ins.sys),
+		ID:          ins.id,
+		Generation:  ins.gen,
+		Served:      ins.served.Load(),
+		Shed:        ins.shed.Load(),
+		InFlight:    ins.inflight.Load(),
+		QueueDepth:  cap(ins.queue),
+		Health:      ins.health.State(),
+		HealthValue: ins.health.stateValue(),
+		Workloads:   workloadNames(ins.sys),
 	}
 	for _, tw := range ins.sys.Workloads() {
 		st.Params += tw.Pred.ParamCount()
@@ -297,14 +277,6 @@ func (ins *instance) status() ReplicaStatus {
 	return st
 }
 
-// serving reports whether the pool should route normal traffic here: the
-// replica is not quarantined and its breaker is not open inside an
-// unelapsed cooldown (a cooldown-elapsed open breaker still takes traffic —
-// the trial request is what lets it half-open).
-func (ins *instance) serving() bool {
-	return ins.health.serving() && !ins.breaker.blocked()
-}
-
 // close stops the replica's micro-batch collector (requests keep working on
 // the direct path afterwards). Safe to call more than once.
 func (ins *instance) close() {
@@ -315,38 +287,18 @@ func (ins *instance) close() {
 	})
 }
 
-// drainInstance waits (bounded by timeout) for a superseded replica's
-// in-flight requests to finish, then tears it down. Closing a batcher whose
-// replica still has stragglers is safe — enqueue on a closed batcher reports
-// false and the request completes on the direct path.
-func drainInstance(ins *instance, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
+// drainTimeout bounds how long a superseded replica waits for its in-flight
+// requests after a model swap before its batch collector is torn down.
+const drainTimeout = 10 * time.Second
+
+// drain waits (bounded by drainTimeout) for a superseded replica's in-flight
+// requests to finish, then tears it down. Closing a batcher whose replica
+// still has stragglers is safe — enqueue on a closed batcher reports false
+// and the request completes on the direct path.
+func (ins *instance) drain() {
+	deadline := time.Now().Add(drainTimeout)
 	for ins.inflight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	ins.close()
-}
-
-// warmThrough replays the warm set through freshly built instances: pick
-// maps each recorded fingerprint to its new replica (identity for a single
-// instance, the hash ring for a pool) and each entry runs one quiet routed
-// prediction there, populating the new generation's caches before it takes
-// traffic. Failures are ignored — warming is best-effort by design.
-func warmThrough(entries []warmEntry, timeout time.Duration, pick func(fp uint64) *instance) {
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	for _, e := range entries {
-		ins := pick(e.fp)
-		if ins == nil {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		if _, err := ins.predict(ctx, e.q, e.root, true); err != nil {
-			// Best-effort: a faulted or slow warm-up prediction just means a
-			// cold first request for that plan.
-			_ = err
-		}
-		cancel()
-	}
 }

@@ -55,7 +55,7 @@ type Metrics struct {
 	start time.Time
 
 	// now is the clock behind uptime and request latencies. It follows the
-	// same injected-clock convention as the circuit breaker: production code
+	// same injected-clock convention as the health tracker: production code
 	// leaves it at time.Now, tests swap in a fake via setClock so /metrics
 	// and /stats bodies are byte-for-byte reproducible.
 	now func() time.Time

@@ -1,12 +1,13 @@
 package serve
 
-// The replica pool is the serving tier's scale-out layer. One trained
+// The replica pool is the serving tier's one model tier. One trained
 // pythia.System is snapshotted (pythia.System.Save) and decoded into N
 // independent clones, each wrapped in an instance with its own prediction
-// cache, micro-batcher, circuit breaker, and bounded work queue. A request
-// is matched once on the routing replica, fingerprinted by its encoded plan
-// (the same key the prediction cache uses), and routed through a
-// consistent-hash ring to the replica that owns that fingerprint.
+// cache, micro-batcher, health tracker, and bounded work queue; N=1 is a
+// one-node ring over the original system, no snapshot taken. A request is
+// matched once on the routing replica, fingerprinted once by its encoded
+// plan (the key both the ring and the prediction cache use), and routed
+// through a consistent-hash ring to the replica that owns that fingerprint.
 //
 // Why route by plan hash instead of round-robin: templated workloads
 // collapse to few distinct plans, so replica-affine routing means each
@@ -38,6 +39,7 @@ import (
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
+	"github.com/pythia-db/pythia/internal/quality"
 )
 
 // generation is one immutable serving configuration: N instances and the
@@ -66,37 +68,26 @@ type Pool struct {
 	hist *obs.Histogram
 }
 
-// NewPool builds a pool of opts.Replicas independent replicas over a trained
-// system. The system is snapshotted once and decoded opts.Replicas-1 times
-// (replica 0 serves the original), so construction cost scales with model
-// size, not training time. Options are normalized here; most callers want
-// New, which picks Single or Pool from Options.Replicas.
-func NewPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Options) (*Pool, error) {
-	norm, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	if metrics == nil {
-		metrics = NewMetrics(nil)
-	}
-	return newPool(db, sys, metrics, &faultGate{inj: norm.Fault}, norm)
-}
-
-// newPool is the internal constructor: opts are already normalized and the
-// fault gate is shared with the owning Server.
+// newPool builds a pool of opts.Replicas independent replicas over a trained
+// system. Past one replica the system is snapshotted once and decoded
+// opts.Replicas-1 times (replica 0 serves the original), so construction cost
+// scales with model size, not training time. opts are already normalized and
+// the fault gate is shared with the owning Server.
 func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, fgate *faultGate, opts Options) (*Pool, error) {
 	p := &Pool{db: db, metrics: metrics, opts: opts, fgate: fgate, warm: newWarmer(), hist: obs.NewHistogram(nil)}
 	// Snapshot before quantizing: clones decode float32 weights and quantize
 	// themselves, rather than round-tripping an already-quantized model.
 	var snap bytes.Buffer
-	if err := sys.Save(&snap); err != nil {
-		return nil, fmt.Errorf("serve: snapshotting system for replication: %w", err)
+	if opts.Replicas > 1 {
+		if err := sys.Save(&snap); err != nil {
+			return nil, fmt.Errorf("serve: snapshotting system for replication: %w", err)
+		}
 	}
 	if opts.Quantize {
 		quantizeSystem(sys)
 	}
 	instances := make([]*instance, opts.Replicas)
-	instances[0] = newInstance(0, 1, sys, metrics, fgate, p.warm, opts)
+	instances[0] = newInstance(0, 1, sys, metrics, fgate, opts)
 	for i := 1; i < opts.Replicas; i++ {
 		clone, err := corepythia.LoadSystem(db, sys.Config(), bytes.NewReader(snap.Bytes()))
 		if err != nil {
@@ -105,7 +96,7 @@ func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, fga
 		if opts.Quantize {
 			quantizeSystem(clone)
 		}
-		instances[i] = newInstance(i, 1, clone, metrics, fgate, p.warm, opts)
+		instances[i] = newInstance(i, 1, clone, metrics, fgate, opts)
 	}
 	p.cur.Store(&generation{id: 1, instances: instances, ring: newRing(opts.Replicas)})
 	return p, nil
@@ -124,27 +115,32 @@ func failoverable(err error) bool {
 // never does.
 const maxFailoverCand = 8
 
-// Predict matches the query once on the routing replica, routes its plan
+// Predict walks the serving tier's one failure ladder: shed → failover →
+// quarantine → cached-or-degraded fallback → probe → recover. It matches the
+// query once on the routing replica, fingerprints its plan once, routes the
 // fingerprint through the ring, and answers on the owning replica — or, when
 // the owner is quarantined, saturated, or faulting, fails over to up to
 // Options.MaxFailovers ring successors (each hop recorded as a failover).
-// The routed replica resolves its own (independent) Trained handle quietly,
-// so one request records exactly one workload-matching event.
 //
-// Quarantined replicas are skipped, except that a quarantined owner whose
+// Quarantined replicas are skipped, except that a quarantined candidate whose
 // probe backoff has elapsed is admitted one probe request; if the probe
-// fails, the request still fails over, so probing costs the client nothing.
-// When every candidate is quarantined with no probe due, the request answers
-// the degraded fallback rather than an error — prefetching is advisory, so
-// degraded beats unavailable.
+// fails, the request still fails over, so probing costs the client nothing
+// while any other candidate is live. When no candidate's model path may be
+// tried, a plan the owner has cached still answers from that cache, and
+// anything else answers the degraded fallback rather than an error —
+// prefetching is advisory, so degraded beats unavailable.
 func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Prediction, error) {
 	gen := p.cur.Load()
 	router := gen.instances[0]
 	tw := router.sys.Match(q)
 	if tw == nil {
+		router.observeDrift(root)
 		return Prediction{Fallback: true, Replica: -1, Generation: gen.id}, nil
 	}
 	fp := fingerprint(tw.Name, tw.Pred.EncodePlan(root))
+	if p.opts.CacheEntries > 0 {
+		p.warm.note(fp, q, root)
+	}
 	if p.opts.HedgeAfter > 0 {
 		start := time.Now()
 		defer func() { p.hist.Observe(time.Since(start)) }()
@@ -152,27 +148,32 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 	var obuf [maxFailoverCand]int
 	order := gen.ring.lookupN(fp, obuf[:0], p.opts.MaxFailovers+1)
 
-	// Admission pass: a candidate takes traffic while it is serving, and a
-	// quarantined candidate whose backoff has elapsed is admitted one probe.
-	// pos remembers each live candidate's position in ring order, so hops
-	// over skipped (quarantined) candidates are counted as failovers only
-	// when a later candidate actually serves.
+	// Admission pass — the one place the health machine is consulted: a
+	// candidate takes traffic unless quarantined, and a quarantined candidate
+	// whose backoff has elapsed is admitted one probe. pos remembers each
+	// live candidate's position in ring order, so hops over skipped
+	// (quarantined) candidates are counted as failovers only when a later
+	// candidate actually serves.
 	var lbuf [maxFailoverCand]*instance
 	var pbuf [maxFailoverCand]int
 	live, pos := lbuf[:0], pbuf[:0]
 	for i, idx := range order {
 		ins := gen.instances[idx]
-		if ins.serving() || ins.health.allowProbe() {
+		if ins.health.serving() || ins.health.allowProbe() {
 			live = append(live, ins)
 			pos = append(pos, i)
 		}
 	}
 	if len(live) == 0 {
+		owner := gen.instances[order[0]]
+		if pages, hit := owner.cached(fp); hit {
+			return Prediction{Workload: tw.Name, Cached: true, Pages: pages, Replica: owner.id, Generation: gen.id}, nil
+		}
 		return Prediction{Fallback: true, Degraded: "no_healthy_replica", Replica: -1, Generation: gen.id}, nil
 	}
 	if p.opts.HedgeAfter > 0 && len(live) > 1 {
 		p.noteFailovers(pos[0])
-		return p.predictHedged(ctx, live[0], live[1], q, root)
+		return p.predictHedged(ctx, live[0], live[1], q, root, fp)
 	}
 	var pred Prediction
 	var err error
@@ -182,7 +183,7 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 		// quarantined skips plus the previous live candidate's failed attempt.
 		p.noteFailovers(pos[j] - prev)
 		prev = pos[j]
-		pred, err = ins.predict(ctx, q, root, true)
+		pred, err = ins.predict(ctx, q, root, fp)
 		if err == nil || !failoverable(err) {
 			return pred, err
 		}
@@ -216,10 +217,10 @@ func (p *Pool) hedgeDelay() time.Duration {
 // predictHedged races the primary attempt against a delayed second attempt
 // on the ring successor: whichever answers first wins and the loser's
 // context is canceled (a canceled attempt records nothing against its
-// replica's breaker or health). The hedge also launches immediately if the
+// replica's health). The hedge also launches immediately if the
 // primary fails a failoverable way before the delay elapses — the sequential
 // failover path wearing the hedging machinery.
-func (p *Pool) predictHedged(ctx context.Context, primary, successor *instance, q plan.Query, root *plan.Node) (Prediction, error) {
+func (p *Pool) predictHedged(ctx context.Context, primary, successor *instance, q plan.Query, root *plan.Node, fp uint64) (Prediction, error) {
 	type outcome struct {
 		pred Prediction
 		err  error
@@ -231,7 +232,7 @@ func (p *Pool) predictHedged(ctx context.Context, primary, successor *instance, 
 	pch := make(chan outcome, 1)
 	hch := make(chan outcome, 1)
 	go func() {
-		pr, err := primary.predict(pctx, q, root, true)
+		pr, err := primary.predict(pctx, q, root, fp)
 		pch <- outcome{pr, err}
 	}()
 
@@ -251,7 +252,7 @@ func (p *Pool) predictHedged(ctx context.Context, primary, successor *instance, 
 	}
 
 	go func() {
-		pr, err := successor.predict(hctx, q, root, true)
+		pr, err := successor.predict(hctx, q, root, fp)
 		hch <- outcome{pr, err}
 	}()
 	var hedgeRes *outcome
@@ -288,12 +289,6 @@ func (p *Pool) predictHedged(ctx context.Context, primary, successor *instance, 
 	}
 }
 
-// PredictBatch answers many queries concurrently, each routed independently;
-// what lands on the same replica together coalesces in its micro-batcher.
-func (p *Pool) PredictBatch(ctx context.Context, qs []plan.Query, roots []*plan.Node) ([]Prediction, error) {
-	return predictAll(ctx, p, qs, roots)
-}
-
 // Explain renders a plan without inference.
 func (p *Pool) Explain(root *plan.Node) Explanation { return explainPlan(root) }
 
@@ -319,6 +314,15 @@ func (p *Pool) Status() InfStatus {
 // all).
 func (p *Pool) BaselineID() *corepythia.BaselineID {
 	return p.cur.Load().instances[0].sys.BaselineID()
+}
+
+// Feedback folds one scored prediction into the quality window of the
+// replica that served it. A replica index the current generation does not
+// have (a pool-level fallback's -1) is dropped.
+func (p *Pool) Feedback(replica int, sc quality.Score) {
+	if instances := p.cur.Load().instances; replica >= 0 && replica < len(instances) {
+		instances[replica].feedback(sc)
+	}
 }
 
 // Swap loads a snapshot into a complete standby generation (one fresh clone
@@ -367,21 +371,43 @@ func (p *Pool) Swap(r io.Reader) error {
 		if p.opts.Quantize {
 			quantizeSystem(sys)
 		}
-		instances[i] = newInstance(i, genID, sys, p.metrics, p.fgate, p.warm, p.opts)
+		instances[i] = newInstance(i, genID, sys, p.metrics, p.fgate, p.opts)
 	}
 	next := &generation{id: genID, instances: instances, ring: old.ring}
-	warmThrough(p.warm.snapshot(), p.opts.RequestTimeout, func(fp uint64) *instance {
-		return next.instances[next.ring.lookup(fp)]
-	})
+	p.warmUp(next)
 	p.cur.Store(next)
 	p.swaps.Add(1)
-	//pythia:goleak-ok drain loop is deadline-bounded: drainInstance polls in-flight counts for at most DrainTimeout per retired instance
+	//pythia:goleak-ok drain loop is deadline-bounded: drain polls in-flight counts for at most drainTimeout per retired instance
 	go func() {
 		for _, ins := range old.instances {
-			drainInstance(ins, p.opts.DrainTimeout)
+			ins.drain()
 		}
 	}()
 	return nil
+}
+
+// warmUp replays the warm set through a standby generation before it takes
+// traffic: each recorded plan is fingerprinted against the new models (a new
+// snapshot may encode the same plan differently) and runs one quiet
+// prediction on the replica that will own it, populating that replica's
+// cache. Best-effort by design — a faulted or slow warm-up prediction just
+// means a cold first request for that plan.
+func (p *Pool) warmUp(next *generation) {
+	timeout := p.opts.RequestTimeout
+	if timeout <= 0 {
+		timeout = 2 * time.Second
+	}
+	router := next.instances[0]
+	for _, e := range p.warm.snapshot() {
+		tw := router.sys.Lookup(e.q)
+		if tw == nil {
+			continue
+		}
+		fp := fingerprint(tw.Name, tw.Pred.EncodePlan(e.root))
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		_, _ = next.instances[next.ring.lookup(fp)].predict(ctx, e.q, e.root, fp)
+		cancel()
+	}
 }
 
 // Close tears down the current generation's batch collectors.

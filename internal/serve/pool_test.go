@@ -18,6 +18,7 @@ import (
 
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
+	"github.com/pythia-db/pythia/internal/quality"
 	"github.com/pythia-db/pythia/internal/spec"
 	"github.com/pythia-db/pythia/internal/storage"
 )
@@ -73,6 +74,52 @@ func TestPoolCacheAffinity(t *testing.T) {
 	}
 	if total != len(insts) {
 		t.Fatalf("pool holds %d cache entries for %d distinct plans — affinity should shard, not duplicate", total, len(insts))
+	}
+}
+
+// TestReplicaCountDoesNotChangeAnswers: one replica is a one-node pool, so the
+// same request sequence — misses, repeats, and an unmatched plan — yields the
+// same pages, workload, fallback and cached flags at Replicas 1 and 3.
+func TestReplicaCountDoesNotChangeAnswers(t *testing.T) {
+	base, w := testServer(t)
+	insts := distinctInstances(t, base, w, 4)
+	var bodies []string
+	for _, i := range append(insts, insts...) {
+		bodies = append(bodies, specBody(t, spec.FromQuery(w.Instances[i].Query)).String())
+	}
+	bodies = append(bodies, `{"fact":"inventory"}`)
+
+	type answer struct {
+		Workload string
+		Fallback bool
+		Cached   bool
+		Pages    []pageJSON
+	}
+	run := func(replicas int) []answer {
+		srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: replicas})
+		defer srv.Close()
+		var out []answer
+		for k, body := range bodies {
+			rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(body))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("replicas=%d request %d: status %d: %s", replicas, k, rr.Code, rr.Body.String())
+			}
+			var resp predictResponse
+			if err := json.NewDecoder(rr.Body).Decode(&resp); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, answer{resp.Workload, resp.Fallback, resp.Cached, resp.Pages})
+		}
+		return out
+	}
+	one, three := run(1), run(3)
+	for k := range bodies {
+		if !reflect.DeepEqual(one[k], three[k]) {
+			t.Errorf("request %d: replicas=1 answered %+v, replicas=3 answered %+v", k, one[k], three[k])
+		}
+	}
+	if !one[len(insts)].Cached || one[0].Cached || !one[len(bodies)-1].Fallback {
+		t.Fatalf("sequence did not exercise miss, hit and fallback: %+v", one)
 	}
 }
 
@@ -217,7 +264,7 @@ func TestSwapRejectsBadSnapshot(t *testing.T) {
 
 // TestAdminReloadHTTP exercises the versioned admin surface end to end:
 // reload from the configured snapshot, reload from an explicit path, typed
-// errors, method guards, and the deprecated unversioned alias.
+// errors, and method guards.
 func TestAdminReloadHTTP(t *testing.T) {
 	base, w := testServer(t)
 	snap := filepath.Join(t.TempDir(), "model.snap")
@@ -297,16 +344,6 @@ func TestAdminReloadHTTP(t *testing.T) {
 		t.Fatalf("missing file envelope: %+v", env)
 	}
 
-	// Deprecated unversioned alias answers with RFC 8594 headers.
-	rr = doRequest(t, srv, http.MethodPost, "/admin/reload", nil)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("alias status %d: %s", rr.Code, rr.Body.String())
-	}
-	if rr.Header().Get("Deprecation") != "true" ||
-		!strings.Contains(rr.Header().Get("Link"), "</v1/admin/reload>") {
-		t.Fatalf("alias missing deprecation signalling: %v", rr.Header())
-	}
-
 	// A server with no snapshot configured refuses pathless reloads with the
 	// typed 400.
 	bare := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{})
@@ -336,13 +373,11 @@ func (s *stubInferencer) Predict(context.Context, plan.Query, *plan.Node) (Predi
 	return s.pred, s.err
 }
 
-func (s *stubInferencer) PredictBatch(ctx context.Context, qs []plan.Query, roots []*plan.Node) ([]Prediction, error) {
-	return predictAll(ctx, s, qs, roots)
-}
-
 func (s *stubInferencer) Explain(root *plan.Node) Explanation { return explainPlan(root) }
 func (s *stubInferencer) Workloads() []*corepythia.Trained    { return nil }
 func (s *stubInferencer) Status() InfStatus                   { return InfStatus{Generation: 1} }
+func (s *stubInferencer) BaselineID() *corepythia.BaselineID  { return nil }
+func (s *stubInferencer) Feedback(int, quality.Score)         {}
 func (s *stubInferencer) Swap(io.Reader) error                { return nil }
 func (s *stubInferencer) Close()                              {}
 
@@ -410,29 +445,26 @@ func TestOptionsNormalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if norm.RequestTimeout != 5*time.Second || norm.MaxInFlight != 64 ||
-		norm.MaxBodyBytes != 1<<20 || norm.BreakerThreshold != 5 ||
-		norm.BreakerCooldown != 10*time.Second || norm.CacheEntries != 4096 ||
+		norm.MaxBodyBytes != 1<<20 || norm.CacheEntries != 4096 ||
 		norm.BatchWindow != 2*time.Millisecond || norm.MaxBatch != 16 ||
-		norm.Replicas != 1 || norm.QueueDepth != 32 || norm.DrainTimeout != 10*time.Second ||
+		norm.Replicas != 1 || norm.QueueDepth != 32 ||
 		norm.QuarantineThreshold != 5 || norm.QuarantineBackoff != time.Second ||
 		norm.QuarantineProbes != 3 || norm.MaxFailovers != 2 || norm.HedgeAfter != 0 {
 		t.Fatalf("defaults wrong: %+v", norm)
 	}
 	norm, err = Options{MaxInFlight: -1, MaxBodyBytes: -1, CacheEntries: -1, QueueDepth: -1,
-		BatchWindow: -1, BreakerThreshold: -1, QuarantineThreshold: -1, MaxFailovers: -1}.Normalize()
+		BatchWindow: -1, QuarantineThreshold: -1, MaxFailovers: -1}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm.MaxInFlight != 0 || norm.MaxBodyBytes != 0 || norm.CacheEntries != 0 ||
-		norm.QueueDepth != 0 || norm.BatchWindow != 0 || norm.BreakerThreshold != 0 ||
+		norm.QueueDepth != 0 || norm.BatchWindow != 0 ||
 		norm.QuarantineThreshold != 0 || norm.MaxFailovers != 0 {
 		t.Fatalf("negatives did not disable: %+v", norm)
 	}
 
 	invalid := []Options{
 		{Replicas: -1},
-		{DrainTimeout: -time.Second},
-		{BreakerThreshold: 3, BreakerCooldown: -time.Second},
 		{MaxBatch: 8, BatchWindow: -time.Millisecond},
 		{MaxBatch: 32, MaxInFlight: 8},
 		{QuarantineThreshold: 3, QuarantineBackoff: -time.Second},

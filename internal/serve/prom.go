@@ -157,11 +157,6 @@ func (s *Server) writePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE pythia_batched_requests_total counter")
 	fmt.Fprintf(w, "pythia_batched_requests_total %d\n", batched)
 
-	fmt.Fprintln(w, "# HELP pythia_breaker_state Worst circuit-breaker state across replicas (0=closed, 1=half_open, 2=open).")
-	fmt.Fprintln(w, "# TYPE pythia_breaker_state gauge")
-	breakerValue, _ := worstBreakerState(st)
-	fmt.Fprintf(w, "pythia_breaker_state %d\n", breakerValue)
-
 	fmt.Fprintln(w, "# HELP pythia_replica_health Worst replica health state (0=healthy, 1=degraded, 2=probation, 3=quarantined).")
 	fmt.Fprintln(w, "# TYPE pythia_replica_health gauge")
 	healthValue, _ := worstHealthState(st)

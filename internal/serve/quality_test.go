@@ -167,6 +167,31 @@ func TestServeDriftMonitorOnTrainingMix(t *testing.T) {
 	}
 }
 
+// TestUnmatchedPlansFeedDrift: a run of plans no trained workload matches is
+// exactly the shift drift detection exists to catch, so it must reach a drift
+// monitor at any replica count — the pool answers those plans before routing.
+func TestUnmatchedPlansFeedDrift(t *testing.T) {
+	testServer(t)
+	for _, replicas := range []int{1, 2} {
+		srv := mustServer(t, fixtureSys.DB, fixtureSys, NewMetrics(nil), Options{Replicas: replicas})
+		for i := 0; i < 2*serveDriftEvalEvery; i++ {
+			rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(`{"fact":"inventory"}`))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("replicas=%d: unmatched predict %d status %d: %s", replicas, i, rr.Code, rr.Body.String())
+			}
+		}
+		var st statsResponse
+		if err := json.NewDecoder(doRequest(t, srv, http.MethodGet, "/stats", nil).Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Fallbacks != 2*serveDriftEvalEvery || st.Drift.Evaluations < 2 {
+			t.Errorf("replicas=%d: %d unmatched plans moved drift evaluations to %d, want >= 2",
+				replicas, st.Fallbacks, st.Drift.Evaluations)
+		}
+		srv.Close()
+	}
+}
+
 // TestUptimeMonotonic pins the /stats monotonic-uptime guarantee: rewinding
 // the wall clock drops Uptime but never UptimeMonotonic.
 func TestUptimeMonotonic(t *testing.T) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -14,8 +15,8 @@ import (
 )
 
 // resilienceServer builds a server sharing the fixture's trained system but
-// with its own metrics and options, so resilience tests can trip breakers
-// and shed load without perturbing the shared fixture's counters.
+// with its own metrics and options, so resilience tests can quarantine
+// replicas and shed load without perturbing the shared fixture's counters.
 func resilienceServer(t *testing.T, opts Options) (*Server, *workload.Workload) {
 	t.Helper()
 	base, w := testServer(t)
@@ -84,20 +85,42 @@ func TestInferenceTimeoutAnswers504(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensHalfOpensCloses(t *testing.T) {
-	inj := fault.New(fault.Plan{ServeRate: 1}, 1)
+// TestFailureLadderSingleReplica walks the whole ladder over HTTP on a
+// one-replica server and a fake health clock: faults answer 500 until the
+// replica is quarantined; then an uncached plan answers the degraded fallback
+// while a previously cached plan still answers from the cache; a failed probe
+// doubles the backoff; once the fault clears, probes re-admit the replica.
+func TestFailureLadderSingleReplica(t *testing.T) {
 	srv, w := resilienceServer(t, Options{
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-		Fault:            inj,
+		QuarantineThreshold: 2,
+		QuarantineBackoff:   time.Minute,
+		QuarantineProbes:    2,
 	})
-	// Fake clock so the cooldown needs no sleeping.
 	now := time.Unix(0, 0)
-	srv.inst().breaker.now = func() time.Time { return now }
+	srv.inst().health.now = func() time.Time { return now }
+	insts := distinctInstances(t, srv, w, 2)
+	hot, cold := insts[0], insts[1]
+	post := func(inst int) *httptest.ResponseRecorder {
+		return doRequest(t, srv, http.MethodPost, "/v1/predict", specBody(t, spec.FromQuery(w.Instances[inst].Query)))
+	}
+	degraded := func(step string) {
+		t.Helper()
+		resp := predictOK(t, srv, w, cold)
+		if !resp.Fallback || resp.Degraded != "no_healthy_replica" || resp.Replica != -1 {
+			t.Fatalf("%s: uncached plan answered %+v, want the degraded fallback", step, resp)
+		}
+	}
 
-	// Two consecutive injected model errors trip the breaker.
+	// A healthy first answer puts the hot plan in the prediction cache.
+	if resp := predictOK(t, srv, w, hot); resp.Fallback || resp.Cached {
+		t.Fatalf("warm-up answer wrong: %+v", resp)
+	}
+
+	// QuarantineThreshold injected model errors: each answers 500 (a single
+	// replica has no successor to fail over to), then the replica is out.
+	srv.SetFault(fault.New(fault.Plan{ServeRate: 1}, 1))
 	for i := 0; i < 2; i++ {
-		rr := doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
+		rr := post(cold)
 		if rr.Code != http.StatusInternalServerError {
 			t.Fatalf("fault %d: status %d: %s", i, rr.Code, rr.Body.String())
 		}
@@ -105,56 +128,59 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 			t.Fatalf("envelope wrong: %+v", env)
 		}
 	}
-	if s := srv.inst().breaker.State(); s != "open" {
-		t.Fatalf("breaker %s after threshold errors, want open", s)
+	if st := srv.inst().health.State(); st != "quarantined" {
+		t.Fatalf("health %s after threshold faults, want quarantined", st)
+	}
+	if text := doRequest(t, srv, http.MethodGet, "/metrics", nil).Body.String(); !strings.Contains(text, "pythia_replica_health 3") {
+		t.Error("exposition does not show the quarantine")
 	}
 
-	// Open: predictions answer from the fallback path, degraded but 200.
-	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("open-breaker status %d: %s", rr.Code, rr.Body.String())
+	// Quarantined: the model path is not tried. An uncached plan degrades to
+	// the advisory fallback; the cached plan keeps answering, and doing so is
+	// not a probe.
+	degraded("quarantined")
+	if resp := predictOK(t, srv, w, hot); !resp.Cached || resp.Fallback || resp.PageCount == 0 || resp.Replica != 0 {
+		t.Fatalf("cached plan while quarantined answered %+v, want the cached pages", resp)
 	}
-	var resp predictResponse
-	if err := json.NewDecoder(rr.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Fallback || resp.Degraded != "breaker_open" {
-		t.Fatalf("open breaker did not degrade: %+v", resp)
+	if st := srv.inst().health.State(); st != "quarantined" {
+		t.Fatalf("health %s after a cached answer, want still quarantined", st)
 	}
 
-	// Cooldown elapses; the half-open trial still hits the injected fault
-	// and re-opens the breaker.
-	now = now.Add(2 * time.Minute)
-	rr = doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
-	if rr.Code != http.StatusInternalServerError {
-		t.Fatalf("half-open trial status %d: %s", rr.Code, rr.Body.String())
+	// Backoff elapses: the next miss is the probe, hits the fault, and doubles
+	// the backoff — one more minute is no longer enough, two are.
+	now = now.Add(time.Minute)
+	if rr := post(cold); rr.Code != http.StatusInternalServerError {
+		t.Fatalf("failed probe status %d: %s", rr.Code, rr.Body.String())
 	}
-	if s := srv.inst().breaker.State(); s != "open" {
-		t.Fatalf("breaker %s after failed trial, want open", s)
-	}
+	now = now.Add(time.Minute)
+	degraded("inside the doubled backoff")
 
-	// Fault clears; the next trial succeeds and closes the breaker.
+	// Fault clears; the next probe succeeds (probation) and the repeat — now a
+	// cache hit — is the second probe success that restores healthy.
 	srv.SetFault(nil)
-	now = now.Add(2 * time.Minute)
-	rr = doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("recovery status %d: %s", rr.Code, rr.Body.String())
+	now = now.Add(time.Minute)
+	if resp := predictOK(t, srv, w, cold); resp.Fallback || resp.Cached || resp.Replica != 0 {
+		t.Fatalf("recovery probe answered %+v, want a model answer from replica 0", resp)
 	}
-	if s := srv.inst().breaker.State(); s != "closed" {
-		t.Fatalf("breaker %s after successful trial, want closed", s)
+	if st := srv.inst().health.State(); st != "probation" {
+		t.Fatalf("health %s after one probe success, want probation", st)
+	}
+	if resp := predictOK(t, srv, w, cold); !resp.Cached {
+		t.Fatalf("probation repeat answered %+v, want a cache hit", resp)
+	}
+	if st := srv.inst().health.State(); st != "healthy" {
+		t.Fatalf("health %s after QuarantineProbes successes, want healthy", st)
 	}
 
-	// Every transition left an event on the metrics surface.
+	// Every rung left its event on the metrics surface.
 	snap := srv.metrics.Events().Snapshot()
-	if snap.Get(obs.BreakerOpen) != 2 || snap.Get(obs.BreakerHalfOpen) != 2 || snap.Get(obs.BreakerClosed) != 1 {
-		t.Fatalf("transition events wrong: open=%d half=%d closed=%d",
-			snap.Get(obs.BreakerOpen), snap.Get(obs.BreakerHalfOpen), snap.Get(obs.BreakerClosed))
+	if snap.Get(obs.ReplicaQuarantined) != 1 || snap.Get(obs.ReplicaProbe) != 2 || snap.Get(obs.ReplicaRecovered) != 1 {
+		t.Fatalf("ladder events wrong: quarantined=%d probe=%d recovered=%d",
+			snap.Get(obs.ReplicaQuarantined), snap.Get(obs.ReplicaProbe), snap.Get(obs.ReplicaRecovered))
 	}
-
-	// /metrics exposes the gauge and counters.
 	text := doRequest(t, srv, http.MethodGet, "/metrics", nil).Body.String()
 	for _, want := range []string{
-		"pythia_breaker_state 0",
+		"pythia_replica_health 0",
 		"pythia_requests_shed_total 0",
 		"pythia_inference_timeouts_total 0",
 		"pythia_draining 0",
@@ -190,7 +216,7 @@ func TestDrainingHealthz(t *testing.T) {
 	if err := json.NewDecoder(rr.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Draining || stats.BreakerState != "closed" {
+	if !stats.Draining || stats.HealthState != "healthy" {
 		t.Fatalf("stats resilience fields wrong: %+v", stats)
 	}
 	srv.SetDraining(false)

@@ -1,8 +1,8 @@
 // Package serve implements pythia-serve's HTTP surface: the versioned /v1
-// prediction API, deprecated unversioned aliases, and the runtime
-// observability endpoints (/metrics in Prometheus text format, /stats as
-// JSON). The cmd/pythia-serve binary is a thin flag-parsing wrapper around
-// this package, which keeps the whole surface testable with httptest.
+// prediction API and the runtime observability endpoints (/metrics in
+// Prometheus text format, /stats as JSON). The cmd/pythia-serve binary is a
+// thin flag-parsing wrapper around this package, which keeps the whole
+// surface testable with httptest.
 //
 // API contract:
 //
@@ -10,12 +10,9 @@
 //	POST /v1/explain          QuerySpec JSON → plan display + Algorithm 2 tokens
 //	GET  /v1/healthz          liveness + model inventory
 //	POST /v1/admin/reload     zero-downtime model swap from a snapshot file
-//	GET  /v1/admin/replicas   replica topology (generation, queues, breakers, caches)
+//	GET  /v1/admin/replicas   replica topology (generation, queues, health, caches)
 //	GET  /metrics             Prometheus text exposition
 //	GET  /stats               JSON statistics snapshot
-//
-// The unversioned aliases of every /v1 endpoint still work but answer with a
-// Deprecation header pointing at their /v1 successors.
 //
 // Every non-200 response carries a typed JSON error envelope:
 //
@@ -27,15 +24,16 @@
 // The server degrades rather than piles up: request bodies are capped (413),
 // in-flight model requests are bounded with load shedding (503 +
 // Retry-After), inference runs under a per-request timeout (504), and a
-// consecutive-error circuit breaker trips the model path to the fallback
-// answer, half-opening after a cooldown. All of it is visible on /metrics
-// and /stats.
+// replica whose model path keeps failing is quarantined: its plans fail over
+// to ring successors or, with none live, answer from its prediction cache or
+// the advisory fallback until backoff-gated probes re-admit it. All of it is
+// visible on /metrics and /stats.
 //
-// The model tier behind the handlers is an Inferencer: a Single instance by
-// default, or — with Options.Replicas > 1 — a Pool of independent model
-// replicas behind a consistent-hash router keyed on plan fingerprints, with
-// per-replica bounded work queues and snapshot-based zero-downtime model
-// swap (POST /v1/admin/reload, or SIGHUP in pythia-serve).
+// The model tier behind the handlers is a Pool of Options.Replicas
+// independent model replicas (one by default) behind a consistent-hash
+// router keyed on plan fingerprints, with per-replica bounded work queues
+// and snapshot-based zero-downtime model swap (POST /v1/admin/reload, or
+// SIGHUP in pythia-serve).
 package serve
 
 import (
@@ -93,17 +91,9 @@ type Options struct {
 	// MaxBodyBytes caps the request body; larger posts answer 413. Default
 	// 1 MiB.
 	MaxBodyBytes int64
-	// BreakerThreshold is the consecutive model-error count that trips a
-	// replica's circuit breaker to the fallback path. Default 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before half-opening
-	// to trial requests. Default 10s. Disabling the cooldown while the
-	// breaker is enabled is rejected by Normalize (the breaker could never
-	// half-open).
-	BreakerCooldown time.Duration
 	// Fault, when non-nil, injects transient model errors at the injector's
-	// Serve site — the deterministic chaos hook the breaker tests and drills
-	// run against. Shared across replicas under one lock.
+	// Serve and Replica sites — the deterministic chaos hook the failure-ladder
+	// tests and drills run against. Shared across replicas under one lock.
 	Fault *fault.Injector
 	// CacheEntries bounds each replica's plan-fingerprint prediction cache;
 	// identical plans answer from it without running inference. Default 4096
@@ -123,10 +113,10 @@ type Options struct {
 	// Irreversible for the process lifetime of the models.
 	Quantize bool
 	// Replicas is the number of independent model replicas behind the
-	// consistent-hash router. 1 (the default) serves a Single instance with
-	// no routing layer; N > 1 snapshots the trained system and decodes N-1
-	// clones, so forward passes on distinct replicas run truly in parallel.
-	// Negative is rejected by Normalize.
+	// consistent-hash router. 1 (the default) is a one-node ring over the
+	// trained system itself; N > 1 snapshots it and decodes N-1 clones, so
+	// forward passes on distinct replicas run truly in parallel. Negative is
+	// rejected by Normalize.
 	Replicas int
 	// QueueDepth bounds each replica's concurrently admitted requests;
 	// overflow is shed with 503 before it queues behind a busy model.
@@ -137,16 +127,11 @@ type Options struct {
 	// and SIGHUP reloads (a pythia.System.Save bundle). Empty means reloads
 	// must name a path explicitly.
 	SnapshotPath string
-	// DrainTimeout bounds how long a superseded generation waits for its
-	// in-flight requests after a model swap before its batch collector is
-	// torn down (requests still complete on the direct path afterwards).
-	// Default 10s; negative is rejected by Normalize.
-	DrainTimeout time.Duration
-	// QuarantineThreshold is the failure count, within a replica's sliding
-	// outcome window, that quarantines the replica: the ring fails its shard
-	// over to successors and only backoff-gated probes reach it until probes
-	// succeed. Default 5 (half that marks the replica degraded); negative
-	// disables health tracking entirely.
+	// QuarantineThreshold is the model-path failure count, within a
+	// replica's sliding outcome window, that quarantines the replica: the
+	// ring fails its shard over to successors and only backoff-gated probes
+	// reach it until probes succeed. Default 5 (half that marks the replica
+	// degraded); negative disables health tracking entirely.
 	QuarantineThreshold int
 	// QuarantineBackoff is the initial delay before a quarantined replica is
 	// probed; each failed probe doubles it (capped at 16×). Default 1s.
@@ -158,8 +143,8 @@ type Options struct {
 	QuarantineProbes int
 	// MaxFailovers bounds the failover cascade: how many ring successors a
 	// request may try past its owning replica when the owner is quarantined,
-	// saturated, or faulting. Default 2; negative disables failover (requests
-	// fail exactly as pre-pool: 503 on saturation, 500 on faults).
+	// saturated, or faulting. Default 2; negative disables failover (the
+	// owner's error reaches the client: 503 on saturation, 500 on faults).
 	MaxFailovers int
 	// HedgeAfter arms request hedging: when a pool prediction has waited this
 	// long (or the pool's observed p95 latency, whichever is larger), a
@@ -181,12 +166,6 @@ type Options struct {
 func (o Options) Normalize() (Options, error) {
 	if o.Replicas < 0 {
 		return o, fmt.Errorf("serve: Replicas must be >= 0, got %d", o.Replicas)
-	}
-	if o.DrainTimeout < 0 {
-		return o, fmt.Errorf("serve: negative DrainTimeout %v", o.DrainTimeout)
-	}
-	if o.BreakerThreshold > 0 && o.BreakerCooldown < 0 {
-		return o, fmt.Errorf("serve: BreakerThreshold %d with disabled BreakerCooldown: an open breaker could never half-open (disable the breaker with a negative threshold instead)", o.BreakerThreshold)
 	}
 	if o.MaxBatch > 1 && o.BatchWindow < 0 {
 		return o, fmt.Errorf("serve: MaxBatch %d with micro-batching disabled (negative BatchWindow)", o.MaxBatch)
@@ -210,7 +189,6 @@ func (o Options) Normalize() (Options, error) {
 		return max(v, 0)
 	}
 	o.RequestTimeout = def(o.RequestTimeout, 5*time.Second)
-	o.BreakerCooldown = def(o.BreakerCooldown, 10*time.Second)
 	switch {
 	case o.MaxInFlight == 0:
 		o.MaxInFlight = 64
@@ -222,12 +200,6 @@ func (o Options) Normalize() (Options, error) {
 		o.MaxBodyBytes = 1 << 20
 	case o.MaxBodyBytes < 0:
 		o.MaxBodyBytes = 0
-	}
-	switch {
-	case o.BreakerThreshold == 0:
-		o.BreakerThreshold = 5
-	case o.BreakerThreshold < 0:
-		o.BreakerThreshold = 0
 	}
 	o.BatchWindow = def(o.BatchWindow, 2*time.Millisecond)
 	switch {
@@ -251,9 +223,6 @@ func (o Options) Normalize() (Options, error) {
 	case o.QueueDepth < 0:
 		o.QueueDepth = 0
 	}
-	if o.DrainTimeout == 0 {
-		o.DrainTimeout = 10 * time.Second
-	}
 	switch {
 	case o.QuarantineThreshold == 0:
 		o.QuarantineThreshold = 5
@@ -276,8 +245,8 @@ func (o Options) Normalize() (Options, error) {
 	return o, nil
 }
 
-// Server answers prediction requests over an Inferencer — a Single trained
-// instance or a replica Pool. The Server owns the HTTP concerns (decoding,
+// Server answers prediction requests over an Inferencer — the replica Pool,
+// or a test stub. The Server owns the HTTP concerns (decoding,
 // planning, global shedding, timeouts, response rendering, observability);
 // the Inferencer owns everything that touches a model.
 type Server struct {
@@ -303,7 +272,7 @@ type Server struct {
 }
 
 // New assembles a server over a database and its trained system, building a
-// Single instance or a replica Pool from Options.Replicas. A nil metrics hub
+// Pool of Options.Replicas replicas. A nil metrics hub
 // gets a fresh one (with its own event counters); pass the hub whose
 // Events() you wired into the system's Config.Recorder to surface
 // workload-matching and replay events on /metrics. Options are normalized
@@ -317,17 +286,11 @@ func New(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Op
 		metrics = NewMetrics(nil)
 	}
 	fgate := &faultGate{inj: norm.Fault}
-	var inf Inferencer
-	if norm.Replicas > 1 {
-		pool, err := newPool(db, sys, metrics, fgate, norm)
-		if err != nil {
-			return nil, err
-		}
-		inf = pool
-	} else {
-		inf = newSingle(db, sys, metrics, fgate, norm)
+	pool, err := newPool(db, sys, metrics, fgate, norm)
+	if err != nil {
+		return nil, err
 	}
-	return &Server{db: db, inf: inf, metrics: metrics, opts: norm, fgate: fgate,
+	return &Server{db: db, inf: pool, metrics: metrics, opts: norm, fgate: fgate,
 		qwin: quality.NewWindow(qualityWindowSize)}, nil
 }
 
@@ -378,47 +341,22 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // faults mid-run so recovery is observable.
 func (s *Server) SetFault(inj *fault.Injector) { s.fgate.set(inj) }
 
-// inst returns the current first replica for tests that reach into the
-// model path (cache, batcher, breaker state). Nil for stubbed Inferencers.
-func (s *Server) inst() *instance {
-	switch v := s.inf.(type) {
-	case *Single:
-		return v.cur.Load()
-	case *Pool:
-		return v.cur.Load().instances[0]
-	}
-	return nil
-}
-
 // Handler builds the full HTTP routing table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	versioned := map[string]http.HandlerFunc{
+	for name, h := range map[string]http.HandlerFunc{
 		"predict":        s.shed(s.handlePredict),
 		"explain":        s.shed(s.handleExplain),
 		"feedback":       s.handleFeedback,
 		"healthz":        s.handleHealth,
 		"admin/reload":   s.handleReload,
 		"admin/replicas": s.handleReplicas,
-	}
-	for name, h := range versioned {
+	} {
 		mux.HandleFunc("/v1/"+name, s.metrics.instrument(name, h))
-		mux.HandleFunc("/"+name, s.metrics.instrument(name, deprecated(name, h)))
 	}
 	mux.HandleFunc("/metrics", s.metrics.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("/stats", s.metrics.instrument("stats", s.handleStats))
 	return mux
-}
-
-// deprecated wraps an unversioned alias: same behaviour, plus RFC 8594
-// deprecation signalling toward the /v1 successor.
-func deprecated(name string, h http.HandlerFunc) http.HandlerFunc {
-	successor := "/v1/" + name
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // shed wraps a model-path handler with bounded-concurrency load shedding:
@@ -473,7 +411,7 @@ type predictResponse struct {
 	Workload     string     `json:"workload"`
 	Fallback     bool       `json:"fallback"`
 	Cached       bool       `json:"cached,omitempty"`   // answered from the prediction cache (zero inference)
-	Degraded     string     `json:"degraded,omitempty"` // why the model path was skipped (e.g. breaker_open)
+	Degraded     string     `json:"degraded,omitempty"` // why the model path was skipped (no_healthy_replica)
 	Replica      int        `json:"replica"`            // serving replica index (-1 = never routed)
 	Generation   uint64     `json:"generation"`         // model generation that answered
 	Pages        []pageJSON `json:"pages"`
@@ -622,9 +560,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.qmu.Lock()
 	s.qwin.Add(sc)
 	s.qmu.Unlock()
-	if ins := s.instByID(rec.replica); ins != nil {
-		ins.feedback(sc)
-	}
+	s.inf.Feedback(rec.replica, sc)
 	s.metrics.events.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})
 	s.metrics.markQuality()
 	writeJSON(w, feedbackResponse{
@@ -638,25 +574,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		Recall:        sc.Recall(),
 		WastedRatio:   sc.WastedRatio(),
 	})
-}
-
-// instByID resolves a replica id to the serving instance carrying it (nil
-// for stubbed Inferencers, a replica id from a superseded generation, or a
-// pool-level fallback that never routed).
-func (s *Server) instByID(id int) *instance {
-	switch v := s.inf.(type) {
-	case *Single:
-		if ins := v.cur.Load(); ins != nil && ins.id == id {
-			return ins
-		}
-	case *Pool:
-		for _, ins := range v.cur.Load().instances {
-			if ins.id == id {
-				return ins
-			}
-		}
-	}
-	return nil
 }
 
 // writePredictError maps Inferencer sentinel errors onto the HTTP error
@@ -769,7 +686,6 @@ type statsResponse struct {
 	Failovers              uint64            `json:"replica_failovers"`
 	Hedges                 uint64            `json:"request_hedges"`
 	HedgeWins              uint64            `json:"request_hedge_wins"`
-	BreakerState           string            `json:"breaker_state"`
 	HealthState            string            `json:"health_state"`
 	Draining               bool              `json:"draining"`
 	Generation             uint64            `json:"generation"`
@@ -786,8 +702,7 @@ type statsResponse struct {
 	// summed counters.
 	Drift driftAggStats `json:"drift"`
 	// Baseline identifies the drift baseline the serving snapshot carries
-	// (absent when the system is untrained, predates baselines, or the
-	// Inferencer is stubbed).
+	// (absent when the system is untrained or predates baselines).
 	Baseline *corepythia.BaselineID `json:"baseline,omitempty"`
 }
 
@@ -805,8 +720,8 @@ type qualityStats struct {
 }
 
 // driftAggStats is the /stats fleet view of drift: the single-state summary
-// a dashboard alerts on, aggregated across replicas the same way the breaker
-// and health gauges are.
+// a dashboard alerts on, aggregated across replicas the same way the health
+// gauge is.
 type driftAggStats struct {
 	State       string  `json:"state"`
 	Score       float64 `json:"score"`
@@ -873,21 +788,9 @@ type batchingStats struct {
 	BatchedRequests uint64  `json:"batched_requests"`
 }
 
-// worstBreakerState returns the most-degraded breaker state across replicas
-// (open > half_open > closed) — the single-gauge view a fleet dashboard
-// alerts on; per-replica states are in the replicas rows.
-func worstBreakerState(st InfStatus) (value int, name string) {
-	for _, r := range st.Replicas {
-		if r.BreakerValue > value {
-			value = r.BreakerValue
-		}
-	}
-	return value, breakerStateNames[value]
-}
-
 // worstHealthState returns the most-degraded replica health state
-// (quarantined > probation > degraded > healthy), the fleet-dashboard
-// companion gauge to worstBreakerState.
+// (quarantined > probation > degraded > healthy) — the single-gauge view a
+// fleet dashboard alerts on; per-replica states are in the replicas rows.
 func worstHealthState(st InfStatus) (value int, name string) {
 	for _, r := range st.Replicas {
 		if r.HealthValue > value {
@@ -905,7 +808,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics
 	snap := m.events.Snapshot()
 	st := s.inf.Status()
-	_, breakerName := worstBreakerState(st)
 	_, healthName := worstHealthState(st)
 	resp := statsResponse{
 		UptimeSeconds:          m.Uptime().Seconds(),
@@ -924,7 +826,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Failovers:              m.failovers.Load(),
 		Hedges:                 m.hedges.Load(),
 		HedgeWins:              m.hedgeWins.Load(),
-		BreakerState:           breakerName,
 		HealthState:            healthName,
 		Draining:               s.draining.Load(),
 		Generation:             st.Generation,
@@ -932,9 +833,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Replicas:               st.Replicas,
 		Quality:                s.qualitySnapshot(),
 		Drift:                  aggregateDrift(st),
-	}
-	if b, ok := s.inf.(baseliner); ok {
-		resp.Baseline = b.BaselineID()
+		Baseline:               s.inf.BaselineID(),
 	}
 	if resp.Predictions > 0 {
 		resp.FallbackRate = float64(resp.Fallbacks) / float64(resp.Predictions)

@@ -30,6 +30,10 @@ var (
 	fixtureW    *workload.Workload
 )
 
+// inst returns the server's first replica, for tests that reach into the
+// model path (cache, batcher, health state).
+func (s *Server) inst() *instance { return s.inf.(*Pool).cur.Load().instances[0] }
+
 func mustServer(t testing.TB, db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Options) *Server {
 	t.Helper()
 	srv, err := New(db, sys, metrics, opts)
@@ -175,25 +179,14 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-func TestDeprecatedAliases(t *testing.T) {
+// TestUnversionedPathsGone: the RFC 8594 aliases have expired; only /v1
+// routes the model endpoints.
+func TestUnversionedPathsGone(t *testing.T) {
 	srv, w := testServer(t)
 	rr := doRequest(t, srv, http.MethodPost, "/predict",
 		specBody(t, spec.FromQuery(w.Instances[0].Query)))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("alias status %d: %s", rr.Code, rr.Body.String())
-	}
-	if rr.Header().Get("Deprecation") != "true" {
-		t.Fatal("alias missing Deprecation header")
-	}
-	if link := rr.Header().Get("Link"); !strings.Contains(link, "</v1/predict>") ||
-		!strings.Contains(link, `rel="successor-version"`) {
-		t.Fatalf("alias Link header wrong: %q", link)
-	}
-	// The versioned endpoint itself is not deprecated.
-	rr = doRequest(t, srv, http.MethodPost, "/v1/predict",
-		specBody(t, spec.FromQuery(w.Instances[0].Query)))
-	if rr.Header().Get("Deprecation") != "" {
-		t.Fatal("/v1 endpoint marked deprecated")
+	if rr.Code != http.StatusNotFound {
+		t.Fatalf("unversioned /predict status %d, want 404", rr.Code)
 	}
 }
 
