@@ -253,7 +253,6 @@ type loadResult struct {
 	Shed          uint64            `json:"requests_shed"`
 	Timeouts      uint64            `json:"inference_timeouts"`
 	Failovers     uint64            `json:"replica_failovers"`
-	Hedges        uint64            `json:"request_hedges"`
 	Quarantines   uint64            `json:"replica_quarantines"`
 	Probes        uint64            `json:"replica_probes"`
 	Recoveries    uint64            `json:"replica_recoveries"`
@@ -332,7 +331,6 @@ func runPoint(pc pointConfig) (loadResult, error) {
 		if err != nil {
 			return res, err
 		}
-		defer srv.Close()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return res, err
@@ -569,7 +567,6 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 		Shed        uint64            `json:"requests_shed"`
 		Timeouts    uint64            `json:"inference_timeouts"`
 		Failovers   uint64            `json:"replica_failovers"`
-		Hedges      uint64            `json:"request_hedges"`
 		HealthState string            `json:"health_state"`
 		Generation  uint64            `json:"generation"`
 		Swaps       uint64            `json:"swaps"`
@@ -601,7 +598,6 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 	res.Shed = st.Shed
 	res.Timeouts = st.Timeouts
 	res.Failovers = st.Failovers
-	res.Hedges = st.Hedges
 	res.HealthState = st.HealthState
 	res.Generation = st.Generation
 	res.Swaps = st.Swaps

@@ -61,9 +61,6 @@ func main() {
 		maxBody       = flag.Int64("max-body", 1<<20, "request body cap in bytes (negative disables)")
 		shutdownGrace = flag.Duration("shutdown-grace", 10*time.Second, "drain deadline after SIGINT/SIGTERM")
 		cacheEntries  = flag.Int("cache-entries", 4096, "plan-fingerprint prediction cache capacity (negative disables)")
-		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "how long a cache miss waits to coalesce with concurrent misses (negative disables)")
-		maxBatch      = flag.Int("max-batch", 16, "max requests coalesced into one batched forward pass")
-		quantize      = flag.Bool("quantize", false, "run int8-quantized inference (per-tensor symmetric weights; ~Jaccard 0.9 agreement with float32)")
 		replicas      = flag.Int("replicas", 1, "independent model replicas behind the consistent-hash router")
 		queueDepth    = flag.Int("queue-depth", 32, "per-replica bounded work queue (negative disables)")
 		snapshot      = flag.String("snapshot", "", "model snapshot path: loaded instead of training when it exists, written after training otherwise; SIGHUP and /v1/admin/reload swap from it (empty = off)")
@@ -71,7 +68,6 @@ func main() {
 		quarBackoff   = flag.Duration("quarantine-backoff", time.Second, "initial probe backoff for a quarantined replica (doubles per failed probe, capped at 16x)")
 		quarProbes    = flag.Int("quarantine-probes", 3, "consecutive probe successes that re-admit a quarantined replica")
 		maxFailovers  = flag.Int("max-failovers", 2, "ring successors a request may fail over to past an unhealthy replica (negative disables failover)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "floor for the p95-derived request-hedging delay; a second attempt races on the ring successor (0 = hedging off; needs -replicas > 1)")
 		faultPlan     = flag.String("fault-plan", "", "fault-injection plan for chaos drills, e.g. serve=0.2 (empty = none)")
 		faultSeed     = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this loopback address, e.g. localhost:6060 (empty = off)")
@@ -152,9 +148,6 @@ func main() {
 		MaxBodyBytes:        *maxBody,
 		Fault:               inj,
 		CacheEntries:        *cacheEntries,
-		BatchWindow:         *batchWindow,
-		MaxBatch:            *maxBatch,
-		Quantize:            *quantize,
 		Replicas:            *replicas,
 		QueueDepth:          *queueDepth,
 		SnapshotPath:        *snapshot,
@@ -162,23 +155,20 @@ func main() {
 		QuarantineBackoff:   *quarBackoff,
 		QuarantineProbes:    *quarProbes,
 		MaxFailovers:        *maxFailovers,
-		HedgeAfter:          *hedgeAfter,
 	})
 	if err != nil {
 		log.Fatalf("pythia-serve: %v", err)
 	}
-	defer srv.Close()
 	// Log the resolved effective options (after Options.Normalize applies the
 	// zero=default / negative=disable convention) so a deployment's actual
 	// protections, fast-path, and topology configuration are visible in its
 	// logs.
 	eff := srv.Options()
-	log.Printf("effective options: request-timeout=%s max-inflight=%d max-body=%d cache-entries=%d batch-window=%s max-batch=%d quantize=%v replicas=%d queue-depth=%d snapshot=%q quarantine-threshold=%d quarantine-backoff=%s quarantine-probes=%d max-failovers=%d hedge-after=%s",
+	log.Printf("effective options: request-timeout=%s max-inflight=%d max-body=%d cache-entries=%d replicas=%d queue-depth=%d snapshot=%q quarantine-threshold=%d quarantine-backoff=%s quarantine-probes=%d max-failovers=%d",
 		eff.RequestTimeout, eff.MaxInFlight, eff.MaxBodyBytes,
-		eff.CacheEntries, eff.BatchWindow, eff.MaxBatch, eff.Quantize,
-		eff.Replicas, eff.QueueDepth, eff.SnapshotPath,
+		eff.CacheEntries, eff.Replicas, eff.QueueDepth, eff.SnapshotPath,
 		eff.QuarantineThreshold, eff.QuarantineBackoff, eff.QuarantineProbes,
-		eff.MaxFailovers, eff.HedgeAfter)
+		eff.MaxFailovers)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	// The shutdown context is created before any helper goroutine spawns so

@@ -8,9 +8,9 @@ import (
 )
 
 // Goleak requires every `go` statement to be provably bounded. An unbounded
-// goroutine is a slow leak: each model swap or request that spawns one
-// pins its stack and captures until process exit, and the serve tier spawns
-// goroutines on the request path (hedging) and the swap path (draining).
+// goroutine is a slow leak: each request that spawns one pins its stack and
+// captures until process exit, and the serve tier spawns a goroutine per
+// cache miss on the request path.
 // This is also the guardrail the planned online-training background
 // goroutine (ROADMAP item 4) lands behind. A goroutine counts as bounded
 // when its body — a function literal, or a same-package function the

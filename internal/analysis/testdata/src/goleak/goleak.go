@@ -18,7 +18,7 @@ func leak() {
 	}()
 }
 
-// ctxBound is the hedged-predict idiom: the body references a Context.
+// ctxBound is the context idiom: the body references a Context.
 func ctxBound(ctx context.Context, out chan<- int) {
 	go func() {
 		select {
@@ -28,7 +28,7 @@ func ctxBound(ctx context.Context, out chan<- int) {
 	}()
 }
 
-// doneBound is the batcher idiom: select on a struct{} stop channel.
+// doneBound is the done-channel idiom: select on a struct{} stop channel.
 func doneBound(stop chan struct{}) {
 	go func() {
 		for {

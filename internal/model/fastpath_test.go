@@ -39,91 +39,9 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// setAgreement is the Jaccard similarity of two prediction sets (1 when
-// both are empty: agreeing on "prefetch nothing" is agreement).
-func setAgreement(a, b []storage.PageID) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	in := map[storage.PageID]bool{}
-	for _, p := range a {
-		in[p] = true
-	}
-	inter := 0
-	union := len(a)
-	for _, p := range b {
-		if in[p] {
-			inter++
-		} else {
-			union++
-		}
-	}
-	return float64(inter) / float64(union)
-}
-
-// quantAgreementBudget is the pinned accuracy budget for int8 inference:
-// the mean Jaccard agreement between float and quantized prediction sets on
-// the seed workload must not drop below this. Per-tensor symmetric int8
-// perturbs logits by well under the sigmoid-threshold margin of a trained
-// model, so in practice agreement is 1.0; the budget leaves room only for
-// borderline labels sitting exactly at the threshold.
-const quantAgreementBudget = 0.9
-
-// TestQuantizedParityAgreement trains two identical models (training is
-// deterministic, so their weights are bitwise equal), quantizes one, and
-// pins the prediction-set agreement.
-func TestQuantizedParityAgreement(t *testing.T) {
-	labels, samples := trainingFixture()
-	fm := New(12, labels, smallCfg())
-	qm := New(12, labels, smallCfg())
-	fm.Train(samples)
-	qm.Train(samples)
-	qm.Quantize()
-
-	queries := [][]int{{2, 5, 3}, {2, 9, 3}, {2, 5, 3, 3}, {2, 9}}
-	total := 0.0
-	for _, q := range queries {
-		total += setAgreement(fm.Predict(q), qm.Predict(q))
-	}
-	if mean := total / float64(len(queries)); mean < quantAgreementBudget {
-		t.Fatalf("quantized agreement %.3f below pinned budget %.2f", mean, quantAgreementBudget)
-	}
-}
-
-// TestQuantizedBatchMatchesSingle: the two fast-path stages compose — a
-// quantized model's batched predictions equal its single-shot ones (integer
-// accumulation is exact, so this holds bitwise too).
-func TestQuantizedBatchMatchesSingle(t *testing.T) {
-	labels, samples := trainingFixture()
-	m := New(12, labels, smallCfg())
-	m.Train(samples)
-	m.Quantize()
-	seqs := [][]int{{2, 5, 3}, {2, 9, 3}}
-	got := m.PredictBatch(seqs)
-	for i, s := range seqs {
-		if want := m.Predict(s); !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("sequence %d: quantized batch %v vs single %v", i, got[i], want)
-		}
-	}
-}
-
-// TestQuantizedTrainPanics: quantization is an inference-only commitment —
-// the first backward pass must refuse loudly, not silently corrupt weights.
-func TestQuantizedTrainPanics(t *testing.T) {
-	labels, samples := trainingFixture()
-	m := New(12, labels, smallCfg())
-	m.Quantize()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Train on quantized model did not panic")
-		}
-	}()
-	m.Train(samples)
-}
-
 // benchModel builds an untrained paper-scale model (inference cost does not
 // depend on the weights' values, only their shapes).
-func benchModel(quantize bool) (*Model, []int) {
+func benchModel() (*Model, []int) {
 	cfg := DefaultConfig()
 	cfg.Dim = 64
 	cfg.Heads = 8
@@ -134,9 +52,6 @@ func benchModel(quantize bool) (*Model, []int) {
 		labels[i] = pg(1, uint32(i))
 	}
 	m := New(64, labels, cfg)
-	if quantize {
-		m.Quantize()
-	}
 	seq := make([]int, 24)
 	for i := range seq {
 		seq[i] = i % 64
@@ -145,15 +60,7 @@ func benchModel(quantize bool) (*Model, []int) {
 }
 
 func BenchmarkInferFloat32(b *testing.B) {
-	m, seq := benchModel(false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(seq)
-	}
-}
-
-func BenchmarkInferInt8(b *testing.B) {
-	m, seq := benchModel(true)
+	m, seq := benchModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(seq)

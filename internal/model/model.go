@@ -278,24 +278,6 @@ func (m *Model) PredictBatch(seqs [][]int) [][]storage.PageID {
 	return out
 }
 
-// Quantize switches the model's linear layers (attention projections, FFN,
-// and decoder) to the int8 inference path. Irreversible and inference-only:
-// Train on a quantized model panics in the first backward pass.
-func (m *Model) Quantize() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, l := range m.enc.Layers {
-		l.Attn.Wq.Quantize()
-		l.Attn.Wk.Quantize()
-		l.Attn.Wv.Quantize()
-		l.Attn.Wo.Quantize()
-		l.FF.L1.Quantize()
-		l.FF.L2.Quantize()
-	}
-	m.dec.L1.Quantize()
-	m.dec.L2.Quantize()
-}
-
 // Scores returns the per-label probabilities (diagnostics and tests).
 func (m *Model) Scores(tokenIDs []int) []float64 {
 	m.mu.Lock()

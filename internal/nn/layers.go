@@ -50,14 +50,6 @@ type Linear struct {
 
 	rt Runtime
 	x  *Mat // cached input for backward
-
-	// qw, when set by Quantize, switches Forward to the int8 inference
-	// kernel; qx/qscale are the per-forward activation-quantization scratch
-	// (grown once, reused thereafter — the path stays noalloc at steady
-	// state).
-	qw     *QuantMat
-	qx     []int8
-	qscale []float64
 }
 
 // SetRuntime binds the worker pool and scratch arena the layer computes
@@ -78,36 +70,10 @@ func NewLinear(name string, in, out int, r *sim.Rand) *Linear {
 // Params returns the layer's parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// Quantize snapshots the float weights into int8 form and switches Forward
-// to the quantized kernel. The float weights stay in place (the bias is
-// applied in float either way), but Backward refuses to run: quantization
-// is an inference-only commitment.
-func (l *Linear) Quantize() {
-	l.qw = QuantizeMat(l.Weight.W)
-}
-
-// Quantized reports whether the layer runs the int8 inference path.
-func (l *Linear) Quantized() bool { return l.qw != nil }
-
-// Forward computes X W + b, caching X for Backward. A quantized layer
-// instead quantizes the activations per row and runs the int8 kernel; the
-// bias add stays float.
+// Forward computes X W + b, caching X for Backward.
 func (l *Linear) Forward(x *Mat) *Mat {
 	l.x = x
 	y := l.rt.get(x.Rows, l.Out)
-	if l.qw != nil {
-		need := x.Rows * x.Cols
-		if cap(l.qx) < need {
-			l.qx = make([]int8, need)
-		}
-		if cap(l.qscale) < x.Rows {
-			l.qscale = make([]float64, x.Rows)
-		}
-		QuantizeRows(x, l.qx[:need], l.qscale[:x.Rows])
-		l.rt.Pool.MatMulQ8Into(y, l.qx[:need], l.qscale[:x.Rows], x.Rows, l.qw)
-		y.AddRowVec(l.Bias.W.Data)
-		return y
-	}
 	l.rt.Pool.MatMulInto(y, x, l.Weight.W)
 	y.AddRowVec(l.Bias.W.Data)
 	return y
@@ -121,9 +87,6 @@ func (l *Linear) Forward(x *Mat) *Mat {
 // pool (each dW row owned by one worker) and keeps the zero-skip for
 // ReLU-sparse activations.
 func (l *Linear) Backward(dy *Mat) *Mat {
-	if l.qw != nil {
-		panic("nn: Backward on a quantized Linear (quantization is inference-only)")
-	}
 	shapeCheck(l.x.Rows == dy.Rows, "linear backward", l.x, dy)
 	l.rt.Pool.AccumT1Into(l.Weight.G, l.x, dy)
 	bg := l.Bias.G.Data

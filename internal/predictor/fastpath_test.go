@@ -1,7 +1,6 @@
 package predictor
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/plan"
@@ -57,64 +56,5 @@ func TestEncodePlanFingerprint(t *testing.T) {
 	}
 	if Fingerprint(p.EncodePlan(roots[0])) == Fingerprint(p.EncodePlan(roots[1])) {
 		t.Fatal("distinct plans collided (parameters should tokenize differently)")
-	}
-}
-
-// TestPredictBatchMatchesPredictParallel: the batched entry point must
-// return, for every plan, exactly what the single-plan path returns —
-// including duplicated plans within one batch.
-func TestPredictBatchMatchesPredictParallel(t *testing.T) {
-	p, roots := trainedFixture(t)
-	got := p.PredictBatch(roots)
-	if len(got) != len(roots) {
-		t.Fatalf("PredictBatch returned %d results for %d plans", len(got), len(roots))
-	}
-	for i, root := range roots {
-		want := p.PredictParallel(root)
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("plan %d: batch %v vs single %v", i, got[i], want)
-		}
-	}
-	if r := p.PredictBatch(nil); len(r) != 0 {
-		t.Fatalf("empty batch returned %v", r)
-	}
-}
-
-// TestQuantizedPredictorAgreement: quantizing the whole predictor keeps
-// per-plan prediction sets within the pinned agreement budget of the float
-// path (and stays consistent between batch and single entry points).
-func TestQuantizedPredictorAgreement(t *testing.T) {
-	p, roots := trainedFixture(t)
-	floatPreds := make(map[int]int) // plan → float set size (for sanity)
-	want := p.PredictParallel(roots[0])
-	floatPreds[0] = len(want)
-
-	p.Quantize()
-	got := p.PredictParallel(roots[0])
-	// Pinned agreement budget: Jaccard ≥ 0.9 on the seed workload.
-	in := map[string]bool{}
-	for _, pg := range want {
-		in[pg.String()] = true
-	}
-	inter, union := 0, len(want)
-	for _, pg := range got {
-		if in[pg.String()] {
-			inter++
-		} else {
-			union++
-		}
-	}
-	agreement := 1.0
-	if union > 0 {
-		agreement = float64(inter) / float64(union)
-	}
-	if agreement < 0.9 {
-		t.Fatalf("quantized agreement %.3f below pinned budget 0.90 (float %d pages, int8 %d pages)",
-			agreement, len(want), len(got))
-	}
-
-	batch := p.PredictBatch(roots[:1])
-	if !reflect.DeepEqual(batch[0], got) {
-		t.Fatal("quantized batch result differs from quantized single result")
 	}
 }

@@ -269,8 +269,8 @@ func relevantObjects(root *plan.Node) map[storage.ObjectID]bool {
 }
 
 // EncodePlan serializes a plan and encodes it against the frozen vocabulary
-// — the token-ID sequence every inference path (single, batched, and the
-// serve tier's cache fingerprint) starts from.
+// — the token-ID sequence inference and the serve tier's cache fingerprint
+// both start from.
 func (p *Predictor) EncodePlan(root *plan.Node) []int {
 	return p.vocab.Encode(serialize.Serialize(root, p.serCfg))
 }
@@ -336,13 +336,6 @@ func collect(out []storage.PageID, pred []storage.PageID, relevant map[storage.O
 	return out
 }
 
-// Quantize switches every model to int8 inference (see model.Quantize).
-func (p *Predictor) Quantize() {
-	for _, m := range p.models {
-		m.Quantize()
-	}
-}
-
 // Predict runs Algorithm 3's prediction step: serialize the plan once, feed
 // it to every model covering an object the plan scans non-sequentially, and
 // return the union of predicted pages in file-storage order.
@@ -382,69 +375,6 @@ func (p *Predictor) predict(root *plan.Node, parallel bool) []storage.PageID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return dedupe(out)
-}
-
-// PredictBatch runs PredictParallel for several plans at once, sharing
-// model forward passes: plans are grouped by the models they need, and each
-// model sees its group's sequences as one batched decoder pass
-// (model.PredictBatch). Per-plan results are identical to PredictParallel —
-// the batched decoder is bitwise-equal to the single-row one — so the serve
-// tier's micro-batcher can use this without changing any response.
-func (p *Predictor) PredictBatch(roots []*plan.Node) [][]storage.PageID {
-	out := make([][]storage.PageID, len(roots))
-	if len(roots) == 0 {
-		return out
-	}
-	type planInfo struct {
-		ids      []int
-		relevant map[storage.ObjectID]bool
-	}
-	infos := make([]planInfo, len(roots))
-	// Group plan indices under each distinct model, keeping first-seen model
-	// order (deterministic: it follows plan order and the ID-ordered
-	// planModels walk).
-	groups := make(map[*model.Model][]int)
-	var order []*model.Model
-	for i, root := range roots {
-		ms, relevant := p.planModels(root)
-		infos[i] = planInfo{ids: p.EncodePlan(root), relevant: relevant}
-		for _, m := range ms {
-			if _, ok := groups[m]; !ok {
-				order = append(order, m)
-			}
-			groups[m] = append(groups[m], i)
-		}
-	}
-	// One batched pass per model, models in parallel (the same fan-out shape
-	// as PredictParallel; each model's mutex serializes nothing here because
-	// each appears once).
-	preds := make([][][]storage.PageID, len(order))
-	var wg sync.WaitGroup
-	for gi, m := range order {
-		wg.Add(1)
-		go func(gi int, m *model.Model) {
-			defer wg.Done()
-			idx := groups[m]
-			seqs := make([][]int, len(idx))
-			for k, pi := range idx {
-				seqs[k] = infos[pi].ids
-			}
-			preds[gi] = m.PredictBatch(seqs)
-		}(gi, m)
-	}
-	wg.Wait()
-	// Scatter: union each plan's model outputs, filter, sort, dedupe.
-	for gi, m := range order {
-		for k, pi := range groups[m] {
-			out[pi] = collect(out[pi], preds[gi][k], infos[pi].relevant)
-		}
-	}
-	for i := range out {
-		pr := out[i]
-		sort.Slice(pr, func(a, b int) bool { return pr[a].Less(pr[b]) })
-		out[i] = dedupe(pr)
-	}
-	return out
 }
 
 func dedupe(pages []storage.PageID) []storage.PageID {

@@ -110,7 +110,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplicas is GET /v1/admin/replicas: the replica topology snapshot —
-// per-replica generation, queue, health, cache, and batching state.
+// per-replica generation, queue, health, and cache state.
 func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")

@@ -64,7 +64,6 @@ type serveBenchResult struct {
 	CacheHits     uint64  `json:"cache_hits"`
 	CacheMisses   uint64  `json:"cache_misses"`
 	Inferences    uint64  `json:"inferences"`
-	Batched       uint64  `json:"batched_requests"`
 }
 
 // serveBenchReport is the whole BENCH_serve.json document.
@@ -84,8 +83,8 @@ var serveBenchResults []serveBenchResult
 // BenchmarkServePredict drives a real HTTP server (httptest.NewServer, so
 // the full mux, instrumentation, and JSON round trip are on the clock) at
 // fixed concurrency with a repeated-plan workload — the DSB steady state the
-// prediction cache exists for. Two modes: the uncached/unbatched baseline and
-// the default fast path. After both run, the comparison is written to
+// prediction cache exists for. Two modes: the uncached baseline and the
+// default cached path. After both run, the comparison is written to
 // BENCH_serve.json (override the path with BENCH_SERVE_OUT).
 func BenchmarkServePredict(b *testing.B) {
 	sys, w := benchSystem(b)
@@ -95,14 +94,13 @@ func BenchmarkServePredict(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"uncached", Options{CacheEntries: -1, BatchWindow: -1}},
+		{"uncached", Options{CacheEntries: -1}},
 		{"cached", Options{}},
 	}
 	serveBenchResults = serveBenchResults[:0]
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			srv := mustServer(b, benchDB.DB(), sys, NewMetrics(nil), mode.opts)
-			defer srv.Close()
 			insts := distinctInstances(b, srv, w, distinctPlans)
 			bodies := make([][]byte, len(insts))
 			for k, i := range insts {
@@ -174,7 +172,6 @@ func BenchmarkServePredict(b *testing.B) {
 				CacheHits:     snap.Get(obs.PredCacheHit),
 				CacheMisses:   snap.Get(obs.PredCacheMiss),
 				Inferences:    snap.Get(obs.InferenceRun),
-				Batched:       snap.Get(obs.InferenceBatched),
 			}
 			b.ReportMetric(res.ThroughputRPS, "req/s")
 			b.ReportMetric(res.P50MS, "p50-ms")

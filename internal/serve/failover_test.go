@@ -12,6 +12,7 @@ import (
 
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
+	"github.com/pythia-db/pythia/internal/plan"
 )
 
 // poolOf unwraps the server's Inferencer as a Pool.
@@ -33,7 +34,6 @@ func TestPoolReroutesAroundBlockedReplica(t *testing.T) {
 	base, w := testServer(t)
 	m := NewMetrics(nil)
 	srv := mustServer(t, base.db, fixtureSys, m, Options{Replicas: 3})
-	t.Cleanup(srv.Close)
 	insts := distinctInstances(t, srv, w, 6)
 
 	// Round 1 maps each plan to its owning replica (and warms owner caches).
@@ -116,7 +116,6 @@ func TestReplicaShedEnvelopeParity(t *testing.T) {
 		MaxFailovers: -1, // no failover: the owner's shed must reach the client
 		CacheEntries: -1,
 	})
-	t.Cleanup(srv.Close)
 
 	// Fill every replica's work queue so admission sheds wherever the plan
 	// routes.
@@ -164,7 +163,6 @@ func TestPoolFailsOverSaturatedReplica(t *testing.T) {
 		QueueDepth:   1,
 		CacheEntries: -1,
 	})
-	t.Cleanup(srv.Close)
 
 	first := predictOK(t, srv, w, 0)
 	owner := first.Replica
@@ -199,7 +197,6 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 		QuarantineBackoff:   time.Minute,
 		QuarantineProbes:    2,
 	})
-	t.Cleanup(srv.Close)
 	insts := distinctInstances(t, srv, w, 6)
 
 	// Healthy round: learn which replica owns the probe plan.
@@ -294,7 +291,6 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 func TestProbeReachesQuarantinedOwner(t *testing.T) {
 	base, w := testServer(t)
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 3, CacheEntries: -1})
-	t.Cleanup(srv.Close)
 
 	target := predictOK(t, srv, w, 0).Replica
 	ins := poolOf(t, srv).cur.Load().instances[target]
@@ -335,7 +331,6 @@ func TestPoolDegradedWhenAllQuarantined(t *testing.T) {
 		QuarantineBackoff:   time.Hour, // no probe within the test's lifetime
 		CacheEntries:        -1,
 	})
-	t.Cleanup(srv.Close)
 
 	p := poolOf(t, srv)
 	for _, ins := range p.cur.Load().instances {
@@ -356,12 +351,11 @@ func TestPoolDegradedWhenAllQuarantined(t *testing.T) {
 
 // TestSwapRollbackOnReplicaBuildFault pins the transactional-swap contract:
 // an injected fault while building one standby replica fails the whole swap,
-// tears the partial standby down, and leaves the old generation serving
+// drops the partial standby, and leaves the old generation serving
 // untouched. Clearing the fault lets the same snapshot swap cleanly.
 func TestSwapRollbackOnReplicaBuildFault(t *testing.T) {
 	base, w := testServer(t)
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 2})
-	t.Cleanup(srv.Close)
 	var snap bytes.Buffer
 	if err := fixtureSys.Save(&snap); err != nil {
 		t.Fatal(err)
@@ -414,7 +408,6 @@ func TestAdminReloadCorruptSnapshot(t *testing.T) {
 	}
 
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 2, SnapshotPath: good})
-	t.Cleanup(srv.Close)
 
 	for _, path := range []string{truncated, empty} {
 		rr := doRequest(t, srv, http.MethodPost, "/v1/admin/reload",
@@ -444,43 +437,51 @@ func TestAdminReloadCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestPoolHedging: with hedging armed and a floor-level delay, requests race
-// a second attempt on the ring successor. Everything still answers 200, the
-// hedge counter moves, and canceled losers leave every replica healthy.
-func TestPoolHedging(t *testing.T) {
+// TestSuccessorProbeNotSpentOnOwnerAnswers: admission is lazy, so a
+// quarantined ring successor whose probe is due keeps its probe token while
+// the healthy owner answers — no ReplicaProbe event, backoff clock untouched —
+// and spends it only on a request that actually fails over to it.
+func TestSuccessorProbeNotSpentOnOwnerAnswers(t *testing.T) {
 	base, w := testServer(t)
 	m := NewMetrics(nil)
-	srv := mustServer(t, base.db, fixtureSys, m, Options{
-		Replicas:     2,
-		HedgeAfter:   time.Nanosecond, // hedge essentially immediately
-		CacheEntries: -1,              // keep both attempts on the inference path
-	})
-	t.Cleanup(srv.Close)
-	insts := distinctInstances(t, srv, w, 4)
+	srv := mustServer(t, base.db, fixtureSys, m, Options{Replicas: 3, CacheEntries: -1})
 
-	for round := 0; round < 3; round++ {
-		for _, i := range insts {
-			resp := predictOK(t, srv, w, i)
-			if resp.Fallback {
-				t.Fatalf("hedged request %d degraded: %+v", i, resp)
-			}
-		}
-	}
-	if m.hedges.Load() == 0 {
-		t.Fatal("no hedges launched with a 1ns hedge delay")
-	}
-	// Losers were canceled, not failed: nothing degraded or quarantined.
-	for _, r := range srv.inf.Status().Replicas {
-		if r.Health != "healthy" {
-			t.Fatalf("replica %d after hedging: health=%s", r.ID, r.Health)
-		}
-	}
-	var stats statsResponse
-	rr := doRequest(t, srv, http.MethodGet, "/stats", nil)
-	if err := json.NewDecoder(rr.Body).Decode(&stats); err != nil {
+	q := w.Instances[0].Query
+	tw := fixtureSys.Lookup(q)
+	root, err := plan.NewPlanner(srv.db).Plan(q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Hedges == 0 {
-		t.Fatal("/stats request_hedges is zero")
+	gen := poolOf(t, srv).cur.Load()
+	order := gen.ring.lookupN(fingerprint(tw.Name, tw.Pred.EncodePlan(root)), nil, 2)
+	owner, succ := order[0], gen.instances[order[1]]
+
+	now := time.Unix(0, 0)
+	succ.health.now = func() time.Time { return now }
+	for i := 0; i < srv.opts.QuarantineThreshold; i++ {
+		succ.health.failure()
+	}
+	quarantinedAt := succ.health.quarantinedAt
+	now = now.Add(srv.opts.QuarantineBackoff) // the successor's probe is due
+
+	for i := 0; i < 3; i++ {
+		if resp := predictOK(t, srv, w, 0); resp.Fallback || resp.Replica != owner {
+			t.Fatalf("request %d: answered %+v, want the healthy owner %d", i, resp, owner)
+		}
+	}
+	if snap := m.Events().Snapshot(); snap.Get(obs.ReplicaProbe) != 0 {
+		t.Fatalf("%d probes admitted on requests the owner answered", snap.Get(obs.ReplicaProbe))
+	}
+	if !succ.health.quarantinedAt.Equal(quarantinedAt) {
+		t.Fatalf("successor backoff clock moved from %v to %v", quarantinedAt, succ.health.quarantinedAt)
+	}
+
+	// The owner faults: now the walk reaches the successor and probes it.
+	srv.SetFault(fault.New(fault.Plan{ReplicaRate: 1, ReplicaIndex: owner}, 7))
+	if resp := predictOK(t, srv, w, 0); resp.Fallback || resp.Replica != succ.id {
+		t.Fatalf("failover answered %+v, want the probed successor %d", resp, succ.id)
+	}
+	if snap := m.Events().Snapshot(); snap.Get(obs.ReplicaProbe) != 1 {
+		t.Fatalf("%d probes after the owner faulted, want 1", snap.Get(obs.ReplicaProbe))
 	}
 }

@@ -6,25 +6,19 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
-	"github.com/pythia-db/pythia/internal/dsb"
-	"github.com/pythia-db/pythia/internal/model"
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/plan"
-	"github.com/pythia-db/pythia/internal/predictor"
-	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/spec"
 	"github.com/pythia-db/pythia/internal/workload"
 )
 
 // fastServer builds a server sharing the fixture's trained system but with
-// its own metrics, cache, and batcher, so fast-path tests see clean counters.
+// its own metrics and cache, so fast-path tests see clean counters.
 func fastServer(t *testing.T, opts Options) (*Server, *workload.Workload) {
 	t.Helper()
 	base, w := testServer(t)
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), opts)
-	t.Cleanup(srv.Close)
 	return srv, w
 }
 
@@ -170,10 +164,10 @@ func TestCacheEvictionAtCapacity(t *testing.T) {
 	}
 }
 
-// TestShedDoesNotPoisonBatch: a shed request must be refused before it
-// reaches the miss path — nothing enqueued on the batcher, nothing stored in
-// the cache — and the next admitted request must answer normally.
-func TestShedDoesNotPoisonBatch(t *testing.T) {
+// TestShedDoesNotPoisonCache: a shed request must be refused before it
+// reaches the miss path — no inference run, nothing stored in the cache —
+// and the next admitted request must answer normally.
+func TestShedDoesNotPoisonCache(t *testing.T) {
 	srv, w := fastServer(t, Options{MaxInFlight: 1})
 	srv.inflight.Add(1) // saturate the only slot
 	body := specBody(t, spec.FromQuery(w.Instances[0].Query))
@@ -184,11 +178,8 @@ func TestShedDoesNotPoisonBatch(t *testing.T) {
 	if n := srv.inst().cache.len(); n != 0 {
 		t.Fatalf("shed request left %d cache entries", n)
 	}
-	if n := srv.inst().missInflight.Load(); n != 0 {
-		t.Fatalf("shed request left missInflight=%d", n)
-	}
-	if b := srv.inst().batcher.batches.Load(); b != 0 {
-		t.Fatalf("shed request dispatched %d batches", b)
+	if snap := srv.metrics.Events().Snapshot(); snap.Get(obs.InferenceRun) != 0 {
+		t.Fatalf("shed request ran %d inferences", snap.Get(obs.InferenceRun))
 	}
 	srv.inflight.Add(-1)
 	if resp := predictOK(t, srv, w, 0); resp.Fallback || resp.Cached {
@@ -196,85 +187,42 @@ func TestShedDoesNotPoisonBatch(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesDirect: requests coalesced into one batched forward pass
-// must answer exactly what the unbatched path answers for the same plans
-// (the kernels are bitwise deterministic at any batch width).
-func TestBatchedMatchesDirect(t *testing.T) {
-	direct, w := fastServer(t, Options{BatchWindow: -1})
-	batched, _ := fastServer(t, Options{BatchWindow: 50 * time.Millisecond, MaxBatch: 4})
-	insts := distinctInstances(t, direct, w, 4)
-
+// TestConcurrentMissesMatchPrefetch: with the cache off every request is a
+// miss, and concurrent misses on one replica — distinct plans and the same
+// plan at once — must each answer exactly System.Prefetch. Run under -race
+// this pins the one inference path's locking.
+func TestConcurrentMissesMatchPrefetch(t *testing.T) {
+	srv, w := fastServer(t, Options{CacheEntries: -1})
+	insts := distinctInstances(t, srv, w, 4)
 	want := map[int][]pageJSON{}
 	for _, i := range insts {
-		want[i] = predictOK(t, direct, w, i).Pages
+		var ref predictResponse
+		srv.writePages(&ref, fixtureSys.Prefetch(w.Instances[i]))
+		want[i] = ref.Pages
 	}
 
-	// Hold an artificial miss in flight so every concurrent request routes to
-	// the batcher instead of the direct path.
-	batched.inst().missInflight.Add(1)
+	const workers, iters = 8, 3
 	var wg sync.WaitGroup
-	got := make([]predictResponse, len(insts))
-	for k, i := range insts {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
-		go func(k, i int) {
+		go func(g int) {
 			defer wg.Done()
-			got[k] = predictOK(t, batched, w, i)
-		}(k, i)
+			for it := 0; it < iters; it++ {
+				i := insts[(g/2+it)%len(insts)]
+				resp := predictOK(t, srv, w, i)
+				if resp.Cached || resp.Fallback {
+					t.Errorf("instance %d: not a miss: %+v", i, resp)
+					return
+				}
+				if !reflect.DeepEqual(resp.Pages, want[i]) {
+					t.Errorf("instance %d: concurrent miss %v, want %v", i, resp.Pages, want[i])
+					return
+				}
+			}
+		}(g)
 	}
 	wg.Wait()
-	batched.inst().missInflight.Add(-1)
-
-	for k, i := range insts {
-		if got[k].Cached {
-			t.Fatalf("instance %d: batched first request claims cache hit", i)
-		}
-		if !reflect.DeepEqual(got[k].Pages, want[i]) {
-			t.Fatalf("instance %d: batched %v, want direct %v", i, got[k].Pages, want[i])
-		}
-	}
-	if b := batched.inst().batcher.batches.Load(); b == 0 {
-		t.Fatal("no multi-request batch dispatched")
-	}
-	if n := batched.inst().batcher.batched.Load(); n < 2 {
-		t.Fatalf("only %d requests batched, want >=2", n)
-	}
-	snap := batched.metrics.Events().Snapshot()
-	if snap.Get(obs.InferenceBatched) < 2 {
-		t.Fatalf("inference_batched=%d, want >=2", snap.Get(obs.InferenceBatched))
-	}
-	if snap.Get(obs.InferenceRun) != uint64(len(insts)) {
-		t.Fatalf("inference_run=%d, want %d", snap.Get(obs.InferenceRun), len(insts))
-	}
-}
-
-// TestQuantizedServer: Options.Quantize flips every model to int8 inference
-// at construction; the server still answers and its answers stay
-// self-consistent between the miss and cache-hit paths. Quantization is
-// irreversible, so this test trains its own system instead of mutating the
-// shared fixture's models.
-func TestQuantizedServer(t *testing.T) {
-	g := dsb.NewGenerator(dsb.Config{ScaleFactor: 8, Seed: 7})
-	w := g.Workload("t91", 8, 1)
-	mcfg := model.DefaultConfig()
-	mcfg.Dim = 16
-	mcfg.Heads = 2
-	mcfg.Layers = 1
-	mcfg.DecoderHidden = 32
-	mcfg.Epochs = 10
-	cfg := corepythia.DefaultConfig()
-	cfg.Predictor = predictor.Options{Model: mcfg, ObservedOnly: true}
-	cfg.Replay.BufferPages = 1024
-	sys := corepythia.New(g.DB(), cfg)
-	sys.Train("t91", w.Instances)
-	srv := mustServer(t, g.DB(), sys, NewMetrics(nil), Options{Quantize: true})
-	t.Cleanup(srv.Close)
-
-	first := predictOK(t, srv, w, 0)
-	if first.Fallback {
-		t.Fatalf("quantized server fell back: %+v", first)
-	}
-	second := predictOK(t, srv, w, 0)
-	if !second.Cached || !reflect.DeepEqual(second.Pages, first.Pages) {
-		t.Fatalf("quantized cache hit diverges: %+v vs %+v", second, first)
+	if snap := srv.metrics.Events().Snapshot(); snap.Get(obs.InferenceRun) != workers*iters {
+		t.Fatalf("inference_run=%d, want %d (one per miss)", snap.Get(obs.InferenceRun), workers*iters)
 	}
 }

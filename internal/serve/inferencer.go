@@ -17,7 +17,7 @@ import (
 // Inferencer is the seam between the HTTP surface and the model tier. The
 // Server decodes and plans requests, applies global shedding and timeouts,
 // and renders responses; everything that touches a trained model — matching,
-// routing, caching, batching, replica health, and inference itself — happens
+// routing, caching, replica health, and inference itself — happens
 // behind this interface. Pool is the one production implementation (a single
 // replica is a one-node pool); tests stub the interface to exercise the HTTP
 // surface without training anything.
@@ -42,12 +42,10 @@ type Inferencer interface {
 	Feedback(replica int, sc quality.Score)
 	// Swap is the zero-downtime model-swap hook: it loads a pythia.System
 	// snapshot (see pythia.System.Save) into a standby generation, warms it
-	// on recently served plans, atomically swings the serving pointer, and
-	// drains the superseded generation in the background. Requests in flight
-	// during the swap complete on the generation that admitted them.
+	// on recently served plans, and atomically swings the serving pointer.
+	// Requests in flight during the swap complete on the generation that
+	// admitted them.
 	Swap(r io.Reader) error
-	// Close tears down background machinery (micro-batch collectors).
-	Close()
 }
 
 // Prediction is the outcome of one routed inference.
@@ -121,8 +119,6 @@ type ReplicaStatus struct {
 	CacheHits      uint64   `json:"cache_hits"`
 	CacheMisses    uint64   `json:"cache_misses"`
 	CacheEvictions uint64   `json:"cache_evictions"`
-	Batches        uint64   `json:"batches"`
-	BatchedReqs    uint64   `json:"batched_requests"`
 	Workloads      []string `json:"workloads"`
 	Params         int      `json:"params"`
 
@@ -260,11 +256,4 @@ func workloadNames(sys *corepythia.System) []string {
 		names = append(names, tw.Name)
 	}
 	return names
-}
-
-// quantizeSystem flips every trained model in sys to int8 inference.
-func quantizeSystem(sys *corepythia.System) {
-	for _, tw := range sys.Workloads() {
-		tw.Pred.Quantize()
-	}
 }

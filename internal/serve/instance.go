@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/plan"
@@ -28,11 +27,11 @@ const qualityWindowSize = 512
 const serveDriftEvalEvery = 64
 
 // instance is one serving replica: an independent trained system with its
-// own prediction cache, micro-batcher, health tracker, and bounded work
-// queue. Replicas share nothing but the metrics hub and the fault gate — each
-// holds its own model weights (clones decoded from one snapshot), so
-// inference on different replicas runs truly in parallel instead of
-// serializing on one model's mutex.
+// own prediction cache, health tracker, and bounded work queue. Replicas
+// share nothing but the metrics hub and the fault gate — each holds its own
+// model weights (clones decoded from one snapshot), so inference on different
+// replicas runs truly in parallel instead of serializing on one model's
+// mutex.
 type instance struct {
 	id   int
 	gen  uint64
@@ -42,12 +41,11 @@ type instance struct {
 	metrics *Metrics
 	fgate   *faultGate
 
-	// cache and batcher are the PR-6 inference fast path, now per replica:
-	// consistent-hash routing sends a plan fingerprint to the same replica
-	// every time, so each replica's cache holds a disjoint hot set instead of
-	// N copies of the same entries. Either may be nil when disabled.
-	cache   *predCache
-	batcher *batcher
+	// cache is the inference fast path, per replica: consistent-hash routing
+	// sends a plan fingerprint to the same replica every time, so each
+	// replica's cache holds a disjoint hot set instead of N copies of the same
+	// entries. Nil when disabled.
+	cache *predCache
 
 	// health is the replica's failure ladder (see health.go): the pool
 	// consults it when routing, so a quarantined replica's shard fails over
@@ -69,15 +67,9 @@ type instance struct {
 	qwin *quality.Window
 	qmon *quality.Monitor
 
-	// missInflight counts requests currently on the miss (inference) path;
-	// a miss only routes to the batcher when others are already inferring,
-	// so an idle replica's p50 never pays the batch window.
-	missInflight atomic.Int64
-	inflight     atomic.Int64
-	served       atomic.Uint64
-	shed         atomic.Uint64
-
-	closeOnce sync.Once
+	inflight atomic.Int64
+	served   atomic.Uint64
+	shed     atomic.Uint64
 }
 
 func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, fgate *faultGate, opts Options) *instance {
@@ -91,9 +83,6 @@ func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, f
 	if opts.CacheEntries > 0 {
 		ins.cache = newPredCache(opts.CacheEntries, metrics.Events())
 	}
-	if opts.BatchWindow > 0 && opts.MaxBatch > 1 {
-		ins.batcher = newBatcher(opts.BatchWindow, opts.MaxBatch)
-	}
 	if opts.QueueDepth > 0 {
 		ins.queue = make(chan struct{}, opts.QueueDepth)
 	}
@@ -106,7 +95,7 @@ func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, f
 // Lookup, so one request never records two matching events.
 //
 // Stage order: bounded-queue admission → prediction cache → fault injection
-// → (batched) inference → cache fill.
+// → inference → cache fill.
 func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node, fp uint64) (Prediction, error) {
 	p := Prediction{Replica: ins.id, Generation: ins.gen}
 	if ins.queue != nil {
@@ -175,35 +164,26 @@ func (ins *instance) cached(fp uint64) ([]storage.PageID, bool) {
 	return pages, hit
 }
 
-// infer runs the miss (inference) path. Stage 2 routing: a miss that arrives
-// while other misses are in flight joins the micro-batcher; otherwise it
-// runs the single-plan inference directly, so an idle replica never pays the
-// batch window. Either way the slow step runs off the caller's goroutine so
-// a disconnected client (or an expired budget) aborts the wait, not the
-// work. Context errors come back verbatim for the Server to map to 504/499.
+// infer runs the miss (inference) path: one PredictParallel per request. The
+// slow step runs off the caller's goroutine so a disconnected client (or an
+// expired budget) aborts the wait, not the work. Context errors come back
+// verbatim for the Server to map to 504/499.
 func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *plan.Node) ([]storage.PageID, error) {
-	n := ins.missInflight.Add(1)
-	defer ins.missInflight.Add(-1)
-	done := make(chan batchRes, 1)
-	if !(n > 1 && ins.batcher != nil && ins.batcher.enqueue(batchReq{tw: tw, root: root, res: done})) {
-		//pythia:goleak-ok one-shot inference; done is buffered so the sender exits even when the select below took the ctx branch
-		go func() { done <- batchRes{pages: tw.Pred.PredictParallel(root), size: 1} }()
-	}
+	done := make(chan []storage.PageID, 1)
+	//pythia:goleak-ok one-shot inference; done is buffered so the sender exits even when the select below took the ctx branch
+	go func() { done <- tw.Pred.PredictParallel(root) }()
 	select {
-	case res := <-done:
+	case pages := <-done:
 		ins.health.success()
 		if rec := ins.metrics.Events(); rec != nil {
 			rec.Record(obs.Event{Kind: obs.InferenceRun})
-			if res.size > 1 {
-				rec.Record(obs.Event{Kind: obs.InferenceBatched})
-			}
 		}
-		return ins.sys.LimitPrefetch(res.pages), nil
+		return ins.sys.LimitPrefetch(pages), nil
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			// A deadline miss is a model-path failure; a canceled request
-			// (client gone, or a hedge loser) says nothing about the replica
-			// and records neither way.
+			// (client gone) says nothing about the replica and records
+			// neither way.
 			ins.metrics.timeouts.Add(1)
 			ins.health.failure()
 		}
@@ -264,10 +244,6 @@ func (ins *instance) status() ReplicaStatus {
 		st.CacheMisses = ins.cache.misses.Load()
 		st.CacheEvictions = ins.cache.evictions.Load()
 	}
-	if ins.batcher != nil {
-		st.Batches = ins.batcher.batches.Load()
-		st.BatchedReqs = ins.batcher.batched.Load()
-	}
 	ins.qmu.Lock()
 	st.QualityScored = ins.qwin.Seen()
 	st.Precision = ins.qwin.Precision()
@@ -275,30 +251,4 @@ func (ins *instance) status() ReplicaStatus {
 	st.Drift = ins.qmon.Stats()
 	ins.qmu.Unlock()
 	return st
-}
-
-// close stops the replica's micro-batch collector (requests keep working on
-// the direct path afterwards). Safe to call more than once.
-func (ins *instance) close() {
-	ins.closeOnce.Do(func() {
-		if ins.batcher != nil {
-			ins.batcher.close()
-		}
-	})
-}
-
-// drainTimeout bounds how long a superseded replica waits for its in-flight
-// requests after a model swap before its batch collector is torn down.
-const drainTimeout = 10 * time.Second
-
-// drain waits (bounded by drainTimeout) for a superseded replica's in-flight
-// requests to finish, then tears it down. Closing a batcher whose replica
-// still has stragglers is safe — enqueue on a closed batcher reports false
-// and the request completes on the direct path.
-func (ins *instance) drain() {
-	deadline := time.Now().Add(drainTimeout)
-	for ins.inflight.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	ins.close()
 }

@@ -71,8 +71,6 @@ type Metrics struct {
 	sheds     atomic.Uint64 // requests refused at the in-flight limit
 	timeouts  atomic.Uint64 // inferences that blew the request timeout
 	failovers atomic.Uint64 // requests rerouted past an unhealthy replica
-	hedges    atomic.Uint64 // hedge attempts launched after the hedge delay
-	hedgeWins atomic.Uint64 // hedged requests where the hedge answered first
 
 	events *obs.AtomicCounters // system + replay event totals
 

@@ -3,7 +3,7 @@ package serve
 // The replica pool is the serving tier's one model tier. One trained
 // pythia.System is snapshotted (pythia.System.Save) and decoded into N
 // independent clones, each wrapped in an instance with its own prediction
-// cache, micro-batcher, health tracker, and bounded work queue; N=1 is a
+// cache, health tracker, and bounded work queue; N=1 is a
 // one-node ring over the original system, no snapshot taken. A request is
 // matched once on the routing replica, fingerprinted once by its encoded
 // plan (the key both the ring and the prediction cache use), and routed
@@ -22,8 +22,8 @@ package serve
 // new snapshot), warms it on recently served plans, and swings one atomic
 // pointer. Requests in flight keep the generation pointer they loaded, so
 // every request runs against exactly one coherent generation — there is no
-// torn state to observe — and the superseded generation drains in the
-// background.
+// torn state to observe — and the superseded generation is collected once
+// its last request returns.
 
 import (
 	"bytes"
@@ -62,10 +62,6 @@ type Pool struct {
 	cur    atomic.Pointer[generation]
 	swapMu sync.Mutex // serializes Swap; Predict never takes it
 	swaps  atomic.Uint64
-
-	// hist observes end-to-end pool predict latencies when hedging is armed;
-	// its p95 (floored by Options.HedgeAfter) is the hedge trigger delay.
-	hist *obs.Histogram
 }
 
 // newPool builds a pool of opts.Replicas independent replicas over a trained
@@ -74,17 +70,12 @@ type Pool struct {
 // scales with model size, not training time. opts are already normalized and
 // the fault gate is shared with the owning Server.
 func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, fgate *faultGate, opts Options) (*Pool, error) {
-	p := &Pool{db: db, metrics: metrics, opts: opts, fgate: fgate, warm: newWarmer(), hist: obs.NewHistogram(nil)}
-	// Snapshot before quantizing: clones decode float32 weights and quantize
-	// themselves, rather than round-tripping an already-quantized model.
+	p := &Pool{db: db, metrics: metrics, opts: opts, fgate: fgate, warm: newWarmer()}
 	var snap bytes.Buffer
 	if opts.Replicas > 1 {
 		if err := sys.Save(&snap); err != nil {
 			return nil, fmt.Errorf("serve: snapshotting system for replication: %w", err)
 		}
-	}
-	if opts.Quantize {
-		quantizeSystem(sys)
 	}
 	instances := make([]*instance, opts.Replicas)
 	instances[0] = newInstance(0, 1, sys, metrics, fgate, opts)
@@ -92,9 +83,6 @@ func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, fga
 		clone, err := corepythia.LoadSystem(db, sys.Config(), bytes.NewReader(snap.Bytes()))
 		if err != nil {
 			return nil, fmt.Errorf("serve: cloning replica %d: %w", i, err)
-		}
-		if opts.Quantize {
-			quantizeSystem(clone)
 		}
 		instances[i] = newInstance(i, 1, clone, metrics, fgate, opts)
 	}
@@ -110,7 +98,7 @@ func failoverable(err error) bool {
 	return errors.Is(err, ErrSaturated) || errors.Is(err, errModelFault)
 }
 
-// maxFailoverCand bounds the stack-allocated candidate arrays in Predict;
+// maxFailoverCand bounds the stack-allocated candidate array in Predict;
 // MaxFailovers past it would heap-allocate, which Normalize's default (2)
 // never does.
 const maxFailoverCand = 8
@@ -122,6 +110,8 @@ const maxFailoverCand = 8
 // the owner is quarantined, saturated, or faulting, fails over to up to
 // Options.MaxFailovers ring successors (each hop recorded as a failover).
 //
+// Admission is lazy: a candidate's health is consulted only when the walk
+// reaches it, so a request the owner answers never touches a successor.
 // Quarantined replicas are skipped, except that a quarantined candidate whose
 // probe backoff has elapsed is admitted one probe request; if the probe
 // fails, the request still fails over, so probing costs the client nothing
@@ -141,52 +131,33 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 	if p.opts.CacheEntries > 0 {
 		p.warm.note(fp, q, root)
 	}
-	if p.opts.HedgeAfter > 0 {
-		start := time.Now()
-		defer func() { p.hist.Observe(time.Since(start)) }()
-	}
 	var obuf [maxFailoverCand]int
 	order := gen.ring.lookupN(fp, obuf[:0], p.opts.MaxFailovers+1)
 
-	// Admission pass — the one place the health machine is consulted: a
-	// candidate takes traffic unless quarantined, and a quarantined candidate
-	// whose backoff has elapsed is admitted one probe. pos remembers each
-	// live candidate's position in ring order, so hops over skipped
-	// (quarantined) candidates are counted as failovers only when a later
-	// candidate actually serves.
-	var lbuf [maxFailoverCand]*instance
-	var pbuf [maxFailoverCand]int
-	live, pos := lbuf[:0], pbuf[:0]
-	for i, idx := range order {
+	var pred Prediction
+	var err error
+	// hops counts the candidates moved past since the last one tried —
+	// quarantined skips plus that candidate's own failed attempt — and is
+	// recorded as failovers only when a later candidate is actually tried.
+	hops, tried := 0, false
+	for _, idx := range order {
 		ins := gen.instances[idx]
 		if ins.health.serving() || ins.health.allowProbe() {
-			live = append(live, ins)
-			pos = append(pos, i)
+			p.noteFailovers(hops)
+			hops, tried = 0, true
+			pred, err = ins.predict(ctx, q, root, fp)
+			if err == nil || !failoverable(err) {
+				return pred, err
+			}
 		}
+		hops++
 	}
-	if len(live) == 0 {
+	if !tried {
 		owner := gen.instances[order[0]]
 		if pages, hit := owner.cached(fp); hit {
 			return Prediction{Workload: tw.Name, Cached: true, Pages: pages, Replica: owner.id, Generation: gen.id}, nil
 		}
 		return Prediction{Fallback: true, Degraded: "no_healthy_replica", Replica: -1, Generation: gen.id}, nil
-	}
-	if p.opts.HedgeAfter > 0 && len(live) > 1 {
-		p.noteFailovers(pos[0])
-		return p.predictHedged(ctx, live[0], live[1], q, root, fp)
-	}
-	var pred Prediction
-	var err error
-	prev := 0
-	for j, ins := range live {
-		// pos[j]-prev counts every candidate moved past to reach this one:
-		// quarantined skips plus the previous live candidate's failed attempt.
-		p.noteFailovers(pos[j] - prev)
-		prev = pos[j]
-		pred, err = ins.predict(ctx, q, root, fp)
-		if err == nil || !failoverable(err) {
-			return pred, err
-		}
 	}
 	return pred, err
 }
@@ -200,91 +171,6 @@ func (p *Pool) noteFailovers(n int) {
 	if rec := p.metrics.Events(); rec != nil {
 		for i := 0; i < n; i++ {
 			rec.Record(obs.Event{Kind: obs.ReplicaFailover, Query: obs.NoQuery})
-		}
-	}
-}
-
-// hedgeDelay is the quantile-derived hedge trigger: the pool's observed p95
-// predict latency, floored by Options.HedgeAfter so a cold histogram (or an
-// all-cache-hit workload reporting microsecond p95s) does not hedge on noise.
-func (p *Pool) hedgeDelay() time.Duration {
-	if d := p.hist.Quantile(0.95); d > p.opts.HedgeAfter {
-		return d
-	}
-	return p.opts.HedgeAfter
-}
-
-// predictHedged races the primary attempt against a delayed second attempt
-// on the ring successor: whichever answers first wins and the loser's
-// context is canceled (a canceled attempt records nothing against its
-// replica's health). The hedge also launches immediately if the
-// primary fails a failoverable way before the delay elapses — the sequential
-// failover path wearing the hedging machinery.
-func (p *Pool) predictHedged(ctx context.Context, primary, successor *instance, q plan.Query, root *plan.Node, fp uint64) (Prediction, error) {
-	type outcome struct {
-		pred Prediction
-		err  error
-	}
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	pch := make(chan outcome, 1)
-	hch := make(chan outcome, 1)
-	go func() {
-		pr, err := primary.predict(pctx, q, root, fp)
-		pch <- outcome{pr, err}
-	}()
-
-	var primaryRes *outcome
-	timer := time.NewTimer(p.hedgeDelay())
-	defer timer.Stop()
-	select {
-	case o := <-pch:
-		if o.err == nil || !failoverable(o.err) {
-			return o.pred, o.err
-		}
-		primaryRes = &o // primary already failed: hedge immediately
-	case <-timer.C:
-		p.metrics.hedges.Add(1)
-	case <-ctx.Done():
-		return Prediction{Replica: -1}, ctx.Err()
-	}
-
-	go func() {
-		pr, err := successor.predict(hctx, q, root, fp)
-		hch <- outcome{pr, err}
-	}()
-	var hedgeRes *outcome
-	for {
-		select {
-		case o := <-pch:
-			if o.err == nil || !failoverable(o.err) {
-				hcancel()
-				return o.pred, o.err
-			}
-			primaryRes = &o
-			if hedgeRes != nil {
-				return o.pred, o.err // both failed: report the primary's error
-			}
-		case o := <-hch:
-			if o.err == nil || !failoverable(o.err) {
-				pcancel()
-				if primaryRes != nil {
-					// The successor rescued a failed primary: that is a
-					// failover, not a hedge win.
-					p.noteFailovers(1)
-				} else {
-					p.metrics.hedgeWins.Add(1)
-				}
-				return o.pred, o.err
-			}
-			hedgeRes = &o
-			if primaryRes != nil {
-				return primaryRes.pred, primaryRes.err
-			}
-		case <-ctx.Done():
-			return Prediction{Replica: -1}, ctx.Err()
 		}
 	}
 }
@@ -326,15 +212,15 @@ func (p *Pool) Feedback(replica int, sc quality.Score) {
 }
 
 // Swap loads a snapshot into a complete standby generation (one fresh clone
-// per replica), warms it on recently served plans, atomically makes it the
-// serving generation, and drains the superseded one in the background.
-// Requests in flight complete on the generation that admitted them; a
-// request observes exactly one generation end to end, never a mix.
+// per replica), warms it on recently served plans, and atomically makes it
+// the serving generation. Requests in flight complete on the generation that
+// admitted them; a request observes exactly one generation end to end, never
+// a mix.
 //
 // The swap is transactional: if any replica fails to build its standby —
 // a corrupt or truncated snapshot (pythia.ErrSnapshotCorrupt), a version
-// mismatch, or an injected replica build fault — every standby already built
-// is torn down and the old generation keeps serving, untouched. The serving
+// mismatch, or an injected replica build fault — the partial standby is
+// dropped and the old generation keeps serving, untouched. The serving
 // pointer only ever swings to a complete generation.
 func (p *Pool) Swap(r io.Reader) error {
 	p.swapMu.Lock()
@@ -347,29 +233,16 @@ func (p *Pool) Swap(r io.Reader) error {
 	cfg := old.instances[0].sys.Config()
 	genID := old.id + 1
 	instances := make([]*instance, len(old.instances))
-	// rollback tears down the partial standby; the old generation was never
-	// touched, so it keeps serving as if the swap had not been attempted.
-	rollback := func(err error) error {
-		for _, ins := range instances {
-			if ins != nil {
-				ins.close()
-			}
-		}
-		return err
-	}
 	for i := range instances {
 		if p.fgate.fireReplica(i) {
-			return rollback(fmt.Errorf("serve: building standby replica %d: %w", i, errModelFault))
+			return fmt.Errorf("serve: building standby replica %d: %w", i, errModelFault)
 		}
 		sys, err := corepythia.LoadSystem(p.db, cfg, bytes.NewReader(data))
 		if err != nil {
-			return rollback(fmt.Errorf("serve: loading snapshot into replica %d: %w", i, err))
+			return fmt.Errorf("serve: loading snapshot into replica %d: %w", i, err)
 		}
 		if i == 0 && len(sys.Workloads()) == 0 {
-			return rollback(errors.New("serve: snapshot contains no trained workloads"))
-		}
-		if p.opts.Quantize {
-			quantizeSystem(sys)
+			return errors.New("serve: snapshot contains no trained workloads")
 		}
 		instances[i] = newInstance(i, genID, sys, p.metrics, p.fgate, p.opts)
 	}
@@ -377,12 +250,6 @@ func (p *Pool) Swap(r io.Reader) error {
 	p.warmUp(next)
 	p.cur.Store(next)
 	p.swaps.Add(1)
-	//pythia:goleak-ok drain loop is deadline-bounded: drain polls in-flight counts for at most drainTimeout per retired instance
-	go func() {
-		for _, ins := range old.instances {
-			ins.drain()
-		}
-	}()
 	return nil
 }
 
@@ -407,12 +274,5 @@ func (p *Pool) warmUp(next *generation) {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		_, _ = next.instances[next.ring.lookup(fp)].predict(ctx, e.q, e.root, fp)
 		cancel()
-	}
-}
-
-// Close tears down the current generation's batch collectors.
-func (p *Pool) Close() {
-	for _, ins := range p.cur.Load().instances {
-		ins.close()
 	}
 }

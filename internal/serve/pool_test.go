@@ -43,7 +43,6 @@ func expectedPages(t *testing.T, srv *Server, sys *corepythia.System, q plan.Que
 func TestPoolCacheAffinity(t *testing.T) {
 	base, w := testServer(t)
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 3})
-	t.Cleanup(srv.Close)
 	insts := distinctInstances(t, srv, w, 6)
 
 	owner := map[int]int{}
@@ -97,7 +96,6 @@ func TestReplicaCountDoesNotChangeAnswers(t *testing.T) {
 	}
 	run := func(replicas int) []answer {
 		srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: replicas})
-		defer srv.Close()
 		var out []answer
 		for k, body := range bodies {
 			rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(body))
@@ -152,7 +150,6 @@ func TestSwapUnderLoad(t *testing.T) {
 		MaxInFlight:  -1,
 		QueueDepth:   -1,
 	})
-	t.Cleanup(srv.Close)
 
 	probes := distinctInstances(t, srv, w, 4)
 	want := map[uint64][][]pageJSON{1: {}, 2: {}}
@@ -238,7 +235,6 @@ func TestSwapUnderLoad(t *testing.T) {
 func TestSwapRejectsBadSnapshot(t *testing.T) {
 	base, w := testServer(t)
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 2})
-	t.Cleanup(srv.Close)
 
 	if err := srv.inf.Swap(strings.NewReader("not a snapshot")); err == nil {
 		t.Fatal("garbage snapshot did not error")
@@ -280,7 +276,6 @@ func TestAdminReloadHTTP(t *testing.T) {
 	}
 
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{SnapshotPath: snap})
-	t.Cleanup(srv.Close)
 
 	// Empty body → reload from the configured path.
 	rr := doRequest(t, srv, http.MethodPost, "/v1/admin/reload", nil)
@@ -347,7 +342,6 @@ func TestAdminReloadHTTP(t *testing.T) {
 	// A server with no snapshot configured refuses pathless reloads with the
 	// typed 400.
 	bare := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{})
-	t.Cleanup(bare.Close)
 	rr = doRequest(t, bare, http.MethodPost, "/v1/admin/reload", nil)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("no-snapshot status %d: %s", rr.Code, rr.Body.String())
@@ -379,7 +373,6 @@ func (s *stubInferencer) Status() InfStatus                   { return InfStatus
 func (s *stubInferencer) BaselineID() *corepythia.BaselineID  { return nil }
 func (s *stubInferencer) Feedback(int, quality.Score)         {}
 func (s *stubInferencer) Swap(io.Reader) error                { return nil }
-func (s *stubInferencer) Close()                              {}
 
 // TestServerWithStubInferencer: the Inferencer seam lets tests drive the HTTP
 // contract without training anything — and pins the error mapping from
@@ -396,7 +389,6 @@ func TestServerWithStubInferencer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 
 	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
 	if rr.Code != http.StatusOK {
@@ -446,31 +438,25 @@ func TestOptionsNormalize(t *testing.T) {
 	}
 	if norm.RequestTimeout != 5*time.Second || norm.MaxInFlight != 64 ||
 		norm.MaxBodyBytes != 1<<20 || norm.CacheEntries != 4096 ||
-		norm.BatchWindow != 2*time.Millisecond || norm.MaxBatch != 16 ||
 		norm.Replicas != 1 || norm.QueueDepth != 32 ||
 		norm.QuarantineThreshold != 5 || norm.QuarantineBackoff != time.Second ||
-		norm.QuarantineProbes != 3 || norm.MaxFailovers != 2 || norm.HedgeAfter != 0 {
+		norm.QuarantineProbes != 3 || norm.MaxFailovers != 2 {
 		t.Fatalf("defaults wrong: %+v", norm)
 	}
 	norm, err = Options{MaxInFlight: -1, MaxBodyBytes: -1, CacheEntries: -1, QueueDepth: -1,
-		BatchWindow: -1, QuarantineThreshold: -1, MaxFailovers: -1}.Normalize()
+		QuarantineThreshold: -1, MaxFailovers: -1}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm.MaxInFlight != 0 || norm.MaxBodyBytes != 0 || norm.CacheEntries != 0 ||
-		norm.QueueDepth != 0 || norm.BatchWindow != 0 ||
+		norm.QueueDepth != 0 ||
 		norm.QuarantineThreshold != 0 || norm.MaxFailovers != 0 {
 		t.Fatalf("negatives did not disable: %+v", norm)
 	}
 
 	invalid := []Options{
 		{Replicas: -1},
-		{MaxBatch: 8, BatchWindow: -time.Millisecond},
-		{MaxBatch: 32, MaxInFlight: 8},
 		{QuarantineThreshold: 3, QuarantineBackoff: -time.Second},
-		{HedgeAfter: -time.Millisecond, Replicas: 2},
-		{HedgeAfter: 10 * time.Millisecond},              // hedging needs a successor
-		{HedgeAfter: 10 * time.Millisecond, Replicas: 1}, // explicit single replica
 	}
 	for i, o := range invalid {
 		if _, err := o.Normalize(); err == nil {

@@ -109,17 +109,9 @@ func (s *Server) writePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE pythia_replica_failovers_total counter")
 	fmt.Fprintf(w, "pythia_replica_failovers_total %d\n", m.failovers.Load())
 
-	fmt.Fprintln(w, "# HELP pythia_request_hedges_total Hedge attempts launched after the hedge delay elapsed.")
-	fmt.Fprintln(w, "# TYPE pythia_request_hedges_total counter")
-	fmt.Fprintf(w, "pythia_request_hedges_total %d\n", m.hedges.Load())
-
-	fmt.Fprintln(w, "# HELP pythia_request_hedge_wins_total Hedged requests where the hedge attempt answered first.")
-	fmt.Fprintln(w, "# TYPE pythia_request_hedge_wins_total counter")
-	fmt.Fprintf(w, "pythia_request_hedge_wins_total %d\n", m.hedgeWins.Load())
-
-	// Inference fast path, summed across replicas. The families render whether
-	// or not the cache and batcher are enabled (zeros when disabled) so the
-	// exposition shape is independent of configuration.
+	// Prediction cache, summed across replicas. The families render whether
+	// or not the cache is enabled (zeros when disabled) so the exposition
+	// shape is independent of configuration.
 	var pcHits, pcMisses, pcEvicts uint64
 	var pcEntries, pcCap int
 	for _, r := range st.Replicas {
@@ -145,26 +137,15 @@ func (s *Server) writePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE pythia_predcache_capacity gauge")
 	fmt.Fprintf(w, "pythia_predcache_capacity %d\n", pcCap)
 
-	var batches, batched uint64
-	for _, r := range st.Replicas {
-		batches += r.Batches
-		batched += r.BatchedReqs
-	}
-	fmt.Fprintln(w, "# HELP pythia_inference_batches_total Multi-request batched forward passes dispatched.")
-	fmt.Fprintln(w, "# TYPE pythia_inference_batches_total counter")
-	fmt.Fprintf(w, "pythia_inference_batches_total %d\n", batches)
-	fmt.Fprintln(w, "# HELP pythia_batched_requests_total Requests served inside a multi-request batch.")
-	fmt.Fprintln(w, "# TYPE pythia_batched_requests_total counter")
-	fmt.Fprintf(w, "pythia_batched_requests_total %d\n", batched)
-
 	fmt.Fprintln(w, "# HELP pythia_replica_health Worst replica health state (0=healthy, 1=degraded, 2=probation, 3=quarantined).")
 	fmt.Fprintln(w, "# TYPE pythia_replica_health gauge")
 	healthValue, _ := worstHealthState(st)
 	fmt.Fprintf(w, "pythia_replica_health %d\n", healthValue)
 
-	// Prediction quality and workload drift. Like the fast-path families the
-	// quality rows render unconditionally (zeros before any feedback), so the
-	// exposition shape never depends on whether clients report ground truth.
+	// Prediction quality and workload drift. Like the prediction-cache
+	// families the quality rows render unconditionally (zeros before any
+	// feedback), so the exposition shape never depends on whether clients
+	// report ground truth.
 	q := s.qualitySnapshot()
 	fmt.Fprintln(w, "# HELP pythia_quality_feedback_total Predictions scored against executor ground truth via /v1/feedback.")
 	fmt.Fprintln(w, "# TYPE pythia_quality_feedback_total counter")

@@ -133,7 +133,6 @@ func TestFeedbackRejectsBadInput(t *testing.T) {
 func TestServeDriftMonitorOnTrainingMix(t *testing.T) {
 	_, w := testServer(t)
 	srv := mustServer(t, fixtureSys.DB, fixtureSys, NewMetrics(nil), Options{})
-	defer srv.Close()
 
 	// 160 training-mix predictions cross the serve tier's 64-plan evaluation
 	// cadence at least twice.
@@ -188,7 +187,6 @@ func TestUnmatchedPlansFeedDrift(t *testing.T) {
 			t.Errorf("replicas=%d: %d unmatched plans moved drift evaluations to %d, want >= 2",
 				replicas, st.Fallbacks, st.Drift.Evaluations)
 		}
-		srv.Close()
 	}
 }
 

@@ -99,19 +99,6 @@ type Options struct {
 	// identical plans answer from it without running inference. Default 4096
 	// entries per replica; negative disables caching.
 	CacheEntries int
-	// BatchWindow is how long a cache miss waits to coalesce with other
-	// concurrent misses into one batched forward pass. Only misses that
-	// arrive while another miss is in flight wait at all — an idle server
-	// always takes the direct path. Default 2ms; negative disables
-	// micro-batching.
-	BatchWindow time.Duration
-	// MaxBatch caps how many misses coalesce into one batched pass; a full
-	// batch dispatches before the window elapses. Default 16.
-	MaxBatch int
-	// Quantize switches every trained model to int8 inference at server
-	// construction (per-tensor symmetric weights; see nn.QuantizeMat).
-	// Irreversible for the process lifetime of the models.
-	Quantize bool
 	// Replicas is the number of independent model replicas behind the
 	// consistent-hash router. 1 (the default) is a one-node ring over the
 	// trained system itself; N > 1 snapshots it and decodes N-1 clones, so
@@ -146,13 +133,6 @@ type Options struct {
 	// saturated, or faulting. Default 2; negative disables failover (the
 	// owner's error reaches the client: 503 on saturation, 500 on faults).
 	MaxFailovers int
-	// HedgeAfter arms request hedging: when a pool prediction has waited this
-	// long (or the pool's observed p95 latency, whichever is larger), a
-	// second attempt launches on the ring successor and the first response
-	// wins, canceling the loser. Zero (the default) disables hedging — this
-	// field is opt-in, not zero=default. Requires Replicas > 1; negative is
-	// rejected by Normalize.
-	HedgeAfter time.Duration
 }
 
 // Normalize resolves the zero=default / negative=disable convention into
@@ -167,20 +147,8 @@ func (o Options) Normalize() (Options, error) {
 	if o.Replicas < 0 {
 		return o, fmt.Errorf("serve: Replicas must be >= 0, got %d", o.Replicas)
 	}
-	if o.MaxBatch > 1 && o.BatchWindow < 0 {
-		return o, fmt.Errorf("serve: MaxBatch %d with micro-batching disabled (negative BatchWindow)", o.MaxBatch)
-	}
 	if o.QuarantineThreshold > 0 && o.QuarantineBackoff < 0 {
 		return o, fmt.Errorf("serve: QuarantineThreshold %d with disabled QuarantineBackoff: a quarantined replica could never be probed (disable health tracking with a negative threshold instead)", o.QuarantineThreshold)
-	}
-	if o.HedgeAfter < 0 {
-		return o, fmt.Errorf("serve: negative HedgeAfter %v", o.HedgeAfter)
-	}
-	if o.HedgeAfter > 0 && o.Replicas >= 0 && o.Replicas <= 1 {
-		return o, fmt.Errorf("serve: HedgeAfter %v requires Replicas > 1: a single replica has no successor to hedge on", o.HedgeAfter)
-	}
-	if o.MaxBatch > 0 && o.MaxInFlight > 0 && o.MaxBatch > o.MaxInFlight {
-		return o, fmt.Errorf("serve: MaxBatch %d exceeds MaxInFlight %d: a full batch could never assemble", o.MaxBatch, o.MaxInFlight)
 	}
 	def := func(v, d time.Duration) time.Duration {
 		if v == 0 {
@@ -201,18 +169,11 @@ func (o Options) Normalize() (Options, error) {
 	case o.MaxBodyBytes < 0:
 		o.MaxBodyBytes = 0
 	}
-	o.BatchWindow = def(o.BatchWindow, 2*time.Millisecond)
 	switch {
 	case o.CacheEntries == 0:
 		o.CacheEntries = 4096
 	case o.CacheEntries < 0:
 		o.CacheEntries = 0
-	}
-	switch {
-	case o.MaxBatch == 0:
-		o.MaxBatch = 16
-	case o.MaxBatch < 1:
-		o.MaxBatch = 1
 	}
 	if o.Replicas == 0 {
 		o.Replicas = 1
@@ -266,9 +227,8 @@ type Server struct {
 	qmu     sync.Mutex
 	qwin    *quality.Window
 
-	inflight  atomic.Int64
-	draining  atomic.Bool
-	closeOnce sync.Once
+	inflight atomic.Int64
+	draining atomic.Bool
 }
 
 // New assembles a server over a database and its trained system, building a
@@ -297,8 +257,8 @@ func New(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Op
 // NewWithInferencer assembles a server over an externally built Inferencer —
 // the seam server tests use to stub inference without training anything, and
 // the hook for alternative model tiers. Options are normalized the same way
-// as New, but topology fields (Replicas, Quantize) are the Inferencer's
-// business and ignored here.
+// as New, but the topology field (Replicas) is the Inferencer's business and
+// ignored here.
 func NewWithInferencer(db *catalog.Database, inf Inferencer, metrics *Metrics, opts Options) (*Server, error) {
 	norm, err := opts.Normalize()
 	if err != nil {
@@ -311,12 +271,9 @@ func NewWithInferencer(db *catalog.Database, inf Inferencer, metrics *Metrics, o
 		qwin: quality.NewWindow(qualityWindowSize)}, nil
 }
 
-// Close tears down the inferencer's background machinery (micro-batch
-// collectors; requests keep working on the direct path afterwards). Safe to
-// call more than once.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() { s.inf.Close() })
-}
+// Close is a no-op: the serving tier runs nothing in the background, so
+// there is nothing to tear down. It stays because bench/ calls it.
+func (s *Server) Close() {}
 
 // Options returns the server's resolved effective options.
 func (s *Server) Options() Options { return s.opts }
@@ -684,15 +641,12 @@ type statsResponse struct {
 	Shed                   uint64            `json:"requests_shed"`
 	Timeouts               uint64            `json:"inference_timeouts"`
 	Failovers              uint64            `json:"replica_failovers"`
-	Hedges                 uint64            `json:"request_hedges"`
-	HedgeWins              uint64            `json:"request_hedge_wins"`
 	HealthState            string            `json:"health_state"`
 	Draining               bool              `json:"draining"`
 	Generation             uint64            `json:"generation"`
 	Swaps                  uint64            `json:"swaps"`
 	Replicas               []ReplicaStatus   `json:"replicas"`
 	PredCache              *predCacheStats   `json:"predcache,omitempty"`
-	Batching               *batchingStats    `json:"batching,omitempty"`
 	// Quality aggregates the feedback-scored prediction quality server-wide;
 	// per-replica views are in the replicas rows. Always present — zeros mean
 	// "no feedback yet", and rendering the block unconditionally keeps the
@@ -779,15 +733,6 @@ type predCacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// batchingStats is the /stats view of the micro-batchers, summed across
-// replicas.
-type batchingStats struct {
-	WindowMS        float64 `json:"window_ms"`
-	MaxBatch        int     `json:"max_batch"`
-	Batches         uint64  `json:"batches"`
-	BatchedRequests uint64  `json:"batched_requests"`
-}
-
 // worstHealthState returns the most-degraded replica health state
 // (quarantined > probation > degraded > healthy) — the single-gauge view a
 // fleet dashboard alerts on; per-replica states are in the replicas rows.
@@ -824,8 +769,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shed:                   m.sheds.Load(),
 		Timeouts:               m.timeouts.Load(),
 		Failovers:              m.failovers.Load(),
-		Hedges:                 m.hedges.Load(),
-		HedgeWins:              m.hedgeWins.Load(),
 		HealthState:            healthName,
 		Draining:               s.draining.Load(),
 		Generation:             st.Generation,
@@ -849,17 +792,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			pc.Evictions += r.CacheEvictions
 		}
 		resp.PredCache = pc
-	}
-	if s.opts.BatchWindow > 0 && s.opts.MaxBatch > 1 {
-		bt := &batchingStats{
-			WindowMS: float64(s.opts.BatchWindow.Microseconds()) / 1000,
-			MaxBatch: s.opts.MaxBatch,
-		}
-		for _, r := range st.Replicas {
-			bt.Batches += r.Batches
-			bt.BatchedRequests += r.BatchedReqs
-		}
-		resp.Batching = bt
 	}
 	writeJSON(w, resp)
 }
