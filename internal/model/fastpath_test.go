@@ -39,28 +39,20 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// benchModel builds an untrained paper-scale model (inference cost does not
-// depend on the weights' values, only their shapes).
-func benchModel() (*Model, []int) {
-	cfg := DefaultConfig()
-	cfg.Dim = 64
-	cfg.Heads = 8
-	cfg.Layers = 2
-	cfg.DecoderHidden = 512
-	labels := make([]storage.PageID, 4000)
+// BenchmarkInfer times one uncached prediction at the shapes the benchmark's
+// serve_miss workload serves: a 37-token plan through an untrained
+// DefaultConfig model over about 300 pages (inference cost depends on the
+// weights' shapes, not their values).
+func BenchmarkInfer(b *testing.B) {
+	labels := make([]storage.PageID, 300)
 	for i := range labels {
 		labels[i] = pg(1, uint32(i))
 	}
-	m := New(64, labels, cfg)
-	seq := make([]int, 24)
+	m := New(64, labels, DefaultConfig())
+	seq := make([]int, 37)
 	for i := range seq {
 		seq[i] = i % 64
 	}
-	return m, seq
-}
-
-func BenchmarkInferFloat32(b *testing.B) {
-	m, seq := benchModel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(seq)

@@ -107,3 +107,29 @@ func (rt Runtime) add(a, b *Mat) *Mat {
 	rt.Pool.AddInto(dst, a, b)
 	return dst
 }
+
+// rowsFrom returns rows [from, x.Rows) of x — x itself when from is 0,
+// otherwise a copy, so the result can be cached for a backward pass.
+//
+//pythia:noalloc
+func (rt Runtime) rowsFrom(x *Mat, from int) *Mat {
+	if from == 0 {
+		return x
+	}
+	dst := rt.get(x.Rows-from, x.Cols)
+	copy(dst.Data, x.Data[from*x.Cols:])
+	return dst
+}
+
+// padRows is rowsFrom's inverse: an n-row matrix holding x in rows
+// [from, n) and +0 above them — x itself when from is 0.
+//
+//pythia:noalloc
+func (rt Runtime) padRows(x *Mat, from, n int) *Mat {
+	if from == 0 {
+		return x
+	}
+	dst := rt.get(n, x.Cols)
+	copy(dst.Data[from*x.Cols:], x.Data)
+	return dst
+}

@@ -12,8 +12,8 @@ import (
 // dimension 100 (paper §5.1); the experiment configs scale the dimensions
 // down but keep the architecture.
 //
-// Heads are independent by construction, so Forward and Backward fan the
-// per-head work out across the worker pool (Pool.Run): each head task
+// Heads are independent by construction, so forwardFrom and backwardFrom fan
+// the per-head work out across the worker pool (Pool.Run): each head task
 // computes with serial kernels into scratch the caller pre-allocated, and
 // writes only its own head's column block of the shared outputs. The
 // per-head math is byte-for-byte the serial loop body, so results are
@@ -27,7 +27,7 @@ type MHSA struct {
 
 	// caches for backward
 	q, k, v *Mat
-	attn    []*Mat // per-head attention probabilities (n×n)
+	attn    []*Mat // per-head attention probabilities (query rows × n)
 	concat  *Mat
 
 	// Per-head scratch pointer slices, retained across steps so the only
@@ -97,16 +97,29 @@ func (a *MHSA) headAccum(dst, src *Mat, h int) {
 }
 
 // Forward computes self-attention over the n×D sequence x.
-func (a *MHSA) Forward(x *Mat) *Mat {
-	a.q = a.Wq.Forward(x)
+func (a *MHSA) Forward(x *Mat) *Mat { return a.forwardFrom(x, 0) }
+
+// Backward propagates dY through the attention block and returns dX.
+func (a *MHSA) Backward(dy *Mat) *Mat { return a.backwardFrom(dy, 0) }
+
+// forwardFrom computes the attention output for query rows [from, n) of the
+// n×D sequence x: keys and values are projected for every row, everything
+// on the query side — Q, scores, softmax, the head outputs and Wo — only
+// for the m = n−from rows asked for. An output row depends on its own
+// query row and on all of K and V, never on another query row, and each
+// kernel computes a row with the same operations in the same order whatever
+// rows sit beside it, so the m×D result equals rows [from, n) of
+// forwardFrom(x, 0) bit for bit.
+func (a *MHSA) forwardFrom(x *Mat, from int) *Mat {
+	n, m := x.Rows, x.Rows-from
+	a.q = a.Wq.Forward(a.rt.rowsFrom(x, from))
 	a.k = a.Wk.Forward(x)
 	a.v = a.Wv.Forward(x)
-	n := x.Rows
 	if cap(a.attn) < a.H {
 		a.attn = make([]*Mat, a.H)
 	}
 	a.attn = a.attn[:a.H]
-	a.concat = a.rt.get(n, a.D)
+	a.concat = a.rt.get(m, a.D)
 	scale := 1 / math.Sqrt(float64(a.Dh))
 	// Pre-allocate every head's scratch on the calling goroutine — the
 	// arena is single-owner, so worker tasks must not call Get. The pointer
@@ -119,41 +132,48 @@ func (a *MHSA) Forward(x *Mat) *Mat {
 	}
 	a.qh, a.kh, a.vh, a.oh = a.qh[:a.H], a.kh[:a.H], a.vh[:a.H], a.oh[:a.H]
 	for h := 0; h < a.H; h++ {
-		a.qh[h] = a.rt.get(n, a.Dh)
+		a.qh[h] = a.rt.get(m, a.Dh)
 		a.kh[h] = a.rt.get(n, a.Dh)
 		a.vh[h] = a.rt.get(n, a.Dh)
-		a.oh[h] = a.rt.get(n, a.Dh)
-		a.attn[h] = a.rt.get(n, n)
+		a.oh[h] = a.rt.get(m, a.Dh)
+		a.attn[h] = a.rt.get(m, n)
 	}
 	if a.rt.Pool.Threads() == 1 {
 		for h := 0; h < a.H; h++ {
-			a.forwardHead(h, n, scale)
+			a.forwardHead(h, scale)
 		}
 	} else {
-		a.rt.Pool.Run(a.H, func(h int) { a.forwardHead(h, n, scale) })
+		a.rt.Pool.Run(a.H, func(h int) { a.forwardHead(h, scale) })
 	}
 	return a.Wo.Forward(a.concat)
 }
 
 // forwardHead computes one head's attention into its scratch and accumulates
 // the result into the head's column block of concat — the Pool.Run task unit.
-func (a *MHSA) forwardHead(h, n int, scale float64) {
+func (a *MHSA) forwardHead(h int, scale float64) {
 	a.headViewInto(a.qh[h], a.q, h)
 	a.headViewInto(a.kh[h], a.k, h)
 	a.headViewInto(a.vh[h], a.v, h)
 	scores := a.attn[h]
-	matMulT2Rows(scores, a.qh[h], a.kh[h], 0, n)
+	matMulT2Rows(scores, a.qh[h], a.kh[h], 0, scores.Rows)
 	scores.Scale(scale)
 	scores.SoftmaxRows()
-	matMulRows(a.oh[h], scores, a.vh[h], 0, n)
+	matMulRows(a.oh[h], scores, a.vh[h], 0, scores.Rows)
 	a.headAccum(a.concat, a.oh[h], h)
 }
 
-// Backward propagates dY through the attention block and returns dX.
-func (a *MHSA) Backward(dy *Mat) *Mat {
+// backwardFrom is forwardFrom's backward pass: dy is the m×D gradient of the
+// rows forwardFrom(x, from) returned, the result the n×D gradient of x. It is
+// what backwardFrom(·, 0) computes from dy zero-padded to n rows, bit for
+// bit: a zero gradient row turns into +0 rows of dConcat, dAttn, dScores and
+// dQ, and into "+ (±0)" terms at the head of the sums over query rows that
+// make dK, dV and the weight gradients — sums that start from +0, which
+// adding a zero of either sign leaves at +0 — so dropping those rows drops
+// nothing a later step could see.
+func (a *MHSA) backwardFrom(dy *Mat, from int) *Mat {
 	dConcat := a.Wo.Backward(dy)
-	n := dy.Rows
-	dq := a.rt.get(n, a.D)
+	n, m := a.k.Rows, dy.Rows
+	dq := a.rt.get(m, a.D)
 	dk := a.rt.get(n, a.D)
 	dv := a.rt.get(n, a.D)
 	scale := 1 / math.Sqrt(float64(a.Dh))
@@ -163,20 +183,25 @@ func (a *MHSA) Backward(dy *Mat) *Mat {
 	a.bs = a.bs[:a.H]
 	for h := range a.bs {
 		a.bs[h] = headScratch{
-			doh: a.rt.get(n, a.Dh), qh: a.rt.get(n, a.Dh), kh: a.rt.get(n, a.Dh),
+			doh: a.rt.get(m, a.Dh), qh: a.rt.get(m, a.Dh), kh: a.rt.get(n, a.Dh),
 			vh: a.rt.get(n, a.Dh), dvh: a.rt.get(n, a.Dh),
-			dattn: a.rt.get(n, n), dscores: a.rt.get(n, n),
-			dqh: a.rt.get(n, a.Dh), dkh: a.rt.get(n, a.Dh),
+			dattn: a.rt.get(m, n), dscores: a.rt.get(m, n),
+			dqh: a.rt.get(m, a.Dh), dkh: a.rt.get(n, a.Dh),
 		}
 	}
 	if a.rt.Pool.Threads() == 1 {
 		for h := 0; h < a.H; h++ {
-			a.backwardHead(h, n, scale, dConcat, dq, dk, dv)
+			a.backwardHead(h, scale, dConcat, dq, dk, dv)
 		}
 	} else {
-		a.rt.Pool.Run(a.H, func(h int) { a.backwardHead(h, n, scale, dConcat, dq, dk, dv) })
+		a.rt.Pool.Run(a.H, func(h int) { a.backwardHead(h, scale, dConcat, dq, dk, dv) })
 	}
-	dx := a.Wq.Backward(dq)
+	// The one place the sign of a zero could differ from the zero-padded
+	// full pass, so dx is built exactly as that pass builds it: the
+	// query-side gradient in rows [from, n) of a zeroed n×D matrix (the full
+	// pass has +0 there, see above), then the key- and value-side gradients
+	// added in the same order — (+0 + −0) + −0 is +0 where −0 + −0 is −0.
+	dx := a.rt.padRows(a.Wq.Backward(dq), from, n)
 	a.rt.Pool.AddInPlace(dx, a.Wk.Backward(dk))
 	a.rt.Pool.AddInPlace(dx, a.Wv.Backward(dv))
 	return dx
@@ -184,19 +209,20 @@ func (a *MHSA) Backward(dy *Mat) *Mat {
 
 // backwardHead propagates one head's gradient through attention and
 // accumulates into the head's column blocks of dq/dk/dv — the Pool.Run task
-// unit of Backward.
-func (a *MHSA) backwardHead(h, n int, scale float64, dConcat, dq, dk, dv *Mat) {
+// unit of backwardFrom.
+func (a *MHSA) backwardHead(h int, scale float64, dConcat, dq, dk, dv *Mat) {
 	s := &a.bs[h]
 	a.headViewInto(s.doh, dConcat, h)
 	a.headViewInto(s.qh, a.q, h)
 	a.headViewInto(s.kh, a.k, h)
 	a.headViewInto(s.vh, a.v, h)
 	attn := a.attn[h]
+	m, n := attn.Rows, attn.Cols
 
 	matMulT1Rows(s.dvh, attn, s.doh, 0, n)   // n×Dh
-	matMulT2Rows(s.dattn, s.doh, s.vh, 0, n) // n×n
+	matMulT2Rows(s.dattn, s.doh, s.vh, 0, m) // m×n
 	// Softmax backward, row-wise: dS = A ⊙ (dA − Σⱼ dAⱼAⱼ).
-	for i := 0; i < n; i++ {
+	for i := 0; i < m; i++ {
 		arow := attn.Row(i)
 		darow := s.dattn.Row(i)
 		dot := 0.0
@@ -209,7 +235,7 @@ func (a *MHSA) backwardHead(h, n int, scale float64, dConcat, dq, dk, dv *Mat) {
 		}
 	}
 	s.dscores.Scale(scale)
-	matMulRows(s.dqh, s.dscores, s.kh, 0, n)   // n×Dh
+	matMulRows(s.dqh, s.dscores, s.kh, 0, m)   // m×Dh
 	matMulT1Rows(s.dkh, s.dscores, s.qh, 0, n) // n×Dh
 	a.headAccum(dq, s.dqh, h)
 	a.headAccum(dk, s.dkh, h)

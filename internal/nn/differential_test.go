@@ -1,0 +1,225 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"github.com/pythia-db/pythia/internal/sim"
+)
+
+// Differential oracles: the blocked kernels against triple loops written
+// here, and the pruned encoder against the same layers run over every row.
+
+func naiveMatMul(a, b *Mat) *Mat {
+	out := NewMat(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := 0.0
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+func naiveMatMulT1(a, b *Mat) *Mat {
+	out := NewMat(a.Cols, b.Cols)
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := 0.0
+			for r := 0; r < a.Rows; r++ {
+				s += a.At(r, i) * b.At(r, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// naiveAccumT1 is dst += aᵀ @ b with AccumT1Into's contract: a step whose
+// left factor is exactly zero is skipped, not added as a zero.
+func naiveAccumT1(dst, a, b *Mat) {
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			for r := 0; r < a.Rows; r++ {
+				if av := a.At(r, i); av != 0 {
+					dst.Set(i, j, dst.At(i, j)+av*b.At(r, j))
+				}
+			}
+		}
+	}
+}
+
+func naiveMatMulT2(a, b *Mat) *Mat {
+	out := NewMat(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			s := 0.0
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// sparsify zeroes about a third of m, some as −0.
+func sparsify(r *sim.Rand, m *Mat) {
+	for i := range m.Data {
+		switch r.Intn(6) {
+		case 0:
+			m.Data[i] = 0
+		case 1:
+			m.Data[i] = math.Copysign(0, -1)
+		}
+	}
+}
+
+func TestKernelsMatchNaive(t *testing.T) {
+	pools := []*Pool{NewPool(1), NewPool(2), NewPool(3)}
+	r := sim.NewRand(17)
+	for c := 0; c < 240; c++ {
+		// Sizes 1..48 hit every remainder of the four-way blocks on both
+		// sides of parallelMinWork; the forced cases add 1-row and 1-column
+		// operands and the flat, wide product that shards by column.
+		m, k, n := 1+r.Intn(48), 1+r.Intn(48), 1+r.Intn(48)
+		switch c % 8 {
+		case 1:
+			m = 1
+		case 3:
+			n = 1
+		case 5:
+			k = 1
+		case 7:
+			m, n = 1+r.Intn(3), 300+r.Intn(900)
+		}
+		a, at, b, bt := randMat(r, m, k), randMat(r, k, m), randMat(r, k, n), randMat(r, n, k)
+		if c%2 == 0 {
+			sparsify(r, a)
+			sparsify(r, at)
+		}
+		acc := randMat(r, m, n)
+		wantMM, wantT1, wantT2 := naiveMatMul(a, b), naiveMatMulT1(at, b), naiveMatMulT2(a, bt)
+		wantAcc := acc.Clone()
+		naiveAccumT1(wantAcc, at, b)
+		for _, p := range pools {
+			tag := fmt.Sprintf(" %dx%dx%d threads=%d", m, k, n, p.Threads())
+			got := NewMat(m, n)
+			p.MatMulInto(got, a, b)
+			bitwiseEq(t, "MatMulInto"+tag, got, wantMM)
+			p.MatMulT1Into(got, at, b)
+			bitwiseEq(t, "MatMulT1Into"+tag, got, wantT1)
+			p.MatMulT2Into(got, a, bt)
+			bitwiseEq(t, "MatMulT2Into"+tag, got, wantT2)
+			got = acc.Clone()
+			p.AccumT1Into(got, at, b)
+			bitwiseEq(t, "AccumT1Into"+tag, got, wantAcc)
+		}
+	}
+}
+
+// fullForward and fullBackward are the unpruned encoder: every layer over
+// every row, the last row copied out, and its gradient zero-padded back to
+// n rows on the way in.
+func fullForward(e *Encoder, ids []int) *Mat {
+	x := e.Emb.Forward(ids)
+	AddPositional(x)
+	for _, l := range e.Layers {
+		x = l.forwardFrom(x, 0)
+	}
+	rep := NewMat(1, e.D)
+	copy(rep.Row(0), x.Row(x.Rows-1))
+	return rep
+}
+
+func fullBackward(e *Encoder, dRep *Mat, n int) {
+	dx := NewMat(n, e.D)
+	copy(dx.Row(n-1), dRep.Row(0))
+	for i := len(e.Layers) - 1; i >= 0; i-- {
+		dx = e.Layers[i].backwardFrom(dx, 0)
+	}
+	e.Emb.Backward(dx)
+}
+
+func TestEncoderPrunedMatchesFull(t *testing.T) {
+	const steps = 20
+	for _, layers := range []int{1, 2, 3} {
+		for _, seqLen := range []int{1, 2, 37} {
+			for _, threads := range []int{1, 2} {
+				build := func() (*Encoder, *Adam, Runtime) {
+					enc := NewEncoder(EncoderConfig{Vocab: 50, Dim: 32, Heads: 4, Layers: layers}, sim.NewRand(23))
+					rt := Runtime{Pool: NewPool(threads), Arena: NewArena()}
+					enc.SetRuntime(rt)
+					return enc, NewAdam(3e-3, enc.Params()), rt
+				}
+				pruned, popt, prt := build()
+				full, fopt, frt := build()
+				r := sim.NewRand(uint64(100*layers + seqLen))
+				for step := 0; step < steps; step++ {
+					ids := make([]int, seqLen)
+					for i := range ids {
+						ids[i] = r.Intn(50) // repeats scatter twice into one embedding row
+					}
+					dRep := randMat(r, 1, 32)
+					tag := fmt.Sprintf("layers=%d n=%d threads=%d step=%d ", layers, seqLen, threads, step)
+
+					prt.Arena.Release()
+					popt.ZeroGrad()
+					rep := pruned.Forward(ids)
+					pruned.Backward(dRep)
+
+					frt.Arena.Release()
+					fopt.ZeroGrad()
+					bitwiseEq(t, tag+"representation", rep, fullForward(full, ids))
+					fullBackward(full, dRep, seqLen)
+
+					fp := full.Params()
+					for i, p := range pruned.Params() {
+						bitwiseEq(t, tag+p.Name+".G", p.G, fp[i].G)
+					}
+					popt.Step()
+					fopt.Step()
+					for i, p := range pruned.Params() {
+						bitwiseEq(t, tag+p.Name+".W", p.W, fp[i].W)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestPositionalTableMatchesFormula(t *testing.T) {
+	// A width nothing else in the package uses, so the lengths below are
+	// what grows the table — concurrently, from both goroutines.
+	const d = 14
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, rows := range []int{1, 3 + g, 40, 7, 200 + 50*g, 1000} {
+				x := NewMat(rows, d)
+				AddPositional(x)
+				for pos := 0; pos < rows; pos++ {
+					for j := 0; j < d; j++ {
+						angle := float64(pos) / math.Pow(10000, float64(2*(j/2))/float64(d))
+						want := math.Sin(angle)
+						if j%2 == 1 {
+							want = math.Cos(angle)
+						}
+						if got := x.At(pos, j); math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("rows=%d: position %d column %d = %v, want %v", rows, pos, j, got, want)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -1,6 +1,10 @@
 package nn
 
-import "github.com/pythia-db/pythia/internal/sim"
+import (
+	"strconv"
+
+	"github.com/pythia-db/pythia/internal/sim"
+)
 
 // FFN is the transformer's position-wise feed-forward block:
 // Linear → ReLU → Linear.
@@ -80,29 +84,50 @@ func (e *EncoderLayer) Params() []*Param {
 }
 
 // Forward runs the layer over an n×D sequence.
-func (e *EncoderLayer) Forward(x *Mat) *Mat {
-	h := e.LN1.Forward(e.rt.add(x, e.Attn.Forward(x)))
+func (e *EncoderLayer) Forward(x *Mat) *Mat { return e.forwardFrom(x, 0) }
+
+// Backward returns dX.
+func (e *EncoderLayer) Backward(dy *Mat) *Mat { return e.backwardFrom(dy, 0) }
+
+// forwardFrom returns rows [from, n) of the layer's output over the n×D
+// sequence x. Attention reads every row of x for its keys and values; the
+// residual adds, both LayerNorms and the FFN are row-wise, so they run on
+// the m = n−from rows alone and produce the bits the full pass would.
+func (e *EncoderLayer) forwardFrom(x *Mat, from int) *Mat {
+	h := e.LN1.Forward(e.rt.add(e.rt.rowsFrom(x, from), e.Attn.forwardFrom(x, from)))
 	return e.LN2.Forward(e.rt.add(h, e.FF.Forward(h)))
 }
 
-// Backward returns dX.
-func (e *EncoderLayer) Backward(dy *Mat) *Mat {
+// backwardFrom takes the m×D gradient of forwardFrom's rows and returns the
+// n×D gradient of x — what backwardFrom(·, 0) returns for dy zero-padded to
+// n rows. There, a zero row of dy stays a zero row through LN2, the FFN and
+// LN1 and adds "+ (±0)" to weight-gradient sums that start at +0, so only
+// the m rows are computed. The residual sum is then formed over all n rows
+// with d1 padded with +0, as the full pass forms it, because +0 + −0 is +0
+// and −0 alone is not. (The full pass's padding rows of d1 are
+// inv·(0·gain − 0 − x̂·0): +0 for any positive LayerNorm gain, and the
+// sign of a zero there is visible only where the attention gradient is
+// itself exactly zero.)
+func (e *EncoderLayer) backwardFrom(dy *Mat, from int) *Mat {
 	d2 := e.LN2.Backward(dy)
 	dh := e.rt.add(d2, e.FF.Backward(d2))
 	d1 := e.LN1.Backward(dh)
-	return e.rt.add(d1, e.Attn.Backward(d1))
+	dAttn := e.Attn.backwardFrom(d1, from)
+	return e.rt.add(e.rt.padRows(d1, from, dAttn.Rows), dAttn)
 }
 
 // Encoder is Pythia's query encoder: token embedding + sinusoidal positions,
 // a stack of encoder layers, and the *last token's* embedding as the query
 // representation ("we use ... finally the last token's embedding as the
-// final query representation", paper §3.3).
+// final query representation", paper §3.3). Only that row leaves the
+// encoder, so the top layer computes only that row (forwardFrom(x, n−1)):
+// its keys and values still cover the sequence, its queries, FFN and
+// LayerNorms do not. Training and inference share the one path.
 type Encoder struct {
 	Emb    *Embedding
 	Layers []*EncoderLayer
 	D      int
 
-	rt         Runtime
 	lastSeqLen int
 }
 
@@ -110,7 +135,6 @@ type Encoder struct {
 // with; it propagates to every layer. Call once after construction (and
 // before any concurrent use).
 func (e *Encoder) SetRuntime(rt Runtime) {
-	e.rt = rt
 	e.Emb.SetRuntime(rt)
 	for _, l := range e.Layers {
 		l.SetRuntime(rt)
@@ -127,8 +151,12 @@ type EncoderConfig struct {
 	FFHidden int // defaults to 4×Dim
 }
 
-// NewEncoder builds the encoder.
+// NewEncoder builds the encoder. It needs at least one layer: the top layer
+// is what reduces the sequence to its last token's row.
 func NewEncoder(cfg EncoderConfig, r *sim.Rand) *Encoder {
+	if cfg.Layers < 1 {
+		panic("nn: encoder needs at least one layer")
+	}
 	if cfg.FFHidden <= 0 {
 		cfg.FFHidden = 4 * cfg.Dim
 	}
@@ -137,7 +165,7 @@ func NewEncoder(cfg EncoderConfig, r *sim.Rand) *Encoder {
 		D:   cfg.Dim,
 	}
 	for i := 0; i < cfg.Layers; i++ {
-		enc.Layers = append(enc.Layers, NewEncoderLayer("enc.l"+string(rune('0'+i)), cfg.Dim, cfg.Heads, cfg.FFHidden, r))
+		enc.Layers = append(enc.Layers, NewEncoderLayer("enc.l"+strconv.Itoa(i), cfg.Dim, cfg.Heads, cfg.FFHidden, r))
 	}
 	return enc
 }
@@ -159,21 +187,20 @@ func (e *Encoder) Forward(ids []int) *Mat {
 	e.lastSeqLen = len(ids)
 	x := e.Emb.Forward(ids)
 	AddPositional(x)
-	for _, l := range e.Layers {
-		x = l.Forward(x)
+	top := len(e.Layers) - 1
+	for _, l := range e.Layers[:top] {
+		x = l.forwardFrom(x, 0)
 	}
-	out := e.rt.get(1, e.D)
-	copy(out.Row(0), x.Row(x.Rows-1))
-	return out
+	return e.Layers[top].forwardFrom(x, len(ids)-1)
 }
 
 // Backward propagates the 1×D representation gradient back through the
 // stack into the embedding table.
 func (e *Encoder) Backward(dRep *Mat) {
-	dx := e.rt.get(e.lastSeqLen, e.D)
-	copy(dx.Row(e.lastSeqLen-1), dRep.Row(0))
-	for i := len(e.Layers) - 1; i >= 0; i-- {
-		dx = e.Layers[i].Backward(dx)
+	top := len(e.Layers) - 1
+	dx := e.Layers[top].backwardFrom(dRep, e.lastSeqLen-1)
+	for i := top - 1; i >= 0; i-- {
+		dx = e.Layers[i].backwardFrom(dx, 0)
 	}
 	e.Emb.Backward(dx)
 }

@@ -23,6 +23,11 @@ func numericalGrad(p *Param, loss func() float64) *Mat {
 	return g
 }
 
+// numericalInputGrad is numericalGrad for a layer's input.
+func numericalInputGrad(x *Mat, loss func() float64) *Mat {
+	return numericalGrad(&Param{W: x}, loss)
+}
+
 func maxRelErr(analytic, numeric *Mat) float64 {
 	worst := 0.0
 	for i := range analytic.Data {
@@ -78,18 +83,7 @@ func TestLinearGradients(t *testing.T) {
 		}
 	}
 	// Input gradient via perturbation.
-	numDx := NewMat(x.Rows, x.Cols)
-	const h = 1e-5
-	for i := range x.Data {
-		orig := x.Data[i]
-		x.Data[i] = orig + h
-		lp := loss()
-		x.Data[i] = orig - h
-		lm := loss()
-		x.Data[i] = orig
-		numDx.Data[i] = (lp - lm) / (2 * h)
-	}
-	if e := maxRelErr(dx, numDx); e > 1e-6 {
+	if e := maxRelErr(dx, numericalInputGrad(x, loss)); e > 1e-6 {
 		t.Fatalf("linear dX err %.2e", e)
 	}
 }
@@ -116,18 +110,7 @@ func TestLayerNormGradients(t *testing.T) {
 			t.Fatalf("%s grad err %.2e", p.Name, e)
 		}
 	}
-	numDx := NewMat(x.Rows, x.Cols)
-	const h = 1e-5
-	for i := range x.Data {
-		orig := x.Data[i]
-		x.Data[i] = orig + h
-		lp := loss()
-		x.Data[i] = orig - h
-		lm := loss()
-		x.Data[i] = orig
-		numDx.Data[i] = (lp - lm) / (2 * h)
-	}
-	if e := maxRelErr(dx, numDx); e > 1e-5 {
+	if e := maxRelErr(dx, numericalInputGrad(x, loss)); e > 1e-5 {
 		t.Fatalf("layernorm dX err %.2e", e)
 	}
 }
@@ -150,49 +133,49 @@ func TestMHSAGradients(t *testing.T) {
 			t.Fatalf("%s grad err %.2e", p.Name, e)
 		}
 	}
-	numDx := NewMat(x.Rows, x.Cols)
-	const h = 1e-5
-	for i := range x.Data {
-		orig := x.Data[i]
-		x.Data[i] = orig + h
-		lp := loss()
-		x.Data[i] = orig - h
-		lm := loss()
-		x.Data[i] = orig
-		numDx.Data[i] = (lp - lm) / (2 * h)
-	}
-	if e := maxRelErr(dx, numDx); e > 1e-4 {
+	if e := maxRelErr(dx, numericalInputGrad(x, loss)); e > 1e-4 {
 		t.Fatalf("MHSA dX err %.2e", e)
 	}
 }
 
+// TestEncoderLayerGradients checks the layer over every query row (from = 0)
+// and pruned to the last one (from = n−1, the encoder's top layer), where
+// only one row of output exists but all n rows of x receive gradient.
 func TestEncoderLayerGradients(t *testing.T) {
-	r := sim.NewRand(4)
-	layer := NewEncoderLayer("t", 8, 2, 16, r)
-	x := randMat(r, 4, 8)
-	loss := func() float64 { return scalarize(layer.Forward(x)) }
+	for _, from := range []int{0, 3} {
+		r := sim.NewRand(4)
+		layer := NewEncoderLayer("t", 8, 2, 16, r)
+		x := randMat(r, 4, 8)
+		loss := func() float64 { return scalarize(layer.forwardFrom(x, from)) }
 
-	y := layer.Forward(x)
-	for _, p := range layer.Params() {
-		p.ZeroGrad()
-	}
-	layer.Backward(scalarizeGrad(y))
+		y := layer.forwardFrom(x, from)
+		if y.Rows != x.Rows-from {
+			t.Fatalf("from=%d: %d output rows", from, y.Rows)
+		}
+		for _, p := range layer.Params() {
+			p.ZeroGrad()
+		}
+		dx := layer.backwardFrom(scalarizeGrad(y), from)
 
-	// Spot-check a representative subset (full sweep is covered by the
-	// individual layer tests; this validates the residual wiring).
-	checked := 0
-	for _, p := range layer.Params() {
-		if len(p.W.Data) > 200 {
-			continue
+		// Spot-check a representative subset (full sweep is covered by the
+		// individual layer tests; this validates the residual wiring).
+		checked := 0
+		for _, p := range layer.Params() {
+			if len(p.W.Data) > 200 {
+				continue
+			}
+			num := numericalGrad(p, loss)
+			if e := maxRelErr(p.G, num); e > 1e-4 {
+				t.Fatalf("from=%d: %s grad err %.2e", from, p.Name, e)
+			}
+			checked++
 		}
-		num := numericalGrad(p, loss)
-		if e := maxRelErr(p.G, num); e > 1e-4 {
-			t.Fatalf("%s grad err %.2e", p.Name, e)
+		if checked == 0 {
+			t.Fatal("no parameters checked")
 		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no parameters checked")
+		if e := maxRelErr(dx, numericalInputGrad(x, loss)); e > 1e-4 {
+			t.Fatalf("from=%d: layer dX err %.2e", from, e)
+		}
 	}
 }
 

@@ -14,6 +14,16 @@ import "fmt"
 // goroutine computes an element, never the bit pattern of the result; see
 // the golden tests in pool_test.go.
 //
+// Register blocking: the loops are unrolled four ways so that an output
+// element is loaded and stored once per four multiply-adds instead of once
+// per one. The products whose inner loop walks an output row (a @ b, aᵀ @ b)
+// take four steps of the contracted index at a time (axpy4); a @ bᵀ, whose
+// inner loop is a dot product, computes four output elements at a time in
+// four independent accumulators. Neither reorders a sum: each element is
+// still ((o + p₀) + p₁) + p₂ … over ascending contracted index, each product
+// rounded before it is added, so the blocked kernels equal the one-at-a-time
+// triple loop bit for bit (TestKernelsMatchNaive).
+//
 // The dense kernels carry no zero-skip branch. The seed code skipped
 // multiplications where the activation was exactly zero (useful for one-hot
 // rows), but post-embedding activations are dense: BenchmarkMatMulSkip
@@ -60,45 +70,63 @@ func (p *Pool) MatMulInto(dst, a, b *Mat) {
 	}
 }
 
-// matMulRows computes dst rows [lo, hi) of a @ b in i-k-j order: the inner
-// loop walks b and dst rows contiguously, which matters for the decoder's
-// wide output layer.
+// axpy1 computes o[j] += a·b[j].
 //
 //pythia:noalloc
-func matMulRows(dst, a, b *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k, av := range arow {
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
+func axpy1(o []float64, a float64, b []float64) {
+	b = b[:len(o)]
+	for j := range o {
+		o[j] += a * b[j]
 	}
 }
 
-// matMulCols computes dst columns [jlo, jhi) of a @ b for all rows.
+// axpy4 computes o[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], added
+// left to right — four consecutive axpy1 steps with one load and one store of
+// o[j]. The re-slicing to len(o) lets the compiler drop the bounds checks
+// from the loop.
 //
 //pythia:noalloc
-func matMulCols(dst, a, b *Mat, jlo, jhi int) {
-	for i := 0; i < a.Rows; i++ {
+func axpy4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	for j := range o {
+		o[j] = o[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	}
+}
+
+// matMulBlock computes the [ilo, ihi) × [jlo, jhi) block of a @ b in i-k-j
+// order, k four at a time: the inner loop walks b and dst rows contiguously,
+// which matters for the decoder's wide output layer.
+//
+//pythia:noalloc
+func matMulBlock(dst, a, b *Mat, ilo, ihi, jlo, jhi int) {
+	n := b.Cols
+	for i := ilo; i < ihi; i++ {
 		arow := a.Row(i)
 		orow := dst.Row(i)[jlo:jhi]
 		for j := range orow {
 			orow[j] = 0
 		}
-		for k, av := range arow {
-			brow := b.Row(k)[jlo:jhi]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+		k := 0
+		for ; k+4 <= len(arow); k += 4 {
+			r := b.Data[k*n:]
+			axpy4(orow, arow[k], arow[k+1], arow[k+2], arow[k+3],
+				r[jlo:jhi], r[n+jlo:n+jhi], r[2*n+jlo:2*n+jhi], r[3*n+jlo:3*n+jhi])
+		}
+		for ; k < len(arow); k++ {
+			axpy1(orow, arow[k], b.Data[k*n+jlo:k*n+jhi])
 		}
 	}
 }
+
+// matMulRows computes dst rows [lo, hi) of a @ b.
+//
+//pythia:noalloc
+func matMulRows(dst, a, b *Mat, lo, hi int) { matMulBlock(dst, a, b, lo, hi, 0, b.Cols) }
+
+// matMulCols computes dst columns [jlo, jhi) of a @ b for all rows.
+//
+//pythia:noalloc
+func matMulCols(dst, a, b *Mat, jlo, jhi int) { matMulBlock(dst, a, b, 0, a.Rows, jlo, jhi) }
 
 // MatMulT1Into computes dst = aᵀ @ b (weight-gradient shape: dW = Xᵀ dY).
 // Restructured from the serial r-outer loop so that each *output* row i
@@ -117,17 +145,19 @@ func (p *Pool) MatMulT1Into(dst, a, b *Mat) {
 
 //pythia:noalloc
 func matMulT1Rows(dst, a, b *Mat, ilo, ihi int) {
+	m, n := a.Cols, b.Cols
 	for i := ilo; i < ihi; i++ {
 		orow := dst.Row(i)
 		for j := range orow {
 			orow[j] = 0
 		}
-		for r := 0; r < a.Rows; r++ {
-			av := a.Data[r*a.Cols+i]
-			brow := b.Row(r)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+		r := 0
+		for ; r+4 <= a.Rows; r += 4 {
+			ac, br := a.Data[r*m+i:], b.Data[r*n:]
+			axpy4(orow, ac[0], ac[m], ac[2*m], ac[3*m], br, br[n:], br[2*n:], br[3*n:])
+		}
+		for ; r < a.Rows; r++ {
+			axpy1(orow, a.Data[r*m+i], b.Data[r*n:])
 		}
 	}
 }
@@ -152,16 +182,30 @@ func (p *Pool) AccumT1Into(dst, a, b *Mat) {
 
 //pythia:noalloc
 func accumT1Rows(dst, a, b *Mat, ilo, ihi int) {
+	m, n := a.Cols, b.Cols
 	for i := ilo; i < ihi; i++ {
 		orow := dst.Row(i)
-		for r := 0; r < a.Rows; r++ {
-			av := a.Data[r*a.Cols+i]
-			if av == 0 {
+		r := 0
+		for ; r+4 <= a.Rows; r += 4 {
+			ac, br := a.Data[r*m+i:], b.Data[r*n:]
+			a0, a1, a2, a3 := ac[0], ac[m], ac[2*m], ac[3*m]
+			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
+				axpy4(orow, a0, a1, a2, a3, br, br[n:], br[2*n:], br[3*n:])
 				continue
 			}
-			brow := b.Row(r)
-			for j, bv := range brow {
-				orow[j] += av * bv
+			// A block holding a zero takes its steps one at a time: a
+			// skipped step stays skipped — "+ 0·b" is not a no-op when the
+			// sum is −0 or b is not finite — and ReLU-sparse inputs keep the
+			// whole saving (BenchmarkAccumT1Sparse).
+			for q := 0; q < 4; q++ {
+				if av := ac[q*m]; av != 0 {
+					axpy1(orow, av, br[q*n:])
+				}
+			}
+		}
+		for ; r < a.Rows; r++ {
+			if av := a.Data[r*m+i]; av != 0 {
+				axpy1(orow, av, b.Data[r*n:])
 			}
 		}
 	}
@@ -183,13 +227,28 @@ func (p *Pool) MatMulT2Into(dst, a, b *Mat) {
 	}
 }
 
+// matMulT2Block computes the [ilo, ihi) × [jlo, jhi) block of a @ bᵀ, four
+// output elements (four rows of b) per pass over a's row.
+//
 //pythia:noalloc
-func matMulT2Rows(dst, a, b *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
+func matMulT2Block(dst, a, b *Mat, ilo, ihi, jlo, jhi int) {
+	for i := ilo; i < ihi; i++ {
 		arow := a.Row(i)
 		orow := dst.Row(i)
-		for j := range orow {
-			brow := b.Row(j)
+		j := jlo
+		for ; j+4 <= jhi; j += 4 {
+			b0, b1, b2, b3 := b.Row(j)[:len(arow)], b.Row(j + 1)[:len(arow)], b.Row(j + 2)[:len(arow)], b.Row(j + 3)[:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < jhi; j++ {
+			brow := b.Row(j)[:len(arow)]
 			s := 0.0
 			for k, av := range arow {
 				s += av * brow[k]
@@ -200,20 +259,10 @@ func matMulT2Rows(dst, a, b *Mat, lo, hi int) {
 }
 
 //pythia:noalloc
-func matMulT2Cols(dst, a, b *Mat, jlo, jhi int) {
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for j := jlo; j < jhi; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
-	}
-}
+func matMulT2Rows(dst, a, b *Mat, lo, hi int) { matMulT2Block(dst, a, b, lo, hi, 0, b.Rows) }
+
+//pythia:noalloc
+func matMulT2Cols(dst, a, b *Mat, jlo, jhi int) { matMulT2Block(dst, a, b, 0, a.Rows, jlo, jhi) }
 
 // AddInto computes dst = a + b element-wise. Elements are owned, not
 // accumulated, so any sharding is trivially deterministic.

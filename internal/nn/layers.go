@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"sync"
 
 	"github.com/pythia-db/pythia/internal/sim"
 )
@@ -156,18 +157,47 @@ func (e *Embedding) Backward(dy *Mat) {
 // place — "the serialized query tokens are first appended with sequence
 // information to be used by a transformer" (paper §5.1).
 func AddPositional(x *Mat) {
-	d := x.Cols
-	for pos := 0; pos < x.Rows; pos++ {
-		row := x.Row(pos)
+	for i, v := range positional(x.Rows, x.Cols) {
+		x.Data[i] += v
+	}
+}
+
+// posTables memoizes the position encodings per model width: byDim[d] holds
+// rows·d values in row-major order and only ever grows. The values depend
+// on (position, column, d) alone, so every model of one width shares a table,
+// and computing them once takes a Pow and a Sin or Cos per element off every
+// forward pass.
+var posTables = struct {
+	sync.RWMutex
+	byDim map[int][]float64
+}{byDim: map[int][]float64{}}
+
+// positional returns the rows×d position encodings. The slice is shared and
+// must not be written to.
+func positional(rows, d int) []float64 {
+	posTables.RLock()
+	t := posTables.byDim[d]
+	posTables.RUnlock()
+	if len(t) >= rows*d {
+		return t[:rows*d]
+	}
+	posTables.Lock()
+	defer posTables.Unlock()
+	// Appending never rewrites an element a reader can see: readers hold
+	// slices of the old length, and growth past the capacity copies.
+	t = posTables.byDim[d]
+	for pos := len(t) / d; pos < rows; pos++ {
 		for j := 0; j < d; j++ {
 			angle := float64(pos) / math.Pow(10000, float64(2*(j/2))/float64(d))
 			if j%2 == 0 {
-				row[j] += math.Sin(angle)
+				t = append(t, math.Sin(angle))
 			} else {
-				row[j] += math.Cos(angle)
+				t = append(t, math.Cos(angle))
 			}
 		}
 	}
+	posTables.byDim[d] = t
+	return t[:rows*d]
 }
 
 // LayerNorm normalizes each row to zero mean / unit variance, then applies a

@@ -67,16 +67,18 @@ func shapeCheck(cond bool, op string, a, b *Mat) {
 	}
 }
 
-// MatMul returns a @ b. This is the serial reference implementation the
-// parallel kernels (Pool.MatMulInto) are golden-tested against; the hot
-// paths use the destination-passing variants in kernels.go.
+// MatMul returns a @ b. This is the serial reference the parallel kernels
+// (Pool.MatMulInto) are golden-tested against; it runs the same blocked loop
+// over every row, and TestKernelsMatchNaive holds both to a plain triple
+// loop. The hot paths use the destination-passing variants in kernels.go.
 func MatMul(a, b *Mat) *Mat {
 	shapeCheck(a.Cols == b.Rows, "matmul", a, b)
 	out := NewMat(a.Rows, b.Cols)
-	// i-k-j loop order: the inner loop walks both b and out rows
-	// contiguously, which matters for the decoder's wide output layer.
-	// No zero-skip: post-embedding activations are dense, and the branch
-	// only costs on dense inputs (BenchmarkMatMulSkip).
+	// i-k-j loop order, k four at a time: the inner loop walks b and out
+	// rows contiguously (which matters for the decoder's wide output
+	// layer) and touches each out element once per four multiply-adds, added
+	// in ascending k. No zero-skip: post-embedding activations are dense,
+	// and the branch only costs on dense inputs (BenchmarkMatMulSkip).
 	matMulRows(out, a, b, 0, a.Rows)
 	return out
 }

@@ -1,20 +1,22 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/sim"
 )
 
 // bitwiseEq fails the test unless got and want match bit for bit — the
-// determinism contract is exact equality, not tolerance.
+// determinism contract is exact equality, not tolerance, and it covers the
+// sign of a zero.
 func bitwiseEq(t *testing.T, op string, got, want *Mat) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", op, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("%s: element %d = %v, want %v (bitwise)", op, i, got.Data[i], want.Data[i])
 		}
 	}

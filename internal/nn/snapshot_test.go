@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/sim"
@@ -81,4 +83,35 @@ func TestRestoreResetsOptimizerState(t *testing.T) {
 	if l.Weight.G.Norm() != 0 {
 		t.Fatal("gradient survived restore")
 	}
+}
+
+// TestSnapshotTwelveLayerEncoder: layer i used to be named with
+// rune('0'+i), which is ':' for layer 10 and ';' for layer 11. A 12-layer
+// encoder's snapshot must key its layers "l0" … "l11" and round-trip.
+func TestSnapshotTwelveLayerEncoder(t *testing.T) {
+	cfg := EncoderConfig{Vocab: 8, Dim: 4, Heads: 2, Layers: 12, FFHidden: 4}
+	enc := NewEncoder(cfg, sim.NewRand(1))
+	snap := Snapshot(enc.Params())
+	layers := map[string]bool{}
+	for name := range snap {
+		if seg := strings.Split(name, "."); len(seg) > 2 {
+			layers[seg[1]] = true
+		}
+	}
+	for i := 0; i < 12; i++ {
+		if name := "l" + strconv.Itoa(i); !layers[name] {
+			t.Errorf("no parameter of layer %d is keyed %q", i, name)
+		}
+	}
+	if len(layers) != 12 {
+		t.Fatalf("%d distinct layer prefixes, want 12: %v", len(layers), layers)
+	}
+
+	ids := []int{1, 5, 2}
+	want := enc.Forward(ids).Clone()
+	other := NewEncoder(cfg, sim.NewRand(2))
+	if err := Restore(other.Params(), snap); err != nil {
+		t.Fatal(err)
+	}
+	bitwiseEq(t, "restored 12-layer encoder", other.Forward(ids), want)
 }
