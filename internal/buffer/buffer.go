@@ -12,7 +12,6 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 
 	"github.com/pythia-db/pythia/internal/obs"
@@ -67,33 +66,34 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// frame is one slab slot: a resident page and its replacement state.
 type frame struct {
 	page       storage.PageID
-	pins       int
-	ref        bool          // clock reference bit
-	elem       *list.Element // LRU/MRU list position
-	slot       int           // clock ring slot
-	prefetched bool          // inserted by the prefetcher, not yet used
+	pins       int32
+	prev, next int32 // LRU/MRU: slots towards the MRU and LRU ends of the recency ring
+	ref        bool  // clock reference bit
+	prefetched bool  // inserted by the prefetcher, not yet used
 }
 
 // Pool is a buffer pool of capacity page frames under one replacement
 // policy. The zero value is unusable; construct with New.
+//
+// Frames live in a flat slab: index finds a page's slot, and an eviction
+// hands the victim's slot to the page that caused it, so every slot from 1
+// up is a resident page. Under Clock the slab in slot order is the ring the
+// hand sweeps; under LRU and MRU the recency list is threaded through the
+// frames by slot. Slot 0 holds no page: it is the recency ring's root, whose
+// next is the most and whose prev the least recently used slot, and the
+// "no victim" answer.
 type Pool struct {
 	capacity int
 	policy   Policy
-	frames   map[storage.PageID]*frame
+	index    *storage.PageIndex
+	frames   []frame
+	hand     int32 // Clock: next slot the sweep examines
 	stats    Stats
 	rec      obs.Recorder // nil = observability off (one nil-check per event)
 	tr       *span.Tracer // nil = span tracing off
-
-	// Clock state: a ring of frames and the sweep hand. Holes (nil) are
-	// reused before the ring grows.
-	ring     []*frame
-	hand     int
-	freeSlot []int
-
-	// LRU/MRU state: front = most recently used.
-	lru *list.List
 }
 
 // New returns a pool with the given frame capacity and policy. Capacity must
@@ -105,8 +105,9 @@ func New(capacity int, policy Policy) *Pool {
 	return &Pool{
 		capacity: capacity,
 		policy:   policy,
-		frames:   make(map[storage.PageID]*frame, capacity),
-		lru:      list.New(),
+		index:    storage.NewPageIndex(capacity),
+		frames:   make([]frame, 1, capacity+1),
+		hand:     1,
 	}
 }
 
@@ -114,7 +115,7 @@ func New(capacity int, policy Policy) *Pool {
 func (p *Pool) Cap() int { return p.capacity }
 
 // Len returns the number of resident pages.
-func (p *Pool) Len() int { return len(p.frames) }
+func (p *Pool) Len() int { return len(p.frames) - 1 }
 
 // Policy returns the replacement policy.
 func (p *Pool) Policy() Policy { return p.policy }
@@ -145,14 +146,14 @@ func (p *Pool) record(k obs.Kind, pg storage.PageID) {
 // Contains reports residency without touching usage information or stats;
 // the prefetcher uses it to skip pages already in the pool.
 func (p *Pool) Contains(pg storage.PageID) bool {
-	_, ok := p.frames[pg]
+	_, ok := p.index.Get(pg)
 	return ok
 }
 
 // Pinned returns the pin count of a resident page (0 if absent).
 func (p *Pool) Pinned(pg storage.PageID) int {
-	if f, ok := p.frames[pg]; ok {
-		return f.pins
+	if slot, ok := p.index.Get(pg); ok {
+		return int(p.frames[slot].pins)
 	}
 	return 0
 }
@@ -163,8 +164,10 @@ func (p *Pool) Pinned(pg storage.PageID) int {
 // a prefetched frame is counted as a useful prefetch, mirroring the paper's
 // "if it is found in the buffer, nothing happens except increasing its use
 // count".
+//
+//pythia:noalloc
 func (p *Pool) Get(pg storage.PageID) bool {
-	f, ok := p.frames[pg]
+	slot, ok := p.index.Get(pg)
 	if !ok {
 		p.stats.Misses++
 		p.record(obs.BufferMiss, pg)
@@ -174,13 +177,13 @@ func (p *Pool) Get(pg storage.PageID) bool {
 	p.stats.Hits++
 	p.record(obs.BufferHit, pg)
 	p.tr.Instant(span.BufferHitMark, pg, 0)
-	if f.prefetched {
+	if f := &p.frames[slot]; f.prefetched {
 		f.prefetched = false
 		p.stats.PrefetchHits++
 		p.record(obs.PrefetchHit, pg)
 		p.tr.InstantLink(span.PrefetchHitMark, pg, 0, p.tr.TakeStash(pg))
 	}
-	p.touch(f)
+	p.touch(slot)
 	return true
 }
 
@@ -190,22 +193,27 @@ func (p *Pool) Get(pg storage.PageID) bool {
 // pinned, the insert is refused and Insert returns false — the caller (the
 // prefetcher) must back off rather than deadlock.
 func (p *Pool) Insert(pg storage.PageID, prefetched bool) bool {
-	if f, ok := p.frames[pg]; ok {
-		p.touch(f)
+	slot, ok := p.index.Get(pg)
+	if ok {
+		p.touch(slot)
 		return true
 	}
-	if len(p.frames) >= p.capacity {
-		victim := p.victim()
-		if victim == nil {
+	if p.Len() < p.capacity {
+		slot = int32(len(p.frames))
+		p.frames = append(p.frames, frame{})
+	} else {
+		if slot = p.victim(); slot == 0 {
 			p.stats.FailedInserts++
 			p.record(obs.BufferInsertFailed, pg)
 			return false
 		}
-		p.evict(victim)
+		p.evict(slot)
 	}
-	f := &frame{page: pg, prefetched: prefetched}
-	p.frames[pg] = f
-	p.attach(f)
+	p.frames[slot] = frame{page: pg, prefetched: prefetched, ref: true}
+	p.index.Put(pg, slot)
+	if p.policy != Clock {
+		p.pushFront(slot)
+	}
 	p.stats.Inserts++
 	p.record(obs.BufferInsert, pg)
 	if prefetched {
@@ -218,32 +226,32 @@ func (p *Pool) Insert(pg storage.PageID, prefetched bool) bool {
 // Pin increments the page's pin count, protecting it from eviction. It
 // returns false if the page is not resident.
 func (p *Pool) Pin(pg storage.PageID) bool {
-	f, ok := p.frames[pg]
+	slot, ok := p.index.Get(pg)
 	if !ok {
 		return false
 	}
-	f.pins++
+	p.frames[slot].pins++
 	return true
 }
 
 // Unpin decrements the page's pin count. Unpinning an absent or unpinned
 // page panics: pin balance bugs corrupt eviction and must surface loudly.
 func (p *Pool) Unpin(pg storage.PageID) {
-	f, ok := p.frames[pg]
+	slot, ok := p.index.Get(pg)
 	if !ok {
 		panic("buffer: Unpin of non-resident page " + pg.String())
 	}
-	if f.pins == 0 {
+	if p.frames[slot].pins == 0 {
 		panic("buffer: Unpin of unpinned page " + pg.String())
 	}
-	f.pins--
+	p.frames[slot].pins--
 }
 
 // PinnedCount returns the number of frames with at least one pin.
 func (p *Pool) PinnedCount() int {
 	n := 0
-	for _, f := range p.frames {
-		if f.pins > 0 {
+	for i := 1; i < len(p.frames); i++ {
+		if p.frames[i].pins > 0 {
 			n++
 		}
 	}
@@ -253,11 +261,9 @@ func (p *Pool) PinnedCount() int {
 // Clear empties the pool (a "restart Postgres" between cold-cache runs) but
 // keeps counters; use ResetStats to clear those too.
 func (p *Pool) Clear() {
-	p.frames = make(map[storage.PageID]*frame, p.capacity)
-	p.ring = p.ring[:0]
-	p.freeSlot = p.freeSlot[:0]
-	p.hand = 0
-	p.lru.Init()
+	p.index.Reset()
+	p.frames = append(p.frames[:0], frame{})
+	p.hand = 1
 }
 
 // ResetStats zeroes the counters.
@@ -265,46 +271,39 @@ func (p *Pool) ResetStats() { p.stats = Stats{} }
 
 // --- policy plumbing ---
 
-func (p *Pool) attach(f *frame) {
-	switch p.policy {
-	case Clock:
-		f.ref = true
-		if n := len(p.freeSlot); n > 0 {
-			slot := p.freeSlot[n-1]
-			p.freeSlot = p.freeSlot[:n-1]
-			f.slot = slot
-			p.ring[slot] = f
-		} else {
-			f.slot = len(p.ring)
-			p.ring = append(p.ring, f)
-		}
-	default: // LRU, MRU
-		f.elem = p.lru.PushFront(f)
+// touch records a use of the frame in slot.
+func (p *Pool) touch(slot int32) {
+	if p.policy == Clock {
+		p.frames[slot].ref = true
+	} else {
+		p.unlink(slot)
+		p.pushFront(slot)
 	}
 }
 
-func (p *Pool) touch(f *frame) {
-	switch p.policy {
-	case Clock:
-		f.ref = true
-	default:
-		p.lru.MoveToFront(f.elem)
-	}
+// unlink takes slot out of the recency ring.
+func (p *Pool) unlink(slot int32) {
+	f := p.frames[slot]
+	p.frames[f.prev].next = f.next
+	p.frames[f.next].prev = f.prev
 }
 
-func (p *Pool) detach(f *frame) {
-	switch p.policy {
-	case Clock:
-		p.ring[f.slot] = nil
-		p.freeSlot = append(p.freeSlot, f.slot)
-	default:
-		p.lru.Remove(f.elem)
-	}
+// pushFront makes an unlinked slot the most recently used.
+func (p *Pool) pushFront(slot int32) {
+	head := p.frames[0].next
+	p.frames[slot].prev, p.frames[slot].next = 0, head
+	p.frames[head].prev = slot
+	p.frames[0].next = slot
 }
 
-func (p *Pool) evict(f *frame) {
-	p.detach(f)
-	delete(p.frames, f.page)
+// evict removes the page in slot, leaving the slot to the caller. Under
+// Clock the slot keeps its place in the ring.
+func (p *Pool) evict(slot int32) {
+	f := p.frames[slot]
+	if p.policy != Clock {
+		p.unlink(slot)
+	}
+	p.index.Delete(f.page)
 	p.stats.Evictions++
 	p.record(obs.BufferEvict, f.page)
 	p.tr.Instant(span.BufferEvictMark, f.page, 0)
@@ -315,25 +314,26 @@ func (p *Pool) evict(f *frame) {
 	}
 }
 
-// victim selects an unpinned frame to evict, or nil if none exists.
-func (p *Pool) victim() *frame {
+// victim selects the slot of an unpinned frame to evict, or 0 if every frame
+// is pinned.
+func (p *Pool) victim() int32 {
 	switch p.policy {
 	case Clock:
 		return p.clockVictim()
 	case LRU:
-		for e := p.lru.Back(); e != nil; e = e.Prev() {
-			if f := e.Value.(*frame); f.pins == 0 {
-				return f
+		for s := p.frames[0].prev; s != 0; s = p.frames[s].prev {
+			if p.frames[s].pins == 0 {
+				return s
 			}
 		}
-		return nil
+		return 0
 	case MRU:
-		for e := p.lru.Front(); e != nil; e = e.Next() {
-			if f := e.Value.(*frame); f.pins == 0 {
-				return f
+		for s := p.frames[0].next; s != 0; s = p.frames[s].next {
+			if p.frames[s].pins == 0 {
+				return s
 			}
 		}
-		return nil
+		return 0
 	default:
 		panic("buffer: unknown policy")
 	}
@@ -342,21 +342,21 @@ func (p *Pool) victim() *frame {
 // clockVictim sweeps the ring: a frame with its reference bit set gets a
 // second chance (bit cleared); the first unpinned frame with a clear bit is
 // the victim. Two full sweeps with no candidate means everything is pinned.
-func (p *Pool) clockVictim() *frame {
-	if len(p.ring) == 0 {
-		return nil
-	}
-	for pass := 0; pass < 2*len(p.ring); pass++ {
-		f := p.ring[p.hand]
-		p.hand = (p.hand + 1) % len(p.ring)
-		if f == nil || f.pins > 0 {
+func (p *Pool) clockVictim() int32 {
+	for pass := 0; pass < 2*p.Len(); pass++ {
+		slot := p.hand
+		if p.hand++; int(p.hand) == len(p.frames) {
+			p.hand = 1
+		}
+		f := &p.frames[slot]
+		if f.pins > 0 {
 			continue
 		}
 		if f.ref {
 			f.ref = false
 			continue
 		}
-		return f
+		return slot
 	}
-	return nil
+	return 0
 }

@@ -14,8 +14,6 @@
 package oscache
 
 import (
-	"container/list"
-
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
@@ -53,13 +51,25 @@ type Stream struct {
 	window int
 }
 
+// entry is one cached page and its neighbours in the recency ring.
+type entry struct {
+	page       storage.PageID
+	prev, next int32 // slots towards the MRU and LRU ends
+}
+
 // Cache is the OS page cache. The zero value is unusable; construct with
-// New.
+// New. Pages live in a flat slab of entries: index finds a page's slot and
+// the recency list is threaded through the entries by slot, so nothing is
+// allocated per page. Slot 0 holds no page: it is the ring's root, whose next
+// is the most and whose prev the least recently used slot (itself when the
+// cache is empty), and the end mark of the free chain.
 type Cache struct {
 	capacity  int
 	maxWindow int
-	pages     map[storage.PageID]*list.Element
-	lru       *list.List // front = most recently used
+	index     *storage.PageIndex
+	entries   []entry
+	free      int32            // slots emptied by Drop, chained through next and reused first
+	readahead []storage.PageID // scratch behind Read's second result
 	stats     Stats
 	rec       obs.Recorder // nil = observability off (one nil-check per event)
 	tr        *span.Tracer // nil = span tracing off
@@ -77,8 +87,9 @@ func New(capacity int, maxWindow int) *Cache {
 	return &Cache{
 		capacity:  capacity,
 		maxWindow: maxWindow,
-		pages:     make(map[storage.PageID]*list.Element, capacity),
-		lru:       list.New(),
+		index:     storage.NewPageIndex(capacity),
+		entries:   make([]entry, 1, capacity+1),
+		readahead: make([]storage.PageID, 0, maxWindow),
 	}
 }
 
@@ -89,7 +100,7 @@ func (c *Cache) NewStream() *Stream { return &Stream{} }
 func (c *Cache) Cap() int { return c.capacity }
 
 // Len returns the number of cached pages.
-func (c *Cache) Len() int { return c.lru.Len() }
+func (c *Cache) Len() int { return c.index.Len() }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -112,7 +123,7 @@ func (c *Cache) record(k obs.Kind, p storage.PageID) {
 
 // Contains reports residency without side effects.
 func (c *Cache) Contains(p storage.PageID) bool {
-	_, ok := c.pages[p]
+	_, ok := c.index.Get(p)
 	return ok
 }
 
@@ -120,6 +131,8 @@ func (c *Cache) Contains(p storage.PageID) bool {
 // the object's file size. It returns whether the read hit the cache and the
 // pages the kernel fetches asynchronously via readahead (already inserted
 // into the cache; the caller charges their device time in the background).
+// The readahead slice is the cache's own scratch: it is valid until the next
+// Read.
 func (c *Cache) Read(s *Stream, p storage.PageID, objPages storage.PageNum) (hit bool, readahead []storage.PageID) {
 	sequential := s.valid && s.object == p.Object && p.Page == s.last+1
 	if sequential {
@@ -137,6 +150,7 @@ func (c *Cache) Read(s *Stream, p storage.PageID, objPages storage.PageNum) (hit
 
 	hit = c.touchOrMiss(p)
 
+	c.readahead = c.readahead[:0]
 	if sequential && s.window > 0 {
 		for i := 1; i <= s.window; i++ {
 			n := p.Page + storage.PageNum(i)
@@ -149,21 +163,24 @@ func (c *Cache) Read(s *Stream, p storage.PageID, objPages storage.PageNum) (hit
 			}
 			c.insert(ra)
 			c.record(obs.OSReadaheadPage, ra)
-			readahead = append(readahead, ra)
+			c.readahead = append(c.readahead, ra)
 		}
-		if len(readahead) > 0 {
+		if len(c.readahead) > 0 {
 			c.stats.ReadaheadBursts++
-			c.stats.ReadaheadPages += uint64(len(readahead))
+			c.stats.ReadaheadPages += uint64(len(c.readahead))
 		}
 	}
-	return hit, readahead
+	return hit, c.readahead
 }
 
 // touchOrMiss looks the page up, bumping recency on a hit and inserting on a
 // miss (a device read always populates the cache).
+//
+//pythia:noalloc
 func (c *Cache) touchOrMiss(p storage.PageID) bool {
-	if e, ok := c.pages[p]; ok {
-		c.lru.MoveToFront(e)
+	if slot, ok := c.index.Get(p); ok {
+		c.unlink(slot)
+		c.pushFront(slot)
 		c.stats.Hits++
 		c.record(obs.OSCacheHit, p)
 		c.tr.Instant(span.OSCacheHitMark, p, 0)
@@ -176,37 +193,63 @@ func (c *Cache) touchOrMiss(p storage.PageID) bool {
 	return false
 }
 
-// insert adds a page, evicting the least recently used page if full.
+// insert adds a page the caller knows to be absent, evicting the least
+// recently used page if full.
 func (c *Cache) insert(p storage.PageID) {
-	if _, ok := c.pages[p]; ok {
-		return
-	}
-	if c.lru.Len() >= c.capacity {
-		back := c.lru.Back()
-		victim := back.Value.(storage.PageID)
-		c.lru.Remove(back)
-		delete(c.pages, victim)
+	var slot int32
+	switch {
+	case c.index.Len() >= c.capacity:
+		slot = c.entries[0].prev
+		victim := c.entries[slot].page
+		c.unlink(slot)
+		c.index.Delete(victim)
 		c.stats.Evictions++
 		c.record(obs.OSCacheEvict, victim)
 		c.tr.Instant(span.OSCacheEvictMark, victim, 0)
+	case c.free != 0:
+		slot = c.free
+		c.free = c.entries[slot].next
+	default:
+		slot = int32(len(c.entries))
+		c.entries = append(c.entries, entry{})
 	}
-	c.pages[p] = c.lru.PushFront(p)
+	c.entries[slot].page = p
+	c.index.Put(p, slot)
+	c.pushFront(slot)
+}
+
+// unlink takes slot out of the recency ring.
+func (c *Cache) unlink(slot int32) {
+	e := c.entries[slot]
+	c.entries[e.prev].next = e.next
+	c.entries[e.next].prev = e.prev
+}
+
+// pushFront makes an unlinked slot the most recently used.
+func (c *Cache) pushFront(slot int32) {
+	head := c.entries[0].next
+	c.entries[slot].prev, c.entries[slot].next = 0, head
+	c.entries[head].prev = slot
+	c.entries[0].next = slot
 }
 
 // Drop removes a page (used by failure-injection tests); absent pages are
 // ignored.
 func (c *Cache) Drop(p storage.PageID) {
-	if e, ok := c.pages[p]; ok {
-		c.lru.Remove(e)
-		delete(c.pages, p)
+	if slot, ok := c.index.Get(p); ok {
+		c.unlink(slot)
+		c.index.Delete(p)
+		c.entries[slot].next = c.free
+		c.free = slot
 	}
 }
 
 // Clear empties the cache — the experiment harness's "echo 3 >
 // /proc/sys/vm/drop_caches" between cold-cache runs.
 func (c *Cache) Clear() {
-	c.pages = make(map[storage.PageID]*list.Element, c.capacity)
-	c.lru.Init()
+	c.index.Reset()
+	c.entries = append(c.entries[:0], entry{})
+	c.free = 0
 }
 
 // ResetStats zeroes the counters.

@@ -24,6 +24,7 @@ type prefetcher struct {
 
 	stream   *oscache.Stream
 	inflight int
+	idle     []*pfRead        // AIO slots with no read in flight
 	pinned   []storage.PageID // FIFO of pages pinned on the query's behalf
 	started  bool             // model inference finished; prefetching may begin
 	done     bool
@@ -34,13 +35,35 @@ type prefetcher struct {
 	consecAbandons int
 }
 
+// pfRead is one AIO slot: a read holds it from issue until it arrives or is
+// abandoned. The slot's arrival callback is bound when the prefetcher is
+// built, so scheduling an arrival allocates nothing.
+type pfRead struct {
+	page    storage.PageID
+	sid     span.SpanID // the read's PrefetchRead span
+	arrived func()
+}
+
 func newPrefetcher(r *runner, pages []storage.PageID, window int) *prefetcher {
-	return &prefetcher{
+	p := &prefetcher{
 		r:      r,
 		queue:  pages,
 		window: window,
 		stream: r.osc.NewStream(),
 	}
+	reads := make([]pfRead, r.cfg.PrefetchWorkers)
+	for i := range reads {
+		rd := &reads[i]
+		rd.arrived = func() { p.arrived(rd) }
+		p.idle = append(p.idle, rd)
+	}
+	return p
+}
+
+// release returns a finished read's slot.
+func (p *prefetcher) release(rd *pfRead) {
+	p.inflight--
+	p.idle = append(p.idle, rd)
 }
 
 // start marks the model's predictions as available and begins prefetching.
@@ -87,11 +110,13 @@ func (p *prefetcher) issue(page storage.PageID) {
 	}
 	p.r.record(obs.PrefetchIssued, page)
 	p.inflight++
+	rd := p.idle[len(p.idle)-1]
+	p.idle = p.idle[:len(p.idle)-1]
 	// One PrefetchRead span covers the read from issue to arrival (or
 	// abandonment), retries included — disk time off the executor's critical
 	// path. Its ID rides along the attempt/retry chain.
-	sid := p.r.tr.Begin(span.PrefetchRead, page, p.r.eng.Now())
-	p.attempt(page, 0, sid)
+	rd.page, rd.sid = page, p.r.tr.Begin(span.PrefetchRead, page, p.r.eng.Now())
+	p.attempt(rd, 0)
 }
 
 // attempt runs one read attempt for an in-flight prefetch. On a transient
@@ -99,8 +124,8 @@ func (p *prefetcher) issue(page storage.PageID) {
 // it abandons the page to the executor's synchronous-read fallback. With no
 // injector configured the body reduces exactly to the original fault-free
 // read path.
-func (p *prefetcher) attempt(page storage.PageID, attempt int, sid span.SpanID) {
-	now := p.r.eng.Now()
+func (p *prefetcher) attempt(rd *pfRead, attempt int) {
+	page, now := rd.page, p.r.eng.Now()
 	hit, readahead := p.r.osc.Read(p.stream, page, p.r.objPages(page))
 	for range readahead {
 		p.r.disk.ReadWith(now, p.r.cfg.Cost.SeqDiskRead)
@@ -123,32 +148,30 @@ func (p *prefetcher) attempt(page storage.PageID, attempt int, sid span.SpanID) 
 			p.r.result.ReadFailures++
 			p.r.record(obs.DiskReadFailed, page)
 			if attempt >= p.r.cfg.MaxRetries {
-				p.abandon(page, sid, done)
+				p.abandon(rd, done)
 				return
 			}
 			p.r.result.PrefetchRetries++
 			p.r.record(obs.PrefetchRetried, page)
 			next := done.Add(p.r.cfg.backoff(attempt))
 			p.r.tr.Complete(span.PrefetchRetryWait, page, done, next)
-			p.r.eng.At(next, func() {
-				p.retry(page, attempt+1, sid)
-			})
+			p.r.eng.At(next, func() { p.retry(rd, attempt+1) })
 			return
 		}
 		arrive = done
 	}
-	p.r.eng.At(arrive, func() { p.arrived(page, sid) })
+	p.r.eng.At(arrive, rd.arrived)
 }
 
 // retry re-runs a failed prefetch attempt after its backoff delay.
-func (p *prefetcher) retry(page storage.PageID, attempt int, sid span.SpanID) {
+func (p *prefetcher) retry(rd *pfRead, attempt int) {
 	p.r.enter()
 	if p.done {
-		p.inflight--
-		p.r.tr.End(sid, 0)
+		p.release(rd)
+		p.r.tr.End(rd.sid, 0)
 		return
 	}
-	p.attempt(page, attempt, sid)
+	p.attempt(rd, attempt)
 }
 
 // abandon gives up on one page after exhausting retries: the executor will
@@ -156,8 +179,9 @@ func (p *prefetcher) retry(page storage.PageID, attempt int, sid span.SpanID) {
 // consecutive abandons disable prefetching for the rest of the query — the
 // bottom rung of the degradation ladder, converging to the no-prefetch
 // baseline instead of burning device channels on a failing path.
-func (p *prefetcher) abandon(page storage.PageID, sid span.SpanID, done sim.Time) {
-	p.inflight--
+func (p *prefetcher) abandon(rd *pfRead, done sim.Time) {
+	page, sid := rd.page, rd.sid
+	p.release(rd)
 	p.consecAbandons++
 	p.r.result.PrefetchAbandons++
 	p.r.record(obs.PrefetchAbandoned, page)
@@ -178,9 +202,10 @@ func (p *prefetcher) abandon(page storage.PageID, sid span.SpanID, done sim.Time
 }
 
 // arrived lands a prefetched page in the buffer pool and pins it.
-func (p *prefetcher) arrived(page storage.PageID, sid span.SpanID) {
+func (p *prefetcher) arrived(rd *pfRead) {
 	p.r.enter()
-	p.inflight--
+	page, sid := rd.page, rd.sid
+	p.release(rd)
 	p.r.tr.End(sid, 0)
 	if p.done {
 		return

@@ -382,6 +382,7 @@ type runner struct {
 	execStream *oscache.Stream
 	pf         *prefetcher
 	reqIdx     int
+	stepFn     func() // r.step, bound once: one closure per query, not per request
 
 	// abandoned holds pages the prefetcher gave up on, so the executor's
 	// synchronous read of them is visible as the degradation fallback. Nil
@@ -435,7 +436,8 @@ func (r *runner) start() {
 			r.result.Start.Add(r.cfg.Cost.PredictLatency))
 		r.eng.Schedule(r.cfg.Cost.PredictLatency, r.pf.start)
 	}
-	r.eng.Schedule(0, r.step)
+	r.stepFn = r.step
+	r.eng.Schedule(0, r.stepFn)
 }
 
 // step services request reqIdx and schedules the next one at its completion
@@ -496,7 +498,7 @@ func (r *runner) step() {
 	if r.pf != nil {
 		r.pf.onExecutorRead(req.Page)
 	}
-	r.eng.Schedule(delay, r.step)
+	r.eng.Schedule(delay, r.stepFn)
 }
 
 // syncRead performs one foreground device read issued at time at, retrying

@@ -156,3 +156,33 @@ func TestPredictLatencyDelaysPrefetchOnly(t *testing.T) {
 		t.Fatal("prefetches landed before the hour-long prediction finished")
 	}
 }
+
+// TestReplayRunAllocBudget pins the steady state of a run at nothing
+// allocated per event: three overlapping oracle-prefetched queries allocate
+// their caches, runners, prefetchers and result once, and after that a page
+// request — its engine events, buffer frame, OS cache entry and readahead
+// slice — is served from storage that already exists. The budget of one
+// allocation per ten requests leaves room for the per-run and per-query
+// set-up (81 allocations against 2 400 requests; 12 735 before events, frames
+// and cache entries were held by value) and none for anything per request.
+func TestReplayRunAllocBudget(t *testing.T) {
+	reg := testRegistry()
+	var specs []QuerySpec
+	requests := 0
+	for i, id := range []string{"a", "b", "c"} {
+		reqs := script(reg, 500, 300, uint64(50+i))
+		requests += len(reqs)
+		specs = append(specs, QuerySpec{
+			ID: id, Arrival: sim.Duration(i) * 20 * time.Millisecond,
+			Requests: reqs, Prefetch: nonSeqPages(reqs), Window: 64,
+		})
+	}
+	c := Config{BufferPages: 512, OSCachePages: 1024} // smaller than the working set: evictions run too
+	if res := Run(reg, c, specs); res.Buffer.Evictions == 0 || res.Buffer.PrefetchedIn == 0 || res.OS.ReadaheadPages == 0 {
+		t.Fatalf("fixture does not reach eviction, prefetch and readahead: %+v %+v", res.Buffer, res.OS)
+	}
+	allocs := testing.AllocsPerRun(5, func() { Run(reg, c, specs) })
+	if perRequest := allocs / float64(requests); perRequest > 0.1 {
+		t.Fatalf("%.0f allocations over %d page requests = %.3f per request, budget 0.1", allocs, requests, perRequest)
+	}
+}

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Event is a unit of scheduled work on the virtual timeline.
 type Event struct {
 	at  Time
@@ -9,24 +7,14 @@ type Event struct {
 	fn  func()
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the dispatch order: time, then scheduling order. Sequence
+// numbers are unique, so the order is total and the heap's shape can never
+// decide which of two events runs first.
+func (ev *Event) before(o *Event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return ev.seq < o.seq
 }
 
 // Engine is a single-threaded discrete-event simulator. Actors (query
@@ -36,7 +24,7 @@ func (h *eventHeap) Pop() any {
 // order they were scheduled.
 type Engine struct {
 	Clock Clock
-	pq    eventHeap
+	pq    []Event // binary min-heap on Event.before, held by value
 	seq   uint64
 	steps uint64
 }
@@ -63,14 +51,59 @@ func (e *Engine) At(t Time, fn func()) {
 		panic("sim: At with time in the past")
 	}
 	e.seq++
-	heap.Push(&e.pq, &Event{at: t, seq: e.seq, fn: fn})
+	e.push(Event{at: t, seq: e.seq, fn: fn})
+}
+
+// push adds ev to the heap and sifts it up to its place.
+//
+//pythia:noalloc
+func (e *Engine) push(ev Event) {
+	e.pq = append(e.pq, ev)
+	i := len(e.pq) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&e.pq[parent]) {
+			break
+		}
+		e.pq[i] = e.pq[parent]
+		i = parent
+	}
+	e.pq[i] = ev
+}
+
+// pop removes and returns the earliest event. The heap's last event is
+// sifted down from the root: the hole at i takes its earlier child until the
+// last event fits there.
+//
+//pythia:noalloc
+func (e *Engine) pop() Event {
+	top := e.pq[0]
+	n := len(e.pq) - 1
+	last := e.pq[n]
+	e.pq[n] = Event{} // drop the callback reference
+	e.pq = e.pq[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && e.pq[c+1].before(&e.pq[c]) {
+			c++
+		}
+		if !e.pq[c].before(&last) {
+			break
+		}
+		e.pq[i] = e.pq[c]
+		i = c
+	}
+	if n > 0 {
+		e.pq[i] = last
+	}
+	return top
 }
 
 // Run dispatches events until the queue is empty and returns the final
 // virtual time.
 func (e *Engine) Run() Time {
 	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*Event)
+		ev := e.pop()
 		e.Clock.AdvanceTo(ev.at)
 		e.steps++
 		ev.fn()

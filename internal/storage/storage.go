@@ -79,8 +79,9 @@ func (o *Object) PageIDFor(n PageNum) PageID {
 // Registry assigns ObjectIDs and resolves them back to objects. The catalog
 // builds one per database.
 type Registry struct {
-	next    ObjectID
-	objects map[ObjectID]*Object
+	// objects is indexed by ObjectID: IDs are handed out densely from 1, so
+	// element 0 is the nil that InvalidObject resolves to.
+	objects []*Object
 	byName  map[string]*Object
 }
 
@@ -88,8 +89,7 @@ type Registry struct {
 // the zero PageID is always invalid.
 func NewRegistry() *Registry {
 	return &Registry{
-		next:    1,
-		objects: make(map[ObjectID]*Object),
+		objects: []*Object{nil},
 		byName:  make(map[string]*Object),
 	}
 }
@@ -101,35 +101,33 @@ func (r *Registry) Register(name string, kind ObjectKind, pages PageNum) *Object
 	if _, dup := r.byName[name]; dup {
 		panic("storage: duplicate object name " + name)
 	}
-	o := &Object{ID: r.next, Name: name, Kind: kind, Pages: pages}
-	r.next++
-	r.objects[o.ID] = o
+	o := &Object{ID: ObjectID(len(r.objects)), Name: name, Kind: kind, Pages: pages}
+	r.objects = append(r.objects, o)
 	r.byName[name] = o
 	return o
 }
 
 // Lookup returns the object with the given ID, or nil.
-func (r *Registry) Lookup(id ObjectID) *Object { return r.objects[id] }
+func (r *Registry) Lookup(id ObjectID) *Object {
+	if int(id) >= len(r.objects) {
+		return nil
+	}
+	return r.objects[id]
+}
 
 // LookupName returns the object with the given name, or nil.
 func (r *Registry) LookupName(name string) *Object { return r.byName[name] }
 
 // Objects returns all registered objects in ID order.
 func (r *Registry) Objects() []*Object {
-	out := make([]*Object, 0, len(r.objects))
-	for id := ObjectID(1); id < r.next; id++ {
-		if o := r.objects[id]; o != nil {
-			out = append(out, o)
-		}
-	}
-	return out
+	return append([]*Object(nil), r.objects[1:]...)
 }
 
 // TotalPages returns the sum of page counts over all objects — the "database
 // size" used to size buffer pools as a fraction of data (the paper uses 1%).
 func (r *Registry) TotalPages() int {
 	total := 0
-	for _, o := range r.objects {
+	for _, o := range r.objects[1:] {
 		total += int(o.Pages)
 	}
 	return total

@@ -18,7 +18,7 @@ func TestRegistryAssignsUniqueIDs(t *testing.T) {
 	if r.Lookup(a.ID) != a || r.LookupName("store_sales_pk") != b {
 		t.Fatal("lookup mismatch")
 	}
-	if r.Lookup(999) != nil || r.LookupName("nope") != nil {
+	if r.Lookup(999) != nil || r.Lookup(InvalidObject) != nil || r.LookupName("nope") != nil {
 		t.Fatal("lookup of unknown object should be nil")
 	}
 }
