@@ -1,12 +1,11 @@
-// Command pythia-vet runs the repo's custom static-analysis suite: detclock
-// (no wall clock or global math/rand in deterministic packages), mapiter (no
-// output-reaching map iteration there), noalloc (//pythia:noalloc functions
-// must not allocate per call), errdiscard (Plan/Build/Normalize errors must
-// be handled), lockorder (one global mutex order, no re-entrant Lock),
-// atomicfield (no plain access to atomically accessed fields), goleak
-// (every go statement provably bounded), and metricsdrift (Prometheus
-// families and obs.Kind names in sync with the goldens). See DESIGN.md
-// "Static invariants".
+// Command pythia-vet runs the repo's custom static-analysis suite of seven
+// analyzers: detclock (no wall clock or global math/rand in deterministic
+// packages), mapiter (no output-reaching map iteration there), noalloc
+// (//pythia:noalloc functions must not allocate per call), errdiscard
+// (Plan/Build/Normalize errors must be handled), lockorder (one global mutex
+// order, no re-entrant Lock), atomicfield (no plain access to atomically
+// accessed fields), and goleak (every go statement provably bounded). See
+// DESIGN.md "Static invariants".
 //
 // Usage:
 //

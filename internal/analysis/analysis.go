@@ -2,7 +2,7 @@
 // suite that enforces the repo's determinism, allocation, and error-handling
 // invariants at compile time instead of hoping a test tickles a violation.
 //
-// Eight analyzers run over every package of the module:
+// Seven analyzers run over every package of the module:
 //
 //   - detclock: no wall-clock reads (time.Now/Since/Sleep/...) or global
 //     math/rand state in deterministic packages. Wall-clock cost measurement
@@ -25,9 +25,6 @@
 //     written plainly. //pythia:atomicfield-ok escapes one declaration.
 //   - goleak: every `go` statement must be provably bounded — select on a
 //     context/done channel, awaited WaitGroup, or //pythia:goleak-ok.
-//   - metricsdrift: Prometheus families emitted in source must match
-//     testdata/metrics.golden, and every obs.Kind constant must have a
-//     kindNames entry with a matching events row in the golden.
 //
 // The loader (load.go) builds the module's package graph with go/parser and
 // go/types only — no golang.org/x/tools dependency — so `go run
@@ -66,7 +63,7 @@ type Analyzer struct {
 }
 
 // All lists every analyzer in the suite, in reporting order.
-var All = []*Analyzer{Detclock, Mapiter, Noalloc, Errdiscard, Lockorder, Atomicfield, Goleak, Metricsdrift}
+var All = []*Analyzer{Detclock, Mapiter, Noalloc, Errdiscard, Lockorder, Atomicfield, Goleak}
 
 // Pass carries one analyzer's run over one package.
 type Pass struct {

@@ -27,21 +27,18 @@ import (
 //	                 both bounded and unbounded goroutines, goleak also
 //	                 accepts the directive as a comment on the line of (or
 //	                 immediately above) a single `go` statement
-//	metricsdrift-ok  this declaration's metric families are exempt from the
-//	                 golden cross-check (metricsdrift)
 const directivePrefix = "//pythia:"
 
 // Escape directives each suppress one analyzer; noalloc is the opt-in
 // annotation for the allocation analyzer.
 const (
-	DirWallclockOK    = "wallclock-ok"
-	DirMapOrderOK     = "maporder-ok"
-	DirErrcheckOK     = "errcheck-ok"
-	DirNoalloc        = "noalloc"
-	DirLockorderOK    = "lockorder-ok"
-	DirAtomicfieldOK  = "atomicfield-ok"
-	DirGoleakOK       = "goleak-ok"
-	DirMetricsdriftOK = "metricsdrift-ok"
+	DirWallclockOK   = "wallclock-ok"
+	DirMapOrderOK    = "maporder-ok"
+	DirErrcheckOK    = "errcheck-ok"
+	DirNoalloc       = "noalloc"
+	DirLockorderOK   = "lockorder-ok"
+	DirAtomicfieldOK = "atomicfield-ok"
+	DirGoleakOK      = "goleak-ok"
 )
 
 // declDirectives returns the //pythia: directive names on decl's doc comment.

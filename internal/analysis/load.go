@@ -32,12 +32,6 @@ type Package struct {
 	Deterministic bool
 	// Module is the module path the package was loaded under.
 	Module string
-	// Dep returns another already-loaded package of the same module by
-	// import path (nil if it was never loaded). Analyzers that need a
-	// dependency's syntax — metricsdrift reading obs's kindNames table —
-	// use this instead of re-parsing; imports are always in the loader
-	// cache by the time the importing package is analyzed.
-	Dep func(path string) *Package
 }
 
 // FindModule walks up from dir to the enclosing go.mod and returns the
@@ -210,7 +204,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: checking %s: %w", path, err)
 	}
 	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, Module: l.module}
-	p.Dep = func(dep string) *Package { return l.pkgs[dep] }
 	l.pkgs[path] = p
 	return p, nil
 }

@@ -19,18 +19,17 @@ func TestFixtures(t *testing.T) {
 		t.Fatalf("RunFixtures: %v", err)
 	}
 	wantFixtures := map[string]bool{
-		"detclock":     false,
-		"wallclockok":  false,
-		"mapiter":      false,
-		"maporderok":   false,
-		"noalloc":      false,
-		"errdiscard":   false,
-		"errcheckok":   false,
-		"clocknondet":  false,
-		"lockorder":    false,
-		"atomicfield":  false,
-		"goleak":       false,
-		"metricsdrift": false,
+		"detclock":    false,
+		"wallclockok": false,
+		"mapiter":     false,
+		"maporderok":  false,
+		"noalloc":     false,
+		"errdiscard":  false,
+		"errcheckok":  false,
+		"clocknondet": false,
+		"lockorder":   false,
+		"atomicfield": false,
+		"goleak":      false,
 	}
 	for _, r := range reports {
 		if _, ok := wantFixtures[r.Name]; ok {
@@ -51,11 +50,10 @@ func TestFixtures(t *testing.T) {
 // seeds one deliberate violation per analyzer — wall-clock in internal/sim,
 // a map-range feeding an event append in internal/replay, an allocation
 // inside a //pythia:noalloc function in internal/nn, a discarded
-// Planner.Plan error, a re-entrant Lock, a torn atomic-field read, an
-// unbounded goroutine, and a Prometheus family missing from its golden —
-// then asserts each is reported with its file:line. Every escape directive
-// is exercised alongside its violation: the suppressed twin must stay
-// silent while the seeded site is still reported.
+// Planner.Plan error, a re-entrant Lock, a torn atomic-field read, and an
+// unbounded goroutine — then asserts each is reported with its file:line.
+// Every escape directive is exercised alongside its violation: the
+// suppressed twin must stay silent while the seeded site is still reported.
 func TestSeededViolations(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -183,57 +181,6 @@ func SpinQuiet() {
 	}()
 }
 `,
-		"internal/mx/mx.go": `package mx
-
-import (
-	"fmt"
-	"io"
-)
-
-// Render emits two families; the golden only knows the first.
-func Render(w io.Writer, n uint64) {
-	fmt.Fprintln(w, "# HELP pythia_mx_total Things.")
-	fmt.Fprintln(w, "# TYPE pythia_mx_total counter")
-	fmt.Fprintf(w, "pythia_mx_total %d\n", n)
-	fmt.Fprintln(w, "# HELP pythia_mx_new_total New things.")
-	fmt.Fprintln(w, "# TYPE pythia_mx_new_total counter") // MARK:metricsdrift
-	fmt.Fprintf(w, "pythia_mx_new_total %d\n", n)
-}
-
-// RenderQuiet is the suppressed twin: a family outside the golden.
-//
-//pythia:metricsdrift-ok seeded: proving the escape silences only this declaration
-func RenderQuiet(w io.Writer, n uint64) {
-	fmt.Fprintln(w, "# HELP pythia_mx_quiet_total Quiet things.")
-	fmt.Fprintln(w, "# TYPE pythia_mx_quiet_total counter")
-	fmt.Fprintf(w, "pythia_mx_quiet_total %d\n", n)
-}
-`,
-		"internal/mx/testdata/metrics.golden": `# HELP pythia_mx_total Things.
-# TYPE pythia_mx_total counter
-pythia_mx_total 0
-`,
-		"internal/obsk/kinds.go": `package obsk
-
-// Kind identifies one event type.
-type Kind uint8
-
-// The event kinds.
-const (
-	EventA Kind = iota
-	EventB
-	KindCount
-)
-
-// kindNames deliberately omits EventB: its String() renders empty and the
-// kind vanishes from /metrics.
-var kindNames = map[Kind]string{ // MARK:kindnames
-	EventA: "event_a",
-}
-
-// String names the kind.
-func (k Kind) String() string { return kindNames[k] }
-`,
 	}
 	for name, content := range files {
 		p := filepath.Join(dir, filepath.FromSlash(name))
@@ -272,10 +219,6 @@ func (k Kind) String() string { return kindNames[k] }
 		{"lockorder", "internal/srv/locks.go", "MARK:lockorder"},
 		{"atomicfield", "internal/srv/counter.go", "MARK:atomicfield"},
 		{"goleak", "internal/srv/spawn.go", "MARK:goleak"},
-		{"metricsdrift", "internal/mx/mx.go", "MARK:metricsdrift"},
-		// The kind-coverage arm of metricsdrift: a Kind constant deliberately
-		// omitted from the kindNames table must be reported at the table.
-		{"metricsdrift", "internal/obsk/kinds.go", "MARK:kindnames"},
 	}
 	if len(diags) != len(expect) {
 		for _, d := range diags {

@@ -35,9 +35,12 @@ func (s DriftState) Value() int { return int(s) }
 // the (overwhelmingly common) evaluations that hold state; callers emit
 // obs/span events only on changes.
 type Transition struct {
-	Changed bool
-	From    DriftState
-	To      DriftState
+	// Evaluated is true when the detector ran: Monitor.Observe returns the
+	// zero Transition for the plans between two evaluations.
+	Evaluated bool
+	Changed   bool
+	From      DriftState
+	To        DriftState
 	// Score is the divergence that drove the evaluation.
 	Score float64
 	// At is the clock reading at the transition (zero value when the
@@ -137,7 +140,7 @@ func (d *Detector) Evaluate(score float64) Transition {
 	case score >= d.opts.WarnPSI:
 		target = DriftWarning
 	}
-	tr := Transition{From: d.state, To: d.state, Score: score}
+	tr := Transition{Evaluated: true, From: d.state, To: d.state, Score: score}
 	switch {
 	case target > d.state:
 		// Raise immediately, possibly skipping warning entirely.

@@ -31,7 +31,11 @@
 // (registration, report assembly) happens off the hot path.
 package quality
 
-import "github.com/pythia-db/pythia/internal/storage"
+import (
+	"slices"
+
+	"github.com/pythia-db/pythia/internal/storage"
+)
 
 // Score is the exact set overlap of one prediction against ground truth.
 type Score struct {
@@ -99,56 +103,17 @@ func ScoreSets(predicted, actual []storage.PageID) Score {
 
 // canonical returns a sorted, deduplicated copy of pages.
 func canonical(pages []storage.PageID) []storage.PageID {
-	if len(pages) == 0 {
-		return nil
-	}
-	out := make([]storage.PageID, len(pages))
-	copy(out, pages)
-	// Insertion sort territory is rare (predicted sets run hundreds of
-	// pages); use a simple in-place quicksort-free approach via sort-by-Less.
-	sortPageIDs(out)
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
+	out := slices.Clone(pages)
+	slices.SortFunc(out, func(a, b storage.PageID) int {
+		switch {
+		case a.Less(b):
+			return -1
+		case b.Less(a):
+			return 1
 		}
-	}
-	return out[:w]
-}
-
-// sortPageIDs sorts in (Object, Page) order without pulling in sort's
-// interface boxing for a hot-adjacent path.
-func sortPageIDs(p []storage.PageID) {
-	if len(p) < 2 {
-		return
-	}
-	// Heapsort: in-place, no allocation, deterministic.
-	n := len(p)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftPageIDs(p, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		p[0], p[i] = p[i], p[0]
-		siftPageIDs(p, 0, i)
-	}
-}
-
-func siftPageIDs(p []storage.PageID, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && p[child].Less(p[child+1]) {
-			child++
-		}
-		if !p[root].Less(p[child]) {
-			return
-		}
-		p[root], p[child] = p[child], p[root]
-		root = child
-	}
+		return 0
+	})
+	return slices.Compact(out)
 }
 
 // Window is a fixed-size sliding window of Scores with O(1) rolling sums:

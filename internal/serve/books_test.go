@@ -1,0 +1,236 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
+	"testing"
+
+	"github.com/pythia-db/pythia/internal/fault"
+	"github.com/pythia-db/pythia/internal/obs"
+	"github.com/pythia-db/pythia/internal/spec"
+)
+
+// scrape GETs /metrics and returns every sample keyed by its full series name
+// (family plus rendered label set).
+func scrape(t *testing.T, srv *Server) map[string]float64 {
+	t.Helper()
+	rr := doRequest(t, srv, http.MethodGet, "/metrics", nil)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("/metrics status %d", rr.Code)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(rr.Body.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestFleetCountersMonotonicAcrossSwap: a family typed counter never goes
+// backwards. The fleet totals are hub counters, not sums over the serving
+// generation's replicas, so a model swap — which replaces every replica and
+// its per-generation books — leaves them where they were, and each one equals
+// its pythia_events_total twin at every scrape.
+func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
+	srv, w := resilienceServer(t, Options{Replicas: 2, CacheEntries: 2, QueueDepth: 1})
+	insts := distinctInstances(t, srv, w, 6)
+
+	// Each plan twice in a row: a miss then a hit, and six plans through two
+	// 2-entry caches evict. Unmatched plans feed the router's drift monitor
+	// past one evaluation.
+	traffic := func() {
+		for _, i := range insts {
+			predictOK(t, srv, w, i)
+			predictOK(t, srv, w, i)
+		}
+		for i := 0; i < serveDriftEvalEvery; i++ {
+			doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(`{"fact":"inventory"}`))
+		}
+	}
+	traffic()
+
+	// One replica-queue shed that fails over, and one scored feedback.
+	first := predictOK(t, srv, w, insts[0])
+	owner := poolOf(t, srv).cur.Load().instances[first.Replica]
+	owner.queue <- struct{}{}
+	if resp := predictOK(t, srv, w, insts[0]); resp.Replica == first.Replica {
+		t.Fatalf("saturated owner %d still served: %+v", first.Replica, resp)
+	}
+	<-owner.queue
+	if rr := doRequest(t, srv, http.MethodPost, "/v1/feedback", feedbackBody(t, first.PredictionID, first.Pages)); rr.Code != http.StatusOK {
+		t.Fatalf("feedback status %d: %s", rr.Code, rr.Body.String())
+	}
+
+	// The run above is built to move every one of these off zero; the drift
+	// transition counters move only if the unmatched flood tips the detector.
+	exercised := []string{
+		"pythia_predcache_hits_total", "pythia_predcache_misses_total", "pythia_predcache_evictions_total",
+		"pythia_replica_sheds_total", "pythia_replica_failovers_total", "pythia_quality_feedback_total",
+		"pythia_drift_evaluations_total",
+	}
+	counters := append([]string{"pythia_drift_warnings_total", "pythia_drift_alarms_total", "pythia_drift_recoveries_total"}, exercised...)
+	twins := map[string]obs.Kind{
+		"pythia_predcache_hits_total":      obs.PredCacheHit,
+		"pythia_predcache_misses_total":    obs.PredCacheMiss,
+		"pythia_predcache_evictions_total": obs.PredCacheEvict,
+		"pythia_replica_failovers_total":   obs.ReplicaFailover,
+		"pythia_quality_feedback_total":    obs.QualityScored,
+	}
+	var prev map[string]float64
+	var prevStats statsResponse
+	check := func(step string) {
+		t.Helper()
+		got := scrape(t, srv)
+		var stats statsResponse
+		if err := json.NewDecoder(doRequest(t, srv, http.MethodGet, "/stats", nil).Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		for fam, kind := range twins {
+			if twin := got[fmt.Sprintf("pythia_events_total{kind=%q}", kind)]; got[fam] != twin {
+				t.Errorf("%s: %s = %v but its events twin %s = %v", step, fam, got[fam], kind, twin)
+			}
+		}
+		if float64(stats.PredCache.Hits) != got["pythia_predcache_hits_total"] || float64(stats.PredCache.Misses) != got["pythia_predcache_misses_total"] {
+			t.Errorf("%s: /stats predcache %+v disagrees with /metrics", step, *stats.PredCache)
+		}
+		if prev != nil {
+			for _, fam := range counters {
+				if got[fam] < prev[fam] {
+					t.Errorf("%s: counter %s went backwards: %v -> %v", step, fam, prev[fam], got[fam])
+				}
+			}
+			if stats.PredCache.Hits < prevStats.PredCache.Hits || stats.PredCache.Misses < prevStats.PredCache.Misses {
+				t.Errorf("%s: /stats predcache went backwards: %+v -> %+v", step, *prevStats.PredCache, *stats.PredCache)
+			}
+		}
+		prev, prevStats = got, stats
+	}
+
+	check("before swap")
+	for _, fam := range exercised {
+		if prev[fam] == 0 {
+			t.Fatalf("%s is still 0 before the swap; the run did not exercise it", fam)
+		}
+	}
+
+	var snap bytes.Buffer
+	if err := fixtureSys.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.inf.Swap(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("swap: %v", err)
+	}
+	check("after swap")
+	for _, r := range prevStats.Replicas {
+		if r.Generation != 2 {
+			t.Fatalf("replica %d still on generation %d", r.ID, r.Generation)
+		}
+	}
+	traffic()
+	check("after post-swap traffic")
+}
+
+// TestBooksBalance pins the two conservation identities that hold on one
+// snapshot of a run without a swap, at every replica count and with the
+// prediction cache on or off:
+//
+//	predictions − fallbacks = predcache hits + inference_run
+//	http_requests_total{endpoint∈{predict,explain},code=503} = requests_shed
+func TestBooksBalance(t *testing.T) {
+	for _, tc := range []struct {
+		replicas, cache int
+	}{{1, 0}, {1, -1}, {3, 0}, {3, -1}} {
+		t.Run(fmt.Sprintf("replicas=%d,cache=%d", tc.replicas, tc.cache), func(t *testing.T) {
+			srv, w := resilienceServer(t, Options{Replicas: tc.replicas, CacheEntries: tc.cache, MaxInFlight: 1, QueueDepth: 1})
+			insts := distinctInstances(t, srv, w, 5)
+			cold := func() *bytes.Buffer { return specBody(t, spec.FromQuery(w.Instances[insts[4]].Query)) }
+
+			// Misses, then repeats (hits when the cache is on), and an
+			// unmatched plan answering the fallback.
+			for round := 0; round < 2; round++ {
+				for _, i := range insts[:4] {
+					predictOK(t, srv, w, i)
+				}
+			}
+			if rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(`{"fact":"inventory"}`)); rr.Code != http.StatusOK {
+				t.Fatalf("unmatched plan: status %d: %s", rr.Code, rr.Body.String())
+			}
+
+			// An injected fault on every replica: a never-cached plan answers
+			// 500 however far it fails over.
+			srv.SetFault(fault.New(fault.Plan{ServeRate: 1}, 1))
+			if rr := doRequest(t, srv, http.MethodPost, "/v1/predict", cold()); rr.Code != http.StatusInternalServerError {
+				t.Fatalf("faulted predict status %d: %s", rr.Code, rr.Body.String())
+			}
+			srv.SetFault(nil)
+
+			// Sheds at both sites: the server's in-flight limit (predict and
+			// explain), and every candidate replica's full work queue.
+			srv.inflight.Add(1)
+			for _, path := range []string{"/v1/predict", "/v1/explain"} {
+				if rr := doRequest(t, srv, http.MethodPost, path, cold()); rr.Code != http.StatusServiceUnavailable {
+					t.Fatalf("%s at the in-flight limit: status %d", path, rr.Code)
+				}
+			}
+			srv.inflight.Add(-1)
+			instances := poolOf(t, srv).cur.Load().instances
+			for _, ins := range instances {
+				ins.queue <- struct{}{}
+			}
+			if rr := doRequest(t, srv, http.MethodPost, "/v1/predict", cold()); rr.Code != http.StatusServiceUnavailable {
+				t.Fatalf("predict with every queue full: status %d", rr.Code)
+			}
+			for _, ins := range instances {
+				<-ins.queue
+			}
+
+			snap := srv.snapshot()
+			inferences := snap.EventCounts.Get(obs.InferenceRun)
+			if got, want := snap.Predictions-snap.Fallbacks, snap.FleetCache.Hits+inferences; got != want || got != 8 {
+				t.Errorf("predictions %d − fallbacks %d = %d, predcache hits %d + inference_run %d = %d, want both 8",
+					snap.Predictions, snap.Fallbacks, got, snap.FleetCache.Hits, inferences, want)
+			}
+			if wantHits := uint64(4 * (tc.cache + 1)); snap.FleetCache.Hits != wantHits || snap.Fallbacks != 1 {
+				t.Errorf("predcache hits %d, fallbacks %d, want %d and 1", snap.FleetCache.Hits, snap.Fallbacks, wantHits)
+			}
+			var shed503 uint64
+			for _, r := range snap.Requests {
+				if (r.Endpoint == "predict" || r.Endpoint == "explain") && r.Code == http.StatusServiceUnavailable {
+					shed503 += r.Count
+				}
+			}
+			if shed503 != snap.Shed || snap.Shed != 3 {
+				t.Errorf("503s on predict+explain = %d, requests_shed = %d, want both 3", shed503, snap.Shed)
+			}
+		})
+	}
+}
+
+// TestFamilyTable: every /metrics family is one well-formed entry of the one
+// table, so the renderer's HELP/TYPE pairing covers the whole exposition.
+func TestFamilyTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, f := range families(goldenServer(t).snapshot()) {
+		if !strings.HasPrefix(f.name, "pythia_") || f.help == "" {
+			t.Errorf("family %+v: want a pythia_ name and a help text", f)
+		}
+		if f.typ != counter && f.typ != gauge && f.typ != histogram {
+			t.Errorf("family %s: type %q is not counter, gauge or histogram", f.name, f.typ)
+		}
+		if seen[f.name] {
+			t.Errorf("family %s appears twice in the table", f.name)
+		}
+		seen[f.name] = true
+	}
+}

@@ -105,7 +105,11 @@ type InfStatus struct {
 	Replicas []ReplicaStatus `json:"replicas"`
 }
 
-// ReplicaStatus is one replica's row in InfStatus.
+// ReplicaStatus is one replica's row in InfStatus. Its counters (served,
+// shed, cache hits/misses/evictions, quality_scored, the drift counters) are
+// per-generation: a model swap replaces every replica, and the new rows start
+// from zero. The fleet totals on /stats and /metrics are separate monotonic
+// counters in the Metrics hub and do not restart.
 type ReplicaStatus struct {
 	ID             int      `json:"id"`
 	Generation     uint64   `json:"generation"`

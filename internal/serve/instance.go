@@ -10,6 +10,7 @@ import (
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/quality"
+	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -107,6 +108,7 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 			// cannot accept its shard's traffic is unhealthy from the
 			// router's point of view, whatever the cause.
 			ins.shed.Add(1)
+			ins.metrics.replicaSheds.Add(1)
 			ins.health.failure()
 			return p, ErrSaturated
 		}
@@ -160,7 +162,11 @@ func (ins *instance) cached(fp uint64) ([]storage.PageID, bool) {
 		return nil, false
 	}
 	pages, hit := ins.cache.get(fp)
-	ins.metrics.markCache(hit)
+	kind := span.PredCacheMissMark
+	if hit {
+		kind = span.PredCacheHitMark
+	}
+	ins.metrics.mark(kind, "predict")
 	return pages, hit
 }
 
@@ -175,9 +181,7 @@ func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *pl
 	select {
 	case pages := <-done:
 		ins.health.success()
-		if rec := ins.metrics.Events(); rec != nil {
-			rec.Record(obs.Event{Kind: obs.InferenceRun})
-		}
+		ins.metrics.events.Record(obs.Event{Kind: obs.InferenceRun})
 		return ins.sys.LimitPrefetch(pages), nil
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -204,13 +208,14 @@ func (ins *instance) observeDrift(root *plan.Node) {
 	ins.qmu.Lock()
 	tr := ins.qmon.Observe(corepythia.DriftTokens(root))
 	ins.qmu.Unlock()
+	if tr.Evaluated {
+		ins.metrics.driftEvals.Add(1)
+	}
 	if !tr.Changed {
 		return
 	}
-	if rec := ins.metrics.Events(); rec != nil {
-		rec.Record(obs.Event{Kind: quality.DriftEventKind(tr.To), Query: obs.NoQuery})
-	}
-	ins.metrics.markDrift(quality.DriftMarkKind(tr.To))
+	ins.metrics.events.Record(obs.Event{Kind: quality.DriftEventKind(tr.To), Query: obs.NoQuery})
+	ins.metrics.mark(quality.DriftMarkKind(tr.To), "predict")
 }
 
 // feedback folds one scored prediction into the replica's quality window

@@ -68,9 +68,15 @@ type Metrics struct {
 	fallbacks      atomic.Uint64 // predictions answered by the fallback path
 	predictedPages atomic.Uint64 // total pages across predicted sets
 
-	sheds     atomic.Uint64 // requests refused at the in-flight limit
-	timeouts  atomic.Uint64 // inferences that blew the request timeout
-	failovers atomic.Uint64 // requests rerouted past an unhealthy replica
+	sheds    atomic.Uint64 // requests answered 503: in-flight limit or a full replica queue
+	timeouts atomic.Uint64 // inferences that blew the request timeout
+
+	// Fleet totals with no obs.Kind of their own. They live here, not on the
+	// replicas, so they survive a model swap; every other fleet fact
+	// (failovers, prediction-cache outcomes, feedback, drift transitions) is
+	// its events counter and nothing else.
+	replicaSheds atomic.Uint64 // admissions refused at a replica's work queue
+	driftEvals   atomic.Uint64 // drift-detector evaluations across replicas
 
 	events *obs.AtomicCounters // system + replay event totals
 
@@ -182,40 +188,14 @@ func (m *Metrics) observePrediction(pages int, fallback bool) {
 	m.predictedPages.Add(uint64(pages))
 }
 
-// markCache stamps a cache-hit or cache-miss instant mark onto the span
-// trace at the current clock, attributed to the predict endpoint. One
+// mark stamps an instant mark onto the span trace at the current clock,
+// attributed to the endpoint whose request caused it (a prediction-cache
+// outcome or drift transition on predict, a scored report on feedback). One
 // nil-check when no tracer is attached.
-func (m *Metrics) markCache(hit bool) {
-	tr := m.tracer.Load()
-	if tr == nil {
-		return
+func (m *Metrics) mark(kind span.Kind, endpoint string) {
+	if tr := m.tracer.Load(); tr != nil {
+		tr.Instant(kind, endpoint, span.NoQuery, sim.Time(m.now().Sub(m.start)))
 	}
-	kind := span.PredCacheMissMark
-	if hit {
-		kind = span.PredCacheHitMark
-	}
-	tr.Instant(kind, "predict", span.NoQuery, sim.Time(m.now().Sub(m.start)))
-}
-
-// markQuality stamps a quality-feedback instant mark onto the span trace,
-// attributed to the feedback endpoint.
-func (m *Metrics) markQuality() {
-	tr := m.tracer.Load()
-	if tr == nil {
-		return
-	}
-	tr.Instant(span.QualityScoreMark, "feedback", span.NoQuery, sim.Time(m.now().Sub(m.start)))
-}
-
-// markDrift stamps a drift-transition instant mark (warning, alarm, or
-// recovered) onto the span trace, attributed to the predict endpoint that
-// tipped the detector.
-func (m *Metrics) markDrift(kind span.Kind) {
-	tr := m.tracer.Load()
-	if tr == nil {
-		return
-	}
-	tr.Instant(kind, "predict", span.NoQuery, sim.Time(m.now().Sub(m.start)))
 }
 
 // requestRow is one (endpoint, code, count) cell in snapshot order.
@@ -225,12 +205,16 @@ type requestRow struct {
 	Count    uint64 `json:"count"`
 }
 
-// latencyRow is one endpoint's latency summary.
+// latencyRow is one endpoint's latency summary. The histogram itself rides
+// along for /metrics: Cumulative holds one count per bound plus a final +Inf
+// entry.
 type latencyRow struct {
-	Endpoint   string  `json:"endpoint"`
-	Count      uint64  `json:"count"`
-	SumSeconds float64 `json:"sum_seconds"`
-	AvgSeconds float64 `json:"avg_seconds"`
+	Endpoint   string          `json:"endpoint"`
+	Count      uint64          `json:"count"`
+	SumSeconds float64         `json:"sum_seconds"`
+	AvgSeconds float64         `json:"avg_seconds"`
+	Bounds     []time.Duration `json:"-"`
+	Cumulative []uint64        `json:"-"`
 }
 
 // snapshotRequests returns the request table sorted by (endpoint, code) so
@@ -259,7 +243,8 @@ func (m *Metrics) snapshotLatency() []latencyRow {
 	defer m.mu.Unlock()
 	var rows []latencyRow
 	for ep, h := range m.latency {
-		row := latencyRow{Endpoint: ep, Count: h.Count(), SumSeconds: h.Sum().Seconds()}
+		row := latencyRow{Endpoint: ep, Count: h.Count(), SumSeconds: h.Sum().Seconds(),
+			Bounds: h.Bounds(), Cumulative: h.Cumulative()}
 		if row.Count > 0 {
 			row.AvgSeconds = row.SumSeconds / float64(row.Count)
 		}
@@ -267,21 +252,6 @@ func (m *Metrics) snapshotLatency() []latencyRow {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Endpoint < rows[j].Endpoint })
 	return rows
-}
-
-// histograms returns the latency histograms keyed by endpoint, sorted by
-// endpoint name, for the Prometheus renderer.
-func (m *Metrics) histograms() (endpoints []string, hists []*obs.Histogram) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for ep := range m.latency {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		hists = append(hists, m.latency[ep])
-	}
-	return endpoints, hists
 }
 
 // statusWriter captures the response status code for instrumentation.

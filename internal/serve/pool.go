@@ -162,16 +162,11 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 	return pred, err
 }
 
-// noteFailovers records n failover hops on the metrics surface.
+// noteFailovers records n failover hops: the obs.ReplicaFailover total is the
+// fleet's one failover count.
 func (p *Pool) noteFailovers(n int) {
-	if n <= 0 {
-		return
-	}
-	p.metrics.failovers.Add(uint64(n))
-	if rec := p.metrics.Events(); rec != nil {
-		for i := 0; i < n; i++ {
-			rec.Record(obs.Event{Kind: obs.ReplicaFailover, Query: obs.NoQuery})
-		}
+	for i := 0; i < n; i++ {
+		p.metrics.events.Record(obs.Event{Kind: obs.ReplicaFailover, Query: obs.NoQuery})
 	}
 }
 
@@ -185,7 +180,8 @@ func (p *Pool) Workloads() []*corepythia.Trained {
 }
 
 // Status reports the pool topology: one row per replica of the current
-// generation.
+// generation (the rows' counters restart with each generation; see
+// ReplicaStatus).
 func (p *Pool) Status() InfStatus {
 	gen := p.cur.Load()
 	st := InfStatus{Generation: gen.id, Swaps: p.swaps.Load()}

@@ -26,12 +26,15 @@ type predCache struct {
 	shards []pcShard
 	mask   uint64
 
+	// This cache's own outcomes: its replica's row on /v1/admin/replicas,
+	// gone with the generation that owns it.
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 
-	// rec mirrors the counters onto the obs event surface (PredCacheHit /
-	// PredCacheMiss / PredCacheEvict on /metrics and /stats).
+	// rec receives PredCacheHit / PredCacheMiss / PredCacheEvict: the hub's
+	// totals of those events are the fleet's prediction-cache counts on
+	// /metrics and /stats, across every cache of every generation.
 	rec *obs.AtomicCounters
 }
 

@@ -41,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sync"
@@ -53,6 +54,7 @@ import (
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/quality"
+	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/spec"
 	"github.com/pythia-db/pythia/internal/storage"
 )
@@ -383,26 +385,41 @@ type pageJSON struct {
 	Page   uint32 `json:"page"`
 }
 
-// decodeQuery parses and plans the posted QuerySpec, writing the typed
-// error envelope on any failure.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (plan.Query, *plan.Node, bool) {
+// decodePost guards a JSON POST endpoint and decodes its body under the
+// MaxBodyBytes cap, writing the typed error envelope on any failure: 405 for
+// other methods (usage names what to post), 413 when the cap trips, 400
+// invalid_spec for anything else dec rejects.
+func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, usage string, dec func(io.Reader) error) bool {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST a QuerySpec JSON document")
-		return plan.Query{}, nil, false
+		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, usage)
+		return false
 	}
 	body := r.Body
 	if s.opts.MaxBodyBytes > 0 {
 		body = http.MaxBytesReader(w, body, s.opts.MaxBodyBytes)
 	}
-	qs, err := spec.Decode(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return plan.Query{}, nil, false
-		}
+	err := dec(body)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
+	}
+	return false
+}
+
+// decodeQuery parses and plans the posted QuerySpec, writing the typed
+// error envelope on any failure.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (plan.Query, *plan.Node, bool) {
+	var qs spec.QuerySpec
+	if !s.decodePost(w, r, "POST a QuerySpec JSON document", func(body io.Reader) (err error) {
+		qs, err = spec.Decode(body)
+		return err
+	}) {
 		return plan.Query{}, nil, false
 	}
 	q, err := qs.ToQuery()
@@ -478,23 +495,10 @@ type feedbackResponse struct {
 // lands in the server-wide quality window, the serving replica's window, the
 // obs event stream (obs.QualityScored), and the span trace.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST a feedback JSON document")
-		return
-	}
-	body := r.Body
-	if s.opts.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, body, s.opts.MaxBodyBytes)
-	}
 	var req feedbackRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
+	if !s.decodePost(w, r, "POST a feedback JSON document", func(body io.Reader) error {
+		return json.NewDecoder(body).Decode(&req)
+	}) {
 		return
 	}
 	actual := make([]storage.PageID, 0, len(req.Pages))
@@ -519,7 +523,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.qmu.Unlock()
 	s.inf.Feedback(rec.replica, sc)
 	s.metrics.events.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})
-	s.metrics.markQuality()
+	s.metrics.mark(span.QualityScoreMark, "feedback")
 	writeJSON(w, feedbackResponse{
 		PredictionID:  req.PredictionID,
 		Workload:      rec.workload,
@@ -617,10 +621,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.writePrometheus(w)
+	writePrometheus(w, s.snapshot())
 }
 
-// statsResponse is the JSON shape of /stats.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
+		return
+	}
+	snap := s.snapshot()
+	// The high-water uptime is a second clock reading only /stats prints,
+	// taken after the snapshot's own.
+	snap.UptimeMonotonicSeconds = s.metrics.UptimeMonotonic().Seconds()
+	writeJSON(w, snap)
+}
+
+// statsResponse is the one snapshot of the serving books: the JSON shape of
+// /stats, and the only input of the /metrics renderer — what /metrics needs
+// and /stats does not print rides along as json:"-" fields.
+//
+// Fleet totals (requests_shed, replica_failovers, predcache hits/misses/
+// evictions, quality.scored, the drift counters) each read one monotonic
+// counter in the Metrics hub, so they survive a model swap; the replicas rows
+// are the serving generation's own books and restart with it.
 type statsResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// UptimeMonotonicSeconds is the high-water uptime reading: it never
@@ -646,18 +669,29 @@ type statsResponse struct {
 	Generation             uint64            `json:"generation"`
 	Swaps                  uint64            `json:"swaps"`
 	Replicas               []ReplicaStatus   `json:"replicas"`
-	PredCache              *predCacheStats   `json:"predcache,omitempty"`
+	// PredCache is the fleet view of the prediction caches (FleetCache below),
+	// printed only when caching is on.
+	PredCache *predCacheStats `json:"predcache,omitempty"`
 	// Quality aggregates the feedback-scored prediction quality server-wide;
 	// per-replica views are in the replicas rows. Always present — zeros mean
 	// "no feedback yet", and rendering the block unconditionally keeps the
 	// /stats shape configuration-independent.
 	Quality qualityStats `json:"quality"`
-	// Drift aggregates the replicas' drift detectors: worst state, max score,
-	// summed counters.
+	// Drift is the fleet view of the replicas' drift detectors.
 	Drift driftAggStats `json:"drift"`
 	// Baseline identifies the drift baseline the serving snapshot carries
 	// (absent when the system is untrained or predates baselines).
 	Baseline *corepythia.BaselineID `json:"baseline,omitempty"`
+
+	// /metrics only: every event kind including the zeros Events omits, the
+	// model inventory, the replica-queue shed total, the cache totals even
+	// when caching is off, and the health state as a gauge.
+	EventCounts  obs.Counters   `json:"-"`
+	Workloads    int            `json:"-"`
+	ModelParams  int            `json:"-"`
+	ReplicaSheds uint64         `json:"-"`
+	FleetCache   predCacheStats `json:"-"`
+	HealthValue  int            `json:"-"`
 }
 
 // qualityStats is the /stats view of the server-wide feedback window.
@@ -673,11 +707,15 @@ type qualityStats struct {
 	WastedRatio float64 `json:"wasted_ratio"`
 }
 
-// driftAggStats is the /stats fleet view of drift: the single-state summary
-// a dashboard alerts on, aggregated across replicas the same way the health
-// gauge is.
+// driftAggStats is the fleet view of drift: the single-state summary a
+// dashboard alerts on. State (StateValue as a gauge) and Score describe the
+// serving generation — the worst replica, so a healthy one cannot mask an
+// alarming one; the counters are lifetime fleet totals. Warnings counts every
+// transition into warning, an alarm stepping down through it included (a
+// replica row's drift.warnings counts raises only).
 type driftAggStats struct {
 	State       string  `json:"state"`
+	StateValue  int     `json:"-"`
 	Score       float64 `json:"score"`
 	Evaluations uint64  `json:"evaluations"`
 	Warnings    uint64  `json:"warnings"`
@@ -685,34 +723,89 @@ type driftAggStats struct {
 	Recoveries  uint64  `json:"recoveries"`
 }
 
-// aggregateDrift folds the replicas' drift snapshots into the fleet view:
-// worst state and max score (a healthy replica must not mask an alarming
-// one), summed counters.
-func aggregateDrift(st InfStatus) driftAggStats {
-	agg := driftAggStats{State: quality.DriftOK.String()}
-	worst := 0
-	for _, r := range st.Replicas {
-		if r.Drift.StateValue > worst {
-			worst = r.Drift.StateValue
-		}
-		if r.Drift.Score > agg.Score {
-			agg.Score = r.Drift.Score
-		}
-		agg.Evaluations += r.Drift.Evaluations
-		agg.Warnings += r.Drift.Warnings
-		agg.Alarms += r.Drift.Alarms
-		agg.Recoveries += r.Drift.Recoveries
+// predCacheStats is the fleet view of the prediction caches: residency
+// summed across the serving replicas, lifetime outcome totals.
+type predCacheStats struct {
+	Entries   int    `json:"entries"`
+	Capacity  int    `json:"capacity"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+}
+
+// snapshot reads the hub and the model tier once and does every fleet
+// aggregation once; /stats marshals the result and /metrics renders it.
+func (s *Server) snapshot() *statsResponse {
+	m := s.metrics
+	ev := m.events.Snapshot()
+	st := s.inf.Status()
+	resp := &statsResponse{
+		UptimeSeconds:  m.Uptime().Seconds(),
+		Build:          m.Build(),
+		Requests:       m.snapshotRequests(),
+		Latency:        m.snapshotLatency(),
+		Predictions:    m.predictions.Load(),
+		Fallbacks:      m.fallbacks.Load(),
+		PredictedPages: m.predictedPages.Load(),
+		Events:         ev.Map(),
+		BufferHitRatio: ev.HitRatio(obs.BufferHit, obs.BufferMiss),
+		OSHitRatio:     ev.HitRatio(obs.OSCacheHit, obs.OSCacheMiss),
+		Shed:           m.sheds.Load(),
+		Timeouts:       m.timeouts.Load(),
+		Failovers:      ev.Get(obs.ReplicaFailover),
+		Draining:       s.draining.Load(),
+		Generation:     st.Generation,
+		Swaps:          st.Swaps,
+		Replicas:       st.Replicas,
+		Quality:        s.qualitySnapshot(ev.Get(obs.QualityScored)),
+		Drift:          aggregateDrift(st),
+		Baseline:       s.inf.BaselineID(),
+		EventCounts:    ev,
+		ReplicaSheds:   m.replicaSheds.Load(),
+		FleetCache:     predCacheStats{Hits: ev.Get(obs.PredCacheHit), Misses: ev.Get(obs.PredCacheMiss), Evictions: ev.Get(obs.PredCacheEvict)},
 	}
-	agg.State = quality.DriftState(worst).String()
+	resp.HealthValue, resp.HealthState = worstHealthState(st)
+	resp.Drift.Evaluations = m.driftEvals.Load()
+	resp.Drift.Warnings = ev.Get(obs.DriftWarning)
+	resp.Drift.Alarms = ev.Get(obs.DriftAlarm)
+	resp.Drift.Recoveries = ev.Get(obs.DriftRecovered)
+	if resp.Predictions > 0 {
+		resp.FallbackRate = float64(resp.Fallbacks) / float64(resp.Predictions)
+		resp.AvgSetSize = float64(resp.PredictedPages) / float64(resp.Predictions)
+	}
+	for _, r := range st.Replicas {
+		resp.FleetCache.Entries += r.CacheEntries
+		resp.FleetCache.Capacity += r.CacheCapacity
+	}
+	if s.opts.CacheEntries > 0 {
+		resp.PredCache = &resp.FleetCache
+	}
+	for _, tw := range s.inf.Workloads() {
+		resp.Workloads++
+		resp.ModelParams += tw.Pred.ParamCount()
+	}
+	return resp
+}
+
+// aggregateDrift folds the serving replicas' drift detectors into the fleet
+// state: worst state, max score.
+func aggregateDrift(st InfStatus) driftAggStats {
+	var agg driftAggStats
+	for _, r := range st.Replicas {
+		agg.StateValue = max(agg.StateValue, r.Drift.StateValue)
+		agg.Score = max(agg.Score, r.Drift.Score)
+	}
+	agg.State = quality.DriftState(agg.StateValue).String()
 	return agg
 }
 
-// qualitySnapshot reads the server-wide feedback window.
-func (s *Server) qualitySnapshot() qualityStats {
+// qualitySnapshot reads the server-wide feedback window; scored is the
+// lifetime feedback count from the hub.
+func (s *Server) qualitySnapshot(scored uint64) qualityStats {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	q := qualityStats{
-		Scored:    s.qwin.Seen(),
+		Scored:    scored,
 		Window:    s.qwin.Len(),
 		Precision: s.qwin.Precision(),
 		Recall:    s.qwin.Recall(),
@@ -723,75 +816,12 @@ func (s *Server) qualitySnapshot() qualityStats {
 	return q
 }
 
-// predCacheStats is the /stats view of the prediction caches, summed across
-// replicas.
-type predCacheStats struct {
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-}
-
 // worstHealthState returns the most-degraded replica health state
 // (quarantined > probation > degraded > healthy) — the single-gauge view a
 // fleet dashboard alerts on; per-replica states are in the replicas rows.
 func worstHealthState(st InfStatus) (value int, name string) {
 	for _, r := range st.Replicas {
-		if r.HealthValue > value {
-			value = r.HealthValue
-		}
+		value = max(value, r.HealthValue)
 	}
 	return value, healthStateNames[value]
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	m := s.metrics
-	snap := m.events.Snapshot()
-	st := s.inf.Status()
-	_, healthName := worstHealthState(st)
-	resp := statsResponse{
-		UptimeSeconds:          m.Uptime().Seconds(),
-		UptimeMonotonicSeconds: m.UptimeMonotonic().Seconds(),
-		Build:                  m.Build(),
-		Requests:               m.snapshotRequests(),
-		Latency:                m.snapshotLatency(),
-		Predictions:            m.predictions.Load(),
-		Fallbacks:              m.fallbacks.Load(),
-		PredictedPages:         m.predictedPages.Load(),
-		Events:                 snap.Map(),
-		BufferHitRatio:         snap.HitRatio(obs.BufferHit, obs.BufferMiss),
-		OSHitRatio:             snap.HitRatio(obs.OSCacheHit, obs.OSCacheMiss),
-		Shed:                   m.sheds.Load(),
-		Timeouts:               m.timeouts.Load(),
-		Failovers:              m.failovers.Load(),
-		HealthState:            healthName,
-		Draining:               s.draining.Load(),
-		Generation:             st.Generation,
-		Swaps:                  st.Swaps,
-		Replicas:               st.Replicas,
-		Quality:                s.qualitySnapshot(),
-		Drift:                  aggregateDrift(st),
-		Baseline:               s.inf.BaselineID(),
-	}
-	if resp.Predictions > 0 {
-		resp.FallbackRate = float64(resp.Fallbacks) / float64(resp.Predictions)
-		resp.AvgSetSize = float64(resp.PredictedPages) / float64(resp.Predictions)
-	}
-	if s.opts.CacheEntries > 0 {
-		pc := &predCacheStats{}
-		for _, r := range st.Replicas {
-			pc.Entries += r.CacheEntries
-			pc.Capacity += r.CacheCapacity
-			pc.Hits += r.CacheHits
-			pc.Misses += r.CacheMisses
-			pc.Evictions += r.CacheEvictions
-		}
-		resp.PredCache = pc
-	}
-	writeJSON(w, resp)
 }
