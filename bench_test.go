@@ -3,7 +3,6 @@ package pythia_test
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -219,25 +218,4 @@ func BenchmarkExtScheduler(b *testing.B) {
 		"scheduled-speedup": {"scheduled", "speedup"},
 		"scheduled-overlap": {"scheduled", "overlap"},
 	})
-}
-
-// BenchmarkTrainParallelScaling trains one workload end to end at 1, 2 and
-// NumCPU kernel threads. Per-object-model fan-out (Predictor.Parallel) is
-// off so the benchmark isolates the intra-kernel sharding; the trained
-// parameters are bitwise identical across all thread counts (the kernels'
-// determinism contract), so every variant does exactly the same arithmetic.
-func BenchmarkTrainParallelScaling(b *testing.B) {
-	gen := pythia.NewDSB(pythia.DSBConfig{ScaleFactor: 8, Seed: 7})
-	w := gen.Workload("t91", 24, 8)
-	for _, threads := range []int{1, 2, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			cfg := pythia.DefaultConfig()
-			cfg.Predictor.Parallel = false
-			cfg.Predictor.Model.Threads = threads
-			for i := 0; i < b.N; i++ {
-				sys := pythia.New(gen.DB(), cfg)
-				sys.Train("t91", w.Instances)
-			}
-		})
-	}
 }

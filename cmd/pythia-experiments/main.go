@@ -31,7 +31,6 @@ func main() {
 		perTpl    = flag.Int("n", 0, "override query instances per DSB template")
 		imdbN     = flag.Int("imdb-n", 0, "override IMDB template-1a instances")
 		seed      = flag.Uint64("seed", 0, "override random seed")
-		threads   = flag.Int("threads", 0, "nn kernel worker shards per model (0 = NumCPU or PYTHIA_THREADS, 1 = serial; results are identical for any value)")
 		outPath   = flag.String("o", "", "also append output to this file")
 		faultPlan = flag.String("fault-plan", "", "deterministic fault-injection plan for every replay, e.g. prefetch=0.05,exec=0.01 (empty = none; ext-chaos sweeps its own plans)")
 		faultSeed = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed")
@@ -61,7 +60,6 @@ func main() {
 	if *seed > 0 {
 		cfg.Seed = *seed
 	}
-	cfg.Model.Threads = *threads
 	plan, err := fault.ParsePlan(*faultPlan)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pythia-experiments:", err)

@@ -60,7 +60,6 @@ func main() {
 		sf          = flag.Int("sf", 4, "scale factor")
 		n           = flag.Int("n", 24, "corpus instances per template")
 		seed        = flag.Uint64("seed", 7, "seed")
-		threads     = flag.Int("threads", 1, "nn kernel worker shards per model in self-hosted mode")
 		sweep       = flag.String("sweep", "1", "comma-separated replica counts to benchmark in self-hosted mode, e.g. 1,4")
 		cacheFlag   = flag.Int("cache-entries", 0, "serve cache capacity in self-hosted mode (0 = default, negative disables)")
 		qps         = flag.Float64("qps", 0, "paced request rate across all workers (0 = closed-loop unthrottled)")
@@ -128,7 +127,7 @@ func main() {
 
 	var sys *corepythia.System
 	if *target == "" {
-		sys = trainSystem(gen, *templates, *n, *seed, *threads)
+		sys = trainSystem(gen, *templates, *n, *seed)
 	}
 
 	report := loadReport{
@@ -677,9 +676,8 @@ func buildCorpus(gen *dsb.Generator, templates string, n int, seed uint64) []cor
 
 // trainSystem trains the self-hosted serving models, mirroring pythia-serve's
 // training loop with the same flags so remote corpora stay compatible.
-func trainSystem(gen *dsb.Generator, templates string, n int, seed uint64, threads int) *corepythia.System {
+func trainSystem(gen *dsb.Generator, templates string, n int, seed uint64) *corepythia.System {
 	cfg := corepythia.DefaultConfig()
-	cfg.Predictor.Model.Threads = threads
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		log.Fatalf("pythia-load: %v", err)

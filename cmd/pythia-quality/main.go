@@ -48,7 +48,6 @@ func main() {
 		n         = flag.Int("n", 40, "query instances per template")
 		testFrac  = flag.Float64("test-frac", 0.3, "held-out fraction of each training workload replayed when -replay is empty")
 		seed      = flag.Uint64("seed", 7, "seed")
-		threads   = flag.Int("threads", 1, "nn kernel worker shards per model")
 		snapshot  = flag.String("snapshot", "", "load a model snapshot instead of training (baseline identity comes from the envelope)")
 		out       = flag.String("out", "BENCH_quality.json", "JSON report path (empty = text only)")
 
@@ -63,7 +62,6 @@ func main() {
 	var counters obs.Counters
 	scorer := quality.NewScorer(quality.Options{})
 	cfg := corepythia.DefaultConfig()
-	cfg.Predictor.Model.Threads = *threads
 	cfg.Recorder = &counters
 	cfg.Quality = scorer
 	cfg, err := cfg.Normalize()

@@ -54,7 +54,6 @@ func main() {
 		sf        = flag.Int("sf", 20, "scale factor")
 		n         = flag.Int("n", 60, "training instances per template")
 		seed      = flag.Uint64("seed", 7, "seed")
-		threads   = flag.Int("threads", 0, "nn kernel worker shards per model (0 = NumCPU or PYTHIA_THREADS, 1 = serial; results are identical for any value)")
 
 		reqTimeout    = flag.Duration("request-timeout", 5*time.Second, "per-request inference budget (negative disables)")
 		maxInflight   = flag.Int("max-inflight", 64, "concurrent model requests before load shedding (negative disables)")
@@ -108,7 +107,6 @@ func main() {
 		metrics.SetTracer(tracer)
 	}
 	cfg := corepythia.DefaultConfig()
-	cfg.Predictor.Model.Threads = *threads
 	cfg.Recorder = metrics.Events()
 	cfg, err = cfg.Normalize()
 	if err != nil {

@@ -25,7 +25,6 @@ func main() {
 		n        = flag.Int("n", 120, "query instances (paper: 1000 per DSB template)")
 		testFrac = flag.Float64("test-frac", 0.1, "held-out fraction of unseen queries (paper: 0.05)")
 		seed     = flag.Uint64("seed", 7, "seed")
-		threads  = flag.Int("threads", 0, "nn kernel worker shards per model (0 = NumCPU or PYTHIA_THREADS, 1 = serial; results are identical for any value)")
 	)
 	flag.Parse()
 
@@ -51,7 +50,6 @@ func main() {
 	fmt.Printf("split: %d train / %d unseen test queries\n", len(train), len(test))
 
 	cfg := pythia.DefaultConfig()
-	cfg.Predictor.Model.Threads = *threads
 	sys := pythia.New(db, cfg)
 	start = time.Now()
 	tw := sys.Train(name, train)

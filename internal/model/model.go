@@ -33,13 +33,6 @@ type Config struct {
 	PosWeight     float64 // BCE positive-class weight (default 2)
 	Threshold     float64 // sigmoid cutoff for predicting a page (default 0.5)
 	Seed          uint64
-	// Threads is the worker-shard count for the nn compute kernels: 0
-	// selects the process default (PYTHIA_THREADS or NumCPU), 1 forces
-	// serial execution, N shards kernels N ways. Training is bitwise
-	// deterministic across all values — the kernels preserve the serial
-	// floating-point accumulation order — so Threads is purely a speed
-	// knob (asserted by TestTrainThreadsDeterminism).
-	Threads int
 }
 
 // DefaultConfig returns the scaled-down training configuration used by the
@@ -113,11 +106,9 @@ type Model struct {
 	enc      *nn.Encoder
 	dec      *nn.Decoder
 
-	// rt carries the model's worker pool and scratch arena. The arena is
-	// single-owner, so mu serializes Train/Predict/Scores on one model;
-	// distinct models stay fully concurrent (the predictor's fan-out), and
-	// the pools all share one process-wide worker set, so concurrent
-	// models never oversubscribe the machine.
+	// rt carries the model's scratch arena. The arena is single-owner, so
+	// mu serializes Train/Predict/Scores on one model; distinct models stay
+	// fully concurrent (the predictor's fan-out).
 	rt nn.Runtime
 	mu sync.Mutex
 
@@ -143,7 +134,7 @@ func New(vocabSize int, labels []storage.PageID, cfg Config) *Model {
 		}, r),
 	}
 	m.dec = nn.NewDecoder("dec", cfg.Dim, cfg.DecoderHidden, len(labels), r)
-	m.rt = nn.Runtime{Pool: nn.NewPool(cfg.Threads), Arena: nn.NewArena()}
+	m.rt = nn.Runtime{Arena: nn.NewArena()}
 	m.enc.SetRuntime(m.rt)
 	m.dec.SetRuntime(m.rt)
 	// Start every page logit clearly negative: almost all labels are 0 for

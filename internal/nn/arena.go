@@ -14,9 +14,7 @@ package nn
 //
 // An Arena is owned by exactly one model and is NOT safe for concurrent
 // use: all Get/Release calls must come from the goroutine driving that
-// model. Parallel kernels keep this easy — worker shards only compute into
-// matrices the caller already allocated. A nil *Arena is valid and falls
-// back to plain NewMat allocation.
+// model. A nil *Arena is valid and falls back to plain NewMat allocation.
 type Arena struct {
 	free map[int][]*Mat // element count → reusable matrices
 	used []*Mat         // everything handed out since the last Release
@@ -83,11 +81,11 @@ func (a *Arena) Live() int {
 	return len(a.used)
 }
 
-// Runtime bundles the execution resources a module computes with: a worker
-// pool for deterministic parallel kernels and a scratch arena for
-// step-scoped matrices. The zero value is valid and means serial execution
-// with garbage-collected allocation — exactly the pre-parallelism behavior
-// — so modules work unbound, and tests can construct layers directly.
+// Runtime is what a module computes with: the scratch arena for step-scoped
+// matrices, and Pool, the stateless receiver of the kernels (see Pool for why
+// it is still a field). The zero value is valid and means garbage-collected
+// allocation, so modules work unbound and tests can construct layers
+// directly.
 type Runtime struct {
 	Pool  *Pool
 	Arena *Arena
@@ -99,7 +97,7 @@ type Runtime struct {
 //pythia:noalloc
 func (rt Runtime) get(rows, cols int) *Mat { return rt.Arena.Get(rows, cols) }
 
-// add returns a + b, allocated from the runtime and computed on the pool.
+// add returns a + b, allocated from the runtime.
 //
 //pythia:noalloc
 func (rt Runtime) add(a, b *Mat) *Mat {

@@ -12,12 +12,8 @@ import (
 // dimension 100 (paper §5.1); the experiment configs scale the dimensions
 // down but keep the architecture.
 //
-// Heads are independent by construction, so forwardFrom and backwardFrom fan
-// the per-head work out across the worker pool (Pool.Run): each head task
-// computes with serial kernels into scratch the caller pre-allocated, and
-// writes only its own head's column block of the shared outputs. The
-// per-head math is byte-for-byte the serial loop body, so results are
-// bitwise identical at any thread count.
+// Heads run one after another (forwardHead, backwardHead), each into its own
+// scratch and its own column block of the shared outputs.
 type MHSA struct {
 	D, H, Dh int
 	Wq, Wk   *Linear
@@ -82,9 +78,7 @@ func (a *MHSA) headViewInto(dst, m *Mat, h int) {
 	}
 }
 
-// headAccum adds src (n×Dh) into dst's columns for head h. Distinct heads
-// touch disjoint column ranges, so concurrent head tasks may call this on
-// the same dst.
+// headAccum adds src (n×Dh) into dst's columns for head h.
 func (a *MHSA) headAccum(dst, src *Mat, h int) {
 	off := h * a.Dh
 	for i := 0; i < src.Rows; i++ {
@@ -121,9 +115,8 @@ func (a *MHSA) forwardFrom(x *Mat, from int) *Mat {
 	a.attn = a.attn[:a.H]
 	a.concat = a.rt.get(m, a.D)
 	scale := 1 / math.Sqrt(float64(a.Dh))
-	// Pre-allocate every head's scratch on the calling goroutine — the
-	// arena is single-owner, so worker tasks must not call Get. The pointer
-	// slices live on the struct so steady-state steps allocate nothing.
+	// The pointer slices live on the struct so steady-state steps allocate
+	// nothing.
 	if cap(a.qh) < a.H {
 		a.qh = make([]*Mat, a.H)
 		a.kh = make([]*Mat, a.H)
@@ -138,27 +131,23 @@ func (a *MHSA) forwardFrom(x *Mat, from int) *Mat {
 		a.oh[h] = a.rt.get(m, a.Dh)
 		a.attn[h] = a.rt.get(m, n)
 	}
-	if a.rt.Pool.Threads() == 1 {
-		for h := 0; h < a.H; h++ {
-			a.forwardHead(h, scale)
-		}
-	} else {
-		a.rt.Pool.Run(a.H, func(h int) { a.forwardHead(h, scale) })
+	for h := 0; h < a.H; h++ {
+		a.forwardHead(h, scale)
 	}
 	return a.Wo.Forward(a.concat)
 }
 
 // forwardHead computes one head's attention into its scratch and accumulates
-// the result into the head's column block of concat — the Pool.Run task unit.
+// the result into the head's column block of concat.
 func (a *MHSA) forwardHead(h int, scale float64) {
 	a.headViewInto(a.qh[h], a.q, h)
 	a.headViewInto(a.kh[h], a.k, h)
 	a.headViewInto(a.vh[h], a.v, h)
 	scores := a.attn[h]
-	matMulT2Rows(scores, a.qh[h], a.kh[h], 0, scores.Rows)
+	matMulT2(scores, a.qh[h], a.kh[h])
 	scores.Scale(scale)
 	scores.SoftmaxRows()
-	matMulRows(a.oh[h], scores, a.vh[h], 0, scores.Rows)
+	matMul(a.oh[h], scores, a.vh[h])
 	a.headAccum(a.concat, a.oh[h], h)
 }
 
@@ -189,12 +178,8 @@ func (a *MHSA) backwardFrom(dy *Mat, from int) *Mat {
 			dqh: a.rt.get(m, a.Dh), dkh: a.rt.get(n, a.Dh),
 		}
 	}
-	if a.rt.Pool.Threads() == 1 {
-		for h := 0; h < a.H; h++ {
-			a.backwardHead(h, scale, dConcat, dq, dk, dv)
-		}
-	} else {
-		a.rt.Pool.Run(a.H, func(h int) { a.backwardHead(h, scale, dConcat, dq, dk, dv) })
+	for h := 0; h < a.H; h++ {
+		a.backwardHead(h, scale, dConcat, dq, dk, dv)
 	}
 	// The one place the sign of a zero could differ from the zero-padded
 	// full pass, so dx is built exactly as that pass builds it: the
@@ -202,14 +187,13 @@ func (a *MHSA) backwardFrom(dy *Mat, from int) *Mat {
 	// pass has +0 there, see above), then the key- and value-side gradients
 	// added in the same order — (+0 + −0) + −0 is +0 where −0 + −0 is −0.
 	dx := a.rt.padRows(a.Wq.Backward(dq), from, n)
-	a.rt.Pool.AddInPlace(dx, a.Wk.Backward(dk))
-	a.rt.Pool.AddInPlace(dx, a.Wv.Backward(dv))
+	AddInPlace(dx, a.Wk.Backward(dk))
+	AddInPlace(dx, a.Wv.Backward(dv))
 	return dx
 }
 
 // backwardHead propagates one head's gradient through attention and
-// accumulates into the head's column blocks of dq/dk/dv — the Pool.Run task
-// unit of backwardFrom.
+// accumulates into the head's column blocks of dq/dk/dv.
 func (a *MHSA) backwardHead(h int, scale float64, dConcat, dq, dk, dv *Mat) {
 	s := &a.bs[h]
 	a.headViewInto(s.doh, dConcat, h)
@@ -217,10 +201,10 @@ func (a *MHSA) backwardHead(h int, scale float64, dConcat, dq, dk, dv *Mat) {
 	a.headViewInto(s.kh, a.k, h)
 	a.headViewInto(s.vh, a.v, h)
 	attn := a.attn[h]
-	m, n := attn.Rows, attn.Cols
+	m := attn.Rows
 
-	matMulT1Rows(s.dvh, attn, s.doh, 0, n)   // n×Dh
-	matMulT2Rows(s.dattn, s.doh, s.vh, 0, m) // m×n
+	matMulT1(s.dvh, attn, s.doh)   // n×Dh
+	matMulT2(s.dattn, s.doh, s.vh) // m×n
 	// Softmax backward, row-wise: dS = A ⊙ (dA − Σⱼ dAⱼAⱼ).
 	for i := 0; i < m; i++ {
 		arow := attn.Row(i)
@@ -235,8 +219,8 @@ func (a *MHSA) backwardHead(h int, scale float64, dConcat, dq, dk, dv *Mat) {
 		}
 	}
 	s.dscores.Scale(scale)
-	matMulRows(s.dqh, s.dscores, s.kh, 0, m)   // m×Dh
-	matMulT1Rows(s.dkh, s.dscores, s.qh, 0, n) // n×Dh
+	matMul(s.dqh, s.dscores, s.kh)   // m×Dh
+	matMulT1(s.dkh, s.dscores, s.qh) // n×Dh
 	a.headAccum(dq, s.dqh, h)
 	a.headAccum(dk, s.dkh, h)
 	a.headAccum(dv, s.dvh, h)

@@ -9,8 +9,9 @@ import (
 	"github.com/pythia-db/pythia/internal/sim"
 )
 
-// Differential oracles: the blocked kernels against triple loops written
-// here, and the pruned encoder against the same layers run over every row.
+// Differential oracles: the blocked kernels and the attention block against
+// plain loops written here, and the pruned encoder against the same layers
+// run over every row.
 
 func naiveMatMul(a, b *Mat) *Mat {
 	out := NewMat(a.Rows, b.Cols)
@@ -81,12 +82,12 @@ func sparsify(r *sim.Rand, m *Mat) {
 }
 
 func TestKernelsMatchNaive(t *testing.T) {
-	pools := []*Pool{NewPool(1), NewPool(2), NewPool(3)}
+	p := NewPool(0)
 	r := sim.NewRand(17)
 	for c := 0; c < 240; c++ {
-		// Sizes 1..48 hit every remainder of the four-way blocks on both
-		// sides of parallelMinWork; the forced cases add 1-row and 1-column
-		// operands and the flat, wide product that shards by column.
+		// Sizes 1..48 hit every remainder of the four-way blocks; the forced
+		// cases add 1-row and 1-column operands and the decoder's flat, wide
+		// product.
 		m, k, n := 1+r.Intn(48), 1+r.Intn(48), 1+r.Intn(48)
 		switch c % 8 {
 		case 1:
@@ -107,19 +108,88 @@ func TestKernelsMatchNaive(t *testing.T) {
 		wantMM, wantT1, wantT2 := naiveMatMul(a, b), naiveMatMulT1(at, b), naiveMatMulT2(a, bt)
 		wantAcc := acc.Clone()
 		naiveAccumT1(wantAcc, at, b)
-		for _, p := range pools {
-			tag := fmt.Sprintf(" %dx%dx%d threads=%d", m, k, n, p.Threads())
-			got := NewMat(m, n)
-			p.MatMulInto(got, a, b)
-			bitwiseEq(t, "MatMulInto"+tag, got, wantMM)
-			p.MatMulT1Into(got, at, b)
-			bitwiseEq(t, "MatMulT1Into"+tag, got, wantT1)
-			p.MatMulT2Into(got, a, bt)
-			bitwiseEq(t, "MatMulT2Into"+tag, got, wantT2)
-			got = acc.Clone()
-			p.AccumT1Into(got, at, b)
-			bitwiseEq(t, "AccumT1Into"+tag, got, wantAcc)
+		tag := fmt.Sprintf(" %dx%dx%d", m, k, n)
+		got := NewMat(m, n)
+		p.MatMulInto(got, a, b)
+		bitwiseEq(t, "MatMulInto"+tag, got, wantMM)
+		p.MatMulT1Into(got, at, b)
+		bitwiseEq(t, "MatMulT1Into"+tag, got, wantT1)
+		p.MatMulT2Into(got, a, bt)
+		bitwiseEq(t, "MatMulT2Into"+tag, got, wantT2)
+		got = acc.Clone()
+		p.AccumT1Into(got, at, b)
+		bitwiseEq(t, "AccumT1Into"+tag, got, wantAcc)
+	}
+}
+
+// naiveLinear is x @ W + b, one element at a time.
+func naiveLinear(l *Linear, x *Mat) *Mat {
+	y := naiveMatMul(x, l.Weight.W)
+	for i := 0; i < y.Rows; i++ {
+		for j := 0; j < y.Cols; j++ {
+			y.Set(i, j, y.At(i, j)+l.Bias.W.Data[j])
 		}
+	}
+	return y
+}
+
+// naiveAttention is softmax(Q Kᵀ/√d) V per head, heads side by side, then Wo
+// — the textbook loops, one query row, one head and one element at a time.
+func naiveAttention(a *MHSA, x *Mat) *Mat {
+	n := x.Rows
+	q, k, v := naiveLinear(a.Wq, x), naiveLinear(a.Wk, x), naiveLinear(a.Wv, x)
+	concat := NewMat(n, a.D)
+	scale := 1 / math.Sqrt(float64(a.Dh))
+	for h := 0; h < a.H; h++ {
+		off := h * a.Dh
+		for i := 0; i < n; i++ {
+			p := make([]float64, n)
+			maxv := math.Inf(-1)
+			for j := 0; j < n; j++ {
+				s := 0.0
+				for d := 0; d < a.Dh; d++ {
+					s += q.At(i, off+d) * k.At(j, off+d)
+				}
+				p[j] = s * scale
+				maxv = math.Max(maxv, p[j])
+			}
+			sum := 0.0
+			for j := range p {
+				p[j] = math.Exp(p[j] - maxv)
+				sum += p[j]
+			}
+			for j := range p {
+				p[j] *= 1 / sum // the kernel multiplies by the reciprocal; p/sum rounds differently
+			}
+			for d := 0; d < a.Dh; d++ {
+				s := 0.0
+				for j := 0; j < n; j++ {
+					s += p[j] * v.At(j, off+d)
+				}
+				concat.Set(i, off+d, s)
+			}
+		}
+	}
+	return naiveLinear(a.Wo, concat)
+}
+
+func TestAttentionMatchesNaive(t *testing.T) {
+	r := sim.NewRand(29)
+	for _, c := range []struct{ n, d, heads int }{
+		{1, 32, 4}, {2, 32, 4}, {37, 32, 4}, {5, 24, 3}, {9, 8, 8}, {13, 20, 1}, {37, 100, 10},
+	} {
+		a := NewMHSA("att", c.d, c.heads, r)
+		a.SetRuntime(Runtime{Arena: NewArena()})
+		for _, l := range []*Linear{a.Wq, a.Wk, a.Wv, a.Wo} {
+			copy(l.Bias.W.Data, randMat(r, 1, c.d).Data)
+		}
+		x := randMat(r, c.n, c.d)
+		want := naiveAttention(a, x)
+		tag := fmt.Sprintf("n=%d d=%d heads=%d ", c.n, c.d, c.heads)
+		bitwiseEq(t, tag+"Forward", a.Forward(x), want)
+		last := NewMat(1, c.d)
+		copy(last.Row(0), want.Row(c.n-1))
+		bitwiseEq(t, tag+"forwardFrom(n-1)", a.forwardFrom(x, c.n-1), last)
 	}
 }
 
@@ -150,43 +220,41 @@ func TestEncoderPrunedMatchesFull(t *testing.T) {
 	const steps = 20
 	for _, layers := range []int{1, 2, 3} {
 		for _, seqLen := range []int{1, 2, 37} {
-			for _, threads := range []int{1, 2} {
-				build := func() (*Encoder, *Adam, Runtime) {
-					enc := NewEncoder(EncoderConfig{Vocab: 50, Dim: 32, Heads: 4, Layers: layers}, sim.NewRand(23))
-					rt := Runtime{Pool: NewPool(threads), Arena: NewArena()}
-					enc.SetRuntime(rt)
-					return enc, NewAdam(3e-3, enc.Params()), rt
+			build := func() (*Encoder, *Adam, Runtime) {
+				enc := NewEncoder(EncoderConfig{Vocab: 50, Dim: 32, Heads: 4, Layers: layers}, sim.NewRand(23))
+				rt := Runtime{Arena: NewArena()}
+				enc.SetRuntime(rt)
+				return enc, NewAdam(3e-3, enc.Params()), rt
+			}
+			pruned, popt, prt := build()
+			full, fopt, frt := build()
+			r := sim.NewRand(uint64(100*layers + seqLen))
+			for step := 0; step < steps; step++ {
+				ids := make([]int, seqLen)
+				for i := range ids {
+					ids[i] = r.Intn(50) // repeats scatter twice into one embedding row
 				}
-				pruned, popt, prt := build()
-				full, fopt, frt := build()
-				r := sim.NewRand(uint64(100*layers + seqLen))
-				for step := 0; step < steps; step++ {
-					ids := make([]int, seqLen)
-					for i := range ids {
-						ids[i] = r.Intn(50) // repeats scatter twice into one embedding row
-					}
-					dRep := randMat(r, 1, 32)
-					tag := fmt.Sprintf("layers=%d n=%d threads=%d step=%d ", layers, seqLen, threads, step)
+				dRep := randMat(r, 1, 32)
+				tag := fmt.Sprintf("layers=%d n=%d step=%d ", layers, seqLen, step)
 
-					prt.Arena.Release()
-					popt.ZeroGrad()
-					rep := pruned.Forward(ids)
-					pruned.Backward(dRep)
+				prt.Arena.Release()
+				popt.ZeroGrad()
+				rep := pruned.Forward(ids)
+				pruned.Backward(dRep)
 
-					frt.Arena.Release()
-					fopt.ZeroGrad()
-					bitwiseEq(t, tag+"representation", rep, fullForward(full, ids))
-					fullBackward(full, dRep, seqLen)
+				frt.Arena.Release()
+				fopt.ZeroGrad()
+				bitwiseEq(t, tag+"representation", rep, fullForward(full, ids))
+				fullBackward(full, dRep, seqLen)
 
-					fp := full.Params()
-					for i, p := range pruned.Params() {
-						bitwiseEq(t, tag+p.Name+".G", p.G, fp[i].G)
-					}
-					popt.Step()
-					fopt.Step()
-					for i, p := range pruned.Params() {
-						bitwiseEq(t, tag+p.Name+".W", p.W, fp[i].W)
-					}
+				fp := full.Params()
+				for i, p := range pruned.Params() {
+					bitwiseEq(t, tag+p.Name+".G", p.G, fp[i].G)
+				}
+				popt.Step()
+				fopt.Step()
+				for i, p := range pruned.Params() {
+					bitwiseEq(t, tag+p.Name+".W", p.W, fp[i].W)
 				}
 			}
 		}

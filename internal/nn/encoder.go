@@ -131,9 +131,8 @@ type Encoder struct {
 	lastSeqLen int
 }
 
-// SetRuntime binds the worker pool and scratch arena the encoder computes
-// with; it propagates to every layer. Call once after construction (and
-// before any concurrent use).
+// SetRuntime binds the scratch arena the encoder computes with; it
+// propagates to every layer. Call once after construction.
 func (e *Encoder) SetRuntime(rt Runtime) {
 	e.Emb.SetRuntime(rt)
 	for _, l := range e.Layers {

@@ -1,18 +1,18 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Destination-passing compute kernels. Each kernel writes into a
 // caller-supplied matrix (usually from an Arena) instead of allocating, and
-// each has a range form that computes only the output elements in [lo, hi)
-// — the unit the Pool shards across workers.
+// runs on the calling goroutine: one model is one goroutine's work, and
+// parallelism is across per-object models (predictor), never inside a kernel.
 //
-// Determinism: every output element is owned by exactly one shard, and the
-// per-element floating-point accumulation order (ascending over the
-// contracted index) is identical in the range kernels and the serial
-// reference implementations in mat.go. Sharding therefore changes which
-// goroutine computes an element, never the bit pattern of the result; see
-// the golden tests in pool_test.go.
+// Determinism: every output element is accumulated in ascending order over
+// the contracted index, here and in the allocating forms in mat.go, which
+// run the same loops.
 //
 // Register blocking: the loops are unrolled four ways so that an output
 // element is loaded and stored once per four multiply-adds instead of once
@@ -34,6 +34,19 @@ import "fmt"
 // skip saves a whole b-row walk — keeps it in AccumT1Into, a measured ~2×
 // win at half-sparsity (BenchmarkAccumT1Sparse).
 
+// Pool is the receiver the exported kernels hang off. It holds nothing and
+// every method works on a nil *Pool. The type, NewPool and the Runtime.Pool
+// field are here only because the frozen bench/ module names them; turning the
+// methods into plain functions waits for a benchmark PR.
+type Pool struct{}
+
+// NewPool returns a Pool. Its argument is ignored.
+func NewPool(int) *Pool { return &Pool{} }
+
+// DefaultThreads is how many models predictor.Train trains at once:
+// runtime.GOMAXPROCS(0), read at call time.
+func DefaultThreads() int { return runtime.GOMAXPROCS(0) }
+
 // dstCheck panics when dst does not have the required shape.
 func dstCheck(dst *Mat, rows, cols int, op string) {
 	if dst.Rows != rows || dst.Cols != cols {
@@ -41,33 +54,13 @@ func dstCheck(dst *Mat, rows, cols int, op string) {
 	}
 }
 
-// serial reports whether a kernel of roughly work scalar ops should skip the
-// fan-out entirely. Every Pool method checks this *before* constructing its
-// shard closure: a func literal is heap-allocated at the point it appears,
-// so keeping it out of the serial path is what makes steady-state training
-// steps allocation-free at Threads=1 (TestArenaSteadyStateAllocs).
-func (p *Pool) serial(work int) bool {
-	return p.Threads() <= 1 || work < parallelMinWork
-}
-
 // MatMulInto computes dst = a @ b. dst must not alias a or b.
-func (p *Pool) MatMulInto(dst, a, b *Mat) {
+//
+//pythia:noalloc
+func (*Pool) MatMulInto(dst, a, b *Mat) {
 	shapeCheck(a.Cols == b.Rows, "matmul", a, b)
 	dstCheck(dst, a.Rows, b.Cols, "matmul")
-	work := a.Rows * a.Cols * b.Cols
-	if p.serial(work) {
-		matMulRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	// Row-shard when there are enough output rows to feed every worker;
-	// otherwise (e.g. the decoder's 1×D @ D×pages layer) shard the output
-	// columns. Both preserve the per-element k-ascending accumulation
-	// order, so the choice affects speed only.
-	if a.Rows >= p.Threads() || a.Rows >= b.Cols {
-		p.shard(a.Rows, work, func(lo, hi int) { matMulRows(dst, a, b, lo, hi) })
-	} else {
-		p.shard(b.Cols, work, func(lo, hi int) { matMulCols(dst, a, b, lo, hi) })
-	}
+	matMul(dst, a, b)
 }
 
 // axpy1 computes o[j] += a·b[j].
@@ -93,60 +86,46 @@ func axpy4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
 	}
 }
 
-// matMulBlock computes the [ilo, ihi) × [jlo, jhi) block of a @ b in i-k-j
-// order, k four at a time: the inner loop walks b and dst rows contiguously,
-// which matters for the decoder's wide output layer.
+// matMul computes dst = a @ b in i-k-j order, k four at a time: the inner
+// loop walks b and dst rows contiguously, which matters for the decoder's
+// wide output layer.
 //
 //pythia:noalloc
-func matMulBlock(dst, a, b *Mat, ilo, ihi, jlo, jhi int) {
+func matMul(dst, a, b *Mat) {
 	n := b.Cols
-	for i := ilo; i < ihi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
-		orow := dst.Row(i)[jlo:jhi]
+		orow := dst.Row(i)
 		for j := range orow {
 			orow[j] = 0
 		}
 		k := 0
 		for ; k+4 <= len(arow); k += 4 {
 			r := b.Data[k*n:]
-			axpy4(orow, arow[k], arow[k+1], arow[k+2], arow[k+3],
-				r[jlo:jhi], r[n+jlo:n+jhi], r[2*n+jlo:2*n+jhi], r[3*n+jlo:3*n+jhi])
+			axpy4(orow, arow[k], arow[k+1], arow[k+2], arow[k+3], r, r[n:], r[2*n:], r[3*n:])
 		}
 		for ; k < len(arow); k++ {
-			axpy1(orow, arow[k], b.Data[k*n+jlo:k*n+jhi])
+			axpy1(orow, arow[k], b.Data[k*n:])
 		}
 	}
 }
 
-// matMulRows computes dst rows [lo, hi) of a @ b.
-//
-//pythia:noalloc
-func matMulRows(dst, a, b *Mat, lo, hi int) { matMulBlock(dst, a, b, lo, hi, 0, b.Cols) }
-
-// matMulCols computes dst columns [jlo, jhi) of a @ b for all rows.
-//
-//pythia:noalloc
-func matMulCols(dst, a, b *Mat, jlo, jhi int) { matMulBlock(dst, a, b, 0, a.Rows, jlo, jhi) }
-
 // MatMulT1Into computes dst = aᵀ @ b (weight-gradient shape: dW = Xᵀ dY).
-// Restructured from the serial r-outer loop so that each *output* row i
-// (column i of a) is owned by exactly one worker; the contraction still
-// runs r-ascending per element, so results match MatMulT1 bitwise.
-func (p *Pool) MatMulT1Into(dst, a, b *Mat) {
+//
+//pythia:noalloc
+func (*Pool) MatMulT1Into(dst, a, b *Mat) {
 	shapeCheck(a.Rows == b.Rows, "matmulT1", a, b)
 	dstCheck(dst, a.Cols, b.Cols, "matmulT1")
-	work := a.Rows * a.Cols * b.Cols
-	if p.serial(work) {
-		matMulT1Rows(dst, a, b, 0, a.Cols)
-		return
-	}
-	p.shard(a.Cols, work, func(lo, hi int) { matMulT1Rows(dst, a, b, lo, hi) })
+	matMulT1(dst, a, b)
 }
 
+// matMulT1 walks the output row-major — row i of dst is column i of a — and
+// contracts r-ascending per element.
+//
 //pythia:noalloc
-func matMulT1Rows(dst, a, b *Mat, ilo, ihi int) {
+func matMulT1(dst, a, b *Mat) {
 	m, n := a.Cols, b.Cols
-	for i := ilo; i < ihi; i++ {
+	for i := 0; i < m; i++ {
 		orow := dst.Row(i)
 		for j := range orow {
 			orow[j] = 0
@@ -163,27 +142,18 @@ func matMulT1Rows(dst, a, b *Mat, ilo, ihi int) {
 }
 
 // AccumT1Into computes dst += aᵀ @ b without clearing dst — the in-place
-// weight-gradient accumulation (dW += Xᵀ dY). Rows of dst are owned by one
-// worker each, like MatMulT1Into. The zero-skip stays here on purpose: a is
-// an activation matrix that is ReLU output at the decoder and FFN second
-// layers, where roughly half the entries are exactly zero and skipping a
-// whole b-row walk per zero is a measured win (BenchmarkAccumT1Sparse) that
-// costs little on dense inputs.
-func (p *Pool) AccumT1Into(dst, a, b *Mat) {
+// weight-gradient accumulation (dW += Xᵀ dY). The zero-skip stays here on
+// purpose: a is an activation matrix that is ReLU output at the decoder and
+// FFN second layers, where roughly half the entries are exactly zero and
+// skipping a whole b-row walk per zero is a measured win
+// (BenchmarkAccumT1Sparse) that costs little on dense inputs.
+//
+//pythia:noalloc
+func (*Pool) AccumT1Into(dst, a, b *Mat) {
 	shapeCheck(a.Rows == b.Rows, "accumT1", a, b)
 	dstCheck(dst, a.Cols, b.Cols, "accumT1")
-	work := a.Rows * a.Cols * b.Cols
-	if p.serial(work) {
-		accumT1Rows(dst, a, b, 0, a.Cols)
-		return
-	}
-	p.shard(a.Cols, work, func(lo, hi int) { accumT1Rows(dst, a, b, lo, hi) })
-}
-
-//pythia:noalloc
-func accumT1Rows(dst, a, b *Mat, ilo, ihi int) {
 	m, n := a.Cols, b.Cols
-	for i := ilo; i < ihi; i++ {
+	for i := 0; i < m; i++ {
 		orow := dst.Row(i)
 		r := 0
 		for ; r+4 <= a.Rows; r += 4 {
@@ -212,31 +182,24 @@ func accumT1Rows(dst, a, b *Mat, ilo, ihi int) {
 }
 
 // MatMulT2Into computes dst = a @ bᵀ (input-gradient shape: dX = dY Wᵀ).
-func (p *Pool) MatMulT2Into(dst, a, b *Mat) {
-	shapeCheck(a.Cols == b.Cols, "matmulT2", a, b)
-	dstCheck(dst, a.Rows, b.Rows, "matmulT2")
-	work := a.Rows * a.Cols * b.Rows
-	if p.serial(work) {
-		matMulT2Rows(dst, a, b, 0, a.Rows)
-		return
-	}
-	if a.Rows >= p.Threads() || a.Rows >= b.Rows {
-		p.shard(a.Rows, work, func(lo, hi int) { matMulT2Rows(dst, a, b, lo, hi) })
-	} else {
-		p.shard(b.Rows, work, func(lo, hi int) { matMulT2Cols(dst, a, b, lo, hi) })
-	}
-}
-
-// matMulT2Block computes the [ilo, ihi) × [jlo, jhi) block of a @ bᵀ, four
-// output elements (four rows of b) per pass over a's row.
 //
 //pythia:noalloc
-func matMulT2Block(dst, a, b *Mat, ilo, ihi, jlo, jhi int) {
-	for i := ilo; i < ihi; i++ {
+func (*Pool) MatMulT2Into(dst, a, b *Mat) {
+	shapeCheck(a.Cols == b.Cols, "matmulT2", a, b)
+	dstCheck(dst, a.Rows, b.Rows, "matmulT2")
+	matMulT2(dst, a, b)
+}
+
+// matMulT2 computes four output elements (four rows of b) per pass over a's
+// row.
+//
+//pythia:noalloc
+func matMulT2(dst, a, b *Mat) {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := dst.Row(i)
-		j := jlo
-		for ; j+4 <= jhi; j += 4 {
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
 			b0, b1, b2, b3 := b.Row(j)[:len(arow)], b.Row(j + 1)[:len(arow)], b.Row(j + 2)[:len(arow)], b.Row(j + 3)[:len(arow)]
 			var s0, s1, s2, s3 float64
 			for k, av := range arow {
@@ -247,7 +210,7 @@ func matMulT2Block(dst, a, b *Mat, ilo, ihi, jlo, jhi int) {
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
-		for ; j < jhi; j++ {
+		for ; j < b.Rows; j++ {
 			brow := b.Row(j)[:len(arow)]
 			s := 0.0
 			for k, av := range arow {
@@ -258,63 +221,14 @@ func matMulT2Block(dst, a, b *Mat, ilo, ihi, jlo, jhi int) {
 	}
 }
 
+// AddInto computes dst = a + b element-wise.
+//
 //pythia:noalloc
-func matMulT2Rows(dst, a, b *Mat, lo, hi int) { matMulT2Block(dst, a, b, lo, hi, 0, b.Rows) }
-
-//pythia:noalloc
-func matMulT2Cols(dst, a, b *Mat, jlo, jhi int) { matMulT2Block(dst, a, b, 0, a.Rows, jlo, jhi) }
-
-// AddInto computes dst = a + b element-wise. Elements are owned, not
-// accumulated, so any sharding is trivially deterministic.
-func (p *Pool) AddInto(dst, a, b *Mat) {
+func (*Pool) AddInto(dst, a, b *Mat) {
 	shapeCheck(a.Rows == b.Rows && a.Cols == b.Cols, "add", a, b)
 	dstCheck(dst, a.Rows, a.Cols, "add")
-	if p.serial(len(a.Data)) {
-		addRange(dst, a, b, 0, len(a.Data))
-		return
-	}
-	p.shard(len(a.Data), len(a.Data), func(lo, hi int) { addRange(dst, a, b, lo, hi) })
-}
-
-//pythia:noalloc
-func addRange(dst, a, b *Mat, lo, hi int) {
-	da, db, dd := a.Data[lo:hi], b.Data[lo:hi], dst.Data[lo:hi]
-	for i := range dd {
+	da, db, dd := a.Data, b.Data[:len(a.Data)], dst.Data[:len(a.Data)]
+	for i := range da {
 		dd[i] = da[i] + db[i]
-	}
-}
-
-// AddInPlace accumulates b into a.
-func (p *Pool) AddInPlace(a, b *Mat) {
-	shapeCheck(a.Rows == b.Rows && a.Cols == b.Cols, "add", a, b)
-	if p.serial(len(a.Data)) {
-		accumRange(a, b, 0, len(a.Data))
-		return
-	}
-	p.shard(len(a.Data), len(a.Data), func(lo, hi int) { accumRange(a, b, lo, hi) })
-}
-
-//pythia:noalloc
-func accumRange(a, b *Mat, lo, hi int) {
-	da, db := a.Data[lo:hi], b.Data[lo:hi]
-	for i := range db {
-		da[i] += db[i]
-	}
-}
-
-// SoftmaxRows applies a numerically stable softmax to each row of m in
-// place, sharding rows across the pool (rows are independent).
-func (p *Pool) SoftmaxRows(m *Mat) {
-	if p.serial(len(m.Data) * 4) {
-		softmaxRowRange(m, 0, m.Rows)
-		return
-	}
-	p.shard(m.Rows, len(m.Data)*4, func(lo, hi int) { softmaxRowRange(m, lo, hi) })
-}
-
-//pythia:noalloc
-func softmaxRowRange(m *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		softmaxRow(m.Row(i))
 	}
 }

@@ -12,11 +12,6 @@ import (
 // that. Run with:
 //
 //	go test ./internal/nn -bench 'MatMul|Attention|TrainStep' -benchmem
-//
-// On a multi-core machine the parallel variants should approach
-// min(threads, 8)× the serial rate at these shapes; on one core they match
-// serial (the pool degrades to the serial schedule, and results are bitwise
-// identical either way).
 
 const (
 	benchM = 64
@@ -29,21 +24,11 @@ func benchMats(r *sim.Rand) (a, b, dst *Mat) {
 }
 
 func BenchmarkMatMul(b *testing.B) {
-	r := sim.NewRand(1)
-	x, w, dst := benchMats(r)
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			matMulRows(dst, x, w, 0, x.Rows)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		p := NewPool(0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.MatMulInto(dst, x, w)
-		}
-	})
+	x, w, dst := benchMats(sim.NewRand(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		matMul(dst, x, w)
+	}
 }
 
 func BenchmarkMatMulT1(b *testing.B) {
@@ -51,19 +36,10 @@ func BenchmarkMatMulT1(b *testing.B) {
 	x := randMat(r, benchK, benchM) // xᵀ @ dy: contraction over rows
 	dy := randMat(r, benchK, benchN)
 	dst := NewMat(benchM, benchN)
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			matMulT1Rows(dst, x, dy, 0, x.Cols)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		p := NewPool(0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.MatMulT1Into(dst, x, dy)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		matMulT1(dst, x, dy)
+	}
 }
 
 func BenchmarkMatMulT2(b *testing.B) {
@@ -71,49 +47,36 @@ func BenchmarkMatMulT2(b *testing.B) {
 	dy := randMat(r, benchM, benchN) // dy @ wᵀ: the input-gradient shape
 	w := randMat(r, benchK, benchN)
 	dst := NewMat(benchM, benchK)
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			matMulT2Rows(dst, dy, w, 0, dy.Rows)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		p := NewPool(0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.MatMulT2Into(dst, dy, w)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		matMulT2(dst, dy, w)
+	}
 }
 
 // BenchmarkAttention measures a full MHSA forward+backward at an
 // encoder-realistic shape (sequence 64, the paper's Dim-100-ish width,
-// 8 heads), serial vs head-parallel.
+// 8 heads).
 func BenchmarkAttention(b *testing.B) {
-	run := func(b *testing.B, threads int) {
-		r := sim.NewRand(4)
-		a := NewMHSA("bench", 96, 8, r)
-		rt := Runtime{Pool: NewPool(threads), Arena: NewArena()}
-		a.SetRuntime(rt)
-		x := randMat(r, 64, 96)
-		dy := randMat(r, 64, 96)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Arena.Release()
-			a.Forward(x)
-			a.Backward(dy)
-		}
+	r := sim.NewRand(4)
+	a := NewMHSA("bench", 96, 8, r)
+	rt := Runtime{Arena: NewArena()}
+	a.SetRuntime(rt)
+	x := randMat(r, 64, 96)
+	dy := randMat(r, 64, 96)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Arena.Release()
+		a.Forward(x)
+		a.Backward(dy)
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
 }
 
 // matMulRowsSkip is the seed kernel's inner loop with the av == 0 skip
 // branch, retained here only so BenchmarkMatMulSkip can document why the
 // dense kernels dropped it (see the header comment in kernels.go).
-func matMulRowsSkip(dst, a, b *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
+func matMulRowsSkip(dst, a, b *Mat) {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := dst.Row(i)
 		for j := range orow {
@@ -140,20 +103,20 @@ func BenchmarkMatMulSkip(b *testing.B) {
 	x, w, dst := benchMats(r) // dense: randMat never produces exact zeros
 	b.Run("skip", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			matMulRowsSkip(dst, x, w, 0, x.Rows)
+			matMulRowsSkip(dst, x, w)
 		}
 	})
 	b.Run("noskip", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			matMulRows(dst, x, w, 0, x.Rows)
+			matMul(dst, x, w)
 		}
 	})
 }
 
 // accumT1RowsNoSkip is AccumT1Into's kernel without the zero skip, for the
 // sparse comparison below.
-func accumT1RowsNoSkip(dst, a, b *Mat, ilo, ihi int) {
-	for i := ilo; i < ihi; i++ {
+func accumT1RowsNoSkip(dst, a, b *Mat) {
+	for i := 0; i < a.Cols; i++ {
 		orow := dst.Row(i)
 		for r := 0; r < a.Rows; r++ {
 			av := a.Data[r*a.Cols+i]
@@ -180,13 +143,14 @@ func BenchmarkAccumT1Sparse(b *testing.B) {
 	dy := randMat(r, benchK, benchN)
 	dst := NewMat(benchM, benchN)
 	b.Run("skip", func(b *testing.B) {
+		var p *Pool
 		for i := 0; i < b.N; i++ {
-			accumT1Rows(dst, x, dy, 0, x.Cols)
+			p.AccumT1Into(dst, x, dy)
 		}
 	})
 	b.Run("noskip", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			accumT1RowsNoSkip(dst, x, dy, 0, x.Cols)
+			accumT1RowsNoSkip(dst, x, dy)
 		}
 	})
 }
@@ -219,6 +183,5 @@ func BenchmarkTrainStep(b *testing.B) {
 		}
 	}
 	b.Run("heap", func(b *testing.B) { run(b, Runtime{}) })
-	b.Run("arena", func(b *testing.B) { run(b, Runtime{Pool: NewPool(1), Arena: NewArena()}) })
-	b.Run("arena-parallel", func(b *testing.B) { run(b, Runtime{Pool: NewPool(0), Arena: NewArena()}) })
+	b.Run("arena", func(b *testing.B) { run(b, Runtime{Arena: NewArena()}) })
 }

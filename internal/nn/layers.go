@@ -53,8 +53,8 @@ type Linear struct {
 	x  *Mat // cached input for backward
 }
 
-// SetRuntime binds the worker pool and scratch arena the layer computes
-// with. The zero Runtime (the default) means serial, heap-allocating.
+// SetRuntime binds the scratch arena the layer computes with. The zero
+// Runtime (the default) allocates from the heap.
 func (l *Linear) SetRuntime(rt Runtime) { l.rt = rt }
 
 // NewLinear builds a Xavier-initialized linear layer.
@@ -72,6 +72,8 @@ func NewLinear(name string, in, out int, r *sim.Rand) *Linear {
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // Forward computes X W + b, caching X for Backward.
+//
+//pythia:noalloc
 func (l *Linear) Forward(x *Mat) *Mat {
 	l.x = x
 	y := l.rt.get(x.Rows, l.Out)
@@ -84,9 +86,10 @@ func (l *Linear) Forward(x *Mat) *Mat {
 // accumulated in place (dW += xᵀ dy) rather than through a temporary
 // matrix: for wide output layers (the per-page decoder head) the temporary
 // would allocate In×Out floats per training step, dominating runtime via
-// the garbage collector. AccumT1Into row-shards the accumulation across the
-// pool (each dW row owned by one worker) and keeps the zero-skip for
-// ReLU-sparse activations.
+// the garbage collector. AccumT1Into keeps the zero-skip for ReLU-sparse
+// activations.
+//
+//pythia:noalloc
 func (l *Linear) Backward(dy *Mat) *Mat {
 	shapeCheck(l.x.Rows == dy.Rows, "linear backward", l.x, dy)
 	l.rt.Pool.AccumT1Into(l.Weight.G, l.x, dy)
@@ -139,10 +142,8 @@ func (e *Embedding) Forward(ids []int) *Mat {
 	return out
 }
 
-// Backward scatters the output gradient back into the used rows. The
-// scatter stays serial: a token id can repeat within a sequence, so rows of
-// the gradient table are not exclusively owned, and the work is O(n·D) —
-// negligible next to the matmuls.
+// Backward scatters the output gradient back into the used rows; a token id
+// that repeats within a sequence accumulates into one row.
 func (e *Embedding) Backward(dy *Mat) {
 	for i, id := range e.ids {
 		grow := e.Table.G.Row(id)
@@ -230,8 +231,7 @@ func NewLayerNorm(name string, d int) *LayerNorm {
 // Params returns gain and bias.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gain, ln.Bias} }
 
-// Forward normalizes each row. Rows are independent, so the loop is
-// row-sharded across the pool.
+// Forward normalizes each row.
 func (ln *LayerNorm) Forward(x *Mat) *Mat {
 	ln.x = x
 	ln.xhat = ln.rt.get(x.Rows, x.Cols)
@@ -240,19 +240,9 @@ func (ln *LayerNorm) Forward(x *Mat) *Mat {
 	}
 	ln.invSD = ln.invSD[:x.Rows]
 	out := ln.rt.get(x.Rows, x.Cols)
-	if work := len(x.Data) * 6; ln.rt.Pool.serial(work) {
-		ln.forwardRows(out, 0, x.Rows)
-	} else {
-		ln.rt.Pool.shard(x.Rows, work, func(lo, hi int) { ln.forwardRows(out, lo, hi) })
-	}
-	return out
-}
-
-// forwardRows normalizes rows [lo, hi) — the shard unit of Forward.
-func (ln *LayerNorm) forwardRows(out *Mat, lo, hi int) {
 	g, b := ln.Gain.W.Data, ln.Bias.W.Data
-	for i := lo; i < hi; i++ {
-		row := ln.x.Row(i)
+	for i := 0; i < x.Rows; i++ {
+		row := x.Row(i)
 		mean := 0.0
 		for _, v := range row {
 			mean += v
@@ -273,12 +263,10 @@ func (ln *LayerNorm) forwardRows(out *Mat, lo, hi int) {
 			orow[j] = xh[j]*g[j] + b[j]
 		}
 	}
+	return out
 }
 
-// Backward returns dX and accumulates gain/bias gradients. The dX rows are
-// independent and row-sharded; the gain/bias gradients reduce *across*
-// rows, so they stay on the calling goroutine to keep the row-ascending
-// accumulation order (and hence bitwise results) of the serial code.
+// Backward returns dX and accumulates gain/bias gradients, row-ascending.
 func (ln *LayerNorm) Backward(dy *Mat) *Mat {
 	dx := ln.rt.get(dy.Rows, dy.Cols)
 	dxhat := ln.rt.get(dy.Rows, dy.Cols)
@@ -291,19 +279,9 @@ func (ln *LayerNorm) Backward(dy *Mat) *Mat {
 			bg[j] += d
 		}
 	}
-	if work := len(dy.Data) * 5; ln.rt.Pool.serial(work) {
-		ln.backwardRows(dx, dxhat, dy, 0, dy.Rows)
-	} else {
-		ln.rt.Pool.shard(dy.Rows, work, func(lo, hi int) { ln.backwardRows(dx, dxhat, dy, lo, hi) })
-	}
-	return dx
-}
-
-// backwardRows computes dX rows [lo, hi) — the shard unit of Backward.
-func (ln *LayerNorm) backwardRows(dx, dxhat, dy *Mat, lo, hi int) {
 	g := ln.Gain.W.Data
 	n := float64(dy.Cols)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < dy.Rows; i++ {
 		dyr := dy.Row(i)
 		xh := ln.xhat.Row(i)
 		// dxhat = dy * g; dx = invSD*(dxhat - mean(dxhat) - xhat*mean(dxhat*xhat)).
@@ -320,6 +298,7 @@ func (ln *LayerNorm) backwardRows(dx, dxhat, dy *Mat, lo, hi int) {
 			dxr[j] = inv * (dxh[j] - sum1/n - xh[j]*sum2/n)
 		}
 	}
+	return dx
 }
 
 // ReLU is the rectifier. Instead of materializing a mask it caches the

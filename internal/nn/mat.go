@@ -8,13 +8,11 @@
 // The library is deliberately CPU-first and deterministic: all randomness
 // flows from an explicit sim.Rand, so training the same model twice yields
 // identical parameters — which is what makes the experiment harness
-// reproducible. The compute kernels run row-sharded across a shared worker
-// pool (pool.go, kernels.go) with ownership-based sharding that preserves
-// the serial floating-point accumulation order, so the reproducibility
-// contract extends across thread counts: Threads=1 and Threads=N train to
-// bitwise-identical parameters. Scratch matrices come from a per-model
-// frame arena (arena.go) so the steady-state training loop allocates
-// nothing.
+// reproducible. The compute kernels (kernels.go) are serial with a fixed
+// accumulation order; a model is driven by one goroutine at a time and
+// parallelism is across per-object models (predictor), as in the paper.
+// Scratch matrices come from a per-model frame arena (arena.go) so the
+// steady-state training loop allocates nothing.
 package nn
 
 import (
@@ -67,38 +65,29 @@ func shapeCheck(cond bool, op string, a, b *Mat) {
 	}
 }
 
-// MatMul returns a @ b. This is the serial reference the parallel kernels
-// (Pool.MatMulInto) are golden-tested against; it runs the same blocked loop
-// over every row, and TestKernelsMatchNaive holds both to a plain triple
-// loop. The hot paths use the destination-passing variants in kernels.go.
+// MatMul returns a @ b in a new matrix: the same loop as Pool.MatMulInto, and
+// TestKernelsMatchNaive holds both to a plain triple loop. The hot paths use
+// the destination-passing variants in kernels.go.
 func MatMul(a, b *Mat) *Mat {
 	shapeCheck(a.Cols == b.Rows, "matmul", a, b)
 	out := NewMat(a.Rows, b.Cols)
-	// i-k-j loop order, k four at a time: the inner loop walks b and out
-	// rows contiguously (which matters for the decoder's wide output
-	// layer) and touches each out element once per four multiply-adds, added
-	// in ascending k. No zero-skip: post-embedding activations are dense,
-	// and the branch only costs on dense inputs (BenchmarkMatMulSkip).
-	matMulRows(out, a, b, 0, a.Rows)
+	matMul(out, a, b)
 	return out
 }
 
-// MatMulT1 returns aᵀ @ b (used for weight gradients: dW = Xᵀ dY). Serial
-// reference for Pool.MatMulT1Into; shares the restructured output-row-major
-// loop so the two are bitwise identical by construction.
+// MatMulT1 returns aᵀ @ b (used for weight gradients: dW = Xᵀ dY).
 func MatMulT1(a, b *Mat) *Mat {
 	shapeCheck(a.Rows == b.Rows, "matmulT1", a, b)
 	out := NewMat(a.Cols, b.Cols)
-	matMulT1Rows(out, a, b, 0, a.Cols)
+	matMulT1(out, a, b)
 	return out
 }
 
-// MatMulT2 returns a @ bᵀ (used for input gradients: dX = dY Wᵀ). Serial
-// reference for Pool.MatMulT2Into.
+// MatMulT2 returns a @ bᵀ (used for input gradients: dX = dY Wᵀ).
 func MatMulT2(a, b *Mat) *Mat {
 	shapeCheck(a.Cols == b.Cols, "matmulT2", a, b)
 	out := NewMat(a.Rows, b.Rows)
-	matMulT2Rows(out, a, b, 0, a.Rows)
+	matMulT2(out, a, b)
 	return out
 }
 
@@ -144,28 +133,23 @@ func (m *Mat) AddRowVec(v []float64) {
 // SoftmaxRows applies a numerically stable softmax to each row in place.
 func (m *Mat) SoftmaxRows() {
 	for i := 0; i < m.Rows; i++ {
-		softmaxRow(m.Row(i))
-	}
-}
-
-// softmaxRow is the shared per-row softmax used by both the serial method
-// and the pool's row-sharded variant.
-func softmaxRow(row []float64) {
-	maxv := math.Inf(-1)
-	for _, v := range row {
-		if v > maxv {
-			maxv = v
+		row := m.Row(i)
+		maxv := math.Inf(-1)
+		for _, v := range row {
+			if v > maxv {
+				maxv = v
+			}
 		}
-	}
-	sum := 0.0
-	for j, v := range row {
-		e := math.Exp(v - maxv)
-		row[j] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for j := range row {
-		row[j] *= inv
+		sum := 0.0
+		for j, v := range row {
+			e := math.Exp(v - maxv)
+			row[j] = e
+			sum += e
+		}
+		inv := 1 / sum
+		for j := range row {
+			row[j] *= inv
+		}
 	}
 }
 

@@ -48,14 +48,6 @@ type Options struct {
 	// objects share one combined model (Figure 12d trains index+base-table
 	// pairs together). Objects absent from all groups keep their own model.
 	Groups [][]storage.ObjectID
-	// Parallel trains and infers models concurrently ("model inferences can
-	// be parallelized", §3.3). The fan-out is bounded by the thread budget
-	// (Model.Threads, or the process default when zero), and the nn
-	// kernels of every model share one process-wide worker set, so
-	// model-level and kernel-level parallelism compose without
-	// oversubscribing the machine: whatever cores the fan-out does not
-	// cover, the per-model kernels soak up, and vice versa.
-	Parallel bool
 }
 
 // Predictor is a trained Pythia predictor for one workload.
@@ -167,38 +159,30 @@ func Train(reg *storage.Registry, samples []TrainSample, opts Options) *Predicto
 		m.Train(msamples)
 		p.models[i] = m
 	}
-	if opts.Parallel && len(jobs) > 1 {
-		// Bounded fan-out: at most one worker per thread of budget. Each
-		// job writes only its own slot, and per-model seeds depend only on
-		// the job index, so the schedule cannot affect the result.
-		workers := opts.Model.Threads
-		if workers <= 0 {
-			workers = nn.DefaultThreads()
-		}
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					trainOne(i)
-				}
-			}()
-		}
-		for i := range jobs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for i := range jobs {
-			trainOne(i)
-		}
+	// Models are the unit of parallelism ("model inferences can be
+	// parallelized", §3.3): at most nn.DefaultThreads() train at once. Each
+	// job writes only its own slot, and per-model seeds depend only on the
+	// job index, so the schedule cannot affect the result.
+	workers := nn.DefaultThreads()
+	if workers > len(jobs) {
+		workers = len(jobs)
 	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				trainOne(i)
+			}
+		}()
+	}
+	for i := range jobs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 	for i, j := range jobs {
 		p.modelObjs = append(p.modelObjs, j.objs)
 		for _, id := range j.objs {
@@ -352,15 +336,19 @@ func (p *Predictor) predict(root *plan.Node, parallel bool) []storage.PageID {
 	ids := p.EncodePlan(root)
 	ms, relevant := p.planModels(root)
 	preds := make([][]storage.PageID, len(ms))
-	if parallel {
+	if parallel && len(ms) > 1 {
+		// The last model runs on the calling goroutine, so k models cost
+		// k−1 hand-offs and a single-model plan costs none.
+		last := len(ms) - 1
 		var wg sync.WaitGroup
-		for i, m := range ms {
+		for i, m := range ms[:last] {
 			wg.Add(1)
 			go func(i int, m *model.Model) {
 				defer wg.Done()
 				preds[i] = m.Predict(ids)
 			}(i, m)
 		}
+		preds[last] = ms[last].Predict(ids)
 		wg.Wait()
 	} else {
 		for i, m := range ms {

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/catalog"
@@ -220,13 +221,17 @@ func TestGroupsCombineObjects(t *testing.T) {
 	}
 }
 
+// TestParallelTrainingMatchesSerial trains once with the fan-out held to one
+// worker and once at the process default; Train reads the bound when called.
 func TestParallelTrainingMatchesSerial(t *testing.T) {
 	db := workloadDB()
 	samples, plans, _ := buildSamples(t, db, []int64{100, 300, 500, 700})
-	serial := Train(db.Registry, samples, fastOpts())
-	popts := fastOpts()
-	popts.Parallel = true
-	parallel := Train(db.Registry, samples, popts)
+	trainSerial := func() *Predictor {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return Train(db.Registry, samples, fastOpts())
+	}
+	serial := trainSerial()
+	parallel := Train(db.Registry, samples, fastOpts())
 	a := serial.Predict(plans[0])
 	b := parallel.Predict(plans[0])
 	if len(a) != len(b) {

@@ -104,7 +104,7 @@ func (c Config) Normalize() (Config, error) {
 func DefaultConfig() Config {
 	return Config{
 		Replay:                 replay.Config{BufferPages: 2048},
-		Predictor:              predictor.Options{ObservedOnly: true, Parallel: true},
+		Predictor:              predictor.Options{ObservedOnly: true},
 		Window:                 1024,
 		PrefetchBufferFraction: 0.75,
 	}

@@ -43,9 +43,6 @@ type Config struct {
 	// MaxGenerate caps autoregressive generation length at inference.
 	MaxGenerate int
 	Seed        uint64
-	// Threads is the worker-shard count for the nn kernels (0 = process
-	// default, 1 = serial). Deterministic across values, like model.Config.
-	Threads int
 }
 
 // DefaultConfig returns the context-32 raw-trace variant at reproduction
@@ -157,7 +154,7 @@ func Train(seqs [][]storage.PageID, cfg Config) *Model {
 		Vocab: len(m.pages), Dim: cfg.Dim, Heads: cfg.Heads, Layers: 1,
 	}, r)
 	m.head = nn.NewLinear("seq.head", cfg.Dim, len(m.pages), r)
-	m.rt = nn.Runtime{Pool: nn.NewPool(cfg.Threads), Arena: nn.NewArena()}
+	m.rt = nn.Runtime{Arena: nn.NewArena()}
 	m.enc.SetRuntime(m.rt)
 	m.head.SetRuntime(m.rt)
 	params := append(m.enc.Params(), m.head.Params()...)
