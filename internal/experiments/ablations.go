@@ -110,11 +110,13 @@ func (s *Suite) Figure12c() *Table {
 	return t
 }
 
-// Figure12d reproduces Figure 12d: separate models per index / base table
-// vs one combined model per relation. Combined models save space but lose
-// accuracy.
+// Figure12d reproduces Figure 12d: a separate head per index / base table
+// vs one combined head per relation, both on the workload's one encoder
+// trunk (counted once in "total params"). Combined heads save space but
+// lose accuracy. EXPERIMENTS.md quotes the third point, a separate encoder
+// per object, from the last commit that had one.
 func (s *Suite) Figure12d() *Table {
-	t := newTable("fig12d", "Separate vs combined index/base-table models (t18)",
+	t := newTable("fig12d", "Separate vs combined index/base-table heads on one trunk (t18)",
 		"configuration", "mean F1", "total params")
 	sp := s.Split("t18")
 
@@ -124,7 +126,7 @@ func (s *Suite) Figure12d() *Table {
 	for _, w := range sep.Workloads() {
 		sepParams += w.Pred.ParamCount()
 	}
-	t.addRow("separate", sepF1, sepParams)
+	t.addRow("shared trunk", sepF1, sepParams)
 	t.set("separate", "f1", sepF1)
 	t.set("separate", "params", float64(sepParams))
 

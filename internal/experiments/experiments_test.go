@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/pythia-db/pythia/internal/fault"
 )
 
 // One shared fast suite for the whole test binary: experiments share
@@ -335,8 +337,17 @@ func TestExtChaosDegradesGracefully(t *testing.T) {
 		t.Fatalf("20%% faults cost nothing (%.3f vs %.3f at 0%%):\n%s",
 			speedups[len(speedups)-1], speedups[0], tab)
 	}
-	// The degradation ladder was actually exercised at the top rate.
-	if tab.Get("20%", "retries") == 0 || tab.Get("20%", "abandons") == 0 {
-		t.Fatalf("no retries/abandons at 20%% faults:\n%s", tab)
+	// The degradation ladder was actually exercised at the top rate. A page
+	// is abandoned only after every retry failed, which at 20 % is about one
+	// page per run — present or absent by the luck of the draw, and the draw
+	// moves whenever the predictions do — so the lower rungs are checked at
+	// a rate where they are certain.
+	if tab.Get("20%", "retries") == 0 {
+		t.Fatalf("no retries at 20%% faults:\n%s", tab)
+	}
+	chaos := s.DSBSystem("t91").WithFault(fault.New(fault.Plan{PrefetchReadRate: 0.6}, s.cfg.Seed+77))
+	res := chaos.Run(s.speedupSample("t91"), nil, chaos.Prefetch)
+	if res.PrefetchAbandons == 0 || res.FallbackSyncReads == 0 {
+		t.Fatalf("60%% faults: %d abandons, %d fallback reads, want both above zero", res.PrefetchAbandons, res.FallbackSyncReads)
 	}
 }

@@ -18,7 +18,7 @@ func TestTrainThreadsDeterminism(t *testing.T) {
 	train := func() (float64, map[string][]float64) {
 		m := New(12, labels, cfg)
 		loss := m.Train(samples)
-		return loss, nn.Snapshot(append(m.enc.Params(), m.dec.Params()...))
+		return loss, nn.Snapshot(m.trunk.params(m.trunk.heads))
 	}
 
 	refLoss, refSnap := train()

@@ -1,0 +1,218 @@
+package model
+
+import (
+	"math"
+	"testing"
+
+	"github.com/pythia-db/pythia/internal/nn"
+	"github.com/pythia-db/pythia/internal/sim"
+	"github.com/pythia-db/pythia/internal/storage"
+)
+
+// refModel is the model this package had before the encoder was shared,
+// kept as the reference: one private encoder and one decoder drawn from one
+// seeded stream, trained end to end by the loop refModel.train spells out.
+type refModel struct {
+	cfg      Config
+	enc      *nn.Encoder
+	dec      *nn.Decoder
+	labelIdx map[storage.PageID]int
+}
+
+func newRefModel(vocab int, labels []storage.PageID, cfg Config) *refModel {
+	cfg = cfg.withDefaults()
+	r := sim.NewRand(cfg.Seed)
+	m := &refModel{cfg: cfg, labelIdx: map[storage.PageID]int{}}
+	m.enc = nn.NewEncoder(nn.EncoderConfig{
+		Vocab: vocab, Dim: cfg.Dim, Heads: cfg.Heads, Layers: cfg.Layers, FFHidden: cfg.FFHidden,
+	}, r)
+	m.dec = nn.NewDecoder("dec", cfg.Dim, cfg.DecoderHidden, len(labels), r)
+	for i := range m.dec.L2.Bias.W.Data {
+		m.dec.L2.Bias.W.Data[i] = -2
+	}
+	for i, l := range labels {
+		m.labelIdx[l] = i
+	}
+	return m
+}
+
+func (m *refModel) params() []*nn.Param { return append(m.enc.Params(), m.dec.Params()...) }
+
+// backprop is one sample forward and back: the body of the old Train loop
+// between ZeroGrad and Step.
+func (m *refModel) backprop(s Sample) float64 {
+	targets := make([]float64, len(m.labelIdx))
+	for _, p := range s.Pages {
+		if j, ok := m.labelIdx[p]; ok {
+			targets[j] = 1
+		}
+	}
+	bce := nn.BCEWithLogits{PosWeight: m.cfg.PosWeight, Sum: true}
+	loss, dLogits := bce.Loss(m.dec.Forward(m.enc.Forward(s.TokenIDs)), targets)
+	m.enc.Backward(m.dec.Backward(dLogits))
+	return loss
+}
+
+func (m *refModel) train(samples []Sample) float64 {
+	opt := nn.NewAdam(m.cfg.LR, m.params())
+	opt.Clip = 5
+	r := sim.NewRand(m.cfg.Seed ^ 0x5eed)
+	order := make([]int, len(samples))
+	for i := range order {
+		order[i] = i
+	}
+	var epochLoss float64
+	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		epochLoss = 0
+		for _, i := range order {
+			opt.ZeroGrad()
+			epochLoss += m.backprop(samples[i])
+			opt.Step()
+		}
+		epochLoss /= float64(len(samples))
+	}
+	return epochLoss
+}
+
+func (m *refModel) scores(ids []int) []float64 {
+	logits := m.dec.Forward(m.enc.Forward(ids))
+	out := make([]float64, len(logits.Data))
+	for i, x := range logits.Data {
+		out[i] = nn.Sigmoid(x)
+	}
+	return out
+}
+
+// seededShape draws a model shape, H label spaces over H objects and a
+// sample set from one seed.
+func seededShape(seed uint64, heads int) (vocab int, cfg Config, labelSets [][]storage.PageID, samples []Sample) {
+	r := sim.NewRand(seed)
+	cfg = DefaultConfig()
+	cfg.Heads = 1 + r.Intn(3)
+	cfg.Dim = cfg.Heads * (2 + r.Intn(4))
+	cfg.Layers = 1 + r.Intn(2)
+	cfg.DecoderHidden = 4 + r.Intn(12)
+	cfg.Epochs = 3
+	cfg.LR = 5e-3
+	cfg.Seed = seed
+	vocab = 6 + r.Intn(10)
+	for h := 0; h < heads; h++ {
+		var labels []storage.PageID
+		for p := 0; p < 3+r.Intn(12); p++ {
+			labels = append(labels, pg(uint32(h+1), uint32(p)))
+		}
+		labelSets = append(labelSets, labels)
+	}
+	for i := 0; i < 5+r.Intn(5); i++ {
+		s := Sample{TokenIDs: make([]int, 2+r.Intn(7))}
+		for j := range s.TokenIDs {
+			s.TokenIDs[j] = r.Intn(vocab)
+		}
+		for _, labels := range labelSets {
+			for _, l := range labels {
+				if r.Intn(3) == 0 {
+					s.Pages = append(s.Pages, l)
+				}
+			}
+		}
+		samples = append(samples, s)
+	}
+	return vocab, cfg, labelSets, samples
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v (bitwise)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestOneHeadMatchesUnsharedModel: a trunk with exactly one head is the
+// unshared model bit for bit — loss, every weight, every score. Fails if
+// the optimizer is handed the head's parameters before the encoder's (the
+// global clip norm sums in another order) or the loss is mean-reduced.
+func TestOneHeadMatchesUnsharedModel(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		vocab, cfg, labelSets, samples := seededShape(seed, 1)
+		ref := newRefModel(vocab, labelSets[0], cfg)
+		m := New(vocab, labelSets[0], cfg)
+		wantLoss, gotLoss := ref.train(samples), m.Train(samples)
+		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+			t.Fatalf("seed %d: loss %v, want %v (bitwise)", seed, gotLoss, wantLoss)
+		}
+		got, want := m.trunk.params(m.trunk.heads), ref.params()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d params, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Name != want[i].Name {
+				t.Fatalf("seed %d: param %d is %s, want %s", seed, i, got[i].Name, want[i].Name)
+			}
+			sameBits(t, want[i].Name, got[i].W.Data, want[i].W.Data)
+		}
+		for _, s := range samples {
+			sameBits(t, "scores", m.Scores(s.TokenIDs), ref.scores(s.TokenIDs))
+		}
+	}
+}
+
+// TestJointGradientIsSumOfHeadGradients: after one joint step over three
+// heads, the encoder's gradients are the sum of the three gradients the
+// unshared model gives when each head is back-propagated alone through its
+// own copy of the encoder, and each decoder's gradients are exactly that
+// head's own. Fails if backprop drops a head's dRep or averages the dReps
+// instead of summing them (the averaged variant lost 0.13 F1 on t19).
+func TestJointGradientIsSumOfHeadGradients(t *testing.T) {
+	const H = 3
+	for seed := uint64(1); seed <= 8; seed++ {
+		vocab, cfg, labelSets, samples := seededShape(seed, H)
+		joint := NewTrunk(vocab, labelSets, cfg)
+		joint.train(joint.heads, samples[:1], 1)
+
+		encParams := len(joint.enc.Params())
+		sum := make([][]float64, encParams)
+		for k := 0; k < H; k++ {
+			// An identically seeded trunk has the joint one's initial weights;
+			// the reference runs on its encoder and its k-th decoder.
+			twin := NewTrunk(vocab, labelSets, cfg)
+			ref := &refModel{cfg: twin.cfg, enc: twin.enc, dec: twin.heads[k].dec, labelIdx: twin.heads[k].labelIdx}
+			ref.backprop(samples[0])
+			for i, p := range ref.enc.Params() {
+				if sum[i] == nil {
+					sum[i] = make([]float64, len(p.G.Data))
+				}
+				for j, g := range p.G.Data {
+					sum[i][j] += g
+				}
+			}
+			for i, p := range ref.dec.Params() {
+				sameBits(t, p.Name, joint.heads[k].dec.Params()[i].G.Data, p.G.Data)
+			}
+		}
+		// Relative to the largest encoder gradient: a key bias's gradient is
+		// rounding noise around an exact zero (softmax rows sum to one), so
+		// a per-parameter scale would compare noise with noise.
+		var scale float64
+		for _, w := range sum {
+			for _, g := range w {
+				scale = math.Max(scale, math.Abs(g))
+			}
+		}
+		if scale == 0 {
+			t.Fatalf("seed %d: no encoder gradient; the comparison would be vacuous", seed)
+		}
+		for i, p := range joint.enc.Params() {
+			for j, g := range p.G.Data {
+				if math.Abs(g-sum[i][j]) > 1e-12*scale {
+					t.Fatalf("seed %d: %s[%d] joint gradient %v, sum of per-head gradients %v", seed, p.Name, j, g, sum[i][j])
+				}
+			}
+		}
+	}
+}

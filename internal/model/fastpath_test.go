@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -41,20 +42,27 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 
 // BenchmarkInfer times one uncached prediction at the shapes the benchmark's
 // serve_miss workload serves: a 37-token plan through an untrained
-// DefaultConfig model over about 300 pages (inference cost depends on the
-// weights' shapes, not their values).
+// DefaultConfig trunk with heads over about 300 pages each (inference cost
+// depends on the weights' shapes, not their values). heads=5 is what a t91
+// plan selects; it reads ≈ 0.05 ms above heads=1's ≈ 0.3 ms — four more
+// decoders and their sigmoids — where five private encoders cost five times.
 func BenchmarkInfer(b *testing.B) {
-	labels := make([]storage.PageID, 300)
-	for i := range labels {
-		labels[i] = pg(1, uint32(i))
-	}
-	m := New(64, labels, DefaultConfig())
 	seq := make([]int, 37)
 	for i := range seq {
 		seq[i] = i % 64
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(seq)
+	for _, heads := range []int{1, 5} {
+		labelSets := make([][]storage.PageID, heads)
+		for h := range labelSets {
+			for i := 0; i < 300; i++ {
+				labelSets[h] = append(labelSets[h], pg(uint32(h+1), uint32(i)))
+			}
+		}
+		t := NewTrunk(64, labelSets, DefaultConfig())
+		b.Run(fmt.Sprintf("heads=%d", heads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t.Predict(seq, t.Heads())
+			}
+		})
 	}
 }

@@ -2,12 +2,12 @@
 // encoder over the serialized query plan feeding a feed-forward decoder with
 // one output per data block of a database object (paper §3.3, Figure 3).
 //
-// A Model owns one label space — a list of (object, page) labels. Pythia's
-// standard configuration gives each database object its own model; large
-// objects are split into page-range partitions with one model each; the
-// Figure 12d ablation builds one combined model spanning an index and its
-// base table; the Figure 12h ablation restricts the label space to the top-k
-// most frequently accessed pages.
+// A Trunk is one workload's encoder; a Model is a head on it with its own
+// label space — a list of (object, page) labels — and decoder. The standard
+// configuration gives each database object its own head; large objects are
+// split into page-range partitions with one head each; Figure 12d combines
+// an index and its base table in one head; Figure 12h restricts the label
+// space to the top-k most frequently accessed pages.
 package model
 
 import (
@@ -97,74 +97,104 @@ type Sample struct {
 	Pages    []storage.PageID
 }
 
-// Model is one trained multilabel classifier over a fixed label space.
+// Trunk is what one workload's heads share: the encoder (≈ 98 % of a
+// prediction's FLOPs) and the scratch arena everything computes in. Every
+// head is fed the same plan (Algorithm 3), so it is encoded once per plan.
+type Trunk struct {
+	cfg   Config
+	enc   *nn.Encoder
+	heads []*Model
+
+	// The arena in rt is single-owner, so mu serializes every Train, Predict
+	// and Scores through any head of this trunk; distinct trunks (the serve
+	// tier's replicas) stay fully concurrent.
+	rt nn.Runtime
+	mu sync.Mutex
+}
+
+// Model is one head on a trunk: a fixed label space and the feed-forward
+// decoder that scores it. Its methods run the trunk plus this head alone.
 type Model struct {
 	Labels []storage.PageID // label j ↔ Labels[j]
 
-	cfg      Config
+	trunk    *Trunk
 	labelIdx map[storage.PageID]int
-	enc      *nn.Encoder
 	dec      *nn.Decoder
-
-	// rt carries the model's scratch arena. The arena is single-owner, so
-	// mu serializes Train/Predict/Scores on one model; distinct models stay
-	// fully concurrent (the predictor's fan-out).
-	rt nn.Runtime
-	mu sync.Mutex
 
 	// targetBuf is the reusable 0/1 target vector for training steps.
 	targetBuf []float64
 }
 
-// New builds an untrained model over the label space for a vocabulary of
-// vocabSize tokens. Labels must be non-empty.
-func New(vocabSize int, labels []storage.PageID, cfg Config) *Model {
-	if len(labels) == 0 {
-		panic("model: empty label space")
-	}
+// NewTrunk builds an untrained encoder for a vocabulary of vocabSize tokens
+// with one head per label space, in order. Label spaces must be non-empty.
+func NewTrunk(vocabSize int, labelSets [][]storage.PageID, cfg Config) *Trunk {
 	cfg = cfg.withDefaults()
 	r := sim.NewRand(cfg.Seed)
-	m := &Model{
-		Labels:   labels,
-		cfg:      cfg,
-		labelIdx: make(map[storage.PageID]int, len(labels)),
+	t := &Trunk{
+		cfg: cfg,
 		enc: nn.NewEncoder(nn.EncoderConfig{
 			Vocab: vocabSize, Dim: cfg.Dim, Heads: cfg.Heads,
 			Layers: cfg.Layers, FFHidden: cfg.FFHidden,
 		}, r),
+		rt: nn.Runtime{Arena: nn.NewArena()},
 	}
-	m.dec = nn.NewDecoder("dec", cfg.Dim, cfg.DecoderHidden, len(labels), r)
-	m.rt = nn.Runtime{Arena: nn.NewArena()}
-	m.enc.SetRuntime(m.rt)
-	m.dec.SetRuntime(m.rt)
-	// Start every page logit clearly negative: almost all labels are 0 for
-	// any one query, so beginning from "predict nothing" lets training
-	// spend its gradient budget on the positives instead of first pushing
-	// thousands of outputs below threshold.
-	for i := range m.dec.L2.Bias.W.Data {
-		m.dec.L2.Bias.W.Data[i] = -2
+	t.enc.SetRuntime(t.rt)
+	for _, labels := range labelSets {
+		if len(labels) == 0 {
+			panic("model: empty label space")
+		}
+		m := &Model{
+			Labels:   labels,
+			trunk:    t,
+			labelIdx: make(map[storage.PageID]int, len(labels)),
+			dec:      nn.NewDecoder("dec", cfg.Dim, cfg.DecoderHidden, len(labels), r),
+		}
+		m.dec.SetRuntime(t.rt)
+		// Start every page logit clearly negative: almost all labels are 0
+		// for any one query, so training spends its gradient budget on the
+		// positives instead of first pushing every output below threshold.
+		for i := range m.dec.L2.Bias.W.Data {
+			m.dec.L2.Bias.W.Data[i] = -2
+		}
+		for i, l := range labels {
+			m.labelIdx[l] = i
+		}
+		t.heads = append(t.heads, m)
 	}
-	for i, l := range labels {
-		m.labelIdx[l] = i
-	}
-	return m
+	return t
 }
 
-// ParamCount returns the model's scalar parameter count ("model size").
-func (m *Model) ParamCount() int {
-	return nn.ParamCount(append(m.enc.Params(), m.dec.Params()...))
+// New builds a trunk with one head over the label space and returns the head.
+func New(vocabSize int, labels []storage.PageID, cfg Config) *Model {
+	return NewTrunk(vocabSize, [][]storage.PageID{labels}, cfg).heads[0]
 }
+
+// Heads returns the trunk's heads in construction order.
+func (t *Trunk) Heads() []*Model { return t.heads }
+
+// params lists the encoder's parameters, then each given head's.
+func (t *Trunk) params(heads []*Model) []*nn.Param {
+	out := t.enc.Params()
+	for _, h := range heads {
+		out = append(out, h.dec.Params()...)
+	}
+	return out
+}
+
+// ParamCount counts the encoder's scalar parameters once, plus every head's.
+func (t *Trunk) ParamCount() int { return nn.ParamCount(t.params(t.heads)) }
+
+// ParamCount returns the size of the trunk plus this one head.
+func (m *Model) ParamCount() int { return nn.ParamCount(m.trunk.params([]*Model{m})) }
 
 // targets fills the reusable 0/1 vector for a sample, ignoring pages
-// outside the label space (they belong to other models or partitions).
+// outside the label space (they belong to other heads or partitions).
 func (m *Model) targets(pages []storage.PageID) []float64 {
 	if m.targetBuf == nil {
 		m.targetBuf = make([]float64, len(m.Labels))
 	}
 	t := m.targetBuf
-	for i := range t {
-		t[i] = 0
-	}
+	clear(t)
 	for _, p := range pages {
 		if j, ok := m.labelIdx[p]; ok {
 			t[j] = 1
@@ -173,39 +203,52 @@ func (m *Model) targets(pages []storage.PageID) []float64 {
 	return t
 }
 
-// Train runs end-to-end training (encoder and decoder jointly, as in the
-// paper) over the samples and returns the final mean epoch loss.
+// Train fits the encoder and all heads jointly (the final mean epoch loss,
+// summed over heads, is returned).
+func (t *Trunk) Train(samples []Sample) float64 { return t.train(t.heads, samples, t.cfg.Epochs) }
+
+// TrainIncremental continues joint training on additional samples with a
+// fresh optimizer (§5.3: "every new query run can be used as a new training
+// data point"). epochs ≤ 0 means a quarter of the configured budget.
+func (t *Trunk) TrainIncremental(samples []Sample, epochs int) float64 {
+	return t.train(t.heads, samples, epochs)
+}
+
+// Train fits the trunk under this head's loss alone (on a one-head trunk:
+// the paper's end-to-end training of one encoder and one decoder).
 func (m *Model) Train(samples []Sample) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	params := append(m.enc.Params(), m.dec.Params()...)
-	opt := nn.NewAdam(m.cfg.LR, params)
+	return m.trunk.train([]*Model{m}, samples, m.trunk.cfg.Epochs)
+}
+
+// TrainIncremental is Trunk.TrainIncremental under this head's loss alone,
+// which on a shared trunk drags the encoder from under the other heads;
+// Predictor.Update trains them jointly instead. The per-head form survives
+// for the frozen bench/ probe (ROADMAP item 5, Unfreeze).
+func (m *Model) TrainIncremental(samples []Sample, epochs int) float64 {
+	return m.trunk.train([]*Model{m}, samples, epochs)
+}
+
+func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
+	if epochs <= 0 {
+		epochs = max(t.cfg.Epochs/4, 1)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	opt := nn.NewAdam(t.cfg.LR, t.params(heads))
 	opt.Clip = 5
-	// Sum reduction keeps the gradient scale independent of the label-space
-	// size, so models over large objects train as fast as small ones.
-	bce := nn.BCEWithLogits{PosWeight: m.cfg.PosWeight, Sum: true, Scratch: m.rt.Arena}
-	r := sim.NewRand(m.cfg.Seed ^ 0x5eed)
+	r := sim.NewRand(t.cfg.Seed ^ 0x5eed)
 
 	order := make([]int, len(samples))
 	for i := range order {
 		order[i] = i
 	}
 	var epochLoss float64
-	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss = 0
 		for _, i := range order {
-			s := samples[i]
-			// Recycle the previous step's activations and scratch: after
-			// the first step the forward/backward pass allocates nothing.
-			m.rt.Arena.Release()
 			opt.ZeroGrad()
-			rep := m.enc.Forward(s.TokenIDs)
-			logits := m.dec.Forward(rep)
-			loss, dLogits := bce.Loss(logits, m.targets(s.Pages))
-			epochLoss += loss
-			dRep := m.dec.Backward(dLogits)
-			m.enc.Backward(dRep)
+			epochLoss += t.backprop(heads, samples[i])
 			opt.Step()
 		}
 		if len(samples) > 0 {
@@ -215,70 +258,105 @@ func (m *Model) Train(samples []Sample) float64 {
 	return epochLoss
 }
 
-// Predict runs one-shot inference: the pages whose sigmoid probability
-// crosses the threshold, in label (file-storage) order. Safe for
-// concurrent callers (inference on one model is serialized; run distinct
-// models concurrently for parallel inference, as the predictor does).
-func (m *Model) Predict(tokenIDs []int) []storage.PageID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rt.Arena.Release()
-	logits := m.dec.Forward(m.enc.Forward(tokenIDs))
+// backprop accumulates every parameter gradient of one sample and returns
+// its loss summed over heads. The encoder runs once each way: the heads'
+// 1×Dim representation gradients are summed in head order (into the first
+// head's, so one head is the unshared model bit for bit) before the single
+// Encoder.Backward.
+func (t *Trunk) backprop(heads []*Model, s Sample) float64 {
+	// Recycle the previous step's scratch: steady state allocates nothing.
+	t.rt.Arena.Release()
+	// Sum reduction keeps the gradient scale independent of the label-space
+	// size, so heads over large objects train as fast as small ones.
+	bce := nn.BCEWithLogits{PosWeight: t.cfg.PosWeight, Sum: true, Scratch: t.rt.Arena}
+	rep := t.enc.Forward(s.TokenIDs)
+	var total float64
+	var dRep *nn.Mat
+	for _, h := range heads {
+		loss, dLogits := bce.Loss(h.dec.Forward(rep), h.targets(s.Pages))
+		total += loss
+		if d := h.dec.Backward(dLogits); dRep == nil {
+			dRep = d
+		} else {
+			nn.AddInPlace(dRep, d)
+		}
+	}
+	t.enc.Backward(dRep)
+	return total
+}
+
+// forward encodes the plan once under the trunk lock and hands visit each
+// given head's logits, which are scratch: valid only during the call.
+func (t *Trunk) forward(tokenIDs []int, heads []*Model, visit func(i int, logits []float64)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.rt.Arena.Release()
+	rep := t.enc.Forward(tokenIDs)
+	for i, h := range heads {
+		visit(i, h.dec.Forward(rep).Data)
+	}
+}
+
+// Predict runs one-shot inference for the given heads off one encoder pass:
+// per head, the pages whose sigmoid probability crosses the threshold, in
+// label (file-storage) order. Safe for concurrent callers.
+func (t *Trunk) Predict(tokenIDs []int, heads []*Model) [][]storage.PageID {
+	out := make([][]storage.PageID, len(heads))
+	t.forward(tokenIDs, heads, func(i int, logits []float64) { out[i] = heads[i].pages(logits) })
+	return out
+}
+
+// pages thresholds one row of this head's logits.
+func (m *Model) pages(logits []float64) []storage.PageID {
 	var out []storage.PageID
-	for j, x := range logits.Data {
-		if nn.Sigmoid(x) >= m.cfg.Threshold {
+	for j, x := range logits {
+		if nn.Sigmoid(x) >= m.trunk.cfg.Threshold {
 			out = append(out, m.Labels[j])
 		}
 	}
 	return out
 }
 
+// Predict is Trunk.Predict for this head alone.
+func (m *Model) Predict(tokenIDs []int) []storage.PageID {
+	return m.trunk.Predict(tokenIDs, []*Model{m})[0]
+}
+
 // PredictBatch runs inference for several token sequences under one lock.
-// It amortises next to nothing: the encoder is ≈ 98 % of a prediction's
-// FLOPs and runs once per sequence (sequence lengths differ), exactly as in
-// Predict; only the decoder, the other ≈ 2 %, sees the B representations as
-// one B×Dim matrix. Each decoder output row is computed with the same
-// k-ascending accumulation order as the 1×Dim case, so results are bitwise
-// identical to calling Predict per sequence (asserted by
-// TestPredictBatchMatchesPredict).
+// It amortises next to nothing: the encoder runs once per sequence (lengths
+// differ), exactly as in Predict; only the decoder sees the B
+// representations as one B×Dim matrix, each row accumulated in the 1×Dim
+// order, so results are bitwise those of Predict per sequence
+// (TestPredictBatchMatchesPredict).
 func (m *Model) PredictBatch(seqs [][]int) [][]storage.PageID {
 	out := make([][]storage.PageID, len(seqs))
 	if len(seqs) == 0 {
 		return out
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rt.Arena.Release()
-	// Encode per sequence, gathering the 1×Dim representations into a B×Dim
-	// matrix. reps is allocated before the encoder passes so the arena can
-	// recycle their scratch without touching it.
-	reps := m.rt.Arena.Get(len(seqs), m.cfg.Dim)
+	t := m.trunk
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.rt.Arena.Release()
+	// reps is allocated before the encoder passes whose rows it gathers.
+	reps := t.rt.Arena.Get(len(seqs), t.cfg.Dim)
 	for i, ids := range seqs {
-		copy(reps.Row(i), m.enc.Forward(ids).Row(0))
+		copy(reps.Row(i), t.enc.Forward(ids).Row(0))
 	}
 	logits := m.dec.Forward(reps)
 	for i := range seqs {
-		var pages []storage.PageID
-		for j, x := range logits.Row(i) {
-			if nn.Sigmoid(x) >= m.cfg.Threshold {
-				pages = append(pages, m.Labels[j])
-			}
-		}
-		out[i] = pages
+		out[i] = m.pages(logits.Row(i))
 	}
 	return out
 }
 
 // Scores returns the per-label probabilities (diagnostics and tests).
 func (m *Model) Scores(tokenIDs []int) []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rt.Arena.Release()
-	logits := m.dec.Forward(m.enc.Forward(tokenIDs))
-	out := make([]float64, len(logits.Data))
-	for i, x := range logits.Data {
-		out[i] = nn.Sigmoid(x)
-	}
+	out := make([]float64, len(m.Labels))
+	m.trunk.forward(tokenIDs, []*Model{m}, func(_ int, logits []float64) {
+		for i, x := range logits {
+			out[i] = nn.Sigmoid(x)
+		}
+	})
 	return out
 }
 

@@ -9,66 +9,87 @@ import (
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// persistedModel is the on-disk form of a trained Model. It stores the
-// architecture configuration, the label space, and a name→weights snapshot;
-// loading rebuilds the identical architecture and restores the weights, so a
-// loaded model predicts exactly what the saved one did.
-type persistedModel struct {
+// persistedTrunk is the on-disk form of a trained trunk: the architecture
+// configuration, the encoder's weights once, and per head its label space
+// and decoder weights. Loading rebuilds the identical architecture and
+// restores the weights, so a loaded trunk predicts exactly what the saved
+// one did. Weights are lists in parameter order, not maps, so equal trunks
+// encode to equal bytes.
+type persistedTrunk struct {
 	Version   int
 	Cfg       Config
 	VocabSize int
-	Labels    []storage.PageID
-	Weights   map[string][]float64
+	Encoder   []tensor
+	Heads     []persistedHead
 }
 
-const persistVersion = 1
+type persistedHead struct {
+	Labels  []storage.PageID
+	Decoder []tensor
+}
 
-// Save writes the model to w (encoding/gob).
-func (m *Model) Save(w io.Writer) error {
-	state := persistedModel{
+type tensor struct {
+	Name string
+	W    []float64
+}
+
+const persistVersion = 2
+
+func tensors(params []*nn.Param) []tensor {
+	out := make([]tensor, len(params))
+	for i, p := range params {
+		out[i] = tensor{p.Name, p.W.Data}
+	}
+	return out
+}
+
+func restore(params []*nn.Param, ts []tensor) error {
+	snap := make(map[string][]float64, len(ts))
+	for _, t := range ts {
+		snap[t.Name] = t.W
+	}
+	return nn.Restore(params, snap)
+}
+
+// Save writes the trunk and all its heads to w (encoding/gob).
+func (t *Trunk) Save(w io.Writer) error {
+	state := persistedTrunk{
 		Version:   persistVersion,
-		Cfg:       m.cfg,
-		VocabSize: m.enc.Emb.V,
-		Labels:    m.Labels,
-		Weights:   nn.Snapshot(append(m.enc.Params(), m.dec.Params()...)),
+		Cfg:       t.cfg,
+		VocabSize: t.enc.Emb.V,
+		Encoder:   tensors(t.enc.Params()),
+	}
+	for _, h := range t.heads {
+		state.Heads = append(state.Heads, persistedHead{h.Labels, tensors(h.dec.Params())})
 	}
 	return gob.NewEncoder(w).Encode(&state)
 }
 
-// Load reads a model previously written by Save.
-func Load(r io.Reader) (*Model, error) {
-	var state persistedModel
+// LoadTrunk reads a trunk previously written by Save.
+func LoadTrunk(r io.Reader) (*Trunk, error) {
+	var state persistedTrunk
 	if err := gob.NewDecoder(r).Decode(&state); err != nil {
-		return nil, fmt.Errorf("model: decoding persisted model: %w", err)
+		return nil, fmt.Errorf("model: decoding persisted trunk: %w", err)
 	}
 	if state.Version != persistVersion {
 		return nil, fmt.Errorf("model: unsupported persisted version %d", state.Version)
 	}
-	if len(state.Labels) == 0 {
-		return nil, fmt.Errorf("model: persisted model has empty label space")
+	labelSets := make([][]storage.PageID, len(state.Heads))
+	for i, h := range state.Heads {
+		if len(h.Labels) == 0 {
+			return nil, fmt.Errorf("model: persisted head %d has empty label space", i)
+		}
+		labelSets[i] = h.Labels
 	}
-	m := New(state.VocabSize, state.Labels, state.Cfg)
-	if err := nn.Restore(append(m.enc.Params(), m.dec.Params()...), state.Weights); err != nil {
-		return nil, fmt.Errorf("model: restoring weights: %w", err)
-	}
-	return m, nil
-}
-
-// TrainIncremental continues training an existing (possibly loaded) model on
-// additional samples for the given number of epochs — the paper's
-// incremental-training observation: "every new query run can be used as a
-// new training data point to improve Pythia models" (§5.3). A fresh
-// optimizer is used; pages outside the model's label space are ignored as
-// usual.
-func (m *Model) TrainIncremental(samples []Sample, epochs int) float64 {
-	if epochs <= 0 {
-		epochs = m.cfg.Epochs / 4
-		if epochs < 1 {
-			epochs = 1
+	t := NewTrunk(state.VocabSize, labelSets, state.Cfg)
+	err := restore(t.enc.Params(), state.Encoder)
+	for i, h := range t.heads {
+		if err == nil {
+			err = restore(h.dec.Params(), state.Heads[i].Decoder)
 		}
 	}
-	saved := m.cfg.Epochs
-	m.cfg.Epochs = epochs
-	defer func() { m.cfg.Epochs = saved }()
-	return m.Train(samples)
+	if err != nil {
+		return nil, fmt.Errorf("model: restoring weights: %w", err)
+	}
+	return t, nil
 }

@@ -2,22 +2,34 @@ package model
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
+
+// saveLoad round-trips a one-head trunk through Save/LoadTrunk and returns
+// the loaded head.
+func saveLoad(t *testing.T, m *Model) *Model {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.trunk.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadTrunk(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.Heads()) != 1 {
+		t.Fatalf("loaded %d heads, saved 1", len(loaded.Heads()))
+	}
+	return loaded.Heads()[0]
+}
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	labels, samples := trainingFixture()
 	m := New(12, labels, smallCfg())
 	m.Train(samples)
 
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := saveLoad(t, m)
 	for _, seq := range [][]int{{2, 5, 3}, {2, 9, 3}, {1, 1, 1}} {
 		a := m.Predict(seq)
 		b := loaded.Predict(seq)
@@ -43,7 +55,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := LoadTrunk(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("garbage did not error")
 	}
 }
@@ -55,14 +67,7 @@ func TestLoadedModelTrainsIncrementally(t *testing.T) {
 	m := New(12, labels, cfg)
 	m.Train(samples[:4])
 
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := saveLoad(t, m)
 	// Incremental training on the rest of the data must run (and not panic
 	// on the reset optimizer state) and keep predictions sane.
 	loss := loaded.TrainIncremental(samples, 60)
@@ -79,9 +84,16 @@ func TestTrainIncrementalDefaultEpochs(t *testing.T) {
 	labels, samples := trainingFixture()
 	m := New(12, labels, smallCfg())
 	m.Train(samples)
-	// epochs <= 0 falls back to a quarter of the configured budget.
+	// epochs <= 0 falls back to a quarter of the configured budget: the
+	// same weights as asking for that many epochs outright.
+	twin := New(12, labels, smallCfg())
+	twin.Train(samples)
 	m.TrainIncremental(samples[:2], 0)
-	if m.cfg.Epochs != smallCfg().Epochs {
-		t.Fatal("TrainIncremental leaked its temporary epoch override")
+	twin.TrainIncremental(samples[:2], smallCfg().Epochs/4)
+	if !reflect.DeepEqual(m.Scores([]int{2, 5, 3}), twin.Scores([]int{2, 5, 3})) {
+		t.Fatal("epochs 0 did not train a quarter of the configured budget")
+	}
+	if m.trunk.cfg.Epochs != smallCfg().Epochs {
+		t.Fatal("TrainIncremental changed the configured epoch budget")
 	}
 }

@@ -12,9 +12,9 @@ package nn
 // the first step, steady-state Get calls are pure recycles — zero heap
 // allocation.
 //
-// An Arena is owned by exactly one model and is NOT safe for concurrent
-// use: all Get/Release calls must come from the goroutine driving that
-// model. A nil *Arena is valid and falls back to plain NewMat allocation.
+// An Arena is owned by exactly one owner (a model.Trunk and its heads) and
+// is NOT safe for concurrent use: all Get/Release calls must come from the
+// goroutine driving that owner. A nil *Arena is valid and falls back to plain NewMat allocation.
 type Arena struct {
 	free map[int][]*Mat // element count → reusable matrices
 	used []*Mat         // everything handed out since the last Release

@@ -43,8 +43,9 @@ type Pool struct{}
 // NewPool returns a Pool. Its argument is ignored.
 func NewPool(int) *Pool { return &Pool{} }
 
-// DefaultThreads is how many models predictor.Train trains at once:
-// runtime.GOMAXPROCS(0), read at call time.
+// DefaultThreads is runtime.GOMAXPROCS(0), read at call time. Nothing in the
+// module calls it since one trunk per workload replaced predictor.Train's
+// worker pool; like Pool, it waits for the benchmark PR that unfreezes bench/.
 func DefaultThreads() int { return runtime.GOMAXPROCS(0) }
 
 // dstCheck panics when dst does not have the required shape.

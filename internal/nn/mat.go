@@ -9,9 +9,9 @@
 // flows from an explicit sim.Rand, so training the same model twice yields
 // identical parameters — which is what makes the experiment harness
 // reproducible. The compute kernels (kernels.go) are serial with a fixed
-// accumulation order; a model is driven by one goroutine at a time and
-// parallelism is across per-object models (predictor), as in the paper.
-// Scratch matrices come from a per-model frame arena (arena.go) so the
+// accumulation order; an encoder and the decoders on it are driven by one
+// goroutine at a time, and parallelism is across the serve tier's replicas.
+// Scratch matrices come from a per-trunk frame arena (arena.go) so the
 // steady-state training loop allocates nothing.
 package nn
 

@@ -13,37 +13,35 @@ import (
 )
 
 // persistedPredictor is the on-disk form of a trained predictor: the frozen
-// vocabulary, the serializer configuration, and each model together with
-// the database objects it covers.
+// vocabulary, the serializer configuration, the trunk (encoder weights once,
+// then each head's labels and decoder weights), and the database objects
+// each head covers.
 type persistedPredictor struct {
 	Version     int
 	SerCfg      serialize.Config
 	VocabTokens []string
-	Models      [][]byte
+	Trunk       []byte
 	ModelObjs   [][]storage.ObjectID
 	TrainTime   time.Duration
 }
 
-const persistVersion = 1
+const persistVersion = 2
 
 // Save writes the predictor to w. Loaded predictors produce byte-identical
 // predictions for the same plans.
 func (p *Predictor) Save(w io.Writer) error {
-	state := persistedPredictor{
+	var trunk bytes.Buffer
+	if err := p.trunk.Save(&trunk); err != nil {
+		return fmt.Errorf("predictor: saving trunk: %w", err)
+	}
+	return gob.NewEncoder(w).Encode(&persistedPredictor{
 		Version:     persistVersion,
 		SerCfg:      p.serCfg,
 		VocabTokens: p.vocab.Tokens(),
+		Trunk:       trunk.Bytes(),
 		ModelObjs:   p.modelObjs,
 		TrainTime:   p.TrainTime,
-	}
-	for _, m := range p.models {
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			return fmt.Errorf("predictor: saving model: %w", err)
-		}
-		state.Models = append(state.Models, buf.Bytes())
-	}
-	return gob.NewEncoder(w).Encode(&state)
+	})
 }
 
 // Load reads a predictor previously written by Save.
@@ -55,48 +53,35 @@ func Load(r io.Reader) (*Predictor, error) {
 	if state.Version != persistVersion {
 		return nil, fmt.Errorf("predictor: unsupported persisted version %d", state.Version)
 	}
-	if len(state.Models) != len(state.ModelObjs) {
-		return nil, fmt.Errorf("predictor: %d models but %d coverage entries",
-			len(state.Models), len(state.ModelObjs))
-	}
 	vocab, err := serialize.VocabFromTokens(state.VocabTokens)
 	if err != nil {
 		return nil, err
 	}
+	trunk, err := model.LoadTrunk(bytes.NewReader(state.Trunk))
+	if err != nil {
+		return nil, fmt.Errorf("predictor: %w", err)
+	}
+	if len(trunk.Heads()) != len(state.ModelObjs) {
+		return nil, fmt.Errorf("predictor: %d heads but %d coverage entries",
+			len(trunk.Heads()), len(state.ModelObjs))
+	}
 	p := &Predictor{
 		vocab:     vocab,
 		serCfg:    state.SerCfg,
+		trunk:     trunk,
 		modelObjs: state.ModelObjs,
-		objModels: make(map[storage.ObjectID][]*model.Model),
 		TrainTime: state.TrainTime,
 	}
-	for i, raw := range state.Models {
-		m, err := model.Load(bytes.NewReader(raw))
-		if err != nil {
-			return nil, fmt.Errorf("predictor: model %d: %w", i, err)
-		}
-		p.models = append(p.models, m)
-		for _, id := range state.ModelObjs[i] {
-			p.objModels[id] = append(p.objModels[id], m)
-		}
-	}
+	p.index()
 	return p, nil
 }
 
-// Update incrementally trains every model on new samples ("Pythia can be
-// trained incrementally ... every new query run can be used as a new
-// training data point", §5.3). Pages belonging to objects no model covers
-// are ignored — extending coverage to new objects requires retraining,
-// which the paper notes is cheap.
-func (p *Predictor) Update(samples []TrainSample, epochs int) {
-	msamples := make([]model.Sample, len(samples))
-	for i, s := range samples {
-		msamples[i] = model.Sample{
-			TokenIDs: p.vocab.Encode(serialize.Serialize(s.Plan, p.serCfg)),
-			Pages:    s.Trace.Pages(),
-		}
-	}
-	for _, m := range p.models {
-		m.TrainIncremental(msamples, epochs)
-	}
+// Update incrementally trains the trunk and every head jointly on new
+// samples, with a fresh optimizer ("Pythia can be trained incrementally ...
+// every new query run can be used as a new training data point", §5.3), and
+// returns the final mean epoch loss summed over heads. Pages belonging to
+// objects no head covers are ignored — extending coverage to new objects
+// requires retraining, which the paper notes is cheap.
+func (p *Predictor) Update(samples []TrainSample, epochs int) float64 {
+	return p.trunk.TrainIncremental(p.encode(samples), epochs)
 }

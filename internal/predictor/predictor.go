@@ -1,18 +1,18 @@
 // Package predictor orchestrates Pythia's training (Algorithm 1) and
 // one-shot inference (Algorithm 3): it serializes query plans, builds the
 // token vocabulary, constructs per-object (or combined, or top-k) label
-// spaces from training traces, trains one multilabel model per label space,
-// and at query time feeds the serialized plan to every model relevant to the
-// plan's non-sequential scans, unioning their page predictions.
+// spaces from training traces, trains one encoder trunk with one decoder
+// head per label space, and at query time encodes the serialized plan once
+// and runs every head relevant to the plan's non-sequential scans, unioning
+// their page predictions.
 package predictor
 
 import (
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/pythia-db/pythia/internal/model"
-	"github.com/pythia-db/pythia/internal/nn"
 	"github.com/pythia-db/pythia/internal/plan"
 	"github.com/pythia-db/pythia/internal/serialize"
 	"github.com/pythia-db/pythia/internal/storage"
@@ -27,12 +27,12 @@ type TrainSample struct {
 
 // Options configures training.
 type Options struct {
-	// Model sizes the per-object classifiers.
+	// Model sizes the shared encoder and the per-object decoder heads.
 	Model model.Config
 	// Serialize controls plan tokenization.
 	Serialize serialize.Config
 	// MaxPartitionPages splits an object's label space into partitions of
-	// at most this many pages, each with its own model (§3.3). Zero means
+	// at most this many pages, each with its own head (§3.3). Zero means
 	// no partitioning.
 	MaxPartitionPages int
 	// ObservedOnly restricts each label space to pages actually observed in
@@ -44,9 +44,9 @@ type Options struct {
 	// TopK further restricts each object's labels to its k most frequently
 	// accessed pages (Figure 12h ablation). Zero disables.
 	TopK int
-	// Groups overrides the one-model-per-object default: each group's
-	// objects share one combined model (Figure 12d trains index+base-table
-	// pairs together). Objects absent from all groups keep their own model.
+	// Groups overrides the one-head-per-object default: each group's
+	// objects share one combined head (Figure 12d trains index+base-table
+	// pairs together). Objects absent from all groups keep their own head.
 	Groups [][]storage.ObjectID
 }
 
@@ -54,14 +54,14 @@ type Options struct {
 type Predictor struct {
 	vocab  *serialize.Vocab
 	serCfg serialize.Config
-	models []*model.Model
-	// modelObjs[i] lists the objects models[i] covers (kept for matching
-	// and persistence).
+	// trunk is the workload's one encoder; its heads are the per-object
+	// models, and modelObjs[i] lists the objects head i covers.
+	trunk     *model.Trunk
 	modelObjs [][]storage.ObjectID
-	// objModels indexes models by the objects their labels cover.
+	// objModels indexes heads by the objects their labels cover.
 	objModels map[storage.ObjectID][]*model.Model
 
-	// TrainTime is the wall-clock time Train spent fitting models; the
+	// TrainTime is the wall-clock time Train spent fitting the trunk; the
 	// Figure 9 cost comparison against sequence models reports it.
 	TrainTime time.Duration
 }
@@ -69,23 +69,11 @@ type Predictor struct {
 // Train builds and fits a predictor from the workload's samples.
 func Train(reg *storage.Registry, samples []TrainSample, opts Options) *Predictor {
 	start := timeNow()
-	p := &Predictor{
-		vocab:     serialize.NewVocab(),
-		serCfg:    opts.Serialize,
-		objModels: make(map[storage.ObjectID][]*model.Model),
-	}
+	p := &Predictor{vocab: serialize.NewVocab(), serCfg: opts.Serialize}
 
-	// Tokenize all plans and build the vocabulary.
-	msamples := make([]model.Sample, len(samples))
-	for i, s := range samples {
-		toks := serialize.Serialize(s.Plan, p.serCfg)
-		p.vocab.AddAll(toks)
-		msamples[i] = model.Sample{Pages: s.Trace.Pages()}
-	}
+	// Tokenize all plans, growing the vocabulary as they are encoded.
+	msamples := p.encode(samples)
 	p.vocab.Freeze()
-	for i, s := range samples {
-		msamples[i].TokenIDs = p.vocab.Encode(serialize.Serialize(s.Plan, p.serCfg))
-	}
 
 	// Objects accessed non-sequentially anywhere in the workload get models.
 	accessed := map[storage.ObjectID]bool{}
@@ -122,75 +110,50 @@ func Train(reg *storage.Registry, samples []TrainSample, opts Options) *Predicto
 		groups = append(groups, []storage.ObjectID{id})
 	}
 
-	// Build one label space per group.
-	type job struct {
-		labels []storage.PageID
-		objs   []storage.ObjectID
-	}
-	var jobs []job
-	seed := opts.Model.Seed
+	// Build one label space per group, split into partitions when asked.
+	var labelSets [][]storage.PageID
 	for _, g := range groups {
 		var labels []storage.PageID
 		for _, id := range g {
 			labels = append(labels, p.objectLabels(reg, id, msamples, opts)...)
 		}
-		if len(labels) == 0 {
-			continue
+		step := len(labels)
+		if opts.MaxPartitionPages > 0 {
+			step = opts.MaxPartitionPages
 		}
-		if opts.MaxPartitionPages > 0 && len(labels) > opts.MaxPartitionPages {
-			for start := 0; start < len(labels); start += opts.MaxPartitionPages {
-				end := start + opts.MaxPartitionPages
-				if end > len(labels) {
-					end = len(labels)
-				}
-				jobs = append(jobs, job{labels: labels[start:end], objs: g})
-			}
-		} else {
-			jobs = append(jobs, job{labels: labels, objs: g})
+		for start := 0; start < len(labels); start += step {
+			labelSets = append(labelSets, labels[start:min(start+step, len(labels))])
+			p.modelObjs = append(p.modelObjs, g)
 		}
 	}
 
-	// Train one model per job.
-	p.models = make([]*model.Model, len(jobs))
-	trainOne := func(i int) {
-		cfg := opts.Model
-		cfg.Seed = seed + uint64(i)*0x9e37
-		m := model.New(p.vocab.Size(), jobs[i].labels, cfg)
-		m.Train(msamples)
-		p.models[i] = m
-	}
-	// Models are the unit of parallelism ("model inferences can be
-	// parallelized", §3.3): at most nn.DefaultThreads() train at once. Each
-	// job writes only its own slot, and per-model seeds depend only on the
-	// job index, so the schedule cannot affect the result.
-	workers := nn.DefaultThreads()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				trainOne(i)
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for i, j := range jobs {
-		p.modelObjs = append(p.modelObjs, j.objs)
-		for _, id := range j.objs {
-			p.objModels[id] = append(p.objModels[id], p.models[i])
-		}
-	}
+	// One trunk, one head per label space, trained jointly on one goroutine:
+	// the shared encoder is ≈ 98 % of the work, so nothing is left to fan out.
+	p.trunk = model.NewTrunk(p.vocab.Size(), labelSets, opts.Model)
+	p.trunk.Train(msamples)
+	p.index()
 	p.TrainTime = timeSince(start)
 	return p
+}
+
+// encode serializes and encodes each sample's plan (a vocabulary that is not
+// yet frozen grows) and pairs the tokens with the sample's accessed pages.
+func (p *Predictor) encode(samples []TrainSample) []model.Sample {
+	out := make([]model.Sample, len(samples))
+	for i, s := range samples {
+		out[i] = model.Sample{TokenIDs: p.EncodePlan(s.Plan), Pages: s.Trace.Pages()}
+	}
+	return out
+}
+
+// index builds objModels from the trunk's heads and modelObjs.
+func (p *Predictor) index() {
+	p.objModels = make(map[storage.ObjectID][]*model.Model)
+	for i, m := range p.trunk.Heads() {
+		for _, id := range p.modelObjs[i] {
+			p.objModels[id] = append(p.objModels[id], m)
+		}
+	}
 }
 
 // objectLabels builds one object's label space under the options.
@@ -219,17 +182,12 @@ func (p *Predictor) objectLabels(reg *storage.Registry, id storage.ObjectID, sam
 	return model.ObjectLabels(obj)
 }
 
-// Models returns the trained models (diagnostics: count, sizes).
-func (p *Predictor) Models() []*model.Model { return p.models }
+// Models returns the trained heads (diagnostics: count, label spaces).
+func (p *Predictor) Models() []*model.Model { return p.trunk.Heads() }
 
-// ParamCount sums all models' parameters — the harness's "total model size".
-func (p *Predictor) ParamCount() int {
-	n := 0
-	for _, m := range p.models {
-		n += m.ParamCount()
-	}
-	return n
-}
+// ParamCount is the harness's "total model size": the trunk, counted once,
+// plus every head.
+func (p *Predictor) ParamCount() int { return p.trunk.ParamCount() }
 
 // VocabSize returns the frozen vocabulary size.
 func (p *Predictor) VocabSize() int { return p.vocab.Size() }
@@ -284,11 +242,10 @@ func Fingerprint(ids []int) uint64 {
 	return h
 }
 
-// planModels returns the models relevant to the plan — every model covering
+// planModels returns the heads relevant to the plan — every head covering
 // an object the plan scans non-sequentially — plus the relevant-object set
-// used to filter combined models' predictions. Walk the relevant objects in
-// ID order so the model list (and with it any parallel-inference work
-// assignment) never depends on map order.
+// used to filter combined heads' predictions. Walk the relevant objects in
+// ID order so the head list never depends on map order.
 func (p *Predictor) planModels(root *plan.Node) ([]*model.Model, map[storage.ObjectID]bool) {
 	relevant := relevantObjects(root)
 	objs := make([]storage.ObjectID, 0, len(relevant))
@@ -309,71 +266,30 @@ func (p *Predictor) planModels(root *plan.Node) ([]*model.Model, map[storage.Obj
 	return ms, relevant
 }
 
-// collect filters one model's predictions to relevant objects, merges into
-// out, and returns it; callers sort+dedupe once at the end.
-func collect(out []storage.PageID, pred []storage.PageID, relevant map[storage.ObjectID]bool) []storage.PageID {
-	for _, page := range pred {
-		if relevant[page.Object] {
-			out = append(out, page)
-		}
-	}
-	return out
-}
-
-// Predict runs Algorithm 3's prediction step: serialize the plan once, feed
-// it to every model covering an object the plan scans non-sequentially, and
-// return the union of predicted pages in file-storage order.
+// Predict runs Algorithm 3's prediction step: serialize the plan, encode it
+// once, decode it with every head covering an object the plan scans
+// non-sequentially, and return the union of predicted pages in file-storage
+// order. A plan with no such object costs no encoder pass at all.
 func (p *Predictor) Predict(root *plan.Node) []storage.PageID {
-	return p.predict(root, false)
-}
-
-// PredictParallel is Predict with concurrent model inference.
-func (p *Predictor) PredictParallel(root *plan.Node) []storage.PageID {
-	return p.predict(root, true)
-}
-
-func (p *Predictor) predict(root *plan.Node, parallel bool) []storage.PageID {
-	ids := p.EncodePlan(root)
 	ms, relevant := p.planModels(root)
-	preds := make([][]storage.PageID, len(ms))
-	if parallel && len(ms) > 1 {
-		// The last model runs on the calling goroutine, so k models cost
-		// k−1 hand-offs and a single-model plan costs none.
-		last := len(ms) - 1
-		var wg sync.WaitGroup
-		for i, m := range ms[:last] {
-			wg.Add(1)
-			go func(i int, m *model.Model) {
-				defer wg.Done()
-				preds[i] = m.Predict(ids)
-			}(i, m)
-		}
-		preds[last] = ms[last].Predict(ids)
-		wg.Wait()
-	} else {
-		for i, m := range ms {
-			preds[i] = m.Predict(ids)
-		}
+	if len(ms) == 0 {
+		return nil
 	}
 	var out []storage.PageID
-	for _, pr := range preds {
-		// Keep only pages of relevant objects (a combined model may cover
-		// an object the plan does not touch).
-		out = collect(out, pr, relevant)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return dedupe(out)
-}
-
-func dedupe(pages []storage.PageID) []storage.PageID {
-	if len(pages) < 2 {
-		return pages
-	}
-	out := pages[:1]
-	for _, p := range pages[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
+	for _, pred := range p.trunk.Predict(p.EncodePlan(root), ms) {
+		// Keep only pages of relevant objects (a combined head may cover an
+		// object the plan does not touch).
+		for _, page := range pred {
+			if relevant[page.Object] {
+				out = append(out, page)
+			}
 		}
 	}
-	return out
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return slices.Compact(out)
 }
+
+// PredictParallel is a synonym of Predict: the heads run off one encoder
+// pass, so there is nothing to run in parallel. Only the frozen bench/
+// module still calls it (ROADMAP item 5, Unfreeze).
+func (p *Predictor) PredictParallel(root *plan.Node) []storage.PageID { return p.Predict(root) }

@@ -1,7 +1,7 @@
 package predictor
 
 import (
-	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/catalog"
@@ -133,15 +133,9 @@ func TestPredictDeterministicAndSorted(t *testing.T) {
 			t.Fatal("prediction not sorted/deduped")
 		}
 	}
-	// Parallel inference returns the same set.
-	c := p.PredictParallel(plans[0])
-	if len(a) != len(c) {
-		t.Fatalf("parallel inference differs: %d vs %d", len(a), len(c))
-	}
-	for i := range a {
-		if a[i] != c[i] {
-			t.Fatal("parallel inference differs")
-		}
+	// PredictParallel is a synonym kept for the frozen bench/ module.
+	if c := p.PredictParallel(plans[0]); !slices.Equal(a, c) {
+		t.Fatalf("PredictParallel differs from Predict: %d vs %d pages", len(c), len(a))
 	}
 }
 
@@ -218,28 +212,5 @@ func TestGroupsCombineObjects(t *testing.T) {
 	}
 	if len(objs) < 2 {
 		t.Fatalf("combined model predicted only objects %v", objs)
-	}
-}
-
-// TestParallelTrainingMatchesSerial trains once with the fan-out held to one
-// worker and once at the process default; Train reads the bound when called.
-func TestParallelTrainingMatchesSerial(t *testing.T) {
-	db := workloadDB()
-	samples, plans, _ := buildSamples(t, db, []int64{100, 300, 500, 700})
-	trainSerial := func() *Predictor {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		return Train(db.Registry, samples, fastOpts())
-	}
-	serial := trainSerial()
-	parallel := Train(db.Registry, samples, fastOpts())
-	a := serial.Predict(plans[0])
-	b := parallel.Predict(plans[0])
-	if len(a) != len(b) {
-		t.Fatalf("parallel training changed predictions: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("parallel training changed predictions")
-		}
 	}
 }

@@ -20,12 +20,15 @@ import (
 // Snapshot bundles are framed so a load can tell a torn or bit-rotted file
 // from a healthy one before handing bytes to gob. The frame is
 //
-//	magic "PYSNAP01" · uint64 payload length · payload · uint32 CRC-32 (IEEE)
+//	magic "PYSNAP02" · uint64 payload length · payload · uint32 CRC-32 (IEEE)
 //
 // (integers big-endian). The length makes truncation detectable even when the
 // cut falls on a gob message boundary, and the trailing checksum is written
-// last, so a crash mid-write always leaves a detectably incomplete file.
-var snapMagic = [8]byte{'P', 'Y', 'S', 'N', 'A', 'P', '0', '1'}
+// last, so a crash mid-write always leaves a detectably incomplete file. The
+// magic's two digits are the format version: 02 stores one encoder trunk per
+// workload under its per-object decoder heads, where 01 stored an encoder per
+// object, and a file of any other version is refused before it is decoded.
+var snapMagic = [8]byte{'P', 'Y', 'S', 'N', 'A', 'P', '0', '2'}
 
 // ErrSnapshotCorrupt marks a snapshot that is truncated, checksummed wrong,
 // or otherwise unreadable. Callers match it with errors.Is to distinguish
@@ -55,15 +58,19 @@ func sealEnvelope(w io.Writer, payload []byte) error {
 }
 
 // openEnvelope reads a frame written by sealEnvelope and returns the verified
-// payload. Every failure mode — short read, wrong magic, truncated payload,
+// payload. An envelope of another format version wraps ErrSnapshotVersion;
+// every other failure mode — short read, wrong magic, truncated payload,
 // trailing garbage, checksum mismatch — wraps ErrSnapshotCorrupt.
 func openEnvelope(r io.Reader) ([]byte, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated header: %v", ErrSnapshotCorrupt, err)
 	}
-	if !bytes.Equal(hdr[:8], snapMagic[:]) {
+	if !bytes.Equal(hdr[:6], snapMagic[:6]) {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, hdr[:8])
+	}
+	if !bytes.Equal(hdr[6:8], snapMagic[6:]) {
+		return nil, fmt.Errorf("%w: envelope %q, this build reads %q", ErrSnapshotVersion, hdr[:8], snapMagic[:])
 	}
 	want := binary.BigEndian.Uint64(hdr[8:])
 	// Read what is actually there rather than trusting the declared length

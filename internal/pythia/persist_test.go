@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -175,6 +176,62 @@ func TestLoadSystemVersionMismatch(t *testing.T) {
 	}
 	if _, err := LoadSystem(s.DB, s.Config(), bytes.NewReader(framed.Bytes())); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("future-version snapshot: %v, want ErrSnapshotVersion", err)
+	}
+}
+
+// TestLoadSystemRejectsPYSNAP01: a well-formed envelope of the previous
+// format (an encoder per object where this build expects one trunk per
+// workload) is refused with the typed version error — not "corrupt", not a
+// panic in gob, never a half-loaded system.
+func TestLoadSystemRejectsPYSNAP01(t *testing.T) {
+	s, _ := trainedSystem(t)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := buf.Bytes()
+	copy(old[:8], "PYSNAP01") // length and CRC cover the payload only, so the frame stays well-formed
+	sys, err := LoadSystem(s.DB, s.Config(), bytes.NewReader(old))
+	if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("PYSNAP01 snapshot: %v, want ErrSnapshotVersion only", err)
+	}
+	if sys != nil {
+		t.Fatal("PYSNAP01 snapshot returned a system alongside the error")
+	}
+	fresh := New(s.DB, s.Config())
+	if _, err := fresh.LoadWorkload(bytes.NewReader(old)); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("LoadWorkload(PYSNAP01): %v, want ErrSnapshotVersion", err)
+	}
+	if len(fresh.Workloads()) != 0 {
+		t.Fatal("a refused workload was registered")
+	}
+}
+
+// TestSnapshotBytesDeterministic: training twice from one seed writes
+// byte-identical PYSNAP02 files, at GOMAXPROCS 1 and 2 — joint training is
+// one goroutine's seeded work and weights are persisted as ordered lists.
+// TrainTime, the snapshot's one wall-clock field, is zeroed before saving.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	snapshot := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, w := testSystem(t)
+		train, _ := w.Split(0.15, 3)
+		s.cfg.Predictor.Model.Epochs = 3
+		s.Train("t91", train[:12]).Pred.TrainTime = 0
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := snapshot(1)
+	if string(want[:8]) != "PYSNAP02" {
+		t.Fatalf("snapshot magic %q, want PYSNAP02", want[:8])
+	}
+	for _, procs := range []int{1, 2} {
+		if got := snapshot(procs); !bytes.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: snapshot of %d bytes differs from the first of %d", procs, len(got), len(want))
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func (c Config) Normalize() (Config, error) {
 }
 
 // DefaultConfig returns the experiment harness defaults. The predictor
-// trains in parallel over label spaces restricted to observed pages —
+// trains over label spaces restricted to observed pages —
 // prediction-equivalent to the paper's full page-per-output-node decoder
 // (never-observed pages converge to "never predict" anyway) but much
 // faster; set Predictor.ObservedOnly = false for the paper's exact layout.
@@ -344,7 +344,7 @@ func (s *System) Prefetch(inst *workload.Instance) []storage.PageID {
 	if tw == nil {
 		return nil
 	}
-	return s.LimitPrefetch(tw.Pred.PredictParallel(inst.Plan))
+	return s.LimitPrefetch(tw.Pred.Predict(inst.Plan))
 }
 
 // LimitPrefetch truncates a predicted page set to the buffer-bounded budget,

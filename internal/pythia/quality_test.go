@@ -161,7 +161,7 @@ func TestQualityObservationDoesNotPerturbTimeline(t *testing.T) {
 }
 
 // TestBaselinePersistsInSnapshot round-trips the drift baseline through the
-// PYSNAP01 envelope: identity survives, and a pre-baseline snapshot (nil
+// PYSNAP envelope: identity survives, and a pre-baseline snapshot (nil
 // Baseline) loads with drift off.
 func TestBaselinePersistsInSnapshot(t *testing.T) {
 	g := dsb.NewGenerator(dsb.Config{ScaleFactor: 8, Seed: 7})

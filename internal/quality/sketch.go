@@ -15,7 +15,7 @@ const SketchBuckets = 64
 // SketchBuckets counters. It never allocates after construction, so the
 // streaming update sits on the serving hot path and inside replay runs
 // without perturbing either. Fields are exported for gob (the baseline
-// persists inside the PYSNAP01 snapshot envelope).
+// persists inside the PYSNAP snapshot envelope).
 type Sketch struct {
 	Counts [SketchBuckets]uint64
 	Total  uint64

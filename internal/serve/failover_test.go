@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/plan"
+	corepythia "github.com/pythia-db/pythia/internal/pythia"
 )
 
 // poolOf unwraps the server's Inferencer as a Pool.
@@ -382,8 +384,8 @@ func TestSwapRollbackOnReplicaBuildFault(t *testing.T) {
 }
 
 // TestAdminReloadCorruptSnapshot pins the satellite contract: reloading from
-// a truncated or zero-length snapshot answers a typed 422 envelope and the
-// old generation keeps serving.
+// a truncated or zero-length snapshot, or from one of another envelope
+// version, answers a typed 422 envelope and the old generation keeps serving.
 func TestAdminReloadCorruptSnapshot(t *testing.T) {
 	base, w := testServer(t)
 	dir := t.TempDir()
@@ -404,9 +406,20 @@ func TestAdminReloadCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A well-formed snapshot of the previous envelope version (PYSNAP01: an
+	// encoder per object, where this build reads one trunk per workload).
+	oldFormat := filepath.Join(dir, "pysnap01.snap")
+	v1 := append([]byte("PYSNAP01"), buf.Bytes()[8:]...)
+	if err := os.WriteFile(oldFormat, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 2, SnapshotPath: good})
 
-	for _, path := range []string{truncated, empty} {
+	if err := srv.inf.Swap(bytes.NewReader(v1)); !errors.Is(err, corepythia.ErrSnapshotVersion) {
+		t.Fatalf("Swap(PYSNAP01) = %v, want ErrSnapshotVersion", err)
+	}
+	for _, path := range []string{truncated, empty, oldFormat} {
 		rr := doRequest(t, srv, http.MethodPost, "/v1/admin/reload",
 			strings.NewReader(`{"path":`+jsonQuote(path)+`}`))
 		if rr.Code != http.StatusUnprocessableEntity {

@@ -150,18 +150,6 @@ type faultGate struct {
 	inj *fault.Injector
 }
 
-func (g *faultGate) fire() bool {
-	if g == nil {
-		return false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.inj == nil {
-		return false
-	}
-	return g.inj.Fire(fault.Serve, 0)
-}
-
 // fireModel draws the model-path fault decision for one replica: the shared
 // Serve site plus the replica-targeted Replica site. Both streams always draw
 // (no short-circuit), so enabling one site never shifts the other's

@@ -30,9 +30,10 @@ const serveDriftEvalEvery = 64
 // instance is one serving replica: an independent trained system with its
 // own prediction cache, health tracker, and bounded work queue. Replicas
 // share nothing but the metrics hub and the fault gate — each holds its own
-// model weights (clones decoded from one snapshot), so inference on different
-// replicas runs truly in parallel instead of serializing on one model's
-// mutex.
+// encoder trunk and heads (clones decoded from one snapshot), so inference on
+// different replicas runs truly in parallel instead of serializing on one
+// trunk's mutex. Replicas are the tier's only parallel unit: within one, a
+// prediction is one encoder pass plus its heads on one goroutine.
 type instance struct {
 	id   int
 	gen  uint64
@@ -170,14 +171,14 @@ func (ins *instance) cached(fp uint64) ([]storage.PageID, bool) {
 	return pages, hit
 }
 
-// infer runs the miss (inference) path: one PredictParallel per request. The
+// infer runs the miss (inference) path: one Predictor.Predict per request. The
 // slow step runs off the caller's goroutine so a disconnected client (or an
 // expired budget) aborts the wait, not the work. Context errors come back
 // verbatim for the Server to map to 504/499.
 func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *plan.Node) ([]storage.PageID, error) {
 	done := make(chan []storage.PageID, 1)
 	//pythia:goleak-ok one-shot inference; done is buffered so the sender exits even when the select below took the ctx branch
-	go func() { done <- tw.Pred.PredictParallel(root) }()
+	go func() { done <- tw.Pred.Predict(root) }()
 	select {
 	case pages := <-done:
 		ins.health.success()
