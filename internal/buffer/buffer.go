@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"github.com/pythia-db/pythia/internal/obs"
-	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -93,7 +92,6 @@ type Pool struct {
 	hand     int32 // Clock: next slot the sweep examines
 	stats    Stats
 	rec      obs.Recorder // nil = observability off (one nil-check per event)
-	tr       *span.Tracer // nil = span tracing off
 }
 
 // New returns a pool with the given frame capacity and policy. Capacity must
@@ -130,12 +128,6 @@ func (p *Pool) Stats() Stats { return p.stats }
 // frame.
 func (p *Pool) SetRecorder(rec obs.Recorder) { p.rec = rec }
 
-// SetTracer attaches a span tracer (nil detaches). The pool marks hits,
-// misses, and evictions as timeline instants, and links prefetched-frame
-// hits and wasted evictions back to the PrefetchRead span that brought the
-// page in (via the tracer's page stash).
-func (p *Pool) SetTracer(tr *span.Tracer) { p.tr = tr }
-
 //pythia:noalloc
 func (p *Pool) record(k obs.Kind, pg storage.PageID) {
 	if p.rec != nil {
@@ -171,17 +163,14 @@ func (p *Pool) Get(pg storage.PageID) bool {
 	if !ok {
 		p.stats.Misses++
 		p.record(obs.BufferMiss, pg)
-		p.tr.Instant(span.BufferMissMark, pg, 0)
 		return false
 	}
 	p.stats.Hits++
 	p.record(obs.BufferHit, pg)
-	p.tr.Instant(span.BufferHitMark, pg, 0)
 	if f := &p.frames[slot]; f.prefetched {
 		f.prefetched = false
 		p.stats.PrefetchHits++
 		p.record(obs.PrefetchHit, pg)
-		p.tr.InstantLink(span.PrefetchHitMark, pg, 0, p.tr.TakeStash(pg))
 	}
 	p.touch(slot)
 	return true
@@ -306,11 +295,9 @@ func (p *Pool) evict(slot int32) {
 	p.index.Delete(f.page)
 	p.stats.Evictions++
 	p.record(obs.BufferEvict, f.page)
-	p.tr.Instant(span.BufferEvictMark, f.page, 0)
 	if f.prefetched {
 		p.stats.PrefetchWasted++
 		p.record(obs.PrefetchWasted, f.page)
-		p.tr.InstantLink(span.PrefetchWastedMark, f.page, 0, p.tr.TakeStash(f.page))
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"math"
 	"sort"
 
+	"github.com/pythia-db/pythia/internal/quality"
 	"github.com/pythia-db/pythia/internal/storage"
-	"github.com/pythia-db/pythia/internal/trace"
 )
 
 // PRF is one query's precision, recall, and F1.
@@ -19,21 +19,14 @@ type PRF struct {
 	F1        float64
 }
 
-// Score compares a predicted page set against the ground truth (both sorted
-// by PageID). An empty truth with an empty prediction scores a perfect 1;
-// an empty truth with predictions scores 0 precision.
+// Score compares a predicted page set against the ground truth. It is
+// quality.ScoreSets' overlap as ratios, under that package's convention for
+// the empty corners: an empty prediction is vacuously precise, an empty truth
+// vacuously recalled — so two empty sets score a perfect 1, and either one
+// alone an F1 of 0.
 func Score(predicted, truth []storage.PageID) PRF {
-	if len(predicted) == 0 && len(truth) == 0 {
-		return PRF{Precision: 1, Recall: 1, F1: 1}
-	}
-	inter := float64(trace.Intersection(predicted, truth))
-	var p, r float64
-	if len(predicted) > 0 {
-		p = inter / float64(len(predicted))
-	}
-	if len(truth) > 0 {
-		r = inter / float64(len(truth))
-	}
+	s := quality.ScoreSets(predicted, truth)
+	p, r := s.Precision(), s.Recall()
 	f1 := 0.0
 	if p+r > 0 {
 		f1 = 2 * p * r / (p + r)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/pythia-db/pythia/internal/quality"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -47,6 +48,32 @@ func TestScoreEdgeCases(t *testing.T) {
 	}
 	if s := Score(pages(1, 2), pages(3, 4)); s.F1 != 0 {
 		t.Fatalf("disjoint F1 = %f", s.F1)
+	}
+}
+
+// TestScoreCornersOneConvention pins the four empty/non-empty corners through
+// both entry points — metrics.Score (Figure 5) and quality.ScoreSets
+// (/v1/feedback, the replay scorer) — so the two are provably one function:
+// an empty prediction is vacuously precise, an empty truth vacuously recalled,
+// and F1 is 1 only when both are empty.
+func TestScoreCornersOneConvention(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		pred, truth []storage.PageID
+		p, r, f1    float64
+	}{
+		{"both empty", nil, nil, 1, 1, 1},
+		{"empty prediction", nil, pages(1), 1, 0, 0},
+		{"empty truth", pages(1), nil, 0, 1, 0},
+		{"neither empty", pages(1, 2), pages(2, 3), 0.5, 0.5, 0.5},
+	} {
+		got := Score(c.pred, c.truth)
+		if got != (PRF{Precision: c.p, Recall: c.r, F1: c.f1}) {
+			t.Errorf("%s: Score = %+v, want p=%v r=%v f1=%v", c.name, got, c.p, c.r, c.f1)
+		}
+		if q := quality.ScoreSets(c.pred, c.truth); q.Precision() != c.p || q.Recall() != c.r {
+			t.Errorf("%s: ScoreSets = p=%v r=%v, want p=%v r=%v", c.name, q.Precision(), q.Recall(), c.p, c.r)
+		}
 	}
 }
 

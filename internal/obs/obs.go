@@ -7,6 +7,11 @@
 // and GrASP's) is built on, available while a run executes instead of only
 // as end-of-run aggregates.
 //
+// An Event is the one thing an instrumented layer emits. Everything that
+// wants the same fact in another shape — the counters here, the span
+// tracer's timeline marks, the quality scorer's event counts — is a Recorder
+// on this stream, not a second emission beside it.
+//
 // Design constraints, in order:
 //
 //   - Zero cost when disabled. Every instrumented component holds a Recorder
@@ -151,8 +156,8 @@ const (
 	ReplicaFailover
 
 	// QualityScored: one prediction was scored against ground truth — in
-	// replay when a registered query finishes, in serve when a /v1/feedback
-	// report correlates with a prediction ID.
+	// replay when a query is registered with the scorer, in serve when a
+	// /v1/feedback report correlates with a prediction ID.
 	QualityScored
 	// DriftWarning: the live plan-token/fingerprint distribution crossed the
 	// warn divergence threshold against the training baseline.
@@ -226,9 +231,9 @@ func (k Kind) String() string {
 const NoQuery int32 = -1
 
 // Event is one typed occurrence. Emitting layers fill what they know:
-// buffer and oscache know only the page; the replay engine stamps the
-// active query index and the virtual time on everything that passes through
-// it (see replay.Config.Recorder).
+// buffer and oscache know only the page; each tier's stamp point (the replay
+// tagger, pythia.System, the serve.Metrics hub) sets the query index and the
+// time on what passes through it, and every consumer reads them verbatim.
 type Event struct {
 	// Kind is the event type.
 	Kind Kind

@@ -15,7 +15,6 @@ package oscache
 
 import (
 	"github.com/pythia-db/pythia/internal/obs"
-	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -72,7 +71,6 @@ type Cache struct {
 	readahead []storage.PageID // scratch behind Read's second result
 	stats     Stats
 	rec       obs.Recorder // nil = observability off (one nil-check per event)
-	tr        *span.Tracer // nil = span tracing off
 }
 
 // New returns a cache holding capacity pages with the given maximum
@@ -109,10 +107,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // OSCacheHit/OSCacheMiss per read, OSReadaheadPage per page fetched
 // asynchronously, and OSCacheEvict per eviction.
 func (c *Cache) SetRecorder(rec obs.Recorder) { c.rec = rec }
-
-// SetTracer attaches a span tracer (nil detaches). The cache marks hits,
-// misses, and evictions as timeline instants.
-func (c *Cache) SetTracer(tr *span.Tracer) { c.tr = tr }
 
 //pythia:noalloc
 func (c *Cache) record(k obs.Kind, p storage.PageID) {
@@ -183,12 +177,10 @@ func (c *Cache) touchOrMiss(p storage.PageID) bool {
 		c.pushFront(slot)
 		c.stats.Hits++
 		c.record(obs.OSCacheHit, p)
-		c.tr.Instant(span.OSCacheHitMark, p, 0)
 		return true
 	}
 	c.stats.Misses++
 	c.record(obs.OSCacheMiss, p)
-	c.tr.Instant(span.OSCacheMissMark, p, 0)
 	c.insert(p)
 	return false
 }
@@ -205,7 +197,6 @@ func (c *Cache) insert(p storage.PageID) {
 		c.index.Delete(victim)
 		c.stats.Evictions++
 		c.record(obs.OSCacheEvict, victim)
-		c.tr.Instant(span.OSCacheEvictMark, victim, 0)
 	case c.free != 0:
 		slot = c.free
 		c.free = c.entries[slot].next

@@ -46,9 +46,11 @@ type Config struct {
 	// flow to it. Nil disables observability at zero cost.
 	Recorder obs.Recorder
 	// Tracer, when non-nil, records the virtual-time span timeline of every
-	// replay this system runs (see internal/span), plus system-level
-	// inference-degrade marks. Like Replay.Fault, use a fresh tracer per
-	// run: spans accumulate across Run calls.
+	// replay this system runs (see internal/span), plus a mark for each
+	// system-level event its table names (inference degrades, drift
+	// transitions) — with or without a Recorder set. Like Replay.Fault, use
+	// a fresh tracer per run (or Reset it): spans accumulate across Run
+	// calls.
 	Tracer *span.Tracer
 	// InferenceDeadline is the virtual-time budget for model inference.
 	// When the replay cost model's PredictLatency exceeds it, every query
@@ -157,14 +159,23 @@ func New(db *catalog.Database, cfg Config) *System {
 	return &System{DB: db, cfg: cfg}
 }
 
-// record emits one system-level event to the configured recorder.
+// Record implements obs.Recorder: it is the stamp point of system-level
+// events — the system's own and, through Scorer.Bind, the quality scorer's
+// drift transitions. The configured recorder counts the event and the tracer,
+// a recorder on the same stream, marks it if its table names the kind.
 //
 //pythia:noalloc
-func (s *System) record(k obs.Kind) {
+func (s *System) Record(e obs.Event) {
 	if s.cfg.Recorder != nil {
-		s.cfg.Recorder.Record(obs.Event{Kind: k, Query: obs.NoQuery})
+		s.cfg.Recorder.Record(e)
 	}
+	s.cfg.Tracer.Record(e)
 }
+
+// record emits one system-level event that concerns no query in particular.
+//
+//pythia:noalloc
+func (s *System) record(k obs.Kind) { s.Record(obs.Event{Kind: k, Query: obs.NoQuery}) }
 
 // Config returns the system's configuration.
 func (s *System) Config() Config { return s.cfg }
@@ -368,7 +379,7 @@ type PrefetchFunc func(*workload.Instance) []storage.PageID
 func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strategy PrefetchFunc) *replay.RunResult {
 	q := s.cfg.Quality
 	if q != nil {
-		q.Bind(s.cfg.Recorder, s.cfg.Tracer)
+		q.Bind(s)
 		q.StartRun()
 	}
 	specs := make([]replay.QuerySpec, len(insts))
@@ -382,12 +393,10 @@ func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strate
 		if strategy != nil {
 			if s.inferenceMissed(sim.Time(arr)) {
 				// A late (or faulted) inference is a skipped one: the query
-				// runs on the default path instead of waiting.
+				// runs on the default path instead of waiting. The event
+				// carries whose inference it was and when it was due.
 				deadlineMisses++
-				s.record(obs.InferenceDeadlineMiss)
-				s.cfg.Tracer.SetQuery(int32(i))
-				s.cfg.Tracer.Instant(span.DegradeMark, storage.PageID{}, sim.Time(arr))
-				s.cfg.Tracer.SetQuery(span.NoQuery)
+				s.Record(obs.Event{Kind: obs.InferenceDeadlineMiss, Query: int32(i), At: sim.Time(arr)})
 			} else {
 				pf = s.LimitPrefetch(strategy(inst))
 			}
@@ -405,6 +414,12 @@ func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strate
 				wl = tw.Name
 			}
 			q.Register(specs[i].ID, wl, pf, inst.Pages)
+			if s.cfg.Recorder != nil {
+				// Counted, not marked: scoring happens here, before the run,
+				// so it has no moment on the virtual timeline — and a traced
+				// timeline must not depend on whether quality is observed.
+				s.cfg.Recorder.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})
+			}
 			q.ObservePlan(DriftTokens(inst.Plan))
 		}
 	}

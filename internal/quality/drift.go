@@ -1,7 +1,5 @@
 package quality
 
-import "time"
-
 // DriftState is the hysteresis state machine's level: ok < warning < alarm.
 type DriftState uint8
 
@@ -43,79 +41,42 @@ type Transition struct {
 	To        DriftState
 	// Score is the divergence that drove the evaluation.
 	Score float64
-	// At is the clock reading at the transition (zero value when the
-	// detector has no clock or nothing changed).
-	At time.Time
 }
 
-// Options configure scoring windows and drift detection. The zero value of
-// every field selects the documented default (mirroring the repo's
-// zero=default convention); there are no rejected combinations, so there is
-// no Normalize error path.
+// Options configure drift detection. The zero value selects the documented
+// default, so there is no Normalize error path.
 type Options struct {
-	// WindowSize is the sliding score window per workload/replica. Default
-	// 256.
-	WindowSize int
 	// EvalEvery is the drift evaluation cadence: one divergence computation
 	// (and one decay of the live window) per EvalEvery observed plans.
 	// Default 16.
 	EvalEvery int
-	// WarnPSI raises ok→warning when the divergence reaches it. Default
-	// 0.25 (the conventional "significant shift" PSI reading — template
-	// mixes this repo serves sit near 0 when stable).
-	WarnPSI float64
-	// AlarmPSI raises →alarm. Default 0.5.
-	AlarmPSI float64
-	// ClearAfter is the hysteresis on the way down: how many consecutive
-	// sub-warn evaluations step the state down one level. Default 3.
-	ClearAfter int
-	// MinDwell is the minimum time a raised state holds before it may step
-	// down, measured on Now. Zero (the default) disables the dwell — state
-	// transitions are then purely evaluation-count driven, which is what
-	// keeps replay-side drift detection deterministic.
-	MinDwell time.Duration
-	// Now is the clock behind MinDwell and transition stamps; nil means
-	// time.Now. Tests inject a fake (the same convention as serve.Metrics).
-	Now func() time.Time
 }
 
-// withDefaults resolves the zero-value convention.
-func (o Options) withDefaults() Options {
-	if o.WindowSize == 0 {
-		o.WindowSize = 256
-	}
-	if o.EvalEvery == 0 {
-		o.EvalEvery = 16
-	}
-	if o.WarnPSI == 0 {
-		o.WarnPSI = 0.25
-	}
-	if o.AlarmPSI == 0 {
-		o.AlarmPSI = 0.5
-	}
-	if o.ClearAfter == 0 {
-		o.ClearAfter = 3
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-	return o
-}
+// The detector's thresholds. Nothing sets them per deployment: PSI is
+// scale-free, and the template mixes this repo serves sit near 0 when stable.
+const (
+	// warnPSI raises ok→warning when the divergence reaches it (the
+	// conventional "significant shift" PSI reading).
+	warnPSI = 0.25
+	// alarmPSI raises →alarm.
+	alarmPSI = 0.5
+	// clearAfter is the hysteresis on the way down: how many consecutive
+	// sub-warn evaluations step the state down one level.
+	clearAfter = 3
+)
 
 // Detector is the hysteresis state machine over a divergence-score stream.
 // Raising is immediate (one breaching evaluation moves ok→warning or
-// →alarm); clearing is slow (ClearAfter consecutive sub-warn evaluations,
-// and at least MinDwell since the last raise, step down one level at a
-// time) — a flapping mix alarms once, not once per window.
+// →alarm); clearing is slow (clearAfter consecutive sub-warn evaluations
+// step down one level at a time) — a flapping mix alarms once, not once per
+// window. Transitions are purely evaluation-count driven, which is what keeps
+// replay-side drift detection deterministic.
 //
 // Detector is not synchronized; the Monitor's owner serializes access (the
 // replay scorer is single-threaded, the serve tier wraps it in a mutex).
 type Detector struct {
-	opts Options
-
 	state       DriftState
 	clearStreak int
-	raisedAt    time.Time
 
 	evals      uint64
 	warnings   uint64
@@ -123,9 +84,6 @@ type Detector struct {
 	recoveries uint64
 	lastScore  float64
 }
-
-// NewDetector returns a detector in DriftOK.
-func NewDetector(o Options) *Detector { return &Detector{opts: o.withDefaults()} }
 
 // Evaluate folds one divergence score into the state machine.
 //
@@ -135,9 +93,9 @@ func (d *Detector) Evaluate(score float64) Transition {
 	d.lastScore = score
 	target := DriftOK
 	switch {
-	case score >= d.opts.AlarmPSI:
+	case score >= alarmPSI:
 		target = DriftAlarm
-	case score >= d.opts.WarnPSI:
+	case score >= warnPSI:
 		target = DriftWarning
 	}
 	tr := Transition{Evaluated: true, From: d.state, To: d.state, Score: score}
@@ -145,8 +103,7 @@ func (d *Detector) Evaluate(score float64) Transition {
 	case target > d.state:
 		// Raise immediately, possibly skipping warning entirely.
 		d.clearStreak = 0
-		d.raisedAt = d.opts.Now()
-		tr.To, tr.Changed, tr.At = target, true, d.raisedAt
+		tr.To, tr.Changed = target, true
 		d.state = target
 		switch target {
 		case DriftAlarm:
@@ -156,10 +113,10 @@ func (d *Detector) Evaluate(score float64) Transition {
 		}
 	case target < d.state:
 		d.clearStreak++
-		if d.clearStreak >= d.opts.ClearAfter && d.dwellElapsed() {
+		if d.clearStreak >= clearAfter {
 			d.clearStreak = 0
 			d.state--
-			tr.To, tr.Changed, tr.At = d.state, true, d.opts.Now()
+			tr.To, tr.Changed = d.state, true
 			if d.state == DriftOK {
 				d.recoveries++
 			}
@@ -168,16 +125,6 @@ func (d *Detector) Evaluate(score float64) Transition {
 		d.clearStreak = 0
 	}
 	return tr
-}
-
-// dwellElapsed reports whether the raised state has held for MinDwell.
-//
-//pythia:noalloc
-func (d *Detector) dwellElapsed() bool {
-	if d.opts.MinDwell <= 0 {
-		return true
-	}
-	return d.opts.Now().Sub(d.raisedAt) >= d.opts.MinDwell
 }
 
 // State is the current drift level.
@@ -226,8 +173,10 @@ func NewMonitor(base *Profile, o Options) *Monitor {
 	if base == nil {
 		return nil
 	}
-	o = o.withDefaults()
-	return &Monitor{base: *base, det: *NewDetector(o), evalEvery: o.EvalEvery}
+	if o.EvalEvery == 0 {
+		o.EvalEvery = 16
+	}
+	return &Monitor{base: *base, evalEvery: o.EvalEvery}
 }
 
 // Observe folds one plan's serialized tokens into the live window and, at

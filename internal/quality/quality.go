@@ -1,6 +1,9 @@
 // Package quality is the prediction-quality and workload-drift measurement
-// layer: the evidence stream ROADMAP item 4's online-learning loop will
-// consume, available today as scrape-able telemetry.
+// layer: was the prefetch set the right one, and does live traffic still look
+// like what the models were trained on — as scrape-able telemetry. It is the
+// third view of the obs event stream, beside the counters and the span
+// timeline: the replay Scorer is a Recorder on that stream, and what this
+// package has to announce (a drift transition) it announces as an obs event.
 //
 // Two concerns live here, deliberately decoupled from where predictions come
 // from:
@@ -10,7 +13,9 @@
 //     (precision = fraction of prefetched pages that were needed, recall =
 //     fraction of needed pages that were prefetched); Window keeps a
 //     fixed-size sliding window of scores with O(1) rolling sums so the
-//     serving tier reports fresh quality without unbounded state. The replay
+//     serving tier reports fresh quality without unbounded state. ScoreSets
+//     is also the one scorer behind metrics.Score (Figure 5's F1) and
+//     /v1/feedback, under one convention for the empty corners. The replay
 //     Scorer additionally reconciles set math against the obs event stream
 //     (useful/wasted prefetch, fallback sync reads) — the two views are tied
 //     by exact counter identities, pinned by test.
@@ -35,6 +40,7 @@ import (
 	"slices"
 
 	"github.com/pythia-db/pythia/internal/storage"
+	"github.com/pythia-db/pythia/internal/trace"
 )
 
 // Score is the exact set overlap of one prediction against ground truth.
@@ -84,21 +90,7 @@ func (s *Score) add(o Score) {
 func ScoreSets(predicted, actual []storage.PageID) Score {
 	p := canonical(predicted)
 	a := canonical(actual)
-	s := Score{Predicted: len(p), Actual: len(a)}
-	i, j := 0, 0
-	for i < len(p) && j < len(a) {
-		switch {
-		case p[i] == a[j]:
-			s.TruePos++
-			i++
-			j++
-		case p[i].Less(a[j]):
-			i++
-		default:
-			j++
-		}
-	}
-	return s
+	return Score{Predicted: len(p), Actual: len(a), TruePos: trace.Intersection(p, a)}
 }
 
 // canonical returns a sorted, deduplicated copy of pages.

@@ -3,7 +3,6 @@ package quality
 import (
 	"math"
 	"testing"
-	"time"
 
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/storage"
@@ -129,50 +128,45 @@ func TestProfileHashStable(t *testing.T) {
 	}
 }
 
-// TestDetectorHysteresis drives the state machine with a fake clock through
-// the full warning→alarm→recovered arc, checking both the ClearAfter streak
-// and the MinDwell clock gate.
+// TestDetectorHysteresis drives the state machine through the full
+// warning→alarm→recovered arc: raises are immediate, and each step down takes
+// clearAfter consecutive clean readings.
 func TestDetectorHysteresis(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	d := NewDetector(Options{
-		WarnPSI: 0.25, AlarmPSI: 0.5, ClearAfter: 2,
-		MinDwell: 10 * time.Second, Now: clock,
-	})
+	var d Detector
+	clean := func(n int) (tr Transition) {
+		for i := 0; i < n; i++ {
+			tr = d.Evaluate(0.01)
+		}
+		return tr
+	}
 
 	// ok → warning raises immediately.
-	tr := d.Evaluate(0.3)
+	tr := d.Evaluate(warnPSI + 0.05)
 	if !tr.Changed || tr.From != DriftOK || tr.To != DriftWarning {
 		t.Fatalf("warn raise: %+v", tr)
 	}
 	// warning → alarm raises immediately.
-	tr = d.Evaluate(0.9)
+	tr = d.Evaluate(alarmPSI + 0.4)
 	if !tr.Changed || tr.From != DriftWarning || tr.To != DriftAlarm {
 		t.Fatalf("alarm raise: %+v", tr)
 	}
-	// One clean reading is not enough (ClearAfter=2)…
-	if tr = d.Evaluate(0.01); tr.Changed {
-		t.Fatalf("cleared after one sub-warn eval: %+v", tr)
+	// One clean reading short of clearAfter is not enough…
+	if tr = clean(clearAfter - 1); tr.Changed {
+		t.Fatalf("cleared after %d sub-warn evals: %+v", clearAfter-1, tr)
 	}
-	// …and even the second is held back by MinDwell.
-	if tr = d.Evaluate(0.01); tr.Changed {
-		t.Fatalf("cleared before MinDwell elapsed: %+v", tr)
-	}
-	now = now.Add(11 * time.Second)
-	// A breaching reading resets the clear streak.
-	if tr = d.Evaluate(0.9); tr.Changed {
+	// …and a breaching reading resets the clear streak.
+	if tr = d.Evaluate(alarmPSI + 0.4); tr.Changed {
 		t.Fatalf("unexpected transition on re-breach: %+v", tr)
 	}
-	// Two consecutive clean readings past the dwell step down one level…
-	d.Evaluate(0.01)
-	tr = d.Evaluate(0.01)
-	if !tr.Changed || tr.To != DriftWarning {
+	if tr = clean(clearAfter - 1); tr.Changed {
+		t.Fatalf("clear streak survived a breach: %+v", tr)
+	}
+	// The clearAfter-th consecutive clean reading steps down one level…
+	if tr = clean(1); !tr.Changed || tr.To != DriftWarning {
 		t.Fatalf("step down to warning: %+v", tr)
 	}
-	// …and two more land back at ok, counting one recovery.
-	d.Evaluate(0.01)
-	tr = d.Evaluate(0.01)
-	if !tr.Changed || tr.To != DriftOK {
+	// …and clearAfter more land back at ok, counting one recovery.
+	if tr = clean(clearAfter); !tr.Changed || tr.To != DriftOK {
 		t.Fatalf("step down to ok: %+v", tr)
 	}
 	st := d.Stats()
@@ -293,7 +287,7 @@ func TestHotPathsNoAlloc(t *testing.T) {
 		t.Errorf("Monitor.Observe allocates %v/op", n)
 	}
 
-	d := NewDetector(Options{Now: time.Now})
+	var d Detector
 	if n := testing.AllocsPerRun(200, func() { d.Evaluate(0.01) }); n != 0 {
 		t.Errorf("Detector.Evaluate allocates %v/op", n)
 	}

@@ -2,7 +2,6 @@ package quality
 
 import (
 	"github.com/pythia-db/pythia/internal/obs"
-	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -89,27 +88,22 @@ type Scorer struct {
 	index     map[string]*workloadAgg
 	monitor   *Monitor
 	rec       obs.Recorder
-	tracer    *span.Tracer
 	runBase   int
 }
 
 // NewScorer returns an empty scorer. Options configure the drift detector
 // armed later by SetBaseline.
 func NewScorer(o Options) *Scorer {
-	return &Scorer{opts: o.withDefaults(), index: map[string]*workloadAgg{}}
+	return &Scorer{opts: o, index: map[string]*workloadAgg{}}
 }
 
 // SetBaseline arms drift detection against a frozen training profile (nil
 // leaves it off).
 func (s *Scorer) SetBaseline(base *Profile) { s.monitor = NewMonitor(base, s.opts) }
 
-// Bind attaches the sinks drift transitions surface on: an obs recorder for
-// DriftWarning/DriftAlarm/DriftRecovered events and a tracer for the
-// matching span marks. Either may be nil.
-func (s *Scorer) Bind(rec obs.Recorder, tracer *span.Tracer) {
-	s.rec = rec
-	s.tracer = tracer
-}
+// Bind attaches the recorder drift transitions surface on, as DriftWarning /
+// DriftAlarm / DriftRecovered events (nil detaches).
+func (s *Scorer) Bind(rec obs.Recorder) { s.rec = rec }
 
 // StartRun marks the start of a new replay run: subsequent obs events carry
 // run-local query indexes, which Record resolves against the queries
@@ -133,26 +127,17 @@ func (s *Scorer) Register(id, workload string, predicted, actual []storage.PageI
 	agg.set.add(q.Set)
 	q.wl = agg
 	s.queries = append(s.queries, q)
-	if s.rec != nil {
-		s.rec.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})
-	}
 }
 
 // ObservePlan feeds one plan's serialized tokens to the drift monitor and
-// surfaces any state transition as obs events and span marks. No-op until
-// SetBaseline arms the monitor.
+// surfaces any state transition as an obs event. No-op until SetBaseline arms
+// the monitor.
 //
 //pythia:noalloc
 func (s *Scorer) ObservePlan(tokens []string) {
 	tr := s.monitor.Observe(tokens)
-	if !tr.Changed {
-		return
-	}
-	if s.rec != nil {
+	if tr.Changed && s.rec != nil {
 		s.rec.Record(obs.Event{Kind: DriftEventKind(tr.To), Query: obs.NoQuery})
-	}
-	if s.tracer != nil {
-		s.tracer.Instant(DriftMarkKind(tr.To), storage.PageID{}, 0)
 	}
 }
 
@@ -169,20 +154,6 @@ func DriftEventKind(to DriftState) obs.Kind {
 		return obs.DriftWarning
 	default:
 		return obs.DriftRecovered
-	}
-}
-
-// DriftMarkKind maps a post-transition state to its span mark.
-//
-//pythia:noalloc
-func DriftMarkKind(to DriftState) span.Kind {
-	switch to {
-	case DriftAlarm:
-		return span.DriftAlarmMark
-	case DriftWarning:
-		return span.DriftWarningMark
-	default:
-		return span.DriftRecoveredMark
 	}
 }
 

@@ -94,7 +94,6 @@ func (p *prefetcher) pump() {
 	if p.next < len(p.queue) && len(p.pinned)+p.inflight >= p.window {
 		p.r.result.WindowStalls++
 		p.r.record(obs.WindowStall, storage.PageID{})
-		p.r.tr.Instant(span.WindowStallMark, storage.PageID{}, 0)
 	}
 }
 
@@ -168,7 +167,7 @@ func (p *prefetcher) retry(rd *pfRead, attempt int) {
 	p.r.enter()
 	if p.done {
 		p.release(rd)
-		p.r.tr.End(rd.sid, 0)
+		p.r.tr.End(rd.sid, p.r.eng.Now())
 		return
 	}
 	p.attempt(rd, attempt)
@@ -206,7 +205,7 @@ func (p *prefetcher) arrived(rd *pfRead) {
 	p.r.enter()
 	page, sid := rd.page, rd.sid
 	p.release(rd)
-	p.r.tr.End(sid, 0)
+	p.r.tr.End(sid, p.r.eng.Now())
 	if p.done {
 		return
 	}
@@ -216,8 +215,8 @@ func (p *prefetcher) arrived(rd *pfRead) {
 		p.pinned = append(p.pinned, page)
 		p.r.result.Prefetched++
 		p.r.record(obs.PrefetchPinned, page)
-		// Stash the read span: the buffer pool links the eventual hit (or
-		// wasted eviction) of this frame back to it.
+		// Stash the read span: the mark of this frame's eventual hit (or
+		// wasted eviction) links back to it.
 		p.r.tr.Stash(page, sid)
 	} else {
 		// Every frame pinned: limited prefetching backs off rather than

@@ -84,10 +84,11 @@ type Config struct {
 	// Tracer, when non-nil, records the run's virtual-time span timeline:
 	// query lifetimes, executor disk waits and OS copies, asynchronous
 	// prefetch reads with causal links to the buffer hits they produce,
-	// retry/backoff windows, and degradation marks (see internal/span). Like
-	// Recorder, nil costs one nil-check per event site, and the timeline is
-	// bitwise identical with tracing on or off. Use a fresh tracer per run:
-	// spans accumulate, and Run attaches the run's virtual clock to it.
+	// retry/backoff windows, and a mark for every event of the Recorder
+	// stream its table names (see internal/span) — with or without a
+	// Recorder set. Like Recorder, nil costs one nil-check per event site,
+	// and the timeline is bitwise identical with tracing on or off. Use a
+	// fresh (or Reset) tracer per run: spans accumulate.
 	Tracer *span.Tracer
 	// MaxRetries bounds the backoff retries after a failed device read
 	// (default 3). The prefetcher abandons a page once they are exhausted;
@@ -255,15 +256,17 @@ func (r *RunResult) TotalElapsed() sim.Duration {
 	return total
 }
 
-// tagger is the run-local observability hub: every event from the buffer
-// pool, OS cache, and the runners passes through it. It stamps the active
-// query index and the virtual time, feeds the per-query and per-object
-// snapshot counters, and forwards to the user's recorder. The simulator is
-// single-threaded, so "active query" is a plain field the runners set on
-// entry to their callbacks.
+// tagger is the run's one stamp point: every event from the buffer pool, OS
+// cache, and the runners passes through it. It stamps the active query index
+// and the virtual time, feeds the per-query and per-object snapshot counters,
+// and forwards the stamped event to the tracer (whose marks are a view of
+// this stream) and the user's recorder. The simulator is single-threaded, so
+// "active query" is a plain field the runners set on entry to their
+// callbacks.
 type tagger struct {
 	eng     *sim.Engine
-	sink    obs.Recorder // user recorder (may be nil: snapshots only)
+	sink    obs.Recorder // user recorder; nil = tracing only, no snapshots
+	tr      *span.Tracer // nil = span tracing off
 	current int32        // query index whose callback is executing
 	perQ    []obs.Counters
 	perObj  map[storage.ObjectID]*obs.Counters
@@ -279,15 +282,17 @@ func (t *tagger) Record(e obs.Event) {
 	if e.At == 0 {
 		e.At = t.eng.Now()
 	}
+	t.tr.Record(e)
+	if t.sink == nil {
+		return
+	}
 	if e.Query >= 0 && int(e.Query) < len(t.perQ) {
 		t.perQ[e.Query].Record(e)
 	}
 	if e.Page.Object != storage.InvalidObject {
 		t.objCounters(e.Page.Object).Record(e)
 	}
-	if t.sink != nil {
-		t.sink.Record(e)
-	}
+	t.sink.Record(e)
 }
 
 // objCounters returns the per-object counter bucket, creating it on first
@@ -316,16 +321,12 @@ func Run(reg *storage.Registry, cfg Config, queries []QuerySpec) *RunResult {
 	osc := oscache.New(cfg.OSCachePages, cfg.ReadaheadMax)
 
 	res := &RunResult{Queries: make([]QueryResult, len(queries))}
-	cfg.Tracer.SetClock(&eng.Clock)
-	pool.SetTracer(cfg.Tracer)
-	osc.SetTracer(cfg.Tracer)
 	var tag *tagger
-	if cfg.Recorder != nil {
-		tag = &tagger{
-			eng:    eng,
-			sink:   cfg.Recorder,
-			perQ:   make([]obs.Counters, len(queries)),
-			perObj: make(map[storage.ObjectID]*obs.Counters),
+	if cfg.Recorder != nil || cfg.Tracer != nil {
+		tag = &tagger{eng: eng, sink: cfg.Recorder, tr: cfg.Tracer}
+		if cfg.Recorder != nil {
+			tag.perQ = make([]obs.Counters, len(queries))
+			tag.perObj = make(map[storage.ObjectID]*obs.Counters)
 		}
 		pool.SetRecorder(tag)
 		osc.SetRecorder(tag)
@@ -351,7 +352,7 @@ func Run(reg *storage.Registry, cfg Config, queries []QuerySpec) *RunResult {
 		res.PrefetchAbandons += q.PrefetchAbandons
 		res.FallbackSyncReads += q.FallbackSyncReads
 	}
-	if tag != nil {
+	if cfg.Recorder != nil {
 		for i := range res.Queries {
 			res.Queries[i].Counters = &tag.perQ[i]
 		}
@@ -372,8 +373,8 @@ type runner struct {
 
 	result *QueryResult
 
-	tag *tagger      // nil = observability off
-	tr  *span.Tracer // nil = span tracing off
+	tag *tagger      // nil = no recorder and no tracer
+	tr  *span.Tracer // nil = span tracing off (duration spans; marks go through tag)
 	idx int32        // run-local query index for event attribution
 
 	// lifeSpan is the query's open QuerySpan (NoSpan when tracing is off).
@@ -461,12 +462,11 @@ func (r *runner) step() {
 		if r.abandoned != nil && r.abandoned[req.Page] {
 			// The prefetcher gave this page up; the executor now pays for
 			// it synchronously — the degradation path that converges to
-			// the no-prefetch baseline. The mark links back to the
-			// abandoned PrefetchRead span that caused it.
+			// the no-prefetch baseline. On a timeline the event's mark links
+			// back to the abandoned PrefetchRead span that caused it.
 			delete(r.abandoned, req.Page)
 			r.result.FallbackSyncReads++
 			r.record(obs.FallbackSyncRead, req.Page)
-			r.tr.InstantLink(span.FallbackSyncMark, req.Page, 0, r.tr.TakeStash(req.Page))
 		}
 		hit, readahead := r.osc.Read(r.execStream, req.Page, r.objPages(req.Page))
 		// Kernel readahead occupies device channels in the background

@@ -115,8 +115,9 @@ func TestTracerExactStallArithmetic(t *testing.T) {
 
 // TestTracerReconcilesWithCounters replays the golden prefetched mix with
 // both a tracer and a recorder attached and cross-checks every mark count
-// against the matching obs counter — two independent instrumentation layers
-// must tell one story.
+// against the matching obs counter — two views of one stream must tell one
+// story — and the duration spans, which are recorded directly, against the
+// events that bracket them.
 func TestTracerReconcilesWithCounters(t *testing.T) {
 	reg := testRegistry()
 	reqsA := script(reg, 400, 300, 94)
@@ -132,30 +133,26 @@ func TestTracerReconcilesWithCounters(t *testing.T) {
 	})
 
 	counts := map[span.Kind]uint64{}
+	marks := map[obs.Kind]uint64{}
 	for _, s := range tr.Spans() {
 		counts[s.Kind]++
-	}
-	checks := []struct {
-		name string
-		kind span.Kind
-		want uint64
-	}{
-		{"disk waits", span.ExecDiskWait, cnt.Get(obs.DiskRead)},
-		{"prefetch hits", span.PrefetchHitMark, cnt.Get(obs.PrefetchHit)},
-		{"window stalls", span.WindowStallMark, cnt.Get(obs.WindowStall)},
-		{"buffer hits", span.BufferHitMark, cnt.Get(obs.BufferHit)},
-		{"buffer misses", span.BufferMissMark, cnt.Get(obs.BufferMiss)},
-		{"buffer evicts", span.BufferEvictMark, cnt.Get(obs.BufferEvict)},
-		{"wasted prefetches", span.PrefetchWastedMark, cnt.Get(obs.PrefetchWasted)},
-		{"oscache hits", span.OSCacheHitMark, cnt.Get(obs.OSCacheHit)},
-		{"oscache misses", span.OSCacheMissMark, cnt.Get(obs.OSCacheMiss)},
-		{"oscache evicts", span.OSCacheEvictMark, cnt.Get(obs.OSCacheEvict)},
-		{"query spans", span.QuerySpan, cnt.Get(obs.QueryStart)},
-	}
-	for _, ck := range checks {
-		if got := counts[ck.kind]; got != ck.want {
-			t.Errorf("%s: %d spans != %d counter events", ck.name, got, ck.want)
+		if s.Kind == span.Mark {
+			marks[s.Event]++
 		}
+	}
+	for _, k := range []obs.Kind{
+		obs.PrefetchHit, obs.WindowStall, obs.BufferHit, obs.BufferMiss, obs.BufferEvict,
+		obs.PrefetchWasted, obs.OSCacheHit, obs.OSCacheMiss, obs.OSCacheEvict,
+	} {
+		if got, want := marks[k], cnt.Get(k); got != want {
+			t.Errorf("%v: %d marks != %d counter events", k, got, want)
+		}
+	}
+	if got, want := counts[span.ExecDiskWait], cnt.Get(obs.DiskRead); got != want {
+		t.Errorf("disk waits: %d spans != %d counter events", got, want)
+	}
+	if got, want := counts[span.QuerySpan], cnt.Get(obs.QueryStart); got != want {
+		t.Errorf("query spans: %d spans != %d counter events", got, want)
 	}
 
 	rep := span.BuildReport(tr.Spans())
@@ -197,7 +194,7 @@ func TestTracerDoesNotPerturbTiming(t *testing.T) {
 
 // TestTracerAllocFreeInHotPath mirrors TestInstrumentationAllocFree for the
 // tracer: buffer and OS cache hot operations allocate nothing extra whether
-// the tracer is nil or attached (with capacity reserved).
+// their event stream goes nowhere or to a tracer (with capacity reserved).
 func TestTracerAllocFreeInHotPath(t *testing.T) {
 	page := storage.PageID{Object: 1, Page: 0}
 	for _, withTr := range []bool{false, true} {
@@ -206,8 +203,8 @@ func TestTracerAllocFreeInHotPath(t *testing.T) {
 		if withTr {
 			tr := span.New()
 			tr.Reserve(4 * 2100)
-			pool.SetTracer(tr)
-			osc.SetTracer(tr)
+			pool.SetRecorder(tr)
+			osc.SetRecorder(tr)
 		}
 		pool.Insert(page, false)
 		stream := osc.NewStream()

@@ -10,7 +10,6 @@ import (
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/quality"
-	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -78,12 +77,12 @@ func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, f
 	ins := &instance{
 		id: id, gen: gen, sys: sys, opts: opts,
 		metrics: metrics, fgate: fgate,
-		health: newHealth(opts.QuarantineThreshold, opts.QuarantineBackoff, opts.QuarantineProbes, metrics.Events()),
+		health: newHealth(opts.QuarantineThreshold, opts.QuarantineBackoff, opts.QuarantineProbes, metrics),
 		qwin:   quality.NewWindow(qualityWindowSize),
 		qmon:   quality.NewMonitor(sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery}),
 	}
 	if opts.CacheEntries > 0 {
-		ins.cache = newPredCache(opts.CacheEntries, metrics.Events())
+		ins.cache = newPredCache(opts.CacheEntries, metrics)
 	}
 	if opts.QueueDepth > 0 {
 		ins.queue = make(chan struct{}, opts.QueueDepth)
@@ -155,20 +154,13 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 }
 
 // cached looks fp up in the replica's prediction cache (a miss when caching
-// is off) and stamps the outcome on the span trace. It touches neither the
-// model nor the health tracker, which is what lets the pool keep answering
-// cached plans from a quarantined replica.
+// is off). It touches neither the model nor the health tracker, which is what
+// lets the pool keep answering cached plans from a quarantined replica.
 func (ins *instance) cached(fp uint64) ([]storage.PageID, bool) {
 	if ins.cache == nil {
 		return nil, false
 	}
-	pages, hit := ins.cache.get(fp)
-	kind := span.PredCacheMissMark
-	if hit {
-		kind = span.PredCacheHitMark
-	}
-	ins.metrics.mark(kind, "predict")
-	return pages, hit
+	return ins.cache.get(fp)
 }
 
 // infer runs the miss (inference) path: one Predictor.Predict per request. The
@@ -182,7 +174,7 @@ func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *pl
 	select {
 	case pages := <-done:
 		ins.health.success()
-		ins.metrics.events.Record(obs.Event{Kind: obs.InferenceRun})
+		ins.metrics.Record(obs.Event{Kind: obs.InferenceRun, Query: obs.NoQuery})
 		return ins.sys.LimitPrefetch(pages), nil
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -197,8 +189,8 @@ func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *pl
 }
 
 // observeDrift folds one planned query into the replica's live distribution
-// profile and surfaces any drift-state transition as obs events and span
-// marks. Every request feeds a monitor — the serving replica's when matched,
+// profile and surfaces any drift-state transition as an obs event. Every
+// request feeds a monitor — the serving replica's when matched,
 // the routing replica's when not: a flood of unmatched plans is exactly the
 // shift drift detection exists to catch. One mutex acquisition when armed; a
 // nil-check when not.
@@ -215,8 +207,7 @@ func (ins *instance) observeDrift(root *plan.Node) {
 	if !tr.Changed {
 		return
 	}
-	ins.metrics.events.Record(obs.Event{Kind: quality.DriftEventKind(tr.To), Query: obs.NoQuery})
-	ins.metrics.mark(quality.DriftMarkKind(tr.To), "predict")
+	ins.metrics.Record(obs.Event{Kind: quality.DriftEventKind(tr.To), Query: obs.NoQuery})
 }
 
 // feedback folds one scored prediction into the replica's quality window

@@ -89,7 +89,8 @@ type Metrics struct {
 
 	// tracer, when non-nil, records one span.HTTPSpan per instrumented
 	// request (endpoint label, status-code detail, timestamps relative to
-	// the hub's start epoch on its injected clock). Nil costs one nil-check.
+	// the hub's start epoch on its injected clock) and, as a recorder on the
+	// hub's event stream, its marks. Nil costs one nil-check.
 	// Atomic because SetTracer runs after the hub is already shared with
 	// request handlers reading it (surfaced by the atomicfield analyzer).
 	tracer atomic.Pointer[span.Sync]
@@ -133,9 +134,9 @@ func (m *Metrics) setBuildInfo(b BuildInfo) { m.build = b }
 func (m *Metrics) Build() BuildInfo { return m.build }
 
 // SetTracer attaches a concurrent span tracer recording one HTTPSpan per
-// instrumented request (nil detaches). Timestamps are real time relative to
-// the hub's start epoch, so a span.Report or Perfetto export of serving
-// traffic lines up at zero.
+// instrumented request and a mark per event its table names (nil detaches).
+// Timestamps are real time relative to the hub's start epoch, so a
+// span.Report or Perfetto export of serving traffic lines up at zero.
 func (m *Metrics) SetTracer(tr *span.Sync) { m.tracer.Store(tr) }
 
 // Events returns the system event counters (also an obs.Recorder).
@@ -188,13 +189,19 @@ func (m *Metrics) observePrediction(pages int, fallback bool) {
 	m.predictedPages.Add(uint64(pages))
 }
 
-// mark stamps an instant mark onto the span trace at the current clock,
-// attributed to the endpoint whose request caused it (a prediction-cache
-// outcome or drift transition on predict, a scored report on feedback). One
-// nil-check when no tracer is attached.
-func (m *Metrics) mark(kind span.Kind, endpoint string) {
+// Record implements obs.Recorder: the hub is the serving tier's one stamp
+// point. Every event of the tier — prediction-cache outcomes, replica health,
+// failovers, drift transitions, scored feedback — is counted once here; with a
+// tracer attached it is also stamped with the hub clock's epoch-relative
+// reading and forwarded, and the tracer's table decides whether it shows as a
+// mark. One nil-check when no tracer is attached.
+//
+//pythia:noalloc
+func (m *Metrics) Record(e obs.Event) {
+	m.events.Record(e)
 	if tr := m.tracer.Load(); tr != nil {
-		tr.Instant(kind, endpoint, span.NoQuery, sim.Time(m.now().Sub(m.start)))
+		e.At = sim.Time(m.now().Sub(m.start))
+		tr.Record(e)
 	}
 }
 

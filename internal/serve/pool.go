@@ -166,7 +166,7 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 // fleet's one failover count.
 func (p *Pool) noteFailovers(n int) {
 	for i := 0; i < n; i++ {
-		p.metrics.events.Record(obs.Event{Kind: obs.ReplicaFailover, Query: obs.NoQuery})
+		p.metrics.Record(obs.Event{Kind: obs.ReplicaFailover, Query: obs.NoQuery})
 	}
 }
 

@@ -35,7 +35,7 @@ type predCache struct {
 	// rec receives PredCacheHit / PredCacheMiss / PredCacheEvict: the hub's
 	// totals of those events are the fleet's prediction-cache counts on
 	// /metrics and /stats, across every cache of every generation.
-	rec *obs.AtomicCounters
+	rec obs.Recorder
 }
 
 // pcEntry is one cached prediction on a shard's LRU list. Entry structs are
@@ -71,7 +71,7 @@ const pcShards = 16
 // only an entry or two, so a working set that fits the aggregate bound
 // still thrashes shard-locally. A handful of shards keeps lock contention
 // negligible at the request rates a small cache implies.
-func newPredCache(capacity int, rec *obs.AtomicCounters) *predCache {
+func newPredCache(capacity int, rec obs.Recorder) *predCache {
 	shards := 1
 	for shards < pcShards && shards*16 <= capacity {
 		shards *= 2
@@ -112,7 +112,7 @@ func (c *predCache) get(key uint64) ([]storage.PageID, bool) {
 		sh.mu.Unlock()
 		c.misses.Add(1)
 		if c.rec != nil {
-			c.rec.Record(obs.Event{Kind: obs.PredCacheMiss})
+			c.rec.Record(obs.Event{Kind: obs.PredCacheMiss, Query: obs.NoQuery})
 		}
 		return nil, false
 	}
@@ -121,7 +121,7 @@ func (c *predCache) get(key uint64) ([]storage.PageID, bool) {
 	sh.mu.Unlock()
 	c.hits.Add(1)
 	if c.rec != nil {
-		c.rec.Record(obs.Event{Kind: obs.PredCacheHit})
+		c.rec.Record(obs.Event{Kind: obs.PredCacheHit, Query: obs.NoQuery})
 	}
 	return pages, true
 }
@@ -166,7 +166,7 @@ func (c *predCache) put(key uint64, pages []storage.PageID) {
 	if evicted {
 		c.evictions.Add(1)
 		if c.rec != nil {
-			c.rec.Record(obs.Event{Kind: obs.PredCacheEvict})
+			c.rec.Record(obs.Event{Kind: obs.PredCacheEvict, Query: obs.NoQuery})
 		}
 	}
 }

@@ -54,7 +54,6 @@ import (
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/quality"
-	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/spec"
 	"github.com/pythia-db/pythia/internal/storage"
 )
@@ -522,8 +521,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.qwin.Add(sc)
 	s.qmu.Unlock()
 	s.inf.Feedback(rec.replica, sc)
-	s.metrics.events.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})
-	s.metrics.mark(span.QualityScoreMark, "feedback")
+	s.metrics.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})
 	writeJSON(w, feedbackResponse{
 		PredictionID:  req.PredictionID,
 		Workload:      rec.workload,

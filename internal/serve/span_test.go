@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/span"
 )
@@ -68,5 +69,56 @@ func TestHTTPSpansOffByDefault(t *testing.T) {
 	}
 	if srv.metrics.tracer.Load().Len() != 0 {
 		t.Errorf("untraced hub recorded %d spans", srv.metrics.tracer.Load().Len())
+	}
+}
+
+// TestHubStampsAndForwardsEvents: the hub counts each serving-tier event once
+// and, with a tracer attached, forwards it stamped with the hub clock's
+// epoch-relative reading; the tracer's table decides what shows as a mark.
+// The emitter here is a real prediction cache recording into the hub — there
+// is no second, hand-placed mark beside its event.
+func TestHubStampsAndForwardsEvents(t *testing.T) {
+	m := NewMetrics(nil)
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0).UTC()}
+	m.setClock(clk.Now) // consumes the epoch reading
+	cache := newPredCache(16, m)
+
+	cache.get(7) // untraced: counted, and the clock is not consulted
+	tracer := span.NewSync()
+	m.SetTracer(tracer)
+	// Traced: each event reads the clock once, in order — 1ms, 2ms, …
+	cache.get(7) // miss
+	cache.put(7, nil)
+	cache.get(7)                                                         // hit
+	m.Record(obs.Event{Kind: obs.ReplicaProbe, Query: obs.NoQuery})      // stamped, but not a mark
+	m.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})     // 4ms
+	m.Record(obs.Event{Kind: obs.DriftAlarm, Query: obs.NoQuery, At: 9}) // 5ms: the hub's stamp wins
+
+	ev := m.Events()
+	if ev.Get(obs.PredCacheMiss) != 2 || ev.Get(obs.PredCacheHit) != 1 || ev.Get(obs.ReplicaProbe) != 1 {
+		t.Errorf("counters: miss=%d hit=%d probe=%d, want 2/1/1",
+			ev.Get(obs.PredCacheMiss), ev.Get(obs.PredCacheHit), ev.Get(obs.ReplicaProbe))
+	}
+	ms := func(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
+	want := []struct {
+		kind obs.Kind
+		name string
+		at   sim.Time
+	}{
+		{obs.PredCacheMiss, "predcache_miss", ms(1)},
+		{obs.PredCacheHit, "predcache_hit", ms(2)},
+		{obs.QualityScored, "quality_feedback", ms(4)},
+		{obs.DriftAlarm, "drift_alarm", ms(5)},
+	}
+	spans := tracer.Snapshot()
+	if len(spans) != len(want) {
+		t.Fatalf("recorded %d marks, want %d: %+v", len(spans), len(want), spans)
+	}
+	for i, w := range want {
+		s := spans[i]
+		if !s.IsMark(w.kind) || s.Name() != w.name || s.Start != w.at || s.Query != span.NoQuery {
+			t.Errorf("mark %d = %s (event %v) at %v for query %d, want %s at %v on the system lane",
+				i, s.Name(), s.Event, s.Start, s.Query, w.name, w.at)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 
+	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
 )
@@ -64,12 +65,9 @@ func ExportChrome(w io.Writer, spans []Span) error {
 	for i := range spans {
 		s := &spans[i]
 		tid := laneOf(s)
-		name := s.Label
-		if name == "" {
-			name = s.Kind.String()
-		}
+		name := s.Name()
 		switch {
-		case isMark(s.Kind):
+		case s.Kind == Mark:
 			// Instant mark, optionally the target of a flow arrow from the
 			// span it links to.
 			if s.Link != NoSpan && int(s.Link) < len(spans) {
@@ -118,15 +116,12 @@ func laneOf(s *Span) int64 {
 	if s.Query == NoQuery {
 		return laneSystem
 	}
-	switch s.Kind {
-	case InferWait, PrefetchRead, PrefetchRetryWait, WindowStallMark:
+	switch {
+	case s.Kind == InferWait, s.Kind == PrefetchRead, s.Kind == PrefetchRetryWait, s.IsMark(obs.WindowStall):
 		return lanePrefetch(s.Query)
 	}
 	return laneExec(s.Query)
 }
-
-// isMark reports whether a kind is a zero-duration annotation.
-func isMark(k Kind) bool { return k >= PrefetchHitMark && k < KindCount }
 
 // isAsync reports whether a kind renders as an async begin/end pair (spans
 // that legitimately overlap on one lane).

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -24,15 +25,14 @@ func syntheticTimeline() *Tracer {
 	tr.Complete(ExecOSCopy, pg(3, 2), 1_100_000, 1_104_000)
 	tr.End(pf, 1_500_000)
 	tr.Stash(pg(7, 11), pf)
-	tr.InstantLink(PrefetchHitMark, pg(7, 11), 1_600_000, tr.TakeStash(pg(7, 11)))
+	tr.Record(obs.Event{Kind: obs.PrefetchHit, Query: 0, Page: pg(7, 11), At: 1_600_000})
 	pf2 := tr.Begin(PrefetchRead, pg(7, 12), 700_000)
 	tr.EndDetail(pf2, 1_300_000, DetailAbandoned)
 	tr.Stash(pg(7, 12), pf2)
-	tr.InstantLink(FallbackSyncMark, pg(7, 12), 1_700_000, tr.TakeStash(pg(7, 12)))
-	tr.Instant(WindowStallMark, storage.PageID{}, 800_000)
+	tr.Record(obs.Event{Kind: obs.FallbackSyncRead, Query: 0, Page: pg(7, 12), At: 1_700_000})
+	tr.Record(obs.Event{Kind: obs.WindowStall, Query: 0, At: 800_000})
 	tr.End(q0, 2_000_000)
-	tr.SetQuery(NoQuery)
-	tr.Instant(DegradeMark, storage.PageID{}, 50_000)
+	tr.Record(obs.Event{Kind: obs.InferenceDeadlineMiss, Query: obs.NoQuery, At: 50_000})
 	return tr
 }
 

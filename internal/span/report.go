@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
 )
@@ -32,7 +33,7 @@ type QueryStall struct {
 	RetryBackoff sim.Duration
 	// PrefetchHidden is disk time the prefetcher absorbed for pages the
 	// executor then consumed as buffer hits: the summed durations of the
-	// PrefetchRead spans that PrefetchHitMark links point at — the stall
+	// PrefetchRead spans that prefetch_hit marks' links point at — the stall
 	// time prefetching removed from the critical path.
 	PrefetchHidden sim.Duration
 	// Inference is the model-inference window gating the prefetcher.
@@ -40,8 +41,8 @@ type QueryStall struct {
 	// Event counts, for reconciliation against obs counters.
 	DiskReads    uint64 // ExecDiskWait spans == obs disk_read
 	OSCopies     uint64 // ExecOSCopy spans (one per buffer miss)
-	PrefetchHits uint64 // PrefetchHitMark == obs prefetch_hit
-	Fallbacks    uint64 // FallbackSyncMark == obs fallback_sync_read
+	PrefetchHits uint64 // prefetch_hit marks == obs prefetch_hit
+	Fallbacks    uint64 // fallback_sync_read marks == obs fallback_sync_read
 }
 
 // ObjectStall aggregates the same attribution by database object.
@@ -133,22 +134,25 @@ func BuildReport(spans []Span) *Report {
 			if q != nil {
 				q.RetryBackoff += s.Dur()
 			}
-		case PrefetchHitMark:
-			var hidden sim.Duration
-			if s.Link != NoSpan && int(s.Link) < len(spans) {
-				hidden = spans[s.Link].Dur()
-			}
-			if q != nil {
-				q.PrefetchHidden += hidden
-				q.PrefetchHits++
-			}
-			if o != nil {
-				o.PrefetchHidden += hidden
-				o.PrefetchHits++
-			}
-		case FallbackSyncMark:
-			if q != nil {
-				q.Fallbacks++
+		case Mark:
+			switch s.Event {
+			case obs.PrefetchHit:
+				var hidden sim.Duration
+				if s.Link != NoSpan && int(s.Link) < len(spans) {
+					hidden = spans[s.Link].Dur()
+				}
+				if q != nil {
+					q.PrefetchHidden += hidden
+					q.PrefetchHits++
+				}
+				if o != nil {
+					o.PrefetchHidden += hidden
+					o.PrefetchHits++
+				}
+			case obs.FallbackSyncRead:
+				if q != nil {
+					q.Fallbacks++
+				}
 			}
 		}
 	}

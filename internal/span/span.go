@@ -11,6 +11,13 @@
 // access-trace construction (which pages a query touches); span is about
 // execution timelines (when the executor waited, and on what).
 //
+// A Tracer is itself an obs.Recorder: instrumented layers emit each fact once,
+// as an obs.Event, and the tracer turns the events its marks table names into
+// zero-duration marks, taking query and time verbatim from the event as its
+// tier's stamp point set them (the replay tagger, pythia.System, the
+// serve.Metrics hub). Duration spans and the causal-link stash have no obs
+// counterpart and are recorded directly.
+//
 // Contract, mirroring obs.Recorder:
 //
 //   - Nil is off. Every method is nil-receiver safe and a nil *Tracer costs
@@ -27,17 +34,16 @@ package span
 import (
 	"sync"
 
+	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// Kind enumerates span types. Duration kinds describe an interval of virtual
-// time; mark kinds are zero-duration annotations (Start == End).
+// Kind enumerates span types: the duration kinds, each an interval of virtual
+// time, and Mark.
 type Kind uint8
 
 const (
-	// --- duration spans ---
-
 	// QuerySpan covers a query's whole lifetime (start → finish). Its label
 	// carries the query's ID string.
 	QuerySpan Kind = iota
@@ -65,81 +71,58 @@ const (
 	// injected clock); its label is the endpoint, Detail the status code.
 	HTTPSpan
 
-	// --- marks (instant annotations) ---
-
-	// PrefetchHitMark: the executor consumed a prefetched frame; links to the
-	// PrefetchRead span that brought the page in.
-	PrefetchHitMark
-	// FallbackSyncMark: the executor synchronously read a page the
-	// prefetcher abandoned; links to the abandoned PrefetchRead span.
-	FallbackSyncMark
-	// WindowStallMark: the prefetcher had queued pages but the readahead
-	// window R was full.
-	WindowStallMark
-	// DegradeMark: model inference blew its deadline and the query degraded
-	// to the default (no-prefetch) path.
-	DegradeMark
-	// BufferHitMark / BufferMissMark / BufferEvictMark annotate buffer-pool
-	// outcomes on the timeline.
-	BufferHitMark
-	BufferMissMark
-	BufferEvictMark
-	// PrefetchWastedMark: a prefetched frame was evicted before any executor
-	// use; links to the PrefetchRead span whose I/O was wasted.
-	PrefetchWastedMark
-	// OSCacheHitMark / OSCacheMissMark / OSCacheEvictMark annotate OS page
-	// cache outcomes.
-	OSCacheHitMark
-	OSCacheMissMark
-	OSCacheEvictMark
-	// PredCacheHitMark / PredCacheMissMark annotate serving-tier prediction
-	// cache outcomes: a hit means the request skipped inference entirely.
-	PredCacheHitMark
-	PredCacheMissMark
-	// QualityScoreMark annotates one prediction scored against ground truth
-	// (serve: a /v1/feedback round-trip; replay: a registered query scored).
-	QualityScoreMark
-	// DriftWarningMark / DriftAlarmMark / DriftRecoveredMark annotate drift
-	// state transitions so trace timelines correlate latency shifts with
-	// distribution shifts.
-	DriftWarningMark
-	DriftAlarmMark
-	DriftRecoveredMark
+	// Mark is a zero-duration annotation (Start == End): the timeline's view
+	// of one obs event. Span.Event says which; the marks table says which
+	// events get one.
+	Mark
 
 	// KindCount is the number of span kinds; it must remain last.
 	KindCount
 )
 
 var kindNames = [KindCount]string{
-	QuerySpan:          "query",
-	InferWait:          "inference",
-	ExecDiskWait:       "disk_wait",
-	ExecOSCopy:         "os_copy",
-	ExecRetryWait:      "retry_wait",
-	PrefetchRead:       "prefetch_read",
-	PrefetchRetryWait:  "prefetch_retry_wait",
-	HTTPSpan:           "http_request",
-	PrefetchHitMark:    "prefetch_hit",
-	FallbackSyncMark:   "fallback_sync_read",
-	WindowStallMark:    "window_stall",
-	DegradeMark:        "inference_degrade",
-	BufferHitMark:      "buffer_hit",
-	BufferMissMark:     "buffer_miss",
-	BufferEvictMark:    "buffer_evict",
-	PrefetchWastedMark: "prefetch_wasted",
-	OSCacheHitMark:     "oscache_hit",
-	OSCacheMissMark:    "oscache_miss",
-	OSCacheEvictMark:   "oscache_evict",
-	PredCacheHitMark:   "predcache_hit",
-	PredCacheMissMark:  "predcache_miss",
-	QualityScoreMark:   "quality_feedback",
-	DriftWarningMark:   "drift_warning",
-	DriftAlarmMark:     "drift_alarm",
-	DriftRecoveredMark: "drift_recovered",
+	QuerySpan:         "query",
+	InferWait:         "inference",
+	ExecDiskWait:      "disk_wait",
+	ExecOSCopy:        "os_copy",
+	ExecRetryWait:     "retry_wait",
+	PrefetchRead:      "prefetch_read",
+	PrefetchRetryWait: "prefetch_retry_wait",
+	HTTPSpan:          "http_request",
+	Mark:              "mark",
+}
+
+// marks is the only place a timeline mark is defined: the obs events that
+// belong on a timeline, the name each is exported under, and whether the mark
+// takes the causal link stashed under its page (the PrefetchRead span that
+// brought the page in, or was abandoned trying). An event with no entry
+// leaves no mark. Two exported names predate their obs kinds' and are pinned
+// by the goldens: inference_degrade and quality_feedback.
+var marks = [obs.KindCount]struct {
+	name string
+	link bool
+}{
+	obs.BufferHit:             {name: "buffer_hit"},
+	obs.BufferMiss:            {name: "buffer_miss"},
+	obs.BufferEvict:           {name: "buffer_evict"},
+	obs.PrefetchHit:           {name: "prefetch_hit", link: true},
+	obs.PrefetchWasted:        {name: "prefetch_wasted", link: true},
+	obs.OSCacheHit:            {name: "oscache_hit"},
+	obs.OSCacheMiss:           {name: "oscache_miss"},
+	obs.OSCacheEvict:          {name: "oscache_evict"},
+	obs.WindowStall:           {name: "window_stall"},
+	obs.FallbackSyncRead:      {name: "fallback_sync_read", link: true},
+	obs.InferenceDeadlineMiss: {name: "inference_degrade"},
+	obs.PredCacheHit:          {name: "predcache_hit"},
+	obs.PredCacheMiss:         {name: "predcache_miss"},
+	obs.QualityScored:         {name: "quality_feedback"},
+	obs.DriftWarning:          {name: "drift_warning"},
+	obs.DriftAlarm:            {name: "drift_alarm"},
+	obs.DriftRecovered:        {name: "drift_recovered"},
 }
 
 // String returns the kind's snake_case name (stable: it is the event name
-// exported to Perfetto and printed in stall reports).
+// exported to Perfetto for every duration span).
 func (k Kind) String() string {
 	if k < KindCount {
 		return kindNames[k]
@@ -165,6 +148,8 @@ const NoQuery int32 = -1
 type Span struct {
 	// Kind is the span type.
 	Kind Kind
+	// Event is the obs event a Mark is the view of (meaningless otherwise).
+	Event obs.Kind
 	// Query is the run-local query index the span belongs to, or NoQuery.
 	Query int32
 	// Page is the page concerned, or the zero PageID.
@@ -176,10 +161,24 @@ type Span struct {
 	// Detail is kind-specific: DetailAbandoned on PrefetchRead, the HTTP
 	// status code on HTTPSpan, zero otherwise.
 	Detail uint32
-	// Label optionally names the span (query ID, HTTP endpoint); the
-	// exporter falls back to Kind.String() when empty.
+	// Label optionally names the span (query ID, HTTP endpoint).
 	Label string
 }
+
+// Name is what the span is exported as: its label, else the marks table's
+// name for a Mark, else its kind's.
+func (s *Span) Name() string {
+	switch {
+	case s.Label != "":
+		return s.Label
+	case s.Kind == Mark:
+		return marks[s.Event].name
+	}
+	return s.Kind.String()
+}
+
+// IsMark reports whether the span is the mark of obs event e.
+func (s *Span) IsMark(e obs.Kind) bool { return s.Kind == Mark && s.Event == e }
 
 // Dur returns the span's duration.
 func (s *Span) Dur() sim.Duration { return s.End.Sub(s.Start) }
@@ -187,30 +186,19 @@ func (s *Span) Dur() sim.Duration { return s.End.Sub(s.Start) }
 // Tracer records spans. The zero value is NOT ready: construct with New. A
 // nil *Tracer is valid everywhere and records nothing.
 type Tracer struct {
-	clock   *sim.Clock // optional: resolves at == 0 to the current virtual time
-	current int32      // query index stamped on new spans (SetQuery)
+	current int32 // query index stamped on new duration spans (SetQuery)
 	spans   []Span
 	stash   map[storage.PageID]SpanID // open causal links keyed by page
 }
 
-// New returns an empty tracer with no clock and the current query unset.
+// New returns an empty tracer with the current query unset.
 func New() *Tracer {
 	return &Tracer{current: NoQuery, stash: make(map[storage.PageID]SpanID)}
 }
 
-// SetClock attaches the virtual clock used to resolve zero timestamps
-// (emitters that do not have the current time at hand pass 0). replay.Run
-// attaches its engine's clock automatically.
-func (t *Tracer) SetClock(c *sim.Clock) {
-	if t == nil {
-		return
-	}
-	t.clock = c
-}
-
-// SetQuery sets the query index stamped on subsequently recorded spans; the
-// replay runners call it on every engine-callback entry, exactly like the
-// obs tagger's current-query field.
+// SetQuery sets the query index stamped on subsequently recorded duration
+// spans; the replay runners call it on every engine-callback entry. Marks
+// never read it: theirs is the event's.
 //
 //pythia:noalloc
 func (t *Tracer) SetQuery(q int32) {
@@ -261,14 +249,6 @@ func (t *Tracer) Spans() []Span {
 	return t.spans
 }
 
-// at resolves a zero timestamp to the attached clock's current time.
-func (t *Tracer) at(at sim.Time) sim.Time {
-	if at == 0 && t.clock != nil {
-		return t.clock.Now()
-	}
-	return at
-}
-
 // push appends one span and returns its ID.
 //
 //pythia:noalloc
@@ -278,16 +258,16 @@ func (t *Tracer) push(s Span) SpanID {
 	return id
 }
 
-// Begin opens a span at time at (0 = now per the attached clock) and returns
-// its ID for End.
+// Begin opens a span at time at and returns its ID for End. Times are taken
+// as given, here and in every method below: the tracer holds no clock, so
+// zero is virtual time zero, never "now".
 //
 //pythia:noalloc
 func (t *Tracer) Begin(k Kind, pg storage.PageID, at sim.Time) SpanID {
 	if t == nil {
 		return NoSpan
 	}
-	start := t.at(at)
-	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: start, End: start, Link: NoSpan})
+	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: at, End: at, Link: NoSpan})
 }
 
 // BeginLabel is Begin with a label (e.g. the query ID on QuerySpan).
@@ -297,19 +277,18 @@ func (t *Tracer) BeginLabel(k Kind, label string, pg storage.PageID, at sim.Time
 	if t == nil {
 		return NoSpan
 	}
-	start := t.at(at)
-	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: start, End: start, Link: NoSpan, Label: label})
+	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: at, End: at, Link: NoSpan, Label: label})
 }
 
-// End closes span id at time at (0 = now). Ending NoSpan (or any
-// out-of-range ID) is a no-op, so call sites need no guards.
+// End closes span id at time at. Ending NoSpan (or any out-of-range ID) is a
+// no-op, so call sites need no guards.
 //
 //pythia:noalloc
 func (t *Tracer) End(id SpanID, at sim.Time) {
 	if t == nil || id < 0 || int(id) >= len(t.spans) {
 		return
 	}
-	t.spans[id].End = t.at(at)
+	t.spans[id].End = at
 }
 
 // EndDetail is End plus a kind-specific detail value (e.g. DetailAbandoned).
@@ -319,18 +298,18 @@ func (t *Tracer) EndDetail(id SpanID, at sim.Time, detail uint32) {
 	if t == nil || id < 0 || int(id) >= len(t.spans) {
 		return
 	}
-	t.spans[id].End = t.at(at)
+	t.spans[id].End = at
 	t.spans[id].Detail = detail
 }
 
-// Complete records a span whose bounds are both known (0 = now for either).
+// Complete records a span whose bounds are both known.
 //
 //pythia:noalloc
 func (t *Tracer) Complete(k Kind, pg storage.PageID, start, end sim.Time) SpanID {
 	if t == nil {
 		return NoSpan
 	}
-	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: t.at(start), End: t.at(end), Link: NoSpan})
+	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: start, End: end, Link: NoSpan})
 }
 
 // CompleteLabel is Complete with an explicit query, label, and detail — the
@@ -342,36 +321,30 @@ func (t *Tracer) CompleteLabel(k Kind, label string, q int32, detail uint32, sta
 	if t == nil {
 		return NoSpan
 	}
-	return t.push(Span{Kind: k, Query: q, Page: storage.PageID{}, Start: t.at(start), End: t.at(end), Link: NoSpan, Detail: detail, Label: label})
+	return t.push(Span{Kind: k, Query: q, Page: storage.PageID{}, Start: start, End: end, Link: NoSpan, Detail: detail, Label: label})
 }
 
-// Instant records a zero-duration mark at time at (0 = now).
+// Record implements obs.Recorder: an event the marks table names becomes a
+// zero-duration mark carrying the event's own query, page and time — it must
+// arrive stamped — and, for the linking marks, the span stashed under its
+// page. Every other event is ignored.
 //
 //pythia:noalloc
-func (t *Tracer) Instant(k Kind, pg storage.PageID, at sim.Time) SpanID {
-	if t == nil {
-		return NoSpan
+func (t *Tracer) Record(e obs.Event) {
+	if t == nil || e.Kind >= obs.KindCount || marks[e.Kind].name == "" {
+		return
 	}
-	ts := t.at(at)
-	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: ts, End: ts, Link: NoSpan})
-}
-
-// InstantLink records a mark causally linked to span link (NoSpan links
-// nothing).
-//
-//pythia:noalloc
-func (t *Tracer) InstantLink(k Kind, pg storage.PageID, at sim.Time, link SpanID) SpanID {
-	if t == nil {
-		return NoSpan
+	link := NoSpan
+	if marks[e.Kind].link {
+		link = t.takeStash(e.Page)
 	}
-	ts := t.at(at)
-	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: ts, End: ts, Link: link})
+	t.push(Span{Kind: Mark, Event: e.Kind, Query: e.Query, Page: e.Page, Start: e.At, End: e.At, Link: link})
 }
 
 // Stash parks an open causal link under a page, for a later consumer that
 // only knows the page: the prefetcher stashes its PrefetchRead span when the
-// page lands (or is abandoned), and the buffer pool or executor takes it
-// when the page is consumed.
+// page lands (or is abandoned), and Record takes it when the event that
+// consumes the page (hit, wasted eviction, fallback read) arrives.
 //
 //pythia:noalloc
 func (t *Tracer) Stash(pg storage.PageID, id SpanID) {
@@ -381,10 +354,10 @@ func (t *Tracer) Stash(pg storage.PageID, id SpanID) {
 	t.stash[pg] = id
 }
 
-// TakeStash removes and returns the link stashed under a page, or NoSpan.
+// takeStash removes and returns the link stashed under a page, or NoSpan.
 //
 //pythia:noalloc
-func (t *Tracer) TakeStash(pg storage.PageID) SpanID {
+func (t *Tracer) takeStash(pg storage.PageID) SpanID {
 	if t == nil {
 		return NoSpan
 	}
@@ -418,16 +391,15 @@ func (s *Sync) CompleteLabel(k Kind, label string, q int32, detail uint32, start
 	s.mu.Unlock()
 }
 
-// Instant records one zero-duration mark with an explicit label and query
-// under the lock — the serving tier's shape for cache-outcome marks.
+// Record implements obs.Recorder under the lock.
 //
 //pythia:noalloc
-func (s *Sync) Instant(k Kind, label string, q int32, at sim.Time) {
+func (s *Sync) Record(e obs.Event) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.tr.push(Span{Kind: k, Query: q, Start: at, End: at, Link: NoSpan, Label: label})
+	s.tr.Record(e)
 	s.mu.Unlock()
 }
 

@@ -3,7 +3,7 @@ package span
 import (
 	"testing"
 
-	"github.com/pythia-db/pythia/internal/sim"
+	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -16,7 +16,6 @@ func pg(obj, n uint32) storage.PageID {
 // nil fault.Injector.
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.SetClock(&sim.Clock{})
 	tr.SetQuery(3)
 	tr.Reserve(100)
 	tr.Reset()
@@ -34,15 +33,10 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if id := tr.CompleteLabel(HTTPSpan, "predict", NoQuery, 200, 5, 10); id != NoSpan {
 		t.Errorf("nil CompleteLabel = %d, want NoSpan", id)
 	}
-	if id := tr.Instant(BufferHitMark, pg(1, 2), 5); id != NoSpan {
-		t.Errorf("nil Instant = %d, want NoSpan", id)
-	}
-	if id := tr.InstantLink(PrefetchHitMark, pg(1, 2), 5, 7); id != NoSpan {
-		t.Errorf("nil InstantLink = %d, want NoSpan", id)
-	}
+	tr.Record(obs.Event{Kind: obs.PrefetchHit, Page: pg(1, 2), At: 5})
 	tr.Stash(pg(1, 2), 7)
-	if id := tr.TakeStash(pg(1, 2)); id != NoSpan {
-		t.Errorf("nil TakeStash = %d, want NoSpan", id)
+	if id := tr.takeStash(pg(1, 2)); id != NoSpan {
+		t.Errorf("nil takeStash = %d, want NoSpan", id)
 	}
 	if tr.Len() != 0 || tr.Spans() != nil {
 		t.Errorf("nil tracer has spans")
@@ -50,6 +44,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 	var sy *Sync
 	sy.CompleteLabel(HTTPSpan, "predict", NoQuery, 200, 5, 10)
+	sy.Record(obs.Event{Kind: obs.PredCacheHit, Query: obs.NoQuery, At: 5})
 	if sy.Len() != 0 || sy.Snapshot() != nil {
 		t.Errorf("nil Sync has spans")
 	}
@@ -87,10 +82,17 @@ func TestSpanRecording(t *testing.T) {
 		t.Errorf("EndDetail: %+v", s)
 	}
 
-	mark := tr.InstantLink(PrefetchHitMark, pg(4, 9), 400, id)
-	if s := tr.Spans()[mark]; s.Start != 400 || s.End != 400 || s.Link != id {
+	// A mark is the event, verbatim: the tracer's own query register (2) and
+	// clock play no part, and a linking mark takes the page's stashed span.
+	tr.Stash(pg(4, 9), id)
+	tr.Record(obs.Event{Kind: obs.PrefetchHit, Query: 5, Page: pg(4, 9), At: 400})
+	if s := tr.Spans()[2]; !s.IsMark(obs.PrefetchHit) || s.Query != 5 || s.Page != pg(4, 9) ||
+		s.Start != 400 || s.End != 400 || s.Link != id {
 		t.Errorf("mark = %+v", s)
 	}
+	// Events the marks table does not name leave nothing on the timeline.
+	tr.Record(obs.Event{Kind: obs.DiskRead, Query: 5, Page: pg(4, 9), At: 400})
+	tr.Record(obs.Event{Kind: obs.KindCount, At: 400})
 
 	if tr.Len() != 3 {
 		t.Errorf("Len = %d", tr.Len())
@@ -101,20 +103,22 @@ func TestSpanRecording(t *testing.T) {
 	}
 }
 
-// TestClockResolution: a zero timestamp means "now" on the attached clock; a
-// tracer without a clock keeps the zero.
+// TestClockResolution: there is none. The tracer holds no clock, so a
+// timestamp is what the caller (or the event's stamp point) passed, and zero
+// is virtual time zero for spans and marks alike — a reused tracer cannot
+// stamp anything at an earlier run's "now".
 func TestClockResolution(t *testing.T) {
 	tr := New()
-	var clk sim.Clock
-	clk.Advance(777)
-	tr.SetClock(&clk)
-	id := tr.Instant(BufferHitMark, pg(1, 1), 0)
-	if got := tr.Spans()[id].Start; got != 777 {
-		t.Errorf("clock-resolved start = %v, want 777", got)
-	}
-	id = tr.Instant(BufferHitMark, pg(1, 1), 555)
-	if got := tr.Spans()[id].Start; got != 555 {
-		t.Errorf("explicit start = %v, want 555", got)
+	tr.End(tr.Begin(ExecDiskWait, pg(1, 1), 777), 999)
+	tr.Reset()
+	id := tr.Begin(ExecDiskWait, pg(1, 1), 0)
+	tr.End(id, 0)
+	tr.Complete(ExecOSCopy, pg(1, 1), 0, 4)
+	tr.Record(obs.Event{Kind: obs.BufferHit, Page: pg(1, 1)})
+	for i, s := range tr.Spans() {
+		if s.Start != 0 || (s.End != 0 && s.End != 4) {
+			t.Errorf("span %d = [%v, %v], want it to start at 0", i, s.Start, s.End)
+		}
 	}
 }
 
@@ -123,16 +127,16 @@ func TestStash(t *testing.T) {
 	tr := New()
 	id := tr.Begin(PrefetchRead, pg(3, 7), 10)
 	tr.Stash(pg(3, 7), id)
-	if got := tr.TakeStash(pg(3, 7)); got != id {
-		t.Errorf("TakeStash = %d, want %d", got, id)
+	if got := tr.takeStash(pg(3, 7)); got != id {
+		t.Errorf("takeStash = %d, want %d", got, id)
 	}
-	if got := tr.TakeStash(pg(3, 7)); got != NoSpan {
-		t.Errorf("second TakeStash = %d, want NoSpan", got)
+	if got := tr.takeStash(pg(3, 7)); got != NoSpan {
+		t.Errorf("second takeStash = %d, want NoSpan", got)
 	}
 	// Stashing NoSpan is a no-op, so disabled-tracer IDs never pollute maps.
 	tr.Stash(pg(3, 8), NoSpan)
-	if got := tr.TakeStash(pg(3, 8)); got != NoSpan {
-		t.Errorf("TakeStash after NoSpan stash = %d", got)
+	if got := tr.takeStash(pg(3, 8)); got != NoSpan {
+		t.Errorf("takeStash after NoSpan stash = %d", got)
 	}
 }
 
@@ -141,9 +145,13 @@ func TestSyncSnapshot(t *testing.T) {
 	sy := NewSync()
 	sy.CompleteLabel(HTTPSpan, "predict", NoQuery, 200, 100, 300)
 	sy.CompleteLabel(HTTPSpan, "stats", NoQuery, 200, 400, 450)
+	sy.Record(obs.Event{Kind: obs.PredCacheMiss, Query: obs.NoQuery, At: 420})
 	snap := sy.Snapshot()
-	if len(snap) != 2 || sy.Len() != 2 {
+	if len(snap) != 3 || sy.Len() != 3 {
 		t.Fatalf("snapshot len = %d", len(snap))
+	}
+	if !snap[2].IsMark(obs.PredCacheMiss) || snap[2].Start != 420 || snap[2].Query != NoQuery {
+		t.Errorf("snap[2] = %+v", snap[2])
 	}
 	if snap[0].Label != "predict" || snap[0].Detail != 200 || snap[0].Dur() != 200 {
 		t.Errorf("snap[0] = %+v", snap[0])
@@ -155,8 +163,9 @@ func TestSyncSnapshot(t *testing.T) {
 	}
 }
 
-// TestKindNames: every kind has a distinct non-empty snake_case name (they
-// are exported trace-event names and report labels).
+// TestKindNames: every kind has a distinct non-empty snake_case name, and the
+// marks table — the only place a mark's timeline name is defined — exports
+// exactly the vocabulary the goldens and dashboards were built on.
 func TestKindNames(t *testing.T) {
 	seen := map[string]Kind{}
 	for k := Kind(0); k < KindCount; k++ {
@@ -172,6 +181,30 @@ func TestKindNames(t *testing.T) {
 	if KindCount.String() != "unknown" {
 		t.Errorf("KindCount.String() = %q", KindCount.String())
 	}
+
+	want := map[obs.Kind]string{
+		obs.BufferHit: "buffer_hit", obs.BufferMiss: "buffer_miss", obs.BufferEvict: "buffer_evict",
+		obs.PrefetchHit: "prefetch_hit", obs.PrefetchWasted: "prefetch_wasted",
+		obs.OSCacheHit: "oscache_hit", obs.OSCacheMiss: "oscache_miss", obs.OSCacheEvict: "oscache_evict",
+		obs.WindowStall: "window_stall", obs.FallbackSyncRead: "fallback_sync_read",
+		obs.InferenceDeadlineMiss: "inference_degrade",
+		obs.PredCacheHit:          "predcache_hit", obs.PredCacheMiss: "predcache_miss",
+		obs.QualityScored: "quality_feedback",
+		obs.DriftWarning:  "drift_warning", obs.DriftAlarm: "drift_alarm", obs.DriftRecovered: "drift_recovered",
+	}
+	linking := map[obs.Kind]bool{obs.PrefetchHit: true, obs.PrefetchWasted: true, obs.FallbackSyncRead: true}
+	for k := obs.Kind(0); k < obs.KindCount; k++ {
+		s := Span{Kind: Mark, Event: k}
+		if got := s.Name(); got != want[k] {
+			t.Errorf("mark of %v exports as %q, want %q", k, got, want[k])
+		}
+		if marks[k].link != linking[k] {
+			t.Errorf("mark of %v: link = %v, want %v", k, marks[k].link, linking[k])
+		}
+		if prev, dup := seen[want[k]]; dup && want[k] != "" {
+			t.Errorf("mark of %v shares name %q with kind %d", k, want[k], prev)
+		}
+	}
 }
 
 // TestRecordingAllocFree proves the per-event contract: with capacity
@@ -183,7 +216,7 @@ func TestRecordingAllocFree(t *testing.T) {
 		nilTr.SetQuery(1)
 		id := nilTr.Begin(ExecDiskWait, p, 10)
 		nilTr.End(id, 20)
-		nilTr.Instant(BufferHitMark, p, 20)
+		nilTr.Record(obs.Event{Kind: obs.BufferHit, Page: p, At: 20})
 	}); a != 0 {
 		t.Errorf("nil tracer: %v allocs/event batch", a)
 	}
@@ -191,13 +224,13 @@ func TestRecordingAllocFree(t *testing.T) {
 	tr := New()
 	tr.Reserve(4 * 1001)
 	tr.Stash(p, 0) // pre-size the one-entry stash
-	tr.TakeStash(p)
+	tr.takeStash(p)
 	if a := testing.AllocsPerRun(1000, func() {
 		tr.SetQuery(1)
 		id := tr.Begin(PrefetchRead, p, 10)
 		tr.EndDetail(id, 20, DetailAbandoned)
 		tr.Stash(p, id)
-		tr.InstantLink(FallbackSyncMark, p, 20, tr.TakeStash(p))
+		tr.Record(obs.Event{Kind: obs.FallbackSyncRead, Query: 1, Page: p, At: 20})
 	}); a != 0 {
 		t.Errorf("enabled tracer: %v allocs/event batch", a)
 	}
@@ -217,13 +250,13 @@ func TestBuildReport(t *testing.T) {
 	pf := tr.Begin(PrefetchRead, pg(2, 9), 600)
 	tr.End(pf, 1600)
 	tr.Stash(pg(2, 9), pf)
-	tr.InstantLink(PrefetchHitMark, pg(2, 9), 2100, tr.TakeStash(pg(2, 9)))
+	tr.Record(obs.Event{Kind: obs.PrefetchHit, Query: 0, Page: pg(2, 9), At: 2100})
 	tr.End(q0, 3000)
 
 	tr.SetQuery(1)
 	q1 := tr.BeginLabel(QuerySpan, "beta", storage.PageID{}, 0)
 	tr.Complete(ExecOSCopy, pg(1, 3), 100, 104)
-	tr.InstantLink(FallbackSyncMark, pg(2, 4), 300, NoSpan)
+	tr.Record(obs.Event{Kind: obs.FallbackSyncRead, Query: 1, Page: pg(2, 4), At: 300})
 	tr.End(q1, 400)
 
 	rep := BuildReport(tr.Spans())

@@ -100,25 +100,13 @@ func Jaccard(a, b []storage.PageID) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i].Less(b[j]):
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	inter := Intersection(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// Intersection returns |a ∩ b| for sorted slices; precision/recall use it.
+// Intersection returns |a ∩ b| for sorted, duplicate-free slices — the one
+// set-overlap loop behind Jaccard and quality.ScoreSets (and through it
+// metrics.Score).
 func Intersection(a, b []storage.PageID) int {
 	inter := 0
 	i, j := 0, 0
