@@ -24,6 +24,11 @@
 // already exists, loaded from) the given path; SIGHUP — or POST
 // /v1/admin/reload — swaps the serving models from that snapshot without
 // dropping a request.
+//
+// Load is admitted in one place, each replica's bounded work queue
+// (-queue-depth): a predict every candidate replica refuses answers 503. The
+// failure ladder's shape is fixed; -quarantine-backoff is its one flag.
+// README.md lists every flag, and flags_test.go keeps that list honest.
 package main
 
 import (
@@ -47,62 +52,83 @@ import (
 	"github.com/pythia-db/pythia/internal/span"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		templates = flag.String("templates", "t91", "comma-separated DSB templates to train")
-		sf        = flag.Int("sf", 20, "scale factor")
-		n         = flag.Int("n", 60, "training instances per template")
-		seed      = flag.Uint64("seed", 7, "seed")
+// config is everything the command line sets: the training inputs, the
+// serve.Options the server is built from, and the process-level switches.
+type config struct {
+	addr, templates string
+	sf, n           int
+	seed            uint64
+	opts            serve.Options
+	shutdownGrace   time.Duration
+	faultPlan       string
+	faultSeed       uint64
+	pprofAddr       string
+	traceOut        string
+}
 
-		reqTimeout    = flag.Duration("request-timeout", 5*time.Second, "per-request inference budget (negative disables)")
-		maxInflight   = flag.Int("max-inflight", 64, "concurrent model requests before load shedding (negative disables)")
-		maxBody       = flag.Int64("max-body", 1<<20, "request body cap in bytes (negative disables)")
-		shutdownGrace = flag.Duration("shutdown-grace", 10*time.Second, "drain deadline after SIGINT/SIGTERM")
-		cacheEntries  = flag.Int("cache-entries", 4096, "plan-fingerprint prediction cache capacity (negative disables)")
-		replicas      = flag.Int("replicas", 1, "independent model replicas behind the consistent-hash router")
-		queueDepth    = flag.Int("queue-depth", 32, "per-replica bounded work queue (negative disables)")
-		snapshot      = flag.String("snapshot", "", "model snapshot path: loaded instead of training when it exists, written after training otherwise; SIGHUP and /v1/admin/reload swap from it (empty = off)")
-		quarThreshold = flag.Int("quarantine-threshold", 5, "sliding-window model-path failures that quarantine a replica (negative disables health tracking)")
-		quarBackoff   = flag.Duration("quarantine-backoff", time.Second, "initial probe backoff for a quarantined replica (doubles per failed probe, capped at 16x)")
-		quarProbes    = flag.Int("quarantine-probes", 3, "consecutive probe successes that re-admit a quarantined replica")
-		maxFailovers  = flag.Int("max-failovers", 2, "ring successors a request may fail over to past an unhealthy replica (negative disables failover)")
-		faultPlan     = flag.String("fault-plan", "", "fault-injection plan for chaos drills, e.g. serve=0.2 (empty = none)")
-		faultSeed     = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed")
-		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this loopback address, e.g. localhost:6060 (empty = off)")
-		traceOut      = flag.String("trace-out", "", "on shutdown, write HTTP request spans as Chrome trace-event JSON to this file (empty = off)")
-	)
+// flags registers every pythia-serve flag on fs, bound to the returned
+// config. main passes flag.CommandLine; the README test builds the set
+// without running main.
+func flags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.templates, "templates", "t91", "comma-separated DSB templates to train")
+	fs.IntVar(&c.sf, "sf", 20, "scale factor")
+	fs.IntVar(&c.n, "n", 60, "training instances per template")
+	fs.Uint64Var(&c.seed, "seed", 7, "seed")
+
+	fs.DurationVar(&c.opts.RequestTimeout, "request-timeout", 5*time.Second, "per-request inference budget")
+	fs.Int64Var(&c.opts.MaxBodyBytes, "max-body", 1<<20, "request body cap in bytes")
+	fs.DurationVar(&c.shutdownGrace, "shutdown-grace", 10*time.Second, "drain deadline after SIGINT/SIGTERM")
+	fs.IntVar(&c.opts.CacheEntries, "cache-entries", 4096, "plan-fingerprint prediction cache capacity per replica (negative disables)")
+	fs.IntVar(&c.opts.Replicas, "replicas", 1, "independent model replicas behind the consistent-hash router")
+	fs.IntVar(&c.opts.QueueDepth, "queue-depth", 32, "per-replica bounded work queue, the one admission point: a predict every candidate replica refuses answers 503")
+	fs.StringVar(&c.opts.SnapshotPath, "snapshot", "", "model snapshot path: loaded instead of training when it exists, written after training otherwise; SIGHUP and /v1/admin/reload swap from it (empty = off)")
+	fs.DurationVar(&c.opts.QuarantineBackoff, "quarantine-backoff", time.Second, "initial probe backoff for a quarantined replica (doubles per failed probe, capped at 16x)")
+	fs.StringVar(&c.faultPlan, "fault-plan", "", "fault-injection plan for chaos drills, e.g. serve=0.2 (empty = none)")
+	fs.Uint64Var(&c.faultSeed, "fault-seed", 1, "fault-injection PRNG seed")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address, e.g. localhost:6060 (empty = off)")
+	fs.StringVar(&c.traceOut, "trace-out", "", "on shutdown, write HTTP request spans as Chrome trace-event JSON to this file (empty = off)")
+	return c
+}
+
+func main() {
+	c := flags(flag.CommandLine)
 	flag.Parse()
 
-	// Validate -pprof before training: a bad address should fail in
-	// milliseconds, not after minutes of model building. The profiling
-	// endpoints expose heap contents and symbol tables, so they run on a
-	// separate server that must be bound to loopback — never on the public
-	// listener.
-	if *pprofAddr != "" {
-		host, _, err := net.SplitHostPort(*pprofAddr)
+	// Validate the options and -pprof before training: a rejected value or a
+	// bad address should fail in milliseconds, not after minutes of model
+	// building.
+	if _, err := c.opts.Normalize(); err != nil {
+		log.Fatalf("pythia-serve: %v", err)
+	}
+	// The profiling endpoints expose heap contents and symbol tables, so they
+	// run on a separate server that must be bound to loopback — never on the
+	// public listener.
+	if c.pprofAddr != "" {
+		host, _, err := net.SplitHostPort(c.pprofAddr)
 		if err != nil {
-			log.Fatalf("pythia-serve: -pprof %q: %v", *pprofAddr, err)
+			log.Fatalf("pythia-serve: -pprof %q: %v", c.pprofAddr, err)
 		}
 		if ip := net.ParseIP(host); host != "localhost" && (ip == nil || !ip.IsLoopback()) {
-			log.Fatalf("pythia-serve: -pprof must bind a loopback address, got %q", *pprofAddr)
+			log.Fatalf("pythia-serve: -pprof must bind a loopback address, got %q", c.pprofAddr)
 		}
 	}
 
-	plan, err := fault.ParsePlan(*faultPlan)
+	plan, err := fault.ParsePlan(c.faultPlan)
 	if err != nil {
 		log.Fatalf("pythia-serve: %v", err)
 	}
 	var inj *fault.Injector
 	if !plan.IsZero() {
-		inj = fault.New(plan, *faultSeed)
-		log.Printf("fault injection armed: %s (seed %d)", plan, *faultSeed)
+		inj = fault.New(plan, c.faultSeed)
+		log.Printf("fault injection armed: %s (seed %d)", plan, c.faultSeed)
 	}
 
-	gen := dsb.NewGenerator(dsb.Config{ScaleFactor: *sf, Seed: *seed})
+	gen := dsb.NewGenerator(dsb.Config{ScaleFactor: c.sf, Seed: c.seed})
 	metrics := serve.NewMetrics(nil)
 	var tracer *span.Sync
-	if *traceOut != "" {
+	if c.traceOut != "" {
 		tracer = span.NewSync()
 		metrics.SetTracer(tracer)
 	}
@@ -113,61 +139,46 @@ func main() {
 		log.Fatalf("pythia-serve: invalid config: %v", err)
 	}
 	sys := corepythia.New(gen.DB(), cfg)
-	if *snapshot != "" && fileExists(*snapshot) {
-		log.Printf("loading snapshot %s (skipping training)...", *snapshot)
-		loaded, err := loadSnapshot(gen, cfg, *snapshot)
+	if c.opts.SnapshotPath != "" && fileExists(c.opts.SnapshotPath) {
+		log.Printf("loading snapshot %s (skipping training)...", c.opts.SnapshotPath)
+		loaded, err := loadSnapshot(gen, cfg, c.opts.SnapshotPath)
 		if err != nil {
 			log.Fatalf("pythia-serve: loading -snapshot: %v", err)
 		}
 		sys = loaded
 	} else {
-		for _, tpl := range strings.Split(*templates, ",") {
+		for _, tpl := range strings.Split(c.templates, ",") {
 			tpl = strings.TrimSpace(tpl)
 			if tpl == "" {
 				continue
 			}
-			log.Printf("training %s (%d instances)...", tpl, *n)
+			log.Printf("training %s (%d instances)...", tpl, c.n)
 			start := time.Now()
-			w := gen.Workload(tpl, *n, *seed+1)
+			w := gen.Workload(tpl, c.n, c.seed+1)
 			sys.Train(tpl, w.Instances)
 			log.Printf("trained %s in %s", tpl, time.Since(start).Round(time.Second))
 		}
-		if *snapshot != "" {
-			if err := saveSnapshot(sys, *snapshot); err != nil {
+		if c.opts.SnapshotPath != "" {
+			if err := saveSnapshot(sys, c.opts.SnapshotPath); err != nil {
 				log.Fatalf("pythia-serve: writing -snapshot: %v", err)
 			}
-			log.Printf("wrote snapshot %s", *snapshot)
+			log.Printf("wrote snapshot %s", c.opts.SnapshotPath)
 		}
 	}
 
-	srv, err := serve.New(gen.DB(), sys, metrics, serve.Options{
-		RequestTimeout:      *reqTimeout,
-		MaxInFlight:         *maxInflight,
-		MaxBodyBytes:        *maxBody,
-		Fault:               inj,
-		CacheEntries:        *cacheEntries,
-		Replicas:            *replicas,
-		QueueDepth:          *queueDepth,
-		SnapshotPath:        *snapshot,
-		QuarantineThreshold: *quarThreshold,
-		QuarantineBackoff:   *quarBackoff,
-		QuarantineProbes:    *quarProbes,
-		MaxFailovers:        *maxFailovers,
-	})
+	c.opts.Fault = inj
+	srv, err := serve.New(gen.DB(), sys, metrics, c.opts)
 	if err != nil {
 		log.Fatalf("pythia-serve: %v", err)
 	}
-	// Log the resolved effective options (after Options.Normalize applies the
-	// zero=default / negative=disable convention) so a deployment's actual
-	// protections, fast-path, and topology configuration are visible in its
-	// logs.
+	// Log the resolved effective options (after Options.Normalize fills in the
+	// defaults) so a deployment's actual protections, fast-path, and topology
+	// configuration are visible in its logs.
 	eff := srv.Options()
-	log.Printf("effective options: request-timeout=%s max-inflight=%d max-body=%d cache-entries=%d replicas=%d queue-depth=%d snapshot=%q quarantine-threshold=%d quarantine-backoff=%s quarantine-probes=%d max-failovers=%d",
-		eff.RequestTimeout, eff.MaxInFlight, eff.MaxBodyBytes,
-		eff.CacheEntries, eff.Replicas, eff.QueueDepth, eff.SnapshotPath,
-		eff.QuarantineThreshold, eff.QuarantineBackoff, eff.QuarantineProbes,
-		eff.MaxFailovers)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	log.Printf("effective options: request-timeout=%s max-body=%d cache-entries=%d replicas=%d queue-depth=%d snapshot=%q quarantine-backoff=%s",
+		eff.RequestTimeout, eff.MaxBodyBytes, eff.CacheEntries, eff.Replicas,
+		eff.QueueDepth, eff.SnapshotPath, eff.QuarantineBackoff)
+	httpSrv := &http.Server{Addr: c.addr, Handler: srv.Handler()}
 
 	// The shutdown context is created before any helper goroutine spawns so
 	// each of them can bound itself on ctx.Done(); it is consumed by the
@@ -189,7 +200,7 @@ func main() {
 			case <-hup:
 			}
 			log.Print("SIGHUP: reloading model snapshot...")
-			st, err := srv.ReloadSnapshot("")
+			_, st, err := srv.ReloadSnapshot("")
 			if err != nil {
 				log.Printf("reload failed (still serving the old generation): %v", err)
 				continue
@@ -198,7 +209,7 @@ func main() {
 		}
 	}()
 
-	if *pprofAddr != "" {
+	if c.pprofAddr != "" {
 		pmux := http.NewServeMux()
 		pmux.HandleFunc("/debug/pprof/", pprof.Index)
 		pmux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -207,8 +218,8 @@ func main() {
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		//pythia:goleak-ok debug listener is deliberately process-lifetime; it holds no model state and dies with the process
 		go func() {
-			log.Printf("pprof listening on %s", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pmux); err != nil {
+			log.Printf("pprof listening on %s", c.pprofAddr)
+			if err := http.ListenAndServe(c.pprofAddr, pmux); err != nil {
 				log.Printf("pprof server: %v", err)
 			}
 		}()
@@ -220,7 +231,7 @@ func main() {
 	errc := make(chan error, 1)
 	//pythia:goleak-ok exits when httpSrv.Shutdown below makes ListenAndServe return; errc is buffered so the send never blocks
 	go func() {
-		log.Printf("pythia-serve listening on %s", *addr)
+		log.Printf("pythia-serve listening on %s", c.addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 	select {
@@ -229,17 +240,17 @@ func main() {
 	case <-ctx.Done():
 		stop()
 		srv.SetDraining(true)
-		log.Printf("signal received; draining for up to %s", *shutdownGrace)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
+		log.Printf("signal received; draining for up to %s", c.shutdownGrace)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), c.shutdownGrace)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			log.Printf("shutdown: %v", err)
 		}
 		if tracer != nil {
-			if err := writeTrace(*traceOut, tracer.Snapshot()); err != nil {
+			if err := writeTrace(c.traceOut, tracer.Snapshot()); err != nil {
 				log.Printf("trace-out: %v", err)
 			} else {
-				log.Printf("wrote %s", *traceOut)
+				log.Printf("wrote %s", c.traceOut)
 			}
 		}
 		log.Print("pythia-serve stopped")

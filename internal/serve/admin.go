@@ -38,52 +38,45 @@ type reloadResponse struct {
 // ReloadSnapshot performs a zero-downtime model swap from a snapshot file
 // (pythia.System.Save): every replica of a standby generation decodes the
 // snapshot, the standby warms on recently served plans, and the serving
-// pointer swings atomically. An empty path uses Options.SnapshotPath. This
-// is the programmatic entry behind both POST /v1/admin/reload and
-// pythia-serve's SIGHUP handler.
-func (s *Server) ReloadSnapshot(path string) (InfStatus, error) {
+// pointer swings atomically. An empty path uses Options.SnapshotPath; the
+// path actually loaded is returned. This is the programmatic entry behind both
+// POST /v1/admin/reload and pythia-serve's SIGHUP handler.
+func (s *Server) ReloadSnapshot(path string) (string, InfStatus, error) {
 	if path == "" {
 		path = s.opts.SnapshotPath
 	}
 	if path == "" {
-		return InfStatus{}, errNoSnapshot
+		return "", InfStatus{}, errNoSnapshot
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return InfStatus{}, err
+		return path, InfStatus{}, err
 	}
 	defer f.Close()
 	if err := s.inf.Swap(f); err != nil {
-		return InfStatus{}, err
+		return path, InfStatus{}, err
 	}
-	return s.inf.Status(), nil
+	return path, s.inf.Status(), nil
 }
 
 // handleReload is POST /v1/admin/reload: swap the serving models from a
 // snapshot file without dropping a request. The optional JSON body may name
 // a snapshot path; otherwise the server's -snapshot configuration is used.
-// Deliberately not wrapped in shed(): an operator must be able to roll
-// models on an overloaded server.
+// It passes no admission point: an operator must be able to roll models on an
+// overloaded server.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST to reload the serving snapshot")
 		return
 	}
 	var req reloadRequest
-	body := io.Reader(r.Body)
-	if s.opts.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	}
+	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, "reload body must be empty or {\"path\": \"...\"}")
 		return
 	}
-	path := req.Path
-	if path == "" {
-		path = s.opts.SnapshotPath
-	}
 	start := time.Now()
-	st, err := s.ReloadSnapshot(path)
+	path, st, err := s.ReloadSnapshot(req.Path)
 	if err != nil {
 		switch {
 		case errors.Is(err, errNoSnapshot):

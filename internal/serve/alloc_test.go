@@ -65,7 +65,7 @@ func TestServeHotPathAllocs(t *testing.T) {
 	})
 
 	t.Run("health-steady-state", func(t *testing.T) {
-		h := newHealth(3, time.Second, 2, rec)
+		h := newHealth(time.Second, rec)
 		if a := testing.AllocsPerRun(1000, func() {
 			if !h.serving() {
 				t.Fatal("healthy replica not serving")

@@ -146,13 +146,17 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 // prediction cache on or off:
 //
 //	predictions − fallbacks = predcache hits + inference_run
-//	http_requests_total{endpoint∈{predict,explain},code=503} = requests_shed
+//	http_requests_total{endpoint="predict",code="503"} = requests_shed
+//
+// The replica work queue is the only admission point, so the second is also
+// "no other endpoint ever answers 503": with every queue full, explain — which
+// touches no model — still answers 200.
 func TestBooksBalance(t *testing.T) {
 	for _, tc := range []struct {
 		replicas, cache int
 	}{{1, 0}, {1, -1}, {3, 0}, {3, -1}} {
 		t.Run(fmt.Sprintf("replicas=%d,cache=%d", tc.replicas, tc.cache), func(t *testing.T) {
-			srv, w := resilienceServer(t, Options{Replicas: tc.replicas, CacheEntries: tc.cache, MaxInFlight: 1, QueueDepth: 1})
+			srv, w := resilienceServer(t, Options{Replicas: tc.replicas, CacheEntries: tc.cache, QueueDepth: 1})
 			insts := distinctInstances(t, srv, w, 5)
 			cold := func() *bytes.Buffer { return specBody(t, spec.FromQuery(w.Instances[insts[4]].Query)) }
 
@@ -175,21 +179,18 @@ func TestBooksBalance(t *testing.T) {
 			}
 			srv.SetFault(nil)
 
-			// Sheds at both sites: the server's in-flight limit (predict and
-			// explain), and every candidate replica's full work queue.
-			srv.inflight.Add(1)
-			for _, path := range []string{"/v1/predict", "/v1/explain"} {
-				if rr := doRequest(t, srv, http.MethodPost, path, cold()); rr.Code != http.StatusServiceUnavailable {
-					t.Fatalf("%s at the in-flight limit: status %d", path, rr.Code)
-				}
-			}
-			srv.inflight.Add(-1)
+			// The one shed site: every candidate replica's work queue full.
+			// One 503 answer, one refusal per replica walked past.
 			instances := poolOf(t, srv).cur.Load().instances
 			for _, ins := range instances {
 				ins.queue <- struct{}{}
 			}
-			if rr := doRequest(t, srv, http.MethodPost, "/v1/predict", cold()); rr.Code != http.StatusServiceUnavailable {
-				t.Fatalf("predict with every queue full: status %d", rr.Code)
+			rr := doRequest(t, srv, http.MethodPost, "/v1/predict", cold())
+			if rr.Code != http.StatusServiceUnavailable || rr.Header().Get("Retry-After") == "" {
+				t.Fatalf("predict with every queue full: status %d, Retry-After %q", rr.Code, rr.Header().Get("Retry-After"))
+			}
+			if rr := doRequest(t, srv, http.MethodPost, "/v1/explain", cold()); rr.Code != http.StatusOK {
+				t.Fatalf("explain with every queue full: status %d: %s", rr.Code, rr.Body.String())
 			}
 			for _, ins := range instances {
 				<-ins.queue
@@ -204,14 +205,22 @@ func TestBooksBalance(t *testing.T) {
 			if wantHits := uint64(4 * (tc.cache + 1)); snap.FleetCache.Hits != wantHits || snap.Fallbacks != 1 {
 				t.Errorf("predcache hits %d, fallbacks %d, want %d and 1", snap.FleetCache.Hits, snap.Fallbacks, wantHits)
 			}
-			var shed503 uint64
+			var predict503, other503 uint64
 			for _, r := range snap.Requests {
-				if (r.Endpoint == "predict" || r.Endpoint == "explain") && r.Code == http.StatusServiceUnavailable {
-					shed503 += r.Count
+				if r.Code != http.StatusServiceUnavailable {
+					continue
+				}
+				if r.Endpoint == "predict" {
+					predict503 += r.Count
+				} else {
+					other503 += r.Count
 				}
 			}
-			if shed503 != snap.Shed || snap.Shed != 3 {
-				t.Errorf("503s on predict+explain = %d, requests_shed = %d, want both 3", shed503, snap.Shed)
+			if predict503 != snap.Shed || snap.Shed != 1 || other503 != 0 {
+				t.Errorf("503s on predict = %d, elsewhere = %d, requests_shed = %d, want 1, 0 and 1", predict503, other503, snap.Shed)
+			}
+			if snap.ReplicaSheds != uint64(tc.replicas) {
+				t.Errorf("replica sheds = %d, want %d (one refusal per replica)", snap.ReplicaSheds, tc.replicas)
 			}
 		})
 	}

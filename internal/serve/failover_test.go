@@ -51,11 +51,11 @@ func TestPoolReroutesAroundBlockedReplica(t *testing.T) {
 	ins := p.cur.Load().instances[target]
 	now := time.Unix(0, 0)
 	ins.health.now = func() time.Time { return now }
-	for i := 0; i < srv.opts.QuarantineThreshold; i++ {
+	for i := 0; i < quarantineThreshold; i++ {
 		ins.health.failure()
 	}
 	if st := ins.health.State(); st != "quarantined" {
-		t.Fatalf("health %s after %d failures, want quarantined", st, srv.opts.QuarantineThreshold)
+		t.Fatalf("health %s after %d failures, want quarantined", st, quarantineThreshold)
 	}
 
 	// Every plan still answers 200; the target's shard lands on successors.
@@ -89,9 +89,9 @@ func TestPoolReroutesAroundBlockedReplica(t *testing.T) {
 
 	// Backoff elapses: the probe goes back to the owner, which answers from
 	// its (still warm) cache; a cache hit counts as a probe success, so
-	// QuarantineProbes of them restore it.
+	// quarantineProbes of them restore it.
 	now = now.Add(srv.opts.QuarantineBackoff)
-	for i := 0; i < srv.opts.QuarantineProbes; i++ {
+	for i := 0; i < quarantineProbes; i++ {
 		resp := predictOK(t, srv, w, insts[0])
 		if resp.Replica != target || !resp.Cached {
 			t.Fatalf("probe %d: replica=%d cached=%v, want cached answer from owner %d",
@@ -99,20 +99,19 @@ func TestPoolReroutesAroundBlockedReplica(t *testing.T) {
 		}
 	}
 	if st := ins.health.State(); st != "healthy" {
-		t.Fatalf("health %s after %d cached probe answers, want healthy", st, srv.opts.QuarantineProbes)
+		t.Fatalf("health %s after %d cached probe answers, want healthy", st, quarantineProbes)
 	}
 }
 
-// TestReplicaShedEnvelopeParity pins the satellite contract: a replica-level
-// admission shed surfaces exactly like a server-level shed — 503, Retry-After,
-// and the same typed JSON envelope.
+// TestReplicaShedEnvelopeParity pins the shed contract: a request every
+// candidate replica refuses answers 503, Retry-After and the typed JSON
+// envelope — one requests_shed for the answer, one replica shed per refusal.
 func TestReplicaShedEnvelopeParity(t *testing.T) {
 	base, w := testServer(t)
 	m := NewMetrics(nil)
 	srv := mustServer(t, base.db, fixtureSys, m, Options{
 		Replicas:     2,
 		QueueDepth:   1,
-		MaxFailovers: -1, // no failover: the owner's shed must reach the client
 		CacheEntries: -1,
 	})
 
@@ -139,8 +138,8 @@ func TestReplicaShedEnvelopeParity(t *testing.T) {
 	for _, r := range srv.inf.Status().Replicas {
 		replicaSheds += r.Shed
 	}
-	if replicaSheds != 1 {
-		t.Fatalf("replica shed counters sum to %d, want 1", replicaSheds)
+	if replicaSheds != 2 {
+		t.Fatalf("replica shed counters sum to %d, want 2 (the owner's refusal and its successor's)", replicaSheds)
 	}
 
 	// Draining the queues restores service on the same server.
@@ -152,8 +151,8 @@ func TestReplicaShedEnvelopeParity(t *testing.T) {
 	}
 }
 
-// TestPoolFailsOverSaturatedReplica: with failover enabled, a saturated
-// owner's shard answers 200 from a ring successor instead of 503.
+// TestPoolFailsOverSaturatedReplica: a saturated owner's shard answers 200
+// from a ring successor instead of 503.
 func TestPoolFailsOverSaturatedReplica(t *testing.T) {
 	base, w := testServer(t)
 	m := NewMetrics(nil)
@@ -190,11 +189,9 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 	base, w := testServer(t)
 	m := NewMetrics(nil)
 	srv := mustServer(t, base.db, fixtureSys, m, Options{
-		Replicas:            3,
-		CacheEntries:        -1, // every request exercises the model path
-		QuarantineThreshold: 3,
-		QuarantineBackoff:   time.Minute,
-		QuarantineProbes:    2,
+		Replicas:          3,
+		CacheEntries:      -1, // every request exercises the model path
+		QuarantineBackoff: time.Minute,
 	})
 	insts := distinctInstances(t, srv, w, 6)
 
@@ -209,14 +206,14 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 	// the client sees 200 from a successor while the target racks up health
 	// failures.
 	srv.SetFault(fault.New(fault.Plan{ReplicaRate: 1, ReplicaIndex: target}, 7))
-	for round := 0; round < 3; round++ {
+	for round := 0; round < quarantineThreshold; round++ {
 		resp := predictOK(t, srv, w, insts[0])
 		if resp.Fallback || resp.Replica == target {
 			t.Fatalf("round %d: faulted replica %d answered (or fallback): %+v", round, target, resp)
 		}
 	}
 	if st := ins.health.State(); st != "quarantined" {
-		t.Fatalf("after %d faulted requests health is %s, want quarantined", 3, st)
+		t.Fatalf("after %d faulted requests health is %s, want quarantined", quarantineThreshold, st)
 	}
 
 	// The topology and stats surfaces both show the quarantine.
@@ -251,18 +248,18 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 	}
 
 	// Fault clears and the backoff elapses: the next request is the probe,
-	// served by the target itself; QuarantineProbes consecutive successes
+	// served by the target itself; quarantineProbes consecutive successes
 	// re-admit it.
 	srv.SetFault(nil)
 	now = now.Add(time.Minute)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < quarantineProbes; i++ {
 		resp := predictOK(t, srv, w, insts[0])
 		if resp.Replica != target || resp.Fallback {
 			t.Fatalf("probe %d: served by %d, want recovering target %d", i, resp.Replica, target)
 		}
 	}
 	if st := ins.health.State(); st != "healthy" {
-		t.Fatalf("after %d probe successes health is %s, want healthy", 2, st)
+		t.Fatalf("after %d probe successes health is %s, want healthy", quarantineProbes, st)
 	}
 	for _, r := range srv.inf.Status().Replicas {
 		if r.Health != "healthy" {
@@ -274,7 +271,7 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 	// and at least one failover per faulted round.
 	snap := m.Events().Snapshot()
 	if snap.Get(obs.ReplicaQuarantined) < 1 || snap.Get(obs.ReplicaProbe) < 1 ||
-		snap.Get(obs.ReplicaRecovered) < 1 || snap.Get(obs.ReplicaFailover) < 3 {
+		snap.Get(obs.ReplicaRecovered) < 1 || snap.Get(obs.ReplicaFailover) < quarantineThreshold {
 		t.Fatalf("lifecycle events wrong: quarantined=%d probe=%d recovered=%d failover=%d",
 			snap.Get(obs.ReplicaQuarantined), snap.Get(obs.ReplicaProbe),
 			snap.Get(obs.ReplicaRecovered), snap.Get(obs.ReplicaFailover))
@@ -286,7 +283,7 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 // TestProbeReachesQuarantinedOwner: under default options, once a quarantined
 // owner's backoff has elapsed the next request for its shard is the probe —
 // served by the owner's model, not swallowed into a fallback — and
-// QuarantineProbes such answers return it to healthy.
+// quarantineProbes such answers return it to healthy.
 func TestProbeReachesQuarantinedOwner(t *testing.T) {
 	base, w := testServer(t)
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 3, CacheEntries: -1})
@@ -296,26 +293,26 @@ func TestProbeReachesQuarantinedOwner(t *testing.T) {
 	now := time.Unix(0, 0)
 	ins.health.now = func() time.Time { return now }
 
-	// The owner faults QuarantineThreshold times; successors absorb each one.
+	// The owner faults quarantineThreshold times; successors absorb each one.
 	srv.SetFault(fault.New(fault.Plan{ReplicaRate: 1, ReplicaIndex: target}, 7))
-	for i := 0; i < srv.opts.QuarantineThreshold; i++ {
+	for i := 0; i < quarantineThreshold; i++ {
 		if resp := predictOK(t, srv, w, 0); resp.Fallback || resp.Replica == target {
 			t.Fatalf("fault %d: answered %+v, want a successor's model answer", i, resp)
 		}
 	}
 	if st := ins.health.State(); st != "quarantined" {
-		t.Fatalf("health %s after %d faults, want quarantined", st, srv.opts.QuarantineThreshold)
+		t.Fatalf("health %s after %d faults, want quarantined", st, quarantineThreshold)
 	}
 
 	srv.SetFault(nil)
 	now = now.Add(srv.opts.QuarantineBackoff)
-	for i := 0; i < srv.opts.QuarantineProbes; i++ {
+	for i := 0; i < quarantineProbes; i++ {
 		if resp := predictOK(t, srv, w, 0); resp.Fallback || resp.Replica != target {
 			t.Fatalf("probe %d: answered %+v, want the owner %d's model answer", i, resp, target)
 		}
 	}
 	if st := ins.health.State(); st != "healthy" {
-		t.Fatalf("health %s after %d probe answers, want healthy", st, srv.opts.QuarantineProbes)
+		t.Fatalf("health %s after %d probe answers, want healthy", st, quarantineProbes)
 	}
 }
 
@@ -325,15 +322,16 @@ func TestProbeReachesQuarantinedOwner(t *testing.T) {
 func TestPoolDegradedWhenAllQuarantined(t *testing.T) {
 	base, w := testServer(t)
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{
-		Replicas:            2,
-		QuarantineThreshold: 1,
-		QuarantineBackoff:   time.Hour, // no probe within the test's lifetime
-		CacheEntries:        -1,
+		Replicas:          2,
+		QuarantineBackoff: time.Hour, // no probe within the test's lifetime
+		CacheEntries:      -1,
 	})
 
 	p := poolOf(t, srv)
 	for _, ins := range p.cur.Load().instances {
-		ins.health.failure()
+		for i := 0; i < quarantineThreshold; i++ {
+			ins.health.failure()
+		}
 	}
 	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
 	if rr.Code != http.StatusOK {
@@ -468,7 +466,7 @@ func TestSuccessorProbeNotSpentOnOwnerAnswers(t *testing.T) {
 
 	now := time.Unix(0, 0)
 	succ.health.now = func() time.Time { return now }
-	for i := 0; i < srv.opts.QuarantineThreshold; i++ {
+	for i := 0; i < quarantineThreshold; i++ {
 		succ.health.failure()
 	}
 	quarantinedAt := succ.health.quarantinedAt

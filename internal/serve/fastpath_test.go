@@ -168,8 +168,8 @@ func TestCacheEvictionAtCapacity(t *testing.T) {
 // reaches the miss path — no inference run, nothing stored in the cache —
 // and the next admitted request must answer normally.
 func TestShedDoesNotPoisonCache(t *testing.T) {
-	srv, w := fastServer(t, Options{MaxInFlight: 1})
-	srv.inflight.Add(1) // saturate the only slot
+	srv, w := fastServer(t, Options{QueueDepth: 1})
+	srv.inst().queue <- struct{}{} // hold the replica's only queue slot
 	body := specBody(t, spec.FromQuery(w.Instances[0].Query))
 	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", body)
 	if rr.Code != http.StatusServiceUnavailable {
@@ -181,7 +181,7 @@ func TestShedDoesNotPoisonCache(t *testing.T) {
 	if snap := srv.metrics.Events().Snapshot(); snap.Get(obs.InferenceRun) != 0 {
 		t.Fatalf("shed request ran %d inferences", snap.Get(obs.InferenceRun))
 	}
-	srv.inflight.Add(-1)
+	<-srv.inst().queue
 	if resp := predictOK(t, srv, w, 0); resp.Fallback || resp.Cached {
 		t.Fatalf("post-shed request degraded: %+v", resp)
 	}

@@ -18,22 +18,37 @@ const (
 
 var healthStateNames = [...]string{"healthy", "degraded", "probation", "quarantined"}
 
-// healthWindow is the sliding outcome window each replica's health tracker
-// keeps: the last healthWindow model-path outcomes (successes, failures, and
-// admission sheds) decide degradation and quarantine. Small and fixed so the
-// tracker is a ring of booleans, not a timestamped log.
-const healthWindow = 16
+// The failure ladder's shape. Only the initial probe backoff is an option
+// (Options.QuarantineBackoff: chaos drills need recovery inside their run).
+const (
+	// healthWindow is the sliding outcome window each replica's health
+	// tracker keeps: the last healthWindow model-path outcomes (successes,
+	// failures, and admission sheds) decide degradation and quarantine. Small
+	// and fixed so the tracker is a ring of booleans, not a timestamped log.
+	healthWindow = 16
+	// quarantineThreshold window failures quarantine a replica; half that,
+	// rounded up, marks it degraded.
+	quarantineThreshold = 5
+	degradeThreshold    = (quarantineThreshold + 1) / 2
+	// quarantineProbes consecutive probe successes re-admit a quarantined
+	// replica to normal routing.
+	quarantineProbes = 3
+	// maxFailovers bounds the failover cascade: how many ring successors a
+	// request may try past its owning replica when the owner is quarantined,
+	// saturated, or faulting.
+	maxFailovers = 2
+)
 
 // health is one replica's self-healing state machine and the serving tier's
 // only failure ladder: it alone decides whether the pool tries a replica's
 // model path (quarantined is the open state, probation the half-open one).
 //
-//	healthy ──(window failures ≥ ⌈threshold/2⌉)──▶ degraded
-//	degraded ──(window failures ≥ threshold)────▶ quarantined
-//	quarantined ──(backoff elapses)─────────────▶ one probe admitted
-//	probe success ─────────────────────────────▶ probation
-//	probation ──(probes consecutive successes)──▶ healthy  [ReplicaRecovered]
-//	probe/probation failure ───────────────────▶ quarantined, backoff ×2
+//	healthy ──(window failures ≥ degradeThreshold)────▶ degraded
+//	degraded ──(window failures ≥ quarantineThreshold)▶ quarantined
+//	quarantined ──(backoff elapses)───────────────────▶ one probe admitted
+//	probe success ────────────────────────────────────▶ probation
+//	probation ──(quarantineProbes successes in a row)─▶ healthy  [ReplicaRecovered]
+//	probe/probation failure ──────────────────────────▶ quarantined, backoff ×2
 //
 // Degraded replicas keep serving (the state is a leading indicator on
 // /stats); quarantined replicas receive no routed traffic — the ring fails
@@ -43,21 +58,17 @@ const healthWindow = 16
 //
 // The window holds model-path outcomes only (inference success, injected
 // fault, deadline miss, admission shed). A prediction-cache hit says nothing
-// about the model, so it never enters the window: threshold consecutive
-// model-path failures quarantine the replica however many hits are
-// interleaved, and a high hit rate cannot hold a dead model path in service.
+// about the model, so it never enters the window: quarantineThreshold
+// consecutive model-path failures quarantine the replica however many hits
+// are interleaved, and a high hit rate cannot hold a dead model path in
+// service.
 //
 // health never calls time.Now directly: the injected now field lets tests
-// drive backoff expiry by advancing a variable. A zero threshold disables
-// tracking entirely (the replica always reports healthy).
+// drive backoff expiry by advancing a variable.
 type health struct {
-	threshold  int           // window failures that quarantine; 0 disables
-	degradeAt  int           // window failures that mark degraded
-	backoff    time.Duration // initial probe backoff
-	maxBackoff time.Duration // backoff doubling cap
-	probes     int           // consecutive probe successes to re-admit
-	rec        obs.Recorder
-	now        func() time.Time // injected clock; time.Now outside tests
+	backoff time.Duration // initial probe backoff
+	rec     obs.Recorder
+	now     func() time.Time // injected clock; time.Now outside tests
 
 	mu            sync.Mutex
 	state         int
@@ -70,27 +81,13 @@ type health struct {
 	probeWins     int // consecutive probation successes
 }
 
-func newHealth(threshold int, backoff time.Duration, probes int, rec obs.Recorder) *health {
-	h := &health{
-		threshold:  threshold,
-		degradeAt:  (threshold + 1) / 2,
-		backoff:    backoff,
-		maxBackoff: 16 * backoff,
-		probes:     probes,
-		rec:        rec,
-		now:        time.Now,
-	}
-	if h.probes < 1 {
-		h.probes = 1
-	}
-	return h
+func newHealth(backoff time.Duration, rec obs.Recorder) *health {
+	return &health{backoff: backoff, rec: rec, now: time.Now}
 }
 
 //pythia:noalloc
 func (h *health) record(k obs.Kind) {
-	if h.rec != nil {
-		h.rec.Record(obs.Event{Kind: k, Query: obs.NoQuery})
-	}
+	h.rec.Record(obs.Event{Kind: k, Query: obs.NoQuery})
 }
 
 // slide pushes one outcome into the window and returns the failure count.
@@ -134,9 +131,6 @@ func (h *health) cacheHit() { h.succeed(false) }
 
 //pythia:noalloc
 func (h *health) succeed(modelPath bool) {
-	if h == nil || h.threshold <= 0 {
-		return
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	switch h.state {
@@ -149,7 +143,7 @@ func (h *health) succeed(modelPath bool) {
 		h.probeWins++
 		h.maybeRecover()
 	default:
-		if modelPath && h.slide(false) < h.degradeAt && h.state == healthDegraded {
+		if modelPath && h.slide(false) < degradeThreshold && h.state == healthDegraded {
 			h.state = healthHealthy
 		}
 	}
@@ -158,7 +152,7 @@ func (h *health) succeed(modelPath bool) {
 // maybeRecover promotes a probation replica back to healthy once it has the
 // required consecutive successes. Caller holds h.mu.
 func (h *health) maybeRecover() {
-	if h.probeWins < h.probes {
+	if h.probeWins < quarantineProbes {
 		return
 	}
 	h.state = healthHealthy
@@ -174,9 +168,6 @@ func (h *health) maybeRecover() {
 //
 //pythia:noalloc
 func (h *health) failure() {
-	if h == nil || h.threshold <= 0 {
-		return
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	switch h.state {
@@ -189,27 +180,27 @@ func (h *health) failure() {
 		h.record(obs.ReplicaQuarantined)
 	default:
 		fails := h.slide(true)
-		if fails >= h.threshold {
+		if fails >= quarantineThreshold {
 			h.state = healthQuarantined
 			h.curBackoff = 0
 			h.requarantine()
 			h.record(obs.ReplicaQuarantined)
-		} else if fails >= h.degradeAt && h.state == healthHealthy {
+		} else if fails >= degradeThreshold && h.state == healthHealthy {
 			h.state = healthDegraded
 			h.record(obs.ReplicaDegraded)
 		}
 	}
 }
 
-// requarantine restarts the probe backoff clock, doubling the delay (capped)
-// so a persistently sick replica is probed ever less often. Caller holds
-// h.mu.
+// requarantine restarts the probe backoff clock, doubling the delay (capped
+// at 16× the initial one) so a persistently sick replica is probed ever less
+// often. Caller holds h.mu.
 func (h *health) requarantine() {
 	h.quarantinedAt = h.now()
 	h.probeWins = 0
 	if h.curBackoff == 0 {
 		h.curBackoff = h.backoff
-	} else if h.curBackoff < h.maxBackoff {
+	} else if h.curBackoff < 16*h.backoff {
 		h.curBackoff *= 2
 	}
 	h.resetWindow()
@@ -220,9 +211,6 @@ func (h *health) requarantine() {
 //
 //pythia:noalloc
 func (h *health) serving() bool {
-	if h == nil || h.threshold <= 0 {
-		return true
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.state != healthQuarantined
@@ -236,9 +224,6 @@ func (h *health) serving() bool {
 //
 //pythia:noalloc
 func (h *health) allowProbe() bool {
-	if h == nil || h.threshold <= 0 {
-		return false
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.state != healthQuarantined {
@@ -255,9 +240,6 @@ func (h *health) allowProbe() bool {
 // stateValue returns the state as the gauge value (healthy=0, degraded=1,
 // probation=2, quarantined=3).
 func (h *health) stateValue() int {
-	if h == nil || h.threshold <= 0 {
-		return healthHealthy
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.state

@@ -10,9 +10,9 @@ import (
 
 // healthHarness builds a health tracker on a settable fake clock plus a
 // recorder to observe its lifecycle events.
-func healthHarness(threshold int, backoff time.Duration, probes int) (*health, *time.Time, *Metrics) {
+func healthHarness(backoff time.Duration) (*health, *time.Time, *Metrics) {
 	m := NewMetrics(nil)
-	h := newHealth(threshold, backoff, probes, m.Events())
+	h := newHealth(backoff, m.Events())
 	now := time.Unix(0, 0)
 	h.now = func() time.Time { return now }
 	return h, &now, m
@@ -22,22 +22,25 @@ func healthHarness(threshold int, backoff time.Duration, probes int) (*health, *
 // healthy → degraded → quarantined → probe → probation → healthy, with the
 // matching events recorded at each transition.
 func TestHealthLifecycle(t *testing.T) {
-	h, now, m := healthHarness(4, time.Second, 2)
+	h, now, m := healthHarness(time.Second)
 	if !h.serving() || h.State() != "healthy" {
 		t.Fatalf("fresh tracker not healthy: %s", h.State())
 	}
 
-	// degradeAt = ⌈4/2⌉ = 2 window failures mark degraded; still serving.
-	h.failure()
+	// degradeThreshold window failures mark degraded, and no fewer; still
+	// serving.
+	for i := 1; i < degradeThreshold; i++ {
+		h.failure()
+	}
 	if h.State() != "healthy" {
-		t.Fatalf("one failure already moved state: %s", h.State())
+		t.Fatalf("%d failures already moved state: %s", degradeThreshold-1, h.State())
 	}
 	h.failure()
 	if h.State() != "degraded" || !h.serving() {
-		t.Fatalf("after degradeAt failures: state=%s serving=%v", h.State(), h.serving())
+		t.Fatalf("after degradeThreshold failures: state=%s serving=%v", h.State(), h.serving())
 	}
 
-	// Successes dilute the window back below degradeAt → healthy again.
+	// Successes dilute the window back below degradeThreshold → healthy again.
 	for i := 0; i < healthWindow; i++ {
 		h.success()
 	}
@@ -45,12 +48,12 @@ func TestHealthLifecycle(t *testing.T) {
 		t.Fatalf("successes did not clear degraded: %s", h.State())
 	}
 
-	// threshold failures quarantine; the replica stops serving.
-	for i := 0; i < 4; i++ {
+	// quarantineThreshold failures quarantine; the replica stops serving.
+	for i := 0; i < quarantineThreshold; i++ {
 		h.failure()
 	}
 	if h.State() != "quarantined" || h.serving() {
-		t.Fatalf("after threshold failures: state=%s serving=%v", h.State(), h.serving())
+		t.Fatalf("after quarantineThreshold failures: state=%s serving=%v", h.State(), h.serving())
 	}
 
 	// No probe inside the backoff; exactly one probe once it elapses (the
@@ -77,15 +80,18 @@ func TestHealthLifecycle(t *testing.T) {
 		t.Fatal("probe refused after the doubled backoff elapsed")
 	}
 
-	// Probe success → probation (serving again); one more consecutive
-	// success → healthy with a ReplicaRecovered event.
-	h.success()
-	if h.State() != "probation" || !h.serving() {
-		t.Fatalf("after probe success: state=%s serving=%v", h.State(), h.serving())
+	// Probe success → probation (serving again), and it stays there until
+	// the quarantineProbes-th consecutive success → healthy with a
+	// ReplicaRecovered event.
+	for i := 1; i < quarantineProbes; i++ {
+		h.success()
+		if h.State() != "probation" || !h.serving() {
+			t.Fatalf("after %d probe successes: state=%s serving=%v", i, h.State(), h.serving())
+		}
 	}
 	h.success()
 	if h.State() != "healthy" {
-		t.Fatalf("after %d probe successes: %s", 2, h.State())
+		t.Fatalf("after %d probe successes: %s", quarantineProbes, h.State())
 	}
 	// Recovery reset the window: one stale failure must not re-degrade.
 	h.failure()
@@ -108,9 +114,10 @@ func TestHealthLifecycle(t *testing.T) {
 // straight back to quarantined and doubles the backoff — a flapping replica
 // is probed ever less often.
 func TestHealthProbationFailureRequarantines(t *testing.T) {
-	h, now, m := healthHarness(2, time.Second, 3)
-	h.failure()
-	h.failure()
+	h, now, m := healthHarness(time.Second)
+	for i := 0; i < quarantineThreshold; i++ {
+		h.failure()
+	}
 	if h.State() != "quarantined" {
 		t.Fatalf("state %s, want quarantined", h.State())
 	}
@@ -143,8 +150,13 @@ func TestHealthProbationFailureRequarantines(t *testing.T) {
 // TestHealthBackoffCap: repeated probe failures double the backoff only up to
 // 16× the base.
 func TestHealthBackoffCap(t *testing.T) {
-	h, now, _ := healthHarness(1, time.Second, 1)
-	h.failure() // quarantine, backoff 1s
+	h, now, _ := healthHarness(time.Second)
+	quarantine := func() {
+		for i := 0; i < quarantineThreshold; i++ {
+			h.failure()
+		}
+	}
+	quarantine() // backoff 1s
 	for i := 0; i < 10; i++ {
 		*now = now.Add(time.Hour) // always past any backoff
 		if !h.allowProbe() {
@@ -163,34 +175,18 @@ func TestHealthBackoffCap(t *testing.T) {
 	if !h.allowProbe() {
 		t.Fatal("probe refused")
 	}
-	h.success()
+	for i := 0; i < quarantineProbes; i++ {
+		h.success()
+	}
 	if h.State() != "healthy" {
 		t.Fatalf("state %s, want healthy", h.State())
 	}
-	h.failure() // threshold 1: immediate re-quarantine
+	quarantine()
 	h.mu.Lock()
 	cur = h.curBackoff
 	h.mu.Unlock()
 	if cur != time.Second {
 		t.Fatalf("backoff after recovery = %v, want base 1s", cur)
-	}
-}
-
-// TestHealthDisabled: a zero threshold turns the tracker off — always
-// serving, never probing, no state changes, and a nil tracker is safe.
-func TestHealthDisabled(t *testing.T) {
-	h := newHealth(0, time.Second, 3, nil)
-	for i := 0; i < 100; i++ {
-		h.failure()
-	}
-	if !h.serving() || h.State() != "healthy" || h.allowProbe() {
-		t.Fatalf("disabled tracker changed state: %s", h.State())
-	}
-	var nilH *health
-	nilH.failure()
-	nilH.success()
-	if !nilH.serving() || nilH.allowProbe() || nilH.stateValue() != healthHealthy {
-		t.Fatal("nil tracker not inert")
 	}
 }
 
@@ -226,57 +222,55 @@ func (b *refBreaker) failure(now time.Time) {
 // TestHealthTripsNoLaterThanBreaker is the differential property behind
 // folding the breaker into the health machine: over seeded random sequences
 // of model-path outcomes with cache hits interleaved, each machine seeing
-// only what its own gate admits, the health machine with QuarantineThreshold
-// = T is quarantined whenever the reference breaker with threshold T is open.
+// only what its own gate admits, the health machine is quarantined whenever
+// the reference breaker with threshold quarantineThreshold is open.
 // The clock stands still while a sequence runs, so neither the cooldown nor
 // the backoff elapses and the property is exactly "trips no later"; it then
 // jumps past both, and a failed trial must leave both machines shut.
 func TestHealthTripsNoLaterThanBreaker(t *testing.T) {
-	const sequences, events = 1000, 200
-	for _, T := range []int{1, 3, 5} {
-		for seed := 0; seed < sequences; seed++ {
-			rng := rand.New(rand.NewSource(int64(seed)))
-			pHit, pFail := rng.Float64(), rng.Float64()
-			h, now, _ := healthHarness(T, time.Second, 3)
-			ref := &refBreaker{threshold: T, cooldown: time.Second}
-			check := func(step int) {
-				t.Helper()
-				if !ref.allow(*now) && h.State() != "quarantined" {
-					t.Fatalf("T=%d seed=%d step %d: reference breaker is open but health is %s", T, seed, step, h.State())
+	const sequences, events, T = 1000, 200, quarantineThreshold
+	for seed := 0; seed < sequences; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		pHit, pFail := rng.Float64(), rng.Float64()
+		h, now, _ := healthHarness(time.Second)
+		ref := &refBreaker{threshold: T, cooldown: time.Second}
+		check := func(step int) {
+			t.Helper()
+			if !ref.allow(*now) && h.State() != "quarantined" {
+				t.Fatalf("T=%d seed=%d step %d: reference breaker is open but health is %s", T, seed, step, h.State())
+			}
+		}
+		for step := 0; step < events; step++ {
+			hit, failed := rng.Float64() < pHit, rng.Float64() < pFail
+			// The reference never saw cache hits; health sees whatever the
+			// pool's admission pass would let through.
+			if !hit && ref.allow(*now) {
+				if failed {
+					ref.failure(*now)
+				} else {
+					ref.success()
 				}
 			}
-			for step := 0; step < events; step++ {
-				hit, failed := rng.Float64() < pHit, rng.Float64() < pFail
-				// The reference never saw cache hits; health sees whatever the
-				// pool's admission pass would let through.
-				if !hit && ref.allow(*now) {
-					if failed {
-						ref.failure(*now)
-					} else {
-						ref.success()
-					}
+			if h.serving() || h.allowProbe() {
+				switch {
+				case hit:
+					h.cacheHit()
+				case failed:
+					h.failure()
+				default:
+					h.success()
 				}
-				if h.serving() || h.allowProbe() {
-					switch {
-					case hit:
-						h.cacheHit()
-					case failed:
-						h.failure()
-					default:
-						h.success()
-					}
-				}
-				check(step)
 			}
-			if ref.open {
-				*now = now.Add(time.Hour)
-				if !ref.allow(*now) || !h.allowProbe() {
-					t.Fatalf("T=%d seed=%d: no trial admitted an hour after tripping", T, seed)
-				}
-				ref.failure(*now)
-				h.failure()
-				check(events)
+			check(step)
+		}
+		if ref.open {
+			*now = now.Add(time.Hour)
+			if !ref.allow(*now) || !h.allowProbe() {
+				t.Fatalf("T=%d seed=%d: no trial admitted an hour after tripping", T, seed)
 			}
+			ref.failure(*now)
+			h.failure()
+			check(events)
 		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 )
 
 // Inferencer is the seam between the HTTP surface and the model tier. The
-// Server decodes and plans requests, applies global shedding and timeouts,
-// and renders responses; everything that touches a trained model — matching,
-// routing, caching, replica health, and inference itself — happens
+// Server decodes and plans requests, sets the per-request timeout, and
+// renders responses; everything that touches a trained model — matching,
+// routing, admission, caching, replica health, and inference itself — happens
 // behind this interface. Pool is the one production implementation (a single
 // replica is a one-node pool); tests stub the interface to exercise the HTTP
 // surface without training anything.
@@ -84,8 +84,10 @@ func explainPlan(root *plan.Node) Explanation {
 	}
 }
 
-// ErrSaturated reports that the routed replica's bounded work queue was full;
-// the Server sheds the request with 503 + Retry-After.
+// ErrSaturated reports that a replica's bounded work queue was full — the
+// serving tier's one "not now". The pool fails over past it; when the last
+// candidate tried returns it, the Server sheds the request with 503 +
+// Retry-After.
 var ErrSaturated = errors.New("serve: replica work queue is full")
 
 // errModelFault is the injected transient model error (chaos drills); the

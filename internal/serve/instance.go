@@ -53,10 +53,10 @@ type instance struct {
 	// to ring successors until probes re-admit it.
 	health *health
 
-	// queue bounds concurrently admitted requests on this replica (nil =
-	// unbounded). Routing is by plan hash, not load, so a replica stuck on a
-	// slow inference sheds its own overflow instead of queueing unboundedly
-	// while its siblings idle.
+	// queue bounds concurrently admitted requests on this replica; its
+	// length is the replica's in-flight count. Routing is by plan hash, not
+	// load, so a replica stuck on a slow inference sheds its own overflow
+	// instead of queueing unboundedly while its siblings idle.
 	queue chan struct{}
 
 	// qmu serializes the replica's quality state: the sliding window of
@@ -68,24 +68,21 @@ type instance struct {
 	qwin *quality.Window
 	qmon *quality.Monitor
 
-	inflight atomic.Int64
-	served   atomic.Uint64
-	shed     atomic.Uint64
+	served atomic.Uint64
+	shed   atomic.Uint64
 }
 
 func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, fgate *faultGate, opts Options) *instance {
 	ins := &instance{
 		id: id, gen: gen, sys: sys, opts: opts,
 		metrics: metrics, fgate: fgate,
-		health: newHealth(opts.QuarantineThreshold, opts.QuarantineBackoff, opts.QuarantineProbes, metrics),
+		health: newHealth(opts.QuarantineBackoff, metrics),
+		queue:  make(chan struct{}, opts.QueueDepth),
 		qwin:   quality.NewWindow(qualityWindowSize),
 		qmon:   quality.NewMonitor(sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery}),
 	}
 	if opts.CacheEntries > 0 {
 		ins.cache = newPredCache(opts.CacheEntries, metrics)
-	}
-	if opts.QueueDepth > 0 {
-		ins.queue = make(chan struct{}, opts.QueueDepth)
 	}
 	return ins
 }
@@ -99,22 +96,18 @@ func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, f
 // → inference → cache fill.
 func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node, fp uint64) (Prediction, error) {
 	p := Prediction{Replica: ins.id, Generation: ins.gen}
-	if ins.queue != nil {
-		select {
-		case ins.queue <- struct{}{}:
-			defer func() { <-ins.queue }()
-		default:
-			// An admission shed counts as a health failure: a replica that
-			// cannot accept its shard's traffic is unhealthy from the
-			// router's point of view, whatever the cause.
-			ins.shed.Add(1)
-			ins.metrics.replicaSheds.Add(1)
-			ins.health.failure()
-			return p, ErrSaturated
-		}
+	select {
+	case ins.queue <- struct{}{}:
+		defer func() { <-ins.queue }()
+	default:
+		// An admission shed counts as a health failure: a replica that
+		// cannot accept its shard's traffic is unhealthy from the router's
+		// point of view, whatever the cause.
+		ins.shed.Add(1)
+		ins.metrics.replicaSheds.Add(1)
+		ins.health.failure()
+		return p, ErrSaturated
 	}
-	ins.inflight.Add(1)
-	defer ins.inflight.Add(-1)
 	defer ins.served.Add(1)
 
 	ins.observeDrift(root)
@@ -225,7 +218,7 @@ func (ins *instance) status() ReplicaStatus {
 		Generation:  ins.gen,
 		Served:      ins.served.Load(),
 		Shed:        ins.shed.Load(),
-		InFlight:    ins.inflight.Load(),
+		InFlight:    int64(len(ins.queue)),
 		QueueDepth:  cap(ins.queue),
 		Health:      ins.health.State(),
 		HealthValue: ins.health.stateValue(),

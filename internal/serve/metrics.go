@@ -68,7 +68,7 @@ type Metrics struct {
 	fallbacks      atomic.Uint64 // predictions answered by the fallback path
 	predictedPages atomic.Uint64 // total pages across predicted sets
 
-	sheds    atomic.Uint64 // requests answered 503: in-flight limit or a full replica queue
+	sheds    atomic.Uint64 // requests answered 503 overloaded
 	timeouts atomic.Uint64 // inferences that blew the request timeout
 
 	// Fleet totals with no obs.Kind of their own. They live here, not on the

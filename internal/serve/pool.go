@@ -33,7 +33,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/pythia-db/pythia/internal/catalog"
 	"github.com/pythia-db/pythia/internal/obs"
@@ -98,17 +97,12 @@ func failoverable(err error) bool {
 	return errors.Is(err, ErrSaturated) || errors.Is(err, errModelFault)
 }
 
-// maxFailoverCand bounds the stack-allocated candidate array in Predict;
-// MaxFailovers past it would heap-allocate, which Normalize's default (2)
-// never does.
-const maxFailoverCand = 8
-
 // Predict walks the serving tier's one failure ladder: shed → failover →
 // quarantine → cached-or-degraded fallback → probe → recover. It matches the
 // query once on the routing replica, fingerprints its plan once, routes the
 // fingerprint through the ring, and answers on the owning replica — or, when
 // the owner is quarantined, saturated, or faulting, fails over to up to
-// Options.MaxFailovers ring successors (each hop recorded as a failover).
+// maxFailovers ring successors (each hop recorded as a failover).
 //
 // Admission is lazy: a candidate's health is consulted only when the walk
 // reaches it, so a request the owner answers never touches a successor.
@@ -131,8 +125,8 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 	if p.opts.CacheEntries > 0 {
 		p.warm.note(fp, q, root)
 	}
-	var obuf [maxFailoverCand]int
-	order := gen.ring.lookupN(fp, obuf[:0], p.opts.MaxFailovers+1)
+	var obuf [maxFailovers + 1]int
+	order := gen.ring.lookupN(fp, obuf[:0], len(obuf))
 
 	var pred Prediction
 	var err error
@@ -256,10 +250,6 @@ func (p *Pool) Swap(r io.Reader) error {
 // cache. Best-effort by design — a faulted or slow warm-up prediction just
 // means a cold first request for that plan.
 func (p *Pool) warmUp(next *generation) {
-	timeout := p.opts.RequestTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
 	router := next.instances[0]
 	for _, e := range p.warm.snapshot() {
 		tw := router.sys.Lookup(e.q)
@@ -267,7 +257,7 @@ func (p *Pool) warmUp(next *generation) {
 			continue
 		}
 		fp := fingerprint(tw.Name, tw.Pred.EncodePlan(e.root))
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), p.opts.RequestTimeout)
 		_, _ = next.instances[next.ring.lookup(fp)].predict(ctx, e.q, e.root, fp)
 		cancel()
 	}

@@ -142,13 +142,12 @@ func TestSwapUnderLoad(t *testing.T) {
 	}
 
 	// Cache disabled so every request runs real inference through the serving
-	// generation's weights — the strongest torn-model probe. Shedding and
-	// queueing disabled so any non-200 is a real failure.
+	// generation's weights — the strongest torn-model probe. The queues are
+	// deeper than the load is wide, so any non-200 is a real failure.
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{
 		Replicas:     2,
 		CacheEntries: -1,
-		MaxInFlight:  -1,
-		QueueDepth:   -1,
+		QueueDepth:   1 << 10,
 	})
 
 	probes := distinctInstances(t, srv, w, 4)
@@ -429,34 +428,36 @@ func TestServerWithStubInferencer(t *testing.T) {
 	}
 }
 
-// TestOptionsNormalize pins the zero=default / negative=disable convention
-// and the rejected combinations.
+// TestOptionsNormalize pins the eight fields' defaults, the one off-switch
+// (CacheEntries), the rejected negatives, and idempotence.
 func TestOptionsNormalize(t *testing.T) {
 	norm, err := Options{}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if norm.RequestTimeout != 5*time.Second || norm.MaxInFlight != 64 ||
-		norm.MaxBodyBytes != 1<<20 || norm.CacheEntries != 4096 ||
-		norm.Replicas != 1 || norm.QueueDepth != 32 ||
-		norm.QuarantineThreshold != 5 || norm.QuarantineBackoff != time.Second ||
-		norm.QuarantineProbes != 3 || norm.MaxFailovers != 2 {
-		t.Fatalf("defaults wrong: %+v", norm)
+	if want := (Options{RequestTimeout: 5 * time.Second, MaxBodyBytes: 1 << 20, CacheEntries: 4096,
+		Replicas: 1, QueueDepth: 32, QuarantineBackoff: time.Second}); norm != want {
+		t.Fatalf("defaults %+v, want %+v", norm, want)
 	}
-	norm, err = Options{MaxInFlight: -1, MaxBodyBytes: -1, CacheEntries: -1, QueueDepth: -1,
-		QuarantineThreshold: -1, MaxFailovers: -1}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.MaxInFlight != 0 || norm.MaxBodyBytes != 0 || norm.CacheEntries != 0 ||
-		norm.QueueDepth != 0 ||
-		norm.QuarantineThreshold != 0 || norm.MaxFailovers != 0 {
-		t.Fatalf("negatives did not disable: %+v", norm)
+	for entries, want := range map[int]int{-1: -1, 0: 4096, 7: 7} {
+		once, err := Options{CacheEntries: entries}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if once.CacheEntries != want {
+			t.Errorf("CacheEntries %d normalized to %d, want %d", entries, once.CacheEntries, want)
+		}
+		if twice, err := once.Normalize(); err != nil || twice != once {
+			t.Errorf("CacheEntries %d: Normalize is not idempotent: %+v then %+v (%v)", entries, once, twice, err)
+		}
 	}
 
 	invalid := []Options{
+		{RequestTimeout: -time.Second},
+		{MaxBodyBytes: -1},
 		{Replicas: -1},
-		{QuarantineThreshold: 3, QuarantineBackoff: -time.Second},
+		{QueueDepth: -1},
+		{QuarantineBackoff: -time.Second},
 	}
 	for i, o := range invalid {
 		if _, err := o.Normalize(); err == nil {

@@ -83,7 +83,7 @@ func families(s *statsResponse) []family {
 		{"pythia_model_generation", gauge, "Serving model generation (increments on reload).", one(s.Generation)},
 		{"pythia_model_swaps_total", counter, "Completed zero-downtime model swaps.", one(s.Swaps)},
 		{"pythia_replica_sheds_total", counter, "Requests shed at a replica's bounded work queue.", one(s.ReplicaSheds)},
-		{"pythia_requests_shed_total", counter, "Requests refused at the in-flight limit.", one(s.Shed)},
+		{"pythia_requests_shed_total", counter, "Requests answered 503 overloaded.", one(s.Shed)},
 		{"pythia_inference_timeouts_total", counter, "Inferences that exceeded the request timeout.", one(s.Timeouts)},
 		{"pythia_replica_failovers_total", counter, "Requests rerouted past an unhealthy, saturated, or faulting replica to a ring successor.", one(s.Failovers)},
 		{"pythia_predcache_hits_total", counter, "Prediction-cache hits (requests answered with zero inference).", one(s.FleetCache.Hits)},

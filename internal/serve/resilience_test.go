@@ -46,10 +46,13 @@ func TestBodyCapAnswers413(t *testing.T) {
 	}
 }
 
+// TestLoadSheddingAnswers503: the replica work queue is the one admission
+// point. With it full a predict is shed; an explain, which touches no model,
+// is not gated at all.
 func TestLoadSheddingAnswers503(t *testing.T) {
-	srv, w := resilienceServer(t, Options{MaxInFlight: 1})
-	// Saturate the in-flight slot, then observe the next request shed.
-	srv.inflight.Add(1)
+	srv, w := resilienceServer(t, Options{QueueDepth: 1})
+	// Hold the replica's only queue slot, then observe the next predict shed.
+	srv.inst().queue <- struct{}{}
 	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
 	if rr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
@@ -60,11 +63,14 @@ func TestLoadSheddingAnswers503(t *testing.T) {
 	if env := decodeEnvelope(t, rr); env.Error.Code != CodeOverloaded {
 		t.Fatalf("envelope wrong: %+v", env)
 	}
-	if srv.metrics.sheds.Load() != 1 {
-		t.Fatalf("sheds counter %d, want 1", srv.metrics.sheds.Load())
+	if rr := doRequest(t, srv, http.MethodPost, "/v1/explain", matchedBody(t, w)); rr.Code != http.StatusOK {
+		t.Fatalf("explain with the queue full: status %d: %s", rr.Code, rr.Body.String())
+	}
+	if srv.metrics.sheds.Load() != 1 || srv.metrics.replicaSheds.Load() != 1 {
+		t.Fatalf("sheds counter %d, replica sheds %d, want 1 and 1", srv.metrics.sheds.Load(), srv.metrics.replicaSheds.Load())
 	}
 	// Releasing the slot restores service.
-	srv.inflight.Add(-1)
+	<-srv.inst().queue
 	rr = doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("post-shed status %d: %s", rr.Code, rr.Body.String())
@@ -91,11 +97,7 @@ func TestInferenceTimeoutAnswers504(t *testing.T) {
 // while a previously cached plan still answers from the cache; a failed probe
 // doubles the backoff; once the fault clears, probes re-admit the replica.
 func TestFailureLadderSingleReplica(t *testing.T) {
-	srv, w := resilienceServer(t, Options{
-		QuarantineThreshold: 2,
-		QuarantineBackoff:   time.Minute,
-		QuarantineProbes:    2,
-	})
+	srv, w := resilienceServer(t, Options{QuarantineBackoff: time.Minute})
 	now := time.Unix(0, 0)
 	srv.inst().health.now = func() time.Time { return now }
 	insts := distinctInstances(t, srv, w, 2)
@@ -116,10 +118,10 @@ func TestFailureLadderSingleReplica(t *testing.T) {
 		t.Fatalf("warm-up answer wrong: %+v", resp)
 	}
 
-	// QuarantineThreshold injected model errors: each answers 500 (a single
+	// quarantineThreshold injected model errors: each answers 500 (a single
 	// replica has no successor to fail over to), then the replica is out.
 	srv.SetFault(fault.New(fault.Plan{ServeRate: 1}, 1))
-	for i := 0; i < 2; i++ {
+	for i := 0; i < quarantineThreshold; i++ {
 		rr := post(cold)
 		if rr.Code != http.StatusInternalServerError {
 			t.Fatalf("fault %d: status %d: %s", i, rr.Code, rr.Body.String())
@@ -155,21 +157,23 @@ func TestFailureLadderSingleReplica(t *testing.T) {
 	now = now.Add(time.Minute)
 	degraded("inside the doubled backoff")
 
-	// Fault clears; the next probe succeeds (probation) and the repeat — now a
-	// cache hit — is the second probe success that restores healthy.
+	// Fault clears; the next probe succeeds (probation) and its repeats — now
+	// cache hits — are the remaining probe successes that restore healthy.
 	srv.SetFault(nil)
 	now = now.Add(time.Minute)
 	if resp := predictOK(t, srv, w, cold); resp.Fallback || resp.Cached || resp.Replica != 0 {
 		t.Fatalf("recovery probe answered %+v, want a model answer from replica 0", resp)
 	}
-	if st := srv.inst().health.State(); st != "probation" {
-		t.Fatalf("health %s after one probe success, want probation", st)
-	}
-	if resp := predictOK(t, srv, w, cold); !resp.Cached {
-		t.Fatalf("probation repeat answered %+v, want a cache hit", resp)
+	for i := 1; i < quarantineProbes; i++ {
+		if st := srv.inst().health.State(); st != "probation" {
+			t.Fatalf("health %s after %d probe successes, want probation", st, i)
+		}
+		if resp := predictOK(t, srv, w, cold); !resp.Cached {
+			t.Fatalf("probation repeat answered %+v, want a cache hit", resp)
+		}
 	}
 	if st := srv.inst().health.State(); st != "healthy" {
-		t.Fatalf("health %s after QuarantineProbes successes, want healthy", st)
+		t.Fatalf("health %s after quarantineProbes successes, want healthy", st)
 	}
 
 	// Every rung left its event on the metrics surface.

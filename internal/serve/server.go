@@ -22,12 +22,13 @@
 // disconnected is abandoned rather than computed to completion.
 //
 // The server degrades rather than piles up: request bodies are capped (413),
-// in-flight model requests are bounded with load shedding (503 +
-// Retry-After), inference runs under a per-request timeout (504), and a
-// replica whose model path keeps failing is quarantined: its plans fail over
-// to ring successors or, with none live, answer from its prediction cache or
-// the advisory fallback until backoff-gated probes re-admit it. All of it is
-// visible on /metrics and /stats.
+// each replica's bounded work queue is the one admission point — a predict
+// every candidate replica refuses is shed (503 + Retry-After) — inference
+// runs under a per-request timeout (504), and a replica whose model path
+// keeps failing is quarantined: its plans fail over to ring successors or,
+// with none live, answer from its prediction cache or the advisory fallback
+// until backoff-gated probes re-admit it. All of it is visible on /metrics
+// and /stats.
 //
 // The model tier behind the handlers is a Pool of Options.Replicas
 // independent model replicas (one by default) behind a consistent-hash
@@ -76,141 +77,10 @@ const (
 // is visible in metrics.
 const StatusClientClosedRequest = 499
 
-// Options are the server's resilience and topology knobs. The zero value of
-// each field selects a sensible default; a negative value disables that
-// protection entirely (useful in tests and trusted deployments) unless a
-// field documents otherwise. Call Normalize to resolve the convention and
-// validate combinations; New does it for you.
-type Options struct {
-	// RequestTimeout bounds model inference per request; an expired budget
-	// answers 504 deadline_exceeded. Default 5s.
-	RequestTimeout time.Duration
-	// MaxInFlight bounds concurrently served model requests (predict and
-	// explain) across the whole server; excess load is shed with 503 +
-	// Retry-After. Default 64.
-	MaxInFlight int
-	// MaxBodyBytes caps the request body; larger posts answer 413. Default
-	// 1 MiB.
-	MaxBodyBytes int64
-	// Fault, when non-nil, injects transient model errors at the injector's
-	// Serve and Replica sites — the deterministic chaos hook the failure-ladder
-	// tests and drills run against. Shared across replicas under one lock.
-	Fault *fault.Injector
-	// CacheEntries bounds each replica's plan-fingerprint prediction cache;
-	// identical plans answer from it without running inference. Default 4096
-	// entries per replica; negative disables caching.
-	CacheEntries int
-	// Replicas is the number of independent model replicas behind the
-	// consistent-hash router. 1 (the default) is a one-node ring over the
-	// trained system itself; N > 1 snapshots it and decodes N-1 clones, so
-	// forward passes on distinct replicas run truly in parallel. Negative is
-	// rejected by Normalize.
-	Replicas int
-	// QueueDepth bounds each replica's concurrently admitted requests;
-	// overflow is shed with 503 before it queues behind a busy model.
-	// Default 32 per replica; negative disables the per-replica bound
-	// (MaxInFlight still applies globally).
-	QueueDepth int
-	// SnapshotPath is the default snapshot file for POST /v1/admin/reload
-	// and SIGHUP reloads (a pythia.System.Save bundle). Empty means reloads
-	// must name a path explicitly.
-	SnapshotPath string
-	// QuarantineThreshold is the model-path failure count, within a
-	// replica's sliding outcome window, that quarantines the replica: the
-	// ring fails its shard over to successors and only backoff-gated probes
-	// reach it until probes succeed. Default 5 (half that marks the replica
-	// degraded); negative disables health tracking entirely.
-	QuarantineThreshold int
-	// QuarantineBackoff is the initial delay before a quarantined replica is
-	// probed; each failed probe doubles it (capped at 16×). Default 1s.
-	// Disabling the backoff while health tracking is enabled is rejected by
-	// Normalize (a quarantined replica could never be probed).
-	QuarantineBackoff time.Duration
-	// QuarantineProbes is how many consecutive probe successes re-admit a
-	// quarantined replica to normal routing. Default 3.
-	QuarantineProbes int
-	// MaxFailovers bounds the failover cascade: how many ring successors a
-	// request may try past its owning replica when the owner is quarantined,
-	// saturated, or faulting. Default 2; negative disables failover (the
-	// owner's error reaches the client: 503 on saturation, 500 on faults).
-	MaxFailovers int
-}
-
-// Normalize resolves the zero=default / negative=disable convention into
-// effective values and rejects contradictory combinations, mirroring the
-// pythia.Config and replay.Config convention. It is what New applies;
-// callers that want to fail gracefully (or log the resolved options, as
-// pythia-serve does) call it themselves first.
-//
-// Normalize resolves "disabled" to 0, so it is not idempotent for disabled
-// fields — normalize the original options, not an already-normalized copy.
-func (o Options) Normalize() (Options, error) {
-	if o.Replicas < 0 {
-		return o, fmt.Errorf("serve: Replicas must be >= 0, got %d", o.Replicas)
-	}
-	if o.QuarantineThreshold > 0 && o.QuarantineBackoff < 0 {
-		return o, fmt.Errorf("serve: QuarantineThreshold %d with disabled QuarantineBackoff: a quarantined replica could never be probed (disable health tracking with a negative threshold instead)", o.QuarantineThreshold)
-	}
-	def := func(v, d time.Duration) time.Duration {
-		if v == 0 {
-			return d
-		}
-		return max(v, 0)
-	}
-	o.RequestTimeout = def(o.RequestTimeout, 5*time.Second)
-	switch {
-	case o.MaxInFlight == 0:
-		o.MaxInFlight = 64
-	case o.MaxInFlight < 0:
-		o.MaxInFlight = 0
-	}
-	switch {
-	case o.MaxBodyBytes == 0:
-		o.MaxBodyBytes = 1 << 20
-	case o.MaxBodyBytes < 0:
-		o.MaxBodyBytes = 0
-	}
-	switch {
-	case o.CacheEntries == 0:
-		o.CacheEntries = 4096
-	case o.CacheEntries < 0:
-		o.CacheEntries = 0
-	}
-	if o.Replicas == 0 {
-		o.Replicas = 1
-	}
-	switch {
-	case o.QueueDepth == 0:
-		o.QueueDepth = 32
-	case o.QueueDepth < 0:
-		o.QueueDepth = 0
-	}
-	switch {
-	case o.QuarantineThreshold == 0:
-		o.QuarantineThreshold = 5
-	case o.QuarantineThreshold < 0:
-		o.QuarantineThreshold = 0
-	}
-	o.QuarantineBackoff = def(o.QuarantineBackoff, time.Second)
-	switch {
-	case o.QuarantineProbes == 0:
-		o.QuarantineProbes = 3
-	case o.QuarantineProbes < 0:
-		o.QuarantineProbes = 1
-	}
-	switch {
-	case o.MaxFailovers == 0:
-		o.MaxFailovers = 2
-	case o.MaxFailovers < 0:
-		o.MaxFailovers = 0
-	}
-	return o, nil
-}
-
 // Server answers prediction requests over an Inferencer — the replica Pool,
-// or a test stub. The Server owns the HTTP concerns (decoding,
-// planning, global shedding, timeouts, response rendering, observability);
-// the Inferencer owns everything that touches a model.
+// or a test stub. The Server owns the HTTP concerns (decoding, planning,
+// timeouts, response rendering, observability); the Inferencer owns
+// everything that touches a model, admission included.
 type Server struct {
 	db      *catalog.Database
 	inf     Inferencer
@@ -228,7 +98,6 @@ type Server struct {
 	qmu     sync.Mutex
 	qwin    *quality.Window
 
-	inflight atomic.Int64
 	draining atomic.Bool
 }
 
@@ -303,8 +172,8 @@ func (s *Server) SetFault(inj *fault.Injector) { s.fgate.set(inj) }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for name, h := range map[string]http.HandlerFunc{
-		"predict":        s.shed(s.handlePredict),
-		"explain":        s.shed(s.handleExplain),
+		"predict":        s.handlePredict,
+		"explain":        s.handleExplain,
 		"feedback":       s.handleFeedback,
 		"healthz":        s.handleHealth,
 		"admin/reload":   s.handleReload,
@@ -315,26 +184,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.metrics.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("/stats", s.metrics.instrument("stats", s.handleStats))
 	return mux
-}
-
-// shed wraps a model-path handler with bounded-concurrency load shedding:
-// past MaxInFlight, requests are refused immediately with 503 + Retry-After
-// instead of queueing behind a saturated model.
-func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if limit := int64(s.opts.MaxInFlight); limit > 0 {
-			if s.inflight.Add(1) > limit {
-				s.inflight.Add(-1)
-				s.metrics.sheds.Add(1)
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable, CodeOverloaded,
-					fmt.Sprintf("server is at its in-flight limit (%d); retry shortly", limit))
-				return
-			}
-			defer s.inflight.Add(-1)
-		}
-		h(w, r)
-	}
 }
 
 type errorEnvelope struct {
@@ -393,11 +242,7 @@ func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, usage string
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, usage)
 		return false
 	}
-	body := r.Body
-	if s.opts.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, body, s.opts.MaxBodyBytes)
-	}
-	err := dec(body)
+	err := dec(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	if err == nil {
 		return true
 	}
@@ -439,12 +284,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	defer cancel()
 	start := time.Now()
 	pred, err := s.inf.Predict(ctx, q, root)
 	if err != nil {
@@ -536,8 +377,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 // writePredictError maps Inferencer sentinel errors onto the HTTP error
-// contract: replica saturation → 503, injected model faults → 500, expired
-// budgets → 504, disconnected clients → 499.
+// contract: replica saturation → 503 (the server's only overloaded answer),
+// injected model faults → 500, expired budgets → 504, disconnected clients →
+// 499.
 func (s *Server) writePredictError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrSaturated):
@@ -632,194 +474,4 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// taken after the snapshot's own.
 	snap.UptimeMonotonicSeconds = s.metrics.UptimeMonotonic().Seconds()
 	writeJSON(w, snap)
-}
-
-// statsResponse is the one snapshot of the serving books: the JSON shape of
-// /stats, and the only input of the /metrics renderer — what /metrics needs
-// and /stats does not print rides along as json:"-" fields.
-//
-// Fleet totals (requests_shed, replica_failovers, predcache hits/misses/
-// evictions, quality.scored, the drift counters) each read one monotonic
-// counter in the Metrics hub, so they survive a model swap; the replicas rows
-// are the serving generation's own books and restart with it.
-type statsResponse struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// UptimeMonotonicSeconds is the high-water uptime reading: it never
-	// decreases between scrapes even when the wall clock behind
-	// UptimeSeconds steps backward.
-	UptimeMonotonicSeconds float64           `json:"uptime_monotonic_seconds"`
-	Build                  BuildInfo         `json:"build"`
-	Requests               []requestRow      `json:"requests"`
-	Latency                []latencyRow      `json:"latency"`
-	Predictions            uint64            `json:"predictions"`
-	Fallbacks              uint64            `json:"fallbacks"`
-	FallbackRate           float64           `json:"fallback_rate"`
-	PredictedPages         uint64            `json:"predicted_pages"`
-	AvgSetSize             float64           `json:"avg_set_size"`
-	Events                 map[string]uint64 `json:"events"`
-	BufferHitRatio         float64           `json:"buffer_hit_ratio"`
-	OSHitRatio             float64           `json:"oscache_hit_ratio"`
-	Shed                   uint64            `json:"requests_shed"`
-	Timeouts               uint64            `json:"inference_timeouts"`
-	Failovers              uint64            `json:"replica_failovers"`
-	HealthState            string            `json:"health_state"`
-	Draining               bool              `json:"draining"`
-	Generation             uint64            `json:"generation"`
-	Swaps                  uint64            `json:"swaps"`
-	Replicas               []ReplicaStatus   `json:"replicas"`
-	// PredCache is the fleet view of the prediction caches (FleetCache below),
-	// printed only when caching is on.
-	PredCache *predCacheStats `json:"predcache,omitempty"`
-	// Quality aggregates the feedback-scored prediction quality server-wide;
-	// per-replica views are in the replicas rows. Always present — zeros mean
-	// "no feedback yet", and rendering the block unconditionally keeps the
-	// /stats shape configuration-independent.
-	Quality qualityStats `json:"quality"`
-	// Drift is the fleet view of the replicas' drift detectors.
-	Drift driftAggStats `json:"drift"`
-	// Baseline identifies the drift baseline the serving snapshot carries
-	// (absent when the system is untrained or predates baselines).
-	Baseline *corepythia.BaselineID `json:"baseline,omitempty"`
-
-	// /metrics only: every event kind including the zeros Events omits, the
-	// model inventory, the replica-queue shed total, the cache totals even
-	// when caching is off, and the health state as a gauge.
-	EventCounts  obs.Counters   `json:"-"`
-	Workloads    int            `json:"-"`
-	ModelParams  int            `json:"-"`
-	ReplicaSheds uint64         `json:"-"`
-	FleetCache   predCacheStats `json:"-"`
-	HealthValue  int            `json:"-"`
-}
-
-// qualityStats is the /stats view of the server-wide feedback window.
-type qualityStats struct {
-	// Scored is the lifetime count of feedback reports scored.
-	Scored uint64 `json:"scored"`
-	// Window is how many scores the sliding window currently holds.
-	Window int `json:"window"`
-	// Precision and Recall are micro-averaged over the window (0 when empty).
-	Precision float64 `json:"precision"`
-	Recall    float64 `json:"recall"`
-	// WastedRatio is 1 − precision over the window.
-	WastedRatio float64 `json:"wasted_ratio"`
-}
-
-// driftAggStats is the fleet view of drift: the single-state summary a
-// dashboard alerts on. State (StateValue as a gauge) and Score describe the
-// serving generation — the worst replica, so a healthy one cannot mask an
-// alarming one; the counters are lifetime fleet totals. Warnings counts every
-// transition into warning, an alarm stepping down through it included (a
-// replica row's drift.warnings counts raises only).
-type driftAggStats struct {
-	State       string  `json:"state"`
-	StateValue  int     `json:"-"`
-	Score       float64 `json:"score"`
-	Evaluations uint64  `json:"evaluations"`
-	Warnings    uint64  `json:"warnings"`
-	Alarms      uint64  `json:"alarms"`
-	Recoveries  uint64  `json:"recoveries"`
-}
-
-// predCacheStats is the fleet view of the prediction caches: residency
-// summed across the serving replicas, lifetime outcome totals.
-type predCacheStats struct {
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-}
-
-// snapshot reads the hub and the model tier once and does every fleet
-// aggregation once; /stats marshals the result and /metrics renders it.
-func (s *Server) snapshot() *statsResponse {
-	m := s.metrics
-	ev := m.events.Snapshot()
-	st := s.inf.Status()
-	resp := &statsResponse{
-		UptimeSeconds:  m.Uptime().Seconds(),
-		Build:          m.Build(),
-		Requests:       m.snapshotRequests(),
-		Latency:        m.snapshotLatency(),
-		Predictions:    m.predictions.Load(),
-		Fallbacks:      m.fallbacks.Load(),
-		PredictedPages: m.predictedPages.Load(),
-		Events:         ev.Map(),
-		BufferHitRatio: ev.HitRatio(obs.BufferHit, obs.BufferMiss),
-		OSHitRatio:     ev.HitRatio(obs.OSCacheHit, obs.OSCacheMiss),
-		Shed:           m.sheds.Load(),
-		Timeouts:       m.timeouts.Load(),
-		Failovers:      ev.Get(obs.ReplicaFailover),
-		Draining:       s.draining.Load(),
-		Generation:     st.Generation,
-		Swaps:          st.Swaps,
-		Replicas:       st.Replicas,
-		Quality:        s.qualitySnapshot(ev.Get(obs.QualityScored)),
-		Drift:          aggregateDrift(st),
-		Baseline:       s.inf.BaselineID(),
-		EventCounts:    ev,
-		ReplicaSheds:   m.replicaSheds.Load(),
-		FleetCache:     predCacheStats{Hits: ev.Get(obs.PredCacheHit), Misses: ev.Get(obs.PredCacheMiss), Evictions: ev.Get(obs.PredCacheEvict)},
-	}
-	resp.HealthValue, resp.HealthState = worstHealthState(st)
-	resp.Drift.Evaluations = m.driftEvals.Load()
-	resp.Drift.Warnings = ev.Get(obs.DriftWarning)
-	resp.Drift.Alarms = ev.Get(obs.DriftAlarm)
-	resp.Drift.Recoveries = ev.Get(obs.DriftRecovered)
-	if resp.Predictions > 0 {
-		resp.FallbackRate = float64(resp.Fallbacks) / float64(resp.Predictions)
-		resp.AvgSetSize = float64(resp.PredictedPages) / float64(resp.Predictions)
-	}
-	for _, r := range st.Replicas {
-		resp.FleetCache.Entries += r.CacheEntries
-		resp.FleetCache.Capacity += r.CacheCapacity
-	}
-	if s.opts.CacheEntries > 0 {
-		resp.PredCache = &resp.FleetCache
-	}
-	for _, tw := range s.inf.Workloads() {
-		resp.Workloads++
-		resp.ModelParams += tw.Pred.ParamCount()
-	}
-	return resp
-}
-
-// aggregateDrift folds the serving replicas' drift detectors into the fleet
-// state: worst state, max score.
-func aggregateDrift(st InfStatus) driftAggStats {
-	var agg driftAggStats
-	for _, r := range st.Replicas {
-		agg.StateValue = max(agg.StateValue, r.Drift.StateValue)
-		agg.Score = max(agg.Score, r.Drift.Score)
-	}
-	agg.State = quality.DriftState(agg.StateValue).String()
-	return agg
-}
-
-// qualitySnapshot reads the server-wide feedback window; scored is the
-// lifetime feedback count from the hub.
-func (s *Server) qualitySnapshot(scored uint64) qualityStats {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	q := qualityStats{
-		Scored:    scored,
-		Window:    s.qwin.Len(),
-		Precision: s.qwin.Precision(),
-		Recall:    s.qwin.Recall(),
-	}
-	if q.Window > 0 {
-		q.WastedRatio = 1 - q.Precision
-	}
-	return q
-}
-
-// worstHealthState returns the most-degraded replica health state
-// (quarantined > probation > degraded > healthy) — the single-gauge view a
-// fleet dashboard alerts on; per-replica states are in the replicas rows.
-func worstHealthState(st InfStatus) (value int, name string) {
-	for _, r := range st.Replicas {
-		value = max(value, r.HealthValue)
-	}
-	return value, healthStateNames[value]
 }

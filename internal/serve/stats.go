@@ -1,0 +1,197 @@
+package serve
+
+import (
+	"github.com/pythia-db/pythia/internal/obs"
+	corepythia "github.com/pythia-db/pythia/internal/pythia"
+	"github.com/pythia-db/pythia/internal/quality"
+)
+
+// statsResponse is the one snapshot of the serving books: the JSON shape of
+// /stats, and the only input of the /metrics renderer — what /metrics needs
+// and /stats does not print rides along as json:"-" fields.
+//
+// Fleet totals (requests_shed, replica_failovers, predcache hits/misses/
+// evictions, quality.scored, the drift counters) each read one monotonic
+// counter in the Metrics hub, so they survive a model swap; the replicas rows
+// are the serving generation's own books and restart with it.
+type statsResponse struct {
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	// UptimeMonotonicSeconds is the high-water uptime reading: it never
+	// decreases between scrapes even when the wall clock behind
+	// UptimeSeconds steps backward.
+	UptimeMonotonicSeconds float64           `json:"uptime_monotonic_seconds"`
+	Build                  BuildInfo         `json:"build"`
+	Requests               []requestRow      `json:"requests"`
+	Latency                []latencyRow      `json:"latency"`
+	Predictions            uint64            `json:"predictions"`
+	Fallbacks              uint64            `json:"fallbacks"`
+	FallbackRate           float64           `json:"fallback_rate"`
+	PredictedPages         uint64            `json:"predicted_pages"`
+	AvgSetSize             float64           `json:"avg_set_size"`
+	Events                 map[string]uint64 `json:"events"`
+	BufferHitRatio         float64           `json:"buffer_hit_ratio"`
+	OSHitRatio             float64           `json:"oscache_hit_ratio"`
+	Shed                   uint64            `json:"requests_shed"`
+	Timeouts               uint64            `json:"inference_timeouts"`
+	Failovers              uint64            `json:"replica_failovers"`
+	HealthState            string            `json:"health_state"`
+	Draining               bool              `json:"draining"`
+	Generation             uint64            `json:"generation"`
+	Swaps                  uint64            `json:"swaps"`
+	Replicas               []ReplicaStatus   `json:"replicas"`
+	// PredCache is the fleet view of the prediction caches (FleetCache below),
+	// printed only when caching is on.
+	PredCache *predCacheStats `json:"predcache,omitempty"`
+	// Quality aggregates the feedback-scored prediction quality server-wide;
+	// per-replica views are in the replicas rows. Always present — zeros mean
+	// "no feedback yet", and rendering the block unconditionally keeps the
+	// /stats shape configuration-independent.
+	Quality qualityStats `json:"quality"`
+	// Drift is the fleet view of the replicas' drift detectors.
+	Drift driftAggStats `json:"drift"`
+	// Baseline identifies the drift baseline the serving snapshot carries
+	// (absent when the system is untrained or predates baselines).
+	Baseline *corepythia.BaselineID `json:"baseline,omitempty"`
+
+	// /metrics only: every event kind including the zeros Events omits, the
+	// model inventory, the replica-queue shed total, the cache totals even
+	// when caching is off, and the health state as a gauge.
+	EventCounts  obs.Counters   `json:"-"`
+	Workloads    int            `json:"-"`
+	ModelParams  int            `json:"-"`
+	ReplicaSheds uint64         `json:"-"`
+	FleetCache   predCacheStats `json:"-"`
+	HealthValue  int            `json:"-"`
+}
+
+// qualityStats is the /stats view of the server-wide feedback window.
+type qualityStats struct {
+	// Scored is the lifetime count of feedback reports scored.
+	Scored uint64 `json:"scored"`
+	// Window is how many scores the sliding window currently holds.
+	Window int `json:"window"`
+	// Precision and Recall are micro-averaged over the window (0 when empty).
+	Precision float64 `json:"precision"`
+	Recall    float64 `json:"recall"`
+	// WastedRatio is 1 − precision over the window.
+	WastedRatio float64 `json:"wasted_ratio"`
+}
+
+// driftAggStats is the fleet view of drift: the single-state summary a
+// dashboard alerts on. State (StateValue as a gauge) and Score describe the
+// serving generation — the worst replica, so a healthy one cannot mask an
+// alarming one; the counters are lifetime fleet totals. Warnings counts every
+// transition into warning, an alarm stepping down through it included (a
+// replica row's drift.warnings counts raises only).
+type driftAggStats struct {
+	State       string  `json:"state"`
+	StateValue  int     `json:"-"`
+	Score       float64 `json:"score"`
+	Evaluations uint64  `json:"evaluations"`
+	Warnings    uint64  `json:"warnings"`
+	Alarms      uint64  `json:"alarms"`
+	Recoveries  uint64  `json:"recoveries"`
+}
+
+// predCacheStats is the fleet view of the prediction caches: residency
+// summed across the serving replicas, lifetime outcome totals.
+type predCacheStats struct {
+	Entries   int    `json:"entries"`
+	Capacity  int    `json:"capacity"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+}
+
+// snapshot reads the hub and the model tier once and does every fleet
+// aggregation once; /stats marshals the result and /metrics renders it.
+func (s *Server) snapshot() *statsResponse {
+	m := s.metrics
+	ev := m.events.Snapshot()
+	st := s.inf.Status()
+	resp := &statsResponse{
+		UptimeSeconds:  m.Uptime().Seconds(),
+		Build:          m.Build(),
+		Requests:       m.snapshotRequests(),
+		Latency:        m.snapshotLatency(),
+		Predictions:    m.predictions.Load(),
+		Fallbacks:      m.fallbacks.Load(),
+		PredictedPages: m.predictedPages.Load(),
+		Events:         ev.Map(),
+		BufferHitRatio: ev.HitRatio(obs.BufferHit, obs.BufferMiss),
+		OSHitRatio:     ev.HitRatio(obs.OSCacheHit, obs.OSCacheMiss),
+		Shed:           m.sheds.Load(),
+		Timeouts:       m.timeouts.Load(),
+		Failovers:      ev.Get(obs.ReplicaFailover),
+		Draining:       s.draining.Load(),
+		Generation:     st.Generation,
+		Swaps:          st.Swaps,
+		Replicas:       st.Replicas,
+		Quality:        s.qualitySnapshot(ev.Get(obs.QualityScored)),
+		Drift:          aggregateDrift(st),
+		Baseline:       s.inf.BaselineID(),
+		EventCounts:    ev,
+		ReplicaSheds:   m.replicaSheds.Load(),
+		FleetCache:     predCacheStats{Hits: ev.Get(obs.PredCacheHit), Misses: ev.Get(obs.PredCacheMiss), Evictions: ev.Get(obs.PredCacheEvict)},
+	}
+	resp.HealthValue, resp.HealthState = worstHealthState(st)
+	resp.Drift.Evaluations = m.driftEvals.Load()
+	resp.Drift.Warnings = ev.Get(obs.DriftWarning)
+	resp.Drift.Alarms = ev.Get(obs.DriftAlarm)
+	resp.Drift.Recoveries = ev.Get(obs.DriftRecovered)
+	if resp.Predictions > 0 {
+		resp.FallbackRate = float64(resp.Fallbacks) / float64(resp.Predictions)
+		resp.AvgSetSize = float64(resp.PredictedPages) / float64(resp.Predictions)
+	}
+	for _, r := range st.Replicas {
+		resp.FleetCache.Entries += r.CacheEntries
+		resp.FleetCache.Capacity += r.CacheCapacity
+	}
+	if s.opts.CacheEntries > 0 {
+		resp.PredCache = &resp.FleetCache
+	}
+	for _, tw := range s.inf.Workloads() {
+		resp.Workloads++
+		resp.ModelParams += tw.Pred.ParamCount()
+	}
+	return resp
+}
+
+// aggregateDrift folds the serving replicas' drift detectors into the fleet
+// state: worst state, max score.
+func aggregateDrift(st InfStatus) driftAggStats {
+	var agg driftAggStats
+	for _, r := range st.Replicas {
+		agg.StateValue = max(agg.StateValue, r.Drift.StateValue)
+		agg.Score = max(agg.Score, r.Drift.Score)
+	}
+	agg.State = quality.DriftState(agg.StateValue).String()
+	return agg
+}
+
+// qualitySnapshot reads the server-wide feedback window; scored is the
+// lifetime feedback count from the hub.
+func (s *Server) qualitySnapshot(scored uint64) qualityStats {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	q := qualityStats{
+		Scored:    scored,
+		Window:    s.qwin.Len(),
+		Precision: s.qwin.Precision(),
+		Recall:    s.qwin.Recall(),
+	}
+	if q.Window > 0 {
+		q.WastedRatio = 1 - q.Precision
+	}
+	return q
+}
+
+// worstHealthState returns the most-degraded replica health state
+// (quarantined > probation > degraded > healthy) — the single-gauge view a
+// fleet dashboard alerts on; per-replica states are in the replicas rows.
+func worstHealthState(st InfStatus) (value int, name string) {
+	for _, r := range st.Replicas {
+		value = max(value, r.HealthValue)
+	}
+	return value, healthStateNames[value]
+}
