@@ -1,29 +1,24 @@
 package model
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"github.com/pythia-db/pythia/internal/nn"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// persistedTrunk is the on-disk form of a trained trunk: the architecture
-// configuration, the encoder's weights once, and per head its label space
-// and decoder weights. Loading rebuilds the identical architecture and
-// restores the weights, so a loaded trunk predicts exactly what the saved
-// one did. Weights are lists in parameter order, not maps, so equal trunks
-// encode to equal bytes.
-type persistedTrunk struct {
-	Version   int
+// TrunkState is a trained trunk as plain data: the architecture, the
+// encoder's weights once, and per head its label space and decoder weights.
+// Weights are lists in parameter order, not maps, so equal trunks encode to
+// equal bytes. How a state reaches a file is internal/pythia's business.
+type TrunkState struct {
 	Cfg       Config
 	VocabSize int
 	Encoder   []tensor
-	Heads     []persistedHead
+	Heads     []headState
 }
 
-type persistedHead struct {
+type headState struct {
 	Labels  []storage.PageID
 	Decoder []tensor
 }
@@ -33,8 +28,6 @@ type tensor struct {
 	W    []float64
 }
 
-const persistVersion = 2
-
 func tensors(params []*nn.Param) []tensor {
 	out := make([]tensor, len(params))
 	for i, p := range params {
@@ -43,53 +36,72 @@ func tensors(params []*nn.Param) []tensor {
 	return out
 }
 
-func restore(params []*nn.Param, ts []tensor) error {
-	snap := make(map[string][]float64, len(ts))
-	for _, t := range ts {
-		snap[t.Name] = t.W
-	}
-	return nn.Restore(params, snap)
-}
-
-// Save writes the trunk and all its heads to w (encoding/gob).
-func (t *Trunk) Save(w io.Writer) error {
-	state := persistedTrunk{
-		Version:   persistVersion,
-		Cfg:       t.cfg,
-		VocabSize: t.enc.Emb.V,
-		Encoder:   tensors(t.enc.Params()),
-	}
+// State returns the trunk and all its heads as data. The weight slices are
+// the live ones, not copies: encode the state before training further.
+func (t *Trunk) State() TrunkState {
+	s := TrunkState{Cfg: t.cfg, VocabSize: t.enc.Emb.V, Encoder: tensors(t.enc.Params())}
 	for _, h := range t.heads {
-		state.Heads = append(state.Heads, persistedHead{h.Labels, tensors(h.dec.Params())})
+		s.Heads = append(s.Heads, headState{h.Labels, tensors(h.dec.Params())})
 	}
-	return gob.NewEncoder(w).Encode(&state)
+	return s
 }
 
-// LoadTrunk reads a trunk previously written by Save.
-func LoadTrunk(r io.Reader) (*Trunk, error) {
-	var state persistedTrunk
-	if err := gob.NewDecoder(r).Decode(&state); err != nil {
-		return nil, fmt.Errorf("model: decoding persisted trunk: %w", err)
+// TrunkFromState rebuilds the trunk a state was taken from; it predicts
+// exactly what the source did. The state may come from a file, so before
+// anything is built the weights its architecture implies must be the weights
+// it carries — every allocation is then bounded by what the caller already
+// holds — and afterwards each tensor is matched to its parameter by name and
+// length.
+func TrunkFromState(s TrunkState) (*Trunk, error) {
+	c := s.Cfg
+	if c.Dim <= 0 || c.Heads <= 0 || c.Layers <= 0 || c.DecoderHidden <= 0 || s.VocabSize <= 0 || c.Dim%c.Heads != 0 {
+		return nil, fmt.Errorf("model: inconsistent architecture: vocabulary %d, dim %d, %d heads, %d layers, decoder %d",
+			s.VocabSize, c.Dim, c.Heads, c.Layers, c.DecoderHidden)
 	}
-	if state.Version != persistVersion {
-		return nil, fmt.Errorf("model: unsupported persisted version %d", state.Version)
+	// What NewTrunk allocates, in float64 because a forged dimension cannot
+	// overflow it. A layer is four d×d projections, the d×ff and ff×d pair,
+	// their six biases, and two LayerNorms' gain and bias.
+	d, ff, dh := float64(c.Dim), float64(c.FFHidden), float64(c.DecoderHidden)
+	if ff <= 0 {
+		ff = 4 * d
 	}
-	labelSets := make([][]storage.PageID, len(state.Heads))
-	for i, h := range state.Heads {
+	implied := float64(s.VocabSize)*d + float64(c.Layers)*(4*d*d+2*d*ff+ff+9*d)
+	carried := 0
+	for _, t := range s.Encoder {
+		carried += len(t.W)
+	}
+	labelSets := make([][]storage.PageID, len(s.Heads))
+	for i, h := range s.Heads {
 		if len(h.Labels) == 0 {
-			return nil, fmt.Errorf("model: persisted head %d has empty label space", i)
+			return nil, fmt.Errorf("model: head %d has an empty label space", i)
 		}
 		labelSets[i] = h.Labels
+		l := float64(len(h.Labels))
+		implied += d*dh + dh + dh*l + l
+		for _, t := range h.Decoder {
+			carried += len(t.W)
+		}
 	}
-	t := NewTrunk(state.VocabSize, labelSets, state.Cfg)
-	err := restore(t.enc.Params(), state.Encoder)
+	if implied != float64(carried) {
+		return nil, fmt.Errorf("model: architecture implies %.0f weights, state carries %d", implied, carried)
+	}
+	t := NewTrunk(s.VocabSize, labelSets, c)
+	err := restore(t.enc.Params(), s.Encoder)
 	for i, h := range t.heads {
 		if err == nil {
-			err = restore(h.dec.Params(), state.Heads[i].Decoder)
+			err = restore(h.dec.Params(), s.Heads[i].Decoder)
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("model: restoring weights: %w", err)
 	}
 	return t, nil
+}
+
+func restore(params []*nn.Param, ts []tensor) error {
+	snap := make(map[string][]float64, len(ts))
+	for _, t := range ts {
+		snap[t.Name] = t.W
+	}
+	return nn.Restore(params, snap)
 }

@@ -1,20 +1,17 @@
 package model
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
+
+	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// saveLoad round-trips a one-head trunk through Save/LoadTrunk and returns
-// the loaded head.
+// saveLoad round-trips a one-head trunk through State/TrunkFromState and
+// returns the rebuilt head.
 func saveLoad(t *testing.T, m *Model) *Model {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.trunk.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTrunk(&buf)
+	loaded, err := TrunkFromState(m.trunk.State())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +51,57 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadTrunk(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage did not error")
+// TestTrunkFromStateRejectsInconsistentState: a state may come from a file,
+// so an architecture that contradicts itself or its weights is an error —
+// the first two cases panicked inside nn before — and is refused before
+// anything sized by a forged number is allocated (the 2⁴⁰ cases would need
+// terabytes).
+func TestTrunkFromStateRejectsInconsistentState(t *testing.T) {
+	labels, samples := trainingFixture()
+	m := New(12, labels, smallCfg())
+	m.Train(samples)
+	for name, forge := range map[string]func(*TrunkState){
+		"heads do not divide dim": func(s *TrunkState) { s.Cfg.Heads = 5 },
+		"negative vocabulary":     func(s *TrunkState) { s.VocabSize = -1 },
+		"zero layers":             func(s *TrunkState) { s.Cfg.Layers = 0 },
+		"huge dim":                func(s *TrunkState) { s.Cfg.Dim = 1 << 40; s.Cfg.Heads = 1 },
+		"huge layer count":        func(s *TrunkState) { s.Cfg.Layers = 1 << 40 },
+		"huge decoder":            func(s *TrunkState) { s.Cfg.DecoderHidden = 1 << 62 },
+		"vocabulary off by one":   func(s *TrunkState) { s.VocabSize++ },
+		"empty label space":       func(s *TrunkState) { s.Heads[0].Labels = nil },
+		"missing tensor":          func(s *TrunkState) { s.Encoder = s.Encoder[1:] },
+		"renamed tensor":          func(s *TrunkState) { s.Encoder[3].Name = "enc.l0.attn.nope" },
+		"tensors swapped in size": func(s *TrunkState) { s.Encoder[1].W, s.Encoder[2].W = s.Encoder[2].W, s.Encoder[1].W },
+		"no heads, head weights":  func(s *TrunkState) { s.Encoder = append(s.Encoder, s.Heads[0].Decoder...); s.Heads = nil },
+	} {
+		s := m.trunk.State()
+		s.Encoder = append([]tensor(nil), s.Encoder...)
+		s.Heads = append([]headState(nil), s.Heads...)
+		forge(&s)
+		if trunk, err := TrunkFromState(s); err == nil || trunk != nil {
+			t.Errorf("%s: TrunkFromState = %v, %v; want an error and no trunk", name, trunk, err)
+		}
+	}
+}
+
+// TestStateRoundTripAcrossArchitectures ties the weight count TrunkFromState
+// derives from a state's architecture to what the nn constructors really
+// allocate: were the two to disagree, no state would load.
+func TestStateRoundTripAcrossArchitectures(t *testing.T) {
+	labels, _ := trainingFixture()
+	for _, cfg := range []Config{
+		smallCfg(),
+		{Dim: 12, Heads: 3, Layers: 12, FFHidden: 7, DecoderHidden: 5},
+		PaperConfig(),
+	} {
+		trunk := NewTrunk(9, [][]storage.PageID{labels, labels[:1]}, cfg)
+		loaded, err := TrunkFromState(trunk.State())
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if !reflect.DeepEqual(loaded.State(), trunk.State()) {
+			t.Errorf("%+v: state changed across a round trip", cfg)
+		}
 	}
 }
 

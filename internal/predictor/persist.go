@@ -1,10 +1,7 @@
 package predictor
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/pythia-db/pythia/internal/model"
@@ -12,66 +9,48 @@ import (
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// persistedPredictor is the on-disk form of a trained predictor: the frozen
-// vocabulary, the serializer configuration, the trunk (encoder weights once,
-// then each head's labels and decoder weights), and the database objects
-// each head covers.
-type persistedPredictor struct {
-	Version     int
+// State is a trained predictor as plain data: the serializer configuration,
+// the frozen vocabulary, the database objects each head covers, and the
+// trunk (encoder weights once, then each head's labels and decoder weights).
+type State struct {
 	SerCfg      serialize.Config
 	VocabTokens []string
-	Trunk       []byte
 	ModelObjs   [][]storage.ObjectID
 	TrainTime   time.Duration
+	Trunk       model.TrunkState
 }
 
-const persistVersion = 2
-
-// Save writes the predictor to w. Loaded predictors produce byte-identical
-// predictions for the same plans.
-func (p *Predictor) Save(w io.Writer) error {
-	var trunk bytes.Buffer
-	if err := p.trunk.Save(&trunk); err != nil {
-		return fmt.Errorf("predictor: saving trunk: %w", err)
-	}
-	return gob.NewEncoder(w).Encode(&persistedPredictor{
-		Version:     persistVersion,
+// State returns the predictor as data; see model.Trunk.State on aliasing.
+func (p *Predictor) State() State {
+	return State{
 		SerCfg:      p.serCfg,
 		VocabTokens: p.vocab.Tokens(),
-		Trunk:       trunk.Bytes(),
 		ModelObjs:   p.modelObjs,
 		TrainTime:   p.TrainTime,
-	})
+		Trunk:       p.trunk.State(),
+	}
 }
 
-// Load reads a predictor previously written by Save.
-func Load(r io.Reader) (*Predictor, error) {
-	var state persistedPredictor
-	if err := gob.NewDecoder(r).Decode(&state); err != nil {
-		return nil, fmt.Errorf("predictor: decoding: %w", err)
-	}
-	if state.Version != persistVersion {
-		return nil, fmt.Errorf("predictor: unsupported persisted version %d", state.Version)
-	}
-	vocab, err := serialize.VocabFromTokens(state.VocabTokens)
+// FromState rebuilds a predictor that predicts exactly what the source of
+// the state did. The state may come from a file: every inconsistency in it
+// is an error, never a panic here or in a later Predict.
+func FromState(s State) (*Predictor, error) {
+	vocab, err := serialize.VocabFromTokens(s.VocabTokens)
 	if err != nil {
 		return nil, err
 	}
-	trunk, err := model.LoadTrunk(bytes.NewReader(state.Trunk))
+	// Token IDs index the embedding table, so the two sizes are one number.
+	if s.Trunk.VocabSize != vocab.Size() {
+		return nil, fmt.Errorf("predictor: embedding for %d tokens but a vocabulary of %d", s.Trunk.VocabSize, vocab.Size())
+	}
+	if len(s.Trunk.Heads) != len(s.ModelObjs) {
+		return nil, fmt.Errorf("predictor: %d heads but %d coverage entries", len(s.Trunk.Heads), len(s.ModelObjs))
+	}
+	trunk, err := model.TrunkFromState(s.Trunk)
 	if err != nil {
 		return nil, fmt.Errorf("predictor: %w", err)
 	}
-	if len(trunk.Heads()) != len(state.ModelObjs) {
-		return nil, fmt.Errorf("predictor: %d heads but %d coverage entries",
-			len(trunk.Heads()), len(state.ModelObjs))
-	}
-	p := &Predictor{
-		vocab:     vocab,
-		serCfg:    state.SerCfg,
-		trunk:     trunk,
-		modelObjs: state.ModelObjs,
-		TrainTime: state.TrainTime,
-	}
+	p := &Predictor{vocab: vocab, serCfg: s.SerCfg, trunk: trunk, modelObjs: s.ModelObjs, TrainTime: s.TrainTime}
 	p.index()
 	return p, nil
 }

@@ -17,27 +17,25 @@ import (
 	"github.com/pythia-db/pythia/internal/quality"
 )
 
-// Snapshot bundles are framed so a load can tell a torn or bit-rotted file
-// from a healthy one before handing bytes to gob. The frame is
+// A snapshot is one gob document in one frame, so a load can tell a torn or
+// bit-rotted file from a healthy one before handing bytes to gob:
 //
-//	magic "PYSNAP02" · uint64 payload length · payload · uint32 CRC-32 (IEEE)
+//	magic "PYSNAP03" · uint64 payload length · payload · uint32 CRC-32 (IEEE)
 //
 // (integers big-endian). The length makes truncation detectable even when the
-// cut falls on a gob message boundary, and the trailing checksum is written
-// last, so a crash mid-write always leaves a detectably incomplete file. The
-// magic's two digits are the format version: 02 stores one encoder trunk per
-// workload under its per-object decoder heads, where 01 stored an encoder per
-// object, and a file of any other version is refused before it is decoded.
-var snapMagic = [8]byte{'P', 'Y', 'S', 'N', 'A', 'P', '0', '2'}
+// cut falls on a gob message boundary, and the checksum is written last, so a
+// crash mid-write leaves a detectably incomplete file. The magic's two digits
+// are the format version, the only one there is: a change to what the payload
+// means changes them, and a file of any other version is refused undecoded.
+var snapMagic = [8]byte{'P', 'Y', 'S', 'N', 'A', 'P', '0', '3'}
 
 // ErrSnapshotCorrupt marks a snapshot that is truncated, checksummed wrong,
-// or otherwise unreadable. Callers match it with errors.Is to distinguish
-// "the file is damaged" (keep serving the old generation, alert an operator)
-// from programming errors.
+// undecodable or inconsistent with itself. Callers match it with errors.Is
+// to tell "the file is damaged" (keep serving the old generation, alert an
+// operator) from programming errors.
 var ErrSnapshotCorrupt = errors.New("pythia: snapshot corrupt")
 
-// ErrSnapshotVersion marks a structurally intact snapshot written by an
-// incompatible persistence version.
+// ErrSnapshotVersion marks an intact snapshot of another format version.
 var ErrSnapshotVersion = errors.New("pythia: snapshot version unsupported")
 
 // sealEnvelope frames payload and writes it to w.
@@ -79,8 +77,9 @@ func openEnvelope(r io.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading payload: %v", ErrSnapshotCorrupt, err)
 	}
-	if uint64(len(rest)) != want+4 {
-		return nil, fmt.Errorf("%w: payload %d bytes, header declares %d", ErrSnapshotCorrupt, len(rest), want+4)
+	// (Compared this way round: a forged length near 2⁶⁴ must not wrap.)
+	if have := uint64(len(rest)); have < 4 || have-4 != want {
+		return nil, fmt.Errorf("%w: %d bytes after the header, which declares a payload of %d and a checksum", ErrSnapshotCorrupt, have, want)
 	}
 	payload := rest[:want]
 	sum := binary.BigEndian.Uint32(rest[want:])
@@ -90,85 +89,59 @@ func openEnvelope(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// persistedWorkload is the on-disk form of one trained workload: its name,
-// the matching metadata (templates and relation set), the predictor, and the
-// training-time drift baseline. Baseline rides as an added gob field —
-// version 2 snapshots written before it existed decode with a nil Baseline
-// (drift detection off), so the persistence version is unchanged.
+// persistedSystem is the snapshot document: the trained workloads in
+// registration order, encoded once and sealed once.
+type persistedSystem struct {
+	Workloads []persistedWorkload
+}
+
+// persistedWorkload is one workload: its name, what Match reads (templates
+// and relation set, sorted), the training-time drift baseline (nil: drift
+// detection off) and the predictor.
 type persistedWorkload struct {
-	Version   int
 	Name      string
 	Templates []string
 	Relations []string
-	Predictor []byte
 	Baseline  *quality.Profile
+	Predictor predictor.State
 }
 
-const persistVersion = 2
-
-// SaveWorkload writes the named trained workload to w, so a production
-// deployment can train once and serve from the persisted models.
-func (s *System) SaveWorkload(name string, w io.Writer) error {
-	var tw *Trained
-	for _, t := range s.trained {
-		if t.Name == name {
-			tw = t
-		}
-	}
-	if tw == nil {
-		return fmt.Errorf("pythia: no trained workload %q", name)
-	}
-	state := persistedWorkload{Version: persistVersion, Name: tw.Name, Baseline: tw.Baseline}
-	for t := range tw.templates {
-		state.Templates = append(state.Templates, t)
-	}
-	for r := range tw.relations {
-		state.Relations = append(state.Relations, r)
-	}
-	sort.Strings(state.Templates)
-	sort.Strings(state.Relations)
-	var buf bytes.Buffer
-	if err := tw.Pred.Save(&buf); err != nil {
-		return err
-	}
-	state.Predictor = buf.Bytes()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&state); err != nil {
-		return err
-	}
-	return sealEnvelope(w, payload.Bytes())
-}
-
-// persistedSystem is the on-disk form of a whole trained system: every
-// workload bundle in registration order. It is the snapshot unit of the
-// serve tier's zero-downtime model swap — one Save on the training side, one
-// LoadSystem per standby replica on the serving side.
-type persistedSystem struct {
-	Version   int
-	Workloads [][]byte
-}
-
-// Save writes every trained workload to w as one snapshot bundle. Loading
-// the bundle with LoadSystem reconstructs the full serving state (matching
-// metadata and model weights), so a deployment can train once, persist, and
-// later hot-swap the serving models from the file without restarting.
-//
-// To persist to disk, prefer SaveFile: it makes the write atomic, so a crash
-// mid-save can never tear an existing snapshot.
+// Save writes every trained workload to w as one snapshot. LoadSystem
+// reconstructs the full serving state from it (matching metadata and model
+// weights), so a deployment can train once, persist, and later hot-swap the
+// serving models without restarting: one Save on the training side, one
+// LoadSystem per standby replica on the serving side. To persist to disk
+// prefer SaveFile, which cannot tear an existing snapshot.
 func (s *System) Save(w io.Writer) error {
-	state := persistedSystem{Version: persistVersion}
+	var doc persistedSystem
 	for _, tw := range s.trained {
-		var buf bytes.Buffer
-		if err := s.SaveWorkload(tw.Name, &buf); err != nil {
-			return err
+		pw := persistedWorkload{Name: tw.Name, Baseline: tw.Baseline, Predictor: tw.Pred.State()}
+		for t := range tw.templates {
+			pw.Templates = append(pw.Templates, t)
 		}
-		state.Workloads = append(state.Workloads, buf.Bytes())
+		for r := range tw.relations {
+			pw.Relations = append(pw.Relations, r)
+		}
+		sort.Strings(pw.Templates)
+		sort.Strings(pw.Relations)
+		doc.Workloads = append(doc.Workloads, pw)
 	}
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&state); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(&doc); err != nil {
 		return err
 	}
 	return sealEnvelope(w, payload.Bytes())
+}
+
+// SaveWorkload writes the named trained workload to w: the snapshot of a
+// system that holds it alone.
+func (s *System) SaveWorkload(name string, w io.Writer) error {
+	for _, tw := range s.trained {
+		if tw.Name == name {
+			return (&System{trained: []*Trained{tw}}).Save(w)
+		}
+	}
+	return fmt.Errorf("pythia: no trained workload %q", name)
 }
 
 // SaveFile persists the snapshot bundle to path atomically: the bytes go to
@@ -211,68 +184,55 @@ func (s *System) SaveFile(path string) error {
 	return nil
 }
 
-// LoadSystem reads a bundle written by Save into a fresh system over db,
+// LoadSystem reads a snapshot written by Save into a fresh system over db,
 // configured by cfg (invalid configurations panic exactly like New; pass one
-// that came from Config.Normalize or an existing System). Every workload in
-// the bundle is registered for matching in its saved order, so predictions
-// from the loaded system are identical to the system that saved it.
+// that came from Config.Normalize or an existing System). Workloads are
+// registered in their saved order, so the loaded system predicts what the
+// saving one did.
 //
-// A truncated, checksum-failing, or otherwise damaged bundle returns an error
-// wrapping ErrSnapshotCorrupt; an intact bundle from an incompatible
-// persistence version wraps ErrSnapshotVersion.
+// It returns a system or an error, never both. An intact snapshot of another
+// format version wraps ErrSnapshotVersion. Everything else wraps
+// ErrSnapshotCorrupt: a damaged envelope and — wrapped here and only here —
+// whatever is wrong below it (the gob stream, a vocabulary, an architecture
+// that contradicts its weights).
 func LoadSystem(db *catalog.Database, cfg Config, r io.Reader) (*System, error) {
 	payload, err := openEnvelope(r)
 	if err != nil {
 		return nil, err
 	}
-	var state persistedSystem
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&state); err != nil {
-		return nil, fmt.Errorf("%w: decoding system snapshot: %v", ErrSnapshotCorrupt, err)
-	}
-	if state.Version != persistVersion {
-		return nil, fmt.Errorf("%w: persisted version %d, this build reads %d", ErrSnapshotVersion, state.Version, persistVersion)
+	var doc persistedSystem
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("%w: decoding: %v", ErrSnapshotCorrupt, err)
 	}
 	sys := New(db, cfg)
-	for _, wb := range state.Workloads {
-		if _, err := sys.LoadWorkload(bytes.NewReader(wb)); err != nil {
-			return nil, err
+	for _, pw := range doc.Workloads {
+		pred, err := predictor.FromState(pw.Predictor)
+		if err != nil {
+			return nil, fmt.Errorf("%w: workload %q: %v", ErrSnapshotCorrupt, pw.Name, err)
 		}
+		tw := &Trained{Name: pw.Name, Pred: pred, Baseline: pw.Baseline, templates: map[string]bool{}, relations: map[string]bool{}}
+		for _, t := range pw.Templates {
+			tw.templates[t] = true
+		}
+		for _, rel := range pw.Relations {
+			tw.relations[rel] = true
+		}
+		sys.trained = append(sys.trained, tw)
 	}
 	return sys, nil
 }
 
-// LoadWorkload reads a workload previously written by SaveWorkload and
-// registers it for matching, exactly as if Train had run. Damaged input
-// wraps ErrSnapshotCorrupt; a version mismatch wraps ErrSnapshotVersion.
+// LoadWorkload reads a snapshot holding exactly one workload (SaveWorkload
+// writes one) and registers it for matching, exactly as if Train had run.
+// Errors are LoadSystem's.
 func (s *System) LoadWorkload(r io.Reader) (*Trained, error) {
-	payload, err := openEnvelope(r)
+	one, err := LoadSystem(s.DB, s.cfg, r)
+	if err == nil && len(one.trained) != 1 {
+		err = fmt.Errorf("%w: %d workloads where one is expected", ErrSnapshotCorrupt, len(one.trained))
+	}
 	if err != nil {
 		return nil, err
 	}
-	var state persistedWorkload
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&state); err != nil {
-		return nil, fmt.Errorf("%w: decoding workload: %v", ErrSnapshotCorrupt, err)
-	}
-	if state.Version != persistVersion {
-		return nil, fmt.Errorf("%w: persisted version %d, this build reads %d", ErrSnapshotVersion, state.Version, persistVersion)
-	}
-	pred, err := predictor.Load(bytes.NewReader(state.Predictor))
-	if err != nil {
-		return nil, err
-	}
-	tw := &Trained{
-		Name:      state.Name,
-		Pred:      pred,
-		Baseline:  state.Baseline,
-		templates: map[string]bool{},
-		relations: map[string]bool{},
-	}
-	for _, t := range state.Templates {
-		tw.templates[t] = true
-	}
-	for _, rel := range state.Relations {
-		tw.relations[rel] = true
-	}
-	s.trained = append(s.trained, tw)
-	return tw, nil
+	s.trained = append(s.trained, one.trained[0])
+	return one.trained[0], nil
 }

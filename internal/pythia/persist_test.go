@@ -146,6 +146,9 @@ func TestLoadSystemCorruptAndTruncated(t *testing.T) {
 	flipped := append([]byte{}, good...)
 	flipped[len(flipped)/2] ^= 0x01
 	cases["bit-flip"] = flipped
+	// A declared length near 2⁶⁴ must not wrap into "consistent" (it used to,
+	// and the slice expression after it panicked).
+	cases["length-overflow"] = append(append([]byte{}, good[:8]...), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFC)
 	// Wrong magic: damage the leading frame bytes.
 	wrongMagic := append([]byte{}, good...)
 	wrongMagic[0] = 'X'
@@ -162,55 +165,123 @@ func TestLoadSystemCorruptAndTruncated(t *testing.T) {
 	}
 }
 
-func TestLoadSystemVersionMismatch(t *testing.T) {
-	s, _ := trainedSystem(t)
-	// Re-frame a structurally valid payload that declares a future version:
-	// the envelope checks pass, so the typed version error must surface.
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&persistedSystem{Version: persistVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	var framed bytes.Buffer
-	if err := sealEnvelope(&framed, payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSystem(s.DB, s.Config(), bytes.NewReader(framed.Bytes())); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("future-version snapshot: %v, want ErrSnapshotVersion", err)
-	}
-}
-
-// TestLoadSystemRejectsPYSNAP01: a well-formed envelope of the previous
-// format (an encoder per object where this build expects one trunk per
-// workload) is refused with the typed version error — not "corrupt", not a
-// panic in gob, never a half-loaded system.
-func TestLoadSystemRejectsPYSNAP01(t *testing.T) {
-	s, _ := trainedSystem(t)
+// forgedSnapshot saves s, applies forge to the decoded document and seals the
+// result again — length and CRC correct, so only what is below the envelope
+// can refuse it.
+func forgedSnapshot(t testing.TB, s *System, forge func(*persistedSystem)) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	old := buf.Bytes()
-	copy(old[:8], "PYSNAP01") // length and CRC cover the payload only, so the frame stays well-formed
-	sys, err := LoadSystem(s.DB, s.Config(), bytes.NewReader(old))
+	payload, err := openEnvelope(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc persistedSystem
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	forge(&doc)
+	var forged bytes.Buffer
+	if err := gob.NewEncoder(&forged).Encode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return sealed(t, forged.Bytes())
+}
+
+// sealed frames payload, whatever it is, with a correct length and CRC.
+func sealed(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	var framed bytes.Buffer
+	if err := sealEnvelope(&framed, payload); err != nil {
+		t.Fatal(err)
+	}
+	return framed.Bytes()
+}
+
+// refusesVersion: a well-formed envelope of another format version is refused
+// with the typed version error — not "corrupt", not a panic in gob, never a
+// half-loaded system. Length and CRC cover the payload only, so swapping the
+// magic leaves the frame well-formed.
+func refusesVersion(t *testing.T, magic string) {
+	t.Helper()
+	s, _ := trainedSystem(t)
+	other := forgedSnapshot(t, s, func(*persistedSystem) {})
+	copy(other[:8], magic)
+	sys, err := LoadSystem(s.DB, s.Config(), bytes.NewReader(other))
 	if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("PYSNAP01 snapshot: %v, want ErrSnapshotVersion only", err)
+		t.Fatalf("%s snapshot: %v, want ErrSnapshotVersion only", magic, err)
 	}
 	if sys != nil {
-		t.Fatal("PYSNAP01 snapshot returned a system alongside the error")
+		t.Fatalf("%s snapshot returned a system alongside the error", magic)
 	}
 	fresh := New(s.DB, s.Config())
-	if _, err := fresh.LoadWorkload(bytes.NewReader(old)); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("LoadWorkload(PYSNAP01): %v, want ErrSnapshotVersion", err)
+	if _, err := fresh.LoadWorkload(bytes.NewReader(other)); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("LoadWorkload(%s): %v, want ErrSnapshotVersion", magic, err)
 	}
 	if len(fresh.Workloads()) != 0 {
 		t.Fatal("a refused workload was registered")
 	}
 }
 
+// The magic's digits are the only format version: a future one, PYSNAP01 (an
+// encoder per object) and PYSNAP02 (one trunk per workload, but four nested
+// gob documents) are all refused alike.
+func TestLoadSystemVersionMismatch(t *testing.T) { refusesVersion(t, "PYSNAP04") }
+func TestLoadSystemRejectsPYSNAP01(t *testing.T) { refusesVersion(t, "PYSNAP01") }
+func TestLoadSystemRejectsPYSNAP02(t *testing.T) { refusesVersion(t, "PYSNAP02") }
+
+// TestLoadSystemInconsistentDocument: a snapshot whose envelope is intact
+// but whose document contradicts itself is ErrSnapshotCorrupt and no system.
+// The first two panicked inside nn before ("model dim must be divisible by
+// head count", "negative matrix dimension"); the huge ones must be refused
+// before anything of that size is allocated.
+func TestLoadSystemInconsistentDocument(t *testing.T) {
+	s, _ := trainedSystem(t)
+	for name, forge := range map[string]func(*predictor.State){
+		"heads do not divide dim":   func(p *predictor.State) { p.Trunk.Cfg.Heads = 5 },
+		"negative vocabulary":       func(p *predictor.State) { p.Trunk.VocabSize = -1 },
+		"huge dim":                  func(p *predictor.State) { p.Trunk.Cfg.Dim, p.Trunk.Cfg.Heads = 1<<40, 1 },
+		"huge layer count":          func(p *predictor.State) { p.Trunk.Cfg.Layers = 1 << 40 },
+		"heads without coverage":    func(p *predictor.State) { p.ModelObjs = p.ModelObjs[1:] },
+		"vocabulary lost a token":   func(p *predictor.State) { p.VocabTokens = p.VocabTokens[:len(p.VocabTokens)-1] },
+		"vocabulary past embedding": func(p *predictor.State) { p.VocabTokens = append(p.VocabTokens, "v:unseen") },
+		"vocabulary lost its head":  func(p *predictor.State) { p.VocabTokens = p.VocabTokens[1:] },
+		"head lost its label space": func(p *predictor.State) { p.Trunk.Heads[0].Labels = nil },
+		"encoder lost a tensor":     func(p *predictor.State) { p.Trunk.Encoder = p.Trunk.Encoder[1:] },
+	} {
+		data := forgedSnapshot(t, s, func(doc *persistedSystem) { forge(&doc.Workloads[0].Predictor) })
+		sys, err := LoadSystem(s.DB, s.Config(), bytes.NewReader(data))
+		if !errors.Is(err, ErrSnapshotCorrupt) || sys != nil {
+			t.Errorf("%s: LoadSystem = %v, %v; want no system and ErrSnapshotCorrupt", name, sys, err)
+		}
+	}
+}
+
+// TestLoadWorkloadWantsOneWorkload: SaveWorkload and Save write the same
+// document, so LoadWorkload reads either as long as it holds one workload.
+func TestLoadWorkloadWantsOneWorkload(t *testing.T) {
+	s, _ := trainedSystem(t)
+	one := forgedSnapshot(t, s, func(*persistedSystem) {})
+	fresh := New(s.DB, s.Config())
+	if tw, err := fresh.LoadWorkload(bytes.NewReader(one)); err != nil || tw.Name != "t91" {
+		t.Fatalf("LoadWorkload(system snapshot of one workload) = %v, %v", tw, err)
+	}
+	two := forgedSnapshot(t, s, func(doc *persistedSystem) { doc.Workloads = append(doc.Workloads, doc.Workloads[0]) })
+	if _, err := fresh.LoadWorkload(bytes.NewReader(two)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("LoadWorkload(two workloads): %v, want ErrSnapshotCorrupt", err)
+	}
+	if len(fresh.Workloads()) != 1 {
+		t.Fatalf("%d workloads registered, want the first load's one", len(fresh.Workloads()))
+	}
+}
+
 // TestSnapshotBytesDeterministic: training twice from one seed writes
-// byte-identical PYSNAP02 files, at GOMAXPROCS 1 and 2 — joint training is
+// byte-identical PYSNAP03 files, at GOMAXPROCS 1 and 2 — joint training is
 // one goroutine's seeded work and weights are persisted as ordered lists.
 // TrainTime, the snapshot's one wall-clock field, is zeroed before saving.
+// One document in one frame: the magic appears once, not once per workload.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	snapshot := func(procs int) []byte {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -225,8 +296,8 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 		return buf.Bytes()
 	}
 	want := snapshot(1)
-	if string(want[:8]) != "PYSNAP02" {
-		t.Fatalf("snapshot magic %q, want PYSNAP02", want[:8])
+	if string(want[:8]) != "PYSNAP03" || bytes.Count(want, []byte("PYSNAP")) != 1 {
+		t.Fatalf("snapshot starts %q and holds %d magics, want PYSNAP03 once", want[:8], bytes.Count(want, []byte("PYSNAP")))
 	}
 	for _, procs := range []int{1, 2} {
 		if got := snapshot(procs); !bytes.Equal(got, want) {

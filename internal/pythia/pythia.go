@@ -134,8 +134,8 @@ type Trained struct {
 	Pred *predictor.Predictor
 	// Baseline is the workload's training-time plan-distribution profile:
 	// the frozen reference drift detection compares the live stream against.
-	// Persisted inside the snapshot envelope; nil on snapshots taken before
-	// baselines existed (drift detection then stays off).
+	// Persisted in the snapshot; a workload loaded without one (nil) leaves
+	// drift detection off.
 	Baseline  *quality.Profile
 	templates map[string]bool
 	relations map[string]bool
@@ -212,7 +212,7 @@ func (s *System) Workloads() []*Trained { return s.trained }
 
 // Baseline merges the trained workloads' training-time profiles into the
 // system-wide drift baseline. Nil when no workload carries one (untrained
-// system, or a snapshot predating baselines) — drift detection stays off.
+// system, or a snapshot without baselines) — drift detection stays off.
 func (s *System) Baseline() *quality.Profile {
 	var merged *quality.Profile
 	for _, tw := range s.trained {

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,6 +17,7 @@ import (
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/plan"
+	"github.com/pythia-db/pythia/internal/predictor"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 )
 
@@ -381,9 +385,38 @@ func TestSwapRollbackOnReplicaBuildFault(t *testing.T) {
 	}
 }
 
+// headsWithoutCoverage re-encodes a saved snapshot with one coverage entry
+// fewer than its trunk has heads and frames the document again (magic, length,
+// payload, CRC-32: README's "Crash-safe snapshots"), so the envelope is intact
+// and only the loader's consistency checks can refuse it. The mirror type
+// names the one path it edits; gob drops the rest, which the refusal precedes.
+func headsWithoutCoverage(t *testing.T, snapshot []byte) []byte {
+	t.Helper()
+	var doc struct {
+		Workloads []struct{ Predictor predictor.State }
+	}
+	if err := gob.NewDecoder(bytes.NewReader(snapshot[16 : len(snapshot)-4])).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	p := &doc.Workloads[0].Predictor
+	if len(p.ModelObjs) == 0 || len(p.ModelObjs) != len(p.Trunk.Heads) {
+		t.Fatalf("fixture snapshot has %d coverage entries for %d heads", len(p.ModelObjs), len(p.Trunk.Heads))
+	}
+	p.ModelObjs = p.ModelObjs[1:]
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte{}, snapshot[:8]...)
+	out = binary.BigEndian.AppendUint64(out, uint64(payload.Len()))
+	out = append(out, payload.Bytes()...)
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload.Bytes()))
+}
+
 // TestAdminReloadCorruptSnapshot pins the satellite contract: reloading from
-// a truncated or zero-length snapshot, or from one of another envelope
-// version, answers a typed 422 envelope and the old generation keeps serving.
+// a truncated or zero-length snapshot, from one of another envelope version,
+// or from one whose envelope is intact around an inconsistent document,
+// answers a typed 422 envelope and the old generation keeps serving.
 func TestAdminReloadCorruptSnapshot(t *testing.T) {
 	base, w := testServer(t)
 	dir := t.TempDir()
@@ -412,19 +445,32 @@ func TestAdminReloadCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Length and CRC correct, head count and coverage list at odds: refused
+	// below the envelope (this answered 500 reload_failed before).
+	inconsistent := filepath.Join(dir, "inconsistent.snap")
+	if err := os.WriteFile(inconsistent, headsWithoutCoverage(t, buf.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 2, SnapshotPath: good})
 
 	if err := srv.inf.Swap(bytes.NewReader(v1)); !errors.Is(err, corepythia.ErrSnapshotVersion) {
 		t.Fatalf("Swap(PYSNAP01) = %v, want ErrSnapshotVersion", err)
 	}
-	for _, path := range []string{truncated, empty, oldFormat} {
+	for path, reason := range map[string]string{
+		truncated:    "payload",
+		empty:        "truncated header",
+		oldFormat:    "PYSNAP01",
+		inconsistent: "coverage entries",
+	} {
 		rr := doRequest(t, srv, http.MethodPost, "/v1/admin/reload",
 			strings.NewReader(`{"path":`+jsonQuote(path)+`}`))
 		if rr.Code != http.StatusUnprocessableEntity {
 			t.Fatalf("%s: status %d: %s", filepath.Base(path), rr.Code, rr.Body.String())
 		}
-		if env := decodeEnvelope(t, rr); env.Error.Code != CodeSnapshotCorrupt {
-			t.Fatalf("%s: envelope code %q, want %q", filepath.Base(path), env.Error.Code, CodeSnapshotCorrupt)
+		env := decodeEnvelope(t, rr)
+		if env.Error.Code != CodeSnapshotCorrupt || !strings.Contains(env.Error.Message, reason) {
+			t.Fatalf("%s: envelope %+v, want code %q for reason %q", filepath.Base(path), env.Error, CodeSnapshotCorrupt, reason)
 		}
 	}
 	st := srv.inf.Status()
