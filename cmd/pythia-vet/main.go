@@ -1,18 +1,15 @@
-// Command pythia-vet runs the repo's custom static-analysis suite of seven
+// Command pythia-vet runs the repo's custom static-analysis suite of five
 // analyzers: detclock (no wall clock or global math/rand in deterministic
 // packages), mapiter (no output-reaching map iteration there), noalloc
 // (//pythia:noalloc functions must not allocate per call), errdiscard
-// (Plan/Build/Normalize errors must be handled), lockorder (one global mutex
-// order, no re-entrant Lock), atomicfield (no plain access to atomically
-// accessed fields), and goleak (every go statement provably bounded). See
-// DESIGN.md "Static invariants".
+// (Plan/Build/Normalize errors must be handled), and goleak (every go
+// statement provably bounded). See DESIGN.md "Static invariants"; the
+// analyzers' own fixtures run under `go test ./internal/analysis`.
 //
 // Usage:
 //
 //	go run ./cmd/pythia-vet ./...        # whole module (what CI runs)
 //	go run ./cmd/pythia-vet ./internal/sim ./internal/replay/...
-//	go run ./cmd/pythia-vet -selfcheck   # run the analyzer fixture suite
-//	go run ./cmd/pythia-vet -json ./...  # machine-readable diagnostics
 //	go run ./cmd/pythia-vet -gha ./...   # GitHub ::error annotations
 //
 // -timing <file> writes a per-analyzer wall-time table (markdown; "-" for
@@ -22,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,19 +31,9 @@ import (
 )
 
 func main() {
-	selfcheck := flag.Bool("selfcheck", false, "run the analyzer suite over its own golden fixtures and exit")
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	gha := flag.Bool("gha", false, "emit diagnostics as GitHub Actions ::error annotations")
 	timing := flag.String("timing", "", "write a per-analyzer timing table (markdown) to this file, or - for stdout")
 	flag.Parse()
-
-	if *list {
-		for _, a := range analysis.All {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -56,10 +42,6 @@ func main() {
 	root, module, err := analysis.FindModule(cwd)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *selfcheck {
-		os.Exit(runSelfcheck(root, module))
 	}
 
 	paths, err := resolvePatterns(root, module, cwd, flag.Args())
@@ -90,18 +72,11 @@ func main() {
 		}
 	}
 
-	switch {
-	case *jsonOut:
-		if err := writeJSON(os.Stdout, cwd, diags); err != nil {
-			fatal(err)
-		}
-	case *gha:
-		for _, d := range diags {
+	for _, d := range diags {
+		if *gha {
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=pythia-vet %s::%s\n",
 				relName(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, ghaEscape(d.Message))
-		}
-	default:
-		for _, d := range diags {
+		} else {
 			fmt.Printf("%s:%d:%d: %s: %s\n", relName(cwd, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		}
 	}
@@ -109,32 +84,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pythia-vet: %d violation(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// jsonDiag is the machine-readable diagnostic shape of -json.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON renders diagnostics as one JSON array ([] when clean).
-func writeJSON(w *os.File, base string, diags []analysis.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:     relName(base, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // writeTiming renders the per-analyzer wall-time table CI appends to the
@@ -225,33 +174,6 @@ func resolvePatterns(root, module, cwd string, args []string) ([]string, error) 
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// runSelfcheck runs the fixture suite and reports per-fixture results.
-func runSelfcheck(root, module string) int {
-	reports, err := analysis.RunFixtures(root, module, filepath.Join(root, "internal", "analysis", "testdata"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pythia-vet: selfcheck:", err)
-		return 2
-	}
-	failed := 0
-	for _, r := range reports {
-		if len(r.Problems) == 0 {
-			fmt.Printf("ok   fixture %s\n", r.Name)
-			continue
-		}
-		failed++
-		fmt.Printf("FAIL fixture %s\n", r.Name)
-		for _, p := range r.Problems {
-			fmt.Printf("     %s\n", p)
-		}
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "pythia-vet: selfcheck: %d fixture(s) failed\n", failed)
-		return 1
-	}
-	fmt.Printf("selfcheck: %d fixtures ok\n", len(reports))
-	return 0
 }
 
 func fatal(err error) {

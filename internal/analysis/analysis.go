@@ -2,27 +2,22 @@
 // suite that enforces the repo's determinism, allocation, and error-handling
 // invariants at compile time instead of hoping a test tickles a violation.
 //
-// Seven analyzers run over every package of the module:
+// Five analyzers run over every package of the module. Each one is kept
+// because it names a real finding or a mutation of real code that it
+// catches and no test does (DESIGN.md "Static invariants"):
 //
 //   - detclock: no wall-clock reads (time.Now/Since/Sleep/...) or global
 //     math/rand state in deterministic packages. Wall-clock cost measurement
-//     routes through the injectable internal/wallclock indirection;
-//     genuinely wall-clock declarations carry //pythia:wallclock-ok.
+//     routes through the injectable internal/wallclock indirection.
 //   - mapiter: no `range` over a map whose iteration order can reach an
 //     output (slice append, event emission, string building, channel send)
 //     in deterministic packages. The collect-then-sort idiom is recognized
-//     and allowed; order-independent loops can carry //pythia:maporder-ok.
+//     and allowed.
 //   - noalloc: functions annotated //pythia:noalloc (the arena/kernel hot
 //     path, obs event sites) may not contain escaping composite literals,
 //     fmt/log calls, closures capturing locals, or interface conversions.
 //   - errdiscard: the error results of plan.Planner.Plan, workload.Build,
 //     and any Normalize() may not be discarded.
-//   - lockorder: mutex acquisitions must follow one global order — no
-//     acquisition cycles, no re-entrant Lock on a held mutex, directly or
-//     through same-package calls. //pythia:lockorder-ok escapes one site.
-//   - atomicfield: a struct field accessed through sync/atomic (legacy
-//     funcs or atomic.Int64/Pointer method calls) must never be read or
-//     written plainly. //pythia:atomicfield-ok escapes one declaration.
 //   - goleak: every `go` statement must be provably bounded — select on a
 //     context/done channel, awaited WaitGroup, or //pythia:goleak-ok.
 //
@@ -53,8 +48,6 @@ func (d Diagnostic) String() string {
 type Analyzer struct {
 	// Name is the short identifier used in diagnostics and docs.
 	Name string
-	// Doc is a one-line description.
-	Doc string
 	// Deterministic restricts the analyzer to packages the driver marked
 	// deterministic (Package.Deterministic).
 	Deterministic bool
@@ -63,7 +56,7 @@ type Analyzer struct {
 }
 
 // All lists every analyzer in the suite, in reporting order.
-var All = []*Analyzer{Detclock, Mapiter, Noalloc, Errdiscard, Lockorder, Atomicfield, Goleak}
+var All = []*Analyzer{Detclock, Mapiter, Noalloc, Errdiscard, Goleak}
 
 // Pass carries one analyzer's run over one package.
 type Pass struct {
@@ -79,23 +72,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// Suppressed reports whether the top-level declaration enclosing pos carries
-// the given //pythia: directive. Directives are scoped to the annotated
-// declaration only: a directive on one function never silences another.
-func (p *Pass) Suppressed(pos token.Pos, directive string) bool {
-	for _, f := range p.Pkg.Files {
-		if pos < f.Pos() || pos > f.End() {
-			continue
-		}
-		for _, decl := range f.Decls {
-			if pos >= decl.Pos() && pos <= decl.End() {
-				return hasDirective(decl, directive)
-			}
-		}
-	}
-	return false
 }
 
 // Run executes the analyzer over pkg, appending diagnostics via report.

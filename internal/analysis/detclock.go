@@ -10,11 +10,11 @@ import (
 // meaningful if two runs of the same seed are bitwise identical; one stray
 // time.Now or rand.Intn silently breaks that. Wall-clock cost measurement
 // (train/inference timing) must route through the internal/wallclock
-// indirection so it is injectable and greppable; declarations that genuinely
-// need the wall clock carry //pythia:wallclock-ok.
+// indirection so it is injectable and greppable. There is no escape
+// directive: a package whose job is the wall clock is kept off the roster
+// (config.go) instead.
 var Detclock = &Analyzer{
 	Name:          "detclock",
-	Doc:           "no wall-clock or global math/rand in deterministic packages",
 	Deterministic: true,
 	Run:           runDetclock,
 }
@@ -63,12 +63,12 @@ func runDetclock(pass *Pass) {
 			name := sel.Sel.Name
 			switch pkgName.Imported().Path() {
 			case "time":
-				if wallClockFuncs[name] && !pass.Suppressed(sel.Pos(), DirWallclockOK) {
-					pass.Reportf(sel.Pos(), "time.%s reads the wall clock in deterministic package %q (use sim virtual time, route measurement through internal/wallclock, or annotate the declaration //pythia:wallclock-ok)", name, pass.Pkg.Types.Name())
+				if wallClockFuncs[name] {
+					pass.Reportf(sel.Pos(), "time.%s reads the wall clock in deterministic package %q (use sim virtual time, or route measurement through internal/wallclock)", name, pass.Pkg.Types.Name())
 				}
 			case "math/rand", "math/rand/v2":
 				obj := info.Uses[sel.Sel]
-				if _, isFunc := obj.(*types.Func); isFunc && !randConstructors[name] && !pass.Suppressed(sel.Pos(), DirWallclockOK) {
+				if _, isFunc := obj.(*types.Func); isFunc && !randConstructors[name] {
 					pass.Reportf(sel.Pos(), "rand.%s uses the global math/rand source in deterministic package %q (use sim.NewRand or an explicitly seeded rand.New)", name, pass.Pkg.Types.Name())
 				}
 			}

@@ -11,12 +11,10 @@ import (
 // Normalize() (T, error). PR 2 converted these from panics to errors
 // precisely so callers handle failure; assigning the error to _ (or
 // dropping the whole result) silently reintroduces the panic-era blind
-// spot. Valid-by-construction callers have MustPlan/MustBuild instead.
-// A declaration that genuinely must ignore the error carries
-// //pythia:errcheck-ok.
+// spot. Valid-by-construction callers have MustPlan/MustBuild instead;
+// there is no escape directive.
 var Errdiscard = &Analyzer{
 	Name: "errdiscard",
-	Doc:  "Plan/Build/Normalize errors must not be discarded",
 	Run:  runErrdiscard,
 }
 
@@ -43,9 +41,7 @@ func runErrdiscard(pass *Pass) {
 						continue
 					}
 					if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-						if !pass.Suppressed(s.Pos(), DirErrcheckOK) {
-							pass.Reportf(s.Pos(), "error result of %s assigned to _ (handle it, use the Must variant, or annotate the declaration //pythia:errcheck-ok)", label)
-						}
+						pass.Reportf(s.Pos(), "error result of %s assigned to _ (handle it or use the Must variant)", label)
 					}
 				}
 			case *ast.ExprStmt:
@@ -53,8 +49,8 @@ func runErrdiscard(pass *Pass) {
 				if !ok {
 					return true
 				}
-				if fn, label := checkedCallee(info, call); fn != nil && !pass.Suppressed(s.Pos(), DirErrcheckOK) {
-					pass.Reportf(s.Pos(), "result and error of %s discarded (handle it, use the Must variant, or annotate the declaration //pythia:errcheck-ok)", label)
+				if fn, label := checkedCallee(info, call); fn != nil {
+					pass.Reportf(s.Pos(), "result and error of %s discarded (handle it or use the Must variant)", label)
 				}
 			}
 			return true

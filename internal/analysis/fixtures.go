@@ -20,8 +20,7 @@ import (
 // A fixture whose directory name ends in "nondet" is analyzed as a
 // non-deterministic package (the deterministic-only analyzers must stay
 // silent there); every other fixture is analyzed as deterministic.
-//
-// Both `go test ./internal/analysis` and `pythia-vet -selfcheck` run this.
+// TestFixtures runs this.
 
 // FixtureReport is the outcome of one fixture package.
 type FixtureReport struct {

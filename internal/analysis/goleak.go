@@ -22,14 +22,12 @@ import (
 //   - a sync.WaitGroup Done whose WaitGroup is Wait-ed somewhere in the
 //     package (the spawner joins it).
 //
-// Everything else needs //pythia:goleak-ok <reason> — on the enclosing
-// declaration, or (because one function often spawns both bounded and
-// unbounded goroutines) as a comment on the go statement's line or the
-// line immediately above it. Test files are outside the loader's scope,
-// so test-only goroutines are never flagged.
+// Everything else needs //pythia:goleak-ok <reason> as a comment on the go
+// statement's line or the line immediately above it, so one escape covers
+// exactly one spawn. Test files are outside the loader's scope, so
+// test-only goroutines are never flagged.
 var Goleak = &Analyzer{
 	Name: "goleak",
-	Doc:  "every go statement must be provably bounded or annotated",
 	Run:  runGoleak,
 }
 
@@ -44,7 +42,7 @@ func runGoleak(pass *Pass) {
 				return true
 			}
 			line := pass.Pkg.Fset.Position(g.Pos()).Line
-			if okLines[line] || okLines[line-1] || pass.Suppressed(g.Pos(), DirGoleakOK) {
+			if okLines[line] || okLines[line-1] {
 				return true
 			}
 			body := goBody(info, decls, g)
@@ -55,14 +53,13 @@ func runGoleak(pass *Pass) {
 			if body == nil {
 				what = "goroutine calling outside the package"
 			}
-			pass.Reportf(g.Pos(), "%s is not provably bounded: no context.Context reference, no struct{}-channel receive, no awaited WaitGroup (bound it, or annotate the go statement or declaration //pythia:goleak-ok <reason>)", what)
+			pass.Reportf(g.Pos(), "%s is not provably bounded: no context.Context reference, no struct{}-channel receive, no awaited WaitGroup (bound it, or annotate the go statement //pythia:goleak-ok <reason>)", what)
 			return true
 		})
 	}
 }
 
-// goleakOKLines maps the lines carrying a //pythia:goleak-ok comment, the
-// statement-scoped escape form.
+// goleakOKLines maps the lines carrying a //pythia:goleak-ok comment.
 func goleakOKLines(fset *token.FileSet, f *ast.File) map[int]bool {
 	lines := make(map[int]bool)
 	for _, cg := range f.Comments {

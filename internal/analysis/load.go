@@ -17,8 +17,6 @@ import (
 type Package struct {
 	// Path is the import path.
 	Path string
-	// Dir is the package directory on disk.
-	Dir string
 	// Fset resolves positions for Files.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, in file-name order.
@@ -30,8 +28,6 @@ type Package struct {
 	// reproducible; the driver sets it from DeterministicPackages (fixture
 	// harnesses set it directly).
 	Deterministic bool
-	// Module is the module path the package was loaded under.
-	Module string
 }
 
 // FindModule walks up from dir to the enclosing go.mod and returns the
@@ -203,7 +199,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, Module: l.module}
+	p := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
 }

@@ -11,11 +11,11 @@ import (
 // channel, writing to a builder/buffer, or emitting an event from inside the
 // loop makes the result depend on Go's randomized map order. The standard
 // collect-then-sort idiom is recognized: an append whose target is later
-// passed to a sort call in the same function is allowed. Loops that are
-// genuinely order-independent can carry //pythia:maporder-ok.
+// passed to a sort call in the same function is allowed. There is no escape
+// directive: an order-independent loop is written without an order-sensitive
+// sink, or over sorted keys.
 var Mapiter = &Analyzer{
 	Name:          "mapiter",
-	Doc:           "no output-reaching map iteration in deterministic packages",
 	Deterministic: true,
 	Run:           runMapiter,
 }
@@ -47,9 +47,6 @@ func runMapiter(pass *Pass) {
 			if _, isMap := t.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if pass.Suppressed(rng.Pos(), DirMapOrderOK) {
-				return true
-			}
 			checkMapRange(pass, file, rng)
 			return true
 		})
@@ -63,17 +60,17 @@ func checkMapRange(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.SendStmt:
-			pass.Reportf(s.Pos(), "channel send inside range over map: receive order depends on map iteration (iterate sorted keys, or annotate the declaration //pythia:maporder-ok)")
+			pass.Reportf(s.Pos(), "channel send inside range over map: receive order depends on map iteration (iterate sorted keys)")
 		case *ast.AssignStmt:
 			checkMapRangeAssign(pass, enclosing, rng, s)
 		case *ast.CallExpr:
 			if name, ok := calleePackageFunc(info, s); ok && (name == "fmt" || name == "log") {
-				pass.Reportf(s.Pos(), "%s call inside range over map: output order depends on map iteration (iterate sorted keys, or annotate the declaration //pythia:maporder-ok)", name)
+				pass.Reportf(s.Pos(), "%s call inside range over map: output order depends on map iteration (iterate sorted keys)", name)
 				return true
 			}
 			if sel, ok := s.Fun.(*ast.SelectorExpr); ok && emitMethods[sel.Sel.Name] {
 				if _, isMethod := info.Selections[sel]; isMethod {
-					pass.Reportf(s.Pos(), "%s call inside range over map: emission order depends on map iteration (iterate sorted keys, or annotate the declaration //pythia:maporder-ok)", sel.Sel.Name)
+					pass.Reportf(s.Pos(), "%s call inside range over map: emission order depends on map iteration (iterate sorted keys)", sel.Sel.Name)
 				}
 			}
 		}
@@ -95,7 +92,7 @@ func checkMapRangeAssign(pass *Pass, enclosing *ast.FuncDecl, rng *ast.RangeStmt
 			continue
 		}
 		name := exprString(call.Args[0])
-		pass.Reportf(s.Pos(), "append to %s inside range over map: element order depends on map iteration (sort %s before use, iterate sorted keys, or annotate the declaration //pythia:maporder-ok)", name, name)
+		pass.Reportf(s.Pos(), "append to %s inside range over map: element order depends on map iteration (sort %s before use, or iterate sorted keys)", name, name)
 	}
 	for _, lhs := range s.Lhs {
 		idx, ok := lhs.(*ast.IndexExpr)
@@ -104,7 +101,7 @@ func checkMapRangeAssign(pass *Pass, enclosing *ast.FuncDecl, rng *ast.RangeStmt
 		}
 		if t := info.TypeOf(idx.X); t != nil {
 			if _, isSlice := t.Underlying().(*types.Slice); isSlice {
-				pass.Reportf(lhs.Pos(), "write through slice index inside range over map: element placement depends on map iteration (iterate sorted keys, or annotate the declaration //pythia:maporder-ok)")
+				pass.Reportf(lhs.Pos(), "write through slice index inside range over map: element placement depends on map iteration (iterate sorted keys)")
 			}
 		}
 	}

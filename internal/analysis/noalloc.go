@@ -25,7 +25,6 @@ import (
 // itself; opting out is removing it.
 var Noalloc = &Analyzer{
 	Name: "noalloc",
-	Doc:  "annotated //pythia:noalloc functions must not allocate per call",
 	Run:  runNoalloc,
 }
 

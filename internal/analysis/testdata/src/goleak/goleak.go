@@ -1,8 +1,8 @@
 // Package goleak is the golden fixture for the goleak analyzer: one
 // goroutine per bounding idiom the serve tier uses (context, done channel,
 // awaited WaitGroup, same-package named callee), the unbounded spawns the
-// analyzer must flag, and both escape forms — declaration-scoped and
-// statement-scoped — proving suppression never spills to a neighbor.
+// analyzer must flag, and the statement-scoped escape proving suppression
+// never spills to a neighbor.
 package goleak
 
 import (
@@ -78,14 +78,6 @@ func spin() {
 
 func leakNamed() {
 	go spin() // want "not provably bounded"
-}
-
-// leakOK is a deliberate process-lifetime goroutine under the
-// declaration-scoped escape.
-//
-//pythia:goleak-ok fixture: process-lifetime worker proving the declaration escape
-func leakOK() {
-	go func() { select {} }()
 }
 
 // leakLine mixes one escaped and one flagged spawn in a single function —

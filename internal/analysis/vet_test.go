@@ -9,8 +9,7 @@ import (
 
 // TestFixtures runs the analyzer suite over every golden fixture package
 // under testdata/src and reconciles diagnostics with the // want comments —
-// including one fixture per escape directive proving suppression is scoped
-// to the annotated declaration only, and a nondet fixture proving the
+// one fixture per analyzer, and a nondet fixture proving the
 // deterministic-only analyzers stay silent elsewhere.
 func TestFixtures(t *testing.T) {
 	root, module := moduleRoot(t)
@@ -20,15 +19,10 @@ func TestFixtures(t *testing.T) {
 	}
 	wantFixtures := map[string]bool{
 		"detclock":    false,
-		"wallclockok": false,
 		"mapiter":     false,
-		"maporderok":  false,
 		"noalloc":     false,
 		"errdiscard":  false,
-		"errcheckok":  false,
 		"clocknondet": false,
-		"lockorder":   false,
-		"atomicfield": false,
 		"goleak":      false,
 	}
 	for _, r := range reports {
@@ -50,10 +44,10 @@ func TestFixtures(t *testing.T) {
 // seeds one deliberate violation per analyzer — wall-clock in internal/sim,
 // a map-range feeding an event append in internal/replay, an allocation
 // inside a //pythia:noalloc function in internal/nn, a discarded
-// Planner.Plan error, a re-entrant Lock, a torn atomic-field read, and an
-// unbounded goroutine — then asserts each is reported with its file:line.
-// Every escape directive is exercised alongside its violation: the
-// suppressed twin must stay silent while the seeded site is still reported.
+// Planner.Plan error, and an unbounded goroutine — then asserts each is
+// reported with its file:line. The goleak-ok escape is exercised alongside
+// its violation: the suppressed twin must stay silent while the seeded site
+// is still reported.
 func TestSeededViolations(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -117,51 +111,6 @@ func Drop(pl *plan.Planner, q plan.Query) *plan.Node {
 	return n
 }
 `,
-		"internal/srv/locks.go": `package srv
-
-import "sync"
-
-// Gate serializes admissions.
-type Gate struct{ mu sync.Mutex }
-
-// Admit double-locks the gate.
-func (g *Gate) Admit() {
-	g.mu.Lock()
-	g.mu.Lock() // MARK:lockorder
-	g.mu.Unlock()
-	g.mu.Unlock()
-}
-
-// AdmitQuiet is the suppressed twin: same re-entrancy, escaped.
-//
-//pythia:lockorder-ok seeded: proving the escape silences only this declaration
-func (g *Gate) AdmitQuiet() {
-	g.mu.Lock()
-	g.mu.Lock()
-	g.mu.Unlock()
-	g.mu.Unlock()
-}
-`,
-		"internal/srv/counter.go": `package srv
-
-import "sync/atomic"
-
-// Counter counts admissions.
-type Counter struct{ n uint64 }
-
-// Inc is the atomic writer.
-func (c *Counter) Inc() { atomic.AddUint64(&c.n, 1) }
-
-// Read tears: a plain load racing Inc.
-func (c *Counter) Read() uint64 {
-	return c.n // MARK:atomicfield
-}
-
-// ReadQuiet is the suppressed twin.
-//
-//pythia:atomicfield-ok seeded: proving the escape silences only this declaration
-func (c *Counter) ReadQuiet() uint64 { return c.n }
-`,
 		"internal/srv/spawn.go": `package srv
 
 // Spin leaks a goroutine with no cancellation path.
@@ -216,8 +165,6 @@ func SpinQuiet() {
 		{"mapiter", "internal/replay/emit.go", "MARK:mapiter"},
 		{"noalloc", "internal/nn/hot.go", "MARK:noalloc"},
 		{"errdiscard", "caller/caller.go", "MARK:errdiscard"},
-		{"lockorder", "internal/srv/locks.go", "MARK:lockorder"},
-		{"atomicfield", "internal/srv/counter.go", "MARK:atomicfield"},
 		{"goleak", "internal/srv/spawn.go", "MARK:goleak"},
 	}
 	if len(diags) != len(expect) {
@@ -265,6 +212,50 @@ func TestRepoClean(t *testing.T) {
 		pkg.Deterministic = IsDeterministic(module, path)
 		for _, d := range RunAll(pkg) {
 			t.Errorf("%s", d)
+		}
+	}
+}
+
+// TestRosterCoversEveryPackage makes every internal package pick a side:
+// it is on the deterministic roster or on this explicit wall-clock list,
+// never both and never neither, and the roster names no package that is
+// gone. A new package that feeds replay or model state is checked by
+// detclock and mapiter from its first commit.
+func TestRosterCoversEveryPackage(t *testing.T) {
+	root, module := moduleRoot(t)
+	wallclock := map[string]bool{
+		"internal/serve":       true,
+		"internal/wallclock":   true,
+		"internal/experiments": true,
+		"internal/analysis":    true,
+	}
+	paths, err := NewLoader(root, module).ModulePackages()
+	if err != nil {
+		t.Fatalf("ModulePackages: %v", err)
+	}
+	seen := map[string]bool{}
+	for _, path := range paths {
+		rel, ok := strings.CutPrefix(path, module+"/")
+		if !ok || !strings.HasPrefix(rel, "internal/") {
+			continue
+		}
+		seen[rel] = true
+		det := IsDeterministic(module, path)
+		switch {
+		case det && wallclock[rel]:
+			t.Errorf("%s is both on the deterministic roster and on the wall-clock list", rel)
+		case !det && !wallclock[rel]:
+			t.Errorf("%s is on neither the deterministic roster (config.go) nor the wall-clock list", rel)
+		}
+	}
+	for _, p := range DeterministicPackages {
+		if !seen[p] {
+			t.Errorf("roster names %s, which is not a package of the module", p)
+		}
+	}
+	for p := range wallclock {
+		if !seen[p] {
+			t.Errorf("wall-clock list names %s, which is not a package of the module", p)
 		}
 	}
 }

@@ -170,7 +170,7 @@ type Relation struct {
 	Heap        *storage.Object
 
 	colIdx  map[string]int
-	indexes map[string]*Index
+	indexes []*Index // in build order
 }
 
 // Index pairs a B+tree with the column it indexes.
@@ -216,7 +216,6 @@ func (db *Database) AddRelation(name string, rows int64, rowsPerPage int, cols [
 		Columns:     cols,
 		Heap:        db.Registry.Register(name, storage.KindTable, pages),
 		colIdx:      make(map[string]int, len(cols)),
-		indexes:     make(map[string]*Index),
 	}
 	for i, c := range cols {
 		if _, dup := rel.colIdx[c.Name]; dup {
@@ -255,7 +254,7 @@ func (db *Database) BuildIndex(rel *Relation, col string, cfg index.Config) *Ind
 	}
 	name := rel.Name + "_" + col + "_idx"
 	idx := &Index{Name: name, Column: col, Tree: index.Build(db.Registry, name, entries, cfg)}
-	rel.indexes[col] = idx
+	rel.indexes = append(rel.indexes, idx)
 	return idx
 }
 
@@ -281,15 +280,18 @@ func (r *Relation) Value(col string, row int64) int64 {
 }
 
 // IndexOn returns the index over col, or nil.
-func (r *Relation) IndexOn(col string) *Index { return r.indexes[col] }
-
-// Indexes returns the relation's indexes (unordered).
-func (r *Relation) Indexes() []*Index {
-	out := make([]*Index, 0, len(r.indexes))
+func (r *Relation) IndexOn(col string) *Index {
 	for _, ix := range r.indexes {
-		out = append(out, ix)
+		if ix.Column == col {
+			return ix
+		}
 	}
-	return out
+	return nil
+}
+
+// Indexes returns the relation's indexes in build order.
+func (r *Relation) Indexes() []*Index {
+	return append([]*Index(nil), r.indexes...)
 }
 
 // HeapPage maps a row to its heap PageID.

@@ -204,6 +204,33 @@ func TestBuildIndexAgreesWithGenerator(t *testing.T) {
 	}
 }
 
+// Indexes returns build order, every call: Figure 12d builds
+// predictor.Options.Groups from it, which fixes head order. Map order
+// passes one-index relations by luck and fails this one almost surely.
+func TestIndexesInBuildOrder(t *testing.T) {
+	db := NewDatabase()
+	rel := db.AddRelation("wide", 100, 10, []Column{
+		{Name: "a", Gen: Serial{}},
+		{Name: "b", Gen: Serial{}},
+		{Name: "c", Gen: Serial{}},
+	})
+	built := []string{"b", "c", "a"}
+	for _, col := range built {
+		db.BuildIndex(rel, col, index.Config{LeafCap: 16, Fanout: 8})
+	}
+	for range 32 {
+		ixs := rel.Indexes()
+		if len(ixs) != len(built) {
+			t.Fatalf("Indexes() returned %d indexes, want %d", len(ixs), len(built))
+		}
+		for i, ix := range ixs {
+			if ix.Column != built[i] {
+				t.Fatalf("Indexes()[%d] is on %s, want %s (build order %v)", i, ix.Column, built[i], built)
+			}
+		}
+	}
+}
+
 func TestDatabaseRelationsOrder(t *testing.T) {
 	db := NewDatabase()
 	db.AddRelation("b", 1, 1, nil)

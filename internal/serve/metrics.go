@@ -92,7 +92,8 @@ type Metrics struct {
 	// the hub's start epoch on its injected clock) and, as a recorder on the
 	// hub's event stream, its marks. Nil costs one nil-check.
 	// Atomic because SetTracer runs after the hub is already shared with
-	// request handlers reading it (surfaced by the atomicfield analyzer).
+	// request handlers reading it. A typed atomic cannot be read plainly,
+	// and go vet's copylocks check rejects copying it.
 	tracer atomic.Pointer[span.Sync]
 }
 
