@@ -51,98 +51,99 @@ func runExperiment(b *testing.B, id string, metrics map[string][2]string) {
 		fmt.Println(tab.String())
 	}
 	for name, key := range metrics {
-		if tab.Has(key[0], key[1]) {
-			b.ReportMetric(tab.Get(key[0], key[1]), name)
+		if !tab.Has(key[0], key[1]) {
+			b.Fatalf("%s prints no %s/%s (metric %s)", id, key[0], key[1], name)
 		}
+		b.ReportMetric(tab.Get(key[0], key[1]), name)
 	}
 }
 
 func BenchmarkTable1(b *testing.B) {
 	runExperiment(b, "table1", map[string][2]string{
-		"t91-plans": {"t91", "plans"},
-		"t18-plans": {"t18", "plans"},
+		"t91-plans": {"t91", "distinct plans"},
+		"t18-plans": {"t18", "distinct plans"},
 	})
 }
 
 func BenchmarkFigure1(b *testing.B) {
 	runExperiment(b, "fig1", map[string][2]string{
-		"t91-nonseq-speedup": {"t91", "nonseq"},
-		"t91-seq-speedup":    {"t91", "seq"},
+		"t91-nonseq-speedup": {"t91", "non-seq-only speedup"},
+		"t91-seq-speedup":    {"t91", "seq-only speedup"},
 	})
 }
 
 func BenchmarkFigure5(b *testing.B) {
 	runExperiment(b, "fig5", map[string][2]string{
-		"t91-pythia-f1": {"t91", "pythia"},
-		"t91-nn-f1":     {"t91", "nn"},
+		"t91-pythia-f1": {"t91", "Pythia mean F1"},
+		"t91-nn-f1":     {"t91", "NN mean F1"},
 	})
 }
 
 func BenchmarkFigure6(b *testing.B) {
 	runExperiment(b, "fig6", map[string][2]string{
-		"t91-pythia-speedup": {"t91", "pythia"},
-		"t91-orcl-speedup":   {"t91", "orcl"},
+		"t91-pythia-speedup": {"t91", "Pythia"},
+		"t91-orcl-speedup":   {"t91", "ORCL"},
 	})
 }
 
 func BenchmarkFigure7(b *testing.B) {
 	runExperiment(b, "fig7", map[string][2]string{
-		"t18-high-f1": {"t18", "high"},
+		"t18-high-f1": {"t18", "top 25%"},
 	})
 }
 
 func BenchmarkFigure8(b *testing.B) {
 	runExperiment(b, "fig8", map[string][2]string{
-		"t18-high-speedup": {"t18", "high"},
+		"t18-high-speedup": {"t18", "top 25%"},
 	})
 }
 
 func BenchmarkFigure9(b *testing.B) {
 	runExperiment(b, "fig9", map[string][2]string{
-		"pythia-f1":        {"pythia", "f1"},
-		"seq32-f1":         {"seq-raw-32", "f1"},
-		"seq32-infer1M-s":  {"seq-raw-32", "infer1m"},
-		"pythia-infer1M-s": {"pythia", "infer1m"},
+		"pythia-f1":        {"pythia", "median F1"},
+		"seq32-f1":         {"seq-raw-32", "median F1"},
+		"seq32-infer1M-s":  {"seq-raw-32", "infer @1M blocks (s)"},
+		"pythia-infer1M-s": {"pythia", "infer @1M blocks (s)"},
 	})
 }
 
 func BenchmarkFigure10(b *testing.B) {
 	runExperiment(b, "fig10", map[string][2]string{
-		"t91-high-f1": {"t91", "high"},
+		"t91-high-f1": {"t91", "top 25%"},
 	})
 }
 
 func BenchmarkFigure11(b *testing.B) {
 	runExperiment(b, "fig11", map[string][2]string{
-		"t91-high-speedup": {"t91", "high"},
+		"t91-high-speedup": {"t91", "top 25%"},
 	})
 }
 
 func BenchmarkFigure12a(b *testing.B) {
 	runExperiment(b, "fig12a", map[string][2]string{
-		"sf25-f1":  {"SF25", "f1"},
-		"sf100-f1": {"SF100", "f1"},
+		"sf25-f1":  {"SF25", "mean F1"},
+		"sf100-f1": {"SF100", "mean F1"},
 	})
 }
 
 func BenchmarkFigure12b(b *testing.B) {
 	runExperiment(b, "fig12b", map[string][2]string{
-		"10pct-f1":  {"10%", "f1"},
-		"100pct-f1": {"100%", "f1"},
+		"10pct-f1":  {"10%", "mean F1"},
+		"100pct-f1": {"100%", "mean F1"},
 	})
 }
 
 func BenchmarkFigure12c(b *testing.B) {
 	runExperiment(b, "fig12c", map[string][2]string{
-		"homogeneous-t18-f1":   {"homogeneous", "t18"},
-		"heterogeneous-t18-f1": {"heterogeneous", "t18"},
+		"homogeneous-t18-f1":   {"homogeneous", "t18 F1"},
+		"heterogeneous-t18-f1": {"heterogeneous", "t18 F1"},
 	})
 }
 
 func BenchmarkFigure12d(b *testing.B) {
 	runExperiment(b, "fig12d", map[string][2]string{
-		"separate-f1": {"separate", "f1"},
-		"combined-f1": {"combined", "f1"},
+		"separate-f1": {"separate", "mean F1"},
+		"combined-f1": {"combined", "mean F1"},
 	})
 }
 
@@ -177,8 +178,8 @@ func BenchmarkFigure12h(b *testing.B) {
 
 func BenchmarkFigure13a(b *testing.B) {
 	runExperiment(b, "fig13a", map[string][2]string{
-		"pythia-speedup": {"mean", "pythia"},
-		"orcl-speedup":   {"mean", "orcl"},
+		"pythia-speedup": {"mean", "Pythia"},
+		"orcl-speedup":   {"mean", "ORCL"},
 	})
 }
 
@@ -202,20 +203,20 @@ func BenchmarkFigure13d(b *testing.B) {
 
 func BenchmarkExtDrift(b *testing.B) {
 	runExperiment(b, "ext-drift", map[string][2]string{
-		"future-before-f1": {"future-before", "f1"},
-		"future-after-f1":  {"future-after", "f1"},
+		"future-before-f1": {"future queries (drifted)", "mean F1"},
+		"future-after-f1":  {"future queries after incremental update", "mean F1"},
 	})
 }
 
 func BenchmarkExtSerialization(b *testing.B) {
 	runExperiment(b, "ext-serialization", map[string][2]string{
-		"multi-resolution-f1": {"multi-resolution (8/32/128)", "f1"},
+		"multi-resolution-f1": {"multi-resolution (8/32/128)", "mean F1"},
 	})
 }
 
 func BenchmarkExtScheduler(b *testing.B) {
 	runExperiment(b, "ext-scheduler", map[string][2]string{
-		"scheduled-speedup": {"scheduled", "speedup"},
-		"scheduled-overlap": {"scheduled", "overlap"},
+		"scheduled-speedup": {"pythia-scheduled", "total latency speedup vs arrival order"},
+		"scheduled-overlap": {"pythia-scheduled", "chain overlap"},
 	})
 }

@@ -54,9 +54,12 @@ type Generator struct {
 	db  *catalog.Database
 
 	// Domain bounds the templates draw parameters from.
-	dateLo, dateHi   int64
 	priceLo, priceHi int64
 }
+
+// DateLo and DateHi bound the date domain (day numbers, ~6.5 years): date
+// columns are generated over it and template date parameters drawn from it.
+const DateLo, DateHi int64 = 0, 2400
 
 // scaled returns base rows scaled by the configured factor (reference 100),
 // with a floor of 20 rows so tiny scale factors stay well formed.
@@ -77,7 +80,6 @@ func NewGenerator(cfg Config) *Generator {
 		cfg.Index = DefaultConfig().Index
 	}
 	g := &Generator{cfg: cfg, db: catalog.NewDatabase()}
-	g.dateLo, g.dateHi = 0, 2400 // ~6.5 years of day numbers
 	g.priceLo, g.priceHi = 0, 30000
 
 	seed := cfg.Seed
@@ -136,7 +138,7 @@ func NewGenerator(cfg Config) *Generator {
 	// concentrates the probed dimension rows, which is the signal Pythia's
 	// models pick up. A Zipf overlay skews popularity (hot items/customers).
 	fact := func(name string, rows int64, perPage int, fks []fkSpec) {
-		dateGen := catalog.Uniform{Lo: g.dateLo, Hi: g.dateHi, Seed: next()}
+		dateGen := catalog.Uniform{Lo: DateLo, Hi: DateHi, Seed: next()}
 		cols := []catalog.Column{
 			{Name: name + "_sold_date", Gen: dateGen},
 			{Name: name + "_price", Gen: catalog.NewZipf(g.priceLo, int(g.priceHi), 0.6, next())},
@@ -144,7 +146,7 @@ func NewGenerator(cfg Config) *Generator {
 		}
 		for _, fk := range fks {
 			target := g.db.Relation(fk.dim)
-			stride := target.Rows * 3 / (g.dateHi - g.dateLo) // date → key region
+			stride := target.Rows * 3 / (DateHi - DateLo) // date → key region
 			if stride < 1 {
 				stride = 1
 			}
@@ -273,8 +275,8 @@ func (g *Generator) Workload(template string, n int, seed uint64) *workload.Work
 // refers to: the combinatorial product, not continuous values).
 func (g *Generator) dateWindow(r *sim.Rand, grid int64, widths []int64) (int64, int64) {
 	width := widths[r.Intn(len(widths))]
-	slots := (g.dateHi - g.dateLo - width) / grid
-	lo := g.dateLo + grid*r.Int63n(slots)
+	slots := (DateHi - DateLo - width) / grid
+	lo := DateLo + grid*r.Int63n(slots)
 	return lo, lo + width
 }
 

@@ -13,26 +13,21 @@ import (
 	"github.com/pythia-db/pythia/internal/workload"
 )
 
-// trainFreshT18 builds an independent t18 system over the given generator
-// with custom predictor options (used by the retraining ablations).
-func (s *Suite) trainFreshT18(g *dsb.Generator, train []*workload.Instance, opts predictor.Options, bufferPages int) *pythia.System {
-	cfg := pythia.DefaultConfig()
-	cfg.Predictor = opts
-	cfg.Replay = replay.Config{BufferPages: bufferPages}
-	sys := pythia.New(g.DB(), cfg)
-	sys.Train("t18", train)
-	return sys
-}
-
-// trainFresh builds an independent system over the suite's main DSB
-// database and trains the named workload with custom options.
-func (s *Suite) trainFresh(name string, train []*workload.Instance, opts predictor.Options) *pythia.System {
+// trainFresh builds an independent system over g's database, sized like the
+// suite's main buffer, and trains one workload with custom predictor options
+// (the retraining ablations and extensions).
+func (s *Suite) trainFresh(g *dsb.Generator, name string, train []*workload.Instance, opts predictor.Options) *pythia.System {
 	cfg := pythia.DefaultConfig()
 	cfg.Predictor = opts
 	cfg.Replay = replay.Config{BufferPages: s.bufferPages()}
-	sys := pythia.New(s.generator().DB(), cfg)
+	sys := pythia.New(g.DB(), cfg)
 	sys.Train(name, train)
 	return sys
+}
+
+// meanF1 is Pythia's mean F1 over a set of held-out queries.
+func meanF1(sys *pythia.System, test []*workload.Instance) float64 {
+	return metrics.Summarize(pythiaF1s(sys, test)).Mean
 }
 
 // Figure12a reproduces Figure 12a: F1 vs database scale factor. Model
@@ -50,17 +45,10 @@ func (s *Suite) Figure12a() *Table {
 		{"SF50", base / 2},
 		{"SF100", base},
 	} {
-		scale := frac.scale
-		if scale < 2 {
-			scale = 2
-		}
-		g := dsb.NewGenerator(dsb.Config{ScaleFactor: scale, Seed: s.cfg.Seed})
+		g := dsb.NewGenerator(dsb.Config{ScaleFactor: max(frac.scale, 2), Seed: s.cfg.Seed})
 		w := g.Workload("t18", s.cfg.PerTemplate, s.cfg.Seed+11)
 		train, test := w.Split(s.cfg.TestFraction, s.cfg.Seed+23)
-		sys := s.trainFreshT18(g, train, s.ablationOptions(), s.bufferPages())
-		f1 := metrics.Summarize(pythiaF1s(sys, test)).Mean
-		t.addRow(frac.label, f1)
-		t.set(frac.label, "f1", f1)
+		t.addRow(frac.label, meanF1(s.trainFresh(g, "t18", train, s.ablationOptions()), test))
 	}
 	return t
 }
@@ -73,11 +61,8 @@ func (s *Suite) Figure12b() *Table {
 	sp := s.Split("t18")
 	for _, frac := range []float64{0.10, 0.25, 0.50, 0.75, 1.0} {
 		sub := workload.Subsample(sp.train, frac, s.cfg.Seed+31)
-		sys := s.trainFreshT18(s.generator(), sub, s.ablationOptions(), s.bufferPages())
-		f1 := metrics.Summarize(pythiaF1s(sys, sp.test)).Mean
-		label := fmt.Sprintf("%.0f%%", frac*100)
-		t.addRow(label, f1)
-		t.set(label, "f1", f1)
+		sys := s.trainFresh(s.generator(), "t18", sub, s.ablationOptions())
+		t.addRow(fmt.Sprintf("%.0f%%", frac*100), meanF1(sys, sp.test))
 	}
 	return t
 }
@@ -90,23 +75,15 @@ func (s *Suite) Figure12c() *Table {
 		"configuration", "t18 F1", "t19 F1")
 	sys := s.DSBSystem("t18", "t19")
 	sp18, sp19 := s.Split("t18"), s.Split("t19")
-	homo18 := metrics.Summarize(pythiaF1s(sys, sp18.test)).Mean
-	homo19 := metrics.Summarize(pythiaF1s(sys, sp19.test)).Mean
-	t.addRow("homogeneous", homo18, homo19)
-	t.set("homogeneous", "t18", homo18)
-	t.set("homogeneous", "t19", homo19)
+	t.addRow("homogeneous", meanF1(sys, sp18.test), meanF1(sys, sp19.test))
 
 	// Heterogeneous: one predictor over a half-and-half mix, matching the
 	// homogeneous per-template training budget.
 	mixed := append(append([]*workload.Instance{},
 		workload.Subsample(sp18.train, 0.5, s.cfg.Seed+41)...),
 		workload.Subsample(sp19.train, 0.5, s.cfg.Seed+43)...)
-	hsys := s.trainFreshT18(s.generator(), mixed, s.ablationOptions(), s.bufferPages())
-	het18 := metrics.Summarize(pythiaF1s(hsys, sp18.test)).Mean
-	het19 := metrics.Summarize(pythiaF1s(hsys, sp19.test)).Mean
-	t.addRow("heterogeneous", het18, het19)
-	t.set("heterogeneous", "t18", het18)
-	t.set("heterogeneous", "t19", het19)
+	hsys := s.trainFresh(s.generator(), "t18", mixed, s.ablationOptions())
+	t.addRow("heterogeneous", meanF1(hsys, sp18.test), meanF1(hsys, sp19.test))
 	return t
 }
 
@@ -120,34 +97,29 @@ func (s *Suite) Figure12d() *Table {
 		"configuration", "mean F1", "total params")
 	sp := s.Split("t18")
 
-	sep := s.trainFreshT18(s.generator(), sp.train, s.ablationOptions(), s.bufferPages())
-	sepF1 := metrics.Summarize(pythiaF1s(sep, sp.test)).Mean
-	var sepParams int
-	for _, w := range sep.Workloads() {
-		sepParams += w.Pred.ParamCount()
-	}
-	t.addRow("shared trunk", sepF1, sepParams)
-	t.set("separate", "f1", sepF1)
-	t.set("separate", "params", float64(sepParams))
-
 	// Combined: group each relation's heap with its index.
-	opts := s.ablationOptions()
+	combined := s.ablationOptions()
 	for _, rel := range s.generator().DB().Relations() {
 		for _, ix := range rel.Indexes() {
-			opts.Groups = append(opts.Groups, []storage.ObjectID{
+			combined.Groups = append(combined.Groups, []storage.ObjectID{
 				rel.Heap.ID, ix.Tree.Object().ID,
 			})
 		}
 	}
-	comb := s.trainFreshT18(s.generator(), sp.train, opts, s.bufferPages())
-	combF1 := metrics.Summarize(pythiaF1s(comb, sp.test)).Mean
-	var combParams int
-	for _, w := range comb.Workloads() {
-		combParams += w.Pred.ParamCount()
+	for _, v := range []struct {
+		label string
+		opts  predictor.Options
+	}{
+		{"separate", s.ablationOptions()},
+		{"combined", combined},
+	} {
+		sys := s.trainFresh(s.generator(), "t18", sp.train, v.opts)
+		params := 0
+		for _, w := range sys.Workloads() {
+			params += w.Pred.ParamCount()
+		}
+		t.addRow(v.label, meanF1(sys, sp.test), params)
 	}
-	t.addRow("combined", combF1, combParams)
-	t.set("combined", "f1", combF1)
-	t.set("combined", "params", float64(combParams))
 	return t
 }
 
@@ -161,44 +133,28 @@ func (s *Suite) Figure12e() *Table {
 	half := s.bufferPages() / 2
 	for _, pol := range []buffer.Policy{buffer.Clock, buffer.LRU, buffer.MRU} {
 		v := sys.WithReplay(replay.Config{BufferPages: half, BufferPolicy: pol})
-		var sp []float64
-		for _, inst := range s.speedupSample("t18") {
-			sp = append(sp, v.SpeedupColdCache(inst, v.Prefetch))
-		}
-		m := metrics.Summarize(sp).Mean
-		t.addRow(pol.String(), m)
-		t.set(pol.String(), "speedup", m)
+		t.addRow(pol.String(), s.meanSpeedups(v, "t18", v.Prefetch)[0])
 	}
 	return t
 }
 
-// Figure12f reproduces Figure 12f: speedup vs buffer size. Larger buffers
-// leave more room for prefetched pages.
+// Figure12f reproduces Figure 12f: speedup vs buffer size, as a multiple of
+// the main experiments' buffer. Larger buffers leave more room for
+// prefetched pages.
 func (s *Suite) Figure12f() *Table {
 	t := newTable("fig12f", "Speedup vs buffer size (t18)",
-		"buffer (pages)", "speedup")
+		"buffer", "pages", "speedup")
 	sys := s.DSBSystem("t18")
 	base := s.bufferPages()
 	for _, mul := range []struct {
-		label string
-		num   int
-		den   int
+		label    string
+		num, den int
 	}{
 		{"x0.25", 1, 4}, {"x0.5", 1, 2}, {"x1", 1, 1}, {"x2", 2, 1},
 	} {
-		pages := base * mul.num / mul.den
-		if pages < 64 {
-			pages = 64
-		}
+		pages := max(base*mul.num/mul.den, 64)
 		v := sys.WithReplay(replay.Config{BufferPages: pages})
-		var sp []float64
-		for _, inst := range s.speedupSample("t18") {
-			sp = append(sp, v.SpeedupColdCache(inst, v.Prefetch))
-		}
-		m := metrics.Summarize(sp).Mean
-		label := fmt.Sprintf("%d", pages)
-		t.addRow(label, m)
-		t.set(mul.label, "speedup", m)
+		t.addRow(mul.label, pages, s.meanSpeedups(v, "t18", v.Prefetch)[0])
 	}
 	return t
 }
@@ -211,13 +167,7 @@ func (s *Suite) Figure12g() *Table {
 	sys := s.DSBSystem("t18")
 	for _, w := range []int{16, 64, 256, 1024, 4096} {
 		v := sys.WithWindow(w)
-		var sp []float64
-		for _, inst := range s.speedupSample("t18") {
-			sp = append(sp, v.SpeedupColdCache(inst, v.Prefetch))
-		}
-		m := metrics.Summarize(sp).Mean
-		t.addRow(w, m)
-		t.set(fmt.Sprintf("%d", w), "speedup", m)
+		t.addRow(fmt.Sprint(w), s.meanSpeedups(v, "t18", v.Prefetch)[0])
 	}
 	return t
 }
@@ -252,14 +202,8 @@ func (s *Suite) Figure12h() *Table {
 	for _, v := range variants {
 		opts := s.ablationOptions()
 		opts.TopK = v.topK
-		sys := s.trainFreshT18(s.generator(), sp.train, opts, s.bufferPages())
-		var sps []float64
-		for _, inst := range s.speedupSample("t18") {
-			sps = append(sps, sys.SpeedupColdCache(inst, sys.Prefetch))
-		}
-		m := metrics.Summarize(sps).Mean
-		t.addRow(v.label, m)
-		t.set(v.label, "speedup", m)
+		sys := s.trainFresh(s.generator(), "t18", sp.train, opts)
+		t.addRow(v.label, s.meanSpeedups(sys, "t18", sys.Prefetch)[0])
 	}
 	return t
 }

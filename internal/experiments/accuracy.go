@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"github.com/pythia-db/pythia/internal/baselines"
 	"github.com/pythia-db/pythia/internal/metrics"
 	"github.com/pythia-db/pythia/internal/pythia"
@@ -15,17 +13,11 @@ import (
 func (s *Suite) Table1() *Table {
 	t := newTable("table1", "Statistics for template workloads",
 		"workload", "seq IO", "min distinct non-seq", "max distinct non-seq",
-		"distinct plans", "relations joined (max idx scanned)")
+		"distinct plans", "relations joined", "max idx scanned")
 	for _, name := range []string{"imdb1a", "t18", "t19", "t91"} {
 		st := s.Split(name).all.ComputeStats()
 		t.addRow(name, st.SeqIO, st.MinDistinctNS, st.MaxDistinctNS,
-			st.DistinctPlans, fmt.Sprintf("%d(%d)", st.RelationsJoined, st.MaxIndexScanned))
-		t.set(name, "seqIO", float64(st.SeqIO))
-		t.set(name, "minNS", float64(st.MinDistinctNS))
-		t.set(name, "maxNS", float64(st.MaxDistinctNS))
-		t.set(name, "plans", float64(st.DistinctPlans))
-		t.set(name, "rels", float64(st.RelationsJoined))
-		t.set(name, "idx", float64(st.MaxIndexScanned))
+			st.DistinctPlans, st.RelationsJoined, st.MaxIndexScanned)
 	}
 	return t
 }
@@ -38,26 +30,29 @@ func (s *Suite) Figure1() *Table {
 		"template", "seq-only speedup", "non-seq-only speedup")
 	sys := s.DSBSystem() // no training needed: oracle prefetch sets
 	for _, tpl := range s.Templates() {
-		var seqSp, nsSp []float64
-		for _, inst := range s.speedupSample(tpl) {
-			seqSp = append(seqSp, sys.SpeedupColdCache(inst, baselines.OracleSequential))
-			nsSp = append(nsSp, sys.SpeedupColdCache(inst, baselines.Oracle))
-		}
-		ms, mn := metrics.Summarize(seqSp).Mean, metrics.Summarize(nsSp).Mean
-		t.addRow(tpl, ms, mn)
-		t.set(tpl, "seq", ms)
-		t.set(tpl, "nonseq", mn)
+		m := s.meanSpeedups(sys, tpl, baselines.OracleSequential, baselines.Oracle)
+		t.addRow(tpl, m[0], m[1])
 	}
 	return t
 }
 
+// pythiaF1 scores Pythia's prediction for one query.
+func pythiaF1(sys *pythia.System, inst *workload.Instance) float64 {
+	return metrics.Score(sys.Prefetch(inst), inst.Pages).F1
+}
+
 // pythiaF1s scores Pythia on a workload's held-out queries.
 func pythiaF1s(sys *pythia.System, test []*workload.Instance) []float64 {
-	var out []float64
-	for _, inst := range test {
-		out = append(out, metrics.Score(sys.Prefetch(inst), inst.Pages).F1)
+	out := make([]float64, len(test))
+	for i, inst := range test {
+		out[i] = pythiaF1(sys, inst)
 	}
 	return out
+}
+
+// coldSpeedup is one query's cold-cache speedup under Pythia's prefetching.
+func coldSpeedup(sys *pythia.System, inst *workload.Instance) float64 {
+	return sys.SpeedupColdCache(inst, sys.Prefetch)
 }
 
 // Figure5 reproduces Figure 5: Pythia's F1 vs the idealized
@@ -66,23 +61,15 @@ func pythiaF1s(sys *pythia.System, test []*workload.Instance) []float64 {
 func (s *Suite) Figure5() *Table {
 	t := newTable("fig5", "F1: Pythia vs idealized NN baseline",
 		"workload", "Pythia mean F1", "Pythia median F1", "NN mean F1", "NN median F1")
-	for _, tpl := range append(s.Templates(), "imdb1a") {
-		sp := s.Split(tpl)
-		var sys *pythia.System
-		if tpl == "imdb1a" {
-			sys = s.IMDBSystem()
-		} else {
-			sys = s.DSBSystem(tpl)
-		}
-		py := metrics.Summarize(pythiaF1s(sys, sp.test))
+	for _, name := range append(s.Templates(), "imdb1a") {
+		sp := s.Split(name)
+		py := metrics.Summarize(pythiaF1s(s.system(name), sp.test))
 		var nn []float64
 		for _, inst := range sp.test {
 			nn = append(nn, metrics.Score(baselines.NearestNeighbor(inst, sp.train), inst.Pages).F1)
 		}
 		nns := metrics.Summarize(nn)
-		t.addRow(tpl, py.Mean, py.Median, nns.Mean, nns.Median)
-		t.set(tpl, "pythia", py.Mean)
-		t.set(tpl, "nn", nns.Mean)
+		t.addRow(name, py.Mean, py.Median, nns.Mean, nns.Median)
 	}
 	return t
 }
@@ -94,74 +81,52 @@ func (s *Suite) Figure6() *Table {
 	t := newTable("fig6", "Speedup: Pythia vs ORCL vs NN",
 		"template", "Pythia", "ORCL", "NN")
 	for _, tpl := range s.Templates() {
-		sys := s.DSBSystem(tpl)
-		sp := s.Split(tpl)
-		var py, orcl, nn []float64
-		for _, inst := range s.speedupSample(tpl) {
-			py = append(py, sys.SpeedupColdCache(inst, sys.Prefetch))
-			orcl = append(orcl, sys.SpeedupColdCache(inst, baselines.Oracle))
-			nn = append(nn, sys.SpeedupColdCache(inst, func(i *workload.Instance) []storage.PageID {
-				return baselines.NearestNeighbor(i, sp.train)
-			}))
-		}
-		mp, mo, mn := metrics.Summarize(py).Mean, metrics.Summarize(orcl).Mean, metrics.Summarize(nn).Mean
-		t.addRow(tpl, mp, mo, mn)
-		t.set(tpl, "pythia", mp)
-		t.set(tpl, "orcl", mo)
-		t.set(tpl, "nn", mn)
+		sys, train := s.DSBSystem(tpl), s.Split(tpl).train
+		nn := func(i *workload.Instance) []storage.PageID { return baselines.NearestNeighbor(i, train) }
+		m := s.meanSpeedups(sys, tpl, sys.Prefetch, baselines.Oracle, nn)
+		t.addRow(tpl, m[0], m[1], m[2])
 	}
 	return t
 }
 
-// similarityBuckets buckets a workload's test queries by their average
-// Jaccard similarity to the training workload (§5.3).
-func similarityBuckets(sp *split) []metrics.Bucket {
-	keys := make([]float64, len(sp.test))
-	for i, inst := range sp.test {
-		keys[i] = workload.AvgSimilarity(inst, sp.train)
+// byBucket fills t with one §5.3 factor analysis: measure over each named
+// workload's held-out queries, averaged within the quartile buckets of key.
+func (s *Suite) byBucket(t *Table, names []string,
+	key func(*split, *workload.Instance) float64,
+	measure func(*pythia.System, *workload.Instance) float64) *Table {
+	for _, name := range names {
+		sp, sys := s.Split(name), s.system(name)
+		keys, vals := make([]float64, len(sp.test)), make([]float64, len(sp.test))
+		for i, inst := range sp.test {
+			keys[i], vals[i] = key(sp, inst), measure(sys, inst)
+		}
+		g := metrics.GroupByBucket(metrics.Bucketize(keys), vals)
+		t.addRow(name, g[metrics.Low], g[metrics.Mid], g[metrics.High])
 	}
-	return metrics.Bucketize(keys)
+	return t
+}
+
+// similarity is a held-out query's average Jaccard similarity to its
+// workload's training queries.
+func similarity(sp *split, inst *workload.Instance) float64 {
+	return workload.AvgSimilarity(inst, sp.train)
+}
+
+// nonSeqReads is a held-out query's number of distinct non-sequential reads.
+func nonSeqReads(_ *split, inst *workload.Instance) float64 {
+	return float64(workload.NonSeqReads(inst))
 }
 
 // Figure7 reproduces Figure 7: F1 by test-query↔workload similarity bucket.
 func (s *Suite) Figure7() *Table {
-	t := newTable("fig7", "F1 by similarity between test query and workload",
-		"workload", "low 25%", "mid 50%", "top 25%")
-	for _, tpl := range append(s.Templates(), "imdb1a") {
-		sp := s.Split(tpl)
-		var sys *pythia.System
-		if tpl == "imdb1a" {
-			sys = s.IMDBSystem()
-		} else {
-			sys = s.DSBSystem(tpl)
-		}
-		g := metrics.GroupByBucket(similarityBuckets(sp), pythiaF1s(sys, sp.test))
-		t.addRow(tpl, g[metrics.Low], g[metrics.Mid], g[metrics.High])
-		t.set(tpl, "low", g[metrics.Low])
-		t.set(tpl, "mid", g[metrics.Mid])
-		t.set(tpl, "high", g[metrics.High])
-	}
-	return t
+	return s.byBucket(newTable("fig7", "F1 by similarity between test query and workload",
+		"workload", "low 25%", "mid 50%", "top 25%"), append(s.Templates(), "imdb1a"), similarity, pythiaF1)
 }
 
 // Figure8 reproduces Figure 8: speedup by similarity bucket.
 func (s *Suite) Figure8() *Table {
-	t := newTable("fig8", "Speedup by similarity between test query and workload",
-		"template", "low 25%", "mid 50%", "top 25%")
-	for _, tpl := range s.Templates() {
-		sys := s.DSBSystem(tpl)
-		sp := s.Split(tpl)
-		sps := make([]float64, len(sp.test))
-		for i, inst := range sp.test {
-			sps[i] = sys.SpeedupColdCache(inst, sys.Prefetch)
-		}
-		g := metrics.GroupByBucket(similarityBuckets(sp), sps)
-		t.addRow(tpl, g[metrics.Low], g[metrics.Mid], g[metrics.High])
-		t.set(tpl, "low", g[metrics.Low])
-		t.set(tpl, "mid", g[metrics.Mid])
-		t.set(tpl, "high", g[metrics.High])
-	}
-	return t
+	return s.byBucket(newTable("fig8", "Speedup by similarity between test query and workload",
+		"template", "low 25%", "mid 50%", "top 25%"), s.Templates(), similarity, coldSpeedup)
 }
 
 // Figure9 reproduces Figure 9 and its cost discussion: Pythia vs the
@@ -191,12 +156,8 @@ func (s *Suite) Figure9() *Table {
 	// Pythia's inference is one-shot: its cost does not grow with the
 	// length of the block sequence, so the @1M column equals its per-query
 	// cost.
-	t.addRow("pythia", py.Median, fmt.Sprintf("%.2f", pyTrain), fmt.Sprintf("%.2f", pyInferMS),
-		fmt.Sprintf("%.3f", pyInferMS/1000), "1.0", "1.0")
-	t.set("pythia", "f1", py.Median)
-	t.set("pythia", "train", pyTrain)
-	t.set("pythia", "infer", pyInferMS)
-	t.set("pythia", "infer1m", pyInferMS/1000)
+	t.addRow("pythia", py.Median, decimals{pyTrain, 2}, decimals{pyInferMS, 2}, pyInferMS/1000,
+		decimals{1, 1}, decimals{1, 1})
 
 	for _, variant := range []struct {
 		name  string
@@ -223,7 +184,6 @@ func (s *Suite) Figure9() *Table {
 			pred := m.PredictFrom(seq[:seedLen], len(inst.Pages))
 			f1s = append(f1s, metrics.Score(pred, inst.Pages).F1)
 		}
-		med := metrics.Summarize(f1s).Median
 		trainS := m.TrainTime.Seconds()
 		inferMS := float64(m.InferTime.Microseconds()) / 1000 / float64(len(sp.test))
 		// Step-wise decoding pays one forward pass per block: extrapolating
@@ -231,72 +191,23 @@ func (s *Suite) Figure9() *Table {
 		// what produces the "8500× slower inference" regime (§5.2 — 16.4
 		// minutes to predict 1M blocks on a V100).
 		infer1M := m.PerTokenInferCost().Seconds() * 1e6
-		t.addRow(variant.name, med, fmt.Sprintf("%.2f", trainS), fmt.Sprintf("%.2f", inferMS),
-			fmt.Sprintf("%.1f", infer1M),
-			fmt.Sprintf("%.1f", trainS/pyTrain), fmt.Sprintf("%.1f", infer1M/(pyInferMS/1000)))
-		t.set(variant.name, "f1", med)
-		t.set(variant.name, "train", trainS)
-		t.set(variant.name, "infer", inferMS)
-		t.set(variant.name, "infer1m", infer1M)
+		t.addRow(variant.name, metrics.Summarize(f1s).Median, decimals{trainS, 2}, decimals{inferMS, 2},
+			decimals{infer1M, 1}, decimals{trainS / pyTrain, 1}, decimals{infer1M / (pyInferMS / 1000), 1})
 	}
 	return t
-}
-
-// nonSeqBuckets buckets a workload's test queries by their number of
-// distinct non-sequential reads (§5.3).
-func nonSeqBuckets(sp *split) []metrics.Bucket {
-	keys := make([]float64, len(sp.test))
-	for i, inst := range sp.test {
-		keys[i] = float64(workload.NonSeqReads(inst))
-	}
-	return metrics.Bucketize(keys)
 }
 
 // Figure10 reproduces Figure 10: F1 by number of non-sequential reads.
 func (s *Suite) Figure10() *Table {
-	t := newTable("fig10", "F1 by number of distinct non-sequential reads",
-		"workload", "low 25%", "mid 50%", "top 25%")
-	for _, tpl := range append(s.Templates(), "imdb1a") {
-		sp := s.Split(tpl)
-		var sys *pythia.System
-		if tpl == "imdb1a" {
-			sys = s.IMDBSystem()
-		} else {
-			sys = s.DSBSystem(tpl)
-		}
-		g := metrics.GroupByBucket(nonSeqBuckets(sp), pythiaF1s(sys, sp.test))
-		t.addRow(tpl, g[metrics.Low], g[metrics.Mid], g[metrics.High])
-		t.set(tpl, "low", g[metrics.Low])
-		t.set(tpl, "mid", g[metrics.Mid])
-		t.set(tpl, "high", g[metrics.High])
-	}
-	return t
+	return s.byBucket(newTable("fig10", "F1 by number of distinct non-sequential reads",
+		"workload", "low 25%", "mid 50%", "top 25%"), append(s.Templates(), "imdb1a"), nonSeqReads, pythiaF1)
 }
 
 // Figure11 reproduces Figure 11: speedup by number of non-sequential reads.
 // The IMDB high bucket is limited by buffer-bounded prefetching.
 func (s *Suite) Figure11() *Table {
-	t := newTable("fig11", "Speedup by number of distinct non-sequential reads",
-		"workload", "low 25%", "mid 50%", "top 25%")
-	for _, tpl := range append(s.Templates(), "imdb1a") {
-		sp := s.Split(tpl)
-		var sys *pythia.System
-		if tpl == "imdb1a" {
-			sys = s.IMDBSystem()
-		} else {
-			sys = s.DSBSystem(tpl)
-		}
-		sps := make([]float64, len(sp.test))
-		for i, inst := range sp.test {
-			sps[i] = sys.SpeedupColdCache(inst, sys.Prefetch)
-		}
-		g := metrics.GroupByBucket(nonSeqBuckets(sp), sps)
-		t.addRow(tpl, g[metrics.Low], g[metrics.Mid], g[metrics.High])
-		t.set(tpl, "low", g[metrics.Low])
-		t.set(tpl, "mid", g[metrics.Mid])
-		t.set(tpl, "high", g[metrics.High])
-	}
-	return t
+	return s.byBucket(newTable("fig11", "Speedup by number of distinct non-sequential reads",
+		"workload", "low 25%", "mid 50%", "top 25%"), append(s.Templates(), "imdb1a"), nonSeqReads, coldSpeedup)
 }
 
 // timePerQueryMS runs fn once and returns its mean wall-clock cost per

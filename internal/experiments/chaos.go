@@ -33,15 +33,9 @@ func (s *Suite) ExtChaos() *Table {
 		}
 		chaos := sys.WithFault(fault.New(plan, s.cfg.Seed+77))
 		res := chaos.Run(insts, nil, chaos.Prefetch)
-		speedup := baseT / float64(res.TotalElapsed())
-		label := fmt.Sprintf("%g%%", rate*100)
-		t.addRow(label, speedup, float64(res.PrefetchRetries), float64(res.PrefetchAbandons),
+		t.addRow(fmt.Sprintf("%g%%", rate*100), baseT/float64(res.TotalElapsed()),
+			float64(res.PrefetchRetries), float64(res.PrefetchAbandons),
 			float64(res.FallbackSyncReads), float64(res.InferenceDeadlineMisses))
-		t.set(label, "speedup", speedup)
-		t.set(label, "retries", float64(res.PrefetchRetries))
-		t.set(label, "abandons", float64(res.PrefetchAbandons))
-		t.set(label, "fallbacks", float64(res.FallbackSyncReads))
-		t.set(label, "misses", float64(res.InferenceDeadlineMisses))
 	}
 	return t
 }

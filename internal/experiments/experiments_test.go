@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -30,17 +33,16 @@ func TestTableFormatting(t *testing.T) {
 	tab := newTable("x", "demo", "a", "bb")
 	tab.addRow("r1", 1.5)
 	tab.addRow("longer-cell", 2)
-	tab.set("r1", "v", 1.5)
 	out := tab.String()
 	for _, want := range []string{"== x — demo ==", "a", "bb", "r1", "1.500", "longer-cell"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table output missing %q:\n%s", want, out)
 		}
 	}
-	if tab.Get("r1", "v") != 1.5 {
+	if tab.Get("r1", "bb") != 1.5 || tab.Get("longer-cell", "bb") != 2 {
 		t.Fatal("Get wrong")
 	}
-	if !tab.Has("r1", "v") || tab.Has("zz", "v") {
+	if !tab.Has("r1", "bb") || tab.Has("zz", "bb") || tab.Has("r1", "a") {
 		t.Fatal("Has wrong")
 	}
 	defer func() {
@@ -48,7 +50,71 @@ func TestTableFormatting(t *testing.T) {
 			t.Fatal("Get of unknown key did not panic")
 		}
 	}()
-	tab.Get("zz", "v")
+	tab.Get("zz", "bb")
+}
+
+// TestFastSuiteGolden pins every experiment's printed table: a fresh fast
+// suite runs the registry in Names() order (the order pythia-experiments
+// prints it), and the tables must match testdata/fast.golden byte for byte.
+// Figure 9 contributes its model and median-F1 columns only; the other five
+// are wall-clock. Every cell but a row's label must also read back: Get of
+// its row label and column header, printed at the cell's own precision, is
+// the cell. Regenerate with UPDATE_GOLDEN=1.
+func TestFastSuiteGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite in -short mode")
+	}
+	s := NewSuite(Fast())
+	var b strings.Builder
+	for _, id := range Names() {
+		tab, err := s.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tab.Rows {
+			for i, cell := range row[1:] {
+				col := tab.Columns[i+1]
+				if !tab.Has(row[0], col) {
+					t.Errorf("%s: %s/%s prints %q but does not read back", id, row[0], col, cell)
+					continue
+				}
+				prec := 0
+				if dot := strings.IndexByte(cell, '.'); dot >= 0 {
+					prec = len(cell) - dot - 1
+				}
+				if got := fmt.Sprintf("%.*f", prec, tab.Get(row[0], col)); got != cell {
+					t.Errorf("%s: %s/%s prints %q but reads back as %s", id, row[0], col, cell, got)
+				}
+			}
+		}
+		if id == "fig9" {
+			trimmed := &Table{ID: tab.ID, Title: tab.Title, Columns: tab.Columns[:2]}
+			for _, row := range tab.Rows {
+				trimmed.Rows = append(trimmed.Rows, row[:2])
+			}
+			tab = trimmed
+		}
+		b.WriteString(tab.String())
+		b.WriteByte('\n')
+	}
+	got := b.String()
+
+	path := filepath.Join("testdata", "fast.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("fast-suite tables diverged from golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -87,16 +153,16 @@ func TestTable1Regimes(t *testing.T) {
 		t.Fatalf("Table 1 rows = %d", len(tab.Rows))
 	}
 	// T91's fact is the smallest: lowest sequential IO among DSB templates.
-	if !(tab.Get("t91", "seqIO") < tab.Get("t18", "seqIO") &&
-		tab.Get("t18", "seqIO") < tab.Get("t19", "seqIO")) {
+	if !(tab.Get("t91", "seq IO") < tab.Get("t18", "seq IO") &&
+		tab.Get("t18", "seq IO") < tab.Get("t19", "seq IO")) {
 		t.Fatalf("sequential IO ordering wrong:\n%s", tab)
 	}
 	// Plan-count ordering: t18 ≥ t19 > t91 (21/8/2 in the paper).
-	if !(tab.Get("t18", "plans") >= tab.Get("t19", "plans") &&
-		tab.Get("t19", "plans") > tab.Get("t91", "plans")) {
+	if !(tab.Get("t18", "distinct plans") >= tab.Get("t19", "distinct plans") &&
+		tab.Get("t19", "distinct plans") > tab.Get("t91", "distinct plans")) {
 		t.Fatalf("plan ordering wrong:\n%s", tab)
 	}
-	if tab.Get("imdb1a", "rels") != 9 || tab.Get("t91", "rels") != 7 {
+	if tab.Get("imdb1a", "relations joined") != 9 || tab.Get("t91", "relations joined") != 7 {
 		t.Fatalf("relation counts wrong:\n%s", tab)
 	}
 }
@@ -105,7 +171,7 @@ func TestFigure1Shape(t *testing.T) {
 	s := testSuite(t)
 	tab := s.Figure1()
 	for _, tpl := range s.Templates() {
-		seq, nonseq := tab.Get(tpl, "seq"), tab.Get(tpl, "nonseq")
+		seq, nonseq := tab.Get(tpl, "seq-only speedup"), tab.Get(tpl, "non-seq-only speedup")
 		if nonseq <= seq {
 			t.Fatalf("%s: non-seq prefetch (%.2fx) should beat seq prefetch (%.2fx)\n%s",
 				tpl, nonseq, seq, tab)
@@ -120,7 +186,7 @@ func TestFigure5And6Shape(t *testing.T) {
 	s := testSuite(t)
 	f5 := s.Figure5()
 	for _, tpl := range append(s.Templates(), "imdb1a") {
-		py, nn := f5.Get(tpl, "pythia"), f5.Get(tpl, "nn")
+		py, nn := f5.Get(tpl, "Pythia mean F1"), f5.Get(tpl, "NN mean F1")
 		if py <= 0.05 {
 			t.Fatalf("%s: Pythia F1 %.3f ~ zero\n%s", tpl, py, f5)
 		}
@@ -136,15 +202,15 @@ func TestFigure5And6Shape(t *testing.T) {
 	}
 	f6 := s.Figure6()
 	for _, tpl := range s.Templates() {
-		if f6.Get(tpl, "pythia") < 1.0 {
+		if f6.Get(tpl, "Pythia") < 1.0 {
 			t.Fatalf("%s: Pythia slowdown\n%s", tpl, f6)
 		}
-		if f6.Get(tpl, "orcl") < 1.0 {
+		if f6.Get(tpl, "ORCL") < 1.0 {
 			t.Fatalf("%s: oracle slowdown\n%s", tpl, f6)
 		}
 	}
 	// T91 gets the largest oracle speedup (highest non-seq fraction).
-	if f6.Get("t91", "orcl") < f6.Get("t19", "orcl") {
+	if f6.Get("t91", "ORCL") < f6.Get("t19", "ORCL") {
 		t.Fatalf("t91 should outgain t19:\n%s", f6)
 	}
 }
@@ -155,7 +221,7 @@ func TestFigure7Shape(t *testing.T) {
 	// High-similarity bucket should not be worse than the low bucket where
 	// both exist (the paper's headline trend).
 	for _, tpl := range s.Templates() {
-		low, high := tab.Get(tpl, "low"), tab.Get(tpl, "high")
+		low, high := tab.Get(tpl, "low 25%"), tab.Get(tpl, "top 25%")
 		if math.IsNaN(low) || math.IsNaN(high) {
 			continue // tiny test split may leave a bucket empty
 		}
@@ -168,17 +234,17 @@ func TestFigure7Shape(t *testing.T) {
 func TestFigure9CostStructure(t *testing.T) {
 	s := testSuite(t)
 	tab := s.Figure9()
-	pyInfer1M := tab.Get("pythia", "infer1m")
+	pyInfer1M := tab.Get("pythia", "infer @1M blocks (s)")
 	for _, v := range []string{"seq-raw-32", "seq-raw-64", "seq-dedup-32", "seq-dedup-64"} {
-		if tab.Get(v, "f1") < 0 || tab.Get(v, "f1") > 1 {
+		if tab.Get(v, "median F1") < 0 || tab.Get(v, "median F1") > 1 {
 			t.Fatalf("%s F1 out of range\n%s", v, tab)
 		}
 		// The headline claim: predicting a paper-scale (~1M-block) sequence
 		// step by step is orders of magnitude costlier than Pythia's
 		// one-shot inference.
-		if tab.Get(v, "infer1m") < 50*pyInfer1M {
+		if tab.Get(v, "infer @1M blocks (s)") < 50*pyInfer1M {
 			t.Fatalf("%s @1M inference (%.1fs) not clearly above Pythia (%.3fs)\n%s",
-				v, tab.Get(v, "infer1m"), pyInfer1M, tab)
+				v, tab.Get(v, "infer @1M blocks (s)"), pyInfer1M, tab)
 		}
 	}
 }
@@ -188,7 +254,7 @@ func TestFigure10And11Shape(t *testing.T) {
 	f10 := s.Figure10()
 	f11 := s.Figure11()
 	for _, tpl := range append(s.Templates(), "imdb1a") {
-		for _, col := range []string{"low", "mid", "high"} {
+		for _, col := range []string{"low 25%", "mid 50%", "top 25%"} {
 			if v := f10.Get(tpl, col); !math.IsNaN(v) && (v < 0 || v > 1) {
 				t.Fatalf("fig10 %s/%s out of range: %f", tpl, col, v)
 			}
@@ -204,23 +270,23 @@ func TestFigure12Ablations(t *testing.T) {
 
 	a := s.Figure12a()
 	for _, sf := range []string{"SF25", "SF50", "SF100"} {
-		if v := a.Get(sf, "f1"); v <= 0 || v > 1 {
+		if v := a.Get(sf, "mean F1"); v <= 0 || v > 1 {
 			t.Fatalf("fig12a %s F1 = %f", sf, v)
 		}
 	}
 
 	b := s.Figure12b()
-	if b.Get("100%", "f1") < b.Get("10%", "f1")-0.15 {
+	if b.Get("100%", "mean F1") < b.Get("10%", "mean F1")-0.15 {
 		t.Fatalf("more training data should not hurt:\n%s", b)
 	}
 
 	c := s.Figure12c()
-	if c.Get("homogeneous", "t18") <= 0 {
+	if c.Get("homogeneous", "t18 F1") <= 0 {
 		t.Fatalf("fig12c degenerate:\n%s", c)
 	}
 
 	d := s.Figure12d()
-	if d.Get("separate", "f1") <= 0 || d.Get("combined", "f1") <= 0 {
+	if d.Get("separate", "mean F1") <= 0 || d.Get("combined", "mean F1") <= 0 {
 		t.Fatalf("fig12d degenerate:\n%s", d)
 	}
 
@@ -251,10 +317,10 @@ func TestFigure13MultiQuery(t *testing.T) {
 	s := testSuite(t)
 
 	a := s.Figure13a()
-	if a.Get("mean", "pythia") < 0.8 {
+	if a.Get("mean", "Pythia") < 0.8 {
 		t.Fatalf("fig13a Pythia regressed badly:\n%s", a)
 	}
-	if a.Get("mean", "orcl") < 0.9 {
+	if a.Get("mean", "ORCL") < 0.9 {
 		t.Fatalf("fig13a oracle regressed:\n%s", a)
 	}
 
@@ -279,10 +345,10 @@ func TestExtensionsRun(t *testing.T) {
 	s := testSuite(t)
 
 	d := s.ExtDrift()
-	if d.Has("future-before", "f1") {
-		past := d.Get("past", "f1")
-		before := d.Get("future-before", "f1")
-		after := d.Get("future-after", "f1")
+	if d.Has("future queries (drifted)", "mean F1") {
+		past := d.Get("past queries (in distribution)", "mean F1")
+		before := d.Get("future queries (drifted)", "mean F1")
+		after := d.Get("future queries after incremental update", "mean F1")
 		// Drift hurts relative to in-distribution queries, and the
 		// incremental update must not make the drifted queries worse.
 		if before > past+0.2 {
@@ -294,20 +360,20 @@ func TestExtensionsRun(t *testing.T) {
 	}
 
 	sch := s.ExtScheduler()
-	if sch.Get("scheduled", "speedup") < 0.7 {
+	if sch.Get("pythia-scheduled", "total latency speedup vs arrival order") < 0.7 {
 		t.Fatalf("scheduling regressed badly:\n%s", sch)
 	}
-	if sch.Get("scheduled", "overlap")+1e-9 < sch.Get("arrival", "overlap") {
+	if sch.Get("pythia-scheduled", "chain overlap")+1e-9 < sch.Get("arrival order", "chain overlap") {
 		t.Fatalf("greedy schedule has lower chain overlap than arrival order:\n%s", sch)
 	}
 
 	a := s.ExtSerializationAblation()
-	multi := a.Get("multi-resolution (8/32/128)", "f1")
+	multi := a.Get("multi-resolution (8/32/128)", "mean F1")
 	if multi <= 0 {
 		t.Fatalf("multi-resolution F1 degenerate:\n%s", a)
 	}
 	for _, single := range []string{"single coarse (8)", "single fine (128)"} {
-		if v := a.Get(single, "f1"); v < 0 || v > 1 {
+		if v := a.Get(single, "mean F1"); v < 0 || v > 1 {
 			t.Fatalf("%s F1 out of range:\n%s", single, a)
 		}
 	}

@@ -3,7 +3,7 @@ package experiments
 import (
 	"math"
 
-	"github.com/pythia-db/pythia/internal/metrics"
+	"github.com/pythia-db/pythia/internal/dsb"
 	"github.com/pythia-db/pythia/internal/predictor"
 	"github.com/pythia-db/pythia/internal/scheduler"
 	"github.com/pythia-db/pythia/internal/sim"
@@ -23,8 +23,8 @@ func (s *Suite) ExtDrift() *Table {
 	sp := s.Split("t18")
 
 	// Partition instances by their date parameter: the "past" (first 60% of
-	// the domain) and the drifted "future".
-	split := int64(float64(2400) * 0.6)
+	// the generator's date domain) and the drifted "future".
+	split := dsb.DateLo + int64(float64(dsb.DateHi-dsb.DateLo)*0.6)
 	var past, future []*workload.Instance
 	for _, inst := range sp.all.Instances {
 		if inst.Query.FactPreds[0].Lo < split {
@@ -36,7 +36,6 @@ func (s *Suite) ExtDrift() *Table {
 	if len(past) < 8 || len(future) < 8 {
 		// Degenerate split at tiny scales; report NaNs rather than panic.
 		t.addRow("insufficient data", math.NaN())
-		t.set("past", "f1", math.NaN())
 		return t
 	}
 	pastTrain := past[:len(past)*3/4]
@@ -44,18 +43,9 @@ func (s *Suite) ExtDrift() *Table {
 	futureUpdate := future[:len(future)/2]
 	futureTest := future[len(future)/2:]
 
-	sys := s.trainFreshT18(s.generator(), pastTrain, s.ablationOptions(), s.bufferPages())
-
-	eval := func(insts []*workload.Instance) float64 {
-		return metrics.Summarize(pythiaF1s(sys, insts)).Mean
-	}
-
-	beforePast := eval(pastTest)
-	beforeFuture := eval(futureTest)
-	t.addRow("past queries (in distribution)", beforePast)
-	t.set("past", "f1", beforePast)
-	t.addRow("future queries (drifted)", beforeFuture)
-	t.set("future-before", "f1", beforeFuture)
+	sys := s.trainFresh(s.generator(), "t18", pastTrain, s.ablationOptions())
+	t.addRow("past queries (in distribution)", meanF1(sys, pastTest))
+	t.addRow("future queries (drifted)", meanF1(sys, futureTest))
 
 	// Incremental update with observed post-drift queries. New pages outside
 	// the trained label spaces stay unpredictable (the paper's cheap-retrain
@@ -67,12 +57,8 @@ func (s *Suite) ExtDrift() *Table {
 	for _, tw := range sys.Workloads() {
 		tw.Pred.Update(samples, s.ablationOptions().Model.Epochs)
 	}
-	afterFuture := eval(futureTest)
-	afterPast := eval(pastTest)
-	t.addRow("future queries after incremental update", afterFuture)
-	t.set("future-after", "f1", afterFuture)
-	t.addRow("past queries after incremental update", afterPast)
-	t.set("past-after", "f1", afterPast)
+	t.addRow("future queries after incremental update", meanF1(sys, futureTest))
+	t.addRow("past queries after incremental update", meanF1(sys, pastTest))
 	return t
 }
 
@@ -103,10 +89,7 @@ func (s *Suite) ExtSerializationAblation() *Table {
 			opts.Serialize.ValueBuckets = -v.buckets
 			opts.Serialize.SingleResolution = true
 		}
-		sys := s.trainFresh("t91", sp.train, opts)
-		f1 := metrics.Summarize(pythiaF1s(sys, sp.test)).Mean
-		t.addRow(v.label, f1)
-		t.set(v.label, "f1", f1)
+		t.addRow(v.label, meanF1(s.trainFresh(s.generator(), "t91", sp.train, opts), sp.test))
 	}
 	return t
 }
@@ -152,11 +135,6 @@ func (s *Suite) ExtScheduler() *Table {
 		identity[i] = i
 	}
 	t.addRow("arrival order", 1.0, scheduler.ChainOverlap(preds, identity))
-	t.set("arrival", "speedup", 1.0)
-	t.set("arrival", "overlap", scheduler.ChainOverlap(preds, identity))
-	sp := arrivalLatency / scheduledLatency
-	t.addRow("pythia-scheduled", sp, scheduler.ChainOverlap(preds, order))
-	t.set("scheduled", "speedup", sp)
-	t.set("scheduled", "overlap", scheduler.ChainOverlap(preds, order))
+	t.addRow("pythia-scheduled", arrivalLatency/scheduledLatency, scheduler.ChainOverlap(preds, order))
 	return t
 }

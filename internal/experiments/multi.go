@@ -62,14 +62,9 @@ func (s *Suite) Figure13a() *Table {
 		orcl := totalSpeedup(sys, insts, arrivals, baselines.Oracle)
 		pys = append(pys, py)
 		orcls = append(orcls, orcl)
-		label := fmt.Sprintf("run%d", run+1)
-		t.addRow(label, py, orcl)
-		t.set(label, "pythia", py)
-		t.set(label, "orcl", orcl)
+		t.addRow(fmt.Sprintf("run%d", run+1), py, orcl)
 	}
 	t.addRow("mean", metrics.Summarize(pys).Mean, metrics.Summarize(orcls).Mean)
-	t.set("mean", "pythia", metrics.Summarize(pys).Mean)
-	t.set("mean", "orcl", metrics.Summarize(orcls).Mean)
 	return t
 }
 
@@ -83,9 +78,7 @@ func (s *Suite) Figure13b() *Table {
 	r := sim.NewRand(s.cfg.Seed + 79)
 	for _, n := range []int{1, 2, 4, 8} {
 		insts := s.sampleMixed(r, []string{"t91"}, n)
-		sp := totalSpeedup(sys, insts, make([]sim.Duration, n), sys.Prefetch)
-		t.addRow(n, sp)
-		t.set(fmt.Sprintf("%d", n), "speedup", sp)
+		t.addRow(fmt.Sprint(n), totalSpeedup(sys, insts, make([]sim.Duration, n), sys.Prefetch))
 	}
 	return t
 }
@@ -100,9 +93,7 @@ func (s *Suite) Figure13c() *Table {
 	r := sim.NewRand(s.cfg.Seed + 83)
 	for _, n := range []int{1, 2, 4, 8} {
 		insts := s.sampleMixed(r, s.Templates(), n)
-		sp := totalSpeedup(sys, insts, make([]sim.Duration, n), sys.Prefetch)
-		t.addRow(n, sp)
-		t.set(fmt.Sprintf("%d", n), "speedup", sp)
+		t.addRow(fmt.Sprint(n), totalSpeedup(sys, insts, make([]sim.Duration, n), sys.Prefetch))
 	}
 	return t
 }
@@ -134,10 +125,7 @@ func (s *Suite) Figure13d() *Table {
 			gap := float64(meanRuntime) * (1 - overlap)
 			at += r.ExpFloat64() * gap
 		}
-		sp := totalSpeedup(sys, insts, arrivals, sys.Prefetch)
-		label := fmt.Sprintf("%.0f%%", overlap*100)
-		t.addRow(label, sp)
-		t.set(label, "speedup", sp)
+		t.addRow(fmt.Sprintf("%.0f%%", overlap*100), totalSpeedup(sys, insts, arrivals, sys.Prefetch))
 	}
 	return t
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/pythia-db/pythia/internal/dsb"
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/imdb"
+	"github.com/pythia-db/pythia/internal/metrics"
 	"github.com/pythia-db/pythia/internal/model"
 	"github.com/pythia-db/pythia/internal/predictor"
 	"github.com/pythia-db/pythia/internal/pythia"
@@ -255,6 +256,15 @@ func (s *Suite) IMDBSystem() *pythia.System {
 	return sys
 }
 
+// system returns the shared system with the named workload trained: the
+// IMDB system for imdb1a, the DSB system for a template.
+func (s *Suite) system(name string) *pythia.System {
+	if name == "imdb1a" {
+		return s.IMDBSystem()
+	}
+	return s.DSBSystem(name)
+}
+
 // faultInjector builds the config-level injector, or nil when no plan is
 // set.
 func (s *Suite) faultInjector() *fault.Injector {
@@ -271,4 +281,22 @@ func (s *Suite) speedupSample(name string) []*workload.Instance {
 		test = test[:s.cfg.SpeedupQueries]
 	}
 	return test
+}
+
+// meanSpeedups replays a workload's speedup sample cold under each strategy
+// and returns each strategy's mean speedup. Strategies alternate query by
+// query: under a config-level fault plan every replay draws from one shared
+// injector, and this order fixes which draws each replay gets.
+func (s *Suite) meanSpeedups(sys *pythia.System, name string, strategies ...pythia.PrefetchFunc) []float64 {
+	sps := make([][]float64, len(strategies))
+	for _, inst := range s.speedupSample(name) {
+		for i, f := range strategies {
+			sps[i] = append(sps[i], sys.SpeedupColdCache(inst, f))
+		}
+	}
+	means := make([]float64, len(sps))
+	for i, sp := range sps {
+		means[i] = metrics.Summarize(sp).Mean
+	}
+	return means
 }

@@ -12,14 +12,16 @@ import (
 	"strings"
 )
 
-// Table is one experiment's result: named columns and formatted rows, plus
-// the raw values for assertions in tests and benches.
+// Table is one experiment's result: named columns and formatted rows. The
+// printed cell is the only record of a number: addRow keeps each numeric cell
+// under its row label and column header, so Get reads back what printed.
 type Table struct {
 	ID      string
 	Title   string
 	Columns []string
 	Rows    [][]string
-	// Values carries machine-readable numbers keyed "row/column" for tests.
+	// Values holds every numeric cell, keyed "row/column"; addRow alone
+	// writes it.
 	Values map[string]float64
 }
 
@@ -28,31 +30,36 @@ func newTable(id, title string, columns ...string) *Table {
 	return &Table{ID: id, Title: title, Columns: columns, Values: map[string]float64{}}
 }
 
-// addRow appends a formatted row; cells may be strings or numbers.
-func (t *Table) addRow(cells ...any) {
-	row := make([]string, len(cells))
+// decimals is a numeric cell printed with n decimals instead of three.
+type decimals struct {
+	v float64
+	n int
+}
+
+// addRow appends a row: its label, then one number per remaining column — a
+// float64 (printed %.3f), an int (%d) or a decimals.
+func (t *Table) addRow(label string, cells ...any) {
+	row := []string{label}
 	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
+		var d decimals
+		switch c := c.(type) {
 		case float64:
-			row[i] = fmt.Sprintf("%.3f", v)
+			d = decimals{c, 3}
 		case int:
-			row[i] = fmt.Sprintf("%d", v)
+			d = decimals{float64(c), 0}
+		case decimals:
+			d = c
 		default:
-			row[i] = fmt.Sprint(v)
+			panic(fmt.Sprintf("experiments: %s cell %T is not a number", t.ID, c))
 		}
+		row = append(row, fmt.Sprintf("%.*f", d.n, d.v))
+		t.Values[label+"/"+t.Columns[i+1]] = d.v
 	}
 	t.Rows = append(t.Rows, row)
 }
 
-// set records a machine-readable value for tests ("row/column" key).
-func (t *Table) set(row, col string, v float64) {
-	t.Values[row+"/"+col] = v
-}
-
-// Get returns a recorded value, panicking on unknown keys so tests fail
-// loudly on typos.
+// Get returns the number printed in a row (by label) and column (by header),
+// panicking on unknown keys so tests fail loudly on typos.
 func (t *Table) Get(row, col string) float64 {
 	v, ok := t.Values[row+"/"+col]
 	if !ok {
@@ -61,7 +68,7 @@ func (t *Table) Get(row, col string) float64 {
 	return v
 }
 
-// Has reports whether a value was recorded.
+// Has reports whether a row and column hold a number.
 func (t *Table) Has(row, col string) bool {
 	_, ok := t.Values[row+"/"+col]
 	return ok
@@ -75,9 +82,7 @@ func (t *Table) String() string {
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
 	var b strings.Builder
@@ -93,11 +98,7 @@ func (t *Table) String() string {
 	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			w := 0
-			if i < len(widths) {
-				w = widths[i]
-			}
-			fmt.Fprintf(&b, "%-*s  ", w, cell)
+			fmt.Fprintf(&b, "%-*s  ", widths[i], cell)
 		}
 		b.WriteByte('\n')
 	}

@@ -1,6 +1,6 @@
 // Package obs is the runtime observability layer for the cache hierarchy:
 // a cheap, allocation-free Recorder interface that the buffer pool, OS page
-// cache, replay engine, scheduler, and the Pythia system emit typed events
+// cache, replay engine, the Pythia system and the serving tier emit typed events
 // into. Every event names which level of the hierarchy it came from and,
 // when the emitting layer knows it, which query and page it concerns — the
 // per-level hit/miss/IO accounting that the paper's evaluation (and SeLeP's
@@ -113,7 +113,7 @@ const (
 	// budget and the query degraded to the no-prefetch path.
 	InferenceDeadlineMiss
 
-	// --- system (internal/pythia, internal/scheduler) ---
+	// --- system (internal/pythia) ---
 
 	// WorkloadMatched: an incoming query matched a trained workload and
 	// Pythia engaged.
@@ -124,9 +124,6 @@ const (
 	// PrefetchLimited: a predicted page set exceeded the buffer-bounded
 	// budget and was truncated (limited prefetching, §5.1).
 	PrefetchLimited
-	// SchedulerScheduled: the overlap scheduler placed one query into the
-	// batch order.
-	SchedulerScheduled
 
 	// --- serving tier (internal/serve) ---
 
@@ -202,7 +199,6 @@ var kindNames = [KindCount]string{
 	WorkloadMatched:       "workload_matched",
 	WorkloadFallback:      "workload_fallback",
 	PrefetchLimited:       "prefetch_limited",
-	SchedulerScheduled:    "scheduler_scheduled",
 	PredCacheHit:          "predcache_hit",
 	PredCacheMiss:         "predcache_miss",
 	PredCacheEvict:        "predcache_evict",

@@ -114,7 +114,7 @@ func (p *prefetcher) issue(page storage.PageID) {
 	// One PrefetchRead span covers the read from issue to arrival (or
 	// abandonment), retries included — disk time off the executor's critical
 	// path. Its ID rides along the attempt/retry chain.
-	rd.page, rd.sid = page, p.r.tr.Begin(span.PrefetchRead, page, p.r.eng.Now())
+	rd.page, rd.sid = page, p.r.tr.Begin(span.PrefetchRead, p.r.idx, page, p.r.eng.Now())
 	p.attempt(rd, 0)
 }
 
@@ -153,7 +153,7 @@ func (p *prefetcher) attempt(rd *pfRead, attempt int) {
 			p.r.result.PrefetchRetries++
 			p.r.record(obs.PrefetchRetried, page)
 			next := done.Add(p.r.cfg.backoff(attempt))
-			p.r.tr.Complete(span.PrefetchRetryWait, page, done, next)
+			p.r.tr.Complete(span.PrefetchRetryWait, p.r.idx, page, done, next)
 			p.r.eng.At(next, func() { p.retry(rd, attempt+1) })
 			return
 		}

@@ -398,7 +398,6 @@ func (r *runner) enter() {
 	if r.tag != nil {
 		r.tag.current = r.idx
 	}
-	r.tr.SetQuery(r.idx)
 }
 
 // record emits one runner-level event (a kind the lower layers cannot see:
@@ -423,7 +422,7 @@ func (r *runner) start() {
 	r.enter()
 	r.result.Start = r.eng.Now()
 	r.record(obs.QueryStart, storage.PageID{})
-	r.lifeSpan = r.tr.BeginLabel(span.QuerySpan, r.spec.ID, storage.PageID{}, r.result.Start)
+	r.lifeSpan = r.tr.BeginLabel(span.QuerySpan, r.spec.ID, r.idx, storage.PageID{}, r.result.Start)
 	r.execStream = r.osc.NewStream()
 	if len(r.spec.Prefetch) > 0 {
 		window := r.spec.Window
@@ -433,7 +432,7 @@ func (r *runner) start() {
 		r.pf = newPrefetcher(r, r.spec.Prefetch, window)
 		// Prediction latency gates the prefetcher, not the executor: model
 		// inference runs on the side while execution begins (§3.3).
-		r.tr.Complete(span.InferWait, storage.PageID{}, r.result.Start,
+		r.tr.Complete(span.InferWait, r.idx, storage.PageID{}, r.result.Start,
 			r.result.Start.Add(r.cfg.Cost.PredictLatency))
 		r.eng.Schedule(r.cfg.Cost.PredictLatency, r.pf.start)
 	}
@@ -479,14 +478,14 @@ func (r *runner) step() {
 		if hit {
 			r.result.OSCopies++
 			delay += cost.OSCacheCopy
-			r.tr.Complete(span.ExecOSCopy, req.Page, now, now.Add(cost.OSCacheCopy))
+			r.tr.Complete(span.ExecOSCopy, r.idx, req.Page, now, now.Add(cost.OSCacheCopy))
 		} else {
 			r.result.DiskReads++
 			r.record(obs.DiskRead, req.Page)
-			sid := r.tr.Begin(span.ExecDiskWait, req.Page, now)
+			sid := r.tr.Begin(span.ExecDiskWait, r.idx, req.Page, now)
 			done := r.syncRead(now, req.Page)
 			r.tr.End(sid, done)
-			r.tr.Complete(span.ExecOSCopy, req.Page, done, done.Add(cost.OSCacheCopy))
+			r.tr.Complete(span.ExecOSCopy, r.idx, req.Page, done, done.Add(cost.OSCacheCopy))
 			delay += done.Sub(now) + cost.OSCacheCopy
 		}
 		r.pool.Insert(req.Page, false)
@@ -522,7 +521,7 @@ func (r *runner) syncRead(at sim.Time, page storage.PageID) sim.Time {
 		r.result.ReadFailures++
 		r.record(obs.DiskReadFailed, page)
 		next := done.Add(r.cfg.backoff(attempt))
-		r.tr.Complete(span.ExecRetryWait, page, done, next)
+		r.tr.Complete(span.ExecRetryWait, r.idx, page, done, next)
 		t = next
 	}
 }

@@ -12,7 +12,6 @@
 package scheduler
 
 import (
-	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/storage"
 	"github.com/pythia-db/pythia/internal/trace"
 	"github.com/pythia-db/pythia/internal/workload"
@@ -29,21 +28,10 @@ type Prediction struct {
 // (the most to share), then repeatedly append the unscheduled query most
 // similar to the last scheduled one. Ties break toward lower index, so the
 // schedule is deterministic.
-func Order(preds []Prediction) []int { return OrderObserved(preds, nil) }
-
-// OrderObserved is Order with observability: each placement emits one
-// SchedulerScheduled event carrying the chosen prediction's original index,
-// so an attached event log reconstructs the schedule as it was built. A nil
-// recorder costs one nil-check per placement.
-func OrderObserved(preds []Prediction, rec obs.Recorder) []int {
+func Order(preds []Prediction) []int {
 	n := len(preds)
 	if n == 0 {
 		return nil
-	}
-	place := func(i int) {
-		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.SchedulerScheduled, Query: int32(i)})
-		}
 	}
 	used := make([]bool, n)
 	order := make([]int, 0, n)
@@ -56,7 +44,6 @@ func OrderObserved(preds []Prediction, rec obs.Recorder) []int {
 	}
 	order = append(order, first)
 	used[first] = true
-	place(first)
 
 	for len(order) < n {
 		last := order[len(order)-1]
@@ -72,7 +59,6 @@ func OrderObserved(preds []Prediction, rec obs.Recorder) []int {
 		}
 		order = append(order, best)
 		used[best] = true
-		place(best)
 	}
 	return order
 }

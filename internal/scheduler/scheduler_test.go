@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/pythia-db/pythia/internal/obs"
-
 	"github.com/pythia-db/pythia/internal/storage"
 	"github.com/pythia-db/pythia/internal/workload"
 )
@@ -121,31 +119,17 @@ func TestChainOverlapBounds(t *testing.T) {
 
 func TestOrderObservedAllEmptySets(t *testing.T) {
 	// All-empty predicted sets: every pairwise Jaccard is 1 (empty == empty),
-	// so the greedy chain reduces to index order — deterministic, total, and
-	// fully reported through the recorder.
-	log := obs.NewEventLog(0)
-	order := OrderObserved(preds(nil, nil, nil, nil), log)
+	// so the greedy chain reduces to index order — deterministic and total.
+	order := Order(preds(nil, nil, nil, nil))
 	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("all-empty order = %v, want %v", order, want)
-	}
-	if log.Len() != 4 {
-		t.Fatalf("recorded %d placements, want 4", log.Len())
-	}
-	for i, e := range log.Events() {
-		if e.Kind != obs.SchedulerScheduled || int(e.Query) != order[i] {
-			t.Fatalf("event %d = %+v, want SchedulerScheduled for %d", i, e, order[i])
-		}
 	}
 }
 
 func TestOrderObservedSinglePrediction(t *testing.T) {
-	log := obs.NewEventLog(0)
-	order := OrderObserved(preds(pages(5, 6)), log)
+	order := Order(preds(pages(5, 6)))
 	if len(order) != 1 || order[0] != 0 {
 		t.Fatalf("singleton order = %v", order)
-	}
-	if log.Len() != 1 || log.Events()[0].Query != 0 {
-		t.Fatalf("singleton placement events wrong: %+v", log.Events())
 	}
 }
 
@@ -167,15 +151,5 @@ func TestOrderDuplicateSetsTieBreakDeterministic(t *testing.T) {
 		if got := Order(p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("run %d diverged: %v vs %v", run, got, want)
 		}
-	}
-	// The observed event stream reconstructs exactly the returned order.
-	log := obs.NewEventLog(0)
-	got := OrderObserved(p, log)
-	var fromEvents []int
-	for _, e := range log.Events() {
-		fromEvents = append(fromEvents, int(e.Query))
-	}
-	if !reflect.DeepEqual(fromEvents, got) {
-		t.Fatalf("event stream %v does not reconstruct order %v", fromEvents, got)
 	}
 }

@@ -16,17 +16,16 @@ import (
 // details, and the system lane.
 func syntheticTimeline() *Tracer {
 	tr := New()
-	tr.SetQuery(0)
-	q0 := tr.BeginLabel(QuerySpan, "t91#0/0", storage.PageID{}, 0)
-	tr.Complete(InferWait, storage.PageID{}, 0, 500_000)
-	pf := tr.Begin(PrefetchRead, pg(7, 11), 500_000)
-	d := tr.Begin(ExecDiskWait, pg(3, 2), 100_000)
+	q0 := tr.BeginLabel(QuerySpan, "t91#0/0", 0, storage.PageID{}, 0)
+	tr.Complete(InferWait, 0, storage.PageID{}, 0, 500_000)
+	pf := tr.Begin(PrefetchRead, 0, pg(7, 11), 500_000)
+	d := tr.Begin(ExecDiskWait, 0, pg(3, 2), 100_000)
 	tr.End(d, 1_100_000)
-	tr.Complete(ExecOSCopy, pg(3, 2), 1_100_000, 1_104_000)
+	tr.Complete(ExecOSCopy, 0, pg(3, 2), 1_100_000, 1_104_000)
 	tr.End(pf, 1_500_000)
 	tr.Stash(pg(7, 11), pf)
 	tr.Record(obs.Event{Kind: obs.PrefetchHit, Query: 0, Page: pg(7, 11), At: 1_600_000})
-	pf2 := tr.Begin(PrefetchRead, pg(7, 12), 700_000)
+	pf2 := tr.Begin(PrefetchRead, 0, pg(7, 12), 700_000)
 	tr.EndDetail(pf2, 1_300_000, DetailAbandoned)
 	tr.Stash(pg(7, 12), pf2)
 	tr.Record(obs.Event{Kind: obs.FallbackSyncRead, Query: 0, Page: pg(7, 12), At: 1_700_000})

@@ -186,26 +186,13 @@ func (s *Span) Dur() sim.Duration { return s.End.Sub(s.Start) }
 // Tracer records spans. The zero value is NOT ready: construct with New. A
 // nil *Tracer is valid everywhere and records nothing.
 type Tracer struct {
-	current int32 // query index stamped on new duration spans (SetQuery)
-	spans   []Span
-	stash   map[storage.PageID]SpanID // open causal links keyed by page
+	spans []Span
+	stash map[storage.PageID]SpanID // open causal links keyed by page
 }
 
-// New returns an empty tracer with the current query unset.
+// New returns an empty tracer.
 func New() *Tracer {
-	return &Tracer{current: NoQuery, stash: make(map[storage.PageID]SpanID)}
-}
-
-// SetQuery sets the query index stamped on subsequently recorded duration
-// spans; the replay runners call it on every engine-callback entry. Marks
-// never read it: theirs is the event's.
-//
-//pythia:noalloc
-func (t *Tracer) SetQuery(q int32) {
-	if t == nil {
-		return
-	}
-	t.current = q
+	return &Tracer{stash: make(map[storage.PageID]SpanID)}
 }
 
 // Reserve grows the span store to hold at least n spans, so a bounded run
@@ -229,7 +216,6 @@ func (t *Tracer) Reset() {
 	for k := range t.stash {
 		delete(t.stash, k)
 	}
-	t.current = NoQuery
 }
 
 // Len returns the number of recorded spans.
@@ -258,26 +244,27 @@ func (t *Tracer) push(s Span) SpanID {
 	return id
 }
 
-// Begin opens a span at time at and returns its ID for End. Times are taken
-// as given, here and in every method below: the tracer holds no clock, so
-// zero is virtual time zero, never "now".
+// Begin opens a span of query q at time at and returns its ID for End. Query
+// and times are taken as given, here and in every method below: the tracer
+// holds no clock and no current query, so zero is virtual time zero, never
+// "now".
 //
 //pythia:noalloc
-func (t *Tracer) Begin(k Kind, pg storage.PageID, at sim.Time) SpanID {
+func (t *Tracer) Begin(k Kind, q int32, pg storage.PageID, at sim.Time) SpanID {
 	if t == nil {
 		return NoSpan
 	}
-	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: at, End: at, Link: NoSpan})
+	return t.push(Span{Kind: k, Query: q, Page: pg, Start: at, End: at, Link: NoSpan})
 }
 
 // BeginLabel is Begin with a label (e.g. the query ID on QuerySpan).
 //
 //pythia:noalloc
-func (t *Tracer) BeginLabel(k Kind, label string, pg storage.PageID, at sim.Time) SpanID {
+func (t *Tracer) BeginLabel(k Kind, label string, q int32, pg storage.PageID, at sim.Time) SpanID {
 	if t == nil {
 		return NoSpan
 	}
-	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: at, End: at, Link: NoSpan, Label: label})
+	return t.push(Span{Kind: k, Query: q, Page: pg, Start: at, End: at, Link: NoSpan, Label: label})
 }
 
 // End closes span id at time at. Ending NoSpan (or any out-of-range ID) is a
@@ -302,19 +289,18 @@ func (t *Tracer) EndDetail(id SpanID, at sim.Time, detail uint32) {
 	t.spans[id].Detail = detail
 }
 
-// Complete records a span whose bounds are both known.
+// Complete records a span of query q whose bounds are both known.
 //
 //pythia:noalloc
-func (t *Tracer) Complete(k Kind, pg storage.PageID, start, end sim.Time) SpanID {
+func (t *Tracer) Complete(k Kind, q int32, pg storage.PageID, start, end sim.Time) SpanID {
 	if t == nil {
 		return NoSpan
 	}
-	return t.push(Span{Kind: k, Query: t.current, Page: pg, Start: start, End: end, Link: NoSpan})
+	return t.push(Span{Kind: k, Query: q, Page: pg, Start: start, End: end, Link: NoSpan})
 }
 
-// CompleteLabel is Complete with an explicit query, label, and detail — the
-// serving tier's shape (endpoint label, status-code detail, no ambient
-// query).
+// CompleteLabel is Complete with a label and detail and no page — the
+// serving tier's shape (endpoint label, status-code detail).
 //
 //pythia:noalloc
 func (t *Tracer) CompleteLabel(k Kind, label string, q int32, detail uint32, start, end sim.Time) SpanID {

@@ -16,18 +16,17 @@ func pg(obj, n uint32) storage.PageID {
 // nil fault.Injector.
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.SetQuery(3)
 	tr.Reserve(100)
 	tr.Reset()
-	if id := tr.Begin(ExecDiskWait, pg(1, 2), 5); id != NoSpan {
+	if id := tr.Begin(ExecDiskWait, 3, pg(1, 2), 5); id != NoSpan {
 		t.Errorf("nil Begin = %d, want NoSpan", id)
 	}
-	if id := tr.BeginLabel(QuerySpan, "q", pg(1, 2), 5); id != NoSpan {
+	if id := tr.BeginLabel(QuerySpan, "q", 3, pg(1, 2), 5); id != NoSpan {
 		t.Errorf("nil BeginLabel = %d, want NoSpan", id)
 	}
 	tr.End(0, 10)
 	tr.EndDetail(0, 10, 1)
-	if id := tr.Complete(ExecOSCopy, pg(1, 2), 5, 10); id != NoSpan {
+	if id := tr.Complete(ExecOSCopy, 3, pg(1, 2), 5, 10); id != NoSpan {
 		t.Errorf("nil Complete = %d, want NoSpan", id)
 	}
 	if id := tr.CompleteLabel(HTTPSpan, "predict", NoQuery, 200, 5, 10); id != NoSpan {
@@ -54,8 +53,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 // End/EndDetail guards.
 func TestSpanRecording(t *testing.T) {
 	tr := New()
-	tr.SetQuery(2)
-	id := tr.Begin(ExecDiskWait, pg(4, 9), 100)
+	id := tr.Begin(ExecDiskWait, 2, pg(4, 9), 100)
 	if id != 0 {
 		t.Fatalf("first span ID = %d", id)
 	}
@@ -73,7 +71,7 @@ func TestSpanRecording(t *testing.T) {
 	tr.End(42, 999)
 	tr.EndDetail(NoSpan, 999, 7)
 
-	id2 := tr.Complete(ExecOSCopy, pg(4, 10), 350, 354)
+	id2 := tr.Complete(ExecOSCopy, 2, pg(4, 10), 350, 354)
 	if id2 != 1 {
 		t.Errorf("second span ID = %d", id2)
 	}
@@ -82,8 +80,8 @@ func TestSpanRecording(t *testing.T) {
 		t.Errorf("EndDetail: %+v", s)
 	}
 
-	// A mark is the event, verbatim: the tracer's own query register (2) and
-	// clock play no part, and a linking mark takes the page's stashed span.
+	// A mark is the event, verbatim: the query (5, not the spans' 2) and time
+	// are the event's, and a linking mark takes the page's stashed span.
 	tr.Stash(pg(4, 9), id)
 	tr.Record(obs.Event{Kind: obs.PrefetchHit, Query: 5, Page: pg(4, 9), At: 400})
 	if s := tr.Spans()[2]; !s.IsMark(obs.PrefetchHit) || s.Query != 5 || s.Page != pg(4, 9) ||
@@ -109,11 +107,11 @@ func TestSpanRecording(t *testing.T) {
 // stamp anything at an earlier run's "now".
 func TestClockResolution(t *testing.T) {
 	tr := New()
-	tr.End(tr.Begin(ExecDiskWait, pg(1, 1), 777), 999)
+	tr.End(tr.Begin(ExecDiskWait, NoQuery, pg(1, 1), 777), 999)
 	tr.Reset()
-	id := tr.Begin(ExecDiskWait, pg(1, 1), 0)
+	id := tr.Begin(ExecDiskWait, NoQuery, pg(1, 1), 0)
 	tr.End(id, 0)
-	tr.Complete(ExecOSCopy, pg(1, 1), 0, 4)
+	tr.Complete(ExecOSCopy, NoQuery, pg(1, 1), 0, 4)
 	tr.Record(obs.Event{Kind: obs.BufferHit, Page: pg(1, 1)})
 	for i, s := range tr.Spans() {
 		if s.Start != 0 || (s.End != 0 && s.End != 4) {
@@ -125,7 +123,7 @@ func TestClockResolution(t *testing.T) {
 // TestStash: links park under a page and are consumed exactly once.
 func TestStash(t *testing.T) {
 	tr := New()
-	id := tr.Begin(PrefetchRead, pg(3, 7), 10)
+	id := tr.Begin(PrefetchRead, NoQuery, pg(3, 7), 10)
 	tr.Stash(pg(3, 7), id)
 	if got := tr.takeStash(pg(3, 7)); got != id {
 		t.Errorf("takeStash = %d, want %d", got, id)
@@ -213,8 +211,7 @@ func TestRecordingAllocFree(t *testing.T) {
 	var nilTr *Tracer
 	p := pg(2, 5)
 	if a := testing.AllocsPerRun(1000, func() {
-		nilTr.SetQuery(1)
-		id := nilTr.Begin(ExecDiskWait, p, 10)
+		id := nilTr.Begin(ExecDiskWait, 1, p, 10)
 		nilTr.End(id, 20)
 		nilTr.Record(obs.Event{Kind: obs.BufferHit, Page: p, At: 20})
 	}); a != 0 {
@@ -226,8 +223,7 @@ func TestRecordingAllocFree(t *testing.T) {
 	tr.Stash(p, 0) // pre-size the one-entry stash
 	tr.takeStash(p)
 	if a := testing.AllocsPerRun(1000, func() {
-		tr.SetQuery(1)
-		id := tr.Begin(PrefetchRead, p, 10)
+		id := tr.Begin(PrefetchRead, 1, p, 10)
 		tr.EndDetail(id, 20, DetailAbandoned)
 		tr.Stash(p, id)
 		tr.Record(obs.Event{Kind: obs.FallbackSyncRead, Query: 1, Page: p, At: 20})
@@ -240,22 +236,20 @@ func TestRecordingAllocFree(t *testing.T) {
 // checks the attribution arithmetic.
 func TestBuildReport(t *testing.T) {
 	tr := New()
-	tr.SetQuery(0)
-	q0 := tr.BeginLabel(QuerySpan, "alpha", storage.PageID{}, 0)
-	tr.Complete(InferWait, storage.PageID{}, 0, 500)
-	d0 := tr.Begin(ExecDiskWait, pg(1, 1), 500)
-	tr.Complete(ExecRetryWait, pg(1, 1), 1000, 1250)
+	q0 := tr.BeginLabel(QuerySpan, "alpha", 0, storage.PageID{}, 0)
+	tr.Complete(InferWait, 0, storage.PageID{}, 0, 500)
+	d0 := tr.Begin(ExecDiskWait, 0, pg(1, 1), 500)
+	tr.Complete(ExecRetryWait, 0, pg(1, 1), 1000, 1250)
 	tr.End(d0, 2000)
-	tr.Complete(ExecOSCopy, pg(1, 1), 2000, 2004)
-	pf := tr.Begin(PrefetchRead, pg(2, 9), 600)
+	tr.Complete(ExecOSCopy, 0, pg(1, 1), 2000, 2004)
+	pf := tr.Begin(PrefetchRead, 0, pg(2, 9), 600)
 	tr.End(pf, 1600)
 	tr.Stash(pg(2, 9), pf)
 	tr.Record(obs.Event{Kind: obs.PrefetchHit, Query: 0, Page: pg(2, 9), At: 2100})
 	tr.End(q0, 3000)
 
-	tr.SetQuery(1)
-	q1 := tr.BeginLabel(QuerySpan, "beta", storage.PageID{}, 0)
-	tr.Complete(ExecOSCopy, pg(1, 3), 100, 104)
+	q1 := tr.BeginLabel(QuerySpan, "beta", 1, storage.PageID{}, 0)
+	tr.Complete(ExecOSCopy, 1, pg(1, 3), 100, 104)
 	tr.Record(obs.Event{Kind: obs.FallbackSyncRead, Query: 1, Page: pg(2, 4), At: 300})
 	tr.End(q1, 400)
 
