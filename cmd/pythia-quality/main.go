@@ -1,5 +1,5 @@
-// Command pythia-quality replays DSB workloads through the online quality
-// scorer and reports prediction quality against ground truth: per-query and
+// Command pythia-quality replays DSB workloads and reports prediction quality
+// against ground truth, read from the finished run: per-query and
 // per-workload precision/recall/coverage/wasted-prefetch, the drift
 // detector's verdict against the training-time baseline, and the baseline
 // identity the verdict was measured against. Output is a text report plus a
@@ -59,18 +59,17 @@ func main() {
 
 	gen := dsb.NewGenerator(dsb.Config{ScaleFactor: *sf, Seed: *seed})
 
-	var counters obs.Counters
-	scorer := quality.NewScorer(quality.Options{})
+	// The recorder is what makes the replay keep per-query counters
+	// (QueryResult.Counters), the event half of every report row.
 	cfg := corepythia.DefaultConfig()
-	cfg.Recorder = &counters
-	cfg.Quality = scorer
+	cfg.Recorder = &obs.Counters{}
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		log.Fatalf("pythia-quality: %v", err)
 	}
 
-	// Train (or load) the system, then arm drift detection against its
-	// training-time baseline before anything replays.
+	// Train (or load) the system; drift is measured against its
+	// training-time baseline.
 	var sys *corepythia.System
 	if *snapshot != "" {
 		f, err := os.Open(*snapshot)
@@ -100,7 +99,6 @@ func main() {
 			log.Printf("trained %s on %d instances in %s", tpl, len(train), time.Since(start).Round(time.Millisecond))
 		}
 	}
-	scorer.SetBaseline(sys.Baseline())
 
 	// Assemble the replay mix: held-out splits of the training templates by
 	// default, or full corpora of an explicit (possibly disjoint) -replay mix.
@@ -120,8 +118,17 @@ func main() {
 	}
 
 	res := sys.Run(insts, nil, sys.Prefetch)
-	report := scorer.Report()
-	reconcile(report, &counters)
+	drift := quality.NewMonitor(sys.Baseline(), quality.Options{})
+	rows := make([]quality.Row, len(insts))
+	for i, inst := range insts {
+		drift.Observe(corepythia.DriftTokens(inst.Plan))
+		q := &res.Queries[i]
+		rows[i] = quality.Row{ID: q.ID, Predicted: q.Prefetch, Actual: inst.Pages, Counters: q.Counters}
+		if tw := sys.Lookup(inst.Query); tw != nil {
+			rows[i].Workload = tw.Name
+		}
+	}
+	report := quality.NewReport(rows, drift)
 
 	doc := qualityDoc{
 		Benchmark: "pythia-quality",
@@ -166,7 +173,7 @@ func main() {
 }
 
 // qualityDoc is the whole BENCH_quality.json document: run parameters, the
-// baseline identity, and the scorer's full report (per-query rows included,
+// baseline identity, and the full report (per-query rows included,
 // so CI diffs can drill down without rerunning).
 type qualityDoc struct {
 	Benchmark string                 `json:"benchmark"`
@@ -178,30 +185,6 @@ type qualityDoc struct {
 	Replayed  int                    `json:"queries_replayed"`
 	Baseline  *corepythia.BaselineID `json:"baseline,omitempty"`
 	Report    *quality.Report        `json:"report"`
-}
-
-// reconcile cross-checks the scorer's event totals against the obs counters
-// that observed the same replay — the 1:1 identity the reconciliation test
-// pins, enforced here on every CLI run so a report that would lie fails loud.
-func reconcile(r *quality.Report, c *obs.Counters) {
-	ev := r.Total.Events
-	identities := []struct {
-		name   string
-		scorer uint64
-		kind   obs.Kind
-	}{
-		{"prefetched", ev.Prefetched, obs.PrefetchedIn},
-		{"useful", ev.Useful, obs.PrefetchHit},
-		{"wasted", ev.Wasted, obs.PrefetchWasted},
-		{"fallback_sync_reads", ev.Fallbacks, obs.FallbackSyncRead},
-		{"buffer_misses", ev.BufferMisses, obs.BufferMiss},
-	}
-	for _, id := range identities {
-		if got := c.Get(id.kind); id.scorer != got {
-			log.Fatalf("pythia-quality: reconciliation failure: scorer %s total %d != obs counter %d",
-				id.name, id.scorer, got)
-		}
-	}
 }
 
 // printReport renders the aligned text view: one row per workload, the

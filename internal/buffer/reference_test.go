@@ -232,7 +232,7 @@ func TestPoolMatchesMapReference(t *testing.T) {
 				pinShare = 30
 			}
 			pool, ref := New(capacity, policy), newRefPool(capacity, policy)
-			gotLog, wantLog := obs.NewEventLog(0), obs.NewEventLog(0)
+			gotLog, wantLog := obs.NewEventLog(), obs.NewEventLog()
 			pool.SetRecorder(gotLog)
 			ref.rec = wantLog
 			var pinned []storage.PageID // one entry per outstanding pin

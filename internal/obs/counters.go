@@ -27,24 +27,8 @@ func (c *Counters) Get(k Kind) uint64 {
 	return 0
 }
 
-// Add merges other into c.
-func (c *Counters) Add(other *Counters) {
-	for i := range c {
-		c[i] += other[i]
-	}
-}
-
 // Reset zeroes every counter.
 func (c *Counters) Reset() { *c = Counters{} }
-
-// Total returns the sum over all kinds (a quick "anything recorded?" probe).
-func (c *Counters) Total() uint64 {
-	var t uint64
-	for _, v := range c {
-		t += v
-	}
-	return t
-}
 
 // HitRatio returns hits/(hits+misses) for a (hit, miss) kind pair, or 0
 // when idle — e.g. HitRatio(BufferHit, BufferMiss).

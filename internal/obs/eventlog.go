@@ -1,62 +1,23 @@
 package obs
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-)
-
-// EventLog is a Recorder that retains the full event stream, so the
-// experiment harness can dump a per-event trace for any figure (which page
-// was prefetched when, which executor read stalled on the window, …).
-// Appending amortizes allocation; this recorder is the explicit opt-in to
-// paying for retention.
+// EventLog is a Recorder that retains the full event stream in record order,
+// for tests and tools that assert on individual events (which page was
+// prefetched when, which executor read stalled on the window, …). Appending
+// amortizes allocation; this recorder is the explicit opt-in to paying for
+// retention.
 type EventLog struct {
 	events []Event
-	limit  int
-	drops  uint64
 }
 
-// NewEventLog returns an event log retaining at most limit events
-// (limit <= 0 means unbounded). Events past the limit are counted as
-// dropped rather than silently lost.
-func NewEventLog(limit int) *EventLog {
-	return &EventLog{limit: limit}
-}
+// NewEventLog returns an empty, unbounded event log.
+func NewEventLog() *EventLog { return &EventLog{} }
 
 // Record implements Recorder.
-func (l *EventLog) Record(e Event) {
-	if l.limit > 0 && len(l.events) >= l.limit {
-		l.drops++
-		return
-	}
-	l.events = append(l.events, e)
-}
+func (l *EventLog) Record(e Event) { l.events = append(l.events, e) }
 
 // Len returns the number of retained events.
 func (l *EventLog) Len() int { return len(l.events) }
 
-// Dropped returns the number of events discarded at the retention limit.
-func (l *EventLog) Dropped() uint64 { return l.drops }
-
 // Events returns the retained events in record order. The slice is owned by
 // the log; callers must not mutate it.
 func (l *EventLog) Events() []Event { return l.events }
-
-// WriteTo dumps the log as tab-separated lines — virtual time, kind, query
-// index, object, page — one event per line, in record order. It implements
-// io.WriterTo.
-func (l *EventLog) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	for i := range l.events {
-		e := &l.events[i]
-		c, err := fmt.Fprintf(bw, "%d\t%s\t%d\t%d\t%d\n",
-			int64(e.At), e.Kind, e.Query, e.Page.Object, e.Page.Page)
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}

@@ -8,9 +8,10 @@
 // as end-of-run aggregates.
 //
 // An Event is the one thing an instrumented layer emits. Everything that
-// wants the same fact in another shape — the counters here, the span
-// tracer's timeline marks, the quality scorer's event counts — is a Recorder
-// on this stream, not a second emission beside it.
+// wants the same fact in another shape reads this stream, not a second
+// emission beside it: the counters here (a replay keeps one set per query,
+// which is what quality.NewReport scores), and the span tracer's timeline
+// marks.
 //
 // Design constraints, in order:
 //
@@ -19,8 +20,8 @@
 //     nil-check per event site and performs no allocation.
 //   - Zero allocation when enabled with a counting recorder. Event is a
 //     small value struct; Record(Event) passes it on the stack, and Counters
-//     only increments a fixed array. Event-log recorders may allocate
-//     (amortized append) — that is an explicit opt-in.
+//     only increments a fixed array. EventLog allocates (amortized append) —
+//     that is an explicit opt-in.
 //   - One writer by default. The replay simulator is single-threaded, so
 //     Counters is not synchronized; the HTTP serving path uses
 //     AtomicCounters.
@@ -152,9 +153,8 @@ const (
 	// faulting) replica to the next replica on the hash ring.
 	ReplicaFailover
 
-	// QualityScored: one prediction was scored against ground truth — in
-	// replay when a query is registered with the scorer, in serve when a
-	// /v1/feedback report correlates with a prediction ID.
+	// QualityScored: a /v1/feedback report correlated with a served
+	// prediction and was scored against ground truth.
 	QualityScored
 	// DriftWarning: the live plan-token/fingerprint distribution crossed the
 	// warn divergence threshold against the training baseline.
@@ -246,19 +246,4 @@ type Event struct {
 // observability is off; every emitter nil-checks before calling.
 type Recorder interface {
 	Record(e Event)
-}
-
-// Multi fans one event out to several recorders (e.g. totals plus an event
-// log). A nil entry is skipped.
-type Multi []Recorder
-
-// Record implements Recorder.
-//
-//pythia:noalloc
-func (m Multi) Record(e Event) {
-	for _, r := range m {
-		if r != nil {
-			r.Record(e)
-		}
-	}
 }

@@ -135,7 +135,7 @@ func TestCacheMatchesMapReference(t *testing.T) {
 			objPages[i] = storage.PageNum(1 + r.Intn(300))
 		}
 		cache, ref := New(capacity, maxWindow), newRefCache(capacity, maxWindow)
-		gotLog, wantLog := obs.NewEventLog(0), obs.NewEventLog(0)
+		gotLog, wantLog := obs.NewEventLog(), obs.NewEventLog()
 		cache.SetRecorder(gotLog)
 		ref.rec = wantLog
 		const streams = 3

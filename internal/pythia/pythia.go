@@ -59,13 +59,6 @@ type Config struct {
 	// means no deadline. The Replay.Fault injector's Inference site models
 	// sporadic (rather than systematic) deadline misses.
 	InferenceDeadline sim.Duration
-	// Quality, when non-nil, scores every replayed query against ground
-	// truth and streams each plan's tokens through drift detection. Run
-	// registers queries with it, chains it into the replay's recorder fan-out
-	// (the scorer is a pure observer: virtual-time timelines are bitwise
-	// identical with or without it), and arms its drift baseline from the
-	// system's trained workloads.
-	Quality *quality.Scorer
 }
 
 // Normalize validates the configuration and fills unset (zero) fields with
@@ -160,9 +153,8 @@ func New(db *catalog.Database, cfg Config) *System {
 }
 
 // Record implements obs.Recorder: it is the stamp point of system-level
-// events — the system's own and, through Scorer.Bind, the quality scorer's
-// drift transitions. The configured recorder counts the event and the tracer,
-// a recorder on the same stream, marks it if its table names the kind.
+// events. The configured recorder counts the event and the tracer, a recorder
+// on the same stream, marks it if its table names the kind.
 //
 //pythia:noalloc
 func (s *System) Record(e obs.Event) {
@@ -377,11 +369,6 @@ type PrefetchFunc func(*workload.Instance) []storage.PageID
 // prefetch strategy (nil strategy = default execution for all). Prefetch
 // sets from the strategy are buffer-bounded exactly like Pythia's own.
 func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strategy PrefetchFunc) *replay.RunResult {
-	q := s.cfg.Quality
-	if q != nil {
-		q.Bind(s)
-		q.StartRun()
-	}
 	specs := make([]replay.QuerySpec, len(insts))
 	var deadlineMisses uint64
 	for i, inst := range insts {
@@ -408,20 +395,6 @@ func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strate
 			Prefetch: pf,
 			Window:   s.cfg.Window,
 		}
-		if q != nil {
-			wl := ""
-			if tw := s.Lookup(inst.Query); tw != nil {
-				wl = tw.Name
-			}
-			q.Register(specs[i].ID, wl, pf, inst.Pages)
-			if s.cfg.Recorder != nil {
-				// Counted, not marked: scoring happens here, before the run,
-				// so it has no moment on the virtual timeline — and a traced
-				// timeline must not depend on whether quality is observed.
-				s.cfg.Recorder.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})
-			}
-			q.ObservePlan(DriftTokens(inst.Plan))
-		}
 	}
 	cfg := s.cfg.Replay
 	cfg.DefaultWindow = s.cfg.Window
@@ -432,16 +405,6 @@ func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strate
 	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = s.cfg.Tracer
-	}
-	if q != nil {
-		// The scorer rides the recorder fan-out as a pure observer: replay's
-		// event stream drives its per-query counters without touching the
-		// virtual-time engine.
-		if cfg.Recorder != nil {
-			cfg.Recorder = obs.Multi{cfg.Recorder, q}
-		} else {
-			cfg.Recorder = q
-		}
 	}
 	res := replay.Run(s.DB.Registry, cfg, specs)
 	res.InferenceDeadlineMisses = deadlineMisses

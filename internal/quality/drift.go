@@ -1,5 +1,7 @@
 package quality
 
+import "github.com/pythia-db/pythia/internal/obs"
+
 // DriftState is the hysteresis state machine's level: ok < warning < alarm.
 type DriftState uint8
 
@@ -28,6 +30,21 @@ func (s DriftState) String() string {
 // Value returns the state as a gauge (ok=0, warning=1, alarm=2), the
 // /metrics companion of String.
 func (s DriftState) Value() int { return int(s) }
+
+// DriftEventKind maps a post-transition state to the obs event that
+// announces it.
+//
+//pythia:noalloc
+func DriftEventKind(to DriftState) obs.Kind {
+	switch to {
+	case DriftAlarm:
+		return obs.DriftAlarm
+	case DriftWarning:
+		return obs.DriftWarning
+	default:
+		return obs.DriftRecovered
+	}
+}
 
 // Transition is the outcome of one detector evaluation. Changed is false for
 // the (overwhelmingly common) evaluations that hold state; callers emit
@@ -73,7 +90,7 @@ const (
 // replay-side drift detection deterministic.
 //
 // Detector is not synchronized; the Monitor's owner serializes access (the
-// replay scorer is single-threaded, the serve tier wraps it in a mutex).
+// serve tier wraps it in a mutex).
 type Detector struct {
 	state       DriftState
 	clearStreak int

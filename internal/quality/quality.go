@@ -1,9 +1,8 @@
 // Package quality is the prediction-quality and workload-drift measurement
 // layer: was the prefetch set the right one, and does live traffic still look
-// like what the models were trained on — as scrape-able telemetry. It is the
-// third view of the obs event stream, beside the counters and the span
-// timeline: the replay Scorer is a Recorder on that stream, and what this
-// package has to announce (a drift transition) it announces as an obs event.
+// like what the models were trained on. It records nothing of its own during
+// a replay: a report is read from the finished run, and what this package
+// has to announce (a drift transition) its caller announces as an obs event.
 //
 // Two concerns live here, deliberately decoupled from where predictions come
 // from:
@@ -11,14 +10,13 @@
 //   - Scoring. A prediction is a page set; ground truth is the page set the
 //     executor actually touched. ScoreSets computes the exact set overlap
 //     (precision = fraction of prefetched pages that were needed, recall =
-//     fraction of needed pages that were prefetched); Window keeps a
-//     fixed-size sliding window of scores with O(1) rolling sums so the
-//     serving tier reports fresh quality without unbounded state. ScoreSets
-//     is also the one scorer behind metrics.Score (Figure 5's F1) and
-//     /v1/feedback, under one convention for the empty corners. The replay
-//     Scorer additionally reconciles set math against the obs event stream
-//     (useful/wasted prefetch, fallback sync reads) — the two views are tied
-//     by exact counter identities, pinned by test.
+//     fraction of needed pages that were prefetched); it is also the one
+//     scorer behind metrics.Score (Figure 5's F1) and /v1/feedback, under one
+//     convention for the empty corners. NewReport adds, per replayed query,
+//     what the buffer pool did with the prefetched pages (useful, wasted,
+//     fallback sync reads), read from the query's own obs counters. Window
+//     keeps a fixed-size sliding window of scores with O(1) rolling sums so
+//     the serving tier reports fresh quality without unbounded state.
 //
 //   - Drift. A Profile is a pair of fixed-size hashed histograms (Sketch)
 //     over a plan stream: one over serialized plan tokens, one over whole-plan
@@ -29,11 +27,10 @@
 //     score stream into ok → warning → alarm state transitions that the
 //     caller surfaces as obs.DriftWarning/DriftAlarm/DriftRecovered events.
 //
-// Design constraints mirror the obs package: the hot paths — recording one
-// event, observing one plan into the sketches, adding one score to a window —
-// are //pythia:noalloc and allocation-free, so quality observation never
-// perturbs a replay timeline or a serving request. Everything that allocates
-// (registration, report assembly) happens off the hot path.
+// The hot paths — observing one plan into the sketches, adding one score to
+// a window — are //pythia:noalloc and allocation-free, so drift monitoring
+// never slows a serving request. Set scoring and report assembly allocate
+// and run after the fact.
 package quality
 
 import (
@@ -85,8 +82,8 @@ func (s *Score) add(o Score) {
 
 // ScoreSets computes the exact overlap of a predicted page set against the
 // actually-accessed set. Neither input need be sorted or duplicate-free; the
-// function copies and canonicalizes both, so it allocates — call it at query
-// registration or feedback time, never per event.
+// function copies and canonicalizes both, so it allocates — call it after a
+// run or at feedback time, never per event.
 func ScoreSets(predicted, actual []storage.PageID) Score {
 	p := canonical(predicted)
 	a := canonical(actual)

@@ -213,26 +213,35 @@ func TestMonitorDetectsShift(t *testing.T) {
 	}
 }
 
-func TestScorerRecordAndReport(t *testing.T) {
-	s := NewScorer(Options{})
-	s.StartRun()
-	s.Register("q0", "wl_a", []storage.PageID{pg(1, 1), pg(1, 2)}, []storage.PageID{pg(1, 1), pg(1, 3)})
-	s.Register("q1", "wl_b", []storage.PageID{pg(2, 1)}, []storage.PageID{pg(2, 1)})
-
-	s.Record(obs.Event{Kind: obs.PrefetchedIn, Query: 0})
-	s.Record(obs.Event{Kind: obs.PrefetchedIn, Query: 0})
-	s.Record(obs.Event{Kind: obs.PrefetchHit, Query: 0})
-	s.Record(obs.Event{Kind: obs.PrefetchWasted, Query: 0})
-	s.Record(obs.Event{Kind: obs.BufferMiss, Query: 0})
-	s.Record(obs.Event{Kind: obs.PrefetchedIn, Query: 1})
-	s.Record(obs.Event{Kind: obs.PrefetchHit, Query: 1})
-	// System-level and out-of-range events are ignored, not misattributed.
-	s.Record(obs.Event{Kind: obs.PrefetchedIn, Query: obs.NoQuery})
-	s.Record(obs.Event{Kind: obs.PrefetchedIn, Query: 99})
-
-	r := s.Report()
-	if len(r.Queries) != 2 || len(r.Workloads) != 2 {
+// TestNewReport scores four hand-built rows: set overlap from the page sets,
+// event counts from each row's counters, workloads in first-seen order, and a
+// nil counter snapshot read as no events.
+func TestNewReport(t *testing.T) {
+	counters := func(kinds ...obs.Kind) *obs.Counters {
+		var c obs.Counters
+		for _, k := range kinds {
+			c.Record(obs.Event{Kind: k})
+		}
+		return &c
+	}
+	rows := []Row{
+		{ID: "q0", Workload: "wl_a",
+			Predicted: []storage.PageID{pg(1, 1), pg(1, 2)}, Actual: []storage.PageID{pg(1, 1), pg(1, 3)},
+			Counters: counters(obs.PrefetchedIn, obs.PrefetchedIn, obs.PrefetchHit, obs.PrefetchWasted, obs.BufferMiss, obs.DiskRead)},
+		{ID: "q1", Workload: "wl_b",
+			Predicted: []storage.PageID{pg(2, 1)}, Actual: []storage.PageID{pg(2, 1)},
+			Counters: counters(obs.PrefetchedIn, obs.PrefetchHit)},
+		{ID: "q2", Workload: "wl_a", Counters: counters(obs.FallbackSyncRead)},
+		{ID: "q3"},
+	}
+	r := NewReport(rows, nil)
+	if len(r.Queries) != 4 || len(r.Workloads) != 3 {
 		t.Fatalf("report shape: %d queries, %d workloads", len(r.Queries), len(r.Workloads))
+	}
+	for i, name := range []string{"wl_a", "wl_b", ""} {
+		if r.Workloads[i].Workload != name {
+			t.Fatalf("workload %d = %q, want %q (first-seen order)", i, r.Workloads[i].Workload, name)
+		}
 	}
 	q0 := r.Queries[0]
 	if q0.Set != (Score{Predicted: 2, Actual: 2, TruePos: 1}) {
@@ -241,23 +250,27 @@ func TestScorerRecordAndReport(t *testing.T) {
 	if q0.Events != (EventCounts{Prefetched: 2, Useful: 1, Wasted: 1, BufferMisses: 1}) {
 		t.Fatalf("q0 events = %+v", q0.Events)
 	}
-	if r.Total.Events.Prefetched != 3 || r.Total.Set.TruePos != 2 {
+	if r.Queries[3].Events != (EventCounts{}) {
+		t.Fatalf("nil counters read as %+v, want no events", r.Queries[3].Events)
+	}
+	if a := r.Workloads[0]; a.Queries != 2 || a.Events.Fallbacks != 1 || a.Set.TruePos != 1 {
+		t.Fatalf("wl_a aggregate = %+v", a)
+	}
+	if r.Total.Workload != "total" || r.Total.Queries != 4 ||
+		r.Total.Events.Prefetched != 3 || r.Total.Set.TruePos != 2 {
 		t.Fatalf("totals = %+v", r.Total)
 	}
 	if cov := r.Total.Coverage; math.Abs(cov-2.0/3) > 1e-12 {
 		t.Fatalf("coverage = %v, want 2/3", cov)
 	}
-	if r.Drift.State != "ok" {
-		t.Fatalf("unarmed drift state = %q, want ok", r.Drift.State)
+	if r.Drift.State != "ok" || r.BaselineHash != "" {
+		t.Fatalf("unarmed drift = %+v, hash %q; want ok and no hash", r.Drift, r.BaselineHash)
 	}
 
-	// A second run re-bases obs query indexes.
-	s.StartRun()
-	s.Register("q0-run2", "wl_a", nil, nil)
-	s.Record(obs.Event{Kind: obs.FallbackSyncRead, Query: 0})
-	r = s.Report()
-	if r.Queries[2].Events.Fallbacks != 1 || r.Queries[0].Events.Fallbacks != 0 {
-		t.Fatalf("run re-basing misattributed events: %+v vs %+v", r.Queries[2].Events, r.Queries[0].Events)
+	base := &Profile{}
+	base.ObserveTokens([]string{"Seq"})
+	if armed := NewReport(rows, NewMonitor(base, Options{})); armed.BaselineHash != base.HashString() {
+		t.Fatalf("armed report hash %q, want %q", armed.BaselineHash, base.HashString())
 	}
 }
 
@@ -296,13 +309,5 @@ func TestHotPathsNoAlloc(t *testing.T) {
 	liveP.ObserveTokens(tokens)
 	if n := testing.AllocsPerRun(200, func() { _ = Divergence(&liveB, &liveP) }); n != 0 {
 		t.Errorf("Divergence allocates %v/op", n)
-	}
-
-	s := NewScorer(Options{})
-	s.StartRun()
-	s.Register("q", "wl", []storage.PageID{pg(1, 1)}, []storage.PageID{pg(1, 1)})
-	ev := obs.Event{Kind: obs.PrefetchHit, Query: 0}
-	if n := testing.AllocsPerRun(200, func() { s.Record(ev) }); n != 0 {
-		t.Errorf("Scorer.Record allocates %v/op", n)
 	}
 }

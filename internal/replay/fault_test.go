@@ -37,7 +37,7 @@ func TestFaultsNeverChangeResults(t *testing.T) {
 	reqs := script(reg, 500, 300, 1)
 
 	run := func(inj *fault.Injector) (*RunResult, []storage.PageID) {
-		log := obs.NewEventLog(0)
+		log := obs.NewEventLog()
 		c := cfg()
 		c.Recorder = log
 		c.Fault = inj

@@ -88,18 +88,19 @@ func TestRecorderReconcilesWithAggregates(t *testing.T) {
 	}
 }
 
-// TestPerQueryAndPerObjectSnapshots checks the RunResult snapshots: each
-// query's counter snapshot matches its own legacy counters, and per-object
-// totals partition the run's totals.
-func TestPerQueryAndPerObjectSnapshots(t *testing.T) {
+// TestPerQuerySnapshots checks the RunResult snapshots: each query's counter
+// snapshot matches its own legacy counters, and each query carries the
+// prefetch set its spec gave it.
+func TestPerQuerySnapshots(t *testing.T) {
 	reg := testRegistry()
 	reqsA := script(reg, 400, 300, 43)
 	reqsB := script(reg, 200, 100, 44)
+	pfA := nonSeqPages(reqsA)
 	var c obs.Counters
 	cfgRec := cfg()
 	cfgRec.Recorder = &c
 	res := Run(reg, cfgRec, []QuerySpec{
-		{ID: "a", Requests: reqsA, Prefetch: nonSeqPages(reqsA), Window: 128},
+		{ID: "a", Requests: reqsA, Prefetch: pfA, Window: 128},
 		{ID: "b", Requests: reqsB},
 	})
 
@@ -123,23 +124,16 @@ func TestPerQueryAndPerObjectSnapshots(t *testing.T) {
 	if res.Queries[1].Counters.Get(obs.PrefetchPinned) != 0 {
 		t.Error("default-path query attributed prefetch events")
 	}
-
-	if len(res.Objects) == 0 {
-		t.Fatal("no per-object snapshots")
+	if a := res.Queries[0].Prefetch; len(a) != len(pfA) || &a[0] != &pfA[0] {
+		t.Error("query a does not carry its spec's prefetch set")
 	}
-	for _, kind := range []obs.Kind{obs.BufferHit, obs.OSCacheMiss, obs.DiskRead, obs.PrefetchPinned} {
-		var sum uint64
-		for _, oc := range res.Objects {
-			sum += oc.Get(kind)
-		}
-		if sum != c.Get(kind) {
-			t.Errorf("%v: per-object sum %d != total %d", kind, sum, c.Get(kind))
-		}
+	if res.Queries[1].Prefetch != nil {
+		t.Error("default-path query carries a prefetch set")
 	}
 
 	// Without a recorder, snapshots stay nil — the hot path stays bare.
 	plain := Run(reg, cfg(), []QuerySpec{{ID: "a", Requests: reqsA}})
-	if plain.Queries[0].Counters != nil || plain.Objects != nil {
+	if plain.Queries[0].Counters != nil {
 		t.Fatal("snapshots materialized without a recorder")
 	}
 }
@@ -167,7 +161,7 @@ func TestRecorderDoesNotPerturbTiming(t *testing.T) {
 func TestEventLogCarriesAttribution(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 100, 100, 46)
-	l := obs.NewEventLog(0)
+	l := obs.NewEventLog()
 	cfgRec := cfg()
 	cfgRec.Recorder = l
 	Run(reg, cfgRec, []QuerySpec{{ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: 32}})

@@ -69,9 +69,9 @@ type Config struct {
 	DefaultWindow int
 	// Recorder, when non-nil, receives a typed obs.Event for every cache,
 	// disk, and prefetcher occurrence of the run, each stamped with the
-	// active query index and virtual time, and enables the per-query and
-	// per-object counter snapshots on RunResult. Nil (the default) costs the
-	// hot path one nil-check per event site and nothing else.
+	// active query index and virtual time, and enables the per-query counter
+	// snapshots (QueryResult.Counters). Nil (the default) costs the hot path
+	// one nil-check per event site and nothing else.
 	Recorder obs.Recorder
 	// Fault, when non-nil, injects deterministic transient faults into the
 	// run's device reads (see internal/fault). Faults only ever change
@@ -184,10 +184,13 @@ func (c *Config) backoff(attempt int) sim.Duration {
 
 // QueryResult is one query's timing and counters.
 type QueryResult struct {
-	ID      string
-	Start   sim.Time
-	End     sim.Time
-	Elapsed sim.Duration
+	ID string
+	// Prefetch is the page set the query's prefetcher was given: its
+	// QuerySpec's slice, shared, not copied.
+	Prefetch []storage.PageID
+	Start    sim.Time
+	End      sim.Time
+	Elapsed  sim.Duration
 
 	BufferHits   uint64
 	OSCopies     uint64
@@ -228,11 +231,6 @@ type RunResult struct {
 	// stamped by pythia.System.Run (the replay engine itself never sees
 	// inference).
 	InferenceDeadlineMisses uint64
-
-	// Objects holds per-object event snapshots (which relation/index drew
-	// the hits, misses, and prefetches). It is nil unless Config.Recorder
-	// was set.
-	Objects map[storage.ObjectID]*obs.Counters
 }
 
 // Elapsed returns the result for query id, panicking if absent (harness
@@ -258,18 +256,16 @@ func (r *RunResult) TotalElapsed() sim.Duration {
 
 // tagger is the run's one stamp point: every event from the buffer pool, OS
 // cache, and the runners passes through it. It stamps the active query index
-// and the virtual time, feeds the per-query and per-object snapshot counters,
-// and forwards the stamped event to the tracer (whose marks are a view of
-// this stream) and the user's recorder. The simulator is single-threaded, so
-// "active query" is a plain field the runners set on entry to their
-// callbacks.
+// and the virtual time, feeds the per-query snapshot counters, and forwards
+// the stamped event to the tracer (whose marks are a view of this stream) and
+// the user's recorder. The simulator is single-threaded, so "active query" is
+// a plain field the runners set on entry to their callbacks.
 type tagger struct {
 	eng     *sim.Engine
 	sink    obs.Recorder // user recorder; nil = tracing only, no snapshots
 	tr      *span.Tracer // nil = span tracing off
 	current int32        // query index whose callback is executing
 	perQ    []obs.Counters
-	perObj  map[storage.ObjectID]*obs.Counters
 }
 
 // Record implements obs.Recorder.
@@ -289,22 +285,7 @@ func (t *tagger) Record(e obs.Event) {
 	if e.Query >= 0 && int(e.Query) < len(t.perQ) {
 		t.perQ[e.Query].Record(e)
 	}
-	if e.Page.Object != storage.InvalidObject {
-		t.objCounters(e.Page.Object).Record(e)
-	}
 	t.sink.Record(e)
-}
-
-// objCounters returns the per-object counter bucket, creating it on first
-// use. The lazy allocation lives here, outside the //pythia:noalloc Record
-// body: it runs once per object, not once per event.
-func (t *tagger) objCounters(obj storage.ObjectID) *obs.Counters {
-	c := t.perObj[obj]
-	if c == nil {
-		c = &obs.Counters{}
-		t.perObj[obj] = c
-	}
-	return c
 }
 
 // Run replays the queries against a cold buffer pool and OS cache. It
@@ -326,7 +307,6 @@ func Run(reg *storage.Registry, cfg Config, queries []QuerySpec) *RunResult {
 		tag = &tagger{eng: eng, sink: cfg.Recorder, tr: cfg.Tracer}
 		if cfg.Recorder != nil {
 			tag.perQ = make([]obs.Counters, len(queries))
-			tag.perObj = make(map[storage.ObjectID]*obs.Counters)
 		}
 		pool.SetRecorder(tag)
 		osc.SetRecorder(tag)
@@ -334,6 +314,7 @@ func Run(reg *storage.Registry, cfg Config, queries []QuerySpec) *RunResult {
 	for i := range queries {
 		q := &queries[i]
 		res.Queries[i].ID = q.ID
+		res.Queries[i].Prefetch = q.Prefetch
 		qr := &runner{
 			eng: eng, disk: disk, pool: pool, osc: osc, reg: reg,
 			cfg: cfg, spec: q, result: &res.Queries[i],
@@ -356,7 +337,6 @@ func Run(reg *storage.Registry, cfg Config, queries []QuerySpec) *RunResult {
 		for i := range res.Queries {
 			res.Queries[i].Counters = &tag.perQ[i]
 		}
-		res.Objects = tag.perObj
 	}
 	return res
 }

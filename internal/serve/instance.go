@@ -60,10 +60,10 @@ type instance struct {
 	queue chan struct{}
 
 	// qmu serializes the replica's quality state: the sliding window of
-	// feedback scores and the drift monitor (Monitor is not synchronized by
-	// design — its other owner, the replay scorer, is single-threaded). qmon
-	// is nil when the replica's system carries no training baseline (untrained
-	// server, or a snapshot predating baselines) — drift detection off.
+	// feedback scores and the drift monitor, neither of which is
+	// synchronized. qmon is nil when the replica's system carries no training
+	// baseline (untrained server, or a snapshot predating baselines) — drift
+	// detection off.
 	qmu  sync.Mutex
 	qwin *quality.Window
 	qmon *quality.Monitor

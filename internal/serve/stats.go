@@ -47,8 +47,14 @@ type statsResponse struct {
 	// "no feedback yet", and rendering the block unconditionally keeps the
 	// /stats shape configuration-independent.
 	Quality qualityStats `json:"quality"`
-	// Drift is the fleet view of the replicas' drift detectors.
-	Drift driftAggStats `json:"drift"`
+	// Drift is the fleet view of the replicas' drift detectors: the
+	// single-state summary a dashboard alerts on. State (StateValue as a
+	// gauge) and Score describe the serving generation — the worst replica,
+	// so a healthy one cannot mask an alarming one; the counters are lifetime
+	// fleet totals. Warnings counts every transition into warning, an alarm
+	// stepping down through it included (a replica row's drift.warnings
+	// counts raises only).
+	Drift quality.DriftStats `json:"drift"`
 	// Baseline identifies the drift baseline the serving snapshot carries
 	// (absent when the system is untrained or predates baselines).
 	Baseline *corepythia.BaselineID `json:"baseline,omitempty"`
@@ -75,22 +81,6 @@ type qualityStats struct {
 	Recall    float64 `json:"recall"`
 	// WastedRatio is 1 − precision over the window.
 	WastedRatio float64 `json:"wasted_ratio"`
-}
-
-// driftAggStats is the fleet view of drift: the single-state summary a
-// dashboard alerts on. State (StateValue as a gauge) and Score describe the
-// serving generation — the worst replica, so a healthy one cannot mask an
-// alarming one; the counters are lifetime fleet totals. Warnings counts every
-// transition into warning, an alarm stepping down through it included (a
-// replica row's drift.warnings counts raises only).
-type driftAggStats struct {
-	State       string  `json:"state"`
-	StateValue  int     `json:"-"`
-	Score       float64 `json:"score"`
-	Evaluations uint64  `json:"evaluations"`
-	Warnings    uint64  `json:"warnings"`
-	Alarms      uint64  `json:"alarms"`
-	Recoveries  uint64  `json:"recoveries"`
 }
 
 // predCacheStats is the fleet view of the prediction caches: residency
@@ -159,8 +149,8 @@ func (s *Server) snapshot() *statsResponse {
 
 // aggregateDrift folds the serving replicas' drift detectors into the fleet
 // state: worst state, max score.
-func aggregateDrift(st InfStatus) driftAggStats {
-	var agg driftAggStats
+func aggregateDrift(st InfStatus) quality.DriftStats {
+	var agg quality.DriftStats
 	for _, r := range st.Replicas {
 		agg.StateValue = max(agg.StateValue, r.Drift.StateValue)
 		agg.Score = max(agg.Score, r.Drift.Score)

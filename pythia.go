@@ -95,13 +95,12 @@ type (
 	// ObsCounters is the allocation-free counting Recorder for
 	// single-threaded replays.
 	ObsCounters = obs.Counters
-	// ObsEventLog retains the full event stream for trace dumps.
+	// ObsEventLog retains the full event stream in record order.
 	ObsEventLog = obs.EventLog
 )
 
-// NewEventLog returns an event log retaining at most limit events
-// (limit <= 0 = unbounded).
-func NewEventLog(limit int) *ObsEventLog { return obs.NewEventLog(limit) }
+// NewEventLog returns an empty, unbounded event log.
+func NewEventLog() *ObsEventLog { return obs.NewEventLog() }
 
 // DefaultConfig returns the standard system configuration (Clock buffer,
 // readahead window 1024, limited prefetching at 75% of the buffer).
