@@ -10,8 +10,8 @@ import (
 )
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation. One benchmark per artifact; each prints its result table the
-// first time it runs, so
+// evaluation but Figure 9, whose sequence baseline is gone. One benchmark per
+// artifact; each prints its result table the first time it runs, so
 //
 //	go test -bench=. -benchmem
 //
@@ -95,15 +95,6 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkFigure8(b *testing.B) {
 	runExperiment(b, "fig8", map[string][2]string{
 		"t18-high-speedup": {"t18", "top 25%"},
-	})
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	runExperiment(b, "fig9", map[string][2]string{
-		"pythia-f1":        {"pythia", "median F1"},
-		"seq32-f1":         {"seq-raw-32", "median F1"},
-		"seq32-infer1M-s":  {"seq-raw-32", "infer @1M blocks (s)"},
-		"pythia-infer1M-s": {"pythia", "infer @1M blocks (s)"},
 	})
 }
 

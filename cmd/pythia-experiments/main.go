@@ -4,17 +4,19 @@
 // Usage:
 //
 //	pythia-experiments                     # run everything at default scale
-//	pythia-experiments -exp fig6,fig9      # run selected experiments
+//	pythia-experiments -exp fig5,fig6      # run selected experiments
 //	pythia-experiments -fast               # CI-scale quick pass
 //	pythia-experiments -list               # list experiment ids
 //	pythia-experiments -scale 100 -n 400   # closer to paper counts
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,26 +24,53 @@ import (
 	"github.com/pythia-db/pythia/internal/fault"
 )
 
-func main() {
-	var (
-		expList   = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		fast      = flag.Bool("fast", false, "run at CI scale instead of the default scale")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		scale     = flag.Int("scale", 0, "override DSB scale factor")
-		perTpl    = flag.Int("n", 0, "override query instances per DSB template")
-		imdbN     = flag.Int("imdb-n", 0, "override IMDB template-1a instances")
-		seed      = flag.Uint64("seed", 0, "override random seed")
-		outPath   = flag.String("o", "", "also append output to this file")
-		faultPlan = flag.String("fault-plan", "", "deterministic fault-injection plan for every replay, e.g. prefetch=0.05,exec=0.01 (empty = none; ext-chaos sweeps its own plans)")
-		faultSeed = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *list {
-		for _, id := range pythia.ExperimentNames() {
-			fmt.Println(id)
+// run is the command: it parses args, prints to stdout and stderr, and
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pythia-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		expList   = fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		fast      = fs.Bool("fast", false, "run at CI scale instead of the default scale")
+		list      = fs.Bool("list", false, "list experiment ids and exit")
+		scale     = fs.Int("scale", 0, "override DSB scale factor")
+		perTpl    = fs.Int("n", 0, "override query instances per DSB template")
+		imdbN     = fs.Int("imdb-n", 0, "override IMDB template-1a instances")
+		seed      = fs.Uint64("seed", 0, "override random seed")
+		outPath   = fs.String("o", "", "also append output to this file")
+		faultPlan = fs.String("fault-plan", "", "deterministic fault-injection plan for every replay, e.g. prefetch=0.05,exec=0.01 (empty = none; ext-chaos sweeps its own plans)")
+		faultSeed = fs.Uint64("fault-seed", 1, "fault-injection PRNG seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
+		return 2
+	}
+
+	names := pythia.ExperimentNames()
+	if *list {
+		fmt.Fprintln(stdout, strings.Join(names, "\n"))
+		return 0
+	}
+
+	// Every id is checked before the suite is built, so a typo in the last
+	// id does not cost the run of the ones before it.
+	ids := names
+	if *expList != "all" {
+		ids = nil
+		for _, id := range strings.Split(*expList, ",") {
+			if id = strings.TrimSpace(id); id == "" {
+				continue
+			}
+			if !slices.Contains(names, id) {
+				fmt.Fprintf(stderr, "pythia-experiments: unknown experiment %q (have %s)\n", id, strings.Join(names, ", "))
+				return 1
+			}
+			ids = append(ids, id)
+		}
 	}
 
 	cfg := pythia.DefaultExperimentConfig()
@@ -62,43 +91,35 @@ func main() {
 	}
 	plan, err := fault.ParsePlan(*faultPlan)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pythia-experiments:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pythia-experiments:", err)
+		return 1
 	}
 	cfg.FaultPlan = plan
 	cfg.FaultSeed = *faultSeed
 
-	var out io.Writer = os.Stdout
+	out := stdout
 	if *outPath != "" {
 		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pythia-experiments:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "pythia-experiments:", err)
+			return 1
 		}
 		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
-	}
-
-	ids := pythia.ExperimentNames()
-	if *expList != "all" {
-		ids = strings.Split(*expList, ",")
+		out = io.MultiWriter(stdout, f)
 	}
 
 	suite := pythia.NewExperiments(cfg)
 	fmt.Fprintf(out, "pythia-experiments: scale=%d instances/template=%d imdb=%d seed=%d fault=%s\n\n",
 		cfg.Scale, cfg.PerTemplate, cfg.IMDBInstances, cfg.Seed, cfg.FaultPlan)
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		if id == "" {
-			continue
-		}
 		start := time.Now()
 		tab, err := suite.Run(id)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pythia-experiments:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "pythia-experiments:", err)
+			return 1
 		}
 		fmt.Fprintln(out, tab.String())
 		fmt.Fprintf(out, "(%s took %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }

@@ -31,7 +31,6 @@ var DeterministicPackages = []string{
 	"internal/quality",
 	"internal/replay",
 	"internal/scheduler",
-	"internal/seqmodel",
 	"internal/serialize",
 	"internal/sim",
 	"internal/span",

@@ -11,8 +11,8 @@ import (
 // goroutine is a slow leak: each request that spawns one pins its stack and
 // captures until process exit, and the serve tier spawns a goroutine per
 // cache miss on the request path.
-// This is also the guardrail the planned online-training background
-// goroutine (ROADMAP item 4) lands behind. A goroutine counts as bounded
+// This is also the guardrail a background online-training goroutine (parked
+// on the ROADMAP) would land behind. A goroutine counts as bounded
 // when its body — a function literal, or a same-package function the
 // statement calls — shows one of:
 //

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"github.com/pythia-db/pythia/internal/index"
+	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -25,12 +26,7 @@ type Generator interface {
 	Domain() (lo, hi int64)
 }
 
-func mix(seed, row uint64) uint64 {
-	z := seed ^ (row * 0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func mix(seed, row uint64) uint64 { return sim.Mix64(seed ^ (row * 0x9e3779b97f4a7c15)) }
 
 func mixFloat(seed, row uint64) float64 {
 	return float64(mix(seed, row)>>11) / (1 << 53)

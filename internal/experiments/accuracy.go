@@ -4,7 +4,6 @@ import (
 	"github.com/pythia-db/pythia/internal/baselines"
 	"github.com/pythia-db/pythia/internal/metrics"
 	"github.com/pythia-db/pythia/internal/pythia"
-	"github.com/pythia-db/pythia/internal/seqmodel"
 	"github.com/pythia-db/pythia/internal/storage"
 	"github.com/pythia-db/pythia/internal/workload"
 )
@@ -129,74 +128,6 @@ func (s *Suite) Figure8() *Table {
 		"template", "low 25%", "mid 50%", "top 25%"), s.Templates(), similarity, coldSpeedup)
 }
 
-// Figure9 reproduces Figure 9 and its cost discussion: Pythia vs the
-// sequence-prediction transformers (context 32/64, raw/dedup traces) on
-// template 91 — comparable F1, vastly higher train and per-query inference
-// cost for the sequence models.
-func (s *Suite) Figure9() *Table {
-	t := newTable("fig9", "Pythia vs sequence-prediction transformers (t91)",
-		"model", "median F1", "train (s)", "infer/query (ms)", "infer @1M blocks (s)", "train ×Pythia", "infer ×Pythia")
-	sp := s.Split("t91")
-	sys := s.DSBSystem("t91")
-
-	py := metrics.Summarize(pythiaF1s(sys, sp.test))
-	var tw *pythia.Trained
-	for _, w := range sys.Workloads() {
-		if w.Name == "t91" {
-			tw = w
-		}
-	}
-	pyTrain := tw.Pred.TrainTime.Seconds()
-	// Pythia's per-query inference cost: measure by timing predictions.
-	pyInferMS := timePerQueryMS(func() {
-		for _, inst := range sp.test {
-			sys.Prefetch(inst)
-		}
-	}, len(sp.test))
-	// Pythia's inference is one-shot: its cost does not grow with the
-	// length of the block sequence, so the @1M column equals its per-query
-	// cost.
-	t.addRow("pythia", py.Median, decimals{pyTrain, 2}, decimals{pyInferMS, 2}, pyInferMS/1000,
-		decimals{1, 1}, decimals{1, 1})
-
-	for _, variant := range []struct {
-		name  string
-		ctx   int
-		dedup bool
-	}{
-		{"seq-raw-32", 32, false},
-		{"seq-raw-64", 64, false},
-		{"seq-dedup-32", 32, true},
-		{"seq-dedup-64", 64, true},
-	} {
-		cfg := seqmodel.DefaultConfig()
-		cfg.Context = variant.ctx
-		cfg.Dedup = variant.dedup
-		seqs := make([][]storage.PageID, len(sp.train))
-		for i, inst := range sp.train {
-			seqs[i] = seqmodel.NonSeqSequence(inst, variant.dedup)
-		}
-		m := seqmodel.Train(seqs, cfg)
-		var f1s []float64
-		for _, inst := range sp.test {
-			seq := seqmodel.NonSeqSequence(inst, variant.dedup)
-			seedLen := len(seq) / 4
-			pred := m.PredictFrom(seq[:seedLen], len(inst.Pages))
-			f1s = append(f1s, metrics.Score(pred, inst.Pages).F1)
-		}
-		trainS := m.TrainTime.Seconds()
-		inferMS := float64(m.InferTime.Microseconds()) / 1000 / float64(len(sp.test))
-		// Step-wise decoding pays one forward pass per block: extrapolating
-		// the measured per-token cost to the paper's ~1M-block sequences is
-		// what produces the "8500× slower inference" regime (§5.2 — 16.4
-		// minutes to predict 1M blocks on a V100).
-		infer1M := m.PerTokenInferCost().Seconds() * 1e6
-		t.addRow(variant.name, metrics.Summarize(f1s).Median, decimals{trainS, 2}, decimals{inferMS, 2},
-			decimals{infer1M, 1}, decimals{trainS / pyTrain, 1}, decimals{infer1M / (pyInferMS / 1000), 1})
-	}
-	return t
-}
-
 // Figure10 reproduces Figure 10: F1 by number of non-sequential reads.
 func (s *Suite) Figure10() *Table {
 	return s.byBucket(newTable("fig10", "F1 by number of distinct non-sequential reads",
@@ -208,20 +139,4 @@ func (s *Suite) Figure10() *Table {
 func (s *Suite) Figure11() *Table {
 	return s.byBucket(newTable("fig11", "Speedup by number of distinct non-sequential reads",
 		"workload", "low 25%", "mid 50%", "top 25%"), append(s.Templates(), "imdb1a"), nonSeqReads, coldSpeedup)
-}
-
-// timePerQueryMS runs fn once and returns its mean wall-clock cost per
-// query in milliseconds.
-func timePerQueryMS(fn func(), queries int) float64 {
-	start := timeNow()
-	fn()
-	elapsed := timeSince(start)
-	if queries <= 0 {
-		queries = 1
-	}
-	ms := float64(elapsed.Microseconds()) / 1000 / float64(queries)
-	if ms <= 0 {
-		ms = 0.001 // clamp so cost ratios stay finite
-	}
-	return ms
 }

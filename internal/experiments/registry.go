@@ -16,7 +16,6 @@ var Registry = map[string]Runner{
 	"fig6":   (*Suite).Figure6,
 	"fig7":   (*Suite).Figure7,
 	"fig8":   (*Suite).Figure8,
-	"fig9":   (*Suite).Figure9,
 	"fig10":  (*Suite).Figure10,
 	"fig11":  (*Suite).Figure11,
 	"fig12a": (*Suite).Figure12a,

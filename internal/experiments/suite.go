@@ -169,7 +169,7 @@ func (s *Suite) Split(name string) *split {
 
 // predictorOptions builds the standard training options.
 func (s *Suite) predictorOptions() predictor.Options {
-	return predictor.Options{Model: s.cfg.Model, ObservedOnly: true}
+	return predictor.Options{Model: s.cfg.Model}
 }
 
 // ablationOptions is predictorOptions at half the training epochs: the

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5) on the simulated substrate: the workload statistics of
-// Table 1, the baseline comparisons of Figures 1, 5, 6, and 9, the factor
+// Table 1, the baseline comparisons of Figures 1, 5 and 6, the factor
 // analyses of Figures 7–8 and 10–11, the ablations of Figure 12a–h, and the
 // multi-query studies of Figure 13a–d. Each experiment returns a Table whose
 // rows/series correspond to the paper's plot; EXPERIMENTS.md records the
@@ -30,30 +30,23 @@ func newTable(id, title string, columns ...string) *Table {
 	return &Table{ID: id, Title: title, Columns: columns, Values: map[string]float64{}}
 }
 
-// decimals is a numeric cell printed with n decimals instead of three.
-type decimals struct {
-	v float64
-	n int
-}
-
 // addRow appends a row: its label, then one number per remaining column — a
-// float64 (printed %.3f), an int (%d) or a decimals.
+// float64 (printed %.3f) or an int (%d).
 func (t *Table) addRow(label string, cells ...any) {
 	row := []string{label}
 	for i, c := range cells {
-		var d decimals
+		var v float64
+		prec := 3
 		switch c := c.(type) {
 		case float64:
-			d = decimals{c, 3}
+			v = c
 		case int:
-			d = decimals{float64(c), 0}
-		case decimals:
-			d = c
+			v, prec = float64(c), 0
 		default:
 			panic(fmt.Sprintf("experiments: %s cell %T is not a number", t.ID, c))
 		}
-		row = append(row, fmt.Sprintf("%.*f", d.n, d.v))
-		t.Values[label+"/"+t.Columns[i+1]] = d.v
+		row = append(row, fmt.Sprintf("%.*f", prec, v))
+		t.Values[label+"/"+t.Columns[i+1]] = v
 	}
 	t.Rows = append(t.Rows, row)
 }

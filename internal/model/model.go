@@ -4,8 +4,7 @@
 //
 // A Trunk is one workload's encoder; a Model is a head on it with its own
 // label space — a list of (object, page) labels — and decoder. The standard
-// configuration gives each database object its own head; large objects are
-// split into page-range partitions with one head each; Figure 12d combines
+// configuration gives each database object its own head; Figure 12d combines
 // an index and its base table in one head; Figure 12h restricts the label
 // space to the top-k most frequently accessed pages.
 package model
@@ -188,7 +187,7 @@ func (t *Trunk) ParamCount() int { return nn.ParamCount(t.params(t.heads)) }
 func (m *Model) ParamCount() int { return nn.ParamCount(m.trunk.params([]*Model{m})) }
 
 // targets fills the reusable 0/1 vector for a sample, ignoring pages
-// outside the label space (they belong to other heads or partitions).
+// outside the label space (they belong to other heads).
 func (m *Model) targets(pages []storage.PageID) []float64 {
 	if m.targetBuf == nil {
 		m.targetBuf = make([]float64, len(m.Labels))
@@ -223,7 +222,7 @@ func (m *Model) Train(samples []Sample) float64 {
 // TrainIncremental is Trunk.TrainIncremental under this head's loss alone,
 // which on a shared trunk drags the encoder from under the other heads;
 // Predictor.Update trains them jointly instead. The per-head form survives
-// for the frozen bench/ probe (ROADMAP item 5, Unfreeze).
+// for the frozen bench/ probe (ROADMAP "Unfreeze bench/").
 func (m *Model) TrainIncremental(samples []Sample, epochs int) float64 {
 	return m.trunk.train([]*Model{m}, samples, epochs)
 }
@@ -360,37 +359,6 @@ func (m *Model) Scores(tokenIDs []int) []float64 {
 	return out
 }
 
-// ObjectLabels builds the full label space of one object: every page.
-func ObjectLabels(obj *storage.Object) []storage.PageID {
-	out := make([]storage.PageID, obj.Pages)
-	for i := range out {
-		out[i] = storage.PageID{Object: obj.ID, Page: storage.PageNum(i)}
-	}
-	return out
-}
-
-// PartitionLabels splits an object's pages into partitions of at most
-// maxPages each — "we split large tables into several smaller partitions and
-// then train one model for each" (§3.3).
-func PartitionLabels(obj *storage.Object, maxPages int) [][]storage.PageID {
-	if maxPages <= 0 {
-		return [][]storage.PageID{ObjectLabels(obj)}
-	}
-	var out [][]storage.PageID
-	for start := 0; start < int(obj.Pages); start += maxPages {
-		end := start + maxPages
-		if end > int(obj.Pages) {
-			end = int(obj.Pages)
-		}
-		part := make([]storage.PageID, 0, end-start)
-		for p := start; p < end; p++ {
-			part = append(part, storage.PageID{Object: obj.ID, Page: storage.PageNum(p)})
-		}
-		out = append(out, part)
-	}
-	return out
-}
-
 // TopKLabels restricts a label space to the k pages most frequently accessed
 // across the training samples (Figure 12h). Ties break toward lower offsets
 // for determinism.
@@ -418,14 +386,4 @@ func TopKLabels(samples []Sample, obj storage.ObjectID, k int) []storage.PageID 
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
 	return all
-}
-
-// CombinedLabels concatenates two objects' label spaces — the single
-// index+table model of the Figure 12d ablation.
-func CombinedLabels(objs ...*storage.Object) []storage.PageID {
-	var out []storage.PageID
-	for _, o := range objs {
-		out = append(out, ObjectLabels(o)...)
-	}
-	return out
 }

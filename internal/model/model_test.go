@@ -124,45 +124,6 @@ func TestParamCountPositiveAndScales(t *testing.T) {
 	}
 }
 
-func TestObjectLabels(t *testing.T) {
-	reg := storage.NewRegistry()
-	obj := reg.Register("t", storage.KindTable, 5)
-	labels := ObjectLabels(obj)
-	if len(labels) != 5 || labels[4] != (storage.PageID{Object: obj.ID, Page: 4}) {
-		t.Fatalf("ObjectLabels = %v", labels)
-	}
-}
-
-func TestPartitionLabels(t *testing.T) {
-	reg := storage.NewRegistry()
-	obj := reg.Register("t", storage.KindTable, 10)
-	parts := PartitionLabels(obj, 4)
-	if len(parts) != 3 {
-		t.Fatalf("partitions = %d, want 3", len(parts))
-	}
-	if len(parts[0]) != 4 || len(parts[2]) != 2 {
-		t.Fatalf("partition sizes wrong: %d,%d,%d", len(parts[0]), len(parts[1]), len(parts[2]))
-	}
-	total := 0
-	seen := map[storage.PageID]bool{}
-	for _, p := range parts {
-		for _, l := range p {
-			if seen[l] {
-				t.Fatal("page appears in two partitions")
-			}
-			seen[l] = true
-			total++
-		}
-	}
-	if total != 10 {
-		t.Fatalf("partitions cover %d pages", total)
-	}
-	// maxPages <= 0 → single partition.
-	if got := PartitionLabels(obj, 0); len(got) != 1 || len(got[0]) != 10 {
-		t.Fatal("unpartitioned labels wrong")
-	}
-}
-
 func TestTopKLabels(t *testing.T) {
 	samples := []Sample{
 		{Pages: []storage.PageID{pg(1, 0), pg(1, 1)}},
@@ -187,16 +148,35 @@ func TestTopKLabels(t *testing.T) {
 	}
 }
 
+// A combined head's label space spans several objects (a heap, then its
+// index): the head keeps that order and learns pages of both.
 func TestCombinedLabels(t *testing.T) {
-	reg := storage.NewRegistry()
-	a := reg.Register("a", storage.KindTable, 3)
-	b := reg.Register("b", storage.KindIndex, 2)
-	labels := CombinedLabels(a, b)
-	if len(labels) != 5 {
-		t.Fatalf("CombinedLabels = %v", labels)
+	labels := []storage.PageID{pg(1, 0), pg(1, 1), pg(1, 2), pg(2, 0), pg(2, 1)}
+	m := New(12, labels, smallCfg())
+	if len(m.Labels) != 5 || m.Labels[0].Object != 1 || m.Labels[4].Object != 2 {
+		t.Fatalf("combined order wrong: %v", m.Labels)
 	}
-	if labels[0].Object != a.ID || labels[4].Object != b.ID {
-		t.Fatal("combined order wrong")
+	tg := m.targets([]storage.PageID{pg(2, 1), pg(1, 0), pg(3, 0)})
+	if tg[0] != 1 || tg[4] != 1 || tg[1]+tg[2]+tg[3] != 0 {
+		t.Fatalf("targets = %v", tg)
+	}
+	var samples []Sample
+	for rep := 0; rep < 6; rep++ {
+		samples = append(samples,
+			Sample{TokenIDs: []int{2, 5, 3}, Pages: []storage.PageID{pg(1, 0), pg(1, 2), pg(2, 1)}},
+			Sample{TokenIDs: []int{2, 9, 3}, Pages: []storage.PageID{pg(1, 1), pg(2, 0)}},
+		)
+	}
+	m.Train(samples)
+	got := m.Predict([]int{2, 5, 3})
+	want := []storage.PageID{pg(1, 0), pg(1, 2), pg(2, 1)}
+	if len(got) != len(want) {
+		t.Fatalf("Predict = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Predict = %v, want %v", got, want)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func TestTrainTimeUsesInjectedClock(t *testing.T) {
 	samples, _, _ := buildSamples(t, db, params)
 	opts := fastOpts()
 	opts.Model.Epochs = 2
-	p := Train(db.Registry, samples, opts)
+	p := Train(samples, opts)
 	if p.TrainTime != step {
 		t.Fatalf("TrainTime = %v, want exactly %v from the injected clock", p.TrainTime, step)
 	}

@@ -18,7 +18,7 @@ func trainedFixture(t *testing.T) (*Predictor, []*plan.Node) {
 		params = append(params, r.Int63n(900))
 	}
 	samples, _, _ := buildSamples(t, db, params)
-	p := Train(db.Registry, samples, fastOpts())
+	p := Train(samples, fastOpts())
 	pl := plan.NewPlanner(db)
 	var roots []*plan.Node
 	for _, q := range []int64{100, 400, 700, 100} {

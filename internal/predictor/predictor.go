@@ -15,6 +15,7 @@ import (
 	"github.com/pythia-db/pythia/internal/model"
 	"github.com/pythia-db/pythia/internal/plan"
 	"github.com/pythia-db/pythia/internal/serialize"
+	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
 	"github.com/pythia-db/pythia/internal/trace"
 )
@@ -31,16 +32,6 @@ type Options struct {
 	Model model.Config
 	// Serialize controls plan tokenization.
 	Serialize serialize.Config
-	// MaxPartitionPages splits an object's label space into partitions of
-	// at most this many pages, each with its own head (§3.3). Zero means
-	// no partitioning.
-	MaxPartitionPages int
-	// ObservedOnly restricts each label space to pages actually observed in
-	// the training traces. Pages never positive in training converge to
-	// "never predict" anyway, so this changes no prediction — it only
-	// removes provably dead output units. Disable to train the paper's full
-	// page-per-output-node decoder.
-	ObservedOnly bool
 	// TopK further restricts each object's labels to its k most frequently
 	// accessed pages (Figure 12h ablation). Zero disables.
 	TopK int
@@ -61,13 +52,12 @@ type Predictor struct {
 	// objModels indexes heads by the objects their labels cover.
 	objModels map[storage.ObjectID][]*model.Model
 
-	// TrainTime is the wall-clock time Train spent fitting the trunk; the
-	// Figure 9 cost comparison against sequence models reports it.
+	// TrainTime is the wall-clock time Train spent fitting the trunk.
 	TrainTime time.Duration
 }
 
 // Train builds and fits a predictor from the workload's samples.
-func Train(reg *storage.Registry, samples []TrainSample, opts Options) *Predictor {
+func Train(samples []TrainSample, opts Options) *Predictor {
 	start := timeNow()
 	p := &Predictor{vocab: serialize.NewVocab(), serCfg: opts.Serialize}
 
@@ -110,22 +100,14 @@ func Train(reg *storage.Registry, samples []TrainSample, opts Options) *Predicto
 		groups = append(groups, []storage.ObjectID{id})
 	}
 
-	// Build one label space per group, split into partitions when asked.
-	var labelSets [][]storage.PageID
-	for _, g := range groups {
-		var labels []storage.PageID
+	// Build one label space per group.
+	labelSets := make([][]storage.PageID, len(groups))
+	for i, g := range groups {
 		for _, id := range g {
-			labels = append(labels, p.objectLabels(reg, id, msamples, opts)...)
-		}
-		step := len(labels)
-		if opts.MaxPartitionPages > 0 {
-			step = opts.MaxPartitionPages
-		}
-		for start := 0; start < len(labels); start += step {
-			labelSets = append(labelSets, labels[start:min(start+step, len(labels))])
-			p.modelObjs = append(p.modelObjs, g)
+			labelSets[i] = append(labelSets[i], objectLabels(id, msamples, opts.TopK)...)
 		}
 	}
+	p.modelObjs = groups
 
 	// One trunk, one head per label space, trained jointly on one goroutine:
 	// the shared encoder is ≈ 98 % of the work, so nothing is left to fan out.
@@ -156,30 +138,27 @@ func (p *Predictor) index() {
 	}
 }
 
-// objectLabels builds one object's label space under the options.
-func (p *Predictor) objectLabels(reg *storage.Registry, id storage.ObjectID, samples []model.Sample, opts Options) []storage.PageID {
-	if opts.TopK > 0 {
-		return model.TopKLabels(samples, id, opts.TopK)
+// objectLabels builds one object's label space: its topK most frequent
+// pages when topK is set, otherwise every page observed in training. The
+// paper's decoder has one output per page of the object, but a page never
+// positive in training converges to "never predict", so leaving it out
+// changes no prediction and removes a provably dead output unit.
+func objectLabels(id storage.ObjectID, samples []model.Sample, topK int) []storage.PageID {
+	if topK > 0 {
+		return model.TopKLabels(samples, id, topK)
 	}
-	if opts.ObservedOnly {
-		seen := map[storage.PageID]bool{}
-		var out []storage.PageID
-		for _, s := range samples {
-			for _, pg := range s.Pages {
-				if pg.Object == id && !seen[pg] {
-					seen[pg] = true
-					out = append(out, pg)
-				}
+	seen := map[storage.PageID]bool{}
+	var out []storage.PageID
+	for _, s := range samples {
+		for _, pg := range s.Pages {
+			if pg.Object == id && !seen[pg] {
+				seen[pg] = true
+				out = append(out, pg)
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-		return out
 	}
-	obj := reg.Lookup(id)
-	if obj == nil {
-		panic("predictor: trace references unknown object")
-	}
-	return model.ObjectLabels(obj)
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
 }
 
 // Models returns the trained heads (diagnostics: count, label spaces).
@@ -217,13 +196,6 @@ func (p *Predictor) EncodePlan(root *plan.Node) []int {
 	return p.vocab.Encode(serialize.Serialize(root, p.serCfg))
 }
 
-// FNV-64a parameters (hash/fnv spelled out so the hot path hashes a []int
-// without converting to bytes or allocating a hash.Hash64).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
 // Fingerprint hashes a token-ID sequence with FNV-64a, one byte per octet
 // of each ID (little-endian). Equal sequences — identical serialized plans
 // — collide by construction; the serve tier keys its prediction cache on
@@ -231,12 +203,12 @@ const (
 //
 //pythia:noalloc
 func Fingerprint(ids []int) uint64 {
-	h := uint64(fnvOffset64)
+	h := sim.FNVOffset64
 	for _, id := range ids {
 		v := uint64(id)
 		for b := 0; b < 8; b++ {
 			h ^= (v >> (8 * b)) & 0xff
-			h *= fnvPrime64
+			h *= sim.FNVPrime64
 		}
 	}
 	return h
@@ -291,5 +263,5 @@ func (p *Predictor) Predict(root *plan.Node) []storage.PageID {
 
 // PredictParallel is a synonym of Predict: the heads run off one encoder
 // pass, so there is nothing to run in parallel. Only the frozen bench/
-// module still calls it (ROADMAP item 5, Unfreeze).
+// module still calls it (ROADMAP "Unfreeze bench/").
 func (p *Predictor) PredictParallel(root *plan.Node) []storage.PageID { return p.Predict(root) }

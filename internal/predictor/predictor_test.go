@@ -53,12 +53,17 @@ func templateQuery(p int64) plan.Query {
 
 func buildSamples(t *testing.T, db *catalog.Database, params []int64) ([]TrainSample, []*plan.Node, []*trace.Processed) {
 	t.Helper()
+	return buildSamplesOf(t, db, params, templateQuery)
+}
+
+func buildSamplesOf(t *testing.T, db *catalog.Database, params []int64, query func(int64) plan.Query) ([]TrainSample, []*plan.Node, []*trace.Processed) {
+	t.Helper()
 	pl := plan.NewPlanner(db)
 	var samples []TrainSample
 	var plans []*plan.Node
 	var traces []*trace.Processed
 	for _, p := range params {
-		root := pl.MustPlan(templateQuery(p))
+		root := pl.MustPlan(query(p))
 		res := exec.Run(root)
 		tr := trace.Process(res.Requests)
 		samples = append(samples, TrainSample{Plan: root, Trace: tr})
@@ -75,7 +80,7 @@ func fastOpts() Options {
 	cfg.Layers = 1
 	cfg.DecoderHidden = 32
 	cfg.Epochs = 25
-	return Options{Model: cfg, ObservedOnly: true}
+	return Options{Model: cfg}
 }
 
 func TestPredictorLearnsWorkload(t *testing.T) {
@@ -89,7 +94,7 @@ func TestPredictorLearnsWorkload(t *testing.T) {
 		testParams = append(testParams, r.Int63n(900))
 	}
 	samples, _, _ := buildSamples(t, db, trainParams)
-	p := Train(db.Registry, samples, fastOpts())
+	p := Train(samples, fastOpts())
 
 	if p.TrainTime <= 0 {
 		t.Fatal("TrainTime not recorded")
@@ -119,7 +124,7 @@ func TestPredictorLearnsWorkload(t *testing.T) {
 func TestPredictDeterministicAndSorted(t *testing.T) {
 	db := workloadDB()
 	samples, plans, _ := buildSamples(t, db, []int64{100, 300, 500, 700, 100, 300, 500, 700})
-	p := Train(db.Registry, samples, fastOpts())
+	p := Train(samples, fastOpts())
 	a := p.Predict(plans[0])
 	b := p.Predict(plans[0])
 	if len(a) != len(b) {
@@ -142,7 +147,7 @@ func TestPredictDeterministicAndSorted(t *testing.T) {
 func TestPredictIgnoresIrrelevantPlans(t *testing.T) {
 	db := workloadDB()
 	samples, _, _ := buildSamples(t, db, []int64{100, 300, 500, 700})
-	p := Train(db.Registry, samples, fastOpts())
+	p := Train(samples, fastOpts())
 	// A plan with no index scans has no non-sequential scan nodes; Pythia
 	// predicts nothing (Algorithm 3 only engages for non-sequential scans).
 	pl := plan.NewPlanner(db)
@@ -155,21 +160,21 @@ func TestPredictIgnoresIrrelevantPlans(t *testing.T) {
 	}
 }
 
-func TestPartitioningSplitsModels(t *testing.T) {
-	db := workloadDB()
-	samples, _, _ := buildSamples(t, db, []int64{100, 300, 500, 700})
-	opts := fastOpts()
-	single := Train(db.Registry, samples, opts)
-	opts.MaxPartitionPages = 20
-	parted := Train(db.Registry, samples, opts)
-	if len(parted.Models()) <= len(single.Models()) {
-		t.Fatalf("partitioning did not increase model count: %d vs %d",
-			len(parted.Models()), len(single.Models()))
+// TestObjectLabels: an object's label space is its pages observed in
+// training, sorted and deduplicated, and with TopK set its k most frequent.
+func TestObjectLabels(t *testing.T) {
+	pg := func(o, n int) storage.PageID {
+		return storage.PageID{Object: storage.ObjectID(o), Page: storage.PageNum(n)}
 	}
-	// Partitioned prediction still works end to end.
-	pl := plan.NewPlanner(db)
-	if got := parted.Predict(pl.MustPlan(templateQuery(100))); len(got) == 0 {
-		t.Fatal("partitioned predictor predicted nothing")
+	samples := []model.Sample{
+		{Pages: []storage.PageID{pg(1, 5), pg(1, 2), pg(2, 0)}},
+		{Pages: []storage.PageID{pg(1, 2), pg(1, 9)}},
+	}
+	if got, want := objectLabels(1, samples, 0), []storage.PageID{pg(1, 2), pg(1, 5), pg(1, 9)}; !slices.Equal(got, want) {
+		t.Fatalf("observed labels = %v, want %v", got, want)
+	}
+	if got, want := objectLabels(1, samples, 1), []storage.PageID{pg(1, 2)}; !slices.Equal(got, want) {
+		t.Fatalf("top-1 labels = %v, want %v", got, want)
 	}
 }
 
@@ -178,7 +183,7 @@ func TestTopKRestrictsLabelSpace(t *testing.T) {
 	samples, _, _ := buildSamples(t, db, []int64{100, 300, 500, 700, 200, 400})
 	opts := fastOpts()
 	opts.TopK = 5
-	p := Train(db.Registry, samples, opts)
+	p := Train(samples, opts)
 	for _, m := range p.Models() {
 		if len(m.Labels) > 5 {
 			t.Fatalf("model label space %d exceeds TopK", len(m.Labels))
@@ -199,9 +204,14 @@ func TestGroupsCombineObjects(t *testing.T) {
 	opts.Groups = [][]storage.ObjectID{
 		{item.Heap.ID, item.IndexOn("i_sk").Tree.Object().ID},
 	}
-	p := Train(db.Registry, samples, opts)
+	p := Train(samples, opts)
 	if len(p.Models()) != 1 {
 		t.Fatalf("combined group trained %d models, want 1", len(p.Models()))
+	}
+	// One label space: the heap's observed pages, then the index's.
+	labels := p.Models()[0].Labels
+	if labels[0].Object != item.Heap.ID || labels[len(labels)-1].Object != item.IndexOn("i_sk").Tree.Object().ID {
+		t.Fatalf("combined label space runs from object %d to %d, want heap then index", labels[0].Object, labels[len(labels)-1].Object)
 	}
 	// The combined model still predicts pages from both objects.
 	pl := plan.NewPlanner(db)

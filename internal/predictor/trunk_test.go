@@ -7,17 +7,30 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/pythia-db/pythia/internal/catalog"
+	"github.com/pythia-db/pythia/internal/index"
 	"github.com/pythia-db/pythia/internal/model"
 	"github.com/pythia-db/pythia/internal/plan"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// headsFixture trains a predictor whose one trunk carries several heads
-// (the item heap is partitioned) and plans a few held-out queries.
+// twoDimQuery is templateQuery joined to a second dimension, item2, through
+// its index on the same foreign key.
+func twoDimQuery(p int64) plan.Query {
+	q := templateQuery(p)
+	q.Dims = append(q.Dims, plan.DimJoin{Dim: "item2", FactFK: "f_item_fk", DimKey: "i2_sk", ForceIndex: true})
+	return q
+}
+
+// headsFixture trains a predictor whose one trunk carries four heads — the
+// heap and the index of each of two dimensions the plans probe — and plans a
+// few held-out queries.
 func headsFixture(t *testing.T, epochs int) (*Predictor, []TrainSample, []*plan.Node) {
 	t.Helper()
 	db := workloadDB()
+	item2 := db.AddRelation("item2", 3300, 10, []catalog.Column{{Name: "i2_sk", Gen: catalog.Serial{}}})
+	db.BuildIndex(item2, "i2_sk", index.Config{LeafCap: 32, Fanout: 16})
 	r := sim.NewRand(23)
 	var trainParams, heldOut []int64
 	for i := 0; i < 24; i++ {
@@ -26,15 +39,14 @@ func headsFixture(t *testing.T, epochs int) (*Predictor, []TrainSample, []*plan.
 	for i := 0; i < 6; i++ {
 		heldOut = append(heldOut, r.Int63n(900))
 	}
-	samples, _, _ := buildSamples(t, db, trainParams)
+	samples, _, _ := buildSamplesOf(t, db, trainParams, twoDimQuery)
 	opts := fastOpts()
 	opts.Model.Epochs = epochs
-	opts.MaxPartitionPages = 40
-	p := Train(db.Registry, samples, opts)
-	if len(p.Models()) < 3 {
-		t.Fatalf("fixture trained %d heads, want at least 3", len(p.Models()))
+	p := Train(samples, opts)
+	if len(p.Models()) != 4 {
+		t.Fatalf("fixture trained %d heads, want 4", len(p.Models()))
 	}
-	_, plans, _ := buildSamples(t, db, heldOut)
+	_, plans, _ := buildSamplesOf(t, db, heldOut, twoDimQuery)
 	return p, samples, plans
 }
 

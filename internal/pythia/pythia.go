@@ -35,11 +35,6 @@ type Config struct {
 	// Window is the readahead window R (pinned prefetched pages); the
 	// paper's default is 1024.
 	Window int
-	// PrefetchBufferFraction bounds limited prefetching: at most this
-	// fraction of the buffer pool is filled by prefetch for one query
-	// ("we perform limited prefetching to stay within buffer memory
-	// bounds", §5.1). Default 0.75.
-	PrefetchBufferFraction float64
 	// Recorder, when non-nil, receives system-level events (workload
 	// matched/fallback, limited-prefetching truncation) and is threaded
 	// into every replay this system runs, so live per-level cache counters
@@ -52,34 +47,22 @@ type Config struct {
 	// a fresh tracer per run (or Reset it): spans accumulate across Run
 	// calls.
 	Tracer *span.Tracer
-	// InferenceDeadline is the virtual-time budget for model inference.
-	// When the replay cost model's PredictLatency exceeds it, every query
-	// degrades to the default (no-prefetch) path — prefetching is advisory,
-	// so a late prediction is a skipped prediction, never a stall. Zero
-	// means no deadline. The Replay.Fault injector's Inference site models
-	// sporadic (rather than systematic) deadline misses.
-	InferenceDeadline sim.Duration
 }
 
+// prefetchBufferFraction bounds limited prefetching: at most this fraction
+// of the buffer pool is filled by prefetch for one query ("we perform
+// limited prefetching to stay within buffer memory bounds", §5.1).
+const prefetchBufferFraction = 0.75
+
 // Normalize validates the configuration and fills unset (zero) fields with
-// defaults, including the nested replay config. Out-of-range values —
-// a negative window, a prefetch fraction outside (0, 1] — are errors, not
-// silently patched defaults.
+// defaults, including the nested replay config. A negative window is an
+// error, not a silently patched default.
 func (c Config) Normalize() (Config, error) {
 	if c.Window < 0 {
 		return c, fmt.Errorf("pythia: negative Window %d", c.Window)
 	}
-	if c.InferenceDeadline < 0 {
-		return c, fmt.Errorf("pythia: negative InferenceDeadline %v", c.InferenceDeadline)
-	}
 	if c.Window == 0 {
 		c.Window = 1024
-	}
-	if c.PrefetchBufferFraction < 0 || c.PrefetchBufferFraction > 1 {
-		return c, fmt.Errorf("pythia: PrefetchBufferFraction %g outside (0, 1]", c.PrefetchBufferFraction)
-	}
-	if c.PrefetchBufferFraction == 0 {
-		c.PrefetchBufferFraction = 0.75
 	}
 	if c.Replay.BufferPages == 0 {
 		c.Replay.BufferPages = 2048
@@ -91,18 +74,9 @@ func (c Config) Normalize() (Config, error) {
 	return c, nil
 }
 
-// DefaultConfig returns the experiment harness defaults. The predictor
-// trains over label spaces restricted to observed pages —
-// prediction-equivalent to the paper's full page-per-output-node decoder
-// (never-observed pages converge to "never predict" anyway) but much
-// faster; set Predictor.ObservedOnly = false for the paper's exact layout.
+// DefaultConfig returns the experiment harness defaults.
 func DefaultConfig() Config {
-	return Config{
-		Replay:                 replay.Config{BufferPages: 2048},
-		Predictor:              predictor.Options{ObservedOnly: true},
-		Window:                 1024,
-		PrefetchBufferFraction: 0.75,
-	}
+	return Config{Replay: replay.Config{BufferPages: 2048}, Window: 1024}
 }
 
 // driftSerializeCfg is the canonical serialization for drift profiles:
@@ -194,7 +168,7 @@ func (s *System) Train(name string, train []*workload.Instance) *Trained {
 		// land in the same feature space at serving time.
 		tw.Baseline.ObserveTokens(DriftTokens(inst.Plan))
 	}
-	tw.Pred = predictor.Train(s.DB.Registry, samples, s.cfg.Predictor)
+	tw.Pred = predictor.Train(samples, s.cfg.Predictor)
 	s.trained = append(s.trained, tw)
 	return tw
 }
@@ -353,7 +327,7 @@ func (s *System) Prefetch(inst *workload.Instance) []storage.PageID {
 // LimitPrefetch truncates a predicted page set to the buffer-bounded budget,
 // keeping file-storage order.
 func (s *System) LimitPrefetch(pages []storage.PageID) []storage.PageID {
-	budget := int(float64(s.cfg.Replay.BufferPages) * s.cfg.PrefetchBufferFraction)
+	budget := int(float64(s.cfg.Replay.BufferPages) * prefetchBufferFraction)
 	if len(pages) > budget {
 		pages = pages[:budget]
 		s.record(obs.PrefetchLimited)
@@ -378,10 +352,11 @@ func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strate
 		}
 		var pf []storage.PageID
 		if strategy != nil {
-			if s.inferenceMissed(sim.Time(arr)) {
+			if s.cfg.Replay.Fault.Fire(fault.Inference, sim.Time(arr)) {
 				// A late (or faulted) inference is a skipped one: the query
 				// runs on the default path instead of waiting. The event
-				// carries whose inference it was and when it was due.
+				// carries whose inference it was and when it was due. A
+				// systematic deadline miss is the site at rate 1.
 				deadlineMisses++
 				s.Record(obs.Event{Kind: obs.InferenceDeadlineMiss, Query: int32(i), At: sim.Time(arr)})
 			} else {
@@ -397,7 +372,6 @@ func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strate
 		}
 	}
 	cfg := s.cfg.Replay
-	cfg.DefaultWindow = s.cfg.Window
 	if cfg.Recorder == nil {
 		// The system-level recorder observes every replay too, so live
 		// per-level cache counters flow to one place.
@@ -409,17 +383,6 @@ func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strate
 	res := replay.Run(s.DB.Registry, cfg, specs)
 	res.InferenceDeadlineMisses = deadlineMisses
 	return res
-}
-
-// inferenceMissed decides whether one query's model inference blew its
-// budget: systematically (the cost model's PredictLatency exceeds the
-// configured deadline) or sporadically (the fault injector's Inference site
-// fires).
-func (s *System) inferenceMissed(at sim.Time) bool {
-	if s.cfg.InferenceDeadline > 0 && s.cfg.Replay.Cost.PredictLatency > s.cfg.InferenceDeadline {
-		return true
-	}
-	return s.cfg.Replay.Fault.Fire(fault.Inference, at)
 }
 
 func specID(inst *workload.Instance, i int) string {

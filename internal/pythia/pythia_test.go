@@ -23,7 +23,7 @@ func testConfig() Config {
 	mcfg.Layers = 1
 	mcfg.DecoderHidden = 32
 	mcfg.Epochs = 20
-	cfg.Predictor = predictor.Options{Model: mcfg, ObservedOnly: true}
+	cfg.Predictor = predictor.Options{Model: mcfg}
 	cfg.Replay.BufferPages = 1024
 	return cfg
 }
@@ -124,7 +124,7 @@ func TestLimitPrefetchBounds(t *testing.T) {
 		big = append(big, big...)
 	}
 	limited := s.LimitPrefetch(big)
-	budget := int(float64(s.cfg.Replay.BufferPages) * s.cfg.PrefetchBufferFraction)
+	budget := int(float64(s.cfg.Replay.BufferPages) * prefetchBufferFraction)
 	if len(limited) != budget {
 		t.Fatalf("limited prefetch = %d pages, want %d", len(limited), budget)
 	}
@@ -152,7 +152,7 @@ func TestRunArrivalsAndStrategies(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	s := New(dsb.NewGenerator(dsb.Config{ScaleFactor: 5, Seed: 7}).DB(), Config{})
 	cfg := s.Config()
-	if cfg.Window != 1024 || cfg.PrefetchBufferFraction != 0.75 || cfg.Replay.BufferPages != 2048 {
+	if cfg.Window != 1024 || cfg.Replay.BufferPages != 2048 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if len(s.Workloads()) != 0 {
@@ -160,36 +160,30 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestInferenceDeadlineDegradesToDefault: a missed inference deadline —
+// systematic when the infer fault site runs at rate 1 — degrades every
+// prefetching query to the default path, timing-identical to running with no
+// strategy, and a run with no strategy never draws the site.
 func TestInferenceDeadlineDegradesToDefault(t *testing.T) {
 	s, w := testSystem(t)
 	train, test := w.Split(0.1, 3)
 	s.Train("t91", train)
 	insts := test[:4]
 
-	// PredictLatency over the deadline: every prefetching query degrades.
-	late := *s
-	late.cfg.InferenceDeadline = s.cfg.Replay.Cost.PredictLatency / 2
-	res := late.Run(insts, nil, late.Prefetch)
-	if got := res.InferenceDeadlineMisses; got != uint64(len(insts)) {
-		t.Fatalf("deadline misses %d, want %d", got, len(insts))
-	}
-	dflt := s.Run(insts, nil, nil)
-	if res.TotalElapsed() != dflt.TotalElapsed() {
-		t.Fatal("deadline-degraded run is not timing-identical to the default path")
-	}
-
-	// No deadline, no faults: zero misses.
+	// No faults: zero misses.
 	if r := s.Run(insts, nil, s.Prefetch); r.InferenceDeadlineMisses != 0 {
 		t.Fatalf("clean run recorded %d deadline misses", r.InferenceDeadlineMisses)
 	}
 
-	// A certain inference fault degrades every query too, and the baseline
-	// (nil strategy) never draws the inference site.
-	chaotic := s.WithFault(fault.New(fault.Plan{InferenceRate: 1}, 3))
-	if r := chaotic.Run(insts, nil, chaotic.Prefetch); r.InferenceDeadlineMisses != uint64(len(insts)) {
-		t.Fatalf("faulted run missed %d inferences, want %d", r.InferenceDeadlineMisses, len(insts))
+	late := s.WithFault(fault.New(fault.Plan{InferenceRate: 1}, 3))
+	res := late.Run(insts, nil, late.Prefetch)
+	if got := res.InferenceDeadlineMisses; got != uint64(len(insts)) {
+		t.Fatalf("deadline misses %d, want %d", got, len(insts))
 	}
-	if r := chaotic.Run(insts, nil, nil); r.InferenceDeadlineMisses != 0 {
+	if dflt := s.Run(insts, nil, nil); res.TotalElapsed() != dflt.TotalElapsed() {
+		t.Fatal("deadline-degraded run is not timing-identical to the default path")
+	}
+	if r := late.Run(insts, nil, nil); r.InferenceDeadlineMisses != 0 {
 		t.Fatal("default-path run drew inference faults")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/baselines"
+	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/span"
 )
@@ -12,13 +13,14 @@ import (
 // old "timestamp 0 means now" guess: a degrade mark belongs at its query's
 // arrival, here virtual time 0, also on a tracer that already went through a
 // run. Before marks were derived from the stamped event, run 2's three marks
-// landed at run 1's end (the stale clock's "now").
+// landed at run 1's end (the stale clock's "now"). Every inference misses: the
+// infer fault site runs at rate 1.
 func TestDegradeMarksStampedAtArrival(t *testing.T) {
 	s, w := testSystem(t)
 	insts := w.Instances[:3]
 	tr := span.New()
 	s.cfg.Tracer = tr
-	s.cfg.InferenceDeadline = s.cfg.Replay.Cost.PredictLatency / 2
+	s = s.WithFault(fault.New(fault.Plan{InferenceRate: 1}, 3))
 	for run := 1; run <= 2; run++ {
 		tr.Reset()
 		s.Run(insts, nil, baselines.Oracle)

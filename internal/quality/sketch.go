@@ -3,6 +3,8 @@ package quality
 import (
 	"fmt"
 	"math"
+
+	"github.com/pythia-db/pythia/internal/sim"
 )
 
 // SketchBuckets is the fixed histogram width. 64 buckets keeps a Profile at
@@ -25,7 +27,7 @@ type Sketch struct {
 //
 //pythia:noalloc
 func (s *Sketch) Observe(h uint64) {
-	s.Counts[mix64(h)&(SketchBuckets-1)]++
+	s.Counts[sim.Mix64(h)&(SketchBuckets-1)]++
 	s.Total++
 }
 
@@ -131,14 +133,14 @@ type Profile struct {
 //
 //pythia:noalloc
 func (p *Profile) ObserveTokens(tokens []string) {
-	fp := fnvOffset64
+	fp := sim.FNVOffset64
 	for _, tok := range tokens {
-		h := hashString(tok)
+		h := sim.FNV64a(tok)
 		p.Tokens.Observe(h)
 		if len(tok) >= 2 && tok[0] == 'v' && tok[1] == ':' {
 			continue
 		}
-		fp = (fp ^ h) * fnvPrime64
+		fp = (fp ^ h) * sim.FNVPrime64
 	}
 	p.Prints.Observe(fp)
 	p.Plans++
@@ -172,10 +174,10 @@ func (p *Profile) Hash() uint64 {
 	if p == nil {
 		return 0
 	}
-	h := fnvOffset64
+	h := sim.FNVOffset64
 	mixIn := func(v uint64) {
 		for s := 0; s < 64; s += 8 {
-			h = (h ^ (v >> s & 0xff)) * fnvPrime64
+			h = (h ^ (v >> s & 0xff)) * sim.FNVPrime64
 		}
 	}
 	for _, c := range p.Tokens.Counts {
@@ -203,33 +205,4 @@ func Divergence(base, live *Profile) float64 {
 	t := PSI(&base.Tokens, &live.Tokens)
 	f := PSI(&base.Prints, &live.Prints)
 	return math.Max(t, f)
-}
-
-// FNV-64a, hand-rolled so hashing a token never allocates (mirrors
-// predictor.Fingerprint).
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-//pythia:noalloc
-func hashString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-// mix64 is the splitmix64 finalizer: FNV output (and small integers) spread
-// uniformly over buckets.
-//
-//pythia:noalloc
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -25,16 +25,16 @@ import (
 var parentTimelines = map[string]uint64{
 	"clock/clean/q1":  0x3c044a824f8dd545,
 	"clock/clean/q4":  0xa868a2743b832d2a,
-	"clock/faulty/q1": 0x9c4daada8ba14395,
-	"clock/faulty/q4": 0x7f809ccd659dda1c,
+	"clock/faulty/q1": 0x89612b62e1da7a0,
+	"clock/faulty/q4": 0x39f922d3f42737ce,
 	"lru/clean/q1":    0x6e87c1a50e0f4a9a,
 	"lru/clean/q4":    0x1b89498b8ee2a4d5,
-	"lru/faulty/q1":   0x70ee6e6731d08393,
-	"lru/faulty/q4":   0x549439ae4f8efb2e,
+	"lru/faulty/q1":   0xb2727999d14eb9ec,
+	"lru/faulty/q4":   0xa53ba36dbe772589,
 	"mru/clean/q1":    0x5de9105401dd56c4,
 	"mru/clean/q4":    0xb0fe7dc73d6212b9,
-	"mru/faulty/q1":   0xc64e0ef488ec8ea4,
-	"mru/faulty/q4":   0x171f9a66a677cdbf,
+	"mru/faulty/q1":   0xed4a2234601e16c1,
+	"mru/faulty/q4":   0x9c9be01cd3ac1092,
 }
 
 // TestDerivedTimelineMatchesParent is the differential test of the mark
@@ -57,8 +57,7 @@ func TestDerivedTimelineMatchesParent(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/q%d", p.name, map[bool]string{false: "clean", true: "faulty"}[faulty], nq)
 				c := Config{BufferPages: 96, OSCachePages: 256, BufferPolicy: p.policy, Tracer: span.New()}
 				if faulty {
-					c.Fault = fault.New(fault.Plan{PrefetchReadRate: 0.2}, 11)
-					c.MaxRetries = 1
+					c.Fault = fault.New(fault.Plan{PrefetchReadRate: 0.4}, 11)
 				}
 				var specs []QuerySpec
 				for i := 0; i < nq; i++ {

@@ -106,14 +106,12 @@ func TestFaultRunsBitwiseReproducible(t *testing.T) {
 }
 
 // TestDegradationAccounting exercises the retry → abandon → fallback ladder
-// and checks its counters reconcile.
+// at the constants production runs and checks its counters reconcile.
 func TestDegradationAccounting(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 300, 400, 3)
 	c := cfg()
 	c.Fault = fault.New(fault.Plan{PrefetchReadRate: 0.6}, 7)
-	c.MaxRetries = 2
-	c.MaxAbandons = 1 << 20 // never give up: every abandoned page falls back
 	res := Run(reg, c, faultSpecs(reqs))
 	qr := res.Queries[0]
 
@@ -133,26 +131,33 @@ func TestDegradationAccounting(t *testing.T) {
 		t.Fatalf("run aggregates diverge from per-query counters: %+v vs %+v", res, qr)
 	}
 	if qr.PrefetchGaveUp {
-		t.Fatal("prefetcher gave up despite effectively unbounded MaxAbandons")
+		t.Fatal("prefetcher gave up: the fixture no longer reaches the abandon rung without the last one")
 	}
 	if int(qr.BufferHits+qr.OSCopies+qr.DiskReads) != len(reqs) {
 		t.Fatalf("accounting identity broken under degradation: %+v", qr)
 	}
 }
 
-// TestPrefetcherGivesUp: a near-certain prefetch fault rate with a small
-// abandon budget disables prefetching for the query, which still completes.
+// TestPrefetcherGivesUp: with every prefetch read failing, the prefetcher
+// gives up after maxAbandons (8) pages and the query still completes. The
+// counts are the constants': each abandoned page failed 1+maxRetries (4)
+// attempts and was retried maxRetries (3) times, and at the give-up the other
+// prefetchWorkers-1 (3) AIO slots each hold a page whose first attempt failed
+// and whose first retry is scheduled.
 func TestPrefetcherGivesUp(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 100, 300, 4)
 	c := cfg()
-	c.Fault = fault.New(fault.Plan{PrefetchReadRate: 0.98}, 5)
-	c.MaxRetries = 1
-	c.MaxAbandons = 4
+	c.Fault = fault.New(fault.Plan{PrefetchReadRate: 1}, 5)
 	res := Run(reg, c, faultSpecs(reqs))
 	qr := res.Queries[0]
 	if !qr.PrefetchGaveUp {
 		t.Fatalf("prefetcher did not give up: %+v", qr)
+	}
+	if qr.PrefetchAbandons != 8 || qr.FallbackSyncReads != 8 || qr.Prefetched != 0 ||
+		qr.ReadFailures != 8*4+3 || qr.PrefetchRetries != 8*3+3 {
+		t.Fatalf("ladder counts %d abandons, %d fallbacks, %d prefetched, %d failures, %d retries; want 8, 8, 0, 35, 27",
+			qr.PrefetchAbandons, qr.FallbackSyncReads, qr.Prefetched, qr.ReadFailures, qr.PrefetchRetries)
 	}
 	if int(qr.BufferHits+qr.OSCopies+qr.DiskReads) != len(reqs) {
 		t.Fatalf("query incomplete after give-up: %+v", qr)
@@ -188,13 +193,12 @@ func TestExecReadRetriesAlwaysComplete(t *testing.T) {
 
 // TestBackoffSchedule pins the doubling-with-cap backoff shape.
 func TestBackoffSchedule(t *testing.T) {
-	c := Config{RetryBackoff: time.Millisecond}
 	want := []time.Duration{
-		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
-		8 * time.Millisecond, 8 * time.Millisecond, 8 * time.Millisecond,
+		250 * time.Microsecond, 500 * time.Microsecond, time.Millisecond,
+		2 * time.Millisecond, 2 * time.Millisecond, 2 * time.Millisecond,
 	}
 	for attempt, w := range want {
-		if got := c.backoff(attempt); got != w {
+		if got := backoff(attempt); got != w {
 			t.Fatalf("backoff(%d) = %v, want %v", attempt, got, w)
 		}
 	}

@@ -30,7 +30,7 @@ type prefetcher struct {
 	done     bool
 
 	// consecAbandons counts abandoned pages since the last successful
-	// arrival; reaching Config.MaxAbandons disables prefetching for the
+	// arrival; reaching maxAbandons disables prefetching for the
 	// query (graceful degradation to the no-prefetch path).
 	consecAbandons int
 }
@@ -51,7 +51,7 @@ func newPrefetcher(r *runner, pages []storage.PageID, window int) *prefetcher {
 		window: window,
 		stream: r.osc.NewStream(),
 	}
-	reads := make([]pfRead, r.cfg.PrefetchWorkers)
+	reads := make([]pfRead, prefetchWorkers)
 	for i := range reads {
 		rd := &reads[i]
 		rd.arrived = func() { p.arrived(rd) }
@@ -86,7 +86,7 @@ func (p *prefetcher) pump() {
 	}
 	for p.next < len(p.queue) &&
 		len(p.pinned)+p.inflight < p.window &&
-		p.inflight < p.r.cfg.PrefetchWorkers {
+		p.inflight < prefetchWorkers {
 		page := p.queue[p.next]
 		p.next++
 		p.issue(page)
@@ -146,13 +146,13 @@ func (p *prefetcher) attempt(rd *pfRead, attempt int) {
 			p.r.osc.Drop(page)
 			p.r.result.ReadFailures++
 			p.r.record(obs.DiskReadFailed, page)
-			if attempt >= p.r.cfg.MaxRetries {
+			if attempt >= maxRetries {
 				p.abandon(rd, done)
 				return
 			}
 			p.r.result.PrefetchRetries++
 			p.r.record(obs.PrefetchRetried, page)
-			next := done.Add(p.r.cfg.backoff(attempt))
+			next := done.Add(backoff(attempt))
 			p.r.tr.Complete(span.PrefetchRetryWait, p.r.idx, page, done, next)
 			p.r.eng.At(next, func() { p.retry(rd, attempt+1) })
 			return
@@ -192,7 +192,7 @@ func (p *prefetcher) abandon(rd *pfRead, done sim.Time) {
 		p.r.abandoned = make(map[storage.PageID]bool)
 	}
 	p.r.abandoned[page] = true
-	if p.r.cfg.MaxAbandons > 0 && p.consecAbandons >= p.r.cfg.MaxAbandons && !p.done {
+	if p.consecAbandons >= maxAbandons && !p.done {
 		p.r.result.PrefetchGaveUp = true
 		p.shutdown()
 		return

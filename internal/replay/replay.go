@@ -45,11 +45,34 @@ type QuerySpec struct {
 	// or empty replays the default (no-prefetch) strategy.
 	Prefetch []storage.PageID
 	// Window is the readahead window R — the maximum number of prefetched,
-	// not-yet-consumed pages kept pinned (paper default 1024). Zero
-	// disables pinning-based flow control and is replaced by the config
-	// default.
+	// not-yet-consumed pages kept pinned. Zero means the paper's default,
+	// 1024.
 	Window int
 }
+
+// The prefetcher's AIO depth, the default window and the fault ladder's
+// three rungs are constants: no caller runs other values.
+const (
+	// prefetchWorkers bounds a query's in-flight asynchronous prefetch reads
+	// (the AIO queue depth per backend).
+	prefetchWorkers = 4
+	// defaultWindow is the readahead window of a QuerySpec that leaves
+	// Window zero.
+	defaultWindow = 1024
+	// maxRetries bounds the backoff retries after a failed device read. The
+	// prefetcher abandons a page once they are exhausted; the executor's
+	// final attempt always succeeds — the fault model is transient, and a
+	// query must complete regardless of fault rate.
+	maxRetries = 3
+	// retryBackoff is the virtual-time delay before the first retry of a
+	// failed read; it doubles per subsequent attempt, capped at 8×.
+	retryBackoff = 250 * time.Microsecond
+	// maxAbandons is the number of consecutive abandoned prefetch pages after
+	// which a query's prefetcher gives up entirely — the last rung of the
+	// degradation ladder, bounding wasted device traffic so a faulty run
+	// converges to the no-prefetch baseline instead of undercutting it.
+	maxAbandons = 8
+)
 
 // Config shapes one replay run.
 type Config struct {
@@ -62,11 +85,6 @@ type Config struct {
 	OSCachePages int
 	// ReadaheadMax caps the OS readahead window in pages.
 	ReadaheadMax int
-	// PrefetchWorkers bounds a query's in-flight asynchronous prefetch
-	// reads (the AIO queue depth per backend, default 4).
-	PrefetchWorkers int
-	// DefaultWindow is used when a QuerySpec leaves Window zero.
-	DefaultWindow int
 	// Recorder, when non-nil, receives a typed obs.Event for every cache,
 	// disk, and prefetcher occurrence of the run, each stamped with the
 	// active query index and virtual time, and enables the per-query counter
@@ -90,21 +108,6 @@ type Config struct {
 	// and the timeline is bitwise identical with tracing on or off. Use a
 	// fresh (or Reset) tracer per run: spans accumulate.
 	Tracer *span.Tracer
-	// MaxRetries bounds the backoff retries after a failed device read
-	// (default 3). The prefetcher abandons a page once they are exhausted;
-	// the executor's final attempt always succeeds — the fault model is
-	// transient, and a query must complete regardless of fault rate.
-	MaxRetries int
-	// RetryBackoff is the virtual-time delay before the first retry of a
-	// failed read; it doubles per subsequent attempt, capped at 8× (default
-	// 250µs).
-	RetryBackoff sim.Duration
-	// MaxAbandons is the number of consecutive abandoned prefetch pages
-	// after which a query's prefetcher gives up entirely — the last rung of
-	// the degradation ladder, bounding wasted device traffic so a faulty
-	// run converges to the no-prefetch baseline instead of undercutting it
-	// (default 8).
-	MaxAbandons int
 }
 
 // Normalize validates the configuration and fills unset (zero) fields with
@@ -119,16 +122,6 @@ func (c Config) Normalize() (Config, error) {
 		return c, fmt.Errorf("replay: negative OSCachePages %d", c.OSCachePages)
 	case c.ReadaheadMax < 0:
 		return c, fmt.Errorf("replay: negative ReadaheadMax %d", c.ReadaheadMax)
-	case c.PrefetchWorkers < 0:
-		return c, fmt.Errorf("replay: negative PrefetchWorkers %d", c.PrefetchWorkers)
-	case c.DefaultWindow < 0:
-		return c, fmt.Errorf("replay: negative DefaultWindow %d", c.DefaultWindow)
-	case c.MaxRetries < 0:
-		return c, fmt.Errorf("replay: negative MaxRetries %d", c.MaxRetries)
-	case c.RetryBackoff < 0:
-		return c, fmt.Errorf("replay: negative RetryBackoff %v", c.RetryBackoff)
-	case c.MaxAbandons < 0:
-		return c, fmt.Errorf("replay: negative MaxAbandons %d", c.MaxAbandons)
 	}
 	if c.Fault != nil {
 		if err := c.Fault.Plan().Validate(); err != nil {
@@ -151,36 +144,12 @@ func (c Config) Normalize() (Config, error) {
 	if c.OSCachePages == 0 {
 		c.OSCachePages = 4 * c.BufferPages
 	}
-	if c.PrefetchWorkers == 0 {
-		c.PrefetchWorkers = 4
-	}
-	if c.DefaultWindow == 0 {
-		c.DefaultWindow = 1024
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 250 * time.Microsecond
-	}
-	if c.MaxAbandons == 0 {
-		c.MaxAbandons = 8
-	}
 	return c, nil
 }
 
 // backoff returns the virtual-time delay before retry number attempt
-// (0-based): RetryBackoff doubling per attempt, capped at 8×.
-func (c *Config) backoff(attempt int) sim.Duration {
-	d := c.RetryBackoff
-	for i := 0; i < attempt && d < 8*c.RetryBackoff; i++ {
-		d *= 2
-	}
-	if cap := 8 * c.RetryBackoff; d > cap {
-		d = cap
-	}
-	return d
-}
+// (0-based): retryBackoff doubling per attempt, capped at 8×.
+func backoff(attempt int) sim.Duration { return retryBackoff << min(attempt, 3) }
 
 // QueryResult is one query's timing and counters.
 type QueryResult struct {
@@ -203,7 +172,7 @@ type QueryResult struct {
 	PrefetchRetries   uint64 // backoff retries the prefetcher scheduled
 	PrefetchAbandons  uint64 // prefetch pages abandoned after retry exhaustion
 	FallbackSyncReads uint64 // abandoned pages the executor served synchronously
-	PrefetchGaveUp    bool   // prefetcher hit MaxAbandons and disabled itself
+	PrefetchGaveUp    bool   // prefetcher hit maxAbandons and disabled itself
 
 	// Counters is the query's full per-kind event snapshot (buffer, OS
 	// cache, disk, and prefetcher events attributed to this query). It is
@@ -407,7 +376,7 @@ func (r *runner) start() {
 	if len(r.spec.Prefetch) > 0 {
 		window := r.spec.Window
 		if window <= 0 {
-			window = r.cfg.DefaultWindow
+			window = defaultWindow
 		}
 		r.pf = newPrefetcher(r, r.spec.Prefetch, window)
 		// Prediction latency gates the prefetcher, not the executor: model
@@ -483,7 +452,7 @@ func (r *runner) step() {
 // syncRead performs one foreground device read issued at time at, retrying
 // transient injected failures with bounded backoff. Each failed attempt
 // still occupies a device channel (the device serviced a read that errored).
-// After MaxRetries failures the final attempt succeeds unconditionally: the
+// After maxRetries failures the final attempt succeeds unconditionally: the
 // fault model is transient, and the executor's synchronous path must always
 // deliver the page — faults cost time, never results.
 func (r *runner) syncRead(at sim.Time, page storage.PageID) sim.Time {
@@ -495,12 +464,12 @@ func (r *runner) syncRead(at sim.Time, page storage.PageID) sim.Time {
 			lat = inj.ReadLatency(t, lat)
 		}
 		done := r.disk.ReadWith(t, lat)
-		if inj == nil || attempt >= r.cfg.MaxRetries || !inj.Fire(fault.ExecRead, t) {
+		if inj == nil || attempt >= maxRetries || !inj.Fire(fault.ExecRead, t) {
 			return done
 		}
 		r.result.ReadFailures++
 		r.record(obs.DiskReadFailed, page)
-		next := done.Add(r.cfg.backoff(attempt))
+		next := done.Add(backoff(attempt))
 		r.tr.Complete(span.ExecRetryWait, r.idx, page, done, next)
 		t = next
 	}

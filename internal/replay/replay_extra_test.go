@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -17,18 +18,15 @@ func TestConfigNormalizeFillsDefaults(t *testing.T) {
 	if c.BufferPages != 1024 || c.OSCachePages != 4096 {
 		t.Fatalf("size defaults wrong: %+v", c)
 	}
-	if c.PrefetchWorkers != 4 || c.DefaultWindow != 1024 {
-		t.Fatalf("prefetch defaults wrong: %+v", c)
-	}
 	if c.Cost.DiskRead == 0 {
 		t.Fatal("cost model default missing")
 	}
 	// Explicit values are preserved.
-	c2, err := (Config{BufferPages: 77, OSCachePages: 99, PrefetchWorkers: 2, DefaultWindow: 5}).Normalize()
+	c2, err := (Config{BufferPages: 77, OSCachePages: 99}).Normalize()
 	if err != nil {
 		t.Fatalf("explicit config invalid: %v", err)
 	}
-	if c2.BufferPages != 77 || c2.OSCachePages != 99 || c2.PrefetchWorkers != 2 || c2.DefaultWindow != 5 {
+	if c2.BufferPages != 77 || c2.OSCachePages != 99 {
 		t.Fatalf("explicit config clobbered: %+v", c2)
 	}
 }
@@ -38,8 +36,6 @@ func TestConfigNormalizeRejectsNegatives(t *testing.T) {
 		{BufferPages: -1},
 		{OSCachePages: -8},
 		{ReadaheadMax: -2},
-		{PrefetchWorkers: -1},
-		{DefaultWindow: -64},
 		{Cost: sim.CostModel{DiskRead: -time.Millisecond}},
 	}
 	for i, c := range bad {
@@ -55,19 +51,21 @@ func TestConfigNormalizeRejectsNegatives(t *testing.T) {
 	Run(testRegistry(), Config{BufferPages: -1}, nil)
 }
 
+// TestZeroWindowUsesDefault: a QuerySpec that leaves Window zero replays
+// exactly as one that asks for 1024, on a script whose prefetches outrun a
+// 1024-page window.
 func TestZeroWindowUsesDefault(t *testing.T) {
 	reg := testRegistry()
-	reqs := script(reg, 100, 100, 21)
-	c := cfg()
-	c.DefaultWindow = 4
-	res := Run(reg, c, []QuerySpec{{
-		ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), // Window: 0
-	}})
-	if res.Elapsed("q") <= 0 {
-		t.Fatal("query with defaulted window did not run")
+	reqs := script(reg, 0, 3000, 21)
+	run := func(window int) *RunResult {
+		return Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: window}})
 	}
-	if res.Queries[0].Prefetched == 0 {
-		t.Fatal("no prefetches with defaulted window")
+	zero := run(0)
+	if zero.Queries[0].WindowStalls == 0 {
+		t.Fatal("the fixture never fills the window: zero and 1024 would agree vacuously")
+	}
+	if !reflect.DeepEqual(zero, run(1024)) {
+		t.Fatal("a zero window replayed differently from Window 1024")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/predictor"
+	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -94,7 +95,7 @@ func fingerprint(workload string, ids []int) uint64 {
 	h := predictor.Fingerprint(ids)
 	for i := 0; i < len(workload); i++ {
 		h ^= uint64(workload[i])
-		h *= 1099511628211 // FNV-64 prime
+		h *= sim.FNVPrime64
 	}
 	return h
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"sort"
 	"strconv"
+
+	"github.com/pythia-db/pythia/internal/sim"
 )
 
 // ringVNodes is how many virtual nodes each replica contributes to the hash
@@ -44,7 +46,7 @@ func newRing(replicas int) *hashRing {
 	for r := 0; r < replicas; r++ {
 		for v := 0; v < ringVNodes; v++ {
 			label := "replica-" + strconv.Itoa(r) + "/" + strconv.Itoa(v)
-			points = append(points, ringPoint{hash: mix64(fnv64a(label)), replica: r})
+			points = append(points, ringPoint{hash: sim.Mix64(sim.FNV64a(label)), replica: r})
 		}
 	}
 	sort.Slice(points, func(i, j int) bool {
@@ -66,7 +68,7 @@ func newRing(replicas int) *hashRing {
 //
 //pythia:noalloc
 func (r *hashRing) lookup(fp uint64) int {
-	fp = mix64(fp)
+	fp = sim.Mix64(fp)
 	lo, hi := 0, len(r.points)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -93,7 +95,7 @@ func (r *hashRing) lookup(fp uint64) int {
 //
 //pythia:noalloc
 func (r *hashRing) lookupN(fp uint64, dst []int, n int) []int {
-	fp = mix64(fp)
+	fp = sim.Mix64(fp)
 	lo, hi := 0, len(r.points)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -138,33 +140,4 @@ func (r *hashRing) replicas() int {
 		}
 	}
 	return n
-}
-
-// mix64 is the splitmix64 finalizer. FNV-64a of short, similar strings (and
-// the FNV-folded plan fingerprints) clusters in the upper bits, which is
-// exactly what ring positioning sorts on — without a finalizer the arc
-// lengths skew several-fold. One multiply-xorshift round restores uniform
-// spread while staying a pure, allocation-free function.
-//
-//pythia:noalloc
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// fnv64a hashes a label with FNV-64a (the repo's standard non-cryptographic
-// hash; see predictor.Fingerprint and the prediction cache).
-//
-//pythia:noalloc
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

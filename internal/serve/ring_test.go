@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+
+	"github.com/pythia-db/pythia/internal/sim"
 )
 
 // testFingerprints derives a deterministic spread of fingerprint keys, the
@@ -11,7 +13,7 @@ import (
 func testFingerprints(n int) []uint64 {
 	fps := make([]uint64, n)
 	for i := range fps {
-		fps[i] = fnv64a("plan-" + strconv.Itoa(i))
+		fps[i] = sim.FNV64a("plan-" + strconv.Itoa(i))
 	}
 	return fps
 }

@@ -56,7 +56,7 @@ func testServer(t testing.TB) (*Server, *workload.Workload) {
 		mcfg.Epochs = 10
 		metrics := NewMetrics(nil)
 		cfg := corepythia.DefaultConfig()
-		cfg.Predictor = predictor.Options{Model: mcfg, ObservedOnly: true}
+		cfg.Predictor = predictor.Options{Model: mcfg}
 		cfg.Replay.BufferPages = 1024
 		cfg.Recorder = metrics.Events()
 		sys := corepythia.New(g.DB(), cfg)

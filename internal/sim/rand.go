@@ -17,15 +17,9 @@ func NewRand(seed uint64) *Rand {
 	// splitmix64 expansion of the seed into the xoshiro state, as recommended
 	// by the xoshiro authors to avoid correlated low-entropy states.
 	sm := seed
-	next := func() uint64 {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
 	for i := range r.s {
-		r.s[i] = next()
+		sm += 0x9e3779b97f4a7c15
+		r.s[i] = Mix64(sm)
 	}
 	return r
 }

@@ -66,7 +66,7 @@ func TestPublicAPI(t *testing.T) {
 }
 
 func TestFacadeConstructors(t *testing.T) {
-	if cfg := pythia.DefaultConfig(); cfg.Window == 0 && cfg.PrefetchBufferFraction == 0 {
+	if cfg := pythia.DefaultConfig(); cfg.Window == 0 {
 		t.Fatal("default config empty")
 	}
 	if pc := pythia.PaperModelConfig(); pc.Dim != 100 || pc.Heads != 10 {
