@@ -25,6 +25,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -141,10 +142,11 @@ func (p Plan) IsZero() bool {
 		p.ReplicaRate == 0 && len(p.Windows) == 0
 }
 
-// Validate rejects rates outside [0, 1] and malformed windows.
+// Validate rejects rates outside [0, 1] (NaN included), a negative or
+// non-finite latency multiplier, and malformed windows.
 func (p Plan) Validate() error {
 	check := func(name string, r float64) error {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("fault: %s rate %g outside [0, 1]", name, r)
 		}
 		return nil
@@ -161,8 +163,8 @@ func (p Plan) Validate() error {
 			return err
 		}
 	}
-	if p.LatencyMultiplier < 0 {
-		return fmt.Errorf("fault: negative latency multiplier %g", p.LatencyMultiplier)
+	if m := p.LatencyMultiplier; m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+		return fmt.Errorf("fault: latency multiplier %g is negative or not finite", m)
 	}
 	if p.ReplicaIndex < 0 {
 		return fmt.Errorf("fault: negative replica index %d", p.ReplicaIndex)

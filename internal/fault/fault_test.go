@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -216,6 +217,10 @@ func TestValidate(t *testing.T) {
 		{ReplicaRate: -0.5},
 		{ReplicaIndex: -1},
 		{LatencyMultiplier: -2},
+		{ExecReadRate: math.NaN()},
+		{LatencyMultiplier: math.Inf(1)},
+		{LatencyMultiplier: math.NaN()},
+		{Windows: []Window{{Site: ExecRead, From: 0, To: 10, Rate: math.NaN()}}},
 		{Windows: []Window{{Site: SiteCount, From: 0, To: 10, Rate: 0.5}}},
 		{Windows: []Window{{Site: ExecRead, From: 10, To: 10, Rate: 0.5}}},
 		{Windows: []Window{{Site: ExecRead, From: 0, To: 10, Rate: 2}}},
@@ -234,4 +239,36 @@ func TestPlanString(t *testing.T) {
 	if s := p.String(); s != "exec=0.01,mult=8" {
 		t.Fatalf("plan renders %q", s)
 	}
+}
+
+// FuzzParsePlan drives arbitrary strings through the CLI plan parser: it must
+// reject garbage with an error, never panic, and every plan it accepts must
+// have finite rates in [0, 1], a finite multiplier ≥ 0 and a valid replica
+// index — what New and ReadLatency rely on.
+func FuzzParsePlan(f *testing.F) {
+	f.Add("exec=0.01,prefetch=0.05,latency=0.02,mult=8")
+	f.Add("replica=1,replica-id=1")
+	f.Add("serve=1,infer=0.5")
+	f.Add("")
+	f.Add("exec=1e-300,mult=1e308")
+	f.Add("replica-id=9223372036854775807")
+
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := ParsePlan(in)
+		if err != nil {
+			return
+		}
+		for _, r := range []float64{p.ExecReadRate, p.PrefetchReadRate, p.LatencySpikeRate, p.InferenceRate, p.ServeRate, p.ReplicaRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParsePlan(%q) accepted rate %g", in, r)
+			}
+		}
+		if m := p.LatencyMultiplier; !(m >= 0) || math.IsInf(m, 0) {
+			t.Fatalf("ParsePlan(%q) accepted multiplier %g", in, m)
+		}
+		if p.ReplicaIndex < 0 {
+			t.Fatalf("ParsePlan(%q) accepted replica index %d", in, p.ReplicaIndex)
+		}
+		New(p, 1) // panics on a plan Validate rejects
+	})
 }

@@ -324,15 +324,20 @@ func (s *System) Prefetch(inst *workload.Instance) []storage.PageID {
 	return s.LimitPrefetch(tw.Pred.Predict(inst.Plan))
 }
 
-// LimitPrefetch truncates a predicted page set to the buffer-bounded budget,
-// keeping file-storage order.
+// LimitPrefetch truncates a predicted page set to PrefetchBudget, keeping
+// file-storage order, and records obs.PrefetchLimited when it cuts.
 func (s *System) LimitPrefetch(pages []storage.PageID) []storage.PageID {
-	budget := int(float64(s.cfg.Replay.BufferPages) * prefetchBufferFraction)
-	if len(pages) > budget {
+	if budget := s.PrefetchBudget(); len(pages) > budget {
 		pages = pages[:budget]
 		s.record(obs.PrefetchLimited)
 	}
 	return pages
+}
+
+// PrefetchBudget is the most pages one prefetch set may hold: the
+// prefetchBufferFraction share of the buffer pool.
+func (s *System) PrefetchBudget() int {
+	return int(float64(s.cfg.Replay.BufferPages) * prefetchBufferFraction)
 }
 
 // PrefetchFunc maps an instance to its prefetch set; baselines and Pythia

@@ -217,14 +217,6 @@ func (m *Monitor) Observe(tokens []string) Transition {
 	return tr
 }
 
-// Score is the divergence at the last evaluation (0 before the first).
-func (m *Monitor) Score() float64 {
-	if m == nil {
-		return 0
-	}
-	return m.det.lastScore
-}
-
 // State is the current drift level (DriftOK for a nil monitor).
 func (m *Monitor) State() DriftState {
 	if m == nil {

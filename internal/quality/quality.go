@@ -112,8 +112,7 @@ type Window struct {
 	ring []Score
 	next int
 	n    int
-	sums Score  // component sums over the resident window
-	seen uint64 // lifetime scores added (not windowed)
+	sums Score // component sums over the resident window
 }
 
 // NewWindow returns a window holding the last size scores (minimum 1).
@@ -139,17 +138,10 @@ func (w *Window) Add(s Score) {
 	w.ring[w.next] = s
 	w.next = (w.next + 1) % len(w.ring)
 	w.sums.add(s)
-	w.seen++
 }
 
 // Len is the number of scores resident in the window.
 func (w *Window) Len() int { return w.n }
-
-// Seen is the lifetime number of scores added.
-func (w *Window) Seen() uint64 { return w.seen }
-
-// Sums returns the component sums over the resident window.
-func (w *Window) Sums() Score { return w.sums }
 
 // Precision is the windowed micro-averaged precision (sums over the window,
 // not a mean of ratios, so large predictions weigh more). An empty window

@@ -11,6 +11,7 @@ import (
 
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
+	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/spec"
 )
 
@@ -47,8 +48,8 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 	insts := distinctInstances(t, srv, w, 6)
 
 	// Each plan twice in a row: a miss then a hit, and six plans through two
-	// 2-entry caches evict. Unmatched plans feed the router's drift monitor
-	// past one evaluation.
+	// 2-entry caches evict. Unmatched plans feed the generation's drift
+	// monitor past one evaluation.
 	traffic := func() {
 		for _, i := range insts {
 			predictOK(t, srv, w, i)
@@ -124,13 +125,7 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 		}
 	}
 
-	var snap bytes.Buffer
-	if err := fixtureSys.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.inf.Swap(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatalf("swap: %v", err)
-	}
+	swapFixture(t, srv)
 	check("after swap")
 	for _, r := range prevStats.Replicas {
 		if r.Generation != 2 {
@@ -141,16 +136,30 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 	check("after post-swap traffic")
 }
 
-// TestBooksBalance pins the two conservation identities that hold on one
-// snapshot of a run without a swap, at every replica count and with the
-// prediction cache on or off:
+// swapFixture swaps the server's pool to a fresh snapshot of the fixture
+// system.
+func swapFixture(t *testing.T, srv *Server) {
+	t.Helper()
+	var snap bytes.Buffer
+	if err := fixtureSys.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.inf.Swap(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("swap: %v", err)
+	}
+}
+
+// TestBooksBalance pins the two conservation identities that hold on every
+// snapshot, at every replica count and with the prediction cache on or off:
 //
 //	predictions − fallbacks = predcache hits + inference_run
 //	http_requests_total{endpoint="predict",code="503"} = requests_shed
 //
-// The replica work queue is the only admission point, so the second is also
-// "no other endpoint ever answers 503": with every queue full, explain — which
-// touches no model — still answers 200.
+// The first holds across a model swap too: the swap's warm-up serves no
+// prediction, so it counts no hit and no inference. The replica work queue
+// is the only admission point, so the second is also "no other endpoint ever
+// answers 503": with every queue full, explain — which touches no model —
+// still answers 200.
 func TestBooksBalance(t *testing.T) {
 	for _, tc := range []struct {
 		replicas, cache int
@@ -196,12 +205,22 @@ func TestBooksBalance(t *testing.T) {
 				<-ins.queue
 			}
 
-			snap := srv.snapshot()
-			inferences := snap.EventCounts.Get(obs.InferenceRun)
-			if got, want := snap.Predictions-snap.Fallbacks, snap.FleetCache.Hits+inferences; got != want || got != 8 {
-				t.Errorf("predictions %d − fallbacks %d = %d, predcache hits %d + inference_run %d = %d, want both 8",
-					snap.Predictions, snap.Fallbacks, got, snap.FleetCache.Hits, inferences, want)
+			// answered checks the first identity and returns its value.
+			answered := func(step string) uint64 {
+				t.Helper()
+				snap := srv.snapshot()
+				inferences := snap.EventCounts.Get(obs.InferenceRun)
+				got, want := snap.Predictions-snap.Fallbacks, snap.FleetCache.Hits+inferences
+				if got != want {
+					t.Errorf("%s: predictions %d − fallbacks %d = %d, predcache hits %d + inference_run %d = %d",
+						step, snap.Predictions, snap.Fallbacks, got, snap.FleetCache.Hits, inferences, want)
+				}
+				return got
 			}
+			if n := answered("before swap"); n != 8 {
+				t.Errorf("%d matched answers, want 8", n)
+			}
+			snap := srv.snapshot()
 			if wantHits := uint64(4 * (tc.cache + 1)); snap.FleetCache.Hits != wantHits || snap.Fallbacks != 1 {
 				t.Errorf("predcache hits %d, fallbacks %d, want %d and 1", snap.FleetCache.Hits, snap.Fallbacks, wantHits)
 			}
@@ -221,6 +240,91 @@ func TestBooksBalance(t *testing.T) {
 			}
 			if snap.ReplicaSheds != uint64(tc.replicas) {
 				t.Errorf("replica sheds = %d, want %d (one refusal per replica)", snap.ReplicaSheds, tc.replicas)
+			}
+
+			swapFixture(t, srv)
+			answered("after swap")
+			for _, i := range insts {
+				predictOK(t, srv, w, i)
+			}
+			if n := answered("after post-swap traffic"); n != 8+uint64(len(insts)) {
+				t.Errorf("%d matched answers after post-swap traffic, want %d", n, 8+len(insts))
+			}
+		})
+	}
+}
+
+// TestSwapWritesNoBooks: a model swap with no client traffic is not a
+// request. Its warm-up runs the standby's predictor and fills the owning
+// replicas' caches, and moves nothing else: every event total (prediction
+// cache, inference_run, prefetch_limited, replica_*, drift transitions), the
+// replica shed and drift evaluation totals, and each new row's served, shed
+// and cache outcome counters. It holds when the warm set overflows a cache
+// (2 entries per replica) and when the prefetch budget cuts the predicted
+// sets (4 buffer pages). With room for every plan the fill is complete: the
+// first post-swap request for each plan is a cache hit.
+func TestSwapWritesNoBooks(t *testing.T) {
+	base, w := testServer(t)
+	var fixture bytes.Buffer
+	if err := fixtureSys.Save(&fixture); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name               string
+		cache, bufferPages int
+	}{{"roomy", 0, 0}, {"cache=2", 2, 0}, {"budget=3", 0, 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMetrics(nil)
+			cfg := fixtureSys.Config()
+			cfg.Recorder = m.Events()
+			if tc.bufferPages > 0 {
+				cfg.Replay.BufferPages = tc.bufferPages
+			}
+			sys, err := corepythia.LoadSystem(base.db, cfg, bytes.NewReader(fixture.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := mustServer(t, base.db, sys, m, Options{Replicas: 2, CacheEntries: tc.cache})
+			insts := distinctInstances(t, srv, w, 6)
+			for _, i := range insts {
+				predictOK(t, srv, w, i)
+			}
+			before := srv.snapshot()
+			if tc.bufferPages > 0 && before.EventCounts.Get(obs.PrefetchLimited) == 0 {
+				t.Fatal("the prefetch budget cut no predicted set")
+			}
+			swapFixture(t, srv)
+			after := srv.snapshot()
+
+			if after.Generation != 2 || after.Swaps != 1 {
+				t.Fatalf("swap did not complete: generation %d, swaps %d", after.Generation, after.Swaps)
+			}
+			for k := obs.Kind(0); k < obs.KindCount; k++ {
+				if b, a := before.EventCounts.Get(k), after.EventCounts.Get(k); a != b {
+					t.Errorf("swap moved %s: %d -> %d", k, b, a)
+				}
+			}
+			if after.ReplicaSheds != before.ReplicaSheds || after.Drift.Evaluations != before.Drift.Evaluations {
+				t.Errorf("swap moved replica sheds %d -> %d or drift evaluations %d -> %d",
+					before.ReplicaSheds, after.ReplicaSheds, before.Drift.Evaluations, after.Drift.Evaluations)
+			}
+			entries := 0
+			for _, r := range after.Replicas {
+				if r.Generation != 2 || r.Served != 0 || r.Shed != 0 || r.CacheHits != 0 || r.CacheMisses != 0 || r.CacheEvictions != 0 {
+					t.Errorf("new replica row moved by the swap: %+v", r)
+				}
+				entries += r.CacheEntries
+			}
+			if tc.cache != 0 {
+				return
+			}
+			if entries != len(insts) {
+				t.Errorf("warm-up filled %d cache entries, want %d", entries, len(insts))
+			}
+			for _, i := range insts {
+				if resp := predictOK(t, srv, w, i); !resp.Cached || resp.Generation != 2 {
+					t.Errorf("instance %d: first post-swap answer %+v, want a generation-2 cache hit", i, resp)
+				}
 			}
 		})
 	}

@@ -16,8 +16,8 @@ import (
 const trackSlots = 4096
 
 // predRecord remembers one served prediction long enough for its feedback to
-// arrive: the issued page set, the workload that answered, and the replica
-// that served it (so the score lands on that replica's quality window).
+// arrive: the issued page set, and the workload and replica that answered
+// (echoed in the feedback response).
 type predRecord struct {
 	id       uint64
 	workload string

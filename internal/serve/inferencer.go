@@ -37,9 +37,6 @@ type Inferencer interface {
 	// BaselineID identifies the drift baseline the serving snapshot carries
 	// (nil when untrained, or the snapshot predates baselines).
 	BaselineID() *corepythia.BaselineID
-	// Feedback folds one /v1/feedback score into the quality window of the
-	// replica that served the prediction.
-	Feedback(replica int, sc quality.Score)
 	// Swap is the zero-downtime model-swap hook: it loads a pythia.System
 	// snapshot (see pythia.System.Save) into a standby generation, warms it
 	// on recently served plans, and atomically swings the serving pointer.
@@ -103,15 +100,18 @@ type InfStatus struct {
 	Generation uint64 `json:"generation"`
 	// Swaps counts completed model swaps.
 	Swaps uint64 `json:"swaps"`
+	// Drift is the serving generation's drift-monitor snapshot (state "ok"
+	// with zero counters when its snapshot carries no training baseline).
+	Drift quality.DriftStats `json:"drift"`
 	// Replicas holds one row per serving replica.
 	Replicas []ReplicaStatus `json:"replicas"`
 }
 
 // ReplicaStatus is one replica's row in InfStatus. Its counters (served,
-// shed, cache hits/misses/evictions, quality_scored, the drift counters) are
-// per-generation: a model swap replaces every replica, and the new rows start
-// from zero. The fleet totals on /stats and /metrics are separate monotonic
-// counters in the Metrics hub and do not restart.
+// shed, cache hits/misses/evictions) are per-generation: a model swap
+// replaces every replica, and the new rows start from zero. The fleet totals
+// on /stats and /metrics are separate monotonic counters in the Metrics hub
+// and do not restart.
 type ReplicaStatus struct {
 	ID             int      `json:"id"`
 	Generation     uint64   `json:"generation"`
@@ -127,17 +127,6 @@ type ReplicaStatus struct {
 	CacheEvictions uint64   `json:"cache_evictions"`
 	Workloads      []string `json:"workloads"`
 	Params         int      `json:"params"`
-
-	// QualityScored counts feedback reports scored against this replica's
-	// predictions; Precision and Recall are micro-averaged over its sliding
-	// feedback window (0 with no feedback — "no data" must not read as
-	// perfect).
-	QualityScored uint64  `json:"quality_scored"`
-	Precision     float64 `json:"precision"`
-	Recall        float64 `json:"recall"`
-	// Drift is the replica's drift-detector snapshot (state "ok" with zero
-	// counters when the serving system carries no training baseline).
-	Drift quality.DriftStats `json:"drift"`
 
 	// HealthValue is the health state as a gauge (healthy=0, degraded=1,
 	// probation=2, quarantined=3); the name is in Health.

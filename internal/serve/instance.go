@@ -3,28 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
-	"github.com/pythia-db/pythia/internal/quality"
 	"github.com/pythia-db/pythia/internal/storage"
 )
-
-// qualityWindowSize is each replica's sliding feedback-score window: fresh
-// enough to reflect the current mix, deep enough that windowed precision is
-// not one noisy query.
-const qualityWindowSize = 512
-
-// serveDriftEvalEvery slows the drift detector's evaluation cadence on the
-// serve tier relative to the replay default. A sustained load run evaluates
-// thousands of times where a replay evaluates a handful, so the detector's
-// per-evaluation false-positive probability gets multiplied by a factor the
-// replay tier never sees; a longer cadence both shrinks that factor and
-// quadruples the decayed live sample each PSI reading is computed from.
-const serveDriftEvalEvery = 64
 
 // instance is one serving replica: an independent trained system with its
 // own prediction cache, health tracker, and bounded work queue. Replicas
@@ -59,15 +44,6 @@ type instance struct {
 	// instead of queueing unboundedly while its siblings idle.
 	queue chan struct{}
 
-	// qmu serializes the replica's quality state: the sliding window of
-	// feedback scores and the drift monitor, neither of which is
-	// synchronized. qmon is nil when the replica's system carries no training
-	// baseline (untrained server, or a snapshot predating baselines) — drift
-	// detection off.
-	qmu  sync.Mutex
-	qwin *quality.Window
-	qmon *quality.Monitor
-
 	served atomic.Uint64
 	shed   atomic.Uint64
 }
@@ -78,8 +54,6 @@ func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, f
 		metrics: metrics, fgate: fgate,
 		health: newHealth(opts.QuarantineBackoff, metrics),
 		queue:  make(chan struct{}, opts.QueueDepth),
-		qwin:   quality.NewWindow(qualityWindowSize),
-		qmon:   quality.NewMonitor(sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery}),
 	}
 	if opts.CacheEntries > 0 {
 		ins.cache = newPredCache(opts.CacheEntries, metrics)
@@ -110,8 +84,6 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 	}
 	defer ins.served.Add(1)
 
-	ins.observeDrift(root)
-
 	tw := ins.sys.Lookup(q)
 	if tw == nil {
 		// Replicas of one generation decode one snapshot, so the router's
@@ -140,7 +112,7 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 	if ins.cache != nil {
 		// Only successful inferences populate the cache; faulted or
 		// timed-out requests never do, so the cache cannot serve poison.
-		ins.cache.put(fp, pages)
+		ins.cache.put(fp, pages, true)
 	}
 	p.Pages = pages
 	return p, nil
@@ -181,36 +153,6 @@ func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *pl
 	}
 }
 
-// observeDrift folds one planned query into the replica's live distribution
-// profile and surfaces any drift-state transition as an obs event. Every
-// request feeds a monitor — the serving replica's when matched,
-// the routing replica's when not: a flood of unmatched plans is exactly the
-// shift drift detection exists to catch. One mutex acquisition when armed; a
-// nil-check when not.
-func (ins *instance) observeDrift(root *plan.Node) {
-	if ins.qmon == nil {
-		return
-	}
-	ins.qmu.Lock()
-	tr := ins.qmon.Observe(corepythia.DriftTokens(root))
-	ins.qmu.Unlock()
-	if tr.Evaluated {
-		ins.metrics.driftEvals.Add(1)
-	}
-	if !tr.Changed {
-		return
-	}
-	ins.metrics.Record(obs.Event{Kind: quality.DriftEventKind(tr.To), Query: obs.NoQuery})
-}
-
-// feedback folds one scored prediction into the replica's quality window
-// (called by the server when /v1/feedback resolves to this replica).
-func (ins *instance) feedback(sc quality.Score) {
-	ins.qmu.Lock()
-	ins.qwin.Add(sc)
-	ins.qmu.Unlock()
-}
-
 // status reports this replica's row for InfStatus.
 func (ins *instance) status() ReplicaStatus {
 	st := ReplicaStatus{
@@ -234,11 +176,5 @@ func (ins *instance) status() ReplicaStatus {
 		st.CacheMisses = ins.cache.misses.Load()
 		st.CacheEvictions = ins.cache.evictions.Load()
 	}
-	ins.qmu.Lock()
-	st.QualityScored = ins.qwin.Seen()
-	st.Precision = ins.qwin.Precision()
-	st.Recall = ins.qwin.Recall()
-	st.Drift = ins.qmon.Stats()
-	ins.qmu.Unlock()
 	return st
 }

@@ -76,14 +76,9 @@ type Metrics struct {
 	// (failovers, prediction-cache outcomes, feedback, drift transitions) is
 	// its events counter and nothing else.
 	replicaSheds atomic.Uint64 // admissions refused at a replica's work queue
-	driftEvals   atomic.Uint64 // drift-detector evaluations across replicas
+	driftEvals   atomic.Uint64 // drift-monitor evaluations across generations
 
 	events *obs.AtomicCounters // system + replay event totals
-
-	// monoNS is the high-water uptime reading in nanoseconds: UptimeMonotonic
-	// never decreases across scrapes even if the wall clock steps backward
-	// under Uptime (an NTP correction, or a test clock rewound on purpose).
-	monoNS atomic.Int64
 
 	build BuildInfo
 
@@ -122,7 +117,6 @@ func NewMetrics(counters *obs.AtomicCounters) *Metrics {
 func (m *Metrics) setClock(now func() time.Time) {
 	m.now = now
 	m.start = now()
-	m.monoNS.Store(0)
 }
 
 // setBuildInfo replaces the binary's build identity. Test-only, same role as
@@ -145,23 +139,6 @@ func (m *Metrics) Events() *obs.AtomicCounters { return m.events }
 
 // Uptime reports time since the metrics hub was created.
 func (m *Metrics) Uptime() time.Duration { return m.now().Sub(m.start) }
-
-// UptimeMonotonic reports the high-water Uptime reading: guaranteed
-// non-decreasing across calls, so dashboards diffing consecutive /stats
-// scrapes never observe the server getting younger when the wall clock
-// steps.
-func (m *Metrics) UptimeMonotonic() time.Duration {
-	for {
-		cur := m.Uptime().Nanoseconds()
-		prev := m.monoNS.Load()
-		if cur <= prev {
-			return time.Duration(prev)
-		}
-		if m.monoNS.CompareAndSwap(prev, cur) {
-			return time.Duration(cur)
-		}
-	}
-}
 
 // observeRequest records one completed HTTP request.
 func (m *Metrics) observeRequest(endpoint string, code int, d time.Duration) {

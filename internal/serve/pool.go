@@ -41,13 +41,56 @@ import (
 	"github.com/pythia-db/pythia/internal/quality"
 )
 
-// generation is one immutable serving configuration: N instances and the
-// ring that routes over them. Predict loads it once and uses only it, so a
-// concurrent Swap can never hand a request instances from two generations.
+// generation is one immutable serving configuration: N instances, the ring
+// that routes over them, and the generation's one drift monitor. Predict loads
+// it once and uses only it, so a concurrent Swap can never hand a request
+// instances from two generations.
 type generation struct {
 	id        uint64
 	instances []*instance
 	ring      *hashRing
+
+	// drift compares the live plan stream against the training baseline the
+	// generation's snapshot carries; every replica clones that one snapshot,
+	// so there is one baseline and one monitor, not one per replica. Nil when
+	// the snapshot has no baseline (drift detection off). driftMu serializes
+	// it.
+	driftMu sync.Mutex
+	drift   *quality.Monitor
+}
+
+// serveDriftEvalEvery slows the drift detector's evaluation cadence on the
+// serve tier relative to the replay default. A sustained load run evaluates
+// thousands of times where a replay evaluates a handful, so the detector's
+// per-evaluation false-positive probability gets multiplied by a factor the
+// replay tier never sees; a longer cadence both shrinks that factor and
+// quadruples the decayed live sample each PSI reading is computed from.
+const serveDriftEvalEvery = 64
+
+func newGeneration(id uint64, instances []*instance, ring *hashRing) *generation {
+	return &generation{id: id, instances: instances, ring: ring,
+		drift: quality.NewMonitor(instances[0].sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery})}
+}
+
+// observeDrift folds one request's plan into the generation's live profile
+// and records the evaluation and any state transition. Pool.Predict calls it
+// once per request before matching: unmatched plans are exactly the shift
+// drift detection exists to catch, and a request that fails over across
+// replicas is still one plan of the live stream.
+func (g *generation) observeDrift(root *plan.Node, m *Metrics) {
+	if g.drift == nil {
+		return
+	}
+	tokens := corepythia.DriftTokens(root)
+	g.driftMu.Lock()
+	tr := g.drift.Observe(tokens)
+	g.driftMu.Unlock()
+	if tr.Evaluated {
+		m.driftEvals.Add(1)
+	}
+	if tr.Changed {
+		m.Record(obs.Event{Kind: quality.DriftEventKind(tr.To), Query: obs.NoQuery})
+	}
 }
 
 // Pool is the N-replica Inferencer behind the serving tier.
@@ -85,7 +128,7 @@ func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, fga
 		}
 		instances[i] = newInstance(i, 1, clone, metrics, fgate, opts)
 	}
-	p.cur.Store(&generation{id: 1, instances: instances, ring: newRing(opts.Replicas)})
+	p.cur.Store(newGeneration(1, instances, newRing(opts.Replicas)))
 	return p, nil
 }
 
@@ -98,11 +141,12 @@ func failoverable(err error) bool {
 }
 
 // Predict walks the serving tier's one failure ladder: shed → failover →
-// quarantine → cached-or-degraded fallback → probe → recover. It matches the
-// query once on the routing replica, fingerprints its plan once, routes the
-// fingerprint through the ring, and answers on the owning replica — or, when
-// the owner is quarantined, saturated, or faulting, fails over to up to
-// maxFailovers ring successors (each hop recorded as a failover).
+// quarantine → cached-or-degraded fallback → probe → recover. It feeds the
+// plan to the generation's drift monitor, matches the query once on the
+// routing replica, fingerprints its plan once, routes the fingerprint through
+// the ring, and answers on the owning replica — or, when the owner is
+// quarantined, saturated, or faulting, fails over to up to maxFailovers ring
+// successors (each hop recorded as a failover).
 //
 // Admission is lazy: a candidate's health is consulted only when the walk
 // reaches it, so a request the owner answers never touches a successor.
@@ -115,10 +159,9 @@ func failoverable(err error) bool {
 // prefetching is advisory, so degraded beats unavailable.
 func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Prediction, error) {
 	gen := p.cur.Load()
-	router := gen.instances[0]
-	tw := router.sys.Match(q)
+	gen.observeDrift(root, p.metrics)
+	tw := gen.instances[0].sys.Match(q)
 	if tw == nil {
-		router.observeDrift(root)
 		return Prediction{Fallback: true, Replica: -1, Generation: gen.id}, nil
 	}
 	fp := fingerprint(tw.Name, tw.Pred.EncodePlan(root))
@@ -173,12 +216,14 @@ func (p *Pool) Workloads() []*corepythia.Trained {
 	return p.cur.Load().instances[0].sys.Workloads()
 }
 
-// Status reports the pool topology: one row per replica of the current
-// generation (the rows' counters restart with each generation; see
-// ReplicaStatus).
+// Status reports the pool topology: the current generation's drift monitor
+// and one row per replica (the rows' counters restart with each generation;
+// see ReplicaStatus).
 func (p *Pool) Status() InfStatus {
 	gen := p.cur.Load()
-	st := InfStatus{Generation: gen.id, Swaps: p.swaps.Load()}
+	gen.driftMu.Lock()
+	st := InfStatus{Generation: gen.id, Swaps: p.swaps.Load(), Drift: gen.drift.Stats()}
+	gen.driftMu.Unlock()
 	for _, ins := range gen.instances {
 		st.Replicas = append(st.Replicas, ins.status())
 	}
@@ -190,15 +235,6 @@ func (p *Pool) Status() InfStatus {
 // all).
 func (p *Pool) BaselineID() *corepythia.BaselineID {
 	return p.cur.Load().instances[0].sys.BaselineID()
-}
-
-// Feedback folds one scored prediction into the quality window of the
-// replica that served it. A replica index the current generation does not
-// have (a pool-level fallback's -1) is dropped.
-func (p *Pool) Feedback(replica int, sc quality.Score) {
-	if instances := p.cur.Load().instances; replica >= 0 && replica < len(instances) {
-		instances[replica].feedback(sc)
-	}
 }
 
 // Swap loads a snapshot into a complete standby generation (one fresh clone
@@ -236,19 +272,20 @@ func (p *Pool) Swap(r io.Reader) error {
 		}
 		instances[i] = newInstance(i, genID, sys, p.metrics, p.fgate, p.opts)
 	}
-	next := &generation{id: genID, instances: instances, ring: old.ring}
+	next := newGeneration(genID, instances, old.ring)
 	p.warmUp(next)
 	p.cur.Store(next)
 	p.swaps.Add(1)
 	return nil
 }
 
-// warmUp replays the warm set through a standby generation before it takes
-// traffic: each recorded plan is fingerprinted against the new models (a new
-// snapshot may encode the same plan differently) and runs one quiet
-// prediction on the replica that will own it, populating that replica's
-// cache. Best-effort by design — a faulted or slow warm-up prediction just
-// means a cold first request for that plan.
+// warmUp fills a standby generation's prediction caches from the warm set
+// before it takes traffic. Each recorded plan is fingerprinted against the new
+// models (a new snapshot may encode the same plan differently), predicted by
+// the standby, and stored in the cache of the replica that will own it. It is
+// a cache fill, not a request: no admission, fault draw, health outcome,
+// drift observation or counter, and no entry displaced, so a swap moves no
+// books. The warm set is empty when caching is off.
 func (p *Pool) warmUp(next *generation) {
 	router := next.instances[0]
 	for _, e := range p.warm.snapshot() {
@@ -257,8 +294,7 @@ func (p *Pool) warmUp(next *generation) {
 			continue
 		}
 		fp := fingerprint(tw.Name, tw.Pred.EncodePlan(e.root))
-		ctx, cancel := context.WithTimeout(context.Background(), p.opts.RequestTimeout)
-		_, _ = next.instances[next.ring.lookup(fp)].predict(ctx, e.q, e.root, fp)
-		cancel()
+		pages := tw.Pred.Predict(e.root)
+		next.instances[next.ring.lookup(fp)].cache.put(fp, pages[:min(len(pages), router.sys.PrefetchBudget())], false)
 	}
 }

@@ -18,7 +18,6 @@ import (
 
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
-	"github.com/pythia-db/pythia/internal/quality"
 	"github.com/pythia-db/pythia/internal/spec"
 	"github.com/pythia-db/pythia/internal/storage"
 )
@@ -370,7 +369,6 @@ func (s *stubInferencer) Explain(root *plan.Node) Explanation { return explainPl
 func (s *stubInferencer) Workloads() []*corepythia.Trained    { return nil }
 func (s *stubInferencer) Status() InfStatus                   { return InfStatus{Generation: 1} }
 func (s *stubInferencer) BaselineID() *corepythia.BaselineID  { return nil }
-func (s *stubInferencer) Feedback(int, quality.Score)         {}
 func (s *stubInferencer) Swap(io.Reader) error                { return nil }
 
 // TestServerWithStubInferencer: the Inferencer seam lets tests drive the HTTP

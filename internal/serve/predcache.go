@@ -127,10 +127,12 @@ func (c *predCache) get(key uint64) ([]storage.PageID, bool) {
 	return pages, true
 }
 
-// put stores a prediction, evicting the shard's least-recently-used entry
-// at capacity. The pages slice is stored as-is and must not be mutated by
-// the caller afterwards.
-func (c *predCache) put(key uint64, pages []storage.PageID) {
+// put stores a prediction. At capacity it evicts the shard's
+// least-recently-used entry when evict is set (a served miss) and otherwise
+// drops the new one (the swap warm-up, which displaces and counts nothing).
+// The pages slice is stored as-is and must not be mutated by the caller
+// afterwards.
+func (c *predCache) put(key uint64, pages []storage.PageID, evict bool) {
 	sh := &c.shards[key&c.mask]
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok {
@@ -144,6 +146,10 @@ func (c *predCache) put(key uint64, pages []storage.PageID) {
 	}
 	evicted := false
 	if len(sh.entries) >= sh.cap {
+		if !evict {
+			sh.mu.Unlock()
+			return
+		}
 		old := sh.tail
 		sh.unlink(old)
 		delete(sh.entries, old.key)

@@ -6,9 +6,10 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
+	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
+	"github.com/pythia-db/pythia/internal/plan"
 	"github.com/pythia-db/pythia/internal/spec"
 )
 
@@ -24,8 +25,7 @@ func feedbackBody(t *testing.T, id string, pages []pageJSON) *bytes.Buffer {
 
 // TestFeedbackRoundTrip drives the online ground-truth loop end to end:
 // predict, report the touched pages back, and watch the score land in the
-// response, the server-wide window, the serving replica's window, and the
-// obs event stream.
+// response, the server's window, and the obs event stream.
 func TestFeedbackRoundTrip(t *testing.T) {
 	srv, w := testServer(t)
 
@@ -73,18 +73,14 @@ func TestFeedbackRoundTrip(t *testing.T) {
 		t.Fatalf("QualityScored counter %d, want %d", got, before+1)
 	}
 
-	// The score is visible on /stats: the aggregate block and the serving
-	// replica's row.
+	// The score is visible on /stats.
 	rr = doRequest(t, srv, http.MethodGet, "/stats", nil)
 	var st statsResponse
 	if err := json.NewDecoder(rr.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Quality.Scored == 0 || st.Quality.Window == 0 || st.Quality.Precision == 0 {
-		t.Fatalf("aggregate quality block empty after feedback: %+v", st.Quality)
-	}
-	if len(st.Replicas) == 0 || st.Replicas[0].QualityScored == 0 {
-		t.Fatalf("replica quality row empty after feedback: %+v", st.Replicas)
+		t.Fatalf("quality block empty after feedback: %+v", st.Quality)
 	}
 
 	// One feedback per prediction: the slot is consumed.
@@ -128,8 +124,8 @@ func TestFeedbackRejectsBadInput(t *testing.T) {
 
 // TestServeDriftMonitorOnTrainingMix pins the serve-side drift wiring on an
 // isolated server over the shared trained system: the training mix evaluates
-// without alarming, /stats carries the baseline identity, and the aggregate
-// drift block advances.
+// without alarming, /stats carries the baseline identity, and the drift block
+// advances.
 func TestServeDriftMonitorOnTrainingMix(t *testing.T) {
 	_, w := testServer(t)
 	srv := mustServer(t, fixtureSys.DB, fixtureSys, NewMetrics(nil), Options{})
@@ -161,8 +157,8 @@ func TestServeDriftMonitorOnTrainingMix(t *testing.T) {
 	if st.Baseline == nil || st.Baseline.Hash != id.Hash {
 		t.Fatalf("/stats baseline %+v, want hash %s", st.Baseline, id.Hash)
 	}
-	if len(st.Replicas) != 1 || st.Replicas[0].Drift.Evaluations != st.Drift.Evaluations {
-		t.Fatalf("replica drift row does not reconcile with the aggregate: %+v", st.Replicas)
+	if gen := srv.inf.Status().Drift; gen.Evaluations != st.Drift.Evaluations || gen.State != st.Drift.State {
+		t.Fatalf("generation drift %+v does not reconcile with /stats %+v", gen, st.Drift)
 	}
 }
 
@@ -190,29 +186,40 @@ func TestUnmatchedPlansFeedDrift(t *testing.T) {
 	}
 }
 
-// TestUptimeMonotonic pins the /stats monotonic-uptime guarantee: rewinding
-// the wall clock drops Uptime but never UptimeMonotonic.
-func TestUptimeMonotonic(t *testing.T) {
-	m := NewMetrics(nil)
-	now := time.Unix(1_700_000_000, 0)
-	m.setClock(func() time.Time { return now })
+// TestDriftObservedOncePerRequest: the generation's drift monitor sees each
+// request's plan once, however many replicas the request tries. The owner of
+// one plan faults on every inference, so each request fails over (and, once
+// the owner is quarantined, skips it). serveDriftEvalEvery−1 such requests
+// must leave the monitor one plan short of its first evaluation, and the next
+// request must complete it; counting per attempt would evaluate early.
+func TestDriftObservedOncePerRequest(t *testing.T) {
+	base, w := testServer(t)
+	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 3, CacheEntries: -1})
+	evaluations := func() uint64 { return srv.inf.Status().Drift.Evaluations }
 
-	now = now.Add(10 * time.Second)
-	if got := m.UptimeMonotonic(); got != 10*time.Second {
-		t.Fatalf("monotonic uptime %v, want 10s", got)
+	gen := poolOf(t, srv).cur.Load()
+	q := w.Instances[0].Query
+	root, err := plan.NewPlanner(srv.db).Plan(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Wall clock steps back 4s (NTP correction): plain uptime follows, the
-	// monotonic reading holds its high-water mark.
-	now = now.Add(-4 * time.Second)
-	if got := m.Uptime(); got != 6*time.Second {
-		t.Fatalf("uptime %v, want 6s", got)
+	tw := fixtureSys.Lookup(q)
+	target := gen.ring.lookup(fingerprint(tw.Name, tw.Pred.EncodePlan(root)))
+
+	srv.SetFault(fault.New(fault.Plan{ReplicaRate: 1, ReplicaIndex: target}, 7))
+	for i := 0; i < serveDriftEvalEvery-1; i++ {
+		if resp := predictOK(t, srv, w, 0); resp.Replica == target || resp.Fallback {
+			t.Fatalf("request %d: answered %+v, want a successor of faulted owner %d", i, resp, target)
+		}
 	}
-	if got := m.UptimeMonotonic(); got != 10*time.Second {
-		t.Fatalf("monotonic uptime dropped to %v after clock step", got)
+	if got := srv.metrics.events.Get(obs.ReplicaFailover); got < serveDriftEvalEvery-1 {
+		t.Fatalf("%d failovers for %d requests: the drill did not fail over", got, serveDriftEvalEvery-1)
 	}
-	// The clock catches up past the mark: monotonic resumes tracking.
-	now = now.Add(10 * time.Second)
-	if got := m.UptimeMonotonic(); got != 16*time.Second {
-		t.Fatalf("monotonic uptime %v, want 16s", got)
+	if got := evaluations(); got != 0 {
+		t.Fatalf("%d evaluations after %d requests, want 0: a failover observed twice", got, serveDriftEvalEvery-1)
+	}
+	predictOK(t, srv, w, 0)
+	if got := evaluations(); got != 1 {
+		t.Fatalf("%d evaluations after %d requests, want 1", got, serveDriftEvalEvery)
 	}
 }

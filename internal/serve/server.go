@@ -92,14 +92,19 @@ type Server struct {
 	fgate *faultGate
 
 	// tracker correlates served predictions with their /v1/feedback reports;
-	// qwin is the server-wide sliding window of feedback scores (per-replica
-	// windows live on the instances). qmu guards qwin only.
+	// qwin is the one sliding window of feedback scores. qmu guards qwin
+	// only.
 	tracker predTracker
 	qmu     sync.Mutex
 	qwin    *quality.Window
 
 	draining atomic.Bool
 }
+
+// qualityWindowSize is the sliding feedback-score window: fresh enough to
+// reflect the current mix, deep enough that windowed precision is not one
+// noisy query.
+const qualityWindowSize = 512
 
 // New assembles a server over a database and its trained system, building a
 // Pool of Options.Replicas replicas. A nil metrics hub
@@ -332,8 +337,8 @@ type feedbackResponse struct {
 // handleFeedback scores a served prediction against the pages its query
 // actually touched: the online ground-truth loop that makes serve-tier
 // precision and recall measurable without replaying anything. The score
-// lands in the server-wide quality window, the serving replica's window, the
-// obs event stream (obs.QualityScored), and the span trace.
+// lands in the server's quality window, the obs event stream
+// (obs.QualityScored), and the span trace.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req feedbackRequest
 	if !s.decodePost(w, r, "POST a feedback JSON document", func(body io.Reader) error {
@@ -361,7 +366,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.qmu.Lock()
 	s.qwin.Add(sc)
 	s.qmu.Unlock()
-	s.inf.Feedback(rec.replica, sc)
 	s.metrics.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})
 	writeJSON(w, feedbackResponse{
 		PredictionID:  req.PredictionID,
@@ -469,9 +473,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
 		return
 	}
-	snap := s.snapshot()
-	// The high-water uptime is a second clock reading only /stats prints,
-	// taken after the snapshot's own.
-	snap.UptimeMonotonicSeconds = s.metrics.UptimeMonotonic().Seconds()
-	writeJSON(w, snap)
+	writeJSON(w, s.snapshot())
 }

@@ -15,45 +15,37 @@ import (
 // counter in the Metrics hub, so they survive a model swap; the replicas rows
 // are the serving generation's own books and restart with it.
 type statsResponse struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// UptimeMonotonicSeconds is the high-water uptime reading: it never
-	// decreases between scrapes even when the wall clock behind
-	// UptimeSeconds steps backward.
-	UptimeMonotonicSeconds float64           `json:"uptime_monotonic_seconds"`
-	Build                  BuildInfo         `json:"build"`
-	Requests               []requestRow      `json:"requests"`
-	Latency                []latencyRow      `json:"latency"`
-	Predictions            uint64            `json:"predictions"`
-	Fallbacks              uint64            `json:"fallbacks"`
-	FallbackRate           float64           `json:"fallback_rate"`
-	PredictedPages         uint64            `json:"predicted_pages"`
-	AvgSetSize             float64           `json:"avg_set_size"`
-	Events                 map[string]uint64 `json:"events"`
-	BufferHitRatio         float64           `json:"buffer_hit_ratio"`
-	OSHitRatio             float64           `json:"oscache_hit_ratio"`
-	Shed                   uint64            `json:"requests_shed"`
-	Timeouts               uint64            `json:"inference_timeouts"`
-	Failovers              uint64            `json:"replica_failovers"`
-	HealthState            string            `json:"health_state"`
-	Draining               bool              `json:"draining"`
-	Generation             uint64            `json:"generation"`
-	Swaps                  uint64            `json:"swaps"`
-	Replicas               []ReplicaStatus   `json:"replicas"`
+	UptimeSeconds  float64           `json:"uptime_seconds"`
+	Build          BuildInfo         `json:"build"`
+	Requests       []requestRow      `json:"requests"`
+	Latency        []latencyRow      `json:"latency"`
+	Predictions    uint64            `json:"predictions"`
+	Fallbacks      uint64            `json:"fallbacks"`
+	FallbackRate   float64           `json:"fallback_rate"`
+	PredictedPages uint64            `json:"predicted_pages"`
+	AvgSetSize     float64           `json:"avg_set_size"`
+	Events         map[string]uint64 `json:"events"`
+	BufferHitRatio float64           `json:"buffer_hit_ratio"`
+	OSHitRatio     float64           `json:"oscache_hit_ratio"`
+	Shed           uint64            `json:"requests_shed"`
+	Timeouts       uint64            `json:"inference_timeouts"`
+	Failovers      uint64            `json:"replica_failovers"`
+	HealthState    string            `json:"health_state"`
+	Draining       bool              `json:"draining"`
+	Generation     uint64            `json:"generation"`
+	Swaps          uint64            `json:"swaps"`
+	Replicas       []ReplicaStatus   `json:"replicas"`
 	// PredCache is the fleet view of the prediction caches (FleetCache below),
 	// printed only when caching is on.
 	PredCache *predCacheStats `json:"predcache,omitempty"`
-	// Quality aggregates the feedback-scored prediction quality server-wide;
-	// per-replica views are in the replicas rows. Always present — zeros mean
-	// "no feedback yet", and rendering the block unconditionally keeps the
-	// /stats shape configuration-independent.
+	// Quality is the server's one feedback window. Always present — zeros
+	// mean "no feedback yet", and rendering the block unconditionally keeps
+	// the /stats shape configuration-independent.
 	Quality qualityStats `json:"quality"`
-	// Drift is the fleet view of the replicas' drift detectors: the
-	// single-state summary a dashboard alerts on. State (StateValue as a
-	// gauge) and Score describe the serving generation — the worst replica,
-	// so a healthy one cannot mask an alarming one; the counters are lifetime
-	// fleet totals. Warnings counts every transition into warning, an alarm
-	// stepping down through it included (a replica row's drift.warnings
-	// counts raises only).
+	// Drift is the single-state summary a dashboard alerts on: State
+	// (StateValue as a gauge) and Score are the serving generation's monitor,
+	// the counters lifetime totals across generations. Warnings counts every
+	// transition into warning, an alarm stepping down through it included.
 	Drift quality.DriftStats `json:"drift"`
 	// Baseline identifies the drift baseline the serving snapshot carries
 	// (absent when the system is untrained or predates baselines).
@@ -118,7 +110,7 @@ func (s *Server) snapshot() *statsResponse {
 		Swaps:          st.Swaps,
 		Replicas:       st.Replicas,
 		Quality:        s.qualitySnapshot(ev.Get(obs.QualityScored)),
-		Drift:          aggregateDrift(st),
+		Drift:          st.Drift,
 		Baseline:       s.inf.BaselineID(),
 		EventCounts:    ev,
 		ReplicaSheds:   m.replicaSheds.Load(),
@@ -147,19 +139,7 @@ func (s *Server) snapshot() *statsResponse {
 	return resp
 }
 
-// aggregateDrift folds the serving replicas' drift detectors into the fleet
-// state: worst state, max score.
-func aggregateDrift(st InfStatus) quality.DriftStats {
-	var agg quality.DriftStats
-	for _, r := range st.Replicas {
-		agg.StateValue = max(agg.StateValue, r.Drift.StateValue)
-		agg.Score = max(agg.Score, r.Drift.Score)
-	}
-	agg.State = quality.DriftState(agg.StateValue).String()
-	return agg
-}
-
-// qualitySnapshot reads the server-wide feedback window; scored is the
+// qualitySnapshot reads the feedback window; scored is the
 // lifetime feedback count from the hub.
 func (s *Server) qualitySnapshot(scored uint64) qualityStats {
 	s.qmu.Lock()
