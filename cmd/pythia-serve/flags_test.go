@@ -62,3 +62,46 @@ func TestReadmeFlagsMatchRegistered(t *testing.T) {
 		}
 	}
 }
+
+// TestReadmeMetricsExist is the metric half of the README check: every
+// `pythia_…` name README.md mentions is a metric family of the committed
+// /metrics golden body, with or without a _bucket, _sum or _count suffix; a
+// wildcard such as `pythia_drift_*` must match at least one family.
+func TestReadmeMetricsExist(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("../../internal/serve/testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllSubmatch(golden, -1) {
+		families[string(m[1])] = true
+	}
+	if len(families) == 0 {
+		t.Fatal("metrics.golden declares no families")
+	}
+	for _, name := range regexp.MustCompile(`pythia_[a-z0-9_]+\*?`).FindAllString(string(readme), -1) {
+		if prefix, ok := strings.CutSuffix(name, "*"); ok {
+			found := false
+			for f := range families {
+				found = found || strings.HasPrefix(f, prefix)
+			}
+			if !found {
+				t.Errorf("README.md names %s, which matches no metric family", name)
+			}
+			continue
+		}
+		base := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if b, ok := strings.CutSuffix(name, suffix); ok && families[b] {
+				base = b
+			}
+		}
+		if !families[base] {
+			t.Errorf("README.md names %s, which is not a metric family in metrics.golden", name)
+		}
+	}
+}

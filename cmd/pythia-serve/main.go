@@ -81,7 +81,7 @@ func flags(fs *flag.FlagSet) *config {
 	fs.Int64Var(&c.opts.MaxBodyBytes, "max-body", 1<<20, "request body cap in bytes")
 	fs.DurationVar(&c.shutdownGrace, "shutdown-grace", 10*time.Second, "drain deadline after SIGINT/SIGTERM")
 	fs.IntVar(&c.opts.CacheEntries, "cache-entries", 4096, "plan-fingerprint prediction cache capacity per replica (negative disables)")
-	fs.IntVar(&c.opts.Replicas, "replicas", 1, "independent model replicas behind the consistent-hash router")
+	fs.IntVar(&c.opts.Replicas, "replicas", 1, "independent model replicas behind the consistent-hash router (at most 64)")
 	fs.IntVar(&c.opts.QueueDepth, "queue-depth", 32, "per-replica bounded work queue, the one admission point: a predict every candidate replica refuses answers 503")
 	fs.StringVar(&c.opts.SnapshotPath, "snapshot", "", "model snapshot path: loaded instead of training when it exists, written after training otherwise; SIGHUP and /v1/admin/reload swap from it (empty = off)")
 	fs.DurationVar(&c.opts.QuarantineBackoff, "quarantine-backoff", time.Second, "initial probe backoff for a quarantined replica (doubles per failed probe, capped at 16x)")

@@ -36,9 +36,6 @@ type Config struct {
 	SpeedupQueries int
 	// Model configures Pythia's classifiers.
 	Model model.Config
-	// BufferPages sizes the pool for the main experiments; zero derives
-	// ~1.5% of the database (the paper sizes the buffer at ~1% of data).
-	BufferPages int
 	// Seed drives everything.
 	Seed uint64
 	// FaultPlan, when non-zero, runs every experiment's replays under
@@ -185,18 +182,11 @@ func (s *Suite) ablationOptions() predictor.Options {
 	return o
 }
 
-// bufferPages derives the pool size from the database (≈1.5% of data, after
-// the paper's ~1% guideline, floored to keep the pool useful at tiny test
-// scales).
+// bufferPages derives the main experiments' pool size from the database
+// (≈1.5% of data, after the paper's ~1% guideline, floored to keep the pool
+// useful at tiny test scales).
 func (s *Suite) bufferPages() int {
-	if s.cfg.BufferPages > 0 {
-		return s.cfg.BufferPages
-	}
-	p := s.generator().DB().Registry.TotalPages() * 3 / 200
-	if p < 256 {
-		p = 256
-	}
-	return p
+	return max(s.generator().DB().Registry.TotalPages()*3/200, 256)
 }
 
 // DSBSystem returns the shared DSB Pythia system with the named templates

@@ -53,10 +53,10 @@ func (s *Server) ReloadSnapshot(path string) (string, InfStatus, error) {
 		return path, InfStatus{}, err
 	}
 	defer f.Close()
-	if err := s.inf.Swap(f); err != nil {
+	if err := s.pool.Swap(f); err != nil {
 		return path, InfStatus{}, err
 	}
-	return path, s.inf.Status(), nil
+	return path, s.pool.Status(), nil
 }
 
 // handleReload is POST /v1/admin/reload: swap the serving models from a
@@ -109,5 +109,5 @@ func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSON(w, s.inf.Status())
+	writeJSON(w, s.pool.Status())
 }

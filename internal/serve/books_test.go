@@ -63,7 +63,7 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 
 	// One replica-queue shed that fails over, and one scored feedback.
 	first := predictOK(t, srv, w, insts[0])
-	owner := poolOf(t, srv).cur.Load().instances[first.Replica]
+	owner := srv.pool.cur.Load().instances[first.Replica]
 	owner.queue <- struct{}{}
 	if resp := predictOK(t, srv, w, insts[0]); resp.Replica == first.Replica {
 		t.Fatalf("saturated owner %d still served: %+v", first.Replica, resp)
@@ -144,7 +144,7 @@ func swapFixture(t *testing.T, srv *Server) {
 	if err := fixtureSys.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.inf.Swap(bytes.NewReader(snap.Bytes())); err != nil {
+	if err := srv.pool.Swap(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatalf("swap: %v", err)
 	}
 }
@@ -190,7 +190,7 @@ func TestBooksBalance(t *testing.T) {
 
 			// The one shed site: every candidate replica's work queue full.
 			// One 503 answer, one refusal per replica walked past.
-			instances := poolOf(t, srv).cur.Load().instances
+			instances := srv.pool.cur.Load().instances
 			for _, ins := range instances {
 				ins.queue <- struct{}{}
 			}

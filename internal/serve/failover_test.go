@@ -21,16 +21,6 @@ import (
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 )
 
-// poolOf unwraps the server's Inferencer as a Pool.
-func poolOf(t *testing.T, srv *Server) *Pool {
-	t.Helper()
-	p, ok := srv.inf.(*Pool)
-	if !ok {
-		t.Fatalf("inferencer is %T, want *Pool", srv.inf)
-	}
-	return p
-}
-
 // TestPoolReroutesAroundBlockedReplica: with one replica quarantined (inside
 // its probe backoff), requests whose plans that replica owns reroute to ring
 // successors — still 200, counted as failovers — and the successor's cache
@@ -51,7 +41,7 @@ func TestPoolReroutesAroundBlockedReplica(t *testing.T) {
 
 	// Quarantine the target on a fake clock: inside the unelapsed backoff no
 	// probe is due, so the pool must route around it.
-	p := poolOf(t, srv)
+	p := srv.pool
 	ins := p.cur.Load().instances[target]
 	now := time.Unix(0, 0)
 	ins.health.now = func() time.Time { return now }
@@ -121,7 +111,7 @@ func TestReplicaShedEnvelopeParity(t *testing.T) {
 
 	// Fill every replica's work queue so admission sheds wherever the plan
 	// routes.
-	p := poolOf(t, srv)
+	p := srv.pool
 	for _, ins := range p.cur.Load().instances {
 		ins.queue <- struct{}{}
 	}
@@ -139,7 +129,7 @@ func TestReplicaShedEnvelopeParity(t *testing.T) {
 		t.Fatalf("sheds counter %d, want 1", m.sheds.Load())
 	}
 	var replicaSheds uint64
-	for _, r := range srv.inf.Status().Replicas {
+	for _, r := range srv.pool.Status().Replicas {
 		replicaSheds += r.Shed
 	}
 	if replicaSheds != 2 {
@@ -169,7 +159,7 @@ func TestPoolFailsOverSaturatedReplica(t *testing.T) {
 	first := predictOK(t, srv, w, 0)
 	owner := first.Replica
 
-	p := poolOf(t, srv)
+	p := srv.pool
 	p.cur.Load().instances[owner].queue <- struct{}{}
 	resp := predictOK(t, srv, w, 0)
 	if resp.Replica == owner || resp.Fallback {
@@ -201,7 +191,7 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 
 	// Healthy round: learn which replica owns the probe plan.
 	target := predictOK(t, srv, w, insts[0]).Replica
-	p := poolOf(t, srv)
+	p := srv.pool
 	ins := p.cur.Load().instances[target]
 	now := time.Unix(0, 0)
 	ins.health.now = func() time.Time { return now }
@@ -221,7 +211,7 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 	}
 
 	// The topology and stats surfaces both show the quarantine.
-	for _, r := range srv.inf.Status().Replicas {
+	for _, r := range srv.pool.Status().Replicas {
 		want := "healthy"
 		if r.ID == target {
 			want = "quarantined"
@@ -265,7 +255,7 @@ func TestChaosReplicaLifecycle(t *testing.T) {
 	if st := ins.health.State(); st != "healthy" {
 		t.Fatalf("after %d probe successes health is %s, want healthy", quarantineProbes, st)
 	}
-	for _, r := range srv.inf.Status().Replicas {
+	for _, r := range srv.pool.Status().Replicas {
 		if r.Health != "healthy" {
 			t.Fatalf("replica %d health %q after recovery", r.ID, r.Health)
 		}
@@ -293,7 +283,7 @@ func TestProbeReachesQuarantinedOwner(t *testing.T) {
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 3, CacheEntries: -1})
 
 	target := predictOK(t, srv, w, 0).Replica
-	ins := poolOf(t, srv).cur.Load().instances[target]
+	ins := srv.pool.cur.Load().instances[target]
 	now := time.Unix(0, 0)
 	ins.health.now = func() time.Time { return now }
 
@@ -331,7 +321,7 @@ func TestPoolDegradedWhenAllQuarantined(t *testing.T) {
 		CacheEntries:      -1,
 	})
 
-	p := poolOf(t, srv)
+	p := srv.pool
 	for _, ins := range p.cur.Load().instances {
 		for i := 0; i < quarantineThreshold; i++ {
 			ins.health.failure()
@@ -363,11 +353,11 @@ func TestSwapRollbackOnReplicaBuildFault(t *testing.T) {
 	}
 
 	srv.SetFault(fault.New(fault.Plan{ReplicaRate: 1, ReplicaIndex: 1}, 42))
-	err := srv.inf.Swap(bytes.NewReader(snap.Bytes()))
+	err := srv.pool.Swap(bytes.NewReader(snap.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "standby replica 1") {
 		t.Fatalf("swap error = %v, want standby replica 1 build fault", err)
 	}
-	st := srv.inf.Status()
+	st := srv.pool.Status()
 	if st.Generation != 1 || st.Swaps != 0 {
 		t.Fatalf("failed swap moved the generation: %+v", st)
 	}
@@ -377,10 +367,10 @@ func TestSwapRollbackOnReplicaBuildFault(t *testing.T) {
 	}
 
 	// Same snapshot, fault cleared: the swap completes.
-	if err := srv.inf.Swap(bytes.NewReader(snap.Bytes())); err != nil {
+	if err := srv.pool.Swap(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatalf("post-rollback swap: %v", err)
 	}
-	if st := srv.inf.Status(); st.Generation != 2 || st.Swaps != 1 {
+	if st := srv.pool.Status(); st.Generation != 2 || st.Swaps != 1 {
 		t.Fatalf("post-rollback swap state: %+v", st)
 	}
 }
@@ -454,7 +444,7 @@ func TestAdminReloadCorruptSnapshot(t *testing.T) {
 
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 2, SnapshotPath: good})
 
-	if err := srv.inf.Swap(bytes.NewReader(v1)); !errors.Is(err, corepythia.ErrSnapshotVersion) {
+	if err := srv.pool.Swap(bytes.NewReader(v1)); !errors.Is(err, corepythia.ErrSnapshotVersion) {
 		t.Fatalf("Swap(PYSNAP01) = %v, want ErrSnapshotVersion", err)
 	}
 	for path, reason := range map[string]string{
@@ -473,7 +463,7 @@ func TestAdminReloadCorruptSnapshot(t *testing.T) {
 			t.Fatalf("%s: envelope %+v, want code %q for reason %q", filepath.Base(path), env.Error, CodeSnapshotCorrupt, reason)
 		}
 	}
-	st := srv.inf.Status()
+	st := srv.pool.Status()
 	if st.Generation != 1 || st.Swaps != 0 {
 		t.Fatalf("corrupt reloads moved the generation: %+v", st)
 	}
@@ -486,7 +476,7 @@ func TestAdminReloadCorruptSnapshot(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("good reload status %d: %s", rr.Code, rr.Body.String())
 	}
-	if st := srv.inf.Status(); st.Generation != 2 {
+	if st := srv.pool.Status(); st.Generation != 2 {
 		t.Fatalf("good reload did not swap: %+v", st)
 	}
 }
@@ -506,7 +496,7 @@ func TestSuccessorProbeNotSpentOnOwnerAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := poolOf(t, srv).cur.Load()
+	gen := srv.pool.cur.Load()
 	order := gen.ring.lookupN(fingerprint(tw.Name, tw.Pred.EncodePlan(root)), nil, 2)
 	owner, succ := order[0], gen.instances[order[1]]
 

@@ -104,7 +104,7 @@ func TestCacheHitSkipsInference(t *testing.T) {
 
 // TestCacheConcurrentIdentity: many goroutines hammering a mix of plans must
 // each get exactly the single-threaded answer, hit or miss. Run under -race
-// this also exercises the sharded-LRU locking.
+// this also exercises the LRU locking.
 func TestCacheConcurrentIdentity(t *testing.T) {
 	srv, w := fastServer(t, Options{})
 	insts := distinctInstances(t, srv, w, 4)

@@ -33,7 +33,7 @@ func (c *fakeClock) Now() time.Time {
 // goldenServer builds a fresh untrained server whose metrics hub runs
 // entirely on a fake clock. Nothing in it may read the host clock, host
 // randomness, or shared fixture state.
-func goldenServer(t *testing.T) *Server {
+func goldenServer(t testing.TB) *Server {
 	t.Helper()
 	g := dsb.NewGenerator(dsb.Config{ScaleFactor: 2, Seed: 7})
 	metrics := NewMetrics(nil)

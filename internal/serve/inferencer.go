@@ -1,49 +1,15 @@
 package serve
 
 import (
-	"context"
 	"errors"
-	"io"
 	"sync"
 
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/quality"
-	"github.com/pythia-db/pythia/internal/serialize"
 	"github.com/pythia-db/pythia/internal/storage"
 )
-
-// Inferencer is the seam between the HTTP surface and the model tier. The
-// Server decodes and plans requests, sets the per-request timeout, and
-// renders responses; everything that touches a trained model — matching,
-// routing, admission, caching, replica health, and inference itself — happens
-// behind this interface. Pool is the one production implementation (a single
-// replica is a one-node pool); tests stub the interface to exercise the HTTP
-// surface without training anything.
-type Inferencer interface {
-	// Predict answers one decoded, planned query. Sentinel errors map to
-	// HTTP statuses in the Server: ErrSaturated → 503, errModelFault → 500,
-	// context.DeadlineExceeded → 504, context.Canceled → 499.
-	Predict(ctx context.Context, q plan.Query, root *plan.Node) (Prediction, error)
-	// Explain renders a plan without running inference.
-	Explain(root *plan.Node) Explanation
-	// Workloads returns the trained workloads of the serving view (the
-	// routing replica's — all replicas hold identical inventories).
-	Workloads() []*corepythia.Trained
-	// Status reports the replica topology for /stats, /metrics, and
-	// /v1/admin/replicas.
-	Status() InfStatus
-	// BaselineID identifies the drift baseline the serving snapshot carries
-	// (nil when untrained, or the snapshot predates baselines).
-	BaselineID() *corepythia.BaselineID
-	// Swap is the zero-downtime model-swap hook: it loads a pythia.System
-	// snapshot (see pythia.System.Save) into a standby generation, warms it
-	// on recently served plans, and atomically swings the serving pointer.
-	// Requests in flight during the swap complete on the generation that
-	// admitted them.
-	Swap(r io.Reader) error
-}
 
 // Prediction is the outcome of one routed inference.
 type Prediction struct {
@@ -65,20 +31,6 @@ type Prediction struct {
 	// Generation is the model generation that answered; it increments on
 	// every successful Swap.
 	Generation uint64
-}
-
-// Explanation is the model-free plan rendering behind POST /v1/explain.
-type Explanation struct {
-	Plan   string
-	Tokens []string
-}
-
-// explainPlan renders a plan's display form and Algorithm 2 tokens.
-func explainPlan(root *plan.Node) Explanation {
-	return Explanation{
-		Plan:   root.Display(),
-		Tokens: serialize.Serialize(root, serialize.DefaultConfig()),
-	}
 }
 
 // ErrSaturated reports that a replica's bounded work queue was full — the
@@ -146,9 +98,6 @@ type faultGate struct {
 // (no short-circuit), so enabling one site never shifts the other's
 // deterministic sequence.
 func (g *faultGate) fireModel(id int) bool {
-	if g == nil {
-		return false
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.inj == nil {
@@ -162,9 +111,6 @@ func (g *faultGate) fireModel(id int) bool {
 // fireReplica draws only the replica-targeted site — the hook Pool.Swap uses
 // to fail a chosen replica's standby build during a swap.
 func (g *faultGate) fireReplica(id int) bool {
-	if g == nil {
-		return false
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.inj == nil {
@@ -174,9 +120,6 @@ func (g *faultGate) fireReplica(id int) bool {
 }
 
 func (g *faultGate) set(inj *fault.Injector) {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	g.inj = inj
 	g.mu.Unlock()

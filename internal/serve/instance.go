@@ -95,7 +95,7 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 
 	// A hit performs zero inference and cannot fail, so it is checked before
 	// the fault hook.
-	if pages, hit := ins.cached(fp); hit {
+	if pages, hit := ins.cache.get(fp); hit {
 		ins.health.cacheHit()
 		p.Cached = true
 		p.Pages = pages
@@ -116,16 +116,6 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 	}
 	p.Pages = pages
 	return p, nil
-}
-
-// cached looks fp up in the replica's prediction cache (a miss when caching
-// is off). It touches neither the model nor the health tracker, which is what
-// lets the pool keep answering cached plans from a quarantined replica.
-func (ins *instance) cached(fp uint64) ([]storage.PageID, bool) {
-	if ins.cache == nil {
-		return nil, false
-	}
-	return ins.cache.get(fp)
 }
 
 // infer runs the miss (inference) path: one Predictor.Predict per request. The

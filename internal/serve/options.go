@@ -27,9 +27,10 @@ type Options struct {
 	// entries per replica; negative disables caching.
 	CacheEntries int
 	// Replicas is the number of independent model replicas behind the
-	// consistent-hash router. 1 (the default) is a one-node ring over the
-	// trained system itself; N > 1 snapshots it and decodes N-1 clones, so
-	// forward passes on distinct replicas run truly in parallel.
+	// consistent-hash router, at most maxReplicas. 1 (the default) is a
+	// one-node ring over the trained system itself; N > 1 snapshots it and
+	// decodes N-1 clones, so forward passes on distinct replicas run truly in
+	// parallel.
 	Replicas int
 	// QueueDepth bounds each replica's concurrently admitted requests — the
 	// serving tier's one admission point. A request every candidate replica
@@ -46,14 +47,22 @@ type Options struct {
 	QuarantineBackoff time.Duration
 }
 
+// maxReplicas bounds Options.Replicas: the ring walk marks the replicas it
+// has seen in one 64-bit mask.
+const maxReplicas = 64
+
 // Normalize resolves zero fields to their defaults and rejects negative ones
-// (CacheEntries excepted: negative means no cache and is kept as given). It
-// is what New applies; callers that want to fail before building a server
-// (pythia-serve, before it trains) call it themselves first. Idempotent.
+// (CacheEntries excepted: negative means no cache and is kept as given) and
+// more than maxReplicas replicas. It is what New applies; callers that want
+// to fail before building a server (pythia-serve, before it trains) call it
+// themselves first. Idempotent.
 func (o Options) Normalize() (Options, error) {
 	if o.RequestTimeout < 0 || o.MaxBodyBytes < 0 || o.Replicas < 0 || o.QueueDepth < 0 || o.QuarantineBackoff < 0 {
 		return o, fmt.Errorf("serve: negative option (RequestTimeout %s, MaxBodyBytes %d, Replicas %d, QueueDepth %d, QuarantineBackoff %s): 0 selects the default, and only CacheEntries has an off-switch",
 			o.RequestTimeout, o.MaxBodyBytes, o.Replicas, o.QueueDepth, o.QuarantineBackoff)
+	}
+	if o.Replicas > maxReplicas {
+		return o, fmt.Errorf("serve: %d replicas, at most %d", o.Replicas, maxReplicas)
 	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 5 * time.Second

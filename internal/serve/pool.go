@@ -93,7 +93,7 @@ func (g *generation) observeDrift(root *plan.Node, m *Metrics) {
 	}
 }
 
-// Pool is the N-replica Inferencer behind the serving tier.
+// Pool is the serving tier's model tier: N replicas behind one ring.
 type Pool struct {
 	db      *catalog.Database
 	metrics *Metrics
@@ -109,9 +109,10 @@ type Pool struct {
 // newPool builds a pool of opts.Replicas independent replicas over a trained
 // system. Past one replica the system is snapshotted once and decoded
 // opts.Replicas-1 times (replica 0 serves the original), so construction cost
-// scales with model size, not training time. opts are already normalized and
-// the fault gate is shared with the owning Server.
-func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, fgate *faultGate, opts Options) (*Pool, error) {
+// scales with model size, not training time. opts are already normalized;
+// opts.Fault arms the fault gate every replica of every generation shares.
+func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Options) (*Pool, error) {
+	fgate := &faultGate{inj: opts.Fault}
 	p := &Pool{db: db, metrics: metrics, opts: opts, fgate: fgate, warm: newWarmer()}
 	var snap bytes.Buffer
 	if opts.Replicas > 1 {
@@ -191,7 +192,7 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 	}
 	if !tried {
 		owner := gen.instances[order[0]]
-		if pages, hit := owner.cached(fp); hit {
+		if pages, hit := owner.cache.get(fp); hit {
 			return Prediction{Workload: tw.Name, Cached: true, Pages: pages, Replica: owner.id, Generation: gen.id}, nil
 		}
 		return Prediction{Fallback: true, Degraded: "no_healthy_replica", Replica: -1, Generation: gen.id}, nil
@@ -206,9 +207,6 @@ func (p *Pool) noteFailovers(n int) {
 		p.metrics.Record(obs.Event{Kind: obs.ReplicaFailover, Query: obs.NoQuery})
 	}
 }
-
-// Explain renders a plan without inference.
-func (p *Pool) Explain(root *plan.Node) Explanation { return explainPlan(root) }
 
 // Workloads returns the routing replica's trained workloads (every replica
 // holds an identical inventory).

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,7 +19,6 @@ import (
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/spec"
-	"github.com/pythia-db/pythia/internal/storage"
 )
 
 // expectedPages computes the reference answer a system gives for one planned
@@ -62,7 +61,7 @@ func TestPoolCacheAffinity(t *testing.T) {
 		}
 	}
 
-	st := srv.inf.Status()
+	st := srv.pool.Status()
 	if len(st.Replicas) != 3 {
 		t.Fatalf("status reports %d replicas, want 3", len(st.Replicas))
 	}
@@ -203,7 +202,7 @@ func TestSwapUnderLoad(t *testing.T) {
 	// Mid-load: swap to generation 2. Swap must not fail and must not fail
 	// any in-flight request.
 	time.Sleep(10 * time.Millisecond)
-	if err := srv.inf.Swap(bytes.NewReader(snap2.Bytes())); err != nil {
+	if err := srv.pool.Swap(bytes.NewReader(snap2.Bytes())); err != nil {
 		t.Fatalf("swap under load: %v", err)
 	}
 	wg.Wait()
@@ -212,7 +211,7 @@ func TestSwapUnderLoad(t *testing.T) {
 		t.Error(err)
 	}
 
-	st := srv.inf.Status()
+	st := srv.pool.Status()
 	if st.Generation != 2 || st.Swaps != 1 {
 		t.Fatalf("after swap: generation=%d swaps=%d, want 2/1", st.Generation, st.Swaps)
 	}
@@ -234,7 +233,7 @@ func TestSwapRejectsBadSnapshot(t *testing.T) {
 	base, w := testServer(t)
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 2})
 
-	if err := srv.inf.Swap(strings.NewReader("not a snapshot")); err == nil {
+	if err := srv.pool.Swap(strings.NewReader("not a snapshot")); err == nil {
 		t.Fatal("garbage snapshot did not error")
 	}
 	// An untrained system persists fine but must be refused for serving.
@@ -243,11 +242,11 @@ func TestSwapRejectsBadSnapshot(t *testing.T) {
 	if err := empty.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.inf.Swap(bytes.NewReader(buf.Bytes())); err == nil ||
+	if err := srv.pool.Swap(bytes.NewReader(buf.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "no trained workloads") {
 		t.Fatalf("empty snapshot error = %v", err)
 	}
-	st := srv.inf.Status()
+	st := srv.pool.Status()
 	if st.Generation != 1 || st.Swaps != 0 {
 		t.Fatalf("failed swaps moved the generation: %+v", st)
 	}
@@ -355,64 +354,24 @@ func jsonQuote(s string) string {
 	return string(b)
 }
 
-// stubInferencer lets Server tests script the model tier.
-type stubInferencer struct {
-	pred Prediction
-	err  error
-}
-
-func (s *stubInferencer) Predict(context.Context, plan.Query, *plan.Node) (Prediction, error) {
-	return s.pred, s.err
-}
-
-func (s *stubInferencer) Explain(root *plan.Node) Explanation { return explainPlan(root) }
-func (s *stubInferencer) Workloads() []*corepythia.Trained    { return nil }
-func (s *stubInferencer) Status() InfStatus                   { return InfStatus{Generation: 1} }
-func (s *stubInferencer) BaselineID() *corepythia.BaselineID  { return nil }
-func (s *stubInferencer) Swap(io.Reader) error                { return nil }
-
-// TestServerWithStubInferencer: the Inferencer seam lets tests drive the HTTP
-// contract without training anything — and pins the error mapping from
-// Inferencer sentinels to HTTP statuses.
-func TestServerWithStubInferencer(t *testing.T) {
-	base, w := testServer(t)
-	stub := &stubInferencer{pred: Prediction{
-		Workload:   "stubbed",
-		Pages:      []storage.PageID{{Object: 1, Page: 7}},
-		Replica:    3,
-		Generation: 9,
-	}}
-	srv, err := NewWithInferencer(base.db, stub, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	var resp predictResponse
-	if err := json.NewDecoder(rr.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Workload != "stubbed" || resp.Replica != 3 || resp.Generation != 9 || resp.PageCount != 1 {
-		t.Fatalf("stubbed response wrong: %+v", resp)
-	}
-
-	// Sentinel error mapping.
+// TestWritePredictError pins the mapping from the Pool's sentinel errors to
+// HTTP statuses and envelope codes, wrapped or bare; only saturation sheds.
+func TestWritePredictError(t *testing.T) {
 	cases := []struct {
 		err    error
 		status int
 		code   string
 	}{
 		{ErrSaturated, http.StatusServiceUnavailable, CodeOverloaded},
-		{errModelFault, http.StatusInternalServerError, CodeModelError},
+		{fmt.Errorf("replica 2: %w", errModelFault), http.StatusInternalServerError, CodeModelError},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, CodeDeadline},
 		{context.Canceled, StatusClientClosedRequest, CodeClientGone},
+		{errors.New("anything else"), http.StatusInternalServerError, CodeModelError},
 	}
 	for _, c := range cases {
-		stub.err = c.err
-		rr := doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
+		srv := &Server{metrics: NewMetrics(nil)}
+		rr := httptest.NewRecorder()
+		srv.writePredictError(rr, c.err)
 		if rr.Code != c.status {
 			t.Errorf("%v: status %d, want %d", c.err, rr.Code, c.status)
 			continue
@@ -420,14 +379,22 @@ func TestServerWithStubInferencer(t *testing.T) {
 		if env := decodeEnvelope(t, rr); env.Error.Code != c.code {
 			t.Errorf("%v: envelope code %q, want %q", c.err, env.Error.Code, c.code)
 		}
-	}
-	if rr := doRequest(t, srv, http.MethodGet, "/v1/healthz", nil); rr.Code != http.StatusOK {
-		t.Fatalf("stub healthz status %d", rr.Code)
+		wantRetry, wantSheds := "", uint64(0)
+		if c.status == http.StatusServiceUnavailable {
+			wantRetry, wantSheds = "1", 1
+		}
+		if got := rr.Header().Get("Retry-After"); got != wantRetry {
+			t.Errorf("%v: Retry-After %q, want %q", c.err, got, wantRetry)
+		}
+		if got := srv.metrics.sheds.Load(); got != wantSheds {
+			t.Errorf("%v: sheds %d, want %d", c.err, got, wantSheds)
+		}
 	}
 }
 
 // TestOptionsNormalize pins the eight fields' defaults, the one off-switch
-// (CacheEntries), the rejected negatives, and idempotence.
+// (CacheEntries), the rejected negatives and replica counts past the ring's
+// 64, and idempotence.
 func TestOptionsNormalize(t *testing.T) {
 	norm, err := Options{}.Normalize()
 	if err != nil {
@@ -454,8 +421,12 @@ func TestOptionsNormalize(t *testing.T) {
 		{RequestTimeout: -time.Second},
 		{MaxBodyBytes: -1},
 		{Replicas: -1},
+		{Replicas: 65},
 		{QueueDepth: -1},
 		{QuarantineBackoff: -time.Second},
+	}
+	if _, err := (Options{Replicas: maxReplicas}).Normalize(); err != nil {
+		t.Errorf("%d replicas rejected: %v", maxReplicas, err)
 	}
 	for i, o := range invalid {
 		if _, err := o.Normalize(); err == nil {

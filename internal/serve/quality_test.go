@@ -157,7 +157,7 @@ func TestServeDriftMonitorOnTrainingMix(t *testing.T) {
 	if st.Baseline == nil || st.Baseline.Hash != id.Hash {
 		t.Fatalf("/stats baseline %+v, want hash %s", st.Baseline, id.Hash)
 	}
-	if gen := srv.inf.Status().Drift; gen.Evaluations != st.Drift.Evaluations || gen.State != st.Drift.State {
+	if gen := srv.pool.Status().Drift; gen.Evaluations != st.Drift.Evaluations || gen.State != st.Drift.State {
 		t.Fatalf("generation drift %+v does not reconcile with /stats %+v", gen, st.Drift)
 	}
 }
@@ -195,9 +195,9 @@ func TestUnmatchedPlansFeedDrift(t *testing.T) {
 func TestDriftObservedOncePerRequest(t *testing.T) {
 	base, w := testServer(t)
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 3, CacheEntries: -1})
-	evaluations := func() uint64 { return srv.inf.Status().Drift.Evaluations }
+	evaluations := func() uint64 { return srv.pool.Status().Drift.Evaluations }
 
-	gen := poolOf(t, srv).cur.Load()
+	gen := srv.pool.cur.Load()
 	q := w.Instances[0].Query
 	root, err := plan.NewPlanner(srv.db).Plan(q)
 	if err != nil {

@@ -61,37 +61,24 @@ func newRing(replicas int) *hashRing {
 	return &hashRing{points: points}
 }
 
-// lookup returns the replica owning a fingerprint: the first point at or
-// after it, wrapping to the ring's start. Binary search is written out
-// rather than using sort.Search so the hot routing path stays closure- and
-// allocation-free.
+// lookup returns the replica owning a fingerprint: lookupN's first replica.
 //
 //pythia:noalloc
 func (r *hashRing) lookup(fp uint64) int {
-	fp = sim.Mix64(fp)
-	lo, hi := 0, len(r.points)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.points[mid].hash < fp {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(r.points) {
-		lo = 0
-	}
-	return r.points[lo].replica
+	var owner [1]int
+	return r.lookupN(fp, owner[:0], 1)[0]
 }
 
 // lookupN appends to dst the first n distinct replicas encountered walking
-// clockwise from the fingerprint's position: the owner first, then its
-// failover successors in ring order. Walking the ring (rather than numeric
-// index order) keeps failover affinity consistent — every request for the
-// same fingerprint fails over to the same successor, so the successor's cache
+// clockwise from the fingerprint's position — the first point at or after
+// it, wrapping to the ring's start: the owner first, then its failover
+// successors in ring order. Walking the ring (rather than numeric index
+// order) keeps failover affinity consistent — every request for the same
+// fingerprint fails over to the same successor, so the successor's cache
 // absorbs the sick replica's shard instead of scattering it. n is clamped to
 // the replica count; the returned slice is dst extended in place when its
-// capacity allows.
+// capacity allows. Binary search is written out rather than using
+// sort.Search so the hot routing path stays closure- and allocation-free.
 //
 //pythia:noalloc
 func (r *hashRing) lookupN(fp uint64, dst []int, n int) []int {
@@ -105,39 +92,15 @@ func (r *hashRing) lookupN(fp uint64, dst []int, n int) []int {
 			hi = mid
 		}
 	}
-	var seen uint64 // replica-index bitmask; rings are far below 64 replicas
+	var seen uint64 // replica-index bitmask; Options.Normalize caps replicas at 64
 	for i := 0; i < len(r.points) && n > 0; i++ {
 		rep := r.points[(lo+i)%len(r.points)].replica
-		if rep < 64 {
-			if seen&(1<<uint(rep)) != 0 {
-				continue
-			}
-			seen |= 1 << uint(rep)
-		} else {
-			dup := false
-			for _, d := range dst {
-				if d == rep {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
+		if seen&(1<<uint(rep)) != 0 {
+			continue
 		}
+		seen |= 1 << uint(rep)
 		dst = append(dst, rep)
 		n--
 	}
 	return dst
-}
-
-// replicas returns the replica count the ring was built for.
-func (r *hashRing) replicas() int {
-	n := 0
-	for _, p := range r.points {
-		if p.replica+1 > n {
-			n = p.replica + 1
-		}
-	}
-	return n
 }

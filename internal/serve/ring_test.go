@@ -23,8 +23,8 @@ func testFingerprints(n int) []uint64 {
 // process (or restart) routes identically.
 func TestRingDeterministicRouting(t *testing.T) {
 	a, b := newRing(4), newRing(4)
-	if a.replicas() != 4 {
-		t.Fatalf("replicas() = %d, want 4", a.replicas())
+	if len(a.points) != 4*ringVNodes {
+		t.Fatalf("%d ring points, want %d", len(a.points), 4*ringVNodes)
 	}
 	hits := make([]int, 4)
 	for _, fp := range testFingerprints(4096) {
@@ -84,8 +84,8 @@ func TestRingSingleReplica(t *testing.T) {
 			t.Fatal("single-replica ring routed off replica 0")
 		}
 	}
-	if newRing(0).replicas() != 1 {
-		t.Fatal("zero-replica ring did not clamp to 1")
+	if n := len(newRing(0).points); n != ringVNodes {
+		t.Fatalf("zero-replica ring has %d points, want one replica's %d", n, ringVNodes)
 	}
 }
 

@@ -55,6 +55,7 @@ import (
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/quality"
+	"github.com/pythia-db/pythia/internal/serialize"
 	"github.com/pythia-db/pythia/internal/spec"
 	"github.com/pythia-db/pythia/internal/storage"
 )
@@ -77,19 +78,15 @@ const (
 // is visible in metrics.
 const StatusClientClosedRequest = 499
 
-// Server answers prediction requests over an Inferencer — the replica Pool,
-// or a test stub. The Server owns the HTTP concerns (decoding, planning,
-// timeouts, response rendering, observability); the Inferencer owns
-// everything that touches a model, admission included.
+// Server answers prediction requests over the replica Pool. The Server owns
+// the HTTP concerns (decoding, planning, timeouts, response rendering,
+// observability); the Pool owns everything that touches a model, admission
+// included.
 type Server struct {
 	db      *catalog.Database
-	inf     Inferencer
+	pool    *Pool
 	metrics *Metrics
 	opts    Options
-
-	// fgate is the chaos-injection gate shared with the Inferencer's
-	// replicas when the server built it (nil for NewWithInferencer).
-	fgate *faultGate
 
 	// tracker correlates served predictions with their /v1/feedback reports;
 	// qwin is the one sliding window of feedback scores. qmu guards qwin
@@ -120,29 +117,11 @@ func New(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Op
 	if metrics == nil {
 		metrics = NewMetrics(nil)
 	}
-	fgate := &faultGate{inj: norm.Fault}
-	pool, err := newPool(db, sys, metrics, fgate, norm)
+	pool, err := newPool(db, sys, metrics, norm)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{db: db, inf: pool, metrics: metrics, opts: norm, fgate: fgate,
-		qwin: quality.NewWindow(qualityWindowSize)}, nil
-}
-
-// NewWithInferencer assembles a server over an externally built Inferencer —
-// the seam server tests use to stub inference without training anything, and
-// the hook for alternative model tiers. Options are normalized the same way
-// as New, but the topology field (Replicas) is the Inferencer's business and
-// ignored here.
-func NewWithInferencer(db *catalog.Database, inf Inferencer, metrics *Metrics, opts Options) (*Server, error) {
-	norm, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	if metrics == nil {
-		metrics = NewMetrics(nil)
-	}
-	return &Server{db: db, inf: inf, metrics: metrics, opts: norm,
+	return &Server{db: db, pool: pool, metrics: metrics, opts: norm,
 		qwin: quality.NewWindow(qualityWindowSize)}, nil
 }
 
@@ -153,8 +132,9 @@ func (s *Server) Close() {}
 // Options returns the server's resolved effective options.
 func (s *Server) Options() Options { return s.opts }
 
-// Inferencer returns the model tier behind the server.
-func (s *Server) Inferencer() Inferencer { return s.inf }
+// Inferencer returns the replica pool behind the server; bench/ calls it by
+// this name.
+func (s *Server) Inferencer() *Pool { return s.pool }
 
 // SetDraining flips the server's draining flag: /v1/healthz answers 503 so
 // load balancers stop routing here while in-flight requests finish (the
@@ -171,7 +151,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // Production arms Options.Fault at construction; chaos drills (tests,
 // cmd/pythia-load's -chaos-* flags) use this to clear or retarget injected
 // faults mid-run so recovery is observable.
-func (s *Server) SetFault(inj *fault.Injector) { s.fgate.set(inj) }
+func (s *Server) SetFault(inj *fault.Injector) { s.pool.fgate.set(inj) }
 
 // Handler builds the full HTTP routing table.
 func (s *Server) Handler() http.Handler {
@@ -292,7 +272,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 	start := time.Now()
-	pred, err := s.inf.Predict(ctx, q, root)
+	pred, err := s.pool.Predict(ctx, q, root)
 	if err != nil {
 		s.writePredictError(w, err)
 		return
@@ -380,7 +360,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writePredictError maps Inferencer sentinel errors onto the HTTP error
+// writePredictError maps the Pool's sentinel errors onto the HTTP error
 // contract: replica saturation → 503 (the server's only overloaded answer),
 // injected model faults → 500, expired budgets → 504, disconnected clients →
 // 499.
@@ -422,8 +402,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, StatusClientClosedRequest, CodeClientGone, err.Error())
 		return
 	}
-	e := s.inf.Explain(root)
-	writeJSON(w, predictResponse{Plan: e.Plan, Tokens: e.Tokens, Replica: -1})
+	writeJSON(w, predictResponse{Plan: root.Display(),
+		Tokens: serialize.Serialize(root, serialize.DefaultConfig()), Replica: -1})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -437,7 +417,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Params int    `json:"params"`
 	}
 	var info []workloadInfo
-	for _, tw := range s.inf.Workloads() {
+	for _, tw := range s.pool.Workloads() {
 		info = append(info, workloadInfo{
 			Name: tw.Name, Models: len(tw.Pred.Models()), Params: tw.Pred.ParamCount(),
 		})

@@ -32,7 +32,7 @@ var (
 
 // inst returns the server's first replica, for tests that reach into the
 // model path (cache, health state).
-func (s *Server) inst() *instance { return s.inf.(*Pool).cur.Load().instances[0] }
+func (s *Server) inst() *instance { return s.pool.cur.Load().instances[0] }
 
 func mustServer(t testing.TB, db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Options) *Server {
 	t.Helper()

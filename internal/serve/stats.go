@@ -90,7 +90,7 @@ type predCacheStats struct {
 func (s *Server) snapshot() *statsResponse {
 	m := s.metrics
 	ev := m.events.Snapshot()
-	st := s.inf.Status()
+	st := s.pool.Status()
 	resp := &statsResponse{
 		UptimeSeconds:  m.Uptime().Seconds(),
 		Build:          m.Build(),
@@ -111,7 +111,7 @@ func (s *Server) snapshot() *statsResponse {
 		Replicas:       st.Replicas,
 		Quality:        s.qualitySnapshot(ev.Get(obs.QualityScored)),
 		Drift:          st.Drift,
-		Baseline:       s.inf.BaselineID(),
+		Baseline:       s.pool.BaselineID(),
 		EventCounts:    ev,
 		ReplicaSheds:   m.replicaSheds.Load(),
 		FleetCache:     predCacheStats{Hits: ev.Get(obs.PredCacheHit), Misses: ev.Get(obs.PredCacheMiss), Evictions: ev.Get(obs.PredCacheEvict)},
@@ -132,7 +132,7 @@ func (s *Server) snapshot() *statsResponse {
 	if s.opts.CacheEntries > 0 {
 		resp.PredCache = &resp.FleetCache
 	}
-	for _, tw := range s.inf.Workloads() {
+	for _, tw := range s.pool.Workloads() {
 		resp.Workloads++
 		resp.ModelParams += tw.Pred.ParamCount()
 	}
