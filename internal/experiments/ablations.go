@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/pythia-db/pythia/internal/buffer"
-	"github.com/pythia-db/pythia/internal/dsb"
 	"github.com/pythia-db/pythia/internal/metrics"
 	"github.com/pythia-db/pythia/internal/predictor"
 	"github.com/pythia-db/pythia/internal/pythia"
@@ -12,18 +11,6 @@ import (
 	"github.com/pythia-db/pythia/internal/storage"
 	"github.com/pythia-db/pythia/internal/workload"
 )
-
-// trainFresh builds an independent system over g's database, sized like the
-// suite's main buffer, and trains one workload with custom predictor options
-// (the retraining ablations and extensions).
-func (s *Suite) trainFresh(g *dsb.Generator, name string, train []*workload.Instance, opts predictor.Options) *pythia.System {
-	cfg := pythia.DefaultConfig()
-	cfg.Predictor = opts
-	cfg.Replay = replay.Config{BufferPages: s.bufferPages()}
-	sys := pythia.New(g.DB(), cfg)
-	sys.Train(name, train)
-	return sys
-}
 
 // meanF1 is Pythia's mean F1 over a set of held-out queries.
 func meanF1(sys *pythia.System, test []*workload.Instance) float64 {
@@ -36,19 +23,10 @@ func meanF1(sys *pythia.System, test []*workload.Instance) float64 {
 func (s *Suite) Figure12a() *Table {
 	t := newTable("fig12a", "F1 vs database scale factor (t18)",
 		"scale factor", "mean F1")
-	base := s.cfg.Scale
-	for _, frac := range []struct {
-		label string
-		scale int
-	}{
-		{"SF25", base / 4},
-		{"SF50", base / 2},
-		{"SF100", base},
-	} {
-		g := dsb.NewGenerator(dsb.Config{ScaleFactor: max(frac.scale, 2), Seed: s.cfg.Seed})
-		w := g.Workload("t18", s.cfg.PerTemplate, s.cfg.Seed+11)
-		train, test := w.Split(s.cfg.TestFraction, s.cfg.Seed+23)
-		t.addRow(frac.label, meanF1(s.trainFresh(g, "t18", train, s.ablationOptions()), test))
+	for _, pct := range []int{25, 50, 100} {
+		k := dbKey{scale: max(s.cfg.Scale*pct/100, 2)}
+		sp := s.split(k, "t18")
+		t.addRow(fmt.Sprintf("SF%d", pct), meanF1(s.ablation(k, s.trained(k, "t18", sp.train, s.ablationOptions())), sp.test))
 	}
 	return t
 }
@@ -58,10 +36,10 @@ func (s *Suite) Figure12a() *Table {
 func (s *Suite) Figure12b() *Table {
 	t := newTable("fig12b", "F1 vs training data fraction (t18)",
 		"train fraction", "mean F1")
-	sp := s.Split("t18")
+	k, sp := s.home("t18"), s.Split("t18")
 	for _, frac := range []float64{0.10, 0.25, 0.50, 0.75, 1.0} {
 		sub := workload.Subsample(sp.train, frac, s.cfg.Seed+31)
-		sys := s.trainFresh(s.generator(), "t18", sub, s.ablationOptions())
+		sys := s.ablation(k, s.trained(k, "t18", sub, s.ablationOptions()))
 		t.addRow(fmt.Sprintf("%.0f%%", frac*100), meanF1(sys, sp.test))
 	}
 	return t
@@ -73,7 +51,7 @@ func (s *Suite) Figure12b() *Table {
 func (s *Suite) Figure12c() *Table {
 	t := newTable("fig12c", "Homogeneous vs heterogeneous workload (t18+t19)",
 		"configuration", "t18 F1", "t19 F1")
-	sys := s.DSBSystem("t18", "t19")
+	sys := s.system("t18", "t19")
 	sp18, sp19 := s.Split("t18"), s.Split("t19")
 	t.addRow("homogeneous", meanF1(sys, sp18.test), meanF1(sys, sp19.test))
 
@@ -82,7 +60,8 @@ func (s *Suite) Figure12c() *Table {
 	mixed := append(append([]*workload.Instance{},
 		workload.Subsample(sp18.train, 0.5, s.cfg.Seed+41)...),
 		workload.Subsample(sp19.train, 0.5, s.cfg.Seed+43)...)
-	hsys := s.trainFresh(s.generator(), "t18", mixed, s.ablationOptions())
+	k := s.home("t18")
+	hsys := s.ablation(k, s.trained(k, "t18", mixed, s.ablationOptions()))
 	t.addRow("heterogeneous", meanF1(hsys, sp18.test), meanF1(hsys, sp19.test))
 	return t
 }
@@ -95,11 +74,11 @@ func (s *Suite) Figure12c() *Table {
 func (s *Suite) Figure12d() *Table {
 	t := newTable("fig12d", "Separate vs combined index/base-table heads on one trunk (t18)",
 		"configuration", "mean F1", "total params")
-	sp := s.Split("t18")
+	k, sp := s.home("t18"), s.Split("t18")
 
 	// Combined: group each relation's heap with its index.
 	combined := s.ablationOptions()
-	for _, rel := range s.generator().DB().Relations() {
+	for _, rel := range s.database(k).sys.DB.Relations() {
 		for _, ix := range rel.Indexes() {
 			combined.Groups = append(combined.Groups, []storage.ObjectID{
 				rel.Heap.ID, ix.Tree.Object().ID,
@@ -113,12 +92,8 @@ func (s *Suite) Figure12d() *Table {
 		{"separate", s.ablationOptions()},
 		{"combined", combined},
 	} {
-		sys := s.trainFresh(s.generator(), "t18", sp.train, v.opts)
-		params := 0
-		for _, w := range sys.Workloads() {
-			params += w.Pred.ParamCount()
-		}
-		t.addRow(v.label, meanF1(sys, sp.test), params)
+		tw := s.trained(k, "t18", sp.train, v.opts)
+		t.addRow(v.label, meanF1(s.ablation(k, tw), sp.test), tw.Pred.ParamCount())
 	}
 	return t
 }
@@ -129,7 +104,7 @@ func (s *Suite) Figure12d() *Table {
 func (s *Suite) Figure12e() *Table {
 	t := newTable("fig12e", "Speedup by buffer replacement policy (t18, half buffer)",
 		"policy", "speedup")
-	sys := s.DSBSystem("t18")
+	sys := s.system("t18")
 	half := s.bufferPages() / 2
 	for _, pol := range []buffer.Policy{buffer.Clock, buffer.LRU, buffer.MRU} {
 		v := sys.WithReplay(replay.Config{BufferPages: half, BufferPolicy: pol})
@@ -144,7 +119,7 @@ func (s *Suite) Figure12e() *Table {
 func (s *Suite) Figure12f() *Table {
 	t := newTable("fig12f", "Speedup vs buffer size (t18)",
 		"buffer", "pages", "speedup")
-	sys := s.DSBSystem("t18")
+	sys := s.system("t18")
 	base := s.bufferPages()
 	for _, mul := range []struct {
 		label    string
@@ -164,7 +139,7 @@ func (s *Suite) Figure12f() *Table {
 func (s *Suite) Figure12g() *Table {
 	t := newTable("fig12g", "Speedup vs readahead window R (t18)",
 		"window", "speedup")
-	sys := s.DSBSystem("t18")
+	sys := s.system("t18")
 	for _, w := range []int{16, 64, 256, 1024, 4096} {
 		v := sys.WithWindow(w)
 		t.addRow(fmt.Sprint(w), s.meanSpeedups(v, "t18", v.Prefetch)[0])
@@ -179,7 +154,7 @@ func (s *Suite) Figure12g() *Table {
 func (s *Suite) Figure12h() *Table {
 	t := newTable("fig12h", "Speedup when predicting only top-k frequent pages (t18)",
 		"label space", "speedup")
-	sp := s.Split("t18")
+	k, sp := s.home("t18"), s.Split("t18")
 
 	// Distinct observed pages define the full label-space size; the paper's
 	// 20k/40k/60k sweep maps to 25% / 50% / 75% of it at this scale.
@@ -202,7 +177,7 @@ func (s *Suite) Figure12h() *Table {
 	for _, v := range variants {
 		opts := s.ablationOptions()
 		opts.TopK = v.topK
-		sys := s.trainFresh(s.generator(), "t18", sp.train, opts)
+		sys := s.ablation(k, s.trained(k, "t18", sp.train, opts))
 		t.addRow(v.label, s.meanSpeedups(sys, "t18", sys.Prefetch)[0])
 	}
 	return t

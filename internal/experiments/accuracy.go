@@ -27,7 +27,7 @@ func (s *Suite) Table1() *Table {
 func (s *Suite) Figure1() *Table {
 	t := newTable("fig1", "Prefetching sequential vs non-sequential reads (oracle)",
 		"template", "seq-only speedup", "non-seq-only speedup")
-	sys := s.DSBSystem() // no training needed: oracle prefetch sets
+	sys := s.system() // no training needed: oracle prefetch sets
 	for _, tpl := range s.Templates() {
 		m := s.meanSpeedups(sys, tpl, baselines.OracleSequential, baselines.Oracle)
 		t.addRow(tpl, m[0], m[1])
@@ -80,7 +80,7 @@ func (s *Suite) Figure6() *Table {
 	t := newTable("fig6", "Speedup: Pythia vs ORCL vs NN",
 		"template", "Pythia", "ORCL", "NN")
 	for _, tpl := range s.Templates() {
-		sys, train := s.DSBSystem(tpl), s.Split(tpl).train
+		sys, train := s.system(tpl), s.Split(tpl).train
 		nn := func(i *workload.Instance) []storage.PageID { return baselines.NearestNeighbor(i, train) }
 		m := s.meanSpeedups(sys, tpl, sys.Prefetch, baselines.Oracle, nn)
 		t.addRow(tpl, m[0], m[1], m[2])

@@ -20,7 +20,7 @@ import (
 func (s *Suite) ExtChaos() *Table {
 	t := newTable("ext-chaos", "Fault injection and graceful degradation (t91)",
 		"prefetch fault rate", "speedup", "retries", "abandons", "fallback reads", "inference misses")
-	sys := s.DSBSystem("t91")
+	sys := s.system("t91")
 	insts := s.speedupSample("t91")
 
 	base := sys.Run(insts, nil, nil)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -53,23 +54,40 @@ func TestTableFormatting(t *testing.T) {
 	tab.Get("zz", "bb")
 }
 
+// One fresh fast suite run over the whole registry in Names() order, the
+// order pythia-experiments prints it: TestFastSuiteGolden reads its tables
+// and TestEachWorkloadTrainedOnce what it built.
+var (
+	fastRunOnce   sync.Once
+	fastRunSuite  *Suite
+	fastRunTables []*Table
+)
+
+func fastRun(t *testing.T) (*Suite, []*Table) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("experiment suite in -short mode")
+	}
+	fastRunOnce.Do(func() {
+		fastRunSuite = NewSuite(Fast())
+		for _, id := range Names() {
+			fastRunTables = append(fastRunTables, Registry[id](fastRunSuite))
+		}
+	})
+	return fastRunSuite, fastRunTables
+}
+
 // TestFastSuiteGolden pins every experiment's printed table: a fresh fast
-// suite runs the registry in Names() order (the order pythia-experiments
-// prints it), and the tables must match testdata/fast.golden byte for byte.
+// suite runs the registry in Names() order, and the tables must match
+// testdata/fast.golden byte for byte.
 // Every cell but a row's label must also read back: Get of
 // its row label and column header, printed at the cell's own precision, is
 // the cell. Regenerate with UPDATE_GOLDEN=1.
 func TestFastSuiteGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment suite in -short mode")
-	}
-	s := NewSuite(Fast())
+	_, tabs := fastRun(t)
 	var b strings.Builder
-	for _, id := range Names() {
-		tab, err := s.Run(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, tab := range tabs {
+		id := tab.ID
 		for _, row := range tab.Rows {
 			for i, cell := range row[1:] {
 				col := tab.Columns[i+1]
@@ -106,6 +124,59 @@ func TestFastSuiteGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("fast-suite tables diverged from golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestSuiteOrderIndependent runs the registry backwards and then forwards
+// again on one fresh fast suite, and every table must still equal its block
+// in testdata/fast.golden: a table depends on what its experiment computes,
+// not on which experiment trained a shared workload first, and no experiment
+// may mutate a workload that another run is handed.
+func TestSuiteOrderIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite in -short mode")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "fast.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, block := range strings.SplitAfter(string(golden), "\n\n") {
+		if f := strings.Fields(block); len(f) > 1 {
+			want[f[1]] = block
+		}
+	}
+	s := NewSuite(Fast())
+	backward := slices.Clone(Names())
+	slices.Reverse(backward)
+	for pass, ids := range [][]string{backward, Names()} {
+		for _, id := range ids {
+			tab, err := s.Run(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tab.String() + "\n"; got != want[id] {
+				t.Errorf("pass %d: %s diverged from golden\n--- got ---\n%s--- want ---\n%s", pass+1, id, got, want[id])
+			}
+		}
+	}
+}
+
+// TestEachWorkloadTrainedOnce counts what the suite builds. A full fast run
+// trains 20 distinct workloads over four databases (DSB at SF 2, 4 and 8,
+// and IMDB), and one experiment builds only the database it uses.
+func TestEachWorkloadTrainedOnce(t *testing.T) {
+	s, _ := fastRun(t)
+	if s.trainings != 20 || s.builds != 4 {
+		t.Errorf("full run: %d trainings over %d databases, want 20 over 4", s.trainings, s.builds)
+	}
+
+	s = NewSuite(Fast())
+	if _, err := s.Run("fig12b"); err != nil {
+		t.Fatal(err)
+	}
+	if s.trainings != 5 || s.builds != 1 || s.dbs[s.home("t18")] == nil {
+		t.Errorf("fig12b alone: %d trainings over %d databases %v, want 5 over the DSB one", s.trainings, s.builds, s.dbs)
 	}
 }
 
@@ -386,7 +457,7 @@ func TestExtChaosDegradesGracefully(t *testing.T) {
 	if tab.Get("20%", "retries") == 0 {
 		t.Fatalf("no retries at 20%% faults:\n%s", tab)
 	}
-	chaos := s.DSBSystem("t91").WithFault(fault.New(fault.Plan{PrefetchReadRate: 0.6}, s.cfg.Seed+77))
+	chaos := s.system("t91").WithFault(fault.New(fault.Plan{PrefetchReadRate: 0.6}, s.cfg.Seed+77))
 	res := chaos.Run(s.speedupSample("t91"), nil, chaos.Prefetch)
 	if res.PrefetchAbandons == 0 || res.FallbackSyncReads == 0 {
 		t.Fatalf("60%% faults: %d abandons, %d fallback reads, want both above zero", res.PrefetchAbandons, res.FallbackSyncReads)

@@ -43,7 +43,10 @@ func (s *Suite) ExtDrift() *Table {
 	futureUpdate := future[:len(future)/2]
 	futureTest := future[len(future)/2:]
 
-	sys := s.trainFresh(s.generator(), "t18", pastTrain, s.ablationOptions())
+	// The incremental update below mutates this workload, so it is trained
+	// outside the memo: no other run may be handed it.
+	k := s.home("t18")
+	sys := s.ablation(k, s.train(k, "t18", pastTrain, s.ablationOptions()))
 	t.addRow("past queries (in distribution)", meanF1(sys, pastTest))
 	t.addRow("future queries (drifted)", meanF1(sys, futureTest))
 
@@ -70,7 +73,7 @@ func (s *Suite) ExtDrift() *Table {
 func (s *Suite) ExtSerializationAblation() *Table {
 	t := newTable("ext-serialization", "Value tokenization ablation (t91)",
 		"tokenization", "mean F1")
-	sp := s.Split("t91")
+	k, sp := s.home("t91"), s.Split("t91")
 	for _, v := range []struct {
 		label   string
 		buckets int
@@ -89,7 +92,7 @@ func (s *Suite) ExtSerializationAblation() *Table {
 			opts.Serialize.ValueBuckets = -v.buckets
 			opts.Serialize.SingleResolution = true
 		}
-		t.addRow(v.label, meanF1(s.trainFresh(s.generator(), "t91", sp.train, opts), sp.test))
+		t.addRow(v.label, meanF1(s.ablation(k, s.trained(k, "t91", sp.train, opts)), sp.test))
 	}
 	return t
 }
@@ -102,7 +105,7 @@ func (s *Suite) ExtSerializationAblation() *Table {
 func (s *Suite) ExtScheduler() *Table {
 	t := newTable("ext-scheduler", "Prefetch-aware query scheduling (t18+t19+t91)",
 		"ordering", "total latency speedup vs arrival order", "chain overlap")
-	sys := s.DSBSystem("t18", "t19", "t91")
+	sys := s.system("t18", "t19", "t91")
 	r := sim.NewRand(s.cfg.Seed + 97)
 
 	// A batch interleaving the three templates: arrival order alternates

@@ -51,7 +51,7 @@ func sequentialArrivals(sys *pythia.System, insts []*workload.Instance) []sim.Du
 func (s *Suite) Figure13a() *Table {
 	t := newTable("fig13a", "Sequential multi-query speedup, warm cache",
 		"run", "Pythia", "ORCL")
-	sys := s.DSBSystem("t18", "t19", "t91")
+	sys := s.system("t18", "t19", "t91")
 	r := sim.NewRand(s.cfg.Seed + 77)
 	runs := 3
 	var pys, orcls []float64
@@ -74,7 +74,7 @@ func (s *Suite) Figure13a() *Table {
 func (s *Suite) Figure13b() *Table {
 	t := newTable("fig13b", "Concurrent queries, single template (t91)",
 		"concurrent queries", "speedup")
-	sys := s.DSBSystem("t91")
+	sys := s.system("t91")
 	r := sim.NewRand(s.cfg.Seed + 79)
 	for _, n := range []int{1, 2, 4, 8} {
 		insts := s.sampleMixed(r, []string{"t91"}, n)
@@ -89,7 +89,7 @@ func (s *Suite) Figure13b() *Table {
 func (s *Suite) Figure13c() *Table {
 	t := newTable("fig13c", "Concurrent queries, mixed templates",
 		"concurrent queries", "speedup")
-	sys := s.DSBSystem("t18", "t19", "t91")
+	sys := s.system("t18", "t19", "t91")
 	r := sim.NewRand(s.cfg.Seed + 83)
 	for _, n := range []int{1, 2, 4, 8} {
 		insts := s.sampleMixed(r, s.Templates(), n)
@@ -104,7 +104,7 @@ func (s *Suite) Figure13c() *Table {
 func (s *Suite) Figure13d() *Table {
 	t := newTable("fig13d", "Concurrent queries with different overlap (t91)",
 		"expected overlap", "speedup")
-	sys := s.DSBSystem("t91")
+	sys := s.system("t91")
 	r := sim.NewRand(s.cfg.Seed + 89)
 	insts := s.sampleMixed(r, []string{"t91"}, 5)
 

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"sort"
-	"sync"
+	"fmt"
 
+	"github.com/pythia-db/pythia/internal/catalog"
 	"github.com/pythia-db/pythia/internal/dsb"
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/imdb"
@@ -91,19 +91,34 @@ type split struct {
 	test  []*workload.Instance
 }
 
-// Suite lazily builds and caches the expensive artifacts (databases,
-// workloads, trained systems) shared by the experiments.
+// dbKey names one generated database: IMDB or DSB, at a scale.
+type dbKey struct {
+	imdb  bool
+	scale int
+}
+
+// database is one generated database, the workload splits drawn from it, and
+// the untrained system the main experiments replay over it: that system's
+// buffer and its one fault injector serve every shared system of the
+// database for the suite's lifetime, so the injector's draws follow the
+// order of the suite's replays.
+type database struct {
+	sys    *pythia.System
+	draw   func(name string) *workload.Workload
+	splits map[string]*split
+}
+
+// Suite builds what the experiments share — databases, workload splits and
+// trained workloads — on first use and keeps it, so each distinct one is
+// built once per suite whichever experiments need it, in whatever order. A
+// Suite is not safe for concurrent use.
 type Suite struct {
 	cfg Config
 
-	mu       sync.Mutex
-	gen      *dsb.Generator
-	imdbGen  *imdb.Generator
-	splits   map[string]*split
-	dsbSys   *pythia.System
-	imdbSys  *pythia.System
-	trainedD map[string]bool
-	trainedI bool
+	dbs  map[dbKey]*database
+	memo map[string]*pythia.Trained
+	// builds and trainings count database builds and trainings.
+	builds, trainings int
 }
 
 // NewSuite returns a suite over cfg.
@@ -111,11 +126,7 @@ func NewSuite(cfg Config) *Suite {
 	if cfg.PerTemplate <= 0 {
 		cfg = DefaultConfig()
 	}
-	return &Suite{
-		cfg:      cfg,
-		splits:   map[string]*split{},
-		trainedD: map[string]bool{},
-	}
+	return &Suite{cfg: cfg, dbs: map[dbKey]*database{}, memo: map[string]*pythia.Trained{}}
 }
 
 // Config returns the suite configuration.
@@ -124,44 +135,109 @@ func (s *Suite) Config() Config { return s.cfg }
 // Templates lists the DSB templates under study.
 func (s *Suite) Templates() []string { return []string{"t18", "t19", "t91"} }
 
-func (s *Suite) generator() *dsb.Generator {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gen == nil {
-		s.gen = dsb.NewGenerator(dsb.Config{ScaleFactor: s.cfg.Scale, Seed: s.cfg.Seed})
+// database builds (once) and returns the database k names: the suite's one
+// path to a generator.
+func (s *Suite) database(k dbKey) *database {
+	if d, ok := s.dbs[k]; ok {
+		return d
 	}
-	return s.gen
+	s.builds++
+	d := &database{splits: map[string]*split{}}
+	var db *catalog.Database
+	cfg := pythia.DefaultConfig()
+	cfg.Replay.Fault = s.faultInjector()
+	if k.imdb {
+		g := imdb.NewGenerator(imdb.Config{Scale: k.scale, Seed: s.cfg.Seed})
+		db = g.DB()
+		d.draw = func(string) *workload.Workload { return g.Workload(s.cfg.IMDBInstances, s.cfg.Seed+101) }
+		// Sized so the big instances' predictions overflow the buffer — the
+		// limited-prefetching regime (§5.1).
+		cfg.Replay.BufferPages = db.Registry.TotalPages() / 12
+	} else {
+		g := dsb.NewGenerator(dsb.Config{ScaleFactor: k.scale, Seed: s.cfg.Seed})
+		db = g.DB()
+		d.draw = func(tpl string) *workload.Workload { return g.Workload(tpl, s.cfg.PerTemplate, s.cfg.Seed+11) }
+		// ≈1.5% of data, after the paper's ~1% guideline, floored to keep
+		// the pool useful at tiny test scales.
+		cfg.Replay.BufferPages = max(db.Registry.TotalPages()*3/200, 256)
+	}
+	d.sys = pythia.New(db, cfg)
+	s.dbs[k] = d
+	return d
 }
 
-func (s *Suite) imdbGenerator() *imdb.Generator {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.imdbGen == nil {
-		s.imdbGen = imdb.NewGenerator(imdb.Config{Scale: s.cfg.IMDBScale, Seed: s.cfg.Seed})
+// home is the database the main experiments draw a workload from: IMDB for
+// imdb1a, DSB at the suite's scale for a template.
+func (s *Suite) home(name string) dbKey {
+	if name == "imdb1a" {
+		return dbKey{imdb: true, scale: s.cfg.IMDBScale}
 	}
-	return s.imdbGen
+	return dbKey{scale: s.cfg.Scale}
 }
 
-// Split builds (once) and returns the named workload's train/test split.
-// Names: t18, t19, t91, imdb1a.
-func (s *Suite) Split(name string) *split {
-	g := s.generator() // outside the lock: may build the DB
-	ig := s.imdbGenerator()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sp, ok := s.splits[name]; ok {
+// Split builds (once) and returns the named workload's train/test split over
+// its home database. Names: t18, t19, t91, imdb1a.
+func (s *Suite) Split(name string) *split { return s.split(s.home(name), name) }
+
+// split builds (once) and returns a workload's train/test split over
+// database k.
+func (s *Suite) split(k dbKey, name string) *split {
+	d := s.database(k)
+	if sp, ok := d.splits[name]; ok {
 		return sp
 	}
-	var w *workload.Workload
-	if name == "imdb1a" {
-		w = ig.Workload(s.cfg.IMDBInstances, s.cfg.Seed+101)
-	} else {
-		w = g.Workload(name, s.cfg.PerTemplate, s.cfg.Seed+11)
-	}
+	w := d.draw(name)
 	train, test := w.Split(s.cfg.TestFraction, s.cfg.Seed+23)
 	sp := &split{all: w, train: train, test: test}
-	s.splits[name] = sp
+	d.splits[name] = sp
 	return sp
+}
+
+// trained returns workload name of database k trained with opts on train,
+// training it on first use. The key is everything the weights depend on, so
+// experiments that need the same workload share one training; train prints
+// as its instances' addresses, in order. A workload that an experiment
+// mutates must come from train instead, or a later run would be handed the
+// mutation.
+func (s *Suite) trained(k dbKey, name string, train []*workload.Instance, opts predictor.Options) *pythia.Trained {
+	key := fmt.Sprintf("%v %s %+v %v", k, name, opts, train)
+	tw, ok := s.memo[key]
+	if !ok {
+		tw = s.train(k, name, train, opts)
+		s.memo[key] = tw
+	}
+	return tw
+}
+
+// train fits workload name of database k with opts on train: the suite's one
+// training path.
+func (s *Suite) train(k dbKey, name string, train []*workload.Instance, opts predictor.Options) *pythia.Trained {
+	s.trainings++
+	cfg := pythia.DefaultConfig()
+	cfg.Predictor = opts
+	return pythia.New(s.database(k).sys.DB, cfg).Train(name, train)
+}
+
+// system assembles the main experiments' system: the named workloads of one
+// database (DSB templates, or imdb1a), each trained with predictorOptions on
+// its split, over the database's shared system.
+func (s *Suite) system(names ...string) *pythia.System {
+	k := dbKey{scale: s.cfg.Scale} // no names: Figure 1 replays oracles over DSB
+	if len(names) > 0 {
+		k = s.home(names[0])
+	}
+	tws := make([]*pythia.Trained, len(names))
+	for i, name := range names {
+		tws[i] = s.trained(k, name, s.split(k, name).train, s.predictorOptions())
+	}
+	return s.database(k).sys.WithWorkloads(tws...)
+}
+
+// ablation assembles a system over database k serving one workload, sized
+// like the main buffer and replaying without faults: the retraining
+// ablations and extensions.
+func (s *Suite) ablation(k dbKey, tw *pythia.Trained) *pythia.System {
+	return s.database(k).sys.WithReplay(replay.Config{BufferPages: s.bufferPages()}).WithWorkloads(tw)
 }
 
 // predictorOptions builds the standard training options.
@@ -182,77 +258,9 @@ func (s *Suite) ablationOptions() predictor.Options {
 	return o
 }
 
-// bufferPages derives the main experiments' pool size from the database
-// (≈1.5% of data, after the paper's ~1% guideline, floored to keep the pool
-// useful at tiny test scales).
+// bufferPages is the main DSB experiments' pool size.
 func (s *Suite) bufferPages() int {
-	return max(s.generator().DB().Registry.TotalPages()*3/200, 256)
-}
-
-// DSBSystem returns the shared DSB Pythia system with the named templates
-// trained (each trained at most once).
-func (s *Suite) DSBSystem(templates ...string) *pythia.System {
-	// Resolve splits first: Split takes the lock itself.
-	splits := map[string]*split{}
-	for _, tpl := range templates {
-		splits[tpl] = s.Split(tpl)
-	}
-	bufPages := s.bufferPages()
-	s.mu.Lock()
-	if s.dsbSys == nil {
-		cfg := pythia.DefaultConfig()
-		cfg.Predictor = s.predictorOptions()
-		cfg.Replay = replay.Config{BufferPages: bufPages, Fault: s.faultInjector()}
-		s.dsbSys = pythia.New(s.gen.DB(), cfg)
-	}
-	sys := s.dsbSys
-	var toTrain []string
-	for _, tpl := range templates {
-		if !s.trainedD[tpl] {
-			s.trainedD[tpl] = true
-			toTrain = append(toTrain, tpl)
-		}
-	}
-	s.mu.Unlock()
-	sort.Strings(toTrain)
-	for _, tpl := range toTrain {
-		sys.Train(tpl, splits[tpl].train)
-	}
-	return sys
-}
-
-// IMDBSystem returns the IMDB Pythia system with template 1a trained.
-func (s *Suite) IMDBSystem() *pythia.System {
-	sp := s.Split("imdb1a")
-	s.mu.Lock()
-	if s.imdbSys == nil {
-		cfg := pythia.DefaultConfig()
-		cfg.Predictor = s.predictorOptions()
-		// The IMDB buffer is sized so the big instances' predictions
-		// overflow it — the limited-prefetching regime (§5.1).
-		cfg.Replay = replay.Config{
-			BufferPages: s.imdbGen.DB().Registry.TotalPages() / 12,
-			Fault:       s.faultInjector(),
-		}
-		s.imdbSys = pythia.New(s.imdbGen.DB(), cfg)
-	}
-	sys := s.imdbSys
-	train := !s.trainedI
-	s.trainedI = true
-	s.mu.Unlock()
-	if train {
-		sys.Train("imdb1a", sp.train)
-	}
-	return sys
-}
-
-// system returns the shared system with the named workload trained: the
-// IMDB system for imdb1a, the DSB system for a template.
-func (s *Suite) system(name string) *pythia.System {
-	if name == "imdb1a" {
-		return s.IMDBSystem()
-	}
-	return s.DSBSystem(name)
+	return s.database(dbKey{scale: s.cfg.Scale}).sys.Config().Replay.BufferPages
 }
 
 // faultInjector builds the config-level injector, or nil when no plan is

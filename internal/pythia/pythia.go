@@ -9,6 +9,7 @@ package pythia
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -257,6 +258,15 @@ func (s *System) WithWindow(w int) *System {
 func (s *System) WithFault(inj *fault.Injector) *System {
 	clone := *s
 	clone.cfg.Replay.Fault = inj
+	return &clone
+}
+
+// WithWorkloads returns a copy of the system serving exactly the given
+// trained workloads, in order (the experiment suite assembles systems from
+// workloads it trains once).
+func (s *System) WithWorkloads(tws ...*Trained) *System {
+	clone := *s
+	clone.trained = slices.Clone(tws)
 	return &clone
 }
 
