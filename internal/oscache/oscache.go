@@ -42,12 +42,20 @@ func (s Stats) HitRatio() float64 {
 
 // Stream is one reader's sequential-access detector (the analog of a file
 // descriptor's readahead state). Each scan node and each prefetch worker
-// owns its own Stream.
+// owns its own Stream, made by the Cache it reads through.
+//
+// ahead is a watermark: pages last+1 through ahead of the object were
+// resident when the cache had removed removedAt pages in all. While the
+// cache's count still reads removedAt, they still are, so the next
+// sequential read's readahead starts after ahead instead of probing them
+// again.
 type Stream struct {
-	object storage.ObjectID
-	last   storage.PageNum
-	valid  bool
-	window int
+	object    storage.ObjectID
+	last      storage.PageNum
+	valid     bool
+	window    int
+	ahead     storage.PageNum
+	removedAt uint64
 }
 
 // entry is one cached page and its neighbours in the recency ring.
@@ -68,6 +76,7 @@ type Cache struct {
 	index     *storage.PageIndex
 	entries   []entry
 	free      int32            // slots emptied by Drop, chained through next and reused first
+	removed   uint64           // pages ever removed: evictions, Drop and Clear
 	readahead []storage.PageID // scratch behind Read's second result
 	stats     Stats
 	rec       obs.Recorder // nil = observability off (one nil-check per event)
@@ -127,6 +136,8 @@ func (c *Cache) Contains(p storage.PageID) bool {
 // into the cache; the caller charges their device time in the background).
 // The readahead slice is the cache's own scratch: it is valid until the next
 // Read.
+//
+//pythia:noalloc
 func (c *Cache) Read(s *Stream, p storage.PageID, objPages storage.PageNum) (hit bool, readahead []storage.PageID) {
 	sequential := s.valid && s.object == p.Object && p.Page == s.last+1
 	if sequential {
@@ -145,12 +156,17 @@ func (c *Cache) Read(s *Stream, p storage.PageID, objPages storage.PageNum) (hit
 	hit = c.touchOrMiss(p)
 
 	c.readahead = c.readahead[:0]
-	if sequential && s.window > 0 {
-		for i := 1; i <= s.window; i++ {
-			n := p.Page + storage.PageNum(i)
-			if n >= objPages {
-				break
-			}
+	ahead := p.Page
+	if sequential {
+		// The pages up to the watermark would all answer Contains: skip them
+		// unless something was removed since it was set (touchOrMiss may
+		// just have evicted).
+		n := p.Page + 1
+		if s.removedAt == c.removed && s.ahead >= n {
+			n = s.ahead + 1
+		}
+		removed := c.removed
+		for end := p.Page + storage.PageNum(s.window); n <= end && n < objPages; n++ {
 			ra := storage.PageID{Object: p.Object, Page: n}
 			if c.Contains(ra) {
 				continue
@@ -159,11 +175,16 @@ func (c *Cache) Read(s *Stream, p storage.PageID, objPages storage.PageNum) (hit
 			c.record(obs.OSReadaheadPage, ra)
 			c.readahead = append(c.readahead, ra)
 		}
+		// Pages p+1 to n-1 are resident now, unless an insert evicted one.
+		if c.removed == removed {
+			ahead = n - 1
+		}
 		if len(c.readahead) > 0 {
 			c.stats.ReadaheadBursts++
 			c.stats.ReadaheadPages += uint64(len(c.readahead))
 		}
 	}
+	s.ahead, s.removedAt = ahead, c.removed
 	return hit, c.readahead
 }
 
@@ -195,6 +216,7 @@ func (c *Cache) insert(p storage.PageID) {
 		victim := c.entries[slot].page
 		c.unlink(slot)
 		c.index.Delete(victim)
+		c.removed++
 		c.stats.Evictions++
 		c.record(obs.OSCacheEvict, victim)
 	case c.free != 0:
@@ -230,6 +252,7 @@ func (c *Cache) Drop(p storage.PageID) {
 	if slot, ok := c.index.Get(p); ok {
 		c.unlink(slot)
 		c.index.Delete(p)
+		c.removed++
 		c.entries[slot].next = c.free
 		c.free = slot
 	}
@@ -238,6 +261,7 @@ func (c *Cache) Drop(p storage.PageID) {
 // Clear empties the cache — the experiment harness's "echo 3 >
 // /proc/sys/vm/drop_caches" between cold-cache runs.
 func (c *Cache) Clear() {
+	c.removed += uint64(c.index.Len())
 	c.index.Reset()
 	c.entries = append(c.entries[:0], entry{})
 	c.free = 0

@@ -171,6 +171,45 @@ func TestClearAndDrop(t *testing.T) {
 	}
 }
 
+// TestReadaheadReprobesAfterRemoval holds the readahead watermark to its
+// guard: a page of a stream's window that leaves the cache between two
+// sequential reads — evicted by another reader, dropped, or cleared — must
+// come back as readahead on the next read, not be skipped as already checked.
+func TestReadaheadReprobesAfterRemoval(t *testing.T) {
+	target := pg(1, 5)
+	for _, tc := range []struct {
+		name   string
+		remove func(c *Cache)
+	}{
+		{"evict", func(c *Cache) {
+			other := c.NewStream()
+			for n := uint32(0); c.Contains(target); n += 2 { // stride 2: never sequential
+				c.Read(other, pg(2, n), 1000)
+			}
+		}},
+		{"drop", func(c *Cache) { c.Drop(target) }},
+		{"clear", func(c *Cache) { c.Clear() }},
+	} {
+		c := New(16, 0)
+		s := c.NewStream()
+		for n := uint32(0); n < 3; n++ { // leaves pages 0-6 resident
+			c.Read(s, pg(1, n), 1000)
+		}
+		tc.remove(c)
+		if c.Contains(target) {
+			t.Fatalf("%s: page %v still resident", tc.name, target)
+		}
+		_, ra := c.Read(s, pg(1, 3), 1000)
+		found := false
+		for _, p := range ra {
+			found = found || p == target
+		}
+		if !found || !c.Contains(target) {
+			t.Fatalf("%s: readahead %v after removing %v did not fetch it again", tc.name, ra, target)
+		}
+	}
+}
+
 func TestHitRatio(t *testing.T) {
 	var s Stats
 	if s.HitRatio() != 0 {

@@ -170,8 +170,8 @@ func TestCacheMatchesMapReference(t *testing.T) {
 						t.Fatalf("seed %d step %d: Read(%v) readahead %v, reference %v", seed, step, page, ra, wantRA)
 					}
 				}
-				if *gotStreams[k] != *wantStreams[k] {
-					t.Fatalf("seed %d step %d: stream %+v, reference %+v", seed, step, *gotStreams[k], *wantStreams[k])
+				if g, w := gotStreams[k], wantStreams[k]; g.object != w.object || g.last != w.last || g.valid != w.valid || g.window != w.window {
+					t.Fatalf("seed %d step %d: stream %+v, reference %+v", seed, step, *g, *w)
 				}
 				if w := wantStreams[k].window; len(wantRA) < w && page.Page+storage.PageNum(w) >= size {
 					cut++

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// TestEngineMatchesSortedReference checks the hand-written heap against the
-// definition of the dispatch order: always the pending event that is first
-// under a stable sort on time, i.e. earliest first and FIFO among events of
-// one instant. Times are drawn from a handful of values so ties are the
-// common case, and callbacks schedule further events — some for the current
-// instant — while the queue is being drained.
+// TestEngineMatchesSortedReference checks the register and the hand-written
+// heap against the definition of the dispatch order: always the pending event
+// that is first under a stable sort on time, i.e. earliest first and FIFO
+// among events of one instant. Times are drawn from a handful of values so
+// ties are the common case, and callbacks schedule further events — some for
+// the current instant — while the queue is being drained. Pending must equal
+// the reference queue's length after every dispatch, held event included.
 func TestEngineMatchesSortedReference(t *testing.T) {
 	type pending struct {
 		at    Time
@@ -37,6 +38,7 @@ func TestEngineMatchesSortedReference(t *testing.T) {
 		}
 
 		var got []int
+		var gotPending []int // eng.Pending() as each callback returns
 		eng := NewEngine()
 		nextID := 0
 		var schedule func(at Time, depth int)
@@ -51,14 +53,18 @@ func TestEngineMatchesSortedReference(t *testing.T) {
 				for _, d := range spawn(id, depth) {
 					schedule(eng.Now().Add(d), depth+1)
 				}
+				gotPending = append(gotPending, eng.Pending())
 			})
 		}
 		for _, at := range roots {
 			schedule(at, 0)
 		}
+		if eng.Pending() != len(roots) {
+			t.Fatalf("seed %d: Pending %d before Run, %d scheduled", seed, eng.Pending(), len(roots))
+		}
 		eng.Run()
 
-		var want []int
+		var want, wantPending []int
 		var queue []pending
 		nextID = 0
 		for _, at := range roots {
@@ -76,6 +82,7 @@ func TestEngineMatchesSortedReference(t *testing.T) {
 				queue = append(queue, pending{at: ev.at.Add(d), id: nextID, depth: ev.depth + 1})
 				nextID++
 			}
+			wantPending = append(wantPending, len(queue))
 		}
 
 		if len(got) != len(want) || eng.Steps() != uint64(len(want)) || eng.Pending() != 0 {
@@ -84,6 +91,9 @@ func TestEngineMatchesSortedReference(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("seed %d: dispatch %d ran event %d, reference runs %d", seed, i, got[i], want[i])
+			}
+			if gotPending[i] != wantPending[i] {
+				t.Fatalf("seed %d: after dispatch %d Pending is %d, reference queue holds %d", seed, i, gotPending[i], wantPending[i])
 			}
 		}
 	}
