@@ -247,17 +247,6 @@ func (p *Pool) PinnedCount() int {
 	return n
 }
 
-// Clear empties the pool (a "restart Postgres" between cold-cache runs) but
-// keeps counters; use ResetStats to clear those too.
-func (p *Pool) Clear() {
-	p.index.Reset()
-	p.frames = append(p.frames[:0], frame{})
-	p.hand = 1
-}
-
-// ResetStats zeroes the counters.
-func (p *Pool) ResetStats() { p.stats = Stats{} }
-
 // --- policy plumbing ---
 
 // touch records a use of the frame in slot.

@@ -218,29 +218,6 @@ func TestInsertExistingBumpsUsage(t *testing.T) {
 	}
 }
 
-func TestClearKeepsStats(t *testing.T) {
-	p := New(2, Clock)
-	p.Insert(pg(1, 0), false)
-	p.Get(pg(1, 0))
-	p.Clear()
-	if p.Len() != 0 {
-		t.Fatal("Clear left pages resident")
-	}
-	if p.Stats().Hits != 1 {
-		t.Fatal("Clear dropped stats")
-	}
-	// Pool must be fully usable after Clear (clock ring rebuilt).
-	for i := uint32(0); i < 5; i++ {
-		if !p.Insert(pg(2, i), false) {
-			t.Fatal("insert after Clear failed")
-		}
-	}
-	p.ResetStats()
-	if p.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero counters")
-	}
-}
-
 func TestZeroCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,6 +1,5 @@
 // Package fault is the deterministic fault-injection layer for the I/O and
-// serving stack. A Plan names per-site fault rates (plus scripted
-// virtual-time windows that override them); an Injector seeded from
+// serving stack. A Plan names per-site fault rates; an Injector seeded from
 // internal/sim's PRNG turns the plan into concrete per-call decisions. Every
 // decision is a pure function of (seed, site, call ordinal), so a replay
 // under any plan is bitwise reproducible: the same plan and seed fire the
@@ -71,19 +70,9 @@ func (s Site) String() string {
 	return "unknown"
 }
 
-// Window scripts a fault burst: within [From, To) on the virtual timeline,
-// the site fires at Rate instead of its base rate. Later windows shadow
-// earlier ones where they overlap, so a plan can carve exceptions out of a
-// burst.
-type Window struct {
-	Site     Site
-	From, To sim.Time
-	Rate     float64
-}
-
-// Plan is the declarative fault configuration: a base rate per site, the
-// tail-latency multiplier LatencySpike applies, and scripted windows. The
-// zero Plan injects nothing.
+// Plan is the declarative fault configuration: a rate per site and the
+// tail-latency multiplier LatencySpike applies. The zero Plan injects
+// nothing.
 type Plan struct {
 	// ExecReadRate is the probability a foreground device read fails.
 	ExecReadRate float64
@@ -105,62 +94,40 @@ type Plan struct {
 	ReplicaIndex int
 	// LatencyMultiplier scales a spiked read's latency (default 8×).
 	LatencyMultiplier float64
-	// Windows script rate overrides on the virtual timeline.
-	Windows []Window
 }
 
-// rate returns the effective rate for site at virtual time at, applying the
-// last matching window override.
-func (p *Plan) rate(site Site, at sim.Time) float64 {
-	r := 0.0
+// rate returns the plan's rate for site.
+func (p *Plan) rate(site Site) float64 {
 	switch site {
 	case ExecRead:
-		r = p.ExecReadRate
+		return p.ExecReadRate
 	case PrefetchRead:
-		r = p.PrefetchReadRate
+		return p.PrefetchReadRate
 	case LatencySpike:
-		r = p.LatencySpikeRate
+		return p.LatencySpikeRate
 	case Inference:
-		r = p.InferenceRate
+		return p.InferenceRate
 	case Serve:
-		r = p.ServeRate
+		return p.ServeRate
 	case Replica:
-		r = p.ReplicaRate
+		return p.ReplicaRate
 	}
-	for _, w := range p.Windows {
-		if w.Site == site && !at.Before(w.From) && at.Before(w.To) {
-			r = w.Rate
-		}
-	}
-	return r
+	return 0
 }
 
 // IsZero reports whether the plan injects nothing.
 func (p Plan) IsZero() bool {
 	return p.ExecReadRate == 0 && p.PrefetchReadRate == 0 &&
 		p.LatencySpikeRate == 0 && p.InferenceRate == 0 && p.ServeRate == 0 &&
-		p.ReplicaRate == 0 && len(p.Windows) == 0
+		p.ReplicaRate == 0
 }
 
 // Validate rejects rates outside [0, 1] (NaN included), a negative or
-// non-finite latency multiplier, and malformed windows.
+// non-finite latency multiplier, and a negative replica index.
 func (p Plan) Validate() error {
-	check := func(name string, r float64) error {
-		if !(r >= 0 && r <= 1) {
-			return fmt.Errorf("fault: %s rate %g outside [0, 1]", name, r)
-		}
-		return nil
-	}
-	for _, c := range []struct {
-		name string
-		rate float64
-	}{
-		{"exec", p.ExecReadRate}, {"prefetch", p.PrefetchReadRate},
-		{"latency", p.LatencySpikeRate}, {"infer", p.InferenceRate},
-		{"serve", p.ServeRate}, {"replica", p.ReplicaRate},
-	} {
-		if err := check(c.name, c.rate); err != nil {
-			return err
+	for s := Site(0); s < SiteCount; s++ {
+		if r := p.rate(s); !(r >= 0 && r <= 1) {
+			return fmt.Errorf("fault: %s rate %g outside [0, 1]", s, r)
 		}
 	}
 	if m := p.LatencyMultiplier; m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
@@ -168,17 +135,6 @@ func (p Plan) Validate() error {
 	}
 	if p.ReplicaIndex < 0 {
 		return fmt.Errorf("fault: negative replica index %d", p.ReplicaIndex)
-	}
-	for _, w := range p.Windows {
-		if w.Site >= SiteCount {
-			return fmt.Errorf("fault: window on unknown site %d", w.Site)
-		}
-		if !w.From.Before(w.To) {
-			return fmt.Errorf("fault: empty window [%v, %v)", w.From, w.To)
-		}
-		if err := check(w.Site.String()+" window", w.Rate); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -192,8 +148,7 @@ func (p Plan) Validate() error {
 //	exec=0.01,prefetch=0.05,latency=0.02,mult=8
 //	replica=1,replica-id=1
 //
-// An empty string parses to the zero (inject-nothing) plan. Scripted windows
-// have no CLI syntax; build the Plan in code for those.
+// An empty string parses to the zero (inject-nothing) plan.
 func ParsePlan(s string) (Plan, error) {
 	var p Plan
 	if strings.TrimSpace(s) == "" {
@@ -238,8 +193,7 @@ func ParsePlan(s string) (Plan, error) {
 	return p, nil
 }
 
-// String renders the plan in ParsePlan syntax (windows are appended in a
-// bracketed suffix for logs; they do not round-trip).
+// String renders the plan in ParsePlan syntax.
 func (p Plan) String() string {
 	var parts []string
 	add := func(key string, r float64) {
@@ -257,27 +211,22 @@ func (p Plan) String() string {
 		add("replica-id", float64(p.ReplicaIndex))
 	}
 	add("mult", p.LatencyMultiplier)
-	out := strings.Join(parts, ",")
-	if len(p.Windows) > 0 {
-		out += fmt.Sprintf("+%d windows", len(p.Windows))
+	if len(parts) == 0 {
+		return "none"
 	}
-	if out == "" {
-		out = "none"
-	}
-	return out
+	return strings.Join(parts, ",")
 }
 
 // Injector turns a Plan into per-call fault decisions. It is stateful (each
 // decision advances its site's PRNG stream) and, like the rest of the
 // simulation substrate, not synchronized — callers outside the
 // single-threaded simulator (the HTTP tier) serialize access themselves.
-// Build a fresh Injector (or call Reset) per run to reproduce a timeline.
+// Build a fresh Injector per run to reproduce a timeline.
 //
 // A nil *Injector is valid everywhere and never fires, so call sites need no
 // nil-checks.
 type Injector struct {
 	plan Plan
-	seed uint64
 	rngs [SiteCount]*sim.Rand
 }
 
@@ -291,54 +240,22 @@ func New(plan Plan, seed uint64) *Injector {
 	if plan.LatencyMultiplier == 0 {
 		plan.LatencyMultiplier = 8
 	}
-	i := &Injector{plan: plan, seed: seed}
-	i.Reset()
-	return i
-}
-
-// Reset rewinds every site stream to its initial state, so the next run
-// replays the identical fault sequence.
-func (i *Injector) Reset() {
-	root := sim.NewRand(i.seed)
+	i := &Injector{plan: plan}
+	root := sim.NewRand(seed)
 	for s := range i.rngs {
 		i.rngs[s] = root.Split()
 	}
+	return i
 }
 
-// Clone returns a fresh injector with the same plan and seed, rewound to the
-// start — the way to run a fault-identical replay without perturbing this
-// injector's streams.
-func (i *Injector) Clone() *Injector {
+// Fire decides whether site faults on this call. A zero rate draws nothing
+// from the site's stream, so disabled sites cost nothing and never shift the
+// decisions of enabled ones.
+func (i *Injector) Fire(site Site) bool {
 	if i == nil {
-		return nil
-	}
-	return New(i.plan, i.seed)
-}
-
-// Plan returns the injector's plan.
-func (i *Injector) Plan() Plan {
-	if i == nil {
-		return Plan{}
-	}
-	return i.plan
-}
-
-// Seed returns the injector's seed.
-func (i *Injector) Seed() uint64 {
-	if i == nil {
-		return 0
-	}
-	return i.seed
-}
-
-// Fire decides whether site faults at virtual time at. A zero effective rate
-// draws nothing from the site's stream, so disabled sites cost nothing and
-// never shift the decisions of enabled ones.
-func (i *Injector) Fire(site Site, at sim.Time) bool {
-	if i == nil || site >= SiteCount {
 		return false
 	}
-	r := i.plan.rate(site, at)
+	r := i.plan.rate(site)
 	if r <= 0 {
 		return false
 	}
@@ -352,17 +269,17 @@ func (i *Injector) Fire(site Site, at sim.Time) bool {
 // the given pool index. Only the plan's targeted ReplicaIndex ever draws, so
 // the chosen replica fails deterministically while its siblings' behaviour —
 // and every other site's stream — is untouched.
-func (i *Injector) FireReplica(id int, at sim.Time) bool {
+func (i *Injector) FireReplica(id int) bool {
 	if i == nil || id != i.plan.ReplicaIndex {
 		return false
 	}
-	return i.Fire(Replica, at)
+	return i.Fire(Replica)
 }
 
 // ReadLatency applies the tail-latency fault to one device read: base when
 // the LatencySpike site does not fire, base × LatencyMultiplier when it does.
-func (i *Injector) ReadLatency(at sim.Time, base sim.Duration) sim.Duration {
-	if i.Fire(LatencySpike, at) {
+func (i *Injector) ReadLatency(base sim.Duration) sim.Duration {
+	if i.Fire(LatencySpike) {
 		return sim.Duration(float64(base) * i.plan.LatencyMultiplier)
 	}
 	return base

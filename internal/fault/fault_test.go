@@ -4,19 +4,17 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"github.com/pythia-db/pythia/internal/sim"
 )
 
 func TestNilInjectorNeverFires(t *testing.T) {
 	var i *Injector
 	for s := Site(0); s < SiteCount; s++ {
-		if i.Fire(s, 0) {
+		if i.Fire(s) {
 			t.Fatalf("nil injector fired at %v", s)
 		}
 	}
-	if !i.Plan().IsZero() || i.Seed() != 0 || i.Clone() != nil {
-		t.Fatal("nil injector accessors not zero")
+	if i.FireReplica(0) || i.ReadLatency(time.Millisecond) != time.Millisecond {
+		t.Fatal("nil injector faulted a replica or spiked a read")
 	}
 }
 
@@ -24,12 +22,12 @@ func TestZeroPlanDrawsNothing(t *testing.T) {
 	i := New(Plan{}, 42)
 	for n := 0; n < 1000; n++ {
 		for s := Site(0); s < SiteCount; s++ {
-			if i.Fire(s, sim.Time(n)) {
+			if i.Fire(s) {
 				t.Fatalf("zero plan fired at %v", s)
 			}
 		}
 	}
-	// The streams never advanced: they are bit-identical to a fresh clone's.
+	// The streams never advanced: they are bit-identical to a fresh injector's.
 	j := New(Plan{}, 42)
 	for s := range i.rngs {
 		if i.rngs[s].Uint64() != j.rngs[s].Uint64() {
@@ -45,8 +43,8 @@ func TestFireDeterministicAndRateShaped(t *testing.T) {
 	fires := 0
 	const n = 20000
 	for k := 0; k < n; k++ {
-		fa := a.Fire(ExecRead, sim.Time(k))
-		if fb := b.Fire(ExecRead, sim.Time(k)); fa != fb {
+		fa := a.Fire(ExecRead)
+		if fb := b.Fire(ExecRead); fa != fb {
 			t.Fatalf("same plan+seed diverged at draw %d", k)
 		}
 		if fa {
@@ -57,14 +55,6 @@ func TestFireDeterministicAndRateShaped(t *testing.T) {
 	if got < 0.27 || got > 0.33 {
 		t.Fatalf("exec fire rate %.3f, want ≈0.30", got)
 	}
-	// Reset rewinds to the identical sequence.
-	a.Reset()
-	c := New(plan, 7)
-	for k := 0; k < 100; k++ {
-		if a.Fire(ExecRead, 0) != c.Fire(ExecRead, 0) {
-			t.Fatal("Reset did not rewind the stream")
-		}
-	}
 }
 
 func TestSitesAreIndependentStreams(t *testing.T) {
@@ -73,53 +63,25 @@ func TestSitesAreIndependentStreams(t *testing.T) {
 	a := New(Plan{ExecReadRate: 0.5}, 11)
 	b := New(Plan{ExecReadRate: 0.5, PrefetchReadRate: 0.9}, 11)
 	for k := 0; k < 5000; k++ {
-		b.Fire(PrefetchRead, sim.Time(k)) // extra draws on another site
-		if a.Fire(ExecRead, sim.Time(k)) != b.Fire(ExecRead, sim.Time(k)) {
+		b.Fire(PrefetchRead) // extra draws on another site
+		if a.Fire(ExecRead) != b.Fire(ExecRead) {
 			t.Fatalf("prefetch draws perturbed exec stream at %d", k)
 		}
 	}
 }
 
-func TestWindowsOverrideBaseRate(t *testing.T) {
-	plan := Plan{
-		ExecReadRate: 0,
-		Windows: []Window{
-			{Site: ExecRead, From: sim.Time(100), To: sim.Time(200), Rate: 1},
-		},
-	}
-	i := New(plan, 3)
-	if i.Fire(ExecRead, sim.Time(50)) {
-		t.Fatal("fired outside window")
-	}
-	if !i.Fire(ExecRead, sim.Time(150)) {
-		t.Fatal("did not fire inside certain window")
-	}
-	if i.Fire(ExecRead, sim.Time(200)) {
-		t.Fatal("fired at window end (To is exclusive)")
-	}
-	// Later windows shadow earlier ones.
-	shadow := Plan{Windows: []Window{
-		{Site: ExecRead, From: 0, To: sim.Time(1000), Rate: 1},
-		{Site: ExecRead, From: sim.Time(400), To: sim.Time(600), Rate: 0},
-	}}
-	j := New(shadow, 3)
-	if !j.Fire(ExecRead, sim.Time(10)) || j.Fire(ExecRead, sim.Time(500)) {
-		t.Fatal("window shadowing wrong")
-	}
-}
-
 func TestReadLatency(t *testing.T) {
 	i := New(Plan{LatencySpikeRate: 1, LatencyMultiplier: 4}, 9)
-	if got := i.ReadLatency(0, time.Millisecond); got != 4*time.Millisecond {
+	if got := i.ReadLatency(time.Millisecond); got != 4*time.Millisecond {
 		t.Fatalf("spiked latency %v, want 4ms", got)
 	}
 	quiet := New(Plan{}, 9)
-	if got := quiet.ReadLatency(0, time.Millisecond); got != time.Millisecond {
+	if got := quiet.ReadLatency(time.Millisecond); got != time.Millisecond {
 		t.Fatalf("unspiked latency %v, want 1ms", got)
 	}
 	// Default multiplier fills to 8×.
 	d := New(Plan{LatencySpikeRate: 1}, 9)
-	if got := d.ReadLatency(0, time.Millisecond); got != 8*time.Millisecond {
+	if got := d.ReadLatency(time.Millisecond); got != 8*time.Millisecond {
 		t.Fatalf("default multiplier latency %v, want 8ms", got)
 	}
 }
@@ -176,10 +138,10 @@ func TestParsePlanReplicaSite(t *testing.T) {
 func TestFireReplicaTargetsOneIndex(t *testing.T) {
 	i := New(Plan{ReplicaRate: 1, ReplicaIndex: 2}, 5)
 	for k := 0; k < 100; k++ {
-		if i.FireReplica(0, sim.Time(k)) || i.FireReplica(1, sim.Time(k)) {
+		if i.FireReplica(0) || i.FireReplica(1) {
 			t.Fatal("untargeted replica drew a fault")
 		}
-		if !i.FireReplica(2, sim.Time(k)) {
+		if !i.FireReplica(2) {
 			t.Fatal("targeted replica did not fault at rate 1")
 		}
 	}
@@ -189,8 +151,8 @@ func TestFireReplicaTargetsOneIndex(t *testing.T) {
 	fires := 0
 	const n = 20000
 	for k := 0; k < n; k++ {
-		fa := a.FireReplica(1, sim.Time(k))
-		if fb := b.FireReplica(1, sim.Time(k)); fa != fb {
+		fa := a.FireReplica(1)
+		if fb := b.FireReplica(1); fa != fb {
 			t.Fatalf("same plan+seed diverged at draw %d", k)
 		}
 		if fa {
@@ -200,14 +162,10 @@ func TestFireReplicaTargetsOneIndex(t *testing.T) {
 	if got := float64(fires) / n; got < 0.36 || got > 0.44 {
 		t.Fatalf("replica fire rate %.3f, want ≈0.40", got)
 	}
-	var nilInj *Injector
-	if nilInj.FireReplica(0, 0) {
-		t.Fatal("nil injector fired replica fault")
-	}
 }
 
 func TestValidate(t *testing.T) {
-	good := Plan{ExecReadRate: 0.5, Windows: []Window{{Site: Serve, From: 0, To: 10, Rate: 1}}}
+	good := Plan{ExecReadRate: 0.5, ServeRate: 1, LatencyMultiplier: 8}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +178,6 @@ func TestValidate(t *testing.T) {
 		{ExecReadRate: math.NaN()},
 		{LatencyMultiplier: math.Inf(1)},
 		{LatencyMultiplier: math.NaN()},
-		{Windows: []Window{{Site: ExecRead, From: 0, To: 10, Rate: math.NaN()}}},
-		{Windows: []Window{{Site: SiteCount, From: 0, To: 10, Rate: 0.5}}},
-		{Windows: []Window{{Site: ExecRead, From: 10, To: 10, Rate: 0.5}}},
-		{Windows: []Window{{Site: ExecRead, From: 0, To: 10, Rate: 2}}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("plan %+v validated", bad)

@@ -76,7 +76,7 @@ type Cache struct {
 	index     *storage.PageIndex
 	entries   []entry
 	free      int32            // slots emptied by Drop, chained through next and reused first
-	removed   uint64           // pages ever removed: evictions, Drop and Clear
+	removed   uint64           // pages ever removed: evictions and Drop
 	readahead []storage.PageID // scratch behind Read's second result
 	stats     Stats
 	rec       obs.Recorder // nil = observability off (one nil-check per event)
@@ -246,8 +246,8 @@ func (c *Cache) pushFront(slot int32) {
 	c.entries[0].next = slot
 }
 
-// Drop removes a page (used by failure-injection tests); absent pages are
-// ignored.
+// Drop removes a page (the prefetcher's undo of a failed read); absent pages
+// are ignored.
 func (c *Cache) Drop(p storage.PageID) {
 	if slot, ok := c.index.Get(p); ok {
 		c.unlink(slot)
@@ -257,15 +257,3 @@ func (c *Cache) Drop(p storage.PageID) {
 		c.free = slot
 	}
 }
-
-// Clear empties the cache — the experiment harness's "echo 3 >
-// /proc/sys/vm/drop_caches" between cold-cache runs.
-func (c *Cache) Clear() {
-	c.removed += uint64(c.index.Len())
-	c.index.Reset()
-	c.entries = append(c.entries[:0], entry{})
-	c.free = 0
-}
-
-// ResetStats zeroes the counters.
-func (c *Cache) ResetStats() { c.stats = Stats{} }

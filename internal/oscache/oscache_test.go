@@ -148,32 +148,23 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestClearAndDrop(t *testing.T) {
+func TestDrop(t *testing.T) {
 	c := New(10, 8)
 	s := c.NewStream()
 	c.Read(s, pg(1, 0), 100)
 	c.Drop(pg(1, 0))
-	if c.Contains(pg(1, 0)) {
+	if c.Contains(pg(1, 0)) || c.Len() != 0 {
 		t.Fatal("Drop did not remove page")
 	}
 	c.Drop(pg(1, 0)) // dropping absent page is a no-op
-	c.Read(s, pg(1, 1), 100)
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatal("Clear left pages")
-	}
-	if hit, _ := c.Read(c.NewStream(), pg(1, 1), 100); hit {
-		t.Fatal("page survived Clear")
-	}
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero")
+	if hit, _ := c.Read(c.NewStream(), pg(1, 0), 100); hit {
+		t.Fatal("page survived Drop")
 	}
 }
 
 // TestReadaheadReprobesAfterRemoval holds the readahead watermark to its
 // guard: a page of a stream's window that leaves the cache between two
-// sequential reads — evicted by another reader, dropped, or cleared — must
+// sequential reads — evicted by another reader or dropped — must
 // come back as readahead on the next read, not be skipped as already checked.
 func TestReadaheadReprobesAfterRemoval(t *testing.T) {
 	target := pg(1, 5)
@@ -188,7 +179,6 @@ func TestReadaheadReprobesAfterRemoval(t *testing.T) {
 			}
 		}},
 		{"drop", func(c *Cache) { c.Drop(target) }},
-		{"clear", func(c *Cache) { c.Clear() }},
 	} {
 		c := New(16, 0)
 		s := c.NewStream()

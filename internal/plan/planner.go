@@ -7,18 +7,12 @@ import (
 	"github.com/pythia-db/pythia/internal/catalog"
 )
 
-// CostParams are the planner's cost constants, shaped after Postgres'
-// defaults (seq_page_cost = 1, random_page_cost = 4, cpu_tuple_cost ≈ 0.01).
-type CostParams struct {
-	SeqPage    float64
-	RandomPage float64
-	CPUTuple   float64
-}
-
-// DefaultCostParams mirrors Postgres' defaults.
-func DefaultCostParams() CostParams {
-	return CostParams{SeqPage: 1, RandomPage: 4, CPUTuple: 0.01}
-}
+// The planner's cost constants are Postgres' defaults.
+const (
+	seqPageCost    = 1.0  // seq_page_cost
+	randomPageCost = 4.0  // random_page_cost
+	cpuTupleCost   = 0.01 // cpu_tuple_cost
+)
 
 // Planner turns Query specifications into physical plan trees using simple
 // System-R-style cost arithmetic. Join order follows the query spec (as
@@ -26,13 +20,12 @@ func DefaultCostParams() CostParams {
 // loop vs hash join, which is what produces multiple distinct plans per
 // template.
 type Planner struct {
-	DB   *catalog.Database
-	Cost CostParams
+	DB *catalog.Database
 }
 
-// NewPlanner returns a planner over db with default cost parameters.
+// NewPlanner returns a planner over db.
 func NewPlanner(db *catalog.Database) *Planner {
-	return &Planner{DB: db, Cost: DefaultCostParams()}
+	return &Planner{DB: db}
 }
 
 // selectivity estimates the fraction of rows passing p given the column
@@ -167,14 +160,14 @@ func (pl *Planner) MustPlan(q Query) *Node {
 // charged, mirroring Postgres' cached-inner discount.
 func (pl *Planner) nljCost(outerRows float64, dim *catalog.Relation, idx *catalog.Index) float64 {
 	descent := float64(idx.Tree.Height())*0.5 + 1 // cached upper levels
-	perProbe := descent * pl.Cost.RandomPage
-	return outerRows * (perProbe + pl.Cost.CPUTuple)
+	perProbe := descent * randomPageCost
+	return outerRows * (perProbe + cpuTupleCost)
 }
 
 // hashCost estimates building a hash table from a full sequential scan of
 // the dimension.
 func (pl *Planner) hashCost(dim *catalog.Relation) float64 {
-	return float64(dim.Heap.Pages)*pl.Cost.SeqPage + float64(dim.Rows)*pl.Cost.CPUTuple
+	return float64(dim.Heap.Pages)*seqPageCost + float64(dim.Rows)*cpuTupleCost
 }
 
 // EstimateFactRows exposes the planner's fact-output estimate; the workload

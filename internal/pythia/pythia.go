@@ -29,7 +29,7 @@ import (
 
 // Config assembles the system.
 type Config struct {
-	// Replay is the timing model (buffer size, policy, cost constants).
+	// Replay is the timing model (buffer size, policy, faults).
 	Replay replay.Config
 	// Predictor configures model training.
 	Predictor predictor.Options
@@ -227,8 +227,8 @@ func (s *System) BaselineID() *BaselineID {
 }
 
 // WithReplay returns a copy of the system sharing its trained predictors
-// but replaying under a different timing configuration — the buffer-size,
-// replacement-policy, and cost sweeps (Figures 12e–f) retrain nothing.
+// but replaying under a different timing configuration — the buffer-size
+// and replacement-policy sweeps (Figures 12e–f) retrain nothing.
 func (s *System) WithReplay(rc replay.Config) *System {
 	clone := *s
 	if rc.BufferPages == 0 {
@@ -367,7 +367,7 @@ func (s *System) Run(insts []*workload.Instance, arrivals []sim.Duration, strate
 		}
 		var pf []storage.PageID
 		if strategy != nil {
-			if s.cfg.Replay.Fault.Fire(fault.Inference, sim.Time(arr)) {
+			if s.cfg.Replay.Fault.Fire(fault.Inference) {
 				// A late (or faulted) inference is a skipped one: the query
 				// runs on the default path instead of waiting. The event
 				// carries whose inference it was and when it was due. A

@@ -127,19 +127,15 @@ func (p *prefetcher) attempt(rd *pfRead, attempt int) {
 	page, now := rd.page, p.r.eng.Now()
 	hit, readahead := p.r.osc.Read(p.stream, page, p.r.objPages(page))
 	for range readahead {
-		p.r.disk.ReadWith(now, p.r.cfg.Cost.SeqDiskRead)
+		p.r.disk.Read(now, seqDiskRead)
 	}
 	var arrive sim.Time
 	if hit {
-		arrive = now.Add(p.r.cfg.Cost.OSCacheCopy)
+		arrive = now.Add(osCacheCopy)
 	} else {
 		inj := p.r.cfg.Fault
-		lat := p.r.cfg.Cost.DiskRead
-		if inj != nil {
-			lat = inj.ReadLatency(now, lat)
-		}
-		done := p.r.disk.ReadWith(now, lat)
-		if inj.Fire(fault.PrefetchRead, now) {
+		done := p.r.disk.Read(now, inj.ReadLatency(diskRead))
+		if inj.Fire(fault.PrefetchRead) {
 			// The failed read still occupied a disk channel, but the page
 			// never arrived: undo the OS cache's speculative insert so the
 			// retry (or the executor's fallback read) re-pays the miss.

@@ -2,11 +2,14 @@ package replay
 
 import (
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"github.com/pythia-db/pythia/internal/buffer"
 	"github.com/pythia-db/pythia/internal/sim"
+	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
@@ -17,9 +20,6 @@ func TestConfigNormalizeFillsDefaults(t *testing.T) {
 	}
 	if c.BufferPages != 1024 || c.OSCachePages != 4096 {
 		t.Fatalf("size defaults wrong: %+v", c)
-	}
-	if c.Cost.DiskRead == 0 {
-		t.Fatal("cost model default missing")
 	}
 	// Explicit values are preserved.
 	c2, err := (Config{BufferPages: 77, OSCachePages: 99}).Normalize()
@@ -36,7 +36,6 @@ func TestConfigNormalizeRejectsNegatives(t *testing.T) {
 		{BufferPages: -1},
 		{OSCachePages: -8},
 		{ReadaheadMax: -2},
-		{Cost: sim.CostModel{DiskRead: -time.Millisecond}},
 	}
 	for i, c := range bad {
 		if _, err := c.Normalize(); err == nil {
@@ -118,40 +117,71 @@ func TestMRUPolicyRuns(t *testing.T) {
 	}
 }
 
-func TestDiskContentionBetweenQueries(t *testing.T) {
-	reg := testRegistry()
-	reqs := script(reg, 0, 400, 24)
-	c := cfg()
-	c.Cost = sim.DefaultCostModel()
-	c.Cost.IOWorkers = 1 // a single service channel maximizes contention
-	solo := Run(reg, c, []QuerySpec{{ID: "a", Requests: reqs}})
-	// A second query with disjoint pages (different seed) contends for the
-	// only disk channel, so each query runs slower than alone.
-	reqsB := script(reg, 0, 400, 25)
-	both := Run(reg, c, []QuerySpec{
-		{ID: "a", Requests: reqs},
-		{ID: "b", Requests: reqsB},
-	})
-	if both.Elapsed("a") <= solo.Elapsed("a") {
-		t.Fatalf("no contention visible: solo %v, contended %v", solo.Elapsed("a"), both.Elapsed("a"))
+// TestCostOrdering pins the ordering every speedup depends on: a random disk
+// read costs far more than a page of a sequential transfer, which costs more
+// than an OS-cache copy, which costs more than a buffer hit.
+func TestCostOrdering(t *testing.T) {
+	if !(diskRead > seqDiskRead && seqDiskRead > osCacheCopy && osCacheCopy > bufferHit) {
+		t.Fatalf("cost ordering violated: disk %v, sequential %v, OS copy %v, buffer hit %v",
+			diskRead, seqDiskRead, osCacheCopy, bufferHit)
+	}
+	if diskChannels <= 0 || predictLatency <= 0 {
+		t.Fatalf("disk channels %d and prediction latency %v must be positive", diskChannels, predictLatency)
 	}
 }
 
+// TestDiskContentionBetweenQueries: queries over disjoint, non-sequential
+// pages share only the device. Each has one foreground read in flight at a
+// time, so up to diskChannels of them run exactly as fast as alone, and one
+// more makes every read queue.
+func TestDiskContentionBetweenQueries(t *testing.T) {
+	reg := testRegistry()
+	dim := reg.LookupName("dim")
+	queries := func(n int) []QuerySpec {
+		specs := make([]QuerySpec, n)
+		for k := range specs {
+			specs[k].ID = "q" + strconv.Itoa(k)
+			for j := 0; j < 100; j++ { // stride n+1: never sequential, never shared
+				page := storage.PageID{Object: dim.ID, Page: storage.PageNum(k + j*(n+1))}
+				specs[k].Requests = append(specs[k].Requests, storage.Request{Page: page, Tuples: 1})
+			}
+		}
+		return specs
+	}
+	solo := Run(reg, cfg(), queries(1)).Elapsed("q0")
+	if full := Run(reg, cfg(), queries(diskChannels)).Elapsed("q0"); full != solo {
+		t.Fatalf("%d queries on %d channels: q0 took %v, alone %v", diskChannels, diskChannels, full, solo)
+	}
+	if over := Run(reg, cfg(), queries(diskChannels+1)).Elapsed("q0"); over <= solo {
+		t.Fatalf("no contention visible: alone %v, %d queries on %d channels %v", solo, diskChannels+1, diskChannels, over)
+	}
+}
+
+// TestPredictLatencyDelaysPrefetchOnly: inference gates the prefetcher, not
+// the executor. On a traced run the executor's first request starts at the
+// query's arrival, and the first prefetch read exactly predictLatency later.
 func TestPredictLatencyDelaysPrefetchOnly(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 10, 10, 26)
+	arrival := sim.Time(7 * time.Millisecond)
+	tr := span.New()
 	c := cfg()
-	c.Cost = sim.DefaultCostModel()
-	c.Cost.PredictLatency = time.Hour // absurdly slow model
-	dflt := Run(reg, c, []QuerySpec{{ID: "q", Requests: reqs}})
-	pref := Run(reg, c, []QuerySpec{{ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs)}})
-	// The query finishes long before the "model" does: no prefetch benefit,
-	// but crucially no blocking on the model either.
-	if pref.Elapsed("q") > dflt.Elapsed("q")*2 {
-		t.Fatalf("prediction latency blocked the query: %v vs %v", pref.Elapsed("q"), dflt.Elapsed("q"))
+	c.Tracer = tr
+	Run(reg, c, []QuerySpec{{ID: "q", Arrival: sim.Duration(arrival), Requests: reqs, Prefetch: nonSeqPages(reqs)}})
+	first := func(kinds ...span.Kind) sim.Time {
+		at := sim.Time(-1)
+		for _, s := range tr.Spans() {
+			if slices.Contains(kinds, s.Kind) && (at < 0 || s.Start < at) {
+				at = s.Start
+			}
+		}
+		return at
 	}
-	if pref.Queries[0].Prefetched > 0 {
-		t.Fatal("prefetches landed before the hour-long prediction finished")
+	if got := first(span.ExecDiskWait, span.ExecOSCopy); got != arrival {
+		t.Fatalf("executor's first request at %v, want the arrival %v", got, arrival)
+	}
+	if got, want := first(span.PrefetchRead), arrival.Add(predictLatency); got != want {
+		t.Fatalf("first prefetch read at %v, want arrival + %v = %v", got, predictLatency, want)
 	}
 }
 

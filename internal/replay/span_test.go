@@ -68,7 +68,7 @@ func TestTracerGoldenTimeline(t *testing.T) {
 // TestTracerExactStallArithmetic checks the strongest acceptance property on
 // a contention-free run: a single query, no prefetcher, purely non-sequential
 // requests (so no readahead and no shared disk channels). Every foreground
-// miss then costs exactly cost.DiskRead, and the stall report must reconcile
+// miss then costs exactly diskRead, and the stall report must reconcile
 // to the nanosecond with the obs counters times the cost model.
 func TestTracerExactStallArithmetic(t *testing.T) {
 	reg := testRegistry()
@@ -79,7 +79,6 @@ func TestTracerExactStallArithmetic(t *testing.T) {
 	c.Tracer = tr
 	c.Recorder = &cnt
 	res := Run(reg, c, []QuerySpec{{ID: "solo", Requests: reqs}})
-	cost := sim.DefaultCostModel()
 
 	rep := span.BuildReport(tr.Spans())
 	if len(rep.Queries) != 1 {
@@ -93,8 +92,8 @@ func TestTracerExactStallArithmetic(t *testing.T) {
 	if q.DiskReads != disk {
 		t.Errorf("span disk reads %d != obs disk_read %d", q.DiskReads, disk)
 	}
-	if want := sim.Duration(disk) * cost.DiskRead; q.DiskBlocked != want {
-		t.Errorf("disk_blocked %v != %d reads x %v = %v", q.DiskBlocked, disk, cost.DiskRead, want)
+	if want := sim.Duration(disk) * diskRead; q.DiskBlocked != want {
+		t.Errorf("disk_blocked %v != %d reads x %v = %v", q.DiskBlocked, disk, diskRead, want)
 	}
 	// Every buffer miss ends in one kernel→user copy: OS-cache hits copy
 	// directly, disk reads copy after the device returns.
@@ -102,8 +101,8 @@ func TestTracerExactStallArithmetic(t *testing.T) {
 	if q.OSCopies != copies {
 		t.Errorf("span OS copies %d != oscache_hit %d + disk_read %d", q.OSCopies, cnt.Get(obs.OSCacheHit), disk)
 	}
-	if want := sim.Duration(copies) * cost.OSCacheCopy; q.OSCopy != want {
-		t.Errorf("os_copy %v != %d copies x %v = %v", q.OSCopy, copies, cost.OSCacheCopy, want)
+	if want := sim.Duration(copies) * osCacheCopy; q.OSCopy != want {
+		t.Errorf("os_copy %v != %d copies x %v = %v", q.OSCopy, copies, osCacheCopy, want)
 	}
 	if q.Elapsed != sim.Duration(res.Elapsed("solo")) {
 		t.Errorf("span elapsed %v != result elapsed %v", q.Elapsed, res.Elapsed("solo"))

@@ -1,6 +1,8 @@
 package serialize
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/catalog"
@@ -253,4 +255,37 @@ func TestVocabFromTokensRejectsBadInput(t *testing.T) {
 	if _, err := VocabFromTokens([]string{TokenPad, TokenUnk, TokenCLS, "a", "a"}); err == nil {
 		t.Fatal("duplicate token accepted")
 	}
+}
+
+// FuzzVocabFromTokens drives persisted token lists, one token per line,
+// through VocabFromTokens: a bad list must come back as an error, never a
+// panic, and an accepted one must be frozen and exact — Tokens() returns the
+// list, Encode(Tokens()) is 0..n-1, and a token outside the list encodes to
+// [UNK] without growing the vocabulary.
+func FuzzVocabFromTokens(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		tokens := strings.Split(in, "\n")
+		v, err := VocabFromTokens(tokens)
+		if err != nil {
+			return
+		}
+		if got := v.Tokens(); !slices.Equal(got, tokens) {
+			t.Fatalf("Tokens() = %q, persisted %q", got, tokens)
+		}
+		for i, id := range v.Encode(v.Tokens()) {
+			if id != i {
+				t.Fatalf("token %d (%q) encodes to %d", i, tokens[i], id)
+			}
+		}
+		unseen := "[unseen]"
+		for slices.Contains(tokens, unseen) {
+			unseen += "'"
+		}
+		if id := v.Encode([]Token{unseen})[0]; v.Token(id) != TokenUnk {
+			t.Fatalf("unseen token %q encodes to %d (%q), not [UNK]", unseen, id, v.Token(id))
+		}
+		if v.Size() != len(tokens) {
+			t.Fatalf("vocabulary grew to %d from %d persisted tokens", v.Size(), len(tokens))
+		}
+	})
 }

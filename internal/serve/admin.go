@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -65,14 +66,13 @@ func (s *Server) ReloadSnapshot(path string) (string, InfStatus, error) {
 // It passes no admission point: an operator must be able to roll models on an
 // overloaded server.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST to reload the serving snapshot")
-		return
-	}
 	var req reloadRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec, "reload body must be empty or {\"path\": \"...\"}")
+	if !s.decodePost(w, r, "POST to reload the serving snapshot", func(body io.Reader) error {
+		if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+			return fmt.Errorf("reload body must be empty or {\"path\": \"...\"}: %w", err)
+		}
+		return nil
+	}) {
 		return
 	}
 	start := time.Now()

@@ -103,8 +103,8 @@ func (g *faultGate) fireModel(id int) bool {
 	if g.inj == nil {
 		return false
 	}
-	s := g.inj.Fire(fault.Serve, 0)
-	r := g.inj.FireReplica(id, 0)
+	s := g.inj.Fire(fault.Serve)
+	r := g.inj.FireReplica(id)
 	return s || r
 }
 
@@ -116,7 +116,7 @@ func (g *faultGate) fireReplica(id int) bool {
 	if g.inj == nil {
 		return false
 	}
-	return g.inj.FireReplica(id, 0)
+	return g.inj.FireReplica(id)
 }
 
 func (g *faultGate) set(inj *fault.Injector) {

@@ -31,16 +31,20 @@ func matchedBody(t *testing.T, w *workload.Workload) *strings.Reader {
 
 func TestBodyCapAnswers413(t *testing.T) {
 	srv, _ := resilienceServer(t, Options{MaxBodyBytes: 64})
-	big := `{"fact":"` + strings.Repeat("x", 200) + `"}`
-	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(big))
-	if rr.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	if env := decodeEnvelope(t, rr); env.Error.Code != CodeTooLarge {
-		t.Fatalf("envelope wrong: %+v", env)
+	for path, body := range map[string]string{
+		"/v1/predict":      `{"fact":"` + strings.Repeat("x", 200) + `"}`,
+		"/v1/admin/reload": `{"path":"` + strings.Repeat("x", 200) + `"}`,
+	} {
+		rr := doRequest(t, srv, http.MethodPost, path, strings.NewReader(body))
+		if rr.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d: %s", path, rr.Code, rr.Body.String())
+		}
+		if env := decodeEnvelope(t, rr); env.Error.Code != CodeTooLarge {
+			t.Fatalf("%s: envelope wrong: %+v", path, env)
+		}
 	}
 	// A small valid body still works on the same server.
-	rr = doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(`{"fact":"inventory"}`))
+	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(`{"fact":"inventory"}`))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("small body status %d: %s", rr.Code, rr.Body.String())
 	}

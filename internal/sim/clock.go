@@ -1,7 +1,7 @@
 // Package sim provides the deterministic simulation substrate shared by the
 // rest of the repository: a virtual clock, a reproducible random number
-// generator, a discrete-event engine, and the I/O latency cost model that
-// stands in for the paper's real PostgreSQL-on-disk testbed.
+// generator, a discrete-event engine, and the multi-channel storage device
+// that stands in for the paper's real PostgreSQL-on-disk testbed.
 //
 // All experiments in the repository run on virtual time. A query "executes"
 // by paying simulated latencies for each page request (buffer hit, OS cache
@@ -38,8 +38,7 @@ func (t Time) After(u Time) bool { return t > u }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Clock tracks the current virtual time. It is advanced only by the event
-// engine (or directly by single-threaded replays); it never reads the wall
-// clock.
+// engine; it never reads the wall clock.
 type Clock struct {
 	now Time
 }
@@ -47,26 +46,12 @@ type Clock struct {
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Advance moves the clock forward by d. It panics if d is negative: virtual
-// time never rewinds, and a negative advance always indicates a bookkeeping
-// bug in the caller.
-func (c *Clock) Advance(d Duration) Time {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative clock advance %v", d))
-	}
-	c.now = c.now.Add(d)
-	return c.now
-}
-
-// AdvanceTo moves the clock forward to t. Moving backward panics for the
-// same reason Advance does.
+// AdvanceTo moves the clock forward to t. It panics if t precedes the current
+// time: virtual time never rewinds, and moving backward always indicates a
+// bookkeeping bug in the caller.
 func (c *Clock) AdvanceTo(t Time) {
 	if t.Before(c.now) {
 		panic(fmt.Sprintf("sim: clock moved backward from %v to %v", c.now, t))
 	}
 	c.now = t
 }
-
-// Reset rewinds the clock to the epoch so a Clock can be reused between
-// independent simulation runs.
-func (c *Clock) Reset() { c.now = 0 }

@@ -1,97 +1,23 @@
 package sim
 
-import "time"
-
-// CostModel holds the latency constants that stand in for the paper's
-// physical testbed (4-core machine, spinning/SSD storage, Linux page cache).
-// The three read outcomes mirror the paper's description of Postgres' read
-// path: "buffer hit if found in buffer, memory copy if buffer miss but
-// present in OS buffer, disk copy if miss in both buffers".
-//
-// Absolute values are unimportant — speedups are ratios — but the ordering
-// DiskRead >> OSCacheCopy >> BufferHit is what makes prefetching matter, and
-// the defaults keep roughly the proportions of a commodity SSD system.
-type CostModel struct {
-	// BufferHit is the cost of finding the page already in the RDBMS buffer
-	// pool (a hash-table lookup and a pin).
-	BufferHit Duration
-	// OSCacheCopy is the cost of a buffer miss that hits the OS page cache:
-	// a memcpy from kernel to user space plus bookkeeping.
-	OSCacheCopy Duration
-	// DiskRead is the cost of a read that misses both caches and goes to the
-	// storage device with a seek (a random page read).
-	DiskRead Duration
-	// SeqDiskRead is the per-page device cost of a *sequential* transfer —
-	// the rate OS readahead streams at. On seek-bound devices this is far
-	// below DiskRead (no head movement), which is exactly why sequential
-	// scans don't need Pythia (Figure 1) while non-sequential reads do.
-	SeqDiskRead Duration
-	// CPUPerTuple is the executor's processing cost per tuple visited; it
-	// provides the non-I/O floor that bounds achievable speedup.
-	CPUPerTuple Duration
-	// CPUPerRequest is the per-page-request executor overhead (locating the
-	// page, validating headers) independent of where the page is found.
-	CPUPerRequest Duration
-	// IOWorkers is the number of read requests the storage device services
-	// concurrently (queue depth). Both foreground reads and asynchronous
-	// prefetch reads compete for these slots, which is how prefetch
-	// saturation and contention between concurrent queries arise.
-	IOWorkers int
-	// PredictLatency charges Pythia's end-to-end inference cost (plan
-	// serialization, encoding, workload matching, model forward passes)
-	// before prefetching begins; the paper measures 1–1.5 s against
-	// multi-minute queries, i.e. well under 0.5% of runtime. Scaled runs use
-	// a proportionally scaled value.
-	PredictLatency Duration
-}
-
-// DefaultCostModel returns the cost model used by the experiment harness at
-// the reduced "simulation scale". The random-read latency models a
-// seek-bound device (the paper's multi-minute scans of a 100 GB database
-// imply HDD-class storage): a random page read costs ~250× an OS-cache copy
-// and far more than a page's share of a streaming sequential scan, which is
-// the asymmetry that makes non-sequential prefetching worth 2–6× end to end
-// (Figure 6). For SSD-like studies, shrink DiskRead.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		BufferHit:      200 * time.Nanosecond,
-		OSCacheCopy:    4 * time.Microsecond,
-		DiskRead:       1 * time.Millisecond,
-		SeqDiskRead:    60 * time.Microsecond,
-		CPUPerTuple:    50 * time.Nanosecond,
-		CPUPerRequest:  100 * time.Nanosecond,
-		IOWorkers:      8,
-		PredictLatency: 500 * time.Microsecond,
-	}
-}
-
-// Disk models the storage device as IOWorkers parallel service channels with
-// fixed per-read latency. It is shared on one Engine timeline by foreground
-// reads and prefetch reads, so saturating it with prefetch I/O delays
-// foreground misses exactly as on a real device.
+// Disk models the storage device as parallel service channels. It is shared
+// on one Engine timeline by foreground reads and prefetch reads, so
+// saturating it with prefetch I/O delays foreground misses exactly as on a
+// real device.
 type Disk struct {
-	latency Duration
-	free    []Time // next free instant of each channel
-	reads   uint64
+	free  []Time // next free instant of each channel
+	reads uint64
 }
 
-// NewDisk returns a disk with the given per-read latency and queue depth.
-func NewDisk(latency Duration, workers int) *Disk {
-	if workers <= 0 {
-		workers = 1
-	}
-	return &Disk{latency: latency, free: make([]Time, workers)}
-}
+// NewDisk returns a disk with the given positive number of channels (queue
+// depth).
+func NewDisk(channels int) *Disk { return &Disk{free: make([]Time, channels)} }
 
-// Read schedules a random read issued at time at and returns its completion
-// time. The read occupies the earliest-available channel; if all channels
-// are busy the read queues behind the one that frees first.
-func (d *Disk) Read(at Time) (done Time) { return d.ReadWith(at, d.latency) }
-
-// ReadWith schedules a read with an explicit service latency — sequential
-// transfers (readahead) pass a streaming latency far below the seek-bound
-// default.
-func (d *Disk) ReadWith(at Time, latency Duration) (done Time) {
+// Read schedules a read issued at time at with the given service latency and
+// returns its completion time. The read occupies the earliest-available
+// channel; if all channels are busy it queues behind the one that frees
+// first.
+func (d *Disk) Read(at Time, latency Duration) (done Time) {
 	best := 0
 	for i, f := range d.free {
 		if f.Before(d.free[best]) {
@@ -110,14 +36,3 @@ func (d *Disk) ReadWith(at Time, latency Duration) (done Time) {
 
 // Reads returns the number of device reads serviced so far.
 func (d *Disk) Reads() uint64 { return d.reads }
-
-// Latency returns the per-read service latency.
-func (d *Disk) Latency() Duration { return d.latency }
-
-// Reset clears the disk's channel state and counters for a fresh run.
-func (d *Disk) Reset() {
-	for i := range d.free {
-		d.free[i] = 0
-	}
-	d.reads = 0
-}

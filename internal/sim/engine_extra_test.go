@@ -68,12 +68,12 @@ func TestEngineDispatchOrderProperty(t *testing.T) {
 func TestDiskServiceProperty(t *testing.T) {
 	if err := quick.Check(func(issues []uint16, workers8 uint8) bool {
 		workers := int(workers8%7) + 1
-		d := NewDisk(time.Millisecond, workers)
+		d := NewDisk(workers)
 		sort.Slice(issues, func(i, j int) bool { return issues[i] < issues[j] })
 		var completions []Time
 		for _, at := range issues {
 			issue := Time(Duration(at) * time.Microsecond)
-			done := d.Read(issue)
+			done := d.Read(issue, time.Millisecond)
 			if done.Sub(issue) < time.Millisecond {
 				return false
 			}

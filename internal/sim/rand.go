@@ -111,71 +111,3 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Zipf samples from a Zipf distribution over [0, n) with exponent s >= 0.
-// s = 0 degenerates to uniform; larger s concentrates mass on small ranks.
-// It uses inverse-CDF sampling over a lazily built cumulative table, which is
-// exact and fast for the table sizes the data generators use.
-type Zipf struct {
-	r   *Rand
-	cdf []float64
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("sim: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{r: r, cdf: cdf}
-}
-
-// Next returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Poisson samples a Poisson variate with mean lambda (Knuth's method for
-// small lambda, normal approximation above 30). Used to derive integer
-// counts in the synthetic data generators.
-func (r *Rand) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		v := lambda + math.Sqrt(lambda)*r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}

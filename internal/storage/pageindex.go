@@ -119,9 +119,3 @@ func (x *PageIndex) Delete(p PageID) {
 	x.cells[i] = indexCell{}
 	x.n--
 }
-
-// Reset empties the index, keeping its table.
-func (x *PageIndex) Reset() {
-	clear(x.cells)
-	x.n = 0
-}

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestPageIndexMatchesMap drives random Put/Get/Delete/Reset strings against
+// TestPageIndexMatchesMap drives random Put/Get/Delete strings against
 // a Go map. The tables are a few cells long, so probe runs wrap past the last
 // cell and grow to most of the table, and the key universe includes the zero
 // PageID, whose packed key equals an empty cell's.
@@ -34,9 +34,6 @@ func TestPageIndexMatchesMap(t *testing.T) {
 			case op < 85:
 				x.Delete(p)
 				delete(ref, p)
-			case op == 99:
-				x.Reset()
-				ref = map[PageID]int32{}
 			}
 			if x.Len() != len(ref) {
 				t.Fatalf("seed %d step %d: Len %d, map has %d", seed, step, x.Len(), len(ref))
