@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -95,9 +96,20 @@ func (l *Loader) dirFor(path string) string {
 	return filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.module+"/")))
 }
 
+// buildsHere reports whether the non-test Go file dir/name is part of its
+// package for this GOOS/GOARCH. The build constraints decide, as they do for
+// the compiler: a function declared in an _amd64.go file and defined again
+// under //go:build !amd64 is one function, not a redeclaration.
+func buildsHere(dir, name string) (bool, error) {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false, nil
+	}
+	return build.Default.MatchFile(dir, name)
+}
+
 // ModulePackages walks the module tree and returns the import paths of every
 // package directory, in sorted order. testdata trees, hidden directories,
-// and dependency-free doc directories (no .go files) are skipped.
+// and directories with no Go file for this platform are skipped.
 func (l *Loader) ModulePackages() ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(l.root, func(p string, d os.DirEntry, err error) error {
@@ -111,8 +123,8 @@ func (l *Loader) ModulePackages() ([]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
+		if ok, err := buildsHere(filepath.Dir(p), d.Name()); !ok || err != nil {
+			return err
 		}
 		rel, err := filepath.Rel(l.root, filepath.Dir(p))
 		if err != nil {
@@ -162,7 +174,14 @@ func (l *Loader) Load(path string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() {
+			continue
+		}
+		ok, err := buildsHere(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

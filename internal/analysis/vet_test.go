@@ -9,8 +9,9 @@ import (
 
 // TestFixtures runs the analyzer suite over every golden fixture package
 // under testdata/src and reconciles diagnostics with the // want comments —
-// one fixture per analyzer, and a nondet fixture proving the
-// deterministic-only analyzers stay silent elsewhere.
+// one fixture per analyzer, a nondet fixture proving the deterministic-only
+// analyzers stay silent elsewhere, and a buildtags fixture whose files only
+// type-check once build constraints are applied.
 func TestFixtures(t *testing.T) {
 	root, module := moduleRoot(t)
 	reports, err := RunFixtures(root, module, filepath.Join(root, "internal", "analysis", "testdata"))
@@ -24,6 +25,7 @@ func TestFixtures(t *testing.T) {
 		"errdiscard":  false,
 		"clocknondet": false,
 		"goleak":      false,
+		"buildtags":   false,
 	}
 	for _, r := range reports {
 		if _, ok := wantFixtures[r.Name]; ok {

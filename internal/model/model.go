@@ -29,7 +29,7 @@ type Config struct {
 	DecoderHidden int
 	Epochs        int
 	LR            float64
-	PosWeight     float64 // BCE positive-class weight (default 2)
+	PosWeight     float64 // BCE positive-class weight (default 5)
 	Threshold     float64 // sigmoid cutoff for predicting a page (default 0.5)
 	Seed          uint64
 }

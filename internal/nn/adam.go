@@ -49,16 +49,25 @@ func (a *Adam) Step() {
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range a.params {
-		w, g := p.W.Data, p.G.Data
-		m, v := p.adamM.Data, p.adamV.Data
-		for i := range w {
-			gi := g[i] * scale
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
-			mhat := m[i] / bc1
-			vhat := v[i] / bc2
-			w[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
+		w := p.W.Data
+		n := len(w)
+		adamRow(w, p.G.Data[:n], p.adamM.Data[:n], p.adamV.Data[:n],
+			scale, a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, bc1, bc2, a.LR, a.Eps)
+	}
+}
+
+// adamRowGo is Step's update of one parameter, with c1 = 1−β1 and c2 = 1−β2.
+//
+//pythia:noalloc
+func adamRowGo(w, g, m, v []float64, scale, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64) {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	for i := range w {
+		gi := g[i] * scale
+		m[i] = beta1*m[i] + c1*gi
+		v[i] = beta2*v[i] + c2*gi*gi
+		mhat := m[i] / bc1
+		vhat := v[i] / bc2
+		w[i] -= lr * mhat / (math.Sqrt(vhat) + eps)
 	}
 }
 

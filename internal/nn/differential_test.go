@@ -81,19 +81,36 @@ func sparsify(r *sim.Rand, m *Mat) {
 	}
 }
 
+// poison sets about one entry in eight of m to +Inf, −Inf, NaN or −0.
+func poison(r *sim.Rand, m *Mat) {
+	for i := range m.Data {
+		if r.Intn(8) == 0 {
+			m.Data[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}[r.Intn(4)]
+		}
+	}
+}
+
+// misalign returns a copy of m whose data starts one element into its
+// backing array, so that no row of an even-width matrix is 16-byte aligned.
+func misalign(m *Mat) *Mat {
+	c := &Mat{Rows: m.Rows, Cols: m.Cols, Data: make([]float64, 1+len(m.Data))[1:]}
+	copy(c.Data, m.Data)
+	return c
+}
+
 func TestKernelsMatchNaive(t *testing.T) {
 	p := NewPool(0)
 	r := sim.NewRand(17)
-	for c := 0; c < 240; c++ {
+	for c := 0; c < 480; c++ {
 		// Sizes 1..48 hit every remainder of the four-way blocks; the forced
-		// cases add 1-row and 1-column operands and the decoder's flat, wide
-		// product.
+		// cases add 1-row, 1-deep and 0- to 3-wide products and the decoder's
+		// flat, wide one.
 		m, k, n := 1+r.Intn(48), 1+r.Intn(48), 1+r.Intn(48)
 		switch c % 8 {
 		case 1:
 			m = 1
 		case 3:
-			n = 1
+			n = r.Intn(4)
 		case 5:
 			k = 1
 		case 7:
@@ -104,21 +121,154 @@ func TestKernelsMatchNaive(t *testing.T) {
 			sparsify(r, a)
 			sparsify(r, at)
 		}
-		acc := randMat(r, m, n)
+		if c%4 < 2 {
+			poison(r, b)
+			poison(r, bt)
+		}
+		acc, got := randMat(r, m, n), NewMat(m, n)
+		if c%3 == 0 {
+			a, at, b, bt, acc, got = misalign(a), misalign(at), misalign(b), misalign(bt), misalign(acc), misalign(got)
+		}
 		wantMM, wantT1, wantT2 := naiveMatMul(a, b), naiveMatMulT1(at, b), naiveMatMulT2(a, bt)
 		wantAcc := acc.Clone()
 		naiveAccumT1(wantAcc, at, b)
-		tag := fmt.Sprintf(" %dx%dx%d", m, k, n)
-		got := NewMat(m, n)
+		tag := fmt.Sprintf(" case %d %dx%dx%d", c, m, k, n)
 		p.MatMulInto(got, a, b)
 		bitwiseEq(t, "MatMulInto"+tag, got, wantMM)
 		p.MatMulT1Into(got, at, b)
 		bitwiseEq(t, "MatMulT1Into"+tag, got, wantT1)
 		p.MatMulT2Into(got, a, bt)
 		bitwiseEq(t, "MatMulT2Into"+tag, got, wantT2)
-		got = acc.Clone()
+		copy(got.Data, acc.Data)
 		p.AccumT1Into(got, at, b)
 		bitwiseEq(t, "AccumT1Into"+tag, got, wantAcc)
+		kernelsMatchGoLoops(t, tag, a, b, bt, acc)
+	}
+}
+
+// kernelsMatchGoLoops holds each row kernel to its Go loop — on amd64 the
+// SSE2 assembly, elsewhere the same function twice — over every row of a
+// against b and bt, the axpy kernels accumulating into rows of acc.
+func kernelsMatchGoLoops(t *testing.T, tag string, a, b, bt, acc *Mat) {
+	t.Helper()
+	n := b.Cols
+	got, want := misalign(NewMat(1, n)), NewMat(1, n)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		matMulRow(got.Data, arow, b.Data)
+		matMulRowGo(want.Data, arow, b.Data)
+		bitwiseEq(t, "matMulRow"+tag, got, want)
+		matMulT2Row(got.Data, arow, bt.Data)
+		matMulT2RowGo(want.Data, arow, bt.Data)
+		bitwiseEq(t, "matMulT2Row"+tag, got, want)
+		copy(got.Data, acc.Row(i))
+		copy(want.Data, acc.Row(i))
+		k := 0
+		for ; k+4 <= len(arow); k += 4 {
+			axpy4(got.Data, arow[k], arow[k+1], arow[k+2], arow[k+3], b.Data[k*n:])
+			axpy4Go(want.Data, arow[k], arow[k+1], arow[k+2], arow[k+3], b.Data[k*n:])
+		}
+		for ; k < len(arow); k++ {
+			axpy1(got.Data, arow[k], b.Data[k*n:])
+			axpy1Go(want.Data, arow[k], b.Data[k*n:])
+		}
+		bitwiseEq(t, "axpy4/axpy1"+tag, got, want)
+	}
+}
+
+// scalarAdamStep is Adam.Step as the scalar loop it was before the update
+// became a row kernel, kept as the reference TestAdamMatchesScalar holds
+// Step to.
+func scalarAdamStep(a *Adam) {
+	a.t++
+	scale := 1.0
+	if a.Clip > 0 {
+		if norm := a.GradNorm(); norm > a.Clip {
+			scale = a.Clip / norm
+		}
+	}
+	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
+	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	for _, p := range a.params {
+		w, g := p.W.Data, p.G.Data
+		m, v := p.adamM.Data, p.adamV.Data
+		for i := range w {
+			gi := g[i] * scale
+			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
+			v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+			mhat := m[i] / bc1
+			vhat := v[i] / bc2
+			w[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
+		}
+	}
+}
+
+// TestAdamMatchesScalar runs Step and the scalar loop side by side for 20
+// steps over parameters of every length 0–9 (each remainder of the two-lane
+// kernel, misaligned starts included) and the train workload's 66 764, with
+// clipping off, on but never reached, and on and active every step. Weights
+// and both moments must match bit for bit after every step.
+func TestAdamMatchesScalar(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 66764}
+	for _, c := range []struct {
+		name   string
+		clip   float64
+		active bool
+	}{{"off", 0, false}, {"inactive", 1e9, false}, {"active", 1, true}} {
+		build := func() (*Adam, []*Param) {
+			r := sim.NewRand(41)
+			var ps []*Param
+			for _, n := range lengths {
+				p := NewParam(fmt.Sprint("p", n), 1, n)
+				if n%2 == 1 {
+					p.W, p.G, p.adamM, p.adamV = misalign(p.W), misalign(p.G), misalign(p.adamM), misalign(p.adamV)
+				}
+				for i := range p.W.Data {
+					p.W.Data[i] = r.NormFloat64()
+				}
+				ps = append(ps, p)
+			}
+			opt := NewAdam(3e-3, ps)
+			opt.Clip = c.clip
+			return opt, ps
+		}
+		got, gps := build()
+		want, wps := build()
+		r := sim.NewRand(43)
+		for step := 0; step < 20; step++ {
+			for i, p := range gps {
+				for j := range p.G.Data {
+					g := r.NormFloat64()
+					p.G.Data[j], wps[i].G.Data[j] = g, g
+				}
+			}
+			if active := c.clip > 0 && got.GradNorm() > c.clip; active != c.active {
+				t.Fatalf("%s step %d: clipping active = %v", c.name, step, active)
+			}
+			got.Step()
+			scalarAdamStep(want)
+			for i, p := range gps {
+				tag := fmt.Sprintf("%s step %d %s ", c.name, step, p.Name)
+				bitwiseEq(t, tag+"W", p.W, wps[i].W)
+				bitwiseEq(t, tag+"m", p.adamM, wps[i].adamM)
+				bitwiseEq(t, tag+"v", p.adamV, wps[i].adamV)
+			}
+		}
+	}
+	// adamRow against adamRowGo, the kernel on other architectures.
+	r := sim.NewRand(47)
+	for _, n := range lengths {
+		w, g, m, v := randMat(r, 1, n), randMat(r, 1, n), randMat(r, 1, n), randMat(r, 1, n)
+		for i, x := range v.Data {
+			v.Data[i] = x * x
+		}
+		aw, am, av := misalign(w), misalign(m), misalign(v)
+		adamRow(aw.Data, g.Data, am.Data, av.Data, 0.5, 0.9, 1-0.9, 0.999, 1-0.999, 0.3, 0.02, 1e-3, 1e-8)
+		adamRowGo(w.Data, g.Data, m.Data, v.Data, 0.5, 0.9, 1-0.9, 0.999, 1-0.999, 0.3, 0.02, 1e-3, 1e-8)
+		tag := fmt.Sprintf("adamRow n=%d ", n)
+		bitwiseEq(t, tag+"w", aw, w)
+		bitwiseEq(t, tag+"m", am, m)
+		bitwiseEq(t, tag+"v", av, v)
 	}
 }
 

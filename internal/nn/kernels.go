@@ -7,22 +7,29 @@ import (
 
 // Destination-passing compute kernels. Each kernel writes into a
 // caller-supplied matrix (usually from an Arena) instead of allocating, and
-// runs on the calling goroutine: one model is one goroutine's work, and
-// parallelism is across per-object models (predictor), never inside a kernel.
+// runs on the calling goroutine: one trunk is one goroutine's work, and
+// parallelism is across the serve tier's replicas, never inside a kernel.
 //
 // Determinism: every output element is accumulated in ascending order over
 // the contracted index, here and in the allocating forms in mat.go, which
 // run the same loops.
 //
-// Register blocking: the loops are unrolled four ways so that an output
-// element is loaded and stored once per four multiply-adds instead of once
-// per one. The products whose inner loop walks an output row (a @ b, aᵀ @ b)
-// take four steps of the contracted index at a time (axpy4); a @ bᵀ, whose
-// inner loop is a dot product, computes four output elements at a time in
-// four independent accumulators. Neither reorders a sum: each element is
-// still ((o + p₀) + p₁) + p₂ … over ascending contracted index, each product
-// rounded before it is added, so the blocked kernels equal the one-at-a-time
-// triple loop bit for bit (TestKernelsMatchNaive).
+// Register blocking: the products whose inner loop walks an output row
+// (a @ b, aᵀ @ b) take four steps of the contracted index at a time (axpy4),
+// so an output element is loaded and stored once per four multiply-adds; a @
+// bᵀ, whose inner loop is a dot product, computes several output elements at
+// a time (four in Go, eight in the assembly), each with its own running sum.
+// Neither reorders a sum: each element is still ((o + p₀) + p₁) + p₂ …
+// over ascending contracted index, each product rounded before it is added,
+// so the blocked kernels equal the one-at-a-time triple loop bit for bit
+// (TestKernelsMatchNaive).
+//
+// The row loops — axpy4, axpy1, matMulRow, matMulT2Row and Adam's adamRow —
+// are SSE2 assembly on amd64 (kernels_amd64.s), two lanes per instruction,
+// each lane the Go loop's operations in its order; elsewhere they are the Go
+// loops below (suffix Go), which the amd64 tests hold the assembly to. The
+// code here slices every operand to the length the assembly will touch, so a
+// malformed Mat panics in Go before any pointer reaches it.
 //
 // The dense kernels carry no zero-skip branch. The seed code skipped
 // multiplications where the activation was exactly zero (useful for one-hot
@@ -64,50 +71,57 @@ func (*Pool) MatMulInto(dst, a, b *Mat) {
 	matMul(dst, a, b)
 }
 
-// axpy1 computes o[j] += a·b[j].
+// axpy1Go computes o[j] += a·b[j].
 //
 //pythia:noalloc
-func axpy1(o []float64, a float64, b []float64) {
+func axpy1Go(o []float64, a float64, b []float64) {
 	b = b[:len(o)]
 	for j := range o {
 		o[j] += a * b[j]
 	}
 }
 
-// axpy4 computes o[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], added
-// left to right — four consecutive axpy1 steps with one load and one store of
-// o[j]. The re-slicing to len(o) lets the compiler drop the bounds checks
-// from the loop.
+// axpy4Go computes o[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], added
+// left to right, where bq is row q of b read with stride len(o) — four
+// consecutive axpy1 steps with one load and one store of o[j]. The re-slicing
+// to len(o) lets the compiler drop the bounds checks from the loop.
 //
 //pythia:noalloc
-func axpy4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
-	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+func axpy4Go(o []float64, a0, a1, a2, a3 float64, b []float64) {
+	n := len(o)
+	b0, b1, b2, b3 := b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
 	for j := range o {
 		o[j] = o[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 	}
 }
 
-// matMul computes dst = a @ b in i-k-j order, k four at a time: the inner
-// loop walks b and dst rows contiguously, which matters for the decoder's
-// wide output layer.
+// matMul computes dst = a @ b in i-k-j order, one output row per matMulRow
+// call: the inner loop walks b and dst rows contiguously, which matters for
+// the decoder's wide output layer.
 //
 //pythia:noalloc
 func matMul(dst, a, b *Mat) {
-	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-		k := 0
-		for ; k+4 <= len(arow); k += 4 {
-			r := b.Data[k*n:]
-			axpy4(orow, arow[k], arow[k+1], arow[k+2], arow[k+3], r, r[n:], r[2*n:], r[3*n:])
-		}
-		for ; k < len(arow); k++ {
-			axpy1(orow, arow[k], b.Data[k*n:])
-		}
+		arow, orow := a.Row(i), dst.Row(i)
+		matMulRow(orow, arow, b.Data[:len(arow)*len(orow)])
+	}
+}
+
+// matMulRowGo computes o = a @ B, where row k of B is b[k·len(o):], k four at
+// a time.
+//
+//pythia:noalloc
+func matMulRowGo(o, a, b []float64) {
+	n := len(o)
+	for j := range o {
+		o[j] = 0
+	}
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		axpy4Go(o, a[k], a[k+1], a[k+2], a[k+3], b[k*n:])
+	}
+	for ; k < len(a); k++ {
+		axpy1Go(o, a[k], b[k*n:])
 	}
 }
 
@@ -127,17 +141,17 @@ func (*Pool) MatMulT1Into(dst, a, b *Mat) {
 func matMulT1(dst, a, b *Mat) {
 	m, n := a.Cols, b.Cols
 	for i := 0; i < m; i++ {
-		orow := dst.Row(i)
+		orow := dst.Row(i)[:n]
 		for j := range orow {
 			orow[j] = 0
 		}
 		r := 0
 		for ; r+4 <= a.Rows; r += 4 {
-			ac, br := a.Data[r*m+i:], b.Data[r*n:]
-			axpy4(orow, ac[0], ac[m], ac[2*m], ac[3*m], br, br[n:], br[2*n:], br[3*n:])
+			ac := a.Data[r*m+i:]
+			axpy4(orow, ac[0], ac[m], ac[2*m], ac[3*m], b.Data[r*n:(r+4)*n])
 		}
 		for ; r < a.Rows; r++ {
-			axpy1(orow, a.Data[r*m+i], b.Data[r*n:])
+			axpy1(orow, a.Data[r*m+i], b.Data[r*n:(r+1)*n])
 		}
 	}
 }
@@ -155,13 +169,13 @@ func (*Pool) AccumT1Into(dst, a, b *Mat) {
 	dstCheck(dst, a.Cols, b.Cols, "accumT1")
 	m, n := a.Cols, b.Cols
 	for i := 0; i < m; i++ {
-		orow := dst.Row(i)
+		orow := dst.Row(i)[:n]
 		r := 0
 		for ; r+4 <= a.Rows; r += 4 {
-			ac, br := a.Data[r*m+i:], b.Data[r*n:]
+			ac, br := a.Data[r*m+i:], b.Data[r*n:(r+4)*n]
 			a0, a1, a2, a3 := ac[0], ac[m], ac[2*m], ac[3*m]
 			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				axpy4(orow, a0, a1, a2, a3, br, br[n:], br[2*n:], br[3*n:])
+				axpy4(orow, a0, a1, a2, a3, br)
 				continue
 			}
 			// A block holding a zero takes its steps one at a time: a
@@ -170,13 +184,13 @@ func (*Pool) AccumT1Into(dst, a, b *Mat) {
 			// whole saving (BenchmarkAccumT1Sparse).
 			for q := 0; q < 4; q++ {
 				if av := ac[q*m]; av != 0 {
-					axpy1(orow, av, br[q*n:])
+					axpy1(orow, av, br[q*n:(q+1)*n])
 				}
 			}
 		}
 		for ; r < a.Rows; r++ {
 			if av := a.Data[r*m+i]; av != 0 {
-				axpy1(orow, av, b.Data[r*n:])
+				axpy1(orow, av, b.Data[r*n:(r+1)*n])
 			}
 		}
 	}
@@ -191,34 +205,45 @@ func (*Pool) MatMulT2Into(dst, a, b *Mat) {
 	matMulT2(dst, a, b)
 }
 
-// matMulT2 computes four output elements (four rows of b) per pass over a's
-// row.
+// matMulT2 computes dst = a @ bᵀ one output row per matMulT2Row call. One
+// call per row, not per four outputs: the attention heads' dot products are
+// only Dh long, and an assembly call per four of them measured slower than
+// the Go loop.
 //
 //pythia:noalloc
 func matMulT2(dst, a, b *Mat) {
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0, b1, b2, b3 := b.Row(j)[:len(arow)], b.Row(j + 1)[:len(arow)], b.Row(j + 2)[:len(arow)], b.Row(j + 3)[:len(arow)]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		arow, orow := a.Row(i), dst.Row(i)
+		matMulT2Row(orow, arow, b.Data[:len(orow)*len(arow)])
+	}
+}
+
+// matMulT2RowGo computes o[j] = a · b[j·len(a):][:len(a)], four outputs (four
+// rows of b) per pass over a.
+//
+//pythia:noalloc
+func matMulT2RowGo(o, a, b []float64) {
+	d := len(a)
+	j := 0
+	for ; j+4 <= len(o); j += 4 {
+		r := b[j*d:]
+		b0, b1, b2, b3 := r[:d], r[d:][:d], r[2*d:][:d], r[3*d:][:d]
+		var s0, s1, s2, s3 float64
+		for k, av := range a {
+			s0 += av * b0[k]
+			s1 += av * b1[k]
+			s2 += av * b2[k]
+			s3 += av * b3[k]
 		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)[:len(arow)]
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
+		o[j], o[j+1], o[j+2], o[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(o); j++ {
+		br := b[j*d:][:d]
+		s := 0.0
+		for k, av := range a {
+			s += av * br[k]
 		}
+		o[j] = s
 	}
 }
 

@@ -53,6 +53,21 @@ func BenchmarkMatMulT2(b *testing.B) {
 	}
 }
 
+// BenchmarkAdamStep measures one clipped Adam update of the train workload's
+// 66 764 parameters (model.params), held in one Param: the model splits them
+// over a few dozen, which adds only a call per Param.
+func BenchmarkAdamStep(b *testing.B) {
+	r := sim.NewRand(8)
+	p := NewParam("w", 1, 66764)
+	p.G = randMat(r, 1, 66764)
+	opt := NewAdam(1e-3, []*Param{p})
+	opt.Clip = 5
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opt.Step()
+	}
+}
+
 // BenchmarkAttention measures a full MHSA forward+backward at an
 // encoder-realistic shape (sequence 64, the paper's Dim-100-ish width,
 // 8 heads).

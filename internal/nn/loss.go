@@ -28,8 +28,9 @@ type BCEWithLogits struct {
 	Scratch *Arena
 }
 
-// Loss returns the mean loss over all outputs and the gradient with respect
-// to the logits. targets must contain 0/1 values of the same shape.
+// Loss returns the loss over all outputs — their mean, or their sum under Sum
+// — and its gradient with respect to the logits. targets must contain 0/1
+// values of the same shape.
 func (b BCEWithLogits) Loss(logits *Mat, targets []float64) (float64, *Mat) {
 	if len(targets) != len(logits.Data) {
 		panic("nn: BCE target length mismatch")
