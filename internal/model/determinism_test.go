@@ -7,10 +7,10 @@ import (
 	"github.com/pythia-db/pythia/internal/nn"
 )
 
-// TestTrainThreadsDeterminism is the reproducibility contract at the model
+// TestTrainBitwiseRepeatable is the reproducibility contract at the model
 // level: training the same model twice produces byte-identical loss and
 // parameters.
-func TestTrainThreadsDeterminism(t *testing.T) {
+func TestTrainBitwiseRepeatable(t *testing.T) {
 	labels, samples := trainingFixture()
 	cfg := smallCfg()
 	cfg.Epochs = 8
@@ -42,9 +42,9 @@ func TestTrainThreadsDeterminism(t *testing.T) {
 	}
 }
 
-// TestPredictThreadsDeterminism extends the contract to inference: two
+// TestPredictBitwiseRepeatable extends the contract to inference: two
 // models trained alike score a sequence bit for bit alike.
-func TestPredictThreadsDeterminism(t *testing.T) {
+func TestPredictBitwiseRepeatable(t *testing.T) {
 	labels, samples := trainingFixture()
 	cfg := smallCfg()
 	cfg.Epochs = 8

@@ -46,11 +46,14 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // depends on the weights' shapes, not their values). heads=5 is what a t91
 // plan selects; it reads ≈ 0.05 ms above heads=1's ≈ 0.3 ms — four more
 // decoders and their sigmoids — where five private encoders cost five times.
+// parallel is heads=5 from GOMAXPROCS goroutines on one trunk: each call runs
+// on a view of its own, so its ns/op falls with the CPUs given (-cpu).
 func BenchmarkInfer(b *testing.B) {
 	seq := make([]int, 37)
 	for i := range seq {
 		seq[i] = i % 64
 	}
+	var t *Trunk
 	for _, heads := range []int{1, 5} {
 		labelSets := make([][]storage.PageID, heads)
 		for h := range labelSets {
@@ -58,11 +61,18 @@ func BenchmarkInfer(b *testing.B) {
 				labelSets[h] = append(labelSets[h], pg(uint32(h+1), uint32(i)))
 			}
 		}
-		t := NewTrunk(64, labelSets, DefaultConfig())
+		t = NewTrunk(64, labelSets, DefaultConfig())
 		b.Run(fmt.Sprintf("heads=%d", heads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				t.Predict(seq, t.Heads())
 			}
 		})
 	}
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				t.Predict(seq, t.Heads())
+			}
+		})
+	})
 }

@@ -97,18 +97,31 @@ type Sample struct {
 }
 
 // Trunk is what one workload's heads share: the encoder (≈ 98 % of a
-// prediction's FLOPs) and the scratch arena everything computes in. Every
-// head is fed the same plan (Algorithm 3), so it is encoded once per plan.
+// prediction's FLOPs). Every head is fed the same plan (Algorithm 3), so it
+// is encoded once per plan.
 type Trunk struct {
 	cfg   Config
 	enc   *nn.Encoder
 	heads []*Model
 
-	// The arena in rt is single-owner, so mu serializes every Train, Predict
-	// and Scores through any head of this trunk; distinct trunks (the serve
-	// tier's replicas) stay fully concurrent.
-	rt nn.Runtime
-	mu sync.Mutex
+	// Every pass, training or inference, runs on a view borrowed from views.
+	// Inference holds mu's read lock, so passes through any heads of this
+	// trunk run concurrently; Train holds the write lock, because it writes
+	// the weights every view reads.
+	mu      sync.RWMutex
+	viewsMu sync.Mutex
+	views   []*view
+}
+
+// view is the trunk's weights with one pass's state: an arena, and an
+// encoder and one decoder per head (decs[i] for heads[i]) that share the
+// trunk's parameters but keep their own activation caches. The free list is
+// a plain slice, not a sync.Pool, so warmed arenas survive GC; it holds as
+// many views as the most passes that ever ran at once.
+type view struct {
+	arena *nn.Arena
+	enc   *nn.Encoder
+	decs  []*nn.Decoder
 }
 
 // Model is one head on a trunk: a fixed label space and the feed-forward
@@ -117,6 +130,7 @@ type Model struct {
 	Labels []storage.PageID // label j ↔ Labels[j]
 
 	trunk    *Trunk
+	idx      int // position in trunk.heads and in every view's decs
 	labelIdx map[storage.PageID]int
 	dec      *nn.Decoder
 
@@ -135,9 +149,7 @@ func NewTrunk(vocabSize int, labelSets [][]storage.PageID, cfg Config) *Trunk {
 			Vocab: vocabSize, Dim: cfg.Dim, Heads: cfg.Heads,
 			Layers: cfg.Layers, FFHidden: cfg.FFHidden,
 		}, r),
-		rt: nn.Runtime{Arena: nn.NewArena()},
 	}
-	t.enc.SetRuntime(t.rt)
 	for _, labels := range labelSets {
 		if len(labels) == 0 {
 			panic("model: empty label space")
@@ -145,10 +157,10 @@ func NewTrunk(vocabSize int, labelSets [][]storage.PageID, cfg Config) *Trunk {
 		m := &Model{
 			Labels:   labels,
 			trunk:    t,
+			idx:      len(t.heads),
 			labelIdx: make(map[storage.PageID]int, len(labels)),
 			dec:      nn.NewDecoder("dec", cfg.Dim, cfg.DecoderHidden, len(labels), r),
 		}
-		m.dec.SetRuntime(t.rt)
 		// Start every page logit clearly negative: almost all labels are 0
 		// for any one query, so training spends its gradient budget on the
 		// positives instead of first pushing every output below threshold.
@@ -170,6 +182,30 @@ func New(vocabSize int, labels []storage.PageID, cfg Config) *Model {
 
 // Heads returns the trunk's heads in construction order.
 func (t *Trunk) Heads() []*Model { return t.heads }
+
+// borrow takes a view off the free list, building one when every view is in
+// use. The caller holds mu and hands the view back with giveBack.
+func (t *Trunk) borrow() *view {
+	t.viewsMu.Lock()
+	defer t.viewsMu.Unlock()
+	if n := len(t.views); n > 0 {
+		v := t.views[n-1]
+		t.views = t.views[:n-1]
+		return v
+	}
+	rt := nn.Runtime{Arena: nn.NewArena()}
+	v := &view{arena: rt.Arena, enc: t.enc.Share(rt)}
+	for _, h := range t.heads {
+		v.decs = append(v.decs, h.dec.Share(rt))
+	}
+	return v
+}
+
+func (t *Trunk) giveBack(v *view) {
+	t.viewsMu.Lock()
+	t.views = append(t.views, v)
+	t.viewsMu.Unlock()
+}
 
 // params lists the encoder's parameters, then each given head's.
 func (t *Trunk) params(heads []*Model) []*nn.Param {
@@ -233,6 +269,8 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	v := t.borrow()
+	defer t.giveBack(v)
 	opt := nn.NewAdam(t.cfg.LR, t.params(heads))
 	opt.Clip = 5
 	r := sim.NewRand(t.cfg.Seed ^ 0x5eed)
@@ -247,7 +285,7 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 		epochLoss = 0
 		for _, i := range order {
 			opt.ZeroGrad()
-			epochLoss += t.backprop(heads, samples[i])
+			epochLoss += t.backprop(v, heads, samples[i])
 			opt.Step()
 		}
 		if len(samples) > 0 {
@@ -262,43 +300,47 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 // 1×Dim representation gradients are summed in head order (into the first
 // head's, so one head is the unshared model bit for bit) before the single
 // Encoder.Backward.
-func (t *Trunk) backprop(heads []*Model, s Sample) float64 {
+func (t *Trunk) backprop(v *view, heads []*Model, s Sample) float64 {
 	// Recycle the previous step's scratch: steady state allocates nothing.
-	t.rt.Arena.Release()
+	v.arena.Release()
 	// Sum reduction keeps the gradient scale independent of the label-space
 	// size, so heads over large objects train as fast as small ones.
-	bce := nn.BCEWithLogits{PosWeight: t.cfg.PosWeight, Sum: true, Scratch: t.rt.Arena}
-	rep := t.enc.Forward(s.TokenIDs)
+	bce := nn.BCEWithLogits{PosWeight: t.cfg.PosWeight, Sum: true, Scratch: v.arena}
+	rep := v.enc.Forward(s.TokenIDs)
 	var total float64
 	var dRep *nn.Mat
 	for _, h := range heads {
-		loss, dLogits := bce.Loss(h.dec.Forward(rep), h.targets(s.Pages))
+		dec := v.decs[h.idx]
+		loss, dLogits := bce.Loss(dec.Forward(rep), h.targets(s.Pages))
 		total += loss
-		if d := h.dec.Backward(dLogits); dRep == nil {
+		if d := dec.Backward(dLogits); dRep == nil {
 			dRep = d
 		} else {
 			nn.AddInPlace(dRep, d)
 		}
 	}
-	t.enc.Backward(dRep)
+	v.enc.Backward(dRep)
 	return total
 }
 
-// forward encodes the plan once under the trunk lock and hands visit each
+// forward encodes the plan once on a view of its own and hands visit each
 // given head's logits, which are scratch: valid only during the call.
 func (t *Trunk) forward(tokenIDs []int, heads []*Model, visit func(i int, logits []float64)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rt.Arena.Release()
-	rep := t.enc.Forward(tokenIDs)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	v := t.borrow()
+	defer t.giveBack(v)
+	v.arena.Release()
+	rep := v.enc.Forward(tokenIDs)
 	for i, h := range heads {
-		visit(i, h.dec.Forward(rep).Data)
+		visit(i, v.decs[h.idx].Forward(rep).Data)
 	}
 }
 
 // Predict runs one-shot inference for the given heads off one encoder pass:
 // per head, the pages whose sigmoid probability crosses the threshold, in
-// label (file-storage) order. Safe for concurrent callers.
+// label (file-storage) order. Concurrent callers run in parallel, each on
+// a view of its own; a Train waits for them and they for it.
 func (t *Trunk) Predict(tokenIDs []int, heads []*Model) [][]storage.PageID {
 	out := make([][]storage.PageID, len(heads))
 	t.forward(tokenIDs, heads, func(i int, logits []float64) { out[i] = heads[i].pages(logits) })
@@ -321,7 +363,7 @@ func (m *Model) Predict(tokenIDs []int) []storage.PageID {
 	return m.trunk.Predict(tokenIDs, []*Model{m})[0]
 }
 
-// PredictBatch runs inference for several token sequences under one lock.
+// PredictBatch runs inference for several token sequences on one view.
 // It amortises next to nothing: the encoder runs once per sequence (lengths
 // differ), exactly as in Predict; only the decoder sees the B
 // representations as one B×Dim matrix, each row accumulated in the 1×Dim
@@ -333,15 +375,17 @@ func (m *Model) PredictBatch(seqs [][]int) [][]storage.PageID {
 		return out
 	}
 	t := m.trunk
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rt.Arena.Release()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	v := t.borrow()
+	defer t.giveBack(v)
+	v.arena.Release()
 	// reps is allocated before the encoder passes whose rows it gathers.
-	reps := t.rt.Arena.Get(len(seqs), t.cfg.Dim)
+	reps := v.arena.Get(len(seqs), t.cfg.Dim)
 	for i, ids := range seqs {
-		copy(reps.Row(i), t.enc.Forward(ids).Row(0))
+		copy(reps.Row(i), v.enc.Forward(ids).Row(0))
 	}
-	logits := m.dec.Forward(reps)
+	logits := v.decs[m.idx].Forward(reps)
 	for i := range seqs {
 		out[i] = m.pages(logits.Row(i))
 	}

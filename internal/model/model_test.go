@@ -83,17 +83,6 @@ func TestScoresInRange(t *testing.T) {
 	}
 }
 
-func TestTrainingDeterministic(t *testing.T) {
-	labels, samples := trainingFixture()
-	cfg := smallCfg()
-	cfg.Epochs = 10
-	a := New(12, labels, cfg)
-	b := New(12, labels, cfg)
-	if a.Train(samples) != b.Train(samples) {
-		t.Fatal("training not deterministic")
-	}
-}
-
 func TestTargetsIgnoreForeignPages(t *testing.T) {
 	labels := []storage.PageID{pg(1, 0), pg(1, 1)}
 	m := New(12, labels, smallCfg())

@@ -12,9 +12,10 @@ package nn
 // the first step, steady-state Get calls are pure recycles — zero heap
 // allocation.
 //
-// An Arena is owned by exactly one owner (a model.Trunk and its heads) and
-// is NOT safe for concurrent use: all Get/Release calls must come from the
-// goroutine driving that owner. A nil *Arena is valid and falls back to plain NewMat allocation.
+// An Arena is NOT safe for concurrent use: it belongs to the one encoder
+// and decoders computing in it (a model.Trunk lends each pass its own such
+// set, see Encoder.Share), and all Get/Release calls come from the pass
+// using them. A nil *Arena is valid and falls back to plain NewMat allocation.
 type Arena struct {
 	free map[int][]*Mat // element count → reusable matrices
 	used []*Mat         // everything handed out since the last Release

@@ -45,11 +45,9 @@ func TestArenaRecyclesBuffers(t *testing.T) {
 // (essentially) nothing from the heap.
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	r := sim.NewRand(2)
-	enc := NewEncoder(EncoderConfig{Vocab: 30, Dim: 16, Heads: 4, Layers: 2}, r)
-	dec := NewDecoder("d", 16, 32, 64, r)
 	rt := Runtime{Arena: NewArena()}
-	enc.SetRuntime(rt)
-	dec.SetRuntime(rt)
+	enc := NewEncoder(EncoderConfig{Vocab: 30, Dim: 16, Heads: 4, Layers: 2}, r).Share(rt)
+	dec := NewDecoder("d", 16, 32, 64, r).Share(rt)
 	bce := BCEWithLogits{Sum: true, Scratch: rt.Arena}
 	targets := make([]float64, 64)
 	ids := []int{1, 2, 3, 4, 5, 6}

@@ -61,6 +61,16 @@ func (a *MHSA) SetRuntime(rt Runtime) {
 	a.Wo.SetRuntime(rt)
 }
 
+// share returns a block over a's projections' parameters with its own
+// caches and scratch, computing in rt.
+func (a *MHSA) share(rt Runtime) *MHSA {
+	return &MHSA{
+		D: a.D, H: a.H, Dh: a.Dh,
+		Wq: a.Wq.share(rt), Wk: a.Wk.share(rt), Wv: a.Wv.share(rt), Wo: a.Wo.share(rt),
+		rt: rt,
+	}
+}
+
 // Params returns all projection parameters.
 func (a *MHSA) Params() []*Param {
 	var out []*Param

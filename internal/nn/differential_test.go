@@ -371,9 +371,8 @@ func TestEncoderPrunedMatchesFull(t *testing.T) {
 	for _, layers := range []int{1, 2, 3} {
 		for _, seqLen := range []int{1, 2, 37} {
 			build := func() (*Encoder, *Adam, Runtime) {
-				enc := NewEncoder(EncoderConfig{Vocab: 50, Dim: 32, Heads: 4, Layers: layers}, sim.NewRand(23))
 				rt := Runtime{Arena: NewArena()}
-				enc.SetRuntime(rt)
+				enc := NewEncoder(EncoderConfig{Vocab: 50, Dim: 32, Heads: 4, Layers: layers}, sim.NewRand(23)).Share(rt)
 				return enc, NewAdam(3e-3, enc.Params()), rt
 			}
 			pruned, popt, prt := build()

@@ -13,13 +13,6 @@ type FFN struct {
 	relu   ReLU
 }
 
-// SetRuntime binds execution resources for the block.
-func (f *FFN) SetRuntime(rt Runtime) {
-	f.L1.SetRuntime(rt)
-	f.L2.SetRuntime(rt)
-	f.relu.SetRuntime(rt)
-}
-
 // NewFFN builds the block with the given hidden width.
 func NewFFN(name string, d, hidden int, r *sim.Rand) *FFN {
 	return &FFN{
@@ -52,15 +45,6 @@ type EncoderLayer struct {
 	LN2  *LayerNorm
 
 	rt Runtime
-}
-
-// SetRuntime binds execution resources for the layer and its blocks.
-func (e *EncoderLayer) SetRuntime(rt Runtime) {
-	e.rt = rt
-	e.Attn.SetRuntime(rt)
-	e.FF.SetRuntime(rt)
-	e.LN1.SetRuntime(rt)
-	e.LN2.SetRuntime(rt)
 }
 
 // NewEncoderLayer builds one layer.
@@ -131,15 +115,6 @@ type Encoder struct {
 	lastSeqLen int
 }
 
-// SetRuntime binds the scratch arena the encoder computes with; it
-// propagates to every layer. Call once after construction.
-func (e *Encoder) SetRuntime(rt Runtime) {
-	e.Emb.SetRuntime(rt)
-	for _, l := range e.Layers {
-		l.SetRuntime(rt)
-	}
-}
-
 // EncoderConfig sizes the encoder. The paper's configuration is Dim 100,
 // Heads 10, Layers 2.
 type EncoderConfig struct {
@@ -167,6 +142,26 @@ func NewEncoder(cfg EncoderConfig, r *sim.Rand) *Encoder {
 		enc.Layers = append(enc.Layers, NewEncoderLayer("enc.l"+strconv.Itoa(i), cfg.Dim, cfg.Heads, cfg.FFHidden, r))
 	}
 	return enc
+}
+
+// Share returns an encoder over e's parameters — the same *Param pointers,
+// so a weight update through either is seen by both — with its own backward
+// caches, computing in rt; it is how an encoder is bound to an arena (one
+// from NewEncoder computes on the heap). Encoders that share parameters but
+// not a runtime may run forward passes concurrently while nothing writes
+// the weights.
+func (e *Encoder) Share(rt Runtime) *Encoder {
+	s := &Encoder{Emb: &Embedding{V: e.Emb.V, D: e.Emb.D, Table: e.Emb.Table, rt: rt}, D: e.D}
+	for _, l := range e.Layers {
+		s.Layers = append(s.Layers, &EncoderLayer{
+			Attn: l.Attn.share(rt),
+			FF:   &FFN{L1: l.FF.L1.share(rt), L2: l.FF.L2.share(rt), relu: ReLU{rt: rt}},
+			LN1:  l.LN1.share(rt),
+			LN2:  l.LN2.share(rt),
+			rt:   rt,
+		})
+	}
+	return s
 }
 
 // Params returns every parameter in the encoder.

@@ -177,10 +177,8 @@ func BenchmarkAccumT1Sparse(b *testing.B) {
 func BenchmarkTrainStep(b *testing.B) {
 	run := func(b *testing.B, rt Runtime) {
 		r := sim.NewRand(7)
-		enc := NewEncoder(EncoderConfig{Vocab: 64, Dim: 32, Heads: 4, Layers: 2}, r)
-		dec := NewDecoder("d", 32, 64, 2048, r)
-		enc.SetRuntime(rt)
-		dec.SetRuntime(rt)
+		enc := NewEncoder(EncoderConfig{Vocab: 64, Dim: 32, Heads: 4, Layers: 2}, r).Share(rt)
+		dec := NewDecoder("d", 32, 64, 2048, r).Share(rt)
 		bce := BCEWithLogits{Sum: true, Scratch: rt.Arena}
 		targets := make([]float64, 2048)
 		for i := 0; i < len(targets); i += 7 {

@@ -68,6 +68,12 @@ func NewLinear(name string, in, out int, r *sim.Rand) *Linear {
 	return l
 }
 
+// share returns a layer over l's parameters with its own input cache,
+// computing in rt.
+func (l *Linear) share(rt Runtime) *Linear {
+	return &Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias, rt: rt}
+}
+
 // Params returns the layer's parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
@@ -113,9 +119,6 @@ type Embedding struct {
 	rt  Runtime
 	ids []int // cached for backward
 }
-
-// SetRuntime binds execution resources.
-func (e *Embedding) SetRuntime(rt Runtime) { e.rt = rt }
 
 // NewEmbedding builds an embedding table with small-normal init.
 func NewEmbedding(name string, vocab, dim int, r *sim.Rand) *Embedding {
@@ -214,9 +217,6 @@ type LayerNorm struct {
 	invSD []float64
 }
 
-// SetRuntime binds execution resources.
-func (ln *LayerNorm) SetRuntime(rt Runtime) { ln.rt = rt }
-
 const lnEps = 1e-5
 
 // NewLayerNorm builds a layer norm with unit gain and zero bias.
@@ -226,6 +226,12 @@ func NewLayerNorm(name string, d int) *LayerNorm {
 		ln.Gain.W.Data[i] = 1
 	}
 	return ln
+}
+
+// share returns a layer norm over ln's parameters with its own caches,
+// computing in rt.
+func (ln *LayerNorm) share(rt Runtime) *LayerNorm {
+	return &LayerNorm{D: ln.D, Gain: ln.Gain, Bias: ln.Bias, rt: rt}
 }
 
 // Params returns gain and bias.
@@ -308,9 +314,6 @@ type ReLU struct {
 	rt Runtime
 	x  *Mat
 }
-
-// SetRuntime binds execution resources.
-func (r *ReLU) SetRuntime(rt Runtime) { r.rt = rt }
 
 // Forward zeroes negatives.
 func (r *ReLU) Forward(x *Mat) *Mat {

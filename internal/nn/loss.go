@@ -89,11 +89,9 @@ func NewDecoder(name string, in, hidden, outputs int, r *sim.Rand) *Decoder {
 	}
 }
 
-// SetRuntime binds execution resources for the head.
-func (d *Decoder) SetRuntime(rt Runtime) {
-	d.L1.SetRuntime(rt)
-	d.L2.SetRuntime(rt)
-	d.relu.SetRuntime(rt)
+// Share is Encoder.Share for the head: d's parameters, its own caches, rt.
+func (d *Decoder) Share(rt Runtime) *Decoder {
+	return &Decoder{L1: d.L1.share(rt), L2: d.L2.share(rt), relu: ReLU{rt: rt}}
 }
 
 // Params returns the head's parameters.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/catalog"
@@ -136,9 +137,10 @@ func TestUpdateTrainsAllHeadsJointly(t *testing.T) {
 	}
 }
 
-// TestConcurrentHeadsMatchSequential (run it under -race): every head handle
-// reaches the one arena of its trunk, so the trunk's mutex is all that
-// stands between concurrent callers of different heads and a data race.
+// TestConcurrentHeadsMatchSequential (run it under -race): inference on a
+// trunk runs concurrently, each call on a view of its own — the trunk's
+// weights with a private arena and private activation caches — so two calls
+// that shared a view, or wrote a cache on the trunk itself, would race here.
 // Eight goroutines call Predict, Scores and PredictBatch on different heads
 // while Predictor.Predict runs on the same predictor; every answer must be
 // exactly the sequential one.
@@ -196,6 +198,157 @@ func TestConcurrentHeadsMatchSequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotWhole[w], wantWhole) {
 			t.Fatalf("worker %d: Predictor.Predict answered differently under concurrency", w)
+		}
+	}
+}
+
+// allScores is every head's Scores on every sequence, head-major.
+func allScores(p *Predictor, seqs [][]int) [][]float64 {
+	var out [][]float64
+	for _, m := range p.Models() {
+		for _, ids := range seqs {
+			out = append(out, m.Scores(ids))
+		}
+	}
+	return out
+}
+
+// clone rebuilds p from its state: the same weights, with the optimizer
+// moments a restore resets, so two clones train alike bit for bit.
+func clone(t *testing.T, p *Predictor) *Predictor {
+	t.Helper()
+	q, err := FromState(p.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestPredictDuringUpdate (run it under -race): readers predict while one
+// Predictor.Update trains the same trunk. Training holds the trunk's write
+// lock, so every concurrent answer — one Scores or Predict call — is the
+// sequential one from before the Update or the one from after it, never one
+// computed over half-written weights, and once a reader has seen the after
+// side it never sees the before side again. Each reader's first round
+// precedes the Update and its last follows it, so both sides are seen.
+func TestPredictDuringUpdate(t *testing.T) {
+	p, samples, plans := headsFixture(t, 4)
+	seqs := make([][]int, len(plans))
+	for i, root := range plans {
+		seqs[i] = p.EncodePlan(root)
+	}
+	// ask makes every call once; each element is one call's answer.
+	ask := func(q *Predictor) []any {
+		var out []any
+		for _, s := range allScores(q, seqs) {
+			out = append(out, s)
+		}
+		for _, root := range plans {
+			out = append(out, q.Predict(root))
+		}
+		return out
+	}
+	ref, live := clone(t, p), clone(t, p)
+	before := ask(ref)
+	ref.Update(samples, 2)
+	after := ask(ref)
+	if reflect.DeepEqual(before, after) {
+		t.Fatal("Update moved no answer; the test would be vacuous")
+	}
+
+	const readers = 4
+	var started, finished sync.WaitGroup
+	var updated atomic.Bool
+	for r := 0; r < readers; r++ {
+		started.Add(1)
+		finished.Add(1)
+		go func(r int) {
+			defer finished.Done()
+			seenAfter := false
+			for round := 0; ; round++ {
+				last := updated.Load()
+				for i, got := range ask(live) {
+					isBefore, isAfter := reflect.DeepEqual(got, before[i]), reflect.DeepEqual(got, after[i])
+					switch {
+					case round == 0 && !isBefore:
+						t.Errorf("reader %d, call %d: the answer before the Update is not the sequential one", r, i)
+					case last && !isAfter:
+						t.Errorf("reader %d, call %d: the answer after the Update is not the sequential one", r, i)
+					case !isBefore && !isAfter:
+						t.Errorf("reader %d, round %d, call %d: the answer matches neither side of the Update", r, round, i)
+					case seenAfter && !isAfter:
+						t.Errorf("reader %d, round %d, call %d: the before side again after the after side", r, round, i)
+					}
+					seenAfter = seenAfter || !isBefore
+				}
+				if round == 0 {
+					started.Done()
+				}
+				if last {
+					return
+				}
+			}
+		}(r)
+	}
+	started.Wait()
+	live.Update(samples, 2)
+	updated.Store(true)
+	finished.Wait()
+}
+
+// TestViewsSeeTrainedWeights: a trunk's views share its parameters rather
+// than copying them. Views built by predictions before an Update answer
+// after it exactly as a trunk rebuilt from the updated state does (via
+// FromState, TrunkFromState), and the Update moved every tensor of that
+// state. A view holding a copy of a weight either keeps the old value or,
+// when it is the view Update trains on, gathers that weight's gradient in
+// its copy, so the optimizer never moves the trunk's.
+func TestViewsSeeTrainedWeights(t *testing.T) {
+	p, samples, plans := headsFixture(t, 4)
+	seqs := make([][]int, len(plans))
+	for i, root := range plans {
+		seqs[i] = p.EncodePlan(root)
+	}
+	// weights copies the state's tensors out, in state order.
+	weights := func() (names []string, ws [][]float64) {
+		s := p.State().Trunk
+		for _, w := range s.Encoder {
+			names, ws = append(names, w.Name), append(ws, slices.Clone(w.W))
+		}
+		for _, h := range s.Heads {
+			for _, w := range h.Decoder {
+				names, ws = append(names, w.Name), append(ws, slices.Clone(w.W))
+			}
+		}
+		return names, ws
+	}
+	const workers = 4
+	concurrently := func() [][][]float64 {
+		out := make([][][]float64, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				out[w] = allScores(p, seqs)
+			}(w)
+		}
+		wg.Wait()
+		return out
+	}
+	concurrently()
+	names, old := weights()
+	p.Update(samples, 2)
+	_, trained := weights()
+	for i := range old {
+		if slices.Equal(old[i], trained[i]) {
+			t.Fatalf("Update left %s (tensor %d) as it was", names[i], i)
+		}
+	}
+	want := allScores(clone(t, p), seqs)
+	for w, got := range concurrently() {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("worker %d: a view built before the Update answers differently from the restored state", w)
 		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 // instance is one serving replica: an independent trained system with its
 // own prediction cache, health tracker, and bounded work queue. Replicas
 // share nothing but the metrics hub and the fault gate — each holds its own
-// encoder trunk and heads (clones decoded from one snapshot), so inference on
-// different replicas runs truly in parallel instead of serializing on one
-// trunk's mutex. Replicas are the tier's only parallel unit: within one, a
-// prediction is one encoder pass plus its heads on one goroutine.
+// encoder trunk and heads (clones decoded from one snapshot). Inference is
+// parallel within a replica too: concurrent predictions on one trunk each
+// run on a view of its own (model.Trunk), one encoder pass plus its heads
+// per request goroutine.
 type instance struct {
 	id   int
 	gen  uint64

@@ -29,8 +29,8 @@ type Options struct {
 	// Replicas is the number of independent model replicas behind the
 	// consistent-hash router, at most maxReplicas. 1 (the default) is a
 	// one-node ring over the trained system itself; N > 1 snapshots it and
-	// decodes N-1 clones, so forward passes on distinct replicas run truly in
-	// parallel.
+	// decodes N-1 clones, each with its own cache, queue and health. One
+	// replica already runs concurrent forward passes in parallel.
 	Replicas int
 	// QueueDepth bounds each replica's concurrently admitted requests — the
 	// serving tier's one admission point. A request every candidate replica

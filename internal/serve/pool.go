@@ -14,9 +14,9 @@ package serve
 // distinct plan's cached prediction lives on exactly one replica — the
 // pool's aggregate cache holds N shards of the hot set, not N copies of it —
 // and a cache miss for a given plan always recomputes on the replica that
-// will field that plan's future hits. Model weights are cloned per replica,
-// so forward passes on different replicas never serialize on a shared
-// model's mutex; that is where the aggregate throughput multiple comes from.
+// will field that plan's future hits. Forward passes run concurrently on
+// one replica's trunk as well as across replicas, so replicas add cache
+// shards, failover targets and fault isolation rather than cores.
 //
 // A model swap builds a complete standby generation (N fresh clones from the
 // new snapshot), warms it on recently served plans, and swings one atomic
