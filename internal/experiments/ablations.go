@@ -26,7 +26,7 @@ func (s *Suite) Figure12a() *Table {
 	for _, pct := range []int{25, 50, 100} {
 		k := dbKey{scale: max(s.cfg.Scale*pct/100, 2)}
 		sp := s.split(k, "t18")
-		t.addRow(fmt.Sprintf("SF%d", pct), meanF1(s.ablation(k, s.trained(k, "t18", sp.train, s.ablationOptions())), sp.test))
+		t.addRow(fmt.Sprintf("SF%d", k.scale), meanF1(s.ablation(k, s.trained(k, "t18", sp.train, s.predictorOptions())), sp.test))
 	}
 	return t
 }
@@ -39,7 +39,7 @@ func (s *Suite) Figure12b() *Table {
 	k, sp := s.home("t18"), s.Split("t18")
 	for _, frac := range []float64{0.10, 0.25, 0.50, 0.75, 1.0} {
 		sub := workload.Subsample(sp.train, frac, s.cfg.Seed+31)
-		sys := s.ablation(k, s.trained(k, "t18", sub, s.ablationOptions()))
+		sys := s.ablation(k, s.trained(k, "t18", sub, s.predictorOptions()))
 		t.addRow(fmt.Sprintf("%.0f%%", frac*100), meanF1(sys, sp.test))
 	}
 	return t
@@ -61,7 +61,7 @@ func (s *Suite) Figure12c() *Table {
 		workload.Subsample(sp18.train, 0.5, s.cfg.Seed+41)...),
 		workload.Subsample(sp19.train, 0.5, s.cfg.Seed+43)...)
 	k := s.home("t18")
-	hsys := s.ablation(k, s.trained(k, "t18", mixed, s.ablationOptions()))
+	hsys := s.ablation(k, s.trained(k, "t18", mixed, s.predictorOptions()))
 	t.addRow("heterogeneous", meanF1(hsys, sp18.test), meanF1(hsys, sp19.test))
 	return t
 }
@@ -69,15 +69,14 @@ func (s *Suite) Figure12c() *Table {
 // Figure12d reproduces Figure 12d: a separate head per index / base table
 // vs one combined head per relation, both on the workload's one encoder
 // trunk (counted once in "total params"). Combined heads save space but
-// lose accuracy. EXPERIMENTS.md quotes the third point, a separate encoder
-// per object, from the last commit that had one.
+// lose accuracy.
 func (s *Suite) Figure12d() *Table {
 	t := newTable("fig12d", "Separate vs combined index/base-table heads on one trunk (t18)",
 		"configuration", "mean F1", "total params")
 	k, sp := s.home("t18"), s.Split("t18")
 
 	// Combined: group each relation's heap with its index.
-	combined := s.ablationOptions()
+	combined := s.predictorOptions()
 	for _, rel := range s.database(k).sys.DB.Relations() {
 		for _, ix := range rel.Indexes() {
 			combined.Groups = append(combined.Groups, []storage.ObjectID{
@@ -89,7 +88,7 @@ func (s *Suite) Figure12d() *Table {
 		label string
 		opts  predictor.Options
 	}{
-		{"separate", s.ablationOptions()},
+		{"separate", s.predictorOptions()},
 		{"combined", combined},
 	} {
 		tw := s.trained(k, "t18", sp.train, v.opts)
@@ -153,19 +152,20 @@ func (s *Suite) Figure12g() *Table {
 // infrequent non-sequential pages.
 func (s *Suite) Figure12h() *Table {
 	t := newTable("fig12h", "Speedup when predicting only top-k frequent pages (t18)",
-		"label space", "speedup")
+		"label space", "labels", "speedup")
 	k, sp := s.home("t18"), s.Split("t18")
 
-	// Distinct observed pages define the full label-space size; the paper's
-	// 20k/40k/60k sweep maps to 25% / 50% / 75% of it at this scale.
-	distinct := map[storage.PageID]bool{}
-	for _, inst := range sp.train {
-		for _, p := range inst.Pages {
-			distinct[p] = true
+	// "labels" counts what a workload's heads keep together. The full label
+	// space is every page observed in training; the paper's 20k/40k/60k
+	// sweep maps to 25% / 50% / 75% of it at this scale.
+	labels := func(tw *pythia.Trained) (n int) {
+		for _, m := range tw.Pred.Models() {
+			n += len(m.Labels)
 		}
+		return n
 	}
-	full := len(distinct)
-	variants := []struct {
+	full := labels(s.trained(k, "t18", sp.train, s.predictorOptions()))
+	for _, v := range []struct {
 		label string
 		topK  int
 	}{
@@ -173,12 +173,12 @@ func (s *Suite) Figure12h() *Table {
 		{"top 50%", full / 2},
 		{"top 75%", full * 3 / 4},
 		{"full", 0},
-	}
-	for _, v := range variants {
-		opts := s.ablationOptions()
+	} {
+		opts := s.predictorOptions()
 		opts.TopK = v.topK
-		sys := s.ablation(k, s.trained(k, "t18", sp.train, opts))
-		t.addRow(v.label, s.meanSpeedups(sys, "t18", sys.Prefetch)[0])
+		tw := s.trained(k, "t18", sp.train, opts)
+		sys := s.ablation(k, tw)
+		t.addRow(v.label, labels(tw), s.meanSpeedups(sys, "t18", sys.Prefetch)[0])
 	}
 	return t
 }

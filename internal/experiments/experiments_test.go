@@ -163,12 +163,33 @@ func TestSuiteOrderIndependent(t *testing.T) {
 }
 
 // TestEachWorkloadTrainedOnce counts what the suite builds. A full fast run
-// trains 20 distinct workloads over four databases (DSB at SF 2, 4 and 8,
-// and IMDB), and one experiment builds only the database it uses.
+// trains 18 distinct workloads over four databases (DSB at SF 2, 4 and 8,
+// and IMDB), and one experiment builds only the database it uses. Every
+// experiment trains with the same options, so an ablation row that varies
+// nothing is the main experiments' training and prints their number.
 func TestEachWorkloadTrainedOnce(t *testing.T) {
-	s, _ := fastRun(t)
-	if s.trainings != 20 || s.builds != 4 {
-		t.Errorf("full run: %d trainings over %d databases, want 20 over 4", s.trainings, s.builds)
+	s, tabs := fastRun(t)
+	if s.trainings != 18 || s.builds != 4 {
+		t.Errorf("full run: %d trainings over %d databases, want 18 over 4", s.trainings, s.builds)
+	}
+	byID := map[string]*Table{}
+	for _, tab := range tabs {
+		byID[tab.ID] = tab
+	}
+	f5, f6 := byID["fig5"], byID["fig6"]
+	for _, c := range []struct {
+		id, row, col string
+		want         float64
+	}{
+		{"fig12a", fmt.Sprintf("SF%d", s.cfg.Scale), "mean F1", f5.Get("t18", "Pythia mean F1")},
+		{"fig12b", "100%", "mean F1", f5.Get("t18", "Pythia mean F1")},
+		{"fig12d", "separate", "mean F1", f5.Get("t18", "Pythia mean F1")},
+		{"fig12h", "full", "speedup", f6.Get("t18", "Pythia")},
+		{"ext-serialization", "multi-resolution (8/32/128)", "mean F1", f5.Get("t91", "Pythia mean F1")},
+	} {
+		if got := byID[c.id].Get(c.row, c.col); got != c.want {
+			t.Errorf("%s %s/%s = %v, want the main experiments' %v", c.id, c.row, c.col, got, c.want)
+		}
 	}
 
 	s = NewSuite(Fast())
@@ -315,7 +336,7 @@ func TestFigure12Ablations(t *testing.T) {
 	s := testSuite(t)
 
 	a := s.Figure12a()
-	for _, sf := range []string{"SF25", "SF50", "SF100"} {
+	for _, sf := range []string{"SF2", "SF4", "SF8"} {
 		if v := a.Get(sf, "mean F1"); v <= 0 || v > 1 {
 			t.Fatalf("fig12a %s F1 = %f", sf, v)
 		}
@@ -356,6 +377,16 @@ func TestFigure12Ablations(t *testing.T) {
 	h := s.Figure12h()
 	if h.Get("full", "speedup") < h.Get("top 25%", "speedup")*0.8 {
 		t.Fatalf("full prediction should not trail top-25%% substantially:\n%s", h)
+	}
+	// Top k is the workload's k pages: the heads hold at most k together.
+	full := h.Get("full", "labels")
+	for _, c := range []struct {
+		row   string
+		share float64
+	}{{"top 25%", 0.25}, {"top 50%", 0.5}, {"top 75%", 0.75}} {
+		if got := h.Get(c.row, "labels"); got == 0 || got > math.Floor(full*c.share) {
+			t.Fatalf("fig12h %s keeps %v of %v labels:\n%s", c.row, got, full, h)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"github.com/pythia-db/pythia/internal/dsb"
 	"github.com/pythia-db/pythia/internal/predictor"
 	"github.com/pythia-db/pythia/internal/scheduler"
+	"github.com/pythia-db/pythia/internal/serialize"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/workload"
 )
@@ -46,7 +47,7 @@ func (s *Suite) ExtDrift() *Table {
 	// The incremental update below mutates this workload, so it is trained
 	// outside the memo: no other run may be handed it.
 	k := s.home("t18")
-	sys := s.ablation(k, s.train(k, "t18", pastTrain, s.ablationOptions()))
+	sys := s.ablation(k, s.train(k, "t18", pastTrain, s.predictorOptions()))
 	t.addRow("past queries (in distribution)", meanF1(sys, pastTest))
 	t.addRow("future queries (drifted)", meanF1(sys, futureTest))
 
@@ -58,7 +59,7 @@ func (s *Suite) ExtDrift() *Table {
 		samples = append(samples, predictor.TrainSample{Plan: inst.Plan, Trace: inst.Trace})
 	}
 	for _, tw := range sys.Workloads() {
-		tw.Pred.Update(samples, s.ablationOptions().Model.Epochs)
+		tw.Pred.Update(samples, s.cfg.Model.Epochs)
 	}
 	t.addRow("future queries after incremental update", meanF1(sys, futureTest))
 	t.addRow("past queries after incremental update", meanF1(sys, pastTest))
@@ -75,23 +76,16 @@ func (s *Suite) ExtSerializationAblation() *Table {
 		"tokenization", "mean F1")
 	k, sp := s.home("t91"), s.Split("t91")
 	for _, v := range []struct {
-		label   string
-		buckets int
+		label string
+		cfg   serialize.Config
 	}{
-		{"multi-resolution (8/32/128)", 32},
-		{"single coarse (8)", -8},
-		{"single fine (128)", -128},
+		// The suite's own tokenization: Figure 5's t91 training.
+		{"multi-resolution (8/32/128)", s.predictorOptions().Serialize},
+		{"single coarse (8)", serialize.Config{ValueBuckets: 8, SingleResolution: true}},
+		{"single fine (128)", serialize.Config{ValueBuckets: 128, SingleResolution: true}},
 	} {
-		opts := s.ablationOptions()
-		if v.buckets > 0 {
-			opts.Serialize.ValueBuckets = v.buckets
-		} else {
-			// Negative encodes the single-resolution variants: collapse the
-			// multi-resolution ladder onto one rung by pinning buckets/4 ==
-			// buckets*4 == buckets via the SingleResolution option.
-			opts.Serialize.ValueBuckets = -v.buckets
-			opts.Serialize.SingleResolution = true
-		}
+		opts := s.predictorOptions()
+		opts.Serialize = v.cfg
 		t.addRow(v.label, meanF1(s.ablation(k, s.trained(k, "t91", sp.train, opts)), sp.test))
 	}
 	return t

@@ -240,22 +240,11 @@ func (s *Suite) ablation(k dbKey, tw *pythia.Trained) *pythia.System {
 	return s.database(k).sys.WithReplay(replay.Config{BufferPages: s.bufferPages()}).WithWorkloads(tw)
 }
 
-// predictorOptions builds the standard training options.
+// predictorOptions builds the standard training options. Every experiment
+// trains with them; an ablation changes only the factor it varies, so a row
+// that varies nothing shares the main experiments' training.
 func (s *Suite) predictorOptions() predictor.Options {
 	return predictor.Options{Model: s.cfg.Model}
-}
-
-// ablationOptions is predictorOptions at half the training epochs: the
-// Figure 12 ablations retrain t18 many times and compare configurations
-// *against each other*, so a consistent reduced budget preserves their
-// shape while keeping the suite's total training cost bounded.
-func (s *Suite) ablationOptions() predictor.Options {
-	o := s.predictorOptions()
-	o.Model.Epochs = o.Model.Epochs / 2
-	if o.Model.Epochs < 10 {
-		o.Model.Epochs = 10
-	}
-	return o
 }
 
 // bufferPages is the main DSB experiments' pool size.

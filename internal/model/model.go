@@ -5,12 +5,11 @@
 // A Trunk is one workload's encoder; a Model is a head on it with its own
 // label space — a list of (object, page) labels — and decoder. The standard
 // configuration gives each database object its own head; Figure 12d combines
-// an index and its base table in one head; Figure 12h restricts the label
-// space to the top-k most frequently accessed pages.
+// an index and its base table in one head; Figure 12h restricts the
+// workload's label spaces to its top-k most frequently accessed pages.
 package model
 
 import (
-	"sort"
 	"sync"
 
 	"github.com/pythia-db/pythia/internal/nn"
@@ -401,33 +400,4 @@ func (m *Model) Scores(tokenIDs []int) []float64 {
 		}
 	})
 	return out
-}
-
-// TopKLabels restricts a label space to the k pages most frequently accessed
-// across the training samples (Figure 12h). Ties break toward lower offsets
-// for determinism.
-func TopKLabels(samples []Sample, obj storage.ObjectID, k int) []storage.PageID {
-	counts := make(map[storage.PageID]int)
-	for _, s := range samples {
-		for _, p := range s.Pages {
-			if p.Object == obj {
-				counts[p]++
-			}
-		}
-	}
-	all := make([]storage.PageID, 0, len(counts))
-	for p := range counts {
-		all = append(all, p)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if counts[all[i]] != counts[all[j]] {
-			return counts[all[i]] > counts[all[j]]
-		}
-		return all[i].Less(all[j])
-	})
-	if k < len(all) {
-		all = all[:k]
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Less(all[j]) })
-	return all
 }

@@ -113,30 +113,6 @@ func TestParamCountPositiveAndScales(t *testing.T) {
 	}
 }
 
-func TestTopKLabels(t *testing.T) {
-	samples := []Sample{
-		{Pages: []storage.PageID{pg(1, 0), pg(1, 1)}},
-		{Pages: []storage.PageID{pg(1, 0), pg(1, 2)}},
-		{Pages: []storage.PageID{pg(1, 0), pg(2, 5)}}, // other object ignored
-	}
-	top := TopKLabels(samples, 1, 2)
-	if len(top) != 2 {
-		t.Fatalf("TopK = %v", top)
-	}
-	if top[0] != pg(1, 0) {
-		t.Fatalf("most frequent page missing: %v", top)
-	}
-	for _, p := range top {
-		if p.Object != 1 {
-			t.Fatal("foreign object leaked into top-k")
-		}
-	}
-	// k larger than distinct pages → all of them.
-	if got := TopKLabels(samples, 1, 100); len(got) != 3 {
-		t.Fatalf("overlarge k = %v", got)
-	}
-}
-
 // A combined head's label space spans several objects (a heap, then its
 // index): the head keeps that order and learns pages of both.
 func TestCombinedLabels(t *testing.T) {

@@ -32,8 +32,9 @@ type Options struct {
 	Model model.Config
 	// Serialize controls plan tokenization.
 	Serialize serialize.Config
-	// TopK further restricts each object's labels to its k most frequently
-	// accessed pages (Figure 12h ablation). Zero disables.
+	// TopK restricts the label spaces to the workload's k most frequently
+	// accessed pages, counted across every object (Figure 12h ablation), so
+	// the heads hold at most k labels together. Zero disables.
 	TopK int
 	// Groups overrides the one-head-per-object default: each group's
 	// objects share one combined head (Figure 12d trains index+base-table
@@ -100,14 +101,20 @@ func Train(samples []TrainSample, opts Options) *Predictor {
 		groups = append(groups, []storage.ObjectID{id})
 	}
 
-	// Build one label space per group.
-	labelSets := make([][]storage.PageID, len(groups))
-	for i, g := range groups {
+	// Build one label space per group. A group that TopK leaves without a
+	// label gets no head: a head needs at least one output.
+	top := topKLabels(msamples, opts.TopK)
+	var labelSets [][]storage.PageID
+	for _, g := range groups {
+		var labels []storage.PageID
 		for _, id := range g {
-			labelSets[i] = append(labelSets[i], objectLabels(id, msamples, opts.TopK)...)
+			labels = append(labels, objectLabels(id, msamples, top)...)
+		}
+		if len(labels) > 0 {
+			labelSets = append(labelSets, labels)
+			p.modelObjs = append(p.modelObjs, g)
 		}
 	}
-	p.modelObjs = groups
 
 	// One trunk, one head per label space, trained jointly on one goroutine:
 	// the shared encoder is ≈ 98 % of the work, so nothing is left to fan out.
@@ -138,20 +145,47 @@ func (p *Predictor) index() {
 	}
 }
 
-// objectLabels builds one object's label space: its topK most frequent
-// pages when topK is set, otherwise every page observed in training. The
-// paper's decoder has one output per page of the object, but a page never
-// positive in training converges to "never predict", so leaving it out
-// changes no prediction and removes a provably dead output unit.
-func objectLabels(id storage.ObjectID, samples []model.Sample, topK int) []storage.PageID {
-	if topK > 0 {
-		return model.TopKLabels(samples, id, topK)
+// topKLabels is the set of the workload's k most frequently accessed pages,
+// whatever their object, or nil when k is zero. Ties break toward the lower
+// page for determinism.
+func topKLabels(samples []model.Sample, k int) map[storage.PageID]bool {
+	if k <= 0 {
+		return nil
 	}
+	counts := map[storage.PageID]int{}
+	for _, s := range samples {
+		for _, pg := range s.Pages {
+			counts[pg]++
+		}
+	}
+	all := make([]storage.PageID, 0, len(counts))
+	for pg := range counts {
+		all = append(all, pg)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if counts[all[i]] != counts[all[j]] {
+			return counts[all[i]] > counts[all[j]]
+		}
+		return all[i].Less(all[j])
+	})
+	top := map[storage.PageID]bool{}
+	for _, pg := range all[:min(k, len(all))] {
+		top[pg] = true
+	}
+	return top
+}
+
+// objectLabels builds one object's label space: every page of it observed in
+// training, or only those in top when top is set. The paper's decoder has
+// one output per page of the object, but a page never positive in training
+// converges to "never predict", so leaving it out changes no prediction and
+// removes a provably dead output unit.
+func objectLabels(id storage.ObjectID, samples []model.Sample, top map[storage.PageID]bool) []storage.PageID {
 	seen := map[storage.PageID]bool{}
 	var out []storage.PageID
 	for _, s := range samples {
 		for _, pg := range s.Pages {
-			if pg.Object == id && !seen[pg] {
+			if pg.Object == id && !seen[pg] && (top == nil || top[pg]) {
 				seen[pg] = true
 				out = append(out, pg)
 			}

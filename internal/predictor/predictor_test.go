@@ -160,34 +160,76 @@ func TestPredictIgnoresIrrelevantPlans(t *testing.T) {
 	}
 }
 
-// TestObjectLabels: an object's label space is its pages observed in
-// training, sorted and deduplicated, and with TopK set its k most frequent.
-func TestObjectLabels(t *testing.T) {
-	pg := func(o, n int) storage.PageID {
-		return storage.PageID{Object: storage.ObjectID(o), Page: storage.PageNum(n)}
-	}
+func pageID(o, n int) storage.PageID {
+	return storage.PageID{Object: storage.ObjectID(o), Page: storage.PageNum(n)}
+}
+
+// TestTopKLabels: the workload's k most frequent pages, whatever their
+// object, ties toward the lower page.
+func TestTopKLabels(t *testing.T) {
+	pg := pageID
 	samples := []model.Sample{
-		{Pages: []storage.PageID{pg(1, 5), pg(1, 2), pg(2, 0)}},
-		{Pages: []storage.PageID{pg(1, 2), pg(1, 9)}},
+		{Pages: []storage.PageID{pg(1, 0), pg(1, 1)}},
+		{Pages: []storage.PageID{pg(1, 0), pg(1, 2)}},
+		{Pages: []storage.PageID{pg(1, 0), pg(2, 5)}},
 	}
-	if got, want := objectLabels(1, samples, 0), []storage.PageID{pg(1, 2), pg(1, 5), pg(1, 9)}; !slices.Equal(got, want) {
-		t.Fatalf("observed labels = %v, want %v", got, want)
+	if got := topKLabels(samples, 2); len(got) != 2 || !got[pg(1, 0)] || !got[pg(1, 1)] {
+		t.Fatalf("top-2 = %v, want the most frequent page and the lowest of the ties", got)
 	}
-	if got, want := objectLabels(1, samples, 1), []storage.PageID{pg(1, 2)}; !slices.Equal(got, want) {
-		t.Fatalf("top-1 labels = %v, want %v", got, want)
+	// k larger than the distinct pages: all of them, every object included.
+	if got := topKLabels(samples, 100); len(got) != 4 || !got[pg(2, 5)] {
+		t.Fatalf("overlarge k = %v", got)
+	}
+	if got := topKLabels(samples, 0); got != nil {
+		t.Fatalf("k = 0 restricts to %v, want no restriction", got)
 	}
 }
 
+// TestObjectLabels: an object's label space is its pages observed in
+// training, sorted and deduplicated, and with TopK set only those among the
+// workload's k most frequent: a small object's hot page survives, and the
+// objects hold at most k labels together.
+func TestObjectLabels(t *testing.T) {
+	pg := pageID
+	samples := []model.Sample{
+		{Pages: []storage.PageID{pg(1, 5), pg(1, 2), pg(2, 0)}},
+		{Pages: []storage.PageID{pg(1, 2), pg(1, 9), pg(2, 0)}},
+		{Pages: []storage.PageID{pg(1, 7), pg(2, 0)}},
+	}
+	if got, want := objectLabels(1, samples, nil), []storage.PageID{pg(1, 2), pg(1, 5), pg(1, 7), pg(1, 9)}; !slices.Equal(got, want) {
+		t.Fatalf("observed labels = %v, want %v", got, want)
+	}
+	top := topKLabels(samples, 2)
+	if got, want := objectLabels(1, samples, top), []storage.PageID{pg(1, 2)}; !slices.Equal(got, want) {
+		t.Fatalf("object 1's top-2 labels = %v, want %v", got, want)
+	}
+	if got, want := objectLabels(2, samples, top), []storage.PageID{pg(2, 0)}; !slices.Equal(got, want) {
+		t.Fatalf("object 2's top-2 labels = %v, want its hot page %v", got, want)
+	}
+}
+
+// TestTopKRestrictsLabelSpace: TopK bounds the label total across every
+// head, not each head's, and a head left without labels is not built.
 func TestTopKRestrictsLabelSpace(t *testing.T) {
 	db := workloadDB()
 	samples, _, _ := buildSamples(t, db, []int64{100, 300, 500, 700, 200, 400})
+	labels := func(p *Predictor) (n int) {
+		for _, m := range p.Models() {
+			if len(m.Labels) == 0 {
+				t.Fatal("a head with an empty label space")
+			}
+			n += len(m.Labels)
+		}
+		return n
+	}
+	full := Train(samples, fastOpts())
+	if n := labels(full); n <= 5 {
+		t.Fatalf("the unrestricted heads hold %d labels, too few to restrict to 5", n)
+	}
 	opts := fastOpts()
 	opts.TopK = 5
-	p := Train(samples, opts)
-	for _, m := range p.Models() {
-		if len(m.Labels) > 5 {
-			t.Fatalf("model label space %d exceeds TopK", len(m.Labels))
-		}
+	if n := labels(Train(samples, opts)); n == 0 || n > 5 {
+		t.Fatalf("TopK 5 kept %d labels across the heads, want 1 to 5", n)
 	}
 }
 
