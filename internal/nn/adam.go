@@ -10,13 +10,23 @@ type Adam struct {
 	Eps    float64
 	Clip   float64 // global gradient-norm clip; 0 disables
 	params []*Param
+	m, v   [][]float64 // moment estimates, one slice per parameter
 	t      int
 }
 
 // NewAdam returns an optimizer with the usual defaults (lr as given,
-// β1=0.9, β2=0.999, ε=1e-8) over params.
+// β1=0.9, β2=0.999, ε=1e-8) over params. It starts afresh: step 1, both
+// moments zero, whatever an earlier optimizer did to the same parameters.
 func NewAdam(lr float64, params []*Param) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
+	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params,
+		m: make([][]float64, len(params)), v: make([][]float64, len(params))}
+	// One allocation for every moment keeps a new optimizer cheap.
+	buf := make([]float64, 2*ParamCount(params))
+	for i, p := range params {
+		n := len(p.W.Data)
+		a.m[i], a.v[i], buf = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	}
+	return a
 }
 
 // ZeroGrad clears every parameter's gradient.
@@ -48,10 +58,10 @@ func (a *Adam) Step() {
 	}
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range a.params {
+	for i, p := range a.params {
 		w := p.W.Data
 		n := len(w)
-		adamRow(w, p.G.Data[:n], p.adamM.Data[:n], p.adamV.Data[:n],
+		adamRow(w, p.G.Data[:n], a.m[i][:n], a.v[i][:n],
 			scale, a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, bc1, bc2, a.LR, a.Eps)
 	}
 }

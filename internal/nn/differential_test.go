@@ -99,56 +99,86 @@ func misalign(m *Mat) *Mat {
 }
 
 func TestKernelsMatchNaive(t *testing.T) {
-	p := NewPool(0)
-	r := sim.NewRand(17)
-	for c := 0; c < 480; c++ {
-		// Sizes 1..48 hit every remainder of the four-way blocks; the forced
-		// cases add 1-row, 1-deep and 0- to 3-wide products and the decoder's
-		// flat, wide one.
-		m, k, n := 1+r.Intn(48), 1+r.Intn(48), 1+r.Intn(48)
-		switch c % 8 {
-		case 1:
-			m = 1
-		case 3:
-			n = r.Intn(4)
-		case 5:
-			k = 1
-		case 7:
-			m, n = 1+r.Intn(3), 300+r.Intn(900)
+	kernelPaths(t, func(t *testing.T) {
+		p := NewPool(0)
+		r := sim.NewRand(17)
+		for c := 0; c < 480; c++ {
+			// Sizes 1..48 hit every remainder of the four-way blocks; the
+			// forced cases add 1-row, 1-deep and 0- to 7-wide products (every
+			// remainder of a four-lane block, with and without a whole block
+			// before it) and the decoder's flat, wide one.
+			m, k, n := 1+r.Intn(48), 1+r.Intn(48), 1+r.Intn(48)
+			switch c % 8 {
+			case 1:
+				m = 1
+			case 3:
+				n = r.Intn(8)
+			case 5:
+				k = 1
+			case 7:
+				m, n = 1+r.Intn(3), 300+r.Intn(900)
+			}
+			a, at, b, bt := randMat(r, m, k), randMat(r, k, m), randMat(r, k, n), randMat(r, n, k)
+			if c%2 == 0 {
+				sparsify(r, a)
+				sparsify(r, at)
+			}
+			if c%4 < 2 {
+				poison(r, b)
+				poison(r, bt)
+			}
+			acc, got := randMat(r, m, n), NewMat(m, n)
+			if c%3 == 0 {
+				a, at, b, bt, acc, got = misalign(a), misalign(at), misalign(b), misalign(bt), misalign(acc), misalign(got)
+			}
+			wantMM, wantT1, wantT2 := naiveMatMul(a, b), naiveMatMulT1(at, b), naiveMatMulT2(a, bt)
+			wantAcc := acc.Clone()
+			naiveAccumT1(wantAcc, at, b)
+			tag := fmt.Sprintf(" case %d %dx%dx%d", c, m, k, n)
+			p.MatMulInto(got, a, b)
+			bitwiseEq(t, "MatMulInto"+tag, got, wantMM)
+			p.MatMulT1Into(got, at, b)
+			bitwiseEq(t, "MatMulT1Into"+tag, got, wantT1)
+			p.MatMulT2Into(got, a, bt)
+			bitwiseEq(t, "MatMulT2Into"+tag, got, wantT2)
+			copy(got.Data, acc.Data)
+			p.AccumT1Into(got, at, b)
+			bitwiseEq(t, "AccumT1Into"+tag, got, wantAcc)
+			kernelsMatchGoLoops(t, tag, a, b, bt, acc)
 		}
-		a, at, b, bt := randMat(r, m, k), randMat(r, k, m), randMat(r, k, n), randMat(r, n, k)
-		if c%2 == 0 {
-			sparsify(r, a)
-			sparsify(r, at)
-		}
-		if c%4 < 2 {
-			poison(r, b)
-			poison(r, bt)
-		}
-		acc, got := randMat(r, m, n), NewMat(m, n)
-		if c%3 == 0 {
-			a, at, b, bt, acc, got = misalign(a), misalign(at), misalign(b), misalign(bt), misalign(acc), misalign(got)
-		}
-		wantMM, wantT1, wantT2 := naiveMatMul(a, b), naiveMatMulT1(at, b), naiveMatMulT2(a, bt)
-		wantAcc := acc.Clone()
-		naiveAccumT1(wantAcc, at, b)
-		tag := fmt.Sprintf(" case %d %dx%dx%d", c, m, k, n)
-		p.MatMulInto(got, a, b)
-		bitwiseEq(t, "MatMulInto"+tag, got, wantMM)
-		p.MatMulT1Into(got, at, b)
-		bitwiseEq(t, "MatMulT1Into"+tag, got, wantT1)
-		p.MatMulT2Into(got, a, bt)
-		bitwiseEq(t, "MatMulT2Into"+tag, got, wantT2)
-		copy(got.Data, acc.Data)
-		p.AccumT1Into(got, at, b)
-		bitwiseEq(t, "AccumT1Into"+tag, got, wantAcc)
-		kernelsMatchGoLoops(t, tag, a, b, bt, acc)
-	}
+	})
 }
 
-// kernelsMatchGoLoops holds each row kernel to its Go loop — on amd64 the
-// SSE2 assembly, elsewhere the same function twice — over every row of a
-// against b and bt, the axpy kernels accumulating into rows of acc.
+// TestLinearBackwardMatchesNaive holds Linear.Backward to the triple loops on
+// both sides of transposeRows — dot products below it, dy @ (a transposed
+// copy of W) from it on: dx to naiveMatMulT2 and the weight gradient to
+// naiveAccumT1, with ±Inf, NaN and −0 in W and ±0 in the input and in dy.
+func TestLinearBackwardMatchesNaive(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		r := sim.NewRand(53)
+		for _, rows := range []int{1, 2, transposeRows - 1, transposeRows, transposeRows + 1, 37} {
+			for _, shape := range [][2]int{{32, 32}, {32, 128}, {128, 32}, {5, 7}, {1, 6}, {6, 1}} {
+				in, out := shape[0], shape[1]
+				l := NewLinear("l", in, out, r)
+				l.SetRuntime(Runtime{Arena: NewArena()})
+				poison(r, l.Weight.W)
+				x, dy := randMat(r, rows, in), randMat(r, rows, out)
+				sparsify(r, x)
+				sparsify(r, dy)
+				l.Forward(x)
+				tag := fmt.Sprintf("rows=%d %dx%d ", rows, in, out)
+				bitwiseEq(t, tag+"dx", l.Backward(dy), naiveMatMulT2(dy, l.Weight.W))
+				wantG := NewMat(in, out)
+				naiveAccumT1(wantG, x, dy)
+				bitwiseEq(t, tag+"dW", l.Weight.G, wantG)
+			}
+		}
+	})
+}
+
+// kernelsMatchGoLoops holds each row kernel to its Go loop — with AVX the
+// assembly, otherwise the same function twice — over every row of a against
+// b and bt, the axpy kernels accumulating into rows of acc.
 func kernelsMatchGoLoops(t *testing.T, tag string, a, b, bt, acc *Mat) {
 	t.Helper()
 	n := b.Cols
@@ -189,9 +219,9 @@ func scalarAdamStep(a *Adam) {
 	}
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range a.params {
+	for j, p := range a.params {
 		w, g := p.W.Data, p.G.Data
-		m, v := p.adamM.Data, p.adamV.Data
+		m, v := a.m[j], a.v[j]
 		for i := range w {
 			gi := g[i] * scale
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
@@ -204,12 +234,18 @@ func scalarAdamStep(a *Adam) {
 }
 
 // TestAdamMatchesScalar runs Step and the scalar loop side by side for 20
-// steps over parameters of every length 0–9 (each remainder of the two-lane
-// kernel, misaligned starts included) and the train workload's 66 764, with
-// clipping off, on but never reached, and on and active every step. Weights
-// and both moments must match bit for bit after every step.
+// steps over parameters of every length 0–9 (each remainder of the four-lane
+// kernel, with and without whole blocks before it, misaligned starts
+// included) and the train workload's 66 764, with clipping off, on but never
+// reached, and on and active every step. Weights and both moments must match
+// bit for bit after every step.
 func TestAdamMatchesScalar(t *testing.T) {
+	kernelPaths(t, testAdamMatchesScalar)
+}
+
+func testAdamMatchesScalar(t *testing.T) {
 	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 66764}
+	row := func(d []float64) *Mat { return &Mat{Rows: 1, Cols: len(d), Data: d} }
 	for _, c := range []struct {
 		name   string
 		clip   float64
@@ -221,7 +257,7 @@ func TestAdamMatchesScalar(t *testing.T) {
 			for _, n := range lengths {
 				p := NewParam(fmt.Sprint("p", n), 1, n)
 				if n%2 == 1 {
-					p.W, p.G, p.adamM, p.adamV = misalign(p.W), misalign(p.G), misalign(p.adamM), misalign(p.adamV)
+					p.W, p.G = misalign(p.W), misalign(p.G)
 				}
 				for i := range p.W.Data {
 					p.W.Data[i] = r.NormFloat64()
@@ -230,6 +266,11 @@ func TestAdamMatchesScalar(t *testing.T) {
 			}
 			opt := NewAdam(3e-3, ps)
 			opt.Clip = c.clip
+			for i, n := range lengths {
+				if n%2 == 1 {
+					opt.m[i], opt.v[i] = misalign(row(opt.m[i])).Data, misalign(row(opt.v[i])).Data
+				}
+			}
 			return opt, ps
 		}
 		got, gps := build()
@@ -250,8 +291,8 @@ func TestAdamMatchesScalar(t *testing.T) {
 			for i, p := range gps {
 				tag := fmt.Sprintf("%s step %d %s ", c.name, step, p.Name)
 				bitwiseEq(t, tag+"W", p.W, wps[i].W)
-				bitwiseEq(t, tag+"m", p.adamM, wps[i].adamM)
-				bitwiseEq(t, tag+"v", p.adamV, wps[i].adamV)
+				bitwiseEq(t, tag+"m", row(got.m[i]), row(want.m[i]))
+				bitwiseEq(t, tag+"v", row(got.v[i]), row(want.v[i]))
 			}
 		}
 	}

@@ -22,14 +22,16 @@ import (
 // Neither reorders a sum: each element is still ((o + p₀) + p₁) + p₂ …
 // over ascending contracted index, each product rounded before it is added,
 // so the blocked kernels equal the one-at-a-time triple loop bit for bit
-// (TestKernelsMatchNaive).
+// (TestKernelsMatchNaive). For the same reason a @ bᵀ may run as a @ (bᵀ
+// copied out), which Linear.Backward does for many-row input gradients.
 //
-// The row loops — axpy4, axpy1, matMulRow, matMulT2Row and Adam's adamRow —
-// are SSE2 assembly on amd64 (kernels_amd64.s), two lanes per instruction,
-// each lane the Go loop's operations in its order; elsewhere they are the Go
-// loops below (suffix Go), which the amd64 tests hold the assembly to. The
-// code here slices every operand to the length the assembly will touch, so a
-// malformed Mat panics in Go before any pointer reaches it.
+// The row loops — axpy4, axpy1, matMulRow, matMulT2Row, transpose4 and Adam's
+// adamRow — are AVX assembly on amd64 CPUs that have it (kernels_amd64.s), four lanes
+// per instruction (matMulT2Row two), each lane the Go loop's operations in
+// its order; elsewhere they are the Go loops below (suffix Go), which the
+// tests hold the assembly to. The code here slices every operand to the
+// length the assembly will touch, so a malformed Mat panics in Go before any
+// pointer reaches it.
 //
 // The dense kernels carry no zero-skip branch. The seed code skipped
 // multiplications where the activation was exactly zero (useful for one-hot
@@ -244,6 +246,38 @@ func matMulT2RowGo(o, a, b []float64) {
 			s += av * br[k]
 		}
 		o[j] = s
+	}
+}
+
+// transposeInto sets dst = aᵀ, four rows of a (four columns of dst) per
+// transpose4 call.
+//
+//pythia:noalloc
+func transposeInto(dst, a *Mat) {
+	dstCheck(dst, a.Cols, a.Rows, "transpose")
+	m, n := a.Rows, a.Cols
+	i := 0
+	for ; i+4 <= m && n > 0; i += 4 {
+		transpose4(dst.Data[i:][:(n-1)*m+4], m, a.Data[i*n:(i+4)*n])
+	}
+	for ; i < m; i++ {
+		col := dst.Data[i:]
+		for j, v := range a.Row(i) {
+			col[j*m] = v
+		}
+	}
+}
+
+// transpose4Go writes column j of the four rows in a (each len(a)/4 long) to
+// o[j·stride:][:4].
+//
+//pythia:noalloc
+func transpose4Go(o []float64, stride int, a []float64) {
+	n := len(a) / 4
+	r0, r1, r2, r3 := a[:n], a[n:][:n], a[2*n:][:n], a[3*n:][:n]
+	for j := range r0 {
+		c := o[j*stride:][:4]
+		c[0], c[1], c[2], c[3] = r0[j], r1[j], r2[j], r3[j]
 	}
 }
 

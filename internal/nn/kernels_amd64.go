@@ -1,10 +1,19 @@
 package nn
 
-// The SSE2 kernels of kernels_amd64.s, one per Go loop with the same name
-// and suffix Go, which they equal bit for bit (TestKernelsMatchNaive,
-// TestAdamMatchesScalar). The assembly reads and writes exactly the elements
-// the Go loop would and checks no bounds: every caller slices its operands to
-// the lengths given here first.
+// The kernels of kernels_amd64.s, one per Go loop with the same name and
+// suffix Go. On a CPU with AVX each is assembly that equals its Go loop bit
+// for bit; without AVX each jumps straight to its Go loop, the path every
+// other architecture runs. TestKernelsMatchNaive and TestAdamMatchesScalar
+// hold both paths to the same oracles. The assembly reads and writes exactly
+// the elements the Go loop would and checks no bounds: every caller slices
+// its operands to the lengths given here first.
+
+// useAVX is whether the CPU has AVX and the OS saves the YMM registers, read
+// once at start-up; nothing else selects a path. Tests flip it to run both.
+var useAVX = hasAVX()
+
+// hasAVX reads CPUID's AVX and OSXSAVE bits and XGETBV's XMM and YMM bits.
+func hasAVX() bool
 
 // axpy4 is axpy4Go; len(b) ≥ 4·len(o).
 //
@@ -25,6 +34,12 @@ func matMulRow(o, a, b []float64)
 //
 //go:noescape
 func matMulT2Row(o, a, b []float64)
+
+// transpose4 is transpose4Go; len(a) is a multiple of 4 and len(o) ≥
+// (len(a)/4 − 1)·stride + 4.
+//
+//go:noescape
+func transpose4(o []float64, stride int, a []float64)
 
 // adamRow is adamRowGo; g, m and v are at least len(w) long.
 //

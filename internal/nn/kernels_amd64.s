@@ -1,243 +1,277 @@
 #include "textflag.h"
 
-// SSE2 bodies of the kernels declared in kernels_amd64.go. Every packed
-// instruction here (MULPD, ADDPD, SUBPD, DIVPD, SQRTPD) rounds each of its two
-// lanes exactly as the scalar instruction the Go loop compiles to, and each
-// lane runs that loop's operations in that loop's order, so results are the Go
-// loops' bit for bit (a NaN's payload aside: which of two NaN operands an add
-// keeps depends on operand order, which Go does not fix). Odd lengths finish
-// with the scalar instructions. Loads
-// and stores are MOVUPD: a row may start at any 8-byte offset. Nothing is
+// AVX bodies of the kernels declared in kernels_amd64.go. Each kernel first
+// reads useAVX and, when it is false, jumps to its Go loop (same name, suffix
+// Go), which finds its arguments where the caller left them. Every packed
+// instruction here (VMULPD, VADDPD, VSUBPD, VDIVPD, VSQRTPD) rounds each of
+// its lanes exactly as the scalar instruction the Go loop compiles to, and
+// each lane runs that loop's operations in that loop's order — no FMA, no
+// reassociation — so results are the Go loops' bit for bit (a NaN's payload
+// aside: which of two NaN operands an add keeps depends on operand order,
+// which Go does not fix). A length that is not a multiple of the lane count
+// finishes with the VEX scalar instructions. Loads and stores are unaligned:
+// a row may start at any 8-byte offset. Every kernel ends with VZEROUPPER, so
+// the SSE code the Go compiler emits pays no state transition. Nothing is
 // bounds-checked; the Go callers slice every operand first.
+
+// PICK jumps to the Go loop fn unless useAVX is set. The kernels have no
+// frame of their own, so fn runs as if the caller had called it.
+#define PICK(fn) \
+	CMPB ·useAVX(SB), $0; \
+	JNE  2(PC); \
+	JMP  fn(SB)
 
 // AXPY4 sets o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], added
 // left to right, for j < CX, with o at DI, b0..b3 at R8..R11 and a0..a3
-// broadcast in X0..X3. Uses AX, BX and X4..X8; the arguments name its labels.
-#define AXPY4(pairs, last, done) \
+// broadcast in Y0..Y3: four j per pass, then one. Uses AX, BX and Y4..Y8;
+// the arguments name its labels.
+#define AXPY4(quads, last, done) \
 	XORQ AX, AX; \
 	MOVQ CX, BX; \
-	ANDQ $~1, BX; \
-pairs: \
-	CMPQ AX, BX; \
-	JAE  last; \
-	MOVUPD (DI)(AX*8), X4; \
-	MOVUPD (R8)(AX*8), X5; \
-	MULPD  X0, X5; \
-	ADDPD  X5, X4; \
-	MOVUPD (R9)(AX*8), X6; \
-	MULPD  X1, X6; \
-	ADDPD  X6, X4; \
-	MOVUPD (R10)(AX*8), X7; \
-	MULPD  X2, X7; \
-	ADDPD  X7, X4; \
-	MOVUPD (R11)(AX*8), X8; \
-	MULPD  X3, X8; \
-	ADDPD  X8, X4; \
-	MOVUPD X4, (DI)(AX*8); \
-	ADDQ $2, AX; \
-	JMP  pairs; \
+	ANDQ $~3, BX; \
+quads: \
+	CMPQ    AX, BX; \
+	JAE     last; \
+	VMOVUPD (DI)(AX*8), Y4; \
+	VMULPD  (R8)(AX*8), Y0, Y5; \
+	VADDPD  Y5, Y4, Y4; \
+	VMULPD  (R9)(AX*8), Y1, Y6; \
+	VADDPD  Y6, Y4, Y4; \
+	VMULPD  (R10)(AX*8), Y2, Y7; \
+	VADDPD  Y7, Y4, Y4; \
+	VMULPD  (R11)(AX*8), Y3, Y8; \
+	VADDPD  Y8, Y4, Y4; \
+	VMOVUPD Y4, (DI)(AX*8); \
+	ADDQ    $4, AX; \
+	JMP     quads; \
 last: \
-	CMPQ AX, CX; \
-	JAE  done; \
-	MOVSD (DI)(AX*8), X4; \
-	MOVSD (R8)(AX*8), X5; \
-	MULSD X0, X5; \
-	ADDSD X5, X4; \
-	MOVSD (R9)(AX*8), X6; \
-	MULSD X1, X6; \
-	ADDSD X6, X4; \
-	MOVSD (R10)(AX*8), X7; \
-	MULSD X2, X7; \
-	ADDSD X7, X4; \
-	MOVSD (R11)(AX*8), X8; \
-	MULSD X3, X8; \
-	ADDSD X8, X4; \
-	MOVSD X4, (DI)(AX*8); \
+	CMPQ   AX, CX; \
+	JAE    done; \
+	VMOVSD (DI)(AX*8), X4; \
+	VMULSD (R8)(AX*8), X0, X5; \
+	VADDSD X5, X4, X4; \
+	VMULSD (R9)(AX*8), X1, X6; \
+	VADDSD X6, X4, X4; \
+	VMULSD (R10)(AX*8), X2, X7; \
+	VADDSD X7, X4, X4; \
+	VMULSD (R11)(AX*8), X3, X8; \
+	VADDSD X8, X4, X4; \
+	VMOVSD X4, (DI)(AX*8); \
+	INCQ   AX; \
+	JMP    last; \
 done:
 
 // AXPY1 sets o[j] = o[j] + a·b[j] for j < CX, with o at DI, b at R8 and a
-// broadcast in X0. Uses AX, BX, X4 and X5; the arguments name its labels.
-#define AXPY1(pairs, last, done) \
+// broadcast in Y0. Uses AX, BX, Y4 and Y5; the arguments name its labels.
+#define AXPY1(quads, last, done) \
 	XORQ AX, AX; \
 	MOVQ CX, BX; \
-	ANDQ $~1, BX; \
-pairs: \
-	CMPQ AX, BX; \
-	JAE  last; \
-	MOVUPD (DI)(AX*8), X4; \
-	MOVUPD (R8)(AX*8), X5; \
-	MULPD  X0, X5; \
-	ADDPD  X5, X4; \
-	MOVUPD X4, (DI)(AX*8); \
-	ADDQ $2, AX; \
-	JMP  pairs; \
+	ANDQ $~3, BX; \
+quads: \
+	CMPQ    AX, BX; \
+	JAE     last; \
+	VMOVUPD (DI)(AX*8), Y4; \
+	VMULPD  (R8)(AX*8), Y0, Y5; \
+	VADDPD  Y5, Y4, Y4; \
+	VMOVUPD Y4, (DI)(AX*8); \
+	ADDQ    $4, AX; \
+	JMP     quads; \
 last: \
-	CMPQ AX, CX; \
-	JAE  done; \
-	MOVSD (DI)(AX*8), X4; \
-	MOVSD (R8)(AX*8), X5; \
-	MULSD X0, X5; \
-	ADDSD X5, X4; \
-	MOVSD X4, (DI)(AX*8); \
+	CMPQ   AX, CX; \
+	JAE    done; \
+	VMOVSD (DI)(AX*8), X4; \
+	VMULSD (R8)(AX*8), X0, X5; \
+	VADDSD X5, X4, X4; \
+	VMOVSD X4, (DI)(AX*8); \
+	INCQ   AX; \
+	JMP    last; \
 done:
+
+// func hasAVX() bool
+//
+// CPUID leaf 1 reports AVX (ECX bit 28) and OSXSAVE (bit 27); XGETBV then
+// reports whether the OS saves the XMM and YMM registers (XCR0 bits 1 and 2).
+TEXT ·hasAVX(SB), NOSPLIT, $0-1
+	MOVL   $1, AX
+	XORL   CX, CX
+	CPUID
+	ANDL   $0x18000000, CX
+	CMPL   CX, $0x18000000
+	JNE    no
+	XORL   CX, CX
+	XGETBV
+	ANDL   $6, AX
+	CMPL   AX, $6
+	JNE    no
+	MOVB   $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
 
 // func axpy4(o []float64, a0, a1, a2, a3 float64, b []float64)
 TEXT ·axpy4(SB), NOSPLIT, $0-80
-	MOVQ     o_base+0(FP), DI
-	MOVQ     o_len+8(FP), CX
-	MOVSD    a0+24(FP), X0
-	UNPCKLPD X0, X0
-	MOVSD    a1+32(FP), X1
-	UNPCKLPD X1, X1
-	MOVSD    a2+40(FP), X2
-	UNPCKLPD X2, X2
-	MOVSD    a3+48(FP), X3
-	UNPCKLPD X3, X3
-	MOVQ     b_base+56(FP), R8
-	LEAQ     (R8)(CX*8), R9
-	LEAQ     (R9)(CX*8), R10
-	LEAQ     (R10)(CX*8), R11
-	AXPY4(pairs, last, done)
+	PICK(·axpy4Go)
+	MOVQ         o_base+0(FP), DI
+	MOVQ         o_len+8(FP), CX
+	VBROADCASTSD a0+24(FP), Y0
+	VBROADCASTSD a1+32(FP), Y1
+	VBROADCASTSD a2+40(FP), Y2
+	VBROADCASTSD a3+48(FP), Y3
+	MOVQ         b_base+56(FP), R8
+	LEAQ         (R8)(CX*8), R9
+	LEAQ         (R9)(CX*8), R10
+	LEAQ         (R10)(CX*8), R11
+	AXPY4(quads, last, done)
+	VZEROUPPER
 	RET
 
 // func axpy1(o []float64, a float64, b []float64)
 TEXT ·axpy1(SB), NOSPLIT, $0-56
-	MOVQ     o_base+0(FP), DI
-	MOVQ     o_len+8(FP), CX
-	MOVSD    a+24(FP), X0
-	UNPCKLPD X0, X0
-	MOVQ     b_base+32(FP), R8
-	AXPY1(pairs, last, done)
+	PICK(·axpy1Go)
+	MOVQ         o_base+0(FP), DI
+	MOVQ         o_len+8(FP), CX
+	VBROADCASTSD a+24(FP), Y0
+	MOVQ         b_base+32(FP), R8
+	AXPY1(quads, last, done)
+	VZEROUPPER
 	RET
 
 // func matMulRow(o, a, b []float64)
 //
-// o = 0, then k four at a time through AXPY4 and the rest through AXPY1; row
+// o = +0, then k four at a time through AXPY4 and the rest through AXPY1; row
 // k of b starts at b + 8·k·len(o). SI walks a, DX counts the k left, R12 is
 // the row stride in bytes.
 TEXT ·matMulRow(SB), NOSPLIT, $0-72
-	MOVQ  o_base+0(FP), DI
-	MOVQ  o_len+8(FP), CX
-	MOVQ  a_base+24(FP), SI
-	MOVQ  a_len+32(FP), DX
-	MOVQ  b_base+48(FP), R8
-	MOVQ  CX, R12
-	SHLQ  $3, R12
-	XORPS X4, X4
-	XORQ  AX, AX
+	PICK(·matMulRowGo)
+	MOVQ   o_base+0(FP), DI
+	MOVQ   o_len+8(FP), CX
+	MOVQ   a_base+24(FP), SI
+	MOVQ   a_len+32(FP), DX
+	MOVQ   b_base+48(FP), R8
+	MOVQ   CX, R12
+	SHLQ   $3, R12
+	VXORPD Y4, Y4, Y4
+	XORQ   AX, AX
+	MOVQ   CX, BX
+	ANDQ   $~3, BX
 
-zero:
-	CMPQ  AX, CX
-	JAE   k4
-	MOVSD X4, (DI)(AX*8)
-	INCQ  AX
-	JMP   zero
+zero4:
+	CMPQ    AX, BX
+	JAE     zero1
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     zero4
+
+zero1:
+	CMPQ   AX, CX
+	JAE    k4
+	VMOVSD X4, (DI)(AX*8)
+	INCQ   AX
+	JMP    zero1
 
 k4:
-	CMPQ     DX, $4
-	JLT      k1
-	MOVSD    (SI), X0
-	UNPCKLPD X0, X0
-	MOVSD    8(SI), X1
-	UNPCKLPD X1, X1
-	MOVSD    16(SI), X2
-	UNPCKLPD X2, X2
-	MOVSD    24(SI), X3
-	UNPCKLPD X3, X3
-	LEAQ     (R8)(R12*1), R9
-	LEAQ     (R9)(R12*1), R10
-	LEAQ     (R10)(R12*1), R11
-	AXPY4(pairs4, last4, done4)
-	ADDQ     $32, SI
-	LEAQ     (R11)(R12*1), R8
-	SUBQ     $4, DX
-	JMP      k4
+	CMPQ         DX, $4
+	JLT          k1
+	VBROADCASTSD (SI), Y0
+	VBROADCASTSD 8(SI), Y1
+	VBROADCASTSD 16(SI), Y2
+	VBROADCASTSD 24(SI), Y3
+	LEAQ         (R8)(R12*1), R9
+	LEAQ         (R9)(R12*1), R10
+	LEAQ         (R10)(R12*1), R11
+	AXPY4(quads4, last4, done4)
+	ADDQ         $32, SI
+	LEAQ         (R11)(R12*1), R8
+	SUBQ         $4, DX
+	JMP          k4
 
 k1:
-	TESTQ    DX, DX
-	JEQ      ret
-	MOVSD    (SI), X0
-	UNPCKLPD X0, X0
-	AXPY1(pairs1, last1, done1)
-	ADDQ     $8, SI
-	ADDQ     R12, R8
-	DECQ     DX
-	JMP      k1
+	TESTQ        DX, DX
+	JEQ          ret
+	VBROADCASTSD (SI), Y0
+	AXPY1(quads1, last1, done1)
+	ADDQ         $8, SI
+	ADDQ         R12, R8
+	DECQ         DX
+	JMP          k1
 
 ret:
+	VZEROUPPER
 	RET
 
 // T2PAIR adds a[k]·(r0[k], r1[k]) and then a[k+1]·(r0[k+1], r1[k+1]) into
 // the two lanes of acc, with a[k] and a[k+1] broadcast in X8 and X9 and k in
-// AX. Uses X10..X12.
+// AX. Uses X10..X13.
 #define T2PAIR(r0, r1, acc) \
-	MOVUPD   (r0)(AX*8), X10; \
-	MOVUPD   (r1)(AX*8), X11; \
-	MOVAPD   X10, X12; \
-	UNPCKLPD X11, X10; \
-	UNPCKHPD X11, X12; \
-	MULPD    X8, X10; \
-	ADDPD    X10, acc; \
-	MULPD    X9, X12; \
-	ADDPD    X12, acc
+	VMOVUPD   (r0)(AX*8), X10; \
+	VMOVUPD   (r1)(AX*8), X11; \
+	VUNPCKLPD X11, X10, X12; \
+	VUNPCKHPD X11, X10, X13; \
+	VMULPD    X8, X12, X12; \
+	VADDPD    X12, acc, acc; \
+	VMULPD    X9, X13, X13; \
+	VADDPD    X13, acc, acc
 
 // T2LAST adds a[k]·(r0[k], r1[k]) into the two lanes of acc, with a[k]
 // broadcast in X8 and k in AX. Uses X10 and X11.
 #define T2LAST(r0, r1, acc) \
-	MOVSD    (r0)(AX*8), X10; \
-	MOVSD    (r1)(AX*8), X11; \
-	UNPCKLPD X11, X10; \
-	MULPD    X8, X10; \
-	ADDPD    X10, acc
+	VMOVSD    (r0)(AX*8), X10; \
+	VMOVSD    (r1)(AX*8), X11; \
+	VUNPCKLPD X11, X10, X10; \
+	VMULPD    X8, X10, X10; \
+	VADDPD    X10, acc, acc
+
+// STRIDE sets AX to the row stride of b in bytes, 8·len(a), from DX.
+#define STRIDE \
+	LEAQ 1(DX), AX; \
+	SHLQ $3, AX
 
 // func matMulT2Row(o, a, b []float64)
 //
 // o[j] = a · (row j of b), rows of len(a). Eight rows at a time: lanes
 // (s0, s1) of X0, (s2, s3) of X1, (s4, s5) of X2 and (s6, s7) of X3 each add
 // a[k]·bq[k] in ascending k, the pairs (b0[k], b1[k]) … gathered with
-// UNPCKLPD/UNPCKHPD two k at a time. Four accumulators, not two: each one's
-// add chain bounds a long dot product, and at K = 128 two accumulators ran no
-// faster than the Go loop where four ran 12 % faster. Then four rows at a
-// time in X0 and X1, and the last len(o) mod 4 rows one dot product at a
-// time. DX holds len(a)−1, so k and k+1 are both in range while k < DX; the
-// frame keeps the rows left and the row stride in bytes, since the eight row
-// pointers take every other register.
-TEXT ·matMulT2Row(SB), NOSPLIT, $16-72
+// VUNPCKLPD/VUNPCKHPD two k at a time. Each output is one serial add chain,
+// so the number of chains in flight, not the lane width, bounds a long dot
+// product: at K = 128 two accumulators ran no faster than the Go loop where
+// four ran 12 % faster. Then four rows at a time in X0 and X1, and the last
+// len(o) mod 4 rows one dot product at a time. DX holds len(a)−1, so k and
+// k+1 are both in range while k < DX; R14 counts the rows left, and STRIDE
+// recomputes the row stride where it is needed, since the eight row pointers
+// take the other registers.
+TEXT ·matMulT2Row(SB), NOSPLIT, $0-72
+	PICK(·matMulT2RowGo)
 	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), CX
+	MOVQ o_len+8(FP), R14
 	MOVQ a_base+24(FP), SI
 	MOVQ a_len+32(FP), DX
 	MOVQ b_base+48(FP), R8
-	MOVQ DX, AX
-	SHLQ $3, AX
-	MOVQ AX, stride-16(SP)
 	DECQ DX
 
 rows8:
-	CMPQ  CX, $8
-	JLT   rows4
-	MOVQ  CX, left-8(SP)
-	MOVQ  stride-16(SP), AX
-	LEAQ  (R8)(AX*1), R9
-	LEAQ  (R9)(AX*1), R10
-	LEAQ  (R10)(AX*1), R11
-	LEAQ  (R11)(AX*1), R12
-	LEAQ  (R12)(AX*1), R13
-	LEAQ  (R13)(AX*1), BX
-	LEAQ  (BX)(AX*1), CX
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORQ  AX, AX
+	CMPQ   R14, $8
+	JLT    rows4
+	STRIDE
+	LEAQ   (R8)(AX*1), R9
+	LEAQ   (R9)(AX*1), R10
+	LEAQ   (R10)(AX*1), R11
+	LEAQ   (R11)(AX*1), R12
+	LEAQ   (R12)(AX*1), R13
+	LEAQ   (R13)(AX*1), BX
+	LEAQ   (BX)(AX*1), CX
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	XORQ   AX, AX
 
 k8pairs:
 	CMPQ     AX, DX
 	JGE      k8last
-	MOVUPD   (SI)(AX*8), X8
-	MOVAPD   X8, X9
-	UNPCKLPD X8, X8
-	UNPCKHPD X9, X9
+	VMOVDDUP (SI)(AX*8), X8
+	VMOVDDUP 8(SI)(AX*8), X9
 	T2PAIR(R8, R9, X0)
 	T2PAIR(R10, R11, X1)
 	T2PAIR(R12, R13, X2)
@@ -248,43 +282,39 @@ k8pairs:
 k8last:
 	CMPQ     AX, DX
 	JNE      store8
-	MOVSD    (SI)(AX*8), X8
-	UNPCKLPD X8, X8
+	VMOVDDUP (SI)(AX*8), X8
 	T2LAST(R8, R9, X0)
 	T2LAST(R10, R11, X1)
 	T2LAST(R12, R13, X2)
 	T2LAST(BX, CX, X3)
 
 store8:
-	MOVUPD X0, (DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
-	ADDQ   $64, DI
-	MOVQ   stride-16(SP), AX
-	LEAQ   (CX)(AX*1), R8
-	MOVQ   left-8(SP), CX
-	SUBQ   $8, CX
-	JMP    rows8
+	VMOVUPD X0, (DI)
+	VMOVUPD X1, 16(DI)
+	VMOVUPD X2, 32(DI)
+	VMOVUPD X3, 48(DI)
+	ADDQ    $64, DI
+	STRIDE
+	LEAQ    (CX)(AX*1), R8
+	SUBQ    $8, R14
+	JMP     rows8
 
 rows4:
-	CMPQ  CX, $4
-	JLT   rows1
-	MOVQ  stride-16(SP), AX
-	LEAQ  (R8)(AX*1), R9
-	LEAQ  (R9)(AX*1), R10
-	LEAQ  (R10)(AX*1), R11
-	XORPS X0, X0
-	XORPS X1, X1
-	XORQ  AX, AX
+	CMPQ   R14, $4
+	JLT    rows1
+	STRIDE
+	LEAQ   (R8)(AX*1), R9
+	LEAQ   (R9)(AX*1), R10
+	LEAQ   (R10)(AX*1), R11
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	XORQ   AX, AX
 
 k4pairs:
 	CMPQ     AX, DX
 	JGE      k4last
-	MOVUPD   (SI)(AX*8), X8
-	MOVAPD   X8, X9
-	UNPCKLPD X8, X8
-	UNPCKHPD X9, X9
+	VMOVDDUP (SI)(AX*8), X8
+	VMOVDDUP 8(SI)(AX*8), X9
 	T2PAIR(R8, R9, X0)
 	T2PAIR(R10, R11, X1)
 	ADDQ     $2, AX
@@ -293,134 +323,186 @@ k4pairs:
 k4last:
 	CMPQ     AX, DX
 	JNE      store4
-	MOVSD    (SI)(AX*8), X8
-	UNPCKLPD X8, X8
+	VMOVDDUP (SI)(AX*8), X8
 	T2LAST(R8, R9, X0)
 	T2LAST(R10, R11, X1)
 
 store4:
-	MOVUPD X0, (DI)
-	MOVUPD X1, 16(DI)
-	ADDQ   $32, DI
-	MOVQ   stride-16(SP), AX
-	LEAQ   (R11)(AX*1), R8
-	SUBQ   $4, CX
+	VMOVUPD X0, (DI)
+	VMOVUPD X1, 16(DI)
+	ADDQ    $32, DI
+	STRIDE
+	LEAQ    (R11)(AX*1), R8
+	SUBQ    $4, R14
 
 rows1:
-	TESTQ CX, CX
-	JEQ   ret
-	XORPS X0, X0
-	XORQ  AX, AX
+	TESTQ  R14, R14
+	JEQ    ret
+	VXORPD X0, X0, X0
+	XORQ   AX, AX
 
 kone:
-	CMPQ  AX, DX
-	JGT   store1
-	MOVSD (SI)(AX*8), X8
-	MULSD (R8)(AX*8), X8
-	ADDSD X8, X0
-	INCQ  AX
-	JMP   kone
+	CMPQ   AX, DX
+	JGT    store1
+	VMOVSD (SI)(AX*8), X8
+	VMULSD (R8)(AX*8), X8, X8
+	VADDSD X8, X0, X0
+	INCQ   AX
+	JMP    kone
 
 store1:
-	MOVSD X0, (DI)
-	ADDQ  $8, DI
-	ADDQ  stride-16(SP), R8
-	DECQ  CX
-	JMP   rows1
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	STRIDE
+	ADDQ   AX, R8
+	DECQ   R14
+	JMP    rows1
 
 ret:
+	VZEROUPPER
+	RET
+
+// func transpose4(o []float64, stride int, a []float64)
+//
+// Column j of the 4×(len(a)/4) rows in a goes to o[j·stride:][:4]: four
+// columns at a time as a 4×4 transpose in registers (VUNPCKLPD/VUNPCKHPD
+// pair the rows, VPERM2F128 joins the halves), then one at a time. DI walks
+// o by column, R8..R11 are the rows, R12 is the stride in bytes.
+TEXT ·transpose4(SB), NOSPLIT, $0-56
+	PICK(·transpose4Go)
+	MOVQ o_base+0(FP), DI
+	MOVQ stride+24(FP), R12
+	SHLQ $3, R12
+	MOVQ a_base+32(FP), R8
+	MOVQ a_len+40(FP), CX
+	SHRQ $2, CX
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	LEAQ (R10)(CX*8), R11
+	MOVQ CX, BX
+	ANDQ $~3, BX
+	XORQ AX, AX
+
+quads:
+	CMPQ       AX, BX
+	JAE        last
+	VMOVUPD    (R8)(AX*8), Y0
+	VMOVUPD    (R9)(AX*8), Y1
+	VMOVUPD    (R10)(AX*8), Y2
+	VMOVUPD    (R11)(AX*8), Y3
+	VUNPCKLPD  Y1, Y0, Y4
+	VUNPCKHPD  Y1, Y0, Y5
+	VUNPCKLPD  Y3, Y2, Y6
+	VUNPCKHPD  Y3, Y2, Y7
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VMOVUPD    Y0, (DI)
+	ADDQ       R12, DI
+	VMOVUPD    Y1, (DI)
+	ADDQ       R12, DI
+	VMOVUPD    Y2, (DI)
+	ADDQ       R12, DI
+	VMOVUPD    Y3, (DI)
+	ADDQ       R12, DI
+	ADDQ       $4, AX
+	JMP        quads
+
+last:
+	CMPQ   AX, CX
+	JAE    done
+	VMOVSD (R8)(AX*8), X0
+	VMOVSD X0, (DI)
+	VMOVSD (R9)(AX*8), X0
+	VMOVSD X0, 8(DI)
+	VMOVSD (R10)(AX*8), X0
+	VMOVSD X0, 16(DI)
+	VMOVSD (R11)(AX*8), X0
+	VMOVSD X0, 24(DI)
+	ADDQ   R12, DI
+	INCQ   AX
+	JMP    last
+
+done:
+	VZEROUPPER
 	RET
 
 // func adamRow(w, g, m, v []float64, scale, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
 //
 // Per element, as adamRowGo: gi = g·scale; m = β1·m + c1·gi;
 // v = β2·v + (c2·gi)·gi; w = w − (lr·(m/bc1)) / (√(v/bc2) + ε). The nine
-// scalars sit broadcast in X6..X14.
+// scalars sit broadcast in Y6..Y14. Four elements per pass, then one.
 TEXT ·adamRow(SB), NOSPLIT, $0-168
-	MOVQ     w_base+0(FP), DI
-	MOVQ     w_len+8(FP), CX
-	MOVQ     g_base+24(FP), SI
-	MOVQ     m_base+48(FP), R8
-	MOVQ     v_base+72(FP), R9
-	MOVSD    scale+96(FP), X6
-	UNPCKLPD X6, X6
-	MOVSD    beta1+104(FP), X7
-	UNPCKLPD X7, X7
-	MOVSD    c1+112(FP), X8
-	UNPCKLPD X8, X8
-	MOVSD    beta2+120(FP), X9
-	UNPCKLPD X9, X9
-	MOVSD    c2+128(FP), X10
-	UNPCKLPD X10, X10
-	MOVSD    bc1+136(FP), X11
-	UNPCKLPD X11, X11
-	MOVSD    bc2+144(FP), X12
-	UNPCKLPD X12, X12
-	MOVSD    lr+152(FP), X13
-	UNPCKLPD X13, X13
-	MOVSD    eps+160(FP), X14
-	UNPCKLPD X14, X14
-	MOVQ     CX, BX
-	ANDQ     $~1, BX
-	XORQ     AX, AX
+	PICK(·adamRowGo)
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	MOVQ         m_base+48(FP), R8
+	MOVQ         v_base+72(FP), R9
+	VBROADCASTSD scale+96(FP), Y6
+	VBROADCASTSD beta1+104(FP), Y7
+	VBROADCASTSD c1+112(FP), Y8
+	VBROADCASTSD beta2+120(FP), Y9
+	VBROADCASTSD c2+128(FP), Y10
+	VBROADCASTSD bc1+136(FP), Y11
+	VBROADCASTSD bc2+144(FP), Y12
+	VBROADCASTSD lr+152(FP), Y13
+	VBROADCASTSD eps+160(FP), Y14
+	MOVQ         CX, BX
+	ANDQ         $~3, BX
+	XORQ         AX, AX
 
-pairs:
-	CMPQ   AX, BX
-	JAE    last
-	MOVUPD (SI)(AX*8), X0
-	MULPD  X6, X0
-	MOVUPD (R8)(AX*8), X1
-	MULPD  X7, X1
-	MOVAPD X8, X2
-	MULPD  X0, X2
-	ADDPD  X2, X1
-	MOVUPD X1, (R8)(AX*8)
-	MOVUPD (R9)(AX*8), X3
-	MULPD  X9, X3
-	MOVAPD X10, X4
-	MULPD  X0, X4
-	MULPD  X0, X4
-	ADDPD  X4, X3
-	MOVUPD X3, (R9)(AX*8)
-	DIVPD  X11, X1
-	MULPD  X13, X1
-	DIVPD  X12, X3
-	SQRTPD X3, X3
-	ADDPD  X14, X3
-	DIVPD  X3, X1
-	MOVUPD (DI)(AX*8), X5
-	SUBPD  X1, X5
-	MOVUPD X5, (DI)(AX*8)
-	ADDQ   $2, AX
-	JMP    pairs
+quads:
+	CMPQ    AX, BX
+	JAE     last
+	VMULPD  (SI)(AX*8), Y6, Y0
+	VMULPD  (R8)(AX*8), Y7, Y1
+	VMULPD  Y0, Y8, Y2
+	VADDPD  Y2, Y1, Y1
+	VMOVUPD Y1, (R8)(AX*8)
+	VMULPD  (R9)(AX*8), Y9, Y3
+	VMULPD  Y0, Y10, Y4
+	VMULPD  Y0, Y4, Y4
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (R9)(AX*8)
+	VDIVPD  Y11, Y1, Y1
+	VMULPD  Y13, Y1, Y1
+	VDIVPD  Y12, Y3, Y3
+	VSQRTPD Y3, Y3
+	VADDPD  Y14, Y3, Y3
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD (DI)(AX*8), Y5
+	VSUBPD  Y1, Y5, Y5
+	VMOVUPD Y5, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     quads
 
 last:
-	CMPQ   AX, CX
-	JAE    done
-	MOVSD  (SI)(AX*8), X0
-	MULSD  X6, X0
-	MOVSD  (R8)(AX*8), X1
-	MULSD  X7, X1
-	MOVAPD X8, X2
-	MULSD  X0, X2
-	ADDSD  X2, X1
-	MOVSD  X1, (R8)(AX*8)
-	MOVSD  (R9)(AX*8), X3
-	MULSD  X9, X3
-	MOVAPD X10, X4
-	MULSD  X0, X4
-	MULSD  X0, X4
-	ADDSD  X4, X3
-	MOVSD  X3, (R9)(AX*8)
-	DIVSD  X11, X1
-	MULSD  X13, X1
-	DIVSD  X12, X3
-	SQRTSD X3, X3
-	ADDSD  X14, X3
-	DIVSD  X3, X1
-	MOVSD  (DI)(AX*8), X5
-	SUBSD  X1, X5
-	MOVSD  X5, (DI)(AX*8)
+	CMPQ    AX, CX
+	JAE     done
+	VMULSD  (SI)(AX*8), X6, X0
+	VMULSD  (R8)(AX*8), X7, X1
+	VMULSD  X0, X8, X2
+	VADDSD  X2, X1, X1
+	VMOVSD  X1, (R8)(AX*8)
+	VMULSD  (R9)(AX*8), X9, X3
+	VMULSD  X0, X10, X4
+	VMULSD  X0, X4, X4
+	VADDSD  X4, X3, X3
+	VMOVSD  X3, (R9)(AX*8)
+	VDIVSD  X11, X1, X1
+	VMULSD  X13, X1, X1
+	VDIVSD  X12, X3, X3
+	VSQRTSD X3, X3, X3
+	VADDSD  X14, X3, X3
+	VDIVSD  X3, X1, X1
+	VMOVSD  (DI)(AX*8), X5
+	VSUBSD  X1, X5, X5
+	VMOVSD  X5, (DI)(AX*8)
+	INCQ    AX
+	JMP     last
 
 done:
+	VZEROUPPER
 	RET

@@ -2,7 +2,8 @@
 
 package nn
 
-// Without the SSE2 kernels of kernels_amd64.s the Go loops are the kernels.
+// Without the assembly of kernels_amd64.s the Go loops are the kernels, as
+// they are on an amd64 CPU without AVX.
 
 func axpy4(o []float64, a0, a1, a2, a3 float64, b []float64) { axpy4Go(o, a0, a1, a2, a3, b) }
 
@@ -11,6 +12,8 @@ func axpy1(o []float64, a float64, b []float64) { axpy1Go(o, a, b) }
 func matMulRow(o, a, b []float64) { matMulRowGo(o, a, b) }
 
 func matMulT2Row(o, a, b []float64) { matMulT2RowGo(o, a, b) }
+
+func transpose4(o []float64, stride int, a []float64) { transpose4Go(o, stride, a) }
 
 func adamRow(w, g, m, v []float64, scale, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64) {
 	adamRowGo(w, g, m, v, scale, beta1, c1, beta2, c2, bc1, bc2, lr, eps)

@@ -7,24 +7,16 @@ import (
 	"github.com/pythia-db/pythia/internal/sim"
 )
 
-// Param is one learnable tensor with its gradient accumulator and Adam
-// moment estimates.
+// Param is one learnable tensor with its gradient accumulator. The optimizer
+// state is Adam's.
 type Param struct {
-	Name  string
-	W, G  *Mat
-	adamM *Mat
-	adamV *Mat
+	Name string
+	W, G *Mat
 }
 
 // NewParam allocates a parameter of the given shape.
 func NewParam(name string, rows, cols int) *Param {
-	return &Param{
-		Name:  name,
-		W:     NewMat(rows, cols),
-		G:     NewMat(rows, cols),
-		adamM: NewMat(rows, cols),
-		adamV: NewMat(rows, cols),
-	}
+	return &Param{Name: name, W: NewMat(rows, cols), G: NewMat(rows, cols)}
 }
 
 // XavierInit fills the parameter with Glorot-uniform values.
@@ -95,6 +87,13 @@ func (l *Linear) Forward(x *Mat) *Mat {
 // the garbage collector. AccumT1Into keeps the zero-skip for ReLU-sparse
 // activations.
 //
+// dX = dy·Wᵀ as dot products puts each output on one serial add chain. From
+// transposeRows rows of dy on, it runs instead as dy @ Wᵀ over a transposed
+// copy of W from the arena, whose row kernel keeps a row of outputs in flight
+// four lanes wide; every output is still ((0 + p₀) + p₁) + … over ascending
+// j, so the bits are the same (TestLinearBackwardMatchesNaive). For fewer
+// rows the copy costs about as much as the product.
+//
 //pythia:noalloc
 func (l *Linear) Backward(dy *Mat) *Mat {
 	shapeCheck(l.x.Rows == dy.Rows, "linear backward", l.x, dy)
@@ -107,9 +106,19 @@ func (l *Linear) Backward(dy *Mat) *Mat {
 		}
 	}
 	dx := l.rt.get(dy.Rows, l.In)
-	l.rt.Pool.MatMulT2Into(dx, dy, l.Weight.W)
+	if dy.Rows < transposeRows {
+		l.rt.Pool.MatMulT2Into(dx, dy, l.Weight.W)
+		return dx
+	}
+	wt := l.rt.get(l.Out, l.In)
+	transposeInto(wt, l.Weight.W)
+	l.rt.Pool.MatMulInto(dx, dy, wt)
 	return dx
 }
+
+// transposeRows is the fewest rows of dy for which Linear.Backward transposes
+// W; see there.
+const transposeRows = 4
 
 // Embedding maps token ids to D-dimensional vectors.
 type Embedding struct {

@@ -19,8 +19,7 @@ func Snapshot(params []*Param) map[string][]float64 {
 }
 
 // Restore loads a snapshot into parameters of the same architecture. Every
-// parameter must be present with matching size; optimizer state is reset
-// (restored models are for inference or fresh fine-tuning).
+// parameter must be present with matching size; gradients are cleared.
 func Restore(params []*Param, snap map[string][]float64) error {
 	for _, p := range params {
 		w, ok := snap[p.Name]
@@ -33,8 +32,6 @@ func Restore(params []*Param, snap map[string][]float64) error {
 		}
 		copy(p.W.Data, w)
 		p.G.Zero()
-		p.adamM.Zero()
-		p.adamV.Zero()
 	}
 	return nil
 }

@@ -213,8 +213,8 @@ func allScores(p *Predictor, seqs [][]int) [][]float64 {
 	return out
 }
 
-// clone rebuilds p from its state: the same weights, with the optimizer
-// moments a restore resets, so two clones train alike bit for bit.
+// clone rebuilds p from its state: the same weights in a predictor of its
+// own.
 func clone(t *testing.T, p *Predictor) *Predictor {
 	t.Helper()
 	q, err := FromState(p.State())
@@ -222,6 +222,20 @@ func clone(t *testing.T, p *Predictor) *Predictor {
 		t.Fatal(err)
 	}
 	return q
+}
+
+// TestUpdateStartsFreshOptimizer: Update trains with a fresh optimizer, so
+// on a just-trained predictor it moves the weights exactly as on a clone
+// rebuilt from the predictor's state, which has never been trained. An
+// optimizer that inherited the training's Adam moments would not.
+func TestUpdateStartsFreshOptimizer(t *testing.T) {
+	p, samples, _ := headsFixture(t, 3)
+	q := clone(t, p)
+	p.Update(samples, 2)
+	q.Update(samples, 2)
+	if !reflect.DeepEqual(p.State(), q.State()) {
+		t.Fatal("Update on a trained predictor and on its FromState clone trained different weights")
+	}
 }
 
 // TestPredictDuringUpdate (run it under -race): readers predict while one
