@@ -162,8 +162,9 @@ func TestOneHeadMatchesUnsharedModel(t *testing.T) {
 	}
 }
 
-// TestJointGradientIsSumOfHeadGradients: after one joint step over three
-// heads, the encoder's gradients are the sum of the three gradients the
+// TestJointGradientIsSumOfHeadGradients: after one joint backprop over
+// three heads (the body of train's loop, read before Step consumes the
+// gradients), the encoder's gradients are the sum of the three gradients the
 // unshared model gives when each head is back-propagated alone through its
 // own copy of the encoder, and each decoder's gradients are exactly that
 // head's own. Fails if backprop drops a head's dRep or averages the dReps
@@ -173,7 +174,9 @@ func TestJointGradientIsSumOfHeadGradients(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		vocab, cfg, labelSets, samples := seededShape(seed, H)
 		joint := NewTrunk(vocab, labelSets, cfg)
-		joint.train(joint.heads, samples[:1], 1)
+		v := joint.borrow()
+		joint.backprop(v, joint.heads, samples[0])
+		joint.giveBack(v)
 
 		encParams := len(joint.enc.Params())
 		sum := make([][]float64, encParams)

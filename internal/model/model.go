@@ -279,11 +279,12 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 		order[i] = i
 	}
 	var epochLoss float64
+	// Step consumes the gradients, leaving them +0 for the next sample.
+	opt.ZeroGrad()
 	for epoch := 0; epoch < epochs; epoch++ {
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss = 0
 		for _, i := range order {
-			opt.ZeroGrad()
 			epochLoss += t.backprop(v, heads, samples[i])
 			opt.Step()
 		}

@@ -47,7 +47,10 @@ func (a *Adam) GradNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// Step applies one Adam update using the accumulated gradients.
+// Step applies one Adam update using the accumulated gradients, and
+// consumes them: every gradient is +0 when it returns, as ZeroGrad would
+// leave it, so a training loop calls ZeroGrad once before its first
+// backward pass and not before each one.
 func (a *Adam) Step() {
 	a.t++
 	scale := 1.0
@@ -66,16 +69,23 @@ func (a *Adam) Step() {
 	}
 }
 
-// adamRowGo is Step's update of one parameter, with c1 = 1−β1 and c2 = 1−β2.
+// adamRowGo is Step's update of one parameter, with c1 = 1−β1 and c2 = 1−β2;
+// it sets each g[i] to +0 once read. From t = 356 on, 1 − 0.9ᵗ rounds to
+// exactly 1 and m/1 is m, so the division by bc1 is skipped there: about
+// nine steps in ten of a 40-epoch training.
 //
 //pythia:noalloc
 func adamRowGo(w, g, m, v []float64, scale, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64) {
 	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
 	for i := range w {
 		gi := g[i] * scale
+		g[i] = 0
 		m[i] = beta1*m[i] + c1*gi
 		v[i] = beta2*v[i] + c2*gi*gi
-		mhat := m[i] / bc1
+		mhat := m[i]
+		if bc1 != 1 {
+			mhat /= bc1
+		}
 		vhat := v[i] / bc2
 		w[i] -= lr * mhat / (math.Sqrt(vhat) + eps)
 	}

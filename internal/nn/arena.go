@@ -1,5 +1,7 @@
 package nn
 
+import "math"
+
 // Arena is a free-list of sized matrices that eliminates the per-step
 // allocation churn of the training loop. model.Train runs Forward/Backward
 // once per sample per epoch; without reuse every step allocates dozens of
@@ -26,10 +28,13 @@ func NewArena() *Arena {
 	return &Arena{free: make(map[int][]*Mat)}
 }
 
-// Get returns a zeroed rows×cols matrix, recycling a previously released
-// buffer of the same element count when one exists. Nil-safe. Steady-state
-// calls are pure recycles (amortized append growth aside, which the noalloc
-// analyzer deliberately permits).
+// Get returns a rows×cols matrix, recycling a previously released buffer of
+// the same element count when one exists. A recycled matrix holds whatever
+// its last user left in it: the caller writes every element before reading
+// it, and a destination that accumulates clears itself first. Only a nil
+// arena, or a buffer allocated on first use, hands out zeros. Nil-safe.
+// Steady-state calls are pure recycles (amortized append growth aside, which
+// the noalloc analyzer deliberately permits).
 //
 //pythia:noalloc
 func (a *Arena) Get(rows, cols int) *Mat {
@@ -37,21 +42,29 @@ func (a *Arena) Get(rows, cols int) *Mat {
 		return NewMat(rows, cols)
 	}
 	n := rows * cols
+	var m *Mat
 	if s := a.free[n]; len(s) > 0 {
-		m := s[len(s)-1]
+		m = s[len(s)-1]
 		s[len(s)-1] = nil
 		a.free[n] = s[:len(s)-1]
 		m.Rows, m.Cols = rows, cols
-		m.Zero()
-		a.used = append(a.used, m)
-		return m
+	} else {
+		m = NewMat(rows, cols)
 	}
-	m := NewMat(rows, cols)
+	if poisonArena {
+		for i := range m.Data {
+			m.Data[i] = math.NaN()
+		}
+	}
 	a.used = append(a.used, m)
 	return m
 }
 
-// GetVec returns a zeroed 1×n matrix.
+// poisonArena makes Get fill every matrix with NaN, so that an element read
+// before it is written turns up in a golden. The package's tests set it.
+var poisonArena bool
+
+// GetVec returns a 1×n matrix; see Get for its contents.
 //
 //pythia:noalloc
 func (a *Arena) GetVec(n int) *Mat { return a.Get(1, n) }
@@ -92,8 +105,8 @@ type Runtime struct {
 	Arena *Arena
 }
 
-// get allocates a zeroed rows×cols matrix from the arena (or the heap when
-// no arena is bound).
+// get allocates a rows×cols matrix from the arena, contents unspecified (see
+// Arena.Get), or a zeroed one from the heap when no arena is bound.
 //
 //pythia:noalloc
 func (rt Runtime) get(rows, cols int) *Mat { return rt.Arena.Get(rows, cols) }
@@ -129,6 +142,10 @@ func (rt Runtime) padRows(x *Mat, from, n int) *Mat {
 		return x
 	}
 	dst := rt.get(n, x.Cols)
+	top := dst.Data[:from*x.Cols]
+	for i := range top {
+		top[i] = 0
+	}
 	copy(dst.Data[from*x.Cols:], x.Data)
 	return dst
 }

@@ -1,14 +1,31 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/sim"
 )
 
+// TestArenaRecyclesBuffers checks that Release recycles by element count,
+// that Get poisons what it hands out while the package's tests run (fresh
+// and recycled buffers alike), and that a recycled buffer otherwise keeps
+// what its last user wrote: Get does not clear it.
 func TestArenaRecyclesBuffers(t *testing.T) {
+	if !poisonArena {
+		t.Fatal("the arena is not poisoned; TestMain sets poisonArena")
+	}
+	allNaN := func(what string, m *Mat) {
+		t.Helper()
+		for i, v := range m.Data {
+			if !math.IsNaN(v) {
+				t.Fatalf("%s: element %d = %v, want the NaN poison", what, i, v)
+			}
+		}
+	}
 	a := NewArena()
 	m1 := a.Get(4, 8)
+	allNaN("fresh buffer", m1)
 	m1.Data[0] = 42
 	if a.Live() != 1 {
 		t.Fatalf("Live = %d", a.Live())
@@ -17,24 +34,34 @@ func TestArenaRecyclesBuffers(t *testing.T) {
 	if a.Live() != 0 {
 		t.Fatalf("Live after Release = %d", a.Live())
 	}
-	m2 := a.Get(8, 4) // same element count, different shape: must recycle and zero
+	m2 := a.Get(8, 4) // same element count, different shape: must recycle
 	if &m1.Data[0] != &m2.Data[0] {
 		t.Fatal("arena did not recycle the buffer")
 	}
 	if m2.Rows != 8 || m2.Cols != 4 {
 		t.Fatalf("recycled shape %dx%d", m2.Rows, m2.Cols)
 	}
-	if m2.Data[0] != 0 {
-		t.Fatal("recycled buffer not zeroed")
-	}
+	allNaN("recycled buffer", m2)
 	m3 := a.Get(4, 8)
 	if &m3.Data[0] == &m2.Data[0] {
 		t.Fatal("arena handed out a live buffer")
 	}
 
-	// Nil arena degrades to plain allocation.
+	poisonArena = false
+	defer func() { poisonArena = true }()
+	m3.Data[5] = 7
+	a.Release()
+	m4 := a.Get(2, 16) // the free list is last in, first out: m3's buffer
+	if &m4.Data[0] != &m3.Data[0] {
+		t.Fatal("arena did not recycle the last buffer released")
+	}
+	if m4.Data[5] != 7 {
+		t.Fatalf("recycled buffer holds %v, want the 7 its last user wrote", m4.Data[5])
+	}
+
+	// Nil arena degrades to plain allocation, zeroed.
 	var nilA *Arena
-	if m := nilA.Get(2, 2); m == nil || len(m.Data) != 4 {
+	if m := nilA.Get(2, 2); m == nil || len(m.Data) != 4 || m.Data[3] != 0 {
 		t.Fatal("nil arena Get failed")
 	}
 	nilA.Release()

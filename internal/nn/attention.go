@@ -123,7 +123,10 @@ func (a *MHSA) forwardFrom(x *Mat, from int) *Mat {
 		a.attn = make([]*Mat, a.H)
 	}
 	a.attn = a.attn[:a.H]
+	// The heads accumulate into concat, so it starts at +0: +0 + (−0) is
+	// +0, where a copy would keep the −0.
 	a.concat = a.rt.get(m, a.D)
+	a.concat.Zero()
 	scale := 1 / math.Sqrt(float64(a.Dh))
 	// The pointer slices live on the struct so steady-state steps allocate
 	// nothing.
@@ -175,6 +178,9 @@ func (a *MHSA) backwardFrom(dy *Mat, from int) *Mat {
 	dq := a.rt.get(m, a.D)
 	dk := a.rt.get(n, a.D)
 	dv := a.rt.get(n, a.D)
+	dq.Zero() // the heads accumulate into dq, dk and dv, as into concat
+	dk.Zero()
+	dv.Zero()
 	scale := 1 / math.Sqrt(float64(a.Dh))
 	if cap(a.bs) < a.H {
 		a.bs = make([]headScratch, a.H)

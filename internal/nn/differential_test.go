@@ -233,12 +233,14 @@ func scalarAdamStep(a *Adam) {
 	}
 }
 
-// TestAdamMatchesScalar runs Step and the scalar loop side by side for 20
-// steps over parameters of every length 0–9 (each remainder of the four-lane
-// kernel, with and without whole blocks before it, misaligned starts
-// included) and the train workload's 66 764, with clipping off, on but never
-// reached, and on and active every step. Weights and both moments must match
-// bit for bit after every step.
+// TestAdamMatchesScalar runs Step and the scalar loop side by side over
+// parameters of every length 0–9 (each remainder of the four-lane kernel,
+// with and without whole blocks before it, misaligned starts included) and
+// the train workload's 66 764, with clipping off, on but never reached, and
+// on and active every step: steps 1–20, then 354–360, across the step (356)
+// from which 1 − β1ᵗ rounds to 1 and the kernel skips its division by it.
+// Weights and both moments must match bit for bit after every step, and
+// Step must leave every gradient +0.
 func TestAdamMatchesScalar(t *testing.T) {
 	kernelPaths(t, testAdamMatchesScalar)
 }
@@ -276,7 +278,10 @@ func testAdamMatchesScalar(t *testing.T) {
 		got, gps := build()
 		want, wps := build()
 		r := sim.NewRand(43)
-		for step := 0; step < 20; step++ {
+		for step := 0; step < 27; step++ {
+			if step == 20 {
+				got.t, want.t = 353, 353
+			}
 			for i, p := range gps {
 				for j := range p.G.Data {
 					g := r.NormFloat64()
@@ -289,27 +294,46 @@ func testAdamMatchesScalar(t *testing.T) {
 			got.Step()
 			scalarAdamStep(want)
 			for i, p := range gps {
-				tag := fmt.Sprintf("%s step %d %s ", c.name, step, p.Name)
+				tag := fmt.Sprintf("%s step %d %s ", c.name, got.t, p.Name)
 				bitwiseEq(t, tag+"W", p.W, wps[i].W)
 				bitwiseEq(t, tag+"m", row(got.m[i]), row(want.m[i]))
 				bitwiseEq(t, tag+"v", row(got.v[i]), row(want.v[i]))
+				allPosZero(t, tag+"G", p.G.Data)
 			}
 		}
+		if 1-math.Pow(got.Beta1, float64(got.t)) != 1 {
+			t.Fatalf("step %d never reached bc1 = 1", got.t)
+		}
 	}
-	// adamRow against adamRowGo, the kernel on other architectures.
+	// adamRow against adamRowGo, the kernel on other architectures, each
+	// with its own copy of the gradients, bc1 below 1 and at 1.
 	r := sim.NewRand(47)
 	for _, n := range lengths {
-		w, g, m, v := randMat(r, 1, n), randMat(r, 1, n), randMat(r, 1, n), randMat(r, 1, n)
-		for i, x := range v.Data {
-			v.Data[i] = x * x
+		for _, bc1 := range []float64{0.3, 1} {
+			w, g, m, v := randMat(r, 1, n), randMat(r, 1, n), randMat(r, 1, n), randMat(r, 1, n)
+			for i, x := range v.Data {
+				v.Data[i] = x * x
+			}
+			aw, ag, am, av := misalign(w), misalign(g), misalign(m), misalign(v)
+			adamRow(aw.Data, ag.Data, am.Data, av.Data, 0.5, 0.9, 1-0.9, 0.999, 1-0.999, bc1, 0.02, 1e-3, 1e-8)
+			adamRowGo(w.Data, g.Data, m.Data, v.Data, 0.5, 0.9, 1-0.9, 0.999, 1-0.999, bc1, 0.02, 1e-3, 1e-8)
+			tag := fmt.Sprintf("adamRow n=%d bc1=%v ", n, bc1)
+			bitwiseEq(t, tag+"w", aw, w)
+			bitwiseEq(t, tag+"m", am, m)
+			bitwiseEq(t, tag+"v", av, v)
+			allPosZero(t, tag+"adamRow g", ag.Data)
+			allPosZero(t, tag+"adamRowGo g", g.Data)
 		}
-		aw, am, av := misalign(w), misalign(m), misalign(v)
-		adamRow(aw.Data, g.Data, am.Data, av.Data, 0.5, 0.9, 1-0.9, 0.999, 1-0.999, 0.3, 0.02, 1e-3, 1e-8)
-		adamRowGo(w.Data, g.Data, m.Data, v.Data, 0.5, 0.9, 1-0.9, 0.999, 1-0.999, 0.3, 0.02, 1e-3, 1e-8)
-		tag := fmt.Sprintf("adamRow n=%d ", n)
-		bitwiseEq(t, tag+"w", aw, w)
-		bitwiseEq(t, tag+"m", am, m)
-		bitwiseEq(t, tag+"v", av, v)
+	}
+}
+
+// allPosZero fails the test unless every element of x is +0.
+func allPosZero(t *testing.T, what string, x []float64) {
+	t.Helper()
+	for i, v := range x {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("%s: element %d = %v, want +0", what, i, v)
+		}
 	}
 }
 

@@ -91,7 +91,8 @@ func trainedBits() uint64 {
 
 // TestTrainedBitsGolden pins trainedBits on every kernel path this CPU has.
 // The constant was computed with the SSE2 kernels the AVX ones replaced, so
-// it also holds every later kernel to their bits. Bits are pinned per
+// it also holds every later kernel to their bits; and as the arena is
+// poisoned (TestMain), a scratch element read before it is written moves it. Bits are pinned per
 // architecture (arm64's compiler fuses the Go loops into FMADD), so other
 // GOARCHes skip it.
 func TestTrainedBitsGolden(t *testing.T) {

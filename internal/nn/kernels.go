@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 )
 
@@ -25,13 +26,13 @@ import (
 // (TestKernelsMatchNaive). For the same reason a @ bᵀ may run as a @ (bᵀ
 // copied out), which Linear.Backward does for many-row input gradients.
 //
-// The row loops — axpy4, axpy1, matMulRow, matMulT2Row, transpose4 and Adam's
-// adamRow — are AVX assembly on amd64 CPUs that have it (kernels_amd64.s), four lanes
-// per instruction (matMulT2Row two), each lane the Go loop's operations in
-// its order; elsewhere they are the Go loops below (suffix Go), which the
-// tests hold the assembly to. The code here slices every operand to the
-// length the assembly will touch, so a malformed Mat panics in Go before any
-// pointer reaches it.
+// The row loops — axpy4, axpy1, matMulRow, matMulT2Row, transpose4, Adam's
+// adamRow and softmax's exp4 — are assembly on amd64 CPUs with AVX2 and FMA
+// (kernels_amd64.s), four lanes per instruction (matMulT2Row two), each lane
+// the Go loop's operations in its order (exp4's, math.Exp's); elsewhere they
+// are the Go loops below (suffix Go), which the tests hold the assembly to.
+// The code here slices every operand to the length the assembly will touch,
+// so a malformed Mat panics in Go before any pointer reaches it.
 //
 // The dense kernels carry no zero-skip branch. The seed code skipped
 // multiplications where the activation was exactly zero (useful for one-hot
@@ -279,6 +280,32 @@ func transpose4Go(o []float64, stride int, a []float64) {
 		c := o[j*stride:][:4]
 		c[0], c[1], c[2], c[3] = r0[j], r1[j], r2[j], r3[j]
 	}
+}
+
+// expInPlace sets x[i] = math.Exp(x[i]) for every i: exp4 takes the whole
+// quads it can, and math.Exp each quad exp4 stops at and the last len(x)
+// mod 4 elements.
+//
+//pythia:noalloc
+func expInPlace(x []float64) {
+	for i := 0; i < len(x); {
+		i += exp4(x[i:])
+		for end := min(i+4, len(x)); i < end; i++ {
+			x[i] = math.Exp(x[i])
+		}
+	}
+}
+
+// exp4Go sets x[i] = math.Exp(x[i]) for i below len(x) rounded down to a
+// multiple of 4, and returns that count.
+//
+//pythia:noalloc
+func exp4Go(x []float64) int {
+	n := len(x) &^ 3
+	for i, v := range x[:n] {
+		x[i] = math.Exp(v)
+	}
+	return n
 }
 
 // AddInto computes dst = a + b element-wise.

@@ -1,18 +1,22 @@
 package nn
 
 // The kernels of kernels_amd64.s, one per Go loop with the same name and
-// suffix Go. On a CPU with AVX each is assembly that equals its Go loop bit
-// for bit; without AVX each jumps straight to its Go loop, the path every
-// other architecture runs. TestKernelsMatchNaive and TestAdamMatchesScalar
-// hold both paths to the same oracles. The assembly reads and writes exactly
-// the elements the Go loop would and checks no bounds: every caller slices
-// its operands to the lengths given here first.
+// suffix Go. On a CPU with AVX, AVX2 and FMA each is assembly that equals its
+// Go loop bit for bit; otherwise each jumps straight to its Go loop, the path
+// every other architecture runs. TestKernelsMatchNaive, TestAdamMatchesScalar
+// and TestExpMatchesMath hold both paths to the same oracles. The assembly
+// reads and writes exactly the elements the Go loop would and checks no
+// bounds: every caller slices its operands to the lengths given here first.
 
-// useAVX is whether the CPU has AVX and the OS saves the YMM registers, read
-// once at start-up; nothing else selects a path. Tests flip it to run both.
+// useAVX is whether the CPU has AVX, AVX2 and FMA and the OS saves the YMM
+// registers, read once at start-up; nothing else selects a path. Tests flip
+// it to run both. FMA is in it because exp4 equals math.Exp only where
+// math.Exp takes its FMA path, which it does exactly when the CPU has AVX
+// and FMA; a CPU with AVX but not AVX2 or FMA runs the Go loops.
 var useAVX = hasAVX()
 
-// hasAVX reads CPUID's AVX and OSXSAVE bits and XGETBV's XMM and YMM bits.
+// hasAVX reads CPUID's AVX, FMA, OSXSAVE and AVX2 bits and XGETBV's XMM and
+// YMM bits.
 func hasAVX() bool
 
 // axpy4 is axpy4Go; len(b) ≥ 4·len(o).
@@ -45,3 +49,9 @@ func transpose4(o []float64, stride int, a []float64)
 //
 //go:noescape
 func adamRow(w, g, m, v []float64, scale, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
+
+// exp4 is exp4Go over x's leading quads, up to the first it cannot compute
+// exactly; it returns how many elements it did. See expInPlace.
+//
+//go:noescape
+func exp4(x []float64) int

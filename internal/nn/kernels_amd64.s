@@ -5,7 +5,8 @@
 // Go), which finds its arguments where the caller left them. Every packed
 // instruction here (VMULPD, VADDPD, VSUBPD, VDIVPD, VSQRTPD) rounds each of
 // its lanes exactly as the scalar instruction the Go loop compiles to, and
-// each lane runs that loop's operations in that loop's order — no FMA, no
+// each lane runs that loop's operations in that loop's order — no FMA where
+// the Go loop has none (only exp4, copying math.Exp's assembly, fuses), no
 // reassociation — so results are the Go loops' bit for bit (a NaN's payload
 // aside: which of two NaN operands an add keeps depends on operand order,
 // which Go does not fix). A length that is not a multiple of the lane count
@@ -89,20 +90,32 @@ done:
 
 // func hasAVX() bool
 //
-// CPUID leaf 1 reports AVX (ECX bit 28) and OSXSAVE (bit 27); XGETBV then
-// reports whether the OS saves the XMM and YMM registers (XCR0 bits 1 and 2).
+// CPUID leaf 1 reports FMA (ECX bit 12), OSXSAVE (bit 27) and AVX (bit 28);
+// XGETBV then reports whether the OS saves the XMM and YMM registers (XCR0
+// bits 1 and 2), and leaf 7 reports AVX2 (EBX bit 5). Leaf 0 gives the
+// highest leaf there is.
 TEXT ·hasAVX(SB), NOSPLIT, $0-1
+	XORL   AX, AX
+	XORL   CX, CX
+	CPUID
+	CMPL   AX, $7
+	JLT    no
 	MOVL   $1, AX
 	XORL   CX, CX
 	CPUID
-	ANDL   $0x18000000, CX
-	CMPL   CX, $0x18000000
+	ANDL   $0x18001000, CX
+	CMPL   CX, $0x18001000
 	JNE    no
 	XORL   CX, CX
 	XGETBV
 	ANDL   $6, AX
 	CMPL   AX, $6
 	JNE    no
+	MOVL   $7, AX
+	XORL   CX, CX
+	CPUID
+	TESTL  $0x20, BX
+	JEQ    no
 	MOVB   $1, ret+0(FP)
 	RET
 
@@ -430,11 +443,15 @@ done:
 
 // func adamRow(w, g, m, v []float64, scale, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
 //
-// Per element, as adamRowGo: gi = g·scale; m = β1·m + c1·gi;
-// v = β2·v + (c2·gi)·gi; w = w − (lr·(m/bc1)) / (√(v/bc2) + ε). The nine
-// scalars sit broadcast in Y6..Y14. Four elements per pass, then one.
+// Per element, as adamRowGo: gi = g·scale, then g = +0; m = β1·m + c1·gi;
+// v = β2·v + (c2·gi)·gi; w = w − (lr·(m/bc1)) / (√(v/bc2) + ε), the
+// division by bc1 skipped when bc1 is 1 (DX = 0). The nine scalars sit
+// broadcast in Y6..Y14, +0 in Y15. Four elements per pass, then one.
 TEXT ·adamRow(SB), NOSPLIT, $0-168
 	PICK(·adamRowGo)
+	MOVQ         bc1+136(FP), DX
+	MOVQ         $0x3ff0000000000000, R10
+	SUBQ         R10, DX
 	MOVQ         w_base+0(FP), DI
 	MOVQ         w_len+8(FP), CX
 	MOVQ         g_base+24(FP), SI
@@ -449,6 +466,7 @@ TEXT ·adamRow(SB), NOSPLIT, $0-168
 	VBROADCASTSD bc2+144(FP), Y12
 	VBROADCASTSD lr+152(FP), Y13
 	VBROADCASTSD eps+160(FP), Y14
+	VXORPD       Y15, Y15, Y15
 	MOVQ         CX, BX
 	ANDQ         $~3, BX
 	XORQ         AX, AX
@@ -457,6 +475,7 @@ quads:
 	CMPQ    AX, BX
 	JAE     last
 	VMULPD  (SI)(AX*8), Y6, Y0
+	VMOVUPD Y15, (SI)(AX*8)
 	VMULPD  (R8)(AX*8), Y7, Y1
 	VMULPD  Y0, Y8, Y2
 	VADDPD  Y2, Y1, Y1
@@ -466,7 +485,11 @@ quads:
 	VMULPD  Y0, Y4, Y4
 	VADDPD  Y4, Y3, Y3
 	VMOVUPD Y3, (R9)(AX*8)
+	TESTQ   DX, DX
+	JEQ     mhat4
 	VDIVPD  Y11, Y1, Y1
+
+mhat4:
 	VMULPD  Y13, Y1, Y1
 	VDIVPD  Y12, Y3, Y3
 	VSQRTPD Y3, Y3
@@ -482,6 +505,7 @@ last:
 	CMPQ    AX, CX
 	JAE     done
 	VMULSD  (SI)(AX*8), X6, X0
+	VMOVSD  X15, (SI)(AX*8)
 	VMULSD  (R8)(AX*8), X7, X1
 	VMULSD  X0, X8, X2
 	VADDSD  X2, X1, X1
@@ -491,7 +515,11 @@ last:
 	VMULSD  X0, X4, X4
 	VADDSD  X4, X3, X3
 	VMOVSD  X3, (R9)(AX*8)
+	TESTQ   DX, DX
+	JEQ     mhat1
 	VDIVSD  X11, X1, X1
+
+mhat1:
 	VMULSD  X13, X1, X1
 	VDIVSD  X12, X3, X3
 	VSQRTSD X3, X3, X3
@@ -504,5 +532,117 @@ last:
 	JMP     last
 
 done:
+	VZEROUPPER
+	RET
+
+// The constants of math.Exp's amd64 assembly (exp_amd64.s): log₂e, ln 2 as
+// an upper and a lower part, the 1/16 argument reduction, the Taylor
+// coefficients 1/8! … 1/3!, 1/2, 1 and the 2 of the squarings; then, as
+// four int32 each, the bounds of a normal 2^k, −1022 and 1023 (the upper
+// one is also the exponent bias).
+DATA expconst<>+0(SB)/8, $1.4426950408889634073599246810018920
+DATA expconst<>+8(SB)/8, $0.69314718055966295651160180568695068359375
+DATA expconst<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA expconst<>+24(SB)/8, $0.0625
+DATA expconst<>+32(SB)/8, $2.4801587301587301587e-5
+DATA expconst<>+40(SB)/8, $1.9841269841269841270e-4
+DATA expconst<>+48(SB)/8, $1.3888888888888888889e-3
+DATA expconst<>+56(SB)/8, $8.3333333333333333333e-3
+DATA expconst<>+64(SB)/8, $4.1666666666666666667e-2
+DATA expconst<>+72(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+80(SB)/8, $0.5
+DATA expconst<>+88(SB)/8, $1.0
+DATA expconst<>+96(SB)/8, $2.0
+DATA expconst<>+104(SB)/4, $-1022
+DATA expconst<>+108(SB)/4, $-1022
+DATA expconst<>+112(SB)/4, $-1022
+DATA expconst<>+116(SB)/4, $-1022
+DATA expconst<>+120(SB)/4, $1023
+DATA expconst<>+124(SB)/4, $1023
+DATA expconst<>+128(SB)/4, $1023
+DATA expconst<>+132(SB)/4, $1023
+GLOBL expconst<>(SB), RODATA|NOPTR, $136
+
+// func exp4(x []float64) int
+//
+// x[i] = math.Exp(x[i]) for the whole quads of x, as exp4Go, but stopping
+// before the first quad with a lane whose 2^k is not a normal number; the
+// result is how many elements it did. Each lane runs the instructions of
+// math.Exp's FMA path (the one it takes on every CPU useAVX admits) in their
+// order, packed: k = round(x·log₂e) (VCVTPD2DQ, as CVTSD2SL rounds), the
+// reduction x − k·ln2 as two fused steps, ×1/16, the Taylor polynomial in
+// fused multiply-adds, four squarings (r·(r + 2), the last one fused with
+// the + 1), and the product with 2^k built in the exponent field. Those
+// are the same IEEE operations on the same operands, so every lane equals
+// math.Exp bit for bit. math.Exp leaves that path for non-finite x, x above
+// its overflow bound and k outside [−1022, 1023] (a subnormal, zero or
+// infinite result); the first two convert to k = −2³¹ or k ≥ 1024, so the
+// one range check on k (clamped k ≠ k) sends all three back to math.Exp
+// through the caller. Y3..Y15 hold the broadcast constants; Y0 is x, Y1 the
+// polynomial, X2 k.
+TEXT ·exp4(SB), NOSPLIT, $0-32
+	PICK(·exp4Go)
+	MOVQ         x_base+0(FP), DI
+	MOVQ         x_len+8(FP), BX
+	ANDQ         $~3, BX
+	LEAQ         expconst<>(SB), SI
+	VBROADCASTSD 0(SI), Y3
+	VBROADCASTSD 8(SI), Y4
+	VBROADCASTSD 16(SI), Y5
+	VBROADCASTSD 24(SI), Y6
+	VBROADCASTSD 32(SI), Y7
+	VBROADCASTSD 40(SI), Y8
+	VBROADCASTSD 48(SI), Y9
+	VBROADCASTSD 56(SI), Y10
+	VBROADCASTSD 64(SI), Y11
+	VBROADCASTSD 72(SI), Y12
+	VBROADCASTSD 80(SI), Y13
+	VBROADCASTSD 88(SI), Y14
+	VBROADCASTSD 96(SI), Y15
+	XORQ         AX, AX
+
+quads:
+	CMPQ        AX, BX
+	JAE         done
+	VMOVUPD     (DI)(AX*8), Y0
+	VMULPD      Y3, Y0, Y1
+	VCVTPD2DQY  Y1, X2
+	VPMAXSD     104(SI), X2, X1
+	VPMINSD     120(SI), X1, X1
+	VPCMPEQD    X2, X1, X1
+	VMOVMSKPS   X1, CX
+	CMPL        CX, $15
+	JNE         done
+	VCVTDQ2PD   X2, Y1
+	VFNMADD231PD Y4, Y1, Y0
+	VFNMADD231PD Y5, Y1, Y0
+	VMULPD      Y6, Y0, Y0
+	VMOVAPD     Y7, Y1
+	VFMADD213PD Y8, Y0, Y1
+	VFMADD213PD Y9, Y0, Y1
+	VFMADD213PD Y10, Y0, Y1
+	VFMADD213PD Y11, Y0, Y1
+	VFMADD213PD Y12, Y0, Y1
+	VFMADD213PD Y13, Y0, Y1
+	VFMADD213PD Y14, Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      Y15, Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      Y15, Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      Y15, Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      Y15, Y0, Y1
+	VFMADD213PD Y14, Y1, Y0
+	VPADDD      120(SI), X2, X2
+	VPMOVZXDQ   X2, Y2
+	VPSLLQ      $52, Y2, Y2
+	VMULPD      Y2, Y0, Y0
+	VMOVUPD     Y0, (DI)(AX*8)
+	ADDQ        $4, AX
+	JMP         quads
+
+done:
+	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

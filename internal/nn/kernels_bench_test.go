@@ -19,6 +19,13 @@ const (
 	benchN = 4096
 )
 
+// unpoisoned turns off, for one benchmark, the NaN fill TestMain gives the
+// arena, so that Get is timed as it runs outside the tests.
+func unpoisoned(b *testing.B) {
+	poisonArena = false
+	b.Cleanup(func() { poisonArena = true })
+}
+
 func benchMats(r *sim.Rand) (a, b, dst *Mat) {
 	return randMat(r, benchM, benchK), randMat(r, benchK, benchN), NewMat(benchM, benchN)
 }
@@ -72,6 +79,7 @@ func BenchmarkAdamStep(b *testing.B) {
 // encoder-realistic shape (sequence 64, the paper's Dim-100-ish width,
 // 8 heads).
 func BenchmarkAttention(b *testing.B) {
+	unpoisoned(b)
 	r := sim.NewRand(4)
 	a := NewMHSA("bench", 96, 8, r)
 	rt := Runtime{Arena: NewArena()}
@@ -175,6 +183,7 @@ func BenchmarkAccumT1Sparse(b *testing.B) {
 // variant should report ~0 allocs/op against hundreds for the heap variant —
 // the zero-alloc claim of the training hot path.
 func BenchmarkTrainStep(b *testing.B) {
+	unpoisoned(b)
 	run := func(b *testing.B, rt Runtime) {
 		r := sim.NewRand(7)
 		enc := NewEncoder(EncoderConfig{Vocab: 64, Dim: 32, Heads: 4, Layers: 2}, r).Share(rt)

@@ -331,6 +331,8 @@ func (r *ReLU) Forward(x *Mat) *Mat {
 	for i, v := range x.Data {
 		if v > 0 {
 			out.Data[i] = v
+		} else {
+			out.Data[i] = 0
 		}
 	}
 	return out
@@ -343,6 +345,8 @@ func (r *ReLU) Backward(dy *Mat) *Mat {
 	for i, v := range dy.Data {
 		if xd[i] > 0 {
 			dx.Data[i] = v
+		} else {
+			dx.Data[i] = 0
 		}
 	}
 	return dx

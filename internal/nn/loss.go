@@ -50,8 +50,11 @@ func (b BCEWithLogits) Loss(logits *Mat, targets []float64) (float64, *Mat) {
 		// Stable BCE-with-logits, with pos_weight w applied to the y=1 term:
 		// loss = (1 + (w-1)·y) · softplus(-x) + (1-y)·x   when rearranged per sign.
 		var loss float64
-		absX := math.Abs(x)
-		softplusNegAbs := math.Log1p(math.Exp(-absX))
+		// e = exp(−|x|) serves the loss and the sigmoid: Sigmoid(x) is
+		// 1/(1 + exp(−x)) for x ≥ 0 and exp(x)/(1 + exp(x)) below, the
+		// same exponential either way.
+		e := math.Exp(-math.Abs(x))
+		softplusNegAbs := math.Log1p(e)
 		maxX := math.Max(x, 0)
 		// Unweighted stable form.
 		base := maxX - x*y + softplusNegAbs
@@ -63,7 +66,12 @@ func (b BCEWithLogits) Loss(logits *Mat, targets []float64) (float64, *Mat) {
 		}
 		total += loss
 
-		p := Sigmoid(x)
+		var p float64
+		if x >= 0 {
+			p = 1 / (1 + e)
+		} else {
+			p = e / (1 + e)
+		}
 		g := p - y
 		if pw != 1 && y == 1 {
 			g = pw * (p - 1)

@@ -130,7 +130,10 @@ func (m *Mat) AddRowVec(v []float64) {
 	}
 }
 
-// SoftmaxRows applies a numerically stable softmax to each row in place.
+// SoftmaxRows applies a numerically stable softmax to each row in place:
+// exp(v − max) per element, summed left to right, each times 1/sum. The
+// exponentials run four lanes wide where the CPU allows (expInPlace), with
+// math.Exp's bits.
 func (m *Mat) SoftmaxRows() {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
@@ -140,10 +143,12 @@ func (m *Mat) SoftmaxRows() {
 				maxv = v
 			}
 		}
-		sum := 0.0
 		for j, v := range row {
-			e := math.Exp(v - maxv)
-			row[j] = e
+			row[j] = v - maxv
+		}
+		expInPlace(row)
+		sum := 0.0
+		for _, e := range row {
 			sum += e
 		}
 		inv := 1 / sum

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/sim"
@@ -167,6 +168,46 @@ func TestPosWeightScalesPositives(t *testing.T) {
 	ln3, _ := BCEWithLogits{PosWeight: 3}.Loss(logits, []float64{0})
 	if ln1 != ln3 {
 		t.Fatal("pos weight leaked into negatives")
+	}
+}
+
+// TestBCEGradientMatchesSigmoid holds the gradient, whose sigmoid reuses
+// the loss's exp(−|x|), to p − y with p = Sigmoid(x) bit for bit: both signs
+// of small and large logits (|x| > 40, where exp(−|x|) is tiny, up to where
+// it is 0), ±0 and ±Inf, against both labels, weighted and not, summed and
+// averaged.
+func TestBCEGradientMatchesSigmoid(t *testing.T) {
+	r := sim.NewRand(71)
+	var xs []float64
+	for _, v := range []float64{0, 1e-300, 0.3, 1, 2.5, 17, 40, 41, 50, 300, 745, 800, 1e300, math.Inf(1)} {
+		xs = append(xs, v, -v)
+	}
+	for i := 0; i < 200; i++ {
+		xs = append(xs, 60*r.NormFloat64())
+	}
+	logits := &Mat{Rows: 1, Cols: 2 * len(xs)}
+	targets := make([]float64, 2*len(xs))
+	for i, x := range xs {
+		logits.Data = append(logits.Data, x, x)
+		targets[2*i] = 1
+	}
+	for _, bce := range []BCEWithLogits{{}, {PosWeight: 5}, {PosWeight: 5, Sum: true}} {
+		_, grad := bce.Loss(logits, targets)
+		n := float64(len(targets))
+		if bce.Sum {
+			n = 1
+		}
+		for i, x := range logits.Data {
+			p, y := Sigmoid(x), targets[i]
+			want := p - y
+			if bce.PosWeight > 1 && y == 1 {
+				want = bce.PosWeight * (p - 1)
+			}
+			want /= n
+			if got := grad.Data[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v: x=%v y=%v: gradient %v, Sigmoid formula gives %v", bce, x, y, got, want)
+			}
+		}
 	}
 }
 
