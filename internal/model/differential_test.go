@@ -15,7 +15,7 @@ import (
 type refModel struct {
 	cfg      Config
 	enc      *nn.Encoder
-	dec      *nn.Decoder
+	dec      *nn.FFN
 	labelIdx map[storage.PageID]int
 }
 

@@ -44,7 +44,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // serve_miss workload serves: a 37-token plan through an untrained
 // DefaultConfig trunk with heads over about 300 pages each (inference cost
 // depends on the weights' shapes, not their values). heads=5 is what a t91
-// plan selects; it reads ≈ 0.05 ms above heads=1's ≈ 0.3 ms — four more
+// plan selects; it reads ≈ 0.05 ms above heads=1's ≈ 0.15 ms — four more
 // decoders and their sigmoids — where five private encoders cost five times.
 // parallel is heads=5 from GOMAXPROCS goroutines on one trunk: each call runs
 // on a view of its own, so its ns/op falls with the CPUs given (-cpu).

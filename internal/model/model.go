@@ -120,7 +120,7 @@ type Trunk struct {
 type view struct {
 	arena *nn.Arena
 	enc   *nn.Encoder
-	decs  []*nn.Decoder
+	decs  []*nn.FFN
 }
 
 // Model is one head on a trunk: a fixed label space and the feed-forward
@@ -131,7 +131,7 @@ type Model struct {
 	trunk    *Trunk
 	idx      int // position in trunk.heads and in every view's decs
 	labelIdx map[storage.PageID]int
-	dec      *nn.Decoder
+	dec      *nn.FFN
 
 	// targetBuf is the reusable 0/1 target vector for training steps.
 	targetBuf []float64

@@ -12,8 +12,10 @@ import (
 // dimension 100 (paper §5.1); the experiment configs scale the dimensions
 // down but keep the architecture.
 //
-// Heads run one after another (forwardHead, backwardHead), each into its own
-// scratch and its own column block of the shared outputs.
+// Heads run one after another (forwardHead, backwardHead). The forward pass
+// reads a head's Q and V in place, as column blocks of q and v, and writes
+// its output straight into its column block of concat; the backward pass
+// copies each head out into its own scratch.
 type MHSA struct {
 	D, H, Dh int
 	Wq, Wk   *Linear
@@ -26,11 +28,10 @@ type MHSA struct {
 	attn    []*Mat // per-head attention probabilities (query rows × n)
 	concat  *Mat
 
-	// Per-head scratch pointer slices, retained across steps so the only
-	// per-step allocations are arena recycles. The matrices they point at
-	// come from the arena each step; only the slice headers persist.
-	qh, kh, vh, oh []*Mat
-	bs             []headScratch
+	// Per-head backward scratch, retained across steps so the only per-step
+	// allocations are arena recycles. The matrices it points at come from
+	// the arena each step; only the slice persists.
+	bs []headScratch
 }
 
 // headScratch is one head's backward-pass scratch.
@@ -123,45 +124,32 @@ func (a *MHSA) forwardFrom(x *Mat, from int) *Mat {
 		a.attn = make([]*Mat, a.H)
 	}
 	a.attn = a.attn[:a.H]
-	// The heads accumulate into concat, so it starts at +0: +0 + (−0) is
-	// +0, where a copy would keep the −0.
+	// Each head writes its P·V straight into its column block of concat,
+	// so every element is written and none is cleared first. An element is
+	// a sum that starts at +0 and only adds, which under round-to-nearest is
+	// never −0, so it equals +0 + P·V, what adding the head into a zeroed
+	// concat gave. The tests' NaN-poisoned arena shows any element missed.
 	a.concat = a.rt.get(m, a.D)
-	a.concat.Zero()
+	// kt is Kᵀ: head h's K_hᵀ is its rows [h·Dh, (h+1)·Dh).
+	kt := a.rt.get(a.D, n)
+	transposeInto(kt, a.k)
 	scale := 1 / math.Sqrt(float64(a.Dh))
-	// The pointer slices live on the struct so steady-state steps allocate
-	// nothing.
-	if cap(a.qh) < a.H {
-		a.qh = make([]*Mat, a.H)
-		a.kh = make([]*Mat, a.H)
-		a.vh = make([]*Mat, a.H)
-		a.oh = make([]*Mat, a.H)
-	}
-	a.qh, a.kh, a.vh, a.oh = a.qh[:a.H], a.kh[:a.H], a.vh[:a.H], a.oh[:a.H]
-	for h := 0; h < a.H; h++ {
-		a.qh[h] = a.rt.get(m, a.Dh)
-		a.kh[h] = a.rt.get(n, a.Dh)
-		a.vh[h] = a.rt.get(n, a.Dh)
-		a.oh[h] = a.rt.get(m, a.Dh)
+	for h := range a.attn {
 		a.attn[h] = a.rt.get(m, n)
-	}
-	for h := 0; h < a.H; h++ {
-		a.forwardHead(h, scale)
+		a.forwardHead(h, kt, scale)
 	}
 	return a.Wo.Forward(a.concat)
 }
 
-// forwardHead computes one head's attention into its scratch and accumulates
-// the result into the head's column block of concat.
-func (a *MHSA) forwardHead(h int, scale float64) {
-	a.headViewInto(a.qh[h], a.q, h)
-	a.headViewInto(a.kh[h], a.k, h)
-	a.headViewInto(a.vh[h], a.v, h)
+// forwardHead computes one head's attention probabilities into a.attn[h],
+// softmax(Q_h K_hᵀ · scale) row by row, and their product with V_h into the
+// head's column block of concat. Q_h and V_h are read in place from q and v.
+func (a *MHSA) forwardHead(h int, kt *Mat, scale float64) {
+	off, n, m := h*a.Dh, a.k.Rows, a.q.Rows
 	scores := a.attn[h]
-	matMulT2(scores, a.qh[h], a.kh[h])
-	scores.Scale(scale)
-	scores.SoftmaxRows()
-	matMul(a.oh[h], scores, a.vh[h])
-	a.headAccum(a.concat, a.oh[h], h)
+	gemm(scores.Data, n, a.q.Data[off:], a.D, kt.Data[off*n:], n, m, a.Dh, n, nil, false)
+	scores.SoftmaxRows(scale)
+	gemm(a.concat.Data[off:], a.D, scores.Data, n, a.v.Data[off:], a.D, m, n, a.Dh, nil, false)
 }
 
 // backwardFrom is forwardFrom's backward pass: dy is the m×D gradient of the
@@ -178,7 +166,7 @@ func (a *MHSA) backwardFrom(dy *Mat, from int) *Mat {
 	dq := a.rt.get(m, a.D)
 	dk := a.rt.get(n, a.D)
 	dv := a.rt.get(n, a.D)
-	dq.Zero() // the heads accumulate into dq, dk and dv, as into concat
+	dq.Zero() // the heads accumulate into dq, dk and dv
 	dk.Zero()
 	dv.Zero()
 	scale := 1 / math.Sqrt(float64(a.Dh))

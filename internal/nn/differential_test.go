@@ -176,6 +176,93 @@ func TestLinearBackwardMatchesNaive(t *testing.T) {
 	})
 }
 
+// naiveGemm is gemm's contract one output at a time.
+func naiveGemm(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for p := 0; p < k; p++ {
+				s += a[i*lda+p] * b[p*ldb+j]
+			}
+			if bias != nil {
+				s += bias[j]
+			}
+			if relu && !(s > 0) {
+				s = 0
+			}
+			o[i*ldo+j] = s
+		}
+	}
+}
+
+// specials sets about one element in every of x to ±0, ±Inf, NaN, a
+// subnormal or a number whose products with the others are subnormal.
+func specials(r *sim.Rand, x []float64, every int) {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -2.5e-310, 1e-300, -3e-305}
+	for i := range x {
+		if r.Intn(every) == 0 {
+			x[i] = vals[r.Intn(len(vals))]
+		}
+	}
+}
+
+// TestGemmMatchesNaive holds gemm to the triple loop on every kernel path,
+// over the shapes that reach each of its tiles and edges — every row count
+// up to two blocks of four and 37, every depth up to 9, 37 and 128, every
+// width up to 17, 37, 64 and 300 — each with and without a bias and a ReLU,
+// on whole matrices and on column blocks of wider ones at odd offsets, half
+// of them with ±0, ±Inf, NaN and subnormals among the operands and the bias.
+// Outside the block the output must keep what was there.
+func TestGemmMatchesNaive(t *testing.T) {
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37}
+	ks := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 37, 128}
+	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 37, 64, 300}
+	kernelPaths(t, func(t *testing.T) {
+		r := sim.NewRand(71)
+		c := 0
+		for _, k := range ks {
+			for _, n := range ns {
+				for v := 0; v < 8; v++ {
+					withBias, relu, strided := v&1 != 0, v&2 != 0, v&4 != 0
+					// A view is a column block at an odd offset of a matrix
+					// wider than the block, or a whole matrix; every other
+					// one holds special values.
+					view := func(rows, cols int) (data []float64, ld int) {
+						ld, off := cols, 0
+						if strided {
+							ld, off = cols+1+r.Intn(5), 1+2*r.Intn(2)
+						}
+						data = randMat(r, 1, off+rows*ld).Data[off:]
+						if c%2 == 0 {
+							specials(r, data, 16)
+						}
+						return data, ld
+					}
+					b, ldb := view(k, n)
+					var bias []float64
+					if withBias {
+						bias, _ = view(1, n)
+					}
+					for _, m := range ms {
+						c++
+						a, lda := view(m, k)
+						got, ldo := view(m, n)
+						for i := range got {
+							got[i] = -7.5
+						}
+						want := append([]float64(nil), got...)
+						naiveGemm(want, ldo, a, lda, b, ldb, m, k, n, bias, relu)
+						gemm(got, ldo, a, lda, b, ldb, m, k, n, bias, relu)
+						tag := fmt.Sprintf("case %d %dx%dx%d bias=%v relu=%v strides %d,%d,%d", c, m, k, n, withBias, relu, lda, ldb, ldo)
+						bitwiseEq(t, tag, &Mat{Rows: 1, Cols: len(got), Data: got}, &Mat{Rows: 1, Cols: len(want), Data: want})
+					}
+				}
+			}
+		}
+	})
+}
+
 // kernelsMatchGoLoops holds each row kernel to its Go loop — with AVX the
 // assembly, otherwise the same function twice — over every row of a against
 // b and bt, the axpy kernels accumulating into rows of acc.
@@ -185,9 +272,6 @@ func kernelsMatchGoLoops(t *testing.T, tag string, a, b, bt, acc *Mat) {
 	got, want := misalign(NewMat(1, n)), NewMat(1, n)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
-		matMulRow(got.Data, arow, b.Data)
-		matMulRowGo(want.Data, arow, b.Data)
-		bitwiseEq(t, "matMulRow"+tag, got, want)
 		matMulT2Row(got.Data, arow, bt.Data)
 		matMulT2RowGo(want.Data, arow, bt.Data)
 		bitwiseEq(t, "matMulT2Row"+tag, got, want)
@@ -388,24 +472,30 @@ func naiveAttention(a *MHSA, x *Mat) *Mat {
 	return naiveLinear(a.Wo, concat)
 }
 
+// TestAttentionMatchesNaive holds the attention block, whole and pruned to
+// its last query row, to naiveAttention on every kernel path, at head widths
+// 1, 3, 8, 10 and 20 and sequences of 1 to 37 rows.
 func TestAttentionMatchesNaive(t *testing.T) {
-	r := sim.NewRand(29)
-	for _, c := range []struct{ n, d, heads int }{
-		{1, 32, 4}, {2, 32, 4}, {37, 32, 4}, {5, 24, 3}, {9, 8, 8}, {13, 20, 1}, {37, 100, 10},
-	} {
-		a := NewMHSA("att", c.d, c.heads, r)
-		a.SetRuntime(Runtime{Arena: NewArena()})
-		for _, l := range []*Linear{a.Wq, a.Wk, a.Wv, a.Wo} {
-			copy(l.Bias.W.Data, randMat(r, 1, c.d).Data)
+	kernelPaths(t, func(t *testing.T) {
+		r := sim.NewRand(29)
+		for _, c := range []struct{ n, d, heads int }{
+			{1, 32, 4}, {2, 32, 4}, {37, 32, 4}, {5, 24, 3}, {9, 8, 8}, {13, 20, 1}, {37, 100, 10},
+			{6, 12, 4}, {37, 12, 4},
+		} {
+			a := NewMHSA("att", c.d, c.heads, r)
+			a.SetRuntime(Runtime{Arena: NewArena()})
+			for _, l := range []*Linear{a.Wq, a.Wk, a.Wv, a.Wo} {
+				copy(l.Bias.W.Data, randMat(r, 1, c.d).Data)
+			}
+			x := randMat(r, c.n, c.d)
+			want := naiveAttention(a, x)
+			tag := fmt.Sprintf("n=%d d=%d heads=%d ", c.n, c.d, c.heads)
+			bitwiseEq(t, tag+"Forward", a.Forward(x), want)
+			last := NewMat(1, c.d)
+			copy(last.Row(0), want.Row(c.n-1))
+			bitwiseEq(t, tag+"forwardFrom(n-1)", a.forwardFrom(x, c.n-1), last)
 		}
-		x := randMat(r, c.n, c.d)
-		want := naiveAttention(a, x)
-		tag := fmt.Sprintf("n=%d d=%d heads=%d ", c.n, c.d, c.heads)
-		bitwiseEq(t, tag+"Forward", a.Forward(x), want)
-		last := NewMat(1, c.d)
-		copy(last.Row(0), want.Row(c.n-1))
-		bitwiseEq(t, tag+"forwardFrom(n-1)", a.forwardFrom(x, c.n-1), last)
-	}
+	})
 }
 
 // fullForward and fullBackward are the unpruned encoder: every layer over
@@ -432,47 +522,49 @@ func fullBackward(e *Encoder, dRep *Mat, n int) {
 }
 
 func TestEncoderPrunedMatchesFull(t *testing.T) {
-	const steps = 20
-	for _, layers := range []int{1, 2, 3} {
-		for _, seqLen := range []int{1, 2, 37} {
-			build := func() (*Encoder, *Adam, Runtime) {
-				rt := Runtime{Arena: NewArena()}
-				enc := NewEncoder(EncoderConfig{Vocab: 50, Dim: 32, Heads: 4, Layers: layers}, sim.NewRand(23)).Share(rt)
-				return enc, NewAdam(3e-3, enc.Params()), rt
-			}
-			pruned, popt, prt := build()
-			full, fopt, frt := build()
-			r := sim.NewRand(uint64(100*layers + seqLen))
-			for step := 0; step < steps; step++ {
-				ids := make([]int, seqLen)
-				for i := range ids {
-					ids[i] = r.Intn(50) // repeats scatter twice into one embedding row
+	kernelPaths(t, func(t *testing.T) {
+		const steps = 20
+		for _, layers := range []int{1, 2, 3} {
+			for _, seqLen := range []int{1, 2, 37} {
+				build := func() (*Encoder, *Adam, Runtime) {
+					rt := Runtime{Arena: NewArena()}
+					enc := NewEncoder(EncoderConfig{Vocab: 50, Dim: 32, Heads: 4, Layers: layers}, sim.NewRand(23)).Share(rt)
+					return enc, NewAdam(3e-3, enc.Params()), rt
 				}
-				dRep := randMat(r, 1, 32)
-				tag := fmt.Sprintf("layers=%d n=%d step=%d ", layers, seqLen, step)
+				pruned, popt, prt := build()
+				full, fopt, frt := build()
+				r := sim.NewRand(uint64(100*layers + seqLen))
+				for step := 0; step < steps; step++ {
+					ids := make([]int, seqLen)
+					for i := range ids {
+						ids[i] = r.Intn(50) // repeats scatter twice into one embedding row
+					}
+					dRep := randMat(r, 1, 32)
+					tag := fmt.Sprintf("layers=%d n=%d step=%d ", layers, seqLen, step)
 
-				prt.Arena.Release()
-				popt.ZeroGrad()
-				rep := pruned.Forward(ids)
-				pruned.Backward(dRep)
+					prt.Arena.Release()
+					popt.ZeroGrad()
+					rep := pruned.Forward(ids)
+					pruned.Backward(dRep)
 
-				frt.Arena.Release()
-				fopt.ZeroGrad()
-				bitwiseEq(t, tag+"representation", rep, fullForward(full, ids))
-				fullBackward(full, dRep, seqLen)
+					frt.Arena.Release()
+					fopt.ZeroGrad()
+					bitwiseEq(t, tag+"representation", rep, fullForward(full, ids))
+					fullBackward(full, dRep, seqLen)
 
-				fp := full.Params()
-				for i, p := range pruned.Params() {
-					bitwiseEq(t, tag+p.Name+".G", p.G, fp[i].G)
-				}
-				popt.Step()
-				fopt.Step()
-				for i, p := range pruned.Params() {
-					bitwiseEq(t, tag+p.Name+".W", p.W, fp[i].W)
+					fp := full.Params()
+					for i, p := range pruned.Params() {
+						bitwiseEq(t, tag+p.Name+".G", p.G, fp[i].G)
+					}
+					popt.Step()
+					fopt.Step()
+					for i, p := range pruned.Params() {
+						bitwiseEq(t, tag+p.Name+".W", p.W, fp[i].W)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestPositionalTableMatchesFormula(t *testing.T) {

@@ -6,20 +6,37 @@ import (
 	"github.com/pythia-db/pythia/internal/sim"
 )
 
-// FFN is the transformer's position-wise feed-forward block:
-// Linear → ReLU → Linear.
+// FFN is Linear → ReLU → Linear: the transformer's position-wise
+// feed-forward block (NewFFN) and Pythia's multilabel decoder head
+// (NewDecoder). The ReLU is the first layer's epilogue, fused into its
+// product, and Backward gates on its output: h > 0 exactly where the
+// pre-activation is.
 type FFN struct {
 	L1, L2 *Linear
-	relu   ReLU
+
+	h *Mat // the ReLU's output, cached for Backward
 }
 
-// NewFFN builds the block with the given hidden width.
+// NewFFN builds the encoder's block with the given hidden width.
 func NewFFN(name string, d, hidden int, r *sim.Rand) *FFN {
 	return &FFN{
 		L1: NewLinear(name+".ffn1", d, hidden, r),
 		L2: NewLinear(name+".ffn2", hidden, d, r),
 	}
 }
+
+// NewDecoder builds a decoder head: one hidden layer of width hidden, then a
+// logit per page of the database object (paper §5.1: hidden 800, output =
+// number of blocks).
+func NewDecoder(name string, in, hidden, outputs int, r *sim.Rand) *FFN {
+	return &FFN{
+		L1: NewLinear(name+".d1", in, hidden, r),
+		L2: NewLinear(name+".d2", hidden, outputs, r),
+	}
+}
+
+// Share is Encoder.Share for the block: f's parameters, its own caches, rt.
+func (f *FFN) Share(rt Runtime) *FFN { return &FFN{L1: f.L1.share(rt), L2: f.L2.share(rt)} }
 
 // Params returns both linear layers' parameters.
 func (f *FFN) Params() []*Param {
@@ -28,12 +45,19 @@ func (f *FFN) Params() []*Param {
 
 // Forward applies the block.
 func (f *FFN) Forward(x *Mat) *Mat {
-	return f.L2.Forward(f.relu.Forward(f.L1.Forward(x)))
+	f.h = f.L1.forward(x, true)
+	return f.L2.Forward(f.h)
 }
 
 // Backward returns dX.
 func (f *FFN) Backward(dy *Mat) *Mat {
-	return f.L1.Backward(f.relu.Backward(f.L2.Backward(dy)))
+	dh := f.L2.Backward(dy)
+	for i, v := range f.h.Data {
+		if !(v > 0) {
+			dh.Data[i] = 0
+		}
+	}
+	return f.L1.Backward(dh)
 }
 
 // EncoderLayer is one post-norm transformer encoder layer:
@@ -155,7 +179,7 @@ func (e *Encoder) Share(rt Runtime) *Encoder {
 	for _, l := range e.Layers {
 		s.Layers = append(s.Layers, &EncoderLayer{
 			Attn: l.Attn.share(rt),
-			FF:   &FFN{L1: l.FF.L1.share(rt), L2: l.FF.L2.share(rt), relu: ReLU{rt: rt}},
+			FF:   l.FF.Share(rt),
 			LN1:  l.LN1.share(rt),
 			LN2:  l.LN2.share(rt),
 			rt:   rt,

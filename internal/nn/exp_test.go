@@ -80,8 +80,10 @@ func TestExpMatchesMath(t *testing.T) {
 }
 
 // scalarSoftmaxRows is SoftmaxRows as it was before the exponentials became
-// a kernel: math.Exp per element, summed as it goes.
-func scalarSoftmaxRows(m *Mat) {
+// a kernel and the scale moved into it: every element times scale, then
+// math.Exp per element, summed as it goes, one row at a time.
+func scalarSoftmaxRows(m *Mat, scale float64) {
+	m.Scale(scale)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		maxv := math.Inf(-1)
@@ -103,23 +105,27 @@ func scalarSoftmaxRows(m *Mat) {
 	}
 }
 
-// TestSoftmaxRowsMatchesScalar holds SoftmaxRows to the scalar loop on rows
-// of 1 to 40 scores: attention-sized ones, ones spread far enough that some
-// exponentials are subnormal or zero, and ones holding ±Inf and NaN.
+// TestSoftmaxRowsMatchesScalar holds SoftmaxRows to the scalar loop on 1 to
+// 9 rows (every remainder of its four-row blocks, with and without a whole
+// block before it) of 1 to 40 scores, so that the matrix's element count
+// takes every remainder mod 4: attention-sized ones, ones spread far enough
+// that some exponentials are subnormal or zero, and ones holding ±Inf and
+// NaN, at scale 1, attention's 1/√8 and two others.
 func TestSoftmaxRowsMatchesScalar(t *testing.T) {
 	kernelPaths(t, func(t *testing.T) {
 		r := sim.NewRand(67)
-		for c := 0; c < 600; c++ {
-			m := randMat(r, 1+r.Intn(4), 1+r.Intn(40))
+		for c := 0; c < 900; c++ {
+			m := randMat(r, 1+r.Intn(9), 1+r.Intn(40))
 			spread := []float64{1, 30, 400}[c%3]
+			scale := []float64{1, 1 / math.Sqrt(8), 0.37, 3}[c%4]
 			m.Scale(spread)
 			if c%5 == 0 {
 				poison(r, m)
 			}
 			want := m.Clone()
-			scalarSoftmaxRows(want)
-			m.SoftmaxRows()
-			bitwiseEq(t, fmt.Sprintf("case %d %dx%d spread %v", c, m.Rows, m.Cols, spread), m, want)
+			scalarSoftmaxRows(want, scale)
+			m.SoftmaxRows(scale)
+			bitwiseEq(t, fmt.Sprintf("case %d %dx%d spread %v scale %v", c, m.Rows, m.Cols, spread, scale), m, want)
 		}
 	})
 }

@@ -18,7 +18,7 @@ func trainedBits() uint64 {
 	r := sim.NewRand(61)
 	rt := Runtime{Arena: NewArena()}
 	enc := NewEncoder(EncoderConfig{Vocab: 40, Dim: 32, Heads: 4, Layers: 2}, r).Share(rt)
-	decs := []*Decoder{NewDecoder("a", 32, 24, 37, r).Share(rt), NewDecoder("b", 32, 16, 9, r).Share(rt)}
+	decs := []*FFN{NewDecoder("a", 32, 24, 37, r).Share(rt), NewDecoder("b", 32, 16, 9, r).Share(rt)}
 	params := enc.Params()
 	for _, d := range decs {
 		params = append(params, d.Params()...)

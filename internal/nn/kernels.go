@@ -15,18 +15,24 @@ import (
 // the contracted index, here and in the allocating forms in mat.go, which
 // run the same loops.
 //
-// Register blocking: the products whose inner loop walks an output row
-// (a @ b, aᵀ @ b) take four steps of the contracted index at a time (axpy4),
-// so an output element is loaded and stored once per four multiply-adds; a @
-// bᵀ, whose inner loop is a dot product, computes several output elements at
-// a time (four in Go, eight in the assembly), each with its own running sum.
-// Neither reorders a sum: each element is still ((o + p₀) + p₁) + p₂ …
-// over ascending contracted index, each product rounded before it is added,
-// so the blocked kernels equal the one-at-a-time triple loop bit for bit
-// (TestKernelsMatchNaive). For the same reason a @ bᵀ may run as a @ (bᵀ
-// copied out), which Linear.Backward does for many-row input gradients.
+// Register blocking: every a @ b product — dense layers, attention's scores
+// and P·V, the many-row input gradients — is one kernel, gemm, that holds a
+// tile of outputs in registers across the whole contracted loop and reads
+// each operand in place with its own row stride, so a head's column block of
+// Q, V or concat is an operand with no copy; a dense layer's bias and ReLU
+// are its epilogue, applied before the tile is stored. aᵀ @ b walks an
+// output row four contracted steps at a time (axpy4), loading and storing an
+// output once per four multiply-adds; a @ bᵀ, whose inner loop is a dot
+// product, computes several outputs at a time (four in Go, eight in the
+// assembly), each with its own running sum. None reorders a sum: each
+// element is ((0 + p₀) + p₁) + p₂ … over ascending contracted index, each
+// product rounded before it is added, so every kernel equals the
+// one-at-a-time triple loop bit for bit (TestGemmMatchesNaive,
+// TestKernelsMatchNaive). For the same reason a @ bᵀ may run as a @ (bᵀ
+// copied out), which Linear.Backward does for many-row input gradients and
+// attention's forward pass does for its scores.
 //
-// The row loops — axpy4, axpy1, matMulRow, matMulT2Row, transpose4, Adam's
+// The kernels — gemm's tiles, axpy4, axpy1, matMulT2Row, transpose4, Adam's
 // adamRow and softmax's exp4 — are assembly on amd64 CPUs with AVX2 and FMA
 // (kernels_amd64.s), four lanes per instruction (matMulT2Row two), each lane
 // the Go loop's operations in its order (exp4's, math.Exp's); elsewhere they
@@ -98,33 +104,79 @@ func axpy4Go(o []float64, a0, a1, a2, a3 float64, b []float64) {
 	}
 }
 
-// matMul computes dst = a @ b in i-k-j order, one output row per matMulRow
-// call: the inner loop walks b and dst rows contiguously, which matters for
-// the decoder's wide output layer.
+// matMul computes dst = a @ b.
 //
 //pythia:noalloc
 func matMul(dst, a, b *Mat) {
-	for i := 0; i < a.Rows; i++ {
-		arow, orow := a.Row(i), dst.Row(i)
-		matMulRow(orow, arow, b.Data[:len(arow)*len(orow)])
-	}
+	gemm(dst.Data, dst.Cols, a.Data, a.Cols, b.Data, b.Cols, a.Rows, a.Cols, b.Cols, nil, false)
 }
 
-// matMulRowGo computes o = a @ B, where row k of B is b[k·len(o):], k four at
-// a time.
+// gemm computes o[i·ldo+j] = act(Σₚ a[i·lda+p]·b[p·ldb+j] + bias[j]) for i <
+// m, j < n and p < k: each output starts at +0 and adds its products in
+// ascending p; then, when bias is not nil, bias[j]; then, when relu is set,
+// act(x) is x if x > 0 and +0 otherwise (−0 and NaN included), else x. Each
+// operand is a row-major matrix read in place with its own row stride, so a
+// column block of a wider matrix is an operand with no copy. o must not
+// overlap a, b or bias. gemm slices every operand to the extent gemmKernel
+// touches, so a malformed one panics here.
 //
 //pythia:noalloc
-func matMulRowGo(o, a, b []float64) {
-	n := len(o)
-	for j := range o {
-		o[j] = 0
+func gemm(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool) {
+	if m < 0 || k < 0 || n < 0 || ldo < n || lda < k || ldb < n {
+		panic("nn: gemm with a negative size or a row stride below its width")
 	}
-	k := 0
-	for ; k+4 <= len(a); k += 4 {
-		axpy4Go(o, a[k], a[k+1], a[k+2], a[k+3], b[k*n:])
+	if m == 0 || n == 0 {
+		return
 	}
-	for ; k < len(a); k++ {
-		axpy1Go(o, a[k], b[k*n:])
+	o = o[:(m-1)*ldo+n]
+	if k == 0 {
+		a, lda, b, ldb = nil, 0, nil, 0
+	} else {
+		a, b = a[:(m-1)*lda+k], b[:(k-1)*ldb+n]
+	}
+	if bias != nil {
+		bias = bias[:n]
+	}
+	gemmKernel(o, ldo, a, lda, b, ldb, m, k, n, bias, relu)
+}
+
+// gemmGo is gemm's loop, one output row at a time, p four steps at a time
+// (each output loaded and stored once per four multiply-adds), added in the
+// order the contract gives.
+//
+//pythia:noalloc
+func gemmGo(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool) {
+	for i := 0; i < m; i++ {
+		orow, arow := o[i*ldo:][:n], a[i*lda:][:k]
+		for j := range orow {
+			orow[j] = 0
+		}
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
+			b0, b1, b2, b3 := b[p*ldb:][:n], b[(p+1)*ldb:][:n], b[(p+2)*ldb:][:n], b[(p+3)*ldb:][:n]
+			for j := range orow {
+				orow[j] = orow[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
+		}
+		for ; p < k; p++ {
+			av, brow := arow[p], b[p*ldb:][:n]
+			for j := range orow {
+				orow[j] += av * brow[j]
+			}
+		}
+		if bias != nil {
+			for j, v := range bias {
+				orow[j] += v
+			}
+		}
+		if relu {
+			for j, v := range orow {
+				if !(v > 0) {
+					orow[j] = 0
+				}
+			}
+		}
 	}
 }
 

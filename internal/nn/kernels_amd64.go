@@ -1,12 +1,13 @@
 package nn
 
-// The kernels of kernels_amd64.s, one per Go loop with the same name and
-// suffix Go. On a CPU with AVX, AVX2 and FMA each is assembly that equals its
-// Go loop bit for bit; otherwise each jumps straight to its Go loop, the path
-// every other architecture runs. TestKernelsMatchNaive, TestAdamMatchesScalar
-// and TestExpMatchesMath hold both paths to the same oracles. The assembly
-// reads and writes exactly the elements the Go loop would and checks no
-// bounds: every caller slices its operands to the lengths given here first.
+// The kernels of kernels_amd64.s, one per Go loop: gemmKernel's is gemmGo,
+// every other's has its name and suffix Go. On a CPU with AVX, AVX2 and FMA
+// each is assembly that equals its Go loop bit for bit; otherwise each jumps
+// straight to its Go loop, the path every other architecture runs.
+// TestGemmMatchesNaive, TestKernelsMatchNaive, TestAdamMatchesScalar and
+// TestExpMatchesMath hold both paths to the same oracles. The assembly reads
+// and writes exactly the elements the Go loop would and checks no bounds:
+// every caller slices its operands to the lengths given here first.
 
 // useAVX is whether the CPU has AVX, AVX2 and FMA and the OS saves the YMM
 // registers, read once at start-up; nothing else selects a path. Tests flip
@@ -29,10 +30,10 @@ func axpy4(o []float64, a0, a1, a2, a3 float64, b []float64)
 //go:noescape
 func axpy1(o []float64, a float64, b []float64)
 
-// matMulRow is matMulRowGo; len(b) ≥ len(a)·len(o).
+// gemmKernel is gemmGo; gemm sets its operands' lengths.
 //
 //go:noescape
-func matMulRow(o, a, b []float64)
+func gemmKernel(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool)
 
 // matMulT2Row is matMulT2RowGo; len(b) ≥ len(o)·len(a).
 //

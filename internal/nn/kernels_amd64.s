@@ -1,10 +1,11 @@
 #include "textflag.h"
 
 // AVX bodies of the kernels declared in kernels_amd64.go. Each kernel first
-// reads useAVX and, when it is false, jumps to its Go loop (same name, suffix
-// Go), which finds its arguments where the caller left them. Every packed
-// instruction here (VMULPD, VADDPD, VSUBPD, VDIVPD, VSQRTPD) rounds each of
-// its lanes exactly as the scalar instruction the Go loop compiles to, and
+// reads useAVX and, when it is false, jumps to its Go loop (gemmGo for
+// gemmKernel, else same name, suffix Go), which finds its arguments where
+// the caller left them. Every packed instruction here (VMULPD, VADDPD,
+// VSUBPD, VDIVPD, VSQRTPD, VMAXPD) rounds or selects in each of its lanes
+// exactly as the scalar instruction or branch the Go loop compiles to, and
 // each lane runs that loop's operations in that loop's order — no FMA where
 // the Go loop has none (only exp4, copying math.Exp's assembly, fuses), no
 // reassociation — so results are the Go loops' bit for bit (a NaN's payload
@@ -88,6 +89,55 @@ last: \
 	JMP    last; \
 done:
 
+// The macros from here to hasAVX are gemmKernel's. TILE, EPILOGUE and
+// RELUTEST read its arguments, so they sit before every TEXT: vet's asmdecl
+// would check a macro below a function against that function's frame.
+
+// MUL4 adds b·a into acc with the product rounded first, as the Go loop's
+// acc + a·b: tmp = b·a, acc = acc + tmp. b may be a memory operand.
+#define MUL4(b, a, acc, tmp) \
+	VMULPD b, a, tmp; \
+	VADDPD tmp, acc, acc
+
+// MUL1 is MUL4 on the low lane alone.
+#define MUL1(b, a, acc, tmp) \
+	VMULSD b, a, tmp; \
+	VADDSD tmp, acc, acc
+
+// BIAS4 and RELU4 are the epilogue on one accumulator: acc + bias[j+off/8],
+// then max(acc, +0) with +0 in Y15. VMAXPD returns its second source unless
+// the first is greater, so the ReLU is "acc if acc > 0, else +0", −0 and NaN
+// included, as the Go loop's branch. CX holds the bias pointer, AX j.
+#define BIAS4(off, acc) VADDPD off(CX)(AX*8), acc, acc
+#define RELU4(acc) VMAXPD Y15, acc, acc
+#define BIAS1(acc) VADDSD (CX)(AX*8), acc, acc
+#define RELU1(acc) VMAXSD X15, acc, acc
+
+// TILE starts a tile at column AX: CX walks row 0 of its a rows from SI,
+// BX row p of b from column j, DX counts the k left, Y15 is +0.
+#define TILE \
+	MOVQ   SI, CX; \
+	MOVQ   b_base+64(FP), BX; \
+	LEAQ   (BX)(AX*8), BX; \
+	MOVQ   k+104(FP), DX; \
+	VXORPD Y15, Y15, Y15
+
+// EPILOGUE jumps to bias or relu, or to store when neither is asked for,
+// leaving the bias pointer in CX.
+#define EPILOGUE(bias, relu, store) \
+	MOVQ bias_base+120(FP), CX; \
+	CMPQ bias_len+128(FP), $0; \
+	JNE  bias; \
+	CMPB relu+144(FP), $0; \
+	JNE  relu; \
+	JMP  store
+
+// RELUTEST sits between the bias adds and the ReLU: it skips to store when
+// no ReLU is asked for.
+#define RELUTEST(store) \
+	CMPB relu+144(FP), $0; \
+	JEQ  store
+
 // func hasAVX() bool
 //
 // CPUID leaf 1 reports FMA (ECX bit 12), OSXSAVE (bit 27) and AVX (bit 28);
@@ -151,66 +201,398 @@ TEXT ·axpy1(SB), NOSPLIT, $0-56
 	VZEROUPPER
 	RET
 
-// func matMulRow(o, a, b []float64)
+// func gemmKernel(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool)
 //
-// o = +0, then k four at a time through AXPY4 and the rest through AXPY1; row
-// k of b starts at b + 8·k·len(o). SI walks a, DX counts the k left, R12 is
-// the row stride in bytes.
-TEXT ·matMulRow(SB), NOSPLIT, $0-72
-	PICK(·matMulRowGo)
-	MOVQ   o_base+0(FP), DI
-	MOVQ   o_len+8(FP), CX
-	MOVQ   a_base+24(FP), SI
-	MOVQ   a_len+32(FP), DX
-	MOVQ   b_base+48(FP), R8
-	MOVQ   CX, R12
-	SHLQ   $3, R12
+// o[i·ldo+j] = act(Σₚ a[i·lda+p]·b[p·ldb+j] + bias[j]), as gemmGo: each
+// output starts at +0 and adds its products in ascending p, then the bias (if
+// len(bias) > 0), then the ReLU (if relu). Register-tiled: four rows of o at
+// a time in tiles of 4×8 (eight YMM accumulators, held across the whole k
+// loop), then 4×4 and 4×1 for the last n mod 8 columns; the last m mod 4
+// rows one at a time in tiles of 1×32 (eight accumulators again: one row has
+// no other work to hide an add's latency behind), then 1×8, 1×4 and 1×1. A
+// k step of a tile loads its slice of b's row p once and broadcasts each of
+// its a[i·lda+p]. DI and SI are the rows of o and a the tiles start on, AX
+// the column, R8 lda and R9 3·lda in bytes, R10 ldb and R11 ldo in bytes,
+// R12 n, R13 the rows left.
+TEXT ·gemmKernel(SB), NOSPLIT, $0-145
+	PICK(·gemmGo)
+	MOVQ o_base+0(FP), DI
+	MOVQ ldo+24(FP), R11
+	SHLQ $3, R11
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), R8
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R9
+	MOVQ ldb+88(FP), R10
+	SHLQ $3, R10
+	MOVQ m+96(FP), R13
+	MOVQ n+112(FP), R12
+
+rows4:
+	CMPQ R13, $4
+	JLT  rows1
+	XORQ AX, AX
+
+t48:
+	LEAQ   8(AX), R14
+	CMPQ   R14, R12
+	JGT    t44
+	TILE
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
 	VXORPD Y4, Y4, Y4
-	XORQ   AX, AX
-	MOVQ   CX, BX
-	ANDQ   $~3, BX
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	TESTQ  DX, DX
+	JEQ    t48epi
 
-zero4:
-	CMPQ    AX, BX
-	JAE     zero1
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     zero4
-
-zero1:
-	CMPQ   AX, CX
-	JAE    k4
-	VMOVSD X4, (DI)(AX*8)
-	INCQ   AX
-	JMP    zero1
-
-k4:
-	CMPQ         DX, $4
-	JLT          k1
-	VBROADCASTSD (SI), Y0
-	VBROADCASTSD 8(SI), Y1
-	VBROADCASTSD 16(SI), Y2
-	VBROADCASTSD 24(SI), Y3
-	LEAQ         (R8)(R12*1), R9
-	LEAQ         (R9)(R12*1), R10
-	LEAQ         (R10)(R12*1), R11
-	AXPY4(quads4, last4, done4)
-	ADDQ         $32, SI
-	LEAQ         (R11)(R12*1), R8
-	SUBQ         $4, DX
-	JMP          k4
-
-k1:
-	TESTQ        DX, DX
-	JEQ          ret
-	VBROADCASTSD (SI), Y0
-	AXPY1(quads1, last1, done1)
-	ADDQ         $8, SI
-	ADDQ         R12, R8
+t48k:
+	VMOVUPD      (BX), Y8
+	VMOVUPD      32(BX), Y9
+	VBROADCASTSD (CX), Y10
+	MUL4(Y8, Y10, Y0, Y11)
+	MUL4(Y9, Y10, Y1, Y12)
+	VBROADCASTSD (CX)(R8*1), Y13
+	MUL4(Y8, Y13, Y2, Y14)
+	MUL4(Y9, Y13, Y3, Y11)
+	VBROADCASTSD (CX)(R8*2), Y10
+	MUL4(Y8, Y10, Y4, Y12)
+	MUL4(Y9, Y10, Y5, Y14)
+	VBROADCASTSD (CX)(R9*1), Y13
+	MUL4(Y8, Y13, Y6, Y11)
+	MUL4(Y9, Y13, Y7, Y12)
+	ADDQ         $8, CX
+	ADDQ         R10, BX
 	DECQ         DX
-	JMP          k1
+	JNZ          t48k
 
-ret:
+t48epi:
+	EPILOGUE(t48bias, t48relu, t48store)
+
+t48bias:
+	BIAS4(0, Y0)
+	BIAS4(32, Y1)
+	BIAS4(0, Y2)
+	BIAS4(32, Y3)
+	BIAS4(0, Y4)
+	BIAS4(32, Y5)
+	BIAS4(0, Y6)
+	BIAS4(32, Y7)
+	RELUTEST(t48store)
+
+t48relu:
+	RELU4(Y0)
+	RELU4(Y1)
+	RELU4(Y2)
+	RELU4(Y3)
+	RELU4(Y4)
+	RELU4(Y5)
+	RELU4(Y6)
+	RELU4(Y7)
+
+t48store:
+	LEAQ    (DI)(AX*8), CX
+	VMOVUPD Y0, (CX)
+	VMOVUPD Y1, 32(CX)
+	VMOVUPD Y2, (CX)(R11*1)
+	VMOVUPD Y3, 32(CX)(R11*1)
+	VMOVUPD Y4, (CX)(R11*2)
+	VMOVUPD Y5, 32(CX)(R11*2)
+	ADDQ    R11, CX
+	VMOVUPD Y6, (CX)(R11*2)
+	VMOVUPD Y7, 32(CX)(R11*2)
+	ADDQ    $8, AX
+	JMP     t48
+
+t44:
+	LEAQ   4(AX), R14
+	CMPQ   R14, R12
+	JGT    t41
+	TILE
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	TESTQ  DX, DX
+	JEQ    t44epi
+
+t44k:
+	VMOVUPD      (BX), Y8
+	VBROADCASTSD (CX), Y10
+	MUL4(Y8, Y10, Y0, Y11)
+	VBROADCASTSD (CX)(R8*1), Y13
+	MUL4(Y8, Y13, Y1, Y12)
+	VBROADCASTSD (CX)(R8*2), Y10
+	MUL4(Y8, Y10, Y2, Y14)
+	VBROADCASTSD (CX)(R9*1), Y13
+	MUL4(Y8, Y13, Y3, Y11)
+	ADDQ         $8, CX
+	ADDQ         R10, BX
+	DECQ         DX
+	JNZ          t44k
+
+t44epi:
+	EPILOGUE(t44bias, t44relu, t44store)
+
+t44bias:
+	BIAS4(0, Y0)
+	BIAS4(0, Y1)
+	BIAS4(0, Y2)
+	BIAS4(0, Y3)
+	RELUTEST(t44store)
+
+t44relu:
+	RELU4(Y0)
+	RELU4(Y1)
+	RELU4(Y2)
+	RELU4(Y3)
+
+t44store:
+	LEAQ    (DI)(AX*8), CX
+	VMOVUPD Y0, (CX)
+	VMOVUPD Y1, (CX)(R11*1)
+	VMOVUPD Y2, (CX)(R11*2)
+	ADDQ    R11, CX
+	VMOVUPD Y3, (CX)(R11*2)
+	ADDQ    $4, AX
+
+t41:
+	CMPQ   AX, R12
+	JGE    next4
+	TILE
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	TESTQ  DX, DX
+	JEQ    t41epi
+
+t41k:
+	VMOVSD (BX), X8
+	MUL1((CX), X8, X0, X11)
+	MUL1((CX)(R8*1), X8, X1, X12)
+	MUL1((CX)(R8*2), X8, X2, X14)
+	MUL1((CX)(R9*1), X8, X3, X11)
+	ADDQ   $8, CX
+	ADDQ   R10, BX
+	DECQ   DX
+	JNZ    t41k
+
+t41epi:
+	EPILOGUE(t41bias, t41relu, t41store)
+
+t41bias:
+	BIAS1(X0)
+	BIAS1(X1)
+	BIAS1(X2)
+	BIAS1(X3)
+	RELUTEST(t41store)
+
+t41relu:
+	RELU1(X0)
+	RELU1(X1)
+	RELU1(X2)
+	RELU1(X3)
+
+t41store:
+	LEAQ   (DI)(AX*8), CX
+	VMOVSD X0, (CX)
+	VMOVSD X1, (CX)(R11*1)
+	VMOVSD X2, (CX)(R11*2)
+	ADDQ   R11, CX
+	VMOVSD X3, (CX)(R11*2)
+	INCQ   AX
+	JMP    t41
+
+next4:
+	LEAQ (DI)(R11*4), DI
+	LEAQ (SI)(R8*4), SI
+	SUBQ $4, R13
+	JMP  rows4
+
+rows1:
+	TESTQ R13, R13
+	JEQ   done
+	XORQ  AX, AX
+
+t132:
+	LEAQ   32(AX), R14
+	CMPQ   R14, R12
+	JGT    t18
+	TILE
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	TESTQ  DX, DX
+	JEQ    t132epi
+
+t132k:
+	VBROADCASTSD (CX), Y8
+	MUL4((BX), Y8, Y0, Y9)
+	MUL4(32(BX), Y8, Y1, Y10)
+	MUL4(64(BX), Y8, Y2, Y11)
+	MUL4(96(BX), Y8, Y3, Y12)
+	MUL4(128(BX), Y8, Y4, Y13)
+	MUL4(160(BX), Y8, Y5, Y14)
+	MUL4(192(BX), Y8, Y6, Y9)
+	MUL4(224(BX), Y8, Y7, Y10)
+	ADDQ         $8, CX
+	ADDQ         R10, BX
+	DECQ         DX
+	JNZ          t132k
+
+t132epi:
+	EPILOGUE(t132bias, t132relu, t132store)
+
+t132bias:
+	BIAS4(0, Y0)
+	BIAS4(32, Y1)
+	BIAS4(64, Y2)
+	BIAS4(96, Y3)
+	BIAS4(128, Y4)
+	BIAS4(160, Y5)
+	BIAS4(192, Y6)
+	BIAS4(224, Y7)
+	RELUTEST(t132store)
+
+t132relu:
+	RELU4(Y0)
+	RELU4(Y1)
+	RELU4(Y2)
+	RELU4(Y3)
+	RELU4(Y4)
+	RELU4(Y5)
+	RELU4(Y6)
+	RELU4(Y7)
+
+t132store:
+	LEAQ    (DI)(AX*8), CX
+	VMOVUPD Y0, (CX)
+	VMOVUPD Y1, 32(CX)
+	VMOVUPD Y2, 64(CX)
+	VMOVUPD Y3, 96(CX)
+	VMOVUPD Y4, 128(CX)
+	VMOVUPD Y5, 160(CX)
+	VMOVUPD Y6, 192(CX)
+	VMOVUPD Y7, 224(CX)
+	ADDQ    $32, AX
+	JMP     t132
+
+t18:
+	LEAQ   8(AX), R14
+	CMPQ   R14, R12
+	JGT    t14
+	TILE
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	TESTQ  DX, DX
+	JEQ    t18epi
+
+t18k:
+	VBROADCASTSD (CX), Y8
+	MUL4((BX), Y8, Y0, Y9)
+	MUL4(32(BX), Y8, Y1, Y10)
+	ADDQ         $8, CX
+	ADDQ         R10, BX
+	DECQ         DX
+	JNZ          t18k
+
+t18epi:
+	EPILOGUE(t18bias, t18relu, t18store)
+
+t18bias:
+	BIAS4(0, Y0)
+	BIAS4(32, Y1)
+	RELUTEST(t18store)
+
+t18relu:
+	RELU4(Y0)
+	RELU4(Y1)
+
+t18store:
+	LEAQ    (DI)(AX*8), CX
+	VMOVUPD Y0, (CX)
+	VMOVUPD Y1, 32(CX)
+	ADDQ    $8, AX
+	JMP     t18
+
+t14:
+	LEAQ   4(AX), R14
+	CMPQ   R14, R12
+	JGT    t11
+	TILE
+	VXORPD Y0, Y0, Y0
+	TESTQ  DX, DX
+	JEQ    t14epi
+
+t14k:
+	VBROADCASTSD (CX), Y8
+	MUL4((BX), Y8, Y0, Y9)
+	ADDQ         $8, CX
+	ADDQ         R10, BX
+	DECQ         DX
+	JNZ          t14k
+
+t14epi:
+	EPILOGUE(t14bias, t14relu, t14store)
+
+t14bias:
+	BIAS4(0, Y0)
+	RELUTEST(t14store)
+
+t14relu:
+	RELU4(Y0)
+
+t14store:
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+
+t11:
+	CMPQ   AX, R12
+	JGE    next1
+	TILE
+	VXORPD X0, X0, X0
+	TESTQ  DX, DX
+	JEQ    t11epi
+
+t11k:
+	VMOVSD (CX), X8
+	MUL1((BX), X8, X0, X9)
+	ADDQ   $8, CX
+	ADDQ   R10, BX
+	DECQ   DX
+	JNZ    t11k
+
+t11epi:
+	EPILOGUE(t11bias, t11relu, t11store)
+
+t11bias:
+	BIAS1(X0)
+	RELUTEST(t11store)
+
+t11relu:
+	RELU1(X0)
+
+t11store:
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    t11
+
+next1:
+	ADDQ R11, DI
+	ADDQ R8, SI
+	DECQ R13
+	JMP  rows1
+
+done:
 	VZEROUPPER
 	RET
 

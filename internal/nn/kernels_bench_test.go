@@ -1,15 +1,15 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/sim"
 )
 
-// Kernel microbenchmarks at decoder-realistic shapes. The hot shape in
-// training is the decoder head: a hidden activation (batch×hidden) against a
-// hidden×pages weight with pages in the thousands. 64×64 @ 64×4096 mirrors
-// that. Run with:
+// Kernel microbenchmarks. BenchmarkMatMul runs the forward products at the
+// shapes a served model runs them; the others keep a wide 64×64 @ 64×4096
+// product. Run with:
 //
 //	go test ./internal/nn -bench 'MatMul|Attention|TrainStep' -benchmem
 
@@ -30,11 +30,21 @@ func benchMats(r *sim.Rand) (a, b, dst *Mat) {
 	return randMat(r, benchM, benchK), randMat(r, benchK, benchN), NewMat(benchM, benchN)
 }
 
+// BenchmarkMatMul times a @ b at the shapes of one prediction on a
+// 37-token plan: the projections, the FFN's two products and one head's
+// P·V over all rows, and on one row (the top layer's query row, or a
+// decoder) the decoder's hidden layer and its widest output layer.
 func BenchmarkMatMul(b *testing.B) {
-	x, w, dst := benchMats(sim.NewRand(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		matMul(dst, x, w)
+	for _, s := range [][3]int{{37, 32, 32}, {37, 32, 128}, {37, 128, 32}, {37, 37, 8}, {1, 32, 64}, {1, 64, 300}} {
+		m, k, n := s[0], s[1], s[2]
+		r := sim.NewRand(1)
+		x, w, dst := randMat(r, m, k), randMat(r, k, n), NewMat(m, n)
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				matMul(dst, x, w)
+			}
+		})
 	}
 }
 

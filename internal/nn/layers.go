@@ -72,11 +72,17 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 // Forward computes X W + b, caching X for Backward.
 //
 //pythia:noalloc
-func (l *Linear) Forward(x *Mat) *Mat {
+func (l *Linear) Forward(x *Mat) *Mat { return l.forward(x, false) }
+
+// forward computes X W + b, through gemm's ReLU when relu is set, in one
+// kernel call, caching X for Backward.
+//
+//pythia:noalloc
+func (l *Linear) forward(x *Mat, relu bool) *Mat {
+	shapeCheck(x.Cols == l.In, "linear", x, l.Weight.W)
 	l.x = x
 	y := l.rt.get(x.Rows, l.Out)
-	l.rt.Pool.MatMulInto(y, x, l.Weight.W)
-	y.AddRowVec(l.Bias.W.Data)
+	gemm(y.Data, l.Out, x.Data, l.In, l.Weight.W.Data, l.Out, x.Rows, l.In, l.Out, l.Bias.W.Data, relu)
 	return y
 }
 
@@ -89,10 +95,11 @@ func (l *Linear) Forward(x *Mat) *Mat {
 //
 // dX = dy·Wᵀ as dot products puts each output on one serial add chain. From
 // transposeRows rows of dy on, it runs instead as dy @ Wᵀ over a transposed
-// copy of W from the arena, whose row kernel keeps a row of outputs in flight
-// four lanes wide; every output is still ((0 + p₀) + p₁) + … over ascending
-// j, so the bits are the same (TestLinearBackwardMatchesNaive). For fewer
-// rows the copy costs about as much as the product.
+// copy of W from the arena, whose kernel (gemm) keeps tiles of outputs in
+// registers four lanes wide; every output is still ((0 + p₀) + p₁) + …
+// over ascending j, so the bits are the same
+// (TestLinearBackwardMatchesNaive). For fewer rows the copy costs about as
+// much as the product.
 //
 //pythia:noalloc
 func (l *Linear) Backward(dy *Mat) *Mat {
@@ -246,7 +253,8 @@ func (ln *LayerNorm) share(rt Runtime) *LayerNorm {
 // Params returns gain and bias.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gain, ln.Bias} }
 
-// Forward normalizes each row.
+// Forward normalizes each row, four rows' statistics at a time (lnStats):
+// four add chains in flight instead of one, each row's sums in its own order.
 func (ln *LayerNorm) Forward(x *Mat) *Mat {
 	ln.x = x
 	ln.xhat = ln.rt.get(x.Rows, x.Cols)
@@ -256,29 +264,50 @@ func (ln *LayerNorm) Forward(x *Mat) *Mat {
 	ln.invSD = ln.invSD[:x.Rows]
 	out := ln.rt.get(x.Rows, x.Cols)
 	g, b := ln.Gain.W.Data, ln.Bias.W.Data
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		mean := 0.0
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(len(row))
-		variance := 0.0
-		for _, v := range row {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= float64(len(row))
-		inv := 1 / math.Sqrt(variance+lnEps)
-		ln.invSD[i] = inv
-		xh := ln.xhat.Row(i)
-		orow := out.Row(i)
-		for j, v := range row {
-			xh[j] = (v - mean) * inv
-			orow[j] = xh[j]*g[j] + b[j]
+	for i0 := 0; i0 < x.Rows; i0 += 4 {
+		rows := min(4, x.Rows-i0)
+		mean := lnStats(x.Data[i0*x.Cols:(i0+rows)*x.Cols], x.Cols, ln.invSD[i0:i0+rows])
+		for q := 0; q < rows; q++ {
+			i := i0 + q
+			mu, inv := mean[q], ln.invSD[i]
+			xh, orow := ln.xhat.Row(i), out.Row(i)
+			for j, v := range x.Row(i) {
+				xh[j] = (v - mu) * inv
+				orow[j] = xh[j]*g[j] + b[j]
+			}
 		}
 	}
 	return out
+}
+
+// lnStats returns the mean, Σ v / d, of each of the one to four d-wide rows
+// in x and sets invSD[q] to 1/√(Σ (v − mean)² / d + ε), each sum in
+// ascending column order, four rows' sums interleaved. With fewer than four
+// rows the last one fills the missing places and their results are dropped.
+func lnStats(x []float64, d int, invSD []float64) (mean [4]float64) {
+	r0, r1, r2, r3 := rows4(x, d)
+	var s0, s1, s2, s3 float64
+	for j := range r0 {
+		s0 += r0[j]
+		s1 += r1[j]
+		s2 += r2[j]
+		s3 += r3[j]
+	}
+	n := float64(d)
+	m0, m1, m2, m3 := s0/n, s1/n, s2/n, s3/n
+	s0, s1, s2, s3 = 0, 0, 0, 0
+	for j := range r0 {
+		d0, d1, d2, d3 := r0[j]-m0, r1[j]-m1, r2[j]-m2, r3[j]-m3
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	vars := [4]float64{s0, s1, s2, s3}
+	for q := range invSD {
+		invSD[q] = 1 / math.Sqrt(vars[q]/n+lnEps)
+	}
+	return [4]float64{m0, m1, m2, m3}
 }
 
 // Backward returns dX and accumulates gain/bias gradients, row-ascending.
@@ -311,42 +340,6 @@ func (ln *LayerNorm) Backward(dy *Mat) *Mat {
 		dxr := dx.Row(i)
 		for j := range dxr {
 			dxr[j] = inv * (dxh[j] - sum1/n - xh[j]*sum2/n)
-		}
-	}
-	return dx
-}
-
-// ReLU is the rectifier. Instead of materializing a mask it caches the
-// input matrix, which Backward re-tests (v > 0) — one allocation fewer per
-// step, and the input is alive anyway as the previous layer's cache.
-type ReLU struct {
-	rt Runtime
-	x  *Mat
-}
-
-// Forward zeroes negatives.
-func (r *ReLU) Forward(x *Mat) *Mat {
-	r.x = x
-	out := r.rt.get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
-
-// Backward gates the gradient where the cached input was positive.
-func (r *ReLU) Backward(dy *Mat) *Mat {
-	dx := r.rt.get(dy.Rows, dy.Cols)
-	xd := r.x.Data
-	for i, v := range dy.Data {
-		if xd[i] > 0 {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
 		}
 	}
 	return dx

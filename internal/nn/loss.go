@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"github.com/pythia-db/pythia/internal/sim"
-)
+import "math"
 
 // BCEWithLogits computes the multilabel binary cross-entropy loss directly
 // on logits (the paper's optimization objective) and its gradient. Each
@@ -79,38 +75,4 @@ func (b BCEWithLogits) Loss(logits *Mat, targets []float64) (float64, *Mat) {
 		grad.Data[i] = g / n
 	}
 	return total / n, grad
-}
-
-// Decoder is Pythia's feed-forward multilabel head: one hidden layer of
-// width Hidden with ReLU, then a logit per page of the database object
-// (paper §5.1: hidden 800, output = number of blocks).
-type Decoder struct {
-	L1, L2 *Linear
-	relu   ReLU
-}
-
-// NewDecoder builds the head.
-func NewDecoder(name string, in, hidden, outputs int, r *sim.Rand) *Decoder {
-	return &Decoder{
-		L1: NewLinear(name+".d1", in, hidden, r),
-		L2: NewLinear(name+".d2", hidden, outputs, r),
-	}
-}
-
-// Share is Encoder.Share for the head: d's parameters, its own caches, rt.
-func (d *Decoder) Share(rt Runtime) *Decoder {
-	return &Decoder{L1: d.L1.share(rt), L2: d.L2.share(rt), relu: ReLU{rt: rt}}
-}
-
-// Params returns the head's parameters.
-func (d *Decoder) Params() []*Param { return append(d.L1.Params(), d.L2.Params()...) }
-
-// Forward maps a 1×D query representation to 1×outputs logits.
-func (d *Decoder) Forward(rep *Mat) *Mat {
-	return d.L2.Forward(d.relu.Forward(d.L1.Forward(rep)))
-}
-
-// Backward returns the gradient with respect to the representation.
-func (d *Decoder) Backward(dLogits *Mat) *Mat {
-	return d.L1.Backward(d.relu.Backward(d.L2.Backward(dLogits)))
 }

@@ -117,45 +117,73 @@ func (m *Mat) Scale(s float64) *Mat {
 	return m
 }
 
-// AddRowVec adds vector v (length Cols) to every row of m in place.
-func (m *Mat) AddRowVec(v []float64) {
-	if len(v) != m.Cols {
-		panic("nn: AddRowVec length mismatch")
+// SoftmaxRows sets each row of m to softmax(scale·row), numerically stable:
+// each v becomes v·scale, then exp(v·scale − max) with max the row's largest
+// v·scale, and each of those times 1/sum, the sum taken left to right. The
+// exponentials run over the whole matrix at once, four lanes wide where the
+// CPU allows (expInPlace), with math.Exp's bits. The max and the sum are
+// serial chains, so four rows' chains run side by side (rows4).
+func (m *Mat) SoftmaxRows(scale float64) {
+	n := m.Cols
+	if n == 0 {
+		return
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += v[j]
+	for i := 0; i < m.Rows; i += 4 {
+		x := m.Data[i*n : min(i+4, m.Rows)*n]
+		r0, r1, r2, r3 := rows4(x, n)
+		m0, m1, m2, m3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
+		for j := range r0 {
+			v0, v1, v2, v3 := r0[j]*scale, r1[j]*scale, r2[j]*scale, r3[j]*scale
+			r0[j], r1[j], r2[j], r3[j] = v0, v1, v2, v3
+			if v0 > m0 {
+				m0 = v0
+			}
+			if v1 > m1 {
+				m1 = v1
+			}
+			if v2 > m2 {
+				m2 = v2
+			}
+			if v3 > m3 {
+				m3 = v3
+			}
+		}
+		maxes := [4]float64{m0, m1, m2, m3}
+		for q := range len(x) / n {
+			row, mx := x[q*n:][:n], maxes[q]
+			for j, v := range row {
+				row[j] = v - mx
+			}
+		}
+	}
+	expInPlace(m.Data)
+	for i := 0; i < m.Rows; i += 4 {
+		x := m.Data[i*n : min(i+4, m.Rows)*n]
+		r0, r1, r2, r3 := rows4(x, n)
+		var s0, s1, s2, s3 float64
+		for j := range r0 {
+			s0 += r0[j]
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		sums := [4]float64{s0, s1, s2, s3}
+		for q := range len(x) / n {
+			row, inv := x[q*n:][:n], 1/sums[q]
+			for j := range row {
+				row[j] *= inv
+			}
 		}
 	}
 }
 
-// SoftmaxRows applies a numerically stable softmax to each row in place:
-// exp(v − max) per element, summed left to right, each times 1/sum. The
-// exponentials run four lanes wide where the CPU allows (expInPlace), with
-// math.Exp's bits.
-func (m *Mat) SoftmaxRows() {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		maxv := math.Inf(-1)
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		for j, v := range row {
-			row[j] = v - maxv
-		}
-		expInPlace(row)
-		sum := 0.0
-		for _, e := range row {
-			sum += e
-		}
-		inv := 1 / sum
-		for j := range row {
-			row[j] *= inv
-		}
-	}
+// rows4 returns the one to four n-wide rows of x, the last repeated in the
+// places of missing ones. A loop over the four that writes a value computed
+// from the rows' own elements writes a repeated row twice with one value.
+func rows4(x []float64, n int) (r0, r1, r2, r3 []float64) {
+	last := len(x)/n - 1
+	row := func(q int) []float64 { return x[min(q, last)*n:][:n] }
+	return row(0), row(1), row(2), row(3)
 }
 
 // Sigmoid returns the element-wise logistic function of x, computed in a

@@ -66,7 +66,7 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	m := &Mat{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 1000, 1000, 1000}}
-	m.SoftmaxRows()
+	m.SoftmaxRows(1)
 	for i := 0; i < 2; i++ {
 		sum := 0.0
 		for _, v := range m.Row(i) {
@@ -114,10 +114,6 @@ func TestAddAndScale(t *testing.T) {
 	a.Scale(2)
 	if a.Data[0] != 22 {
 		t.Fatal("Scale wrong")
-	}
-	a.AddRowVec([]float64{1, 1, 1})
-	if a.Data[0] != 23 {
-		t.Fatal("AddRowVec wrong")
 	}
 	a.Zero()
 	if a.Norm() != 0 {
