@@ -256,8 +256,8 @@ func (m *Model) Train(samples []Sample) float64 {
 
 // TrainIncremental is Trunk.TrainIncremental under this head's loss alone,
 // which on a shared trunk drags the encoder from under the other heads;
-// Predictor.Update trains them jointly instead. The per-head form survives
-// for the frozen bench/ probe (ROADMAP "Unfreeze bench/").
+// Predictor.Update trains them jointly instead. It survives for the frozen
+// bench/ (ROADMAP item 12).
 func (m *Model) TrainIncremental(samples []Sample, epochs int) float64 {
 	return m.trunk.train([]*Model{m}, samples, epochs)
 }
@@ -323,9 +323,19 @@ func (t *Trunk) backprop(v *view, heads []*Model, s Sample) float64 {
 	return total
 }
 
-// forward encodes the plan once on a view of its own and hands visit each
-// given head's logits, which are scratch: valid only during the call.
-func (t *Trunk) forward(tokenIDs []int, heads []*Model, visit func(i int, logits []float64)) {
+// Infer is the one inference pass: it encodes the plan once and returns,
+// per given head, the sigmoid probability of every label in label
+// (file-storage) order. All heads' probabilities share one backing slice, so
+// a call makes two allocations whatever the head count. Concurrent callers
+// run in parallel, each on a view of its own; a Train waits for them and
+// they for it.
+func (t *Trunk) Infer(tokenIDs []int, heads []*Model) [][]float64 {
+	n := 0
+	for _, h := range heads {
+		n += len(h.Labels)
+	}
+	buf := make([]float64, n)
+	out := make([][]float64, len(heads))
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	v := t.borrow()
@@ -333,72 +343,44 @@ func (t *Trunk) forward(tokenIDs []int, heads []*Model, visit func(i int, logits
 	v.arena.Release()
 	rep := v.enc.Forward(tokenIDs)
 	for i, h := range heads {
-		visit(i, v.decs[h.idx].Forward(rep).Data)
+		probs := buf[:len(h.Labels):len(h.Labels)]
+		buf = buf[len(h.Labels):]
+		for j, x := range v.decs[h.idx].Forward(rep).Data {
+			probs[j] = nn.Sigmoid(x)
+		}
+		out[i] = probs
 	}
-}
-
-// Predict runs one-shot inference for the given heads off one encoder pass:
-// per head, the pages whose sigmoid probability crosses the threshold, in
-// label (file-storage) order. Concurrent callers run in parallel, each on
-// a view of its own; a Train waits for them and they for it.
-func (t *Trunk) Predict(tokenIDs []int, heads []*Model) [][]storage.PageID {
-	out := make([][]storage.PageID, len(heads))
-	t.forward(tokenIDs, heads, func(i int, logits []float64) { out[i] = heads[i].pages(logits) })
 	return out
 }
 
-// pages thresholds one row of this head's logits.
-func (m *Model) pages(logits []float64) []storage.PageID {
+// Cut is the one place a probability becomes a prediction: the labels of
+// this head whose probability (its row of Infer) reaches the threshold, in
+// label order.
+func (m *Model) Cut(probs []float64) []storage.PageID {
 	var out []storage.PageID
-	for j, x := range logits {
-		if nn.Sigmoid(x) >= m.trunk.cfg.Threshold {
+	for j, p := range probs {
+		if p >= m.trunk.cfg.Threshold {
 			out = append(out, m.Labels[j])
 		}
 	}
 	return out
 }
 
-// Predict is Trunk.Predict for this head alone.
-func (m *Model) Predict(tokenIDs []int) []storage.PageID {
-	return m.trunk.Predict(tokenIDs, []*Model{m})[0]
+// Scores is Infer for this head alone. It survives for the frozen bench/
+// (ROADMAP item 12).
+func (m *Model) Scores(tokenIDs []int) []float64 {
+	return m.trunk.Infer(tokenIDs, []*Model{m})[0]
 }
 
-// PredictBatch runs inference for several token sequences on one view.
-// It amortises next to nothing: the encoder runs once per sequence (lengths
-// differ), exactly as in Predict; only the decoder sees the B
-// representations as one B×Dim matrix, each row accumulated in the 1×Dim
-// order, so results are bitwise those of Predict per sequence
-// (TestPredictBatchMatchesPredict).
+// Predict is Cut(Scores). It survives for the frozen bench/ (ROADMAP item 12).
+func (m *Model) Predict(tokenIDs []int) []storage.PageID { return m.Cut(m.Scores(tokenIDs)) }
+
+// PredictBatch is Predict per sequence. It survives for the frozen bench/
+// (ROADMAP item 12).
 func (m *Model) PredictBatch(seqs [][]int) [][]storage.PageID {
 	out := make([][]storage.PageID, len(seqs))
-	if len(seqs) == 0 {
-		return out
-	}
-	t := m.trunk
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	v := t.borrow()
-	defer t.giveBack(v)
-	v.arena.Release()
-	// reps is allocated before the encoder passes whose rows it gathers.
-	reps := v.arena.Get(len(seqs), t.cfg.Dim)
 	for i, ids := range seqs {
-		copy(reps.Row(i), v.enc.Forward(ids).Row(0))
+		out[i] = m.Predict(ids)
 	}
-	logits := v.decs[m.idx].Forward(reps)
-	for i := range seqs {
-		out[i] = m.pages(logits.Row(i))
-	}
-	return out
-}
-
-// Scores returns the per-label probabilities (diagnostics and tests).
-func (m *Model) Scores(tokenIDs []int) []float64 {
-	out := make([]float64, len(m.Labels))
-	m.trunk.forward(tokenIDs, []*Model{m}, func(_ int, logits []float64) {
-		for i, x := range logits {
-			out[i] = nn.Sigmoid(x)
-		}
-	})
 	return out
 }

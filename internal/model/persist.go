@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/pythia-db/pythia/internal/nn"
 	"github.com/pythia-db/pythia/internal/storage"
@@ -57,6 +58,15 @@ func TrunkFromState(s TrunkState) (*Trunk, error) {
 	if c.Dim <= 0 || c.Heads <= 0 || c.Layers <= 0 || c.DecoderHidden <= 0 || s.VocabSize <= 0 || c.Dim%c.Heads != 0 {
 		return nil, fmt.Errorf("model: inconsistent architecture: vocabulary %d, dim %d, %d heads, %d layers, decoder %d",
 			s.VocabSize, c.Dim, c.Heads, c.Layers, c.DecoderHidden)
+	}
+	// Save writes the trained config, so a cut, rate or weight no training
+	// run could have used is a damaged state: a NaN or >1 threshold never
+	// predicts, a NaN rate or infinite weight ruins the first Update.
+	if !(c.Threshold > 0 && c.Threshold <= 1) ||
+		!(c.LR > 0 && c.LR <= math.MaxFloat64) ||
+		!(c.PosWeight > 0 && c.PosWeight <= math.MaxFloat64) {
+		return nil, fmt.Errorf("model: invalid training config: threshold %v, learning rate %v, positive weight %v",
+			c.Threshold, c.LR, c.PosWeight)
 	}
 	// What NewTrunk allocates, in float64 because a forged dimension cannot
 	// overflow it. A layer is four d×d projections, the d×ff and ff×d pair,

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -55,7 +56,9 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 // so an architecture that contradicts itself or its weights is an error —
 // the first two cases panicked inside nn before — and is refused before
 // anything sized by a forged number is allocated (the 2⁴⁰ cases would need
-// terabytes).
+// terabytes). So is a training config Save never writes: the threshold,
+// rate and weight cases loaded before and then predicted nothing, at once
+// or after one Update.
 func TestTrunkFromStateRejectsInconsistentState(t *testing.T) {
 	labels, samples := trainingFixture()
 	m := New(12, labels, smallCfg())
@@ -73,6 +76,10 @@ func TestTrunkFromStateRejectsInconsistentState(t *testing.T) {
 		"renamed tensor":          func(s *TrunkState) { s.Encoder[3].Name = "enc.l0.attn.nope" },
 		"tensors swapped in size": func(s *TrunkState) { s.Encoder[1].W, s.Encoder[2].W = s.Encoder[2].W, s.Encoder[1].W },
 		"no heads, head weights":  func(s *TrunkState) { s.Encoder = append(s.Encoder, s.Heads[0].Decoder...); s.Heads = nil },
+		"threshold NaN":           func(s *TrunkState) { s.Cfg.Threshold = math.NaN() },
+		"threshold above one":     func(s *TrunkState) { s.Cfg.Threshold = 2 },
+		"learning rate NaN":       func(s *TrunkState) { s.Cfg.LR = math.NaN() },
+		"positive weight +Inf":    func(s *TrunkState) { s.Cfg.PosWeight = math.Inf(1) },
 	} {
 		s := m.trunk.State()
 		s.Encoder = append([]tensor(nil), s.Encoder...)

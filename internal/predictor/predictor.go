@@ -272,20 +272,21 @@ func (p *Predictor) planModels(root *plan.Node) ([]*model.Model, map[storage.Obj
 	return ms, relevant
 }
 
-// Predict runs Algorithm 3's prediction step: serialize the plan, encode it
-// once, decode it with every head covering an object the plan scans
-// non-sequentially, and return the union of predicted pages in file-storage
-// order. A plan with no such object costs no encoder pass at all.
-func (p *Predictor) Predict(root *plan.Node) []storage.PageID {
+// Predict runs Algorithm 3's prediction step on a plan and its token IDs
+// (EncodePlan of the plan against this vocabulary): one Infer over every
+// head covering an object the plan scans non-sequentially, each head cut at
+// its threshold, and the union of their pages in file-storage order. A plan
+// with no such object costs no encoder pass at all.
+func (p *Predictor) Predict(root *plan.Node, ids []int) []storage.PageID {
 	ms, relevant := p.planModels(root)
 	if len(ms) == 0 {
 		return nil
 	}
 	var out []storage.PageID
-	for _, pred := range p.trunk.Predict(p.EncodePlan(root), ms) {
+	for i, probs := range p.trunk.Infer(ids, ms) {
 		// Keep only pages of relevant objects (a combined head may cover an
 		// object the plan does not touch).
-		for _, page := range pred {
+		for _, page := range ms[i].Cut(probs) {
 			if relevant[page.Object] {
 				out = append(out, page)
 			}
@@ -295,7 +296,8 @@ func (p *Predictor) Predict(root *plan.Node) []storage.PageID {
 	return slices.Compact(out)
 }
 
-// PredictParallel is a synonym of Predict: the heads run off one encoder
-// pass, so there is nothing to run in parallel. Only the frozen bench/
-// module still calls it (ROADMAP "Unfreeze bench/").
-func (p *Predictor) PredictParallel(root *plan.Node) []storage.PageID { return p.Predict(root) }
+// PredictParallel is Predict on the plan's own encoding. It survives for the
+// frozen bench/ (ROADMAP item 12).
+func (p *Predictor) PredictParallel(root *plan.Node) []storage.PageID {
+	return p.Predict(root, p.EncodePlan(root))
+}

@@ -112,7 +112,7 @@ func TestPredictorLearnsWorkload(t *testing.T) {
 	_, testPlans, testTraces := buildSamples(t, db, testParams)
 	var f1s []float64
 	for i, root := range testPlans {
-		pred := p.Predict(root)
+		pred := p.Predict(root, p.EncodePlan(root))
 		f1s = append(f1s, metrics.Score(pred, testTraces[i].Pages()).F1)
 	}
 	mean := metrics.Summarize(f1s).Mean
@@ -125,8 +125,9 @@ func TestPredictDeterministicAndSorted(t *testing.T) {
 	db := workloadDB()
 	samples, plans, _ := buildSamples(t, db, []int64{100, 300, 500, 700, 100, 300, 500, 700})
 	p := Train(samples, fastOpts())
-	a := p.Predict(plans[0])
-	b := p.Predict(plans[0])
+	ids := p.EncodePlan(plans[0])
+	a := p.Predict(plans[0], ids)
+	b := p.Predict(plans[0], ids)
 	if len(a) != len(b) {
 		t.Fatal("prediction not deterministic")
 	}
@@ -138,7 +139,7 @@ func TestPredictDeterministicAndSorted(t *testing.T) {
 			t.Fatal("prediction not sorted/deduped")
 		}
 	}
-	// PredictParallel is a synonym kept for the frozen bench/ module.
+	// PredictParallel, kept for the frozen bench/ module, encodes the plan itself.
 	if c := p.PredictParallel(plans[0]); !slices.Equal(a, c) {
 		t.Fatalf("PredictParallel differs from Predict: %d vs %d pages", len(c), len(a))
 	}
@@ -155,7 +156,7 @@ func TestPredictIgnoresIrrelevantPlans(t *testing.T) {
 	q.Dims[0].ForceIndex = false
 	q.Dims[0].ForceHash = true
 	root := pl.MustPlan(q)
-	if got := p.Predict(root); len(got) != 0 {
+	if got := p.Predict(root, p.EncodePlan(root)); len(got) != 0 {
 		t.Fatalf("hash-only plan predicted %d pages", len(got))
 	}
 }
@@ -257,7 +258,8 @@ func TestGroupsCombineObjects(t *testing.T) {
 	}
 	// The combined model still predicts pages from both objects.
 	pl := plan.NewPlanner(db)
-	pred := p.Predict(pl.MustPlan(templateQuery(100)))
+	root := pl.MustPlan(templateQuery(100))
+	pred := p.Predict(root, p.EncodePlan(root))
 	objs := map[uint32]bool{}
 	for _, pg := range pred {
 		objs[uint32(pg.Object)] = true

@@ -29,6 +29,17 @@ func twoDimQuery(p int64) plan.Query {
 // few held-out queries.
 func headsFixture(t *testing.T, epochs int) (*Predictor, []TrainSample, []*plan.Node) {
 	t.Helper()
+	p, samples, plans := twoDimFixture(t, epochs, nil)
+	if len(p.Models()) != 4 {
+		t.Fatalf("fixture trained %d heads, want 4", len(p.Models()))
+	}
+	return p, samples, plans
+}
+
+// twoDimFixture trains on twoDimQuery plans, grouping heads as groups says
+// (nil: one head per object), and plans a few held-out queries.
+func twoDimFixture(t *testing.T, epochs int, groups func(db *catalog.Database) [][]storage.ObjectID) (*Predictor, []TrainSample, []*plan.Node) {
+	t.Helper()
 	db := workloadDB()
 	item2 := db.AddRelation("item2", 3300, 10, []catalog.Column{{Name: "i2_sk", Gen: catalog.Serial{}}})
 	db.BuildIndex(item2, "i2_sk", index.Config{LeafCap: 32, Fanout: 16})
@@ -43,45 +54,66 @@ func headsFixture(t *testing.T, epochs int) (*Predictor, []TrainSample, []*plan.
 	samples, _, _ := buildSamplesOf(t, db, trainParams, twoDimQuery)
 	opts := fastOpts()
 	opts.Model.Epochs = epochs
-	p := Train(samples, opts)
-	if len(p.Models()) != 4 {
-		t.Fatalf("fixture trained %d heads, want 4", len(p.Models()))
+	if groups != nil {
+		opts.Groups = groups(db)
 	}
+	p := Train(samples, opts)
 	_, plans, _ := buildSamplesOf(t, db, heldOut, twoDimQuery)
 	return p, samples, plans
 }
 
-// TestPredictMatchesPerHeadUnion: Predict — one encoder pass, the selected
+// TestPredictMatchesPerHeadUnion: Predict — one Infer over the selected
 // heads — returns on every held-out plan the union of each head's own
-// (*Model).Predict (one encoder pass per head, as before the trunk), kept to
-// the objects the plan scans non-sequentially. Fails if Predict runs only
-// some of the heads planModels selects.
+// Cut(Scores) (one encoder pass per head, as before the trunk), kept to the
+// objects the plan scans non-sequentially. Fails if Predict runs only some
+// of the heads planModels selects. The combined case is Figure 12d's shape
+// with one heap grouped with two indexes, so two heads share its pages: a
+// page either head predicts is predicted, once.
 func TestPredictMatchesPerHeadUnion(t *testing.T) {
-	p, _, plans := headsFixture(t, 15)
-	for i, root := range plans {
-		relevant := relevantObjects(root)
-		ids := p.EncodePlan(root)
-		var want []storage.PageID
-		for _, m := range p.Models() {
-			for _, page := range m.Predict(ids) {
-				if relevant[page.Object] {
-					want = append(want, page)
+	combined := func(db *catalog.Database) [][]storage.ObjectID {
+		heap := db.Relation("item").Heap.ID
+		return [][]storage.ObjectID{
+			{heap, db.Relation("item").IndexOn("i_sk").Tree.Object().ID},
+			{heap, db.Relation("item2").IndexOn("i2_sk").Tree.Object().ID},
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		groups func(*catalog.Database) [][]storage.ObjectID
+		heads  int
+	}{
+		{"per object", nil, 4},
+		{"heap in two heads", combined, 3},
+	} {
+		p, _, plans := twoDimFixture(t, 15, c.groups)
+		if len(p.Models()) != c.heads {
+			t.Fatalf("%s: trained %d heads, want %d", c.name, len(p.Models()), c.heads)
+		}
+		for i, root := range plans {
+			relevant := relevantObjects(root)
+			ids := p.EncodePlan(root)
+			var want []storage.PageID
+			for _, m := range p.Models() {
+				for _, page := range m.Cut(m.Scores(ids)) {
+					if relevant[page.Object] {
+						want = append(want, page)
+					}
 				}
 			}
-		}
-		slices.SortFunc(want, func(a, b storage.PageID) int {
-			if a.Less(b) {
-				return -1
+			slices.SortFunc(want, func(a, b storage.PageID) int {
+				if a.Less(b) {
+					return -1
+				}
+				return 1
+			})
+			want = slices.Compact(want)
+			got := p.Predict(root, ids)
+			if len(got) == 0 {
+				t.Fatalf("%s, plan %d: nothing predicted; the comparison would be vacuous", c.name, i)
 			}
-			return 1
-		})
-		want = slices.Compact(want)
-		got := p.Predict(root)
-		if len(got) == 0 {
-			t.Fatalf("plan %d: nothing predicted; the comparison would be vacuous", i)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("plan %d: Predict returned %d pages, per-head union has %d", i, len(got), len(want))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, plan %d: Predict returned %d pages, per-head union has %d", c.name, i, len(got), len(want))
+			}
 		}
 	}
 }
@@ -141,9 +173,9 @@ func TestUpdateTrainsAllHeadsJointly(t *testing.T) {
 // trunk runs concurrently, each call on a view of its own — the trunk's
 // weights with a private arena and private activation caches — so two calls
 // that shared a view, or wrote a cache on the trunk itself, would race here.
-// Eight goroutines call Predict, Scores and PredictBatch on different heads
-// while Predictor.Predict runs on the same predictor; every answer must be
-// exactly the sequential one.
+// Eight goroutines call Predict and Scores on different heads while
+// Predictor.Predict runs on the same predictor; every answer must be exactly
+// the sequential one.
 func TestConcurrentHeadsMatchSequential(t *testing.T) {
 	p, _, plans := headsFixture(t, 8)
 	heads := p.Models()
@@ -154,10 +186,9 @@ func TestConcurrentHeadsMatchSequential(t *testing.T) {
 	type answers struct {
 		predict [][]storage.PageID
 		scores  [][]float64
-		batch   [][]storage.PageID
 	}
 	perHead := func(m *model.Model) answers {
-		a := answers{batch: m.PredictBatch(seqs)}
+		var a answers
 		for _, ids := range seqs {
 			a.predict = append(a.predict, m.Predict(ids))
 			a.scores = append(a.scores, m.Scores(ids))
@@ -167,7 +198,7 @@ func TestConcurrentHeadsMatchSequential(t *testing.T) {
 	whole := func() [][]storage.PageID {
 		var out [][]storage.PageID
 		for _, root := range plans {
-			out = append(out, p.Predict(root))
+			out = append(out, p.Predict(root, p.EncodePlan(root)))
 		}
 		return out
 	}
@@ -258,7 +289,7 @@ func TestPredictDuringUpdate(t *testing.T) {
 			out = append(out, s)
 		}
 		for _, root := range plans {
-			out = append(out, q.Predict(root))
+			out = append(out, q.Predict(root, q.EncodePlan(root)))
 		}
 		return out
 	}

@@ -3,6 +3,7 @@ package pythia
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -74,6 +75,8 @@ func fuzzSeeds(t testing.TB, s *System) map[string][]byte {
 		"vocab-negative": func(p *predictor.State) { p.Trunk.VocabSize = -1 },
 		"dim-huge":       func(p *predictor.State) { p.Trunk.Cfg.Dim, p.Trunk.Cfg.Heads = 1<<40, 1 },
 		"coverage-short": func(p *predictor.State) { p.ModelObjs = p.ModelObjs[1:] },
+		"threshold-nan":  func(p *predictor.State) { p.Trunk.Cfg.Threshold = math.NaN() },
+		"lr-inf":         func(p *predictor.State) { p.Trunk.Cfg.LR = math.Inf(1) },
 	} {
 		seeds[name] = forgedSnapshot(t, s, func(doc *persistedSystem) { forge(&doc.Workloads[0].Predictor) })
 	}
@@ -143,7 +146,8 @@ func FuzzLoadSystem(f *testing.F) {
 				t.Fatalf("%d workloads became %d across a round trip", len(loaded.Workloads()), len(again.Workloads()))
 			}
 			for i, tw := range loaded.Workloads() {
-				if a, b := tw.Pred.Predict(probe.Plan), again.Workloads()[i].Pred.Predict(probe.Plan); !slices.Equal(a, b) {
+				pa, pb := tw.Pred, again.Workloads()[i].Pred
+				if a, b := pa.Predict(probe.Plan, pa.EncodePlan(probe.Plan)), pb.Predict(probe.Plan, pb.EncodePlan(probe.Plan)); !slices.Equal(a, b) {
 					t.Fatalf("workload %d predicts %d pages, %d after a round trip", i, len(a), len(b))
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -250,6 +251,10 @@ func TestLoadSystemInconsistentDocument(t *testing.T) {
 		"vocabulary lost its head":  func(p *predictor.State) { p.VocabTokens = p.VocabTokens[1:] },
 		"head lost its label space": func(p *predictor.State) { p.Trunk.Heads[0].Labels = nil },
 		"encoder lost a tensor":     func(p *predictor.State) { p.Trunk.Encoder = p.Trunk.Encoder[1:] },
+		"threshold NaN":             func(p *predictor.State) { p.Trunk.Cfg.Threshold = math.NaN() },
+		"threshold above one":       func(p *predictor.State) { p.Trunk.Cfg.Threshold = 2 },
+		"learning rate NaN":         func(p *predictor.State) { p.Trunk.Cfg.LR = math.NaN() },
+		"positive weight +Inf":      func(p *predictor.State) { p.Trunk.Cfg.PosWeight = math.Inf(1) },
 	} {
 		data := forgedSnapshot(t, s, func(doc *persistedSystem) { forge(&doc.Workloads[0].Predictor) })
 		sys, err := LoadSystem(s.DB, s.Config(), bytes.NewReader(data))

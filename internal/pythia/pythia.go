@@ -331,7 +331,7 @@ func (s *System) Prefetch(inst *workload.Instance) []storage.PageID {
 	if tw == nil {
 		return nil
 	}
-	return s.LimitPrefetch(tw.Pred.Predict(inst.Plan))
+	return s.LimitPrefetch(tw.Pred.Predict(inst.Plan, tw.Pred.EncodePlan(inst.Plan)))
 }
 
 // LimitPrefetch truncates a predicted page set to PrefetchBudget, keeping

@@ -62,13 +62,13 @@ func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, f
 }
 
 // predict runs the model path for one planned query the pool has already
-// matched, fingerprinted (fp keys the prediction cache) and admitted past
-// the health gate. The replica resolves its own Trained handle quietly with
-// Lookup, so one request never records two matching events.
+// matched, encoded (ids), fingerprinted (fp keys the prediction cache) and
+// admitted past the health gate. The replica resolves its own Trained handle
+// quietly with Lookup, so one request never records two matching events.
 //
 // Stage order: bounded-queue admission → prediction cache → fault injection
 // → inference → cache fill.
-func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node, fp uint64) (Prediction, error) {
+func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node, ids []int, fp uint64) (Prediction, error) {
 	p := Prediction{Replica: ins.id, Generation: ins.gen}
 	select {
 	case ins.queue <- struct{}{}:
@@ -105,7 +105,7 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 		ins.health.failure()
 		return p, errModelFault
 	}
-	pages, err := ins.infer(ctx, tw, root)
+	pages, err := ins.infer(ctx, tw, root, ids)
 	if err != nil {
 		return p, err
 	}
@@ -122,10 +122,10 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 // slow step runs off the caller's goroutine so a disconnected client (or an
 // expired budget) aborts the wait, not the work. Context errors come back
 // verbatim for the Server to map to 504/499.
-func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *plan.Node) ([]storage.PageID, error) {
+func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *plan.Node, ids []int) ([]storage.PageID, error) {
 	done := make(chan []storage.PageID, 1)
 	//pythia:goleak-ok one-shot inference; done is buffered so the sender exits even when the select below took the ctx branch
-	go func() { done <- tw.Pred.Predict(root) }()
+	go func() { done <- tw.Pred.Predict(root, ids) }()
 	select {
 	case pages := <-done:
 		ins.health.success()

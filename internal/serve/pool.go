@@ -144,10 +144,12 @@ func failoverable(err error) bool {
 // Predict walks the serving tier's one failure ladder: shed → failover →
 // quarantine → cached-or-degraded fallback → probe → recover. It feeds the
 // plan to the generation's drift monitor, matches the query once on the
-// routing replica, fingerprints its plan once, routes the fingerprint through
-// the ring, and answers on the owning replica — or, when the owner is
-// quarantined, saturated, or faulting, fails over to up to maxFailovers ring
-// successors (each hop recorded as a failover).
+// routing replica, encodes and fingerprints its plan once (replicas of a
+// generation decode one snapshot, so the router's token IDs are every
+// replica's), routes the fingerprint through the ring, and answers on the
+// owning replica with those IDs — or, when the owner is quarantined,
+// saturated, or faulting, fails over to up to maxFailovers ring successors
+// (each hop recorded as a failover).
 //
 // Admission is lazy: a candidate's health is consulted only when the walk
 // reaches it, so a request the owner answers never touches a successor.
@@ -165,7 +167,8 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 	if tw == nil {
 		return Prediction{Fallback: true, Replica: -1, Generation: gen.id}, nil
 	}
-	fp := fingerprint(tw.Name, tw.Pred.EncodePlan(root))
+	ids := tw.Pred.EncodePlan(root)
+	fp := fingerprint(tw.Name, ids)
 	if p.opts.CacheEntries > 0 {
 		p.warm.note(fp, q, root)
 	}
@@ -183,7 +186,7 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 		if ins.health.serving() || ins.health.allowProbe() {
 			p.noteFailovers(hops)
 			hops, tried = 0, true
-			pred, err = ins.predict(ctx, q, root, fp)
+			pred, err = ins.predict(ctx, q, root, ids, fp)
 			if err == nil || !failoverable(err) {
 				return pred, err
 			}
@@ -291,8 +294,9 @@ func (p *Pool) warmUp(next *generation) {
 		if tw == nil {
 			continue
 		}
-		fp := fingerprint(tw.Name, tw.Pred.EncodePlan(e.root))
-		pages := tw.Pred.Predict(e.root)
+		ids := tw.Pred.EncodePlan(e.root)
+		fp := fingerprint(tw.Name, ids)
+		pages := tw.Pred.Predict(e.root, ids)
 		next.instances[next.ring.lookup(fp)].cache.put(fp, pages[:min(len(pages), router.sys.PrefetchBudget())], false)
 	}
 }

@@ -30,7 +30,7 @@ func expectedPages(t *testing.T, srv *Server, sys *corepythia.System, q plan.Que
 		t.Fatal("probe query did not match a trained workload")
 	}
 	var resp predictResponse
-	srv.writePages(&resp, sys.LimitPrefetch(tw.Pred.Predict(root)))
+	srv.writePages(&resp, sys.LimitPrefetch(tw.Pred.Predict(root, tw.Pred.EncodePlan(root))))
 	return resp.Pages
 }
 
