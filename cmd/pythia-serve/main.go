@@ -41,7 +41,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -96,11 +95,15 @@ func main() {
 	c := flags(flag.CommandLine)
 	flag.Parse()
 
-	// Validate the options and -pprof before training: a rejected value or a
-	// bad address should fail in milliseconds, not after minutes of model
-	// building.
+	// Validate the options, -templates and -pprof before training: a rejected
+	// value, an unknown template or a bad address should fail in
+	// milliseconds, not after minutes of model building.
 	if _, err := c.opts.Normalize(); err != nil {
 		log.Fatalf("pythia-serve: %v", err)
+	}
+	templates, err := dsb.ParseTemplates(c.templates)
+	if err != nil {
+		log.Fatalf("pythia-serve: -templates: %v", err)
 	}
 	// The profiling endpoints expose heap contents and symbol tables, so they
 	// run on a separate server that must be bound to loopback — never on the
@@ -147,11 +150,7 @@ func main() {
 		}
 		sys = loaded
 	} else {
-		for _, tpl := range strings.Split(c.templates, ",") {
-			tpl = strings.TrimSpace(tpl)
-			if tpl == "" {
-				continue
-			}
+		for _, tpl := range templates {
 			log.Printf("training %s (%d instances)...", tpl, c.n)
 			start := time.Now()
 			w := gen.Workload(tpl, c.n, c.seed+1)

@@ -24,6 +24,8 @@ package dsb
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"github.com/pythia-db/pythia/internal/catalog"
 	"github.com/pythia-db/pythia/internal/index"
@@ -233,8 +235,31 @@ func (g *Generator) DB() *catalog.Database { return g.db }
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
+// templates are the implemented template names.
+var templates = []string{"t18", "t19", "t91"}
+
 // Templates lists the implemented template names.
-func (g *Generator) Templates() []string { return []string{"t18", "t19", "t91"} }
+func (g *Generator) Templates() []string { return slices.Clone(templates) }
+
+// ParseTemplates splits a comma-separated template list into trimmed,
+// non-empty names and checks each one, so a command can reject a typo before
+// it generates or trains anything (Queries panics on an unknown name).
+func ParseTemplates(list string) ([]string, error) {
+	var names []string
+	for _, name := range strings.Split(list, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		if !slices.Contains(templates, name) {
+			return nil, fmt.Errorf("dsb: unknown template %q (have %s)", name, strings.Join(templates, ", "))
+		}
+		names = append(names, name)
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("dsb: no template in %q (have %s)", list, strings.Join(templates, ", "))
+	}
+	return names, nil
+}
 
 // Queries generates n uniformly sampled instances of the named template
 // ("we use DSB's standard query generator, which uses uniform sampling for

@@ -1,6 +1,10 @@
 package dsb
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestSchemaComplete(t *testing.T) {
 	g := NewGenerator(Config{ScaleFactor: 5, Seed: 7})
@@ -136,6 +140,38 @@ func TestUnknownTemplatePanics(t *testing.T) {
 		}
 	}()
 	g.Queries("t99", 1, 1)
+}
+
+func TestParseTemplates(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		want []string // nil: an error naming every valid template
+	}{
+		{"t91", []string{"t91"}},
+		{" t18 ,t91,, ", []string{"t18", "t91"}},
+		{"t18,t19,t91", []string{"t18", "t19", "t91"}},
+		{"t91,t99", nil},
+		{"T91", nil},
+		{"", nil},
+		{" , ,", nil},
+	} {
+		got, err := ParseTemplates(tc.list)
+		if tc.want != nil {
+			if err != nil || !slices.Equal(got, tc.want) {
+				t.Errorf("ParseTemplates(%q) = %v, %v; want %v", tc.list, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("ParseTemplates(%q) = %v, want an error", tc.list, got)
+			continue
+		}
+		for _, name := range []string{"t18", "t19", "t91"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("ParseTemplates(%q) error %q does not name %s", tc.list, err, name)
+			}
+		}
+	}
 }
 
 func TestTemplateRegimesMatchTable1(t *testing.T) {

@@ -20,33 +20,25 @@ var DefaultLatencyBuckets = []time.Duration{
 	10 * time.Second,
 }
 
-// Histogram is a fixed-bucket, lock-free duration histogram in the
-// Prometheus cumulative style: bucket i counts observations ≤ bounds[i],
-// with an implicit +Inf bucket. Observation is two atomic adds and never
-// allocates.
+// Histogram is a fixed-bucket, lock-free duration histogram over
+// DefaultLatencyBuckets in the Prometheus cumulative style: bucket i counts
+// observations ≤ DefaultLatencyBuckets[i], with an implicit +Inf bucket.
+// Observation is two atomic adds and never allocates.
 type Histogram struct {
-	bounds []time.Duration
-	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
+	counts []atomic.Uint64 // len(DefaultLatencyBuckets)+1; last is +Inf
 	sum    atomic.Int64    // nanoseconds
 	count  atomic.Uint64
 }
 
-// NewHistogram returns a histogram over the given ascending bucket bounds
-// (DefaultLatencyBuckets when nil).
-func NewHistogram(bounds []time.Duration) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
-	return &Histogram{
-		bounds: bounds,
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram {
+	return &Histogram{counts: make([]atomic.Uint64, len(DefaultLatencyBuckets)+1)}
 }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	i := 0
-	for i < len(h.bounds) && d > h.bounds[i] {
+	for i < len(DefaultLatencyBuckets) && d > DefaultLatencyBuckets[i] {
 		i++
 	}
 	h.counts[i].Add(1)
@@ -61,48 +53,7 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []time.Duration { return h.bounds }
-
-// Quantile estimates the q-quantile (q in [0, 1]) by linear interpolation
-// within the bucket that crosses the target rank — the same estimate
-// Prometheus's histogram_quantile computes from this bucket layout. The
-// lowest bucket interpolates from zero; a rank landing in the +Inf bucket
-// reports the largest finite bound, since the histogram cannot resolve
-// anything past it. Zero observations report zero.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := h.Cumulative()
-	i := 0
-	for i < len(cum) && float64(cum[i]) < rank {
-		i++
-	}
-	if i >= len(h.bounds) {
-		return h.bounds[len(h.bounds)-1]
-	}
-	var lower time.Duration
-	var below uint64
-	if i > 0 {
-		lower = h.bounds[i-1]
-		below = cum[i-1]
-	}
-	width := h.bounds[i] - lower
-	inBucket := float64(cum[i] - below)
-	if inBucket == 0 {
-		return h.bounds[i]
-	}
-	frac := (rank - float64(below)) / inBucket
-	return lower + time.Duration(frac*float64(width))
-}
+func (h *Histogram) Bounds() []time.Duration { return DefaultLatencyBuckets }
 
 // Cumulative returns the cumulative per-bucket counts, one per bound plus a
 // final +Inf entry, Prometheus-style.

@@ -100,57 +100,25 @@ func TestEventLog(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram([]time.Duration{time.Millisecond, time.Second})
-	h.Observe(time.Microsecond)      // bucket 0
-	h.Observe(10 * time.Millisecond) // bucket 1
-	h.Observe(time.Minute)           // +Inf
-	if h.Count() != 3 {
+	h := NewHistogram()
+	h.Observe(50 * time.Microsecond)  // bucket 0 (≤ 100µs)
+	h.Observe(100 * time.Microsecond) // bucket 0: bounds are inclusive
+	h.Observe(10 * time.Millisecond)  // bucket 4 (≤ 25ms)
+	h.Observe(time.Minute)            // +Inf
+	if h.Count() != 4 {
 		t.Fatalf("count = %d", h.Count())
 	}
 	cum := h.Cumulative()
-	want := []uint64{1, 2, 3}
+	want := []uint64{2, 2, 2, 2, 3, 3, 3, 3, 3, 4}
+	if len(cum) != len(want) || len(h.Bounds()) != len(DefaultLatencyBuckets) {
+		t.Fatalf("cumulative = %v over %d bounds, want %v", cum, len(h.Bounds()), want)
+	}
 	for i := range want {
 		if cum[i] != want[i] {
 			t.Fatalf("cumulative = %v, want %v", cum, want)
 		}
 	}
-	if h.Sum() != time.Microsecond+10*time.Millisecond+time.Minute {
+	if h.Sum() != 150*time.Microsecond+10*time.Millisecond+time.Minute {
 		t.Fatalf("sum = %v", h.Sum())
-	}
-	if len(NewHistogram(nil).Bounds()) != len(DefaultLatencyBuckets) {
-		t.Fatal("default buckets not used")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond})
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram should report zero")
-	}
-	// 8 observations in (10ms, 20ms], 2 in (20ms, 40ms].
-	for i := 0; i < 8; i++ {
-		h.Observe(15 * time.Millisecond)
-	}
-	h.Observe(30 * time.Millisecond)
-	h.Observe(35 * time.Millisecond)
-
-	// p50: rank 5 of 10 lands in the (10, 20] bucket, 5/8 of the way through
-	// its 8 observations → 10ms + 0.625*10ms.
-	if got, want := h.Quantile(0.5), 10*time.Millisecond+time.Duration(0.625*float64(10*time.Millisecond)); got != want {
-		t.Fatalf("p50 = %v, want %v", got, want)
-	}
-	// p90: rank 9 crosses into the (20, 40] bucket halfway through its 2
-	// observations → 20ms + 0.5*20ms.
-	if got, want := h.Quantile(0.9), 30*time.Millisecond; got != want {
-		t.Fatalf("p90 = %v, want %v", got, want)
-	}
-	// q clamps: out-of-range values behave as 0 and 1.
-	if h.Quantile(-3) > h.Quantile(0) || h.Quantile(7) != h.Quantile(1) {
-		t.Fatal("q not clamped to [0, 1]")
-	}
-	// A rank in the +Inf bucket reports the largest finite bound.
-	h.Observe(time.Minute)
-	if got := h.Quantile(1); got != 40*time.Millisecond {
-		t.Fatalf("+Inf rank = %v, want the largest finite bound", got)
 	}
 }

@@ -151,7 +151,7 @@ func (m *Metrics) observeRequest(endpoint string, code int, d time.Duration) {
 	byCode[code]++
 	h := m.latency[endpoint]
 	if h == nil {
-		h = obs.NewHistogram(nil)
+		h = obs.NewHistogram()
 		m.latency[endpoint] = h
 	}
 	m.mu.Unlock()
