@@ -9,9 +9,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"strings"
 
 	"github.com/pythia-db/pythia/internal/dsb"
@@ -21,42 +23,67 @@ import (
 	"github.com/pythia-db/pythia/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, prints the trace to stdout and any
+// error to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pythia-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		template = flag.String("template", "t91", "DSB template (t18, t19, t91)")
-		sf       = flag.Int("sf", 20, "scale factor")
-		seed     = flag.Uint64("seed", 7, "seed")
-		instance = flag.Int("instance", 0, "which generated instance to trace")
+		template = fs.String("template", "t91", "DSB template (t18, t19, t91)")
+		sf       = fs.Int("sf", 20, "scale factor")
+		seed     = fs.Uint64("seed", 7, "seed")
+		instance = fs.Int("instance", 0, "which generated instance to trace")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "pythia-trace: "+format+"\n", a...)
+		return 1
+	}
+	tpls, err := dsb.ParseTemplates(*template)
+	if err != nil {
+		return fail("-template: %v", err)
+	}
+	if len(tpls) != 1 {
+		return fail("-template %q: want one template", *template)
+	}
+	if *instance < 0 {
+		return fail("-instance %d: want zero or more", *instance)
+	}
 
 	gen := dsb.NewGenerator(dsb.Config{ScaleFactor: *sf, Seed: *seed})
-	queries := gen.Queries(*template, *instance+1, *seed+1)
+	queries := gen.Queries(tpls[0], *instance+1, *seed+1)
 	q := queries[*instance]
 
 	pl := plan.NewPlanner(gen.DB())
 	root, err := pl.Plan(q)
 	if err != nil {
-		log.Fatalf("pythia-trace: %v", err)
+		return fail("%v", err)
 	}
 
-	fmt.Printf("=== %s instance %d ===\n\n", *template, *instance)
-	fmt.Println("physical plan:")
-	fmt.Println(root.Display())
+	fmt.Fprintf(stdout, "=== %s instance %d ===\n\n", tpls[0], *instance)
+	fmt.Fprintln(stdout, "physical plan:")
+	fmt.Fprintln(stdout, root.Display())
 
-	fmt.Println("serialized plan (Algorithm 2):")
+	fmt.Fprintln(stdout, "serialized plan (Algorithm 2):")
 	toks := serialize.Serialize(root, serialize.DefaultConfig())
-	fmt.Println(" ", strings.Join(toks, " "))
-	fmt.Printf("  (%d tokens)\n\n", len(toks))
+	fmt.Fprintln(stdout, " ", strings.Join(toks, " "))
+	fmt.Fprintf(stdout, "  (%d tokens)\n\n", len(toks))
 
 	res := exec.Run(root)
 	st := trace.ComputeStats(res.Requests)
-	fmt.Printf("execution: %d output rows, %d page requests\n", res.Rows, len(res.Requests))
-	fmt.Printf("  sequential requests:       %d\n", st.SeqRequests)
-	fmt.Printf("  non-sequential requests:   %d (%d distinct)\n\n", st.NonSeqRequests, st.DistinctNonSeq)
+	fmt.Fprintf(stdout, "execution: %d output rows, %d page requests\n", res.Rows, len(res.Requests))
+	fmt.Fprintf(stdout, "  sequential requests:       %d\n", st.SeqRequests)
+	fmt.Fprintf(stdout, "  non-sequential requests:   %d (%d distinct)\n\n", st.NonSeqRequests, st.DistinctNonSeq)
 
 	processed := trace.Process(res.Requests)
-	fmt.Println("processed trace (Algorithm 1 — per object, sorted offsets):")
+	fmt.Fprintln(stdout, "processed trace (Algorithm 1 — per object, sorted offsets):")
 	for _, obj := range gen.DB().Registry.Objects() {
 		pages := processed.Object(obj.ID)
 		if len(pages) == 0 {
@@ -70,6 +97,7 @@ func main() {
 			}
 			preview += fmt.Sprintf(" %d", p)
 		}
-		fmt.Printf("  %-45s (%s, %4d pages):%s\n", obj.Name, obj.Kind, len(pages), preview)
+		fmt.Fprintf(stdout, "  %-45s (%s, %4d pages):%s\n", obj.Name, obj.Kind, len(pages), preview)
 	}
+	return 0
 }

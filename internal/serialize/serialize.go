@@ -20,6 +20,7 @@ package serialize
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/pythia-db/pythia/internal/plan"
 )
@@ -76,50 +77,62 @@ func kindToken(k plan.Kind) Token {
 	}
 }
 
-// valueTokens quantizes constant v for column col of the node's relation at
-// three resolutions — buckets/4, buckets, and buckets×4 — so the encoder
-// sees the constant's fine position whenever training covered that fine
-// bucket and degrades gracefully to the coarser tokens (the fine token
-// becomes [UNK]) otherwise. A single resolution either blurs nearby
+// valueTokens appends the tokens of constant v for column col of the node's
+// relation to out. It quantizes v at three resolutions — buckets/4,
+// buckets, and buckets×4 — so the encoder sees the constant's fine position
+// whenever training covered that fine bucket and degrades gracefully to the
+// coarser tokens (the fine token becomes [UNK]) otherwise. A single resolution either blurs nearby
 // constants together (too coarse for narrow-range templates) or fragments
 // the training data (too fine for small workloads); multi-resolution avoids
 // both failure modes.
-func valueTokens(n *plan.Node, col string, v int64, cfg Config) []Token {
+func valueTokens(out []Token, n *plan.Node, col string, v int64, cfg Config) []Token {
 	buckets := cfg.buckets()
 	if v == math.MinInt64 {
-		return []Token{"v:open_lo"}
+		return append(out, "v:open_lo")
 	}
 	if v == math.MaxInt64 {
-		return []Token{"v:open_hi"}
+		return append(out, "v:open_hi")
 	}
+	// The tokens are written into buf and cut from one string: one
+	// allocation per constant.
+	var buf [96]byte
 	if n.Rel != nil {
 		if ci := n.Rel.ColumnIndex(col); ci >= 0 {
 			lo, hi := n.Rel.Columns[ci].Gen.Domain()
 			if hi > lo {
 				span := float64(hi - lo)
-				out := make([]Token, 0, 3)
-				resolutions := []int{buckets / 4, buckets, buckets * 4}
+				rungs := [3]int{buckets / 4, buckets, buckets * 4}
 				if cfg.SingleResolution {
-					resolutions = []int{buckets}
+					rungs = [3]int{buckets}
 				}
-				for _, res := range resolutions {
+				var cuts [4]int
+				b, k := buf[:0], 0
+				for _, res := range rungs {
 					if res < 2 {
 						continue
 					}
-					b := int(float64(v-lo) / span * float64(res))
-					if b < 0 {
-						b = 0
+					bucket := int(float64(v-lo) / span * float64(res))
+					if bucket < 0 {
+						bucket = 0
 					}
-					if b >= res {
-						b = res - 1
+					if bucket >= res {
+						bucket = res - 1
 					}
-					out = append(out, fmt.Sprintf("v:%s@%d#%d", col, res, b))
+					b = append(append(b, "v:"...), col...)
+					b = strconv.AppendInt(append(b, '@'), int64(res), 10)
+					b = strconv.AppendInt(append(b, '#'), int64(bucket), 10)
+					k++
+					cuts[k] = len(b)
+				}
+				toks := string(b)
+				for i := 1; i <= k; i++ {
+					out = append(out, toks[cuts[i-1]:cuts[i]])
 				}
 				return out
 			}
 		}
 	}
-	return []Token{fmt.Sprintf("v:%d", v)}
+	return append(out, string(strconv.AppendInt(append(buf[:0], "v:"...), v, 10)))
 }
 
 // serializeNode emits one node's tokens (Algorithm 2, SerializePlanNode).
@@ -140,15 +153,15 @@ func serializeNode(n *plan.Node, out []Token, cfg Config) []Token {
 		switch {
 		case p.IsEquality():
 			out = append(out, "op:=")
-			out = append(out, valueTokens(n, p.Col, p.Lo, cfg)...)
+			out = valueTokens(out, n, p.Col, p.Lo, cfg)
 		default:
 			if p.Lo != math.MinInt64 {
 				out = append(out, "op:>=")
-				out = append(out, valueTokens(n, p.Col, p.Lo, cfg)...)
+				out = valueTokens(out, n, p.Col, p.Lo, cfg)
 			}
 			if p.Hi != math.MaxInt64 {
 				out = append(out, "op:<=")
-				out = append(out, valueTokens(n, p.Col, p.Hi, cfg)...)
+				out = valueTokens(out, n, p.Col, p.Hi, cfg)
 			}
 		}
 	}
@@ -158,7 +171,7 @@ func serializeNode(n *plan.Node, out []Token, cfg Config) []Token {
 // Serialize tokenizes the plan tree in preorder (Algorithm 2,
 // SerializeQueryPlan), prefixed with [CLS].
 func Serialize(root *plan.Node, cfg Config) []Token {
-	out := []Token{TokenCLS}
+	out := append(make([]Token, 0, 64), TokenCLS) // a DSB plan is 36–57 tokens
 	root.Walk(func(n *plan.Node) {
 		out = serializeNode(n, out, cfg)
 	})

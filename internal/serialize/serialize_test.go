@@ -1,11 +1,14 @@
 package serialize
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/catalog"
+	"github.com/pythia-db/pythia/internal/dsb"
 	"github.com/pythia-db/pythia/internal/index"
 	"github.com/pythia-db/pythia/internal/plan"
 )
@@ -288,4 +291,88 @@ func FuzzVocabFromTokens(f *testing.F) {
 			t.Fatalf("vocabulary grew to %d from %d persisted tokens", v.Size(), len(tokens))
 		}
 	})
+}
+
+// sprintfValueTokens is valueTokens as it was written with fmt.Sprintf: the
+// reference for the token strings, which trained vocabularies depend on.
+func sprintfValueTokens(n *plan.Node, col string, v int64, cfg Config) []Token {
+	buckets := cfg.buckets()
+	if v == math.MinInt64 {
+		return []Token{"v:open_lo"}
+	}
+	if v == math.MaxInt64 {
+		return []Token{"v:open_hi"}
+	}
+	if n.Rel != nil {
+		if ci := n.Rel.ColumnIndex(col); ci >= 0 {
+			lo, hi := n.Rel.Columns[ci].Gen.Domain()
+			if hi > lo {
+				span := float64(hi - lo)
+				out := make([]Token, 0, 3)
+				resolutions := []int{buckets / 4, buckets, buckets * 4}
+				if cfg.SingleResolution {
+					resolutions = []int{buckets}
+				}
+				for _, res := range resolutions {
+					if res < 2 {
+						continue
+					}
+					b := int(float64(v-lo) / span * float64(res))
+					if b < 0 {
+						b = 0
+					}
+					if b >= res {
+						b = res - 1
+					}
+					out = append(out, fmt.Sprintf("v:%s@%d#%d", col, res, b))
+				}
+				return out
+			}
+		}
+	}
+	return []Token{fmt.Sprintf("v:%d", v)}
+}
+
+// TestValueTokensMatchSprintf: every value token is byte for byte what
+// fmt.Sprintf wrote, at every resolution setting, for constants inside,
+// outside and at the edges of the column's domain and for columns the
+// relation does not have.
+func TestValueTokensMatchSprintf(t *testing.T) {
+	db := starDB()
+	root := mkPlan(db, 0, 99, false)
+	var scan *plan.Node
+	root.Walk(func(n *plan.Node) {
+		if n.Rel != nil && n.Rel.Name == "sales" {
+			scan = n
+		}
+	})
+	values := []int64{math.MinInt64, math.MinInt64 + 1, -1 << 40, -7, -1, 0, 1, 5, 499, 999, 1000, 1001, 1 << 40, math.MaxInt64 - 1, math.MaxInt64}
+	for _, cfg := range []Config{{}, {ValueBuckets: 1}, {ValueBuckets: 4}, {ValueBuckets: 7}, {ValueBuckets: 32}, {ValueBuckets: 32, SingleResolution: true}, {ValueBuckets: 1, SingleResolution: true}, {ValueBuckets: 1000}} {
+		for _, col := range []string{"s_amount", "s_sk", "s_item_fk", "no_such_column", ""} {
+			for _, v := range values {
+				got := valueTokens([]Token{"x"}, scan, col, v, cfg)
+				want := append([]Token{"x"}, sprintfValueTokens(scan, col, v, cfg)...)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%+v %q %d: %q, want %q", cfg, col, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSerialize serializes the plans of the t91 instances; one op is
+// one plan.
+func BenchmarkSerialize(b *testing.B) {
+	g := dsb.NewGenerator(dsb.Config{ScaleFactor: 2, Seed: 7})
+	pl := plan.NewPlanner(g.DB())
+	var roots []*plan.Node
+	for _, q := range g.Queries("t91", 60, 1) {
+		roots = append(roots, pl.MustPlan(q))
+	}
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Serialize(roots[i%len(roots)], cfg)
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -68,7 +69,11 @@ func (s *Server) ReloadSnapshot(path string) (string, InfStatus, error) {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req reloadRequest
 	if !s.decodePost(w, r, "POST to reload the serving snapshot", func(body io.Reader) error {
-		if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		b, err := io.ReadAll(body)
+		if err == nil && len(bytes.TrimSpace(b)) > 0 {
+			err = json.Unmarshal(b, &req)
+		}
+		if err != nil {
 			return fmt.Errorf("reload body must be empty or {\"path\": \"...\"}: %w", err)
 		}
 		return nil

@@ -48,6 +48,31 @@ func TestBodyCapAnswers413(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("small body status %d: %s", rr.Code, rr.Body.String())
 	}
+	// The cap counts the whole body, not just its first document: a complete
+	// document padded past the cap answers 413 on every POST endpoint, and
+	// data after the document under the cap, or a repeated QuerySpec field,
+	// 400.
+	for _, c := range []struct {
+		path, body string
+		status     int
+		code       string
+	}{
+		{"/v1/predict", `{"fact":"inventory"}` + strings.Repeat(" ", 200), http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"/v1/predict", `{"fact":"inventory"}` + strings.Repeat("x", 200), http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"/v1/feedback", `{"prediction_id":"p"}` + strings.Repeat(" ", 200), http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"/v1/admin/reload", `{"path":"x"}` + strings.Repeat(" ", 200), http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"/v1/predict", `{"fact":"inventory"} {"x":1} garbage`, http.StatusBadRequest, CodeInvalidSpec},
+		{"/v1/feedback", `{"prediction_id":"p"} {"x":1} garbage`, http.StatusBadRequest, CodeInvalidSpec},
+		{"/v1/predict", `{"fact":"inventory","fact":"inventory"}`, http.StatusBadRequest, CodeInvalidSpec},
+	} {
+		rr := doRequest(t, srv, http.MethodPost, c.path, strings.NewReader(c.body))
+		if rr.Code != c.status {
+			t.Fatalf("%s %.40q: status %d, want %d: %s", c.path, c.body, rr.Code, c.status, rr.Body.String())
+		}
+		if env := decodeEnvelope(t, rr); env.Error.Code != c.code {
+			t.Fatalf("%s %.40q: envelope %+v, want code %s", c.path, c.body, env, c.code)
+		}
+	}
 }
 
 // TestLoadSheddingAnswers503: the replica work queue is the one admission

@@ -221,7 +221,8 @@ type pageJSON struct {
 // decodePost guards a JSON POST endpoint and decodes its body under the
 // MaxBodyBytes cap, writing the typed error envelope on any failure: 405 for
 // other methods (usage names what to post), 413 when the cap trips, 400
-// invalid_spec for anything else dec rejects.
+// invalid_spec for anything else dec rejects. dec reads the body to EOF, so
+// the cap counts every byte posted and data after the document is refused.
 func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, usage string, dec func(io.Reader) error) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, usage)
@@ -322,7 +323,11 @@ type feedbackResponse struct {
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req feedbackRequest
 	if !s.decodePost(w, r, "POST a feedback JSON document", func(body io.Reader) error {
-		return json.NewDecoder(body).Decode(&req)
+		b, err := io.ReadAll(body)
+		if err != nil {
+			return err
+		}
+		return json.Unmarshal(b, &req)
 	}) {
 		return
 	}

@@ -2,14 +2,52 @@ package spec
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
+	"errors"
+	"reflect"
 	"testing"
 )
 
+// reference decodes in the way Decode's contract is written against: one
+// Decode by encoding/json with DisallowUnknownFields, then nothing but
+// whitespace up to the end.
+func reference(in []byte) (QuerySpec, error) {
+	var q QuerySpec
+	dec := json.NewDecoder(bytes.NewReader(in))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&q); err != nil {
+		return QuerySpec{}, err
+	}
+	if len(bytes.TrimLeft(in[dec.InputOffset():], " \t\r\n")) != 0 {
+		return QuerySpec{}, errors.New("data after the document")
+	}
+	return q, nil
+}
+
+// checkDecode holds Decode to the reference on one input: it accepts if and
+// only if the reference does, and then builds the same QuerySpec. A refusal
+// for a duplicate field, one of Decode's two deliberate divergences, is not
+// compared.
+func checkDecode(t *testing.T, in []byte) (QuerySpec, bool) {
+	t.Helper()
+	got, err := Decode(bytes.NewReader(in))
+	if errors.Is(err, ErrDuplicateField) {
+		return QuerySpec{}, false
+	}
+	want, refErr := reference(in)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%q:\nDecode:        %v\nencoding/json: %v", in, err, refErr)
+	}
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q:\nDecode:        %#v\nencoding/json: %#v", in, got, want)
+	}
+	return got, err == nil
+}
+
 // FuzzDecode drives arbitrary bytes through the serving tier's request
-// decoder: Decode and ToQuery must reject garbage with errors, never panic,
-// and anything that decodes cleanly must survive an Encode/Decode round
-// trip unchanged at the query level.
+// decoder: Decode must agree with encoding/json (checkDecode), never panic,
+// and anything that decodes and converts cleanly must survive an
+// Encode/Decode round trip unchanged at the query level.
 func FuzzDecode(f *testing.F) {
 	f.Add(`{"fact":"store_sales"}`)
 	f.Add(`{"fact":"catalog_returns","template":"t91","instance":3,` +
@@ -24,8 +62,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(``)
 
 	f.Fuzz(func(t *testing.T, in string) {
-		qs, err := Decode(strings.NewReader(in))
-		if err != nil {
+		qs, ok := checkDecode(t, []byte(in))
+		if !ok {
 			return
 		}
 		q, err := qs.ToQuery()
@@ -46,8 +84,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-converted query failed: %v", err)
 		}
-		if q.Fact != q2.Fact || q.Template != q2.Template ||
-			len(q.FactPreds) != len(q2.FactPreds) || len(q.Dims) != len(q2.Dims) {
+		if !reflect.DeepEqual(q, q2) {
 			t.Fatalf("round trip changed the query:\n%+v\n%+v", q, q2)
 		}
 	})

@@ -2,7 +2,14 @@ package spec
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -39,7 +46,8 @@ func TestToQueryErrors(t *testing.T) {
 	cases := []QuerySpec{
 		{},                                 // missing fact
 		{Fact: "f", FactPreds: []Pred{{}}}, // predicate without col
-		{Fact: "f", FactPreds: []Pred{{Col: "a"}}},                         // no bounds
+		{Fact: "f", FactPreds: []Pred{{Col: "a"}}}, // no bounds
+		{Fact: "f", FactPreds: []Pred{{Col: "a", Lo: i64(math.MinInt64), Hi: i64(math.MaxInt64)}}},
 		{Fact: "f", FactPreds: []Pred{{Col: "a", Lo: i64(9), Hi: i64(1)}}}, // inverted
 		{Fact: "f", Dims: []Dim{{Dim: "d"}}},                               // incomplete join
 		{Fact: "f", Dims: []Dim{{Dim: "d", FactFK: "k", DimKey: "s", ForceHash: true, ForceIndex: true}}},
@@ -101,5 +109,243 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := Decode(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// edgeCases are the inputs where a hand-written JSON reader most easily
+// parts from encoding/json. Each is also a committed FuzzDecode seed
+// (UPDATE_GOLDEN=1 go test -run TestDecodeMatchesEncodingJSON writes them).
+var edgeCases = []string{
+	// Strings: every escape, surrogate pairs, lone surrogates, invalid UTF-8.
+	`{"fact":"a\"b\\c\/d\be\ff\ng\rh\ti\u0041\u00e9\u0000"}`,
+	`{"fact":"\ud83d\ude00"}`,
+	`{"fact":"\ud83d"}`,
+	`{"fact":"\ude00x"}`,
+	`{"fact":"\ud83d\u0041"}`,
+	`{"fact":"\ud83d\ud83d\ude00"}`,
+	`{"fact":"\uD83D\uDE00\u2028<>&"}`,
+	"{\"fact\":\"\xff\xfe\"}",
+	"{\"fact\":\"\xed\xa0\x80 \xe2\x82\"}",
+	"{\"fact\":\"a\x01\"}",
+	"{\"fact\":\"a\tb\"}",
+	"{\"fact\":\"a\nb\"}",
+	"{\"fa\tct\":\"x\"}",
+	"{\"fa\x00ct\":\"x\"}",
+	`{"fact":"\x"}`,
+	`{"fact":"\'"}`,
+	`{"fact":"\u12"}`,
+	`{"fact":"\u12G4"}`,
+	`{"fact":"\ud83d\u12"}`,
+	`{"fact":"abc`,
+	`{"fact":"abc\`,
+	// Member names: exact, then case-folded, escaped.
+	`{"FACT":"x"}`,
+	`{"Fact":"x","TEMPLATE":"t91","Instance":2}`,
+	`{"fact":"x","fact_predſ":[]}`,
+	`{"fact":"x","dims":[{"dim":"d","fact_fk":"f","dim_K` + "\u212a" + `ey":"k"}]}`,
+	`{"fact":"x","dims":[{"DIM":"d","Fact_FK":"f","dim_key":"k","FORCE_HASH":true}]}`,
+	`{"f\u0061ct":"x"}`,
+	`{"fact_":"x"}`,
+	// null on every kind of field, [] against null.
+	`{"fact":null}`,
+	`{"template":null,"instance":null,"fact":"x"}`,
+	`{"fact":"x","fact_preds":null,"dims":null}`,
+	`{"fact":"x","fact_preds":[null]}`,
+	`{"fact":"x","fact_preds":[]}`,
+	`{"fact":"x","dims":[null,{"dim":"d","fact_fk":"f","dim_key":"k","preds":null,"force_hash":null,"force_index":false}]}`,
+	`{"fact":"x","dims":[{"dim":"d","fact_fk":"f","dim_key":"k","preds":[]}]}`,
+	`{"fact":"x","fact_preds":[{"col":null,"lo":null,"hi":3}]}`,
+	`null`,
+	` null `,
+	`[]`,
+	`"fact"`,
+	``,
+	" \t\r\n",
+	"\xef\xbb\xbf{\"fact\":\"x\"}",
+	// Numbers.
+	`{"fact":"x","instance":-0}`,
+	`{"fact":"x","instance":1.0}`,
+	`{"fact":"x","instance":1e2}`,
+	`{"fact":"x","instance":1E+2}`,
+	`{"fact":"x","instance":01}`,
+	`{"fact":"x","instance":-01}`,
+	`{"fact":"x","instance":+1}`,
+	`{"fact":"x","instance":-}`,
+	`{"fact":"x","instance":1.}`,
+	`{"fact":"x","instance":.5}`,
+	`{"fact":"x","instance":"1"}`,
+	`{"fact":"x","instance":9223372036854775808}`,
+	`{"fact":"x","fact_preds":[{"col":"c","lo":-9223372036854775808,"hi":9223372036854775807}]}`,
+	`{"fact":"x","fact_preds":[{"col":"c","lo":9223372036854775808}]}`,
+	`{"fact":"x","fact_preds":[{"col":"c","hi":-9223372036854775809}]}`,
+	`{"fact":"x","fact_preds":[{"col":"c","lo":1-2}]}`,
+	// Unknown fields at every level, and values of the wrong kind.
+	`{"fact":"x","bogus":1}`,
+	`{"fact":"x","dims":[{"dim":"d","fact_fk":"f","dim_key":"k","bogus":{"a":[1]}}]}`,
+	`{"fact":"x","fact_preds":[{"col":"c","lo":1,"extra":null}]}`,
+	`{"fact":1}`,
+	`{"fact":true}`,
+	`{"fact":"x","dims":{}}`,
+	`{"fact":"x","dims":[1]}`,
+	`{"fact":"x","dims":[[]]}`,
+	`{"fact":"x","fact_preds":[{"col":"c","lo":"1"}]}`,
+	`{"fact":"x","dims":[{"dim":"d","force_hash":"true"}]}`,
+	`{"fact":"x","dims":[{"dim":"d","force_hash":1}]}`,
+	// Syntax, and data after the document.
+	`{"fact":"x",}`,
+	`{"fact":"x","dims":[{"dim":"d"},]}`,
+	`{"fact":"x","dims":[,]}`,
+	`{"fact" "x"}`,
+	`{fact:"x"}`,
+	`{"fact":"x"`,
+	`{"fact":"x"}}`,
+	`{"fact":"x","dims":[{"dim":"d","force_hash":tru}]}`,
+	`{"fact":"x","dims":[{"dim":"d","force_hash":truex}]}`,
+	`{"fact":"x"} {"x":1} garbage`,
+	`{"fact":"x"}x`,
+	`nullx`,
+	"\t\r\n {\n\"fact\" :\t\"x\" , \"instance\" : 3 }\n",
+	// Duplicate fields, case-folded ones included.
+	`{"fact":"a","fact":"b"}`,
+	`{"fact":"a","FACT":"b"}`,
+	`{"fact":"a","fact":null}`,
+	`{"fact":"x","fact_preds":[{"col":"a","lo":1}],"fact_preds":[{"col":"b"}]}`,
+	`{"fact":"x","fact_preds":[{"col":"a","lo":1,"LO":2}]}`,
+}
+
+// seedDir holds FuzzDecode's committed seeds.
+var seedDir = filepath.Join("testdata", "fuzz", "FuzzDecode")
+
+// seeds reads every committed FuzzDecode seed.
+func seeds(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(seedDir, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed seeds in %s (UPDATE_GOLDEN=1 writes them): %v", seedDir, err)
+	}
+	var out []string
+	for _, name := range files {
+		entry, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, quoted, _ := strings.Cut(strings.TrimSuffix(string(entry), ")\n"), "\nstring(")
+		in, err := strconv.Unquote(quoted)
+		if err != nil {
+			t.Fatalf("%s is not one string literal: %v", name, err)
+		}
+		out = append(out, in)
+	}
+	return out
+}
+
+// dsbSpecs is 20 instances of each DSB template at SF 2.
+func dsbSpecs() []QuerySpec {
+	g := dsb.NewGenerator(dsb.Config{ScaleFactor: 2, Seed: 7})
+	var out []QuerySpec
+	for _, tpl := range g.Templates() {
+		for _, q := range g.Queries(tpl, 20, 1) {
+			out = append(out, FromQuery(q))
+		}
+	}
+	return out
+}
+
+// TestDecodeMatchesEncodingJSON holds Decode to encoding/json (checkDecode)
+// on the edge cases, every committed fuzz seed, and the DSB instances both
+// as Encode writes it and as compact json.Marshal output.
+func TestDecodeMatchesEncodingJSON(t *testing.T) {
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(seedDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range edgeCases {
+			entry := "go test fuzz v1\nstring(" + strconv.Quote(in) + ")\n"
+			if err := os.WriteFile(filepath.Join(seedDir, fmt.Sprintf("edge-%02d", i)), []byte(entry), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, in := range append(edgeCases, seeds(t)...) {
+		checkDecode(t, []byte(in))
+	}
+	for _, qs := range dsbSpecs() {
+		var indented bytes.Buffer
+		if err := qs.Encode(&indented); err != nil {
+			t.Fatal(err)
+		}
+		compact, err := json.Marshal(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range [][]byte{indented.Bytes(), compact} {
+			if got, ok := checkDecode(t, in); !ok || !reflect.DeepEqual(got, qs) {
+				t.Fatalf("%s decodes to %#v, want %#v", in, got, qs)
+			}
+		}
+	}
+}
+
+// TestDecodeRefusesWhatJSONForgives: the contract's two divergences from
+// encoding/json, which accepts both.
+func TestDecodeRefusesWhatJSONForgives(t *testing.T) {
+	for _, in := range []string{`{"fact":"x"} {"x":1} garbage`, `{"fact":"x"}x`, `nullx`} {
+		if _, err := Decode(strings.NewReader(in)); err == nil {
+			t.Errorf("%q: data after the document accepted", in)
+		}
+	}
+	for _, in := range []string{`{"fact":"a","fact":"b"}`, `{"fact":"a","FACT":"b"}`, `{"fact":"x","dims":[{"dim":"d","preds":[],"Preds":null}]}`} {
+		if _, err := Decode(strings.NewReader(in)); !errors.Is(err, ErrDuplicateField) {
+			t.Errorf("%q: error %v, want ErrDuplicateField", in, err)
+		}
+	}
+}
+
+// TestEncodeMatchesEncodingJSON: Encode writes what encoding/json's Encoder
+// writes with the same indent, for every DSB instance and for strings that
+// need each kind of escape.
+func TestEncodeMatchesEncodingJSON(t *testing.T) {
+	odd := []string{"a\"b\\c/\b\f\n\r\t\x00\x1f", "<a>&\u2028\u2029", "\xff\xfe\ufffd", "\U0001F600é", ""}
+	specs := dsbSpecs()
+	for _, s := range odd {
+		specs = append(specs, QuerySpec{Template: s, Instance: -3, Fact: s,
+			FactPreds: []Pred{{Col: s, Hi: i64(math.MinInt64)}},
+			Dims:      []Dim{{Dim: s, FactFK: s, DimKey: s, ForceIndex: true, Preds: []Pred{{Col: s, Lo: i64(0)}}}}})
+	}
+	specs = append(specs, QuerySpec{}, QuerySpec{FactPreds: []Pred{}, Dims: []Dim{{Preds: []Pred{}}}})
+	for _, qs := range specs {
+		var got, want bytes.Buffer
+		if err := qs.Encode(&got); err != nil {
+			t.Fatal(err)
+		}
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(qs); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("Encode:\n%s\nencoding/json:\n%s", got.String(), want.String())
+		}
+	}
+}
+
+// BenchmarkDecode decodes the t91 instances' request bodies, as Encode
+// writes them; one op is one body.
+func BenchmarkDecode(b *testing.B) {
+	g := dsb.NewGenerator(dsb.Config{ScaleFactor: 2, Seed: 7})
+	var bodies [][]byte
+	for _, q := range g.Queries("t91", 60, 1) {
+		var buf bytes.Buffer
+		if err := FromQuery(q).Encode(&buf); err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, buf.Bytes())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(bytes.NewReader(bodies[i%len(bodies)])); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
