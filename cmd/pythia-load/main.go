@@ -3,18 +3,18 @@
 // optionally, a paced QPS target) over a corpus of planned DSB queries with a
 // configurable repeat ratio over a hot set of four plans — the knob that
 // moves the server between cache-hit-heavy steady state and cache-miss-heavy
-// inference load — and reports latency quantiles, error/shed counts, replica
+// inference load — and reports latency quantiles, error/shed counts, model
 // health, and the server's own cache statistics as BENCH_load.json. Any
-// non-2xx answer fails the run.
+// non-2xx answer fails the run, and so does a run that completes no request.
 //
 // Two modes:
 //
 //   - Self-hosted (default): trains a model once, builds the serving stack
-//     in-process for each -sweep replica count, and serves it over a real
-//     loopback TCP listener — the whole HTTP path is on the clock. This is
-//     how the replica-scaling numbers in BENCH_load.json are produced:
+//     in-process and serves it over a real loopback TCP listener — the whole
+//     HTTP path is on the clock. After the run the harness checks the
+//     server's books on /stats against its own counts (BOOKS: lines):
 //
-//     pythia-load -sf 4 -n 24 -sweep 1,4 -concurrency 16 -duration 10s
+//     pythia-load -sf 4 -n 64 -concurrency 8 -duration 10s
 //
 //   - Remote (-target): drives an already-running pythia-serve; the corpus
 //     is built from the same -templates/-sf/-seed flags, which must match
@@ -24,13 +24,15 @@
 //
 // With -swap-at F (self-hosted mode), the harness saves a model snapshot
 // before the run and POSTs /v1/admin/reload at fraction F of -duration,
-// measuring the zero-downtime claim under its own sustained load: the run
-// fails if any request around the swap answers non-2xx.
+// measuring the zero-downtime claim under its own sustained load. With
+// -chaos-at F every inference faults from fraction F of -duration until
+// -chaos-clear: the faults must reach no client as a non-2xx answer.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +43,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,81 +58,107 @@ import (
 // hotSet is how many corpus plans -repeat draws from.
 const hotSet = 4
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, prints the run's summary line to stdout
+// and its progress to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pythia-load", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		target      = flag.String("target", "", "base URL of a running pythia-serve (empty = self-hosted)")
-		templates   = flag.String("templates", "t91", "comma-separated DSB templates for the corpus")
-		sf          = flag.Int("sf", 4, "scale factor")
-		n           = flag.Int("n", 24, "corpus instances per template")
-		seed        = flag.Uint64("seed", 7, "seed")
-		sweep       = flag.String("sweep", "1", "comma-separated replica counts to benchmark in self-hosted mode, e.g. 1,4")
-		cacheFlag   = flag.Int("cache-entries", 0, "serve cache capacity in self-hosted mode (0 = default, negative disables)")
-		qps         = flag.Float64("qps", 0, "paced request rate across all workers (0 = closed-loop unthrottled)")
-		concurrency = flag.Int("concurrency", 8, "concurrent closed-loop workers")
-		duration    = flag.Duration("duration", 10*time.Second, "load duration per sweep point")
-		repeat      = flag.Float64("repeat", 0, "probability a request re-sends one of the corpus's first four plans (0 = uniform over the corpus, i.e. cache-miss-heavy)")
-		swapAt      = flag.Float64("swap-at", 0, "fraction of -duration after which to POST /v1/admin/reload (0 = no swap; self-hosted mode)")
-		out         = flag.String("out", "BENCH_load.json", "report path")
+		target      = fs.String("target", "", "base URL of a running pythia-serve (empty = self-hosted)")
+		templates   = fs.String("templates", "t91", "comma-separated DSB templates for the corpus")
+		sf          = fs.Int("sf", 4, "scale factor")
+		n           = fs.Int("n", 24, "corpus instances per template")
+		seed        = fs.Uint64("seed", 7, "seed")
+		cacheFlag   = fs.Int("cache-entries", 0, "serve cache capacity in self-hosted mode (0 = default, negative disables)")
+		qps         = fs.Float64("qps", 0, "paced request rate across all workers (0 = closed-loop unthrottled)")
+		concurrency = fs.Int("concurrency", 8, "concurrent closed-loop workers")
+		duration    = fs.Duration("duration", 10*time.Second, "load duration")
+		repeat      = fs.Float64("repeat", 0, "probability a request re-sends one of the corpus's first four plans (0 = uniform over the corpus, i.e. cache-miss-heavy)")
+		swapAt      = fs.Float64("swap-at", 0, "fraction of -duration after which to POST /v1/admin/reload (0 = no swap; self-hosted mode)")
+		out         = fs.String("out", "BENCH_load.json", "report path")
 
-		feedbackRate    = flag.Float64("feedback", 0, "probability a 2xx predict is followed by a POST /v1/feedback report with the corpus instance's true pages (0 = no feedback traffic)")
-		maxMinPrecision = flag.Float64("max-min-precision", -1, "fail (exit nonzero) if any sweep point's windowed feedback precision falls below this floor (negative = no gate; implies -feedback 1 when -feedback is 0)")
-		failOnAlarm     = flag.Bool("fail-on-drift-alarm", false, "fail (exit nonzero) if any sweep point ends with drift state \"alarm\" (sustained drift; transient alarms that recover before the run ends still show in drift_alarms)")
+		feedbackRate    = fs.Float64("feedback", 0, "probability a 2xx predict is followed by a POST /v1/feedback report with the corpus instance's true pages (0 = no feedback traffic)")
+		maxMinPrecision = fs.Float64("max-min-precision", -1, "fail (exit nonzero) if the run's windowed feedback precision falls below this floor (negative = no gate; implies -feedback 1 when -feedback is 0)")
+		failOnAlarm     = fs.Bool("fail-on-drift-alarm", false, "fail (exit nonzero) if the run ends with drift state \"alarm\" (sustained drift; transient alarms that recover before the run ends still show in drift_alarms)")
 
-		chaosReplica   = flag.Int("chaos-replica", -1, "self-hosted chaos drill: replica index whose every inference fails mid-run (negative = off)")
-		chaosAt        = flag.Float64("chaos-at", 0.25, "fraction of -duration after which the replica fault arms")
-		chaosClear     = flag.Float64("chaos-clear", 0.6, "fraction of -duration after which the replica fault clears (recovery window; 0 = never clears)")
-		expectRecovery = flag.Bool("expect-recovery", false, "fail unless /stats shows at least one replica quarantine AND one recovery (use with -chaos-replica)")
-		quarBackoff    = flag.Duration("quarantine-backoff", 0, "self-hosted quarantine probe backoff override (0 = serve default; chaos drills want one that fits inside -duration)")
+		chaosAt        = fs.Float64("chaos-at", 0, "self-hosted chaos drill: fraction of -duration after which every inference faults (0 = off)")
+		chaosClear     = fs.Float64("chaos-clear", 0.6, "fraction of -duration after which the fault clears (recovery window; 0 = never clears)")
+		expectRecovery = fs.Bool("expect-recovery", false, "fail unless /stats shows at least one quarantine AND one recovery (use with -chaos-at)")
+		quarBackoff    = fs.Duration("quarantine-backoff", 0, "self-hosted quarantine probe backoff override (0 = serve default; chaos drills want one that fits inside -duration)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "pythia-load: "+format+"\n", a...)
+		return 1
+	}
 
+	// Every argument is checked before the corpus is built or a model
+	// trained, so a bad one fails in milliseconds.
 	templateList, err := dsb.ParseTemplates(*templates)
-	if err != nil {
-		log.Fatalf("pythia-load: -templates: %v", err)
-	}
-	sweepCounts, err := parseSweep(*sweep)
-	if err != nil {
-		log.Fatalf("pythia-load: -sweep: %v", err)
-	}
-	if *target != "" && (len(sweepCounts) != 1 || sweepCounts[0] != 1) {
-		log.Fatal("pythia-load: -sweep needs self-hosted mode (-target drives one fixed server)")
-	}
-	if *target != "" && *swapAt > 0 {
-		log.Fatal("pythia-load: -swap-at needs self-hosted mode (it must save a snapshot to swap to)")
-	}
-	if *chaosReplica >= 0 {
-		if *target != "" {
-			log.Fatal("pythia-load: -chaos-replica needs self-hosted mode (it retargets the in-process fault injector)")
-		}
-		if *chaosClear > 0 && *chaosClear <= *chaosAt {
-			log.Fatal("pythia-load: -chaos-clear must be after -chaos-at")
-		}
-	}
-	if *expectRecovery && *chaosReplica < 0 {
-		log.Fatal("pythia-load: -expect-recovery needs -chaos-replica")
-	}
-	if *concurrency < 1 {
-		log.Fatalf("pythia-load: -concurrency %d: want at least one worker", *concurrency)
-	}
-	if *feedbackRate < 0 || *feedbackRate > 1 {
-		log.Fatalf("pythia-load: -feedback %g outside [0, 1]", *feedbackRate)
+	switch {
+	case err != nil:
+		return fail("-templates: %v", err)
+	case *duration <= 0:
+		return fail("-duration %s: want a positive duration", *duration)
+	case *qps < 0:
+		return fail("-qps %g: want 0 (unthrottled) or a positive rate", *qps)
+	case *concurrency < 1:
+		return fail("-concurrency %d: want at least one worker", *concurrency)
+	case !(*repeat >= 0 && *repeat <= 1):
+		return fail("-repeat %g outside [0, 1]", *repeat)
+	case !(*feedbackRate >= 0 && *feedbackRate <= 1):
+		return fail("-feedback %g outside [0, 1]", *feedbackRate)
+	case !(*swapAt >= 0 && *swapAt < 1):
+		return fail("-swap-at %g outside [0, 1): the swap must fire while the load runs", *swapAt)
+	case !(*chaosAt >= 0 && *chaosAt < 1):
+		return fail("-chaos-at %g outside [0, 1): the fault must arm while the load runs", *chaosAt)
+	case *chaosClear != 0 && !(*chaosClear > *chaosAt && *chaosClear < 1):
+		return fail("-chaos-clear %g outside (-chaos-at %g, 1)", *chaosClear, *chaosAt)
+	case *target != "" && (*swapAt > 0 || *chaosAt > 0):
+		return fail("-swap-at and -chaos-at need self-hosted mode (they save a snapshot and retarget the in-process fault injector)")
+	case *expectRecovery && *chaosAt == 0:
+		return fail("-expect-recovery needs -chaos-at")
 	}
 	if *maxMinPrecision >= 0 && *feedbackRate == 0 {
 		// The precision gate reads the server's feedback window, which stays
 		// empty without feedback traffic — an ungated run would always pass.
 		*feedbackRate = 1
-		log.Printf("-max-min-precision set: defaulting -feedback to 1")
+		logger.Printf("-max-min-precision set: defaulting -feedback to 1")
 	}
 
 	gen := dsb.NewGenerator(dsb.Config{ScaleFactor: *sf, Seed: *seed})
-	corpus := buildCorpus(gen, templateList, *n, *seed)
-	log.Printf("corpus: %d requests across %s", len(corpus), *templates)
+	corpus, err := buildCorpus(gen, templateList, *n, *seed)
+	if err != nil {
+		return fail("%v", err)
+	}
+	logger.Printf("corpus: %d requests across %s", len(corpus), *templates)
 
 	var sys *corepythia.System
 	if *target == "" {
-		sys = trainSystem(gen, templateList, *n, *seed)
+		if sys, err = trainSystem(logger, gen, templateList, *n, *seed); err != nil {
+			return fail("%v", err)
+		}
 	}
 
+	res, err := runLoad(logger, loadConfig{
+		target: *target, gen: gen, sys: sys,
+		cacheEntries: *cacheFlag, corpus: corpus, qps: *qps, feedback: *feedbackRate,
+		concurrency: *concurrency, duration: *duration,
+		repeat: *repeat, swapAt: *swapAt, seed: *seed,
+		chaosAt: *chaosAt, chaosClear: *chaosClear,
+		quarantineBackoff: *quarBackoff,
+	})
+	if err != nil {
+		return fail("%v", err)
+	}
 	report := loadReport{
 		Benchmark:   "pythia-load",
 		Templates:   *templates,
@@ -140,94 +167,88 @@ func main() {
 		QPS:         *qps,
 		Repeat:      *repeat,
 		DurationSec: duration.Seconds(),
+		loadResult:  res,
 	}
-	failed := false
-	gateFailed := false
-	for _, replicas := range sweepCounts {
-		res, err := runPoint(pointConfig{
-			target: *target, gen: gen, sys: sys, replicas: replicas,
-			cacheEntries: *cacheFlag, corpus: corpus, qps: *qps, feedback: *feedbackRate,
-			concurrency: *concurrency, duration: *duration,
-			repeat: *repeat, swapAt: *swapAt, seed: *seed,
-			chaosReplica: *chaosReplica, chaosAt: *chaosAt, chaosClear: *chaosClear,
-			quarantineBackoff: *quarBackoff,
-		})
-		if err != nil {
-			log.Fatalf("pythia-load: replicas=%d: %v", replicas, err)
-		}
-		report.Results = append(report.Results, res)
-		log.Printf("replicas=%d: %.0f req/s, p50=%.2fms p95=%.2fms p99=%.2fms, errors=%d (rate %.4f) shed=%d failovers=%d, cache-hit-rate=%.2f",
-			replicas, res.ThroughputRPS, res.P50MS, res.P95MS, res.P99MS,
-			res.Errors, res.ErrorRate, res.Shed, res.Failovers, res.CacheHitRate)
-		if res.Errors > 0 {
-			failed = true
-		}
-		if *expectRecovery && (res.Quarantines == 0 || res.Recoveries == 0) {
-			log.Printf("GATE BREACH: replicas=%d expected a quarantine+recovery cycle, saw quarantines=%d recoveries=%d",
-				replicas, res.Quarantines, res.Recoveries)
-			gateFailed = true
-		}
-		if res.Feedbacks > 0 {
-			log.Printf("replicas=%d: quality feedback=%d (errors %d) precision=%.4f recall=%.4f drift=%s (score %.4f)",
-				replicas, res.Feedbacks, res.FeedbackErrors, res.Precision, res.Recall, res.DriftState, res.DriftScore)
-		}
-		if *maxMinPrecision >= 0 {
-			if res.QualityScored == 0 {
-				log.Printf("GATE BREACH: replicas=%d precision gate set but no feedback was scored", replicas)
-				gateFailed = true
-			} else if res.Precision < *maxMinPrecision {
-				log.Printf("GATE BREACH: replicas=%d windowed precision %.4f < -max-min-precision %g",
-					replicas, res.Precision, *maxMinPrecision)
-				gateFailed = true
+	fmt.Fprintf(stdout, "%.0f req/s, p50=%.2fms p95=%.2fms p99=%.2fms, errors=%d (rate %.4f) shed=%d, cache-hit-rate=%.2f\n",
+		res.ThroughputRPS, res.P50MS, res.P95MS, res.P99MS,
+		res.Errors, res.ErrorRate, res.Shed, res.CacheHitRate)
+	if res.Feedbacks > 0 {
+		fmt.Fprintf(stdout, "quality feedback=%d (errors %d) precision=%.4f recall=%.4f drift=%s (score %.4f)\n",
+			res.Feedbacks, res.FeedbackErrors, res.Precision, res.Recall, res.DriftState, res.DriftScore)
+	}
+
+	var breaches []string
+	breach := func(format string, a ...any) { breaches = append(breaches, fmt.Sprintf(format, a...)) }
+	if res.Requests == 0 {
+		breach("no predict request completed")
+	}
+	if res.Errors > 0 {
+		breach("%d requests answered non-2xx", res.Errors)
+	}
+	if *target == "" {
+		// The server's books against the harness's own: every 200 the client
+		// saw is one {predict, 200} row count, every 503 one requests_shed,
+		// every feedback answered 200 one quality.scored.
+		for _, b := range []struct {
+			what         string
+			client, serv uint64
+		}{
+			{"predict 200s vs the {predict, 200} request row", res.StatusCounts["200"], res.serverPredict200},
+			{"predict 503s vs requests_shed", res.StatusCounts["503"], res.Shed},
+			{"feedback 200s vs quality.scored", res.Feedbacks, res.QualityScored},
+		} {
+			if b.client != b.serv {
+				fmt.Fprintf(stdout, "BOOKS: %s: client %d, server %d\n", b.what, b.client, b.serv)
+				breach("the server's books disagree with the client's (see BOOKS: lines)")
 			}
 		}
-		if *failOnAlarm && res.DriftState == "alarm" {
-			log.Printf("GATE BREACH: replicas=%d run ended in drift alarm (%d alarms, score %.4f)",
-				replicas, res.DriftAlarms, res.DriftScore)
-			gateFailed = true
+	}
+	if *expectRecovery && (res.Quarantines == 0 || res.Recoveries == 0) {
+		breach("expected a quarantine+recovery cycle, saw quarantines=%d recoveries=%d", res.Quarantines, res.Recoveries)
+	}
+	if *maxMinPrecision >= 0 {
+		if res.QualityScored == 0 {
+			breach("precision gate set but no feedback was scored")
+		} else if res.Precision < *maxMinPrecision {
+			breach("windowed precision %.4f < -max-min-precision %g", res.Precision, *maxMinPrecision)
 		}
 	}
-	if len(report.Results) > 1 {
-		base := report.Results[0].ThroughputRPS
-		if base > 0 {
-			last := report.Results[len(report.Results)-1]
-			report.SpeedupThroughput = last.ThroughputRPS / base
-			log.Printf("throughput %dx replicas vs %dx: %.2fx",
-				report.Results[len(report.Results)-1].Replicas, report.Results[0].Replicas, report.SpeedupThroughput)
-		}
+	if *failOnAlarm && res.DriftState == "alarm" {
+		breach("run ended in drift alarm (%d alarms, score %.4f)", res.DriftAlarms, res.DriftScore)
 	}
+
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
-		log.Fatalf("pythia-load: %v", err)
+		return fail("%v", err)
 	}
 	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		log.Fatalf("pythia-load: %v", err)
+		return fail("%v", err)
 	}
-	log.Printf("wrote %s", *out)
-	if gateFailed {
-		log.Fatal("pythia-load: regression gate breached (see GATE BREACH lines above)")
+	logger.Printf("wrote %s", *out)
+	for _, b := range breaches {
+		fmt.Fprintf(stderr, "pythia-load: GATE BREACH: %s\n", b)
 	}
-	if failed {
-		log.Fatal("pythia-load: some requests answered non-2xx")
+	if len(breaches) > 0 {
+		return 1
 	}
+	return 0
 }
 
-// loadReport is the whole BENCH_load.json document.
+// loadReport is the whole BENCH_load.json document: the run's configuration
+// and its one result.
 type loadReport struct {
-	Benchmark         string       `json:"benchmark"`
-	Templates         string       `json:"templates"`
-	Corpus            int          `json:"corpus_requests"`
-	Concurrency       int          `json:"concurrency"`
-	QPS               float64      `json:"qps_target"`
-	Repeat            float64      `json:"repeat_ratio"`
-	DurationSec       float64      `json:"duration_seconds"`
-	Results           []loadResult `json:"results"`
-	SpeedupThroughput float64      `json:"speedup_throughput,omitempty"`
+	Benchmark   string  `json:"benchmark"`
+	Templates   string  `json:"templates"`
+	Corpus      int     `json:"corpus_requests"`
+	Concurrency int     `json:"concurrency"`
+	QPS         float64 `json:"qps_target"`
+	Repeat      float64 `json:"repeat_ratio"`
+	DurationSec float64 `json:"duration_seconds"`
+	loadResult
 }
 
-// loadResult is one sweep point's row.
+// loadResult is what one run measured and scraped.
 type loadResult struct {
-	Replicas      int               `json:"replicas"`
 	Requests      uint64            `json:"requests"`
 	Errors        uint64            `json:"errors"`
 	ErrorRate     float64           `json:"error_rate"`
@@ -242,7 +263,6 @@ type loadResult struct {
 	CacheMisses   uint64            `json:"cache_misses"`
 	Shed          uint64            `json:"requests_shed"`
 	Timeouts      uint64            `json:"inference_timeouts"`
-	Failovers     uint64            `json:"replica_failovers"`
 	Quarantines   uint64            `json:"replica_quarantines"`
 	Probes        uint64            `json:"replica_probes"`
 	Recoveries    uint64            `json:"replica_recoveries"`
@@ -266,13 +286,16 @@ type loadResult struct {
 	DriftWarnings  uint64  `json:"drift_warnings"`
 	DriftAlarms    uint64  `json:"drift_alarms"`
 	BaselineHash   string  `json:"baseline_hash,omitempty"`
+
+	// serverPredict200 is /stats' {predict, 200} request count, for the
+	// books check.
+	serverPredict200 uint64
 }
 
-type pointConfig struct {
+type loadConfig struct {
 	target       string
 	gen          *dsb.Generator
 	sys          *corepythia.System
-	replicas     int
 	cacheEntries int
 	corpus       []corpusEntry
 	qps          float64
@@ -282,7 +305,6 @@ type pointConfig struct {
 	repeat       float64
 	swapAt       float64
 	seed         uint64
-	chaosReplica int
 	chaosAt      float64
 	chaosClear   float64
 
@@ -291,17 +313,16 @@ type pointConfig struct {
 	quarantineBackoff time.Duration
 }
 
-// runPoint drives one sweep point: build (or point at) a server, run the
-// closed loop for the duration, scrape /stats, and assemble the row.
-func runPoint(pc pointConfig) (loadResult, error) {
-	res := loadResult{Replicas: pc.replicas, StatusCounts: map[string]uint64{}}
+// runLoad drives the run: build (or point at) a server, run the closed loop
+// for the duration, scrape /stats, and assemble the result.
+func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
+	res := loadResult{StatusCounts: map[string]uint64{}}
 	base := pc.target
 	var snapPath string
 	var srv *serve.Server // self-hosted handle; chaos drills retarget its injector
 	if pc.target == "" {
 		var err error
 		srv, err = serve.New(pc.gen.DB(), pc.sys, serve.NewMetrics(nil), serve.Options{
-			Replicas:          pc.replicas,
 			CacheEntries:      pc.cacheEntries,
 			QuarantineBackoff: pc.quarantineBackoff,
 		})
@@ -422,47 +443,46 @@ func runPoint(pc pointConfig) (loadResult, error) {
 		}(g)
 	}
 
-	// Chaos drill: arm a replica-targeted fault plan partway through the run
-	// and (optionally) clear it later, leaving a recovery window in which the
-	// quarantined replica's backoff probes can re-admit it. The injected
-	// faults themselves never reach the client — the pool fails the shard
-	// over — so the drill asserts self-healing, not error tolerance.
-	if pc.chaosReplica >= 0 && srv != nil {
+	// Chaos drill: every inference faults from chaosAt and (optionally)
+	// stops faulting at chaosClear, leaving a recovery window in which the
+	// quarantined model's backoff probes can re-admit it. A fault answers the
+	// degraded fallback, never an error, so the drill asserts self-healing,
+	// not error tolerance.
+	if pc.chaosAt > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			time.Sleep(time.Duration(float64(pc.duration) * pc.chaosAt))
-			srv.SetFault(fault.New(fault.Plan{ReplicaRate: 1, ReplicaIndex: pc.chaosReplica}, pc.seed))
-			log.Printf("chaos: replica %d failing every inference", pc.chaosReplica)
+			srv.SetFault(fault.New(fault.Plan{ServeRate: 1}, pc.seed))
+			logger.Print("chaos: every inference failing")
 			if pc.chaosClear <= 0 {
 				return
 			}
 			time.Sleep(time.Duration(float64(pc.duration) * (pc.chaosClear - pc.chaosAt)))
 			srv.SetFault(nil)
-			log.Printf("chaos: replica %d fault cleared (recovery window)", pc.chaosReplica)
+			logger.Print("chaos: fault cleared (recovery window)")
 		}()
 	}
 
-	if pc.swapAt > 0 && snapPath != "" {
-		swapDelay := time.Duration(float64(pc.duration) * pc.swapAt)
+	if snapPath != "" {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			time.Sleep(swapDelay)
+			time.Sleep(time.Duration(float64(pc.duration) * pc.swapAt))
 			t0 := time.Now()
 			if err := postReload(client, base, snapPath); err != nil {
 				errCount.Add(1)
 				statusMu.Lock()
 				res.StatusCounts["reload_error"]++
 				statusMu.Unlock()
-				log.Printf("mid-run reload failed: %v", err)
+				logger.Printf("mid-run reload failed: %v", err)
 				return
 			}
 			swapMS := float64(time.Since(t0).Microseconds()) / 1000
 			statusMu.Lock()
 			res.SwapMS = swapMS
 			statusMu.Unlock()
-			log.Printf("mid-run model swap completed in %.1fms", swapMS)
+			logger.Printf("mid-run model swap completed in %.1fms", swapMS)
 		}()
 	}
 	wg.Wait()
@@ -488,7 +508,7 @@ func runPoint(pc pointConfig) (loadResult, error) {
 	res.P95MS = metrics.Quantile(all, 0.95)
 	res.P99MS = metrics.Quantile(all, 0.99)
 	if err := scrapeStats(client, base, &res); err != nil {
-		log.Printf("stats scrape failed (report row incomplete): %v", err)
+		logger.Printf("stats scrape failed (report incomplete): %v", err)
 	}
 	return res, nil
 }
@@ -533,8 +553,9 @@ func postReload(client *http.Client, base, snapPath string) error {
 	return nil
 }
 
-// scrapeStats folds the server's own /stats accounting into the result row:
-// cache hit rate, sheds, timeouts, health state, and swap/generation counts.
+// scrapeStats folds the server's own /stats accounting into the result:
+// request rows, cache hit rate, sheds, timeouts, health state, and
+// swap/generation counts.
 func scrapeStats(client *http.Client, base string, res *loadResult) error {
 	resp, err := client.Get(base + "/stats")
 	if err != nil {
@@ -545,9 +566,13 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 		return fmt.Errorf("stats status %d", resp.StatusCode)
 	}
 	var st struct {
+		Requests []struct {
+			Endpoint string `json:"endpoint"`
+			Code     int    `json:"code"`
+			Count    uint64 `json:"count"`
+		} `json:"requests"`
 		Shed        uint64            `json:"requests_shed"`
 		Timeouts    uint64            `json:"inference_timeouts"`
-		Failovers   uint64            `json:"replica_failovers"`
 		HealthState string            `json:"health_state"`
 		Generation  uint64            `json:"generation"`
 		Swaps       uint64            `json:"swaps"`
@@ -576,9 +601,13 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
+	for _, r := range st.Requests {
+		if r.Endpoint == "predict" && r.Code == http.StatusOK {
+			res.serverPredict200 = r.Count
+		}
+	}
 	res.Shed = st.Shed
 	res.Timeouts = st.Timeouts
-	res.Failovers = st.Failovers
 	res.HealthState = st.HealthState
 	res.Generation = st.Generation
 	res.Swaps = st.Swaps
@@ -617,7 +646,7 @@ type corpusEntry struct {
 
 // buildCorpus encodes every workload instance's QuerySpec (and ground-truth
 // page list) once up front so the load loop does zero encoding work.
-func buildCorpus(gen *dsb.Generator, templates []string, n int, seed uint64) []corpusEntry {
+func buildCorpus(gen *dsb.Generator, templates []string, n int, seed uint64) ([]corpusEntry, error) {
 	type pageJSON struct {
 		Object string `json:"object"`
 		Page   uint32 `json:"page"`
@@ -629,7 +658,7 @@ func buildCorpus(gen *dsb.Generator, templates []string, n int, seed uint64) []c
 		for _, inst := range w.Instances {
 			var buf bytes.Buffer
 			if err := spec.FromQuery(inst.Query).Encode(&buf); err != nil {
-				log.Fatalf("pythia-load: encoding corpus: %v", err)
+				return nil, fmt.Errorf("encoding corpus: %w", err)
 			}
 			truth := make([]pageJSON, 0, len(inst.Pages))
 			for _, p := range inst.Pages {
@@ -641,60 +670,31 @@ func buildCorpus(gen *dsb.Generator, templates []string, n int, seed uint64) []c
 			}
 			raw, err := json.Marshal(truth)
 			if err != nil {
-				log.Fatalf("pythia-load: encoding ground truth: %v", err)
+				return nil, fmt.Errorf("encoding ground truth: %w", err)
 			}
 			corpus = append(corpus, corpusEntry{body: buf.Bytes(), truth: raw})
 		}
 	}
 	if len(corpus) == 0 {
-		log.Fatal("pythia-load: empty corpus")
+		return nil, errors.New("empty corpus")
 	}
-	return corpus
+	return corpus, nil
 }
 
 // trainSystem trains the self-hosted serving models, mirroring pythia-serve's
 // training loop with the same flags so remote corpora stay compatible.
-func trainSystem(gen *dsb.Generator, templates []string, n int, seed uint64) *corepythia.System {
-	cfg := corepythia.DefaultConfig()
-	cfg, err := cfg.Normalize()
+func trainSystem(logger *log.Logger, gen *dsb.Generator, templates []string, n int, seed uint64) (*corepythia.System, error) {
+	cfg, err := corepythia.DefaultConfig().Normalize()
 	if err != nil {
-		log.Fatalf("pythia-load: %v", err)
+		return nil, err
 	}
 	sys := corepythia.New(gen.DB(), cfg)
 	for _, tpl := range templates {
-		log.Printf("training %s (%d instances)...", tpl, n)
+		logger.Printf("training %s (%d instances)...", tpl, n)
 		start := time.Now()
 		w := gen.Workload(tpl, n, seed+1)
 		sys.Train(tpl, w.Instances)
-		log.Printf("trained %s in %s", tpl, time.Since(start).Round(time.Millisecond))
+		logger.Printf("trained %s in %s", tpl, time.Since(start).Round(time.Millisecond))
 	}
-	return sys
-}
-
-// parseSweep parses "1,4" into replica counts, deduplicated and in order.
-func parseSweep(s string) ([]int, error) {
-	var counts []int
-	seen := map[int]bool{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, err
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("replica count %d < 1", v)
-		}
-		if !seen[v] {
-			seen[v] = true
-			counts = append(counts, v)
-		}
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("no replica counts in %q", s)
-	}
-	sort.Ints(counts)
-	return counts, nil
+	return sys, nil
 }

@@ -11,8 +11,9 @@ import (
 // serveSections are the README sections that document pythia-serve and no
 // other tool: every flag they name must be one pythia-serve registers.
 var serveSections = map[string]bool{
-	"### Serving and observability":               true,
-	"### Replicas and zero-downtime model reload": true,
+	"### Serving and observability":  true,
+	"### Failure ladder":             true,
+	"### Zero-downtime model reload": true,
 }
 
 // TestReadmeFlagsMatchRegistered keeps README.md and the flag set from

@@ -14,20 +14,17 @@
 //	POST /v1/explain          QuerySpec JSON → plan display + Algorithm 2 tokens
 //	GET  /v1/healthz          liveness + model inventory
 //	POST /v1/admin/reload     zero-downtime model swap from the -snapshot file
-//	GET  /v1/admin/replicas   replica topology
 //	GET  /metrics             Prometheus text exposition
 //	GET  /stats               JSON statistics snapshot
 //
-// With -replicas N the trained system is cloned into N independent model
-// replicas behind a consistent-hash router (see internal/serve's Pool).
 // With -snapshot the trained system is persisted to (or, when the file
 // already exists, loaded from) the given path; SIGHUP — or POST
 // /v1/admin/reload — swaps the serving models from that snapshot without
 // dropping a request.
 //
-// Load is admitted in one place, each replica's bounded work queue
-// (-queue-depth): a predict every candidate replica refuses answers 503. The
-// failure ladder's shape is fixed; -quarantine-backoff is its one flag.
+// Load is admitted in one place, the model's bounded work queue
+// (-queue-depth): a predict the full queue refuses answers 503. The failure
+// ladder's shape is fixed; -quarantine-backoff is its one flag.
 // README.md lists every flag, and flags_test.go keeps that list honest.
 package main
 
@@ -79,11 +76,10 @@ func flags(fs *flag.FlagSet) *config {
 	fs.DurationVar(&c.opts.RequestTimeout, "request-timeout", 5*time.Second, "per-request inference budget")
 	fs.Int64Var(&c.opts.MaxBodyBytes, "max-body", 1<<20, "request body cap in bytes")
 	fs.DurationVar(&c.shutdownGrace, "shutdown-grace", 10*time.Second, "drain deadline after SIGINT/SIGTERM")
-	fs.IntVar(&c.opts.CacheEntries, "cache-entries", 4096, "plan-fingerprint prediction cache capacity per replica (negative disables)")
-	fs.IntVar(&c.opts.Replicas, "replicas", 1, "independent model replicas behind the consistent-hash router (at most 64)")
-	fs.IntVar(&c.opts.QueueDepth, "queue-depth", 32, "per-replica bounded work queue, the one admission point: a predict every candidate replica refuses answers 503")
+	fs.IntVar(&c.opts.CacheEntries, "cache-entries", 4096, "plan-fingerprint prediction cache capacity (negative disables)")
+	fs.IntVar(&c.opts.QueueDepth, "queue-depth", 32, "bounded work queue, the one admission point: a predict the full queue refuses answers 503")
 	fs.StringVar(&c.opts.SnapshotPath, "snapshot", "", "model snapshot path: loaded instead of training when it exists, written after training otherwise; SIGHUP and /v1/admin/reload swap from it (empty = off)")
-	fs.DurationVar(&c.opts.QuarantineBackoff, "quarantine-backoff", time.Second, "initial probe backoff for a quarantined replica (doubles per failed probe, capped at 16x)")
+	fs.DurationVar(&c.opts.QuarantineBackoff, "quarantine-backoff", time.Second, "initial probe backoff for a quarantined model (doubles per failed probe, capped at 16x)")
 	fs.StringVar(&c.faultPlan, "fault-plan", "", "fault-injection plan for chaos drills, e.g. serve=0.2 (empty = none)")
 	fs.Uint64Var(&c.faultSeed, "fault-seed", 1, "fault-injection PRNG seed")
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address, e.g. localhost:6060 (empty = off)")
@@ -171,11 +167,11 @@ func main() {
 		log.Fatalf("pythia-serve: %v", err)
 	}
 	// Log the resolved effective options (after Options.Normalize fills in the
-	// defaults) so a deployment's actual protections, fast-path, and topology
+	// defaults) so a deployment's actual protections and fast-path
 	// configuration are visible in its logs.
 	eff := srv.Options()
-	log.Printf("effective options: request-timeout=%s max-body=%d cache-entries=%d replicas=%d queue-depth=%d snapshot=%q quarantine-backoff=%s",
-		eff.RequestTimeout, eff.MaxBodyBytes, eff.CacheEntries, eff.Replicas,
+	log.Printf("effective options: request-timeout=%s max-body=%d cache-entries=%d queue-depth=%d snapshot=%q quarantine-backoff=%s",
+		eff.RequestTimeout, eff.MaxBodyBytes, eff.CacheEntries,
 		eff.QueueDepth, eff.SnapshotPath, eff.QuarantineBackoff)
 	httpSrv := &http.Server{Addr: c.addr, Handler: srv.Handler()}
 
@@ -204,7 +200,7 @@ func main() {
 				log.Printf("reload failed (still serving the old generation): %v", err)
 				continue
 			}
-			log.Printf("reloaded: generation %d across %d replicas", st.Generation, len(st.Replicas))
+			log.Printf("reloaded: generation %d", st.Generation)
 		}
 	}()
 

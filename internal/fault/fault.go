@@ -45,10 +45,6 @@ const (
 	Inference
 	// Serve: the HTTP serving tier's model path errors transiently.
 	Serve
-	// Replica: one chosen serving replica's inferences (and standby builds
-	// during a model swap) fail, leaving its siblings healthy — the site the
-	// pool's quarantine → failover → probe → recovery cycle is drilled with.
-	Replica
 	// SiteCount sizes per-site arrays; it must remain last.
 	SiteCount
 )
@@ -59,7 +55,6 @@ var siteNames = [SiteCount]string{
 	LatencySpike: "latency",
 	Inference:    "infer",
 	Serve:        "serve",
-	Replica:      "replica",
 }
 
 // String returns the site's short name (the key used by ParsePlan).
@@ -84,14 +79,6 @@ type Plan struct {
 	InferenceRate float64
 	// ServeRate is the probability the serving tier's model path errors.
 	ServeRate float64
-	// ReplicaRate is the probability the targeted replica's model path (or
-	// its standby build during a swap) errors. Unlike Serve, which fires on
-	// whichever replica draws next, Replica faults are pinned to the replica
-	// whose pool index equals ReplicaIndex — the "kill exactly this replica"
-	// knob chaos drills need.
-	ReplicaRate float64
-	// ReplicaIndex is the pool index Replica faults target (default 0).
-	ReplicaIndex int
 	// LatencyMultiplier scales a spiked read's latency (default 8×).
 	LatencyMultiplier float64
 }
@@ -109,8 +96,6 @@ func (p *Plan) rate(site Site) float64 {
 		return p.InferenceRate
 	case Serve:
 		return p.ServeRate
-	case Replica:
-		return p.ReplicaRate
 	}
 	return 0
 }
@@ -118,12 +103,11 @@ func (p *Plan) rate(site Site) float64 {
 // IsZero reports whether the plan injects nothing.
 func (p Plan) IsZero() bool {
 	return p.ExecReadRate == 0 && p.PrefetchReadRate == 0 &&
-		p.LatencySpikeRate == 0 && p.InferenceRate == 0 && p.ServeRate == 0 &&
-		p.ReplicaRate == 0
+		p.LatencySpikeRate == 0 && p.InferenceRate == 0 && p.ServeRate == 0
 }
 
-// Validate rejects rates outside [0, 1] (NaN included), a negative or
-// non-finite latency multiplier, and a negative replica index.
+// Validate rejects rates outside [0, 1] (NaN included) and a negative or
+// non-finite latency multiplier.
 func (p Plan) Validate() error {
 	for s := Site(0); s < SiteCount; s++ {
 		if r := p.rate(s); !(r >= 0 && r <= 1) {
@@ -133,20 +117,14 @@ func (p Plan) Validate() error {
 	if m := p.LatencyMultiplier; m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
 		return fmt.Errorf("fault: latency multiplier %g is negative or not finite", m)
 	}
-	if p.ReplicaIndex < 0 {
-		return fmt.Errorf("fault: negative replica index %d", p.ReplicaIndex)
-	}
 	return nil
 }
 
 // ParsePlan parses the CLI plan syntax: a comma-separated list of
-// "site=rate" entries over the site names exec, prefetch, latency, infer,
-// serve, and replica, plus an optional "mult=N" latency multiplier and a
-// "replica-id=N" index naming which replica the replica site targets.
-// Example:
+// "site=rate" entries over the site names exec, prefetch, latency, infer and
+// serve, plus an optional "mult=N" latency multiplier. Example:
 //
 //	exec=0.01,prefetch=0.05,latency=0.02,mult=8
-//	replica=1,replica-id=1
 //
 // An empty string parses to the zero (inject-nothing) plan.
 func ParsePlan(s string) (Plan, error) {
@@ -174,17 +152,10 @@ func ParsePlan(s string) (Plan, error) {
 			p.InferenceRate = f
 		case "serve":
 			p.ServeRate = f
-		case "replica":
-			p.ReplicaRate = f
-		case "replica-id":
-			if f != float64(int(f)) || f < 0 {
-				return Plan{}, fmt.Errorf("fault: replica-id %q is not a non-negative integer", val)
-			}
-			p.ReplicaIndex = int(f)
 		case "mult":
 			p.LatencyMultiplier = f
 		default:
-			return Plan{}, fmt.Errorf("fault: unknown plan key %q (have exec, prefetch, latency, infer, serve, replica, replica-id, mult)", key)
+			return Plan{}, fmt.Errorf("fault: unknown plan key %q (have exec, prefetch, latency, infer, serve, mult)", key)
 		}
 	}
 	if err := p.Validate(); err != nil {
@@ -206,10 +177,6 @@ func (p Plan) String() string {
 	add("latency", p.LatencySpikeRate)
 	add("infer", p.InferenceRate)
 	add("serve", p.ServeRate)
-	add("replica", p.ReplicaRate)
-	if p.ReplicaRate != 0 {
-		add("replica-id", float64(p.ReplicaIndex))
-	}
 	add("mult", p.LatencyMultiplier)
 	if len(parts) == 0 {
 		return "none"
@@ -263,17 +230,6 @@ func (i *Injector) Fire(site Site) bool {
 		return true
 	}
 	return i.rngs[site].Float64() < r
-}
-
-// FireReplica decides whether the Replica site faults for the replica with
-// the given pool index. Only the plan's targeted ReplicaIndex ever draws, so
-// the chosen replica fails deterministically while its siblings' behaviour —
-// and every other site's stream — is untouched.
-func (i *Injector) FireReplica(id int) bool {
-	if i == nil || id != i.plan.ReplicaIndex {
-		return false
-	}
-	return i.Fire(Replica)
 }
 
 // ReadLatency applies the tail-latency fault to one device read: base when

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -13,8 +14,8 @@ func TestNilInjectorNeverFires(t *testing.T) {
 			t.Fatalf("nil injector fired at %v", s)
 		}
 	}
-	if i.FireReplica(0) || i.ReadLatency(time.Millisecond) != time.Millisecond {
-		t.Fatal("nil injector faulted a replica or spiked a read")
+	if i.ReadLatency(time.Millisecond) != time.Millisecond {
+		t.Fatal("nil injector spiked a read")
 	}
 }
 
@@ -110,57 +111,13 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParsePlanReplicaSite: the serving tier runs one model per generation,
+// so there is no replica to target and the old replica keys are unknown.
 func TestParsePlanReplicaSite(t *testing.T) {
-	p, err := ParsePlan("replica=1,replica-id=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ReplicaRate != 1 || p.ReplicaIndex != 2 {
-		t.Fatalf("parsed %+v, want replica=1 replica-id=2", p)
-	}
-	if p.IsZero() {
-		t.Fatal("replica-only plan reported zero")
-	}
-	if s := p.String(); s != "replica=1,replica-id=2" {
-		t.Fatalf("plan renders %q", s)
-	}
-	// replica-id without a rate does not render (it is inert).
-	if s := (Plan{ReplicaIndex: 3}).String(); s != "none" {
-		t.Fatalf("rate-less replica-id renders %q", s)
-	}
-	for _, bad := range []string{"replica=2", "replica-id=1.5", "replica-id=-1", "replica-id=x"} {
-		if _, err := ParsePlan(bad); err == nil {
-			t.Fatalf("ParsePlan(%q) did not error", bad)
+	for _, bad := range []string{"replica=1", "replica=1,replica-id=2", "replica-id=0", "serve=1,replica=0"} {
+		if _, err := ParsePlan(bad); err == nil || !strings.Contains(err.Error(), "unknown plan key") {
+			t.Fatalf("ParsePlan(%q) = %v, want an unknown-key error", bad, err)
 		}
-	}
-}
-
-func TestFireReplicaTargetsOneIndex(t *testing.T) {
-	i := New(Plan{ReplicaRate: 1, ReplicaIndex: 2}, 5)
-	for k := 0; k < 100; k++ {
-		if i.FireReplica(0) || i.FireReplica(1) {
-			t.Fatal("untargeted replica drew a fault")
-		}
-		if !i.FireReplica(2) {
-			t.Fatal("targeted replica did not fault at rate 1")
-		}
-	}
-	// Partial rates stay deterministic across same-seed injectors.
-	a := New(Plan{ReplicaRate: 0.4, ReplicaIndex: 1}, 17)
-	b := New(Plan{ReplicaRate: 0.4, ReplicaIndex: 1}, 17)
-	fires := 0
-	const n = 20000
-	for k := 0; k < n; k++ {
-		fa := a.FireReplica(1)
-		if fb := b.FireReplica(1); fa != fb {
-			t.Fatalf("same plan+seed diverged at draw %d", k)
-		}
-		if fa {
-			fires++
-		}
-	}
-	if got := float64(fires) / n; got < 0.36 || got > 0.44 {
-		t.Fatalf("replica fire rate %.3f, want ≈0.40", got)
 	}
 }
 
@@ -172,8 +129,6 @@ func TestValidate(t *testing.T) {
 	for _, bad := range []Plan{
 		{ExecReadRate: -0.1},
 		{ServeRate: 1.1},
-		{ReplicaRate: -0.5},
-		{ReplicaIndex: -1},
 		{LatencyMultiplier: -2},
 		{ExecReadRate: math.NaN()},
 		{LatencyMultiplier: math.Inf(1)},
@@ -197,8 +152,8 @@ func TestPlanString(t *testing.T) {
 
 // FuzzParsePlan drives arbitrary strings through the CLI plan parser: it must
 // reject garbage with an error, never panic, and every plan it accepts must
-// have finite rates in [0, 1], a finite multiplier ≥ 0 and a valid replica
-// index — what New and ReadLatency rely on.
+// have finite rates in [0, 1] and a finite multiplier ≥ 0 — what New and
+// ReadLatency rely on. The replica seeds name keys the parser refuses.
 func FuzzParsePlan(f *testing.F) {
 	f.Add("exec=0.01,prefetch=0.05,latency=0.02,mult=8")
 	f.Add("replica=1,replica-id=1")
@@ -212,16 +167,13 @@ func FuzzParsePlan(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, r := range []float64{p.ExecReadRate, p.PrefetchReadRate, p.LatencySpikeRate, p.InferenceRate, p.ServeRate, p.ReplicaRate} {
+		for _, r := range []float64{p.ExecReadRate, p.PrefetchReadRate, p.LatencySpikeRate, p.InferenceRate, p.ServeRate} {
 			if !(r >= 0 && r <= 1) {
 				t.Fatalf("ParsePlan(%q) accepted rate %g", in, r)
 			}
 		}
 		if m := p.LatencyMultiplier; !(m >= 0) || math.IsInf(m, 0) {
 			t.Fatalf("ParsePlan(%q) accepted multiplier %g", in, m)
-		}
-		if p.ReplicaIndex < 0 {
-			t.Fatalf("ParsePlan(%q) accepted replica index %d", in, p.ReplicaIndex)
 		}
 		New(p, 1) // panics on a plan Validate rejects
 	})

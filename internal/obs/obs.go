@@ -137,21 +137,18 @@ const (
 	PredCacheEvict
 	// InferenceRun: one model-path inference completed for a request.
 	InferenceRun
-	// ReplicaDegraded: a pool replica's sliding error window crossed the
+	// ReplicaDegraded: the serving model's sliding error window crossed the
 	// degraded threshold; it keeps serving but is one step from quarantine.
 	ReplicaDegraded
-	// ReplicaQuarantined: a replica crossed the quarantine threshold (or
-	// failed a probation trial) and was removed from normal routing.
+	// ReplicaQuarantined: the model crossed the quarantine threshold (or
+	// failed a probation trial) and its model path stopped running.
 	ReplicaQuarantined
-	// ReplicaProbe: a quarantined replica's backoff elapsed and one probe
+	// ReplicaProbe: a quarantined model's backoff elapsed and one probe
 	// request was admitted to test it.
 	ReplicaProbe
-	// ReplicaRecovered: a quarantined replica passed its probation trials and
-	// rejoined normal routing.
+	// ReplicaRecovered: a quarantined model passed its probation trials and
+	// returned to normal service.
 	ReplicaRecovered
-	// ReplicaFailover: a request moved past an unhealthy (or saturated, or
-	// faulting) replica to the next replica on the hash ring.
-	ReplicaFailover
 
 	// QualityScored: a /v1/feedback report correlated with a served
 	// prediction and was scored against ground truth.
@@ -207,7 +204,6 @@ var kindNames = [KindCount]string{
 	ReplicaQuarantined:    "replica_quarantined",
 	ReplicaProbe:          "replica_probe",
 	ReplicaRecovered:      "replica_recovered",
-	ReplicaFailover:       "replica_failover",
 	QualityScored:         "quality_scored",
 	DriftWarning:          "drift_warning",
 	DriftAlarm:            "drift_alarm",

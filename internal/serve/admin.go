@@ -33,14 +33,12 @@ type reloadResponse struct {
 	Path       string  `json:"path"`
 	Generation uint64  `json:"generation"`
 	Swaps      uint64  `json:"swaps"`
-	Replicas   int     `json:"replicas"`
 	DurationMS float64 `json:"duration_ms"`
 }
 
 // ReloadSnapshot performs a zero-downtime model swap from a snapshot file
-// (pythia.System.Save): every replica of a standby generation decodes the
-// snapshot, the standby warms on recently served plans, and the serving
-// pointer swings atomically. An empty path uses Options.SnapshotPath; the
+// (pythia.System.Save): a standby generation decodes the snapshot, warms on
+// recently served plans, and the serving pointer swings atomically. An empty path uses Options.SnapshotPath; the
 // path actually loaded is returned. This is the programmatic entry behind both
 // POST /v1/admin/reload and pythia-serve's SIGHUP handler.
 func (s *Server) ReloadSnapshot(path string) (string, InfStatus, error) {
@@ -102,17 +100,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		Path:       path,
 		Generation: st.Generation,
 		Swaps:      st.Swaps,
-		Replicas:   len(st.Replicas),
 		DurationMS: float64(time.Since(start).Microseconds()) / 1000,
 	})
-}
-
-// handleReplicas is GET /v1/admin/replicas: the replica topology snapshot —
-// per-replica generation, queue, health, and cache state.
-func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, s.pool.Status())
 }

@@ -16,9 +16,8 @@ import (
 // escape-analysis regressions from a toolchain bump).
 //
 // The units mirror one cache-hit request end to end: fingerprint the plan,
-// route it on the ring (with failover successors into a caller-owned
-// scratch slice), check health admission, hit the prediction cache, and
-// record the health outcome.
+// check health admission, hit the prediction cache, and record the health
+// outcome.
 func TestServeHotPathAllocs(t *testing.T) {
 	rec := &obs.AtomicCounters{}
 
@@ -44,31 +43,11 @@ func TestServeHotPathAllocs(t *testing.T) {
 		}
 	})
 
-	t.Run("ring-lookup", func(t *testing.T) {
-		r := newRing(4)
-		fps := testFingerprints(8)
-		if a := testing.AllocsPerRun(1000, func() {
-			for _, fp := range fps {
-				_ = r.lookup(fp)
-			}
-		}); a != 0 {
-			t.Errorf("hashRing.lookup allocates %v/op", a)
-		}
-		dst := make([]int, 0, 4)
-		if a := testing.AllocsPerRun(1000, func() {
-			for _, fp := range fps {
-				dst = r.lookupN(fp, dst[:0], 3)
-			}
-		}); a != 0 {
-			t.Errorf("hashRing.lookupN allocates %v/op", a)
-		}
-	})
-
 	t.Run("health-steady-state", func(t *testing.T) {
 		h := newHealth(time.Second, rec)
 		if a := testing.AllocsPerRun(1000, func() {
 			if !h.serving() {
-				t.Fatal("healthy replica not serving")
+				t.Fatal("healthy model not serving")
 			}
 			h.cacheHit()
 			h.success()

@@ -39,16 +39,16 @@ func scrape(t *testing.T, srv *Server) map[string]float64 {
 }
 
 // TestFleetCountersMonotonicAcrossSwap: a family typed counter never goes
-// backwards. The fleet totals are hub counters, not sums over the serving
-// generation's replicas, so a model swap — which replaces every replica and
-// its per-generation books — leaves them where they were, and each one equals
-// its pythia_events_total twin at every scrape.
+// backwards. The totals are hub counters, not the serving generation's own
+// books, so a model swap — which replaces the generation and its books —
+// leaves them where they were, and each one equals its pythia_events_total
+// twin at every scrape.
 func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
-	srv, w := resilienceServer(t, Options{Replicas: 2, CacheEntries: 2, QueueDepth: 1})
+	srv, w := resilienceServer(t, Options{CacheEntries: 2, QueueDepth: 1})
 	insts := distinctInstances(t, srv, w, 6)
 
-	// Each plan twice in a row: a miss then a hit, and six plans through two
-	// 2-entry caches evict. Unmatched plans feed the generation's drift
+	// Each plan twice in a row: a miss then a hit, and six plans through a
+	// 2-entry cache evict. Unmatched plans feed the generation's drift
 	// monitor past one evaluation.
 	traffic := func() {
 		for _, i := range insts {
@@ -61,14 +61,13 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 	}
 	traffic()
 
-	// One replica-queue shed that fails over, and one scored feedback.
+	// One shed at the full work queue, and one scored feedback.
 	first := predictOK(t, srv, w, insts[0])
-	owner := srv.pool.cur.Load().instances[first.Replica]
-	owner.queue <- struct{}{}
-	if resp := predictOK(t, srv, w, insts[0]); resp.Replica == first.Replica {
-		t.Fatalf("saturated owner %d still served: %+v", first.Replica, resp)
+	srv.inst().queue <- struct{}{}
+	if rr := doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w)); rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("predict with the queue full: status %d: %s", rr.Code, rr.Body.String())
 	}
-	<-owner.queue
+	<-srv.inst().queue
 	if rr := doRequest(t, srv, http.MethodPost, "/v1/feedback", feedbackBody(t, first.PredictionID, first.Pages)); rr.Code != http.StatusOK {
 		t.Fatalf("feedback status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -77,7 +76,7 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 	// transition counters move only if the unmatched flood tips the detector.
 	exercised := []string{
 		"pythia_predcache_hits_total", "pythia_predcache_misses_total", "pythia_predcache_evictions_total",
-		"pythia_replica_sheds_total", "pythia_replica_failovers_total", "pythia_quality_feedback_total",
+		"pythia_requests_shed_total", "pythia_quality_feedback_total",
 		"pythia_drift_evaluations_total",
 	}
 	counters := append([]string{"pythia_drift_warnings_total", "pythia_drift_alarms_total", "pythia_drift_recoveries_total"}, exercised...)
@@ -85,7 +84,6 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 		"pythia_predcache_hits_total":      obs.PredCacheHit,
 		"pythia_predcache_misses_total":    obs.PredCacheMiss,
 		"pythia_predcache_evictions_total": obs.PredCacheEvict,
-		"pythia_replica_failovers_total":   obs.ReplicaFailover,
 		"pythia_quality_feedback_total":    obs.QualityScored,
 	}
 	var prev map[string]float64
@@ -127,10 +125,8 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 
 	swapFixture(t, srv)
 	check("after swap")
-	for _, r := range prevStats.Replicas {
-		if r.Generation != 2 {
-			t.Fatalf("replica %d still on generation %d", r.ID, r.Generation)
-		}
+	if r := prevStats.Replicas[0]; r.Generation != 2 {
+		t.Fatalf("status row still on generation %d", r.Generation)
 	}
 	traffic()
 	check("after post-swap traffic")
@@ -150,22 +146,21 @@ func swapFixture(t *testing.T, srv *Server) {
 }
 
 // TestBooksBalance pins the two conservation identities that hold on every
-// snapshot, at every replica count and with the prediction cache on or off:
+// snapshot, with the prediction cache on or off:
 //
 //	predictions − fallbacks = predcache hits + inference_run
 //	http_requests_total{endpoint="predict",code="503"} = requests_shed
 //
 // The first holds across a model swap too: the swap's warm-up serves no
-// prediction, so it counts no hit and no inference. The replica work queue
-// is the only admission point, so the second is also "no other endpoint ever
-// answers 503": with every queue full, explain — which touches no model —
-// still answers 200.
+// prediction, so it counts no hit and no inference. A faulted model path
+// answers the fallback, so it counts as one fallback and nothing else. The
+// work queue is the only admission point, so the second is also "no other
+// endpoint ever answers 503": with the queue full, explain — which touches
+// no model — still answers 200, and each refusal is exactly one 503.
 func TestBooksBalance(t *testing.T) {
-	for _, tc := range []struct {
-		replicas, cache int
-	}{{1, 0}, {1, -1}, {3, 0}, {3, -1}} {
-		t.Run(fmt.Sprintf("replicas=%d,cache=%d", tc.replicas, tc.cache), func(t *testing.T) {
-			srv, w := resilienceServer(t, Options{Replicas: tc.replicas, CacheEntries: tc.cache, QueueDepth: 1})
+	for _, cache := range []int{0, -1} {
+		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
+			srv, w := resilienceServer(t, Options{CacheEntries: cache, QueueDepth: 1})
 			insts := distinctInstances(t, srv, w, 5)
 			cold := func() *bytes.Buffer { return specBody(t, spec.FromQuery(w.Instances[insts[4]].Query)) }
 
@@ -180,30 +175,24 @@ func TestBooksBalance(t *testing.T) {
 				t.Fatalf("unmatched plan: status %d: %s", rr.Code, rr.Body.String())
 			}
 
-			// An injected fault on every replica: a never-cached plan answers
-			// 500 however far it fails over.
+			// An injected fault: a never-cached plan answers the degraded
+			// fallback.
 			srv.SetFault(fault.New(fault.Plan{ServeRate: 1}, 1))
-			if rr := doRequest(t, srv, http.MethodPost, "/v1/predict", cold()); rr.Code != http.StatusInternalServerError {
-				t.Fatalf("faulted predict status %d: %s", rr.Code, rr.Body.String())
+			if resp := predictOK(t, srv, w, insts[4]); !resp.Fallback || resp.Degraded != "model_error" {
+				t.Fatalf("faulted predict answered %+v, want the model_error fallback", resp)
 			}
 			srv.SetFault(nil)
 
-			// The one shed site: every candidate replica's work queue full.
-			// One 503 answer, one refusal per replica walked past.
-			instances := srv.pool.cur.Load().instances
-			for _, ins := range instances {
-				ins.queue <- struct{}{}
-			}
+			// The one shed site: the work queue full.
+			srv.inst().queue <- struct{}{}
 			rr := doRequest(t, srv, http.MethodPost, "/v1/predict", cold())
 			if rr.Code != http.StatusServiceUnavailable || rr.Header().Get("Retry-After") == "" {
-				t.Fatalf("predict with every queue full: status %d, Retry-After %q", rr.Code, rr.Header().Get("Retry-After"))
+				t.Fatalf("predict with the queue full: status %d, Retry-After %q", rr.Code, rr.Header().Get("Retry-After"))
 			}
 			if rr := doRequest(t, srv, http.MethodPost, "/v1/explain", cold()); rr.Code != http.StatusOK {
-				t.Fatalf("explain with every queue full: status %d: %s", rr.Code, rr.Body.String())
+				t.Fatalf("explain with the queue full: status %d: %s", rr.Code, rr.Body.String())
 			}
-			for _, ins := range instances {
-				<-ins.queue
-			}
+			<-srv.inst().queue
 
 			// answered checks the first identity and returns its value.
 			answered := func(step string) uint64 {
@@ -221,8 +210,8 @@ func TestBooksBalance(t *testing.T) {
 				t.Errorf("%d matched answers, want 8", n)
 			}
 			snap := srv.snapshot()
-			if wantHits := uint64(4 * (tc.cache + 1)); snap.FleetCache.Hits != wantHits || snap.Fallbacks != 1 {
-				t.Errorf("predcache hits %d, fallbacks %d, want %d and 1", snap.FleetCache.Hits, snap.Fallbacks, wantHits)
+			if wantHits := uint64(4 * (cache + 1)); snap.FleetCache.Hits != wantHits || snap.Fallbacks != 2 {
+				t.Errorf("predcache hits %d, fallbacks %d, want %d and 2", snap.FleetCache.Hits, snap.Fallbacks, wantHits)
 			}
 			var predict503, other503 uint64
 			for _, r := range snap.Requests {
@@ -238,8 +227,8 @@ func TestBooksBalance(t *testing.T) {
 			if predict503 != snap.Shed || snap.Shed != 1 || other503 != 0 {
 				t.Errorf("503s on predict = %d, elsewhere = %d, requests_shed = %d, want 1, 0 and 1", predict503, other503, snap.Shed)
 			}
-			if snap.ReplicaSheds != uint64(tc.replicas) {
-				t.Errorf("replica sheds = %d, want %d (one refusal per replica)", snap.ReplicaSheds, tc.replicas)
+			if refused := snap.Replicas[0].Shed; refused != snap.Shed {
+				t.Errorf("queue refusals = %d, requests_shed = %d, want equal", refused, snap.Shed)
 			}
 
 			swapFixture(t, srv)
@@ -255,14 +244,14 @@ func TestBooksBalance(t *testing.T) {
 }
 
 // TestSwapWritesNoBooks: a model swap with no client traffic is not a
-// request. Its warm-up runs the standby's predictor and fills the owning
-// replicas' caches, and moves nothing else: every event total (prediction
-// cache, inference_run, prefetch_limited, replica_*, drift transitions), the
-// replica shed and drift evaluation totals, and each new row's served, shed
-// and cache outcome counters. It holds when the warm set overflows a cache
-// (2 entries per replica) and when the prefetch budget cuts the predicted
-// sets (4 buffer pages). With room for every plan the fill is complete: the
-// first post-swap request for each plan is a cache hit.
+// request. Its warm-up runs the standby's predictor and fills its cache, and
+// moves nothing else: every event total (prediction cache, inference_run,
+// prefetch_limited, replica_*, drift transitions), the drift evaluation
+// total, and the new row's served, shed and cache outcome counters. It holds
+// when the warm set overflows the cache (2 entries) and when the prefetch
+// budget cuts the predicted sets (4 buffer pages). With room for every plan
+// the fill is complete: the first post-swap request for each plan is a cache
+// hit.
 func TestSwapWritesNoBooks(t *testing.T) {
 	base, w := testServer(t)
 	var fixture bytes.Buffer
@@ -284,7 +273,7 @@ func TestSwapWritesNoBooks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := mustServer(t, base.db, sys, m, Options{Replicas: 2, CacheEntries: tc.cache})
+			srv := mustServer(t, base.db, sys, m, Options{CacheEntries: tc.cache})
 			insts := distinctInstances(t, srv, w, 6)
 			for _, i := range insts {
 				predictOK(t, srv, w, i)
@@ -304,21 +293,17 @@ func TestSwapWritesNoBooks(t *testing.T) {
 					t.Errorf("swap moved %s: %d -> %d", k, b, a)
 				}
 			}
-			if after.ReplicaSheds != before.ReplicaSheds || after.Drift.Evaluations != before.Drift.Evaluations {
-				t.Errorf("swap moved replica sheds %d -> %d or drift evaluations %d -> %d",
-					before.ReplicaSheds, after.ReplicaSheds, before.Drift.Evaluations, after.Drift.Evaluations)
+			if after.Drift.Evaluations != before.Drift.Evaluations {
+				t.Errorf("swap moved drift evaluations %d -> %d", before.Drift.Evaluations, after.Drift.Evaluations)
 			}
-			entries := 0
-			for _, r := range after.Replicas {
-				if r.Generation != 2 || r.Served != 0 || r.Shed != 0 || r.CacheHits != 0 || r.CacheMisses != 0 || r.CacheEvictions != 0 {
-					t.Errorf("new replica row moved by the swap: %+v", r)
-				}
-				entries += r.CacheEntries
+			r := after.Replicas[0]
+			if r.Generation != 2 || r.Served != 0 || r.Shed != 0 || r.CacheHits != 0 || r.CacheMisses != 0 || r.CacheEvictions != 0 {
+				t.Errorf("new row moved by the swap: %+v", r)
 			}
 			if tc.cache != 0 {
 				return
 			}
-			if entries != len(insts) {
+			if entries := r.CacheEntries; entries != len(insts) {
 				t.Errorf("warm-up filled %d cache entries, want %d", entries, len(insts))
 			}
 			for _, i := range insts {

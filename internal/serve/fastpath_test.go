@@ -169,7 +169,7 @@ func TestCacheEvictionAtCapacity(t *testing.T) {
 // and the next admitted request must answer normally.
 func TestShedDoesNotPoisonCache(t *testing.T) {
 	srv, w := fastServer(t, Options{QueueDepth: 1})
-	srv.inst().queue <- struct{}{} // hold the replica's only queue slot
+	srv.inst().queue <- struct{}{} // hold the queue's only slot
 	body := specBody(t, spec.FromQuery(w.Instances[0].Query))
 	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", body)
 	if rr.Code != http.StatusServiceUnavailable {
@@ -188,7 +188,7 @@ func TestShedDoesNotPoisonCache(t *testing.T) {
 }
 
 // TestConcurrentMissesMatchPrefetch: with the cache off every request is a
-// miss, and concurrent misses on one replica — distinct plans and the same
+// miss, and concurrent misses on one model — distinct plans and the same
 // plan at once — must each answer exactly System.Prefetch. Run under -race
 // this pins the one inference path's locking.
 func TestConcurrentMissesMatchPrefetch(t *testing.T) {

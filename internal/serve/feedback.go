@@ -16,12 +16,11 @@ import (
 const trackSlots = 4096
 
 // predRecord remembers one served prediction long enough for its feedback to
-// arrive: the issued page set, and the workload and replica that answered
-// (echoed in the feedback response).
+// arrive: the issued page set, and the workload that answered (echoed in the
+// feedback response).
 type predRecord struct {
 	id       uint64
 	workload string
-	replica  int
 	pages    []storage.PageID
 }
 
@@ -37,11 +36,11 @@ type predTracker struct {
 }
 
 // note records one served prediction and returns its wire id ("p-<n>").
-func (t *predTracker) note(workload string, replica int, pages []storage.PageID) string {
+func (t *predTracker) note(workload string, pages []storage.PageID) string {
 	t.mu.Lock()
 	t.next++
 	id := t.next
-	t.slots[id%trackSlots] = predRecord{id: id, workload: workload, replica: replica, pages: pages}
+	t.slots[id%trackSlots] = predRecord{id: id, workload: workload, pages: pages}
 	t.mu.Unlock()
 	return fmt.Sprintf("p-%d", id)
 }

@@ -7,7 +7,7 @@ import (
 	"github.com/pythia-db/pythia/internal/obs"
 )
 
-// Replica health states, in gauge order (the value exported as
+// Health states, in gauge order (the value exported as
 // pythia_replica_health). Higher is sicker.
 const (
 	healthHealthy     = 0
@@ -21,27 +21,22 @@ var healthStateNames = [...]string{"healthy", "degraded", "probation", "quaranti
 // The failure ladder's shape. Only the initial probe backoff is an option
 // (Options.QuarantineBackoff: chaos drills need recovery inside their run).
 const (
-	// healthWindow is the sliding outcome window each replica's health
-	// tracker keeps: the last healthWindow model-path outcomes (successes,
+	// healthWindow is the sliding outcome window the health tracker keeps: the last healthWindow model-path outcomes (successes,
 	// failures, and admission sheds) decide degradation and quarantine. Small
 	// and fixed so the tracker is a ring of booleans, not a timestamped log.
 	healthWindow = 16
-	// quarantineThreshold window failures quarantine a replica; half that,
+	// quarantineThreshold window failures quarantine the model; half that,
 	// rounded up, marks it degraded.
 	quarantineThreshold = 5
 	degradeThreshold    = (quarantineThreshold + 1) / 2
 	// quarantineProbes consecutive probe successes re-admit a quarantined
-	// replica to normal routing.
+	// model to normal service.
 	quarantineProbes = 3
-	// maxFailovers bounds the failover cascade: how many ring successors a
-	// request may try past its owning replica when the owner is quarantined,
-	// saturated, or faulting.
-	maxFailovers = 2
 )
 
-// health is one replica's self-healing state machine and the serving tier's
-// only failure ladder: it alone decides whether the pool tries a replica's
-// model path (quarantined is the open state, probation the half-open one).
+// health is a generation's self-healing state machine and the serving tier's
+// only failure ladder: it alone decides whether the pool tries the model
+// path (quarantined is the open state, probation the half-open one).
 //
 //	healthy ──(window failures ≥ degradeThreshold)────▶ degraded
 //	degraded ──(window failures ≥ quarantineThreshold)▶ quarantined
@@ -50,16 +45,16 @@ const (
 //	probation ──(quarantineProbes successes in a row)─▶ healthy  [ReplicaRecovered]
 //	probe/probation failure ──────────────────────────▶ quarantined, backoff ×2
 //
-// Degraded replicas keep serving (the state is a leading indicator on
-// /stats); quarantined replicas receive no routed traffic — the ring fails
-// their shard over to successors — except for the single backoff-gated probe
-// that tests recovery. Outcomes recorded while quarantined can only be probe
+// A degraded model keeps serving (the state is a leading indicator on
+// /stats); a quarantined one runs no model path — its requests answer from
+// the prediction cache or the degraded fallback — except for the single
+// backoff-gated probe that tests recovery. Outcomes recorded while quarantined can only be probe
 // outcomes, because probes are the only traffic admitted.
 //
 // The window holds model-path outcomes only (inference success, injected
 // fault, deadline miss, admission shed). A prediction-cache hit says nothing
 // about the model, so it never enters the window: quarantineThreshold
-// consecutive model-path failures quarantine the replica however many hits
+// consecutive model-path failures quarantine the model however many hits
 // are interleaved, and a high hit rate cannot hold a dead model path in
 // service.
 //
@@ -110,7 +105,7 @@ func (h *health) slide(failed bool) int {
 }
 
 // resetWindow clears the outcome window (used on recovery so one stale
-// failure cannot instantly re-degrade a just-readmitted replica).
+// failure cannot instantly re-degrade a just-readmitted model).
 func (h *health) resetWindow() {
 	h.window = [healthWindow]bool{}
 	h.windowLen, h.windowNext, h.failures = 0, 0, 0
@@ -149,7 +144,7 @@ func (h *health) succeed(modelPath bool) {
 	}
 }
 
-// maybeRecover promotes a probation replica back to healthy once it has the
+// maybeRecover promotes a probation model back to healthy once it has the
 // required consecutive successes. Caller holds h.mu.
 func (h *health) maybeRecover() {
 	if h.probeWins < quarantineProbes {
@@ -163,8 +158,8 @@ func (h *health) maybeRecover() {
 }
 
 // failure records one failed model-path outcome (an inference fault, a
-// deadline miss, or an admission shed — a replica that cannot accept its
-// shard's traffic is unhealthy from the router's point of view).
+// deadline miss, or an admission shed — a model that cannot accept its
+// traffic is unhealthy, whatever the cause).
 //
 //pythia:noalloc
 func (h *health) failure() {
@@ -193,7 +188,7 @@ func (h *health) failure() {
 }
 
 // requarantine restarts the probe backoff clock, doubling the delay (capped
-// at 16× the initial one) so a persistently sick replica is probed ever less
+// at 16× the initial one) so a persistently sick model is probed ever less
 // often. Caller holds h.mu.
 func (h *health) requarantine() {
 	h.quarantinedAt = h.now()
@@ -206,7 +201,7 @@ func (h *health) requarantine() {
 	h.resetWindow()
 }
 
-// serving reports whether the replica may receive normally routed traffic
+// serving reports whether the model path may run for normal traffic
 // (everything but quarantined).
 //
 //pythia:noalloc
@@ -216,7 +211,7 @@ func (h *health) serving() bool {
 	return h.state != healthQuarantined
 }
 
-// allowProbe admits one probe request to a quarantined replica whose backoff
+// allowProbe admits one probe request to a quarantined model whose backoff
 // has elapsed. Admission restarts the backoff clock, so at most one probe is
 // in flight per backoff window regardless of traffic — the single-flight
 // guard cannot wedge, because it is a timer, not a flag an outcome must

@@ -48,7 +48,7 @@ func TestHealthLifecycle(t *testing.T) {
 		t.Fatalf("successes did not clear degraded: %s", h.State())
 	}
 
-	// quarantineThreshold failures quarantine; the replica stops serving.
+	// quarantineThreshold failures quarantine; the model path stops running.
 	for i := 0; i < quarantineThreshold; i++ {
 		h.failure()
 	}
@@ -111,7 +111,7 @@ func TestHealthLifecycle(t *testing.T) {
 }
 
 // TestHealthProbationFailureRequarantines: a failure during probation drops
-// straight back to quarantined and doubles the backoff — a flapping replica
+// straight back to quarantined and doubles the backoff — a flapping model
 // is probed ever less often.
 func TestHealthProbationFailureRequarantines(t *testing.T) {
 	h, now, m := healthHarness(time.Second)

@@ -11,59 +11,52 @@ import (
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// Prediction is the outcome of one routed inference.
+// Prediction is the outcome of one prediction request on the model tier.
 type Prediction struct {
 	// Workload is the matched trained workload ("" on fallback).
 	Workload string
 	// Pages is the predicted, buffer-bounded prefetch set.
 	Pages []storage.PageID
 	// Fallback reports that no workload matched (or the model path was
-	// skipped) and the empty advisory answer was served.
+	// skipped or faulted) and the empty advisory answer was served.
 	Fallback bool
 	// Cached reports the answer came from the prediction cache with zero
 	// inference.
 	Cached bool
-	// Degraded names why the model path was skipped ("no_healthy_replica").
+	// Degraded names why a matched plan got the fallback: the model is
+	// quarantined ("no_healthy_replica") or its model path faulted
+	// ("model_error").
 	Degraded string
-	// Replica is the serving replica's index (-1 when the request never
-	// routed, e.g. a pool-level fallback).
-	Replica int
 	// Generation is the model generation that answered; it increments on
 	// every successful Swap.
 	Generation uint64
 }
 
-// ErrSaturated reports that a replica's bounded work queue was full — the
-// serving tier's one "not now". The pool fails over past it; when the last
-// candidate tried returns it, the Server sheds the request with 503 +
-// Retry-After.
-var ErrSaturated = errors.New("serve: replica work queue is full")
-
-// errModelFault is the injected transient model error (chaos drills); the
-// Server answers 500 model_error, exactly like the pre-pool fault path.
-var errModelFault = errors.New("serve: transient model error (injected)")
+// ErrSaturated reports that the bounded work queue was full — the serving
+// tier's one "not now". The Server sheds the request with 503 + Retry-After.
+var ErrSaturated = errors.New("serve: work queue is full")
 
 // errNoSnapshot reports a reload request with no snapshot path configured.
 var errNoSnapshot = errors.New("serve: no snapshot path configured")
 
-// InfStatus is the replica topology snapshot behind /v1/admin/replicas.
+// InfStatus is the model tier's snapshot behind /stats.
 type InfStatus struct {
 	// Generation is the current serving generation (1 at construction).
-	Generation uint64 `json:"generation"`
+	Generation uint64
 	// Swaps counts completed model swaps.
-	Swaps uint64 `json:"swaps"`
+	Swaps uint64
 	// Drift is the serving generation's drift-monitor snapshot (state "ok"
 	// with zero counters when its snapshot carries no training baseline).
-	Drift quality.DriftStats `json:"drift"`
-	// Replicas holds one row per serving replica.
-	Replicas []ReplicaStatus `json:"replicas"`
+	Drift quality.DriftStats
+	// Replicas holds the serving generation's one row.
+	Replicas []ReplicaStatus
 }
 
-// ReplicaStatus is one replica's row in InfStatus. Its counters (served,
-// shed, cache hits/misses/evictions) are per-generation: a model swap
-// replaces every replica, and the new rows start from zero. The fleet totals
-// on /stats and /metrics are separate monotonic counters in the Metrics hub
-// and do not restart.
+// ReplicaStatus is the serving generation's row in InfStatus (ID is always
+// 0). Its counters (served, shed, cache hits/misses/evictions) are
+// per-generation: a model swap replaces the row, and the new one starts from
+// zero. The totals on /stats and /metrics are separate monotonic counters in
+// the Metrics hub and do not restart.
 type ReplicaStatus struct {
 	ID             int      `json:"id"`
 	Generation     uint64   `json:"generation"`
@@ -85,38 +78,20 @@ type ReplicaStatus struct {
 	HealthValue int `json:"-"`
 }
 
-// faultGate serializes draws on the shared chaos injector (fault.Injector is
-// not synchronized and replicas fire it concurrently) and lets tests clear
-// the injector on a live server.
+// faultGate serializes draws on the chaos injector (fault.Injector is not
+// synchronized and requests fire it concurrently) and lets tests clear the
+// injector on a live server.
 type faultGate struct {
 	mu  sync.Mutex
 	inj *fault.Injector
 }
 
-// fireModel draws the model-path fault decision for one replica: the shared
-// Serve site plus the replica-targeted Replica site. Both streams always draw
-// (no short-circuit), so enabling one site never shifts the other's
-// deterministic sequence.
-func (g *faultGate) fireModel(id int) bool {
+// fire draws the model-path fault decision for one request at the Serve
+// site.
+func (g *faultGate) fire() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.inj == nil {
-		return false
-	}
-	s := g.inj.Fire(fault.Serve)
-	r := g.inj.FireReplica(id)
-	return s || r
-}
-
-// fireReplica draws only the replica-targeted site — the hook Pool.Swap uses
-// to fail a chosen replica's standby build during a swap.
-func (g *faultGate) fireReplica(id int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.inj == nil {
-		return false
-	}
-	return g.inj.FireReplica(id)
+	return g.inj.Fire(fault.Serve)
 }
 
 func (g *faultGate) set(inj *fault.Injector) {
@@ -129,8 +104,8 @@ func (g *faultGate) set(inj *fault.Injector) {
 // generation before it starts taking traffic.
 const warmSetSize = 8
 
-// warmEntry is one recently served plan: the routing fingerprint plus enough
-// of the request to re-run it through a fresh instance.
+// warmEntry is one recently served plan: its fingerprint plus enough of the
+// request to re-run it through a fresh generation.
 type warmEntry struct {
 	fp   uint64
 	q    plan.Query

@@ -71,12 +71,11 @@ type Metrics struct {
 	sheds    atomic.Uint64 // requests answered 503 overloaded
 	timeouts atomic.Uint64 // inferences that blew the request timeout
 
-	// Fleet totals with no obs.Kind of their own. They live here, not on the
-	// replicas, so they survive a model swap; every other fleet fact
-	// (failovers, prediction-cache outcomes, feedback, drift transitions) is
-	// its events counter and nothing else.
-	replicaSheds atomic.Uint64 // admissions refused at a replica's work queue
-	driftEvals   atomic.Uint64 // drift-monitor evaluations across generations
+	// A total with no obs.Kind of its own. It lives here, not on the
+	// generation, so it survives a model swap; every other such fact
+	// (prediction-cache outcomes, feedback, drift transitions) is its events
+	// counter and nothing else.
+	driftEvals atomic.Uint64 // drift-monitor evaluations across generations
 
 	events *obs.AtomicCounters // system + replay event totals
 
@@ -168,8 +167,8 @@ func (m *Metrics) observePrediction(pages int, fallback bool) {
 }
 
 // Record implements obs.Recorder: the hub is the serving tier's one stamp
-// point. Every event of the tier — prediction-cache outcomes, replica health,
-// failovers, drift transitions, scored feedback — is counted once here; with a
+// point. Every event of the tier — prediction-cache outcomes, model health,
+// drift transitions, scored feedback — is counted once here; with a
 // tracer attached it is also stamped with the hub clock's epoch-relative
 // reading and forwarded, and the tracer's table decides whether it shows as a
 // mark. One nil-check when no tracer is attached.

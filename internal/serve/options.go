@@ -7,7 +7,7 @@ import (
 	"github.com/pythia-db/pythia/internal/fault"
 )
 
-// Options are the server's resilience and topology knobs. The zero value of
+// Options are the server's resilience knobs. The zero value of
 // each field selects its default, and a negative value is rejected by
 // Normalize — except CacheEntries, the one field with an off-switch. New
 // normalizes for you.
@@ -19,50 +19,37 @@ type Options struct {
 	// 1 MiB.
 	MaxBodyBytes int64
 	// Fault, when non-nil, injects transient model errors at the injector's
-	// Serve and Replica sites — the deterministic chaos hook the failure-ladder
-	// tests and drills run against. Shared across replicas under one lock.
+	// Serve site — the deterministic chaos hook the failure-ladder tests and
+	// drills run against.
 	Fault *fault.Injector
-	// CacheEntries bounds each replica's plan-fingerprint prediction cache;
-	// identical plans answer from it without running inference. Default 4096
-	// entries per replica; negative disables caching.
+	// CacheEntries bounds the plan-fingerprint prediction cache; identical
+	// plans answer from it without running inference. Default 4096 entries;
+	// negative disables caching.
 	CacheEntries int
-	// Replicas is the number of independent model replicas behind the
-	// consistent-hash router, at most maxReplicas. 1 (the default) is a
-	// one-node ring over the trained system itself; N > 1 snapshots it and
-	// decodes N-1 clones, each with its own cache, queue and health. One
-	// replica already runs concurrent forward passes in parallel.
-	Replicas int
-	// QueueDepth bounds each replica's concurrently admitted requests — the
-	// serving tier's one admission point. A request every candidate replica
-	// refuses is shed with 503 + Retry-After instead of queueing behind a busy
-	// model. Default 32 per replica.
+	// QueueDepth bounds the concurrently admitted requests — the serving
+	// tier's one admission point. A request the full queue refuses is shed
+	// with 503 + Retry-After instead of queueing behind a busy model. Default
+	// 32.
 	QueueDepth int
 	// SnapshotPath is the default snapshot file for POST /v1/admin/reload
 	// and SIGHUP reloads (a pythia.System.Save bundle). Empty means reloads
 	// must name a path explicitly.
 	SnapshotPath string
-	// QuarantineBackoff is the initial delay before a quarantined replica is
+	// QuarantineBackoff is the initial delay before a quarantined model is
 	// probed; each failed probe doubles it (capped at 16×). Default 1s. The
 	// rest of the failure ladder's shape is constants in health.go.
 	QuarantineBackoff time.Duration
 }
 
-// maxReplicas bounds Options.Replicas: the ring walk marks the replicas it
-// has seen in one 64-bit mask.
-const maxReplicas = 64
-
 // Normalize resolves zero fields to their defaults and rejects negative ones
-// (CacheEntries excepted: negative means no cache and is kept as given) and
-// more than maxReplicas replicas. It is what New applies; callers that want
+// (CacheEntries excepted: negative means no cache and is kept as given). It
+// is what New applies; callers that want
 // to fail before building a server (pythia-serve, before it trains) call it
 // themselves first. Idempotent.
 func (o Options) Normalize() (Options, error) {
-	if o.RequestTimeout < 0 || o.MaxBodyBytes < 0 || o.Replicas < 0 || o.QueueDepth < 0 || o.QuarantineBackoff < 0 {
-		return o, fmt.Errorf("serve: negative option (RequestTimeout %s, MaxBodyBytes %d, Replicas %d, QueueDepth %d, QuarantineBackoff %s): 0 selects the default, and only CacheEntries has an off-switch",
-			o.RequestTimeout, o.MaxBodyBytes, o.Replicas, o.QueueDepth, o.QuarantineBackoff)
-	}
-	if o.Replicas > maxReplicas {
-		return o, fmt.Errorf("serve: %d replicas, at most %d", o.Replicas, maxReplicas)
+	if o.RequestTimeout < 0 || o.MaxBodyBytes < 0 || o.QueueDepth < 0 || o.QuarantineBackoff < 0 {
+		return o, fmt.Errorf("serve: negative option (RequestTimeout %s, MaxBodyBytes %d, QueueDepth %d, QuarantineBackoff %s): 0 selects the default, and only CacheEntries has an off-switch",
+			o.RequestTimeout, o.MaxBodyBytes, o.QueueDepth, o.QuarantineBackoff)
 	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 5 * time.Second
@@ -72,9 +59,6 @@ func (o Options) Normalize() (Options, error) {
 	}
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 4096
-	}
-	if o.Replicas == 0 {
-		o.Replicas = 1
 	}
 	if o.QueueDepth == 0 {
 		o.QueueDepth = 32

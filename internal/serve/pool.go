@@ -1,32 +1,19 @@
 package serve
 
-// The replica pool is the serving tier's one model tier. One trained
-// pythia.System is snapshotted (pythia.System.Save) and decoded into N
-// independent clones, each wrapped in an instance with its own prediction
-// cache, health tracker, and bounded work queue; N=1 is a
-// one-node ring over the original system, no snapshot taken. A request is
-// matched once on the routing replica, fingerprinted once by its encoded
-// plan (the key both the ring and the prediction cache use), and routed
-// through a consistent-hash ring to the replica that owns that fingerprint.
+// The pool is the serving tier's model tier: one generation at a time, each
+// one trained pythia.System with one prediction cache, one health ladder, one
+// bounded work queue and one drift monitor. One trunk already runs concurrent
+// forward passes, so a second in-process copy of the same weights would add
+// cache and queue capacity — both of which are options — and no cores.
 //
-// Why route by plan hash instead of round-robin: templated workloads
-// collapse to few distinct plans, so replica-affine routing means each
-// distinct plan's cached prediction lives on exactly one replica — the
-// pool's aggregate cache holds N shards of the hot set, not N copies of it —
-// and a cache miss for a given plan always recomputes on the replica that
-// will field that plan's future hits. Forward passes run concurrently on
-// one replica's trunk as well as across replicas, so replicas add cache
-// shards, failover targets and fault isolation rather than cores.
-//
-// A model swap builds a complete standby generation (N fresh clones from the
-// new snapshot), warms it on recently served plans, and swings one atomic
-// pointer. Requests in flight keep the generation pointer they loaded, so
-// every request runs against exactly one coherent generation — there is no
-// torn state to observe — and the superseded generation is collected once
-// its last request returns.
+// A model swap builds a complete standby generation from a snapshot, warms
+// its cache on recently served plans, and swings one atomic pointer.
+// Requests in flight keep the generation pointer they loaded, so every
+// request runs against exactly one coherent generation — there is no torn
+// state to observe — and the superseded generation is collected once its last
+// request returns.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -39,22 +26,34 @@ import (
 	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/quality"
+	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// generation is one immutable serving configuration: N instances, the ring
-// that routes over them, and the generation's one drift monitor. Predict loads
-// it once and uses only it, so a concurrent Swap can never hand a request
-// instances from two generations.
+// generation is one immutable serving configuration: a trained system and
+// the books that live and die with it. Predict loads it once and uses only
+// it, so a concurrent Swap can never hand a request parts of two generations.
 type generation struct {
-	id        uint64
-	instances []*instance
-	ring      *hashRing
+	id  uint64
+	sys *corepythia.System
+
+	// cache is the inference fast path; nil when caching is off.
+	cache *predCache
+
+	// health is the failure ladder (see health.go): while it reads
+	// quarantined the model path is skipped, except for backoff-gated probes.
+	health *health
+
+	// queue bounds concurrently admitted requests; its length is the
+	// in-flight count. A full queue sheds instead of queueing unboundedly
+	// behind a slow inference.
+	queue chan struct{}
+
+	served atomic.Uint64
+	shed   atomic.Uint64
 
 	// drift compares the live plan stream against the training baseline the
-	// generation's snapshot carries; every replica clones that one snapshot,
-	// so there is one baseline and one monitor, not one per replica. Nil when
-	// the snapshot has no baseline (drift detection off). driftMu serializes
-	// it.
+	// generation's snapshot carries. Nil when the snapshot has no baseline
+	// (drift detection off). driftMu serializes it.
 	driftMu sync.Mutex
 	drift   *quality.Monitor
 }
@@ -67,16 +66,21 @@ type generation struct {
 // quadruples the decayed live sample each PSI reading is computed from.
 const serveDriftEvalEvery = 64
 
-func newGeneration(id uint64, instances []*instance, ring *hashRing) *generation {
-	return &generation{id: id, instances: instances, ring: ring,
-		drift: quality.NewMonitor(instances[0].sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery})}
+func newGeneration(id uint64, sys *corepythia.System, metrics *Metrics, opts Options) *generation {
+	g := &generation{id: id, sys: sys,
+		health: newHealth(opts.QuarantineBackoff, metrics),
+		queue:  make(chan struct{}, opts.QueueDepth),
+		drift:  quality.NewMonitor(sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery})}
+	if opts.CacheEntries > 0 {
+		g.cache = newPredCache(opts.CacheEntries, metrics)
+	}
+	return g
 }
 
 // observeDrift folds one request's plan into the generation's live profile
 // and records the evaluation and any state transition. Pool.Predict calls it
 // once per request before matching: unmatched plans are exactly the shift
-// drift detection exists to catch, and a request that fails over across
-// replicas is still one plan of the live stream.
+// drift detection exists to catch.
 func (g *generation) observeDrift(root *plan.Node, m *Metrics) {
 	if g.drift == nil {
 		return
@@ -93,7 +97,33 @@ func (g *generation) observeDrift(root *plan.Node, m *Metrics) {
 	}
 }
 
-// Pool is the serving tier's model tier: N replicas behind one ring.
+// status reports the generation's row for InfStatus.
+func (g *generation) status() ReplicaStatus {
+	st := ReplicaStatus{
+		Generation:  g.id,
+		Served:      g.served.Load(),
+		Shed:        g.shed.Load(),
+		InFlight:    int64(len(g.queue)),
+		QueueDepth:  cap(g.queue),
+		Health:      g.health.State(),
+		HealthValue: g.health.stateValue(),
+		Workloads:   workloadNames(g.sys),
+	}
+	for _, tw := range g.sys.Workloads() {
+		st.Params += tw.Pred.ParamCount()
+	}
+	if g.cache != nil {
+		st.CacheEntries = g.cache.len()
+		st.CacheCapacity = g.cache.capacity()
+		st.CacheHits = g.cache.hits.Load()
+		st.CacheMisses = g.cache.misses.Load()
+		st.CacheEvictions = g.cache.evictions.Load()
+	}
+	return st
+}
+
+// Pool is the serving tier's model tier: the serving generation and what
+// outlives it (the fault gate, the warm set, the swap count).
 type Pool struct {
 	db      *catalog.Database
 	metrics *Metrics
@@ -106,197 +136,176 @@ type Pool struct {
 	swaps  atomic.Uint64
 }
 
-// newPool builds a pool of opts.Replicas independent replicas over a trained
-// system. Past one replica the system is snapshotted once and decoded
-// opts.Replicas-1 times (replica 0 serves the original), so construction cost
-// scales with model size, not training time. opts are already normalized;
-// opts.Fault arms the fault gate every replica of every generation shares.
-func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Options) (*Pool, error) {
-	fgate := &faultGate{inj: opts.Fault}
-	p := &Pool{db: db, metrics: metrics, opts: opts, fgate: fgate, warm: newWarmer()}
-	var snap bytes.Buffer
-	if opts.Replicas > 1 {
-		if err := sys.Save(&snap); err != nil {
-			return nil, fmt.Errorf("serve: snapshotting system for replication: %w", err)
-		}
-	}
-	instances := make([]*instance, opts.Replicas)
-	instances[0] = newInstance(0, 1, sys, metrics, fgate, opts)
-	for i := 1; i < opts.Replicas; i++ {
-		clone, err := corepythia.LoadSystem(db, sys.Config(), bytes.NewReader(snap.Bytes()))
-		if err != nil {
-			return nil, fmt.Errorf("serve: cloning replica %d: %w", i, err)
-		}
-		instances[i] = newInstance(i, 1, clone, metrics, fgate, opts)
-	}
-	p.cur.Store(newGeneration(1, instances, newRing(opts.Replicas)))
-	return p, nil
+// newPool serves a trained system as generation 1. opts are already
+// normalized; opts.Fault arms the fault gate every generation shares.
+func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Options) *Pool {
+	p := &Pool{db: db, metrics: metrics, opts: opts, fgate: &faultGate{inj: opts.Fault}, warm: newWarmer()}
+	p.cur.Store(newGeneration(1, sys, metrics, opts))
+	return p
 }
 
-// failoverable reports whether a replica error is one routing may move past:
-// saturation and injected model faults are properties of the replica, so a
-// ring successor can still answer. Context errors are properties of the
-// request (the budget is spent either way) and propagate unchanged.
-func failoverable(err error) bool {
-	return errors.Is(err, ErrSaturated) || errors.Is(err, errModelFault)
-}
-
-// Predict walks the serving tier's one failure ladder: shed → failover →
-// quarantine → cached-or-degraded fallback → probe → recover. It feeds the
-// plan to the generation's drift monitor, matches the query once on the
-// routing replica, encodes and fingerprints its plan once (replicas of a
-// generation decode one snapshot, so the router's token IDs are every
-// replica's), routes the fingerprint through the ring, and answers on the
-// owning replica with those IDs — or, when the owner is quarantined,
-// saturated, or faulting, fails over to up to maxFailovers ring successors
-// (each hop recorded as a failover).
-//
-// Admission is lazy: a candidate's health is consulted only when the walk
-// reaches it, so a request the owner answers never touches a successor.
-// Quarantined replicas are skipped, except that a quarantined candidate whose
-// probe backoff has elapsed is admitted one probe request; if the probe
-// fails, the request still fails over, so probing costs the client nothing
-// while any other candidate is live. When no candidate's model path may be
-// tried, a plan the owner has cached still answers from that cache, and
-// anything else answers the degraded fallback rather than an error —
-// prefetching is advisory, so degraded beats unavailable.
+// Predict walks the serving tier's one failure ladder: shed → quarantine →
+// cached-or-degraded fallback → probe → recover. It feeds the plan to the
+// generation's drift monitor, matches the query once, encodes and
+// fingerprints its plan once, and — unless the generation is quarantined with
+// no probe due — answers on the model path with those IDs. While quarantined,
+// a cached plan still answers from the cache and anything else answers the
+// degraded fallback: prefetching is advisory, so degraded beats unavailable.
 func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Prediction, error) {
 	gen := p.cur.Load()
 	gen.observeDrift(root, p.metrics)
-	tw := gen.instances[0].sys.Match(q)
+	tw := gen.sys.Match(q)
 	if tw == nil {
-		return Prediction{Fallback: true, Replica: -1, Generation: gen.id}, nil
+		return Prediction{Fallback: true, Generation: gen.id}, nil
 	}
 	ids := tw.Pred.EncodePlan(root)
 	fp := fingerprint(tw.Name, ids)
 	if p.opts.CacheEntries > 0 {
 		p.warm.note(fp, q, root)
 	}
-	var obuf [maxFailovers + 1]int
-	order := gen.ring.lookupN(fp, obuf[:0], len(obuf))
-
-	var pred Prediction
-	var err error
-	// hops counts the candidates moved past since the last one tried —
-	// quarantined skips plus that candidate's own failed attempt — and is
-	// recorded as failovers only when a later candidate is actually tried.
-	hops, tried := 0, false
-	for _, idx := range order {
-		ins := gen.instances[idx]
-		if ins.health.serving() || ins.health.allowProbe() {
-			p.noteFailovers(hops)
-			hops, tried = 0, true
-			pred, err = ins.predict(ctx, q, root, ids, fp)
-			if err == nil || !failoverable(err) {
-				return pred, err
-			}
-		}
-		hops++
+	if gen.health.serving() || gen.health.allowProbe() {
+		return p.predict(ctx, gen, tw, root, ids, fp)
 	}
-	if !tried {
-		owner := gen.instances[order[0]]
-		if pages, hit := owner.cache.get(fp); hit {
-			return Prediction{Workload: tw.Name, Cached: true, Pages: pages, Replica: owner.id, Generation: gen.id}, nil
-		}
-		return Prediction{Fallback: true, Degraded: "no_healthy_replica", Replica: -1, Generation: gen.id}, nil
+	if pages, hit := gen.cache.get(fp); hit {
+		return Prediction{Workload: tw.Name, Cached: true, Pages: pages, Generation: gen.id}, nil
 	}
-	return pred, err
+	return Prediction{Fallback: true, Degraded: "no_healthy_replica", Generation: gen.id}, nil
 }
 
-// noteFailovers records n failover hops: the obs.ReplicaFailover total is the
-// fleet's one failover count.
-func (p *Pool) noteFailovers(n int) {
-	for i := 0; i < n; i++ {
-		p.metrics.Record(obs.Event{Kind: obs.ReplicaFailover, Query: obs.NoQuery})
+// predict runs the model path for one planned query Predict has already
+// matched (tw), encoded (ids), fingerprinted (fp keys the prediction cache)
+// and admitted past the health gate.
+//
+// Stage order: bounded-queue admission → prediction cache → fault injection
+// → inference → cache fill. An injected model fault records a health failure
+// and answers the degraded fallback: the cache was consulted first, so there
+// is no cached answer to give.
+func (p *Pool) predict(ctx context.Context, gen *generation, tw *corepythia.Trained, root *plan.Node, ids []int, fp uint64) (Prediction, error) {
+	pred := Prediction{Workload: tw.Name, Generation: gen.id}
+	select {
+	case gen.queue <- struct{}{}:
+		defer func() { <-gen.queue }()
+	default:
+		// An admission shed counts as a health failure: a model that cannot
+		// accept its traffic is unhealthy, whatever the cause.
+		gen.shed.Add(1)
+		gen.health.failure()
+		return pred, ErrSaturated
+	}
+	defer gen.served.Add(1)
+
+	// A hit performs zero inference and cannot fail, so it is checked before
+	// the fault hook.
+	if pages, hit := gen.cache.get(fp); hit {
+		gen.health.cacheHit()
+		pred.Cached = true
+		pred.Pages = pages
+		return pred, nil
+	}
+	if p.fgate.fire() {
+		gen.health.failure()
+		return Prediction{Fallback: true, Degraded: "model_error", Generation: gen.id}, nil
+	}
+	pages, err := p.infer(ctx, gen, tw, root, ids)
+	if err != nil {
+		return pred, err
+	}
+	if gen.cache != nil {
+		// Only successful inferences populate the cache; faulted or
+		// timed-out requests never do, so the cache cannot serve poison.
+		gen.cache.put(fp, pages, true)
+	}
+	pred.Pages = pages
+	return pred, nil
+}
+
+// infer runs the miss (inference) path: one Predictor.Predict per request. The
+// slow step runs off the caller's goroutine so a disconnected client (or an
+// expired budget) aborts the wait, not the work. Context errors come back
+// verbatim for the Server to map to 504/499.
+func (p *Pool) infer(ctx context.Context, gen *generation, tw *corepythia.Trained, root *plan.Node, ids []int) ([]storage.PageID, error) {
+	done := make(chan []storage.PageID, 1)
+	//pythia:goleak-ok one-shot inference; done is buffered so the sender exits even when the select below took the ctx branch
+	go func() { done <- tw.Pred.Predict(root, ids) }()
+	select {
+	case pages := <-done:
+		gen.health.success()
+		p.metrics.Record(obs.Event{Kind: obs.InferenceRun, Query: obs.NoQuery})
+		return gen.sys.LimitPrefetch(pages), nil
+	case <-ctx.Done():
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			// A deadline miss is a model-path failure; a canceled request
+			// (client gone) says nothing about the model and records
+			// neither way.
+			p.metrics.timeouts.Add(1)
+			gen.health.failure()
+		}
+		return nil, ctx.Err()
 	}
 }
 
-// Workloads returns the routing replica's trained workloads (every replica
-// holds an identical inventory).
+// Workloads returns the serving generation's trained workloads.
 func (p *Pool) Workloads() []*corepythia.Trained {
-	return p.cur.Load().instances[0].sys.Workloads()
+	return p.cur.Load().sys.Workloads()
 }
 
-// Status reports the pool topology: the current generation's drift monitor
-// and one row per replica (the rows' counters restart with each generation;
-// see ReplicaStatus).
+// Status reports the serving generation: its drift monitor and its one row
+// (the row's counters restart with each generation; see ReplicaStatus).
 func (p *Pool) Status() InfStatus {
 	gen := p.cur.Load()
 	gen.driftMu.Lock()
 	st := InfStatus{Generation: gen.id, Swaps: p.swaps.Load(), Drift: gen.drift.Stats()}
 	gen.driftMu.Unlock()
-	for _, ins := range gen.instances {
-		st.Replicas = append(st.Replicas, ins.status())
-	}
+	st.Replicas = []ReplicaStatus{gen.status()}
 	return st
 }
 
-// BaselineID reports the serving generation's drift-baseline identity (every
-// replica decodes the same snapshot, so the routing replica's answers for
-// all).
+// BaselineID reports the serving generation's drift-baseline identity.
 func (p *Pool) BaselineID() *corepythia.BaselineID {
-	return p.cur.Load().instances[0].sys.BaselineID()
+	return p.cur.Load().sys.BaselineID()
 }
 
-// Swap loads a snapshot into a complete standby generation (one fresh clone
-// per replica), warms it on recently served plans, and atomically makes it
-// the serving generation. Requests in flight complete on the generation that
-// admitted them; a request observes exactly one generation end to end, never
-// a mix.
+// Swap loads a snapshot into a standby generation, warms it on recently
+// served plans, and atomically makes it the serving generation. Requests in
+// flight complete on the generation that admitted them; a request observes
+// exactly one generation end to end, never a mix.
 //
-// The swap is transactional: if any replica fails to build its standby —
-// a corrupt or truncated snapshot (pythia.ErrSnapshotCorrupt), a version
-// mismatch, or an injected replica build fault — the partial standby is
-// dropped and the old generation keeps serving, untouched. The serving
-// pointer only ever swings to a complete generation.
+// The swap is transactional: a corrupt or truncated snapshot
+// (pythia.ErrSnapshotCorrupt), a version mismatch or an untrained one leaves
+// the old generation serving, untouched. The serving pointer only ever swings
+// to a complete generation.
 func (p *Pool) Swap(r io.Reader) error {
 	p.swapMu.Lock()
 	defer p.swapMu.Unlock()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("serve: reading snapshot: %w", err)
-	}
 	old := p.cur.Load()
-	cfg := old.instances[0].sys.Config()
-	genID := old.id + 1
-	instances := make([]*instance, len(old.instances))
-	for i := range instances {
-		if p.fgate.fireReplica(i) {
-			return fmt.Errorf("serve: building standby replica %d: %w", i, errModelFault)
-		}
-		sys, err := corepythia.LoadSystem(p.db, cfg, bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("serve: loading snapshot into replica %d: %w", i, err)
-		}
-		if i == 0 && len(sys.Workloads()) == 0 {
-			return errors.New("serve: snapshot contains no trained workloads")
-		}
-		instances[i] = newInstance(i, genID, sys, p.metrics, p.fgate, p.opts)
+	sys, err := corepythia.LoadSystem(p.db, old.sys.Config(), r)
+	if err != nil {
+		return fmt.Errorf("serve: loading snapshot: %w", err)
 	}
-	next := newGeneration(genID, instances, old.ring)
+	if len(sys.Workloads()) == 0 {
+		return errors.New("serve: snapshot contains no trained workloads")
+	}
+	next := newGeneration(old.id+1, sys, p.metrics, p.opts)
 	p.warmUp(next)
 	p.cur.Store(next)
 	p.swaps.Add(1)
 	return nil
 }
 
-// warmUp fills a standby generation's prediction caches from the warm set
+// warmUp fills a standby generation's prediction cache from the warm set
 // before it takes traffic. Each recorded plan is fingerprinted against the new
-// models (a new snapshot may encode the same plan differently), predicted by
-// the standby, and stored in the cache of the replica that will own it. It is
-// a cache fill, not a request: no admission, fault draw, health outcome,
-// drift observation or counter, and no entry displaced, so a swap moves no
-// books. The warm set is empty when caching is off.
+// models (a new snapshot may encode the same plan differently) and predicted
+// by the standby. It is a cache fill, not a request: no admission, fault
+// draw, health outcome, drift observation or counter, and no entry displaced,
+// so a swap moves no books. The warm set is empty when caching is off.
 func (p *Pool) warmUp(next *generation) {
-	router := next.instances[0]
 	for _, e := range p.warm.snapshot() {
-		tw := router.sys.Lookup(e.q)
+		tw := next.sys.Lookup(e.q)
 		if tw == nil {
 			continue
 		}
 		ids := tw.Pred.EncodePlan(e.root)
-		fp := fingerprint(tw.Name, ids)
 		pages := tw.Pred.Predict(e.root, ids)
-		next.instances[next.ring.lookup(fp)].cache.put(fp, pages[:min(len(pages), router.sys.PrefetchBudget())], false)
+		next.cache.put(fingerprint(tw.Name, ids), pages[:min(len(pages), next.sys.PrefetchBudget())], false)
 	}
 }

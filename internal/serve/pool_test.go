@@ -22,7 +22,7 @@ import (
 )
 
 // expectedPages computes the reference answer a system gives for one planned
-// query — the pages any replica cloned from that system must serve.
+// query — the pages a generation serving that system must answer.
 func expectedPages(t *testing.T, srv *Server, sys *corepythia.System, q plan.Query, root *plan.Node) []pageJSON {
 	t.Helper()
 	tw := sys.Lookup(q)
@@ -34,92 +34,7 @@ func expectedPages(t *testing.T, srv *Server, sys *corepythia.System, q plan.Que
 	return resp.Pages
 }
 
-// TestPoolCacheAffinity: with consistent-hash routing, each distinct plan is
-// owned by exactly one replica — the pool's aggregate cache holds one entry
-// per plan, not one per (plan, replica) — and repeats land on the owner as
-// cache hits.
-func TestPoolCacheAffinity(t *testing.T) {
-	base, w := testServer(t)
-	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 3})
-	insts := distinctInstances(t, srv, w, 6)
-
-	owner := map[int]int{}
-	for _, i := range insts {
-		first := predictOK(t, srv, w, i)
-		if first.Cached {
-			t.Fatalf("instance %d: first request claims a cache hit", i)
-		}
-		owner[i] = first.Replica
-	}
-	for _, i := range insts {
-		again := predictOK(t, srv, w, i)
-		if !again.Cached {
-			t.Fatalf("instance %d: repeat was not a cache hit", i)
-		}
-		if again.Replica != owner[i] {
-			t.Fatalf("instance %d: routed to replica %d then %d — no affinity", i, owner[i], again.Replica)
-		}
-	}
-
-	st := srv.pool.Status()
-	if len(st.Replicas) != 3 {
-		t.Fatalf("status reports %d replicas, want 3", len(st.Replicas))
-	}
-	total := 0
-	for _, r := range st.Replicas {
-		total += r.CacheEntries
-	}
-	if total != len(insts) {
-		t.Fatalf("pool holds %d cache entries for %d distinct plans — affinity should shard, not duplicate", total, len(insts))
-	}
-}
-
-// TestReplicaCountDoesNotChangeAnswers: one replica is a one-node pool, so the
-// same request sequence — misses, repeats, and an unmatched plan — yields the
-// same pages, workload, fallback and cached flags at Replicas 1 and 3.
-func TestReplicaCountDoesNotChangeAnswers(t *testing.T) {
-	base, w := testServer(t)
-	insts := distinctInstances(t, base, w, 4)
-	var bodies []string
-	for _, i := range append(insts, insts...) {
-		bodies = append(bodies, specBody(t, spec.FromQuery(w.Instances[i].Query)).String())
-	}
-	bodies = append(bodies, `{"fact":"inventory"}`)
-
-	type answer struct {
-		Workload string
-		Fallback bool
-		Cached   bool
-		Pages    []pageJSON
-	}
-	run := func(replicas int) []answer {
-		srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: replicas})
-		var out []answer
-		for k, body := range bodies {
-			rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(body))
-			if rr.Code != http.StatusOK {
-				t.Fatalf("replicas=%d request %d: status %d: %s", replicas, k, rr.Code, rr.Body.String())
-			}
-			var resp predictResponse
-			if err := json.NewDecoder(rr.Body).Decode(&resp); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, answer{resp.Workload, resp.Fallback, resp.Cached, resp.Pages})
-		}
-		return out
-	}
-	one, three := run(1), run(3)
-	for k := range bodies {
-		if !reflect.DeepEqual(one[k], three[k]) {
-			t.Errorf("request %d: replicas=1 answered %+v, replicas=3 answered %+v", k, one[k], three[k])
-		}
-	}
-	if !one[len(insts)].Cached || one[0].Cached || !one[len(bodies)-1].Fallback {
-		t.Fatalf("sequence did not exercise miss, hit and fallback: %+v", one)
-	}
-}
-
-// TestSwapUnderLoad hammers a 2-replica pool with concurrent predictions
+// TestSwapUnderLoad hammers the pool with concurrent predictions
 // while the serving models are swapped to a differently trained generation.
 // Run under -race this is the zero-downtime pin: every request answers 200,
 // and every response's pages equal exactly the generation it reports — no
@@ -140,10 +55,9 @@ func TestSwapUnderLoad(t *testing.T) {
 	}
 
 	// Cache disabled so every request runs real inference through the serving
-	// generation's weights — the strongest torn-model probe. The queues are
+	// generation's weights — the strongest torn-model probe. The queue is
 	// deeper than the load is wide, so any non-200 is a real failure.
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{
-		Replicas:     2,
 		CacheEntries: -1,
 		QueueDepth:   1 << 10,
 	})
@@ -215,10 +129,8 @@ func TestSwapUnderLoad(t *testing.T) {
 	if st.Generation != 2 || st.Swaps != 1 {
 		t.Fatalf("after swap: generation=%d swaps=%d, want 2/1", st.Generation, st.Swaps)
 	}
-	for _, r := range st.Replicas {
-		if r.Generation != 2 {
-			t.Fatalf("replica %d still on generation %d", r.ID, r.Generation)
-		}
+	if r := st.Replicas[0]; r.Generation != 2 {
+		t.Fatalf("status row still on generation %d", r.Generation)
 	}
 	// Post-swap requests serve generation 2 only.
 	resp := predictOK(t, srv, w, probes[0])
@@ -231,7 +143,7 @@ func TestSwapUnderLoad(t *testing.T) {
 // generation serving untouched.
 func TestSwapRejectsBadSnapshot(t *testing.T) {
 	base, w := testServer(t)
-	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 2})
+	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{})
 
 	if err := srv.pool.Swap(strings.NewReader("not a snapshot")); err == nil {
 		t.Fatal("garbage snapshot did not error")
@@ -283,7 +195,7 @@ func TestAdminReloadHTTP(t *testing.T) {
 	if err := json.NewDecoder(rr.Body).Decode(&rel); err != nil {
 		t.Fatal(err)
 	}
-	if rel.Status != "ok" || rel.Generation != 2 || rel.Swaps != 1 || rel.Replicas != 1 || rel.Path != snap {
+	if rel.Status != "ok" || rel.Generation != 2 || rel.Swaps != 1 || rel.Path != snap {
 		t.Fatalf("reload response wrong: %+v", rel)
 	}
 
@@ -294,17 +206,13 @@ func TestAdminReloadHTTP(t *testing.T) {
 		t.Fatalf("explicit-path reload status %d: %s", rr.Code, rr.Body.String())
 	}
 
-	// Topology endpoint reflects the swaps.
-	rr = doRequest(t, srv, http.MethodGet, "/v1/admin/replicas", nil)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("replicas status %d", rr.Code)
-	}
-	var st InfStatus
-	if err := json.NewDecoder(rr.Body).Decode(&st); err != nil {
+	// /stats reflects the swaps.
+	var st statsResponse
+	if err := json.NewDecoder(doRequest(t, srv, http.MethodGet, "/stats", nil).Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Generation != 3 || st.Swaps != 2 || len(st.Replicas) != 1 {
-		t.Fatalf("replicas payload wrong: %+v", st)
+	if st.Generation != 3 || st.Swaps != 2 || len(st.Replicas) != 1 || st.Replicas[0].Generation != 3 {
+		t.Fatalf("/stats after two swaps: generation %d, swaps %d, rows %+v", st.Generation, st.Swaps, st.Replicas)
 	}
 	// Requests still answer after two live swaps.
 	if resp := predictOK(t, srv, w, 0); resp.Generation != 3 {
@@ -314,9 +222,6 @@ func TestAdminReloadHTTP(t *testing.T) {
 	// Method guards.
 	if rr := doRequest(t, srv, http.MethodGet, "/v1/admin/reload", nil); rr.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET reload status %d", rr.Code)
-	}
-	if rr := doRequest(t, srv, http.MethodPost, "/v1/admin/replicas", nil); rr.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST replicas status %d", rr.Code)
 	}
 	// Malformed body → typed 400.
 	rr = doRequest(t, srv, http.MethodPost, "/v1/admin/reload", strings.NewReader(`{"path":`))
@@ -363,7 +268,7 @@ func TestWritePredictError(t *testing.T) {
 		code   string
 	}{
 		{ErrSaturated, http.StatusServiceUnavailable, CodeOverloaded},
-		{fmt.Errorf("replica 2: %w", errModelFault), http.StatusInternalServerError, CodeModelError},
+		{fmt.Errorf("queue: %w", ErrSaturated), http.StatusServiceUnavailable, CodeOverloaded},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, CodeDeadline},
 		{context.Canceled, StatusClientClosedRequest, CodeClientGone},
 		{errors.New("anything else"), http.StatusInternalServerError, CodeModelError},
@@ -392,16 +297,15 @@ func TestWritePredictError(t *testing.T) {
 	}
 }
 
-// TestOptionsNormalize pins the eight fields' defaults, the one off-switch
-// (CacheEntries), the rejected negatives and replica counts past the ring's
-// 64, and idempotence.
+// TestOptionsNormalize pins the seven fields' defaults, the one off-switch
+// (CacheEntries), the rejected negatives, and idempotence.
 func TestOptionsNormalize(t *testing.T) {
 	norm, err := Options{}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := (Options{RequestTimeout: 5 * time.Second, MaxBodyBytes: 1 << 20, CacheEntries: 4096,
-		Replicas: 1, QueueDepth: 32, QuarantineBackoff: time.Second}); norm != want {
+		QueueDepth: 32, QuarantineBackoff: time.Second}); norm != want {
 		t.Fatalf("defaults %+v, want %+v", norm, want)
 	}
 	for entries, want := range map[int]int{-1: -1, 0: 4096, 7: 7} {
@@ -420,13 +324,8 @@ func TestOptionsNormalize(t *testing.T) {
 	invalid := []Options{
 		{RequestTimeout: -time.Second},
 		{MaxBodyBytes: -1},
-		{Replicas: -1},
-		{Replicas: 65},
 		{QueueDepth: -1},
 		{QuarantineBackoff: -time.Second},
-	}
-	if _, err := (Options{Replicas: maxReplicas}).Normalize(); err != nil {
-		t.Errorf("%d replicas rejected: %v", maxReplicas, err)
 	}
 	for i, o := range invalid {
 		if _, err := o.Normalize(); err == nil {
@@ -435,7 +334,7 @@ func TestOptionsNormalize(t *testing.T) {
 	}
 	// New surfaces the validation error instead of building a broken server.
 	base, _ := testServer(t)
-	if _, err := New(base.db, fixtureSys, nil, Options{Replicas: -3}); err == nil {
+	if _, err := New(base.db, fixtureSys, nil, Options{QueueDepth: -3}); err == nil {
 		t.Fatal("New accepted invalid options")
 	}
 }

@@ -10,16 +10,15 @@ import (
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// predCache is one replica's plan-fingerprint prediction cache: a bounded
+// predCache is a generation's plan-fingerprint prediction cache: a bounded
 // LRU from fingerprint (FNV-64a over the workload name and the serialized
 // plan's token IDs) to the predicted page set. DSB-style workloads draw
 // queries from a handful of templates, so under steady traffic most requests
 // repeat a recently seen plan — a hit skips the transformer entirely, turning
 // a multi-millisecond forward pass into a map lookup.
 //
-// Concurrency: one mutex guards the map and the list. The ring already
-// spreads the fleet's plans across replicas, and the lock is held for a map
-// lookup and two pointer splices — about 100 ns against a request of about
+// Concurrency: one mutex guards the map and the list. The lock is held for a
+// map lookup and two pointer splices — about 100 ns against a request of about
 // 100 µs — so sharding it further buys nothing. The cached page slices are
 // immutable once stored (the put path hands over a freshly built slice and
 // nothing writes through it afterwards), so get can return the slice itself
@@ -31,15 +30,15 @@ type predCache struct {
 	head    *pcEntry // most recently used
 	tail    *pcEntry // eviction candidate
 
-	// This cache's own outcomes: its replica's row on /v1/admin/replicas,
-	// gone with the generation that owns it.
+	// This cache's own outcomes: its generation's row on /stats, gone with
+	// the generation that owns it.
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 
 	// rec receives PredCacheHit / PredCacheMiss / PredCacheEvict: the hub's
-	// totals of those events are the fleet's prediction-cache counts on
-	// /metrics and /stats, across every cache of every generation.
+	// totals of those events are the prediction-cache counts on /metrics
+	// and /stats, across every cache of every generation.
 	rec obs.Recorder
 }
 
@@ -74,7 +73,7 @@ func fingerprint(workload string, ids []int) uint64 {
 // off) always misses. The hit path is the serving tier's fastest: one lock,
 // one map lookup, two pointer splices — no allocation, no inference. It
 // touches neither the model nor the health tracker, which is what lets the
-// pool keep answering cached plans from a quarantined replica.
+// pool keep answering cached plans from a quarantined model.
 //
 //pythia:noalloc
 func (c *predCache) get(key uint64) ([]storage.PageID, bool) {

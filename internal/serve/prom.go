@@ -39,11 +39,9 @@ func writePrometheus(w io.Writer, s *statsResponse) {
 }
 
 // families is the one table of everything /metrics prints, filled from one
-// snapshot. Fleet-wide values carry no per-replica labels, so the exposition
-// shape is independent of -replicas (per-replica rows live on
-// /v1/admin/replicas); the prediction-cache and quality families render
-// zeros when the cache is off or no feedback has arrived, so the shape is
-// independent of configuration and traffic too.
+// snapshot. The prediction-cache and quality families render zeros when the
+// cache is off or no feedback has arrived, so the exposition's shape is
+// independent of configuration and traffic.
 func families(s *statsResponse) []family {
 	var requests, latency, events []sample
 	for _, r := range s.Requests {
@@ -78,29 +76,26 @@ func families(s *statsResponse) []family {
 		{"pythia_buffer_hit_ratio", gauge, "Buffer pool hit ratio over recorded events.", one(s.BufferHitRatio)},
 		{"pythia_oscache_hit_ratio", gauge, "OS page cache hit ratio over recorded events.", one(s.OSHitRatio)},
 		{"pythia_workloads", gauge, "Trained workloads loaded in the server.", one(s.Workloads)},
-		{"pythia_model_params", gauge, "Total trained model parameters (one replica).", one(s.ModelParams)},
-		{"pythia_replicas", gauge, "Model replicas in the serving generation.", one(len(s.Replicas))},
+		{"pythia_model_params", gauge, "Total trained model parameters.", one(s.ModelParams)},
 		{"pythia_model_generation", gauge, "Serving model generation (increments on reload).", one(s.Generation)},
 		{"pythia_model_swaps_total", counter, "Completed zero-downtime model swaps.", one(s.Swaps)},
-		{"pythia_replica_sheds_total", counter, "Requests shed at a replica's bounded work queue.", one(s.ReplicaSheds)},
 		{"pythia_requests_shed_total", counter, "Requests answered 503 overloaded.", one(s.Shed)},
 		{"pythia_inference_timeouts_total", counter, "Inferences that exceeded the request timeout.", one(s.Timeouts)},
-		{"pythia_replica_failovers_total", counter, "Requests rerouted past an unhealthy, saturated, or faulting replica to a ring successor.", one(s.Failovers)},
 		{"pythia_predcache_hits_total", counter, "Prediction-cache hits (requests answered with zero inference).", one(s.FleetCache.Hits)},
 		{"pythia_predcache_misses_total", counter, "Prediction-cache misses (inference ran).", one(s.FleetCache.Misses)},
 		{"pythia_predcache_evictions_total", counter, "Prediction-cache evictions at capacity.", one(s.FleetCache.Evictions)},
 		{"pythia_predcache_entries", gauge, "Prediction-cache resident entries.", one(s.FleetCache.Entries)},
 		{"pythia_predcache_capacity", gauge, "Prediction-cache entry bound (0 = caching disabled).", one(s.FleetCache.Capacity)},
-		{"pythia_replica_health", gauge, "Worst replica health state (0=healthy, 1=degraded, 2=probation, 3=quarantined).", one(s.HealthValue)},
+		{"pythia_replica_health", gauge, "Model health state (0=healthy, 1=degraded, 2=probation, 3=quarantined).", one(s.HealthValue)},
 		{"pythia_quality_feedback_total", counter, "Predictions scored against executor ground truth via /v1/feedback.", one(s.Quality.Scored)},
 		{"pythia_quality_precision", gauge, "Windowed micro-averaged precision of scored predictions (0 = no data).", one(s.Quality.Precision)},
 		{"pythia_quality_recall", gauge, "Windowed micro-averaged recall of scored predictions (0 = no data).", one(s.Quality.Recall)},
-		{"pythia_drift_state", gauge, "Worst drift-detector state across replicas (0=ok, 1=warning, 2=alarm).", one(s.Drift.StateValue)},
-		{"pythia_drift_score", gauge, "Max live-vs-baseline divergence (PSI) across replicas at the last evaluation.", one(s.Drift.Score)},
-		{"pythia_drift_evaluations_total", counter, "Drift evaluations across replicas.", one(s.Drift.Evaluations)},
-		{"pythia_drift_warnings_total", counter, "Drift warning transitions across replicas.", one(s.Drift.Warnings)},
-		{"pythia_drift_alarms_total", counter, "Drift alarm transitions across replicas.", one(s.Drift.Alarms)},
-		{"pythia_drift_recoveries_total", counter, "Drift recoveries (alarm or warning back to ok) across replicas.", one(s.Drift.Recoveries)},
+		{"pythia_drift_state", gauge, "Drift-detector state (0=ok, 1=warning, 2=alarm).", one(s.Drift.StateValue)},
+		{"pythia_drift_score", gauge, "Live-vs-baseline divergence (PSI) at the last evaluation.", one(s.Drift.Score)},
+		{"pythia_drift_evaluations_total", counter, "Drift evaluations.", one(s.Drift.Evaluations)},
+		{"pythia_drift_warnings_total", counter, "Drift warning transitions.", one(s.Drift.Warnings)},
+		{"pythia_drift_alarms_total", counter, "Drift alarm transitions.", one(s.Drift.Alarms)},
+		{"pythia_drift_recoveries_total", counter, "Drift recoveries (alarm or warning back to ok).", one(s.Drift.Recoveries)},
 		{"pythia_draining", gauge, "Whether the server is draining for shutdown.", one(draining)},
 		{"pythia_uptime_seconds", gauge, "Seconds since the server started.", one(s.UptimeSeconds)},
 		{"pythia_build_info", gauge, "Build identity of the running binary (value is always 1).", []sample{

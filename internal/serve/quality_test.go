@@ -6,10 +6,10 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
-	"github.com/pythia-db/pythia/internal/plan"
 	"github.com/pythia-db/pythia/internal/spec"
 )
 
@@ -66,7 +66,7 @@ func TestFeedbackRoundTrip(t *testing.T) {
 	if want := float64(len(touched)) / float64(pred.PageCount); fb.Precision != want {
 		t.Fatalf("precision = %v, want %v", fb.Precision, want)
 	}
-	if fb.Workload != "t91" || fb.Replica != 0 {
+	if fb.Workload != "t91" {
 		t.Fatalf("feedback not attributed: %+v", fb)
 	}
 	if got := srv.metrics.events.Get(obs.QualityScored); got != before+1 {
@@ -163,60 +163,50 @@ func TestServeDriftMonitorOnTrainingMix(t *testing.T) {
 }
 
 // TestUnmatchedPlansFeedDrift: a run of plans no trained workload matches is
-// exactly the shift drift detection exists to catch, so it must reach a drift
-// monitor at any replica count — the pool answers those plans before routing.
+// exactly the shift drift detection exists to catch, so it must reach the
+// drift monitor — the pool observes a plan before it matches it.
 func TestUnmatchedPlansFeedDrift(t *testing.T) {
 	testServer(t)
-	for _, replicas := range []int{1, 2} {
-		srv := mustServer(t, fixtureSys.DB, fixtureSys, NewMetrics(nil), Options{Replicas: replicas})
-		for i := 0; i < 2*serveDriftEvalEvery; i++ {
-			rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(`{"fact":"inventory"}`))
-			if rr.Code != http.StatusOK {
-				t.Fatalf("replicas=%d: unmatched predict %d status %d: %s", replicas, i, rr.Code, rr.Body.String())
-			}
+	srv := mustServer(t, fixtureSys.DB, fixtureSys, NewMetrics(nil), Options{})
+	for i := 0; i < 2*serveDriftEvalEvery; i++ {
+		rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(`{"fact":"inventory"}`))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("unmatched predict %d status %d: %s", i, rr.Code, rr.Body.String())
 		}
-		var st statsResponse
-		if err := json.NewDecoder(doRequest(t, srv, http.MethodGet, "/stats", nil).Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Fallbacks != 2*serveDriftEvalEvery || st.Drift.Evaluations < 2 {
-			t.Errorf("replicas=%d: %d unmatched plans moved drift evaluations to %d, want >= 2",
-				replicas, st.Fallbacks, st.Drift.Evaluations)
-		}
+	}
+	var st statsResponse
+	if err := json.NewDecoder(doRequest(t, srv, http.MethodGet, "/stats", nil).Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Fallbacks != 2*serveDriftEvalEvery || st.Drift.Evaluations < 2 {
+		t.Errorf("%d unmatched plans moved drift evaluations to %d, want >= 2", st.Fallbacks, st.Drift.Evaluations)
 	}
 }
 
 // TestDriftObservedOncePerRequest: the generation's drift monitor sees each
-// request's plan once, however many replicas the request tries. The owner of
-// one plan faults on every inference, so each request fails over (and, once
-// the owner is quarantined, skips it). serveDriftEvalEvery−1 such requests
-// must leave the monitor one plan short of its first evaluation, and the next
-// request must complete it; counting per attempt would evaluate early.
+// request's plan once, whichever rung of the ladder answers it. Every
+// inference faults, so the requests answer the model_error fallback and, once
+// the model is quarantined, the no_healthy_replica one. serveDriftEvalEvery−1
+// such requests must leave the monitor one plan short of its first
+// evaluation, and the next request must complete it.
 func TestDriftObservedOncePerRequest(t *testing.T) {
-	base, w := testServer(t)
-	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 3, CacheEntries: -1})
+	srv, w := resilienceServer(t, Options{CacheEntries: -1, QuarantineBackoff: time.Hour})
 	evaluations := func() uint64 { return srv.pool.Status().Drift.Evaluations }
 
-	gen := srv.pool.cur.Load()
-	q := w.Instances[0].Query
-	root, err := plan.NewPlanner(srv.db).Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw := fixtureSys.Lookup(q)
-	target := gen.ring.lookup(fingerprint(tw.Name, tw.Pred.EncodePlan(root)))
-
-	srv.SetFault(fault.New(fault.Plan{ReplicaRate: 1, ReplicaIndex: target}, 7))
+	srv.SetFault(fault.New(fault.Plan{ServeRate: 1}, 7))
+	degraded := map[string]int{}
 	for i := 0; i < serveDriftEvalEvery-1; i++ {
-		if resp := predictOK(t, srv, w, 0); resp.Replica == target || resp.Fallback {
-			t.Fatalf("request %d: answered %+v, want a successor of faulted owner %d", i, resp, target)
+		resp := predictOK(t, srv, w, 0)
+		if !resp.Fallback {
+			t.Fatalf("request %d: answered %+v under a faulting model, want the fallback", i, resp)
 		}
+		degraded[resp.Degraded]++
 	}
-	if got := srv.metrics.events.Get(obs.ReplicaFailover); got < serveDriftEvalEvery-1 {
-		t.Fatalf("%d failovers for %d requests: the drill did not fail over", got, serveDriftEvalEvery-1)
+	if degraded["model_error"] != quarantineThreshold || degraded["no_healthy_replica"] != serveDriftEvalEvery-1-quarantineThreshold {
+		t.Fatalf("answers %v: the drill did not walk the ladder", degraded)
 	}
 	if got := evaluations(); got != 0 {
-		t.Fatalf("%d evaluations after %d requests, want 0: a failover observed twice", got, serveDriftEvalEvery-1)
+		t.Fatalf("%d evaluations after %d requests, want 0: a request observed twice", got, serveDriftEvalEvery-1)
 	}
 	predictOK(t, srv, w, 0)
 	if got := evaluations(); got != 1 {

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +15,8 @@ import (
 )
 
 // resilienceServer builds a server sharing the fixture's trained system but
-// with its own metrics and options, so resilience tests can quarantine
-// replicas and shed load without perturbing the shared fixture's counters.
+// with its own metrics and options, so resilience tests can quarantine the
+// model and shed load without perturbing the shared fixture's counters.
 func resilienceServer(t *testing.T, opts Options) (*Server, *workload.Workload) {
 	t.Helper()
 	base, w := testServer(t)
@@ -75,12 +75,13 @@ func TestBodyCapAnswers413(t *testing.T) {
 	}
 }
 
-// TestLoadSheddingAnswers503: the replica work queue is the one admission
-// point. With it full a predict is shed; an explain, which touches no model,
-// is not gated at all.
+// TestLoadSheddingAnswers503: the work queue is the one admission point. With
+// it full a predict is shed — 503, Retry-After and the typed envelope, one
+// requests_shed per refusal; an explain, which touches no model, is not gated
+// at all.
 func TestLoadSheddingAnswers503(t *testing.T) {
 	srv, w := resilienceServer(t, Options{QueueDepth: 1})
-	// Hold the replica's only queue slot, then observe the next predict shed.
+	// Hold the queue's only slot, then observe the next predict shed.
 	srv.inst().queue <- struct{}{}
 	rr := doRequest(t, srv, http.MethodPost, "/v1/predict", matchedBody(t, w))
 	if rr.Code != http.StatusServiceUnavailable {
@@ -95,8 +96,8 @@ func TestLoadSheddingAnswers503(t *testing.T) {
 	if rr := doRequest(t, srv, http.MethodPost, "/v1/explain", matchedBody(t, w)); rr.Code != http.StatusOK {
 		t.Fatalf("explain with the queue full: status %d: %s", rr.Code, rr.Body.String())
 	}
-	if srv.metrics.sheds.Load() != 1 || srv.metrics.replicaSheds.Load() != 1 {
-		t.Fatalf("sheds counter %d, replica sheds %d, want 1 and 1", srv.metrics.sheds.Load(), srv.metrics.replicaSheds.Load())
+	if srv.metrics.sheds.Load() != 1 || srv.inst().shed.Load() != 1 {
+		t.Fatalf("sheds counter %d, queue refusals %d, want 1 and 1", srv.metrics.sheds.Load(), srv.inst().shed.Load())
 	}
 	// Releasing the slot restores service.
 	<-srv.inst().queue
@@ -120,25 +121,23 @@ func TestInferenceTimeoutAnswers504(t *testing.T) {
 	}
 }
 
-// TestFailureLadderSingleReplica walks the whole ladder over HTTP on a
-// one-replica server and a fake health clock: faults answer 500 until the
-// replica is quarantined; then an uncached plan answers the degraded fallback
+// TestFailureLadder walks the whole ladder over HTTP on a fake health clock:
+// injected faults answer the model_error fallback until the model is
+// quarantined; then an uncached plan answers the no_healthy_replica fallback
 // while a previously cached plan still answers from the cache; a failed probe
-// doubles the backoff; once the fault clears, probes re-admit the replica.
-func TestFailureLadderSingleReplica(t *testing.T) {
+// degrades and doubles the backoff; once the fault clears, probes re-admit
+// the model through probation. No rung answers anything but 200.
+func TestFailureLadder(t *testing.T) {
 	srv, w := resilienceServer(t, Options{QuarantineBackoff: time.Minute})
 	now := time.Unix(0, 0)
 	srv.inst().health.now = func() time.Time { return now }
 	insts := distinctInstances(t, srv, w, 2)
 	hot, cold := insts[0], insts[1]
-	post := func(inst int) *httptest.ResponseRecorder {
-		return doRequest(t, srv, http.MethodPost, "/v1/predict", specBody(t, spec.FromQuery(w.Instances[inst].Query)))
-	}
-	degraded := func(step string) {
+	degraded := func(step, why string) {
 		t.Helper()
 		resp := predictOK(t, srv, w, cold)
-		if !resp.Fallback || resp.Degraded != "no_healthy_replica" || resp.Replica != -1 {
-			t.Fatalf("%s: uncached plan answered %+v, want the degraded fallback", step, resp)
+		if !resp.Fallback || resp.Degraded != why || resp.PageCount != 0 {
+			t.Fatalf("%s: uncached plan answered %+v, want the %s fallback", step, resp, why)
 		}
 	}
 
@@ -147,17 +146,11 @@ func TestFailureLadderSingleReplica(t *testing.T) {
 		t.Fatalf("warm-up answer wrong: %+v", resp)
 	}
 
-	// quarantineThreshold injected model errors: each answers 500 (a single
-	// replica has no successor to fail over to), then the replica is out.
+	// quarantineThreshold injected model errors: each answers the degraded
+	// fallback, then the model is out.
 	srv.SetFault(fault.New(fault.Plan{ServeRate: 1}, 1))
 	for i := 0; i < quarantineThreshold; i++ {
-		rr := post(cold)
-		if rr.Code != http.StatusInternalServerError {
-			t.Fatalf("fault %d: status %d: %s", i, rr.Code, rr.Body.String())
-		}
-		if env := decodeEnvelope(t, rr); env.Error.Code != CodeModelError {
-			t.Fatalf("envelope wrong: %+v", env)
-		}
+		degraded(fmt.Sprintf("fault %d", i), "model_error")
 	}
 	if st := srv.inst().health.State(); st != "quarantined" {
 		t.Fatalf("health %s after threshold faults, want quarantined", st)
@@ -169,29 +162,27 @@ func TestFailureLadderSingleReplica(t *testing.T) {
 	// Quarantined: the model path is not tried. An uncached plan degrades to
 	// the advisory fallback; the cached plan keeps answering, and doing so is
 	// not a probe.
-	degraded("quarantined")
-	if resp := predictOK(t, srv, w, hot); !resp.Cached || resp.Fallback || resp.PageCount == 0 || resp.Replica != 0 {
+	degraded("quarantined", "no_healthy_replica")
+	if resp := predictOK(t, srv, w, hot); !resp.Cached || resp.Fallback || resp.PageCount == 0 {
 		t.Fatalf("cached plan while quarantined answered %+v, want the cached pages", resp)
 	}
 	if st := srv.inst().health.State(); st != "quarantined" {
 		t.Fatalf("health %s after a cached answer, want still quarantined", st)
 	}
 
-	// Backoff elapses: the next miss is the probe, hits the fault, and doubles
-	// the backoff — one more minute is no longer enough, two are.
+	// Backoff elapses: the next miss is the probe, hits the fault, degrades
+	// and doubles the backoff — one more minute is no longer enough, two are.
 	now = now.Add(time.Minute)
-	if rr := post(cold); rr.Code != http.StatusInternalServerError {
-		t.Fatalf("failed probe status %d: %s", rr.Code, rr.Body.String())
-	}
+	degraded("failed probe", "model_error")
 	now = now.Add(time.Minute)
-	degraded("inside the doubled backoff")
+	degraded("inside the doubled backoff", "no_healthy_replica")
 
 	// Fault clears; the next probe succeeds (probation) and its repeats — now
 	// cache hits — are the remaining probe successes that restore healthy.
 	srv.SetFault(nil)
 	now = now.Add(time.Minute)
-	if resp := predictOK(t, srv, w, cold); resp.Fallback || resp.Cached || resp.Replica != 0 {
-		t.Fatalf("recovery probe answered %+v, want a model answer from replica 0", resp)
+	if resp := predictOK(t, srv, w, cold); resp.Fallback || resp.Cached {
+		t.Fatalf("recovery probe answered %+v, want a model answer", resp)
 	}
 	for i := 1; i < quarantineProbes; i++ {
 		if st := srv.inst().health.State(); st != "probation" {

@@ -10,7 +10,6 @@
 //	POST /v1/explain          QuerySpec JSON → plan display + Algorithm 2 tokens
 //	GET  /v1/healthz          liveness + model inventory
 //	POST /v1/admin/reload     zero-downtime model swap from a snapshot file
-//	GET  /v1/admin/replicas   replica topology (generation, queues, health, caches)
 //	GET  /metrics             Prometheus text exposition
 //	GET  /stats               JSON statistics snapshot
 //
@@ -22,19 +21,17 @@
 // disconnected is abandoned rather than computed to completion.
 //
 // The server degrades rather than piles up: request bodies are capped (413),
-// each replica's bounded work queue is the one admission point — a predict
-// every candidate replica refuses is shed (503 + Retry-After) — inference
-// runs under a per-request timeout (504), and a replica whose model path
-// keeps failing is quarantined: its plans fail over to ring successors or,
-// with none live, answer from its prediction cache or the advisory fallback
-// until backoff-gated probes re-admit it. All of it is visible on /metrics
-// and /stats.
+// the model's bounded work queue is the one admission point — a predict it
+// refuses is shed (503 + Retry-After) — inference runs under a per-request
+// timeout (504), a faulting model path answers the advisory fallback, and a
+// model that keeps failing is quarantined: its plans answer from the
+// prediction cache or the advisory fallback until backoff-gated probes
+// re-admit it. All of it is visible on /metrics and /stats.
 //
-// The model tier behind the handlers is a Pool of Options.Replicas
-// independent model replicas (one by default) behind a consistent-hash
-// router keyed on plan fingerprints, with per-replica bounded work queues
-// and snapshot-based zero-downtime model swap (POST /v1/admin/reload, or
-// SIGHUP in pythia-serve).
+// The model tier behind the handlers is a Pool serving one generation — one
+// trained system with its cache, queue and health — with snapshot-based
+// zero-downtime model swap (POST /v1/admin/reload, or SIGHUP in
+// pythia-serve).
 package serve
 
 import (
@@ -78,7 +75,7 @@ const (
 // is visible in metrics.
 const StatusClientClosedRequest = 499
 
-// Server answers prediction requests over the replica Pool. The Server owns
+// Server answers prediction requests over the model Pool. The Server owns
 // the HTTP concerns (decoding, planning, timeouts, response rendering,
 // observability); the Pool owns everything that touches a model, admission
 // included.
@@ -103,10 +100,9 @@ type Server struct {
 // noisy query.
 const qualityWindowSize = 512
 
-// New assembles a server over a database and its trained system, building a
-// Pool of Options.Replicas replicas. A nil metrics hub
-// gets a fresh one (with its own event counters); pass the hub whose
-// Events() you wired into the system's Config.Recorder to surface
+// New assembles a server over a database and its trained system. A nil
+// metrics hub gets a fresh one (with its own event counters); pass the hub
+// whose Events() you wired into the system's Config.Recorder to surface
 // workload-matching and replay events on /metrics. Options are normalized
 // (see Options.Normalize); invalid combinations are errors.
 func New(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Options) (*Server, error) {
@@ -117,11 +113,7 @@ func New(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Op
 	if metrics == nil {
 		metrics = NewMetrics(nil)
 	}
-	pool, err := newPool(db, sys, metrics, norm)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{db: db, pool: pool, metrics: metrics, opts: norm,
+	return &Server{db: db, pool: newPool(db, sys, metrics, norm), metrics: metrics, opts: norm,
 		qwin: quality.NewWindow(qualityWindowSize)}, nil
 }
 
@@ -132,7 +124,7 @@ func (s *Server) Close() {}
 // Options returns the server's resolved effective options.
 func (s *Server) Options() Options { return s.opts }
 
-// Inferencer returns the replica pool behind the server; bench/ calls it by
+// Inferencer returns the model pool behind the server; bench/ calls it by
 // this name.
 func (s *Server) Inferencer() *Pool { return s.pool }
 
@@ -157,12 +149,11 @@ func (s *Server) SetFault(inj *fault.Injector) { s.pool.fgate.set(inj) }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for name, h := range map[string]http.HandlerFunc{
-		"predict":        s.handlePredict,
-		"explain":        s.handleExplain,
-		"feedback":       s.handleFeedback,
-		"healthz":        s.handleHealth,
-		"admin/reload":   s.handleReload,
-		"admin/replicas": s.handleReplicas,
+		"predict":      s.handlePredict,
+		"explain":      s.handleExplain,
+		"feedback":     s.handleFeedback,
+		"healthz":      s.handleHealth,
+		"admin/reload": s.handleReload,
 	} {
 		mux.HandleFunc("/v1/"+name, s.metrics.instrument(name, h))
 	}
@@ -203,8 +194,7 @@ type predictResponse struct {
 	Workload     string     `json:"workload"`
 	Fallback     bool       `json:"fallback"`
 	Cached       bool       `json:"cached,omitempty"`   // answered from the prediction cache (zero inference)
-	Degraded     string     `json:"degraded,omitempty"` // why the model path was skipped (no_healthy_replica)
-	Replica      int        `json:"replica"`            // serving replica index (-1 = never routed)
+	Degraded     string     `json:"degraded,omitempty"` // why a matched plan got the fallback (no_healthy_replica, model_error)
 	Generation   uint64     `json:"generation"`         // model generation that answered
 	Pages        []pageJSON `json:"pages"`
 	PageCount    int        `json:"page_count"`
@@ -283,13 +273,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Fallback:   pred.Fallback,
 		Cached:     pred.Cached,
 		Degraded:   pred.Degraded,
-		Replica:    pred.Replica,
 		Generation: pred.Generation,
 	}
 	s.writePages(&resp, pred.Pages)
 	resp.PageCount = len(resp.Pages)
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	resp.PredictionID = s.tracker.note(pred.Workload, pred.Replica, pred.Pages)
+	resp.PredictionID = s.tracker.note(pred.Workload, pred.Pages)
 	s.metrics.observePrediction(resp.PageCount, resp.Fallback)
 	writeJSON(w, resp)
 }
@@ -306,7 +295,6 @@ type feedbackRequest struct {
 type feedbackResponse struct {
 	PredictionID  string  `json:"prediction_id"`
 	Workload      string  `json:"workload,omitempty"`
-	Replica       int     `json:"replica"`
 	Predicted     int     `json:"predicted"`
 	Actual        int     `json:"actual"`
 	TruePositives int     `json:"true_positives"`
@@ -355,7 +343,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, feedbackResponse{
 		PredictionID:  req.PredictionID,
 		Workload:      rec.workload,
-		Replica:       rec.replica,
 		Predicted:     sc.Predicted,
 		Actual:        sc.Actual,
 		TruePositives: sc.TruePos,
@@ -365,19 +352,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writePredictError maps the Pool's sentinel errors onto the HTTP error
-// contract: replica saturation → 503 (the server's only overloaded answer),
-// injected model faults → 500, expired budgets → 504, disconnected clients →
-// 499.
+// writePredictError maps the Pool's errors onto the HTTP error contract: a
+// full work queue → 503 (the server's only overloaded answer), expired
+// budgets → 504, disconnected clients → 499.
 func (s *Server) writePredictError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrSaturated):
 		s.metrics.sheds.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, CodeOverloaded,
-			"routed replica's work queue is full; retry shortly")
-	case errors.Is(err, errModelFault):
-		writeError(w, http.StatusInternalServerError, CodeModelError, "transient model error (injected)")
+			"work queue is full; retry shortly")
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, CodeDeadline, "inference exceeded the request timeout")
 	case errors.Is(err, context.Canceled):
@@ -408,7 +392,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, predictResponse{Plan: root.Display(),
-		Tokens: serialize.Serialize(root, serialize.DefaultConfig()), Replica: -1})
+		Tokens: serialize.Serialize(root, serialize.DefaultConfig())})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -30,9 +30,9 @@ var (
 	fixtureW    *workload.Workload
 )
 
-// inst returns the server's first replica, for tests that reach into the
-// model path (cache, health state).
-func (s *Server) inst() *instance { return s.pool.cur.Load().instances[0] }
+// inst returns the server's serving generation, for tests that reach into
+// the model path (cache, queue, health state).
+func (s *Server) inst() *generation { return s.pool.cur.Load() }
 
 func mustServer(t testing.TB, db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Options) *Server {
 	t.Helper()

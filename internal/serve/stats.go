@@ -10,10 +10,10 @@ import (
 // /stats, and the only input of the /metrics renderer — what /metrics needs
 // and /stats does not print rides along as json:"-" fields.
 //
-// Fleet totals (requests_shed, replica_failovers, predcache hits/misses/
-// evictions, quality.scored, the drift counters) each read one monotonic
-// counter in the Metrics hub, so they survive a model swap; the replicas rows
-// are the serving generation's own books and restart with it.
+// Totals (requests_shed, predcache hits/misses/evictions, quality.scored, the
+// drift counters) each read one monotonic counter in the Metrics hub, so they
+// survive a model swap; the replicas row is the serving generation's own
+// books and restarts with it.
 type statsResponse struct {
 	UptimeSeconds  float64           `json:"uptime_seconds"`
 	Build          BuildInfo         `json:"build"`
@@ -29,14 +29,13 @@ type statsResponse struct {
 	OSHitRatio     float64           `json:"oscache_hit_ratio"`
 	Shed           uint64            `json:"requests_shed"`
 	Timeouts       uint64            `json:"inference_timeouts"`
-	Failovers      uint64            `json:"replica_failovers"`
 	HealthState    string            `json:"health_state"`
 	Draining       bool              `json:"draining"`
 	Generation     uint64            `json:"generation"`
 	Swaps          uint64            `json:"swaps"`
 	Replicas       []ReplicaStatus   `json:"replicas"`
-	// PredCache is the fleet view of the prediction caches (FleetCache below),
-	// printed only when caching is on.
+	// PredCache is the prediction cache's view (FleetCache below), printed
+	// only when caching is on.
 	PredCache *predCacheStats `json:"predcache,omitempty"`
 	// Quality is the server's one feedback window. Always present — zeros
 	// mean "no feedback yet", and rendering the block unconditionally keeps
@@ -52,14 +51,13 @@ type statsResponse struct {
 	Baseline *corepythia.BaselineID `json:"baseline,omitempty"`
 
 	// /metrics only: every event kind including the zeros Events omits, the
-	// model inventory, the replica-queue shed total, the cache totals even
-	// when caching is off, and the health state as a gauge.
-	EventCounts  obs.Counters   `json:"-"`
-	Workloads    int            `json:"-"`
-	ModelParams  int            `json:"-"`
-	ReplicaSheds uint64         `json:"-"`
-	FleetCache   predCacheStats `json:"-"`
-	HealthValue  int            `json:"-"`
+	// model inventory, the cache totals even when caching is off, and the
+	// health state as a gauge.
+	EventCounts obs.Counters   `json:"-"`
+	Workloads   int            `json:"-"`
+	ModelParams int            `json:"-"`
+	FleetCache  predCacheStats `json:"-"`
+	HealthValue int            `json:"-"`
 }
 
 // qualityStats is the /stats view of the server-wide feedback window.
@@ -75,8 +73,8 @@ type qualityStats struct {
 	WastedRatio float64 `json:"wasted_ratio"`
 }
 
-// predCacheStats is the fleet view of the prediction caches: residency
-// summed across the serving replicas, lifetime outcome totals.
+// predCacheStats is the prediction cache's view: the serving generation's
+// residency, lifetime outcome totals.
 type predCacheStats struct {
 	Entries   int    `json:"entries"`
 	Capacity  int    `json:"capacity"`
@@ -85,8 +83,7 @@ type predCacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// snapshot reads the hub and the model tier once and does every fleet
-// aggregation once; /stats marshals the result and /metrics renders it.
+// snapshot reads the hub and the model tier once; /stats marshals the result and /metrics renders it.
 func (s *Server) snapshot() *statsResponse {
 	m := s.metrics
 	ev := m.events.Snapshot()
@@ -104,7 +101,6 @@ func (s *Server) snapshot() *statsResponse {
 		OSHitRatio:     ev.HitRatio(obs.OSCacheHit, obs.OSCacheMiss),
 		Shed:           m.sheds.Load(),
 		Timeouts:       m.timeouts.Load(),
-		Failovers:      ev.Get(obs.ReplicaFailover),
 		Draining:       s.draining.Load(),
 		Generation:     st.Generation,
 		Swaps:          st.Swaps,
@@ -113,10 +109,10 @@ func (s *Server) snapshot() *statsResponse {
 		Drift:          st.Drift,
 		Baseline:       s.pool.BaselineID(),
 		EventCounts:    ev,
-		ReplicaSheds:   m.replicaSheds.Load(),
 		FleetCache:     predCacheStats{Hits: ev.Get(obs.PredCacheHit), Misses: ev.Get(obs.PredCacheMiss), Evictions: ev.Get(obs.PredCacheEvict)},
 	}
-	resp.HealthValue, resp.HealthState = worstHealthState(st)
+	row := st.Replicas[0]
+	resp.HealthValue, resp.HealthState = row.HealthValue, row.Health
 	resp.Drift.Evaluations = m.driftEvals.Load()
 	resp.Drift.Warnings = ev.Get(obs.DriftWarning)
 	resp.Drift.Alarms = ev.Get(obs.DriftAlarm)
@@ -125,10 +121,7 @@ func (s *Server) snapshot() *statsResponse {
 		resp.FallbackRate = float64(resp.Fallbacks) / float64(resp.Predictions)
 		resp.AvgSetSize = float64(resp.PredictedPages) / float64(resp.Predictions)
 	}
-	for _, r := range st.Replicas {
-		resp.FleetCache.Entries += r.CacheEntries
-		resp.FleetCache.Capacity += r.CacheCapacity
-	}
+	resp.FleetCache.Entries, resp.FleetCache.Capacity = row.CacheEntries, row.CacheCapacity
 	if s.opts.CacheEntries > 0 {
 		resp.PredCache = &resp.FleetCache
 	}
@@ -154,14 +147,4 @@ func (s *Server) qualitySnapshot(scored uint64) qualityStats {
 		q.WastedRatio = 1 - q.Precision
 	}
 	return q
-}
-
-// worstHealthState returns the most-degraded replica health state
-// (quarantined > probation > degraded > healthy) — the single-gauge view a
-// fleet dashboard alerts on; per-replica states are in the replicas rows.
-func worstHealthState(st InfStatus) (value int, name string) {
-	for _, r := range st.Replicas {
-		value = max(value, r.HealthValue)
-	}
-	return value, healthStateNames[value]
 }
