@@ -8,19 +8,25 @@
 //	pythia-experiments -fast               # CI-scale quick pass
 //	pythia-experiments -list               # list experiment ids
 //	pythia-experiments -scale 100 -n 400   # closer to paper counts
+//	pythia-experiments -exp fig5 -seeds 7-11  # five seeds, then mean ± s.e.
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/pythia-db/pythia"
+	"github.com/pythia-db/pythia/internal/experiments"
 	"github.com/pythia-db/pythia/internal/fault"
 )
 
@@ -39,6 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		perTpl    = fs.Int("n", 0, "override query instances per DSB template")
 		imdbN     = fs.Int("imdb-n", 0, "override IMDB template-1a instances")
 		seed      = fs.Uint64("seed", 0, "override random seed")
+		seedRange = fs.String("seeds", "", "run seeds A-B (1 ≤ A ≤ B, at most 100), min(GOMAXPROCS, B−A+1) at a time: each seed's output as -seed prints it, then every cell's mean ± s.e. over the seeds")
 		outPath   = fs.String("o", "", "also append output to this file")
 		faultPlan = fs.String("fault-plan", "", "deterministic fault-injection plan for every replay, e.g. prefetch=0.05,exec=0.01 (empty = none; ext-chaos sweeps its own plans)")
 		faultSeed = fs.Uint64("fault-seed", 1, "fault-injection PRNG seed")
@@ -48,6 +55,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "pythia-experiments: "+format+"\n", a...)
+		return 1
+	}
+	switch {
+	case *scale < 0:
+		return fail("-scale %d: want a positive scale factor, or 0 for the default", *scale)
+	case *perTpl < 0:
+		return fail("-n %d: want a positive instance count, or 0 for the default", *perTpl)
+	case *imdbN < 0:
+		return fail("-imdb-n %d: want a positive instance count, or 0 for the default", *imdbN)
+	}
+	var seeds []uint64
+	if *seedRange != "" {
+		seedSet := false
+		fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
+		if seedSet {
+			return fail("-seeds and -seed cannot be combined")
+		}
+		var err error
+		if seeds, err = parseSeeds(*seedRange); err != nil {
+			return fail("-seeds %q: %v", *seedRange, err)
+		}
 	}
 
 	names := pythia.ExperimentNames()
@@ -66,8 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				continue
 			}
 			if !slices.Contains(names, id) {
-				fmt.Fprintf(stderr, "pythia-experiments: unknown experiment %q (have %s)\n", id, strings.Join(names, ", "))
-				return 1
+				return fail("unknown experiment %q (have %s)", id, strings.Join(names, ", "))
 			}
 			ids = append(ids, id)
 		}
@@ -91,8 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	plan, err := fault.ParsePlan(*faultPlan)
 	if err != nil {
-		fmt.Fprintln(stderr, "pythia-experiments:", err)
-		return 1
+		return fail("%v", err)
 	}
 	cfg.FaultPlan = plan
 	cfg.FaultSeed = *faultSeed
@@ -101,25 +131,124 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *outPath != "" {
 		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
-			fmt.Fprintln(stderr, "pythia-experiments:", err)
-			return 1
+			return fail("%v", err)
 		}
 		defer f.Close()
 		out = io.MultiWriter(stdout, f)
 	}
 
+	if seeds == nil {
+		_, err = runSuite(cfg, ids, out)
+	} else {
+		err = runSeeds(cfg, seeds, ids, out)
+	}
+	if err != nil {
+		return fail("%v", err)
+	}
+	return 0
+}
+
+// runSuite runs the experiments on one fresh suite, printing a header and
+// then each table with its wall time, and returns the tables.
+func runSuite(cfg pythia.ExperimentConfig, ids []string, out io.Writer) ([]*pythia.ResultTable, error) {
 	suite := pythia.NewExperiments(cfg)
 	fmt.Fprintf(out, "pythia-experiments: scale=%d instances/template=%d imdb=%d seed=%d fault=%s\n\n",
 		cfg.Scale, cfg.PerTemplate, cfg.IMDBInstances, cfg.Seed, cfg.FaultPlan)
+	var tabs []*pythia.ResultTable
 	for _, id := range ids {
 		start := time.Now()
 		tab, err := suite.Run(id)
 		if err != nil {
-			fmt.Fprintln(stderr, "pythia-experiments:", err)
-			return 1
+			return nil, err
 		}
 		fmt.Fprintln(out, tab.String())
 		fmt.Fprintf(out, "(%s took %s)\n\n", id, time.Since(start).Round(time.Millisecond))
+		tabs = append(tabs, tab)
 	}
-	return 0
+	return tabs, nil
+}
+
+// runSeeds runs one suite per seed, min(GOMAXPROCS, len(seeds)) at a time,
+// and prints each seed's output in seed order as soon as it and every seed
+// before it are done, then each experiment's tables aggregated over the
+// seeds. A suite shares nothing with another, so each seed prints what
+// -seed prints for it alone.
+func runSeeds(cfg pythia.ExperimentConfig, seeds []uint64, ids []string, out io.Writer) error {
+	type result struct {
+		buf  bytes.Buffer
+		tabs []*pythia.ResultTable
+		err  error
+		done chan struct{}
+	}
+	results := make([]*result, len(seeds))
+	for i := range results {
+		results[i] = &result{done: make(chan struct{})}
+	}
+	start := time.Now()
+	next := make(chan int, len(seeds))
+	for i := range seeds {
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(seeds)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				c := cfg
+				c.Seed = seeds[i]
+				r := results[i]
+				r.tabs, r.err = runSuite(c, ids, &r.buf)
+				close(r.done)
+			}
+		}()
+	}
+	defer wg.Wait()
+
+	for _, r := range results {
+		<-r.done
+		if r.err != nil {
+			return r.err
+		}
+		if _, err := r.buf.WriteTo(out); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(out, "pythia-experiments: %d seeds (%d–%d), mean ± s.e. per cell\n\n", len(seeds), seeds[0], seeds[len(seeds)-1])
+	for j := range ids {
+		tabs := make([]*pythia.ResultTable, len(seeds))
+		for i, r := range results {
+			tabs[i] = r.tabs[j]
+		}
+		agg, notes := experiments.Aggregate(seeds, tabs)
+		fmt.Fprint(out, agg.String())
+		for _, n := range notes {
+			fmt.Fprintln(out, n)
+		}
+		fmt.Fprintln(out)
+	}
+	fmt.Fprintf(out, "(%d seeds took %s)\n", len(seeds), time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// maxSeeds bounds a -seeds range; one default seed takes minutes.
+const maxSeeds = 100
+
+// parseSeeds reads "A-B" with 1 ≤ A ≤ B as the seeds A, A+1, …, B.
+func parseSeeds(s string) ([]uint64, error) {
+	lo, hi, ok := strings.Cut(s, "-")
+	a, errA := strconv.ParseUint(lo, 10, 64)
+	b, errB := strconv.ParseUint(hi, 10, 64)
+	switch {
+	case !ok || errA != nil || errB != nil || a < 1 || a > b:
+		return nil, errors.New("want A-B with 1 ≤ A ≤ B")
+	case b-a >= maxSeeds:
+		return nil, fmt.Errorf("at most %d seeds", maxSeeds)
+	}
+	var seeds []uint64
+	for x := a; x <= b; x++ {
+		seeds = append(seeds, x)
+	}
+	return seeds, nil
 }

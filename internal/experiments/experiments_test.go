@@ -54,6 +54,35 @@ func TestTableFormatting(t *testing.T) {
 	tab.Get("zz", "bb")
 }
 
+// TestAggregateReportsMissingRows: an aggregate cell is the mean ± s.e. of
+// the seeds' cells at the cell's precision (a count to one decimal), a row
+// every seed has keeps its place, and a row some seed lacks is named in a
+// note and left out rather than averaged over the seeds that have it.
+func TestAggregateReportsMissingRows(t *testing.T) {
+	var tabs []*Table
+	for i, f1 := range []float64{0.4, 0.5, 0.9} {
+		tab := newTable("x", "demo", "workload", "F1", "pages")
+		tab.addRow("t18", f1, 10+i)
+		if i != 1 {
+			tab.addRow("t91", f1, 7)
+		}
+		tabs = append(tabs, tab)
+	}
+	agg, notes := Aggregate([]uint64{7, 8, 9}, tabs)
+	out := agg.String()
+	for _, want := range []string{"== x — demo (mean ± s.e., seeds 7–9) ==", "0.600 ± 0.153", "11.0 ± 0.6"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("aggregate missing %q:\n%s", want, out)
+		}
+	}
+	if agg.Get("t18", "F1") != (0.4+0.5+0.9)/3 || agg.Has("t91", "F1") || len(agg.Rows) != 1 {
+		t.Errorf("aggregate values %v, rows %v: want t18's mean only", agg.Values, agg.Rows)
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], `"t91"`) || !strings.Contains(notes[0], "seed 8") {
+		t.Errorf("notes %q: want one naming t91 at seed 8", notes)
+	}
+}
+
 // One fresh fast suite run over the whole registry in Names() order, the
 // order pythia-experiments prints it: TestFastSuiteGolden reads its tables
 // and TestEachWorkloadTrainedOnce what it built.

@@ -9,6 +9,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -96,4 +98,72 @@ func (t *Table) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// Aggregate folds one experiment's tables from several seeds (tabs[i] ran
+// at seeds[i]) into one table whose cells print "mean ± s.e." over the
+// seeds, with the sample standard deviation over √k (0 for one seed), at
+// the cell's printed precision (one decimal for a count). Its
+// Values hold the means. A row label that some seeds lack is left out and
+// named in a note, never averaged over the seeds that have it.
+func Aggregate(seeds []uint64, tabs []*Table) (*Table, []string) {
+	first := tabs[0]
+	out := newTable(first.ID, fmt.Sprintf("%s (mean ± s.e., seeds %d–%d)", first.Title, seeds[0], seeds[len(seeds)-1]), first.Columns...)
+	var labels []string
+	byLabel := make([]map[string][]string, len(tabs))
+	for i, t := range tabs {
+		byLabel[i] = map[string][]string{}
+		for _, row := range t.Rows {
+			if !slices.Contains(labels, row[0]) {
+				labels = append(labels, row[0])
+			}
+			byLabel[i][row[0]] = row
+		}
+	}
+	var notes []string
+	for _, label := range labels {
+		var missing []string
+		for i := range tabs {
+			if byLabel[i][label] == nil {
+				missing = append(missing, fmt.Sprint(seeds[i]))
+			}
+		}
+		if len(missing) > 0 {
+			notes = append(notes, fmt.Sprintf("%s: row %q is missing at seed %s; not averaged", first.ID, label, strings.Join(missing, ", ")))
+			continue
+		}
+		row := []string{label}
+		for c, col := range first.Columns[1:] {
+			xs := make([]float64, len(tabs))
+			for i, t := range tabs {
+				xs[i] = t.Get(label, col)
+			}
+			// A count column (printed %d) averages to one decimal.
+			prec := 3
+			if !strings.Contains(byLabel[0][label][c+1], ".") {
+				prec = 1
+			}
+			mean, se := meanSE(xs)
+			out.Values[label+"/"+col] = mean
+			row = append(row, fmt.Sprintf("%.*f ± %.*f", prec, mean, prec, se))
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out, notes
+}
+
+// meanSE returns the mean of xs and its standard error.
+func meanSE(xs []float64) (mean, se float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	if len(xs) < 2 {
+		return mean, 0
+	}
+	var ss float64
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	return mean, math.Sqrt(ss / float64(len(xs)-1) / float64(len(xs)))
 }

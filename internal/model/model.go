@@ -10,6 +10,7 @@
 package model
 
 import (
+	"math"
 	"sync"
 
 	"github.com/pythia-db/pythia/internal/nn"
@@ -27,7 +28,7 @@ type Config struct {
 	FFHidden      int // defaults to 4×Dim
 	DecoderHidden int
 	Epochs        int
-	LR            float64
+	LR            float64 // Adam step size at one sample per step; training steps at 2√2·LR per four samples
 	PosWeight     float64 // BCE positive-class weight (default 5)
 	Threshold     float64 // sigmoid cutoff for predicting a page (default 0.5)
 	Seed          uint64
@@ -262,6 +263,16 @@ func (m *Model) TrainIncremental(samples []Sample, epochs int) float64 {
 	return m.trunk.train([]*Model{m}, samples, epochs)
 }
 
+// Training takes one Adam step per trainBatch consecutive samples of each
+// epoch's shuffle (the last group may be smaller), on their mean gradient,
+// at batchLRScale times Config.LR. The pair was chosen over five experiment
+// seeds and a small-data run: four samples at the per-sample step size, or
+// the larger step at one sample per step, each lose F1 (EXPERIMENTS.md).
+const (
+	trainBatch   = 4
+	batchLRScale = 2 * math.Sqrt2
+)
+
 func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	if epochs <= 0 {
 		epochs = max(t.cfg.Epochs/4, 1)
@@ -270,7 +281,7 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	defer t.mu.Unlock()
 	v := t.borrow()
 	defer t.giveBack(v)
-	opt := nn.NewAdam(t.cfg.LR, t.params(heads))
+	opt := nn.NewAdam(t.cfg.LR*batchLRScale, t.params(heads))
 	opt.Clip = 5
 	r := sim.NewRand(t.cfg.Seed ^ 0x5eed)
 
@@ -279,14 +290,17 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 		order[i] = i
 	}
 	var epochLoss float64
-	// Step consumes the gradients, leaving them +0 for the next sample.
+	// Step consumes the gradients, leaving them +0 for the next group.
 	opt.ZeroGrad()
 	for epoch := 0; epoch < epochs; epoch++ {
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss = 0
-		for _, i := range order {
-			epochLoss += t.backprop(v, heads, samples[i])
-			opt.Step()
+		for lo := 0; lo < len(order); lo += trainBatch {
+			group := order[lo:min(lo+trainBatch, len(order))]
+			for _, i := range group {
+				epochLoss += t.backprop(v, heads, samples[i])
+			}
+			opt.Step(len(group))
 		}
 		if len(samples) > 0 {
 			epochLoss /= float64(len(samples))

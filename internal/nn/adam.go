@@ -47,24 +47,29 @@ func (a *Adam) GradNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// Step applies one Adam update using the accumulated gradients, and
-// consumes them: every gradient is +0 when it returns, as ZeroGrad would
-// leave it, so a training loop calls ZeroGrad once before its first
-// backward pass and not before each one.
-func (a *Adam) Step() {
+// Step applies one Adam update on the mean of gradients accumulated over n
+// samples, and consumes them: every gradient is +0 when it returns, as
+// ZeroGrad would leave it, so a training loop calls ZeroGrad once before its
+// first backward pass and not before each one. The clip compares the mean's
+// norm ‖g/n‖ with Clip, so the applied scale is (1/n)·min(1, Clip/‖g/n‖);
+// Step(1) is the per-sample update, and for a power-of-two n Step(n) on g is
+// Step(1) on g/n bit for bit.
+func (a *Adam) Step(n int) {
 	a.t++
+	inv := 1 / float64(n)
 	scale := 1.0
 	if a.Clip > 0 {
-		if norm := a.GradNorm(); norm > a.Clip {
+		if norm := a.GradNorm() * inv; norm > a.Clip {
 			scale = a.Clip / norm
 		}
 	}
+	scale *= inv
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range a.params {
 		w := p.W.Data
-		n := len(w)
-		adamRow(w, p.G.Data[:n], a.m[i][:n], a.v[i][:n],
+		k := len(w)
+		adamRow(w, p.G.Data[:k], a.m[i][:k], a.v[i][:k],
 			scale, a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, bc1, bc2, a.LR, a.Eps)
 	}
 }
@@ -72,7 +77,7 @@ func (a *Adam) Step() {
 // adamRowGo is Step's update of one parameter, with c1 = 1−β1 and c2 = 1−β2;
 // it sets each g[i] to +0 once read. From t = 356 on, 1 − 0.9ᵗ rounds to
 // exactly 1 and m/1 is m, so the division by bc1 is skipped there: about
-// nine steps in ten of a 40-epoch training.
+// two steps in three of a 40-epoch training at four samples a step.
 //
 //pythia:noalloc
 func adamRowGo(w, g, m, v []float64, scale, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64) {

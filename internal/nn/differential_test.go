@@ -375,7 +375,7 @@ func testAdamMatchesScalar(t *testing.T) {
 			if active := c.clip > 0 && got.GradNorm() > c.clip; active != c.active {
 				t.Fatalf("%s step %d: clipping active = %v", c.name, step, active)
 			}
-			got.Step()
+			got.Step(1)
 			scalarAdamStep(want)
 			for i, p := range gps {
 				tag := fmt.Sprintf("%s step %d %s ", c.name, got.t, p.Name)
@@ -407,6 +407,68 @@ func testAdamMatchesScalar(t *testing.T) {
 			bitwiseEq(t, tag+"v", av, v)
 			allPosZero(t, tag+"adamRow g", ag.Data)
 			allPosZero(t, tag+"adamRowGo g", g.Data)
+		}
+	}
+}
+
+// TestAdamStepIsMeanOfBatch: Step(n) on gradients summed over n samples is
+// Step(1) on their mean, bit for bit — scaling by 1/n is exact for n = 1, 2
+// and 4 — over seven steps with the clip off, firing on every step, and set
+// between the mean's norm and the sum's, where only a clip that compares
+// the sum's norm would fire. Weights and both moments must match, and both
+// must leave every gradient +0.
+func TestAdamStepIsMeanOfBatch(t *testing.T) {
+	kernelPaths(t, testAdamStepIsMeanOfBatch)
+}
+
+func testAdamStepIsMeanOfBatch(t *testing.T) {
+	lengths := []int{1, 5, 8, 37, 300}
+	row := func(d []float64) *Mat { return &Mat{Rows: 1, Cols: len(d), Data: d} }
+	build := func() (*Adam, []*Param) {
+		r := sim.NewRand(53)
+		var ps []*Param
+		for _, n := range lengths {
+			p := NewParam(fmt.Sprint("p", n), 1, n)
+			for i := range p.W.Data {
+				p.W.Data[i] = r.NormFloat64()
+			}
+			ps = append(ps, p)
+		}
+		return NewAdam(3e-3, ps), ps
+	}
+	for _, n := range []int{1, 2, 4} {
+		for _, c := range []string{"off", "active", "sum only"} {
+			if c == "sum only" && n == 1 {
+				continue
+			}
+			got, gps := build()
+			want, wps := build()
+			r := sim.NewRand(59)
+			for step := 1; step <= 7; step++ {
+				for i, p := range gps {
+					for j := range p.G.Data {
+						g := r.NormFloat64()
+						p.G.Data[j], wps[i].G.Data[j] = g, g/float64(n)
+					}
+				}
+				mean := want.GradNorm()
+				switch c {
+				case "active":
+					got.Clip, want.Clip = mean/2, mean/2
+				case "sum only":
+					got.Clip, want.Clip = 1.5*mean, 1.5*mean
+				}
+				got.Step(n)
+				want.Step(1)
+				for i, p := range gps {
+					tag := fmt.Sprintf("n=%d clip %s step %d %s ", n, c, step, p.Name)
+					bitwiseEq(t, tag+"W", p.W, wps[i].W)
+					bitwiseEq(t, tag+"m", row(got.m[i]), row(want.m[i]))
+					bitwiseEq(t, tag+"v", row(got.v[i]), row(want.v[i]))
+					allPosZero(t, tag+"G", p.G.Data)
+					allPosZero(t, tag+"mean G", wps[i].G.Data)
+				}
+			}
 		}
 	}
 }
@@ -556,8 +618,8 @@ func TestEncoderPrunedMatchesFull(t *testing.T) {
 					for i, p := range pruned.Params() {
 						bitwiseEq(t, tag+p.Name+".G", p.G, fp[i].G)
 					}
-					popt.Step()
-					fopt.Step()
+					popt.Step(1)
+					fopt.Step(1)
 					for i, p := range pruned.Params() {
 						bitwiseEq(t, tag+p.Name+".W", p.W, fp[i].W)
 					}

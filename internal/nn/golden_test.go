@@ -62,7 +62,7 @@ func trainedBits() uint64 {
 				}
 			}
 			enc.Backward(dRep)
-			opt.Step()
+			opt.Step(1)
 		}
 	}
 

@@ -81,7 +81,7 @@ func BenchmarkAdamStep(b *testing.B) {
 	opt.Clip = 5
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		opt.Step()
+		opt.Step(1)
 	}
 }
 

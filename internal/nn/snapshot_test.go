@@ -76,7 +76,7 @@ func TestRestoreResetsOptimizerState(t *testing.T) {
 	l := NewLinear("x", 2, 2, r)
 	opt := NewAdam(0.1, l.Params())
 	l.Weight.G.Data[0] = 1
-	opt.Step()
+	opt.Step(1)
 	snap := Snapshot(l.Params())
 	if err := Restore(l.Params(), snap); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestRestoreResetsOptimizerState(t *testing.T) {
 	}
 	for _, x := range []*Linear{l, twin} {
 		x.Weight.G.Data[1] = 1
-		NewAdam(0.1, x.Params()).Step()
+		NewAdam(0.1, x.Params()).Step(1)
 	}
 	bitwiseEq(t, "weight after a fresh optimizer's step", l.Weight.W, twin.Weight.W)
 }

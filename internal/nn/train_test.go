@@ -51,7 +51,7 @@ func TestEndToEndOverfit(t *testing.T) {
 			total += loss
 			dRep := dec.Backward(dLogits)
 			enc.Backward(dRep)
-			opt.Step()
+			opt.Step(1)
 		}
 		if epoch == 0 {
 			first = total
@@ -93,7 +93,7 @@ func TestAdamStepReducesLossOnQuadratic(t *testing.T) {
 		for j, v := range p.W.Data {
 			p.G.Data[j] = 2 * v
 		}
-		opt.Step()
+		opt.Step(1)
 	}
 	if end := lossOf(); end > start/100 {
 		t.Fatalf("Adam failed to minimize quadratic: %f -> %f", start, end)
@@ -108,7 +108,7 @@ func TestAdamClip(t *testing.T) {
 	if n := opt.GradNorm(); n != 500 {
 		t.Fatalf("GradNorm = %f", n)
 	}
-	opt.Step()
+	opt.Step(1)
 	// With clipping, both moments were fed gradients scaled by 1/500; the
 	// step size is bounded by LR regardless, so just verify no explosion.
 	for _, v := range p.W.Data {
@@ -225,7 +225,7 @@ func TestDeterministicTraining(t *testing.T) {
 			var d *Mat
 			loss, d = bce.Loss(logits, []float64{1, 0, 1, 0})
 			enc.Backward(dec.Backward(d))
-			opt.Step()
+			opt.Step(1)
 		}
 		return loss
 	}

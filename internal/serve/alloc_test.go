@@ -56,3 +56,43 @@ func TestServeHotPathAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestWritePagesAllocsPerPlan: resolving a plan's pages to object names
+// costs the same allocations for 64 pages as for one (the page slice; the
+// race detector adds one of its own); only a page of an object the registry
+// does not know formats its id. Fails if writePages formats every page's
+// object again (one allocation per page) or grows the slice page by page.
+func TestWritePagesAllocsPerPlan(t *testing.T) {
+	srv, _ := testServer(t)
+	// An id of one digit formats into a static string without allocating,
+	// so the check takes the highest id, as served plans do.
+	objs := srv.db.Registry.Objects()
+	known := objs[len(objs)-1]
+	if known.ID < 10 {
+		t.Fatalf("highest object id %d has one digit; the check would not see a format", known.ID)
+	}
+	allocs := func(n int) float64 {
+		pages := make([]storage.PageID, n)
+		for i := range pages {
+			pages[i] = storage.PageID{Object: known.ID, Page: storage.PageNum(i)}
+		}
+		return testing.AllocsPerRun(200, func() {
+			var resp predictResponse
+			srv.writePages(&resp, pages)
+		})
+	}
+	one := allocs(1)
+	if one > 2 {
+		t.Errorf("one page: writePages allocates %v/op, want the page slice alone", one)
+	}
+	for _, n := range []int{8, 64} {
+		if a := allocs(n); a != one {
+			t.Errorf("%d pages: writePages allocates %v/op, one page %v", n, a, one)
+		}
+	}
+	var resp predictResponse
+	srv.writePages(&resp, []storage.PageID{{Object: known.ID, Page: 3}, {Object: 1 << 20, Page: 4}})
+	if got := resp.Pages; len(got) != 2 || got[0].Object != known.Name || got[1].Object != "1048576" {
+		t.Fatalf("pages %+v: want %s then the unknown object's id", got, known.Name)
+	}
+}

@@ -42,6 +42,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -371,12 +372,17 @@ func (s *Server) writePredictError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writePages resolves object names and appends the page set to the response.
+// writePages resolves object names and appends the page set to the response:
+// one allocation for the slice, and a formatted id only for an object the
+// registry does not know.
 func (s *Server) writePages(resp *predictResponse, pages []storage.PageID) {
+	resp.Pages = slices.Grow(resp.Pages, len(pages))
 	for _, p := range pages {
-		name := fmt.Sprint(p.Object)
+		var name string
 		if obj := s.db.Registry.Lookup(p.Object); obj != nil {
 			name = obj.Name
+		} else {
+			name = fmt.Sprint(p.Object)
 		}
 		resp.Pages = append(resp.Pages, pageJSON{Object: name, Page: uint32(p.Page)})
 	}
