@@ -3,9 +3,10 @@
 // optionally, a paced QPS target) over a corpus of planned DSB queries with a
 // configurable repeat ratio over a hot set of four plans — the knob that
 // moves the server between cache-hit-heavy steady state and cache-miss-heavy
-// inference load — and reports latency quantiles, error/shed counts, model
-// health, and the server's own cache statistics as BENCH_load.json. Any
-// non-2xx answer fails the run, and so does a run that completes no request.
+// inference load — and reports latency quantiles, error/shed counts, the
+// answers degraded by a model error, and the server's own cache statistics as
+// BENCH_load.json. Any non-2xx answer fails the run, and so does a run that
+// completes no request.
 //
 // Two modes:
 //
@@ -26,7 +27,10 @@
 // before the run and POSTs /v1/admin/reload at fraction F of -duration,
 // measuring the zero-downtime claim under its own sustained load. With
 // -chaos-at F every inference faults from fraction F of -duration until
-// -chaos-clear: the faults must reach no client as a non-2xx answer.
+// -chaos-clear: the faults must reach no client as a non-2xx answer, at least
+// one answer must be the "model_error" fallback, the client's count of those
+// must equal the server's model_error events, and (when the fault clears) a
+// request sent after the clear must get a model answer.
 package main
 
 import (
@@ -83,10 +87,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxMinPrecision = fs.Float64("max-min-precision", -1, "fail (exit nonzero) if the run's windowed feedback precision falls below this floor (negative = no gate; implies -feedback 1 when -feedback is 0)")
 		failOnAlarm     = fs.Bool("fail-on-drift-alarm", false, "fail (exit nonzero) if the run ends with drift state \"alarm\" (sustained drift; transient alarms that recover before the run ends still show in drift_alarms)")
 
-		chaosAt        = fs.Float64("chaos-at", 0, "self-hosted chaos drill: fraction of -duration after which every inference faults (0 = off)")
-		chaosClear     = fs.Float64("chaos-clear", 0.6, "fraction of -duration after which the fault clears (recovery window; 0 = never clears)")
-		expectRecovery = fs.Bool("expect-recovery", false, "fail unless /stats shows at least one quarantine AND one recovery (use with -chaos-at)")
-		quarBackoff    = fs.Duration("quarantine-backoff", 0, "self-hosted quarantine probe backoff override (0 = serve default; chaos drills want one that fits inside -duration)")
+		chaosAt    = fs.Float64("chaos-at", 0, "self-hosted chaos drill: fraction of -duration after which every inference faults (0 = off)")
+		chaosClear = fs.Float64("chaos-clear", 0.6, "fraction of -duration after which the fault clears; a request sent after it must get a model answer (0 = never clears)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -106,6 +108,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case err != nil:
 		return fail("-templates: %v", err)
+	case *n < 1:
+		return fail("-n %d: want at least one instance per template", *n)
+	case *sf < 1:
+		return fail("-sf %d: want a scale factor of at least 1", *sf)
 	case *duration <= 0:
 		return fail("-duration %s: want a positive duration", *duration)
 	case *qps < 0:
@@ -124,8 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-chaos-clear %g outside (-chaos-at %g, 1)", *chaosClear, *chaosAt)
 	case *target != "" && (*swapAt > 0 || *chaosAt > 0):
 		return fail("-swap-at and -chaos-at need self-hosted mode (they save a snapshot and retarget the in-process fault injector)")
-	case *expectRecovery && *chaosAt == 0:
-		return fail("-expect-recovery needs -chaos-at")
 	}
 	if *maxMinPrecision >= 0 && *feedbackRate == 0 {
 		// The precision gate reads the server's feedback window, which stays
@@ -154,7 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		concurrency: *concurrency, duration: *duration,
 		repeat: *repeat, swapAt: *swapAt, seed: *seed,
 		chaosAt: *chaosAt, chaosClear: *chaosClear,
-		quarantineBackoff: *quarBackoff,
 	})
 	if err != nil {
 		return fail("%v", err)
@@ -188,7 +191,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *target == "" {
 		// The server's books against the harness's own: every 200 the client
 		// saw is one {predict, 200} row count, every 503 one requests_shed,
-		// every feedback answered 200 one quality.scored.
+		// every feedback answered 200 one quality.scored, every model_error
+		// fallback one model_error event.
 		for _, b := range []struct {
 			what         string
 			client, serv uint64
@@ -196,6 +200,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			{"predict 200s vs the {predict, 200} request row", res.StatusCounts["200"], res.serverPredict200},
 			{"predict 503s vs requests_shed", res.StatusCounts["503"], res.Shed},
 			{"feedback 200s vs quality.scored", res.Feedbacks, res.QualityScored},
+			{"model_error answers vs events.model_error", res.ModelErrors, res.serverModelErrors},
 		} {
 			if b.client != b.serv {
 				fmt.Fprintf(stdout, "BOOKS: %s: client %d, server %d\n", b.what, b.client, b.serv)
@@ -203,8 +208,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if *expectRecovery && (res.Quarantines == 0 || res.Recoveries == 0) {
-		breach("expected a quarantine+recovery cycle, saw quarantines=%d recoveries=%d", res.Quarantines, res.Recoveries)
+	if *chaosAt > 0 && res.ModelErrors == 0 {
+		breach("chaos drill: no answer carried the model_error fallback while every inference faulted")
+	}
+	if *chaosAt > 0 && *chaosClear > 0 && res.modelAfterClear == 0 {
+		breach("chaos drill: no request sent after the fault cleared got a model answer")
 	}
 	if *maxMinPrecision >= 0 {
 		if res.QualityScored == 0 {
@@ -263,10 +271,7 @@ type loadResult struct {
 	CacheMisses   uint64            `json:"cache_misses"`
 	Shed          uint64            `json:"requests_shed"`
 	Timeouts      uint64            `json:"inference_timeouts"`
-	Quarantines   uint64            `json:"replica_quarantines"`
-	Probes        uint64            `json:"replica_probes"`
-	Recoveries    uint64            `json:"replica_recoveries"`
-	HealthState   string            `json:"health_state"`
+	ModelErrors   uint64            `json:"model_errors"`
 	Generation    uint64            `json:"generation"`
 	Swaps         uint64            `json:"swaps"`
 	SwapMS        float64           `json:"swap_ms,omitempty"`
@@ -287,9 +292,12 @@ type loadResult struct {
 	DriftAlarms    uint64  `json:"drift_alarms"`
 	BaselineHash   string  `json:"baseline_hash,omitempty"`
 
-	// serverPredict200 is /stats' {predict, 200} request count, for the
-	// books check.
-	serverPredict200 uint64
+	// serverPredict200 is /stats' {predict, 200} request count and
+	// serverModelErrors its events.model_error, for the books check.
+	serverPredict200, serverModelErrors uint64
+	// modelAfterClear counts requests sent after the chaos fault cleared
+	// that got a model answer (fallback false).
+	modelAfterClear uint64
 }
 
 type loadConfig struct {
@@ -307,10 +315,6 @@ type loadConfig struct {
 	seed         uint64
 	chaosAt      float64
 	chaosClear   float64
-
-	// quarantineBackoff overrides the serve default when positive — chaos
-	// drills need recovery cycles that fit inside -duration.
-	quarantineBackoff time.Duration
 }
 
 // runLoad drives the run: build (or point at) a server, run the closed loop
@@ -322,10 +326,7 @@ func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
 	var srv *serve.Server // self-hosted handle; chaos drills retarget its injector
 	if pc.target == "" {
 		var err error
-		srv, err = serve.New(pc.gen.DB(), pc.sys, serve.NewMetrics(nil), serve.Options{
-			CacheEntries:      pc.cacheEntries,
-			QuarantineBackoff: pc.quarantineBackoff,
-		})
+		srv, err = serve.New(pc.gen.DB(), pc.sys, serve.NewMetrics(nil), serve.Options{CacheEntries: pc.cacheEntries})
 		if err != nil {
 			return res, err
 		}
@@ -363,7 +364,10 @@ func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
 	var (
 		requests, errCount      atomic.Uint64
 		feedbacks, feedbackErrs atomic.Uint64
+		modelErrs, afterClear   atomic.Uint64
 		statusMu                sync.Mutex
+		// clearedAt is when the chaos fault cleared (Unix ns; 0 = not yet).
+		clearedAt atomic.Int64
 	)
 	interval := time.Duration(0)
 	if pc.qps > 0 {
@@ -412,12 +416,22 @@ func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
 					continue
 				}
 				var predictionID string
-				if wantFeedback && resp.StatusCode == http.StatusOK {
+				if resp.StatusCode == http.StatusOK {
 					var pr struct {
 						PredictionID string `json:"prediction_id"`
+						Fallback     bool   `json:"fallback"`
+						Degraded     string `json:"degraded"`
 					}
 					if json.NewDecoder(resp.Body).Decode(&pr) == nil {
-						predictionID = pr.PredictionID
+						if wantFeedback {
+							predictionID = pr.PredictionID
+						}
+						if pr.Degraded == "model_error" {
+							modelErrs.Add(1)
+						}
+						if c := clearedAt.Load(); c != 0 && t0.UnixNano() > c && !pr.Fallback {
+							afterClear.Add(1)
+						}
 					}
 				}
 				io.Copy(io.Discard, resp.Body)
@@ -444,10 +458,9 @@ func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
 	}
 
 	// Chaos drill: every inference faults from chaosAt and (optionally)
-	// stops faulting at chaosClear, leaving a recovery window in which the
-	// quarantined model's backoff probes can re-admit it. A fault answers the
-	// degraded fallback, never an error, so the drill asserts self-healing,
-	// not error tolerance.
+	// stops faulting at chaosClear. A fault answers the model_error fallback
+	// on that request, never an error, and nothing outlives the request: the
+	// first request after the clear runs the model again.
 	if pc.chaosAt > 0 {
 		wg.Add(1)
 		go func() {
@@ -460,7 +473,8 @@ func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
 			}
 			time.Sleep(time.Duration(float64(pc.duration) * (pc.chaosClear - pc.chaosAt)))
 			srv.SetFault(nil)
-			logger.Print("chaos: fault cleared (recovery window)")
+			clearedAt.Store(time.Now().UnixNano())
+			logger.Print("chaos: fault cleared")
 		}()
 	}
 
@@ -492,6 +506,8 @@ func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
 	res.Errors = errCount.Load()
 	res.Feedbacks = feedbacks.Load()
 	res.FeedbackErrors = feedbackErrs.Load()
+	res.ModelErrors = modelErrs.Load()
+	res.modelAfterClear = afterClear.Load()
 	if res.Requests > 0 {
 		res.ErrorRate = float64(res.Errors) / float64(res.Requests)
 	}
@@ -554,7 +570,7 @@ func postReload(client *http.Client, base, snapPath string) error {
 }
 
 // scrapeStats folds the server's own /stats accounting into the result:
-// request rows, cache hit rate, sheds, timeouts, health state, and
+// request rows, cache hit rate, sheds, timeouts, model_error events, and
 // swap/generation counts.
 func scrapeStats(client *http.Client, base string, res *loadResult) error {
 	resp, err := client.Get(base + "/stats")
@@ -571,13 +587,12 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 			Code     int    `json:"code"`
 			Count    uint64 `json:"count"`
 		} `json:"requests"`
-		Shed        uint64            `json:"requests_shed"`
-		Timeouts    uint64            `json:"inference_timeouts"`
-		HealthState string            `json:"health_state"`
-		Generation  uint64            `json:"generation"`
-		Swaps       uint64            `json:"swaps"`
-		Events      map[string]uint64 `json:"events"`
-		PredCache   *struct {
+		Shed       uint64            `json:"requests_shed"`
+		Timeouts   uint64            `json:"inference_timeouts"`
+		Generation uint64            `json:"generation"`
+		Swaps      uint64            `json:"swaps"`
+		Events     map[string]uint64 `json:"events"`
+		PredCache  *struct {
 			Hits   uint64 `json:"hits"`
 			Misses uint64 `json:"misses"`
 		} `json:"predcache"`
@@ -608,12 +623,9 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 	}
 	res.Shed = st.Shed
 	res.Timeouts = st.Timeouts
-	res.HealthState = st.HealthState
 	res.Generation = st.Generation
 	res.Swaps = st.Swaps
-	res.Quarantines = st.Events["replica_quarantined"]
-	res.Probes = st.Events["replica_probe"]
-	res.Recoveries = st.Events["replica_recovered"]
+	res.serverModelErrors = st.Events["model_error"]
 	if st.PredCache != nil {
 		res.CacheHits = st.PredCache.Hits
 		res.CacheMisses = st.PredCache.Misses

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestBadArgumentsRejectedBeforeWork: a run that could send nothing, a
-// negative rate, a ratio outside its range, or a swap or fault timed after
+// TestBadArgumentsRejectedBeforeWork: a run that could send nothing, a corpus
+// or scale factor below one, a negative rate, a ratio outside its range, or a swap or fault timed after
 // the load has ended fails the command before the corpus is built or a model
 // trained, so nothing reaches stdout.
 func TestBadArgumentsRejectedBeforeWork(t *testing.T) {
@@ -26,7 +26,10 @@ func TestBadArgumentsRejectedBeforeWork(t *testing.T) {
 		{"-chaos-at", "0.5", "-chaos-clear", "0.4"},
 		{"-chaos-at", "0.5", "-chaos-clear", "1"},
 		{"-chaos-clear", "2"},
-		{"-expect-recovery"},
+		{"-n", "0"},
+		{"-n", "-3"},
+		{"-sf", "0"},
+		{"-sf", "-1"},
 		{"-target", "http://localhost:1", "-swap-at", "0.5"},
 		{"-concurrency", "0"},
 		{"-templates", "t99"},
@@ -66,5 +69,34 @@ func TestSelfHostedRun(t *testing.T) {
 	}
 	if rep.Requests == 0 || rep.Errors != 0 || rep.StatusCounts["200"] != rep.Requests || rep.Corpus != 4 {
 		t.Fatalf("report %+v, want requests all answered 200 over a 4-plan corpus", rep)
+	}
+}
+
+// TestSelfHostedChaosRun: every inference faults from 0.2 to 0.5 of the run.
+// The run still exits 0: each fault answered 200 with the model_error
+// fallback, the client counted at least one, the server's model_error events
+// match the client's count (no BOOKS: line), and a request sent after the
+// clear got a model answer.
+func TestSelfHostedChaosRun(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH_load.json")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-sf", "2", "-n", "4", "-duration", "1s", "-concurrency", "2",
+		"-cache-entries", "-1", "-chaos-at", "0.2", "-chaos-clear", "0.5", "-out", out}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	if strings.Contains(stdout.String(), "BOOKS:") {
+		t.Fatalf("books mismatch on a chaos run:\n%s", stdout.String())
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep loadReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.ModelErrors == 0 || rep.Errors != 0 || rep.StatusCounts["200"] != rep.Requests {
+		t.Fatalf("report %+v, want model_errors >= 1 and every request answered 200", rep)
 	}
 }

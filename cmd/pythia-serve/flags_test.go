@@ -106,3 +106,37 @@ func TestReadmeMetricsExist(t *testing.T) {
 		}
 	}
 }
+
+// TestBadArgumentsRejectedBeforeTraining: validate refuses each value main
+// would otherwise meet only after training, or never: -n -3 panics in the
+// generator, -n 0 serves an untrained model and -sf 0 runs at the generator's
+// default scale. The defaults pass.
+func TestBadArgumentsRejectedBeforeTraining(t *testing.T) {
+	parse := func(args ...string) *config {
+		t.Helper()
+		fs := flag.NewFlagSet("pythia-serve", flag.ContinueOnError)
+		c := flags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	if _, err := validate(parse()); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	for _, args := range [][]string{
+		{"-n", "0"},
+		{"-n", "-3"},
+		{"-sf", "0"},
+		{"-sf", "-1"},
+		{"-templates", "t99"},
+		{"-queue-depth", "-1"},
+		{"-request-timeout", "-1s"},
+		{"-pprof", "0.0.0.0:6060"},
+		{"-pprof", "nonsense"},
+	} {
+		if _, err := validate(parse(args...)); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+	}
+}

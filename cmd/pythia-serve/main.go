@@ -23,8 +23,9 @@
 // dropping a request.
 //
 // Load is admitted in one place, the model's bounded work queue
-// (-queue-depth): a predict the full queue refuses answers 503. The failure
-// ladder's shape is fixed; -quarantine-backoff is its one flag.
+// (-queue-depth): a predict the full queue refuses answers 503. A model error
+// answers that one request with the degraded fallback and is counted; it
+// changes no state, so there is nothing to tune.
 // README.md lists every flag, and flags_test.go keeps that list honest.
 package main
 
@@ -32,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -79,7 +81,6 @@ func flags(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.opts.CacheEntries, "cache-entries", 4096, "plan-fingerprint prediction cache capacity (negative disables)")
 	fs.IntVar(&c.opts.QueueDepth, "queue-depth", 32, "bounded work queue, the one admission point: a predict the full queue refuses answers 503")
 	fs.StringVar(&c.opts.SnapshotPath, "snapshot", "", "model snapshot path: loaded instead of training when it exists, written after training otherwise; SIGHUP and /v1/admin/reload swap from it (empty = off)")
-	fs.DurationVar(&c.opts.QuarantineBackoff, "quarantine-backoff", time.Second, "initial probe backoff for a quarantined model (doubles per failed probe, capped at 16x)")
 	fs.StringVar(&c.faultPlan, "fault-plan", "", "fault-injection plan for chaos drills, e.g. serve=0.2 (empty = none)")
 	fs.Uint64Var(&c.faultSeed, "fault-seed", 1, "fault-injection PRNG seed")
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address, e.g. localhost:6060 (empty = off)")
@@ -87,19 +88,23 @@ func flags(fs *flag.FlagSet) *config {
 	return c
 }
 
-func main() {
-	c := flags(flag.CommandLine)
-	flag.Parse()
-
-	// Validate the options, -templates and -pprof before training: a rejected
-	// value, an unknown template or a bad address should fail in
-	// milliseconds, not after minutes of model building.
+// validate checks everything that needs no training — the options, -n, -sf,
+// -templates and -pprof — and returns the parsed template list. main runs it
+// first: a rejected value, an unknown template or a bad address should fail
+// in milliseconds, not after minutes of model building.
+func validate(c *config) ([]string, error) {
 	if _, err := c.opts.Normalize(); err != nil {
-		log.Fatalf("pythia-serve: %v", err)
+		return nil, err
+	}
+	if c.n < 1 {
+		return nil, fmt.Errorf("-n %d: want at least one training instance per template", c.n)
+	}
+	if c.sf < 1 {
+		return nil, fmt.Errorf("-sf %d: want a scale factor of at least 1", c.sf)
 	}
 	templates, err := dsb.ParseTemplates(c.templates)
 	if err != nil {
-		log.Fatalf("pythia-serve: -templates: %v", err)
+		return nil, fmt.Errorf("-templates: %w", err)
 	}
 	// The profiling endpoints expose heap contents and symbol tables, so they
 	// run on a separate server that must be bound to loopback — never on the
@@ -107,11 +112,21 @@ func main() {
 	if c.pprofAddr != "" {
 		host, _, err := net.SplitHostPort(c.pprofAddr)
 		if err != nil {
-			log.Fatalf("pythia-serve: -pprof %q: %v", c.pprofAddr, err)
+			return nil, fmt.Errorf("-pprof %q: %w", c.pprofAddr, err)
 		}
 		if ip := net.ParseIP(host); host != "localhost" && (ip == nil || !ip.IsLoopback()) {
-			log.Fatalf("pythia-serve: -pprof must bind a loopback address, got %q", c.pprofAddr)
+			return nil, fmt.Errorf("-pprof must bind a loopback address, got %q", c.pprofAddr)
 		}
+	}
+	return templates, nil
+}
+
+func main() {
+	c := flags(flag.CommandLine)
+	flag.Parse()
+	templates, err := validate(c)
+	if err != nil {
+		log.Fatalf("pythia-serve: %v", err)
 	}
 
 	plan, err := fault.ParsePlan(c.faultPlan)
@@ -170,9 +185,8 @@ func main() {
 	// defaults) so a deployment's actual protections and fast-path
 	// configuration are visible in its logs.
 	eff := srv.Options()
-	log.Printf("effective options: request-timeout=%s max-body=%d cache-entries=%d queue-depth=%d snapshot=%q quarantine-backoff=%s",
-		eff.RequestTimeout, eff.MaxBodyBytes, eff.CacheEntries,
-		eff.QueueDepth, eff.SnapshotPath, eff.QuarantineBackoff)
+	log.Printf("effective options: request-timeout=%s max-body=%d cache-entries=%d queue-depth=%d snapshot=%q",
+		eff.RequestTimeout, eff.MaxBodyBytes, eff.CacheEntries, eff.QueueDepth, eff.SnapshotPath)
 	httpSrv := &http.Server{Addr: c.addr, Handler: srv.Handler()}
 
 	// The shutdown context is created before any helper goroutine spawns so

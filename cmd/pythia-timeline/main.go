@@ -79,6 +79,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *n < 1 {
 		return fail("-n %d: want at least one query", *n)
 	}
+	if *sf < 1 {
+		return fail("-sf %d: want a scale factor of at least 1", *sf)
+	}
 	if *train < 1 {
 		return fail("-train %d: want at least one instance", *train)
 	}

@@ -6,13 +6,16 @@ import (
 	"testing"
 )
 
-// TestBadArgumentsRejectedBeforeWork: a count below one, an unknown mode or
-// an unknown template fails the command before the database is built, so
+// TestBadArgumentsRejectedBeforeWork: a count or scale factor below one, an
+// unknown mode or an unknown template fails the command before the database is built, so
 // nothing reaches stdout.
 func TestBadArgumentsRejectedBeforeWork(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "-1"},
 		{"-n", "0"},
+		{"-n", "-3"},
+		{"-sf", "0"},
+		{"-sf", "-1"},
 		{"-mode", "pythia", "-train", "-1"},
 		{"-train", "0"},
 		{"-mode", "orcl"},

@@ -56,6 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *instance < 0 {
 		return fail("-instance %d: want zero or more", *instance)
 	}
+	if *sf < 1 {
+		return fail("-sf %d: want a scale factor of at least 1", *sf)
+	}
 
 	gen := dsb.NewGenerator(dsb.Config{ScaleFactor: *sf, Seed: *seed})
 	queries := gen.Queries(tpls[0], *instance+1, *seed+1)

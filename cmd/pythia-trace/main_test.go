@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestBadArgumentsRejectedBeforeWork: an unknown template, a list of them or
-// a negative instance fails the command before anything is generated, with a
+// TestBadArgumentsRejectedBeforeWork: an unknown template, a list of them, a
+// negative instance or a scale factor below one fails the command before anything is generated, with a
 // message on stderr (naming the valid templates for a bad one) and nothing
 // on stdout.
 func TestBadArgumentsRejectedBeforeWork(t *testing.T) {
@@ -16,6 +16,8 @@ func TestBadArgumentsRejectedBeforeWork(t *testing.T) {
 		{"-template", "t91,t18"},
 		{"-template", ""},
 		{"-instance", "-1"},
+		{"-sf", "0"},
+		{"-sf", "-1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code == 0 {

@@ -8,8 +8,9 @@ import (
 
 // Destination-passing compute kernels. Each kernel writes into a
 // caller-supplied matrix (usually from an Arena) instead of allocating, and
-// runs on the calling goroutine: one trunk is one goroutine's work, and
-// parallelism is across the serve tier's replicas, never inside a kernel.
+// runs on the calling goroutine: one view of a trunk is one goroutine's work,
+// and parallelism is across concurrent predictions on their own views, never
+// inside a kernel.
 //
 // Determinism: every output element is accumulated in ascending order over
 // the contracted index, here and in the allocating forms in mat.go, which

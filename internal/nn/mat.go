@@ -10,7 +10,8 @@
 // identical parameters — which is what makes the experiment harness
 // reproducible. The compute kernels (kernels.go) are serial with a fixed
 // accumulation order; an encoder and the decoders on it are driven by one
-// goroutine at a time, and parallelism is across the serve tier's replicas.
+// goroutine at a time, and parallelism is across concurrent predictions, each
+// on its own view of the shared weights.
 // Scratch matrices come from a per-trunk frame arena (arena.go) so the
 // steady-state training loop allocates nothing.
 package nn

@@ -137,18 +137,9 @@ const (
 	PredCacheEvict
 	// InferenceRun: one model-path inference completed for a request.
 	InferenceRun
-	// ReplicaDegraded: the serving model's sliding error window crossed the
-	// degraded threshold; it keeps serving but is one step from quarantine.
-	ReplicaDegraded
-	// ReplicaQuarantined: the model crossed the quarantine threshold (or
-	// failed a probation trial) and its model path stopped running.
-	ReplicaQuarantined
-	// ReplicaProbe: a quarantined model's backoff elapsed and one probe
-	// request was admitted to test it.
-	ReplicaProbe
-	// ReplicaRecovered: a quarantined model passed its probation trials and
-	// returned to normal service.
-	ReplicaRecovered
+	// ModelError: a request's model path failed, so the request answered
+	// the degraded fallback. It is counted and changes no state.
+	ModelError
 
 	// QualityScored: a /v1/feedback report correlated with a served
 	// prediction and was scored against ground truth.
@@ -200,10 +191,7 @@ var kindNames = [KindCount]string{
 	PredCacheMiss:         "predcache_miss",
 	PredCacheEvict:        "predcache_evict",
 	InferenceRun:          "inference_run",
-	ReplicaDegraded:       "replica_degraded",
-	ReplicaQuarantined:    "replica_quarantined",
-	ReplicaProbe:          "replica_probe",
-	ReplicaRecovered:      "replica_recovered",
+	ModelError:            "model_error",
 	QualityScored:         "quality_scored",
 	DriftWarning:          "drift_warning",
 	DriftAlarm:            "drift_alarm",

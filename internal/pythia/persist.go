@@ -110,7 +110,7 @@ type persistedWorkload struct {
 // reconstructs the full serving state from it (matching metadata and model
 // weights), so a deployment can train once, persist, and later hot-swap the
 // serving models without restarting: one Save on the training side, one
-// LoadSystem per standby replica on the serving side. To persist to disk
+// LoadSystem per standby generation on the serving side. To persist to disk
 // prefer SaveFile, which cannot tear an existing snapshot.
 func (s *System) Save(w io.Writer) error {
 	var doc persistedSystem

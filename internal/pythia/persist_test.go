@@ -91,8 +91,8 @@ func TestSaveLoadSystemRoundTrip(t *testing.T) {
 		t.Fatal("empty system snapshot")
 	}
 
-	// Two independent loads of the same bundle (the replica-pool shape) both
-	// predict exactly like the system that saved it.
+	// Two independent loads of the same bundle (two successive serving
+	// generations) both predict exactly like the system that saved it.
 	for copyN := 0; copyN < 2; copyN++ {
 		s2, err := LoadSystem(s.DB, s.Config(), bytes.NewReader(buf.Bytes()))
 		if err != nil {

@@ -284,11 +284,10 @@ func (s *System) Match(q plan.Query) *Trained {
 	return tw
 }
 
-// Lookup is Match without the workload-matching event: for callers that
-// already recorded the routing decision once and only need the *Trained
-// handle again. The serve tier's replica pool matches on its routing view to
-// pick a replica, then the routed replica resolves its own (independent)
-// Trained with Lookup so one request never counts as two matches.
+// Lookup is Match without the workload-matching event, for callers whose
+// resolution is not a served query: the serve tier's warm-up replays recently
+// served plans through a standby generation, and pythia-timeline labels each
+// replayed query's quality row with its workload. Neither may count a match.
 func (s *System) Lookup(q plan.Query) *Trained { return s.match(q) }
 
 func (s *System) match(q plan.Query) *Trained {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"testing"
-	"time"
 
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/storage"
@@ -15,9 +14,8 @@ import (
 // shallow analyzer cannot see (interface boxing inside callees, map growth,
 // escape-analysis regressions from a toolchain bump).
 //
-// The units mirror one cache-hit request end to end: fingerprint the plan,
-// check health admission, hit the prediction cache, and record the health
-// outcome.
+// The units mirror one cache-hit request end to end: fingerprint the plan and
+// hit the prediction cache.
 func TestServeHotPathAllocs(t *testing.T) {
 	rec := &obs.AtomicCounters{}
 
@@ -40,19 +38,6 @@ func TestServeHotPathAllocs(t *testing.T) {
 			}
 		}); a != 0 {
 			t.Errorf("predCache.get hit allocates %v/op", a)
-		}
-	})
-
-	t.Run("health-steady-state", func(t *testing.T) {
-		h := newHealth(time.Second, rec)
-		if a := testing.AllocsPerRun(1000, func() {
-			if !h.serving() {
-				t.Fatal("healthy model not serving")
-			}
-			h.cacheHit()
-			h.success()
-		}); a != 0 {
-			t.Errorf("health serving/cacheHit/success allocates %v/op", a)
 		}
 	})
 }

@@ -125,8 +125,8 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 
 	swapFixture(t, srv)
 	check("after swap")
-	if r := prevStats.Replicas[0]; r.Generation != 2 {
-		t.Fatalf("status row still on generation %d", r.Generation)
+	if prevStats.Generation != 2 {
+		t.Fatalf("/stats still on generation %d", prevStats.Generation)
 	}
 	traffic()
 	check("after post-swap traffic")
@@ -146,14 +146,15 @@ func swapFixture(t *testing.T, srv *Server) {
 }
 
 // TestBooksBalance pins the two conservation identities that hold on every
-// snapshot, with the prediction cache on or off:
+// snapshot, with the prediction cache on or off, and counts its one fault:
 //
 //	predictions − fallbacks = predcache hits + inference_run
 //	http_requests_total{endpoint="predict",code="503"} = requests_shed
 //
 // The first holds across a model swap too: the swap's warm-up serves no
 // prediction, so it counts no hit and no inference. A faulted model path
-// answers the fallback, so it counts as one fallback and nothing else. The
+// answers the fallback, so it counts as one fallback and one model_error
+// event and nothing else. The
 // work queue is the only admission point, so the second is also "no other
 // endpoint ever answers 503": with the queue full, explain — which touches
 // no model — still answers 200, and each refusal is exactly one 503.
@@ -213,6 +214,9 @@ func TestBooksBalance(t *testing.T) {
 			if wantHits := uint64(4 * (cache + 1)); snap.FleetCache.Hits != wantHits || snap.Fallbacks != 2 {
 				t.Errorf("predcache hits %d, fallbacks %d, want %d and 2", snap.FleetCache.Hits, snap.Fallbacks, wantHits)
 			}
+			if n := snap.EventCounts.Get(obs.ModelError); n != 1 {
+				t.Errorf("model_error events %d after one fault, want 1", n)
+			}
 			var predict503, other503 uint64
 			for _, r := range snap.Requests {
 				if r.Code != http.StatusServiceUnavailable {
@@ -227,7 +231,7 @@ func TestBooksBalance(t *testing.T) {
 			if predict503 != snap.Shed || snap.Shed != 1 || other503 != 0 {
 				t.Errorf("503s on predict = %d, elsewhere = %d, requests_shed = %d, want 1, 0 and 1", predict503, other503, snap.Shed)
 			}
-			if refused := snap.Replicas[0].Shed; refused != snap.Shed {
+			if refused := snap.Model.Shed; refused != snap.Shed {
 				t.Errorf("queue refusals = %d, requests_shed = %d, want equal", refused, snap.Shed)
 			}
 
@@ -246,7 +250,7 @@ func TestBooksBalance(t *testing.T) {
 // TestSwapWritesNoBooks: a model swap with no client traffic is not a
 // request. Its warm-up runs the standby's predictor and fills its cache, and
 // moves nothing else: every event total (prediction cache, inference_run,
-// prefetch_limited, replica_*, drift transitions), the drift evaluation
+// prefetch_limited, model_error, drift transitions), the drift evaluation
 // total, and the new row's served, shed and cache outcome counters. It holds
 // when the warm set overflows the cache (2 entries) and when the prefetch
 // budget cuts the predicted sets (4 buffer pages). With room for every plan
@@ -296,8 +300,8 @@ func TestSwapWritesNoBooks(t *testing.T) {
 			if after.Drift.Evaluations != before.Drift.Evaluations {
 				t.Errorf("swap moved drift evaluations %d -> %d", before.Drift.Evaluations, after.Drift.Evaluations)
 			}
-			r := after.Replicas[0]
-			if r.Generation != 2 || r.Served != 0 || r.Shed != 0 || r.CacheHits != 0 || r.CacheMisses != 0 || r.CacheEvictions != 0 {
+			r := after.Model
+			if r.Served != 0 || r.Shed != 0 || r.CacheHits != 0 || r.CacheMisses != 0 || r.CacheEvictions != 0 {
 				t.Errorf("new row moved by the swap: %+v", r)
 			}
 			if tc.cache != 0 {

@@ -17,15 +17,14 @@ type Prediction struct {
 	Workload string
 	// Pages is the predicted, buffer-bounded prefetch set.
 	Pages []storage.PageID
-	// Fallback reports that no workload matched (or the model path was
-	// skipped or faulted) and the empty advisory answer was served.
+	// Fallback reports that no workload matched (or the model path faulted)
+	// and the empty advisory answer was served.
 	Fallback bool
 	// Cached reports the answer came from the prediction cache with zero
 	// inference.
 	Cached bool
-	// Degraded names why a matched plan got the fallback: the model is
-	// quarantined ("no_healthy_replica") or its model path faulted
-	// ("model_error").
+	// Degraded names why a matched plan got the fallback: its model path
+	// faulted ("model_error").
 	Degraded string
 	// Generation is the model generation that answered; it increments on
 	// every successful Swap.
@@ -48,23 +47,20 @@ type InfStatus struct {
 	// Drift is the serving generation's drift-monitor snapshot (state "ok"
 	// with zero counters when its snapshot carries no training baseline).
 	Drift quality.DriftStats
-	// Replicas holds the serving generation's one row.
-	Replicas []ReplicaStatus
+	// Model is the serving generation's row.
+	Model GenerationStatus
 }
 
-// ReplicaStatus is the serving generation's row in InfStatus (ID is always
-// 0). Its counters (served, shed, cache hits/misses/evictions) are
-// per-generation: a model swap replaces the row, and the new one starts from
-// zero. The totals on /stats and /metrics are separate monotonic counters in
-// the Metrics hub and do not restart.
-type ReplicaStatus struct {
-	ID             int      `json:"id"`
-	Generation     uint64   `json:"generation"`
+// GenerationStatus is the serving generation's row in InfStatus. Its
+// counters (served, shed, cache hits/misses/evictions) are per-generation: a
+// model swap replaces the row, and the new one starts from zero. The totals
+// on /stats and /metrics are separate monotonic counters in the Metrics hub
+// and do not restart.
+type GenerationStatus struct {
 	Served         uint64   `json:"served"`
 	Shed           uint64   `json:"shed"`
 	InFlight       int64    `json:"in_flight"`
 	QueueDepth     int      `json:"queue_depth"`
-	Health         string   `json:"health"`
 	CacheEntries   int      `json:"cache_entries"`
 	CacheCapacity  int      `json:"cache_capacity"`
 	CacheHits      uint64   `json:"cache_hits"`
@@ -72,10 +68,6 @@ type ReplicaStatus struct {
 	CacheEvictions uint64   `json:"cache_evictions"`
 	Workloads      []string `json:"workloads"`
 	Params         int      `json:"params"`
-
-	// HealthValue is the health state as a gauge (healthy=0, degraded=1,
-	// probation=2, quarantined=3); the name is in Health.
-	HealthValue int `json:"-"`
 }
 
 // faultGate serializes draws on the chaos injector (fault.Injector is not

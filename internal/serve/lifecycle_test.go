@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
@@ -20,64 +19,49 @@ import (
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 )
 
-// TestChaosLifecycle is the acceptance drill: with every inference faulting
-// (ServeRate 1) the model is quarantined, probed and — once the fault clears
-// — re-admitted, and no request answers anything but 200: faults and the
-// quarantine answer the degraded fallback. Deterministic: the rate is 1 and
-// the probe clock is faked.
+// TestChaosLifecycle is the acceptance drill for the per-request rule: a
+// model-path error answers the degraded fallback on that request, is counted
+// once, and changes nothing else. With every inference faulting (ServeRate 1)
+// ten uncached requests in a row each answer the model_error fallback — no
+// state trips after some number of them — while a plan cached before the
+// fault keeps answering from the cache; /stats counts one model_error per
+// degraded answer; and the first uncached request after the fault clears gets
+// a model answer. Every predict answers 200.
 func TestChaosLifecycle(t *testing.T) {
-	srv, w := resilienceServer(t, Options{
-		CacheEntries:      -1, // every request exercises the model path
-		QuarantineBackoff: time.Minute,
-	})
-	now := time.Unix(0, 0)
-	srv.inst().health.now = func() time.Time { return now }
+	srv, w := resilienceServer(t, Options{})
 	insts := distinctInstances(t, srv, w, 3)
-	ask := func(k int) predictResponse { return predictOK(t, srv, w, insts[k%len(insts)]) }
+	hot, cold := insts[0], insts[1:]
+	if resp := predictOK(t, srv, w, hot); resp.Fallback || resp.Cached {
+		t.Fatalf("warm-up answer wrong: %+v", resp)
+	}
 
+	const faults = 10
 	srv.SetFault(fault.New(fault.Plan{ServeRate: 1}, 7))
-	for round := 0; round < quarantineThreshold; round++ {
-		if resp := ask(round); !resp.Fallback || resp.Degraded != "model_error" {
-			t.Fatalf("round %d: faulting model answered %+v, want the model_error fallback", round, resp)
+	for k := 0; k < faults; k++ {
+		resp := predictOK(t, srv, w, cold[k%len(cold)])
+		if !resp.Fallback || resp.Degraded != "model_error" || resp.PageCount != 0 {
+			t.Fatalf("request %d: faulting model answered %+v, want the model_error fallback", k, resp)
+		}
+		if k == faults/2 {
+			if resp := predictOK(t, srv, w, hot); !resp.Cached || resp.Fallback || resp.PageCount == 0 {
+				t.Fatalf("cached plan during the fault answered %+v, want the cached pages", resp)
+			}
 		}
 	}
 	var stats statsResponse
 	if err := json.NewDecoder(doRequest(t, srv, http.MethodGet, "/stats", nil).Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.HealthState != "quarantined" || stats.Replicas[0].Health != "quarantined" {
-		t.Fatalf("/stats health_state %q, row %q, want quarantined", stats.HealthState, stats.Replicas[0].Health)
+	if n := stats.Events["model_error"]; n != faults {
+		t.Fatalf("/stats events.model_error = %d, want one per degraded answer (%d)", n, faults)
 	}
 
-	// Quarantined, backoff unelapsed: no probe, no model path.
-	for k := 0; k < len(insts); k++ {
-		if resp := ask(k); !resp.Fallback || resp.Degraded != "no_healthy_replica" {
-			t.Fatalf("quarantined model answered %+v, want the no_healthy_replica fallback", resp)
-		}
-	}
-	if n := srv.metrics.Events().Get(obs.ReplicaProbe); n != 0 {
-		t.Fatalf("%d probes admitted before the backoff elapsed", n)
-	}
-
-	// Fault clears and the backoff elapses: the next request is the probe,
-	// answered by the model; quarantineProbes consecutive successes re-admit
-	// it.
 	srv.SetFault(nil)
-	now = now.Add(time.Minute)
-	for k := 0; k < quarantineProbes; k++ {
-		if resp := ask(k); resp.Fallback || resp.Workload == "" {
-			t.Fatalf("probe %d answered %+v, want a model answer", k, resp)
-		}
+	if resp := predictOK(t, srv, w, cold[0]); resp.Fallback || resp.Cached || resp.Workload == "" {
+		t.Fatalf("first request after the fault cleared answered %+v, want a model answer", resp)
 	}
-	if st := srv.inst().health.State(); st != "healthy" {
-		t.Fatalf("after %d probe successes health is %s, want healthy", quarantineProbes, st)
-	}
-
-	// The full lifecycle left its event trail, and every predict answered 200.
-	snap := srv.metrics.Events().Snapshot()
-	if snap.Get(obs.ReplicaQuarantined) != 1 || snap.Get(obs.ReplicaProbe) != 1 || snap.Get(obs.ReplicaRecovered) != 1 {
-		t.Fatalf("lifecycle events wrong: quarantined=%d probe=%d recovered=%d",
-			snap.Get(obs.ReplicaQuarantined), snap.Get(obs.ReplicaProbe), snap.Get(obs.ReplicaRecovered))
+	if n := srv.metrics.Events().Get(obs.ModelError); n != faults {
+		t.Fatalf("model_error events %d after the clear, want still %d", n, faults)
 	}
 	for _, r := range srv.snapshot().Requests {
 		if r.Endpoint == "predict" && r.Code != http.StatusOK {

@@ -54,9 +54,8 @@ func readBuildInfo() BuildInfo {
 type Metrics struct {
 	start time.Time
 
-	// now is the clock behind uptime and request latencies. It follows the
-	// same injected-clock convention as the health tracker: production code
-	// leaves it at time.Now, tests swap in a fake via setClock so /metrics
+	// now is the clock behind uptime and request latencies. Production code
+	// leaves it at time.Now; tests swap in a fake via setClock so /metrics
 	// and /stats bodies are byte-for-byte reproducible.
 	now func() time.Time
 
@@ -167,7 +166,7 @@ func (m *Metrics) observePrediction(pages int, fallback bool) {
 }
 
 // Record implements obs.Recorder: the hub is the serving tier's one stamp
-// point. Every event of the tier — prediction-cache outcomes, model health,
+// point. Every event of the tier — prediction-cache outcomes, model errors,
 // drift transitions, scored feedback — is counted once here; with a
 // tracer attached it is also stamped with the hub clock's epoch-relative
 // reading and forwarded, and the tracer's table decides whether it shows as a

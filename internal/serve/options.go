@@ -19,7 +19,7 @@ type Options struct {
 	// 1 MiB.
 	MaxBodyBytes int64
 	// Fault, when non-nil, injects transient model errors at the injector's
-	// Serve site — the deterministic chaos hook the failure-ladder tests and
+	// Serve site — the deterministic chaos hook the model-error tests and
 	// drills run against.
 	Fault *fault.Injector
 	// CacheEntries bounds the plan-fingerprint prediction cache; identical
@@ -35,10 +35,6 @@ type Options struct {
 	// and SIGHUP reloads (a pythia.System.Save bundle). Empty means reloads
 	// must name a path explicitly.
 	SnapshotPath string
-	// QuarantineBackoff is the initial delay before a quarantined model is
-	// probed; each failed probe doubles it (capped at 16×). Default 1s. The
-	// rest of the failure ladder's shape is constants in health.go.
-	QuarantineBackoff time.Duration
 }
 
 // Normalize resolves zero fields to their defaults and rejects negative ones
@@ -47,9 +43,9 @@ type Options struct {
 // to fail before building a server (pythia-serve, before it trains) call it
 // themselves first. Idempotent.
 func (o Options) Normalize() (Options, error) {
-	if o.RequestTimeout < 0 || o.MaxBodyBytes < 0 || o.QueueDepth < 0 || o.QuarantineBackoff < 0 {
-		return o, fmt.Errorf("serve: negative option (RequestTimeout %s, MaxBodyBytes %d, QueueDepth %d, QuarantineBackoff %s): 0 selects the default, and only CacheEntries has an off-switch",
-			o.RequestTimeout, o.MaxBodyBytes, o.QueueDepth, o.QuarantineBackoff)
+	if o.RequestTimeout < 0 || o.MaxBodyBytes < 0 || o.QueueDepth < 0 {
+		return o, fmt.Errorf("serve: negative option (RequestTimeout %s, MaxBodyBytes %d, QueueDepth %d): 0 selects the default, and only CacheEntries has an off-switch",
+			o.RequestTimeout, o.MaxBodyBytes, o.QueueDepth)
 	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 5 * time.Second
@@ -62,9 +58,6 @@ func (o Options) Normalize() (Options, error) {
 	}
 	if o.QueueDepth == 0 {
 		o.QueueDepth = 32
-	}
-	if o.QuarantineBackoff == 0 {
-		o.QuarantineBackoff = time.Second
 	}
 	return o, nil
 }

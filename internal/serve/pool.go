@@ -1,10 +1,10 @@
 package serve
 
 // The pool is the serving tier's model tier: one generation at a time, each
-// one trained pythia.System with one prediction cache, one health ladder, one
-// bounded work queue and one drift monitor. One trunk already runs concurrent
-// forward passes, so a second in-process copy of the same weights would add
-// cache and queue capacity — both of which are options — and no cores.
+// one trained pythia.System with one prediction cache, one bounded work queue
+// and one drift monitor. One trunk already runs concurrent forward passes, so
+// a second in-process copy of the same weights would add cache and queue
+// capacity — both of which are options — and no cores.
 //
 // A model swap builds a complete standby generation from a snapshot, warms
 // its cache on recently served plans, and swings one atomic pointer.
@@ -39,10 +39,6 @@ type generation struct {
 	// cache is the inference fast path; nil when caching is off.
 	cache *predCache
 
-	// health is the failure ladder (see health.go): while it reads
-	// quarantined the model path is skipped, except for backoff-gated probes.
-	health *health
-
 	// queue bounds concurrently admitted requests; its length is the
 	// in-flight count. A full queue sheds instead of queueing unboundedly
 	// behind a slow inference.
@@ -68,9 +64,8 @@ const serveDriftEvalEvery = 64
 
 func newGeneration(id uint64, sys *corepythia.System, metrics *Metrics, opts Options) *generation {
 	g := &generation{id: id, sys: sys,
-		health: newHealth(opts.QuarantineBackoff, metrics),
-		queue:  make(chan struct{}, opts.QueueDepth),
-		drift:  quality.NewMonitor(sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery})}
+		queue: make(chan struct{}, opts.QueueDepth),
+		drift: quality.NewMonitor(sys.Baseline(), quality.Options{EvalEvery: serveDriftEvalEvery})}
 	if opts.CacheEntries > 0 {
 		g.cache = newPredCache(opts.CacheEntries, metrics)
 	}
@@ -98,16 +93,13 @@ func (g *generation) observeDrift(root *plan.Node, m *Metrics) {
 }
 
 // status reports the generation's row for InfStatus.
-func (g *generation) status() ReplicaStatus {
-	st := ReplicaStatus{
-		Generation:  g.id,
-		Served:      g.served.Load(),
-		Shed:        g.shed.Load(),
-		InFlight:    int64(len(g.queue)),
-		QueueDepth:  cap(g.queue),
-		Health:      g.health.State(),
-		HealthValue: g.health.stateValue(),
-		Workloads:   workloadNames(g.sys),
+func (g *generation) status() GenerationStatus {
+	st := GenerationStatus{
+		Served:     g.served.Load(),
+		Shed:       g.shed.Load(),
+		InFlight:   int64(len(g.queue)),
+		QueueDepth: cap(g.queue),
+		Workloads:  workloadNames(g.sys),
 	}
 	for _, tw := range g.sys.Workloads() {
 		st.Params += tw.Pred.ParamCount()
@@ -144,13 +136,17 @@ func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opt
 	return p
 }
 
-// Predict walks the serving tier's one failure ladder: shed → quarantine →
-// cached-or-degraded fallback → probe → recover. It feeds the plan to the
-// generation's drift monitor, matches the query once, encodes and
-// fingerprints its plan once, and — unless the generation is quarantined with
-// no probe due — answers on the model path with those IDs. While quarantined,
-// a cached plan still answers from the cache and anything else answers the
-// degraded fallback: prefetching is advisory, so degraded beats unavailable.
+// Predict answers one planned query on the serving generation. It feeds the
+// plan to the generation's drift monitor, matches the query once, encodes and
+// fingerprints its plan once, notes it for warm-up, and then runs bounded-queue
+// admission → prediction cache → fault injection → inference → cache fill.
+//
+// A model-path error answers the degraded fallback on that request and counts
+// one obs.ModelError; nothing else changes state, so the next request tries
+// the model again. Prefetching is advisory: a query without a prediction runs
+// on the default path, so degraded beats unavailable. A full queue is
+// ErrSaturated and an expired budget the context's error, for the Server to
+// map to 503 and 504.
 func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Prediction, error) {
 	gen := p.cur.Load()
 	gen.observeDrift(root, p.metrics)
@@ -163,33 +159,12 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 	if p.opts.CacheEntries > 0 {
 		p.warm.note(fp, q, root)
 	}
-	if gen.health.serving() || gen.health.allowProbe() {
-		return p.predict(ctx, gen, tw, root, ids, fp)
-	}
-	if pages, hit := gen.cache.get(fp); hit {
-		return Prediction{Workload: tw.Name, Cached: true, Pages: pages, Generation: gen.id}, nil
-	}
-	return Prediction{Fallback: true, Degraded: "no_healthy_replica", Generation: gen.id}, nil
-}
-
-// predict runs the model path for one planned query Predict has already
-// matched (tw), encoded (ids), fingerprinted (fp keys the prediction cache)
-// and admitted past the health gate.
-//
-// Stage order: bounded-queue admission → prediction cache → fault injection
-// → inference → cache fill. An injected model fault records a health failure
-// and answers the degraded fallback: the cache was consulted first, so there
-// is no cached answer to give.
-func (p *Pool) predict(ctx context.Context, gen *generation, tw *corepythia.Trained, root *plan.Node, ids []int, fp uint64) (Prediction, error) {
 	pred := Prediction{Workload: tw.Name, Generation: gen.id}
 	select {
 	case gen.queue <- struct{}{}:
 		defer func() { <-gen.queue }()
 	default:
-		// An admission shed counts as a health failure: a model that cannot
-		// accept its traffic is unhealthy, whatever the cause.
 		gen.shed.Add(1)
-		gen.health.failure()
 		return pred, ErrSaturated
 	}
 	defer gen.served.Add(1)
@@ -197,13 +172,12 @@ func (p *Pool) predict(ctx context.Context, gen *generation, tw *corepythia.Trai
 	// A hit performs zero inference and cannot fail, so it is checked before
 	// the fault hook.
 	if pages, hit := gen.cache.get(fp); hit {
-		gen.health.cacheHit()
 		pred.Cached = true
 		pred.Pages = pages
 		return pred, nil
 	}
 	if p.fgate.fire() {
-		gen.health.failure()
+		p.metrics.Record(obs.Event{Kind: obs.ModelError, Query: obs.NoQuery})
 		return Prediction{Fallback: true, Degraded: "model_error", Generation: gen.id}, nil
 	}
 	pages, err := p.infer(ctx, gen, tw, root, ids)
@@ -229,16 +203,12 @@ func (p *Pool) infer(ctx context.Context, gen *generation, tw *corepythia.Traine
 	go func() { done <- tw.Pred.Predict(root, ids) }()
 	select {
 	case pages := <-done:
-		gen.health.success()
 		p.metrics.Record(obs.Event{Kind: obs.InferenceRun, Query: obs.NoQuery})
 		return gen.sys.LimitPrefetch(pages), nil
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			// A deadline miss is a model-path failure; a canceled request
-			// (client gone) says nothing about the model and records
-			// neither way.
+			// A canceled request (client gone) is not a timeout.
 			p.metrics.timeouts.Add(1)
-			gen.health.failure()
 		}
 		return nil, ctx.Err()
 	}
@@ -249,14 +219,14 @@ func (p *Pool) Workloads() []*corepythia.Trained {
 	return p.cur.Load().sys.Workloads()
 }
 
-// Status reports the serving generation: its drift monitor and its one row
-// (the row's counters restart with each generation; see ReplicaStatus).
+// Status reports the serving generation: its drift monitor and its model row
+// (the row's counters restart with each generation; see GenerationStatus).
 func (p *Pool) Status() InfStatus {
 	gen := p.cur.Load()
 	gen.driftMu.Lock()
 	st := InfStatus{Generation: gen.id, Swaps: p.swaps.Load(), Drift: gen.drift.Stats()}
 	gen.driftMu.Unlock()
-	st.Replicas = []ReplicaStatus{gen.status()}
+	st.Model = gen.status()
 	return st
 }
 
@@ -296,7 +266,7 @@ func (p *Pool) Swap(r io.Reader) error {
 // before it takes traffic. Each recorded plan is fingerprinted against the new
 // models (a new snapshot may encode the same plan differently) and predicted
 // by the standby. It is a cache fill, not a request: no admission, fault
-// draw, health outcome, drift observation or counter, and no entry displaced,
+// draw, event, drift observation or counter, and no entry displaced,
 // so a swap moves no books. The warm set is empty when caching is off.
 func (p *Pool) warmUp(next *generation) {
 	for _, e := range p.warm.snapshot() {

@@ -129,9 +129,6 @@ func TestSwapUnderLoad(t *testing.T) {
 	if st.Generation != 2 || st.Swaps != 1 {
 		t.Fatalf("after swap: generation=%d swaps=%d, want 2/1", st.Generation, st.Swaps)
 	}
-	if r := st.Replicas[0]; r.Generation != 2 {
-		t.Fatalf("status row still on generation %d", r.Generation)
-	}
 	// Post-swap requests serve generation 2 only.
 	resp := predictOK(t, srv, w, probes[0])
 	if resp.Generation != 2 || !reflect.DeepEqual(resp.Pages, want[2][0]) {
@@ -211,8 +208,8 @@ func TestAdminReloadHTTP(t *testing.T) {
 	if err := json.NewDecoder(doRequest(t, srv, http.MethodGet, "/stats", nil).Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Generation != 3 || st.Swaps != 2 || len(st.Replicas) != 1 || st.Replicas[0].Generation != 3 {
-		t.Fatalf("/stats after two swaps: generation %d, swaps %d, rows %+v", st.Generation, st.Swaps, st.Replicas)
+	if st.Generation != 3 || st.Swaps != 2 {
+		t.Fatalf("/stats after two swaps: generation %d, swaps %d", st.Generation, st.Swaps)
 	}
 	// Requests still answer after two live swaps.
 	if resp := predictOK(t, srv, w, 0); resp.Generation != 3 {
@@ -297,7 +294,7 @@ func TestWritePredictError(t *testing.T) {
 	}
 }
 
-// TestOptionsNormalize pins the seven fields' defaults, the one off-switch
+// TestOptionsNormalize pins the six fields' defaults, the one off-switch
 // (CacheEntries), the rejected negatives, and idempotence.
 func TestOptionsNormalize(t *testing.T) {
 	norm, err := Options{}.Normalize()
@@ -305,7 +302,7 @@ func TestOptionsNormalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := (Options{RequestTimeout: 5 * time.Second, MaxBodyBytes: 1 << 20, CacheEntries: 4096,
-		QueueDepth: 32, QuarantineBackoff: time.Second}); norm != want {
+		QueueDepth: 32}); norm != want {
 		t.Fatalf("defaults %+v, want %+v", norm, want)
 	}
 	for entries, want := range map[int]int{-1: -1, 0: 4096, 7: 7} {
@@ -325,7 +322,6 @@ func TestOptionsNormalize(t *testing.T) {
 		{RequestTimeout: -time.Second},
 		{MaxBodyBytes: -1},
 		{QueueDepth: -1},
-		{QuarantineBackoff: -time.Second},
 	}
 	for i, o := range invalid {
 		if _, err := o.Normalize(); err == nil {

@@ -72,8 +72,8 @@ func fingerprint(workload string, ids []int) uint64 {
 // get returns the cached prediction for a fingerprint; a nil cache (caching
 // off) always misses. The hit path is the serving tier's fastest: one lock,
 // one map lookup, two pointer splices — no allocation, no inference. It
-// touches neither the model nor the health tracker, which is what lets the
-// pool keep answering cached plans from a quarantined model.
+// never touches the model, which is what lets a cached plan keep its answer
+// while the model path is faulting.
 //
 //pythia:noalloc
 func (c *predCache) get(key uint64) ([]storage.PageID, bool) {

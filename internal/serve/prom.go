@@ -86,7 +86,6 @@ func families(s *statsResponse) []family {
 		{"pythia_predcache_evictions_total", counter, "Prediction-cache evictions at capacity.", one(s.FleetCache.Evictions)},
 		{"pythia_predcache_entries", gauge, "Prediction-cache resident entries.", one(s.FleetCache.Entries)},
 		{"pythia_predcache_capacity", gauge, "Prediction-cache entry bound (0 = caching disabled).", one(s.FleetCache.Capacity)},
-		{"pythia_replica_health", gauge, "Model health state (0=healthy, 1=degraded, 2=probation, 3=quarantined).", one(s.HealthValue)},
 		{"pythia_quality_feedback_total", counter, "Predictions scored against executor ground truth via /v1/feedback.", one(s.Quality.Scored)},
 		{"pythia_quality_precision", gauge, "Windowed micro-averaged precision of scored predictions (0 = no data).", one(s.Quality.Precision)},
 		{"pythia_quality_recall", gauge, "Windowed micro-averaged recall of scored predictions (0 = no data).", one(s.Quality.Recall)},

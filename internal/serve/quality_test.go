@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
@@ -184,13 +183,12 @@ func TestUnmatchedPlansFeedDrift(t *testing.T) {
 }
 
 // TestDriftObservedOncePerRequest: the generation's drift monitor sees each
-// request's plan once, whichever rung of the ladder answers it. Every
-// inference faults, so the requests answer the model_error fallback and, once
-// the model is quarantined, the no_healthy_replica one. serveDriftEvalEvery−1
-// such requests must leave the monitor one plan short of its first
-// evaluation, and the next request must complete it.
+// request's plan once, a degraded answer included. Every inference faults, so
+// every request answers the model_error fallback. serveDriftEvalEvery−1 such
+// requests must leave the monitor one plan short of its first evaluation, and
+// the next request must complete it.
 func TestDriftObservedOncePerRequest(t *testing.T) {
-	srv, w := resilienceServer(t, Options{CacheEntries: -1, QuarantineBackoff: time.Hour})
+	srv, w := resilienceServer(t, Options{CacheEntries: -1})
 	evaluations := func() uint64 { return srv.pool.Status().Drift.Evaluations }
 
 	srv.SetFault(fault.New(fault.Plan{ServeRate: 1}, 7))
@@ -202,8 +200,8 @@ func TestDriftObservedOncePerRequest(t *testing.T) {
 		}
 		degraded[resp.Degraded]++
 	}
-	if degraded["model_error"] != quarantineThreshold || degraded["no_healthy_replica"] != serveDriftEvalEvery-1-quarantineThreshold {
-		t.Fatalf("answers %v: the drill did not walk the ladder", degraded)
+	if degraded["model_error"] != serveDriftEvalEvery-1 {
+		t.Fatalf("answers %v: want every one the model_error fallback", degraded)
 	}
 	if got := evaluations(); got != 0 {
 		t.Fatalf("%d evaluations after %d requests, want 0: a request observed twice", got, serveDriftEvalEvery-1)

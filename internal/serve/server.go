@@ -23,13 +23,12 @@
 // The server degrades rather than piles up: request bodies are capped (413),
 // the model's bounded work queue is the one admission point — a predict it
 // refuses is shed (503 + Retry-After) — inference runs under a per-request
-// timeout (504), a faulting model path answers the advisory fallback, and a
-// model that keeps failing is quarantined: its plans answer from the
-// prediction cache or the advisory fallback until backoff-gated probes
-// re-admit it. All of it is visible on /metrics and /stats.
+// timeout (504), and a faulting model path answers the advisory fallback on
+// that request and counts one model_error event; the next request tries the
+// model again. All of it is visible on /metrics and /stats.
 //
 // The model tier behind the handlers is a Pool serving one generation — one
-// trained system with its cache, queue and health — with snapshot-based
+// trained system with its cache, queue and drift monitor — with snapshot-based
 // zero-downtime model swap (POST /v1/admin/reload, or SIGHUP in
 // pythia-serve).
 package serve
@@ -195,7 +194,7 @@ type predictResponse struct {
 	Workload     string     `json:"workload"`
 	Fallback     bool       `json:"fallback"`
 	Cached       bool       `json:"cached,omitempty"`   // answered from the prediction cache (zero inference)
-	Degraded     string     `json:"degraded,omitempty"` // why a matched plan got the fallback (no_healthy_replica, model_error)
+	Degraded     string     `json:"degraded,omitempty"` // why a matched plan got the fallback (model_error)
 	Generation   uint64     `json:"generation"`         // model generation that answered
 	Pages        []pageJSON `json:"pages"`
 	PageCount    int        `json:"page_count"`

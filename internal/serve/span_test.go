@@ -90,14 +90,14 @@ func TestHubStampsAndForwardsEvents(t *testing.T) {
 	cache.get(7) // miss
 	cache.put(7, nil, true)
 	cache.get(7)                                                         // hit
-	m.Record(obs.Event{Kind: obs.ReplicaProbe, Query: obs.NoQuery})      // stamped, but not a mark
+	m.Record(obs.Event{Kind: obs.ModelError, Query: obs.NoQuery})        // stamped, but not a mark
 	m.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})     // 4ms
 	m.Record(obs.Event{Kind: obs.DriftAlarm, Query: obs.NoQuery, At: 9}) // 5ms: the hub's stamp wins
 
 	ev := m.Events()
-	if ev.Get(obs.PredCacheMiss) != 2 || ev.Get(obs.PredCacheHit) != 1 || ev.Get(obs.ReplicaProbe) != 1 {
-		t.Errorf("counters: miss=%d hit=%d probe=%d, want 2/1/1",
-			ev.Get(obs.PredCacheMiss), ev.Get(obs.PredCacheHit), ev.Get(obs.ReplicaProbe))
+	if ev.Get(obs.PredCacheMiss) != 2 || ev.Get(obs.PredCacheHit) != 1 || ev.Get(obs.ModelError) != 1 {
+		t.Errorf("counters: miss=%d hit=%d model_error=%d, want 2/1/1",
+			ev.Get(obs.PredCacheMiss), ev.Get(obs.PredCacheHit), ev.Get(obs.ModelError))
 	}
 	ms := func(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
 	want := []struct {

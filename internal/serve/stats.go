@@ -12,8 +12,8 @@ import (
 //
 // Totals (requests_shed, predcache hits/misses/evictions, quality.scored, the
 // drift counters) each read one monotonic counter in the Metrics hub, so they
-// survive a model swap; the replicas row is the serving generation's own
-// books and restarts with it.
+// survive a model swap; the model row is the serving generation's own books
+// and restarts with it.
 type statsResponse struct {
 	UptimeSeconds  float64           `json:"uptime_seconds"`
 	Build          BuildInfo         `json:"build"`
@@ -29,11 +29,10 @@ type statsResponse struct {
 	OSHitRatio     float64           `json:"oscache_hit_ratio"`
 	Shed           uint64            `json:"requests_shed"`
 	Timeouts       uint64            `json:"inference_timeouts"`
-	HealthState    string            `json:"health_state"`
 	Draining       bool              `json:"draining"`
 	Generation     uint64            `json:"generation"`
 	Swaps          uint64            `json:"swaps"`
-	Replicas       []ReplicaStatus   `json:"replicas"`
+	Model          GenerationStatus  `json:"model"`
 	// PredCache is the prediction cache's view (FleetCache below), printed
 	// only when caching is on.
 	PredCache *predCacheStats `json:"predcache,omitempty"`
@@ -51,13 +50,11 @@ type statsResponse struct {
 	Baseline *corepythia.BaselineID `json:"baseline,omitempty"`
 
 	// /metrics only: every event kind including the zeros Events omits, the
-	// model inventory, the cache totals even when caching is off, and the
-	// health state as a gauge.
+	// model inventory and the cache totals even when caching is off.
 	EventCounts obs.Counters   `json:"-"`
 	Workloads   int            `json:"-"`
 	ModelParams int            `json:"-"`
 	FleetCache  predCacheStats `json:"-"`
-	HealthValue int            `json:"-"`
 }
 
 // qualityStats is the /stats view of the server-wide feedback window.
@@ -104,15 +101,13 @@ func (s *Server) snapshot() *statsResponse {
 		Draining:       s.draining.Load(),
 		Generation:     st.Generation,
 		Swaps:          st.Swaps,
-		Replicas:       st.Replicas,
+		Model:          st.Model,
 		Quality:        s.qualitySnapshot(ev.Get(obs.QualityScored)),
 		Drift:          st.Drift,
 		Baseline:       s.pool.BaselineID(),
 		EventCounts:    ev,
 		FleetCache:     predCacheStats{Hits: ev.Get(obs.PredCacheHit), Misses: ev.Get(obs.PredCacheMiss), Evictions: ev.Get(obs.PredCacheEvict)},
 	}
-	row := st.Replicas[0]
-	resp.HealthValue, resp.HealthState = row.HealthValue, row.Health
 	resp.Drift.Evaluations = m.driftEvals.Load()
 	resp.Drift.Warnings = ev.Get(obs.DriftWarning)
 	resp.Drift.Alarms = ev.Get(obs.DriftAlarm)
@@ -121,7 +116,7 @@ func (s *Server) snapshot() *statsResponse {
 		resp.FallbackRate = float64(resp.Fallbacks) / float64(resp.Predictions)
 		resp.AvgSetSize = float64(resp.PredictedPages) / float64(resp.Predictions)
 	}
-	resp.FleetCache.Entries, resp.FleetCache.Capacity = row.CacheEntries, row.CacheCapacity
+	resp.FleetCache.Entries, resp.FleetCache.Capacity = st.Model.CacheEntries, st.Model.CacheCapacity
 	if s.opts.CacheEntries > 0 {
 		resp.PredCache = &resp.FleetCache
 	}
