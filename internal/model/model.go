@@ -258,7 +258,7 @@ func (m *Model) Train(samples []Sample) float64 {
 // TrainIncremental is Trunk.TrainIncremental under this head's loss alone,
 // which on a shared trunk drags the encoder from under the other heads;
 // Predictor.Update trains them jointly instead. It survives for the frozen
-// bench/ (ROADMAP item 12).
+// bench/ until the bench unfreeze (ROADMAP).
 func (m *Model) TrainIncremental(samples []Sample, epochs int) float64 {
 	return m.trunk.train([]*Model{m}, samples, epochs)
 }
@@ -381,16 +381,17 @@ func (m *Model) Cut(probs []float64) []storage.PageID {
 }
 
 // Scores is Infer for this head alone. It survives for the frozen bench/
-// (ROADMAP item 12).
+// until the bench unfreeze (ROADMAP).
 func (m *Model) Scores(tokenIDs []int) []float64 {
 	return m.trunk.Infer(tokenIDs, []*Model{m})[0]
 }
 
-// Predict is Cut(Scores). It survives for the frozen bench/ (ROADMAP item 12).
+// Predict is Cut(Scores). It survives for the frozen bench/ until the bench
+// unfreeze (ROADMAP).
 func (m *Model) Predict(tokenIDs []int) []storage.PageID { return m.Cut(m.Scores(tokenIDs)) }
 
 // PredictBatch is Predict per sequence. It survives for the frozen bench/
-// (ROADMAP item 12).
+// until the bench unfreeze (ROADMAP).
 func (m *Model) PredictBatch(seqs [][]int) [][]storage.PageID {
 	out := make([][]storage.PageID, len(seqs))
 	for i, ids := range seqs {

@@ -12,10 +12,10 @@ import (
 // dimension 100 (paper §5.1); the experiment configs scale the dimensions
 // down but keep the architecture.
 //
-// Heads run one after another (forwardHead, backwardHead). The forward pass
-// reads a head's Q and V in place, as column blocks of q and v, and writes
-// its output straight into its column block of concat; the backward pass
-// copies each head out into its own scratch.
+// Heads run one after another, each reading its column blocks of q, k, v
+// and the incoming gradient in place and writing its results straight into
+// its column blocks of concat (forwardHead), or of dq, dk and dv on the way
+// back (backwardFrom).
 type MHSA struct {
 	D, H, Dh int
 	Wq, Wk   *Linear
@@ -27,16 +27,6 @@ type MHSA struct {
 	q, k, v *Mat
 	attn    []*Mat // per-head attention probabilities (query rows × n)
 	concat  *Mat
-
-	// Per-head backward scratch, retained across steps so the only per-step
-	// allocations are arena recycles. The matrices it points at come from
-	// the arena each step; only the slice persists.
-	bs []headScratch
-}
-
-// headScratch is one head's backward-pass scratch.
-type headScratch struct {
-	doh, qh, kh, vh, dvh, dattn, dscores, dqh, dkh *Mat
 }
 
 // NewMHSA builds an attention block. D must be divisible by H.
@@ -79,26 +69,6 @@ func (a *MHSA) Params() []*Param {
 		out = append(out, l.Params()...)
 	}
 	return out
-}
-
-// headViewInto copies the n×Dh slice of m for head h into dst.
-func (a *MHSA) headViewInto(dst, m *Mat, h int) {
-	off := h * a.Dh
-	for i := 0; i < m.Rows; i++ {
-		copy(dst.Row(i), m.Row(i)[off:off+a.Dh])
-	}
-}
-
-// headAccum adds src (n×Dh) into dst's columns for head h.
-func (a *MHSA) headAccum(dst, src *Mat, h int) {
-	off := h * a.Dh
-	for i := 0; i < src.Rows; i++ {
-		drow := dst.Row(i)[off : off+a.Dh]
-		srow := src.Row(i)
-		for j := range srow {
-			drow[j] += srow[j]
-		}
-	}
 }
 
 // Forward computes self-attention over the n×D sequence x.
@@ -147,9 +117,9 @@ func (a *MHSA) forwardFrom(x *Mat, from int) *Mat {
 func (a *MHSA) forwardHead(h int, kt *Mat, scale float64) {
 	off, n, m := h*a.Dh, a.k.Rows, a.q.Rows
 	scores := a.attn[h]
-	gemm(scores.Data, n, a.q.Data[off:], a.D, kt.Data[off*n:], n, m, a.Dh, n, nil, false)
+	gemm(scores.Data, n, a.q.Data[off:], a.D, kt.Data[off*n:], n, m, a.Dh, n, nil, false, false)
 	scores.SoftmaxRows(scale)
-	gemm(a.concat.Data[off:], a.D, scores.Data, n, a.v.Data[off:], a.D, m, n, a.Dh, nil, false)
+	gemm(a.concat.Data[off:], a.D, scores.Data, n, a.v.Data[off:], a.D, m, n, a.Dh, nil, false, false)
 }
 
 // backwardFrom is forwardFrom's backward pass: dy is the m×D gradient of the
@@ -163,27 +133,39 @@ func (a *MHSA) forwardHead(h int, kt *Mat, scale float64) {
 func (a *MHSA) backwardFrom(dy *Mat, from int) *Mat {
 	dConcat := a.Wo.Backward(dy)
 	n, m := a.k.Rows, dy.Rows
+	// Each head writes its gradients straight into its column blocks of dq,
+	// dk and dv, so every element is written once and none is cleared
+	// first: each is a sum that starts at +0, as forwardFrom's concat is.
 	dq := a.rt.get(m, a.D)
 	dk := a.rt.get(n, a.D)
 	dv := a.rt.get(n, a.D)
-	dq.Zero() // the heads accumulate into dq, dk and dv
-	dk.Zero()
-	dv.Zero()
+	// vt is Vᵀ: head h's V_hᵀ is its rows [h·Dh, (h+1)·Dh). The heads run
+	// one after another, so they share one Aᵀ, dS and dSᵀ.
+	vt := a.rt.get(a.D, n)
+	transposeInto(vt, a.v)
+	at, ds, dst := a.rt.get(n, m), a.rt.get(m, n), a.rt.get(n, m)
 	scale := 1 / math.Sqrt(float64(a.Dh))
-	if cap(a.bs) < a.H {
-		a.bs = make([]headScratch, a.H)
-	}
-	a.bs = a.bs[:a.H]
-	for h := range a.bs {
-		a.bs[h] = headScratch{
-			doh: a.rt.get(m, a.Dh), qh: a.rt.get(m, a.Dh), kh: a.rt.get(n, a.Dh),
-			vh: a.rt.get(n, a.Dh), dvh: a.rt.get(n, a.Dh),
-			dattn: a.rt.get(m, n), dscores: a.rt.get(m, n),
-			dqh: a.rt.get(m, a.Dh), dkh: a.rt.get(n, a.Dh),
+	for h, attn := range a.attn {
+		off := h * a.Dh
+		// dV_h = Aᵀ·dO_h and dA = dO_h·V_hᵀ, reading dO_h in place.
+		transposeInto(at, attn)
+		gemm(dv.Data[off:], a.D, at.Data, m, dConcat.Data[off:], a.D, n, m, a.Dh, nil, false, false)
+		gemm(ds.Data, n, dConcat.Data[off:], a.D, vt.Data[off*n:], n, m, a.Dh, n, nil, false, false)
+		// Softmax backward in place, row by row: dS = A ⊙ (dA − Σⱼ dAⱼAⱼ)·scale.
+		for i := 0; i < m; i++ {
+			arow, dsrow := attn.Row(i), ds.Row(i)
+			dot := 0.0
+			for j := range arow {
+				dot += arow[j] * dsrow[j]
+			}
+			for j := range arow {
+				dsrow[j] = arow[j] * (dsrow[j] - dot) * scale
+			}
 		}
-	}
-	for h := 0; h < a.H; h++ {
-		a.backwardHead(h, scale, dConcat, dq, dk, dv)
+		// dQ_h = dS·K_h and dK_h = dSᵀ·Q_h, reading K_h and Q_h in place.
+		transposeInto(dst, ds)
+		gemm(dq.Data[off:], a.D, ds.Data, n, a.k.Data[off:], a.D, m, n, a.Dh, nil, false, false)
+		gemm(dk.Data[off:], a.D, dst.Data, m, a.q.Data[off:], a.D, n, m, a.Dh, nil, false, false)
 	}
 	// The one place the sign of a zero could differ from the zero-padded
 	// full pass, so dx is built exactly as that pass builds it: the
@@ -194,38 +176,4 @@ func (a *MHSA) backwardFrom(dy *Mat, from int) *Mat {
 	AddInPlace(dx, a.Wk.Backward(dk))
 	AddInPlace(dx, a.Wv.Backward(dv))
 	return dx
-}
-
-// backwardHead propagates one head's gradient through attention and
-// accumulates into the head's column blocks of dq/dk/dv.
-func (a *MHSA) backwardHead(h int, scale float64, dConcat, dq, dk, dv *Mat) {
-	s := &a.bs[h]
-	a.headViewInto(s.doh, dConcat, h)
-	a.headViewInto(s.qh, a.q, h)
-	a.headViewInto(s.kh, a.k, h)
-	a.headViewInto(s.vh, a.v, h)
-	attn := a.attn[h]
-	m := attn.Rows
-
-	matMulT1(s.dvh, attn, s.doh)   // n×Dh
-	matMulT2(s.dattn, s.doh, s.vh) // m×n
-	// Softmax backward, row-wise: dS = A ⊙ (dA − Σⱼ dAⱼAⱼ).
-	for i := 0; i < m; i++ {
-		arow := attn.Row(i)
-		darow := s.dattn.Row(i)
-		dot := 0.0
-		for j := range arow {
-			dot += arow[j] * darow[j]
-		}
-		dsrow := s.dscores.Row(i)
-		for j := range arow {
-			dsrow[j] = arow[j] * (darow[j] - dot)
-		}
-	}
-	s.dscores.Scale(scale)
-	matMul(s.dqh, s.dscores, s.kh)   // m×Dh
-	matMulT1(s.dkh, s.dscores, s.qh) // n×Dh
-	a.headAccum(dq, s.dqh, h)
-	a.headAccum(dk, s.dkh, h)
-	a.headAccum(dv, s.dvh, h)
 }

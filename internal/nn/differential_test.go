@@ -41,8 +41,9 @@ func naiveMatMulT1(a, b *Mat) *Mat {
 	return out
 }
 
-// naiveAccumT1 is dst += aᵀ @ b with AccumT1Into's contract: a step whose
-// left factor is exactly zero is skipped, not added as a zero.
+// naiveAccumT1 is dst += aᵀ @ b as the weight gradient was before it became
+// an accumulating gemm: a step whose left factor is exactly zero is skipped,
+// not added as a zero. TestWeightGradSkipWasNoOp holds Linear.Backward to it.
 func naiveAccumT1(dst, a, b *Mat) {
 	for i := 0; i < a.Cols; i++ {
 		for j := 0; j < b.Cols; j++ {
@@ -127,13 +128,11 @@ func TestKernelsMatchNaive(t *testing.T) {
 				poison(r, b)
 				poison(r, bt)
 			}
-			acc, got := randMat(r, m, n), NewMat(m, n)
+			got := NewMat(m, n)
 			if c%3 == 0 {
-				a, at, b, bt, acc, got = misalign(a), misalign(at), misalign(b), misalign(bt), misalign(acc), misalign(got)
+				a, at, b, bt, got = misalign(a), misalign(at), misalign(b), misalign(bt), misalign(got)
 			}
 			wantMM, wantT1, wantT2 := naiveMatMul(a, b), naiveMatMulT1(at, b), naiveMatMulT2(a, bt)
-			wantAcc := acc.Clone()
-			naiveAccumT1(wantAcc, at, b)
 			tag := fmt.Sprintf(" case %d %dx%dx%d", c, m, k, n)
 			p.MatMulInto(got, a, b)
 			bitwiseEq(t, "MatMulInto"+tag, got, wantMM)
@@ -141,18 +140,30 @@ func TestKernelsMatchNaive(t *testing.T) {
 			bitwiseEq(t, "MatMulT1Into"+tag, got, wantT1)
 			p.MatMulT2Into(got, a, bt)
 			bitwiseEq(t, "MatMulT2Into"+tag, got, wantT2)
-			copy(got.Data, acc.Data)
-			p.AccumT1Into(got, at, b)
-			bitwiseEq(t, "AccumT1Into"+tag, got, wantAcc)
-			kernelsMatchGoLoops(t, tag, a, b, bt, acc)
+			kernelsMatchGoLoops(t, tag, a, bt)
 		}
 	})
+}
+
+// naiveAddT1 is dst += aᵀ @ b one element at a time, each element adding
+// its products over ascending rows of a and b to its current value.
+func naiveAddT1(dst, a, b *Mat) {
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := dst.At(i, j)
+			for r := 0; r < a.Rows; r++ {
+				s += a.At(r, i) * b.At(r, j)
+			}
+			dst.Set(i, j, s)
+		}
+	}
 }
 
 // TestLinearBackwardMatchesNaive holds Linear.Backward to the triple loops on
 // both sides of transposeRows — dot products below it, dy @ (a transposed
 // copy of W) from it on: dx to naiveMatMulT2 and the weight gradient to
-// naiveAccumT1, with ±Inf, NaN and −0 in W and ±0 in the input and in dy.
+// naiveAddT1, with ±Inf, NaN and −0 in W and ±0 in the input and in dy. Two
+// passes accumulate onto one gradient, so the second adds to a non-zero G.
 func TestLinearBackwardMatchesNaive(t *testing.T) {
 	kernelPaths(t, func(t *testing.T) {
 		r := sim.NewRand(53)
@@ -162,25 +173,69 @@ func TestLinearBackwardMatchesNaive(t *testing.T) {
 				l := NewLinear("l", in, out, r)
 				l.SetRuntime(Runtime{Arena: NewArena()})
 				poison(r, l.Weight.W)
-				x, dy := randMat(r, rows, in), randMat(r, rows, out)
-				sparsify(r, x)
-				sparsify(r, dy)
-				l.Forward(x)
-				tag := fmt.Sprintf("rows=%d %dx%d ", rows, in, out)
-				bitwiseEq(t, tag+"dx", l.Backward(dy), naiveMatMulT2(dy, l.Weight.W))
 				wantG := NewMat(in, out)
-				naiveAccumT1(wantG, x, dy)
-				bitwiseEq(t, tag+"dW", l.Weight.G, wantG)
+				for pass := 0; pass < 2; pass++ {
+					x, dy := randMat(r, rows, in), randMat(r, rows, out)
+					sparsify(r, x)
+					sparsify(r, dy)
+					l.Forward(x)
+					tag := fmt.Sprintf("rows=%d %dx%d pass %d ", rows, in, out, pass)
+					bitwiseEq(t, tag+"dx", l.Backward(dy), naiveMatMulT2(dy, l.Weight.W))
+					naiveAddT1(wantG, x, dy)
+					bitwiseEq(t, tag+"dW", l.Weight.G, wantG)
+				}
+			}
+		}
+	})
+}
+
+// TestWeightGradSkipWasNoOp shows that dropping the zero-skip the weight
+// gradient used to take moved no bit: Linear.Backward, which adds every row's
+// ±0·dy, against naiveAccumT1, which skips the rows whose activation is
+// exactly zero, on ReLU-sparse inputs and finite gradients with ±0 in them,
+// two passes onto a gradient cleared by ZeroGrad and two more onto one
+// cleared by Adam.Step. Both start from +0, and a sum that starts at +0 is
+// never −0, so adding ±0 leaves it as it is; only a non-finite dy, whose
+// 0·dy is NaN, tells the two apart.
+func TestWeightGradSkipWasNoOp(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		r := sim.NewRand(67)
+		for _, rows := range []int{1, transposeRows - 1, transposeRows, 37} {
+			for _, shape := range [][2]int{{32, 128}, {128, 32}, {5, 7}} {
+				in, out := shape[0], shape[1]
+				l := NewLinear("l", in, out, r)
+				l.SetRuntime(Runtime{Arena: NewArena()})
+				opt := NewAdam(1e-3, l.Params())
+				wantG := NewMat(in, out)
+				l.Weight.ZeroGrad()
+				for pass := 0; pass < 4; pass++ {
+					if pass == 2 {
+						opt.Step(1)
+						wantG.Zero()
+					}
+					x, dy := randMat(r, rows, in), randMat(r, rows, out)
+					for i, v := range x.Data {
+						x.Data[i] = max(v, 0)
+					}
+					sparsify(r, dy)
+					l.Forward(x)
+					l.Backward(dy)
+					naiveAccumT1(wantG, x, dy)
+					bitwiseEq(t, fmt.Sprintf("rows=%d %dx%d pass %d dW", rows, in, out, pass), l.Weight.G, wantG)
+				}
 			}
 		}
 	})
 }
 
 // naiveGemm is gemm's contract one output at a time.
-func naiveGemm(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool) {
+func naiveGemm(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu, acc bool) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			s := 0.0
+			if acc {
+				s = o[i*ldo+j]
+			}
 			for p := 0; p < k; p++ {
 				s += a[i*lda+p] * b[p*ldb+j]
 			}
@@ -210,9 +265,10 @@ func specials(r *sim.Rand, x []float64, every int) {
 // TestGemmMatchesNaive holds gemm to the triple loop on every kernel path,
 // over the shapes that reach each of its tiles and edges — every row count
 // up to two blocks of four and 37, every depth up to 9, 37 and 128, every
-// width up to 17, 37, 64 and 300 — each with and without a bias and a ReLU,
-// on whole matrices and on column blocks of wider ones at odd offsets, half
-// of them with ±0, ±Inf, NaN and subnormals among the operands and the bias.
+// width up to 17, 37, 64 and 300 — each with and without a bias, a ReLU and
+// accumulation, on whole matrices and on column blocks of wider ones at odd
+// offsets, half of them with ±0, ±Inf, NaN and subnormals among the
+// operands, the bias and the output an accumulating gemm starts from.
 // Outside the block the output must keep what was there.
 func TestGemmMatchesNaive(t *testing.T) {
 	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37}
@@ -223,8 +279,8 @@ func TestGemmMatchesNaive(t *testing.T) {
 		c := 0
 		for _, k := range ks {
 			for _, n := range ns {
-				for v := 0; v < 8; v++ {
-					withBias, relu, strided := v&1 != 0, v&2 != 0, v&4 != 0
+				for v := 0; v < 16; v++ {
+					withBias, relu, strided, acc := v&1 != 0, v&2 != 0, v&4 != 0, v&8 != 0
 					// A view is a column block at an odd offset of a matrix
 					// wider than the block, or a whole matrix; every other
 					// one holds special values.
@@ -248,13 +304,15 @@ func TestGemmMatchesNaive(t *testing.T) {
 						c++
 						a, lda := view(m, k)
 						got, ldo := view(m, n)
-						for i := range got {
-							got[i] = -7.5
+						if !acc {
+							for i := range got {
+								got[i] = -7.5
+							}
 						}
 						want := append([]float64(nil), got...)
-						naiveGemm(want, ldo, a, lda, b, ldb, m, k, n, bias, relu)
-						gemm(got, ldo, a, lda, b, ldb, m, k, n, bias, relu)
-						tag := fmt.Sprintf("case %d %dx%dx%d bias=%v relu=%v strides %d,%d,%d", c, m, k, n, withBias, relu, lda, ldb, ldo)
+						naiveGemm(want, ldo, a, lda, b, ldb, m, k, n, bias, relu, acc)
+						gemm(got, ldo, a, lda, b, ldb, m, k, n, bias, relu, acc)
+						tag := fmt.Sprintf("case %d %dx%dx%d bias=%v relu=%v acc=%v strides %d,%d,%d", c, m, k, n, withBias, relu, acc, lda, ldb, ldo)
 						bitwiseEq(t, tag, &Mat{Rows: 1, Cols: len(got), Data: got}, &Mat{Rows: 1, Cols: len(want), Data: want})
 					}
 				}
@@ -263,30 +321,17 @@ func TestGemmMatchesNaive(t *testing.T) {
 	})
 }
 
-// kernelsMatchGoLoops holds each row kernel to its Go loop — with AVX the
-// assembly, otherwise the same function twice — over every row of a against
-// b and bt, the axpy kernels accumulating into rows of acc.
-func kernelsMatchGoLoops(t *testing.T, tag string, a, b, bt, acc *Mat) {
+// kernelsMatchGoLoops holds the row kernel matMulT2Row to its Go loop —
+// with AVX the assembly, otherwise the same function twice — over every row
+// of a against bt.
+func kernelsMatchGoLoops(t *testing.T, tag string, a, bt *Mat) {
 	t.Helper()
-	n := b.Cols
-	got, want := misalign(NewMat(1, n)), NewMat(1, n)
+	got, want := misalign(NewMat(1, bt.Rows)), NewMat(1, bt.Rows)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		matMulT2Row(got.Data, arow, bt.Data)
 		matMulT2RowGo(want.Data, arow, bt.Data)
 		bitwiseEq(t, "matMulT2Row"+tag, got, want)
-		copy(got.Data, acc.Row(i))
-		copy(want.Data, acc.Row(i))
-		k := 0
-		for ; k+4 <= len(arow); k += 4 {
-			axpy4(got.Data, arow[k], arow[k+1], arow[k+2], arow[k+3], b.Data[k*n:])
-			axpy4Go(want.Data, arow[k], arow[k+1], arow[k+2], arow[k+3], b.Data[k*n:])
-		}
-		for ; k < len(arow); k++ {
-			axpy1(got.Data, arow[k], b.Data[k*n:])
-			axpy1Go(want.Data, arow[k], b.Data[k*n:])
-		}
-		bitwiseEq(t, "axpy4/axpy1"+tag, got, want)
 	}
 }
 
@@ -496,15 +541,27 @@ func naiveLinear(l *Linear, x *Mat) *Mat {
 
 // naiveAttention is softmax(Q Kᵀ/√d) V per head, heads side by side, then Wo
 // — the textbook loops, one query row, one head and one element at a time.
-func naiveAttention(a *MHSA, x *Mat) *Mat {
+func naiveAttention(a *MHSA, x *Mat) *Mat { return naiveAttentionForward(a, x).out }
+
+// naiveAttn is what naiveAttentionForward computes over every row of x: the
+// projections, each head's probabilities (n×n), the heads side by side and
+// the block's output.
+type naiveAttn struct {
+	q, k, v, concat, out *Mat
+	p                    []*Mat
+}
+
+func naiveAttentionForward(a *MHSA, x *Mat) naiveAttn {
 	n := x.Rows
 	q, k, v := naiveLinear(a.Wq, x), naiveLinear(a.Wk, x), naiveLinear(a.Wv, x)
 	concat := NewMat(n, a.D)
+	probs := make([]*Mat, a.H)
 	scale := 1 / math.Sqrt(float64(a.Dh))
 	for h := 0; h < a.H; h++ {
 		off := h * a.Dh
+		probs[h] = NewMat(n, n)
 		for i := 0; i < n; i++ {
-			p := make([]float64, n)
+			p := probs[h].Row(i)
 			maxv := math.Inf(-1)
 			for j := 0; j < n; j++ {
 				s := 0.0
@@ -531,7 +588,99 @@ func naiveAttention(a *MHSA, x *Mat) *Mat {
 			}
 		}
 	}
-	return naiveLinear(a.Wo, concat)
+	return naiveAttn{q: q, k: k, v: v, concat: concat, out: naiveLinear(a.Wo, concat), p: probs}
+}
+
+// tailRows returns a copy of rows [from, m.Rows) of m.
+func tailRows(m *Mat, from int) *Mat {
+	out := NewMat(m.Rows-from, m.Cols)
+	copy(out.Data, m.Data[from*m.Cols:])
+	return out
+}
+
+// naiveLinearBackward is Linear.Backward on a layer with zeroed gradients
+// as plain loops: dW = xᵀ dy and db = Σᵢ dy[i] over ascending rows, each
+// sum from +0, and dx = dy Wᵀ.
+func naiveLinearBackward(l *Linear, x, dy *Mat) (dx, dW, db *Mat) {
+	db = NewMat(1, dy.Cols)
+	for i := 0; i < dy.Rows; i++ {
+		for j, v := range dy.Row(i) {
+			db.Data[j] += v
+		}
+	}
+	return naiveMatMulT2(dy, l.Weight.W), naiveMatMulT1(x, dy), db
+}
+
+// naiveAttentionBackward is MHSA.backwardFrom as plain loops, one head and
+// one element at a time, for the m×D gradient dy of the rows [from, n) of
+// the block's output on x. It returns dx and the gradients of Wq, Wk, Wv
+// and Wo, weight then bias, in Params order.
+func naiveAttentionBackward(a *MHSA, x *Mat, from int, dy *Mat) (dx *Mat, grads []*Mat) {
+	f := naiveAttentionForward(a, x)
+	n, m := x.Rows, dy.Rows
+	q, concat := tailRows(f.q, from), tailRows(f.concat, from)
+	dConcat, dWo, dbo := naiveLinearBackward(a.Wo, concat, dy)
+	dq, dk, dv := NewMat(m, a.D), NewMat(n, a.D), NewMat(n, a.D)
+	scale := 1 / math.Sqrt(float64(a.Dh))
+	for h := 0; h < a.H; h++ {
+		off := h * a.Dh
+		p := tailRows(f.p[h], from)
+		for r := 0; r < n; r++ {
+			for d := 0; d < a.Dh; d++ {
+				s := 0.0
+				for i := 0; i < m; i++ {
+					s += p.At(i, r) * dConcat.At(i, off+d)
+				}
+				dv.Set(r, off+d, s)
+			}
+		}
+		ds := NewMat(m, n)
+		for i := 0; i < m; i++ {
+			dp := make([]float64, n)
+			dot := 0.0
+			for r := range dp {
+				for d := 0; d < a.Dh; d++ {
+					dp[r] += dConcat.At(i, off+d) * f.v.At(r, off+d)
+				}
+				dot += p.At(i, r) * dp[r]
+			}
+			for r := range dp {
+				ds.Set(i, r, p.At(i, r)*(dp[r]-dot)*scale)
+			}
+		}
+		for i := 0; i < m; i++ {
+			for d := 0; d < a.Dh; d++ {
+				s := 0.0
+				for r := 0; r < n; r++ {
+					s += ds.At(i, r) * f.k.At(r, off+d)
+				}
+				dq.Set(i, off+d, s)
+			}
+		}
+		for r := 0; r < n; r++ {
+			for d := 0; d < a.Dh; d++ {
+				s := 0.0
+				for i := 0; i < m; i++ {
+					s += ds.At(i, r) * q.At(i, off+d)
+				}
+				dk.Set(r, off+d, s)
+			}
+		}
+	}
+	dxq, dWq, dbq := naiveLinearBackward(a.Wq, tailRows(x, from), dq)
+	dxk, dWk, dbk := naiveLinearBackward(a.Wk, x, dk)
+	dxv, dWv, dbv := naiveLinearBackward(a.Wv, x, dv)
+	dx = NewMat(n, a.D)
+	for r := 0; r < n; r++ {
+		for c := 0; c < a.D; c++ {
+			s := 0.0
+			if r >= from {
+				s = dxq.At(r-from, c)
+			}
+			dx.Set(r, c, s+dxk.At(r, c)+dxv.At(r, c))
+		}
+	}
+	return dx, []*Mat{dWq, dbq, dWk, dbk, dWv, dbv, dWo, dbo}
 }
 
 // TestAttentionMatchesNaive holds the attention block, whole and pruned to
@@ -556,6 +705,45 @@ func TestAttentionMatchesNaive(t *testing.T) {
 			last := NewMat(1, c.d)
 			copy(last.Row(0), want.Row(c.n-1))
 			bitwiseEq(t, tag+"forwardFrom(n-1)", a.forwardFrom(x, c.n-1), last)
+		}
+	})
+}
+
+// TestAttentionBackwardMatchesNaive holds the attention block's backward
+// pass, whole (from 0) and pruned to its last query row (from n−1), to
+// naiveAttentionBackward on every kernel path: dx and the weight and bias
+// gradients of all four projections, at head widths 1, 3, 8, 10 and 20 and
+// sequences of 1 to 37 rows, with ±0 in x and dy.
+func TestAttentionBackwardMatchesNaive(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		r := sim.NewRand(31)
+		for _, c := range []struct{ n, d, heads int }{
+			{1, 32, 4}, {2, 32, 4}, {37, 32, 4}, {5, 24, 3}, {9, 8, 8}, {13, 20, 1}, {37, 100, 10},
+			{6, 12, 4}, {37, 12, 4}, {4, 40, 2},
+		} {
+			a := NewMHSA("att", c.d, c.heads, r)
+			a.SetRuntime(Runtime{Arena: NewArena()})
+			for _, l := range []*Linear{a.Wq, a.Wk, a.Wv, a.Wo} {
+				copy(l.Bias.W.Data, randMat(r, 1, c.d).Data)
+			}
+			x := randMat(r, c.n, c.d)
+			sparsify(r, x)
+			for _, from := range []int{0, c.n - 1} {
+				dy := randMat(r, c.n-from, c.d)
+				sparsify(r, dy)
+				for _, p := range a.Params() {
+					p.ZeroGrad()
+				}
+				a.rt.Arena.Release()
+				a.forwardFrom(x, from)
+				dx := a.backwardFrom(dy, from)
+				wantDx, wantGrads := naiveAttentionBackward(a, x, from, dy)
+				tag := fmt.Sprintf("n=%d d=%d heads=%d from=%d ", c.n, c.d, c.heads, from)
+				bitwiseEq(t, tag+"dx", dx, wantDx)
+				for i, p := range a.Params() {
+					bitwiseEq(t, tag+p.Name+".G", p.G, wantGrads[i])
+				}
+			}
 		}
 	})
 }

@@ -16,40 +16,40 @@ import (
 // the contracted index, here and in the allocating forms in mat.go, which
 // run the same loops.
 //
-// Register blocking: every a @ b product — dense layers, attention's scores
-// and P·V, the many-row input gradients — is one kernel, gemm, that holds a
-// tile of outputs in registers across the whole contracted loop and reads
-// each operand in place with its own row stride, so a head's column block of
-// Q, V or concat is an operand with no copy; a dense layer's bias and ReLU
-// are its epilogue, applied before the tile is stored. aᵀ @ b walks an
-// output row four contracted steps at a time (axpy4), loading and storing an
-// output once per four multiply-adds; a @ bᵀ, whose inner loop is a dot
-// product, computes several outputs at a time (four in Go, eight in the
-// assembly), each with its own running sum. None reorders a sum: each
-// element is ((0 + p₀) + p₁) + p₂ … over ascending contracted index, each
-// product rounded before it is added, so every kernel equals the
-// one-at-a-time triple loop bit for bit (TestGemmMatchesNaive,
-// TestKernelsMatchNaive). For the same reason a @ bᵀ may run as a @ (bᵀ
-// copied out), which Linear.Backward does for many-row input gradients and
-// attention's forward pass does for its scores.
+// Register blocking: every a @ b product — dense layers, attention's
+// products both ways, weight gradients, many-row input gradients — is one
+// kernel, gemm, that holds a tile of outputs in registers across the whole
+// contracted loop and reads each operand in place with its own row stride,
+// so a head's column block of Q, K, V, concat or their gradients is an
+// operand with no copy; a dense layer's bias and ReLU are its epilogue,
+// applied before the tile is stored, and in accumulate mode a tile starts
+// from the outputs' current values instead of +0, which is how a weight
+// gradient adds xᵀ dy into itself. A transposed operand is copied out first
+// (transposeInto): Kᵀ and Vᵀ once per attention layer, a head's
+// probabilities and score gradients per head, x for the weight gradient and
+// W for many-row input gradients. a @ bᵀ, whose inner loop is a dot product,
+// also runs directly (matMulT2Row), several outputs at a time (four in Go,
+// eight in the assembly), each with its own running sum, for the few-row
+// input gradients. None reorders a sum: each element is ((s + p₀) + p₁) + p₂
+// … over ascending contracted index from its start s, each product rounded
+// before it is added, so every kernel equals the one-at-a-time triple loop
+// bit for bit (TestGemmMatchesNaive, TestKernelsMatchNaive), and a product
+// run over a transposed copy equals the one it replaces.
 //
-// The kernels — gemm's tiles, axpy4, axpy1, matMulT2Row, transpose4, Adam's
-// adamRow and softmax's exp4 — are assembly on amd64 CPUs with AVX2 and FMA
+// The kernels — gemm's tiles, matMulT2Row, transpose4, Adam's adamRow and
+// softmax's exp4 — are assembly on amd64 CPUs with AVX2 and FMA
 // (kernels_amd64.s), four lanes per instruction (matMulT2Row two), each lane
 // the Go loop's operations in its order (exp4's, math.Exp's); elsewhere they
 // are the Go loops below (suffix Go), which the tests hold the assembly to.
 // The code here slices every operand to the length the assembly will touch,
 // so a malformed Mat panics in Go before any pointer reaches it.
 //
-// The dense kernels carry no zero-skip branch. The seed code skipped
-// multiplications where the activation was exactly zero (useful for one-hot
-// rows), but post-embedding activations are dense: BenchmarkMatMulSkip
-// measures the branch as a wash there (a never-taken branch predicts
-// perfectly), and no matmul call site in the model feeds one-hot rows, so
-// the dense kernels drop it as dead weight. The one place exact zeros are
-// common — ReLU outputs feeding a weight-gradient accumulation, where one
-// skip saves a whole b-row walk — keeps it in AccumT1Into, a measured ~2×
-// win at half-sparsity (BenchmarkAccumT1Sparse).
+// No kernel carries a zero-skip branch. The seed code skipped
+// multiplications where the activation was exactly zero, but post-embedding
+// activations are dense (BenchmarkMatMulSkip measures the branch as a wash
+// there), and where exact zeros are common — ReLU outputs feeding a weight
+// gradient — adding ±0·dy to a gradient that starts at +0 moves no bit for
+// a finite dy (TestWeightGradSkipWasNoOp).
 
 // Pool is the receiver the exported kernels hang off. It holds nothing and
 // every method works on a nil *Pool. The type, NewPool and the Runtime.Pool
@@ -81,48 +81,25 @@ func (*Pool) MatMulInto(dst, a, b *Mat) {
 	matMul(dst, a, b)
 }
 
-// axpy1Go computes o[j] += a·b[j].
-//
-//pythia:noalloc
-func axpy1Go(o []float64, a float64, b []float64) {
-	b = b[:len(o)]
-	for j := range o {
-		o[j] += a * b[j]
-	}
-}
-
-// axpy4Go computes o[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], added
-// left to right, where bq is row q of b read with stride len(o) — four
-// consecutive axpy1 steps with one load and one store of o[j]. The re-slicing
-// to len(o) lets the compiler drop the bounds checks from the loop.
-//
-//pythia:noalloc
-func axpy4Go(o []float64, a0, a1, a2, a3 float64, b []float64) {
-	n := len(o)
-	b0, b1, b2, b3 := b[:n], b[n:][:n], b[2*n:][:n], b[3*n:][:n]
-	for j := range o {
-		o[j] = o[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-	}
-}
-
 // matMul computes dst = a @ b.
 //
 //pythia:noalloc
 func matMul(dst, a, b *Mat) {
-	gemm(dst.Data, dst.Cols, a.Data, a.Cols, b.Data, b.Cols, a.Rows, a.Cols, b.Cols, nil, false)
+	gemm(dst.Data, dst.Cols, a.Data, a.Cols, b.Data, b.Cols, a.Rows, a.Cols, b.Cols, nil, false, false)
 }
 
-// gemm computes o[i·ldo+j] = act(Σₚ a[i·lda+p]·b[p·ldb+j] + bias[j]) for i <
-// m, j < n and p < k: each output starts at +0 and adds its products in
-// ascending p; then, when bias is not nil, bias[j]; then, when relu is set,
-// act(x) is x if x > 0 and +0 otherwise (−0 and NaN included), else x. Each
-// operand is a row-major matrix read in place with its own row stride, so a
-// column block of a wider matrix is an operand with no copy. o must not
-// overlap a, b or bias. gemm slices every operand to the extent gemmKernel
-// touches, so a malformed one panics here.
+// gemm computes o[i·ldo+j] = act(s + Σₚ a[i·lda+p]·b[p·ldb+j] + bias[j]) for
+// i < m, j < n and p < k, where s is +0, or o's current value when acc is
+// set: each output starts at s and adds its products in ascending p; then,
+// when bias is not nil, bias[j]; then, when relu is set, act(x) is x if x > 0
+// and +0 otherwise (−0 and NaN included), else x. Each operand is a
+// row-major matrix read in place with its own row stride, so a column block
+// of a wider matrix is an operand with no copy. o must not overlap a, b or
+// bias. gemm slices every operand to the extent gemmKernel touches, so a
+// malformed one panics here.
 //
 //pythia:noalloc
-func gemm(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool) {
+func gemm(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu, acc bool) {
 	if m < 0 || k < 0 || n < 0 || ldo < n || lda < k || ldb < n {
 		panic("nn: gemm with a negative size or a row stride below its width")
 	}
@@ -138,7 +115,7 @@ func gemm(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k
 	if bias != nil {
 		bias = bias[:n]
 	}
-	gemmKernel(o, ldo, a, lda, b, ldb, m, k, n, bias, relu)
+	gemmKernel(o, ldo, a, lda, b, ldb, m, k, n, bias, relu, acc)
 }
 
 // gemmGo is gemm's loop, one output row at a time, p four steps at a time
@@ -146,11 +123,13 @@ func gemm(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k
 // order the contract gives.
 //
 //pythia:noalloc
-func gemmGo(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool) {
+func gemmGo(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu, acc bool) {
 	for i := 0; i < m; i++ {
 		orow, arow := o[i*ldo:][:n], a[i*lda:][:k]
-		for j := range orow {
-			orow[j] = 0
+		if !acc {
+			for j := range orow {
+				orow[j] = 0
+			}
 		}
 		p := 0
 		for ; p+4 <= k; p += 4 {
@@ -190,8 +169,11 @@ func (*Pool) MatMulT1Into(dst, a, b *Mat) {
 	matMulT1(dst, a, b)
 }
 
-// matMulT1 walks the output row-major — row i of dst is column i of a — and
-// contracts r-ascending per element.
+// matMulT1 computes dst = aᵀ @ b, row i of dst (column i of a) one row of b
+// at a time, each output a sum over a's rows in ascending order. No training path calls it: weight gradients are
+// an accumulating gemm over a transposed copy of x (Linear.Backward), and
+// attention's backward pass transposes its probabilities the same way. It
+// stays, as a plain loop, for the bench-pinned MatMulT1Into and MatMulT1.
 //
 //pythia:noalloc
 func matMulT1(dst, a, b *Mat) {
@@ -201,52 +183,10 @@ func matMulT1(dst, a, b *Mat) {
 		for j := range orow {
 			orow[j] = 0
 		}
-		r := 0
-		for ; r+4 <= a.Rows; r += 4 {
-			ac := a.Data[r*m+i:]
-			axpy4(orow, ac[0], ac[m], ac[2*m], ac[3*m], b.Data[r*n:(r+4)*n])
-		}
-		for ; r < a.Rows; r++ {
-			axpy1(orow, a.Data[r*m+i], b.Data[r*n:(r+1)*n])
-		}
-	}
-}
-
-// AccumT1Into computes dst += aᵀ @ b without clearing dst — the in-place
-// weight-gradient accumulation (dW += Xᵀ dY). The zero-skip stays here on
-// purpose: a is an activation matrix that is ReLU output at the decoder and
-// FFN second layers, where roughly half the entries are exactly zero and
-// skipping a whole b-row walk per zero is a measured win
-// (BenchmarkAccumT1Sparse) that costs little on dense inputs.
-//
-//pythia:noalloc
-func (*Pool) AccumT1Into(dst, a, b *Mat) {
-	shapeCheck(a.Rows == b.Rows, "accumT1", a, b)
-	dstCheck(dst, a.Cols, b.Cols, "accumT1")
-	m, n := a.Cols, b.Cols
-	for i := 0; i < m; i++ {
-		orow := dst.Row(i)[:n]
-		r := 0
-		for ; r+4 <= a.Rows; r += 4 {
-			ac, br := a.Data[r*m+i:], b.Data[r*n:(r+4)*n]
-			a0, a1, a2, a3 := ac[0], ac[m], ac[2*m], ac[3*m]
-			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				axpy4(orow, a0, a1, a2, a3, br)
-				continue
-			}
-			// A block holding a zero takes its steps one at a time: a
-			// skipped step stays skipped — "+ 0·b" is not a no-op when the
-			// sum is −0 or b is not finite — and ReLU-sparse inputs keep the
-			// whole saving (BenchmarkAccumT1Sparse).
-			for q := 0; q < 4; q++ {
-				if av := ac[q*m]; av != 0 {
-					axpy1(orow, av, br[q*n:(q+1)*n])
-				}
-			}
-		}
-		for ; r < a.Rows; r++ {
-			if av := a.Data[r*m+i]; av != 0 {
-				axpy1(orow, av, b.Data[r*n:(r+1)*n])
+		for r := 0; r < a.Rows; r++ {
+			av, brow := a.Data[r*m+i], b.Data[r*n:][:n]
+			for j := range orow {
+				orow[j] += av * brow[j]
 			}
 		}
 	}

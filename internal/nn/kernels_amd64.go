@@ -20,20 +20,10 @@ var useAVX = hasAVX()
 // YMM bits.
 func hasAVX() bool
 
-// axpy4 is axpy4Go; len(b) ≥ 4·len(o).
-//
-//go:noescape
-func axpy4(o []float64, a0, a1, a2, a3 float64, b []float64)
-
-// axpy1 is axpy1Go; len(b) ≥ len(o).
-//
-//go:noescape
-func axpy1(o []float64, a float64, b []float64)
-
 // gemmKernel is gemmGo; gemm sets its operands' lengths.
 //
 //go:noescape
-func gemmKernel(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool)
+func gemmKernel(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu, acc bool)
 
 // matMulT2Row is matMulT2RowGo; len(b) ≥ len(o)·len(a).
 //

@@ -23,73 +23,7 @@
 	JNE  2(PC); \
 	JMP  fn(SB)
 
-// AXPY4 sets o[j] = o[j] + a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], added
-// left to right, for j < CX, with o at DI, b0..b3 at R8..R11 and a0..a3
-// broadcast in Y0..Y3: four j per pass, then one. Uses AX, BX and Y4..Y8;
-// the arguments name its labels.
-#define AXPY4(quads, last, done) \
-	XORQ AX, AX; \
-	MOVQ CX, BX; \
-	ANDQ $~3, BX; \
-quads: \
-	CMPQ    AX, BX; \
-	JAE     last; \
-	VMOVUPD (DI)(AX*8), Y4; \
-	VMULPD  (R8)(AX*8), Y0, Y5; \
-	VADDPD  Y5, Y4, Y4; \
-	VMULPD  (R9)(AX*8), Y1, Y6; \
-	VADDPD  Y6, Y4, Y4; \
-	VMULPD  (R10)(AX*8), Y2, Y7; \
-	VADDPD  Y7, Y4, Y4; \
-	VMULPD  (R11)(AX*8), Y3, Y8; \
-	VADDPD  Y8, Y4, Y4; \
-	VMOVUPD Y4, (DI)(AX*8); \
-	ADDQ    $4, AX; \
-	JMP     quads; \
-last: \
-	CMPQ   AX, CX; \
-	JAE    done; \
-	VMOVSD (DI)(AX*8), X4; \
-	VMULSD (R8)(AX*8), X0, X5; \
-	VADDSD X5, X4, X4; \
-	VMULSD (R9)(AX*8), X1, X6; \
-	VADDSD X6, X4, X4; \
-	VMULSD (R10)(AX*8), X2, X7; \
-	VADDSD X7, X4, X4; \
-	VMULSD (R11)(AX*8), X3, X8; \
-	VADDSD X8, X4, X4; \
-	VMOVSD X4, (DI)(AX*8); \
-	INCQ   AX; \
-	JMP    last; \
-done:
-
-// AXPY1 sets o[j] = o[j] + a·b[j] for j < CX, with o at DI, b at R8 and a
-// broadcast in Y0. Uses AX, BX, Y4 and Y5; the arguments name its labels.
-#define AXPY1(quads, last, done) \
-	XORQ AX, AX; \
-	MOVQ CX, BX; \
-	ANDQ $~3, BX; \
-quads: \
-	CMPQ    AX, BX; \
-	JAE     last; \
-	VMOVUPD (DI)(AX*8), Y4; \
-	VMULPD  (R8)(AX*8), Y0, Y5; \
-	VADDPD  Y5, Y4, Y4; \
-	VMOVUPD Y4, (DI)(AX*8); \
-	ADDQ    $4, AX; \
-	JMP     quads; \
-last: \
-	CMPQ   AX, CX; \
-	JAE    done; \
-	VMOVSD (DI)(AX*8), X4; \
-	VMULSD (R8)(AX*8), X0, X5; \
-	VADDSD X5, X4, X4; \
-	VMOVSD X4, (DI)(AX*8); \
-	INCQ   AX; \
-	JMP    last; \
-done:
-
-// The macros from here to hasAVX are gemmKernel's. TILE, EPILOGUE and
+// The macros from here to hasAVX are gemmKernel's. TILE, ACC, EPILOGUE and
 // RELUTEST read its arguments, so they sit before every TEXT: vet's asmdecl
 // would check a macro below a function against that function's frame.
 
@@ -121,6 +55,12 @@ done:
 	LEAQ   (BX)(AX*8), BX; \
 	MOVQ   k+104(FP), DX; \
 	VXORPD Y15, Y15, Y15
+
+// ACC jumps to load when acc is set: the tile's accumulators then start
+// from o, not from +0.
+#define ACC(load) \
+	CMPB acc+145(FP), $0; \
+	JNE  load
 
 // EPILOGUE jumps to bias or relu, or to store when neither is asked for,
 // leaving the bias pointer in CX.
@@ -173,48 +113,21 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func axpy4(o []float64, a0, a1, a2, a3 float64, b []float64)
-TEXT ·axpy4(SB), NOSPLIT, $0-80
-	PICK(·axpy4Go)
-	MOVQ         o_base+0(FP), DI
-	MOVQ         o_len+8(FP), CX
-	VBROADCASTSD a0+24(FP), Y0
-	VBROADCASTSD a1+32(FP), Y1
-	VBROADCASTSD a2+40(FP), Y2
-	VBROADCASTSD a3+48(FP), Y3
-	MOVQ         b_base+56(FP), R8
-	LEAQ         (R8)(CX*8), R9
-	LEAQ         (R9)(CX*8), R10
-	LEAQ         (R10)(CX*8), R11
-	AXPY4(quads, last, done)
-	VZEROUPPER
-	RET
-
-// func axpy1(o []float64, a float64, b []float64)
-TEXT ·axpy1(SB), NOSPLIT, $0-56
-	PICK(·axpy1Go)
-	MOVQ         o_base+0(FP), DI
-	MOVQ         o_len+8(FP), CX
-	VBROADCASTSD a+24(FP), Y0
-	MOVQ         b_base+32(FP), R8
-	AXPY1(quads, last, done)
-	VZEROUPPER
-	RET
-
-// func gemmKernel(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool)
+// func gemmKernel(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu, acc bool)
 //
-// o[i·ldo+j] = act(Σₚ a[i·lda+p]·b[p·ldb+j] + bias[j]), as gemmGo: each
-// output starts at +0 and adds its products in ascending p, then the bias (if
-// len(bias) > 0), then the ReLU (if relu). Register-tiled: four rows of o at
-// a time in tiles of 4×8 (eight YMM accumulators, held across the whole k
-// loop), then 4×4 and 4×1 for the last n mod 8 columns; the last m mod 4
-// rows one at a time in tiles of 1×32 (eight accumulators again: one row has
-// no other work to hide an add's latency behind), then 1×8, 1×4 and 1×1. A
-// k step of a tile loads its slice of b's row p once and broadcasts each of
-// its a[i·lda+p]. DI and SI are the rows of o and a the tiles start on, AX
-// the column, R8 lda and R9 3·lda in bytes, R10 ldb and R11 ldo in bytes,
-// R12 n, R13 the rows left.
-TEXT ·gemmKernel(SB), NOSPLIT, $0-145
+// o[i·ldo+j] = act(s + Σₚ a[i·lda+p]·b[p·ldb+j] + bias[j]), as gemmGo: each
+// output starts at s, +0 or (if acc) its value in o, and adds its products
+// in ascending p, then the bias (if len(bias) > 0), then the ReLU (if relu).
+// Register-tiled: four rows of o at a time in tiles of 4×8 (eight YMM
+// accumulators, held across the whole k loop), then 4×4 and 4×1 for the last
+// n mod 8 columns; the last m mod 4 rows one at a time in tiles of 1×32
+// (eight accumulators again: one row has no other work to hide an add's
+// latency behind), then 1×8, 1×4 and 1×1. A k step of a tile loads its slice
+// of b's row p once and broadcasts each of its a[i·lda+p]. DI and SI are the
+// rows of o and a the tiles start on, AX the column, R8 lda and R9 3·lda in
+// bytes, R10 ldb and R11 ldo in bytes, R12 n, R13 the rows left; R14 is
+// scratch.
+TEXT ·gemmKernel(SB), NOSPLIT, $0-146
 	PICK(·gemmGo)
 	MOVQ o_base+0(FP), DI
 	MOVQ ldo+24(FP), R11
@@ -238,6 +151,7 @@ t48:
 	CMPQ   R14, R12
 	JGT    t44
 	TILE
+	ACC(t48load)
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -246,8 +160,23 @@ t48:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	TESTQ  DX, DX
-	JEQ    t48epi
+	JMP    t48go
+
+t48load:
+	LEAQ    (DI)(AX*8), R14
+	VMOVUPD (R14), Y0
+	VMOVUPD 32(R14), Y1
+	VMOVUPD (R14)(R11*1), Y2
+	VMOVUPD 32(R14)(R11*1), Y3
+	VMOVUPD (R14)(R11*2), Y4
+	VMOVUPD 32(R14)(R11*2), Y5
+	ADDQ    R11, R14
+	VMOVUPD (R14)(R11*2), Y6
+	VMOVUPD 32(R14)(R11*2), Y7
+
+t48go:
+	TESTQ DX, DX
+	JEQ   t48epi
 
 t48k:
 	VMOVUPD      (BX), Y8
@@ -312,12 +241,24 @@ t44:
 	CMPQ   R14, R12
 	JGT    t41
 	TILE
+	ACC(t44load)
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	TESTQ  DX, DX
-	JEQ    t44epi
+	JMP    t44go
+
+t44load:
+	LEAQ    (DI)(AX*8), R14
+	VMOVUPD (R14), Y0
+	VMOVUPD (R14)(R11*1), Y1
+	VMOVUPD (R14)(R11*2), Y2
+	ADDQ    R11, R14
+	VMOVUPD (R14)(R11*2), Y3
+
+t44go:
+	TESTQ DX, DX
+	JEQ   t44epi
 
 t44k:
 	VMOVUPD      (BX), Y8
@@ -363,12 +304,24 @@ t41:
 	CMPQ   AX, R12
 	JGE    next4
 	TILE
+	ACC(t41load)
 	VXORPD X0, X0, X0
 	VXORPD X1, X1, X1
 	VXORPD X2, X2, X2
 	VXORPD X3, X3, X3
-	TESTQ  DX, DX
-	JEQ    t41epi
+	JMP    t41go
+
+t41load:
+	LEAQ   (DI)(AX*8), R14
+	VMOVSD (R14), X0
+	VMOVSD (R14)(R11*1), X1
+	VMOVSD (R14)(R11*2), X2
+	ADDQ   R11, R14
+	VMOVSD (R14)(R11*2), X3
+
+t41go:
+	TESTQ DX, DX
+	JEQ   t41epi
 
 t41k:
 	VMOVSD (BX), X8
@@ -423,6 +376,7 @@ t132:
 	CMPQ   R14, R12
 	JGT    t18
 	TILE
+	ACC(t132load)
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -431,8 +385,22 @@ t132:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	TESTQ  DX, DX
-	JEQ    t132epi
+	JMP    t132go
+
+t132load:
+	LEAQ    (DI)(AX*8), R14
+	VMOVUPD (R14), Y0
+	VMOVUPD 32(R14), Y1
+	VMOVUPD 64(R14), Y2
+	VMOVUPD 96(R14), Y3
+	VMOVUPD 128(R14), Y4
+	VMOVUPD 160(R14), Y5
+	VMOVUPD 192(R14), Y6
+	VMOVUPD 224(R14), Y7
+
+t132go:
+	TESTQ DX, DX
+	JEQ   t132epi
 
 t132k:
 	VBROADCASTSD (CX), Y8
@@ -491,10 +459,18 @@ t18:
 	CMPQ   R14, R12
 	JGT    t14
 	TILE
+	ACC(t18load)
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
-	TESTQ  DX, DX
-	JEQ    t18epi
+	JMP    t18go
+
+t18load:
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+
+t18go:
+	TESTQ DX, DX
+	JEQ   t18epi
 
 t18k:
 	VBROADCASTSD (CX), Y8
@@ -529,9 +505,16 @@ t14:
 	CMPQ   R14, R12
 	JGT    t11
 	TILE
+	ACC(t14load)
 	VXORPD Y0, Y0, Y0
-	TESTQ  DX, DX
-	JEQ    t14epi
+	JMP    t14go
+
+t14load:
+	VMOVUPD (DI)(AX*8), Y0
+
+t14go:
+	TESTQ DX, DX
+	JEQ   t14epi
 
 t14k:
 	VBROADCASTSD (CX), Y8
@@ -559,9 +542,16 @@ t11:
 	CMPQ   AX, R12
 	JGE    next1
 	TILE
+	ACC(t11load)
 	VXORPD X0, X0, X0
-	TESTQ  DX, DX
-	JEQ    t11epi
+	JMP    t11go
+
+t11load:
+	VMOVSD (DI)(AX*8), X0
+
+t11go:
+	TESTQ DX, DX
+	JEQ   t11epi
 
 t11k:
 	VMOVSD (CX), X8

@@ -146,48 +146,6 @@ func BenchmarkMatMulSkip(b *testing.B) {
 	})
 }
 
-// accumT1RowsNoSkip is AccumT1Into's kernel without the zero skip, for the
-// sparse comparison below.
-func accumT1RowsNoSkip(dst, a, b *Mat) {
-	for i := 0; i < a.Cols; i++ {
-		orow := dst.Row(i)
-		for r := 0; r < a.Rows; r++ {
-			av := a.Data[r*a.Cols+i]
-			brow := b.Row(r)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// BenchmarkAccumT1Sparse justifies keeping the skip in AccumT1Into: the
-// activation feeding the decoder-head weight gradient is ReLU output, where
-// roughly half the entries are exactly zero, and each skipped entry saves a
-// whole 4096-wide row walk.
-func BenchmarkAccumT1Sparse(b *testing.B) {
-	r := sim.NewRand(6)
-	x := randMat(r, benchK, benchM)
-	for i := range x.Data {
-		if x.Data[i] < 0 { // ReLU-like: about half exactly zero
-			x.Data[i] = 0
-		}
-	}
-	dy := randMat(r, benchK, benchN)
-	dst := NewMat(benchM, benchN)
-	b.Run("skip", func(b *testing.B) {
-		var p *Pool
-		for i := 0; i < b.N; i++ {
-			p.AccumT1Into(dst, x, dy)
-		}
-	})
-	b.Run("noskip", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			accumT1RowsNoSkip(dst, x, dy)
-		}
-	})
-}
-
 // BenchmarkTrainStep measures one full encoder+decoder forward/backward at
 // a model-realistic size, with and without the scratch arena. The arena
 // variant should report ~0 allocs/op against hundreds for the heap variant —

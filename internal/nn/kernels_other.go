@@ -6,12 +6,8 @@ package nn
 // they are on an amd64 CPU without AVX2 or FMA: gemm's tiles are gemmGo's
 // rows, and softmax calls math.Exp per element.
 
-func axpy4(o []float64, a0, a1, a2, a3 float64, b []float64) { axpy4Go(o, a0, a1, a2, a3, b) }
-
-func axpy1(o []float64, a float64, b []float64) { axpy1Go(o, a, b) }
-
-func gemmKernel(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu bool) {
-	gemmGo(o, ldo, a, lda, b, ldb, m, k, n, bias, relu)
+func gemmKernel(o []float64, ldo int, a []float64, lda int, b []float64, ldb int, m, k, n int, bias []float64, relu, acc bool) {
+	gemmGo(o, ldo, a, lda, b, ldb, m, k, n, bias, relu, acc)
 }
 
 func matMulT2Row(o, a, b []float64) { matMulT2RowGo(o, a, b) }

@@ -82,16 +82,18 @@ func (l *Linear) forward(x *Mat, relu bool) *Mat {
 	shapeCheck(x.Cols == l.In, "linear", x, l.Weight.W)
 	l.x = x
 	y := l.rt.get(x.Rows, l.Out)
-	gemm(y.Data, l.Out, x.Data, l.In, l.Weight.W.Data, l.Out, x.Rows, l.In, l.Out, l.Bias.W.Data, relu)
+	gemm(y.Data, l.Out, x.Data, l.In, l.Weight.W.Data, l.Out, x.Rows, l.In, l.Out, l.Bias.W.Data, relu, false)
 	return y
 }
 
 // Backward accumulates dW, db and returns dX. The weight gradient is
-// accumulated in place (dW += xᵀ dy) rather than through a temporary
-// matrix: for wide output layers (the per-page decoder head) the temporary
-// would allocate In×Out floats per training step, dominating runtime via
-// the garbage collector. AccumT1Into keeps the zero-skip for ReLU-sparse
-// activations.
+// accumulated in place, dW += xᵀ dy, as one accumulating gemm over a
+// transposed copy of x from the arena: each element of dW adds its products
+// over ascending rows, as the triple loop does. The seed code skipped a row
+// whose activation was exactly zero (ReLU outputs); adding its ±0·dy instead
+// changes no bit for a finite dy, because a gradient starts at +0 (ZeroGrad,
+// Adam.Step) and a sum that starts at +0 is never −0
+// (TestWeightGradSkipWasNoOp).
 //
 // dX = dy·Wᵀ as dot products puts each output on one serial add chain. From
 // transposeRows rows of dy on, it runs instead as dy @ Wᵀ over a transposed
@@ -104,7 +106,9 @@ func (l *Linear) forward(x *Mat, relu bool) *Mat {
 //pythia:noalloc
 func (l *Linear) Backward(dy *Mat) *Mat {
 	shapeCheck(l.x.Rows == dy.Rows, "linear backward", l.x, dy)
-	l.rt.Pool.AccumT1Into(l.Weight.G, l.x, dy)
+	xt := l.rt.get(l.In, dy.Rows)
+	transposeInto(xt, l.x)
+	gemm(l.Weight.G.Data, l.Out, xt.Data, dy.Rows, dy.Data, l.Out, l.In, dy.Rows, l.Out, nil, false, true)
 	bg := l.Bias.G.Data
 	for i := 0; i < dy.Rows; i++ {
 		row := dy.Row(i)

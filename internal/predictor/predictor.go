@@ -297,7 +297,7 @@ func (p *Predictor) Predict(root *plan.Node, ids []int) []storage.PageID {
 }
 
 // PredictParallel is Predict on the plan's own encoding. It survives for the
-// frozen bench/ (ROADMAP item 12).
+// frozen bench/ until the bench unfreeze (ROADMAP).
 func (p *Predictor) PredictParallel(root *plan.Node) []storage.PageID {
 	return p.Predict(root, p.EncodePlan(root))
 }
