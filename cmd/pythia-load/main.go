@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		feedbackRate    = fs.Float64("feedback", 0, "probability a 2xx predict is followed by a POST /v1/feedback report with the corpus instance's true pages (0 = no feedback traffic)")
 		maxMinPrecision = fs.Float64("max-min-precision", -1, "fail (exit nonzero) if the run's windowed feedback precision falls below this floor (negative = no gate; implies -feedback 1 when -feedback is 0)")
-		failOnAlarm     = fs.Bool("fail-on-drift-alarm", false, "fail (exit nonzero) if the run ends with drift state \"alarm\" (sustained drift; transient alarms that recover before the run ends still show in drift_alarms)")
+		failOnAlarm     = fs.Bool("fail-on-drift-alarm", false, "fail (exit nonzero) if the run's last drift evaluation reads \"alarm\"")
 
 		chaosAt    = fs.Float64("chaos-at", 0, "self-hosted chaos drill: fraction of -duration after which every inference faults (0 = off)")
 		chaosClear = fs.Float64("chaos-clear", 0.6, "fraction of -duration after which the fault clears; a request sent after it must get a model answer (0 = never clears)")
@@ -222,7 +222,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *failOnAlarm && res.DriftState == "alarm" {
-		breach("run ended in drift alarm (%d alarms, score %.4f)", res.DriftAlarms, res.DriftScore)
+		breach("run ended in drift alarm (score %.4f)", res.DriftScore)
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -278,7 +278,7 @@ type loadResult struct {
 
 	// Quality and drift snapshot scraped from /stats at the end of the run:
 	// the server's own windowed scores over the -feedback ground-truth
-	// traffic, and the drift detector's aggregate verdict.
+	// traffic, and the level and score of the last drift evaluation.
 	Feedbacks      uint64  `json:"feedbacks_sent"`
 	FeedbackErrors uint64  `json:"feedback_errors"`
 	QualityScored  uint64  `json:"quality_scored"`
@@ -288,8 +288,6 @@ type loadResult struct {
 	WastedRatio    float64 `json:"wasted_ratio"`
 	DriftState     string  `json:"drift_state"`
 	DriftScore     float64 `json:"drift_score"`
-	DriftWarnings  uint64  `json:"drift_warnings"`
-	DriftAlarms    uint64  `json:"drift_alarms"`
 	BaselineHash   string  `json:"baseline_hash,omitempty"`
 
 	// serverPredict200 is /stats' {predict, 200} request count and
@@ -604,10 +602,8 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 			WastedRatio float64 `json:"wasted_ratio"`
 		} `json:"quality"`
 		Drift struct {
-			State    string  `json:"state"`
-			Score    float64 `json:"score"`
-			Warnings uint64  `json:"warnings"`
-			Alarms   uint64  `json:"alarms"`
+			State string  `json:"state"`
+			Score float64 `json:"score"`
 		} `json:"drift"`
 		Baseline *struct {
 			Hash string `json:"hash"`
@@ -640,8 +636,6 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 	res.WastedRatio = st.Quality.WastedRatio
 	res.DriftState = st.Drift.State
 	res.DriftScore = st.Drift.Score
-	res.DriftWarnings = st.Drift.Warnings
-	res.DriftAlarms = st.Drift.Alarms
 	if st.Baseline != nil {
 		res.BaselineHash = st.Baseline.Hash
 	}

@@ -198,6 +198,5 @@ func writeQuality(w io.Writer, r *quality.Report) {
 			name, wr.Queries, wr.Precision, wr.Recall, wr.Coverage, wr.WastedRatio,
 			wr.Events.Prefetched, wr.Events.Useful, wr.Events.Fallbacks)
 	}
-	fmt.Fprintf(w, "drift: state=%s score=%.4f evaluations=%d warnings=%d alarms=%d recoveries=%d\n",
-		r.Drift.State, r.Drift.Score, r.Drift.Evaluations, r.Drift.Warnings, r.Drift.Alarms, r.Drift.Recoveries)
+	fmt.Fprintf(w, "drift: state=%s score=%.4f evaluations=%d\n", r.Drift.State, r.Drift.Score, r.Drift.Evaluations)
 }

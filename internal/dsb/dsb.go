@@ -37,7 +37,8 @@ import (
 // Config parameterizes database construction.
 type Config struct {
 	// ScaleFactor scales all fact (and most dimension) row counts linearly;
-	// 100 is the reference scale.
+	// 100 is the reference scale, and 0 selects it. NewGenerator panics on a
+	// negative value.
 	ScaleFactor int
 	// Seed drives all value generators.
 	Seed uint64
@@ -74,8 +75,12 @@ func (g *Generator) scaled(base int64) int64 {
 }
 
 // NewGenerator builds the 24-relation DSB database at the configured scale.
+// It panics on a negative ScaleFactor.
 func NewGenerator(cfg Config) *Generator {
-	if cfg.ScaleFactor <= 0 {
+	if cfg.ScaleFactor < 0 {
+		panic(fmt.Sprintf("dsb: negative ScaleFactor %d", cfg.ScaleFactor))
+	}
+	if cfg.ScaleFactor == 0 {
 		cfg.ScaleFactor = 100
 	}
 	if cfg.Index.LeafCap == 0 {

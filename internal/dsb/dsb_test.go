@@ -1,6 +1,7 @@
 package dsb
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -129,6 +130,27 @@ func TestQueriesDeterministicAndTagged(t *testing.T) {
 	}
 	if same == len(a) {
 		t.Fatal("different seeds produced identical instances")
+	}
+}
+
+// TestScaleFactorValidated: 0 selects the reference SF 100, a positive value
+// is kept, and a negative one panics instead of silently running at SF 100.
+func TestScaleFactorValidated(t *testing.T) {
+	for _, c := range []struct {
+		sf, want int // want 0: NewGenerator panics
+	}{
+		{-1, 0}, {-100, 0}, {math.MinInt, 0}, {0, 100}, {1, 1}, {3, 3},
+	} {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			if got := NewGenerator(Config{ScaleFactor: c.sf, Seed: 7}).Config().ScaleFactor; got != c.want {
+				t.Errorf("ScaleFactor %d runs at %d, want %d", c.sf, got, c.want)
+			}
+			return false
+		}()
+		if panicked != (c.want == 0) {
+			t.Errorf("ScaleFactor %d: panicked = %v, want %v", c.sf, panicked, c.want == 0)
+		}
 	}
 }
 

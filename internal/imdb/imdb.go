@@ -23,6 +23,8 @@
 package imdb
 
 import (
+	"fmt"
+
 	"github.com/pythia-db/pythia/internal/catalog"
 	"github.com/pythia-db/pythia/internal/index"
 	"github.com/pythia-db/pythia/internal/plan"
@@ -32,7 +34,8 @@ import (
 
 // Config parameterizes the generator.
 type Config struct {
-	// Scale scales the big relations (100 = reference).
+	// Scale scales the big relations (100 = reference; 0 selects it).
+	// NewGenerator panics on a negative value.
 	Scale int
 	// Seed drives value generation.
 	Seed uint64
@@ -61,9 +64,13 @@ func (g *Generator) scaled(base int64) int64 {
 	return rows
 }
 
-// NewGenerator builds the 9-relation IMDB schema.
+// NewGenerator builds the 9-relation IMDB schema. It panics on a negative
+// Scale.
 func NewGenerator(cfg Config) *Generator {
-	if cfg.Scale <= 0 {
+	if cfg.Scale < 0 {
+		panic(fmt.Sprintf("imdb: negative Scale %d", cfg.Scale))
+	}
+	if cfg.Scale == 0 {
 		cfg.Scale = 100
 	}
 	if cfg.Index.LeafCap == 0 {

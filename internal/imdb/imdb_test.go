@@ -1,6 +1,32 @@
 package imdb
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
+
+// TestScaleValidated: 0 selects the reference scale 100, a positive value is
+// kept, and a negative one panics instead of silently running at scale 100.
+// cast_info has 300 000 rows at scale 100.
+func TestScaleValidated(t *testing.T) {
+	for _, c := range []struct {
+		scale int
+		rows  int64 // 0: NewGenerator panics
+	}{
+		{-1, 0}, {-100, 0}, {math.MinInt, 0}, {0, 300000}, {1, 3000}, {10, 30000},
+	} {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			if got := NewGenerator(Config{Scale: c.scale, Seed: 17}).CastInfo().Rows; got != c.rows {
+				t.Errorf("Scale %d: cast_info has %d rows, want %d", c.scale, got, c.rows)
+			}
+			return false
+		}()
+		if panicked != (c.rows == 0) {
+			t.Errorf("Scale %d: panicked = %v, want %v", c.scale, panicked, c.rows == 0)
+		}
+	}
+}
 
 func TestSchemaHasNineRelations(t *testing.T) {
 	g := NewGenerator(Config{Scale: 10, Seed: 17})

@@ -144,15 +144,6 @@ const (
 	// QualityScored: a /v1/feedback report correlated with a served
 	// prediction and was scored against ground truth.
 	QualityScored
-	// DriftWarning: the live plan-token/fingerprint distribution crossed the
-	// warn divergence threshold against the training baseline.
-	DriftWarning
-	// DriftAlarm: divergence crossed the alarm threshold — the live stream no
-	// longer resembles the training distribution.
-	DriftAlarm
-	// DriftRecovered: the drift state machine stepped back down to ok after
-	// its hysteresis cleared.
-	DriftRecovered
 
 	// KindCount is the number of event kinds; counter arrays are sized by
 	// it. It must remain last.
@@ -193,9 +184,6 @@ var kindNames = [KindCount]string{
 	InferenceRun:          "inference_run",
 	ModelError:            "model_error",
 	QualityScored:         "quality_scored",
-	DriftWarning:          "drift_warning",
-	DriftAlarm:            "drift_alarm",
-	DriftRecovered:        "drift_recovered",
 }
 
 // String returns the kind's snake_case name (stable: it is the label

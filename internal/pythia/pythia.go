@@ -43,8 +43,8 @@ type Config struct {
 	Recorder obs.Recorder
 	// Tracer, when non-nil, records the virtual-time span timeline of every
 	// replay this system runs (see internal/span), plus a mark for each
-	// system-level event its table names (inference degrades, drift
-	// transitions) — with or without a Recorder set. Like Replay.Fault, use
+	// system-level event its table names (inference degrades) — with or
+	// without a Recorder set. Like Replay.Fault, use
 	// a fresh tracer per run (or Reset it): spans accumulate across Run
 	// calls.
 	Tracer *span.Tracer

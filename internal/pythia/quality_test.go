@@ -121,15 +121,16 @@ func TestReportReadsRunCounters(t *testing.T) {
 	if ev.Prefetched == 0 || ev.Useful == 0 || r.Total.Precision <= 0 || r.Total.Recall <= 0 {
 		t.Fatalf("held-out run produced no prefetch traffic to score: %+v", r.Total)
 	}
-	if r.Drift != drift.Stats() || r.Drift.State != "ok" || r.BaselineHash != s.BaselineID().Hash {
-		t.Fatalf("drift block = %+v (hash %q), want the monitor's ok state", r.Drift, r.BaselineHash)
+	if r.Drift != drift.Stats() || r.Drift.State != "ok" {
+		t.Fatalf("drift block = %+v, want the monitor's ok state", r.Drift)
 	}
 }
 
 // TestDriftAlarmDeterministic pins the acceptance criterion: a monitor fed
 // a held-out template mix against a baseline trained on a different mix
-// alarms; fed the training mix, it stays ok; and the same stream always
-// reads the same.
+// alarms; fed the training mix, it stays ok; a long in-distribution stream
+// reads the level of its score after every evaluation and ends ok; and the
+// same stream always reads the same.
 func TestDriftAlarmDeterministic(t *testing.T) {
 	g := dsb.NewGenerator(dsb.Config{ScaleFactor: 8, Seed: 7})
 	trainW := g.Workload("t18", 40, 1)
@@ -140,16 +141,25 @@ func TestDriftAlarmDeterministic(t *testing.T) {
 	feed := func(insts []*workload.Instance) quality.DriftStats {
 		m := quality.NewMonitor(s.Baseline(), quality.Options{EvalEvery: 8})
 		for _, inst := range insts {
-			m.Observe(DriftTokens(inst.Plan))
+			if m.Observe(DriftTokens(inst.Plan)) {
+				if st := m.Stats(); st.State != quality.Level(st.Score).String() {
+					t.Fatalf("evaluation %d reads %q at score %.3f, want %q", st.Evaluations, st.State, st.Score, quality.Level(st.Score))
+				}
+			}
 		}
 		return m.Stats()
 	}
 
-	if st := feed(trainW.Instances[30:]); st.State != "ok" || st.Alarms != 0 || st.Warnings != 0 {
+	if st := feed(trainW.Instances[30:]); st.State != "ok" {
 		t.Fatalf("training mix drifted: %+v", st)
 	}
+	// 200 fresh t18 plans: single evaluations spike past the thresholds on a
+	// small window, and the stream still ends at the level its score reads.
+	if st := feed(g.Workload("t18", 200, 5).Instances); st.State != "ok" || st.Evaluations != 25 {
+		t.Fatalf("in-distribution stream = %+v, want ok after 25 evaluations", st)
+	}
 	st := feed(heldOut.Instances)
-	if st.State != "alarm" || st.Alarms == 0 {
+	if st.State != "alarm" || st.Score < 10 {
 		t.Fatalf("held-out mix = %+v, want alarm", st)
 	}
 	if again := feed(heldOut.Instances); again != st {

@@ -1,17 +1,15 @@
 package quality
 
-import "github.com/pythia-db/pythia/internal/obs"
-
-// DriftState is the hysteresis state machine's level: ok < warning < alarm.
+// DriftState is the drift level a divergence score reads: ok < warning < alarm.
 type DriftState uint8
 
 const (
 	// DriftOK: the live window is statistically consistent with the baseline.
 	DriftOK DriftState = iota
-	// DriftWarning: divergence crossed the warn threshold — the mix is
+	// DriftWarning: divergence reached the warn threshold — the mix is
 	// shifting; retraining evidence is accumulating.
 	DriftWarning
-	// DriftAlarm: divergence crossed the alarm threshold — the live stream
+	// DriftAlarm: divergence reached the alarm threshold — the live stream
 	// no longer resembles what the models were trained on.
 	DriftAlarm
 )
@@ -31,35 +29,6 @@ func (s DriftState) String() string {
 // /metrics companion of String.
 func (s DriftState) Value() int { return int(s) }
 
-// DriftEventKind maps a post-transition state to the obs event that
-// announces it.
-//
-//pythia:noalloc
-func DriftEventKind(to DriftState) obs.Kind {
-	switch to {
-	case DriftAlarm:
-		return obs.DriftAlarm
-	case DriftWarning:
-		return obs.DriftWarning
-	default:
-		return obs.DriftRecovered
-	}
-}
-
-// Transition is the outcome of one detector evaluation. Changed is false for
-// the (overwhelmingly common) evaluations that hold state; callers emit
-// obs/span events only on changes.
-type Transition struct {
-	// Evaluated is true when the detector ran: Monitor.Observe returns the
-	// zero Transition for the plans between two evaluations.
-	Evaluated bool
-	Changed   bool
-	From      DriftState
-	To        DriftState
-	// Score is the divergence that drove the evaluation.
-	Score float64
-}
-
 // Options configure drift detection. The zero value selects the documented
 // default, so there is no Normalize error path.
 type Options struct {
@@ -69,119 +38,51 @@ type Options struct {
 	EvalEvery int
 }
 
-// The detector's thresholds. Nothing sets them per deployment: PSI is
-// scale-free, and the template mixes this repo serves sit near 0 when stable.
+// The level thresholds. Nothing sets them per deployment: PSI is scale-free,
+// and the template mixes this repo serves sit near 0 when stable.
 const (
-	// warnPSI raises ok→warning when the divergence reaches it (the
-	// conventional "significant shift" PSI reading).
-	warnPSI = 0.25
-	// alarmPSI raises →alarm.
+	// warnPSI is the conventional "significant shift" PSI reading.
+	warnPSI  = 0.25
 	alarmPSI = 0.5
-	// clearAfter is the hysteresis on the way down: how many consecutive
-	// sub-warn evaluations step the state down one level.
-	clearAfter = 3
 )
 
-// Detector is the hysteresis state machine over a divergence-score stream.
-// Raising is immediate (one breaching evaluation moves ok→warning or
-// →alarm); clearing is slow (clearAfter consecutive sub-warn evaluations
-// step down one level at a time) — a flapping mix alarms once, not once per
-// window. Transitions are purely evaluation-count driven, which is what keeps
-// replay-side drift detection deterministic.
-//
-// Detector is not synchronized; the Monitor's owner serializes access (the
-// serve tier wraps it in a mutex).
-type Detector struct {
-	state       DriftState
-	clearStreak int
-
-	evals      uint64
-	warnings   uint64
-	alarms     uint64
-	recoveries uint64
-	lastScore  float64
-}
-
-// Evaluate folds one divergence score into the state machine.
+// Level is the drift level one divergence score reads. It holds no state:
+// the live window's decay is the only smoothing, and hysteresis over the
+// exported gauge belongs in the alert rule that reads it.
 //
 //pythia:noalloc
-func (d *Detector) Evaluate(score float64) Transition {
-	d.evals++
-	d.lastScore = score
-	target := DriftOK
+func Level(score float64) DriftState {
 	switch {
 	case score >= alarmPSI:
-		target = DriftAlarm
+		return DriftAlarm
 	case score >= warnPSI:
-		target = DriftWarning
+		return DriftWarning
 	}
-	tr := Transition{Evaluated: true, From: d.state, To: d.state, Score: score}
-	switch {
-	case target > d.state:
-		// Raise immediately, possibly skipping warning entirely.
-		d.clearStreak = 0
-		tr.To, tr.Changed = target, true
-		d.state = target
-		switch target {
-		case DriftAlarm:
-			d.alarms++
-		case DriftWarning:
-			d.warnings++
-		}
-	case target < d.state:
-		d.clearStreak++
-		if d.clearStreak >= clearAfter {
-			d.clearStreak = 0
-			d.state--
-			tr.To, tr.Changed = d.state, true
-			if d.state == DriftOK {
-				d.recoveries++
-			}
-		}
-	default:
-		d.clearStreak = 0
-	}
-	return tr
+	return DriftOK
 }
 
-// State is the current drift level.
-func (d *Detector) State() DriftState { return d.state }
-
-// DriftStats is the detector's counter snapshot for /stats and reports.
+// DriftStats is a monitor's snapshot for /stats and reports: the level and
+// score of the last evaluation, and how many evaluations ran.
 type DriftStats struct {
 	State       string  `json:"state"`
 	StateValue  int     `json:"-"`
 	Score       float64 `json:"score"`
 	Evaluations uint64  `json:"evaluations"`
-	Warnings    uint64  `json:"warnings"`
-	Alarms      uint64  `json:"alarms"`
-	Recoveries  uint64  `json:"recoveries"`
-}
-
-// Stats snapshots the detector.
-func (d *Detector) Stats() DriftStats {
-	return DriftStats{
-		State:       d.state.String(),
-		StateValue:  d.state.Value(),
-		Score:       d.lastScore,
-		Evaluations: d.evals,
-		Warnings:    d.warnings,
-		Alarms:      d.alarms,
-		Recoveries:  d.recoveries,
-	}
 }
 
 // Monitor streams plans against a frozen training baseline: each plan's
 // tokens land in a decaying live Profile, and every EvalEvery plans the
-// baseline↔live divergence runs through the hysteresis detector. Observe is
-// allocation-free; the caller turns returned Transitions into obs events
-// and span marks.
+// baseline↔live divergence is scored. Observe is allocation-free.
+//
+// Monitor is not synchronized; its owner serializes access (the serve tier
+// wraps it in a mutex).
 type Monitor struct {
 	base      Profile
 	live      Profile
-	det       Detector
 	evalEvery int
 	sinceEval int
+	evals     uint64
+	score     float64
 }
 
 // NewMonitor builds a monitor against base. A nil base returns a nil
@@ -197,47 +98,33 @@ func NewMonitor(base *Profile, o Options) *Monitor {
 }
 
 // Observe folds one plan's serialized tokens into the live window and, at
-// the evaluation cadence, scores it against the baseline. The zero
-// Transition means "nothing changed".
+// the evaluation cadence, scores it against the baseline and halves the
+// window. It reports whether this plan ran an evaluation.
 //
 //pythia:noalloc
-func (m *Monitor) Observe(tokens []string) Transition {
+func (m *Monitor) Observe(tokens []string) bool {
 	if m == nil {
-		return Transition{}
+		return false
 	}
 	m.live.ObserveTokens(tokens)
 	m.sinceEval++
 	if m.sinceEval < m.evalEvery {
-		return Transition{}
+		return false
 	}
 	m.sinceEval = 0
-	tr := m.det.Evaluate(Divergence(&m.base, &m.live))
+	m.evals++
+	m.score = Divergence(&m.base, &m.live)
 	m.live.Tokens.decay()
 	m.live.Prints.decay()
-	return tr
+	return true
 }
 
-// State is the current drift level (DriftOK for a nil monitor).
-func (m *Monitor) State() DriftState {
-	if m == nil {
-		return DriftOK
-	}
-	return m.det.State()
-}
-
-// Stats snapshots the detector (zero value for a nil monitor, with state
-// "ok" — drift-off reads as stable, not as a fourth state).
+// Stats snapshots the monitor (state "ok" and zeros for a nil monitor —
+// drift-off reads as stable, not as a fourth state).
 func (m *Monitor) Stats() DriftStats {
 	if m == nil {
 		return DriftStats{State: DriftOK.String()}
 	}
-	return m.det.Stats()
-}
-
-// Baseline returns a copy of the frozen baseline profile.
-func (m *Monitor) Baseline() *Profile {
-	if m == nil {
-		return nil
-	}
-	return m.base.Clone()
+	l := Level(m.score)
+	return DriftStats{State: l.String(), StateValue: l.Value(), Score: m.score, Evaluations: m.evals}
 }

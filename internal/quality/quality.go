@@ -1,8 +1,8 @@
 // Package quality is the prediction-quality and workload-drift measurement
 // layer: was the prefetch set the right one, and does live traffic still look
 // like what the models were trained on. It records nothing of its own during
-// a replay: a report is read from the finished run, and what this package
-// has to announce (a drift transition) its caller announces as an obs event.
+// a replay: a report is read from the finished run, and a drift reading is a
+// snapshot its caller exports.
 //
 // Two concerns live here, deliberately decoupled from where predictions come
 // from:
@@ -23,9 +23,8 @@
 //     fingerprints. Training freezes a baseline Profile into the snapshot
 //     envelope; a Monitor accumulates the live stream into a decaying window
 //     Profile and, every EvalEvery plans, computes a Population Stability
-//     Index between baseline and window. A hysteresis Detector turns the
-//     score stream into ok → warning → alarm state transitions that the
-//     caller surfaces as obs.DriftWarning/DriftAlarm/DriftRecovered events.
+//     Index between baseline and window. The last evaluation's score reads
+//     as a level (ok, warning, alarm) through Level.
 //
 // The hot paths — observing one plan into the sketches, adding one score to
 // a window — are //pythia:noalloc and allocation-free, so drift monitoring

@@ -125,50 +125,44 @@ func TestProfileHashStable(t *testing.T) {
 	}
 }
 
-// TestDetectorHysteresis drives the state machine through the full
-// warning→alarm→recovered arc: raises are immediate, and each step down takes
-// clearAfter consecutive clean readings.
-func TestDetectorHysteresis(t *testing.T) {
-	var d Detector
-	clean := func(n int) (tr Transition) {
-		for i := 0; i < n; i++ {
-			tr = d.Evaluate(0.01)
+// TestDriftLevel: the level is the last evaluation's score against the
+// thresholds, with no memory — one clean reading after an alarm reads ok.
+func TestDriftLevel(t *testing.T) {
+	for _, c := range []struct {
+		score float64
+		want  DriftState
+	}{
+		{0, DriftOK}, {warnPSI - 1e-9, DriftOK}, {warnPSI, DriftWarning},
+		{alarmPSI - 1e-9, DriftWarning}, {alarmPSI, DriftAlarm}, {15, DriftAlarm},
+	} {
+		if got := Level(c.score); got != c.want {
+			t.Errorf("Level(%v) = %v, want %v", c.score, got, c.want)
 		}
-		return tr
 	}
 
-	// ok → warning raises immediately.
-	tr := d.Evaluate(warnPSI + 0.05)
-	if !tr.Changed || tr.From != DriftOK || tr.To != DriftWarning {
-		t.Fatalf("warn raise: %+v", tr)
+	base := &Profile{}
+	for i := 0; i < 200; i++ {
+		base.ObserveTokens([]string{"Seq", "lineitem", "Agg"})
 	}
-	// warning → alarm raises immediately.
-	tr = d.Evaluate(alarmPSI + 0.4)
-	if !tr.Changed || tr.From != DriftWarning || tr.To != DriftAlarm {
-		t.Fatalf("alarm raise: %+v", tr)
+	m := NewMonitor(base, Options{EvalEvery: 4})
+	feed := func(tokens ...string) DriftStats {
+		for i := 0; i < 4; i++ {
+			m.Observe(tokens)
+		}
+		return m.Stats()
 	}
-	// One clean reading short of clearAfter is not enough…
-	if tr = clean(clearAfter - 1); tr.Changed {
-		t.Fatalf("cleared after %d sub-warn evals: %+v", clearAfter-1, tr)
+	if st := feed("Idx", "orders", "NestLoop", "Sort"); st.State != "alarm" || st.StateValue != 2 || st.Evaluations != 1 {
+		t.Fatalf("held-out window = %+v, want alarm after one evaluation", st)
 	}
-	// …and a breaching reading resets the clear streak.
-	if tr = d.Evaluate(alarmPSI + 0.4); tr.Changed {
-		t.Fatalf("unexpected transition on re-breach: %+v", tr)
+	// Three halvings empty the held-out plans out of the window, and the
+	// first evaluation that sees only the training mix reads ok.
+	for i := 0; i < 2; i++ {
+		if st := feed("Seq", "lineitem", "Agg"); st.State != Level(st.Score).String() {
+			t.Fatalf("evaluation %d = %+v, state is not its score's level", st.Evaluations, st)
+		}
 	}
-	if tr = clean(clearAfter - 1); tr.Changed {
-		t.Fatalf("clear streak survived a breach: %+v", tr)
-	}
-	// The clearAfter-th consecutive clean reading steps down one level…
-	if tr = clean(1); !tr.Changed || tr.To != DriftWarning {
-		t.Fatalf("step down to warning: %+v", tr)
-	}
-	// …and clearAfter more land back at ok, counting one recovery.
-	if tr = clean(clearAfter); !tr.Changed || tr.To != DriftOK {
-		t.Fatalf("step down to ok: %+v", tr)
-	}
-	st := d.Stats()
-	if st.State != "ok" || st.Warnings != 1 || st.Alarms != 1 || st.Recoveries != 1 {
-		t.Fatalf("stats = %+v", st)
+	if st := feed("Seq", "lineitem", "Agg"); st != (DriftStats{State: "ok", Evaluations: 4}) {
+		t.Fatalf("pure training window = %+v, want ok at score 0", st)
 	}
 }
 
@@ -180,33 +174,28 @@ func TestMonitorDetectsShift(t *testing.T) {
 	// Same mix: no drift, ever.
 	m := NewMonitor(base, Options{EvalEvery: 4})
 	for i := 0; i < 200; i++ {
-		if tr := m.Observe([]string{"Seq", "lineitem", "Agg"}); tr.Changed {
-			t.Fatalf("drift fired on the training mix at plan %d: %+v", i, tr)
+		if m.Observe([]string{"Seq", "lineitem", "Agg"}) && m.Stats().State != "ok" {
+			t.Fatalf("drift read %+v on the training mix at plan %d", m.Stats(), i)
 		}
 	}
-	if m.State() != DriftOK {
-		t.Fatalf("state = %v after training mix, want ok", m.State())
+	if st := m.Stats(); st.Evaluations != 50 {
+		t.Fatalf("%d evaluations after 200 plans at EvalEvery 4, want 50", st.Evaluations)
 	}
-	// Held-out mix: alarm must fire.
+	// Held-out mix: every evaluation reads alarm.
 	m2 := NewMonitor(base, Options{EvalEvery: 4})
-	fired := false
 	for i := 0; i < 200; i++ {
-		tr := m2.Observe([]string{"Idx", "orders", "NestLoop", "Sort"})
-		if tr.Changed && tr.To == DriftAlarm {
-			fired = true
+		if m2.Observe([]string{"Idx", "orders", "NestLoop", "Sort"}) && m2.Stats().State != "alarm" {
+			t.Fatalf("held-out mix read %+v at plan %d, want alarm", m2.Stats(), i)
 		}
-	}
-	if !fired || m2.State() != DriftAlarm {
-		t.Fatalf("held-out mix: fired=%v state=%v, want alarm", fired, m2.State())
 	}
 
 	// Nil-baseline monitor is inert.
 	var nilMon *Monitor
-	if tr := nilMon.Observe([]string{"x"}); tr.Changed || nilMon.State() != DriftOK {
+	if nilMon.Observe([]string{"x"}) {
 		t.Fatal("nil monitor must be inert")
 	}
-	if st := nilMon.Stats(); st.State != "ok" {
-		t.Fatalf("nil monitor stats state = %q, want ok", st.State)
+	if st := nilMon.Stats(); st != (DriftStats{State: "ok"}) {
+		t.Fatalf("nil monitor stats = %+v, want ok and zeros", st)
 	}
 }
 
@@ -260,14 +249,8 @@ func TestNewReport(t *testing.T) {
 	if cov := r.Total.Coverage; math.Abs(cov-2.0/3) > 1e-12 {
 		t.Fatalf("coverage = %v, want 2/3", cov)
 	}
-	if r.Drift.State != "ok" || r.BaselineHash != "" {
-		t.Fatalf("unarmed drift = %+v, hash %q; want ok and no hash", r.Drift, r.BaselineHash)
-	}
-
-	base := &Profile{}
-	base.ObserveTokens([]string{"Seq"})
-	if armed := NewReport(rows, NewMonitor(base, Options{})); armed.BaselineHash != base.HashString() {
-		t.Fatalf("armed report hash %q, want %q", armed.BaselineHash, base.HashString())
+	if r.Drift != (DriftStats{State: "ok"}) {
+		t.Fatalf("unarmed drift = %+v, want ok and zeros", r.Drift)
 	}
 }
 
@@ -291,15 +274,9 @@ func TestHotPathsNoAlloc(t *testing.T) {
 		t.Errorf("Profile.ObserveTokens allocates %v/op", n)
 	}
 
-	base := prof.Clone()
-	m := NewMonitor(base, Options{EvalEvery: 2})
+	m := NewMonitor(&prof, Options{EvalEvery: 2})
 	if n := testing.AllocsPerRun(200, func() { m.Observe(tokens) }); n != 0 {
 		t.Errorf("Monitor.Observe allocates %v/op", n)
-	}
-
-	var d Detector
-	if n := testing.AllocsPerRun(200, func() { d.Evaluate(0.01) }); n != 0 {
-		t.Errorf("Detector.Evaluate allocates %v/op", n)
 	}
 
 	var liveP, liveB Profile

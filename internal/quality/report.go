@@ -127,12 +127,9 @@ type Report struct {
 	Workloads []WorkloadReport `json:"workloads"`
 	// Total aggregates everything.
 	Total WorkloadReport `json:"total"`
-	// Drift is the detector snapshot (state "ok" with zero counters when
-	// drift detection was never armed).
+	// Drift is the monitor's snapshot (state "ok" and zeros when drift
+	// detection was never armed).
 	Drift DriftStats `json:"drift"`
-	// BaselineHash identifies the baseline the drift score was measured
-	// against ("" when unarmed).
-	BaselineHash string `json:"baseline_hash,omitempty"`
 }
 
 // NewReport scores a finished run: each row's exact set overlap and the
@@ -141,9 +138,6 @@ type Report struct {
 // off).
 func NewReport(rows []Row, drift *Monitor) *Report {
 	r := &Report{Total: WorkloadReport{Workload: "total"}, Drift: drift.Stats()}
-	if drift != nil {
-		r.BaselineHash = drift.Baseline().HashString()
-	}
 	index := map[string]int{}
 	for _, row := range rows {
 		q := QueryScore{

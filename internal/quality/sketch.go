@@ -157,19 +157,8 @@ func (p *Profile) Merge(o *Profile) {
 	p.Plans += o.Plans
 }
 
-// Clone returns a deep copy (Profile has no reference fields, so the value
-// copy is one).
-func (p *Profile) Clone() *Profile {
-	if p == nil {
-		return nil
-	}
-	c := *p
-	return &c
-}
-
 // Hash is a stable identity over the profile's exact contents — the
-// snapshot-baseline identity /stats and drift reports correlate on across
-// model swaps.
+// snapshot-baseline identity /stats reports across model swaps.
 func (p *Profile) Hash() uint64 {
 	if p == nil {
 		return 0
@@ -190,8 +179,7 @@ func (p *Profile) Hash() uint64 {
 	return h
 }
 
-// HashString renders Hash as the fixed-width hex string used in /stats and
-// reports.
+// HashString renders Hash as the fixed-width hex string used in /stats.
 func (p *Profile) HashString() string { return fmt.Sprintf("%016x", p.Hash()) }
 
 // Divergence scores a live profile window against a baseline: the max of

@@ -45,7 +45,7 @@ type InfStatus struct {
 	// Swaps counts completed model swaps.
 	Swaps uint64
 	// Drift is the serving generation's drift-monitor snapshot (state "ok"
-	// with zero counters when its snapshot carries no training baseline).
+	// and zeros when its snapshot carries no training baseline).
 	Drift quality.DriftStats
 	// Model is the serving generation's row.
 	Model GenerationStatus

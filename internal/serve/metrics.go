@@ -72,7 +72,7 @@ type Metrics struct {
 
 	// A total with no obs.Kind of its own. It lives here, not on the
 	// generation, so it survives a model swap; every other such fact
-	// (prediction-cache outcomes, feedback, drift transitions) is its events
+	// (prediction-cache outcomes, model errors, feedback) is its events
 	// counter and nothing else.
 	driftEvals atomic.Uint64 // drift-monitor evaluations across generations
 
@@ -167,7 +167,7 @@ func (m *Metrics) observePrediction(pages int, fallback bool) {
 
 // Record implements obs.Recorder: the hub is the serving tier's one stamp
 // point. Every event of the tier — prediction-cache outcomes, model errors,
-// drift transitions, scored feedback — is counted once here; with a
+// scored feedback — is counted once here; with a
 // tracer attached it is also stamped with the hub clock's epoch-relative
 // reading and forwarded, and the tracer's table decides whether it shows as a
 // mark. One nil-check when no tracer is attached.

@@ -54,12 +54,10 @@ type generation struct {
 	drift   *quality.Monitor
 }
 
-// serveDriftEvalEvery slows the drift detector's evaluation cadence on the
-// serve tier relative to the replay default. A sustained load run evaluates
-// thousands of times where a replay evaluates a handful, so the detector's
-// per-evaluation false-positive probability gets multiplied by a factor the
-// replay tier never sees; a longer cadence both shrinks that factor and
-// quadruples the decayed live sample each PSI reading is computed from.
+// serveDriftEvalEvery slows the drift monitor's evaluation cadence on the
+// serve tier relative to the replay default: it quadruples the decayed live
+// sample each PSI reading is computed from, so a stable mix's score, which
+// alone sets the served drift state, sits further below the warn threshold.
 const serveDriftEvalEvery = 64
 
 func newGeneration(id uint64, sys *corepythia.System, metrics *Metrics, opts Options) *generation {
@@ -73,22 +71,19 @@ func newGeneration(id uint64, sys *corepythia.System, metrics *Metrics, opts Opt
 }
 
 // observeDrift folds one request's plan into the generation's live profile
-// and records the evaluation and any state transition. Pool.Predict calls it
-// once per request before matching: unmatched plans are exactly the shift
-// drift detection exists to catch.
+// and counts the evaluation it may run. Pool.Predict calls it once per
+// request before matching: unmatched plans are exactly the shift drift
+// detection exists to catch.
 func (g *generation) observeDrift(root *plan.Node, m *Metrics) {
 	if g.drift == nil {
 		return
 	}
 	tokens := corepythia.DriftTokens(root)
 	g.driftMu.Lock()
-	tr := g.drift.Observe(tokens)
+	evaluated := g.drift.Observe(tokens)
 	g.driftMu.Unlock()
-	if tr.Evaluated {
+	if evaluated {
 		m.driftEvals.Add(1)
-	}
-	if tr.Changed {
-		m.Record(obs.Event{Kind: quality.DriftEventKind(tr.To), Query: obs.NoQuery})
 	}
 }
 

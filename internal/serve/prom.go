@@ -92,9 +92,6 @@ func families(s *statsResponse) []family {
 		{"pythia_drift_state", gauge, "Drift-detector state (0=ok, 1=warning, 2=alarm).", one(s.Drift.StateValue)},
 		{"pythia_drift_score", gauge, "Live-vs-baseline divergence (PSI) at the last evaluation.", one(s.Drift.Score)},
 		{"pythia_drift_evaluations_total", counter, "Drift evaluations.", one(s.Drift.Evaluations)},
-		{"pythia_drift_warnings_total", counter, "Drift warning transitions.", one(s.Drift.Warnings)},
-		{"pythia_drift_alarms_total", counter, "Drift alarm transitions.", one(s.Drift.Alarms)},
-		{"pythia_drift_recoveries_total", counter, "Drift recoveries (alarm or warning back to ok).", one(s.Drift.Recoveries)},
 		{"pythia_draining", gauge, "Whether the server is draining for shutdown.", one(draining)},
 		{"pythia_uptime_seconds", gauge, "Seconds since the server started.", one(s.UptimeSeconds)},
 		{"pythia_build_info", gauge, "Build identity of the running binary (value is always 1).", []sample{

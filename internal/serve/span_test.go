@@ -89,10 +89,9 @@ func TestHubStampsAndForwardsEvents(t *testing.T) {
 	// Traced: each event reads the clock once, in order — 1ms, 2ms, …
 	cache.get(7) // miss
 	cache.put(7, nil, true)
-	cache.get(7)                                                         // hit
-	m.Record(obs.Event{Kind: obs.ModelError, Query: obs.NoQuery})        // stamped, but not a mark
-	m.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})     // 4ms
-	m.Record(obs.Event{Kind: obs.DriftAlarm, Query: obs.NoQuery, At: 9}) // 5ms: the hub's stamp wins
+	cache.get(7)                                                            // hit
+	m.Record(obs.Event{Kind: obs.ModelError, Query: obs.NoQuery})           // stamped, but not a mark
+	m.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery, At: 9}) // 4ms: the hub's stamp wins
 
 	ev := m.Events()
 	if ev.Get(obs.PredCacheMiss) != 2 || ev.Get(obs.PredCacheHit) != 1 || ev.Get(obs.ModelError) != 1 {
@@ -108,7 +107,6 @@ func TestHubStampsAndForwardsEvents(t *testing.T) {
 		{obs.PredCacheMiss, "predcache_miss", ms(1)},
 		{obs.PredCacheHit, "predcache_hit", ms(2)},
 		{obs.QualityScored, "quality_feedback", ms(4)},
-		{obs.DriftAlarm, "drift_alarm", ms(5)},
 	}
 	spans := tracer.Snapshot()
 	if len(spans) != len(want) {

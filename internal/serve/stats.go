@@ -10,10 +10,10 @@ import (
 // /stats, and the only input of the /metrics renderer — what /metrics needs
 // and /stats does not print rides along as json:"-" fields.
 //
-// Totals (requests_shed, predcache hits/misses/evictions, quality.scored, the
-// drift counters) each read one monotonic counter in the Metrics hub, so they
-// survive a model swap; the model row is the serving generation's own books
-// and restarts with it.
+// Totals (requests_shed, predcache hits/misses/evictions, quality.scored,
+// drift.evaluations) each read one monotonic counter in the Metrics hub, so
+// they survive a model swap; the model row and the drift state and score are
+// the serving generation's own and restart with it.
 type statsResponse struct {
 	UptimeSeconds  float64           `json:"uptime_seconds"`
 	Build          BuildInfo         `json:"build"`
@@ -41,9 +41,8 @@ type statsResponse struct {
 	// the /stats shape configuration-independent.
 	Quality qualityStats `json:"quality"`
 	// Drift is the single-state summary a dashboard alerts on: State
-	// (StateValue as a gauge) and Score are the serving generation's monitor,
-	// the counters lifetime totals across generations. Warnings counts every
-	// transition into warning, an alarm stepping down through it included.
+	// (StateValue as a gauge) is the level of the serving generation's last
+	// evaluation Score; Evaluations is the lifetime total across generations.
 	Drift quality.DriftStats `json:"drift"`
 	// Baseline identifies the drift baseline the serving snapshot carries
 	// (absent when the system is untrained or predates baselines).
@@ -109,9 +108,6 @@ func (s *Server) snapshot() *statsResponse {
 		FleetCache:     predCacheStats{Hits: ev.Get(obs.PredCacheHit), Misses: ev.Get(obs.PredCacheMiss), Evictions: ev.Get(obs.PredCacheEvict)},
 	}
 	resp.Drift.Evaluations = m.driftEvals.Load()
-	resp.Drift.Warnings = ev.Get(obs.DriftWarning)
-	resp.Drift.Alarms = ev.Get(obs.DriftAlarm)
-	resp.Drift.Recoveries = ev.Get(obs.DriftRecovered)
 	if resp.Predictions > 0 {
 		resp.FallbackRate = float64(resp.Fallbacks) / float64(resp.Predictions)
 		resp.AvgSetSize = float64(resp.PredictedPages) / float64(resp.Predictions)

@@ -116,9 +116,6 @@ var marks = [obs.KindCount]struct {
 	obs.PredCacheHit:          {name: "predcache_hit"},
 	obs.PredCacheMiss:         {name: "predcache_miss"},
 	obs.QualityScored:         {name: "quality_feedback"},
-	obs.DriftWarning:          {name: "drift_warning"},
-	obs.DriftAlarm:            {name: "drift_alarm"},
-	obs.DriftRecovered:        {name: "drift_recovered"},
 }
 
 // String returns the kind's snake_case name (stable: it is the event name

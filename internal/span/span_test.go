@@ -188,7 +188,6 @@ func TestKindNames(t *testing.T) {
 		obs.InferenceDeadlineMiss: "inference_degrade",
 		obs.PredCacheHit:          "predcache_hit", obs.PredCacheMiss: "predcache_miss",
 		obs.QualityScored: "quality_feedback",
-		obs.DriftWarning:  "drift_warning", obs.DriftAlarm: "drift_alarm", obs.DriftRecovered: "drift_recovered",
 	}
 	linking := map[obs.Kind]bool{obs.PrefetchHit: true, obs.PrefetchWasted: true, obs.FallbackSyncRead: true}
 	for k := obs.Kind(0); k < obs.KindCount; k++ {

@@ -107,10 +107,12 @@ func NewEventLog() *ObsEventLog { return obs.NewEventLog() }
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewDSB builds the DSB-style benchmark database and query generator
-// (7 fact + 17 dimension relations, templates t18/t19/t91).
+// (7 fact + 17 dimension relations, templates t18/t19/t91). A ScaleFactor of
+// 0 selects the reference 100; a negative one panics.
 func NewDSB(cfg DSBConfig) *dsb.Generator { return dsb.NewGenerator(cfg) }
 
-// NewIMDB builds the IMDB/CEB-style database and template-1a generator.
+// NewIMDB builds the IMDB/CEB-style database and template-1a generator. A
+// Scale of 0 selects the reference 100; a negative one panics.
 func NewIMDB(cfg IMDBConfig) *imdb.Generator { return imdb.NewGenerator(cfg) }
 
 // PaperModelConfig returns the paper's full-size hyperparameters (§5.1:
