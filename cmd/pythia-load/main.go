@@ -13,7 +13,8 @@
 //   - Self-hosted (default): trains a model once, builds the serving stack
 //     in-process and serves it over a real loopback TCP listener — the whole
 //     HTTP path is on the clock. After the run the harness checks the
-//     server's books on /stats against its own counts (BOOKS: lines):
+//     server's books on /stats against its own counts and against
+//     themselves (BOOKS: lines):
 //
 //     pythia-load -sf 4 -n 64 -concurrency 8 -duration 10s
 //
@@ -84,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out         = fs.String("out", "BENCH_load.json", "report path")
 
 		feedbackRate    = fs.Float64("feedback", 0, "probability a 2xx predict is followed by a POST /v1/feedback report with the corpus instance's true pages (0 = no feedback traffic)")
-		maxMinPrecision = fs.Float64("max-min-precision", -1, "fail (exit nonzero) if the run's windowed feedback precision falls below this floor (negative = no gate; implies -feedback 1 when -feedback is 0)")
+		maxMinPrecision = fs.Float64("max-min-precision", -1, "fail (exit nonzero) if the server's precision over every scored report falls below this floor (negative = no gate; implies -feedback 1 when -feedback is 0)")
 		failOnAlarm     = fs.Bool("fail-on-drift-alarm", false, "fail (exit nonzero) if the run's last drift evaluation reads \"alarm\"")
 
 		chaosAt    = fs.Float64("chaos-at", 0, "self-hosted chaos drill: fraction of -duration after which every inference faults (0 = off)")
@@ -132,8 +133,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-swap-at and -chaos-at need self-hosted mode (they save a snapshot and retarget the in-process fault injector)")
 	}
 	if *maxMinPrecision >= 0 && *feedbackRate == 0 {
-		// The precision gate reads the server's feedback window, which stays
-		// empty without feedback traffic — an ungated run would always pass.
+		// The precision gate reads the server's score over every feedback
+		// report, which stays empty without feedback traffic — an ungated run
+		// would always pass.
 		*feedbackRate = 1
 		logger.Printf("-max-min-precision set: defaulting -feedback to 1")
 	}
@@ -192,19 +194,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The server's books against the harness's own: every 200 the client
 		// saw is one {predict, 200} row count, every 503 one requests_shed,
 		// every feedback answered 200 one quality.scored, every model_error
-		// fallback one model_error event.
+		// fallback one model_error event. Then the server's books against
+		// themselves: every predict request is one cache hit, inference,
+		// fallback, shed or other non-2xx answer, and every feedback post one
+		// scored report or 4xx answer.
 		for _, b := range []struct {
-			what         string
-			client, serv uint64
+			what        string
+			left, right uint64
 		}{
 			{"predict 200s vs the {predict, 200} request row", res.StatusCounts["200"], res.serverPredict200},
 			{"predict 503s vs requests_shed", res.StatusCounts["503"], res.Shed},
 			{"feedback 200s vs quality.scored", res.Feedbacks, res.QualityScored},
 			{"model_error answers vs events.model_error", res.ModelErrors, res.serverModelErrors},
+			{"predict requests vs predcache hits + inference_run + fallbacks + requests_shed + other non-2xx", res.serverPredicts, res.serverPredictOutcomes},
+			{"feedback posts vs quality.scored + feedback 4xx", res.serverFeedbacks, res.QualityScored + res.serverFeedback4xx},
 		} {
-			if b.client != b.serv {
-				fmt.Fprintf(stdout, "BOOKS: %s: client %d, server %d\n", b.what, b.client, b.serv)
-				breach("the server's books disagree with the client's (see BOOKS: lines)")
+			if b.left != b.right {
+				fmt.Fprintf(stdout, "BOOKS: %s: %d vs %d\n", b.what, b.left, b.right)
+				breach("the server's books do not balance (see BOOKS: lines)")
 			}
 		}
 	}
@@ -218,7 +225,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if res.QualityScored == 0 {
 			breach("precision gate set but no feedback was scored")
 		} else if res.Precision < *maxMinPrecision {
-			breach("windowed precision %.4f < -max-min-precision %g", res.Precision, *maxMinPrecision)
+			breach("precision %.4f < -max-min-precision %g", res.Precision, *maxMinPrecision)
 		}
 	}
 	if *failOnAlarm && res.DriftState == "alarm" {
@@ -277,12 +284,11 @@ type loadResult struct {
 	SwapMS        float64           `json:"swap_ms,omitempty"`
 
 	// Quality and drift snapshot scraped from /stats at the end of the run:
-	// the server's own windowed scores over the -feedback ground-truth
-	// traffic, and the level and score of the last drift evaluation.
+	// the server's own score over every -feedback ground-truth report, and
+	// the level and score of the last drift evaluation.
 	Feedbacks      uint64  `json:"feedbacks_sent"`
 	FeedbackErrors uint64  `json:"feedback_errors"`
 	QualityScored  uint64  `json:"quality_scored"`
-	QualityWindow  int     `json:"quality_window"`
 	Precision      float64 `json:"precision"`
 	Recall         float64 `json:"recall"`
 	WastedRatio    float64 `json:"wasted_ratio"`
@@ -291,8 +297,12 @@ type loadResult struct {
 	BaselineHash   string  `json:"baseline_hash,omitempty"`
 
 	// serverPredict200 is /stats' {predict, 200} request count and
-	// serverModelErrors its events.model_error, for the books check.
-	serverPredict200, serverModelErrors uint64
+	// serverModelErrors its events.model_error, for the books check; so are
+	// its predict and feedback request totals, the outcomes that answer the
+	// predicts and the feedback 4xx count.
+	serverPredict200, serverModelErrors   uint64
+	serverPredicts, serverPredictOutcomes uint64
+	serverFeedbacks, serverFeedback4xx    uint64
 	// modelAfterClear counts requests sent after the chaos fault cleared
 	// that got a model answer (fallback false).
 	modelAfterClear uint64
@@ -585,6 +595,7 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 			Code     int    `json:"code"`
 			Count    uint64 `json:"count"`
 		} `json:"requests"`
+		Fallbacks  uint64            `json:"fallbacks"`
 		Shed       uint64            `json:"requests_shed"`
 		Timeouts   uint64            `json:"inference_timeouts"`
 		Generation uint64            `json:"generation"`
@@ -596,7 +607,6 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 		} `json:"predcache"`
 		Quality struct {
 			Scored      uint64  `json:"scored"`
-			Window      int     `json:"window"`
 			Precision   float64 `json:"precision"`
 			Recall      float64 `json:"recall"`
 			WastedRatio float64 `json:"wasted_ratio"`
@@ -612,9 +622,22 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
+	res.serverPredictOutcomes = st.Events["predcache_hit"] + st.Events["inference_run"] + st.Fallbacks + st.Shed
 	for _, r := range st.Requests {
-		if r.Endpoint == "predict" && r.Code == http.StatusOK {
-			res.serverPredict200 = r.Count
+		switch r.Endpoint {
+		case "predict":
+			res.serverPredicts += r.Count
+			if r.Code == http.StatusOK {
+				res.serverPredict200 = r.Count
+			}
+			if (r.Code < 200 || r.Code > 299) && r.Code != http.StatusServiceUnavailable {
+				res.serverPredictOutcomes += r.Count
+			}
+		case "feedback":
+			res.serverFeedbacks += r.Count
+			if r.Code >= 400 && r.Code <= 499 {
+				res.serverFeedback4xx += r.Count
+			}
 		}
 	}
 	res.Shed = st.Shed
@@ -630,7 +653,6 @@ func scrapeStats(client *http.Client, base string, res *loadResult) error {
 		}
 	}
 	res.QualityScored = st.Quality.Scored
-	res.QualityWindow = st.Quality.Window
 	res.Precision = st.Quality.Precision
 	res.Recall = st.Quality.Recall
 	res.WastedRatio = st.Quality.WastedRatio

@@ -30,16 +30,6 @@ func (c *Counters) Get(k Kind) uint64 {
 // Reset zeroes every counter.
 func (c *Counters) Reset() { *c = Counters{} }
 
-// HitRatio returns hits/(hits+misses) for a (hit, miss) kind pair, or 0
-// when idle — e.g. HitRatio(BufferHit, BufferMiss).
-func (c *Counters) HitRatio(hit, miss Kind) float64 {
-	total := c.Get(hit) + c.Get(miss)
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Get(hit)) / float64(total)
-}
-
 // Map renders the non-zero counters keyed by kind name, for JSON surfaces
 // and test failure messages.
 func (c *Counters) Map() map[string]uint64 {

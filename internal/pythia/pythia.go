@@ -285,9 +285,8 @@ func (s *System) Match(q plan.Query) *Trained {
 }
 
 // Lookup is Match without the workload-matching event, for callers whose
-// resolution is not a served query: the serve tier's warm-up replays recently
-// served plans through a standby generation, and pythia-timeline labels each
-// replayed query's quality row with its workload. Neither may count a match.
+// resolution is not a served query: pythia-timeline labels each replayed
+// query's quality row with its workload, which must not count a match.
 func (s *System) Lookup(q plan.Query) *Trained { return s.match(q) }
 
 func (s *System) match(q plan.Query) *Trained {

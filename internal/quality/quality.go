@@ -14,9 +14,7 @@
 //     scorer behind metrics.Score (Figure 5's F1) and /v1/feedback, under one
 //     convention for the empty corners. NewReport adds, per replayed query,
 //     what the buffer pool did with the prefetched pages (useful, wasted,
-//     fallback sync reads), read from the query's own obs counters. Window
-//     keeps a fixed-size sliding window of scores with O(1) rolling sums so
-//     the serving tier reports fresh quality without unbounded state.
+//     fallback sync reads), read from the query's own obs counters.
 //
 //   - Drift. A Profile is a pair of fixed-size hashed histograms (Sketch)
 //     over a plan stream: one over serialized plan tokens, one over whole-plan
@@ -26,10 +24,9 @@
 //     Index between baseline and window. The last evaluation's score reads
 //     as a level (ok, warning, alarm) through Level.
 //
-// The hot paths — observing one plan into the sketches, adding one score to
-// a window — are //pythia:noalloc and allocation-free, so drift monitoring
-// never slows a serving request. Set scoring and report assembly allocate
-// and run after the fact.
+// The hot path — observing one plan into the sketches — is //pythia:noalloc
+// and allocation-free, so drift monitoring never slows a serving request.
+// Set scoring and report assembly allocate and run after the fact.
 package quality
 
 import (
@@ -102,60 +99,4 @@ func canonical(pages []storage.PageID) []storage.PageID {
 		return 0
 	})
 	return slices.Compact(out)
-}
-
-// Window is a fixed-size sliding window of Scores with O(1) rolling sums:
-// the serving tier's freshness-bounded quality view. Construct with
-// NewWindow; Add is allocation-free.
-type Window struct {
-	ring []Score
-	next int
-	n    int
-	sums Score // component sums over the resident window
-}
-
-// NewWindow returns a window holding the last size scores (minimum 1).
-func NewWindow(size int) *Window {
-	if size < 1 {
-		size = 1
-	}
-	return &Window{ring: make([]Score, size)}
-}
-
-// Add inserts one score, evicting the oldest past capacity.
-//
-//pythia:noalloc
-func (w *Window) Add(s Score) {
-	if w.n == len(w.ring) {
-		old := w.ring[w.next]
-		w.sums.Predicted -= old.Predicted
-		w.sums.Actual -= old.Actual
-		w.sums.TruePos -= old.TruePos
-	} else {
-		w.n++
-	}
-	w.ring[w.next] = s
-	w.next = (w.next + 1) % len(w.ring)
-	w.sums.add(s)
-}
-
-// Len is the number of scores resident in the window.
-func (w *Window) Len() int { return w.n }
-
-// Precision is the windowed micro-averaged precision (sums over the window,
-// not a mean of ratios, so large predictions weigh more). An empty window
-// reports 0 — "no data" must not render as perfect quality on a dashboard.
-func (w *Window) Precision() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.sums.Precision()
-}
-
-// Recall is the windowed micro-averaged recall (0 when empty).
-func (w *Window) Recall() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.sums.Recall()
 }

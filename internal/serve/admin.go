@@ -37,8 +37,8 @@ type reloadResponse struct {
 }
 
 // ReloadSnapshot performs a zero-downtime model swap from a snapshot file
-// (pythia.System.Save): a standby generation decodes the snapshot, warms on
-// recently served plans, and the serving pointer swings atomically. An empty path uses Options.SnapshotPath; the
+// (pythia.System.Save): a standby generation decodes the snapshot and the
+// serving pointer swings atomically. An empty path uses Options.SnapshotPath; the
 // path actually loaded is returned. This is the programmatic entry behind both
 // POST /v1/admin/reload and pythia-serve's SIGHUP handler.
 func (s *Server) ReloadSnapshot(path string) (string, InfStatus, error) {

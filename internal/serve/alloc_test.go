@@ -31,7 +31,7 @@ func TestServeHotPathAllocs(t *testing.T) {
 	t.Run("predcache-hit", func(t *testing.T) {
 		c := newPredCache(64, rec)
 		key := fingerprint("workload", []int{3, 1, 4})
-		c.put(key, []storage.PageID{{Object: 1, Page: 7}}, true)
+		c.put(key, []storage.PageID{{Object: 1, Page: 7}})
 		if a := testing.AllocsPerRun(1000, func() {
 			if _, hit := c.get(key); !hit {
 				t.Fatal("seeded key missed")

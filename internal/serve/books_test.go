@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,7 +77,8 @@ func TestFleetCountersMonotonicAcrossSwap(t *testing.T) {
 	counters := []string{
 		"pythia_predcache_hits_total", "pythia_predcache_misses_total", "pythia_predcache_evictions_total",
 		"pythia_requests_shed_total", "pythia_quality_feedback_total",
-		"pythia_drift_evaluations_total",
+		`pythia_quality_pages_total{set="predicted"}`, `pythia_quality_pages_total{set="actual"}`,
+		`pythia_quality_pages_total{set="true_positive"}`, "pythia_drift_evaluations_total",
 	}
 	twins := map[string]obs.Kind{
 		"pythia_predcache_hits_total":      obs.PredCacheHit,
@@ -143,19 +145,21 @@ func swapFixture(t *testing.T, srv *Server) {
 	}
 }
 
-// TestBooksBalance pins the two conservation identities that hold on every
+// TestBooksBalance pins the conservation identities that hold on every
 // snapshot, with the prediction cache on or off, and counts its one fault:
 //
 //	predictions − fallbacks = predcache hits + inference_run
 //	http_requests_total{endpoint="predict",code="503"} = requests_shed
+//	Σ http_requests_total{endpoint="predict"} = predcache hits + inference_run
+//	    + fallbacks + requests_shed + the predict rows of other non-2xx codes
+//	Σ http_requests_total{endpoint="feedback"} = quality feedback + feedback 4xx
 //
-// The first holds across a model swap too: the swap's warm-up serves no
-// prediction, so it counts no hit and no inference. A faulted model path
-// answers the fallback, so it counts as one fallback and one model_error
-// event and nothing else. The
-// work queue is the only admission point, so the second is also "no other
-// endpoint ever answers 503": with the queue full, explain — which touches
-// no model — still answers 200, and each refusal is exactly one 503.
+// They hold across a model swap too: a swap serves no request. A faulted
+// model path answers the fallback, so it counts as one fallback and one
+// model_error event and nothing else. The work queue is the only admission
+// point, so the second is also "no other endpoint ever answers 503": with the
+// queue full, explain — which touches no model — still answers 200, and each
+// refusal is exactly one 503.
 func TestBooksBalance(t *testing.T) {
 	for _, cache := range []int{0, -1} {
 		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
@@ -163,15 +167,34 @@ func TestBooksBalance(t *testing.T) {
 			insts := distinctInstances(t, srv, w, 5)
 			cold := func() *bytes.Buffer { return specBody(t, spec.FromQuery(w.Instances[insts[4]].Query)) }
 
-			// Misses, then repeats (hits when the cache is on), and an
-			// unmatched plan answering the fallback.
+			// Misses, then repeats (hits when the cache is on), an unmatched
+			// plan answering the fallback, and a body that never plans.
+			var scored predictResponse
 			for round := 0; round < 2; round++ {
 				for _, i := range insts[:4] {
-					predictOK(t, srv, w, i)
+					scored = predictOK(t, srv, w, i)
 				}
 			}
 			if rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(`{"fact":"inventory"}`)); rr.Code != http.StatusOK {
 				t.Fatalf("unmatched plan: status %d: %s", rr.Code, rr.Body.String())
+			}
+			if rr := doRequest(t, srv, http.MethodPost, "/v1/predict", strings.NewReader(`{"fact":`)); rr.Code != http.StatusBadRequest {
+				t.Fatalf("malformed predict: status %d: %s", rr.Code, rr.Body.String())
+			}
+
+			// Feedback: one report scored, its replay refused and a malformed
+			// body.
+			for _, fb := range []struct {
+				body *bytes.Buffer
+				code int
+			}{
+				{feedbackBody(t, scored.PredictionID, scored.Pages), http.StatusOK},
+				{feedbackBody(t, scored.PredictionID, scored.Pages), http.StatusNotFound},
+				{bytes.NewBufferString(`{"prediction_id":`), http.StatusBadRequest},
+			} {
+				if rr := doRequest(t, srv, http.MethodPost, "/v1/feedback", fb.body); rr.Code != fb.code {
+					t.Fatalf("feedback: status %d, want %d: %s", rr.Code, fb.code, rr.Body.String())
+				}
 			}
 
 			// An injected fault: a never-cached plan answers the degraded
@@ -205,9 +228,39 @@ func TestBooksBalance(t *testing.T) {
 				}
 				return got
 			}
+			// requests checks the last two identities on one scrape.
+			requests := func(step string) {
+				t.Helper()
+				got := scrape(t, srv)
+				// Requests per endpoint, and those answered neither 2xx nor
+				// 503 (feedback answers no 503, so its share is its 4xx).
+				total, other := map[string]float64{}, map[string]float64{}
+				for series, v := range got {
+					m := requestSeries.FindStringSubmatch(series)
+					if m == nil {
+						continue
+					}
+					total[m[1]] += v
+					if code, _ := strconv.Atoi(m[2]); (code < 200 || code > 299) && code != http.StatusServiceUnavailable {
+						other[m[1]] += v
+					}
+				}
+				if other["predict"] == 0 || other["feedback"] == 0 {
+					t.Fatalf("%s: no non-2xx predict or feedback row to count: %v", step, other)
+				}
+				outcomes := got["pythia_predcache_hits_total"] + got[`pythia_events_total{kind="inference_run"}`] +
+					got[`pythia_predictions_total{outcome="fallback"}`] + got["pythia_requests_shed_total"] + other["predict"]
+				if total["predict"] != outcomes {
+					t.Errorf("%s: %v predict requests, but hits + inference_run + fallbacks + shed + other non-2xx = %v", step, total["predict"], outcomes)
+				}
+				if fb := got["pythia_quality_feedback_total"] + other["feedback"]; total["feedback"] != fb {
+					t.Errorf("%s: %v feedback posts, but scored + 4xx = %v", step, total["feedback"], fb)
+				}
+			}
 			if n := answered("before swap"); n != 8 {
 				t.Errorf("%d matched answers, want 8", n)
 			}
+			requests("before swap")
 			snap := srv.snapshot()
 			if wantHits := uint64(4 * (cache + 1)); snap.FleetCache.Hits != wantHits || snap.Fallbacks != 2 {
 				t.Errorf("predcache hits %d, fallbacks %d, want %d and 2", snap.FleetCache.Hits, snap.Fallbacks, wantHits)
@@ -229,31 +282,31 @@ func TestBooksBalance(t *testing.T) {
 			if predict503 != snap.Shed || snap.Shed != 1 || other503 != 0 {
 				t.Errorf("503s on predict = %d, elsewhere = %d, requests_shed = %d, want 1, 0 and 1", predict503, other503, snap.Shed)
 			}
-			if refused := snap.Model.Shed; refused != snap.Shed {
-				t.Errorf("queue refusals = %d, requests_shed = %d, want equal", refused, snap.Shed)
-			}
 
 			swapFixture(t, srv)
 			answered("after swap")
+			requests("after swap")
 			for _, i := range insts {
 				predictOK(t, srv, w, i)
 			}
 			if n := answered("after post-swap traffic"); n != 8+uint64(len(insts)) {
 				t.Errorf("%d matched answers after post-swap traffic, want %d", n, 8+len(insts))
 			}
+			requests("after post-swap traffic")
 		})
 	}
 }
 
-// TestSwapWritesNoBooks: a model swap with no client traffic is not a
-// request. Its warm-up runs the standby's predictor and fills its cache, and
-// moves nothing else: every event total (prediction cache, inference_run,
-// prefetch_limited, model_error), the drift evaluation
-// total, and the new row's served, shed and cache outcome counters. It holds
-// when the warm set overflows the cache (2 entries) and when the prefetch
-// budget cuts the predicted sets (4 buffer pages). With room for every plan
-// the fill is complete: the first post-swap request for each plan is a cache
-// hit.
+// requestSeries matches one pythia_http_requests_total sample's series name,
+// capturing its endpoint and code.
+var requestSeries = regexp.MustCompile(`^pythia_http_requests_total\{endpoint="([^"]+)",code="(\d+)"\}$`)
+
+// TestSwapWritesNoBooks: a model swap is a build and one pointer store, not a
+// request. With no client traffic it moves no event total (prediction cache,
+// inference_run, workload matching, model_error) and no drift evaluation,
+// with the cache on or off. The new generation starts with an empty cache:
+// a plan's first request after the swap runs the model, and with the cache
+// on its second is a hit.
 func TestSwapWritesNoBooks(t *testing.T) {
 	base, w := testServer(t)
 	var fixture bytes.Buffer
@@ -261,16 +314,13 @@ func TestSwapWritesNoBooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name               string
-		cache, bufferPages int
-	}{{"roomy", 0, 0}, {"cache=2", 2, 0}, {"budget=3", 0, 4}} {
+		name  string
+		cache int
+	}{{"roomy", 0}, {"cache=off", -1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewMetrics(nil)
 			cfg := fixtureSys.Config()
 			cfg.Recorder = m.Events()
-			if tc.bufferPages > 0 {
-				cfg.Replay.BufferPages = tc.bufferPages
-			}
 			sys, err := corepythia.LoadSystem(base.db, cfg, bytes.NewReader(fixture.Bytes()))
 			if err != nil {
 				t.Fatal(err)
@@ -281,8 +331,8 @@ func TestSwapWritesNoBooks(t *testing.T) {
 				predictOK(t, srv, w, i)
 			}
 			before := srv.snapshot()
-			if tc.bufferPages > 0 && before.EventCounts.Get(obs.PrefetchLimited) == 0 {
-				t.Fatal("the prefetch budget cut no predicted set")
+			if on := tc.cache >= 0; on && before.FleetCache.Entries != len(insts) {
+				t.Fatalf("cache holds %d entries before the swap, want %d", before.FleetCache.Entries, len(insts))
 			}
 			swapFixture(t, srv)
 			after := srv.snapshot()
@@ -298,20 +348,24 @@ func TestSwapWritesNoBooks(t *testing.T) {
 			if after.Drift.Evaluations != before.Drift.Evaluations {
 				t.Errorf("swap moved drift evaluations %d -> %d", before.Drift.Evaluations, after.Drift.Evaluations)
 			}
-			r := after.Model
-			if r.Served != 0 || r.Shed != 0 || r.CacheHits != 0 || r.CacheMisses != 0 || r.CacheEvictions != 0 {
-				t.Errorf("new row moved by the swap: %+v", r)
+			if after.FleetCache.Entries != 0 {
+				t.Errorf("the new generation's cache holds %d entries, want 0", after.FleetCache.Entries)
 			}
-			if tc.cache != 0 {
-				return
+
+			runs := after.EventCounts.Get(obs.InferenceRun)
+			first, second := predictOK(t, srv, w, insts[0]), predictOK(t, srv, w, insts[0])
+			if first.Cached || first.Generation != 2 {
+				t.Errorf("first post-swap answer %+v, want a generation-2 model answer", first)
 			}
-			if entries := r.CacheEntries; entries != len(insts) {
-				t.Errorf("warm-up filled %d cache entries, want %d", entries, len(insts))
+			if second.Cached != (tc.cache >= 0) || second.Generation != 2 {
+				t.Errorf("second post-swap answer %+v, want cached = %v on generation 2", second, tc.cache >= 0)
 			}
-			for _, i := range insts {
-				if resp := predictOK(t, srv, w, i); !resp.Cached || resp.Generation != 2 {
-					t.Errorf("instance %d: first post-swap answer %+v, want a generation-2 cache hit", i, resp)
-				}
+			want := uint64(2)
+			if second.Cached {
+				want = 1
+			}
+			if got := srv.snapshot().EventCounts.Get(obs.InferenceRun) - runs; got != want {
+				t.Errorf("two post-swap requests ran %d inferences, want %d", got, want)
 			}
 		})
 	}

@@ -97,9 +97,6 @@ func TestCacheHitSkipsInference(t *testing.T) {
 	if snap.Get(obs.PredCacheHit) != 1 {
 		t.Fatalf("predcache_hit=%d, want 1", snap.Get(obs.PredCacheHit))
 	}
-	if h := srv.inst().cache.hits.Load(); h != 1 {
-		t.Fatalf("cache hits=%d, want 1", h)
-	}
 }
 
 // TestCacheConcurrentIdentity: many goroutines hammering a mix of plans must
@@ -140,7 +137,7 @@ func TestCacheConcurrentIdentity(t *testing.T) {
 // must evict (counted on obs and /metrics) and never exceed its capacity.
 func TestCacheEvictionAtCapacity(t *testing.T) {
 	srv, w := fastServer(t, Options{CacheEntries: 4})
-	if got := srv.inst().cache.capacity(); got != 4 {
+	if got := srv.inst().cache.cap; got != 4 {
 		t.Fatalf("capacity %d, want 4", got)
 	}
 	insts := distinctInstances(t, srv, w, 6)
@@ -150,16 +147,13 @@ func TestCacheEvictionAtCapacity(t *testing.T) {
 	if n := srv.inst().cache.len(); n > 4 {
 		t.Fatalf("cache holds %d entries past capacity 4", n)
 	}
-	if ev := srv.inst().cache.evictions.Load(); ev != 2 {
-		t.Fatalf("evictions=%d, want 2 (6 distinct plans into 4 slots)", ev)
-	}
-	if snap := srv.metrics.Events().Snapshot(); snap.Get(obs.PredCacheEvict) != 2 {
-		t.Fatalf("predcache_evict event=%d, want 2", snap.Get(obs.PredCacheEvict))
+	if ev := srv.metrics.events.Get(obs.PredCacheEvict); ev != 2 {
+		t.Fatalf("predcache_evict events=%d, want 2 (6 distinct plans into 4 slots)", ev)
 	}
 	// LRU order: the oldest plan was evicted, so repeating it misses again.
-	before := srv.inst().cache.misses.Load()
+	before := srv.metrics.events.Get(obs.PredCacheMiss)
 	predictOK(t, srv, w, insts[0])
-	if srv.inst().cache.misses.Load() != before+1 {
+	if srv.metrics.events.Get(obs.PredCacheMiss) != before+1 {
 		t.Fatal("evicted plan did not miss on re-request")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/pythia-db/pythia/internal/fault"
-	"github.com/pythia-db/pythia/internal/plan"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/quality"
 	"github.com/pythia-db/pythia/internal/storage"
@@ -47,27 +46,22 @@ type InfStatus struct {
 	// Drift is the serving generation's drift-monitor snapshot (state "ok"
 	// and zeros when its snapshot carries no training baseline).
 	Drift quality.DriftStats
+	// CacheEntries is the serving generation's resident prediction-cache
+	// entries (0 when caching is off); /stats prints it in its predcache
+	// block.
+	CacheEntries int
 	// Model is the serving generation's row.
 	Model GenerationStatus
 }
 
-// GenerationStatus is the serving generation's row in InfStatus. Its
-// counters (served, shed, cache hits/misses/evictions) are per-generation: a
-// model swap replaces the row, and the new one starts from zero. The totals
-// on /stats and /metrics are separate monotonic counters in the Metrics hub
-// and do not restart.
+// GenerationStatus is the serving generation's row in InfStatus: the state
+// that has no other home. It holds no counter; every total is a monotonic
+// counter in the Metrics hub, which a model swap does not touch.
 type GenerationStatus struct {
-	Served         uint64   `json:"served"`
-	Shed           uint64   `json:"shed"`
-	InFlight       int64    `json:"in_flight"`
-	QueueDepth     int      `json:"queue_depth"`
-	CacheEntries   int      `json:"cache_entries"`
-	CacheCapacity  int      `json:"cache_capacity"`
-	CacheHits      uint64   `json:"cache_hits"`
-	CacheMisses    uint64   `json:"cache_misses"`
-	CacheEvictions uint64   `json:"cache_evictions"`
-	Workloads      []string `json:"workloads"`
-	Params         int      `json:"params"`
+	InFlight   int64    `json:"in_flight"`
+	QueueDepth int      `json:"queue_depth"`
+	Workloads  []string `json:"workloads"`
+	Params     int      `json:"params"`
 }
 
 // faultGate serializes draws on the chaos injector (fault.Injector is not
@@ -90,56 +84,6 @@ func (g *faultGate) set(inj *fault.Injector) {
 	g.mu.Lock()
 	g.inj = inj
 	g.mu.Unlock()
-}
-
-// warmSetSize bounds the recently-served plan set replayed through a standby
-// generation before it starts taking traffic.
-const warmSetSize = 8
-
-// warmEntry is one recently served plan: its fingerprint plus enough of the
-// request to re-run it through a fresh generation.
-type warmEntry struct {
-	fp   uint64
-	q    plan.Query
-	root *plan.Node
-}
-
-// warmer remembers the last warmSetSize distinct plans that reached the
-// model tier. A model swap replays them through the standby generation so it
-// comes up with hot prediction caches instead of serving its first requests
-// cold. It outlives generations: the Pool owns and feeds it.
-type warmer struct {
-	mu      sync.Mutex
-	entries []warmEntry
-	next    int
-	seen    map[uint64]bool
-}
-
-func newWarmer() *warmer { return &warmer{seen: make(map[uint64]bool, warmSetSize)} }
-
-// note records one served plan, ring-evicting the oldest past warmSetSize.
-func (w *warmer) note(fp uint64, q plan.Query, root *plan.Node) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.seen[fp] {
-		return
-	}
-	if len(w.entries) < warmSetSize {
-		w.entries = append(w.entries, warmEntry{fp: fp, q: q, root: root})
-		w.seen[fp] = true
-		return
-	}
-	delete(w.seen, w.entries[w.next].fp)
-	w.entries[w.next] = warmEntry{fp: fp, q: q, root: root}
-	w.seen[fp] = true
-	w.next = (w.next + 1) % warmSetSize
-}
-
-// snapshot copies the current warm set.
-func (w *warmer) snapshot() []warmEntry {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]warmEntry(nil), w.entries...)
 }
 
 // workloadNames lists a system's trained workload names for status rows.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/pythia-db/pythia/internal/obs"
+	"github.com/pythia-db/pythia/internal/quality"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/span"
 )
@@ -70,11 +71,17 @@ type Metrics struct {
 	sheds    atomic.Uint64 // requests answered 503 overloaded
 	timeouts atomic.Uint64 // inferences that blew the request timeout
 
-	// A total with no obs.Kind of its own. It lives here, not on the
-	// generation, so it survives a model swap; every other such fact
-	// (prediction-cache outcomes, model errors, feedback) is its events
-	// counter and nothing else.
+	// Totals with no obs.Kind of their own. They live here, not on the
+	// generation, so they survive a model swap; every other such fact
+	// (prediction-cache outcomes, model errors, scored feedback reports) is
+	// its events counter and nothing else.
 	driftEvals atomic.Uint64 // drift-monitor evaluations across generations
+
+	// Page sums over every scored feedback report: predicted, actually
+	// touched, and both. Precision and recall are their ratios — on /stats
+	// over the server's lifetime, and over any window on the scraper's side
+	// of /metrics.
+	qualityPredicted, qualityActual, qualityTruePos atomic.Uint64
 
 	events *obs.AtomicCounters // system + replay event totals
 
@@ -163,6 +170,21 @@ func (m *Metrics) observePrediction(pages int, fallback bool) {
 		m.fallbacks.Add(1)
 	}
 	m.predictedPages.Add(uint64(pages))
+}
+
+// observeScore adds one scored feedback report to the page sums. True
+// positives are added last and read first (qualityPages), so a concurrent
+// reader never sees more of them than predicted or actual pages.
+func (m *Metrics) observeScore(sc quality.Score) {
+	m.qualityPredicted.Add(uint64(sc.Predicted))
+	m.qualityActual.Add(uint64(sc.Actual))
+	m.qualityTruePos.Add(uint64(sc.TruePos))
+}
+
+// qualityPages reads the page sums as one Score.
+func (m *Metrics) qualityPages() quality.Score {
+	tp := m.qualityTruePos.Load()
+	return quality.Score{Predicted: int(m.qualityPredicted.Load()), Actual: int(m.qualityActual.Load()), TruePos: int(tp)}
 }
 
 // Record implements obs.Recorder: the hub is the serving tier's one stamp

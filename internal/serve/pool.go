@@ -6,8 +6,8 @@ package serve
 // a second in-process copy of the same weights would add cache and queue
 // capacity — both of which are options — and no cores.
 //
-// A model swap builds a complete standby generation from a snapshot, warms
-// its cache on recently served plans, and swings one atomic pointer.
+// A model swap builds a complete standby generation from a snapshot and
+// swings one atomic pointer; the new generation starts with a cold cache.
 // Requests in flight keep the generation pointer they loaded, so every
 // request runs against exactly one coherent generation — there is no torn
 // state to observe — and the superseded generation is collected once its last
@@ -29,8 +29,9 @@ import (
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// generation is one immutable serving configuration: a trained system and
-// the books that live and die with it. Predict loads it once and uses only
+// generation is one immutable serving configuration: a trained system and the
+// cache, queue and drift monitor that live and die with it. It keeps no books:
+// every total is a Metrics hub counter. Predict loads it once and uses only
 // it, so a concurrent Swap can never hand a request parts of two generations.
 type generation struct {
 	id  uint64
@@ -43,9 +44,6 @@ type generation struct {
 	// in-flight count. A full queue sheds instead of queueing unboundedly
 	// behind a slow inference.
 	queue chan struct{}
-
-	served atomic.Uint64
-	shed   atomic.Uint64
 
 	// drift compares the live plan stream against the training baseline the
 	// generation's snapshot carries. Nil when the snapshot has no baseline
@@ -90,8 +88,6 @@ func (g *generation) observeDrift(root *plan.Node, m *Metrics) {
 // status reports the generation's row for InfStatus.
 func (g *generation) status() GenerationStatus {
 	st := GenerationStatus{
-		Served:     g.served.Load(),
-		Shed:       g.shed.Load(),
 		InFlight:   int64(len(g.queue)),
 		QueueDepth: cap(g.queue),
 		Workloads:  workloadNames(g.sys),
@@ -99,24 +95,16 @@ func (g *generation) status() GenerationStatus {
 	for _, tw := range g.sys.Workloads() {
 		st.Params += tw.Pred.ParamCount()
 	}
-	if g.cache != nil {
-		st.CacheEntries = g.cache.len()
-		st.CacheCapacity = g.cache.capacity()
-		st.CacheHits = g.cache.hits.Load()
-		st.CacheMisses = g.cache.misses.Load()
-		st.CacheEvictions = g.cache.evictions.Load()
-	}
 	return st
 }
 
 // Pool is the serving tier's model tier: the serving generation and what
-// outlives it (the fault gate, the warm set, the swap count).
+// outlives it (the fault gate, the swap count).
 type Pool struct {
 	db      *catalog.Database
 	metrics *Metrics
 	opts    Options
 	fgate   *faultGate
-	warm    *warmer
 
 	cur    atomic.Pointer[generation]
 	swapMu sync.Mutex // serializes Swap; Predict never takes it
@@ -126,15 +114,15 @@ type Pool struct {
 // newPool serves a trained system as generation 1. opts are already
 // normalized; opts.Fault arms the fault gate every generation shares.
 func newPool(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Options) *Pool {
-	p := &Pool{db: db, metrics: metrics, opts: opts, fgate: &faultGate{inj: opts.Fault}, warm: newWarmer()}
+	p := &Pool{db: db, metrics: metrics, opts: opts, fgate: &faultGate{inj: opts.Fault}}
 	p.cur.Store(newGeneration(1, sys, metrics, opts))
 	return p
 }
 
 // Predict answers one planned query on the serving generation. It feeds the
 // plan to the generation's drift monitor, matches the query once, encodes and
-// fingerprints its plan once, notes it for warm-up, and then runs bounded-queue
-// admission → prediction cache → fault injection → inference → cache fill.
+// fingerprints its plan once, and then runs bounded-queue admission →
+// prediction cache → fault injection → inference → cache fill.
 //
 // A model-path error answers the degraded fallback on that request and counts
 // one obs.ModelError; nothing else changes state, so the next request tries
@@ -151,18 +139,13 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 	}
 	ids := tw.Pred.EncodePlan(root)
 	fp := fingerprint(tw.Name, ids)
-	if p.opts.CacheEntries > 0 {
-		p.warm.note(fp, q, root)
-	}
 	pred := Prediction{Workload: tw.Name, Generation: gen.id}
 	select {
 	case gen.queue <- struct{}{}:
 		defer func() { <-gen.queue }()
 	default:
-		gen.shed.Add(1)
 		return pred, ErrSaturated
 	}
-	defer gen.served.Add(1)
 
 	// A hit performs zero inference and cannot fail, so it is checked before
 	// the fault hook.
@@ -182,7 +165,7 @@ func (p *Pool) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pred
 	if gen.cache != nil {
 		// Only successful inferences populate the cache; faulted or
 		// timed-out requests never do, so the cache cannot serve poison.
-		gen.cache.put(fp, pages, true)
+		gen.cache.put(fp, pages)
 	}
 	pred.Pages = pages
 	return pred, nil
@@ -214,14 +197,17 @@ func (p *Pool) Workloads() []*corepythia.Trained {
 	return p.cur.Load().sys.Workloads()
 }
 
-// Status reports the serving generation: its drift monitor and its model row
-// (the row's counters restart with each generation; see GenerationStatus).
+// Status reports the serving generation: its drift monitor, its cache
+// residency and its model row.
 func (p *Pool) Status() InfStatus {
 	gen := p.cur.Load()
 	gen.driftMu.Lock()
 	st := InfStatus{Generation: gen.id, Swaps: p.swaps.Load(), Drift: gen.drift.Stats()}
 	gen.driftMu.Unlock()
 	st.Model = gen.status()
+	if gen.cache != nil {
+		st.CacheEntries = gen.cache.len()
+	}
 	return st
 }
 
@@ -230,10 +216,11 @@ func (p *Pool) BaselineID() *corepythia.BaselineID {
 	return p.cur.Load().sys.BaselineID()
 }
 
-// Swap loads a snapshot into a standby generation, warms it on recently
-// served plans, and atomically makes it the serving generation. Requests in
-// flight complete on the generation that admitted them; a request observes
-// exactly one generation end to end, never a mix.
+// Swap loads a snapshot into a standby generation and atomically makes it the
+// serving generation: a build and one pointer store. It serves no request, so
+// it moves no books but the swap count, and the new generation's cache starts
+// empty. Requests in flight complete on the generation that admitted them; a
+// request observes exactly one generation end to end, never a mix.
 //
 // The swap is transactional: a corrupt or truncated snapshot
 // (pythia.ErrSnapshotCorrupt), a version mismatch or an untrained one leaves
@@ -250,27 +237,7 @@ func (p *Pool) Swap(r io.Reader) error {
 	if len(sys.Workloads()) == 0 {
 		return errors.New("serve: snapshot contains no trained workloads")
 	}
-	next := newGeneration(old.id+1, sys, p.metrics, p.opts)
-	p.warmUp(next)
-	p.cur.Store(next)
+	p.cur.Store(newGeneration(old.id+1, sys, p.metrics, p.opts))
 	p.swaps.Add(1)
 	return nil
-}
-
-// warmUp fills a standby generation's prediction cache from the warm set
-// before it takes traffic. Each recorded plan is fingerprinted against the new
-// models (a new snapshot may encode the same plan differently) and predicted
-// by the standby. It is a cache fill, not a request: no admission, fault
-// draw, event, drift observation or counter, and no entry displaced,
-// so a swap moves no books. The warm set is empty when caching is off.
-func (p *Pool) warmUp(next *generation) {
-	for _, e := range p.warm.snapshot() {
-		tw := next.sys.Lookup(e.q)
-		if tw == nil {
-			continue
-		}
-		ids := tw.Pred.EncodePlan(e.root)
-		pages := tw.Pred.Predict(e.root, ids)
-		next.cache.put(fingerprint(tw.Name, ids), pages[:min(len(pages), next.sys.PrefetchBudget())], false)
-	}
 }

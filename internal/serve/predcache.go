@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/predictor"
@@ -29,12 +28,6 @@ type predCache struct {
 	entries map[uint64]*pcEntry
 	head    *pcEntry // most recently used
 	tail    *pcEntry // eviction candidate
-
-	// This cache's own outcomes: its generation's row on /stats, gone with
-	// the generation that owns it.
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
 
 	// rec receives PredCacheHit / PredCacheMiss / PredCacheEvict: the hub's
 	// totals of those events are the prediction-cache counts on /metrics
@@ -84,7 +77,6 @@ func (c *predCache) get(key uint64) ([]storage.PageID, bool) {
 	e, ok := c.entries[key]
 	if !ok {
 		c.mu.Unlock()
-		c.misses.Add(1)
 		if c.rec != nil {
 			c.rec.Record(obs.Event{Kind: obs.PredCacheMiss, Query: obs.NoQuery})
 		}
@@ -93,18 +85,16 @@ func (c *predCache) get(key uint64) ([]storage.PageID, bool) {
 	c.moveFront(e)
 	pages := e.pages
 	c.mu.Unlock()
-	c.hits.Add(1)
 	if c.rec != nil {
 		c.rec.Record(obs.Event{Kind: obs.PredCacheHit, Query: obs.NoQuery})
 	}
 	return pages, true
 }
 
-// put stores a prediction. At capacity it evicts the least-recently-used
-// entry when evict is set (a served miss) and otherwise drops the new one
-// (the swap warm-up, which displaces and counts nothing). The pages slice is
-// stored as-is and must not be mutated by the caller afterwards.
-func (c *predCache) put(key uint64, pages []storage.PageID, evict bool) {
+// put stores a prediction, evicting the least-recently-used entry at
+// capacity. The pages slice is stored as-is and must not be mutated by the
+// caller afterwards.
+func (c *predCache) put(key uint64, pages []storage.PageID) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		// Concurrent misses on the same plan both infer and both store;
@@ -117,10 +107,6 @@ func (c *predCache) put(key uint64, pages []storage.PageID, evict bool) {
 	}
 	evicted := false
 	if len(c.entries) >= c.cap {
-		if !evict {
-			c.mu.Unlock()
-			return
-		}
 		old := c.tail
 		c.unlink(old)
 		delete(c.entries, old.key)
@@ -130,11 +116,8 @@ func (c *predCache) put(key uint64, pages []storage.PageID, evict bool) {
 	c.pushFront(e)
 	c.entries[key] = e
 	c.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
-		if c.rec != nil {
-			c.rec.Record(obs.Event{Kind: obs.PredCacheEvict, Query: obs.NoQuery})
-		}
+	if evicted && c.rec != nil {
+		c.rec.Record(obs.Event{Kind: obs.PredCacheEvict, Query: obs.NoQuery})
 	}
 }
 
@@ -144,9 +127,6 @@ func (c *predCache) len() int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
-
-// capacity returns the bound the cache enforces: Options.CacheEntries.
-func (c *predCache) capacity() int { return c.cap }
 
 // pushFront inserts a detached entry at the head.
 //

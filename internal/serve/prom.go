@@ -73,8 +73,6 @@ func families(s *statsResponse) []family {
 			{labels: `{outcome="fallback"}`, value: num(s.Fallbacks)}}},
 		{"pythia_predicted_pages_total", counter, "Pages across all predicted sets.", one(s.PredictedPages)},
 		{"pythia_events_total", counter, "Cache-hierarchy and system events by kind.", events},
-		{"pythia_buffer_hit_ratio", gauge, "Buffer pool hit ratio over recorded events.", one(s.BufferHitRatio)},
-		{"pythia_oscache_hit_ratio", gauge, "OS page cache hit ratio over recorded events.", one(s.OSHitRatio)},
 		{"pythia_workloads", gauge, "Trained workloads loaded in the server.", one(s.Workloads)},
 		{"pythia_model_params", gauge, "Total trained model parameters.", one(s.ModelParams)},
 		{"pythia_model_generation", gauge, "Serving model generation (increments on reload).", one(s.Generation)},
@@ -87,8 +85,10 @@ func families(s *statsResponse) []family {
 		{"pythia_predcache_entries", gauge, "Prediction-cache resident entries.", one(s.FleetCache.Entries)},
 		{"pythia_predcache_capacity", gauge, "Prediction-cache entry bound (0 = caching disabled).", one(s.FleetCache.Capacity)},
 		{"pythia_quality_feedback_total", counter, "Predictions scored against executor ground truth via /v1/feedback.", one(s.Quality.Scored)},
-		{"pythia_quality_precision", gauge, "Windowed micro-averaged precision of scored predictions (0 = no data).", one(s.Quality.Precision)},
-		{"pythia_quality_recall", gauge, "Windowed micro-averaged recall of scored predictions (0 = no data).", one(s.Quality.Recall)},
+		{"pythia_quality_pages_total", counter, "Pages across scored feedback reports by set; precision over a window is increase(true_positive) / increase(predicted).", []sample{
+			{labels: `{set="predicted"}`, value: num(s.QualityPages.Predicted)},
+			{labels: `{set="actual"}`, value: num(s.QualityPages.Actual)},
+			{labels: `{set="true_positive"}`, value: num(s.QualityPages.TruePos)}}},
 		{"pythia_drift_state", gauge, "Drift-detector state (0=ok, 1=warning, 2=alarm).", one(s.Drift.StateValue)},
 		{"pythia_drift_score", gauge, "Live-vs-baseline divergence (PSI) at the last evaluation.", one(s.Drift.Score)},
 		{"pythia_drift_evaluations_total", counter, "Drift evaluations.", one(s.Drift.Evaluations)},

@@ -24,7 +24,7 @@ func feedbackBody(t *testing.T, id string, pages []pageJSON) *bytes.Buffer {
 
 // TestFeedbackRoundTrip drives the online ground-truth loop end to end:
 // predict, report the touched pages back, and watch the score land in the
-// response, the server's window, and the obs event stream.
+// response, the hub's page sums, and the obs event stream.
 func TestFeedbackRoundTrip(t *testing.T) {
 	srv, w := testServer(t)
 
@@ -78,7 +78,7 @@ func TestFeedbackRoundTrip(t *testing.T) {
 	if err := json.NewDecoder(rr.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Quality.Scored == 0 || st.Quality.Window == 0 || st.Quality.Precision == 0 {
+	if st.Quality.Scored == 0 || st.Quality.Precision == 0 {
 		t.Fatalf("quality block empty after feedback: %+v", st.Quality)
 	}
 

@@ -42,7 +42,6 @@ import (
 	"log"
 	"net/http"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,20 +84,11 @@ type Server struct {
 	metrics *Metrics
 	opts    Options
 
-	// tracker correlates served predictions with their /v1/feedback reports;
-	// qwin is the one sliding window of feedback scores. qmu guards qwin
-	// only.
+	// tracker correlates served predictions with their /v1/feedback reports.
 	tracker predTracker
-	qmu     sync.Mutex
-	qwin    *quality.Window
 
 	draining atomic.Bool
 }
-
-// qualityWindowSize is the sliding feedback-score window: fresh enough to
-// reflect the current mix, deep enough that windowed precision is not one
-// noisy query.
-const qualityWindowSize = 512
 
 // New assembles a server over a database and its trained system. A nil
 // metrics hub gets a fresh one (with its own event counters); pass the hub
@@ -113,8 +103,7 @@ func New(db *catalog.Database, sys *corepythia.System, metrics *Metrics, opts Op
 	if metrics == nil {
 		metrics = NewMetrics(nil)
 	}
-	return &Server{db: db, pool: newPool(db, sys, metrics, norm), metrics: metrics, opts: norm,
-		qwin: quality.NewWindow(qualityWindowSize)}, nil
+	return &Server{db: db, pool: newPool(db, sys, metrics, norm), metrics: metrics, opts: norm}, nil
 }
 
 // Close is a no-op: the serving tier runs nothing in the background, so
@@ -306,8 +295,8 @@ type feedbackResponse struct {
 // handleFeedback scores a served prediction against the pages its query
 // actually touched: the online ground-truth loop that makes serve-tier
 // precision and recall measurable without replaying anything. The score
-// lands in the server's quality window, the obs event stream
-// (obs.QualityScored), and the span trace.
+// lands in the hub's page sums, the obs event stream (obs.QualityScored),
+// and the span trace.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req feedbackRequest
 	if !s.decodePost(w, r, "POST a feedback JSON document", func(body io.Reader) error {
@@ -336,9 +325,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := quality.ScoreSets(rec.pages, actual)
-	s.qmu.Lock()
-	s.qwin.Add(sc)
-	s.qmu.Unlock()
+	s.metrics.observeScore(sc)
 	s.metrics.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery})
 	writeJSON(w, feedbackResponse{
 		PredictionID:  req.PredictionID,

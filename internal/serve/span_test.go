@@ -88,7 +88,7 @@ func TestHubStampsAndForwardsEvents(t *testing.T) {
 	m.SetTracer(tracer)
 	// Traced: each event reads the clock once, in order — 1ms, 2ms, …
 	cache.get(7) // miss
-	cache.put(7, nil, true)
+	cache.put(7, nil)
 	cache.get(7)                                                            // hit
 	m.Record(obs.Event{Kind: obs.ModelError, Query: obs.NoQuery})           // stamped, but not a mark
 	m.Record(obs.Event{Kind: obs.QualityScored, Query: obs.NoQuery, At: 9}) // 4ms: the hub's stamp wins

@@ -10,10 +10,11 @@ import (
 // /stats, and the only input of the /metrics renderer — what /metrics needs
 // and /stats does not print rides along as json:"-" fields.
 //
-// Totals (requests_shed, predcache hits/misses/evictions, quality.scored,
-// drift.evaluations) each read one monotonic counter in the Metrics hub, so
-// they survive a model swap; the model row and the drift state and score are
-// the serving generation's own and restart with it.
+// Every total (requests_shed, predcache hits/misses/evictions, quality,
+// drift.evaluations) reads monotonic counters in the Metrics hub, so it
+// survives a model swap and is counted nowhere else. The model row, the cache
+// residency and the drift state and score are the serving generation's own
+// state and restart with it.
 type statsResponse struct {
 	UptimeSeconds  float64           `json:"uptime_seconds"`
 	Build          BuildInfo         `json:"build"`
@@ -25,8 +26,6 @@ type statsResponse struct {
 	PredictedPages uint64            `json:"predicted_pages"`
 	AvgSetSize     float64           `json:"avg_set_size"`
 	Events         map[string]uint64 `json:"events"`
-	BufferHitRatio float64           `json:"buffer_hit_ratio"`
-	OSHitRatio     float64           `json:"oscache_hit_ratio"`
 	Shed           uint64            `json:"requests_shed"`
 	Timeouts       uint64            `json:"inference_timeouts"`
 	Draining       bool              `json:"draining"`
@@ -36,9 +35,9 @@ type statsResponse struct {
 	// PredCache is the prediction cache's view (FleetCache below), printed
 	// only when caching is on.
 	PredCache *predCacheStats `json:"predcache,omitempty"`
-	// Quality is the server's one feedback window. Always present — zeros
-	// mean "no feedback yet", and rendering the block unconditionally keeps
-	// the /stats shape configuration-independent.
+	// Quality is the score over every feedback report. Always present —
+	// zeros mean "no feedback yet", and rendering the block unconditionally
+	// keeps the /stats shape configuration-independent.
 	Quality qualityStats `json:"quality"`
 	// Drift is the single-state summary a dashboard alerts on: State
 	// (StateValue as a gauge) is the level of the serving generation's last
@@ -49,23 +48,24 @@ type statsResponse struct {
 	Baseline *corepythia.BaselineID `json:"baseline,omitempty"`
 
 	// /metrics only: every event kind including the zeros Events omits, the
-	// model inventory and the cache totals even when caching is off.
-	EventCounts obs.Counters   `json:"-"`
-	Workloads   int            `json:"-"`
-	ModelParams int            `json:"-"`
-	FleetCache  predCacheStats `json:"-"`
+	// model inventory, the cache totals even when caching is off, and the
+	// feedback page sums.
+	EventCounts  obs.Counters   `json:"-"`
+	Workloads    int            `json:"-"`
+	ModelParams  int            `json:"-"`
+	FleetCache   predCacheStats `json:"-"`
+	QualityPages quality.Score  `json:"-"`
 }
 
-// qualityStats is the /stats view of the server-wide feedback window.
+// qualityStats is the /stats view of the feedback page sums.
 type qualityStats struct {
 	// Scored is the lifetime count of feedback reports scored.
 	Scored uint64 `json:"scored"`
-	// Window is how many scores the sliding window currently holds.
-	Window int `json:"window"`
-	// Precision and Recall are micro-averaged over the window (0 when empty).
+	// Precision and Recall are micro-averaged over every scored report (0
+	// when none is).
 	Precision float64 `json:"precision"`
 	Recall    float64 `json:"recall"`
-	// WastedRatio is 1 − precision over the window.
+	// WastedRatio is 1 − precision (0 when no report is scored).
 	WastedRatio float64 `json:"wasted_ratio"`
 }
 
@@ -84,6 +84,7 @@ func (s *Server) snapshot() *statsResponse {
 	m := s.metrics
 	ev := m.events.Snapshot()
 	st := s.pool.Status()
+	pages := m.qualityPages()
 	resp := &statsResponse{
 		UptimeSeconds:  m.Uptime().Seconds(),
 		Build:          m.Build(),
@@ -93,18 +94,19 @@ func (s *Server) snapshot() *statsResponse {
 		Fallbacks:      m.fallbacks.Load(),
 		PredictedPages: m.predictedPages.Load(),
 		Events:         ev.Map(),
-		BufferHitRatio: ev.HitRatio(obs.BufferHit, obs.BufferMiss),
-		OSHitRatio:     ev.HitRatio(obs.OSCacheHit, obs.OSCacheMiss),
 		Shed:           m.sheds.Load(),
 		Timeouts:       m.timeouts.Load(),
 		Draining:       s.draining.Load(),
 		Generation:     st.Generation,
 		Swaps:          st.Swaps,
 		Model:          st.Model,
-		Quality:        s.qualitySnapshot(ev.Get(obs.QualityScored)),
+		Quality:        qualityOf(ev.Get(obs.QualityScored), pages),
 		Drift:          st.Drift,
 		Baseline:       s.pool.BaselineID(),
 		EventCounts:    ev,
+		Workloads:      len(st.Model.Workloads),
+		ModelParams:    st.Model.Params,
+		QualityPages:   pages,
 		FleetCache:     predCacheStats{Hits: ev.Get(obs.PredCacheHit), Misses: ev.Get(obs.PredCacheMiss), Evictions: ev.Get(obs.PredCacheEvict)},
 	}
 	resp.Drift.Evaluations = m.driftEvals.Load()
@@ -112,30 +114,21 @@ func (s *Server) snapshot() *statsResponse {
 		resp.FallbackRate = float64(resp.Fallbacks) / float64(resp.Predictions)
 		resp.AvgSetSize = float64(resp.PredictedPages) / float64(resp.Predictions)
 	}
-	resp.FleetCache.Entries, resp.FleetCache.Capacity = st.Model.CacheEntries, st.Model.CacheCapacity
 	if s.opts.CacheEntries > 0 {
+		resp.FleetCache.Entries, resp.FleetCache.Capacity = st.CacheEntries, s.opts.CacheEntries
 		resp.PredCache = &resp.FleetCache
-	}
-	for _, tw := range s.pool.Workloads() {
-		resp.Workloads++
-		resp.ModelParams += tw.Pred.ParamCount()
 	}
 	return resp
 }
 
-// qualitySnapshot reads the feedback window; scored is the
-// lifetime feedback count from the hub.
-func (s *Server) qualitySnapshot(scored uint64) qualityStats {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	q := qualityStats{
-		Scored:    scored,
-		Window:    s.qwin.Len(),
-		Precision: s.qwin.Precision(),
-		Recall:    s.qwin.Recall(),
-	}
-	if q.Window > 0 {
-		q.WastedRatio = 1 - q.Precision
+// qualityOf is /stats' quality block: precision, recall and wasted ratio
+// micro-averaged over every scored report (sums, not a mean of ratios, so
+// large predictions weigh more). Nothing scored reads 0 — "no data" must not
+// render as perfect quality on a dashboard.
+func qualityOf(scored uint64, pages quality.Score) qualityStats {
+	q := qualityStats{Scored: scored}
+	if scored > 0 {
+		q.Precision, q.Recall, q.WastedRatio = pages.Precision(), pages.Recall(), pages.WastedRatio()
 	}
 	return q
 }
