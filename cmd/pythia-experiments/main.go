@@ -27,7 +27,6 @@ import (
 
 	"github.com/pythia-db/pythia"
 	"github.com/pythia-db/pythia/internal/experiments"
-	"github.com/pythia-db/pythia/internal/fault"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -47,8 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Uint64("seed", 0, "override random seed")
 		seedRange = fs.String("seeds", "", "run seeds A-B (1 ≤ A ≤ B, at most 100), min(GOMAXPROCS, B−A+1) at a time: each seed's output as -seed prints it, then every cell's mean ± s.e. over the seeds")
 		outPath   = fs.String("o", "", "also append output to this file")
-		faultPlan = fs.String("fault-plan", "", "deterministic fault-injection plan for every replay, e.g. prefetch=0.05,exec=0.01 (empty = none; ext-chaos sweeps its own plans)")
-		faultSeed = fs.Uint64("fault-seed", 1, "fault-injection PRNG seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -120,13 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *seed > 0 {
 		cfg.Seed = *seed
 	}
-	plan, err := fault.ParsePlan(*faultPlan)
-	if err != nil {
-		return fail("%v", err)
-	}
-	cfg.FaultPlan = plan
-	cfg.FaultSeed = *faultSeed
-
 	out := stdout
 	if *outPath != "" {
 		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
@@ -137,6 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = io.MultiWriter(stdout, f)
 	}
 
+	var err error
 	if seeds == nil {
 		_, err = runSuite(cfg, ids, out)
 	} else {
@@ -152,8 +143,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // then each table with its wall time, and returns the tables.
 func runSuite(cfg pythia.ExperimentConfig, ids []string, out io.Writer) ([]*pythia.ResultTable, error) {
 	suite := pythia.NewExperiments(cfg)
-	fmt.Fprintf(out, "pythia-experiments: scale=%d instances/template=%d imdb=%d seed=%d fault=%s\n\n",
-		cfg.Scale, cfg.PerTemplate, cfg.IMDBInstances, cfg.Seed, cfg.FaultPlan)
+	fmt.Fprintf(out, "pythia-experiments: scale=%d instances/template=%d imdb=%d seed=%d\n\n",
+		cfg.Scale, cfg.PerTemplate, cfg.IMDBInstances, cfg.Seed)
 	var tabs []*pythia.ResultTable
 	for _, id := range ids {
 		start := time.Now()

@@ -25,7 +25,8 @@
 //     pythia-load -target http://localhost:8080 -duration 30s -qps 200
 //
 // With -swap-at F (self-hosted mode), the harness saves a model snapshot
-// before the run and POSTs /v1/admin/reload at fraction F of -duration,
+// before the server starts, configures it as the server's snapshot path and
+// POSTs /v1/admin/reload (an empty body) at fraction F of -duration,
 // measuring the zero-downtime claim under its own sustained load. With
 // -chaos-at F every inference faults from fraction F of -duration until
 // -chaos-clear: the faults must reach no client as a non-2xx answer, at least
@@ -129,8 +130,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-chaos-at %g outside [0, 1): the fault must arm while the load runs", *chaosAt)
 	case *chaosClear != 0 && !(*chaosClear > *chaosAt && *chaosClear < 1):
 		return fail("-chaos-clear %g outside (-chaos-at %g, 1)", *chaosClear, *chaosAt)
-	case *target != "" && (*swapAt > 0 || *chaosAt > 0):
-		return fail("-swap-at and -chaos-at need self-hosted mode (they save a snapshot and retarget the in-process fault injector)")
+	case *target != "" && (*swapAt > 0 || *chaosAt > 0 || *cacheFlag != 0):
+		return fail("-swap-at, -chaos-at and -cache-entries need self-hosted mode (they save a snapshot, retarget the in-process fault injector and size its cache)")
 	}
 	if *maxMinPrecision >= 0 && *feedbackRate == 0 {
 		// The precision gate reads the server's score over every feedback
@@ -333,20 +334,6 @@ func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
 	var snapPath string
 	var srv *serve.Server // self-hosted handle; chaos drills retarget its injector
 	if pc.target == "" {
-		var err error
-		srv, err = serve.New(pc.gen.DB(), pc.sys, serve.NewMetrics(nil), serve.Options{CacheEntries: pc.cacheEntries})
-		if err != nil {
-			return res, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return res, err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		//pythia:goleak-ok Serve returns when the deferred httpSrv.Close below tears the listener down at the end of the run
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		base = "http://" + ln.Addr().String()
 		if pc.swapAt > 0 {
 			f, err := os.CreateTemp("", "pythia-load-snap-*.bin")
 			if err != nil {
@@ -362,6 +349,21 @@ func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
 				return res, err
 			}
 		}
+		var err error
+		srv, err = serve.New(pc.gen.DB(), pc.sys, serve.NewMetrics(nil),
+			serve.Options{CacheEntries: pc.cacheEntries, SnapshotPath: snapPath})
+		if err != nil {
+			return res, err
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return res, err
+		}
+		httpSrv := &http.Server{Handler: srv.Handler()}
+		//pythia:goleak-ok Serve returns when the deferred httpSrv.Close below tears the listener down at the end of the run
+		go httpSrv.Serve(ln)
+		defer httpSrv.Close()
+		base = "http://" + ln.Addr().String()
 	}
 
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -492,7 +494,7 @@ func runLoad(logger *log.Logger, pc loadConfig) (loadResult, error) {
 			defer wg.Done()
 			time.Sleep(time.Duration(float64(pc.duration) * pc.swapAt))
 			t0 := time.Now()
-			if err := postReload(client, base, snapPath); err != nil {
+			if err := postReload(client, base); err != nil {
 				errCount.Add(1)
 				statusMu.Lock()
 				res.StatusCounts["reload_error"]++
@@ -558,13 +560,10 @@ func postFeedback(client *http.Client, base, predictionID string, truth json.Raw
 	return nil
 }
 
-// postReload POSTs the admin reload endpoint with an explicit snapshot path.
-func postReload(client *http.Client, base, snapPath string) error {
-	body, err := json.Marshal(map[string]string{"path": snapPath})
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(base+"/v1/admin/reload", "application/json", bytes.NewReader(body))
+// postReload POSTs the admin reload endpoint, which swaps from the server's
+// configured snapshot.
+func postReload(client *http.Client, base string) error {
+	resp, err := client.Post(base+"/v1/admin/reload", "application/json", nil)
 	if err != nil {
 		return err
 	}

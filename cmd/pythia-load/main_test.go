@@ -10,9 +10,10 @@ import (
 )
 
 // TestBadArgumentsRejectedBeforeWork: a run that could send nothing, a corpus
-// or scale factor below one, a negative rate, a ratio outside its range, or a swap or fault timed after
-// the load has ended fails the command before the corpus is built or a model
-// trained, so nothing reaches stdout.
+// or scale factor below one, a negative rate, a ratio outside its range, a swap or fault timed after
+// the load has ended, or a self-hosted-only flag against -target fails the
+// command before the corpus is built or a model trained, so nothing reaches
+// stdout.
 func TestBadArgumentsRejectedBeforeWork(t *testing.T) {
 	for _, args := range [][]string{
 		{"-duration", "-1s"},
@@ -31,6 +32,7 @@ func TestBadArgumentsRejectedBeforeWork(t *testing.T) {
 		{"-sf", "0"},
 		{"-sf", "-1"},
 		{"-target", "http://localhost:1", "-swap-at", "0.5"},
+		{"-target", "http://localhost:1", "-cache-entries", "16"},
 		{"-concurrency", "0"},
 		{"-templates", "t99"},
 	} {

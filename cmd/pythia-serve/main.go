@@ -47,7 +47,6 @@ import (
 	"github.com/pythia-db/pythia/internal/fault"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/serve"
-	"github.com/pythia-db/pythia/internal/span"
 )
 
 // config is everything the command line sets: the training inputs, the
@@ -61,7 +60,6 @@ type config struct {
 	faultPlan       string
 	faultSeed       uint64
 	pprofAddr       string
-	traceOut        string
 }
 
 // flags registers every pythia-serve flag on fs, bound to the returned
@@ -84,7 +82,6 @@ func flags(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.faultPlan, "fault-plan", "", "fault-injection plan for chaos drills, e.g. serve=0.2 (empty = none)")
 	fs.Uint64Var(&c.faultSeed, "fault-seed", 1, "fault-injection PRNG seed")
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address, e.g. localhost:6060 (empty = off)")
-	fs.StringVar(&c.traceOut, "trace-out", "", "on shutdown, write HTTP request spans as Chrome trace-event JSON to this file (empty = off)")
 	return c
 }
 
@@ -141,11 +138,6 @@ func main() {
 
 	gen := dsb.NewGenerator(dsb.Config{ScaleFactor: c.sf, Seed: c.seed})
 	metrics := serve.NewMetrics(nil)
-	var tracer *span.Sync
-	if c.traceOut != "" {
-		tracer = span.NewSync()
-		metrics.SetTracer(tracer)
-	}
 	cfg := corepythia.DefaultConfig()
 	cfg.Recorder = metrics.Events()
 	cfg, err = cfg.Normalize()
@@ -209,7 +201,7 @@ func main() {
 			case <-hup:
 			}
 			log.Print("SIGHUP: reloading model snapshot...")
-			_, st, err := srv.ReloadSnapshot("")
+			st, err := srv.ReloadSnapshot()
 			if err != nil {
 				log.Printf("reload failed (still serving the old generation): %v", err)
 				continue
@@ -255,13 +247,6 @@ func main() {
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			log.Printf("shutdown: %v", err)
 		}
-		if tracer != nil {
-			if err := writeTrace(c.traceOut, tracer.Snapshot()); err != nil {
-				log.Printf("trace-out: %v", err)
-			} else {
-				log.Printf("wrote %s", c.traceOut)
-			}
-		}
 		log.Print("pythia-serve stopped")
 	}
 }
@@ -287,17 +272,4 @@ func loadSnapshot(gen *dsb.Generator, cfg corepythia.Config, path string) (*core
 // crash mid-save can never tear a snapshot a reload would then trip over.
 func saveSnapshot(sys *corepythia.System, path string) error {
 	return sys.SaveFile(path)
-}
-
-// writeTrace dumps the recorded HTTP spans as Perfetto-loadable JSON.
-func writeTrace(path string, spans []span.Span) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := span.ExportChrome(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

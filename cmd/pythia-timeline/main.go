@@ -126,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logger.Printf("replay done: %v total virtual time, %d spans recorded", res.TotalElapsed(), tracer.Len())
 
 	if *out != "" {
-		if err := writeTrace(*out, tracer.Spans()); err != nil {
+		if err := exportTrace(*out, tracer.Spans()); err != nil {
 			return fail("%v", err)
 		}
 		logger.Printf("wrote %s (load it at https://ui.perfetto.dev)", *out)
@@ -170,8 +170,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeTrace exports the spans as Perfetto-loadable JSON.
-func writeTrace(path string, spans []span.Span) error {
+// exportTrace exports the spans as Perfetto-loadable JSON.
+func exportTrace(path string, spans []span.Span) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

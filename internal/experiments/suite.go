@@ -5,7 +5,6 @@ import (
 
 	"github.com/pythia-db/pythia/internal/catalog"
 	"github.com/pythia-db/pythia/internal/dsb"
-	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/imdb"
 	"github.com/pythia-db/pythia/internal/metrics"
 	"github.com/pythia-db/pythia/internal/model"
@@ -38,13 +37,6 @@ type Config struct {
 	Model model.Config
 	// Seed drives everything.
 	Seed uint64
-	// FaultPlan, when non-zero, runs every experiment's replays under
-	// deterministic fault injection (the ext-chaos experiment sweeps its
-	// own plans regardless). See internal/fault.
-	FaultPlan fault.Plan
-	// FaultSeed seeds the fault injector (independent of Seed so fault
-	// timelines can be varied without regenerating workloads).
-	FaultSeed uint64
 }
 
 // DefaultConfig is the reference configuration for the harness.
@@ -99,9 +91,8 @@ type dbKey struct {
 
 // database is one generated database, the workload splits drawn from it, and
 // the untrained system the main experiments replay over it: that system's
-// buffer and its one fault injector serve every shared system of the
-// database for the suite's lifetime, so the injector's draws follow the
-// order of the suite's replays.
+// buffer serves every shared system of the database for the suite's
+// lifetime.
 type database struct {
 	sys    *pythia.System
 	draw   func(name string) *workload.Workload
@@ -145,7 +136,6 @@ func (s *Suite) database(k dbKey) *database {
 	d := &database{splits: map[string]*split{}}
 	var db *catalog.Database
 	cfg := pythia.DefaultConfig()
-	cfg.Replay.Fault = s.faultInjector()
 	if k.imdb {
 		g := imdb.NewGenerator(imdb.Config{Scale: k.scale, Seed: s.cfg.Seed})
 		db = g.DB()
@@ -250,15 +240,6 @@ func (s *Suite) predictorOptions() predictor.Options {
 // bufferPages is the main DSB experiments' pool size.
 func (s *Suite) bufferPages() int {
 	return s.database(dbKey{scale: s.cfg.Scale}).sys.Config().Replay.BufferPages
-}
-
-// faultInjector builds the config-level injector, or nil when no plan is
-// set.
-func (s *Suite) faultInjector() *fault.Injector {
-	if s.cfg.FaultPlan.IsZero() {
-		return nil
-	}
-	return fault.New(s.cfg.FaultPlan, s.cfg.FaultSeed)
 }
 
 // speedupSample returns up to SpeedupQueries test instances for a workload.

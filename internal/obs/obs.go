@@ -10,8 +10,9 @@
 // An Event is the one thing an instrumented layer emits. Everything that
 // wants the same fact in another shape reads this stream, not a second
 // emission beside it: the counters here (a replay keeps one set per query,
-// which is what quality.NewReport scores), and the span tracer's timeline
-// marks.
+// which is what quality.NewReport scores; the serving tier's hub keeps the
+// lifetime totals on /metrics), and the span tracer's timeline marks of a
+// replay and of pythia.System.
 //
 // Design constraints, in order:
 //
@@ -199,9 +200,10 @@ func (k Kind) String() string {
 const NoQuery int32 = -1
 
 // Event is one typed occurrence. Emitting layers fill what they know:
-// buffer and oscache know only the page; each tier's stamp point (the replay
-// tagger, pythia.System, the serve.Metrics hub) sets the query index and the
-// time on what passes through it, and every consumer reads them verbatim.
+// buffer and oscache know only the page; the two stamp points (the replay
+// tagger and pythia.System) set the query index and the time on what passes
+// through them, and every consumer reads them verbatim. Serving-tier events
+// carry neither: the hub only counts them.
 type Event struct {
 	// Kind is the event type.
 	Kind Kind
@@ -209,7 +211,8 @@ type Event struct {
 	Query int32
 	// Page is the page concerned, or the zero PageID.
 	Page storage.PageID
-	// At is the virtual time of the event (zero outside a simulation).
+	// At is the virtual time of the event (zero outside a simulation, and on
+	// every serving-tier event).
 	At sim.Time
 }
 

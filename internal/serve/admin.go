@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -20,13 +17,6 @@ const (
 	CodeSnapshotCorrupt = "snapshot_corrupt"
 )
 
-// reloadRequest is the optional POST /v1/admin/reload body. An absent or
-// empty body reloads from the server's configured SnapshotPath.
-type reloadRequest struct {
-	// Path overrides the configured snapshot file for this reload.
-	Path string `json:"path,omitempty"`
-}
-
 // reloadResponse reports a completed model swap.
 type reloadResponse struct {
 	Status     string  `json:"status"`
@@ -36,55 +26,48 @@ type reloadResponse struct {
 	DurationMS float64 `json:"duration_ms"`
 }
 
-// ReloadSnapshot performs a zero-downtime model swap from a snapshot file
-// (pythia.System.Save): a standby generation decodes the snapshot and the
-// serving pointer swings atomically. An empty path uses Options.SnapshotPath; the
-// path actually loaded is returned. This is the programmatic entry behind both
-// POST /v1/admin/reload and pythia-serve's SIGHUP handler.
-func (s *Server) ReloadSnapshot(path string) (string, InfStatus, error) {
-	if path == "" {
-		path = s.opts.SnapshotPath
+// ReloadSnapshot performs a zero-downtime model swap from Options.SnapshotPath
+// (a pythia.System.Save bundle): a standby generation decodes the snapshot
+// and the serving pointer swings atomically. It is the programmatic entry
+// behind both POST /v1/admin/reload and pythia-serve's SIGHUP handler, and
+// the configured path is the only file either one opens.
+func (s *Server) ReloadSnapshot() (InfStatus, error) {
+	if s.opts.SnapshotPath == "" {
+		return InfStatus{}, errNoSnapshot
 	}
-	if path == "" {
-		return "", InfStatus{}, errNoSnapshot
-	}
-	f, err := os.Open(path)
+	f, err := os.Open(s.opts.SnapshotPath)
 	if err != nil {
-		return path, InfStatus{}, err
+		return InfStatus{}, err
 	}
 	defer f.Close()
 	if err := s.pool.Swap(f); err != nil {
-		return path, InfStatus{}, err
+		return InfStatus{}, err
 	}
-	return path, s.pool.Status(), nil
+	return s.pool.Status(), nil
 }
 
-// handleReload is POST /v1/admin/reload: swap the serving models from a
-// snapshot file without dropping a request. The optional JSON body may name
-// a snapshot path; otherwise the server's -snapshot configuration is used.
-// It passes no admission point: an operator must be able to roll models on an
-// overloaded server.
+// handleReload is POST /v1/admin/reload: swap the serving models from the
+// server's -snapshot file without dropping a request. The body must be empty,
+// and a non-empty one is refused before anything is opened: a client of the
+// public listener names no file. It passes no admission point: an operator
+// must be able to roll models on an overloaded server.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	var req reloadRequest
-	if !s.decodePost(w, r, "POST to reload the serving snapshot", func(body io.Reader) error {
+	if !s.decodePost(w, r, "POST an empty body to reload the -snapshot file", func(body io.Reader) error {
 		b, err := io.ReadAll(body)
-		if err == nil && len(bytes.TrimSpace(b)) > 0 {
-			err = json.Unmarshal(b, &req)
+		if err == nil && len(b) > 0 {
+			err = errors.New("reload takes an empty body: it reads only the server's -snapshot file")
 		}
-		if err != nil {
-			return fmt.Errorf("reload body must be empty or {\"path\": \"...\"}: %w", err)
-		}
-		return nil
+		return err
 	}) {
 		return
 	}
 	start := time.Now()
-	path, st, err := s.ReloadSnapshot(req.Path)
+	st, err := s.ReloadSnapshot()
 	if err != nil {
 		switch {
 		case errors.Is(err, errNoSnapshot):
 			writeError(w, http.StatusBadRequest, CodeNoSnapshot,
-				"no snapshot path configured; pass {\"path\": \"...\"} or start the server with -snapshot")
+				"no snapshot path configured; start the server with -snapshot")
 		case errors.Is(err, corepythia.ErrSnapshotCorrupt), errors.Is(err, corepythia.ErrSnapshotVersion):
 			// The swap already rolled back; the old generation keeps serving.
 			// 422: the request was well-formed but the named snapshot is not
@@ -97,7 +80,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, reloadResponse{
 		Status:     "ok",
-		Path:       path,
+		Path:       s.opts.SnapshotPath,
 		Generation: st.Generation,
 		Swaps:      st.Swaps,
 		DurationMS: float64(time.Since(start).Microseconds()) / 1000,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/pythia-db/pythia/internal/dsb"
+	"github.com/pythia-db/pythia/internal/obs"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 )
 
@@ -120,5 +121,41 @@ func TestGoldenBodiesStable(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Errorf("/stats body not reproducible:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", s1, s2)
+	}
+}
+
+// TestHubCountsEachEventOnce: the hub counts every serving-tier event once
+// and stamps none of them, so recording reads the clock zero times. That is
+// what keeps the goldens still: the latencies and uptime they pin count the
+// hub's clock readings, and a cache outcome or model error must not add one.
+// The emitter is a real prediction cache recording into the hub.
+func TestHubCountsEachEventOnce(t *testing.T) {
+	m := NewMetrics(nil)
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0).UTC()}
+	reads := 0
+	m.setClock(func() time.Time { reads++; return clk.Now() })
+	reads = 0 // setClock consumed the epoch reading
+	cache := newPredCache(16, m)
+
+	cache.get(7) // miss
+	cache.get(8) // miss
+	cache.put(7, nil)
+	cache.get(7) // hit
+	m.Record(obs.Event{Kind: obs.ModelError, Query: obs.NoQuery})
+
+	ev := m.Events()
+	if ev.Get(obs.PredCacheMiss) != 2 || ev.Get(obs.PredCacheHit) != 1 || ev.Get(obs.ModelError) != 1 {
+		t.Errorf("counters: miss=%d hit=%d model_error=%d, want 2/1/1",
+			ev.Get(obs.PredCacheMiss), ev.Get(obs.PredCacheHit), ev.Get(obs.ModelError))
+	}
+	var total uint64
+	for k := obs.Kind(0); k < obs.KindCount; k++ {
+		total += ev.Get(k)
+	}
+	if total != 4 {
+		t.Errorf("%d events counted, want 4", total)
+	}
+	if reads != 0 {
+		t.Errorf("recording read the clock %d times, want 0", reads)
 	}
 }

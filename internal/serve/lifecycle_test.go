@@ -101,61 +101,48 @@ func headsWithoutCoverage(t *testing.T, snapshot []byte) []byte {
 // TestAdminReloadCorruptSnapshot pins the satellite contract: reloading from
 // a truncated or zero-length snapshot, from one of another envelope version,
 // or from one whose envelope is intact around an inconsistent document,
-// answers a typed 422 envelope and the old generation keeps serving.
+// answers a typed 422 envelope and the old generation keeps serving. Each
+// bad file is written over the configured -snapshot path, the only file a
+// reload opens, and the intact one is then written back.
 func TestAdminReloadCorruptSnapshot(t *testing.T) {
 	base, w := testServer(t)
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.snap")
+	snap := filepath.Join(t.TempDir(), "model.snap")
 	var buf bytes.Buffer
 	if err := fixtureSys.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(good, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	truncated := filepath.Join(dir, "truncated.snap")
-	if err := os.WriteFile(truncated, buf.Bytes()[:20], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	empty := filepath.Join(dir, "empty.snap")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	good := buf.Bytes()
 
 	// A well-formed snapshot of the previous envelope version (PYSNAP01: an
 	// encoder per object, where this build reads one trunk per workload).
-	oldFormat := filepath.Join(dir, "pysnap01.snap")
-	v1 := append([]byte("PYSNAP01"), buf.Bytes()[8:]...)
-	if err := os.WriteFile(oldFormat, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	v1 := append([]byte("PYSNAP01"), good[8:]...)
 
-	// Length and CRC correct, head count and coverage list at odds: refused
-	// below the envelope (this answered 500 reload_failed before).
-	inconsistent := filepath.Join(dir, "inconsistent.snap")
-	if err := os.WriteFile(inconsistent, headsWithoutCoverage(t, buf.Bytes()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{SnapshotPath: good})
+	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{SnapshotPath: snap})
 
 	if err := srv.pool.Swap(bytes.NewReader(v1)); !errors.Is(err, corepythia.ErrSnapshotVersion) {
 		t.Fatalf("Swap(PYSNAP01) = %v, want ErrSnapshotVersion", err)
 	}
-	for path, reason := range map[string]string{
-		truncated:    "payload",
-		empty:        "truncated header",
-		oldFormat:    "PYSNAP01",
-		inconsistent: "coverage entries",
+	for _, c := range []struct {
+		name, reason string
+		data         []byte
+	}{
+		{"truncated", "payload", good[:20]},
+		{"empty", "truncated header", nil},
+		{"pysnap01", "PYSNAP01", v1},
+		// Length and CRC correct, head count and coverage list at odds:
+		// refused below the envelope (this answered 500 reload_failed before).
+		{"inconsistent", "coverage entries", headsWithoutCoverage(t, good)},
 	} {
-		rr := doRequest(t, srv, http.MethodPost, "/v1/admin/reload",
-			strings.NewReader(`{"path":`+jsonQuote(path)+`}`))
+		if err := os.WriteFile(snap, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rr := doRequest(t, srv, http.MethodPost, "/v1/admin/reload", nil)
 		if rr.Code != http.StatusUnprocessableEntity {
-			t.Fatalf("%s: status %d: %s", filepath.Base(path), rr.Code, rr.Body.String())
+			t.Fatalf("%s: status %d: %s", c.name, rr.Code, rr.Body.String())
 		}
 		env := decodeEnvelope(t, rr)
-		if env.Error.Code != CodeSnapshotCorrupt || !strings.Contains(env.Error.Message, reason) {
-			t.Fatalf("%s: envelope %+v, want code %q for reason %q", filepath.Base(path), env.Error, CodeSnapshotCorrupt, reason)
+		if env.Error.Code != CodeSnapshotCorrupt || !strings.Contains(env.Error.Message, c.reason) {
+			t.Fatalf("%s: envelope %+v, want code %q for reason %q", c.name, env.Error, CodeSnapshotCorrupt, c.reason)
 		}
 	}
 	st := srv.pool.Status()
@@ -166,7 +153,10 @@ func TestAdminReloadCorruptSnapshot(t *testing.T) {
 		t.Fatalf("old generation degraded after corrupt reloads: %+v", resp)
 	}
 
-	// The intact file still reloads on the same server.
+	// The intact file, written back, reloads on the same server.
+	if err := os.WriteFile(snap, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	rr := doRequest(t, srv, http.MethodPost, "/v1/admin/reload", nil)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("good reload status %d: %s", rr.Code, rr.Body.String())

@@ -10,8 +10,6 @@ import (
 
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/quality"
-	"github.com/pythia-db/pythia/internal/sim"
-	"github.com/pythia-db/pythia/internal/span"
 )
 
 // BuildInfo identifies the running binary on /metrics (the
@@ -86,15 +84,6 @@ type Metrics struct {
 	events *obs.AtomicCounters // system + replay event totals
 
 	build BuildInfo
-
-	// tracer, when non-nil, records one span.HTTPSpan per instrumented
-	// request (endpoint label, status-code detail, timestamps relative to
-	// the hub's start epoch on its injected clock) and, as a recorder on the
-	// hub's event stream, its marks. Nil costs one nil-check.
-	// Atomic because SetTracer runs after the hub is already shared with
-	// request handlers reading it. A typed atomic cannot be read plainly,
-	// and go vet's copylocks check rejects copying it.
-	tracer atomic.Pointer[span.Sync]
 }
 
 // NewMetrics returns an empty metrics hub recording system events into
@@ -132,12 +121,6 @@ func (m *Metrics) setBuildInfo(b BuildInfo) { m.build = b }
 // Build returns the binary's build identity as exposed on /metrics and
 // /stats.
 func (m *Metrics) Build() BuildInfo { return m.build }
-
-// SetTracer attaches a concurrent span tracer recording one HTTPSpan per
-// instrumented request and a mark per event its table names (nil detaches).
-// Timestamps are real time relative to the hub's start epoch, so a
-// span.Report or Perfetto export of serving traffic lines up at zero.
-func (m *Metrics) SetTracer(tr *span.Sync) { m.tracer.Store(tr) }
 
 // Events returns the system event counters (also an obs.Recorder).
 func (m *Metrics) Events() *obs.AtomicCounters { return m.events }
@@ -187,21 +170,12 @@ func (m *Metrics) qualityPages() quality.Score {
 	return quality.Score{Predicted: int(m.qualityPredicted.Load()), Actual: int(m.qualityActual.Load()), TruePos: int(tp)}
 }
 
-// Record implements obs.Recorder: the hub is the serving tier's one stamp
-// point. Every event of the tier — prediction-cache outcomes, model errors,
-// scored feedback — is counted once here; with a
-// tracer attached it is also stamped with the hub clock's epoch-relative
-// reading and forwarded, and the tracer's table decides whether it shows as a
-// mark. One nil-check when no tracer is attached.
+// Record implements obs.Recorder: every event of the serving tier —
+// prediction-cache outcomes, model errors, scored feedback — is counted once
+// here. Serve events carry no time: nothing reads one.
 //
 //pythia:noalloc
-func (m *Metrics) Record(e obs.Event) {
-	m.events.Record(e)
-	if tr := m.tracer.Load(); tr != nil {
-		e.At = sim.Time(m.now().Sub(m.start))
-		tr.Record(e)
-	}
-}
+func (m *Metrics) Record(e obs.Event) { m.events.Record(e) }
 
 // requestRow is one (endpoint, code, count) cell in snapshot order.
 type requestRow struct {
@@ -277,9 +251,6 @@ func (m *Metrics) instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := m.now()
 		h(sw, r)
-		end := m.now()
-		m.observeRequest(endpoint, sw.code, end.Sub(start))
-		m.tracer.Load().CompleteLabel(span.HTTPSpan, endpoint, span.NoQuery, uint32(sw.code),
-			sim.Time(start.Sub(m.start)), sim.Time(end.Sub(m.start)))
+		m.observeRequest(endpoint, sw.code, m.now().Sub(start))
 	}
 }

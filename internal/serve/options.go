@@ -31,9 +31,9 @@ type Options struct {
 	// with 503 + Retry-After instead of queueing behind a busy model. Default
 	// 32.
 	QueueDepth int
-	// SnapshotPath is the default snapshot file for POST /v1/admin/reload
-	// and SIGHUP reloads (a pythia.System.Save bundle). Empty means reloads
-	// must name a path explicitly.
+	// SnapshotPath is the snapshot file POST /v1/admin/reload and SIGHUP
+	// reload from (a pythia.System.Save bundle), and the only one they open.
+	// Empty means reloads answer 400 no_snapshot.
 	SnapshotPath string
 }
 

@@ -196,11 +196,10 @@ func TestAdminReloadHTTP(t *testing.T) {
 		t.Fatalf("reload response wrong: %+v", rel)
 	}
 
-	// Explicit body path → another swap.
-	body := strings.NewReader(`{"path":` + jsonQuote(snap) + `}`)
-	rr = doRequest(t, srv, http.MethodPost, "/v1/admin/reload", body)
+	// A second reload → another swap.
+	rr = doRequest(t, srv, http.MethodPost, "/v1/admin/reload", nil)
 	if rr.Code != http.StatusOK {
-		t.Fatalf("explicit-path reload status %d: %s", rr.Code, rr.Body.String())
+		t.Fatalf("second reload status %d: %s", rr.Code, rr.Body.String())
 	}
 
 	// /stats reflects the swaps.
@@ -228,9 +227,10 @@ func TestAdminReloadHTTP(t *testing.T) {
 	if env := decodeEnvelope(t, rr); env.Error.Code != CodeInvalidSpec {
 		t.Fatalf("bad body envelope: %+v", env)
 	}
-	// Nonexistent snapshot → typed 500.
-	rr = doRequest(t, srv, http.MethodPost, "/v1/admin/reload",
-		strings.NewReader(`{"path":"/nonexistent/model.snap"}`))
+	// A configured snapshot that does not exist → typed 500.
+	missing := mustServer(t, base.db, fixtureSys, NewMetrics(nil),
+		Options{SnapshotPath: filepath.Join(t.TempDir(), "missing.snap")})
+	rr = doRequest(t, missing, http.MethodPost, "/v1/admin/reload", nil)
 	if rr.Code != http.StatusInternalServerError {
 		t.Fatalf("missing file status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -250,10 +250,46 @@ func TestAdminReloadHTTP(t *testing.T) {
 	}
 }
 
-// jsonQuote JSON-quotes a string for inline request bodies.
-func jsonQuote(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
+// TestReloadRefusesClientPath: a reload names no file. A body carrying a
+// path — to a readable file that is no snapshot, or to a valid snapshot other
+// than the configured one — answers 400 invalid_spec without the file being
+// opened: none of its bytes come back, and the generation does not move.
+func TestReloadRefusesClientPath(t *testing.T) {
+	base, _ := testServer(t)
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "model.snap")
+	if err := fixtureSys.SaveFile(snap); err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(dir, "other.snap")
+	if err := fixtureSys.SaveFile(other); err != nil {
+		t.Fatal(err)
+	}
+	secret := filepath.Join(dir, "secret.txt")
+	if err := os.WriteFile(secret, []byte("SECRET-TOKEN-0123456789"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{SnapshotPath: snap})
+
+	for _, path := range []string{secret, other} {
+		body, err := json.Marshal(map[string]string{"path": path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := doRequest(t, srv, http.MethodPost, "/v1/admin/reload", bytes.NewReader(body))
+		if rr.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", filepath.Base(path), rr.Code, rr.Body.String())
+		}
+		if strings.Contains(rr.Body.String(), "SECRET") {
+			t.Fatalf("%s: answer echoes the file: %s", filepath.Base(path), rr.Body.String())
+		}
+		if env := decodeEnvelope(t, rr); env.Error.Code != CodeInvalidSpec {
+			t.Fatalf("%s: envelope %+v, want %s", filepath.Base(path), env.Error, CodeInvalidSpec)
+		}
+		if st := srv.pool.Status(); st.Generation != 1 || st.Swaps != 0 {
+			t.Fatalf("%s: a refused reload moved the generation: %+v", filepath.Base(path), st)
+		}
+	}
 }
 
 // TestWritePredictError pins the mapping from the Pool's sentinel errors to

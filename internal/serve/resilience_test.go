@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -30,10 +31,12 @@ func matchedBody(t *testing.T, w *workload.Workload) *strings.Reader {
 }
 
 func TestBodyCapAnswers413(t *testing.T) {
-	srv, _ := resilienceServer(t, Options{MaxBodyBytes: 64})
+	// The configured snapshot does not exist: a reload that opened it would
+	// answer 500, so every reload answer below is decided by its body alone.
+	srv, _ := resilienceServer(t, Options{MaxBodyBytes: 64, SnapshotPath: filepath.Join(t.TempDir(), "model.snap")})
 	for path, body := range map[string]string{
 		"/v1/predict":      `{"fact":"` + strings.Repeat("x", 200) + `"}`,
-		"/v1/admin/reload": `{"path":"` + strings.Repeat("x", 200) + `"}`,
+		"/v1/admin/reload": strings.Repeat("x", 200),
 	} {
 		rr := doRequest(t, srv, http.MethodPost, path, strings.NewReader(body))
 		if rr.Code != http.StatusRequestEntityTooLarge {
@@ -50,8 +53,8 @@ func TestBodyCapAnswers413(t *testing.T) {
 	}
 	// The cap counts the whole body, not just its first document: a complete
 	// document padded past the cap answers 413 on every POST endpoint, and
-	// data after the document under the cap, or a repeated QuerySpec field,
-	// 400.
+	// data after the document under the cap, a repeated QuerySpec field, or
+	// any reload body under the cap, 400.
 	for _, c := range []struct {
 		path, body string
 		status     int
@@ -60,7 +63,8 @@ func TestBodyCapAnswers413(t *testing.T) {
 		{"/v1/predict", `{"fact":"inventory"}` + strings.Repeat(" ", 200), http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"/v1/predict", `{"fact":"inventory"}` + strings.Repeat("x", 200), http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"/v1/feedback", `{"prediction_id":"p"}` + strings.Repeat(" ", 200), http.StatusRequestEntityTooLarge, CodeTooLarge},
-		{"/v1/admin/reload", `{"path":"x"}` + strings.Repeat(" ", 200), http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"/v1/admin/reload", `{}` + strings.Repeat(" ", 200), http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"/v1/admin/reload", `{}`, http.StatusBadRequest, CodeInvalidSpec},
 		{"/v1/predict", `{"fact":"inventory"} {"x":1} garbage`, http.StatusBadRequest, CodeInvalidSpec},
 		{"/v1/feedback", `{"prediction_id":"p"} {"x":1} garbage`, http.StatusBadRequest, CodeInvalidSpec},
 		{"/v1/predict", `{"fact":"inventory","fact":"inventory"}`, http.StatusBadRequest, CodeInvalidSpec},

@@ -14,9 +14,10 @@
 // A Tracer is itself an obs.Recorder: instrumented layers emit each fact once,
 // as an obs.Event, and the tracer turns the events its marks table names into
 // zero-duration marks, taking query and time verbatim from the event as its
-// tier's stamp point set them (the replay tagger, pythia.System, the
-// serve.Metrics hub). Duration spans and the causal-link stash have no obs
-// counterpart and are recorded directly.
+// stamp point set it (the replay tagger, pythia.System). Duration spans and
+// the causal-link stash have no obs counterpart and are recorded directly.
+// The serving tier keeps no timeline: its observability is the metrics hub's
+// counters and histograms.
 //
 // Contract, mirroring obs.Recorder:
 //
@@ -27,13 +28,11 @@
 //     appended to one slice (amortized growth; Reserve pre-sizes it), and
 //     the causal-link stash is one map keyed by page. Hot-path methods are
 //     annotated //pythia:noalloc and enforced by pythia-vet.
-//   - Single-writer. The replay simulator is single-threaded; the HTTP
-//     serving tier wraps a Tracer in Sync (one mutex per event).
+//   - Single-writer. A Tracer is not synchronized: the replay simulator is
+//     single-threaded, and the serving tier holds no tracer.
 package span
 
 import (
-	"sync"
-
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
@@ -67,9 +66,6 @@ const (
 	// PrefetchRetryWait is the prefetcher's backoff window before retrying a
 	// failed read.
 	PrefetchRetryWait
-	// HTTPSpan is one serving-tier request (real time on the metrics hub's
-	// injected clock); its label is the endpoint, Detail the status code.
-	HTTPSpan
 
 	// Mark is a zero-duration annotation (Start == End): the timeline's view
 	// of one obs event. Span.Event says which; the marks table says which
@@ -88,7 +84,6 @@ var kindNames = [KindCount]string{
 	ExecRetryWait:     "retry_wait",
 	PrefetchRead:      "prefetch_read",
 	PrefetchRetryWait: "prefetch_retry_wait",
-	HTTPSpan:          "http_request",
 	Mark:              "mark",
 }
 
@@ -96,8 +91,8 @@ var kindNames = [KindCount]string{
 // belong on a timeline, the name each is exported under, and whether the mark
 // takes the causal link stashed under its page (the PrefetchRead span that
 // brought the page in, or was abandoned trying). An event with no entry
-// leaves no mark. Two exported names predate their obs kinds' and are pinned
-// by the goldens: inference_degrade and quality_feedback.
+// leaves no mark. One exported name predates its obs kind's and is pinned by
+// the goldens: inference_degrade.
 var marks = [obs.KindCount]struct {
 	name string
 	link bool
@@ -113,9 +108,6 @@ var marks = [obs.KindCount]struct {
 	obs.WindowStall:           {name: "window_stall"},
 	obs.FallbackSyncRead:      {name: "fallback_sync_read", link: true},
 	obs.InferenceDeadlineMiss: {name: "inference_degrade"},
-	obs.PredCacheHit:          {name: "predcache_hit"},
-	obs.PredCacheMiss:         {name: "predcache_miss"},
-	obs.QualityScored:         {name: "quality_feedback"},
 }
 
 // String returns the kind's snake_case name (stable: it is the event name
@@ -155,10 +147,10 @@ type Span struct {
 	Start, End sim.Time
 	// Link is the causal predecessor span, or NoSpan.
 	Link SpanID
-	// Detail is kind-specific: DetailAbandoned on PrefetchRead, the HTTP
-	// status code on HTTPSpan, zero otherwise.
+	// Detail is kind-specific: DetailAbandoned on PrefetchRead, zero
+	// otherwise.
 	Detail uint32
-	// Label optionally names the span (query ID, HTTP endpoint).
+	// Label optionally names the span (the query ID on QuerySpan).
 	Label string
 }
 
@@ -296,17 +288,6 @@ func (t *Tracer) Complete(k Kind, q int32, pg storage.PageID, start, end sim.Tim
 	return t.push(Span{Kind: k, Query: q, Page: pg, Start: start, End: end, Link: NoSpan})
 }
 
-// CompleteLabel is Complete with a label and detail and no page — the
-// serving tier's shape (endpoint label, status-code detail).
-//
-//pythia:noalloc
-func (t *Tracer) CompleteLabel(k Kind, label string, q int32, detail uint32, start, end sim.Time) SpanID {
-	if t == nil {
-		return NoSpan
-	}
-	return t.push(Span{Kind: k, Query: q, Page: storage.PageID{}, Start: start, End: end, Link: NoSpan, Detail: detail, Label: label})
-}
-
 // Record implements obs.Recorder: an event the marks table names becomes a
 // zero-duration mark carrying the event's own query, page and time — it must
 // arrive stamped — and, for the linking marks, the span stashed under its
@@ -350,60 +331,4 @@ func (t *Tracer) takeStash(pg storage.PageID) SpanID {
 	}
 	delete(t.stash, pg)
 	return id
-}
-
-// Sync wraps a Tracer for concurrent writers (the HTTP serving tier): one
-// mutex acquisition per event, no allocation. A nil *Sync records nothing.
-type Sync struct {
-	mu sync.Mutex
-	tr *Tracer
-}
-
-// NewSync returns a Sync over a fresh tracer.
-func NewSync() *Sync { return &Sync{tr: New()} }
-
-// CompleteLabel records one completed span under the lock.
-//
-//pythia:noalloc
-func (s *Sync) CompleteLabel(k Kind, label string, q int32, detail uint32, start, end sim.Time) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tr.CompleteLabel(k, label, q, detail, start, end)
-	s.mu.Unlock()
-}
-
-// Record implements obs.Recorder under the lock.
-//
-//pythia:noalloc
-func (s *Sync) Record(e obs.Event) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tr.Record(e)
-	s.mu.Unlock()
-}
-
-// Len returns the number of recorded spans.
-func (s *Sync) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tr.Len()
-}
-
-// Snapshot copies the recorded spans under the lock, in record order.
-func (s *Sync) Snapshot() []Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Span, len(s.tr.spans))
-	copy(out, s.tr.spans)
-	return out
 }

@@ -29,9 +29,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if id := tr.Complete(ExecOSCopy, 3, pg(1, 2), 5, 10); id != NoSpan {
 		t.Errorf("nil Complete = %d, want NoSpan", id)
 	}
-	if id := tr.CompleteLabel(HTTPSpan, "predict", NoQuery, 200, 5, 10); id != NoSpan {
-		t.Errorf("nil CompleteLabel = %d, want NoSpan", id)
-	}
 	tr.Record(obs.Event{Kind: obs.PrefetchHit, Page: pg(1, 2), At: 5})
 	tr.Stash(pg(1, 2), 7)
 	if id := tr.takeStash(pg(1, 2)); id != NoSpan {
@@ -39,13 +36,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	if tr.Len() != 0 || tr.Spans() != nil {
 		t.Errorf("nil tracer has spans")
-	}
-
-	var sy *Sync
-	sy.CompleteLabel(HTTPSpan, "predict", NoQuery, 200, 5, 10)
-	sy.Record(obs.Event{Kind: obs.PredCacheHit, Query: obs.NoQuery, At: 5})
-	if sy.Len() != 0 || sy.Snapshot() != nil {
-		t.Errorf("nil Sync has spans")
 	}
 }
 
@@ -138,29 +128,6 @@ func TestStash(t *testing.T) {
 	}
 }
 
-// TestSyncSnapshot: concurrent-writer wrapper records and snapshots.
-func TestSyncSnapshot(t *testing.T) {
-	sy := NewSync()
-	sy.CompleteLabel(HTTPSpan, "predict", NoQuery, 200, 100, 300)
-	sy.CompleteLabel(HTTPSpan, "stats", NoQuery, 200, 400, 450)
-	sy.Record(obs.Event{Kind: obs.PredCacheMiss, Query: obs.NoQuery, At: 420})
-	snap := sy.Snapshot()
-	if len(snap) != 3 || sy.Len() != 3 {
-		t.Fatalf("snapshot len = %d", len(snap))
-	}
-	if !snap[2].IsMark(obs.PredCacheMiss) || snap[2].Start != 420 || snap[2].Query != NoQuery {
-		t.Errorf("snap[2] = %+v", snap[2])
-	}
-	if snap[0].Label != "predict" || snap[0].Detail != 200 || snap[0].Dur() != 200 {
-		t.Errorf("snap[0] = %+v", snap[0])
-	}
-	// The snapshot is a copy: mutating it does not touch the tracer.
-	snap[0].Label = "mutated"
-	if got := sy.Snapshot()[0].Label; got != "predict" {
-		t.Errorf("snapshot aliases tracer store: %q", got)
-	}
-}
-
 // TestKindNames: every kind has a distinct non-empty snake_case name, and the
 // marks table — the only place a mark's timeline name is defined — exports
 // exactly the vocabulary the goldens and dashboards were built on.
@@ -186,8 +153,6 @@ func TestKindNames(t *testing.T) {
 		obs.OSCacheHit: "oscache_hit", obs.OSCacheMiss: "oscache_miss", obs.OSCacheEvict: "oscache_evict",
 		obs.WindowStall: "window_stall", obs.FallbackSyncRead: "fallback_sync_read",
 		obs.InferenceDeadlineMiss: "inference_degrade",
-		obs.PredCacheHit:          "predcache_hit", obs.PredCacheMiss: "predcache_miss",
-		obs.QualityScored: "quality_feedback",
 	}
 	linking := map[obs.Kind]bool{obs.PrefetchHit: true, obs.PrefetchWasted: true, obs.FallbackSyncRead: true}
 	for k := obs.Kind(0); k < obs.KindCount; k++ {
