@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/nn"
@@ -74,6 +75,57 @@ func (m *refModel) train(samples []Sample) float64 {
 				epochLoss += m.backprop(samples[i])
 			}
 			opt.Step(hi - lo)
+		}
+		epochLoss /= float64(len(samples))
+	}
+	return epochLoss
+}
+
+// seqTrain is Trunk.train as it was before a group's samples ran on
+// several views, kept as the reference: one view with no gradient log, so
+// every Backward adds into Param.G at once, the samples of a group one after
+// another, one Step per group.
+func seqTrain(t *Trunk, samples []Sample) float64 {
+	rt := nn.Runtime{Arena: nn.NewArena()}
+	enc := t.enc.Share(rt)
+	var decs []*nn.FFN
+	for _, h := range t.heads {
+		decs = append(decs, h.dec.Share(rt))
+	}
+	opt := nn.NewAdam(t.cfg.LR*batchLRScale, t.params(t.heads))
+	opt.Clip = 5
+	r := sim.NewRand(t.cfg.Seed ^ 0x5eed)
+	order := make([]int, len(samples))
+	for i := range order {
+		order[i] = i
+	}
+	var epochLoss float64
+	opt.ZeroGrad()
+	for epoch := 0; epoch < t.cfg.Epochs; epoch++ {
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		epochLoss = 0
+		for lo := 0; lo < len(order); lo += trainBatch {
+			group := order[lo:min(lo+trainBatch, len(order))]
+			for _, i := range group {
+				rt.Arena.Release()
+				s := samples[i]
+				bce := nn.BCEWithLogits{PosWeight: t.cfg.PosWeight, Sum: true, Scratch: rt.Arena}
+				rep := enc.Forward(s.TokenIDs)
+				var total float64
+				var dRep *nn.Mat
+				for k, h := range t.heads {
+					loss, dLogits := bce.Loss(decs[k].Forward(rep), h.targets(make([]float64, len(h.Labels)), s.Pages))
+					total += loss
+					if d := decs[k].Backward(dLogits); dRep == nil {
+						dRep = d
+					} else {
+						nn.AddInPlace(dRep, d)
+					}
+				}
+				enc.Backward(dRep)
+				epochLoss += total
+			}
+			opt.Step(len(group))
 		}
 		epochLoss /= float64(len(samples))
 	}
@@ -175,8 +227,8 @@ func TestOneHeadMatchesUnsharedModel(t *testing.T) {
 }
 
 // TestJointGradientIsSumOfHeadGradients: after one joint backprop over
-// three heads (the body of train's loop, read before Step consumes the
-// gradients), the encoder's gradients are the sum of the three gradients the
+// three heads (the body of train's loop, its gradient log applied and read
+// before Step consumes the gradients), the encoder's gradients are the sum of the three gradients the
 // unshared model gives when each head is back-propagated alone through its
 // own copy of the encoder, and each decoder's gradients are exactly that
 // head's own. Fails if backprop drops a head's dRep or averages the dReps
@@ -188,6 +240,9 @@ func TestJointGradientIsSumOfHeadGradients(t *testing.T) {
 		joint := NewTrunk(vocab, labelSets, cfg)
 		v := joint.borrow()
 		joint.backprop(v, joint.heads, samples[0])
+		for i := 0; i < v.log.Len(); i++ {
+			v.log.Apply(i)
+		}
 		joint.giveBack(v)
 
 		encParams := len(joint.enc.Params())
@@ -226,6 +281,66 @@ func TestJointGradientIsSumOfHeadGradients(t *testing.T) {
 			for j, g := range p.G.Data {
 				if math.Abs(g-sum[i][j]) > 1e-12*scale {
 					t.Fatalf("seed %d: %s[%d] joint gradient %v, sum of per-head gradients %v", seed, p.Name, j, g, sum[i][j])
+				}
+			}
+		}
+	}
+}
+
+// TestGroupTrainMatchesSequential: training a group's samples on up to four
+// views at once, each logging its gradient sums for the merge, gives the
+// loss and every weight that seqTrain gives, bit for bit, at GOMAXPROCS 1, 2
+// and 4, for one and three heads and sample counts that end on a short
+// group of one, two or three. Fails if the merge adds a parameter's samples
+// out of group order, or if two workers merge the same parameter. Before
+// that it checks what the merge's split rests on: on a view that ran several
+// samples, log position p of every sample's segment names the same
+// parameter, and no two positions name one.
+func TestGroupTrainMatchesSequential(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, heads := range []int{1, 3} {
+			vocab, cfg, labelSets, samples := seededShape(seed, heads)
+
+			tr := NewTrunk(vocab, labelSets, cfg)
+			v := tr.borrow()
+			for _, s := range samples[:3] {
+				tr.backprop(v, tr.heads, s)
+			}
+			per := v.log.Len() / 3
+			if per == 0 || v.log.Len() != 3*per {
+				t.Fatalf("seed %d: %d log entries for three samples", seed, v.log.Len())
+			}
+			seen := map[*nn.Param]int{}
+			for p := 0; p < per; p++ {
+				param := v.log.Param(p)
+				if q, dup := seen[param]; dup {
+					t.Fatalf("seed %d: log positions %d and %d both name %s", seed, q, p, param.Name)
+				}
+				seen[param] = p
+				for k := 1; k < 3; k++ {
+					if got := v.log.Param(k*per + p); got != param {
+						t.Fatalf("seed %d: sample %d logs %s at position %d, sample 0 %s", seed, k, got.Name, p, param.Name)
+					}
+				}
+			}
+
+			// The shapes hold 5–9 samples; repeated, they give every count.
+			samples = append(samples, samples...)
+			for _, n := range []int{5, 6, 7} {
+				ref := NewTrunk(vocab, labelSets, cfg)
+				wantLoss := seqTrain(ref, samples[:n])
+				for _, procs := range []int{1, 2, 4} {
+					got := NewTrunk(vocab, labelSets, cfg)
+					prev := runtime.GOMAXPROCS(procs)
+					gotLoss := got.Train(samples[:n])
+					runtime.GOMAXPROCS(prev)
+					if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+						t.Fatalf("seed %d, %d heads, %d samples, GOMAXPROCS %d: loss %v, want %v (bitwise)", seed, heads, n, procs, gotLoss, wantLoss)
+					}
+					want := ref.params(ref.heads)
+					for i, p := range got.params(got.heads) {
+						sameBits(t, p.Name, p.W.Data, want[i].W.Data)
+					}
 				}
 			}
 		}

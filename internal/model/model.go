@@ -11,7 +11,9 @@ package model
 
 import (
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/pythia-db/pythia/internal/nn"
 	"github.com/pythia-db/pythia/internal/sim"
@@ -107,21 +109,26 @@ type Trunk struct {
 	// Every pass, training or inference, runs on a view borrowed from views.
 	// Inference holds mu's read lock, so passes through any heads of this
 	// trunk run concurrently; Train holds the write lock, because it writes
-	// the weights every view reads.
+	// the weights every view reads, and runs a group's samples on up to
+	// trainBatch views at once.
 	mu      sync.RWMutex
 	viewsMu sync.Mutex
 	views   []*view
 }
 
-// view is the trunk's weights with one pass's state: an arena, and an
-// encoder and one decoder per head (decs[i] for heads[i]) that share the
-// trunk's parameters but keep their own activation caches. The free list is
-// a plain slice, not a sync.Pool, so warmed arenas survive GC; it holds as
-// many views as the most passes that ever ran at once.
+// view is the trunk's weights with one pass's state: an arena, a gradient
+// log, an encoder and one decoder per head (decs[i] for heads[i]) that share
+// the trunk's parameters but keep their own activation caches, and each
+// head's 0/1 target vector for training. Backward passes on a view log their
+// parameter gradient sums (nn.GradLog) for train's merge to add. The free
+// list is a plain slice, not a sync.Pool, so warmed arenas survive GC; it
+// holds as many views as the most passes that ever ran at once.
 type view struct {
-	arena *nn.Arena
-	enc   *nn.Encoder
-	decs  []*nn.FFN
+	arena   *nn.Arena
+	log     *nn.GradLog
+	enc     *nn.Encoder
+	decs    []*nn.FFN
+	targets [][]float64
 }
 
 // Model is one head on a trunk: a fixed label space and the feed-forward
@@ -133,9 +140,6 @@ type Model struct {
 	idx      int // position in trunk.heads and in every view's decs
 	labelIdx map[storage.PageID]int
 	dec      *nn.FFN
-
-	// targetBuf is the reusable 0/1 target vector for training steps.
-	targetBuf []float64
 }
 
 // NewTrunk builds an untrained encoder for a vocabulary of vocabSize tokens
@@ -193,10 +197,11 @@ func (t *Trunk) borrow() *view {
 		t.views = t.views[:n-1]
 		return v
 	}
-	rt := nn.Runtime{Arena: nn.NewArena()}
-	v := &view{arena: rt.Arena, enc: t.enc.Share(rt)}
+	rt := nn.Runtime{Arena: nn.NewArena(), Log: &nn.GradLog{}}
+	v := &view{arena: rt.Arena, log: rt.Log, enc: t.enc.Share(rt)}
 	for _, h := range t.heads {
 		v.decs = append(v.decs, h.dec.Share(rt))
+		v.targets = append(v.targets, make([]float64, len(h.Labels)))
 	}
 	return v
 }
@@ -222,13 +227,9 @@ func (t *Trunk) ParamCount() int { return nn.ParamCount(t.params(t.heads)) }
 // ParamCount returns the size of the trunk plus this one head.
 func (m *Model) ParamCount() int { return nn.ParamCount(m.trunk.params([]*Model{m})) }
 
-// targets fills the reusable 0/1 vector for a sample, ignoring pages
-// outside the label space (they belong to other heads).
-func (m *Model) targets(pages []storage.PageID) []float64 {
-	if m.targetBuf == nil {
-		m.targetBuf = make([]float64, len(m.Labels))
-	}
-	t := m.targetBuf
+// targets fills t, len(m.Labels) long, with the 0/1 vector for a sample,
+// ignoring pages outside the label space (they belong to other heads).
+func (m *Model) targets(t []float64, pages []storage.PageID) []float64 {
 	clear(t)
 	for _, p := range pages {
 		if j, ok := m.labelIdx[p]; ok {
@@ -268,6 +269,7 @@ func (m *Model) TrainIncremental(samples []Sample, epochs int) float64 {
 // at batchLRScale times Config.LR. The pair was chosen over five experiment
 // seeds and a small-data run: four samples at the per-sample step size, or
 // the larger step at one sample per step, each lose F1 (EXPERIMENTS.md).
+// A group's samples run on up to trainBatch cores (backpropGroup).
 const (
 	trainBatch   = 4
 	batchLRScale = 2 * math.Sqrt2
@@ -279,8 +281,16 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.borrow()
-	defer t.giveBack(v)
+	views := make([]*view, min(runtime.GOMAXPROCS(0), trainBatch))
+	for i := range views {
+		views[i] = t.borrow()
+	}
+	defer func() {
+		for _, v := range views {
+			v.log.Reset() // hold no sample past Train
+			t.giveBack(v)
+		}
+	}()
 	opt := nn.NewAdam(t.cfg.LR*batchLRScale, t.params(heads))
 	opt.Clip = 5
 	r := sim.NewRand(t.cfg.Seed ^ 0x5eed)
@@ -290,6 +300,7 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 		order[i] = i
 	}
 	var epochLoss float64
+	var losses [trainBatch]float64
 	// Step consumes the gradients, leaving them +0 for the next group.
 	opt.ZeroGrad()
 	for epoch := 0; epoch < epochs; epoch++ {
@@ -297,8 +308,9 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 		epochLoss = 0
 		for lo := 0; lo < len(order); lo += trainBatch {
 			group := order[lo:min(lo+trainBatch, len(order))]
-			for _, i := range group {
-				epochLoss += t.backprop(v, heads, samples[i])
+			t.backpropGroup(views, heads, samples, group, losses[:len(group)])
+			for _, l := range losses[:len(group)] {
+				epochLoss += l
 			}
 			opt.Step(len(group))
 		}
@@ -309,14 +321,69 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	return epochLoss
 }
 
-// backprop accumulates every parameter gradient of one sample and returns
-// its loss summed over heads. The encoder runs once each way: the heads'
-// 1×Dim representation gradients are summed in head order (into the first
-// head's, so one head is the unshared model bit for bit) before the single
-// Encoder.Backward.
+// backpropGroup adds the parameter gradients of the group's samples
+// (indices into samples, in group order) and sets losses[k] to sample k's
+// loss. It gives every parameter exactly the adds one view running the
+// samples in order would, in that order, so the bits do not depend on how
+// many views it has.
+//
+// Phase 1: with w = min(len(views), len(group)), view i backprops samples
+// i, i+w, … of the group, each worker on its own goroutine; the forward
+// passes and input-gradient chains read only weights, and each sample's
+// gradient sums go to its view's log (nn.GradLog), so the samples share
+// nothing. Phase 2: the workers claim log positions in turn — position p
+// of every sample names the same parameters, and no two positions the
+// same one — and each applies its positions' entries sample by sample in
+// group order.
+func (t *Trunk) backpropGroup(views []*view, heads []*Model, samples []Sample, group []int, losses []float64) {
+	w := min(len(views), len(group))
+	parallel(w, func(i int) {
+		v := views[i]
+		// Recycle the previous group's scratch: steady state allocates
+		// nothing. A view's matrices stay alive until the merge is done.
+		v.arena.Release()
+		v.log.Reset()
+		for k := i; k < len(group); k += w {
+			losses[k] = t.backprop(v, heads, samples[group[k]])
+		}
+	})
+	per := views[0].log.Len() / ((len(group) + w - 1) / w)
+	for i, v := range views[:w] {
+		if v.log.Len() != per*((len(group)-i+w-1)/w) {
+			panic("model: samples logged gradient sequences of different lengths")
+		}
+	}
+	var next atomic.Int64
+	parallel(w, func(int) {
+		for p := int(next.Add(1) - 1); p < per; p = int(next.Add(1) - 1) {
+			for k := range group {
+				views[k%w].log.Apply(k/w*per + p)
+			}
+		}
+	})
+}
+
+// parallel runs f(0) … f(n−1), f(0) on the calling goroutine and the rest
+// on goroutines of their own, and returns when all have.
+func parallel(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			f(i)
+		}(i)
+	}
+	f(0)
+	wg.Wait()
+}
+
+// backprop runs one sample forward and back on v, logging every parameter
+// gradient sum, and returns its loss summed over heads. The encoder runs
+// once each way: the heads' 1×Dim representation gradients are summed in
+// head order (into the first head's, so one head is the unshared model bit
+// for bit) before the single Encoder.Backward.
 func (t *Trunk) backprop(v *view, heads []*Model, s Sample) float64 {
-	// Recycle the previous step's scratch: steady state allocates nothing.
-	v.arena.Release()
 	// Sum reduction keeps the gradient scale independent of the label-space
 	// size, so heads over large objects train as fast as small ones.
 	bce := nn.BCEWithLogits{PosWeight: t.cfg.PosWeight, Sum: true, Scratch: v.arena}
@@ -325,7 +392,7 @@ func (t *Trunk) backprop(v *view, heads []*Model, s Sample) float64 {
 	var dRep *nn.Mat
 	for _, h := range heads {
 		dec := v.decs[h.idx]
-		loss, dLogits := bce.Loss(dec.Forward(rep), h.targets(s.Pages))
+		loss, dLogits := bce.Loss(dec.Forward(rep), h.targets(v.targets[h.idx], s.Pages))
 		total += loss
 		if d := dec.Backward(dLogits); dRep == nil {
 			dRep = d

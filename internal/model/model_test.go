@@ -86,7 +86,7 @@ func TestScoresInRange(t *testing.T) {
 func TestTargetsIgnoreForeignPages(t *testing.T) {
 	labels := []storage.PageID{pg(1, 0), pg(1, 1)}
 	m := New(12, labels, smallCfg())
-	tg := m.targets([]storage.PageID{pg(1, 1), pg(2, 7), pg(1, 99)})
+	tg := m.targets(make([]float64, len(m.Labels)), []storage.PageID{pg(1, 1), pg(2, 7), pg(1, 99)})
 	if tg[0] != 0 || tg[1] != 1 {
 		t.Fatalf("targets = %v", tg)
 	}
@@ -121,7 +121,7 @@ func TestCombinedLabels(t *testing.T) {
 	if len(m.Labels) != 5 || m.Labels[0].Object != 1 || m.Labels[4].Object != 2 {
 		t.Fatalf("combined order wrong: %v", m.Labels)
 	}
-	tg := m.targets([]storage.PageID{pg(2, 1), pg(1, 0), pg(3, 0)})
+	tg := m.targets(make([]float64, len(m.Labels)), []storage.PageID{pg(2, 1), pg(1, 0), pg(3, 0)})
 	if tg[0] != 1 || tg[4] != 1 || tg[1]+tg[2]+tg[3] != 0 {
 		t.Fatalf("targets = %v", tg)
 	}

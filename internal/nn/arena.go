@@ -16,8 +16,11 @@ import "math"
 //
 // An Arena is NOT safe for concurrent use: it belongs to the one encoder
 // and decoders computing in it (a model.Trunk lends each pass its own such
-// set, see Encoder.Share), and all Get/Release calls come from the pass
-// using them. A nil *Arena is valid and falls back to plain NewMat allocation.
+// set, see Encoder.Share), and all Get/Release calls come from the goroutine
+// running them. Other goroutines may read its matrices between two
+// Releases — training's gradient merge reads every view's logged matrices
+// (GradLog) — but never call Get or Release on it. A nil *Arena is valid
+// and falls back to plain NewMat allocation.
 type Arena struct {
 	free map[int][]*Mat // element count → reusable matrices
 	used []*Mat         // everything handed out since the last Release
@@ -96,13 +99,15 @@ func (a *Arena) Live() int {
 }
 
 // Runtime is what a module computes with: the scratch arena for step-scoped
-// matrices, and Pool, the stateless receiver of the kernels (see Pool for why
-// it is still a field). The zero value is valid and means garbage-collected
-// allocation, so modules work unbound and tests can construct layers
-// directly.
+// matrices, Pool, the stateless receiver of the kernels (see Pool for why
+// it is still a field), and Log, which when set defers the parameter
+// gradient sums of Backward (GradLog). The zero value is valid and means
+// garbage-collected allocation and gradients added at once, so modules
+// work unbound and tests can construct layers directly.
 type Runtime struct {
 	Pool  *Pool
 	Arena *Arena
+	Log   *GradLog
 }
 
 // get allocates a rows×cols matrix from the arena, contents unspecified (see

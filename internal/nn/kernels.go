@@ -8,9 +8,10 @@ import (
 
 // Destination-passing compute kernels. Each kernel writes into a
 // caller-supplied matrix (usually from an Arena) instead of allocating, and
-// runs on the calling goroutine: one view of a trunk is one goroutine's work,
-// and parallelism is across concurrent predictions on their own views, never
-// inside a kernel.
+// runs on the calling goroutine. Parallelism is across a trunk's views —
+// concurrent predictions, and in training the samples of a group, each on a
+// view of its own, then their logged gradient sums, each parameter's on one
+// goroutine (GradLog) — never inside a kernel, so no sum is split.
 //
 // Determinism: every output element is accumulated in ascending order over
 // the contracted index, here and in the allocating forms in mat.go, which

@@ -86,11 +86,12 @@ func (l *Linear) forward(x *Mat, relu bool) *Mat {
 	return y
 }
 
-// Backward accumulates dW, db and returns dX. The weight gradient is
-// accumulated in place, dW += xᵀ dy, as one accumulating gemm over a
-// transposed copy of x from the arena: each element of dW adds its products
-// over ascending rows, as the triple loop does. The seed code skipped a row
-// whose activation was exactly zero (ReLU outputs); adding its ±0·dy instead
+// Backward accumulates dW, db (or logs them, see GradLog) and returns dX.
+// The weight gradient is accumulated in place, dW += xᵀ dy, as one
+// accumulating gemm over a transposed copy of x from the arena
+// (addLinearGrad): each element of dW adds its products over ascending
+// rows, as the triple loop does. The seed code skipped a row whose
+// activation was exactly zero (ReLU outputs); adding its ±0·dy instead
 // changes no bit for a finite dy, because a gradient starts at +0 (ZeroGrad,
 // Adam.Step) and a sum that starts at +0 is never −0
 // (TestWeightGradSkipWasNoOp).
@@ -108,14 +109,7 @@ func (l *Linear) Backward(dy *Mat) *Mat {
 	shapeCheck(l.x.Rows == dy.Rows, "linear backward", l.x, dy)
 	xt := l.rt.get(l.In, dy.Rows)
 	transposeInto(xt, l.x)
-	gemm(l.Weight.G.Data, l.Out, xt.Data, dy.Rows, dy.Data, l.Out, l.In, dy.Rows, l.Out, nil, false, true)
-	bg := l.Bias.G.Data
-	for i := 0; i < dy.Rows; i++ {
-		row := dy.Row(i)
-		for j := range row {
-			bg[j] += row[j]
-		}
-	}
+	l.rt.addGrad(gradAdd{kind: linearGrad, p: l.Weight, q: l.Bias, a: xt, dy: dy})
 	dx := l.rt.get(dy.Rows, l.In)
 	if dy.Rows < transposeRows {
 		l.rt.Pool.MatMulT2Into(dx, dy, l.Weight.W)
@@ -125,6 +119,21 @@ func (l *Linear) Backward(dy *Mat) *Mat {
 	transposeInto(wt, l.Weight.W)
 	l.rt.Pool.MatMulInto(dx, dy, wt)
 	return dx
+}
+
+// addLinearGrad adds xᵀ·dy into w's gradient and dy's column sums into b's,
+// given xt = xᵀ.
+//
+//pythia:noalloc
+func addLinearGrad(w, b *Param, xt, dy *Mat) {
+	gemm(w.G.Data, w.G.Cols, xt.Data, dy.Rows, dy.Data, dy.Cols, xt.Rows, dy.Rows, dy.Cols, nil, false, true)
+	bg := b.G.Data
+	for i := 0; i < dy.Rows; i++ {
+		row := dy.Row(i)
+		for j := range row {
+			bg[j] += row[j]
+		}
+	}
 }
 
 // transposeRows is the fewest rows of dy for which Linear.Backward transposes
@@ -168,8 +177,16 @@ func (e *Embedding) Forward(ids []int) *Mat {
 // Backward scatters the output gradient back into the used rows; a token id
 // that repeats within a sequence accumulates into one row.
 func (e *Embedding) Backward(dy *Mat) {
-	for i, id := range e.ids {
-		grow := e.Table.G.Row(id)
+	e.rt.addGrad(gradAdd{kind: embeddingGrad, p: e.Table, ids: e.ids, dy: dy})
+}
+
+// addEmbeddingGrad adds row i of dy into row ids[i] of t's gradient, in
+// ascending i.
+//
+//pythia:noalloc
+func addEmbeddingGrad(t *Param, ids []int, dy *Mat) {
+	for i, id := range ids {
+		grow := t.G.Row(id)
 		drow := dy.Row(i)
 		for j := range drow {
 			grow[j] += drow[j]
@@ -314,19 +331,11 @@ func lnStats(x []float64, d int, invSD []float64) (mean [4]float64) {
 	return [4]float64{m0, m1, m2, m3}
 }
 
-// Backward returns dX and accumulates gain/bias gradients, row-ascending.
+// Backward returns dX and accumulates (or logs) the gain and bias gradients.
 func (ln *LayerNorm) Backward(dy *Mat) *Mat {
+	ln.rt.addGrad(gradAdd{kind: layerNormGrad, p: ln.Gain, q: ln.Bias, a: ln.xhat, dy: dy})
 	dx := ln.rt.get(dy.Rows, dy.Cols)
 	dxhat := ln.rt.get(dy.Rows, dy.Cols)
-	gg, bg := ln.Gain.G.Data, ln.Bias.G.Data
-	for i := 0; i < dy.Rows; i++ {
-		dyr := dy.Row(i)
-		xh := ln.xhat.Row(i)
-		for j, d := range dyr {
-			gg[j] += d * xh[j]
-			bg[j] += d
-		}
-	}
 	g := ln.Gain.W.Data
 	n := float64(dy.Cols)
 	for i := 0; i < dy.Rows; i++ {
@@ -347,4 +356,20 @@ func (ln *LayerNorm) Backward(dy *Mat) *Mat {
 		}
 	}
 	return dx
+}
+
+// addLayerNormGrad adds Σᵢ dyᵢ·x̂ᵢ into gain's gradient and Σᵢ dyᵢ into
+// bias's, row-ascending.
+//
+//pythia:noalloc
+func addLayerNormGrad(gain, bias *Param, xhat, dy *Mat) {
+	gg, bg := gain.G.Data, bias.G.Data
+	for i := 0; i < dy.Rows; i++ {
+		dyr := dy.Row(i)
+		xh := xhat.Row(i)
+		for j, d := range dyr {
+			gg[j] += d * xh[j]
+			bg[j] += d
+		}
+	}
 }

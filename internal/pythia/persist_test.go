@@ -283,8 +283,10 @@ func TestLoadWorkloadWantsOneWorkload(t *testing.T) {
 }
 
 // TestSnapshotBytesDeterministic: training twice from one seed writes
-// byte-identical PYSNAP03 files, at GOMAXPROCS 1 and 2 — joint training is
-// one goroutine's seeded work and weights are persisted as ordered lists.
+// byte-identical PYSNAP03 files, at GOMAXPROCS 1, 2 and 4 — joint training
+// runs a group's samples on as many views as there are cores but merges
+// each parameter's gradients in sample order, and weights are persisted as
+// ordered lists.
 // TrainTime, the snapshot's one wall-clock field, is zeroed before saving.
 // One document in one frame: the magic appears once, not once per workload.
 func TestSnapshotBytesDeterministic(t *testing.T) {
@@ -304,7 +306,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if string(want[:8]) != "PYSNAP03" || bytes.Count(want, []byte("PYSNAP")) != 1 {
 		t.Fatalf("snapshot starts %q and holds %d magics, want PYSNAP03 once", want[:8], bytes.Count(want, []byte("PYSNAP")))
 	}
-	for _, procs := range []int{1, 2} {
+	for _, procs := range []int{1, 2, 4} {
 		if got := snapshot(procs); !bytes.Equal(got, want) {
 			t.Fatalf("GOMAXPROCS=%d: snapshot of %d bytes differs from the first of %d", procs, len(got), len(want))
 		}
