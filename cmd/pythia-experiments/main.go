@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		imdbN     = fs.Int("imdb-n", 0, "override IMDB template-1a instances")
 		seed      = fs.Uint64("seed", 0, "override random seed")
 		seedRange = fs.String("seeds", "", "run seeds A-B (1 ≤ A ≤ B, at most 100), min(GOMAXPROCS, B−A+1) at a time: each seed's output as -seed prints it, then every cell's mean ± s.e. over the seeds")
-		outPath   = fs.String("o", "", "also append output to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -117,21 +116,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *seed > 0 {
 		cfg.Seed = *seed
 	}
-	out := stdout
-	if *outPath != "" {
-		f, err := os.OpenFile(*outPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fail("%v", err)
-		}
-		defer f.Close()
-		out = io.MultiWriter(stdout, f)
-	}
-
 	var err error
 	if seeds == nil {
-		_, err = runSuite(cfg, ids, out)
+		_, err = runSuite(cfg, ids, stdout)
 	} else {
-		err = runSeeds(cfg, seeds, ids, out)
+		err = runSeeds(cfg, seeds, ids, stdout)
 	}
 	if err != nil {
 		return fail("%v", err)

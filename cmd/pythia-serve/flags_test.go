@@ -109,8 +109,9 @@ func TestReadmeMetricsExist(t *testing.T) {
 
 // TestBadArgumentsRejectedBeforeTraining: validate refuses each value main
 // would otherwise meet only after training, or never: -n -3 panics in the
-// generator, -n 0 serves an untrained model and -sf 0 runs at the generator's
-// default scale. The defaults pass.
+// generator, -n 0 serves an untrained model, -sf 0 runs at the generator's
+// default scale and a -fault-rate outside [0, 1] panics in fault.New. The
+// defaults pass.
 func TestBadArgumentsRejectedBeforeTraining(t *testing.T) {
 	parse := func(args ...string) *config {
 		t.Helper()
@@ -134,6 +135,9 @@ func TestBadArgumentsRejectedBeforeTraining(t *testing.T) {
 		{"-request-timeout", "-1s"},
 		{"-pprof", "0.0.0.0:6060"},
 		{"-pprof", "nonsense"},
+		{"-fault-rate", "1.5"},
+		{"-fault-rate", "NaN"},
+		{"-fault-rate", "-0.1"},
 	} {
 		if _, err := validate(parse(args...)); err == nil {
 			t.Errorf("%v: accepted", args)

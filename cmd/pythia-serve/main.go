@@ -57,7 +57,7 @@ type config struct {
 	seed            uint64
 	opts            serve.Options
 	shutdownGrace   time.Duration
-	faultPlan       string
+	faultRate       float64
 	faultSeed       uint64
 	pprofAddr       string
 }
@@ -79,16 +79,16 @@ func flags(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.opts.CacheEntries, "cache-entries", 4096, "plan-fingerprint prediction cache capacity (negative disables)")
 	fs.IntVar(&c.opts.QueueDepth, "queue-depth", 32, "bounded work queue, the one admission point: a predict the full queue refuses answers 503")
 	fs.StringVar(&c.opts.SnapshotPath, "snapshot", "", "model snapshot path: loaded instead of training when it exists, written after training otherwise; SIGHUP and /v1/admin/reload swap from it (empty = off)")
-	fs.StringVar(&c.faultPlan, "fault-plan", "", "fault-injection plan for chaos drills, e.g. serve=0.2 (empty = none)")
+	fs.Float64Var(&c.faultRate, "fault-rate", 0, "probability a request's model path faults and answers the model_error fallback, for chaos drills (0 = off)")
 	fs.Uint64Var(&c.faultSeed, "fault-seed", 1, "fault-injection PRNG seed")
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address, e.g. localhost:6060 (empty = off)")
 	return c
 }
 
 // validate checks everything that needs no training — the options, -n, -sf,
-// -templates and -pprof — and returns the parsed template list. main runs it
-// first: a rejected value, an unknown template or a bad address should fail
-// in milliseconds, not after minutes of model building.
+// -templates, -fault-rate and -pprof — and returns the parsed template list.
+// main runs it first: a rejected value, an unknown template or a bad address
+// should fail in milliseconds, not after minutes of model building.
 func validate(c *config) ([]string, error) {
 	if _, err := c.opts.Normalize(); err != nil {
 		return nil, err
@@ -102,6 +102,9 @@ func validate(c *config) ([]string, error) {
 	templates, err := dsb.ParseTemplates(c.templates)
 	if err != nil {
 		return nil, fmt.Errorf("-templates: %w", err)
+	}
+	if err := (fault.Plan{ServeRate: c.faultRate}).Validate(); err != nil {
+		return nil, fmt.Errorf("-fault-rate: %w", err)
 	}
 	// The profiling endpoints expose heap contents and symbol tables, so they
 	// run on a separate server that must be bound to loopback — never on the
@@ -126,14 +129,9 @@ func main() {
 		log.Fatalf("pythia-serve: %v", err)
 	}
 
-	plan, err := fault.ParsePlan(c.faultPlan)
-	if err != nil {
-		log.Fatalf("pythia-serve: %v", err)
-	}
-	var inj *fault.Injector
-	if !plan.IsZero() {
-		inj = fault.New(plan, c.faultSeed)
-		log.Printf("fault injection armed: %s (seed %d)", plan, c.faultSeed)
+	if c.faultRate > 0 {
+		c.opts.Fault = fault.New(fault.Plan{ServeRate: c.faultRate}, c.faultSeed)
+		log.Printf("fault injection armed: serve=%g (seed %d)", c.faultRate, c.faultSeed)
 	}
 
 	gen := dsb.NewGenerator(dsb.Config{ScaleFactor: c.sf, Seed: c.seed})
@@ -168,7 +166,6 @@ func main() {
 		}
 	}
 
-	c.opts.Fault = inj
 	srv, err := serve.New(gen.DB(), sys, metrics, c.opts)
 	if err != nil {
 		log.Fatalf("pythia-serve: %v", err)

@@ -24,9 +24,6 @@ package fault
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 
 	"github.com/pythia-db/pythia/internal/sim"
 )
@@ -57,7 +54,7 @@ var siteNames = [SiteCount]string{
 	Serve:        "serve",
 }
 
-// String returns the site's short name (the key used by ParsePlan).
+// String returns the site's short name.
 func (s Site) String() string {
 	if s < SiteCount {
 		return siteNames[s]
@@ -65,22 +62,22 @@ func (s Site) String() string {
 	return "unknown"
 }
 
-// Plan is the declarative fault configuration: a rate per site and the
-// tail-latency multiplier LatencySpike applies. The zero Plan injects
-// nothing.
+// spikeMultiplier scales a spiked read's latency.
+const spikeMultiplier = 8
+
+// Plan is the declarative fault configuration: a rate per site. The zero
+// Plan injects nothing.
 type Plan struct {
 	// ExecReadRate is the probability a foreground device read fails.
 	ExecReadRate float64
 	// PrefetchReadRate is the probability a prefetch device read fails.
 	PrefetchReadRate float64
-	// LatencySpikeRate is the probability a device read is spiked.
+	// LatencySpikeRate is the probability a device read is spiked 8×.
 	LatencySpikeRate float64
 	// InferenceRate is the probability one query's inference times out.
 	InferenceRate float64
 	// ServeRate is the probability the serving tier's model path errors.
 	ServeRate float64
-	// LatencyMultiplier scales a spiked read's latency (default 8×).
-	LatencyMultiplier float64
 }
 
 // rate returns the plan's rate for site.
@@ -100,88 +97,14 @@ func (p *Plan) rate(site Site) float64 {
 	return 0
 }
 
-// IsZero reports whether the plan injects nothing.
-func (p Plan) IsZero() bool {
-	return p.ExecReadRate == 0 && p.PrefetchReadRate == 0 &&
-		p.LatencySpikeRate == 0 && p.InferenceRate == 0 && p.ServeRate == 0
-}
-
-// Validate rejects rates outside [0, 1] (NaN included) and a negative or
-// non-finite latency multiplier.
+// Validate rejects rates outside [0, 1], NaN included.
 func (p Plan) Validate() error {
 	for s := Site(0); s < SiteCount; s++ {
 		if r := p.rate(s); !(r >= 0 && r <= 1) {
 			return fmt.Errorf("fault: %s rate %g outside [0, 1]", s, r)
 		}
 	}
-	if m := p.LatencyMultiplier; m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
-		return fmt.Errorf("fault: latency multiplier %g is negative or not finite", m)
-	}
 	return nil
-}
-
-// ParsePlan parses the CLI plan syntax: a comma-separated list of
-// "site=rate" entries over the site names exec, prefetch, latency, infer and
-// serve, plus an optional "mult=N" latency multiplier. Example:
-//
-//	exec=0.01,prefetch=0.05,latency=0.02,mult=8
-//
-// An empty string parses to the zero (inject-nothing) plan.
-func ParsePlan(s string) (Plan, error) {
-	var p Plan
-	if strings.TrimSpace(s) == "" {
-		return p, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("fault: plan entry %q is not key=value", part)
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return Plan{}, fmt.Errorf("fault: plan entry %q: %v", part, err)
-		}
-		switch key {
-		case "exec":
-			p.ExecReadRate = f
-		case "prefetch":
-			p.PrefetchReadRate = f
-		case "latency":
-			p.LatencySpikeRate = f
-		case "infer":
-			p.InferenceRate = f
-		case "serve":
-			p.ServeRate = f
-		case "mult":
-			p.LatencyMultiplier = f
-		default:
-			return Plan{}, fmt.Errorf("fault: unknown plan key %q (have exec, prefetch, latency, infer, serve, mult)", key)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return Plan{}, err
-	}
-	return p, nil
-}
-
-// String renders the plan in ParsePlan syntax.
-func (p Plan) String() string {
-	var parts []string
-	add := func(key string, r float64) {
-		if r != 0 {
-			parts = append(parts, key+"="+strconv.FormatFloat(r, 'g', -1, 64))
-		}
-	}
-	add("exec", p.ExecReadRate)
-	add("prefetch", p.PrefetchReadRate)
-	add("latency", p.LatencySpikeRate)
-	add("infer", p.InferenceRate)
-	add("serve", p.ServeRate)
-	add("mult", p.LatencyMultiplier)
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
 }
 
 // Injector turns a Plan into per-call fault decisions. It is stateful (each
@@ -198,14 +121,10 @@ type Injector struct {
 }
 
 // New returns an injector for plan seeded with seed. It panics on an invalid
-// plan (call Plan.Validate first to handle errors gracefully) and fills an
-// unset LatencyMultiplier with the default 8×.
+// plan (call Plan.Validate first to handle errors gracefully).
 func New(plan Plan, seed uint64) *Injector {
 	if err := plan.Validate(); err != nil {
 		panic(err.Error())
-	}
-	if plan.LatencyMultiplier == 0 {
-		plan.LatencyMultiplier = 8
 	}
 	i := &Injector{plan: plan}
 	root := sim.NewRand(seed)
@@ -233,10 +152,10 @@ func (i *Injector) Fire(site Site) bool {
 }
 
 // ReadLatency applies the tail-latency fault to one device read: base when
-// the LatencySpike site does not fire, base × LatencyMultiplier when it does.
+// the LatencySpike site does not fire, base × 8 when it does.
 func (i *Injector) ReadLatency(base sim.Duration) sim.Duration {
 	if i.Fire(LatencySpike) {
-		return sim.Duration(float64(base) * i.plan.LatencyMultiplier)
+		return base * spikeMultiplier
 	}
 	return base
 }

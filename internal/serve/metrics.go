@@ -58,16 +58,17 @@ type Metrics struct {
 	// and /stats bodies are byte-for-byte reproducible.
 	now func() time.Time
 
-	mu       sync.Mutex
-	requests map[string]map[int]uint64 // endpoint → status code → count
+	mu sync.Mutex
+	// requests counts answers by endpoint → status code. Its {predict, 200},
+	// {predict, 503} and {predict, 504} cells are the served predictions,
+	// requests shed and inference timeouts: only a served prediction answers
+	// 200, only a full work queue 503 and only an inference past its
+	// deadline 504.
+	requests map[string]map[int]uint64
 	latency  map[string]*obs.Histogram // endpoint → request latency
 
-	predictions    atomic.Uint64 // successful /predict responses
 	fallbacks      atomic.Uint64 // predictions answered by the fallback path
 	predictedPages atomic.Uint64 // total pages across predicted sets
-
-	sheds    atomic.Uint64 // requests answered 503 overloaded
-	timeouts atomic.Uint64 // inferences that blew the request timeout
 
 	// Totals with no obs.Kind of their own. They live here, not on the
 	// generation, so they survive a model swap; every other such fact
@@ -148,7 +149,6 @@ func (m *Metrics) observeRequest(endpoint string, code int, d time.Duration) {
 
 // observePrediction records one served prediction.
 func (m *Metrics) observePrediction(pages int, fallback bool) {
-	m.predictions.Add(1)
 	if fallback {
 		m.fallbacks.Add(1)
 	}
@@ -214,6 +214,13 @@ func (m *Metrics) snapshotRequests() []requestRow {
 		return rows[i].Code < rows[j].Code
 	})
 	return rows
+}
+
+// requestCount reads one cell of the request table.
+func (m *Metrics) requestCount(endpoint string, code int) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.requests[endpoint][code]
 }
 
 // snapshotLatency returns per-endpoint latency summaries, sorted.

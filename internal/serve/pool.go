@@ -184,10 +184,6 @@ func (p *Pool) infer(ctx context.Context, gen *generation, tw *corepythia.Traine
 		p.metrics.Record(obs.Event{Kind: obs.InferenceRun, Query: obs.NoQuery})
 		return gen.sys.LimitPrefetch(pages), nil
 	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			// A canceled request (client gone) is not a timeout.
-			p.metrics.timeouts.Add(1)
-		}
 		return nil, ctx.Err()
 	}
 }

@@ -309,7 +309,9 @@ func TestWritePredictError(t *testing.T) {
 	for _, c := range cases {
 		srv := &Server{metrics: NewMetrics(nil)}
 		rr := httptest.NewRecorder()
-		srv.writePredictError(rr, c.err)
+		srv.metrics.instrument("predict", func(w http.ResponseWriter, _ *http.Request) {
+			srv.writePredictError(w, c.err)
+		})(rr, httptest.NewRequest(http.MethodPost, "/v1/predict", nil))
 		if rr.Code != c.status {
 			t.Errorf("%v: status %d, want %d", c.err, rr.Code, c.status)
 			continue
@@ -324,8 +326,8 @@ func TestWritePredictError(t *testing.T) {
 		if got := rr.Header().Get("Retry-After"); got != wantRetry {
 			t.Errorf("%v: Retry-After %q, want %q", c.err, got, wantRetry)
 		}
-		if got := srv.metrics.sheds.Load(); got != wantSheds {
-			t.Errorf("%v: sheds %d, want %d", c.err, got, wantSheds)
+		if got := srv.metrics.requestCount("predict", http.StatusServiceUnavailable); got != wantSheds {
+			t.Errorf("%v: {predict, 503} row %d, want %d", c.err, got, wantSheds)
 		}
 	}
 }

@@ -100,8 +100,8 @@ func TestLoadSheddingAnswers503(t *testing.T) {
 	if rr := doRequest(t, srv, http.MethodPost, "/v1/explain", matchedBody(t, w)); rr.Code != http.StatusOK {
 		t.Fatalf("explain with the queue full: status %d: %s", rr.Code, rr.Body.String())
 	}
-	if n := srv.metrics.sheds.Load(); n != 1 {
-		t.Fatalf("sheds counter %d, want 1", n)
+	if n := srv.metrics.requestCount("predict", http.StatusServiceUnavailable); n != 1 {
+		t.Fatalf("{predict, 503} row %d, want 1", n)
 	}
 	// Releasing the slot restores service.
 	<-srv.inst().queue
@@ -120,8 +120,8 @@ func TestInferenceTimeoutAnswers504(t *testing.T) {
 	if env := decodeEnvelope(t, rr); env.Error.Code != CodeDeadline {
 		t.Fatalf("envelope wrong: %+v", env)
 	}
-	if srv.metrics.timeouts.Load() == 0 {
-		t.Fatal("timeout not counted")
+	if n := srv.metrics.requestCount("predict", http.StatusGatewayTimeout); n != 1 {
+		t.Fatalf("{predict, 504} row %d, want 1", n)
 	}
 }
 

@@ -295,8 +295,7 @@ type feedbackResponse struct {
 // handleFeedback scores a served prediction against the pages its query
 // actually touched: the online ground-truth loop that makes serve-tier
 // precision and recall measurable without replaying anything. The score
-// lands in the hub's page sums, the obs event stream (obs.QualityScored),
-// and the span trace.
+// lands in the hub's page sums and the obs event stream (obs.QualityScored).
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var req feedbackRequest
 	if !s.decodePost(w, r, "POST a feedback JSON document", func(body io.Reader) error {
@@ -345,7 +344,6 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writePredictError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrSaturated):
-		s.metrics.sheds.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, CodeOverloaded,
 			"work queue is full; retry shortly")

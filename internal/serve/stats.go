@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"net/http"
+
 	"github.com/pythia-db/pythia/internal/obs"
 	corepythia "github.com/pythia-db/pythia/internal/pythia"
 	"github.com/pythia-db/pythia/internal/quality"
@@ -10,7 +12,8 @@ import (
 // /stats, and the only input of the /metrics renderer — what /metrics needs
 // and /stats does not print rides along as json:"-" fields.
 //
-// Every total (requests_shed, predcache hits/misses/evictions, quality,
+// Every total (predictions, requests_shed and inference_timeouts, which are
+// request-table rows; predcache hits/misses/evictions, quality,
 // drift.evaluations) reads monotonic counters in the Metrics hub, so it
 // survives a model swap and is counted nowhere else. The model row, the cache
 // residency and the drift state and score are the serving generation's own
@@ -90,12 +93,12 @@ func (s *Server) snapshot() *statsResponse {
 		Build:          m.Build(),
 		Requests:       m.snapshotRequests(),
 		Latency:        m.snapshotLatency(),
-		Predictions:    m.predictions.Load(),
+		Predictions:    m.requestCount("predict", http.StatusOK),
 		Fallbacks:      m.fallbacks.Load(),
 		PredictedPages: m.predictedPages.Load(),
 		Events:         ev.Map(),
-		Shed:           m.sheds.Load(),
-		Timeouts:       m.timeouts.Load(),
+		Shed:           m.requestCount("predict", http.StatusServiceUnavailable),
+		Timeouts:       m.requestCount("predict", http.StatusGatewayTimeout),
 		Draining:       s.draining.Load(),
 		Generation:     st.Generation,
 		Swaps:          st.Swaps,

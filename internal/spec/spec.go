@@ -7,22 +7,21 @@
 // 5 ≤ x ≤ 9, omitting lo or hi leaves that side open — which round-trips the
 // planner's open-interval sentinels without exposing math.MinInt64 in JSON.
 //
-// Decode and Encode are written for this schema, without reflection. A body
-// is one strict RFC 8259 document with nothing but whitespace around it.
-// Member names match as in encoding/json, exactly and then by
-// bytes.EqualFold; an unknown or repeated name is an error at every level.
-// Otherwise Decode accepts what encoding/json with DisallowUnknownFields
-// accepts and builds the same QuerySpec: TestDecodeMatchesEncodingJSON and
-// FuzzDecode hold it to that oracle.
+// Encode is encoding/json's. Decode is written for this schema, without
+// reflection, because it is on the serving path. A body is one strict RFC
+// 8259 document with nothing but whitespace around it. Member names match
+// as in encoding/json, exactly and then by bytes.EqualFold; an unknown or
+// repeated name is an error at every level. Otherwise Decode accepts what
+// encoding/json with DisallowUnknownFields accepts and builds the same
+// QuerySpec: TestDecodeMatchesEncodingJSON and FuzzDecode hold it to that
+// oracle.
 package spec
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
-	"unicode/utf8"
 
 	"github.com/pythia-db/pythia/internal/plan"
 )
@@ -143,73 +142,10 @@ func FromQuery(q plan.Query) QuerySpec {
 	return out
 }
 
-// Encode writes the spec as indented JSON, byte for byte what
-// encoding/json's Encoder writes with SetIndent("", "  ").
+// Encode writes the spec as indented JSON, as encoding/json's Encoder does
+// with SetIndent("", "  ").
 func (q QuerySpec) Encode(w io.Writer) error {
-	dims := make([]string, len(q.Dims))
-	for i, d := range q.Dims {
-		m := []string{`"dim": ` + quote(d.Dim), `"fact_fk": ` + quote(d.FactFK), `"dim_key": ` + quote(d.DimKey)}
-		m = member(m, len(d.Preds) > 0, `"preds": `+preds(d.Preds, 3))
-		m = member(m, d.ForceHash, `"force_hash": true`)
-		m = member(m, d.ForceIndex, `"force_index": true`)
-		dims[i] = block("{", m, 2, "}")
-	}
-	m := member(nil, q.Template != "", `"template": `+quote(q.Template))
-	m = member(m, q.Instance != 0, `"instance": `+strconv.Itoa(q.Instance))
-	m = append(m, `"fact": `+quote(q.Fact))
-	m = member(m, len(q.FactPreds) > 0, `"fact_preds": `+preds(q.FactPreds, 1))
-	m = member(m, len(dims) > 0, `"dims": `+block("[", dims, 1, "]"))
-	_, err := io.WriteString(w, block("{", m, 0, "}")+"\n")
-	return err
-}
-
-// member appends s to m unless omitempty drops it.
-func member(m []string, keep bool, s string) []string {
-	if keep {
-		return append(m, s)
-	}
-	return m
-}
-
-// preds lays a predicate array at depth out.
-func preds(ps []Pred, depth int) string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		m := []string{`"col": ` + quote(p.Col)}
-		if p.Lo != nil {
-			m = append(m, `"lo": `+strconv.FormatInt(*p.Lo, 10))
-		}
-		if p.Hi != nil {
-			m = append(m, `"hi": `+strconv.FormatInt(*p.Hi, 10))
-		}
-		out[i] = block("{", m, depth+1, "}")
-	}
-	return block("[", out, depth, "]")
-}
-
-// block lays a container at depth out with one item a line. No container
-// written is empty (encoding/json would write one as {} or []).
-func block(open string, items []string, depth int, end string) string {
-	in := "\n" + strings.Repeat("  ", depth+1)
-	return open + in + strings.Join(items, ","+in) + in[:len(in)-2] + end
-}
-
-// quote quotes s as encoding/json does: the short escapes, \u00XX for the
-// other control characters and for <, > and &, \u2028, \u2029, and \ufffd
-// for each invalid UTF-8 byte.
-func quote(s string) string {
-	b := []byte{'"'}
-	for i, r := range s {
-		switch j := strings.IndexRune("\"\\\b\f\n\r\t", r); {
-		case j >= 0:
-			b = append(b, '\\', `"\bfnrt`[j])
-		case r < ' ' || r == '<' || r == '>' || r == '&' || r == '\u2028' || r == '\u2029':
-			b = fmt.Appendf(b, `\u%04x`, r)
-		case r == utf8.RuneError && !strings.HasPrefix(s[i:], "\uFFFD"):
-			b = append(b, `\ufffd`...)
-		default:
-			b = utf8.AppendRune(b, r)
-		}
-	}
-	return string(append(b, '"'))
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(q)
 }

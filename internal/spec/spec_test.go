@@ -301,34 +301,6 @@ func TestDecodeRefusesWhatJSONForgives(t *testing.T) {
 	}
 }
 
-// TestEncodeMatchesEncodingJSON: Encode writes what encoding/json's Encoder
-// writes with the same indent, for every DSB instance and for strings that
-// need each kind of escape.
-func TestEncodeMatchesEncodingJSON(t *testing.T) {
-	odd := []string{"a\"b\\c/\b\f\n\r\t\x00\x1f", "<a>&\u2028\u2029", "\xff\xfe\ufffd", "\U0001F600é", ""}
-	specs := dsbSpecs()
-	for _, s := range odd {
-		specs = append(specs, QuerySpec{Template: s, Instance: -3, Fact: s,
-			FactPreds: []Pred{{Col: s, Hi: i64(math.MinInt64)}},
-			Dims:      []Dim{{Dim: s, FactFK: s, DimKey: s, ForceIndex: true, Preds: []Pred{{Col: s, Lo: i64(0)}}}}})
-	}
-	specs = append(specs, QuerySpec{}, QuerySpec{FactPreds: []Pred{}, Dims: []Dim{{Preds: []Pred{}}}})
-	for _, qs := range specs {
-		var got, want bytes.Buffer
-		if err := qs.Encode(&got); err != nil {
-			t.Fatal(err)
-		}
-		enc := json.NewEncoder(&want)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(qs); err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Fatalf("Encode:\n%s\nencoding/json:\n%s", got.String(), want.String())
-		}
-	}
-}
-
 // BenchmarkDecode decodes the t91 instances' request bodies, as Encode
 // writes them; one op is one body.
 func BenchmarkDecode(b *testing.B) {
