@@ -240,8 +240,10 @@ func TestJointGradientIsSumOfHeadGradients(t *testing.T) {
 		joint := NewTrunk(vocab, labelSets, cfg)
 		v := joint.borrow()
 		joint.backprop(v, joint.heads, samples[0])
+		var scratch []float64
 		for i := 0; i < v.log.Len(); i++ {
-			v.log.Apply(i)
+			first, _ := v.log.Params(i)
+			nn.ApplyRows([]nn.GradEntry{v.log.Entry(i)}, 0, first.W.Rows, &scratch)
 		}
 		joint.giveBack(v)
 
@@ -291,8 +293,12 @@ func TestJointGradientIsSumOfHeadGradients(t *testing.T) {
 // views at once, each logging its gradient sums for the merge, gives the
 // loss and every weight that seqTrain gives, bit for bit, at GOMAXPROCS 1, 2
 // and 4, for one and three heads and sample counts that end on a short
-// group of one, two or three. Fails if the merge adds a parameter's samples
-// out of group order, or if two workers merge the same parameter. Before
+// group of one, two or three, with the merge and Adam split into tasks of
+// the default size and, with two or four workers, into tasks of four
+// elements or four rows. Fails if the
+// merge adds a parameter's samples out of group order, if two tasks write
+// one gradient element, or if the norm chain reads a parameter before its
+// last merge task is done. Before
 // that it checks what the merge's split rests on: on a view that ran several
 // samples, log position p of every sample's segment names the same
 // parameter, and no two positions name one.
@@ -312,13 +318,13 @@ func TestGroupTrainMatchesSequential(t *testing.T) {
 			}
 			seen := map[*nn.Param]int{}
 			for p := 0; p < per; p++ {
-				param := v.log.Param(p)
+				param, _ := v.log.Params(p)
 				if q, dup := seen[param]; dup {
 					t.Fatalf("seed %d: log positions %d and %d both name %s", seed, q, p, param.Name)
 				}
 				seen[param] = p
 				for k := 1; k < 3; k++ {
-					if got := v.log.Param(k*per + p); got != param {
+					if got, _ := v.log.Params(k*per + p); got != param {
 						t.Fatalf("seed %d: sample %d logs %s at position %d, sample 0 %s", seed, k, got.Name, p, param.Name)
 					}
 				}
@@ -330,16 +336,23 @@ func TestGroupTrainMatchesSequential(t *testing.T) {
 				ref := NewTrunk(vocab, labelSets, cfg)
 				wantLoss := seqTrain(ref, samples[:n])
 				for _, procs := range []int{1, 2, 4} {
-					got := NewTrunk(vocab, labelSets, cfg)
-					prev := runtime.GOMAXPROCS(procs)
-					gotLoss := got.Train(samples[:n])
-					runtime.GOMAXPROCS(prev)
-					if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-						t.Fatalf("seed %d, %d heads, %d samples, GOMAXPROCS %d: loss %v, want %v (bitwise)", seed, heads, n, procs, gotLoss, wantLoss)
-					}
-					want := ref.params(ref.heads)
-					for i, p := range got.params(got.heads) {
-						sameBits(t, p.Name, p.W.Data, want[i].W.Data)
+					for _, elems := range []int{taskElems, 4} {
+						if elems != taskElems && procs == 1 {
+							continue // one worker runs the tasks in list order
+						}
+						got := NewTrunk(vocab, labelSets, cfg)
+						prev, prevElems := runtime.GOMAXPROCS(procs), taskElems
+						taskElems = elems
+						gotLoss := got.Train(samples[:n])
+						runtime.GOMAXPROCS(prev)
+						taskElems = prevElems
+						if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+							t.Fatalf("seed %d, %d heads, %d samples, GOMAXPROCS %d, %d-element tasks: loss %v, want %v (bitwise)", seed, heads, n, procs, elems, gotLoss, wantLoss)
+						}
+						want := ref.params(ref.heads)
+						for i, p := range got.params(got.heads) {
+							sameBits(t, p.Name, p.W.Data, want[i].W.Data)
+						}
 					}
 				}
 			}

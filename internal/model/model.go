@@ -12,6 +12,7 @@ package model
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -269,11 +270,17 @@ func (m *Model) TrainIncremental(samples []Sample, epochs int) float64 {
 // at batchLRScale times Config.LR. The pair was chosen over five experiment
 // seeds and a small-data run: four samples at the per-sample step size, or
 // the larger step at one sample per step, each lose F1 (EXPERIMENTS.md).
-// A group's samples run on up to trainBatch cores (backpropGroup).
+// A group's samples run on up to trainBatch cores (groupTrainer).
 const (
 	trainBatch   = 4
 	batchLRScale = 2 * math.Sqrt2
 )
+
+// taskElems is about how many gradient elements one merge or Adam task
+// covers: a few microseconds of work at the default width, so that claiming
+// a task costs little and the last one claimed keeps the other workers
+// waiting briefly. Tests shrink it to split every parameter into many tasks.
+var taskElems = 4096
 
 func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	if epochs <= 0 {
@@ -281,18 +288,15 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	views := make([]*view, min(runtime.GOMAXPROCS(0), trainBatch))
-	for i := range views {
-		views[i] = t.borrow()
-	}
+	c := newCrew(min(runtime.GOMAXPROCS(0), trainBatch))
+	defer c.stop()
+	g := t.newGroupTrainer(heads, samples, c.n)
 	defer func() {
-		for _, v := range views {
+		for _, v := range g.views {
 			v.log.Reset() // hold no sample past Train
 			t.giveBack(v)
 		}
 	}()
-	opt := nn.NewAdam(t.cfg.LR*batchLRScale, t.params(heads))
-	opt.Clip = 5
 	r := sim.NewRand(t.cfg.Seed ^ 0x5eed)
 
 	order := make([]int, len(samples))
@@ -300,19 +304,17 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 		order[i] = i
 	}
 	var epochLoss float64
-	var losses [trainBatch]float64
-	// Step consumes the gradients, leaving them +0 for the next group.
-	opt.ZeroGrad()
+	// Each Update consumes its gradients, leaving them +0 for the next group.
+	g.opt.ZeroGrad()
 	for epoch := 0; epoch < epochs; epoch++ {
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss = 0
 		for lo := 0; lo < len(order); lo += trainBatch {
 			group := order[lo:min(lo+trainBatch, len(order))]
-			t.backpropGroup(views, heads, samples, group, losses[:len(group)])
-			for _, l := range losses[:len(group)] {
+			g.step(c, group)
+			for _, l := range g.losses[:len(group)] {
 				epochLoss += l
 			}
-			opt.Step(len(group))
 		}
 		if len(samples) > 0 {
 			epochLoss /= float64(len(samples))
@@ -321,61 +323,197 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	return epochLoss
 }
 
-// backpropGroup adds the parameter gradients of the group's samples
-// (indices into samples, in group order) and sets losses[k] to sample k's
-// loss. It gives every parameter exactly the adds one view running the
-// samples in order would, in that order, so the bits do not depend on how
-// many views it has.
+// groupTrainer is one Train's state for the crew's three jobs per group of
+// samples. A step gives every parameter exactly the adds one view running
+// the group's samples in order would, in that order, and then
+// Step(len(group))'s update, so the bits do not depend on the crew's size.
 //
-// Phase 1: with w = min(len(views), len(group)), view i backprops samples
-// i, i+w, … of the group, each worker on its own goroutine; the forward
-// passes and input-gradient chains read only weights, and each sample's
-// gradient sums go to its view's log (nn.GradLog), so the samples share
-// nothing. Phase 2: the workers claim log positions in turn — position p
-// of every sample names the same parameters, and no two positions the
-// same one — and each applies its positions' entries sample by sample in
-// group order.
-func (t *Trunk) backpropGroup(views []*view, heads []*Model, samples []Sample, group []int, losses []float64) {
-	w := min(len(views), len(group))
-	parallel(w, func(i int) {
-		v := views[i]
-		// Recycle the previous group's scratch: steady state allocates
-		// nothing. A view's matrices stay alive until the merge is done.
-		v.arena.Release()
-		v.log.Reset()
-		for k := i; k < len(group); k += w {
-			losses[k] = t.backprop(v, heads, samples[group[k]])
+//   - Backprop: the workers claim the group's samples in turn, worker i
+//     running its samples on views[i]; the forward passes and input-gradient
+//     chains read only weights, and each sample's gradient sums go to its
+//     view's log (nn.GradLog), so the samples share nothing.
+//   - Merge: the workers claim merges in turn. Log position p of every
+//     sample names the same parameters and no two positions the same one,
+//     so a task — one position, one range of its first parameter's rows —
+//     writes gradient elements no other task does, and it adds its samples'
+//     entries in group order (nn.ApplyRows). Tasks are claimed in Adam's
+//     parameter order, and worker 0 runs the clip norm's one serial chain
+//     (nn.SumSquares) over each parameter as soon as its last task is done.
+//   - Update: the workers claim updates, ranges of one parameter's
+//     elements, after Adam.Begin has set the step up from that norm.
+type groupTrainer struct {
+	t       *Trunk
+	heads   []*Model
+	samples []Sample
+	views   []*view
+	opt     *nn.Adam
+	params  []*nn.Param // the optimizer's, in its order
+	jobs    [3]func(w int)
+
+	group  []int // the current group: indices into samples
+	losses [trainBatch]float64
+	logs   [trainBatch]sampleLog // where each sample of the group logged
+	per    int                   // log entries per sample
+
+	merges  []mergeTask
+	updates []task
+	next    atomic.Int64 // the next task to claim
+	writes  []int32      // per parameter: merges that write it
+	pending []atomic.Int32
+	chained int     // parameters the norm chain has passed
+	sumSq   float64 // the chain's sum so far
+
+	scratch [][]float64 // per worker, for nn.ApplyRows
+}
+
+// sampleLog is where one sample's backward pass logged: entries [at, end)
+// of log.
+type sampleLog struct {
+	log     *nn.GradLog
+	at, end int
+}
+
+// task is a range [lo, hi) of parameter i's elements.
+type task struct{ i, lo, hi int }
+
+// mergeTask is a range [lo, hi) of log position pos's first parameter's
+// rows; p and q index the parameters it writes (q is −1 when it writes one).
+type mergeTask struct{ pos, lo, hi, p, q int }
+
+func (t *Trunk) newGroupTrainer(heads []*Model, samples []Sample, n int) *groupTrainer {
+	g := &groupTrainer{t: t, heads: heads, samples: samples, params: t.params(heads),
+		views: make([]*view, n), scratch: make([][]float64, n)}
+	g.jobs = [3]func(int){g.backpropJob, g.mergeJob, g.updateJob}
+	for i := range g.views {
+		g.views[i] = t.borrow()
+	}
+	g.opt = nn.NewAdam(t.cfg.LR*batchLRScale, g.params)
+	g.opt.Clip = 5
+	g.writes = make([]int32, len(g.params))
+	g.pending = make([]atomic.Int32, len(g.params))
+	for i, p := range g.params {
+		for lo, n := 0, len(p.W.Data); lo < n; lo += taskElems {
+			g.updates = append(g.updates, task{i, lo, min(lo+taskElems, n)})
 		}
-	})
-	per := views[0].log.Len() / ((len(group) + w - 1) / w)
-	for i, v := range views[:w] {
-		if v.log.Len() != per*((len(group)-i+w-1)/w) {
+	}
+	return g
+}
+
+// step trains one group, setting losses[k] to its sample k's loss.
+func (g *groupTrainer) step(c *crew, group []int) {
+	g.group = group
+	g.next.Store(0)
+	c.run(g.jobs[0])
+	g.planMerges()
+	for i, n := range g.writes {
+		g.pending[i].Store(n)
+	}
+	g.chained, g.sumSq = 0, 0
+	g.next.Store(0)
+	c.run(g.jobs[1])
+	g.chain()
+	g.opt.Begin(len(group), math.Sqrt(g.sumSq))
+	g.next.Store(0)
+	c.run(g.jobs[2])
+}
+
+func (g *groupTrainer) backpropJob(i int) {
+	v := g.views[i]
+	// Recycle the previous group's scratch: steady state allocates nothing.
+	// A view's matrices stay alive until the merge is done.
+	v.arena.Release()
+	v.log.Reset()
+	for k := int(g.next.Add(1) - 1); k < len(g.group); k = int(g.next.Add(1) - 1) {
+		at := v.log.Len()
+		g.losses[k] = g.t.backprop(v, g.heads, g.samples[g.group[k]])
+		g.logs[k] = sampleLog{v.log, at, v.log.Len()}
+	}
+}
+
+// planMerges checks that every sample logged the same number of entries
+// and, the first time, splits the log positions into merges.
+func (g *groupTrainer) planMerges() {
+	per := g.logs[0].end - g.logs[0].at
+	for _, l := range g.logs[:len(g.group)] {
+		if l.end-l.at != per || g.merges != nil && per != g.per {
 			panic("model: samples logged gradient sequences of different lengths")
 		}
 	}
-	var next atomic.Int64
-	parallel(w, func(int) {
-		for p := int(next.Add(1) - 1); p < per; p = int(next.Add(1) - 1) {
-			for k := range group {
-				views[k%w].log.Apply(k/w*per + p)
+	if g.merges != nil {
+		return
+	}
+	g.per = per
+	index := make(map[*nn.Param]int, len(g.params))
+	for i, p := range g.params {
+		index[p] = i
+	}
+	at := func(p *nn.Param) int {
+		i, ok := index[p]
+		if !ok {
+			panic("model: a backward pass logged a parameter the optimizer does not hold")
+		}
+		return i
+	}
+	log := g.logs[0]
+	for pos := 0; pos < per; pos++ {
+		first, second := log.log.Params(log.at + pos)
+		m := mergeTask{pos: pos, p: at(first), q: -1}
+		if second != nil {
+			m.q = at(second)
+		}
+		rows := first.W.Rows
+		// Whole four-row tiles keep gemm's register tiling (nn.ApplyRows).
+		step := (max(taskElems/first.W.Cols, 1) + 3) &^ 3
+		for lo := 0; lo < rows; lo += step {
+			m.lo, m.hi = lo, min(lo+step, rows)
+			g.merges = append(g.merges, m)
+			g.writes[m.p]++
+			if m.q >= 0 {
+				g.writes[m.q]++
+				m.q = -1 // the bias goes with rows [0, step)
 			}
 		}
-	})
+	}
+	slices.SortStableFunc(g.merges, func(a, b mergeTask) int { return a.p - b.p })
 }
 
-// parallel runs f(0) … f(n−1), f(0) on the calling goroutine and the rest
-// on goroutines of their own, and returns when all have.
-func parallel(n int, f func(i int)) {
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for i := 1; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			f(i)
-		}(i)
+func (g *groupTrainer) mergeJob(i int) {
+	var buf [trainBatch]nn.GradEntry
+	es := buf[:len(g.group)]
+	for {
+		if i == 0 {
+			g.chain()
+		}
+		j := int(g.next.Add(1) - 1)
+		if j >= len(g.merges) {
+			return
+		}
+		m := g.merges[j]
+		for k, l := range g.logs[:len(g.group)] {
+			es[k] = l.log.Entry(l.at + m.pos)
+		}
+		nn.ApplyRows(es, m.lo, m.hi, &g.scratch[i])
+		g.pending[m.p].Add(-1)
+		if m.q >= 0 {
+			g.pending[m.q].Add(-1)
+		}
 	}
-	f(0)
-	wg.Wait()
+}
+
+// chain runs the norm chain on over the parameters, in order, whose merges
+// have all finished.
+func (g *groupTrainer) chain() {
+	for g.chained < len(g.params) && g.pending[g.chained].Load() == 0 {
+		g.sumSq = nn.SumSquares(g.sumSq, g.params[g.chained].G.Data)
+		g.chained++
+	}
+}
+
+func (g *groupTrainer) updateJob(int) {
+	for j := int(g.next.Add(1) - 1); j < len(g.updates); j = int(g.next.Add(1) - 1) {
+		u := g.updates[j]
+		g.opt.Update(u.i, u.lo, u.hi)
+	}
 }
 
 // backprop runs one sample forward and back on v, logging every parameter

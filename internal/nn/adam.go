@@ -12,6 +12,10 @@ type Adam struct {
 	params []*Param
 	m, v   [][]float64 // moment estimates, one slice per parameter
 	t      int
+
+	// The step Begin set up for Update: the gradients' scale and the two
+	// bias corrections.
+	scale, bc1, bc2 float64
 }
 
 // NewAdam returns an optimizer with the usual defaults (lr as given,
@@ -36,15 +40,25 @@ func (a *Adam) ZeroGrad() {
 	}
 }
 
-// GradNorm returns the global L2 norm of all gradients.
+// GradNorm returns the global L2 norm of all gradients: the square root of
+// one SumSquares chain over every parameter, in order.
 func (a *Adam) GradNorm() float64 {
 	s := 0.0
 	for _, p := range a.params {
-		for _, g := range p.G.Data {
-			s += g * g
-		}
+		s = SumSquares(s, p.G.Data)
 	}
 	return math.Sqrt(s)
+}
+
+// SumSquares returns s + x₀² + x₁² + …, added one element at a time in
+// order: a link of GradNorm's chain.
+//
+//pythia:noalloc
+func SumSquares(s float64, x []float64) float64 {
+	for _, v := range x {
+		s += v * v
+	}
+	return s
 }
 
 // Step applies one Adam update on the mean of gradients accumulated over n
@@ -53,25 +67,45 @@ func (a *Adam) GradNorm() float64 {
 // first backward pass and not before each one. The clip compares the mean's
 // norm ‖g/n‖ with Clip, so the applied scale is (1/n)·min(1, Clip/‖g/n‖);
 // Step(1) is the per-sample update, and for a power-of-two n Step(n) on g is
-// Step(1) on g/n bit for bit.
+// Step(1) on g/n bit for bit. Step is Begin, then Update over every
+// parameter whole.
 func (a *Adam) Step(n int) {
+	norm := 0.0
+	if a.Clip > 0 {
+		norm = a.GradNorm()
+	}
+	a.Begin(n, norm)
+	for i, p := range a.params {
+		a.Update(i, 0, len(p.W.Data))
+	}
+}
+
+// Begin starts Step(n) given norm, GradNorm's value (read only when Clip is
+// set; a caller may chain it with SumSquares while the gradients are still
+// being summed): it advances the step count and sets the clip scale.
+// Updates then apply the step to ranges of elements; once every element of
+// every parameter has had exactly one, the parameters are what Step(n)
+// leaves, bit for bit, whatever the ranges and their order.
+func (a *Adam) Begin(n int, norm float64) {
 	a.t++
 	inv := 1 / float64(n)
 	scale := 1.0
-	if a.Clip > 0 {
-		if norm := a.GradNorm() * inv; norm > a.Clip {
-			scale = a.Clip / norm
-		}
+	if mean := norm * inv; a.Clip > 0 && mean > a.Clip {
+		scale = a.Clip / mean
 	}
-	scale *= inv
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, p := range a.params {
-		w := p.W.Data
-		k := len(w)
-		adamRow(w, p.G.Data[:k], a.m[i][:k], a.v[i][:k],
-			scale, a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, bc1, bc2, a.LR, a.Eps)
-	}
+	a.scale = scale * inv
+	a.bc1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.bc2 = 1 - math.Pow(a.Beta2, float64(a.t))
+}
+
+// Update applies the step Begin set up to elements [lo, hi) of parameter i
+// (in the order NewAdam was given them) and sets their gradients to +0.
+// Updates of disjoint ranges may run concurrently.
+//
+//pythia:noalloc
+func (a *Adam) Update(i, lo, hi int) {
+	adamRow(a.params[i].W.Data[lo:hi], a.params[i].G.Data[lo:hi], a.m[i][lo:hi], a.v[i][lo:hi],
+		a.scale, a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, a.bc1, a.bc2, a.LR, a.Eps)
 }
 
 // adamRowGo is Step's update of one parameter, with c1 = 1−β1 and c2 = 1−β2;

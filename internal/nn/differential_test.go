@@ -518,6 +518,115 @@ func testAdamStepIsMeanOfBatch(t *testing.T) {
 	}
 }
 
+// TestAdamChunksMatchStep: Begin, given the norm as one SumSquares chain
+// over the parameters, then Update over a chunking of every parameter, gives
+// Step(n)'s weights and moments and its +0 gradients bit for bit, for n = 1,
+// 3 and 4 and with the clip off, firing, and set but not reached. The
+// chunkings are one element at a time, one row at a time, whole parameters
+// and random ranges, each applied in random order. Fails if Update reads w,
+// g, m or v at the wrong offset for a range that does not start at 0, or
+// stops short of hi. (Begin's clip is Step's too; TestAdamStepIsMeanOfBatch
+// holds it.)
+func TestAdamChunksMatchStep(t *testing.T) {
+	kernelPaths(t, testAdamChunksMatchStep)
+}
+
+func testAdamChunksMatchStep(t *testing.T) {
+	shapes := [][2]int{{1, 1}, {3, 5}, {4, 7}, {37, 11}, {1, 300}}
+	row := func(d []float64) *Mat { return &Mat{Rows: 1, Cols: len(d), Data: d} }
+	build := func() (*Adam, []*Param) {
+		r := sim.NewRand(61)
+		var ps []*Param
+		for i, sh := range shapes {
+			p := NewParam(fmt.Sprint("p", i), sh[0], sh[1])
+			if i%2 == 1 {
+				p.W, p.G = misalign(p.W), misalign(p.G)
+			}
+			for j := range p.W.Data {
+				p.W.Data[j] = r.NormFloat64()
+			}
+			ps = append(ps, p)
+		}
+		return NewAdam(3e-3, ps), ps
+	}
+	chunkings := map[string]func(r *sim.Rand, rows, cols int) [][2]int{
+		"element": func(_ *sim.Rand, rows, cols int) (out [][2]int) {
+			for i := 0; i < rows*cols; i++ {
+				out = append(out, [2]int{i, i + 1})
+			}
+			return out
+		},
+		"row": func(_ *sim.Rand, rows, cols int) (out [][2]int) {
+			for i := 0; i < rows; i++ {
+				out = append(out, [2]int{i * cols, (i + 1) * cols})
+			}
+			return out
+		},
+		"whole": func(_ *sim.Rand, rows, cols int) [][2]int { return [][2]int{{0, rows * cols}} },
+		"random": func(r *sim.Rand, rows, cols int) (out [][2]int) {
+			for lo := 0; lo < rows*cols; {
+				hi := min(lo+1+r.Intn(9), rows*cols)
+				out = append(out, [2]int{lo, hi})
+				lo = hi
+			}
+			return out
+		},
+	}
+	for _, how := range []string{"element", "row", "whole", "random"} {
+		for _, n := range []int{1, 3, 4} {
+			for _, c := range []string{"off", "firing", "not reached"} {
+				got, gps := build()
+				want, wps := build()
+				r := sim.NewRand(67)
+				fired := false
+				for step := 1; step <= 6; step++ {
+					for i, p := range gps {
+						for j := range p.G.Data {
+							g := r.NormFloat64()
+							p.G.Data[j], wps[i].G.Data[j] = g, g
+						}
+					}
+					s := 0.0
+					for _, p := range gps {
+						s = SumSquares(s, p.G.Data)
+					}
+					norm := math.Sqrt(s)
+					mean := norm / float64(n)
+					switch c {
+					case "firing":
+						got.Clip, want.Clip = mean/2, mean/2
+					case "not reached":
+						got.Clip, want.Clip = 2*mean, 2*mean
+					}
+					fired = fired || got.Clip > 0 && norm*(1/float64(n)) > got.Clip
+					got.Begin(n, norm)
+					var work [][3]int
+					for i, sh := range shapes {
+						for _, rg := range chunkings[how](r, sh[0], sh[1]) {
+							work = append(work, [3]int{i, rg[0], rg[1]})
+						}
+					}
+					r.Shuffle(len(work), func(i, j int) { work[i], work[j] = work[j], work[i] })
+					for _, u := range work {
+						got.Update(u[0], u[1], u[2])
+					}
+					want.Step(n)
+					for i, p := range gps {
+						tag := fmt.Sprintf("%s chunks, n=%d, clip %s, step %d %s ", how, n, c, step, p.Name)
+						bitwiseEq(t, tag+"W", p.W, wps[i].W)
+						bitwiseEq(t, tag+"m", row(got.m[i]), row(want.m[i]))
+						bitwiseEq(t, tag+"v", row(got.v[i]), row(want.v[i]))
+						allPosZero(t, tag+"G", p.G.Data)
+					}
+				}
+				if fired != (c == "firing") {
+					t.Fatalf("%s chunks, n=%d, clip %s: clipping fired = %v", how, n, c, fired)
+				}
+			}
+		}
+	}
+}
+
 // allPosZero fails the test unless every element of x is +0.
 func allPosZero(t *testing.T, what string, x []float64) {
 	t.Helper()

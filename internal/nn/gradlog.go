@@ -3,17 +3,18 @@ package nn
 // GradLog defers the gradient sums of backward passes. A layer whose
 // Runtime has a log bound records what its Backward would add into its
 // parameters' gradients — the inputs (xᵀ, x̂ or ids) and dy, alive until the
-// arena's next Release — instead of adding it; Apply adds entry i later
-// through the function an unbound layer runs at once.
+// arena's next Release — instead of adding it; ApplyRows adds the entries
+// later through the function an unbound layer runs at once.
 //
 // model.Trunk trains a group of samples on several cores this way with the
 // bits of one: each sample's backward pass logs on a view of its own, then
-// each parameter's entries are applied in sample order, the order one view
-// would have added them in. Backward passes through the same modules log
-// the same parameters at the same positions.
+// each log position's entries are applied in sample order, the order one
+// view would have added them in, one range of weight rows at a time.
+// Backward passes through the same modules log the same parameters at the
+// same positions.
 //
 // Appends are not safe for concurrent use. Once the pass has finished,
-// entries that name different parameters may be applied concurrently.
+// entries may be applied concurrently to disjoint parameters or rows.
 type GradLog struct {
 	entries []gradAdd
 }
@@ -46,24 +47,94 @@ func (g *GradLog) Reset() {
 	g.entries = g.entries[:0]
 }
 
-// Param returns the first parameter entry i adds into: a linear layer's
-// weight, a layer norm's gain or an embedding's table.
-func (g *GradLog) Param(i int) *Param { return g.entries[i].p }
+// Params returns the parameters entry i adds into: a linear layer's weight
+// and bias, a layer norm's gain and bias, or an embedding's table and nil.
+// ApplyRows splits the first one's rows.
+func (g *GradLog) Params(i int) (first, second *Param) { return g.entries[i].p, g.entries[i].q }
 
-// Apply adds entry i into its parameters' gradients.
+// GradEntry is one logged entry, as Entry returns it, for ApplyRows.
+type GradEntry struct{ e *gradAdd }
+
+// Entry returns entry i. It stays valid until the next Reset.
+func (g *GradLog) Entry(i int) GradEntry { return GradEntry{&g.entries[i]} }
+
+// ApplyRows adds entries es — one log position's, one per sample, in sample
+// order — into rows [lo, hi) of their first parameter's gradient: a linear
+// layer's weight rows, and its bias when lo is 0; an embedding's table rows;
+// a layer norm's gain and bias, one row each, so [0, 1). Every gradient
+// element gets the adds that applying the entries one after another gives,
+// in the same order, so disjoint row ranges of a position may be applied
+// concurrently and in any order.
+//
+// When every entry is a linear layer's with a one-row dy (the decoders and
+// the pruned encoder's last token), the adds run as one gemm with k =
+// len(es) over the entries' xᵀ columns and dy rows, gathered into *scratch
+// (grown as needed): gemm adds each element's products in ascending k, the
+// order of len(es) one-row passes (TestOneRowGradsMatchSequential).
 //
 //pythia:noalloc
-func (g *GradLog) Apply(i int) { g.entries[i].apply() }
+func ApplyRows(es []GradEntry, lo, hi int, scratch *[]float64) {
+	if len(es) > 1 && oneRowLinear(es) {
+		addLinearGradRows(es, lo, hi, scratch)
+		return
+	}
+	for _, g := range es {
+		g.e.apply(lo, hi)
+	}
+}
 
+// oneRowLinear is whether every entry of es is a linear layer's with a
+// one-row dy.
+//
 //pythia:noalloc
-func (e *gradAdd) apply() {
+func oneRowLinear(es []GradEntry) bool {
+	for _, g := range es {
+		if g.e.kind != linearGrad || g.e.dy.Rows != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// addLinearGradRows is ApplyRows on one-row linear entries: rows [lo, hi)
+// of dW += Σₖ xₖᵀ·dyₖ as one gemm over a = the (hi−lo)×len(es) block of the
+// xᵀ columns and b = the len(es) dy rows, and db += dyₖ per entry.
+//
+//pythia:noalloc
+func addLinearGradRows(es []GradEntry, lo, hi int, scratch *[]float64) {
+	k, w := len(es), es[0].e.p.G
+	n, m := w.Cols, hi-lo
+	if need := m*k + k*n; cap(*scratch) < need {
+		*scratch = make([]float64, need)
+	}
+	a, b := (*scratch)[:m*k], (*scratch)[m*k:m*k+k*n]
+	for s, g := range es {
+		xt := g.e.a.Data[lo:hi]
+		for i, x := range xt {
+			a[i*k+s] = x
+		}
+		copy(b[s*n:(s+1)*n], g.e.dy.Data)
+	}
+	gemm(w.Data[lo*n:], n, a, k, b, n, m, k, n, nil, false, true)
+	if lo == 0 {
+		for _, g := range es {
+			addBiasGrad(g.e.q, g.e.dy)
+		}
+	}
+}
+
+// apply adds e into rows [lo, hi) of its first parameter's gradient, as
+// ApplyRows does.
+//
+//pythia:noalloc
+func (e *gradAdd) apply(lo, hi int) {
 	switch e.kind {
 	case linearGrad:
-		addLinearGrad(e.p, e.q, e.a, e.dy)
+		addLinearGrad(e.p, e.q, e.a, e.dy, lo, hi)
 	case layerNormGrad:
 		addLayerNormGrad(e.p, e.q, e.a, e.dy)
 	case embeddingGrad:
-		addEmbeddingGrad(e.p, e.ids, e.dy)
+		addEmbeddingGrad(e.p, e.ids, e.dy, lo, hi)
 	}
 }
 
@@ -72,7 +143,7 @@ func (e *gradAdd) apply() {
 //pythia:noalloc
 func (rt Runtime) addGrad(e gradAdd) {
 	if rt.Log == nil {
-		e.apply()
+		e.apply(0, e.p.W.Rows)
 		return
 	}
 	rt.Log.entries = append(rt.Log.entries, e)

@@ -121,12 +121,22 @@ func (l *Linear) Backward(dy *Mat) *Mat {
 	return dx
 }
 
-// addLinearGrad adds xᵀ·dy into w's gradient and dy's column sums into b's,
-// given xt = xᵀ.
+// addLinearGrad adds rows [lo, hi) of xᵀ·dy into w's gradient, given xt =
+// xᵀ, and, when lo is 0, dy's column sums into b's.
 //
 //pythia:noalloc
-func addLinearGrad(w, b *Param, xt, dy *Mat) {
-	gemm(w.G.Data, w.G.Cols, xt.Data, dy.Rows, dy.Data, dy.Cols, xt.Rows, dy.Rows, dy.Cols, nil, false, true)
+func addLinearGrad(w, b *Param, xt, dy *Mat, lo, hi int) {
+	g := w.G
+	gemm(g.Data[lo*g.Cols:], g.Cols, xt.Data[lo*xt.Cols:], xt.Cols, dy.Data, dy.Cols, hi-lo, dy.Rows, dy.Cols, nil, false, true)
+	if lo == 0 {
+		addBiasGrad(b, dy)
+	}
+}
+
+// addBiasGrad adds dy's column sums into b's gradient, row by row.
+//
+//pythia:noalloc
+func addBiasGrad(b *Param, dy *Mat) {
 	bg := b.G.Data
 	for i := 0; i < dy.Rows; i++ {
 		row := dy.Row(i)
@@ -181,11 +191,14 @@ func (e *Embedding) Backward(dy *Mat) {
 }
 
 // addEmbeddingGrad adds row i of dy into row ids[i] of t's gradient, in
-// ascending i.
+// ascending i, for the ids in [lo, hi).
 //
 //pythia:noalloc
-func addEmbeddingGrad(t *Param, ids []int, dy *Mat) {
+func addEmbeddingGrad(t *Param, ids []int, dy *Mat, lo, hi int) {
 	for i, id := range ids {
+		if id < lo || id >= hi {
+			continue
+		}
 		grow := t.G.Row(id)
 		drow := dy.Row(i)
 		for j := range drow {
