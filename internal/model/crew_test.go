@@ -10,17 +10,20 @@ import (
 )
 
 // TestCrewRunsEveryWorkerOncePerJob: each run calls the job once on every
-// worker, each call sees what the caller wrote before run, and run returns
-// only after every call has — through spells where a helper or the caller
+// worker, each call sees what the caller wrote before run, a wait inside the
+// job returns once the worker waited for has woken it, and run returns only
+// after every call has — through spells where a helper or the caller
 // outlasts the poll bound and parks. Fails if a helper skips or repeats a
-// job, or if run returns while a helper is still in it (under -race, also
-// if the job is handed over without ordering). Then, with another crew
-// filling the cores, only the caller runs a job.
+// job, if a wait returns before its condition holds or misses its wake, or
+// if run returns while a helper is still in it (under -race, also if the
+// job is handed over without ordering). Then, with another crew filling
+// the cores, only the caller runs a job.
 func TestCrewRunsEveryWorkerOncePerJob(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		c := newCrew(n)
 		counts := make([]int, n)
 		seen := make([]int, n)
+		var arrived atomic.Int32
 		round := 0
 		job := func(w int) {
 			counts[w]++
@@ -32,9 +35,21 @@ func TestCrewRunsEveryWorkerOncePerJob(t *testing.T) {
 			case round%50 == 2 && w == 0:
 				// Outlast the helpers' polls: they park before the next job.
 				time.Sleep(200 * time.Microsecond)
+			case round%50 == 3 && w == n-1 && n > 1:
+				// Outlast worker 0's polls inside the job: it parks in wait.
+				time.Sleep(200 * time.Microsecond)
+			}
+			arrived.Add(1)
+			c.wake()
+			if w == 0 {
+				c.wait(0, func() bool { return arrived.Load() == int32(n) })
+				if got := arrived.Load(); got != int32(n) {
+					t.Errorf("crew of %d, job %d: wait returned with %d of %d workers arrived", n, round, got, n)
+				}
 			}
 		}
 		for round = 1; round <= 200; round++ {
+			arrived.Store(0)
 			c.run(job)
 			for w := range counts {
 				if counts[w] != round || seen[w] != round {
@@ -56,6 +71,73 @@ func TestCrewRunsEveryWorkerOncePerJob(t *testing.T) {
 	}
 	c.stop()
 	other.stop()
+}
+
+// TestTrainRunsOneJobPerGroup: a Train runs one crew job per group of
+// trainBatch samples, whether its crew has one worker or several. Fails if a
+// group's backprop, merge and update become separate jobs again, each a
+// barrier where the helpers wait for the caller.
+func TestTrainRunsOneJobPerGroup(t *testing.T) {
+	vocab, cfg, labelSets, samples := seededShape(3, 2)
+	groups := (len(samples) + trainBatch - 1) / trainBatch
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		before := crewJobs.Load()
+		NewTrunk(vocab, labelSets, cfg).Train(samples)
+		got := crewJobs.Load() - before
+		runtime.GOMAXPROCS(prev)
+		if want := int64(cfg.Epochs * groups); got != want {
+			t.Fatalf("GOMAXPROCS %d: %d samples over %d epochs ran %d crew jobs, want %d", procs, len(samples), cfg.Epochs, got, want)
+		}
+	}
+}
+
+// TestWaitBudgetRecovers: a worker whose waits park polls less each time,
+// down to minPolls; a condition that holds at once leaves the budget; and
+// once its waits are short again, one that polling can end restores the
+// whole budget before as many waits have parked again as had parked in a
+// row. Fails if the budget only ever falls (a ratchet: the worker would
+// park at every wait for the rest of the Train) or never falls.
+func TestWaitBudgetRecovers(t *testing.T) {
+	c := newCrew(1)
+	defer c.stop()
+	// wait runs one wait whose condition holds from its need-th poll, or
+	// from the check after the worker's last poll if that comes first (so a
+	// wait that parks returns); it reports whether polling ended it. The
+	// first check, before any poll, fails.
+	wait := func(need int) bool {
+		budget, checks := c.polls(0), 0
+		c.await(&c.busy, 0, func() bool {
+			checks++
+			polls := checks - 1
+			return polls >= need || polls > budget
+		})
+		return need <= budget
+	}
+	if !wait(100) || c.polls(0) != spinPolls {
+		t.Fatalf("a short wait left the budget at %d, want %d", c.polls(0), spinPolls)
+	}
+	const parked = 3 * probeAfter
+	for i := 0; i < parked; i++ {
+		wait(1 << 30)
+	}
+	if got := c.polls(0); got != minPolls {
+		t.Fatalf("after %d parked waits the budget is %d, want %d", parked, got, minPolls)
+	}
+	// A condition that already holds is no wait and leaves the budget.
+	c.await(&c.busy, 0, func() bool { return true })
+	if got := c.polls(0); got != minPolls {
+		t.Fatalf("a wait that did not wait moved the budget to %d", got)
+	}
+	// Waits of spinPolls/2 polls: more than minPolls, within spinPolls.
+	for i := 0; !wait(spinPolls / 2); i++ {
+		if i == parked {
+			t.Fatalf("%d more waits that polling could end all parked", parked)
+		}
+	}
+	if got := c.polls(0); got != spinPolls {
+		t.Fatalf("after a wait polling ended the budget is %d, want %d", got, spinPolls)
+	}
 }
 
 // TestTrainLeavesNoGoroutines: once Train returns, the crew's helpers have

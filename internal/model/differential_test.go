@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/nn"
@@ -295,10 +296,12 @@ func TestJointGradientIsSumOfHeadGradients(t *testing.T) {
 // and 4, for one and three heads and sample counts that end on a short
 // group of one, two or three, with the merge and Adam split into tasks of
 // the default size and, with two or four workers, into tasks of four
-// elements or four rows. Fails if the
-// merge adds a parameter's samples out of group order, if two tasks write
-// one gradient element, or if the norm chain reads a parameter before its
-// last merge task is done. Before
+// elements or four rows; and with one 64-token sample among the 2–8-token
+// others, so that its view lags the group's and merges wait on it while
+// other workers merge. Fails if the merge adds a parameter's samples out of
+// group order or reads an entry before its sample logged it, if two tasks
+// write one gradient element, or if the norm chain reads a parameter before
+// its last merge task is done. Before
 // that it checks what the merge's split rests on: on a view that ran several
 // samples, log position p of every sample's segment names the same
 // parameter, and no two positions name one.
@@ -332,9 +335,16 @@ func TestGroupTrainMatchesSequential(t *testing.T) {
 
 			// The shapes hold 5–9 samples; repeated, they give every count.
 			samples = append(samples, samples...)
-			for _, n := range []int{5, 6, 7} {
+			long := slices.Clone(samples[:7])
+			r := sim.NewRand(seed)
+			long[2].TokenIDs = make([]int, 64)
+			for i := range long[2].TokenIDs {
+				long[2].TokenIDs[i] = r.Intn(vocab)
+			}
+			for _, set := range [][]Sample{samples[:5], samples[:6], samples[:7], long} {
+				n := len(set)
 				ref := NewTrunk(vocab, labelSets, cfg)
-				wantLoss := seqTrain(ref, samples[:n])
+				wantLoss := seqTrain(ref, set)
 				for _, procs := range []int{1, 2, 4} {
 					for _, elems := range []int{taskElems, 4} {
 						if elems != taskElems && procs == 1 {
@@ -343,11 +353,11 @@ func TestGroupTrainMatchesSequential(t *testing.T) {
 						got := NewTrunk(vocab, labelSets, cfg)
 						prev, prevElems := runtime.GOMAXPROCS(procs), taskElems
 						taskElems = elems
-						gotLoss := got.Train(samples[:n])
+						gotLoss := got.Train(set)
 						runtime.GOMAXPROCS(prev)
 						taskElems = prevElems
 						if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-							t.Fatalf("seed %d, %d heads, %d samples, GOMAXPROCS %d, %d-element tasks: loss %v, want %v (bitwise)", seed, heads, n, procs, elems, gotLoss, wantLoss)
+							t.Fatalf("seed %d, %d heads, %d samples (%d tokens in the third), GOMAXPROCS %d, %d-element tasks: loss %v, want %v (bitwise)", seed, heads, n, len(set[2].TokenIDs), procs, elems, gotLoss, wantLoss)
 						}
 						want := ref.params(ref.heads)
 						for i, p := range got.params(got.heads) {

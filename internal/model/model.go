@@ -290,7 +290,7 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	defer t.mu.Unlock()
 	c := newCrew(min(runtime.GOMAXPROCS(0), trainBatch))
 	defer c.stop()
-	g := t.newGroupTrainer(heads, samples, c.n)
+	g := t.newGroupTrainer(heads, samples, c)
 	defer func() {
 		for _, v := range g.views {
 			v.log.Reset() // hold no sample past Train
@@ -311,7 +311,7 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 		epochLoss = 0
 		for lo := 0; lo < len(order); lo += trainBatch {
 			group := order[lo:min(lo+trainBatch, len(order))]
-			g.step(c, group)
+			g.step(group)
 			for _, l := range g.losses[:len(group)] {
 				epochLoss += l
 			}
@@ -323,54 +323,71 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	return epochLoss
 }
 
-// groupTrainer is one Train's state for the crew's three jobs per group of
+// groupTrainer is one Train's state for the crew's one job per group of
 // samples. A step gives every parameter exactly the adds one view running
 // the group's samples in order would, in that order, and then
 // Step(len(group))'s update, so the bits do not depend on the crew's size.
+// The workers claim the job's work in turn through one counter: the
+// group's samples, then two passes of merges, then updates.
 //
-//   - Backprop: the workers claim the group's samples in turn, worker i
-//     running its samples on views[i]; the forward passes and input-gradient
-//     chains read only weights, and each sample's gradient sums go to its
-//     view's log (nn.GradLog), so the samples share nothing.
-//   - Merge: the workers claim merges in turn. Log position p of every
-//     sample names the same parameters and no two positions the same one,
-//     so a task — one position, one range of its first parameter's rows —
-//     writes gradient elements no other task does, and it adds its samples'
-//     entries in group order (nn.ApplyRows). Tasks are claimed in Adam's
-//     parameter order, and worker 0 runs the clip norm's one serial chain
-//     (nn.SumSquares) over each parameter as soon as its last task is done.
-//   - Update: the workers claim updates, ranges of one parameter's
-//     elements, after Adam.Begin has set the step up from that norm.
+//   - Backprop: worker w runs its samples on views[w]; the forward passes
+//     and input-gradient chains read only weights, and each sample's
+//     gradient sums go to its view's log (nn.GradLog), so the samples share
+//     nothing.
+//   - Merge: a worker with no sample left claims merges. Log position p of
+//     every sample names the same parameters and no two positions the same
+//     one, so a task — one position, one range of its first parameter's
+//     rows — writes gradient elements no other task does. It adds the
+//     samples' entries in group order (nn.ApplyRows), in two parts: the
+//     early pass, while a sample still runs, adds those of the samples
+//     before the first unfinished one, so that workers done with their
+//     samples merge while the last one runs; the late pass adds the rest
+//     once their samples have logged its position. Each view publishes its
+//     log's length with every entry and has room for all of a group's
+//     entries, so an append never moves an entry that another worker reads.
+//     Late tasks are claimed in Adam's parameter order, and worker 0 runs
+//     the clip norm's one serial chain (nn.SumSquares) over each parameter
+//     as soon as its last late task is done.
+//   - Update: once the chain has passed every parameter, worker 0 sets the
+//     step up (Adam.Begin) and says so through begun; the workers then
+//     claim updates, ranges of one parameter's elements.
+//
+// The first sample of a Train to finish plans the merges (plan); until then
+// a worker with no sample left waits.
 type groupTrainer struct {
 	t       *Trunk
 	heads   []*Model
 	samples []Sample
+	c       *crew
 	views   []*view
 	opt     *nn.Adam
 	params  []*nn.Param // the optimizer's, in its order
-	jobs    [3]func(w int)
+	job     func(w int)
 
-	group  []int // the current group: indices into samples
-	losses [trainBatch]float64
-	logs   [trainBatch]sampleLog // where each sample of the group logged
-	per    int                   // log entries per sample
+	group   []int // the current group: indices into samples
+	losses  [trainBatch]float64
+	logs    [trainBatch]sampleLog   // where each sample of the group logs
+	started [trainBatch]atomic.Bool // logs[k] is set
+	per     atomic.Int64            // log entries per sample; 0 until one finished
+	planned atomic.Bool             // merges and writes are set
 
 	merges  []mergeTask
 	updates []task
-	next    atomic.Int64 // the next task to claim
+	next    atomic.Int64 // the next sample or task to claim
 	writes  []int32      // per parameter: merges that write it
 	pending []atomic.Int32
-	chained int     // parameters the norm chain has passed
-	sumSq   float64 // the chain's sum so far
+	from    []atomic.Int32 // per merge: the early pass added samples [0, from); −1 until it ran
+	chained int            // parameters the norm chain has passed
+	sumSq   float64        // the chain's sum so far
+	begun   atomic.Bool    // Adam.Begin has run for the group
 
 	scratch [][]float64 // per worker, for nn.ApplyRows
 }
 
-// sampleLog is where one sample's backward pass logged: entries [at, end)
-// of log.
+// sampleLog is where one sample's backward pass logs: from entry at of log.
 type sampleLog struct {
-	log     *nn.GradLog
-	at, end int
+	log *nn.GradLog
+	at  int
 }
 
 // task is a range [lo, hi) of parameter i's elements.
@@ -380,12 +397,15 @@ type task struct{ i, lo, hi int }
 // rows; p and q index the parameters it writes (q is −1 when it writes one).
 type mergeTask struct{ pos, lo, hi, p, q int }
 
-func (t *Trunk) newGroupTrainer(heads []*Model, samples []Sample, n int) *groupTrainer {
-	g := &groupTrainer{t: t, heads: heads, samples: samples, params: t.params(heads),
-		views: make([]*view, n), scratch: make([][]float64, n)}
-	g.jobs = [3]func(int){g.backpropJob, g.mergeJob, g.updateJob}
+func (t *Trunk) newGroupTrainer(heads []*Model, samples []Sample, c *crew) *groupTrainer {
+	g := &groupTrainer{t: t, heads: heads, samples: samples, c: c, params: t.params(heads),
+		views: make([]*view, c.n), scratch: make([][]float64, c.n)}
+	g.job = g.run
+	// A sample logs at most as many entries as there are parameters (plan
+	// checks it), and a view runs at most a group's samples between Resets.
 	for i := range g.views {
 		g.views[i] = t.borrow()
+		g.views[i].log.Reserve(trainBatch * len(g.params))
 	}
 	g.opt = nn.NewAdam(t.cfg.LR*batchLRScale, g.params)
 	g.opt.Clip = 5
@@ -400,49 +420,165 @@ func (t *Trunk) newGroupTrainer(heads []*Model, samples []Sample, n int) *groupT
 }
 
 // step trains one group, setting losses[k] to its sample k's loss.
-func (g *groupTrainer) step(c *crew, group []int) {
+func (g *groupTrainer) step(group []int) {
 	g.group = group
-	g.next.Store(0)
-	c.run(g.jobs[0])
-	g.planMerges()
+	for k := range group {
+		g.started[k].Store(false)
+	}
 	for i, n := range g.writes {
 		g.pending[i].Store(n)
 	}
 	g.chained, g.sumSq = 0, 0
+	for t := range g.from {
+		g.from[t].Store(-1)
+	}
+	g.begun.Store(false)
 	g.next.Store(0)
-	c.run(g.jobs[1])
-	g.chain()
-	g.opt.Begin(len(group), math.Sqrt(g.sumSq))
-	g.next.Store(0)
-	c.run(g.jobs[2])
+	g.c.run(g.job)
 }
 
-func (g *groupTrainer) backpropJob(i int) {
-	v := g.views[i]
+// claim returns the next sample or task: samples are [0, len(group)), then
+// the early and the late pass over the merges, then updates.
+func (g *groupTrainer) claim() int { return int(g.next.Add(1) - 1) }
+
+// run is worker w's part of a step. Each phase claims until the counter
+// passes its range and hands the first claim past it to the next phase.
+func (g *groupTrainer) run(w int) {
+	j := g.backpropSamples(w)
+	g.c.wait(w, g.planned.Load)
+	j = g.mergeEarly(w, j)
+	j = g.mergeLate(w, j)
+	if w == 0 {
+		for g.chain(); g.chained < len(g.params); g.chain() {
+			g.c.wait(0, func() bool { return g.pending[g.chained].Load() == 0 })
+		}
+		g.opt.Begin(len(g.group), math.Sqrt(g.sumSq))
+		g.begun.Store(true)
+		g.c.wake()
+	} else {
+		g.c.wait(w, g.begun.Load)
+	}
+	first := len(g.group) + 2*len(g.merges)
+	for ; j < first+len(g.updates); j = g.claim() {
+		u := g.updates[j-first]
+		g.opt.Update(u.i, u.lo, u.hi)
+	}
+}
+
+// backpropSamples runs the samples worker w claims on its view.
+func (g *groupTrainer) backpropSamples(w int) int {
+	v := g.views[w]
 	// Recycle the previous group's scratch: steady state allocates nothing.
 	// A view's matrices stay alive until the merge is done.
 	v.arena.Release()
 	v.log.Reset()
-	for k := int(g.next.Add(1) - 1); k < len(g.group); k = int(g.next.Add(1) - 1) {
-		at := v.log.Len()
-		g.losses[k] = g.t.backprop(v, g.heads, g.samples[g.group[k]])
-		g.logs[k] = sampleLog{v.log, at, v.log.Len()}
+	j := g.claim()
+	for ; j < len(g.group); j = g.claim() {
+		l := sampleLog{v.log, v.log.Len()}
+		g.logs[j] = l
+		g.started[j].Store(true)
+		g.losses[j] = g.t.backprop(v, g.heads, g.samples[g.group[j]])
+		g.finished(l)
+		g.c.wake()
+	}
+	return j
+}
+
+// mergeEarly is the early pass over the merges worker w claims: each adds
+// the entries of the samples before the first unfinished one. Once every
+// sample has finished it adds none, leaving the task whole to the late
+// pass, whose Adam order feeds the norm chain soonest.
+func (g *groupTrainer) mergeEarly(w, j int) int {
+	n, last, done := len(g.group), int(g.per.Load())-1, 0
+	for ; j < n+len(g.merges); j = g.claim() {
+		g.logged(&done, last) // samples [0, done) have finished
+		t, k := j-n, done
+		if k == n {
+			k = 0
+		}
+		g.apply(w, g.merges[t], 0, k)
+		g.from[t].Store(int32(k))
+		g.c.wake()
+	}
+	return j
+}
+
+// mergeLate is the late pass over the merges worker w claims: each adds the
+// entries the early pass left once their samples have logged them. Worker 0
+// moves the norm chain on before each.
+func (g *groupTrainer) mergeLate(w, j int) int {
+	n, tasks := len(g.group), len(g.merges)
+	for ; j < n+2*tasks; j = g.claim() {
+		if w == 0 {
+			g.chain()
+		}
+		t := j - n - tasks
+		m := g.merges[t]
+		g.c.wait(w, func() bool { return g.from[t].Load() >= 0 })
+		from := int(g.from[t].Load())
+		k := from
+		g.c.wait(w, func() bool { return g.logged(&k, m.pos) })
+		g.apply(w, m, from, n)
+		g.pending[m.p].Add(-1)
+		if m.q >= 0 {
+			g.pending[m.q].Add(-1)
+		}
+		g.c.wake()
+	}
+	return j
+}
+
+// apply adds samples [from, to) of the group's entries at m's position
+// into m's rows, in group order.
+func (g *groupTrainer) apply(w int, m mergeTask, from, to int) {
+	if from == to {
+		return
+	}
+	var buf [trainBatch]nn.GradEntry
+	es := buf[:to-from]
+	for k, l := range g.logs[from:to] {
+		es[k] = l.log.Entry(l.at + m.pos)
+	}
+	nn.ApplyRows(es, m.lo, m.hi, &g.scratch[w])
+}
+
+// logged moves *k past the samples, from sample *k on, that have logged
+// position pos, and reports whether every sample of the group has.
+func (g *groupTrainer) logged(k *int, pos int) bool {
+	for *k < len(g.group) && g.has(*k, pos) {
+		*k++
+	}
+	return *k == len(g.group)
+}
+
+// has is whether sample k has logged position pos.
+func (g *groupTrainer) has(k, pos int) bool {
+	if !g.started[k].Load() {
+		return false
+	}
+	l := g.logs[k]
+	return l.log.Len() > l.at+pos
+}
+
+// finished checks that a sample logged as many entries as the first one
+// of the Train to finish, which plans the merges from its log.
+func (g *groupTrainer) finished(l sampleLog) {
+	per := int64(l.log.Len() - l.at)
+	switch {
+	case per > 0 && g.per.CompareAndSwap(0, per):
+		g.plan(l, int(per))
+		g.planned.Store(true)
+	case per == 0 || g.per.Load() != per:
+		panic("model: samples logged gradient sequences of different lengths")
 	}
 }
 
-// planMerges checks that every sample logged the same number of entries
-// and, the first time, splits the log positions into merges.
-func (g *groupTrainer) planMerges() {
-	per := g.logs[0].end - g.logs[0].at
-	for _, l := range g.logs[:len(g.group)] {
-		if l.end-l.at != per || g.merges != nil && per != g.per {
-			panic("model: samples logged gradient sequences of different lengths")
-		}
+// plan splits the log positions of a sample's per entries, from l, into
+// merges, and arms pending for the group running.
+func (g *groupTrainer) plan(l sampleLog, per int) {
+	if per > len(g.params) {
+		panic("model: a sample logged more gradient entries than the optimizer holds parameters")
 	}
-	if g.merges != nil {
-		return
-	}
-	g.per = per
 	index := make(map[*nn.Param]int, len(g.params))
 	for i, p := range g.params {
 		index[p] = i
@@ -454,9 +590,8 @@ func (g *groupTrainer) planMerges() {
 		}
 		return i
 	}
-	log := g.logs[0]
 	for pos := 0; pos < per; pos++ {
-		first, second := log.log.Params(log.at + pos)
+		first, second := l.log.Params(l.at + pos)
 		m := mergeTask{pos: pos, p: at(first), q: -1}
 		if second != nil {
 			m.q = at(second)
@@ -475,28 +610,12 @@ func (g *groupTrainer) planMerges() {
 		}
 	}
 	slices.SortStableFunc(g.merges, func(a, b mergeTask) int { return a.p - b.p })
-}
-
-func (g *groupTrainer) mergeJob(i int) {
-	var buf [trainBatch]nn.GradEntry
-	es := buf[:len(g.group)]
-	for {
-		if i == 0 {
-			g.chain()
-		}
-		j := int(g.next.Add(1) - 1)
-		if j >= len(g.merges) {
-			return
-		}
-		m := g.merges[j]
-		for k, l := range g.logs[:len(g.group)] {
-			es[k] = l.log.Entry(l.at + m.pos)
-		}
-		nn.ApplyRows(es, m.lo, m.hi, &g.scratch[i])
-		g.pending[m.p].Add(-1)
-		if m.q >= 0 {
-			g.pending[m.q].Add(-1)
-		}
+	g.from = make([]atomic.Int32, len(g.merges))
+	for t := range g.from {
+		g.from[t].Store(-1)
+	}
+	for i, n := range g.writes {
+		g.pending[i].Store(n)
 	}
 }
 
@@ -506,13 +625,6 @@ func (g *groupTrainer) chain() {
 	for g.chained < len(g.params) && g.pending[g.chained].Load() == 0 {
 		g.sumSq = nn.SumSquares(g.sumSq, g.params[g.chained].G.Data)
 		g.chained++
-	}
-}
-
-func (g *groupTrainer) updateJob(int) {
-	for j := int(g.next.Add(1) - 1); j < len(g.updates); j = int(g.next.Add(1) - 1) {
-		u := g.updates[j]
-		g.opt.Update(u.i, u.lo, u.hi)
 	}
 }
 

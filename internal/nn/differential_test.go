@@ -956,3 +956,31 @@ func TestPositionalTableMatchesFormula(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestReLUGateMatchesBranch: FFN.Backward's bit mask keeps a gradient
+// exactly where h > 0 and stores +0 elsewhere, as the branch it replaced
+// (`if !(h > 0) { d = 0 }`) did, for h and d among ±0, ±Inf, NaNs of both
+// signs, subnormals, the largest finite values and random values. Fails if
+// the mask reads −0, a NaN or +Inf the wrong way.
+func TestReLUGateMatchesBranch(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+		math.NaN(), math.Float64frombits(0xfff8000000000001), math.Float64frombits(0x7ff0000000000001),
+		math.Float64frombits(0x7fffffffffffffff), math.Float64frombits(0xffffffffffffffff)}
+	r := sim.NewRand(3)
+	for i := 0; i < 64; i++ {
+		vals = append(vals, (r.Float64()-0.5)*math.Pow(2, float64(r.Intn(200)-100)))
+	}
+	for _, h := range vals {
+		for _, d := range vals {
+			want := d
+			if !(h > 0) {
+				want = 0
+			}
+			got := math.Float64frombits(math.Float64bits(d) & positive(h))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("h %v (%#x), d %v: got %v (%#x), want %v (%#x)", h, math.Float64bits(h), d, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"strconv"
 
 	"github.com/pythia-db/pythia/internal/sim"
@@ -49,15 +50,23 @@ func (f *FFN) Forward(x *Mat) *Mat {
 	return f.L2.Forward(f.h)
 }
 
-// Backward returns dX.
+// Backward returns dX. The ReLU gate masks dh's bits instead of branching
+// on h: with about half the units off, the branch mispredicted about half
+// the time. It leaves dh where h > 0 and +0 elsewhere, as the branch did.
 func (f *FFN) Backward(dy *Mat) *Mat {
 	dh := f.L2.Backward(dy)
+	d := dh.Data[:len(f.h.Data)]
 	for i, v := range f.h.Data {
-		if !(v > 0) {
-			dh.Data[i] = 0
-		}
+		d[i] = math.Float64frombits(math.Float64bits(d[i]) & positive(v))
 	}
 	return f.L1.Backward(dh)
+}
+
+// positive is all ones where v > 0 and zero elsewhere, NaN included: v > 0
+// exactly where its bits, read as an int64, lie in [1, the bits of +Inf].
+func positive(v float64) uint64 {
+	b := int64(math.Float64bits(v))
+	return ^uint64((b - 1 | (0x7ff0000000000000 - b)) >> 63)
 }
 
 // EncoderLayer is one post-norm transformer encoder layer:

@@ -1,5 +1,7 @@
 package nn
 
+import "sync/atomic"
+
 // GradLog defers the gradient sums of backward passes. A layer whose
 // Runtime has a log bound records what its Backward would add into its
 // parameters' gradients — the inputs (xᵀ, x̂ or ids) and dy, alive until the
@@ -13,10 +15,14 @@ package nn
 // Backward passes through the same modules log the same parameters at the
 // same positions.
 //
-// Appends are not safe for concurrent use. Once the pass has finished,
-// entries may be applied concurrently to disjoint parameters or rows.
+// Appends are not safe for concurrent use. Each append publishes the new
+// length with an atomic store, so another goroutine may read an entry below
+// Len while the owner appends more, as long as Reserve made room for every
+// append: an append past the reserved room moves the entries.
 type GradLog struct {
-	entries []gradAdd
+	entries []gradAdd    // the logged ones are entries[:n]
+	owned   int          // n, as the appending goroutine keeps it
+	n       atomic.Int64 // published
 }
 
 // gradAdd is one Backward's contribution to its parameters' gradients:
@@ -39,12 +45,21 @@ const (
 )
 
 // Len is the number of entries logged since the last Reset.
-func (g *GradLog) Len() int { return len(g.entries) }
+func (g *GradLog) Len() int { return int(g.n.Load()) }
 
 // Reset drops every entry; call it with the arena's Release.
 func (g *GradLog) Reset() {
-	clear(g.entries)
-	g.entries = g.entries[:0]
+	clear(g.entries[:g.owned])
+	g.owned = 0
+	g.n.Store(0)
+}
+
+// Reserve makes room for n entries in all, so that appends up to the n-th
+// move no entry.
+func (g *GradLog) Reserve(n int) {
+	if n > len(g.entries) {
+		g.entries = append(g.entries, make([]gradAdd, n-len(g.entries))...)
+	}
 }
 
 // Params returns the parameters entry i adds into: a linear layer's weight
@@ -64,7 +79,8 @@ func (g *GradLog) Entry(i int) GradEntry { return GradEntry{&g.entries[i]} }
 // a layer norm's gain and bias, one row each, so [0, 1). Every gradient
 // element gets the adds that applying the entries one after another gives,
 // in the same order, so disjoint row ranges of a position may be applied
-// concurrently and in any order.
+// concurrently and in any order, and a range's samples in two calls, the
+// first samples and then the rest.
 //
 // When every entry is a linear layer's with a one-row dy (the decoders and
 // the pruned encoder's last token), the adds run as one gemm with k =
@@ -146,5 +162,12 @@ func (rt Runtime) addGrad(e gradAdd) {
 		e.apply(0, e.p.W.Rows)
 		return
 	}
-	rt.Log.entries = append(rt.Log.entries, e)
+	l := rt.Log
+	if l.owned == len(l.entries) {
+		l.entries = append(l.entries, e)
+		l.entries = l.entries[:cap(l.entries)]
+	}
+	l.entries[l.owned] = e
+	l.owned++
+	l.n.Store(int64(l.owned))
 }

@@ -10,8 +10,9 @@ import (
 // caller-supplied matrix (usually from an Arena) instead of allocating, and
 // runs on the calling goroutine. Parallelism is across a trunk's views —
 // concurrent predictions, and in training the samples of a group, each on a
-// view of its own, then their logged gradient sums, each parameter's on one
-// goroutine (GradLog) — never inside a kernel, so no sum is split.
+// view of its own — and across row ranges of their logged gradient sums,
+// each range adding the samples' entries in sample order (GradLog) — never
+// inside a kernel, so no sum is reordered.
 //
 // Determinism: every output element is accumulated in ascending order over
 // the contracted index, here and in the allocating forms in mat.go, which

@@ -116,8 +116,9 @@ func Train(samples []TrainSample, opts Options) *Predictor {
 		}
 	}
 
-	// One trunk, one head per label space, trained jointly on one goroutine:
-	// the shared encoder is ≈ 98 % of the work, so nothing is left to fan out.
+	// One trunk, one head per label space, trained jointly: the shared
+	// encoder is ≈ 98 % of the work, so the heads are not fanned out; each
+	// group of samples runs on up to four cores instead (model.Trunk.Train).
 	p.trunk = model.NewTrunk(p.vocab.Size(), labelSets, opts.Model)
 	p.trunk.Train(msamples)
 	p.index()
