@@ -240,7 +240,7 @@ func TestJointGradientIsSumOfHeadGradients(t *testing.T) {
 		vocab, cfg, labelSets, samples := seededShape(seed, H)
 		joint := NewTrunk(vocab, labelSets, cfg)
 		v := joint.borrow()
-		joint.backprop(v, joint.heads, samples[0])
+		joint.backprop(v, joint.heads, samples[0], true)
 		var scratch []float64
 		for i := 0; i < v.log.Len(); i++ {
 			first, _ := v.log.Params(i)
@@ -313,7 +313,7 @@ func TestGroupTrainMatchesSequential(t *testing.T) {
 			tr := NewTrunk(vocab, labelSets, cfg)
 			v := tr.borrow()
 			for _, s := range samples[:3] {
-				tr.backprop(v, tr.heads, s)
+				tr.backprop(v, tr.heads, s, true)
 			}
 			per := v.log.Len() / 3
 			if per == 0 || v.log.Len() != 3*per {

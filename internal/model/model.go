@@ -309,6 +309,7 @@ func (t *Trunk) train(heads []*Model, samples []Sample, epochs int) float64 {
 	for epoch := 0; epoch < epochs; epoch++ {
 		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss = 0
+		g.lossOn = epoch == epochs-1 // the only epoch whose loss is returned
 		for lo := 0; lo < len(order); lo += trainBatch {
 			group := order[lo:min(lo+trainBatch, len(order))]
 			g.step(group)
@@ -365,6 +366,7 @@ type groupTrainer struct {
 	job     func(w int)
 
 	group   []int // the current group: indices into samples
+	lossOn  bool  // backprop computes losses too, not only gradients
 	losses  [trainBatch]float64
 	logs    [trainBatch]sampleLog   // where each sample of the group logs
 	started [trainBatch]atomic.Bool // logs[k] is set
@@ -477,7 +479,7 @@ func (g *groupTrainer) backpropSamples(w int) int {
 		l := sampleLog{v.log, v.log.Len()}
 		g.logs[j] = l
 		g.started[j].Store(true)
-		g.losses[j] = g.t.backprop(v, g.heads, g.samples[g.group[j]])
+		g.losses[j] = g.t.backprop(v, g.heads, g.samples[g.group[j]], g.lossOn)
 		g.finished(l)
 		g.c.wake()
 	}
@@ -629,11 +631,12 @@ func (g *groupTrainer) chain() {
 }
 
 // backprop runs one sample forward and back on v, logging every parameter
-// gradient sum, and returns its loss summed over heads. The encoder runs
+// gradient sum, and returns its loss summed over heads, or 0 without
+// withLoss (the gradients are the same bits either way). The encoder runs
 // once each way: the heads' 1×Dim representation gradients are summed in
 // head order (into the first head's, so one head is the unshared model bit
 // for bit) before the single Encoder.Backward.
-func (t *Trunk) backprop(v *view, heads []*Model, s Sample) float64 {
+func (t *Trunk) backprop(v *view, heads []*Model, s Sample, withLoss bool) float64 {
 	// Sum reduction keeps the gradient scale independent of the label-space
 	// size, so heads over large objects train as fast as small ones.
 	bce := nn.BCEWithLogits{PosWeight: t.cfg.PosWeight, Sum: true, Scratch: v.arena}
@@ -642,8 +645,15 @@ func (t *Trunk) backprop(v *view, heads []*Model, s Sample) float64 {
 	var dRep *nn.Mat
 	for _, h := range heads {
 		dec := v.decs[h.idx]
-		loss, dLogits := bce.Loss(dec.Forward(rep), h.targets(v.targets[h.idx], s.Pages))
-		total += loss
+		logits, targets := dec.Forward(rep), h.targets(v.targets[h.idx], s.Pages)
+		var dLogits *nn.Mat
+		if withLoss {
+			var loss float64
+			loss, dLogits = bce.Loss(logits, targets)
+			total += loss
+		} else {
+			dLogits = bce.Grad(logits, targets)
+		}
 		if d := dec.Backward(dLogits); dRep == nil {
 			dRep = d
 		} else {

@@ -28,6 +28,18 @@ type BCEWithLogits struct {
 // — and its gradient with respect to the logits. targets must contain 0/1
 // values of the same shape.
 func (b BCEWithLogits) Loss(logits *Mat, targets []float64) (float64, *Mat) {
+	return b.eval(logits, targets, true)
+}
+
+// Grad returns Loss's gradient, bit for bit, without the loss: the training
+// epochs whose loss nothing reads skip its logarithm.
+func (b BCEWithLogits) Grad(logits *Mat, targets []float64) *Mat {
+	_, grad := b.eval(logits, targets, false)
+	return grad
+}
+
+// eval is Loss, summing the loss only when withLoss is set.
+func (b BCEWithLogits) eval(logits *Mat, targets []float64, withLoss bool) (float64, *Mat) {
 	if len(targets) != len(logits.Data) {
 		panic("nn: BCE target length mismatch")
 	}
@@ -43,24 +55,20 @@ func (b BCEWithLogits) Loss(logits *Mat, targets []float64) (float64, *Mat) {
 	total := 0.0
 	for i, x := range logits.Data {
 		y := targets[i]
-		// Stable BCE-with-logits, with pos_weight w applied to the y=1 term:
-		// loss = (1 + (w-1)·y) · softplus(-x) + (1-y)·x   when rearranged per sign.
-		var loss float64
 		// e = exp(−|x|) serves the loss and the sigmoid: Sigmoid(x) is
 		// 1/(1 + exp(−x)) for x ≥ 0 and exp(x)/(1 + exp(x)) below, the
 		// same exponential either way.
 		e := math.Exp(-math.Abs(x))
-		softplusNegAbs := math.Log1p(e)
-		maxX := math.Max(x, 0)
-		// Unweighted stable form.
-		base := maxX - x*y + softplusNegAbs
-		if pw != 1 && y == 1 {
-			// For positives the unweighted loss is softplus(-x) = max(x,0) - x + softplus(-|x|).
-			loss = pw * base
-		} else {
-			loss = base
+		if withLoss {
+			// Stable BCE-with-logits, with pos_weight w applied to the y=1
+			// term: max(x,0) − x·y + log(1 + exp(−|x|)), times w for a
+			// positive.
+			loss := math.Max(x, 0) - x*y + math.Log1p(e)
+			if pw != 1 && y == 1 {
+				loss = pw * loss
+			}
+			total += loss
 		}
-		total += loss
 
 		var p float64
 		if x >= 0 {

@@ -175,7 +175,7 @@ func TestPosWeightScalesPositives(t *testing.T) {
 // the loss's exp(−|x|), to p − y with p = Sigmoid(x) bit for bit: both signs
 // of small and large logits (|x| > 40, where exp(−|x|) is tiny, up to where
 // it is 0), ±0 and ±Inf, against both labels, weighted and not, summed and
-// averaged.
+// averaged; and Grad to Loss's gradient.
 func TestBCEGradientMatchesSigmoid(t *testing.T) {
 	r := sim.NewRand(71)
 	var xs []float64
@@ -206,6 +206,12 @@ func TestBCEGradientMatchesSigmoid(t *testing.T) {
 			want /= n
 			if got := grad.Data[i]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%+v: x=%v y=%v: gradient %v, Sigmoid formula gives %v", bce, x, y, got, want)
+			}
+		}
+		// Grad, the gradient without the loss, is the same bits.
+		for i, g := range bce.Grad(logits, targets).Data {
+			if math.Float64bits(g) != math.Float64bits(grad.Data[i]) {
+				t.Fatalf("%+v: x=%v y=%v: Grad %v, Loss's gradient %v", bce, logits.Data[i], targets[i], g, grad.Data[i])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"slices"
+
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/oscache"
@@ -44,7 +46,19 @@ type pfRead struct {
 	arrived func()
 }
 
+// newPrefetcher queues pages minus those the database does not have: a page
+// of an unknown object, or one at or past its object's Pages. Those are
+// dropped unread and uncounted, as posix_fadvise ignores a range past end of
+// file: a prediction is advice. The caller's slice is copied only when a
+// page is dropped.
 func newPrefetcher(r *runner, pages []storage.PageID, window int) *prefetcher {
+	outside := func(pg storage.PageID) bool {
+		obj := r.reg.Lookup(pg.Object)
+		return obj == nil || pg.Page >= obj.Pages
+	}
+	if slices.ContainsFunc(pages, outside) {
+		pages = slices.DeleteFunc(slices.Clone(pages), outside)
+	}
 	p := &prefetcher{
 		r:      r,
 		queue:  pages,

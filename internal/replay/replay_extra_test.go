@@ -3,11 +3,13 @@ package replay
 import (
 	"reflect"
 	"slices"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
 
 	"github.com/pythia-db/pythia/internal/buffer"
+	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
@@ -98,6 +100,39 @@ func TestPrefetchOfUnrequestedPagesHarmless(t *testing.T) {
 	// more than that.
 	if bad.Buffer.PrefetchHits > 5 {
 		t.Fatalf("wrong prefetches counted as useful: %d hits", bad.Buffer.PrefetchHits)
+	}
+}
+
+// TestPrefetchOutsideDatabaseDropped: predicted pages the database does not
+// have (an unknown object, a page at or past its object's end, a forged page
+// 2³¹) are dropped before any I/O, so the run equals the one given only the
+// valid pages, counters and cache statistics included.
+func TestPrefetchOutsideDatabaseDropped(t *testing.T) {
+	reg := testRegistry()
+	reqs := script(reg, 300, 200, 24)
+	dim, fact := reg.LookupName("dim"), reg.LookupName("fact")
+	valid := nonSeqPages(reqs)
+	forged := append(slices.Clone(valid),
+		storage.PageID{Object: 99, Page: 0},
+		storage.PageID{Object: storage.InvalidObject, Page: 3},
+		storage.PageID{Object: dim.ID, Page: dim.Pages},
+		storage.PageID{Object: dim.ID, Page: 1 << 31},
+		storage.PageID{Object: fact.ID, Page: fact.Pages + 5},
+	)
+	sort.Slice(forged, func(i, j int) bool { return forged[i].Less(forged[j]) })
+	run := func(pages []storage.PageID) *RunResult {
+		c := cfg()
+		c.Recorder = &obs.Counters{}
+		res := Run(reg, c, []QuerySpec{{ID: "q", Requests: reqs, Prefetch: pages, Window: 64}})
+		res.Queries[0].Prefetch = nil
+		return res
+	}
+	want, got := run(valid), run(forged)
+	if want.Queries[0].Prefetched == 0 {
+		t.Fatal("the valid list prefetched nothing: the comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pages outside the database changed the run:\n got %+v\nwant %+v", got.Queries[0], want.Queries[0])
 	}
 }
 

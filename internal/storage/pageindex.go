@@ -1,31 +1,23 @@
 package storage
 
-import "math/bits"
-
 // PageIndex maps resident pages to the slot their owner keeps them in. It is
-// the one hash table under both page caches (buffer.Pool and oscache.Cache):
-// a fixed-size open-addressing table sized once for the owner's capacity,
-// with linear probing and backward-shift deletion, so a lookup is one
-// multiply and — at the load factor of at most one half it is sized for —
-// usually one 16-byte cell, a delete leaves no tombstone behind, and nothing
-// is allocated after NewPageIndex.
+// the one page table under both page caches (buffer.Pool and oscache.Cache):
+// a dense row per object, indexed by page number, so a lookup is two bounds
+// checks and one load, and the consecutive pages of a scan share cache lines.
+// A row grows, by doubling, to cover the largest page put into it; nothing is
+// allocated once every row covers its object's pages, which needs no registry
+// of page counts.
 //
 // Slots are the caller's: non-negative indices into its own flat storage.
 // The table never holds more than the capacity it was built for; putting one
 // page more is a bookkeeping bug in the owner (both caches evict before they
 // insert) and panics.
 type PageIndex struct {
-	cells    []indexCell
-	shift    uint // 64 - log2(len(cells))
+	// rows is indexed by ObjectID, then PageNum. A cell holds the slot plus
+	// one, so the zero cell is empty and the zero PageID is a usable key.
+	rows     [][]int32
 	n        int
 	capacity int
-}
-
-// indexCell is one table position. ref is the slot plus one, so the zero cell
-// is an empty one and every PageID — the zero PageID too — is a usable key.
-type indexCell struct {
-	key uint64
-	ref int32
 }
 
 // NewPageIndex returns an empty index for up to capacity pages.
@@ -33,89 +25,73 @@ func NewPageIndex(capacity int) *PageIndex {
 	if capacity <= 0 {
 		panic("storage: non-positive PageIndex capacity")
 	}
-	log2 := bits.Len(uint(2*capacity - 1)) // of the power of two >= 2*capacity
-	return &PageIndex{
-		cells:    make([]indexCell, 1<<log2),
-		shift:    uint(64 - log2),
-		capacity: capacity,
-	}
-}
-
-func packPage(p PageID) uint64 { return uint64(p.Object)<<32 | uint64(p.Page) }
-
-// home is the Fibonacci hash of a key: the top bits of key × 2^64/φ, which
-// spreads the consecutive page numbers of a scan across the table.
-func (x *PageIndex) home(key uint64) int {
-	return int(key * 0x9E3779B97F4A7C15 >> x.shift)
+	return &PageIndex{capacity: capacity}
 }
 
 // Len returns the number of pages in the index.
 func (x *PageIndex) Len() int { return x.n }
 
+// cell returns p's cell, or nil when p lies past every row grown so far.
+func (x *PageIndex) cell(p PageID) *int32 {
+	if int(p.Object) < len(x.rows) {
+		if row := x.rows[p.Object]; int(p.Page) < len(row) {
+			return &row[p.Page]
+		}
+	}
+	return nil
+}
+
 // Get returns the slot stored for p.
 //
 //pythia:noalloc
 func (x *PageIndex) Get(p PageID) (slot int32, ok bool) {
-	key, mask := packPage(p), len(x.cells)-1
-	for i := x.home(key); ; i = (i + 1) & mask {
-		c := x.cells[i]
-		if c.ref == 0 {
-			return 0, false
-		}
-		if c.key == key {
-			return c.ref - 1, true
-		}
+	if c := x.cell(p); c != nil && *c != 0 {
+		return *c - 1, true
 	}
+	return 0, false
 }
 
 // Put stores slot for p, replacing the slot of a page already present.
 //
 //pythia:noalloc
 func (x *PageIndex) Put(p PageID, slot int32) {
-	key, mask := packPage(p), len(x.cells)-1
-	for i := x.home(key); ; i = (i + 1) & mask {
-		c := &x.cells[i]
-		if c.ref == 0 {
-			if x.n == x.capacity {
-				panic("storage: PageIndex over capacity")
-			}
-			c.key, c.ref = key, slot+1
-			x.n++
-			return
-		}
-		if c.key == key {
-			c.ref = slot + 1
-			return
-		}
+	c := x.cell(p)
+	if c == nil {
+		c = x.grow(p)
 	}
+	if *c == 0 {
+		if x.n == x.capacity {
+			panic("storage: PageIndex over capacity")
+		}
+		x.n++
+	}
+	*c = slot + 1
 }
 
-// Delete removes p; an absent page is ignored. The cells after p in its probe
-// run are shifted back over the hole, so lookups never meet a tombstone.
+// Delete removes p; an absent page is ignored.
 //
 //pythia:noalloc
 func (x *PageIndex) Delete(p PageID) {
-	key, mask := packPage(p), len(x.cells)-1
-	i := x.home(key)
-	for {
-		c := x.cells[i]
-		if c.ref == 0 {
-			return
-		}
-		if c.key == key {
-			break
-		}
-		i = (i + 1) & mask
+	if c := x.cell(p); c != nil && *c != 0 {
+		*c = 0
+		x.n--
 	}
-	// i is the hole. A later cell of the run moves back into it unless its
-	// home lies cyclically in (hole, cell]: a probe starting there would
-	// never pass the hole's position.
-	for j := (i + 1) & mask; x.cells[j].ref != 0; j = (j + 1) & mask {
-		if h := x.home(x.cells[j].key); (j-h)&mask >= (j-i)&mask {
-			x.cells[i] = x.cells[j]
-			i = j
-		}
+}
+
+// grow extends the table to cover p and returns p's (empty) cell: the rows
+// to p.Object, and p's row by doubling, from 16 cells, until it reaches
+// p.Page.
+func (x *PageIndex) grow(p PageID) *int32 {
+	if int(p.Object) >= len(x.rows) {
+		x.rows = append(x.rows, make([][]int32, int(p.Object)+1-len(x.rows))...)
 	}
-	x.cells[i] = indexCell{}
-	x.n--
+	row := x.rows[p.Object]
+	n := max(2*len(row), 16)
+	for n <= int(p.Page) {
+		n *= 2
+	}
+	grown := make([]int32, n)
+	copy(grown, row)
+	x.rows[p.Object] = grown
+	return &grown[p.Page]
 }
