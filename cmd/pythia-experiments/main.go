@@ -128,9 +128,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runSuite runs the experiments on one fresh suite, printing a header and
-// then each table with its wall time, and returns the tables.
+// runSuite runs the experiments on one fresh suite, printing a header, then
+// each table with its wall time, then the whole suite's wall time, and
+// returns the tables. A table's time includes the workloads and training it
+// is the first to ask the suite's memo for, so in a run of several tables
+// only the suite's time compares across commits.
 func runSuite(cfg pythia.ExperimentConfig, ids []string, out io.Writer) ([]*pythia.ResultTable, error) {
+	suiteStart := time.Now()
 	suite := pythia.NewExperiments(cfg)
 	fmt.Fprintf(out, "pythia-experiments: scale=%d instances/template=%d imdb=%d seed=%d\n\n",
 		cfg.Scale, cfg.PerTemplate, cfg.IMDBInstances, cfg.Seed)
@@ -145,6 +149,7 @@ func runSuite(cfg pythia.ExperimentConfig, ids []string, out io.Writer) ([]*pyth
 		fmt.Fprintf(out, "(%s took %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 		tabs = append(tabs, tab)
 	}
+	fmt.Fprintf(out, "(suite took %s)\n", time.Since(suiteStart).Round(time.Millisecond))
 	return tabs, nil
 }
 

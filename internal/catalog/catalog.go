@@ -90,6 +90,16 @@ func NewZipf(lo int64, n int, s float64, seed uint64) *Zipf {
 	return z
 }
 
+// WithSeed returns a sampler over z's distribution that draws with seed. It
+// shares z's CDF table, which nothing writes after NewZipf, so its values are
+// bit for bit those of NewZipf(z.Lo, z.N, z.S, seed) without the table's
+// N calls to math.Pow.
+func (z *Zipf) WithSeed(seed uint64) *Zipf {
+	c := *z
+	c.Seed = seed
+	return &c
+}
+
 // Value returns the skewed value for row.
 func (z *Zipf) Value(row int64) int64 {
 	u := mixFloat(z.Seed, uint64(row))

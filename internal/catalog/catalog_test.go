@@ -65,6 +65,27 @@ func TestZipfSkewAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestZipfWithSeedMatchesNewZipf: a sampler re-seeded from a shared table
+// draws what a sampler built for that seed draws, and leaves the original's
+// seed alone.
+func TestZipfWithSeedMatchesNewZipf(t *testing.T) {
+	base := NewZipf(0, 30000, 0.6, 1)
+	for _, seed := range []uint64{2, 0x9e3779b97f4a7c15, 1 << 63} {
+		got, want := base.WithSeed(seed), NewZipf(0, 30000, 0.6, seed)
+		for row := int64(0); row < 100000; row++ {
+			if g, w := got.Value(row), want.Value(row); g != w {
+				t.Fatalf("seed %#x row %d: WithSeed gives %d, NewZipf %d", seed, row, g, w)
+			}
+		}
+		if lo, hi := got.Domain(); lo != 0 || hi != 30000 {
+			t.Fatalf("seed %#x: domain [%d,%d)", seed, lo, hi)
+		}
+	}
+	if base.Seed != 1 {
+		t.Fatalf("WithSeed changed the original's seed to %d", base.Seed)
+	}
+}
+
 func TestCorrelatedTracksBase(t *testing.T) {
 	base := Uniform{Lo: 0, Hi: 100, Seed: 1}
 	c := Correlated{Base: base, Transform: func(v int64) int64 { return v * 2 }, Lo: 0, Hi: 200}

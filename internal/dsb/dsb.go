@@ -144,11 +144,14 @@ func NewGenerator(cfg Config) *Generator {
 	// column (DSB's cross-column correlation): filtering a date range
 	// concentrates the probed dimension rows, which is the signal Pythia's
 	// models pick up. A Zipf overlay skews popularity (hot items/customers).
+	// The seven price columns share one Zipf table, each drawing with a
+	// next() seed of its own.
+	price := catalog.NewZipf(g.priceLo, int(g.priceHi), 0.6, 0)
 	fact := func(name string, rows int64, perPage int, fks []fkSpec) {
 		dateGen := catalog.Uniform{Lo: DateLo, Hi: DateHi, Seed: next()}
 		cols := []catalog.Column{
 			{Name: name + "_sold_date", Gen: dateGen},
-			{Name: name + "_price", Gen: catalog.NewZipf(g.priceLo, int(g.priceHi), 0.6, next())},
+			{Name: name + "_price", Gen: price.WithSeed(next())},
 			{Name: name + "_quantity", Gen: catalog.Uniform{Lo: 1, Hi: 100, Seed: next()}},
 		}
 		for _, fk := range fks {

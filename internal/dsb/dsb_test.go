@@ -2,9 +2,12 @@ package dsb
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"github.com/pythia-db/pythia/internal/catalog"
 )
 
 func TestSchemaComplete(t *testing.T) {
@@ -272,3 +275,29 @@ type plainGen struct{ v int64 }
 
 func (p plainGen) Value(int64) int64      { return p.v }
 func (p plainGen) Domain() (int64, int64) { return p.v, p.v + 1 }
+
+// TestFactPricesShareOneTable: the seven facts' price columns draw from one
+// Zipf CDF table, each with a seed of its own, so NewGenerator pays for the
+// table once.
+func TestFactPricesShareOneTable(t *testing.T) {
+	db := NewGenerator(Config{ScaleFactor: 4, Seed: 7}).DB()
+	facts := []string{"store_sales", "catalog_sales", "web_sales", "store_returns", "catalog_returns", "web_returns", "inventory"}
+	tables := map[uintptr]bool{}
+	seeds := map[uint64]bool{}
+	for _, name := range facts {
+		rel := db.Relation(name)
+		z, ok := rel.Columns[rel.ColumnIndex(name+"_price")].Gen.(*catalog.Zipf)
+		if !ok {
+			t.Fatalf("%s_price is not a Zipf column", name)
+		}
+		// The table is unexported; reflect reads its address.
+		tables[reflect.ValueOf(z).Elem().FieldByName("cdf").Pointer()] = true
+		seeds[z.Seed] = true
+	}
+	if len(tables) != 1 {
+		t.Fatalf("the %d price columns use %d CDF tables, want 1", len(facts), len(tables))
+	}
+	if len(seeds) != len(facts) {
+		t.Fatalf("the %d price columns use %d distinct seeds", len(facts), len(seeds))
+	}
+}

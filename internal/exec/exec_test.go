@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/catalog"
@@ -237,4 +239,39 @@ func TestAmbiguousColumnPanics(t *testing.T) {
 		}
 	}()
 	Run(root)
+}
+
+// TestGroupRowsPicksAddressing: build keys spanning fewer values than the
+// bound are addressed directly and others through the map, extreme keys
+// included, and both give each key's rows in scan order and absent keys
+// none.
+func TestGroupRowsPicksAddressing(t *testing.T) {
+	for _, c := range []struct {
+		keys    []int64
+		maxSpan int64
+		direct  bool
+	}{
+		{[]int64{5, 3, 5, 9, 3, 5}, 12, true},
+		{[]int64{5, 3, 5, 9, 3, 5}, 6, false},
+		{[]int64{math.MinInt64, math.MaxInt64, -1, math.MinInt64}, 8, false},
+		{[]int64{-7, -7, -7}, 1, true},
+		{nil, 8, false},
+	} {
+		rows := make([]int64, len(c.keys))
+		want := map[int64][]int64{}
+		for i, k := range c.keys {
+			rows[i] = int64(100 + i)
+			want[k] = append(want[k], rows[i])
+		}
+		g := groupRows(c.keys, rows, c.maxSpan)
+		if direct := g.group == nil; direct != c.direct {
+			t.Errorf("keys %v, span bound %d: direct addressing %v, want %v", c.keys, c.maxSpan, direct, c.direct)
+		}
+		probes := append([]int64{math.MinInt64, math.MinInt64 + 1, -8, -7, -1, 0, 2, 3, 4, 5, 9, 10, math.MaxInt64 - 1, math.MaxInt64}, c.keys...)
+		for _, k := range probes {
+			if got := g.lookup(k); !slices.Equal(got, want[k]) {
+				t.Errorf("keys %v: lookup(%d) = %v, want %v", c.keys, k, got, want[k])
+			}
+		}
+	}
 }
