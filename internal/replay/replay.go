@@ -312,7 +312,7 @@ func Run(reg *storage.Registry, cfg Config, queries []QuerySpec) *RunResult {
 			cfg: cfg, spec: q, result: &res.Queries[i],
 			tag: tag, tr: cfg.Tracer, idx: int32(i),
 		}
-		eng.At(sim.Time(q.Arrival), qr.start)
+		eng.Arrive(sim.Time(q.Arrival), qr.start)
 	}
 	res.End = eng.Run()
 	res.Buffer = pool.Stats()
@@ -412,63 +412,69 @@ func (r *runner) start() {
 	r.eng.Schedule(0, r.stepFn)
 }
 
-// step services request reqIdx and schedules the next one at its completion
-// time.
+// step services request reqIdx and the ones after it, for as long as each
+// next request would be the engine's next event, then schedules the next one
+// at its completion time.
 func (r *runner) step() {
-	r.enter()
-	if r.reqIdx >= len(r.spec.Requests) {
-		r.finish()
-		return
-	}
-	req := r.spec.Requests[r.reqIdx]
-	r.reqIdx++
-
-	delay := cpuPerRequest + sim.Duration(req.Tuples)*cpuPerTuple
-
-	if r.pool.Get(req.Page) {
-		r.result.BufferHits++
-		delay += bufferHit
-	} else {
-		if r.abandoned != nil && r.abandoned[req.Page] {
-			// The prefetcher gave this page up; the executor now pays for
-			// it synchronously — the degradation path that converges to
-			// the no-prefetch baseline. On a timeline the event's mark links
-			// back to the abandoned PrefetchRead span that caused it.
-			delete(r.abandoned, req.Page)
-			r.result.FallbackSyncReads++
-			r.record(obs.FallbackSyncRead, req.Page)
+	for {
+		r.enter()
+		if r.reqIdx >= len(r.spec.Requests) {
+			r.finish()
+			return
 		}
-		hit, readahead := r.osc.Read(r.execStream, req.Page, r.objPages(req.Page))
-		// Kernel readahead occupies device channels in the background
-		// without blocking the foreground read; it streams at the
-		// sequential-transfer rate (no seeks within a run).
-		now := r.eng.Now()
-		for range readahead {
-			r.disk.Read(now, seqDiskRead)
-		}
-		if hit {
-			r.result.OSCopies++
-			delay += osCacheCopy
-			r.tr.Complete(span.ExecOSCopy, r.idx, req.Page, now, now.Add(osCacheCopy))
+		req := r.spec.Requests[r.reqIdx]
+		r.reqIdx++
+
+		delay := cpuPerRequest + sim.Duration(req.Tuples)*cpuPerTuple
+
+		if r.pool.Get(req.Page) {
+			r.result.BufferHits++
+			delay += bufferHit
 		} else {
-			r.result.DiskReads++
-			r.record(obs.DiskRead, req.Page)
-			sid := r.tr.Begin(span.ExecDiskWait, r.idx, req.Page, now)
-			done := r.syncRead(now, req.Page)
-			r.tr.End(sid, done)
-			r.tr.Complete(span.ExecOSCopy, r.idx, req.Page, done, done.Add(osCacheCopy))
-			delay += done.Sub(now) + osCacheCopy
+			if r.abandoned != nil && r.abandoned[req.Page] {
+				// The prefetcher gave this page up; the executor now pays for
+				// it synchronously — the degradation path that converges to
+				// the no-prefetch baseline. On a timeline the event's mark links
+				// back to the abandoned PrefetchRead span that caused it.
+				delete(r.abandoned, req.Page)
+				r.result.FallbackSyncReads++
+				r.record(obs.FallbackSyncRead, req.Page)
+			}
+			hit, readahead := r.osc.Read(r.execStream, req.Page, r.objPages(req.Page))
+			// Kernel readahead occupies device channels in the background
+			// without blocking the foreground read; it streams at the
+			// sequential-transfer rate (no seeks within a run).
+			now := r.eng.Now()
+			for range readahead {
+				r.disk.Read(now, seqDiskRead)
+			}
+			if hit {
+				r.result.OSCopies++
+				delay += osCacheCopy
+				r.tr.Complete(span.ExecOSCopy, r.idx, req.Page, now, now.Add(osCacheCopy))
+			} else {
+				r.result.DiskReads++
+				r.record(obs.DiskRead, req.Page)
+				sid := r.tr.Begin(span.ExecDiskWait, r.idx, req.Page, now)
+				done := r.syncRead(now, req.Page)
+				r.tr.End(sid, done)
+				r.tr.Complete(span.ExecOSCopy, r.idx, req.Page, done, done.Add(osCacheCopy))
+				delay += done.Sub(now) + osCacheCopy
+			}
+			r.pool.Insert(req.Page, false)
 		}
-		r.pool.Insert(req.Page, false)
-	}
 
-	// The dummy AIO request: executor progress releases one prefetched page
-	// so the prefetcher can initiate the next (§4, "Decoupling AIO from
-	// Postgres read call").
-	if r.pf != nil {
-		r.pf.onExecutorRead(req.Page)
+		// The dummy AIO request: executor progress releases one prefetched page
+		// so the prefetcher can initiate the next (§4, "Decoupling AIO from
+		// Postgres read call").
+		if r.pf != nil {
+			r.pf.onExecutorRead(req.Page)
+		}
+		if !r.eng.Continue(delay) {
+			r.eng.Schedule(delay, r.stepFn)
+			return
+		}
 	}
-	r.eng.Schedule(delay, r.stepFn)
 }
 
 // syncRead performs one foreground device read issued at time at, retrying

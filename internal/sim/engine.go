@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Event is a unit of scheduled work on the virtual timeline.
 type Event struct {
 	at  Time
@@ -23,17 +25,17 @@ func (ev *Event) before(o *Event) bool {
 // the (time, sequence) total order: two events at the same instant run in the
 // order they were scheduled.
 //
-// The newest event waits in a one-slot register outside the heap. Most
-// events a callback schedules are due before everything queued (a query's
-// next step, a read's completion), so Run dispatches them from the register
-// and never sifts them through the heap.
+// Events known before the simulation starts (query arrivals) wait in a
+// sorted list beside the heap, so the heap holds only what callbacks
+// schedule; Run merges the list's head with the heap's top. A callback whose
+// next event would be dispatched next anyway runs it inline (Continue).
 type Engine struct {
-	Clock Clock
-	next  Event   // the newest scheduled event, while held is set
-	held  bool    // next holds an event
-	pq    []Event // binary min-heap on Event.before, held by value
-	seq   uint64
-	steps uint64
+	Clock    Clock
+	pq       []Event // binary min-heap on Event.before, held by value
+	arrivals []Event // sorted on Event.before; arrivals[head:] are pending
+	head     int
+	seq      uint64
+	steps    uint64
 }
 
 // NewEngine returns an empty engine at the simulation epoch.
@@ -52,18 +54,54 @@ func (e *Engine) Schedule(delay Duration, fn func()) {
 }
 
 // At runs fn at absolute virtual time t, which must not precede the current
-// time. The event takes the register; the one it displaces goes to the heap.
+// time.
 //
 //pythia:noalloc
 func (e *Engine) At(t Time, fn func()) {
 	if t.Before(e.Now()) {
 		panic("sim: At with time in the past")
 	}
-	if e.held {
-		e.push(e.next)
+	e.seq++
+	e.push(Event{at: t, seq: e.seq, fn: fn})
+}
+
+// Arrive runs fn at absolute virtual time t, like At, but keeps the event in
+// the arrival list instead of the heap. It suits events added up front,
+// mostly in time order: each is inserted after every pending arrival due no
+// later than t, which is its place under (time, sequence).
+func (e *Engine) Arrive(t Time, fn func()) {
+	if t.Before(e.Now()) {
+		panic("sim: Arrive with time in the past")
 	}
 	e.seq++
-	e.next, e.held = Event{at: t, seq: e.seq, fn: fn}, true
+	i := len(e.arrivals)
+	for i > e.head && e.arrivals[i-1].at > t {
+		i--
+	}
+	e.arrivals = slices.Insert(e.arrivals, i, Event{at: t, seq: e.seq, fn: fn})
+}
+
+// Continue stands in for a callback's last act, Schedule(delay, fn): it
+// reports whether that event would be the next one dispatched and, if so,
+// advances the clock to it and counts the step, so the caller runs fn's work
+// inline instead. The event would carry the largest sequence number, so it
+// runs next exactly when every pending event is due strictly later; at a
+// same-instant tie the older event goes first and Continue reports false.
+// Only the order of sequence numbers matters, so Continue takes none. A
+// negative delay panics, as in Schedule.
+//
+//pythia:noalloc
+func (e *Engine) Continue(delay Duration) bool {
+	if delay < 0 {
+		panic("sim: Continue with negative delay")
+	}
+	t := e.Now().Add(delay)
+	if len(e.pq) > 0 && e.pq[0].at <= t || e.head < len(e.arrivals) && e.arrivals[e.head].at <= t {
+		return false
+	}
+	e.Clock.now = t
+	e.steps++
+	return true
 }
 
 // push adds ev to the heap and sifts it up to its place.
@@ -111,17 +149,19 @@ func (e *Engine) pop() Event {
 	return top
 }
 
-// Run dispatches events until the queue is empty and returns the final
-// virtual time. The held event carries the largest sequence number of all
-// pending events, so it runs next exactly when it is before the heap's top.
+// Run dispatches events until none is pending and returns the final virtual
+// time. The next event is the earlier of the arrival list's head and the
+// heap's top.
 //
 //pythia:noalloc
 func (e *Engine) Run() Time {
 	for {
 		var ev Event
 		switch {
-		case e.held && (len(e.pq) == 0 || e.next.before(&e.pq[0])):
-			ev, e.next, e.held = e.next, Event{}, false
+		case e.head < len(e.arrivals) && (len(e.pq) == 0 || e.arrivals[e.head].before(&e.pq[0])):
+			ev = e.arrivals[e.head]
+			e.arrivals[e.head] = Event{} // drop the callback reference
+			e.head++
 		case len(e.pq) > 0:
 			ev = e.pop()
 		default:
@@ -133,14 +173,9 @@ func (e *Engine) Run() Time {
 	}
 }
 
-// Steps returns the number of events dispatched so far; useful for tests and
-// for asserting that simulations terminate.
+// Steps returns the number of events dispatched so far, inline continuations
+// included; useful for tests and for asserting that simulations terminate.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Pending returns the number of events currently queued.
-func (e *Engine) Pending() int {
-	if e.held {
-		return len(e.pq) + 1
-	}
-	return len(e.pq)
-}
+// Pending returns the number of events currently queued, arrivals included.
+func (e *Engine) Pending() int { return len(e.pq) + len(e.arrivals) - e.head }

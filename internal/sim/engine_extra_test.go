@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -24,13 +25,53 @@ func TestEnginePending(t *testing.T) {
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
+	for name, call := range map[string]func(*Engine){
+		"Schedule": func(e *Engine) { e.Schedule(-time.Second, func() {}) },
+		"Continue": func(e *Engine) { e.Continue(-time.Second) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a negative delay did not panic", name)
+				}
+			}()
+			call(NewEngine())
+		}()
+	}
+}
+
+// TestEngineContinueYieldsTies spells out Continue's rule: a callback's
+// successor runs inline only when every pending event, arrivals included, is
+// due strictly later; at a tie the older event goes first.
+func TestEngineContinueYieldsTies(t *testing.T) {
 	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay did not panic")
+	var order []string
+	e.Arrive(Time(3*time.Millisecond), func() { order = append(order, "arrival") })
+	e.At(Time(5*time.Millisecond), func() { order = append(order, "event") })
+	e.At(0, func() {
+		order = append(order, "step 0")
+		if !e.Continue(2 * time.Millisecond) {
+			t.Fatal("Continue declined with nothing due before 2ms")
 		}
-	}()
-	e.Schedule(-time.Second, func() {})
+		if e.Now() != Time(2*time.Millisecond) || e.Steps() != 2 {
+			t.Fatalf("after Continue: Now %v, Steps %d; want 2ms, 2", e.Now(), e.Steps())
+		}
+		order = append(order, "step 1")
+		if e.Continue(time.Millisecond) {
+			t.Fatal("Continue ran inline at a tie with a pending arrival")
+		}
+		e.Schedule(time.Millisecond, func() {
+			order = append(order, "step 2")
+			if e.Continue(2 * time.Millisecond) {
+				t.Fatal("Continue ran inline at a tie with a pending event")
+			}
+		})
+	})
+	e.Run()
+	want := "[step 0 step 1 arrival step 2 event]"
+	if got := fmt.Sprint(order); got != want || e.Steps() != 5 {
+		t.Fatalf("dispatched %s in %d steps, want %s in 5", got, e.Steps(), want)
+	}
 }
 
 // Property: regardless of the (delay, order) mix scheduled, Run dispatches

@@ -189,14 +189,20 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 }
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
-	e := NewEngine()
-	e.Clock.AdvanceTo(Time(time.Second))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("At in the past did not panic")
-		}
-	}()
-	e.At(Time(time.Millisecond), func() {})
+	for name, schedule := range map[string]func(*Engine, Time, func()){
+		"At": (*Engine).At, "Arrive": (*Engine).Arrive,
+	} {
+		func() {
+			e := NewEngine()
+			e.Clock.AdvanceTo(Time(time.Second))
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s in the past did not panic", name)
+				}
+			}()
+			schedule(e, Time(time.Millisecond), func() {})
+		}()
+	}
 }
 
 func TestDiskSerialization(t *testing.T) {
