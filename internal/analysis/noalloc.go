@@ -19,7 +19,7 @@ import (
 //     assignments, and returns.
 //
 // Amortized-growth appends and arena-recycled buffers are deliberately
-// allowed: the arena's free lists are exactly how the hot path stays
+// allowed: the arena's rewound chunks are exactly how the hot path stays
 // allocation-free in steady state (see internal/nn/arena.go and
 // TestArenaSteadyStateAllocs). Opting a function in is the annotation
 // itself; opting out is removing it.

@@ -31,9 +31,8 @@ func servedTrunk(heads int) (*Trunk, []int) {
 func TestInferAllocs(t *testing.T) {
 	for _, heads := range []int{1, 5} {
 		tr, seq := servedTrunk(heads)
-		// The first pass builds a view and its arena's matrices, and the
-		// second's Release grows the free lists; AllocsPerRun's own warm-up
-		// is that second pass.
+		// The first pass builds a view and its arena's chunks; after it a
+		// pass allocates only its result.
 		tr.Infer(seq, tr.Heads())
 		if n := testing.AllocsPerRun(20, func() { tr.Infer(seq, tr.Heads()) }); n != 2 {
 			t.Errorf("heads=%d: Infer allocates %v objects, want 2", heads, n)

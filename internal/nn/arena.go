@@ -2,17 +2,20 @@ package nn
 
 import "math"
 
-// Arena is a free-list of sized matrices that eliminates the per-step
-// allocation churn of the training loop. model.Train runs Forward/Backward
-// once per sample per epoch; without reuse every step allocates dozens of
+// Arena hands out the step-scoped matrices of the training loop and of
+// inference without heap allocation. model.Train runs Forward/Backward once
+// per sample per epoch; without reuse every step allocates dozens of
 // activation and scratch matrices that die immediately, and the garbage
 // collector ends up on the profile next to the matmuls themselves.
 //
-// The lifetime model is a frame arena: Get hands out matrices during one
-// training or inference step, and Release at a step boundary returns
-// everything handed out since the previous Release to the free lists. After
-// the first step, steady-state Get calls are pure recycles — zero heap
-// allocation.
+// The lifetime model is a frame arena: Get carves each matrix from the
+// current chunk of backing memory at a cursor, and Release at a step
+// boundary rewinds the cursor, so the next step's Gets receive the same
+// memory in the same order, and the same Mat headers by index. Chunks are
+// arenaChunk floats, or one matrix's worth when it is larger; every offset
+// is rounded up to a cache line. A chunk is allocated once and never copied
+// or moved: the matrices of earlier steps are simply overwritten. Once the
+// arena has met a step's shapes, Get and Release allocate nothing.
 //
 // An Arena is NOT safe for concurrent use: it belongs to the one encoder
 // and decoders computing in it (a model.Trunk lends each pass its own such
@@ -22,45 +25,75 @@ import "math"
 // (GradLog) — but never call Get or Release on it. A nil *Arena is valid
 // and falls back to plain NewMat allocation.
 type Arena struct {
-	free map[int][]*Mat // element count → reusable matrices
-	used []*Mat         // everything handed out since the last Release
+	chunks [][]float64 // backing memory, in the order the cursor walks it
+	mats   []*Mat      // headers; the i-th Get since Release returns mats[i]
+	cur    []float64   // the chunk being carved, chunks[next-1], or nil
+	off    int         // cur[off:] is free
+	next   int         // index of the chunk after cur
+	live   int         // Gets since the last Release
 }
+
+const (
+	// arenaChunk is the size of a chunk in floats (128 KiB): a served
+	// prediction's whole step fits in a few.
+	arenaChunk = 16 << 10
+	// lineFloats is a cache line in floats; every matrix starts on one.
+	lineFloats = 8
+)
 
 // NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{free: make(map[int][]*Mat)}
-}
+func NewArena() *Arena { return &Arena{} }
 
-// Get returns a rows×cols matrix, recycling a previously released buffer of
-// the same element count when one exists. A recycled matrix holds whatever
-// its last user left in it: the caller writes every element before reading
-// it, and a destination that accumulates clears itself first. Only a nil
-// arena, or a buffer allocated on first use, hands out zeros. Nil-safe.
-// Steady-state calls are pure recycles (amortized append growth aside, which
-// the noalloc analyzer deliberately permits).
+// Get returns a rows×cols matrix from the next free memory of the arena. It
+// holds whatever its last user left in it: the caller writes every element
+// before reading it, and a destination that accumulates clears itself
+// first. Only a nil arena, or memory the arena allocated for this Get,
+// hands out zeros. Nil-safe. Only grow allocates.
 //
 //pythia:noalloc
 func (a *Arena) Get(rows, cols int) *Mat {
 	if a == nil {
 		return NewMat(rows, cols)
 	}
-	n := rows * cols
-	var m *Mat
-	if s := a.free[n]; len(s) > 0 {
-		m = s[len(s)-1]
-		s[len(s)-1] = nil
-		a.free[n] = s[:len(s)-1]
-		m.Rows, m.Cols = rows, cols
-	} else {
-		m = NewMat(rows, cols)
+	if rows < 0 || cols < 0 {
+		panic("nn: negative matrix dimension")
 	}
+	n := rows * cols
+	if a.live == len(a.mats) || n > len(a.cur)-a.off {
+		a.grow(n)
+	}
+	m := a.mats[a.live]
+	a.live++
+	m.Rows, m.Cols, m.Data = rows, cols, a.cur[a.off:a.off+n:a.off+n]
+	a.off += (n + lineFloats - 1) &^ (lineFloats - 1)
 	if poisonArena {
 		for i := range m.Data {
 			m.Data[i] = math.NaN()
 		}
 	}
-	a.used = append(a.used, m)
 	return m
+}
+
+// grow gives Get a header for its next matrix, and when the current chunk
+// cannot hold n more floats moves the cursor to the start of the next one,
+// allocating it first when there is none or it is smaller than n (an
+// outgrown chunk is dropped, never copied). Taken when the arena first
+// meets a step's shapes, and once per step to leave the rewound cursor.
+func (a *Arena) grow(n int) {
+	if a.live == len(a.mats) {
+		a.mats = append(a.mats, new(Mat))
+	}
+	if n <= len(a.cur)-a.off {
+		return
+	}
+	if a.next == len(a.chunks) {
+		a.chunks = append(a.chunks, nil)
+	}
+	if len(a.chunks[a.next]) < n {
+		a.chunks[a.next] = make([]float64, max(arenaChunk, (n+lineFloats-1)&^(lineFloats-1)))
+	}
+	a.cur, a.off = a.chunks[a.next], 0
+	a.next++
 }
 
 // poisonArena makes Get fill every matrix with NaN, so that an element read
@@ -72,21 +105,17 @@ var poisonArena bool
 //pythia:noalloc
 func (a *Arena) GetVec(n int) *Mat { return a.Get(1, n) }
 
-// Release returns every matrix handed out since the previous Release to
-// the free lists. Call it at step boundaries only: matrices obtained from
-// Get must not be read or written after the Release that recycles them.
-// Nil-safe.
+// Release rewinds the arena: the next Get returns the memory and the header
+// of the first Get since the previous Release. Call it at step boundaries
+// only: matrices obtained from Get must not be read or written after the
+// Release that recycles them. Nil-safe.
 //
 //pythia:noalloc
 func (a *Arena) Release() {
 	if a == nil {
 		return
 	}
-	for i, m := range a.used {
-		a.free[len(m.Data)] = append(a.free[len(m.Data)], m)
-		a.used[i] = nil
-	}
-	a.used = a.used[:0]
+	a.cur, a.off, a.next, a.live = nil, 0, 0, 0
 }
 
 // Live reports how many matrices are currently handed out (tests use it to
@@ -95,7 +124,7 @@ func (a *Arena) Live() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.used)
+	return a.live
 }
 
 // Runtime is what a module computes with: the scratch arena for step-scoped

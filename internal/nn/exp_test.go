@@ -108,19 +108,30 @@ func scalarSoftmaxRows(m *Mat, scale float64) {
 // TestSoftmaxRowsMatchesScalar holds SoftmaxRows to the scalar loop on 1 to
 // 9 rows (every remainder of its four-row blocks, with and without a whole
 // block before it) of 1 to 40 scores, so that the matrix's element count
-// takes every remainder mod 4: attention-sized ones, ones spread far enough
-// that some exponentials are subnormal or zero, and ones holding ±Inf and
-// NaN, at scale 1, attention's 1/√8 and two others.
+// takes every remainder mod 4, and on the shapes a served prediction runs
+// (37×37 and 36×36 score matrices, the pruned top layer's 1×37): ones
+// attention-sized, ones spread far enough that some exponentials are
+// subnormal or zero, ones holding ±Inf and NaN, and ones whose maximum is a
+// tie of +0 and −0, at scale 1, attention's 1/√8 and two others, each from a
+// misaligned start.
 func TestSoftmaxRowsMatchesScalar(t *testing.T) {
 	kernelPaths(t, func(t *testing.T) {
 		r := sim.NewRand(67)
-		for c := 0; c < 900; c++ {
-			m := randMat(r, 1+r.Intn(9), 1+r.Intn(40))
+		served := [][2]int{{37, 37}, {36, 36}, {1, 37}}
+		for c := 0; c < 960; c++ {
+			rows, cols := 1+r.Intn(9), 1+r.Intn(40)
+			if c%16 == 15 {
+				rows, cols = served[c/16%3][0], served[c/16%3][1]
+			}
+			m := misalign(randMat(r, rows, cols))
 			spread := []float64{1, 30, 400}[c%3]
 			scale := []float64{1, 1 / math.Sqrt(8), 0.37, 3}[c%4]
 			m.Scale(spread)
-			if c%5 == 0 {
+			switch c % 5 {
+			case 0:
 				poison(r, m)
+			case 1:
+				zeroTies(r, m)
 			}
 			want := m.Clone()
 			scalarSoftmaxRows(want, scale)
@@ -128,4 +139,18 @@ func TestSoftmaxRowsMatchesScalar(t *testing.T) {
 			bitwiseEq(t, fmt.Sprintf("case %d %dx%d spread %v scale %v", c, m.Rows, m.Cols, spread, scale), m, want)
 		}
 	})
+}
+
+// zeroTies makes every row of m non-positive with +0 and −0 among its
+// elements, so that its maximum is a tie the two kernel paths may settle on
+// different zeros.
+func zeroTies(r *sim.Rand, m *Mat) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j, v := range row {
+			row[j] = -math.Abs(v)
+		}
+		row[r.Intn(len(row))] = 0
+		row[r.Intn(len(row))] = math.Copysign(0, -1)
+	}
 }

@@ -39,10 +39,12 @@ import (
 // run over a transposed copy equals the one it replaces.
 //
 // The kernels — gemm's tiles, matMulT2Row, transpose4, Adam's adamRow and
-// softmax's exp4 — are assembly on amd64 CPUs with AVX2 and FMA
-// (kernels_amd64.s), four lanes per instruction (matMulT2Row two), each lane
-// the Go loop's operations in its order (exp4's, math.Exp's); elsewhere they
-// are the Go loops below (suffix Go), which the tests hold the assembly to.
+// softmax's softmaxShift, exp4 and softmaxNorm — are assembly on amd64 CPUs
+// with AVX2 and FMA (kernels_amd64.s), four lanes per instruction
+// (matMulT2Row two, softmaxNorm's sums one per row), each lane the Go loop's
+// operations in its order (exp4's, math.Exp's; softmaxShift's maximum is
+// order-free); elsewhere they are the Go loops below (suffix Go), which the
+// tests hold the assembly to.
 // The code here slices every operand to the length the assembly will touch,
 // so a malformed Mat panics in Go before any pointer reaches it.
 //
@@ -301,6 +303,67 @@ func exp4Go(x []float64) int {
 		x[i] = math.Exp(v)
 	}
 	return n
+}
+
+// softmaxShiftGo sets each v of every n-wide row of x to v·scale − max, max
+// the row's largest v·scale (−Inf if none is larger; a NaN never is). The
+// maximum is a serial chain, so four rows' chains run side by side (rows4).
+//
+//pythia:noalloc
+func softmaxShiftGo(x []float64, n int, scale float64) {
+	for i := 0; i < len(x); i += 4 * n {
+		x := x[i:min(i+4*n, len(x))]
+		r0, r1, r2, r3 := rows4(x, n)
+		m0, m1, m2, m3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
+		for j := range r0 {
+			v0, v1, v2, v3 := r0[j]*scale, r1[j]*scale, r2[j]*scale, r3[j]*scale
+			r0[j], r1[j], r2[j], r3[j] = v0, v1, v2, v3
+			if v0 > m0 {
+				m0 = v0
+			}
+			if v1 > m1 {
+				m1 = v1
+			}
+			if v2 > m2 {
+				m2 = v2
+			}
+			if v3 > m3 {
+				m3 = v3
+			}
+		}
+		maxes := [4]float64{m0, m1, m2, m3}
+		for q := range len(x) / n {
+			row, mx := x[q*n:][:n], maxes[q]
+			for j, v := range row {
+				row[j] = v - mx
+			}
+		}
+	}
+}
+
+// softmaxNormGo multiplies every n-wide row of x by 1/sum, the sum of the
+// row from +0 in ascending column order, four rows' chains side by side.
+//
+//pythia:noalloc
+func softmaxNormGo(x []float64, n int) {
+	for i := 0; i < len(x); i += 4 * n {
+		x := x[i:min(i+4*n, len(x))]
+		r0, r1, r2, r3 := rows4(x, n)
+		var s0, s1, s2, s3 float64
+		for j := range r0 {
+			s0 += r0[j]
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		sums := [4]float64{s0, s1, s2, s3}
+		for q := range len(x) / n {
+			row, inv := x[q*n:][:n], 1/sums[q]
+			for j := range row {
+				row[j] *= inv
+			}
+		}
+	}
 }
 
 // AddInto computes dst = a + b element-wise.

@@ -2,12 +2,14 @@ package nn
 
 // The kernels of kernels_amd64.s, one per Go loop: gemmKernel's is gemmGo,
 // every other's has its name and suffix Go. On a CPU with AVX, AVX2 and FMA
-// each is assembly that equals its Go loop bit for bit; otherwise each jumps
-// straight to its Go loop, the path every other architecture runs.
-// TestGemmMatchesNaive, TestKernelsMatchNaive, TestAdamMatchesScalar and
-// TestExpMatchesMath hold both paths to the same oracles. The assembly reads
-// and writes exactly the elements the Go loop would and checks no bounds:
-// every caller slices its operands to the lengths given here first.
+// each is assembly that equals its Go loop bit for bit (softmaxShift up to
+// the sign of a zero maximum, which its exponentials erase); otherwise each
+// jumps straight to its Go loop, the path every other architecture runs.
+// TestGemmMatchesNaive, TestKernelsMatchNaive, TestAdamMatchesScalar,
+// TestExpMatchesMath and TestSoftmaxRowsMatchesScalar hold both paths to the
+// same oracles. The assembly reads and writes exactly the elements the Go
+// loop would and checks no bounds: every caller slices its operands to the
+// lengths given here first.
 
 // useAVX is whether the CPU has AVX, AVX2 and FMA and the OS saves the YMM
 // registers, read once at start-up; nothing else selects a path. Tests flip
@@ -46,3 +48,14 @@ func adamRow(w, g, m, v []float64, scale, beta1, c1, beta2, c2, bc1, bc2, lr, ep
 //
 //go:noescape
 func exp4(x []float64) int
+
+// softmaxShift is softmaxShiftGo but for which zero a ±0 tie for the maximum
+// keeps (see kernels_amd64.s); n > 0 and len(x) is a multiple of n.
+//
+//go:noescape
+func softmaxShift(x []float64, n int, scale float64)
+
+// softmaxNorm is softmaxNormGo; n > 0 and len(x) is a multiple of n.
+//
+//go:noescape
+func softmaxNorm(x []float64, n int)

@@ -10,7 +10,8 @@
 // the Go loop has none (only exp4, copying math.Exp's assembly, fuses), no
 // reassociation — so results are the Go loops' bit for bit (a NaN's payload
 // aside: which of two NaN operands an add keeps depends on operand order,
-// which Go does not fix). A length that is not a multiple of the lane count
+// which Go does not fix; and softmaxShift's maximum, whose order matters only
+// for the sign of a zero). A length that is not a multiple of the lane count
 // finishes with the VEX scalar instructions. Loads and stores are unaligned:
 // a row may start at any 8-byte offset. Every kernel ends with VZEROUPPER, so
 // the SSE code the Go compiler emits pays no state transition. Nothing is
@@ -1016,5 +1017,231 @@ quads:
 
 done:
 	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func softmaxShift(x []float64, n int, scale float64)
+//
+// Each v of every n-wide row of x becomes v·scale − max, as softmaxShiftGo,
+// one row at a time while it sits in L1: a first pass takes max, a second
+// recomputes each v·scale (the same product) and stores it minus max. The
+// maximum runs in two four-lane accumulators over eight columns at a time,
+// then one quad, which are then folded into one lane, then the last n mod 4
+// columns. VMAXPD and VMAXSD with the running maximum as second source
+// return it unless v is greater, a NaN v included, as the Go loop's branch;
+// no accumulator holds a NaN, so the fold's order changes the maximum only
+// where +0 and −0 tie, and v − (±0) then differs only for v = −0, whose exp
+// is 1 either way. Y15 is scale, Y14 −Inf, Y1 and Y2 the accumulators; DI
+// is the row, R8 the end of x, CX n, BX n rounded down to 8, DX to 4.
+TEXT ·softmaxShift(SB), NOSPLIT, $0-40
+	PICK(·softmaxShiftGo)
+	MOVQ         x_base+0(FP), DI
+	MOVQ         x_len+8(FP), R8
+	MOVQ         n+24(FP), CX
+	VBROADCASTSD scale+32(FP), Y15
+	LEAQ         (DI)(R8*8), R8
+	MOVQ         CX, BX
+	ANDQ         $~7, BX
+	MOVQ         CX, DX
+	ANDQ         $~3, DX
+	MOVQ         $0xfff0000000000000, R9
+	VMOVQ        R9, X14
+	VBROADCASTSD X14, Y14
+
+row:
+	CMPQ    DI, R8
+	JAE     done
+	VMOVAPD Y14, Y1
+	VMOVAPD Y14, Y2
+	XORQ    AX, AX
+
+max8:
+	CMPQ   AX, BX
+	JAE    max4
+	VMULPD (DI)(AX*8), Y15, Y3
+	VMULPD 32(DI)(AX*8), Y15, Y4
+	VMAXPD Y1, Y3, Y1
+	VMAXPD Y2, Y4, Y2
+	ADDQ   $8, AX
+	JMP    max8
+
+max4:
+	CMPQ   AX, DX
+	JAE    fold
+	VMULPD (DI)(AX*8), Y15, Y3
+	VMAXPD Y1, Y3, Y1
+	ADDQ   $4, AX
+
+fold:
+	VMAXPD       Y2, Y1, Y1
+	VEXTRACTF128 $1, Y1, X2
+	VMAXPD       X2, X1, X1
+	VPERMILPD    $1, X1, X2
+	VMAXSD       X2, X1, X1
+
+max1:
+	CMPQ   AX, CX
+	JAE    shift
+	VMULSD (DI)(AX*8), X15, X3
+	VMAXSD X1, X3, X1
+	INCQ   AX
+	JMP    max1
+
+shift:
+	VBROADCASTSD X1, Y1
+	XORQ         AX, AX
+
+shift4:
+	CMPQ    AX, DX
+	JAE     shift1
+	VMULPD  (DI)(AX*8), Y15, Y3
+	VSUBPD  Y1, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     shift4
+
+shift1:
+	CMPQ   AX, CX
+	JAE    next
+	VMULSD (DI)(AX*8), X15, X3
+	VSUBSD X1, X3, X3
+	VMOVSD X3, (DI)(AX*8)
+	INCQ   AX
+	JMP    shift1
+
+next:
+	LEAQ (DI)(CX*8), DI
+	JMP  row
+
+done:
+	VZEROUPPER
+	RET
+
+// func softmaxNorm(x []float64, n int)
+//
+// Every n-wide row of x times 1/sum, as softmaxNormGo: each sum starts at +0
+// and adds the row's elements in ascending column order, one serial chain,
+// so four rows' chains run side by side in the low lanes of X0..X3 (R8..R11
+// the rows), then the rows left over one at a time in X0. 1/sum is broadcast
+// and the row multiplied by it four columns at a time, then one. R12 is the
+// end of x, CX n, BX n rounded down to 4, DX the row stride in bytes, SI the
+// row after the four, X15 1.
+TEXT ·softmaxNorm(SB), NOSPLIT, $0-32
+	PICK(·softmaxNormGo)
+	MOVQ x_base+0(FP), R8
+	MOVQ x_len+8(FP), R12
+	MOVQ n+24(FP), CX
+	LEAQ (R8)(R12*8), R12
+	MOVQ CX, BX
+	ANDQ $~3, BX
+	LEAQ (CX*8), DX
+	MOVQ $0x3ff0000000000000, R13
+	VMOVQ R13, X15
+
+group:
+	LEAQ   (R8)(DX*4), SI
+	CMPQ   SI, R12
+	JA     rest
+	LEAQ   (R8)(DX*1), R9
+	LEAQ   (R9)(DX*1), R10
+	LEAQ   (R10)(DX*1), R11
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	XORQ   AX, AX
+
+sum4:
+	CMPQ   AX, CX
+	JAE    inv4
+	VADDSD (R8)(AX*8), X0, X0
+	VADDSD (R9)(AX*8), X1, X1
+	VADDSD (R10)(AX*8), X2, X2
+	VADDSD (R11)(AX*8), X3, X3
+	INCQ   AX
+	JMP    sum4
+
+inv4:
+	VDIVSD       X0, X15, X0
+	VDIVSD       X1, X15, X1
+	VDIVSD       X2, X15, X2
+	VDIVSD       X3, X15, X3
+	VBROADCASTSD X0, Y0
+	VBROADCASTSD X1, Y1
+	VBROADCASTSD X2, Y2
+	VBROADCASTSD X3, Y3
+	XORQ         AX, AX
+
+mul4:
+	CMPQ    AX, BX
+	JAE     mul4last
+	VMULPD  (R8)(AX*8), Y0, Y4
+	VMOVUPD Y4, (R8)(AX*8)
+	VMULPD  (R9)(AX*8), Y1, Y5
+	VMOVUPD Y5, (R9)(AX*8)
+	VMULPD  (R10)(AX*8), Y2, Y6
+	VMOVUPD Y6, (R10)(AX*8)
+	VMULPD  (R11)(AX*8), Y3, Y7
+	VMOVUPD Y7, (R11)(AX*8)
+	ADDQ    $4, AX
+	JMP     mul4
+
+mul4last:
+	CMPQ   AX, CX
+	JAE    next4
+	VMULSD (R8)(AX*8), X0, X4
+	VMOVSD X4, (R8)(AX*8)
+	VMULSD (R9)(AX*8), X1, X5
+	VMOVSD X5, (R9)(AX*8)
+	VMULSD (R10)(AX*8), X2, X6
+	VMOVSD X6, (R10)(AX*8)
+	VMULSD (R11)(AX*8), X3, X7
+	VMOVSD X7, (R11)(AX*8)
+	INCQ   AX
+	JMP    mul4last
+
+next4:
+	MOVQ SI, R8
+	JMP  group
+
+rest:
+	CMPQ   R8, R12
+	JAE    done
+	VXORPD X0, X0, X0
+	XORQ   AX, AX
+
+sum1:
+	CMPQ   AX, CX
+	JAE    inv1
+	VADDSD (R8)(AX*8), X0, X0
+	INCQ   AX
+	JMP    sum1
+
+inv1:
+	VDIVSD       X0, X15, X0
+	VBROADCASTSD X0, Y0
+	XORQ         AX, AX
+
+mul1:
+	CMPQ    AX, BX
+	JAE     mul1last
+	VMULPD  (R8)(AX*8), Y0, Y4
+	VMOVUPD Y4, (R8)(AX*8)
+	ADDQ    $4, AX
+	JMP     mul1
+
+mul1last:
+	CMPQ   AX, CX
+	JAE    next1
+	VMULSD (R8)(AX*8), X0, X4
+	VMOVSD X4, (R8)(AX*8)
+	INCQ   AX
+	JMP    mul1last
+
+next1:
+	ADDQ DX, R8
+	JMP  rest
+
+done:
 	VZEROUPPER
 	RET

@@ -85,6 +85,18 @@ func BenchmarkAdamStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSoftmaxRows times one head's softmax over the 37×37 scores of a
+// 37-token plan at attention's scale for Dh = 8. It runs in place, on the
+// previous iteration's probabilities after the first, which costs what fresh
+// scores do.
+func BenchmarkSoftmaxRows(b *testing.B) {
+	m := randMat(sim.NewRand(6), 37, 37)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.SoftmaxRows(0.35355339059327373)
+	}
+}
+
 // BenchmarkAttention measures a full MHSA forward+backward at an
 // encoder-realistic shape (sequence 64, the paper's Dim-100-ish width,
 // 8 heads).

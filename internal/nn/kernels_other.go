@@ -19,3 +19,7 @@ func adamRow(w, g, m, v []float64, scale, beta1, c1, beta2, c2, bc1, bc2, lr, ep
 }
 
 func exp4(x []float64) int { return exp4Go(x) }
+
+func softmaxShift(x []float64, n int, scale float64) { softmaxShiftGo(x, n, scale) }
+
+func softmaxNorm(x []float64, n int) { softmaxNormGo(x, n) }

@@ -120,62 +120,19 @@ func (m *Mat) Scale(s float64) *Mat {
 
 // SoftmaxRows sets each row of m to softmax(scale·row), numerically stable:
 // each v becomes v·scale, then exp(v·scale − max) with max the row's largest
-// v·scale, and each of those times 1/sum, the sum taken left to right. The
-// exponentials run over the whole matrix at once, four lanes wide where the
-// CPU allows (expInPlace), with math.Exp's bits. The max and the sum are
-// serial chains, so four rows' chains run side by side (rows4).
+// v·scale, and each of those times 1/sum, the sum taken left to right. Three
+// kernels (kernels.go): softmaxShift scales and shifts each row,
+// expInPlace takes the exponentials over the whole matrix at once with
+// math.Exp's bits, and softmaxNorm sums and normalises each row.
 func (m *Mat) SoftmaxRows(scale float64) {
 	n := m.Cols
 	if n == 0 {
 		return
 	}
-	for i := 0; i < m.Rows; i += 4 {
-		x := m.Data[i*n : min(i+4, m.Rows)*n]
-		r0, r1, r2, r3 := rows4(x, n)
-		m0, m1, m2, m3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
-		for j := range r0 {
-			v0, v1, v2, v3 := r0[j]*scale, r1[j]*scale, r2[j]*scale, r3[j]*scale
-			r0[j], r1[j], r2[j], r3[j] = v0, v1, v2, v3
-			if v0 > m0 {
-				m0 = v0
-			}
-			if v1 > m1 {
-				m1 = v1
-			}
-			if v2 > m2 {
-				m2 = v2
-			}
-			if v3 > m3 {
-				m3 = v3
-			}
-		}
-		maxes := [4]float64{m0, m1, m2, m3}
-		for q := range len(x) / n {
-			row, mx := x[q*n:][:n], maxes[q]
-			for j, v := range row {
-				row[j] = v - mx
-			}
-		}
-	}
-	expInPlace(m.Data)
-	for i := 0; i < m.Rows; i += 4 {
-		x := m.Data[i*n : min(i+4, m.Rows)*n]
-		r0, r1, r2, r3 := rows4(x, n)
-		var s0, s1, s2, s3 float64
-		for j := range r0 {
-			s0 += r0[j]
-			s1 += r1[j]
-			s2 += r2[j]
-			s3 += r3[j]
-		}
-		sums := [4]float64{s0, s1, s2, s3}
-		for q := range len(x) / n {
-			row, inv := x[q*n:][:n], 1/sums[q]
-			for j := range row {
-				row[j] *= inv
-			}
-		}
-	}
+	x := m.Data[:m.Rows*n]
+	softmaxShift(x, n, scale)
+	expInPlace(x)
+	softmaxNorm(x, n)
 }
 
 // rows4 returns the one to four n-wide rows of x, the last repeated in the

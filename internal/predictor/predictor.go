@@ -206,22 +206,24 @@ func (p *Predictor) ParamCount() int { return p.trunk.ParamCount() }
 // VocabSize returns the frozen vocabulary size.
 func (p *Predictor) VocabSize() int { return p.vocab.Size() }
 
-// relevantObjects collects the objects touched by the plan's non-sequential
-// scan nodes: each index scan's index object and its base table's heap
-// (Algorithm 3, line 8: "for all non-sequential scan nodes").
-func relevantObjects(root *plan.Node) map[storage.ObjectID]bool {
-	out := map[storage.ObjectID]bool{}
+// relevantObjects returns, sorted and without repeats, the objects touched
+// by the plan's non-sequential scan nodes: each index scan's index object
+// and its base table's heap (Algorithm 3, line 8: "for all non-sequential
+// scan nodes").
+func relevantObjects(root *plan.Node) []storage.ObjectID {
+	var out []storage.ObjectID
 	root.Walk(func(n *plan.Node) {
 		if n.Kind == plan.KindIndexScan {
 			if n.Index != nil {
-				out[n.Index.Tree.Object().ID] = true
+				out = append(out, n.Index.Tree.Object().ID)
 			}
 			if n.Rel != nil {
-				out[n.Rel.Heap.ID] = true
+				out = append(out, n.Rel.Heap.ID)
 			}
 		}
 	})
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // EncodePlan serializes a plan and encodes it against the frozen vocabulary
@@ -250,22 +252,16 @@ func Fingerprint(ids []int) uint64 {
 }
 
 // planModels returns the heads relevant to the plan — every head covering
-// an object the plan scans non-sequentially — plus the relevant-object set
-// used to filter combined heads' predictions. Walk the relevant objects in
-// ID order so the head list never depends on map order.
-func (p *Predictor) planModels(root *plan.Node) ([]*model.Model, map[storage.ObjectID]bool) {
+// an object the plan scans non-sequentially, in the order of the objects'
+// IDs — plus the sorted relevant objects, which filter combined heads'
+// predictions. A plan selects at most a few heads, so a scan of those
+// already chosen drops a repeat.
+func (p *Predictor) planModels(root *plan.Node) ([]*model.Model, []storage.ObjectID) {
 	relevant := relevantObjects(root)
-	objs := make([]storage.ObjectID, 0, len(relevant))
-	for id := range relevant {
-		objs = append(objs, id)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	seen := map[*model.Model]bool{}
 	var ms []*model.Model
-	for _, id := range objs {
+	for _, id := range relevant {
 		for _, m := range p.objModels[id] {
-			if !seen[m] {
-				seen[m] = true
+			if !slices.Contains(ms, m) {
 				ms = append(ms, m)
 			}
 		}
@@ -288,7 +284,7 @@ func (p *Predictor) Predict(root *plan.Node, ids []int) []storage.PageID {
 		// Keep only pages of relevant objects (a combined head may cover an
 		// object the plan does not touch).
 		for _, page := range ms[i].Cut(probs) {
-			if relevant[page.Object] {
+			if _, ok := slices.BinarySearch(relevant, page.Object); ok {
 				out = append(out, page)
 			}
 		}

@@ -95,7 +95,7 @@ func TestPredictMatchesPerHeadUnion(t *testing.T) {
 			var want []storage.PageID
 			for _, m := range p.Models() {
 				for _, page := range m.Cut(m.Scores(ids)) {
-					if relevant[page.Object] {
+					if slices.Contains(relevant, page.Object) {
 						want = append(want, page)
 					}
 				}
