@@ -164,6 +164,7 @@ func NewGenerator(cfg Config) *Generator {
 			if window < 4 {
 				window = 4
 			}
+			// v·stride reaches ≈ 3 target.Rows before the wrap folds it back.
 			cols = append(cols, catalog.Column{
 				Name: fk.col,
 				Gen: moduloWrap{
@@ -171,7 +172,7 @@ func NewGenerator(cfg Config) *Generator {
 						Base: catalog.Correlated{
 							Base:      dateGen,
 							Transform: func(stride int64) func(int64) int64 { return func(v int64) int64 { return v * stride } }(stride),
-							Lo:        0, Hi: target.Rows,
+							Lo:        DateLo * stride, Hi: (DateHi-1)*stride + 1,
 						},
 						Range: window,
 						Seed:  next(),

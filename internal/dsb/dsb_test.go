@@ -301,3 +301,39 @@ func TestFactPricesShareOneTable(t *testing.T) {
 		t.Fatalf("the %d price columns use %d distinct seeds", len(facts), len(seeds))
 	}
 }
+
+// TestGeneratorsStayInDomain: every generator of the DSB schema, the ones
+// nested inside a column's generator included, produces only values inside
+// its Domain on every row, at two scales. The planner's selectivities and
+// the catalog's value index rely on it.
+func TestGeneratorsStayInDomain(t *testing.T) {
+	for _, sf := range []int{4, 20} {
+		for _, rel := range NewGenerator(Config{ScaleFactor: sf, Seed: 7}).DB().Relations() {
+			for _, col := range rel.Columns {
+				for depth, gen := range nested(col.Gen) {
+					lo, hi := gen.Domain()
+					for row := int64(0); row < rel.Rows; row++ {
+						if v := gen.Value(row); v < lo || v >= hi {
+							t.Fatalf("sf=%d %s.%s, generator at depth %d: row %d is %d, outside its domain [%d, %d)",
+								sf, rel.Name, col.Name, depth, row, v, lo, hi)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// nested returns g and every generator it wraps, outermost first.
+func nested(g catalog.Generator) []catalog.Generator {
+	out := []catalog.Generator{g}
+	switch g := g.(type) {
+	case moduloWrap:
+		out = append(out, nested(g.base)...)
+	case catalog.Noisy:
+		out = append(out, nested(g.Base)...)
+	case catalog.Correlated:
+		out = append(out, nested(g.Base)...)
+	}
+	return out
+}

@@ -13,6 +13,8 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/pythia-db/pythia/internal/catalog"
 	"github.com/pythia-db/pythia/internal/plan"
@@ -95,11 +97,16 @@ func (e *executor) slot(rel *catalog.Relation) int { return e.slots[rel.Name] }
 // column returns the generator of rel's column col. An unknown column is a
 // planner bug, as it is to catalog.Relation.Value.
 func column(rel *catalog.Relation, col string) catalog.Generator {
+	return rel.Columns[columnIndex(rel, col)].Gen
+}
+
+// columnIndex returns the position of rel's column col.
+func columnIndex(rel *catalog.Relation, col string) int {
 	i := rel.ColumnIndex(col)
 	if i < 0 {
 		panic(fmt.Sprintf("exec: no column %s in %s", col, rel.Name))
 	}
-	return rel.Columns[i].Gen
+	return i
 }
 
 // boundPred is a predicate with its column resolved to the generator.
@@ -182,25 +189,78 @@ func (e *executor) run(n *plan.Node, emit func()) {
 }
 
 // seqScan reads the relation's heap in file order, one request per page,
-// emitting rows that pass the node's predicates.
+// emitting rows that pass the node's predicates. The first predicate whose
+// column has a catalog.ValueIndex picks the rows to read through it, and
+// only those are tested against the other predicates; the rows it skips
+// still count as read, so requests and tuple counts are those of a scan
+// that tests every row.
 func (e *executor) seqScan(n *plan.Node, emit func()) {
 	rel := n.Rel
 	slot := e.slot(rel)
-	preds := bindPreds(rel, n.Preds)
-	lastPage := storage.PageNum(0)
-	havePage := false
-	for row := int64(0); row < rel.Rows; row++ {
-		p := rel.HeapPage(row)
-		if !havePage || p.Page != lastPage {
-			e.request(p, true)
-			lastPage, havePage = p.Page, true
-		}
-		e.tuples++
-		if predsMatch(preds, row) {
-			e.cur[slot] = row
-			emit()
+	admit, preds := admitted(rel, n.Preds)
+	w := heapWalk{e: e, rel: rel}
+	for i, word := range admit {
+		for ; word != 0; word &= word - 1 {
+			row := int64(i)*64 + int64(bits.TrailingZeros64(word))
+			w.read(row)
+			if predsMatch(preds, row) {
+				e.cur[slot] = row
+				emit()
+			}
 		}
 	}
+	if rel.Rows > 0 {
+		w.read(rel.Rows - 1)
+	}
+}
+
+// admitted returns a bitmap of the rows of rel the first indexed predicate
+// admits, and the other predicates bound; with no indexed predicate, every
+// row is set and every predicate returned.
+func admitted(rel *catalog.Relation, preds []plan.Pred) ([]uint64, []boundPred) {
+	admit := make([]uint64, (rel.Rows+63)/64)
+	for i, p := range preds {
+		x := rel.ValueIndex(columnIndex(rel, p.Col))
+		if x == nil {
+			continue
+		}
+		for _, row := range x.Range(p.Lo, p.Hi) {
+			admit[row>>6] |= 1 << (row & 63)
+		}
+		return admit, bindPreds(rel, slices.Delete(slices.Clone(preds), i, i+1))
+	}
+	for i := range admit {
+		admit[i] = ^uint64(0)
+	}
+	if tail := rel.Rows % 64; tail != 0 {
+		admit[len(admit)-1] = 1<<tail - 1
+	}
+	return admit, bindPreds(rel, preds)
+}
+
+// heapWalk requests a seq scan's heap pages in file order and counts the
+// rows it reads, so that a scan that skips rows requests what a row-by-row
+// scan does, with the same tuple counts.
+type heapWalk struct {
+	e    *executor
+	rel  *catalog.Relation
+	page storage.PageNum // the next page to request
+	next int64           // the first row not yet counted
+	end  int64           // the end of the pages requested so far
+}
+
+// read counts every row up to and including row as read, requesting each
+// page up to row's before the first row on it is counted.
+func (w *heapWalk) read(row int64) {
+	for row >= w.end {
+		w.e.tuples += int(w.end - w.next)
+		w.next = w.end
+		w.e.request(storage.PageID{Object: w.rel.Heap.ID, Page: w.page}, true)
+		w.page++
+		w.end = min(w.end+int64(w.rel.RowsPerPage), w.rel.Rows)
+	}
+	w.e.tuples += int(row - w.next + 1)
+	w.next = row + 1
 }
 
 // indexProbe probes the inner index n with the outer tuple's join key k:

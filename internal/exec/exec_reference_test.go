@@ -175,7 +175,10 @@ func checkMatchesReference(t *testing.T, name string, root *plan.Node) {
 // scales and two seeds, on the IMDB template, and on hand-built hash joins
 // whose build side repeats keys (scan order kept within a key) and whose
 // outer side probes keys the build side lacks, with build keys addressed
-// directly and through the map.
+// directly and through the map; and on hand-built seq scans that read their
+// rows through a value index: a partly filled last page, empty, inverted and
+// full ranges, a second predicate, a nested loop whose probes request pages
+// mid-page, a column too wide to index and an empty relation.
 func TestExecMatchesReference(t *testing.T) {
 	hashJoins := 0
 	count := func(root *plan.Node) {
@@ -252,6 +255,47 @@ func TestExecMatchesReference(t *testing.T) {
 			t.Fatalf("%s: the join emits %d rows; the case needs repeated keys and misses", c.name, res.Rows)
 		}
 		checkMatchesReference(t, c.name, root)
+	}
+
+	// Hand-built seq scans whose first predicate's column has a value
+	// index, on a relation whose last page is partly filled, alone and under
+	// a nested loop whose probes request pages between the scan's rows.
+	db := catalog.NewDatabase()
+	scan := db.AddRelation("scan", 1003, 12, []catalog.Column{
+		{Name: "s_v", Gen: catalog.Uniform{Lo: 0, Hi: 200, Seed: 21}},
+		{Name: "s_w", Gen: catalog.Uniform{Lo: 0, Hi: 10, Seed: 22}},
+		{Name: "s_wide", Gen: catalog.Uniform{Lo: 0, Hi: 1 << 20, Seed: 23}},
+		{Name: "s_key", Gen: catalog.Uniform{Lo: 0, Hi: 300, Seed: 24}},
+	})
+	none := db.AddRelation("none", 0, 12, []catalog.Column{{Name: "n_v", Gen: catalog.Uniform{Lo: 0, Hi: 200, Seed: 25}}})
+	probe := db.AddRelation("probe", 300, 7, []catalog.Column{{Name: "p_sk", Gen: catalog.Serial{}}})
+	db.BuildIndex(probe, "p_sk", index.Config{LeafCap: 8, Fanout: 4})
+	if scan.ValueIndex(scan.ColumnIndex("s_v")) == nil || scan.ValueIndex(scan.ColumnIndex("s_wide")) != nil {
+		t.Fatal("s_v must have a value index and s_wide must not")
+	}
+	for _, c := range []struct {
+		name  string
+		rel   *catalog.Relation
+		preds []plan.Pred
+	}{
+		{"range", scan, []plan.Pred{plan.Between("s_v", 50, 59)}},
+		{"empty range", scan, []plan.Pred{plan.Between("s_v", 200, 400)}},
+		{"inverted range", scan, []plan.Pred{plan.Between("s_v", 60, 50)}},
+		{"full range", scan, []plan.Pred{plan.AtMost("s_v", math.MaxInt64)}},
+		{"second predicate", scan, []plan.Pred{plan.AtLeast("s_v", 100), plan.Eq("s_w", 3)}},
+		{"too wide to index", scan, []plan.Pred{plan.Between("s_wide", 0, 1<<16)}},
+		{"no predicate", scan, nil},
+		{"empty relation", none, []plan.Pred{plan.AtMost("n_v", 100)}},
+	} {
+		seq := &plan.Node{Kind: plan.KindSeqScan, Rel: c.rel, Preds: c.preds}
+		checkMatchesReference(t, c.name, &plan.Node{Kind: plan.KindAgg, Left: seq})
+		if c.rel == scan {
+			checkMatchesReference(t, c.name+" under a nested loop", &plan.Node{Kind: plan.KindAgg, Left: &plan.Node{
+				Kind:  plan.KindNestedLoop,
+				Left:  seq,
+				Right: &plan.Node{Kind: plan.KindIndexScan, Rel: probe, Index: probe.IndexOn("p_sk"), OuterCol: "s_key"},
+			}})
+		}
 	}
 }
 

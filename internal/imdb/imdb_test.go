@@ -3,6 +3,8 @@ package imdb
 import (
 	"math"
 	"testing"
+
+	"github.com/pythia-db/pythia/internal/catalog"
 )
 
 // TestScaleValidated: 0 selects the reference scale 100, a positive value is
@@ -177,3 +179,39 @@ type negGen struct{}
 
 func (negGen) Value(int64) int64      { return -13 }
 func (negGen) Domain() (int64, int64) { return -13, -12 }
+
+// TestGeneratorsStayInDomain: every generator of the IMDB schema, the ones
+// nested inside a column's generator included, produces only values inside
+// its Domain on every row, at two scales. The planner's selectivities and
+// the catalog's value index rely on it.
+func TestGeneratorsStayInDomain(t *testing.T) {
+	for _, scale := range []int{10, 100} {
+		for _, rel := range NewGenerator(Config{Scale: scale, Seed: 17}).DB().Relations() {
+			for _, col := range rel.Columns {
+				for depth, gen := range nested(col.Gen) {
+					lo, hi := gen.Domain()
+					for row := int64(0); row < rel.Rows; row++ {
+						if v := gen.Value(row); v < lo || v >= hi {
+							t.Fatalf("scale=%d %s.%s, generator at depth %d: row %d is %d, outside its domain [%d, %d)",
+								scale, rel.Name, col.Name, depth, row, v, lo, hi)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// nested returns g and every generator it wraps, outermost first.
+func nested(g catalog.Generator) []catalog.Generator {
+	out := []catalog.Generator{g}
+	switch g := g.(type) {
+	case wrap:
+		out = append(out, nested(g.base)...)
+	case catalog.Noisy:
+		out = append(out, nested(g.Base)...)
+	case catalog.Correlated:
+		out = append(out, nested(g.Base)...)
+	}
+	return out
+}

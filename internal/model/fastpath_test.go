@@ -41,11 +41,11 @@ func TestInferAllocs(t *testing.T) {
 }
 
 // BenchmarkInfer times one uncached prediction at servedTrunk's shapes.
-// heads=5 is what a t91 plan selects; it reads ≈ 0.05 ms above heads=1's
-// ≈ 0.15 ms — four more decoders and their sigmoids — where five private
-// encoders cost five times. parallel is heads=5 from GOMAXPROCS goroutines
-// on one trunk: each call runs on a view of its own, so its ns/op falls with
-// the CPUs given (-cpu).
+// heads=5 is what a t91 plan selects; it costs heads=1's encoder pass plus
+// four more decoders and their sigmoids, about a third more, where five
+// private encoders would cost five times. parallel is heads=5 from
+// GOMAXPROCS goroutines on one trunk: each call runs on a view of its own,
+// so its ns/op falls with the CPUs given (-cpu).
 func BenchmarkInfer(b *testing.B) {
 	var t *Trunk
 	var seq []int
