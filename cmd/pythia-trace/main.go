@@ -80,27 +80,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  (%d tokens)\n\n", len(toks))
 
 	res := exec.Run(root)
-	st := trace.ComputeStats(res.Requests)
+	pages := trace.Process(res.Requests)
+	seq := trace.SeqRequests(res.Requests)
 	fmt.Fprintf(stdout, "execution: %d output rows, %d page requests\n", res.Rows, len(res.Requests))
-	fmt.Fprintf(stdout, "  sequential requests:       %d\n", st.SeqRequests)
-	fmt.Fprintf(stdout, "  non-sequential requests:   %d (%d distinct)\n\n", st.NonSeqRequests, st.DistinctNonSeq)
+	fmt.Fprintf(stdout, "  sequential requests:       %d\n", seq)
+	fmt.Fprintf(stdout, "  non-sequential requests:   %d (%d distinct)\n\n", len(res.Requests)-seq, len(pages))
 
-	processed := trace.Process(res.Requests)
+	// The trace is sorted by object, then offset: each object is one run.
 	fmt.Fprintln(stdout, "processed trace (Algorithm 1 — per object, sorted offsets):")
-	for _, obj := range gen.DB().Registry.Objects() {
-		pages := processed.Object(obj.ID)
-		if len(pages) == 0 {
-			continue
+	for len(pages) > 0 {
+		obj := gen.DB().Registry.Lookup(pages[0].Object)
+		n := 1
+		for n < len(pages) && pages[n].Object == obj.ID {
+			n++
 		}
 		preview := ""
-		for i, p := range pages {
-			if i == 12 {
-				preview += " ..."
-				break
-			}
-			preview += fmt.Sprintf(" %d", p)
+		for _, p := range pages[:min(n, 12)] {
+			preview += fmt.Sprintf(" %d", p.Page)
 		}
-		fmt.Fprintf(stdout, "  %-45s (%s, %4d pages):%s\n", obj.Name, obj.Kind, len(pages), preview)
+		if n > 12 {
+			preview += " ..."
+		}
+		fmt.Fprintf(stdout, "  %-45s (%s, %4d pages):%s\n", obj.Name, obj.Kind, n, preview)
+		pages = pages[n:]
 	}
 	return 0
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,31 @@ func TestTracesOneQuery(t *testing.T) {
 	for _, section := range []string{"=== t18 instance 0 ===", "physical plan:", "serialized plan (Algorithm 2):", "execution:", "processed trace (Algorithm 1"} {
 		if !strings.Contains(stdout.String(), section) {
 			t.Errorf("no %q in:\n%s", section, stdout.String())
+		}
+	}
+}
+
+// TestOutputGolden: the command's whole output, byte for byte, against
+// recorded runs: one whose per-object previews are all short (t91) and one
+// that elides long ones (t18).
+func TestOutputGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"t91-sf4-instance3", []string{"-template", "t91", "-sf", "4", "-instance", "3"}},
+		{"t18-sf20-instance1", []string{"-template", "t18", "-sf", "20", "-instance", "1"}},
+	} {
+		want, err := os.ReadFile("testdata/" + c.golden + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit code %d, stderr:\n%s", c.golden, code, stderr.String())
+		}
+		if got := stdout.String(); got != string(want) {
+			t.Errorf("%s: output differs from the golden\ngot:\n%s\nwant:\n%s", c.golden, got, want)
 		}
 	}
 }

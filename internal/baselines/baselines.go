@@ -14,9 +14,8 @@
 package baselines
 
 import (
-	"sort"
-
 	"github.com/pythia-db/pythia/internal/storage"
+	"github.com/pythia-db/pythia/internal/trace"
 	"github.com/pythia-db/pythia/internal/workload"
 )
 
@@ -30,16 +29,7 @@ func Oracle(inst *workload.Instance) []storage.PageID {
 // file-storage order — the "prefetch only sequential reads" variant of
 // Figure 1.
 func OracleSequential(inst *workload.Instance) []storage.PageID {
-	seen := map[storage.PageID]bool{}
-	var out []storage.PageID
-	for _, r := range inst.Requests {
-		if r.Sequential && !seen[r.Page] {
-			seen[r.Page] = true
-			out = append(out, r.Page)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return trace.Distinct(inst.Requests, true)
 }
 
 // NearestNeighbor finds the training instance with the highest Jaccard

@@ -78,16 +78,22 @@ func Run(root *plan.Node) *Result {
 	})
 	e.cur = make(tuple, len(e.slots))
 	e.run(root, func() { e.rows++ })
-	return &Result{Rows: e.rows, Requests: e.requests, TrailingTuples: e.tuples}
+	// The stream is kept for the life of its workload, so it is returned
+	// without append's slack.
+	return &Result{Rows: e.rows, Requests: slices.Clone(e.requests), TrailingTuples: e.tuples}
 }
 
 // request records a page access, folding in the tuple count accumulated
 // since the previous request.
 func (e *executor) request(p storage.PageID, sequential bool) {
+	tuples := int32(e.tuples)
+	if int(tuples) != e.tuples {
+		panic(fmt.Sprintf("exec: %d tuples between two page requests overflow a request's count", e.tuples))
+	}
 	e.requests = append(e.requests, storage.Request{
 		Page:       p,
 		Sequential: sequential,
-		Tuples:     e.tuples,
+		Tuples:     tuples,
 	})
 	e.tuples = 0
 }

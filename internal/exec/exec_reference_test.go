@@ -55,7 +55,7 @@ func refRun(root *plan.Node) *exec.Result {
 }
 
 func (e *refExecutor) request(p storage.PageID, sequential bool) {
-	e.requests = append(e.requests, storage.Request{Page: p, Sequential: sequential, Tuples: e.tuples})
+	e.requests = append(e.requests, storage.Request{Page: p, Sequential: sequential, Tuples: int32(e.tuples)})
 	e.tuples = 0
 }
 

@@ -50,10 +50,13 @@ func TestSeqScanCountsAndRequests(t *testing.T) {
 	// Tuples accounting: each request after the first carries 10 tuples.
 	total := res.TrailingTuples
 	for _, r := range res.Requests {
-		total += r.Tuples
+		total += int(r.Tuples)
 	}
 	if total != 2000 {
 		t.Fatalf("tuple accounting lost rows: %d", total)
+	}
+	if len(res.Requests) != cap(res.Requests) {
+		t.Fatalf("stream of %d requests holds capacity for %d", len(res.Requests), cap(res.Requests))
 	}
 }
 
@@ -239,6 +242,24 @@ func TestAmbiguousColumnPanics(t *testing.T) {
 		}
 	}()
 	Run(root)
+}
+
+// TestTupleCountOverflowPanics: a request carries its tuple count in 32
+// bits; the largest count that fits is kept exactly and one more panics
+// rather than wrapping.
+func TestTupleCountOverflowPanics(t *testing.T) {
+	e := &executor{tuples: math.MaxInt32}
+	e.request(storage.PageID{Object: 1}, false)
+	if got := e.requests[0].Tuples; got != math.MaxInt32 {
+		t.Fatalf("Tuples = %d, want %d", got, math.MaxInt32)
+	}
+	e.tuples = math.MaxInt32 + 1
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a tuple count past int32 did not panic")
+		}
+	}()
+	e.request(storage.PageID{Object: 1}, false)
 }
 
 // TestGroupRowsPicksAddressing: build keys spanning fewer values than the

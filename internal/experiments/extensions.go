@@ -56,7 +56,7 @@ func (s *Suite) ExtDrift() *Table {
 	// caveat), so recovery is partial but material.
 	var samples []predictor.TrainSample
 	for _, inst := range futureUpdate {
-		samples = append(samples, predictor.TrainSample{Plan: inst.Plan, Trace: inst.Trace})
+		samples = append(samples, predictor.TrainSample{Plan: inst.Plan, Pages: inst.Pages})
 	}
 	for _, tw := range sys.Workloads() {
 		tw.Pred.Update(samples, s.cfg.Model.Epochs)

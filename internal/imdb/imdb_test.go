@@ -2,9 +2,11 @@ package imdb
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/catalog"
+	"github.com/pythia-db/pythia/internal/storage"
 )
 
 // TestScaleValidated: 0 selects the reference scale 100, a positive value is
@@ -155,7 +157,7 @@ func TestWorkloadRegime(t *testing.T) {
 	castID := g.CastInfo().Heap.ID
 	found := false
 	for _, inst := range w.Instances {
-		if len(inst.Trace.Object(castID)) > 0 {
+		if slices.ContainsFunc(inst.Pages, func(p storage.PageID) bool { return p.Object == castID }) {
 			found = true
 			break
 		}

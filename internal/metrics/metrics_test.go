@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -89,11 +90,7 @@ func TestScoreBounds(t *testing.T) {
 					out = append(out, storage.PageID{Object: 1, Page: storage.PageNum(x)})
 				}
 			}
-			for i := 1; i < len(out); i++ {
-				for j := i; j > 0 && out[j].Less(out[j-1]); j-- {
-					out[j], out[j-1] = out[j-1], out[j]
-				}
-			}
+			slices.SortFunc(out, storage.PageID.Compare)
 			return out
 		}
 		s := Score(toPages(a), toPages(b))

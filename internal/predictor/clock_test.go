@@ -24,7 +24,7 @@ func TestTrainTimeUsesInjectedClock(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		params = append(params, r.Int63n(900))
 	}
-	samples, _, _ := buildSamples(t, db, params)
+	samples, _ := buildSamples(t, db, params)
 	opts := fastOpts()
 	opts.Model.Epochs = 2
 	p := Train(samples, opts)

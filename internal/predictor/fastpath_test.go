@@ -17,7 +17,7 @@ func trainedFixture(t *testing.T) (*Predictor, []*plan.Node) {
 	for i := 0; i < 32; i++ {
 		params = append(params, r.Int63n(900))
 	}
-	samples, _, _ := buildSamples(t, db, params)
+	samples, _ := buildSamples(t, db, params)
 	p := Train(samples, fastOpts())
 	pl := plan.NewPlanner(db)
 	var roots []*plan.Node

@@ -8,8 +8,8 @@
 package predictor
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"github.com/pythia-db/pythia/internal/model"
@@ -17,13 +17,13 @@ import (
 	"github.com/pythia-db/pythia/internal/serialize"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
-	"github.com/pythia-db/pythia/internal/trace"
 )
 
-// TrainSample pairs a training query's plan with its processed trace.
+// TrainSample pairs a training query's plan with its processed trace: the
+// distinct pages it accessed non-sequentially, sorted (trace.Process).
 type TrainSample struct {
 	Plan  *plan.Node
-	Trace *trace.Processed
+	Pages []storage.PageID
 }
 
 // Options configures training.
@@ -69,8 +69,8 @@ func Train(samples []TrainSample, opts Options) *Predictor {
 	// Objects accessed non-sequentially anywhere in the workload get models.
 	accessed := map[storage.ObjectID]bool{}
 	for _, s := range samples {
-		for id := range s.Trace.PerObject {
-			accessed[id] = true
+		for _, pg := range s.Pages {
+			accessed[pg.Object] = true
 		}
 	}
 
@@ -96,7 +96,7 @@ func Train(samples []TrainSample, opts Options) *Predictor {
 			rest = append(rest, id)
 		}
 	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
+	slices.Sort(rest)
 	for _, id := range rest {
 		groups = append(groups, []storage.ObjectID{id})
 	}
@@ -131,7 +131,7 @@ func Train(samples []TrainSample, opts Options) *Predictor {
 func (p *Predictor) encode(samples []TrainSample) []model.Sample {
 	out := make([]model.Sample, len(samples))
 	for i, s := range samples {
-		out[i] = model.Sample{TokenIDs: p.EncodePlan(s.Plan), Pages: s.Trace.Pages()}
+		out[i] = model.Sample{TokenIDs: p.EncodePlan(s.Plan), Pages: s.Pages}
 	}
 	return out
 }
@@ -163,11 +163,11 @@ func topKLabels(samples []model.Sample, k int) map[storage.PageID]bool {
 	for pg := range counts {
 		all = append(all, pg)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if counts[all[i]] != counts[all[j]] {
-			return counts[all[i]] > counts[all[j]]
+	slices.SortFunc(all, func(a, b storage.PageID) int {
+		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+			return c
 		}
-		return all[i].Less(all[j])
+		return a.Compare(b)
 	})
 	top := map[storage.PageID]bool{}
 	for _, pg := range all[:min(k, len(all))] {
@@ -192,7 +192,7 @@ func objectLabels(id storage.ObjectID, samples []model.Sample, top map[storage.P
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, storage.PageID.Compare)
 	return out
 }
 
@@ -289,7 +289,7 @@ func (p *Predictor) Predict(root *plan.Node, ids []int) []storage.PageID {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, storage.PageID.Compare)
 	return slices.Compact(out)
 }
 

@@ -51,26 +51,22 @@ func templateQuery(p int64) plan.Query {
 	}
 }
 
-func buildSamples(t *testing.T, db *catalog.Database, params []int64) ([]TrainSample, []*plan.Node, []*trace.Processed) {
+func buildSamples(t *testing.T, db *catalog.Database, params []int64) ([]TrainSample, []*plan.Node) {
 	t.Helper()
 	return buildSamplesOf(t, db, params, templateQuery)
 }
 
-func buildSamplesOf(t *testing.T, db *catalog.Database, params []int64, query func(int64) plan.Query) ([]TrainSample, []*plan.Node, []*trace.Processed) {
+func buildSamplesOf(t *testing.T, db *catalog.Database, params []int64, query func(int64) plan.Query) ([]TrainSample, []*plan.Node) {
 	t.Helper()
 	pl := plan.NewPlanner(db)
 	var samples []TrainSample
 	var plans []*plan.Node
-	var traces []*trace.Processed
 	for _, p := range params {
 		root := pl.MustPlan(query(p))
-		res := exec.Run(root)
-		tr := trace.Process(res.Requests)
-		samples = append(samples, TrainSample{Plan: root, Trace: tr})
+		samples = append(samples, TrainSample{Plan: root, Pages: trace.Process(exec.Run(root).Requests)})
 		plans = append(plans, root)
-		traces = append(traces, tr)
 	}
-	return samples, plans, traces
+	return samples, plans
 }
 
 func fastOpts() Options {
@@ -93,7 +89,7 @@ func TestPredictorLearnsWorkload(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		testParams = append(testParams, r.Int63n(900))
 	}
-	samples, _, _ := buildSamples(t, db, trainParams)
+	samples, _ := buildSamples(t, db, trainParams)
 	p := Train(samples, fastOpts())
 
 	if p.TrainTime <= 0 {
@@ -109,11 +105,11 @@ func TestPredictorLearnsWorkload(t *testing.T) {
 		t.Fatal("ParamCount wrong")
 	}
 
-	_, testPlans, testTraces := buildSamples(t, db, testParams)
+	testSamples, testPlans := buildSamples(t, db, testParams)
 	var f1s []float64
 	for i, root := range testPlans {
 		pred := p.Predict(root, p.EncodePlan(root))
-		f1s = append(f1s, metrics.Score(pred, testTraces[i].Pages()).F1)
+		f1s = append(f1s, metrics.Score(pred, testSamples[i].Pages).F1)
 	}
 	mean := metrics.Summarize(f1s).Mean
 	if mean < 0.5 {
@@ -123,7 +119,7 @@ func TestPredictorLearnsWorkload(t *testing.T) {
 
 func TestPredictDeterministicAndSorted(t *testing.T) {
 	db := workloadDB()
-	samples, plans, _ := buildSamples(t, db, []int64{100, 300, 500, 700, 100, 300, 500, 700})
+	samples, plans := buildSamples(t, db, []int64{100, 300, 500, 700, 100, 300, 500, 700})
 	p := Train(samples, fastOpts())
 	ids := p.EncodePlan(plans[0])
 	a := p.Predict(plans[0], ids)
@@ -147,7 +143,7 @@ func TestPredictDeterministicAndSorted(t *testing.T) {
 
 func TestPredictIgnoresIrrelevantPlans(t *testing.T) {
 	db := workloadDB()
-	samples, _, _ := buildSamples(t, db, []int64{100, 300, 500, 700})
+	samples, _ := buildSamples(t, db, []int64{100, 300, 500, 700})
 	p := Train(samples, fastOpts())
 	// A plan with no index scans has no non-sequential scan nodes; Pythia
 	// predicts nothing (Algorithm 3 only engages for non-sequential scans).
@@ -213,7 +209,7 @@ func TestObjectLabels(t *testing.T) {
 // head, not each head's, and a head left without labels is not built.
 func TestTopKRestrictsLabelSpace(t *testing.T) {
 	db := workloadDB()
-	samples, _, _ := buildSamples(t, db, []int64{100, 300, 500, 700, 200, 400})
+	samples, _ := buildSamples(t, db, []int64{100, 300, 500, 700, 200, 400})
 	labels := func(p *Predictor) (n int) {
 		for _, m := range p.Models() {
 			if len(m.Labels) == 0 {
@@ -238,7 +234,7 @@ func TestGroupsCombineObjects(t *testing.T) {
 	db := workloadDB()
 	// Each parameter repeats so the combined model sees every page set
 	// several times per epoch and grows confident on heap pages too.
-	samples, _, _ := buildSamples(t, db, []int64{
+	samples, _ := buildSamples(t, db, []int64{
 		100, 300, 500, 700, 100, 300, 500, 700, 100, 300, 500, 700,
 	})
 	item := db.Relation("item")

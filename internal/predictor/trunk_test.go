@@ -51,14 +51,14 @@ func twoDimFixture(t *testing.T, epochs int, groups func(db *catalog.Database) [
 	for i := 0; i < 6; i++ {
 		heldOut = append(heldOut, r.Int63n(900))
 	}
-	samples, _, _ := buildSamplesOf(t, db, trainParams, twoDimQuery)
+	samples, _ := buildSamplesOf(t, db, trainParams, twoDimQuery)
 	opts := fastOpts()
 	opts.Model.Epochs = epochs
 	if groups != nil {
 		opts.Groups = groups(db)
 	}
 	p := Train(samples, opts)
-	_, plans, _ := buildSamplesOf(t, db, heldOut, twoDimQuery)
+	_, plans := buildSamplesOf(t, db, heldOut, twoDimQuery)
 	return p, samples, plans
 }
 
@@ -125,7 +125,7 @@ func summedLoss(p *Predictor, samples []TrainSample, posWeight float64) float64 
 	var total float64
 	for _, s := range samples {
 		accessed := map[storage.PageID]bool{}
-		for _, pg := range s.Trace.Pages() {
+		for _, pg := range s.Pages {
 			accessed[pg] = true
 		}
 		ids := p.EncodePlan(s.Plan)

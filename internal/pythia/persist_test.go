@@ -396,7 +396,7 @@ func TestPredictorUpdateImproves(t *testing.T) {
 	before := scoreSum()
 	var samples []predictor.TrainSample
 	for _, inst := range rest {
-		samples = append(samples, predictor.TrainSample{Plan: inst.Plan, Trace: inst.Trace})
+		samples = append(samples, predictor.TrainSample{Plan: inst.Plan, Pages: inst.Pages})
 	}
 	tw.Pred.Update(samples, 10)
 	after := scoreSum()

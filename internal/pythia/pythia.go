@@ -158,7 +158,7 @@ func (s *System) Train(name string, train []*workload.Instance) *Trained {
 	}
 	tw.Baseline = &quality.Profile{}
 	for i, inst := range train {
-		samples[i] = predictor.TrainSample{Plan: inst.Plan, Trace: inst.Trace}
+		samples[i] = predictor.TrainSample{Plan: inst.Plan, Pages: inst.Pages}
 		tw.templates[inst.Query.Template] = true
 		tw.relations[inst.Query.Fact] = true
 		for _, d := range inst.Query.Dims {

@@ -89,14 +89,6 @@ func ScoreSets(predicted, actual []storage.PageID) Score {
 // canonical returns a sorted, deduplicated copy of pages.
 func canonical(pages []storage.PageID) []storage.PageID {
 	out := slices.Clone(pages)
-	slices.SortFunc(out, func(a, b storage.PageID) int {
-		switch {
-		case a.Less(b):
-			return -1
-		case b.Less(a):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, storage.PageID.Compare)
 	return slices.Compact(out)
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/span"
+	"github.com/pythia-db/pythia/internal/trace"
 )
 
 // parentTimelines holds the FNV-64a digest of ExportChrome's bytes for each
@@ -65,7 +66,7 @@ func TestDerivedTimelineMatchesParent(t *testing.T) {
 					q := QuerySpec{ID: fmt.Sprintf("q%d", i), Requests: reqs, Window: 48,
 						Arrival: sim.Duration(i) * 300 * time.Microsecond}
 					if i != 3 {
-						q.Prefetch = nonSeqPages(reqs)
+						q.Prefetch = trace.Process(reqs)
 					}
 					specs = append(specs, q)
 				}

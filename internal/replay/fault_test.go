@@ -8,6 +8,7 @@ import (
 	"github.com/pythia-db/pythia/internal/fault"
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/storage"
+	"github.com/pythia-db/pythia/internal/trace"
 )
 
 // execPages extracts the executor's served page sequence from an event log:
@@ -24,7 +25,7 @@ func execPages(log *obs.EventLog) []storage.PageID {
 }
 
 func faultSpecs(reqs []storage.Request) []QuerySpec {
-	return []QuerySpec{{ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs)}}
+	return []QuerySpec{{ID: "q", Requests: reqs, Prefetch: trace.Process(reqs)}}
 }
 
 // TestFaultsNeverChangeResults is the tentpole invariant: faults only ever

@@ -7,6 +7,7 @@ import (
 	"github.com/pythia-db/pythia/internal/obs"
 	"github.com/pythia-db/pythia/internal/oscache"
 	"github.com/pythia-db/pythia/internal/storage"
+	"github.com/pythia-db/pythia/internal/trace"
 )
 
 // TestRecorderReconcilesWithAggregates replays a golden two-query run (one
@@ -22,7 +23,7 @@ func TestRecorderReconcilesWithAggregates(t *testing.T) {
 	cfgRec := cfg()
 	cfgRec.Recorder = &c
 	res := Run(reg, cfgRec, []QuerySpec{
-		{ID: "a", Requests: reqsA, Prefetch: nonSeqPages(reqsA), Window: 4},
+		{ID: "a", Requests: reqsA, Prefetch: trace.Process(reqsA), Window: 4},
 		{ID: "b", Requests: reqsB},
 	})
 
@@ -95,7 +96,7 @@ func TestPerQuerySnapshots(t *testing.T) {
 	reg := testRegistry()
 	reqsA := script(reg, 400, 300, 43)
 	reqsB := script(reg, 200, 100, 44)
-	pfA := nonSeqPages(reqsA)
+	pfA := trace.Process(reqsA)
 	var c obs.Counters
 	cfgRec := cfg()
 	cfgRec.Recorder = &c
@@ -144,7 +145,7 @@ func TestPerQuerySnapshots(t *testing.T) {
 func TestRecorderDoesNotPerturbTiming(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 400, 400, 45)
-	pf := nonSeqPages(reqs)
+	pf := trace.Process(reqs)
 	base := Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs, Prefetch: pf, Window: 64}})
 	var c obs.Counters
 	cfgRec := cfg()
@@ -164,7 +165,7 @@ func TestEventLogCarriesAttribution(t *testing.T) {
 	l := obs.NewEventLog()
 	cfgRec := cfg()
 	cfgRec.Recorder = l
-	Run(reg, cfgRec, []QuerySpec{{ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: 32}})
+	Run(reg, cfgRec, []QuerySpec{{ID: "q", Requests: reqs, Prefetch: trace.Process(reqs), Window: 32}})
 	if l.Len() == 0 {
 		t.Fatal("no events logged")
 	}
@@ -214,7 +215,7 @@ func TestInstrumentationAllocFree(t *testing.T) {
 func BenchmarkReplayDefault(b *testing.B) {
 	reg := testRegistry()
 	reqs := script(reg, 500, 300, 47)
-	pf := nonSeqPages(reqs)
+	pf := trace.Process(reqs)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs, Prefetch: pf, Window: 64}})
@@ -224,7 +225,7 @@ func BenchmarkReplayDefault(b *testing.B) {
 func BenchmarkReplayObserved(b *testing.B) {
 	reg := testRegistry()
 	reqs := script(reg, 500, 300, 47)
-	pf := nonSeqPages(reqs)
+	pf := trace.Process(reqs)
 	var c obs.Counters
 	cfgRec := cfg()
 	cfgRec.Recorder = &c

@@ -3,7 +3,6 @@ package replay
 import (
 	"reflect"
 	"slices"
-	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
+	"github.com/pythia-db/pythia/internal/trace"
 )
 
 func TestConfigNormalizeFillsDefaults(t *testing.T) {
@@ -59,7 +59,7 @@ func TestZeroWindowUsesDefault(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 0, 3000, 21)
 	run := func(window int) *RunResult {
-		return Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: window}})
+		return Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs, Prefetch: trace.Process(reqs), Window: window}})
 	}
 	zero := run(0)
 	if zero.Queries[0].WindowStalls == 0 {
@@ -111,7 +111,7 @@ func TestPrefetchOutsideDatabaseDropped(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 300, 200, 24)
 	dim, fact := reg.LookupName("dim"), reg.LookupName("fact")
-	valid := nonSeqPages(reqs)
+	valid := trace.Process(reqs)
 	forged := append(slices.Clone(valid),
 		storage.PageID{Object: 99, Page: 0},
 		storage.PageID{Object: storage.InvalidObject, Page: 3},
@@ -119,7 +119,7 @@ func TestPrefetchOutsideDatabaseDropped(t *testing.T) {
 		storage.PageID{Object: dim.ID, Page: 1 << 31},
 		storage.PageID{Object: fact.ID, Page: fact.Pages + 5},
 	)
-	sort.Slice(forged, func(i, j int) bool { return forged[i].Less(forged[j]) })
+	slices.SortFunc(forged, storage.PageID.Compare)
 	run := func(pages []storage.PageID) *RunResult {
 		c := cfg()
 		c.Recorder = &obs.Counters{}
@@ -144,7 +144,7 @@ func TestMRUPolicyRuns(t *testing.T) {
 		c.BufferPolicy = pol
 		c.BufferPages = 128
 		res := Run(reg, c, []QuerySpec{{
-			ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: 32,
+			ID: "q", Requests: reqs, Prefetch: trace.Process(reqs), Window: 32,
 		}})
 		if res.Elapsed("q") <= 0 {
 			t.Fatalf("%v replay failed", pol)
@@ -202,7 +202,7 @@ func TestPredictLatencyDelaysPrefetchOnly(t *testing.T) {
 	tr := span.New()
 	c := cfg()
 	c.Tracer = tr
-	Run(reg, c, []QuerySpec{{ID: "q", Arrival: sim.Duration(arrival), Requests: reqs, Prefetch: nonSeqPages(reqs)}})
+	Run(reg, c, []QuerySpec{{ID: "q", Arrival: sim.Duration(arrival), Requests: reqs, Prefetch: trace.Process(reqs)}})
 	first := func(kinds ...span.Kind) sim.Time {
 		at := sim.Time(-1)
 		for _, s := range tr.Spans() {
@@ -237,7 +237,7 @@ func TestReplayRunAllocBudget(t *testing.T) {
 		requests += len(reqs)
 		specs = append(specs, QuerySpec{
 			ID: id, Arrival: sim.Duration(i) * 20 * time.Millisecond,
-			Requests: reqs, Prefetch: nonSeqPages(reqs), Window: 64,
+			Requests: reqs, Prefetch: trace.Process(reqs), Window: 64,
 		})
 	}
 	c := Config{BufferPages: 512, OSCachePages: 1024} // smaller than the working set: evictions run too

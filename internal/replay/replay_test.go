@@ -1,12 +1,12 @@
 package replay
 
 import (
-	"sort"
 	"testing"
 	"time"
 
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/storage"
+	"github.com/pythia-db/pythia/internal/trace"
 )
 
 // fixture: object 1 is a big "dimension" heap probed randomly, object 2 a
@@ -54,34 +54,6 @@ func script(reg *storage.Registry, seqPages, nonSeq int, seed uint64) []storage.
 	return reqs
 }
 
-// nonSeqPages extracts the sorted distinct non-sequential pages of a script
-// (an oracle prediction).
-func nonSeqPages(reqs []storage.Request) []storage.PageID {
-	seen := map[storage.PageID]bool{}
-	var out []storage.PageID
-	for _, r := range reqs {
-		if !r.Sequential && !seen[r.Page] {
-			seen[r.Page] = true
-			out = append(out, r.Page)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-func seqPages(reqs []storage.Request) []storage.PageID {
-	seen := map[storage.PageID]bool{}
-	var out []storage.PageID
-	for _, r := range reqs {
-		if r.Sequential && !seen[r.Page] {
-			seen[r.Page] = true
-			out = append(out, r.Page)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
 func cfg() Config {
 	return Config{BufferPages: 4096, OSCachePages: 8192}
 }
@@ -126,7 +98,7 @@ func TestOraclePrefetchSpeedsUpNonSequential(t *testing.T) {
 	reqs := script(reg, 500, 400, 3)
 	dflt := Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs}})
 	pref := Run(reg, cfg(), []QuerySpec{{
-		ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: 1024,
+		ID: "q", Requests: reqs, Prefetch: trace.Process(reqs), Window: 1024,
 	}})
 	speedup := float64(dflt.Elapsed("q")) / float64(pref.Elapsed("q"))
 	if speedup < 1.5 {
@@ -145,10 +117,10 @@ func TestFigure1Mechanism(t *testing.T) {
 	reqs := script(reg, 800, 400, 4)
 	dflt := Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs}})
 	seqOnly := Run(reg, cfg(), []QuerySpec{{
-		ID: "q", Requests: reqs, Prefetch: seqPages(reqs), Window: 1024,
+		ID: "q", Requests: reqs, Prefetch: trace.Distinct(reqs, true), Window: 1024,
 	}})
 	nonSeqOnly := Run(reg, cfg(), []QuerySpec{{
-		ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: 1024,
+		ID: "q", Requests: reqs, Prefetch: trace.Process(reqs), Window: 1024,
 	}})
 	base := float64(dflt.Elapsed("q"))
 	seqSpeedup := base / float64(seqOnly.Elapsed("q"))
@@ -165,7 +137,7 @@ func TestPrefetchAccountingAndPins(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 100, 200, 5)
 	res := Run(reg, cfg(), []QuerySpec{{
-		ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: 64,
+		ID: "q", Requests: reqs, Prefetch: trace.Process(reqs), Window: 64,
 	}})
 	qr := res.Queries[0]
 	if qr.Prefetched == 0 {
@@ -181,7 +153,7 @@ func TestSmallWindowStillCompletes(t *testing.T) {
 	reqs := script(reg, 200, 300, 6)
 	for _, w := range []int{1, 2, 8, 64, 100000} {
 		res := Run(reg, cfg(), []QuerySpec{{
-			ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: w,
+			ID: "q", Requests: reqs, Prefetch: trace.Process(reqs), Window: w,
 		}})
 		if res.Elapsed("q") <= 0 {
 			t.Fatalf("window %d: no elapsed time", w)
@@ -192,7 +164,7 @@ func TestSmallWindowStillCompletes(t *testing.T) {
 func TestLargerWindowNotSlower(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 400, 500, 7)
-	pf := nonSeqPages(reqs)
+	pf := trace.Process(reqs)
 	small := Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs, Prefetch: pf, Window: 2}})
 	large := Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs, Prefetch: pf, Window: 512}})
 	if large.Elapsed("q") > small.Elapsed("q")*11/10 {
@@ -206,7 +178,7 @@ func TestTinyBufferLimitedPrefetchCompletes(t *testing.T) {
 	c := cfg()
 	c.BufferPages = 32 // far fewer frames than predicted pages
 	res := Run(reg, c, []QuerySpec{{
-		ID: "q", Requests: reqs, Prefetch: nonSeqPages(reqs), Window: 1024,
+		ID: "q", Requests: reqs, Prefetch: trace.Process(reqs), Window: 1024,
 	}})
 	if res.Elapsed("q") <= 0 {
 		t.Fatal("query did not complete")

@@ -12,6 +12,7 @@ import (
 	"github.com/pythia-db/pythia/internal/sim"
 	"github.com/pythia-db/pythia/internal/span"
 	"github.com/pythia-db/pythia/internal/storage"
+	"github.com/pythia-db/pythia/internal/trace"
 )
 
 // traceRun replays the golden two-query mix (one prefetched, one default)
@@ -25,7 +26,7 @@ func traceRun(t *testing.T) *span.Tracer {
 	c := cfg()
 	c.Tracer = tr
 	Run(reg, c, []QuerySpec{
-		{ID: "a", Requests: reqsA, Prefetch: nonSeqPages(reqsA), Window: 8},
+		{ID: "a", Requests: reqsA, Prefetch: trace.Process(reqsA), Window: 8},
 		{ID: "b", Requests: reqsB},
 	})
 	return tr
@@ -127,7 +128,7 @@ func TestTracerReconcilesWithCounters(t *testing.T) {
 	c.Tracer = tr
 	c.Recorder = &cnt
 	res := Run(reg, c, []QuerySpec{
-		{ID: "a", Requests: reqsA, Prefetch: nonSeqPages(reqsA), Window: 16},
+		{ID: "a", Requests: reqsA, Prefetch: trace.Process(reqsA), Window: 16},
 		{ID: "b", Requests: reqsB},
 	})
 
@@ -180,7 +181,7 @@ func TestTracerReconcilesWithCounters(t *testing.T) {
 func TestTracerDoesNotPerturbTiming(t *testing.T) {
 	reg := testRegistry()
 	reqs := script(reg, 400, 400, 96)
-	pf := nonSeqPages(reqs)
+	pf := trace.Process(reqs)
 	base := Run(reg, cfg(), []QuerySpec{{ID: "q", Requests: reqs, Prefetch: pf, Window: 64}})
 	c := cfg()
 	c.Tracer = span.New()

@@ -9,7 +9,10 @@
 // which lets the DSB-style datasets scale without allocating gigabytes.
 package storage
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // ObjectID identifies a database object (heap table or index) uniquely
 // within a database, mirroring Postgres' relfilenode.
@@ -31,14 +34,19 @@ type PageID struct {
 // String renders the page as object:page for logs and test failures.
 func (p PageID) String() string { return fmt.Sprintf("%d:%d", p.Object, p.Page) }
 
-// Less orders pages by (object, offset) — the file storage order the
-// prefetcher uses so that its reads cooperate with OS readahead.
-func (p PageID) Less(q PageID) bool {
-	if p.Object != q.Object {
-		return p.Object < q.Object
+// Compare orders pages by (object, offset) — the file storage order the
+// prefetcher uses so that its reads cooperate with OS readahead. It is
+// total, so any sort by it has one result: slices.SortFunc(pages,
+// PageID.Compare).
+func (p PageID) Compare(q PageID) int {
+	if c := cmp.Compare(p.Object, q.Object); c != 0 {
+		return c
 	}
-	return p.Page < q.Page
+	return cmp.Compare(p.Page, q.Page)
 }
+
+// Less reports whether p precedes q in Compare's order.
+func (p PageID) Less(q PageID) bool { return p.Compare(q) < 0 }
 
 // ObjectKind distinguishes heap tables from indexes; Pythia trains separate
 // models per kind (one for the base table, one per index).
@@ -143,8 +151,9 @@ type Request struct {
 	Sequential bool
 	// Tuples is the number of tuples the executor processed since the
 	// previous request; the replay engine charges CPU for them, which sets
-	// the non-I/O floor on query runtime.
-	Tuples int
+	// the non-I/O floor on query runtime. It is 32 bits so that a request
+	// is 16 bytes: the stored streams are most of a workload's memory.
+	Tuples int32
 }
 
 // RowPage maps a zero-based row number to its heap block given the table's

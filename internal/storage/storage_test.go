@@ -3,6 +3,7 @@ package storage
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRegistryAssignsUniqueIDs(t *testing.T) {
@@ -69,6 +70,24 @@ func TestPageIDOrdering(t *testing.T) {
 		if got := c.a.Less(c.b); got != c.less {
 			t.Fatalf("%v.Less(%v) = %v, want %v", c.a, c.b, got, c.less)
 		}
+		want := 0
+		switch {
+		case c.less:
+			want = -1
+		case c.a != c.b:
+			want = 1
+		}
+		if got := c.a.Compare(c.b); got != want {
+			t.Fatalf("%v.Compare(%v) = %d, want %d", c.a, c.b, got, want)
+		}
+	}
+}
+
+// TestRequestIs16Bytes: a request's size is what a workload's stored
+// streams cost per page access.
+func TestRequestIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n != 16 {
+		t.Fatalf("Request is %d bytes, want 16", n)
 	}
 }
 
@@ -77,9 +96,12 @@ func TestPageIDLessIsStrictOrder(t *testing.T) {
 		a := PageID{ObjectID(ao), PageNum(ap)}
 		b := PageID{ObjectID(bo), PageNum(bp)}
 		// Antisymmetry and totality: exactly one of <, >, == holds.
+		if a.Compare(b) != -b.Compare(a) {
+			return false
+		}
 		switch {
 		case a == b:
-			return !a.Less(b) && !b.Less(a)
+			return !a.Less(b) && !b.Less(a) && a.Compare(b) == 0
 		default:
 			return a.Less(b) != b.Less(a)
 		}

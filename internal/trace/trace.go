@@ -7,89 +7,47 @@
 package trace
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/pythia-db/pythia/internal/storage"
 )
 
-// Processed is one query's training-ready trace: for each database object
-// accessed non-sequentially, the sorted set of distinct block offsets.
-type Processed struct {
-	PerObject map[storage.ObjectID][]storage.PageNum
-}
+// Process applies Algorithm 1's post-processing to a raw request stream: it
+// returns the query's distinct non-sequential pages sorted by
+// storage.PageID.Compare, so each object's pages are one run of sorted
+// offsets. This one slice is the training-ready trace, the ground truth F1
+// scores predictions against, and the set Jaccard compares.
+func Process(reqs []storage.Request) []storage.PageID { return Distinct(reqs, false) }
 
-// Process applies Algorithm 1's post-processing to a raw request stream.
-func Process(reqs []storage.Request) *Processed {
+// Distinct returns the distinct pages of the requests whose Sequential flag
+// equals sequential, sorted by storage.PageID.Compare, in a slice of exactly
+// that length. A query makes tens of thousands of requests to a few hundred
+// pages, so they are deduplicated in a set before any slice is made.
+func Distinct(reqs []storage.Request, sequential bool) []storage.PageID {
 	seen := make(map[storage.PageID]struct{})
-	per := make(map[storage.ObjectID][]storage.PageNum)
 	for _, r := range reqs {
-		if r.Sequential {
-			continue // line 8: remove sequential accesses
-		}
-		if _, dup := seen[r.Page]; dup {
-			continue // line 9: deduplicate
-		}
-		seen[r.Page] = struct{}{}
-		per[r.Page.Object] = append(per[r.Page.Object], r.Page.Page) // line 11
-	}
-	for id := range per {
-		p := per[id]
-		sort.Slice(p, func(i, j int) bool { return p[i] < p[j] }) // line 12
-	}
-	return &Processed{PerObject: per}
-}
-
-// Pages flattens the trace into a single sorted []PageID — the ground-truth
-// set used to score predictions (F1) and to compute Jaccard similarities.
-func (p *Processed) Pages() []storage.PageID {
-	out := make([]storage.PageID, 0, p.Count())
-	for id, pages := range p.PerObject {
-		for _, n := range pages {
-			out = append(out, storage.PageID{Object: id, Page: n})
+		if r.Sequential == sequential {
+			seen[r.Page] = struct{}{}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	out := make([]storage.PageID, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, storage.PageID.Compare)
 	return out
 }
 
-// Count returns the number of distinct non-sequential pages.
-func (p *Processed) Count() int {
+// SeqRequests counts a raw stream's sequential page requests (Table 1's
+// "seq IO"); its distinct non-sequential pages are len(Process(reqs)).
+func SeqRequests(reqs []storage.Request) int {
 	n := 0
-	for _, pages := range p.PerObject {
-		n += len(pages)
-	}
-	return n
-}
-
-// Object returns the sorted offsets for one object (nil if untouched).
-func (p *Processed) Object(id storage.ObjectID) []storage.PageNum {
-	return p.PerObject[id]
-}
-
-// Stats summarizes a raw request stream; Table 1 reports these per
-// workload.
-type Stats struct {
-	SeqRequests    int // total sequential page requests
-	NonSeqRequests int // total non-sequential page requests (with repeats)
-	DistinctNonSeq int // distinct non-sequential pages
-}
-
-// ComputeStats tallies a raw request stream.
-func ComputeStats(reqs []storage.Request) Stats {
-	var s Stats
-	seen := make(map[storage.PageID]struct{})
 	for _, r := range reqs {
 		if r.Sequential {
-			s.SeqRequests++
-			continue
-		}
-		s.NonSeqRequests++
-		if _, dup := seen[r.Page]; !dup {
-			seen[r.Page] = struct{}{}
-			s.DistinctNonSeq++
+			n++
 		}
 	}
-	return s
+	return n
 }
 
 // Jaccard computes |a ∩ b| / |a ∪ b| over two sorted PageID slices. Two

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -16,18 +18,60 @@ func req(o, n uint32, seq bool) storage.Request {
 	}
 }
 
+// refProcess is Process as a per-object map of offset slices: each object's
+// offsets deduplicated and sorted, then flattened and sorted again.
+func refProcess(reqs []storage.Request) []storage.PageID {
+	seen := make(map[storage.PageID]struct{})
+	per := make(map[storage.ObjectID][]storage.PageNum)
+	for _, r := range reqs {
+		if r.Sequential {
+			continue
+		}
+		if _, dup := seen[r.Page]; dup {
+			continue
+		}
+		seen[r.Page] = struct{}{}
+		per[r.Page.Object] = append(per[r.Page.Object], r.Page.Page)
+	}
+	n := 0
+	for id := range per {
+		p := per[id]
+		sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
+		n += len(p)
+	}
+	out := make([]storage.PageID, 0, n)
+	for id, pages := range per {
+		for _, pg := range pages {
+			out = append(out, storage.PageID{Object: id, Page: pg})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
+// object returns one object's offsets from a processed trace, in order.
+func object(pages []storage.PageID, id storage.ObjectID) []storage.PageNum {
+	var out []storage.PageNum
+	for _, p := range pages {
+		if p.Object == id {
+			out = append(out, p.Page)
+		}
+	}
+	return out
+}
+
 func TestProcessStripsSequential(t *testing.T) {
 	p := Process([]storage.Request{
 		req(1, 0, true), req(1, 1, true), req(2, 5, false), req(1, 2, true),
 	})
-	if p.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", p.Count())
+	if len(p) != 1 {
+		t.Fatalf("len = %d, want 1", len(p))
 	}
-	if len(p.Object(1)) != 0 {
+	if len(object(p, 1)) != 0 {
 		t.Fatal("sequential pages leaked into trace")
 	}
-	if got := p.Object(2); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("Object(2) = %v", got)
+	if got := object(p, 2); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("object 2 = %v", got)
 	}
 }
 
@@ -38,7 +82,7 @@ func TestProcessDeduplicates(t *testing.T) {
 		req(3, 0, false), req(3, 8, false),
 		req(3, 0, false), req(3, 7, false),
 	})
-	if got := p.Object(3); len(got) != 3 {
+	if got := object(p, 3); len(got) != 3 {
 		t.Fatalf("dedup failed: %v", got)
 	}
 }
@@ -47,7 +91,7 @@ func TestProcessSortsByOffset(t *testing.T) {
 	p := Process([]storage.Request{
 		req(1, 9, false), req(1, 2, false), req(1, 5, false), req(1, 1, false),
 	})
-	got := p.Object(1)
+	got := object(p, 1)
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
 			t.Fatalf("trace not sorted: %v", got)
@@ -55,23 +99,30 @@ func TestProcessSortsByOffset(t *testing.T) {
 	}
 }
 
+// TestProcessSegregatesPerObject: each object's pages are one contiguous
+// run of the trace.
 func TestProcessSegregatesPerObject(t *testing.T) {
 	p := Process([]storage.Request{
 		req(1, 3, false), req(2, 3, false), req(1, 4, false),
 	})
-	if len(p.PerObject) != 2 {
-		t.Fatalf("PerObject has %d objects", len(p.PerObject))
+	runs := 0
+	for i := range p {
+		if i == 0 || p[i].Object != p[i-1].Object {
+			runs++
+		}
 	}
-	if len(p.Object(1)) != 2 || len(p.Object(2)) != 1 {
+	if runs != 2 {
+		t.Fatalf("trace %v has %d object runs, want 2", p, runs)
+	}
+	if len(object(p, 1)) != 2 || len(object(p, 2)) != 1 {
 		t.Fatal("segregation wrong")
 	}
 }
 
 func TestPagesFlattensSorted(t *testing.T) {
-	p := Process([]storage.Request{
+	pages := Process([]storage.Request{
 		req(2, 1, false), req(1, 9, false), req(1, 2, false),
 	})
-	pages := p.Pages()
 	if len(pages) != 3 {
 		t.Fatalf("Pages = %v", pages)
 	}
@@ -82,13 +133,14 @@ func TestPagesFlattensSorted(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	s := ComputeStats([]storage.Request{
+func TestSeqRequests(t *testing.T) {
+	reqs := []storage.Request{
 		req(1, 0, true), req(1, 1, true),
 		req(2, 5, false), req(2, 5, false), req(2, 6, false),
-	})
-	if s.SeqRequests != 2 || s.NonSeqRequests != 3 || s.DistinctNonSeq != 2 {
-		t.Fatalf("stats = %+v", s)
+	}
+	seq := SeqRequests(reqs)
+	if seq != 2 || len(reqs)-seq != 3 || len(Process(reqs)) != 2 {
+		t.Fatalf("sequential = %d, non-sequential = %d (%d distinct)", seq, len(reqs)-seq, len(Process(reqs)))
 	}
 }
 
@@ -115,23 +167,11 @@ func TestJaccardBasics(t *testing.T) {
 // Property: Jaccard is symmetric, bounded to [0,1], and 1 iff sets are equal.
 func TestJaccardProperties(t *testing.T) {
 	mkSet := func(r *sim.Rand, n int) []storage.PageID {
-		seen := map[storage.PageID]bool{}
-		for i := 0; i < n; i++ {
-			seen[storage.PageID{Object: 1, Page: storage.PageNum(r.Intn(30))}] = true
+		reqs := make([]storage.Request, n)
+		for i := range reqs {
+			reqs[i] = req(1, uint32(r.Intn(30)), false)
 		}
-		p := Process(nil) // reuse sorting by building via requests
-		_ = p
-		out := make([]storage.PageID, 0, len(seen))
-		for k := range seen {
-			out = append(out, k)
-		}
-		// Sort via Processed machinery: simple insertion sort here.
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0 && out[j].Less(out[j-1]); j-- {
-				out[j], out[j-1] = out[j-1], out[j]
-			}
-		}
-		return out
+		return Process(reqs)
 	}
 	if err := quick.Check(func(seed uint64, na, nb uint8) bool {
 		r := sim.NewRand(seed)
@@ -157,35 +197,51 @@ func TestJaccardProperties(t *testing.T) {
 	}
 }
 
-// Property: Process output is always sorted, duplicate-free, and contains
-// exactly the distinct non-sequential pages of the input.
+// Property: Process equals refProcess on any stream, empty and
+// all-sequential ones included; its output is sorted, duplicate-free,
+// exactly sized, and holds exactly the distinct non-sequential pages of the
+// input. Distinct's sequential half is the same function: on the stream
+// with every flag inverted it equals refProcess too.
 func TestProcessInvariants(t *testing.T) {
-	if err := quick.Check(func(seed uint64, n uint8) bool {
-		r := sim.NewRand(seed)
-		reqs := make([]storage.Request, n)
+	check := func(reqs []storage.Request) bool {
 		want := map[storage.PageID]bool{}
-		for i := range reqs {
-			reqs[i] = req(uint32(1+r.Intn(3)), uint32(r.Intn(20)), r.Intn(2) == 0)
-			if !reqs[i].Sequential {
-				want[reqs[i].Page] = true
+		flipped := make([]storage.Request, len(reqs))
+		for i, r := range reqs {
+			if !r.Sequential {
+				want[r.Page] = true
 			}
+			flipped[i] = r
+			flipped[i].Sequential = !r.Sequential
 		}
 		p := Process(reqs)
-		if p.Count() != len(want) {
+		if !slices.Equal(p, refProcess(reqs)) || len(p) != cap(p) || len(p) != len(want) {
 			return false
 		}
-		for id, pages := range p.PerObject {
-			for i, pgn := range pages {
-				if i > 0 && pages[i-1] >= pgn {
-					return false
-				}
-				if !want[storage.PageID{Object: id, Page: pgn}] {
-					return false
-				}
+		for i, pg := range p {
+			if i > 0 && !p[i-1].Less(pg) {
+				return false
+			}
+			if !want[pg] {
+				return false
 			}
 		}
-		return true
-	}, &quick.Config{MaxCount: 100}); err != nil {
+		seq := Distinct(flipped, true)
+		return slices.Equal(seq, refProcess(reqs)) && len(seq) == cap(seq)
+	}
+	for _, reqs := range [][]storage.Request{nil, {}, {req(1, 0, true), req(1, 1, true)}} {
+		if !check(reqs) {
+			t.Fatalf("Process(%v) = %v, reference %v", reqs, Process(reqs), refProcess(reqs))
+		}
+	}
+	if err := quick.Check(func(seed uint64, n uint8) bool {
+		r := sim.NewRand(seed)
+		allSeq := r.Intn(4) == 0
+		reqs := make([]storage.Request, n)
+		for i := range reqs {
+			reqs[i] = req(uint32(1+r.Intn(3)), uint32(r.Intn(20)), allSeq || r.Intn(2) == 0)
+		}
+		return check(reqs)
+	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

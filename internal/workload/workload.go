@@ -26,9 +26,7 @@ type Instance struct {
 	Query    plan.Query
 	Plan     *plan.Node
 	Requests []storage.Request
-	Trace    *trace.Processed
-	Pages    []storage.PageID // Trace.Pages(), cached
-	Rows     int64
+	Pages    []storage.PageID // trace.Process(Requests)
 }
 
 // Workload is a set of instances over one database, usually all from one
@@ -100,14 +98,11 @@ func build(pl *plan.Planner, q plan.Query) (*Instance, error) {
 		return nil, err
 	}
 	res := exec.Run(root)
-	tr := trace.Process(res.Requests)
 	return &Instance{
 		Query:    q,
 		Plan:     root,
 		Requests: res.Requests,
-		Trace:    tr,
-		Pages:    tr.Pages(),
-		Rows:     res.Rows,
+		Pages:    trace.Process(res.Requests),
 	}, nil
 }
 
@@ -227,14 +222,9 @@ type Stats struct {
 func (w *Workload) ComputeStats() Stats {
 	s := Stats{MinDistinctNS: 1<<31 - 1}
 	for _, inst := range w.Instances {
-		ts := trace.ComputeStats(inst.Requests)
-		s.SeqIO += ts.SeqRequests
-		if ts.DistinctNonSeq < s.MinDistinctNS {
-			s.MinDistinctNS = ts.DistinctNonSeq
-		}
-		if ts.DistinctNonSeq > s.MaxDistinctNS {
-			s.MaxDistinctNS = ts.DistinctNonSeq
-		}
+		s.SeqIO += trace.SeqRequests(inst.Requests)
+		s.MinDistinctNS = min(s.MinDistinctNS, len(inst.Pages))
+		s.MaxDistinctNS = max(s.MaxDistinctNS, len(inst.Pages))
 		rels := 1 + len(inst.Query.Dims)
 		if rels > s.RelationsJoined {
 			s.RelationsJoined = rels

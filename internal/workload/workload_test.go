@@ -9,6 +9,7 @@ import (
 
 	"github.com/pythia-db/pythia/internal/dsb"
 	"github.com/pythia-db/pythia/internal/plan"
+	"github.com/pythia-db/pythia/internal/trace"
 	"github.com/pythia-db/pythia/internal/workload"
 )
 
@@ -24,14 +25,14 @@ func TestBuildPopulatesInstances(t *testing.T) {
 		t.Fatalf("instances = %d", len(w.Instances))
 	}
 	for i, inst := range w.Instances {
-		if inst.Plan == nil || inst.Trace == nil {
+		if inst.Plan == nil || inst.Pages == nil {
 			t.Fatalf("instance %d incomplete", i)
 		}
 		if len(inst.Requests) == 0 {
 			t.Fatalf("instance %d has no requests", i)
 		}
-		if len(inst.Pages) != inst.Trace.Count() {
-			t.Fatalf("instance %d cached Pages out of sync", i)
+		if !slices.Equal(inst.Pages, trace.Process(inst.Requests)) {
+			t.Fatalf("instance %d Pages out of sync with its requests", i)
 		}
 	}
 }
